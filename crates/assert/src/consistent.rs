@@ -126,7 +126,7 @@ impl ConsistentApi {
             retries: obs.counter("consistent.retries"),
             timeouts: obs.counter("consistent.timeouts"),
             expectation_failures: obs.counter("consistent.expectation_failures"),
-            converge_us: obs.histogram("consistent.converge_us", pod_obs::LATENCY_BOUNDS_US),
+            converge_us: obs.histogram("consistent.converge_us"),
         };
         ConsistentApi {
             cloud,

@@ -189,7 +189,7 @@ impl CloudMetrics {
             throttled: obs.counter("cloud.api.throttled"),
             errors: obs.counter("cloud.api.errors"),
             stale_reads: obs.counter("cloud.api.stale_reads"),
-            latency_us: obs.histogram("cloud.api.latency_us", pod_obs::LATENCY_BOUNDS_US),
+            latency_us: obs.histogram("cloud.api.latency_us"),
         }
     }
 }

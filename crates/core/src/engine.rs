@@ -16,7 +16,7 @@ use pod_log::{
     ImportantLineForwarder, LogEvent, LogStorage, NoiseFilter, Pipeline, PipelineOutput,
     ProcessAnnotator, ProcessContext, Severity, TimerSetter, Trigger,
 };
-use pod_obs::{Counter, Exemplar, LogHistogram, Obs};
+use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
 use pod_regex::{Regex, RegexSet};
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
@@ -36,7 +36,7 @@ struct EngineMetrics {
     /// Log-scale so one layout covers both the ≈10 ms common case and the
     /// multi-second diagnosis-coupled tail; tail observations carry an
     /// exemplar naming the run and causal event.
-    replay_latency_us: LogHistogram,
+    replay_latency_us: Histogram,
 }
 
 impl EngineMetrics {
@@ -44,7 +44,7 @@ impl EngineMetrics {
         EngineMetrics {
             detections: obs.counter("engine.detections"),
             diagnoses: obs.counter("engine.diagnoses"),
-            replay_latency_us: obs.log_histogram("conformance.replay_latency_us"),
+            replay_latency_us: obs.histogram("conformance.replay_latency_us"),
         }
     }
 }
@@ -260,7 +260,7 @@ impl PodEngine {
     /// Ingests a batch of raw lines, firing due timers once at the end.
     ///
     /// This is the gateway's amortized entry point: the whole batch runs
-    /// through the pipeline's batch-aware API (one step-limit sample per
+    /// through the pipeline's batch-aware API (one counter flush per
     /// batch), the causal-event ring handle is resolved once instead of per
     /// line, and the timer wheel is only consulted once per batch.
     pub fn ingest_batch(&mut self, events: impl IntoIterator<Item = LogEvent>) {

@@ -500,8 +500,7 @@ mod tests {
         let obs = Obs::detached();
         obs.tracer().begin_trace("run-7");
         obs.counter("cloud.api.calls").add(3);
-        obs.histogram("cloud.api.latency_us", &[100, 1000])
-            .record(250);
+        obs.histogram("cloud.api.latency_us").record(250);
         {
             let span = obs.span("upgrade.step");
             span.attr("step", "start");
@@ -550,7 +549,7 @@ mod tests {
     #[test]
     fn histogram_records_carry_p50_p95_p99() {
         let obs = Obs::detached();
-        let h = obs.histogram("lat_us", &[10, 100, 1000, 10_000]);
+        let h = obs.histogram("lat_us");
         for _ in 0..95 {
             h.record(50);
         }
@@ -634,7 +633,7 @@ mod tests {
     #[test]
     fn exemplar_and_flight_records_round_trip() {
         let obs = Obs::detached();
-        let h = obs.log_histogram("gateway.queue_wait_us");
+        let h = obs.histogram("gateway.queue_wait_us");
         h.record_with(4_321, || pod_obs::Exemplar {
             value: 4_321,
             at: SimTime::from_millis(7),

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use pod_log::Json;
 use pod_obs::SpanRecord;
 use pod_orchestrator::FaultType;
-use pod_sim::SimDuration;
+use pod_sim::{nearest_rank, SimDuration};
 
 /// Computes one run's latency budget: span name → summed *self* virtual
 /// time in microseconds (child-span time subtracted).
@@ -51,15 +51,6 @@ pub struct LatencyProfile {
     per_fault: BTreeMap<String, BTreeMap<String, StageSamples>>,
     /// fault → number of runs recorded.
     runs: BTreeMap<String, usize>,
-}
-
-/// Nearest-rank quantile of an unsorted sample set.
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 impl LatencyProfile {
@@ -112,11 +103,8 @@ impl LatencyProfile {
         let samples = &self.per_fault.get(fault)?.get(stage)?.samples;
         let mut sorted = samples.clone();
         sorted.sort_unstable();
-        Some((
-            quantile(&sorted, 0.50),
-            quantile(&sorted, 0.95),
-            quantile(&sorted, 0.99),
-        ))
+        let q = |q| nearest_rank(&sorted, q).unwrap_or(0);
+        Some((q(0.50), q(0.95), q(0.99)))
     }
 
     /// The `BENCH_pod.json` document: per fault type, per stage, the
@@ -139,11 +127,12 @@ impl LatencyProfile {
                 let mut sorted = samples.samples.clone();
                 sorted.sort_unstable();
                 let sum: u64 = sorted.iter().sum();
+                let q = |q| Json::Number(nearest_rank(&sorted, q).unwrap_or(0) as f64);
                 let mut s = Json::object();
                 s.set("stage", Json::str(stage.clone()));
-                s.set("p50", Json::Number(quantile(&sorted, 0.50) as f64));
-                s.set("p95", Json::Number(quantile(&sorted, 0.95) as f64));
-                s.set("p99", Json::Number(quantile(&sorted, 0.99) as f64));
+                s.set("p50", q(0.50));
+                s.set("p95", q(0.95));
+                s.set("p99", q(0.99));
                 s.set(
                     "mean",
                     Json::Number(if sorted.is_empty() {
@@ -229,16 +218,6 @@ mod tests {
         let budget = stage_self_times(&spans);
         assert_eq!(budget["faulttree.walk"], 50_000); // 100ms - 50ms children
         assert_eq!(budget["cloud.api.call"], 50_000);
-    }
-
-    #[test]
-    fn quantiles_are_nearest_rank() {
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(quantile(&sorted, 0.50), 50);
-        assert_eq!(quantile(&sorted, 0.95), 95);
-        assert_eq!(quantile(&sorted, 0.99), 99);
-        assert_eq!(quantile(&[7], 0.99), 7);
-        assert_eq!(quantile(&[], 0.5), 0);
     }
 
     #[test]

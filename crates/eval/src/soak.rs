@@ -652,7 +652,7 @@ fn replay_inner(
     // queue-wait histogram always links to a retained trace.
     let tail_ops: BTreeSet<String> = gw
         .obs()
-        .log_histogram("gateway.queue_wait_us")
+        .histogram("gateway.queue_wait_us")
         .exemplars()
         .iter()
         .filter_map(|e| {
@@ -673,14 +673,13 @@ fn replay_inner(
         let obs = stream.scenario.cloud.obs();
         let trace_id = &stream.scenario.trace_id;
         // Degradation warnings attributable to this operation: shedding on
-        // its shard and regex step-limit aborts in its own pipeline.
+        // its shard.
         let shard_shed = stats.shards.get(report.shard).map_or(0, |s| s.shed);
-        let step_limits = obs.counter("pipeline.regex.step_limit").get();
         let signals = RunSignals {
             trace_id: trace_id.clone(),
             detections: report.summary.detections.len(),
             errors: report.summary.conformance_errors,
-            warnings: (shard_shed > 0) as usize + (step_limits > 0) as usize,
+            warnings: (shard_shed > 0) as usize,
             tail_exemplar: tail_ops.contains(trace_id),
         };
         let verdict = match mode {

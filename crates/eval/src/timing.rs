@@ -47,11 +47,7 @@ impl TimingStats {
     /// The `q`-quantile (0 < q ≤ 1) by the nearest-rank method.
     pub fn percentile(&self, q: f64) -> SimDuration {
         assert!(q > 0.0 && q <= 1.0, "percentile requires 0 < q <= 1");
-        if self.samples.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let rank = ((self.samples.len() as f64) * q).ceil() as usize;
-        self.samples[rank.clamp(1, self.samples.len()) - 1]
+        pod_sim::nearest_rank(&self.samples, q).unwrap_or(SimDuration::ZERO)
     }
 
     /// Histogram with `buckets` equal-width bins between min and max.

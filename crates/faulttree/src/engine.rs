@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use pod_assert::ConsistentApi;
 use pod_log::{LogEvent, LogStorage, Severity};
-use pod_obs::{Counter, Histogram, Obs, LATENCY_BOUNDS_US};
+use pod_obs::{Counter, Histogram, Obs};
 use pod_sim::{SimDuration, SimTime};
 
 use crate::test::{DiagnosisContext, TestResult};
@@ -79,9 +79,6 @@ impl DiagnosisReport {
     }
 }
 
-/// Bucket bounds for the fault-tree walk depth histogram (tree levels).
-const DEPTH_BOUNDS: &[u64] = &[1, 2, 3, 4, 6, 8, 12, 16];
-
 /// Cached handles for the engine's metrics so the walk never touches the
 /// registry lock.
 #[derive(Debug, Clone)]
@@ -99,9 +96,8 @@ impl EngineMetrics {
             walks: obs.counter("faulttree.walks"),
             tests_run: obs.counter("faulttree.tests_run"),
             memo_hits: obs.counter("faulttree.memo_hits"),
-            walk_depth: obs.histogram("faulttree.walk_depth", DEPTH_BOUNDS),
-            time_to_first_cause_us: obs
-                .histogram("faulttree.time_to_first_cause_us", LATENCY_BOUNDS_US),
+            walk_depth: obs.histogram("faulttree.walk_depth"),
+            time_to_first_cause_us: obs.histogram("faulttree.time_to_first_cause_us"),
         }
     }
 }

@@ -21,19 +21,12 @@ use std::fmt;
 use pod_core::{PodEngine, RunSummary};
 use pod_log::{parse_line, Json, LineFormat, LogEvent};
 use pod_obs::{
-    Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, LogHistogram,
-    Obs, ShardCell,
+    Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, Obs, ShardCell,
 };
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
 use crate::shard::shard_for;
-
-/// Histogram bounds for queue-wait and producer-stall times (µs): 100µs to
-/// 10s of virtual time.
-pub const QUEUE_WAIT_BOUNDS_US: &[u64] = &[
-    100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000,
-];
 
 /// Where a gateway delivers parsed lines: one sink per registered
 /// operation. `pod_core::PodEngine` is the production implementation; tests
@@ -326,7 +319,7 @@ struct Shard {
     shed_counter: Counter,
     /// This shard's cache-padded cell of `gateway.lines.processed`.
     processed: ShardCell,
-    queue_wait: LogHistogram,
+    queue_wait: Histogram,
 }
 
 /// Per-gateway metric handles, cached so the hot path never locks the
@@ -343,8 +336,8 @@ struct Metrics {
     parse_json: Counter,
     parse_plain: Counter,
     parse_unclassified: Counter,
-    queue_wait: LogHistogram,
-    stall: LogHistogram,
+    queue_wait: Histogram,
+    stall: Histogram,
     batch_fill: Histogram,
 }
 
@@ -415,7 +408,7 @@ impl Gateway {
                 batches: 0,
                 shed_counter: obs.counter(&format!("gateway.shard.{i}.shed")),
                 processed: processed.cell(i),
-                queue_wait: obs.log_histogram(&format!("gateway.shard.{i}.queue_wait_us")),
+                queue_wait: obs.histogram(&format!("gateway.shard.{i}.queue_wait_us")),
             })
             .collect();
         let metrics = Metrics {
@@ -429,9 +422,9 @@ impl Gateway {
             parse_json: obs.counter("gateway.parse.json"),
             parse_plain: obs.counter("gateway.parse.plain"),
             parse_unclassified: obs.counter("gateway.parse.unclassified"),
-            queue_wait: obs.log_histogram("gateway.queue_wait_us"),
-            stall: obs.log_histogram("gateway.backpressure.stall_us"),
-            batch_fill: obs.histogram("gateway.batch_fill", &[1, 2, 4, 8, 16, 32, 64, 128]),
+            queue_wait: obs.histogram("gateway.queue_wait_us"),
+            stall: obs.histogram("gateway.backpressure.stall_us"),
+            batch_fill: obs.histogram("gateway.batch_fill"),
         };
         let flight = config
             .flight
@@ -633,7 +626,7 @@ impl Gateway {
         // operation's line order (first-appearance order across groups).
         // Each group is handed to its sink as one batch, so the whole
         // drain flows through the diagnosis engine's batch-aware path
-        // (`Pipeline::push_batch`): per-line setup — step-limit sampling,
+        // (`Pipeline::push_batch`): per-line setup — counter flushes,
         // causal-ring resolution, timer polling — is paid once per group.
         let batch_len = batch.len();
         let mut groups: Vec<(usize, Vec<LogEvent>)> = Vec::with_capacity(4);

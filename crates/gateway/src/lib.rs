@@ -37,7 +37,7 @@ mod shard;
 pub use admission::{Admission, AdmissionGate};
 pub use gateway::{
     DiagnosisSink, Gateway, GatewayConfig, GatewayError, GatewayStats, OpId, OpReport, ShardStats,
-    SubmitOutcome, QUEUE_WAIT_BOUNDS_US,
+    SubmitOutcome,
 };
 pub use queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
 pub use shard::{route_hash, shard_for};

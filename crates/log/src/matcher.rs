@@ -7,7 +7,7 @@
 
 use std::cell::RefCell;
 
-use pod_regex::{Captures, Engine, LiteralScanner, Regex};
+use pod_regex::{Captures, LiteralScanner, Regex};
 
 thread_local! {
     /// Reusable candidate buffer: `(rule, pattern)` pairs whose required
@@ -122,8 +122,7 @@ impl RuleIndex {
 /// Rules are tried in insertion order and the first match wins, mirroring a
 /// Logstash filter chain. Classification dispatches through a shared
 /// literal index (see [`RuleIndex`]): one scan over the line selects the
-/// candidate `(rule, pattern)` pairs, and only those run their regex. The
-/// unindexed reference path is kept as [`RuleBook::match_line_naive`].
+/// candidate `(rule, pattern)` pairs, and only those run their regex.
 ///
 /// # Examples
 ///
@@ -187,9 +186,17 @@ impl RuleBook {
     /// first-rule-wins semantics are preserved exactly (a pattern absent
     /// from the candidates is guaranteed not to match).
     pub fn match_line(&self, line: &str) -> Option<RuleMatch> {
+        let confirm = |cands: &[(u32, u32)]| {
+            cands.iter().find_map(|&(r, p)| {
+                let rule = &self.rules[r as usize];
+                let re = &rule.patterns[p as usize];
+                let caps = re.captures(line)?;
+                Some(Self::rule_match(rule, re, &caps))
+            })
+        };
         let Some(scanner) = self.index.scanner.as_ref() else {
-            // No pattern yields literals: the index cannot narrow anything.
-            return self.match_line_with_engine(line, Engine::Auto);
+            // No pattern yields literals: every pattern is in `always`.
+            return confirm(&self.index.always);
         };
         RULE_CANDIDATES.with(|buf| {
             let mut fallback = Vec::new();
@@ -200,35 +207,8 @@ impl RuleBook {
             scanner.scan(line, |lit, _| cands.push(self.index.lit_owner[lit]));
             cands.sort_unstable();
             cands.dedup();
-            for &(r, p) in cands.iter() {
-                let rule = &self.rules[r as usize];
-                let re = &rule.patterns[p as usize];
-                if let Some(caps) = re.captures(line) {
-                    return Some(Self::rule_match(rule, re, &caps));
-                }
-            }
-            None
+            confirm(cands)
         })
-    }
-
-    /// The pre-index reference implementation: every pattern of every rule
-    /// is tried in order on the legacy backtracking engine. Kept public as
-    /// the oracle for golden equivalence tests and as the "before" side of
-    /// the line-matching benchmarks.
-    pub fn match_line_naive(&self, line: &str) -> Option<RuleMatch> {
-        self.match_line_with_engine(line, Engine::Backtracking)
-    }
-
-    /// Match-each-pattern loop on a chosen engine.
-    fn match_line_with_engine(&self, line: &str, engine: Engine) -> Option<RuleMatch> {
-        for rule in &self.rules {
-            for re in &rule.patterns {
-                if let Some(caps) = re.captures_with(line, engine) {
-                    return Some(Self::rule_match(rule, re, &caps));
-                }
-            }
-        }
-        None
     }
 
     /// Builds the [`RuleMatch`] for a confirmed pattern.
@@ -355,6 +335,16 @@ mod tests {
         b
     }
 
+    /// The unindexed reference: every pattern of every rule, in order.
+    fn match_each_pattern(book: &RuleBook, line: &str) -> Option<RuleMatch> {
+        book.rules().iter().find_map(|rule| {
+            rule.patterns.iter().find_map(|re| {
+                let caps = re.captures(line)?;
+                Some(RuleBook::rule_match(rule, re, &caps))
+            })
+        })
+    }
+
     #[test]
     fn candidate_dispatch_matches_naive_for_zero_one_many() {
         let b = dispatch_book();
@@ -375,7 +365,7 @@ mod tests {
         for line in lines {
             assert_eq!(
                 b.match_line(line),
-                b.match_line_naive(line),
+                match_each_pattern(&b, line),
                 "dispatch diverged on {line:?}"
             );
         }
@@ -399,14 +389,32 @@ mod tests {
     fn index_preserves_fields_and_boundaries() {
         let b = dispatch_book();
         let fast = b.match_line("x Starting rolling upgrade task-3 y").unwrap();
-        let naive = b
-            .match_line_naive("x Starting rolling upgrade task-3 y")
-            .unwrap();
+        let naive = match_each_pattern(&b, "x Starting rolling upgrade task-3 y").unwrap();
         assert_eq!(fast, naive);
         assert_eq!(fast.boundary, Boundary::Start);
         assert_eq!(
             fast.fields,
             vec![("task".to_string(), "task-3".to_string())]
         );
+    }
+
+    #[test]
+    fn literal_free_book_confirms_every_pattern_in_rule_order() {
+        // No pattern yields a literal, so there is no scanner and the
+        // `always` list is the whole candidate set.
+        let mut b = RuleBook::new();
+        b.push(LineRule::new("count", Boundary::During, &[r"(?P<n>\d+)\s\w+"]).unwrap());
+        b.push(LineRule::new("pair", Boundary::End, &[r"^\w+$", r"\w+\s\w+"]).unwrap());
+        assert!(b.index.scanner.is_none());
+        assert_eq!(b.index.always, vec![(0, 0), (1, 0), (1, 1)]);
+        let m = b.match_line("7 dwarves").unwrap();
+        assert_eq!(m.activity, "count", "first rule wins");
+        assert_eq!(m.fields, vec![("n".to_string(), "7".to_string())]);
+        assert_eq!(b.match_line("snow white").unwrap().activity, "pair");
+        assert_eq!(b.match_line("grumpy").unwrap().activity, "pair");
+        for line in ["7 dwarves", "snow white", "grumpy", "", "!?"] {
+            assert_eq!(b.match_line(line), match_each_pattern(&b, line));
+        }
+        assert!(b.match_line("!?").is_none());
     }
 }

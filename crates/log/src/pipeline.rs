@@ -134,14 +134,6 @@ pub struct Pipeline {
     stage_metrics: Vec<StageMetrics>,
     pushed: Counter,
     forwarded: Counter,
-    /// Regex step-limit aborts observed while this pipeline ran its stages
-    /// (`pipeline.regex.step_limit`). A non-zero value means some match
-    /// attempts were abandoned with no answer — the affected lines may have
-    /// been mis-annotated, so the report warns on it.
-    step_limit: Counter,
-    /// Last sampled value of the process-wide [`pod_regex::step_limit_hits`]
-    /// counter; deltas are attributed to this pipeline's counter.
-    step_limit_seen: u64,
     /// Reusable per-batch counter accumulator: counts collect in plain
     /// integers during a batch and flush to the shared atomics once, so a
     /// 64-line batch costs a handful of atomic bumps instead of hundreds.
@@ -197,8 +189,6 @@ impl Pipeline {
         Pipeline {
             pushed: obs.counter("pipeline.pushed"),
             forwarded: obs.counter("pipeline.forwarded"),
-            step_limit: obs.counter("pipeline.regex.step_limit"),
-            step_limit_seen: pod_regex::step_limit_hits(),
             obs,
             stages: Vec::new(),
             stage_metrics: Vec::new(),
@@ -218,7 +208,6 @@ impl Pipeline {
         self.obs = obs.clone();
         self.pushed = obs.counter("pipeline.pushed");
         self.forwarded = obs.counter("pipeline.forwarded");
-        self.step_limit = obs.counter("pipeline.regex.step_limit");
         self.stage_metrics = self
             .stages
             .iter()
@@ -247,29 +236,26 @@ impl Pipeline {
     pub fn push(&mut self, event: LogEvent) -> PipelineOutput {
         let mut tallies = std::mem::take(&mut self.scratch);
         tallies.reset(self.stages.len());
-        let out = self.push_unsampled(event, &mut tallies);
+        let out = self.push_tallied(event, &mut tallies);
         self.flush_tallies(&tallies);
         self.scratch = tallies;
-        self.sample_step_limits();
         out
     }
 
     /// Pushes a whole batch through the pipeline, one output per input
     /// event in order. Equivalent to calling [`Pipeline::push`] per event,
-    /// but per-line bookkeeping (step-limit sampling, counter bumps) is
-    /// amortized over the batch — counts accumulate in plain locals and hit
-    /// the shared atomics once. This is the entry point the gateway's
-    /// batched drain uses.
+    /// but the counter bumps are amortized over the batch — counts
+    /// accumulate in plain locals and hit the shared atomics once. This is
+    /// the entry point the gateway's batched drain uses.
     pub fn push_batch(&mut self, events: Vec<LogEvent>) -> Vec<PipelineOutput> {
         let mut tallies = std::mem::take(&mut self.scratch);
         tallies.reset(self.stages.len());
         let outs = events
             .into_iter()
-            .map(|event| self.push_unsampled(event, &mut tallies))
+            .map(|event| self.push_tallied(event, &mut tallies))
             .collect();
         self.flush_tallies(&tallies);
         self.scratch = tallies;
-        self.sample_step_limits();
         outs
     }
 
@@ -291,21 +277,9 @@ impl Pipeline {
         }
     }
 
-    /// Attributes any new process-wide regex step-limit aborts to this
-    /// pipeline's `pipeline.regex.step_limit` counter. Attribution is
-    /// approximate under concurrency (the source counter is global), which
-    /// is fine for its purpose: warning that match answers were dropped.
-    fn sample_step_limits(&mut self) {
-        let hits = pod_regex::step_limit_hits();
-        if hits > self.step_limit_seen {
-            self.step_limit.add(hits - self.step_limit_seen);
-            self.step_limit_seen = hits;
-        }
-    }
-
-    /// The per-event stage loop, without step-limit sampling; counts land
-    /// in `tallies`, not the shared counters.
-    fn push_unsampled(&mut self, event: LogEvent, tallies: &mut BatchTallies) -> PipelineOutput {
+    /// The per-event stage loop; counts land in `tallies`, not the shared
+    /// counters.
+    fn push_tallied(&mut self, event: LogEvent, tallies: &mut BatchTallies) -> PipelineOutput {
         tallies.pushed += 1;
         // The stage loop consumes the event, so its origin is saved up
         // front — but only when tracing can use it: the off baseline must
@@ -743,44 +717,6 @@ mod tests {
         assert!(
             out.cause.is_none(),
             "off mode must not capture origin strings"
-        );
-    }
-
-    /// A stage that deliberately runs a catastrophic pattern on the legacy
-    /// backtracking engine, to exercise step-limit accounting.
-    #[derive(Debug)]
-    struct PathologicalStage {
-        re: Regex,
-    }
-
-    impl Stage for PathologicalStage {
-        fn process(&mut self, event: LogEvent) -> StageOutput {
-            let _ = self
-                .re
-                .captures_with(&event.message, pod_regex::Engine::Backtracking);
-            StageOutput::pass(event)
-        }
-
-        fn name(&self) -> &'static str {
-            "pathological"
-        }
-    }
-
-    #[test]
-    fn step_limit_aborts_surface_in_pipeline_metrics() {
-        let obs = Obs::detached();
-        let mut p = Pipeline::new();
-        p.add_stage(Box::new(PathologicalStage {
-            re: Regex::new("(a+)+b").unwrap(),
-        }));
-        p.set_obs(&obs);
-        let out = p.push(event(&"a".repeat(30)));
-        // The line still flows through (the stage passes it on)…
-        assert_eq!(out.forwarded.len(), 1);
-        // …but the abandoned match attempt is counted, not hidden.
-        assert!(
-            obs.snapshot().counter("pipeline.regex.step_limit") >= 1,
-            "step-limit abort was not attributed to the pipeline"
         );
     }
 

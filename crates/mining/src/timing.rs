@@ -78,12 +78,7 @@ impl ActivityTimings {
     /// duration, if sampled.
     pub fn percentile(&self, activity: &str, q: f64) -> Option<SimDuration> {
         assert!(q > 0.0 && q <= 1.0, "percentile requires 0 < q <= 1");
-        let s = self.samples.get(activity)?;
-        if s.is_empty() {
-            return None;
-        }
-        let rank = ((s.len() as f64) * q).ceil() as usize;
-        Some(s[rank.clamp(1, s.len()) - 1])
+        pod_sim::nearest_rank(self.samples.get(activity)?, q)
     }
 
     /// The paper's timeout recommendation for a step: the 95th percentile

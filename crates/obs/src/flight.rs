@@ -421,7 +421,7 @@ mod tests {
     fn dashboard_renders_sparklines_and_incident_marks() {
         let (clock, reg, rec) = recorder(16, 10);
         let c = reg.counter("gateway.lines.processed");
-        let h = reg.log_histogram("gateway.queue_wait_us");
+        let h = reg.histogram("gateway.queue_wait_us");
         for i in 0..6u64 {
             c.add(i * 100);
             h.record(1_000 * (i + 1));

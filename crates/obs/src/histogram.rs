@@ -1,13 +1,13 @@
-//! Log-scale (HDR-style) histograms with tail exemplars.
+//! The histogram: log-scale (HDR-style) buckets with tail exemplars.
 //!
-//! The fixed-bucket [`Histogram`](crate::Histogram) needs its bounds chosen
-//! up front; at gateway scale the interesting latencies span five orders of
-//! magnitude and the fixed bounds either waste buckets or lose the tail. A
-//! [`LogHistogram`] instead uses base-2 buckets with 8 linear sub-buckets
-//! per octave: bucket index is computed from the value's bit pattern in
-//! O(1) (no bounds search), the relative quantile error is bounded by
-//! 1/8 = 12.5% everywhere, and the layout is identical for every instance,
-//! so snapshots always merge losslessly.
+//! The interesting latencies span five orders of magnitude (≈10 ms
+//! conformance calls, 70–90 ms API calls, 1.29–10.44 s diagnoses, minutes
+//! of queue wait under overload), so instead of bounds chosen up front a
+//! [`Histogram`] uses base-2 buckets with 8 linear sub-buckets per octave:
+//! bucket index is computed from the value's bit pattern in O(1) (no
+//! bounds search), the relative quantile error is bounded by 1/8 = 12.5%
+//! everywhere, and the layout is identical for every instance, so
+//! snapshots merge and diff element-wise.
 //!
 //! Tail observations can carry an **exemplar** — the virtual timestamp,
 //! the causal event id and free-form labels (operation, instance, shard) of
@@ -15,18 +15,12 @@
 //! straight back to the run that produced it. Exemplar capture is guarded
 //! by an atomic floor: observations below the smallest retained exemplar
 //! value never take the lock or build labels.
-//!
-//! Snapshots are exported as ordinary [`HistogramSnapshot`]s (the log-scale
-//! bounds are just a particular bounds vector), so every existing renderer,
-//! diff and merge path works unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pod_sim::SimTime;
-
-use crate::metrics::HistogramSnapshot;
 
 /// log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 3;
@@ -40,26 +34,6 @@ const NUM_BOUNDS: usize = SUB as usize + (OCTAVES as usize) * SUB as usize;
 /// Retained tail exemplars per histogram.
 pub const EXEMPLAR_CAP: usize = 8;
 
-/// The shared log-scale bounds: inclusive upper bounds of every bounded
-/// bucket. Identical for all [`LogHistogram`]s, so their snapshots always
-/// merge on the fast path.
-pub fn log_bounds() -> &'static [u64] {
-    static BOUNDS: OnceLock<Vec<u64>> = OnceLock::new();
-    BOUNDS.get_or_init(|| {
-        let mut bounds = Vec::with_capacity(NUM_BOUNDS);
-        // Values 0..SUB are exact (unit-width buckets).
-        for v in 0..SUB {
-            bounds.push(v);
-        }
-        for octave in 0..OCTAVES {
-            for m in 0..SUB {
-                bounds.push(((SUB + m + 1) << octave) - 1);
-            }
-        }
-        bounds
-    })
-}
-
 /// The bucket a value lands in, computed from its bit pattern.
 fn index_for(value: u64) -> usize {
     if value < SUB {
@@ -72,6 +46,17 @@ fn index_for(value: u64) -> usize {
     }
     let offset = ((value >> octave) - SUB) as usize;
     SUB as usize + octave as usize * SUB as usize + offset
+}
+
+/// The inclusive upper bound of bounded bucket `index` (`< NUM_BOUNDS`):
+/// the inverse of [`index_for`].
+fn upper_bound(index: usize) -> u64 {
+    let index = index as u64;
+    if index < SUB {
+        return index; // values 0..SUB are exact (unit-width buckets)
+    }
+    let (octave, m) = ((index - SUB) / SUB, (index - SUB) % SUB);
+    ((SUB + m + 1) << octave) - 1
 }
 
 /// One concrete tail observation retained alongside a histogram, linking an
@@ -90,7 +75,7 @@ pub struct Exemplar {
 }
 
 #[derive(Debug)]
-struct LogHistogramInner {
+struct HistogramInner {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
@@ -103,21 +88,22 @@ struct LogHistogramInner {
     exemplars: Mutex<Vec<Exemplar>>,
 }
 
-/// A log-scale histogram of `u64` observations with a bounded reservoir of
-/// tail [`Exemplar`]s. Cloning shares the cells.
+/// A log-scale histogram of `u64` observations (microseconds, depths,
+/// batch sizes...) with a bounded reservoir of tail [`Exemplar`]s. Cloning
+/// shares the cells.
 #[derive(Debug, Clone)]
-pub struct LogHistogram(Arc<LogHistogramInner>);
+pub struct Histogram(Arc<HistogramInner>);
 
-impl Default for LogHistogram {
-    fn default() -> LogHistogram {
-        LogHistogram::new()
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram::new()
     }
 }
 
-impl LogHistogram {
+impl Histogram {
     /// Creates an empty histogram.
-    pub fn new() -> LogHistogram {
-        LogHistogram(Arc::new(LogHistogramInner {
+    pub fn new() -> Histogram {
+        Histogram(Arc::new(HistogramInner {
             buckets: (0..=NUM_BOUNDS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -181,12 +167,10 @@ impl LogHistogram {
         out
     }
 
-    /// Copies the current state as an ordinary [`HistogramSnapshot`] over
-    /// the shared log-scale bounds.
+    /// Copies the current state.
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let h = &self.0;
         HistogramSnapshot {
-            bounds: log_bounds().to_vec(),
             buckets: h
                 .buckets
                 .iter()
@@ -200,31 +184,128 @@ impl LogHistogram {
     }
 }
 
+/// Immutable copy of one histogram's state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Per-bucket observation counts over the shared log-scale layout (the
+    /// last entry is the overflow bucket).
+    pub buckets: Vec<u64>,
+    /// Total observations.
+    pub count: u64,
+    /// Sum of all observed values.
+    pub sum: u64,
+    /// Smallest observed value (`u64::MAX` when empty).
+    pub min: u64,
+    /// Largest observed value (0 when empty).
+    pub max: u64,
+}
+
+impl HistogramSnapshot {
+    /// Mean observed value; 0.0 when empty.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the buckets.
+    ///
+    /// **Semantics:** the estimate is the *inclusive upper bound* of the
+    /// bucket containing the target rank, clamped to the observed
+    /// `[min, max]` — so it is monotone in `q`, never under-reports, and is
+    /// always bounded by real observations. `q = 0` returns the exact
+    /// `min`, `q = 1` the exact `max`.
+    ///
+    /// **Error bound:** the estimate exceeds the true quantile by at most
+    /// one bucket's width — with 8 sub-buckets per octave a relative error
+    /// ≤ 1/8 = 12.5% (values ≥ 2^40 fall in the overflow bucket, where the
+    /// estimate is the observed `max`). Returns `None` when the histogram
+    /// is empty.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        if self.count == 0 {
+            return None;
+        }
+        let q = q.clamp(0.0, 1.0);
+        if q <= 0.0 {
+            return Some(self.min);
+        }
+        if q >= 1.0 {
+            return Some(self.max);
+        }
+        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut cumulative = 0u64;
+        let mut estimate = self.max;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            cumulative += n;
+            if cumulative >= target {
+                if i < NUM_BOUNDS {
+                    estimate = upper_bound(i);
+                }
+                break;
+            }
+        }
+        Some(estimate.clamp(self.min, self.max))
+    }
+
+    /// The counts-since `earlier`: buckets, count and sum subtract
+    /// (saturating); min/max are kept from `self` since decomposing
+    /// extremes is not possible.
+    pub(crate) fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: self
+                .buckets
+                .iter()
+                .zip(&earlier.buckets)
+                .map(|(now, then)| now.saturating_sub(*then))
+                .collect(),
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// Merges another snapshot into this one (campaign aggregation across
+    /// runs), bucket by bucket.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bounds_ascend_and_match_the_index_function() {
-        let bounds = log_bounds();
-        assert_eq!(bounds.len(), NUM_BOUNDS);
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        // index_for must agree with the generic partition_point placement
-        // used by the fixed-bucket histogram.
+    fn bounds_ascend_and_invert_the_index_function() {
+        assert!(
+            (1..NUM_BOUNDS).all(|i| upper_bound(i - 1) < upper_bound(i)),
+            "bounds must ascend"
+        );
+        assert_eq!(upper_bound(NUM_BOUNDS - 1), (1 << 40) - 1);
+        // A value's bucket is the first whose upper bound reaches it.
         for value in (0..4096u64)
             .chain((0..50).map(|i| 1u64 << (i % 40)))
-            .chain([u64::MAX, (SUB << 36) * 2 - 1])
+            .chain([(1 << 40) - 1, 1 << 40, u64::MAX])
         {
-            let expected = bounds.partition_point(|&b| b < value);
-            assert_eq!(index_for(value), expected, "value {value}");
+            let i = index_for(value);
+            assert!(i == NUM_BOUNDS || upper_bound(i) >= value, "value {value}");
+            assert!(i == 0 || upper_bound(i - 1) < value, "value {value}");
         }
     }
 
     #[test]
     fn relative_error_is_bounded_by_an_eighth() {
-        let bounds = log_bounds();
         for value in [8u64, 100, 999, 70_000, 1_290_000, 10_440_000] {
-            let bound = bounds[index_for(value)];
+            let bound = upper_bound(index_for(value));
             assert!(bound >= value);
             let err = (bound - value) as f64 / value as f64;
             assert!(err <= 0.125, "value {value} bound {bound} err {err}");
@@ -233,7 +314,7 @@ mod tests {
 
     #[test]
     fn snapshot_quantiles_track_the_tail() {
-        let h = LogHistogram::new();
+        let h = Histogram::new();
         for _ in 0..99 {
             h.record(1_000);
         }
@@ -252,7 +333,7 @@ mod tests {
 
     #[test]
     fn exemplars_keep_the_largest_observations() {
-        let h = LogHistogram::new();
+        let h = Histogram::new();
         let mut built = 0u32;
         for v in (0..100u64).rev() {
             h.record_with(v * 10, || {
@@ -275,7 +356,7 @@ mod tests {
             (built as usize) < 100,
             "floor never engaged: {built} exemplars built"
         );
-        let h2 = LogHistogram::new();
+        let h2 = Histogram::new();
         h2.record_with(5, || Exemplar {
             value: 5,
             at: SimTime::ZERO,
@@ -287,7 +368,7 @@ mod tests {
 
     #[test]
     fn overflow_values_land_in_the_overflow_bucket() {
-        let h = LogHistogram::new();
+        let h = Histogram::new();
         h.record(u64::MAX);
         let snap = h.snapshot();
         assert_eq!(snap.buckets[NUM_BOUNDS], 1);
@@ -296,7 +377,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_consistent() {
-        let h = LogHistogram::new();
+        let h = Histogram::new();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let h = h.clone();

@@ -6,8 +6,8 @@
 //! gives the running system the telemetry those numbers come from:
 //!
 //! - a **metrics registry** ([`Registry`]) of counters, gauges and
-//!   fixed-bucket histograms with cheaply cloneable handles and
-//!   [`Snapshot`] / diff support;
+//!   log-scale histograms with cheaply cloneable handles and
+//!   [`Snapshot`] / diff / merge support;
 //! - a **span layer** ([`Tracer`]) recording nested spans (upgrade step →
 //!   conformance replay → assertion eval → fault-tree walk → diagnostic
 //!   test → cloud API call) with virtual-clock start/end times and
@@ -62,7 +62,7 @@
 mod event;
 mod export;
 mod flight;
-mod hist2;
+mod histogram;
 mod metrics;
 mod obs;
 mod render;
@@ -75,11 +75,8 @@ pub use export::{chrome_trace, otlp_json};
 pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
-pub use hist2::{log_bounds, Exemplar, LogHistogram, EXEMPLAR_CAP};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, ShardCell, ShardedCounter, Snapshot,
-    LATENCY_BOUNDS_US,
-};
+pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP};
+pub use metrics::{Counter, Gauge, Registry, ShardCell, ShardedCounter, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};

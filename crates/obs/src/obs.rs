@@ -7,8 +7,8 @@ use std::sync::Arc;
 use pod_sim::Clock;
 
 use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent};
-use crate::hist2::LogHistogram;
-use crate::metrics::{Counter, Gauge, Histogram, Registry, ShardedCounter, Snapshot};
+use crate::histogram::Histogram;
+use crate::metrics::{Counter, Gauge, Registry, ShardedCounter, Snapshot};
 use crate::span::{SpanGuard, Tracer};
 
 /// How much telemetry an [`Obs`] context records.
@@ -220,13 +220,8 @@ impl Obs {
     }
 
     /// Histogram accessor (see [`Registry::histogram`]).
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        self.registry.histogram(name, bounds)
-    }
-
-    /// Log-scale histogram accessor (see [`Registry::log_histogram`]).
-    pub fn log_histogram(&self, name: &str) -> LogHistogram {
-        self.registry.log_histogram(name)
+    pub fn histogram(&self, name: &str) -> Histogram {
+        self.registry.histogram(name)
     }
 
     /// Sharded counter accessor (see [`Registry::sharded_counter`]).

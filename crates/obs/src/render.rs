@@ -76,7 +76,7 @@ mod tests {
         reg.counter("cloud.api.calls").add(12);
         reg.counter("cloud.api.throttled"); // zero — hidden
         reg.gauge("queue.depth").set(3);
-        let h = reg.histogram("cloud.api.latency_us", &[1_000, 100_000]);
+        let h = reg.histogram("cloud.api.latency_us");
         h.record(70_000);
         h.record(90_000);
         let text = render_summary(&reg.snapshot());

@@ -2,7 +2,7 @@
 //!
 //! Head-based sampling decides *before* a run whether to record it — and
 //! at gateway scale that is exactly backwards, because the runs worth
-//! keeping (a detection, an error verdict, a shed or step-limit warning, a
+//! keeping (a detection, an error verdict, a shed warning, a
 //! tail-latency exemplar) are the rare ones. The [`TailSampler`] decides
 //! *after* a run completes, from its [`RunSignals`]:
 //!
@@ -48,7 +48,7 @@ pub struct RunSignals {
     /// Error verdicts (e.g. conformance errors) during the run.
     pub errors: usize,
     /// Degradation warnings attributable to the run: shard shedding,
-    /// regex step-limit hits, span/event ring drops.
+    /// span/event ring drops.
     pub warnings: usize,
     /// Whether a tail-latency exemplar points at this run.
     pub tail_exemplar: bool,
@@ -73,7 +73,7 @@ pub enum SampleVerdict {
     KeptDetection,
     /// Kept: the run ended in an error verdict.
     KeptError,
-    /// Kept: the run hit a degradation warning (shed, step limit, drops).
+    /// Kept: the run hit a degradation warning (shed, drops).
     KeptWarning,
     /// Kept: a tail-latency exemplar points at the run.
     KeptTailExemplar,

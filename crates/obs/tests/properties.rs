@@ -18,14 +18,14 @@ fn arb_signals() -> impl Strategy<Value = RunSignals> {
 
 proptest! {
     /// Percentile estimates are monotone in q and always bounded by the
-    /// observed min/max, whatever the data and bucket layout.
+    /// observed min/max, whatever the data.
     #[test]
     fn histogram_quantiles_are_monotone_and_bounded(
         values in prop::collection::vec(0u64..5_000_000, 1..200),
         qs in prop::collection::vec(0.0..1.0f64, 2..20),
     ) {
         let reg = Registry::new();
-        let h = reg.histogram("h", pod_obs::LATENCY_BOUNDS_US);
+        let h = reg.histogram("h");
         for &v in &values {
             h.record(v);
         }
@@ -46,6 +46,50 @@ proptest! {
         }
         prop_assert_eq!(hist.quantile(0.0).unwrap(), lo);
         prop_assert_eq!(hist.quantile(1.0).unwrap(), hi);
+    }
+
+    /// Every instance shares one bucket layout, so merging two registries'
+    /// snapshots is exactly recording every value into one registry.
+    #[test]
+    fn merged_snapshots_equal_one_registry_recording_everything(
+        left in prop::collection::vec(0u64..(1 << 41), 0..100),
+        right in prop::collection::vec(0u64..(1 << 41), 0..100),
+    ) {
+        let (a, b, both) = (Registry::new(), Registry::new(), Registry::new());
+        for &v in &left {
+            a.histogram("h").record(v);
+            both.histogram("h").record(v);
+        }
+        for &v in &right {
+            b.histogram("h").record(v);
+            both.histogram("h").record(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        prop_assert_eq!(merged.histogram("h"), both.snapshot().histogram("h"));
+    }
+
+    /// The documented error bound: every quantile estimate is at least the
+    /// true nearest-rank value and at most 12.5% above it.
+    #[test]
+    fn quantile_estimates_stay_within_an_eighth_above_the_truth(
+        values in prop::collection::vec(0u64..(1 << 40), 1..200),
+        q in 0.0..1.0f64,
+    ) {
+        let reg = Registry::new();
+        let h = reg.histogram("h");
+        for &v in &values {
+            h.record(v);
+        }
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
+        let truth = pod_sim::nearest_rank(&sorted, q).expect("non-empty");
+        let est = reg.snapshot().histogram("h").unwrap().quantile(q).unwrap();
+        prop_assert!(est >= truth, "estimate {est} under-reports {truth} at q={q}");
+        prop_assert!(
+            est - truth <= truth / 8,
+            "estimate {est} is more than 12.5% above {truth} at q={q}"
+        );
     }
 
     /// diff followed by merge round-trips counter totals.

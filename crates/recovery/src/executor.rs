@@ -5,7 +5,7 @@
 use pod_assert::{AssertionOutcome, ConsistentApi, ConsistentError, ExpectedEnv, RetryPolicy};
 use pod_cloud::{ApiError, AsgUpdate, Cloud, Instance, InstanceId, InstanceState};
 use pod_log::{LogEvent, LogStorage, Severity};
-use pod_obs::{Counter, EventId, LogHistogram, Obs};
+use pod_obs::{Counter, EventId, Histogram, Obs};
 use pod_sim::{SimDuration, SimTime};
 
 use crate::plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
@@ -245,7 +245,7 @@ struct RecoveryMetrics {
     steps_retried: Counter,
     fallbacks: Counter,
     verify_failures: Counter,
-    mttr_us: LogHistogram,
+    mttr_us: Histogram,
 }
 
 impl RecoveryMetrics {
@@ -258,7 +258,7 @@ impl RecoveryMetrics {
             steps_retried: obs.counter("recovery.steps_retried"),
             fallbacks: obs.counter("recovery.fallbacks"),
             verify_failures: obs.counter("recovery.verify_failures"),
-            mttr_us: obs.log_histogram("recovery.mttr_us"),
+            mttr_us: obs.histogram("recovery.mttr_us"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Compilation of the AST into a small backtracking-VM program.
+//! Compilation of the AST into a small VM program.
 
 use crate::ast::{Ast, CharClass, PerlClass};
 
@@ -44,7 +44,10 @@ pub struct Program {
     pub insts: Vec<Inst>,
     /// Number of capture slots (two per group, including group 0).
     pub n_slots: usize,
-    /// Number of progress registers used by loop guards.
+    /// Number of progress registers used by loop guards. Only the
+    /// test-only reference backtracker allocates them; the Pike VM's
+    /// visited set makes loop guards unnecessary.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub n_regs: usize,
     /// Number of capturing groups excluding group 0.
     pub n_captures: u32,

@@ -1,15 +1,19 @@
 //! Differential tests: the prefiltered Pike-VM fast path must be
-//! observationally identical to the legacy backtracking engine.
+//! observationally identical to the original backtracking engine.
 //!
 //! Random patterns are generated from the supported dialect's grammar and
-//! run against random inputs on all three engines ([`Engine::Auto`],
-//! [`Engine::PikeVm`], [`Engine::Backtracking`]); `is_match`, the overall
-//! find span, and every capture group's span must agree. The backtracker is
-//! the reference semantics; cases where it exhausts its step budget (so
-//! there is no reference answer) are skipped.
+//! run against random inputs three ways — [`Regex::exec`] (prefilter +
+//! Pike VM, the path `captures` ships), [`pike::exec`] with no prefilter,
+//! and the backtracking [`vm::exec`] retried at every start offset — on
+//! one shared compiled program; `is_match`, the overall find span, and every capture group's
+//! span must agree. The backtracker is the reference semantics; cases where
+//! it exhausts its step budget (so there is no reference answer) are
+//! skipped.
 
-use pod_regex::{Engine, Regex};
 use proptest::prelude::*;
+
+use crate::pike::{self, ByteSlots, StartPolicy};
+use crate::{vm, Regex};
 
 /// Random pattern strings from the supported grammar. Leaves draw from a
 /// small alphabet (so random inputs actually collide with them) plus the
@@ -44,56 +48,85 @@ fn pattern_strategy() -> BoxedStrategy<String> {
     })
 }
 
-/// Asserts that `engine` produces exactly the reference engine's answer
-/// for `re` on `input`: same match/no-match, same group-0 span, same span
-/// for every capture group.
-fn assert_engines_agree(re: &Regex, input: &str, engine: Engine, pattern: &str) {
-    let reference = match re.try_captures_with(input, Engine::Backtracking) {
-        Ok(r) => r,
-        // The backtracker gave up (MatchError::StepLimit): there is no
-        // reference answer to compare against.
-        Err(_) => return,
-    };
-    let got = re.captures_with(input, engine);
-    match (&reference, &got) {
-        (None, None) => {}
-        (Some(want), Some(have)) => {
-            assert_eq!(
-                want.len(),
-                have.len(),
-                "group count diverged: {pattern:?} on {input:?} ({engine:?})"
-            );
-            for group in 0..want.len() {
-                let span = |c: &pod_regex::Captures<'_>| c.get(group).map(|m| (m.start(), m.end()));
-                assert_eq!(
-                    span(want),
-                    span(have),
-                    "group {group} diverged: {pattern:?} on {input:?} ({engine:?})"
-                );
+/// The reference answer: the backtracking VM retried at every start
+/// offset, its char-index slots converted to byte offsets. `Err` when it
+/// exhausted its step budget.
+fn backtrack(re: &Regex, text: &str) -> Result<Option<ByteSlots>, ()> {
+    let chars: Vec<char> = text.chars().collect();
+    // Byte offset of each char index, plus the end offset.
+    let mut offsets = Vec::with_capacity(chars.len() + 1);
+    let mut off = 0;
+    for c in &chars {
+        offsets.push(off);
+        off += c.len_utf8();
+    }
+    offsets.push(off);
+    for start in 0..=chars.len() {
+        match vm::exec(&re.prog, &chars, start) {
+            vm::ExecOutcome::Match(slots) => {
+                return Ok(Some(slots.iter().map(|s| s.map(|i| offsets[i])).collect()));
             }
+            vm::ExecOutcome::NoMatch => {}
+            vm::ExecOutcome::StepLimit => return Err(()),
         }
-        _ => panic!(
-            "is_match diverged: {pattern:?} on {input:?} ({engine:?}): \
-             backtracking={:?} fast={:?}",
-            reference.is_some(),
-            got.is_some()
+    }
+    Ok(None)
+}
+
+/// Asserts that the shipped path and the bare Pike VM both produce exactly
+/// the backtracker's answer for `re` on `input`: same match/no-match and
+/// the same span for every capture group (group 0 included).
+fn assert_engines_agree(re: &Regex, input: &str, pattern: &str) {
+    let Ok(reference) = backtrack(re, input) else {
+        return;
+    };
+    let policy = if re.anchored {
+        StartPolicy::Zero
+    } else {
+        StartPolicy::All
+    };
+    for (engine, got) in [
+        ("prefilter + pike", re.exec(input)),
+        ("pike", pike::exec(&re.prog, input, policy)),
+    ] {
+        assert_eq!(
+            reference, got,
+            "{engine} diverged from backtracking: {pattern:?} on {input:?}"
+        );
+    }
+}
+
+/// Hand-picked production-shaped cases, independent of the generators.
+#[test]
+fn engines_agree_on_fixture_patterns() {
+    let cases = [
+        (
+            r"Terminated instance (?P<id>i-[0-9a-f]+)",
+            "... Terminated instance i-7df34041 ...",
         ),
+        (r"Terminated instance i-\w+", "nothing relevant here"),
+        (r"[Rr]olling upgrade", "Started rolling upgrade task"),
+        (r"\d+ of \d+ instances", "saw 3 of 12 instances in service"),
+        (r"^\[task\] done$", "[task] done"),
+        (r"x+y?z*", "wxxyzz!"),
+    ];
+    for (pattern, text) in cases {
+        assert_engines_agree(&Regex::new(pattern).unwrap(), text, pattern);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// Auto (prefilter + Pike VM) and bare Pike VM agree with the
-    /// backtracker on random (pattern, input) pairs.
+    /// Prefilter + Pike VM and bare Pike VM agree with the backtracker on
+    /// random (pattern, input) pairs.
     #[test]
     fn random_patterns_agree_across_engines(
         pattern in pattern_strategy(),
         input in "[abc1 ]{0,14}",
     ) {
         let re = Regex::new(&pattern).expect("generated pattern must parse");
-        assert_engines_agree(&re, &input, Engine::Auto, &pattern);
-        assert_engines_agree(&re, &input, Engine::PikeVm, &pattern);
+        assert_engines_agree(&re, &input, &pattern);
     }
 
     /// Same property against inputs biased to contain full pattern leaves,
@@ -107,8 +140,7 @@ proptest! {
         let re = Regex::new(&pattern).expect("generated pattern must parse");
         for middle in ["ab", "abc", "a1 b", "ccc"] {
             let input = format!("{head}{middle}{tail}");
-            assert_engines_agree(&re, &input, Engine::Auto, &pattern);
-            assert_engines_agree(&re, &input, Engine::PikeVm, &pattern);
+            assert_engines_agree(&re, &input, &pattern);
         }
     }
 
@@ -131,8 +163,7 @@ proptest! {
             format!("{line} Terminated instance i-7df34041"),
             format!("[2013] Rolling upgrade: 3 of 12 instances, ERROR {line}"),
         ] {
-            assert_engines_agree(&re, &input, Engine::Auto, pattern);
-            assert_engines_agree(&re, &input, Engine::PikeVm, pattern);
+            assert_engines_agree(&re, &input, pattern);
         }
     }
 }

@@ -23,12 +23,11 @@
 //! 2. **Pike VM** — surviving candidates run on a non-backtracking
 //!    thread-list engine with reusable scratch buffers, visiting each
 //!    (position, instruction) pair at most once. The dialect has no
-//!    back-references, so this path is always available and is selected by
-//!    default ([`Engine::Auto`]).
-//! 3. The classic backtracking VM is kept as a reference engine
-//!    ([`Engine::Backtracking`]); its step-limit abort is surfaced as
-//!    [`MatchError::StepLimit`] and counted in [`step_limit_hits`] instead
-//!    of being silently conflated with a non-match.
+//!    back-references, so this is the only engine: there is no step
+//!    budget to exhaust and every match attempt yields a definite answer.
+//!
+//! The original backtracking VM survives only under `cfg(test)`, as the
+//! reference semantics the differential property tests compare against.
 //!
 //! # Examples
 //!
@@ -49,63 +48,20 @@ mod compile;
 mod literal;
 mod parser;
 mod pike;
+#[cfg(test)]
 mod vm;
+
+#[cfg(test)]
+mod differential;
 
 pub use literal::LiteralScanner;
 pub use parser::ParseError;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use compile::Program;
 use literal::LiteralInfo;
 use pike::StartPolicy;
-
-/// Global count of backtracking-VM executions that hit the step limit.
-static STEP_LIMIT_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of times (process-wide) the backtracking engine abandoned a match
-/// attempt at its step limit. Each such attempt's answer is unknown — the
-/// pipeline samples this to surface "the matcher gave up" in observability
-/// rather than treating the line as a clean non-match.
-pub fn step_limit_hits() -> u64 {
-    STEP_LIMIT_HITS.load(Ordering::Relaxed)
-}
-
-/// A matching failure. The only current variant is the backtracking
-/// engine's step-limit abort, which means the input may or may not match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MatchError {
-    /// The backtracking engine exhausted its step budget; no answer.
-    StepLimit,
-}
-
-impl std::fmt::Display for MatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MatchError::StepLimit => {
-                write!(f, "regex engine exhausted its step limit (no answer)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MatchError {}
-
-/// Which execution engine to use for a match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Literal prefilter + Pike VM (the default fast path).
-    #[default]
-    Auto,
-    /// Pike VM without the prefilter (scans every offset). Useful to test
-    /// the prefilter and the VM independently.
-    PikeVm,
-    /// The legacy backtracking VM. Kept as the reference semantics and the
-    /// "before" side of benchmarks; may fail with [`MatchError::StepLimit`].
-    Backtracking,
-}
 
 thread_local! {
     /// Reusable buffer for prefilter candidate start offsets.
@@ -197,60 +153,15 @@ impl Regex {
 
     /// Finds the leftmost match and returns all capture groups.
     pub fn captures<'t>(&self, text: &'t str) -> Option<Captures<'t>> {
-        self.captures_with(text, Engine::Auto)
-    }
-
-    /// Like [`Regex::captures`], but surfaces engine failures instead of
-    /// mapping them to "no match".
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::StepLimit`] if the backtracking engine gave up; the
-    /// default engine never fails.
-    pub fn try_captures<'t>(&self, text: &'t str) -> Result<Option<Captures<'t>>, MatchError> {
-        self.try_captures_with(text, Engine::Auto)
-    }
-
-    /// Finds the leftmost match using a specific [`Engine`]. Engine
-    /// failures count toward [`step_limit_hits`] and report as no match.
-    pub fn captures_with<'t>(&self, text: &'t str, engine: Engine) -> Option<Captures<'t>> {
-        self.try_captures_with(text, engine).unwrap_or_default()
-    }
-
-    /// Finds the leftmost match using a specific [`Engine`], surfacing
-    /// engine failures.
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::StepLimit`] if the backtracking engine gave up before
-    /// finding an answer (the attempt is also counted in
-    /// [`step_limit_hits`]). `Auto` and `PikeVm` never fail.
-    pub fn try_captures_with<'t>(
-        &self,
-        text: &'t str,
-        engine: Engine,
-    ) -> Result<Option<Captures<'t>>, MatchError> {
-        let slots = match engine {
-            Engine::Auto => self.exec_auto(text),
-            Engine::PikeVm => {
-                let policy = if self.anchored {
-                    StartPolicy::Zero
-                } else {
-                    StartPolicy::All
-                };
-                pike::exec(&self.prog, text, policy)
-            }
-            Engine::Backtracking => self.exec_backtracking(text)?,
-        };
-        Ok(slots.map(|slots| Captures {
+        self.exec(text).map(|slots| Captures {
             text,
             slots,
             names: self.names.clone(),
-        }))
+        })
     }
 
-    /// The default path: prefilter, then Pike VM over candidate starts.
-    fn exec_auto(&self, text: &str) -> Option<pike::ByteSlots> {
+    /// Prefilter, then Pike VM over the candidate starts.
+    fn exec(&self, text: &str) -> Option<pike::ByteSlots> {
         if self.anchored {
             return pike::exec(&self.prog, text, StartPolicy::Zero);
         }
@@ -276,34 +187,6 @@ impl Regex {
             }
             Prefilter::None => pike::exec(&self.prog, text, StartPolicy::All),
         }
-    }
-
-    /// The legacy engine: retry the backtracking VM at every start offset,
-    /// then convert its char-index slots to byte offsets.
-    fn exec_backtracking(&self, text: &str) -> Result<Option<pike::ByteSlots>, MatchError> {
-        let chars: Vec<char> = text.chars().collect();
-        // Byte offset of each char index, plus the end offset.
-        let mut offsets = Vec::with_capacity(chars.len() + 1);
-        let mut off = 0;
-        for c in &chars {
-            offsets.push(off);
-            off += c.len_utf8();
-        }
-        offsets.push(off);
-        for start in 0..=chars.len() {
-            match vm::exec(&self.prog, &chars, start) {
-                vm::ExecOutcome::Match(slots) => {
-                    let byte_slots = slots.iter().map(|s| s.map(|i| offsets[i])).collect();
-                    return Ok(Some(byte_slots));
-                }
-                vm::ExecOutcome::NoMatch => {}
-                vm::ExecOutcome::StepLimit => {
-                    STEP_LIMIT_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Err(MatchError::StepLimit);
-                }
-            }
-        }
-        Ok(None)
     }
 
     /// Iterates over all non-overlapping matches in `text`.
@@ -489,26 +372,13 @@ impl<'t> Iterator for FindIter<'_, 't> {
     }
 }
 
-/// The shared multi-pattern prefilter of a [`RegexSet`]: one scanner over
-/// the union of every member's required literals, mapping each literal back
-/// to the pattern that requires it.
-#[derive(Debug, Clone)]
-struct SetPrefilter {
-    scanner: LiteralScanner,
-    /// Pattern index owning each literal id.
-    lit_owner: Vec<usize>,
-    /// Patterns with no literal requirement: always candidates.
-    always: Vec<usize>,
-}
-
 /// A set of patterns matched together, used by the log pipeline's noise
 /// filter and the activity matchers.
 ///
 /// Membership tests run as a true multi-pattern engine: one shared literal
 /// scan over the line yields candidate pattern ids, and only those
 /// candidates are confirmed with their full regex. Patterns for which no
-/// literal requirement can be derived are always candidates; if no pattern
-/// yields literals the set falls back to the match-each-member loop.
+/// literal requirement can be derived are always candidates.
 ///
 /// # Examples
 ///
@@ -522,7 +392,14 @@ struct SetPrefilter {
 #[derive(Debug, Clone, Default)]
 pub struct RegexSet {
     regexes: Vec<Regex>,
-    prefilter: Option<SetPrefilter>,
+    /// One scanner over the union of every member's required literals;
+    /// absent when no member yields any (a prefilter that admits
+    /// everything is pure overhead).
+    scanner: Option<LiteralScanner>,
+    /// Pattern index owning each of the scanner's literal ids.
+    lit_owner: Vec<usize>,
+    /// Patterns with no literal requirement: always candidates.
+    always: Vec<usize>,
 }
 
 impl RegexSet {
@@ -546,76 +423,54 @@ impl RegexSet {
                 None => always.push(idx),
             }
         }
-        // A prefilter that admits everything is pure overhead.
-        let prefilter = if lit_owner.is_empty() {
-            None
-        } else {
-            Some(SetPrefilter {
-                scanner: LiteralScanner::new(&literals),
-                lit_owner,
-                always,
-            })
-        };
-        Ok(RegexSet { regexes, prefilter })
+        let scanner = (!literals.is_empty()).then(|| LiteralScanner::new(&literals));
+        Ok(RegexSet {
+            regexes,
+            scanner,
+            lit_owner,
+            always,
+        })
     }
 
-    /// Candidate pattern indices for `text` (sorted, deduplicated), written
-    /// into `out`. Patterns not listed are guaranteed non-matching.
-    fn candidates(&self, pf: &SetPrefilter, text: &str, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend_from_slice(&pf.always);
-        pf.scanner.scan(text, |lit, _| out.push(pf.lit_owner[lit]));
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Computes the candidate patterns for `text` into reusable scratch
-    /// and hands them (in index order) to `f`.
+    /// Computes the candidate pattern indices for `text` (sorted,
+    /// deduplicated; patterns not listed are guaranteed non-matching) into
+    /// reusable scratch and hands them to `f`.
     fn with_candidates<T>(&self, text: &str, f: impl FnOnce(&[usize]) -> T) -> T {
-        let pf = self
-            .prefilter
-            .as_ref()
-            .expect("with_candidates requires a prefilter");
+        let Some(scanner) = &self.scanner else {
+            return f(&self.always);
+        };
         CANDIDATE_BUF.with(|buf| {
             let mut fallback = Vec::new();
             let mut guard = buf.try_borrow_mut().ok();
             let out = guard.as_deref_mut().unwrap_or(&mut fallback);
-            self.candidates(pf, text, out);
+            out.clear();
+            out.extend_from_slice(&self.always);
+            scanner.scan(text, |lit, _| out.push(self.lit_owner[lit]));
+            out.sort_unstable();
+            out.dedup();
             f(out)
         })
     }
 
     /// Indices of all patterns that match `text`.
     pub fn matches(&self, text: &str) -> Vec<usize> {
-        match &self.prefilter {
-            Some(_) => self.with_candidates(text, |cands| {
-                cands
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.regexes[i].is_match(text))
-                    .collect()
-            }),
-            None => self
-                .regexes
+        self.with_candidates(text, |cands| {
+            cands
                 .iter()
-                .enumerate()
-                .filter(|(_, re)| re.is_match(text))
-                .map(|(i, _)| i)
-                .collect(),
-        }
+                .copied()
+                .filter(|&i| self.regexes[i].is_match(text))
+                .collect()
+        })
     }
 
     /// Index of the first (lowest-index) matching pattern.
     pub fn first_match(&self, text: &str) -> Option<usize> {
-        match &self.prefilter {
-            Some(_) => self.with_candidates(text, |cands| {
-                cands
-                    .iter()
-                    .copied()
-                    .find(|&i| self.regexes[i].is_match(text))
-            }),
-            None => self.regexes.iter().position(|re| re.is_match(text)),
-        }
+        self.with_candidates(text, |cands| {
+            cands
+                .iter()
+                .copied()
+                .find(|&i| self.regexes[i].is_match(text))
+        })
     }
 
     /// Number of patterns in the set.
@@ -746,59 +601,6 @@ mod tests {
         assert_eq!(set.matches("cab"), vec![0, 1, 2]);
         assert_eq!(set.matches("b"), vec![1]);
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn engines_agree_on_fixture_patterns() {
-        let cases = [
-            (
-                r"Terminated instance (?P<id>i-[0-9a-f]+)",
-                "... Terminated instance i-7df34041 ...",
-            ),
-            (r"Terminated instance i-\w+", "nothing relevant here"),
-            (r"[Rr]olling upgrade", "Started rolling upgrade task"),
-            (r"\d+ of \d+ instances", "saw 3 of 12 instances in service"),
-            (r"^\[task\] done$", "[task] done"),
-            (r"x+y?z*", "wxxyzz!"),
-        ];
-        for (pattern, text) in cases {
-            let re = Regex::new(pattern).unwrap();
-            let auto = re.captures_with(text, Engine::Auto);
-            let pikevm = re.captures_with(text, Engine::PikeVm);
-            let backtrack = re.captures_with(text, Engine::Backtracking);
-            for (name, got) in [("pike", &pikevm), ("backtracking", &backtrack)] {
-                match (&auto, got) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        for i in 0..a.len() {
-                            assert_eq!(
-                                a.get(i).map(|m| (m.start(), m.end())),
-                                b.get(i).map(|m| (m.start(), m.end())),
-                                "{pattern} vs {name} group {i} on {text:?}"
-                            );
-                        }
-                    }
-                    _ => panic!("{pattern}: auto={auto:?} {name}={got:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn step_limit_surfaces_as_error_and_metric() {
-        let re = Regex::new("(a+)+b").unwrap();
-        let text = "a".repeat(30);
-        let before = step_limit_hits();
-        assert_eq!(
-            re.try_captures_with(&text, Engine::Backtracking).err(),
-            Some(MatchError::StepLimit)
-        );
-        assert!(step_limit_hits() > before);
-        // The infallible API maps the failure to "no match"…
-        assert!(re.captures_with(&text, Engine::Backtracking).is_none());
-        // …while the default engine answers definitively.
-        assert!(re.try_captures(&text).unwrap().is_none());
-        assert!(re.captures(&format!("{text}b")).is_some());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! A non-backtracking (Pike-style) execution engine for compiled programs.
 //!
-//! The backtracking VM in [`crate::vm`] clones the full capture-slot and
-//! register state into a frame on every `Split` and re-runs from every start
-//! offset, which makes worst-case cost exponential and even the common case
-//! allocation-heavy. This engine simulates the NFA instead: it advances a
+//! A backtracking VM (the test-only `vm` module, kept as the reference
+//! semantics) clones the full capture-slot and register state into a frame
+//! on every `Split` and re-runs from every start offset, which makes
+//! worst-case cost exponential and even the common case allocation-heavy.
+//! This engine simulates the NFA instead: it advances a
 //! *thread list* through the input one character at a time, deduplicating
 //! threads with a per-position visited set, so cost is bounded by
 //! `O(input.len() × program.len())` with no per-step allocation (scratch
@@ -14,13 +15,12 @@
 //! thread is reached, lower-priority threads are cut, while higher-priority
 //! threads live on and may replace the recorded match with a preferred one.
 //!
-//! Unlike [`crate::vm::exec`], which tries a single start offset, this
+//! Unlike the backtracker, which tries a single start offset, this
 //! engine scans the whole input in one pass; [`StartPolicy`] restricts
 //! which offsets may begin a match (all of them, only offset zero for
 //! anchored patterns, or only prefilter candidate offsets).
 //!
-//! Capture slots produced here are **byte offsets** into the input; the
-//! backtracking path works in char indices and is converted by the caller.
+//! Capture slots produced here are **byte offsets** into the input.
 
 use std::cell::RefCell;
 

@@ -10,7 +10,8 @@
 //! - [`SimRng`] — seeded randomness with normal / lognormal / exponential
 //!   samplers implemented in-crate;
 //! - [`LatencyModel`] — calibrated latency distributions for simulated cloud
-//!   API calls.
+//!   API calls;
+//! - [`nearest_rank`] — the one quantile definition every report uses.
 //!
 //! Everything is deterministic under a seed: two runs with the same seed
 //! produce identical logs, identical diagnosis transcripts and identical
@@ -45,10 +46,12 @@ mod clock;
 mod events;
 mod latency;
 mod rng;
+mod stats;
 mod time;
 
 pub use clock::Clock;
 pub use events::{EventId, EventQueue};
 pub use latency::LatencyModel;
 pub use rng::SimRng;
+pub use stats::nearest_rank;
 pub use time::{ParseTimeError, SimDuration, SimTime};

@@ -1,10 +1,28 @@
 //! Golden test for the annotator's candidate dispatch: over the full E1
 //! rolling-upgrade log (operation lines interleaved with application
 //! noise), the literal-index fast path must classify every line exactly
-//! like the naive match-each-pattern backtracking loop.
+//! like the naive match-each-pattern loop.
 
+use pod_log::{RuleBook, RuleMatch};
 use pod_orchestrator::process_def::rolling_upgrade_rules;
 use pod_regex::RegexSet;
+
+/// The unindexed reference: every pattern of every rule, in order.
+fn match_each_pattern(rules: &RuleBook, line: &str) -> Option<RuleMatch> {
+    rules.rules().iter().find_map(|rule| {
+        rule.patterns.iter().find_map(|re| {
+            let caps = re.captures(line)?;
+            Some(RuleMatch {
+                activity: rule.activity.clone(),
+                boundary: rule.boundary,
+                fields: re
+                    .capture_names()
+                    .filter_map(|n| Some((n.to_string(), caps.name(n)?.as_str().to_string())))
+                    .collect(),
+            })
+        })
+    })
+}
 
 #[test]
 fn fast_path_annotation_matches_naive_over_e1_log() {
@@ -15,7 +33,7 @@ fn fast_path_annotation_matches_naive_over_e1_log() {
     let mut noise_misses = 0usize;
     for line in &lines {
         let fast = rules.match_line(line);
-        let naive = rules.match_line_naive(line);
+        let naive = match_each_pattern(&rules, line);
         assert_eq!(fast, naive, "divergence on line: {line}");
         match fast {
             Some(_) => operation_hits += 1,
