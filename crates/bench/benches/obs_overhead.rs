@@ -15,7 +15,7 @@
 //!
 //! Usage (args pass through `cargo bench --bench obs_overhead -- ...`):
 //!   --smoke   fewer tenants and rounds, for CI
-//!   --json    write BENCH_obs.json at the workspace root
+//!   --json    write RUN_obs-overhead.jsonl at the workspace root
 //!
 //! Gates: full overhead < 10% of the off baseline, sampled overhead < 3%.
 //! The gated statistic is a *trimmed geometric mean of per-round ratios*:
@@ -29,7 +29,10 @@
 
 use std::time::Instant;
 
-use pod_eval::{collect_streams, replay_telemetry, SoakConfig, SoakReport};
+use pod_eval::{
+    collect_streams, replay_telemetry, telemetry_line, write_journal, Record, SoakConfig,
+    SoakReport,
+};
 use pod_gateway::GatewayConfig;
 use pod_log::Json;
 use pod_obs::TelemetryMode;
@@ -230,54 +233,44 @@ fn main() {
     }
 
     if write_json {
-        let mut doc = Json::object();
-        doc.set("bench", Json::str("obs-overhead"));
-        doc.set("ops", Json::Number(ops as f64));
-        doc.set("rounds", Json::Number(rounds as f64));
-        doc.set("attempts", Json::Number(attempts as f64));
-        doc.set("lines_total", Json::Number(sampled.lines_total as f64));
-        doc.set("digest_identical", Json::Bool(true));
-        let mut mode_rows = Json::object();
+        // Deterministic content first; every timing goes in `wall` records.
+        let run = "obs-overhead";
+        let mut lines = vec![Record::new("obs-overhead", run)
+            .num("ops", ops as u64)
+            .num("rounds", rounds as u64)
+            .num("lines_total", sampled.lines_total)
+            .json("digest_identical", Json::Bool(true))
+            .float("full_max_overhead", FULL_MAX_OVERHEAD)
+            .float("sampled_max_overhead", SAMPLED_MAX_OVERHEAD)
+            .build()];
         for (m, &mode) in modes.iter().enumerate() {
-            let report = last[m].as_ref().unwrap();
-            let mut row = Json::object();
-            row.set("wall_secs_best", Json::Number(bests[m]));
-            row.set(
-                "wall_secs_rounds",
-                Json::Array(times[m].iter().map(|&t| Json::Number(t)).collect()),
+            let rounds = times[m].iter().map(|&t| Json::Number(t)).collect();
+            lines.push(telemetry_line(run, last[m].as_ref().unwrap()));
+            lines.push(
+                Record::new("wall", run)
+                    .str("label", mode.to_string())
+                    .float("wall_secs_best", bests[m])
+                    .json("wall_secs_rounds", Json::Array(rounds))
+                    .float("overhead_vs_off", ratio(&times, m) - 1.0)
+                    .build(),
             );
-            row.set("overhead_vs_off", Json::Number(ratio(&times, m) - 1.0));
-            row.set("kept_traces", Json::Number(report.kept_traces as f64));
-            row.set(
-                "discarded_traces",
-                Json::Number(report.discarded_traces as f64),
-            );
-            row.set("incidents", Json::Number(report.incidents as f64));
-            if let Some(flight) = &report.flight {
-                row.set("flight_frames", Json::Number(flight.frames.len() as f64));
-                row.set(
-                    "flight_incidents",
-                    Json::Number(flight.incidents.len() as f64),
-                );
-            }
-            mode_rows.set(mode.to_string(), row);
         }
-        doc.set("modes", mode_rows);
-        let mut gates = Json::object();
-        gates.set("full_max_overhead", Json::Number(FULL_MAX_OVERHEAD));
-        gates.set("sampled_max_overhead", Json::Number(SAMPLED_MAX_OVERHEAD));
-        gates.set("full_overhead", Json::Number(full_overhead));
-        gates.set("sampled_overhead", Json::Number(sampled_overhead));
-        gates.set(
-            "pass",
-            Json::Bool(
-                full_overhead < FULL_MAX_OVERHEAD && sampled_overhead < SAMPLED_MAX_OVERHEAD,
-            ),
+        let pass = full_overhead < FULL_MAX_OVERHEAD && sampled_overhead < SAMPLED_MAX_OVERHEAD;
+        lines.push(
+            Record::new("wall", run)
+                .str("label", "gates")
+                .num("attempts", attempts)
+                .float("full_overhead", full_overhead)
+                .float("sampled_overhead", sampled_overhead)
+                .json("pass", Json::Bool(pass))
+                .build(),
         );
-        doc.set("gates", gates);
-        let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-        std::fs::write(out_path, format!("{doc}\n")).expect("write BENCH_obs.json");
-        println!("wrote {out_path}");
+        // cargo runs a bench from its package directory; the run record
+        // belongs at the workspace root beside the other `RUN_*.jsonl`.
+        std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+            .expect("enter the workspace root");
+        let path = write_journal(run, &lines).expect("write run record");
+        println!("wrote {} journal records to {path}", lines.len());
     }
 
     println!(

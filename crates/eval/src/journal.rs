@@ -1,66 +1,164 @@
-//! The JSON-lines run journal: pod-obs snapshots, spans and Table-I
-//! metrics as machine-readable records.
+//! The run record: one JSON-lines journal per run, one emitter core, one
+//! diff.
 //!
 //! `pod-obs` sits *below* `pod-log` in the dependency order (the log
 //! pipeline itself is instrumented), so the JSON encoding of observability
 //! data cannot live in `pod-obs` — it lives here, reusing [`pod_log::Json`].
 //! One record per line; every record carries a `record` discriminator and
-//! the `run` id it belongs to.
+//! the `run` id it belongs to, so journals concatenate losslessly.
+//! Everything wall-clock lives in `wall` records: two same-seed runs are
+//! byte-identical once those are dropped.
+//!
+//! Every record kind is a list of fields on the [`Record`] builder, the
+//! only place that writes the preamble, a quantile triplet or a
+//! [`TimingStats`] block. [`write_journal`] is the only artifact writer and
+//! [`diff_journals`] the only comparison — the regression gates are that
+//! diff ([`diff_report`]).
 
-use pod_log::Json;
-use pod_obs::{EventRecord, FlightDump, IncidentChain, Snapshot, SpanRecord};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use crate::campaign::{FaultRecoveryStats, PhaseStats, RecoveryStats};
+use pod_gateway::GatewayStats;
+use pod_log::{Json, JsonError};
+use pod_obs::{EventRecord, FlightDump, IncidentChain, Snapshot, SpanRecord, TAIL_QUANTILES};
+use pod_sim::nearest_rank;
+
+use crate::campaign::{CampaignReport, RecoveryStats};
 use crate::metrics::MetricSet;
+use crate::profile::LatencyProfile;
+use crate::soak::{SoakRecoveryReport, SoakReport};
 use crate::timing::TimingStats;
 
 fn num(n: u64) -> Json {
     Json::Number(n as f64)
 }
 
+fn object<K: Into<String>>(entries: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Object(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+fn strings<S: Into<String>>(items: impl IntoIterator<Item = S>) -> Json {
+    Json::Array(items.into_iter().map(Json::str).collect())
+}
+
+/// One journal record under construction: fields are appended in call
+/// order, so a record kind reads as its field list.
+#[derive(Debug, Clone)]
+pub struct Record(Vec<(String, Json)>);
+
+impl Record {
+    /// Starts a record of `kind` belonging to `run` — the preamble every
+    /// journal line opens with.
+    pub fn new(kind: &str, run: &str) -> Record {
+        Record::nested().str("record", kind).str("run", run)
+    }
+
+    /// Starts an object without the preamble, for nesting inside a record.
+    pub fn nested() -> Record {
+        Record(Vec::new())
+    }
+
+    /// Appends an already-encoded value.
+    pub fn json(mut self, key: impl Into<String>, value: Json) -> Record {
+        self.0.push((key.into(), value));
+        self
+    }
+
+    /// Appends a count.
+    pub fn num(self, key: impl Into<String>, n: u64) -> Record {
+        self.json(key, num(n))
+    }
+
+    /// Appends a real number.
+    pub fn float(self, key: impl Into<String>, x: f64) -> Record {
+        self.json(key, Json::Number(x))
+    }
+
+    /// Appends a string.
+    pub fn str(self, key: impl Into<String>, s: impl Into<String>) -> Record {
+        self.json(key, Json::str(s))
+    }
+
+    /// Appends `value` unless it is an empty object or array.
+    pub fn nonempty(self, key: impl Into<String>, value: Json) -> Record {
+        match &value {
+            Json::Object(entries) if entries.is_empty() => self,
+            Json::Array(items) if items.is_empty() => self,
+            _ => self.json(key, value),
+        }
+    }
+
+    /// Appends the fields `then` adds, only when `value` is present.
+    pub fn opt<T>(self, value: Option<T>, then: impl FnOnce(Record, T) -> Record) -> Record {
+        match value {
+            Some(v) => then(self, v),
+            None => self,
+        }
+    }
+
+    /// Appends the fields `then` adds, only when `cond` holds.
+    pub fn when(self, cond: bool, then: impl FnOnce(Record) -> Record) -> Record {
+        self.opt(cond.then_some(()), |r, ()| then(r))
+    }
+
+    /// Appends the `p50`/`p95`/`p99` triplet, skipping quantiles the
+    /// source cannot answer (an empty sample).
+    pub fn quantiles(self, quantile: impl Fn(f64) -> Option<u64>) -> Record {
+        TAIL_QUANTILES.iter().fold(self, |r, &(key, q)| {
+            r.opt(quantile(q), |r, v| r.num(key, v))
+        })
+    }
+
+    /// Appends a [`TimingStats`] block under `prefix`: `_p50_us` and
+    /// `_p95_us`, framed by `_count` / `_mean_us` and `_max_us` when
+    /// `summary` is set. An empty sample appends nothing.
+    pub fn timing(self, prefix: &str, stats: &TimingStats, summary: bool) -> Record {
+        if stats.is_empty() {
+            return self;
+        }
+        let us = |key: &str| format!("{prefix}_{key}_us");
+        self.when(summary, |r| {
+            r.num(format!("{prefix}_count"), stats.len() as u64)
+                .num(us("mean"), stats.mean().as_micros())
+        })
+        .num(us("p50"), stats.percentile(0.5).as_micros())
+        .num(us("p95"), stats.percentile(0.95).as_micros())
+        .when(summary, |r| r.num(us("max"), stats.max().as_micros()))
+    }
+
+    /// The finished record.
+    pub fn build(self) -> Json {
+        Json::Object(self.0)
+    }
+}
+
 /// One record per counter, gauge and histogram in `snapshot`.
 pub fn snapshot_lines(run: &str, snapshot: &Snapshot) -> Vec<Json> {
-    let mut out = Vec::new();
-    for (name, value) in &snapshot.counters {
-        let mut o = Json::object();
-        o.set("record", Json::str("counter"));
-        o.set("run", Json::str(run));
-        o.set("name", Json::str(name.clone()));
-        o.set("value", num(*value));
-        out.push(o);
-    }
-    for (name, value) in &snapshot.gauges {
-        let mut o = Json::object();
-        o.set("record", Json::str("gauge"));
-        o.set("run", Json::str(run));
-        o.set("name", Json::str(name.clone()));
-        o.set("value", Json::Number(*value as f64));
-        out.push(o);
-    }
-    for (name, h) in &snapshot.histograms {
-        let mut o = Json::object();
-        o.set("record", Json::str("histogram"));
-        o.set("run", Json::str(run));
-        o.set("name", Json::str(name.clone()));
-        o.set("count", num(h.count));
-        o.set("sum", num(h.sum));
-        if h.count > 0 {
-            o.set("min", num(h.min));
-            o.set("max", num(h.max));
-            o.set("mean", Json::Number(h.mean()));
-            if let Some(p50) = h.quantile(0.5) {
-                o.set("p50", num(p50));
-            }
-            if let Some(p95) = h.quantile(0.95) {
-                o.set("p95", num(p95));
-            }
-            if let Some(p99) = h.quantile(0.99) {
-                o.set("p99", num(p99));
-            }
-        }
-        out.push(o);
-    }
-    out
+    let named = |kind, name: &String| Record::new(kind, run).str("name", name.as_str());
+    let counters = snapshot
+        .counters
+        .iter()
+        .map(|(name, value)| named("counter", name).num("value", *value));
+    let gauges = snapshot
+        .gauges
+        .iter()
+        .map(|(name, value)| named("gauge", name).float("value", *value as f64));
+    let histograms = snapshot.histograms.iter().map(|(name, h)| {
+        named("histogram", name)
+            .num("count", h.count)
+            .num("sum", h.sum)
+            .when(h.count > 0, |r| {
+                r.num("min", h.min)
+                    .num("max", h.max)
+                    .float("mean", h.mean())
+                    .quantiles(|q| h.quantile(q))
+            })
+    });
+    counters
+        .chain(gauges)
+        .chain(histograms)
+        .map(Record::build)
+        .collect()
 }
 
 /// One record per retained tail exemplar in `snapshot`: the concrete
@@ -69,88 +167,73 @@ pub fn snapshot_lines(run: &str, snapshot: &Snapshot) -> Vec<Json> {
 pub fn exemplar_lines(run: &str, snapshot: &Snapshot) -> Vec<Json> {
     let mut out = Vec::new();
     for (name, exemplars) in &snapshot.exemplars {
-        for e in exemplars {
-            let mut o = Json::object();
-            o.set("record", Json::str("exemplar"));
-            o.set("run", Json::str(run));
-            o.set("name", Json::str(name.clone()));
-            o.set("value", num(e.value));
-            o.set("at_us", num(e.at.as_micros()));
-            if let Some(event) = e.event {
-                o.set("event", num(event));
-            }
-            if !e.labels.is_empty() {
-                let mut labels = Json::object();
-                for (k, v) in &e.labels {
-                    labels.set(k.clone(), Json::str(v.clone()));
-                }
-                o.set("labels", labels);
-            }
-            out.push(o);
-        }
+        out.extend(exemplars.iter().map(|e| {
+            Record::new("exemplar", run)
+                .str("name", name.as_str())
+                .num("value", e.value)
+                .num("at_us", e.at.as_micros())
+                .opt(e.event, |r, event| r.num("event", event))
+                .nonempty(
+                    "labels",
+                    object(
+                        e.labels
+                            .iter()
+                            .map(|(k, v)| (k.as_str(), Json::str(v.as_str()))),
+                    ),
+                )
+                .build()
+        }));
     }
     out
 }
 
-/// The `FLIGHT_<op>.json` document: the flight recorder's black box as one
-/// JSON object — every frame with its counters, gauges and histogram
-/// quantile summaries, plus the incident marks and eviction accounting.
+/// The flight recorder's black box as one record: every frame with its
+/// counters, gauges and histogram quantile summaries, plus the incident
+/// marks and eviction accounting.
 pub fn flight_json(run: &str, dump: &FlightDump) -> Json {
-    let mut doc = Json::object();
-    doc.set("record", Json::str("flight"));
-    doc.set("run", Json::str(run));
-    doc.set("evicted_frames", num(dump.evicted_frames));
-    doc.set("dropped_incidents", num(dump.dropped_incidents));
-    let frames = dump
-        .frames
-        .iter()
-        .map(|f| {
-            let mut frame = Json::object();
-            frame.set("at_us", num(f.at.as_micros()));
-            let mut counters = Json::object();
-            for (name, value) in &f.snapshot.counters {
-                counters.set(name.clone(), num(*value));
-            }
-            frame.set("counters", counters);
-            if !f.snapshot.gauges.is_empty() {
-                let mut gauges = Json::object();
-                for (name, value) in &f.snapshot.gauges {
-                    gauges.set(name.clone(), Json::Number(*value as f64));
-                }
-                frame.set("gauges", gauges);
-            }
-            if !f.snapshot.histograms.is_empty() {
-                let mut hists = Json::object();
-                for (name, h) in &f.snapshot.histograms {
-                    let mut ho = Json::object();
-                    ho.set("count", num(h.count));
-                    if h.count > 0 {
-                        for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
-                            if let Some(v) = h.quantile(q) {
-                                ho.set(key, num(v));
-                            }
-                        }
-                    }
-                    hists.set(name.clone(), ho);
-                }
-                frame.set("histograms", hists);
-            }
-            frame
-        })
-        .collect();
-    doc.set("frames", Json::Array(frames));
-    let incidents = dump
-        .incidents
-        .iter()
-        .map(|inc| {
-            let mut o = Json::object();
-            o.set("at_us", num(inc.at.as_micros()));
-            o.set("label", Json::str(inc.label.clone()));
-            o
-        })
-        .collect();
-    doc.set("incidents", Json::Array(incidents));
-    doc
+    let frames = dump.frames.iter().map(|f| {
+        let snap = &f.snapshot;
+        Record::nested()
+            .num("at_us", f.at.as_micros())
+            .json(
+                "counters",
+                object(snap.counters.iter().map(|(n, v)| (n.as_str(), num(*v)))),
+            )
+            .nonempty(
+                "gauges",
+                object(
+                    snap.gauges
+                        .iter()
+                        .map(|(n, v)| (n.as_str(), Json::Number(*v as f64))),
+                ),
+            )
+            .nonempty(
+                "histograms",
+                object(snap.histograms.iter().map(|(n, h)| {
+                    let summary = Record::nested()
+                        .num("count", h.count)
+                        .quantiles(|q| h.quantile(q));
+                    (n.as_str(), summary.build())
+                })),
+            )
+            .build()
+    });
+    let incidents = dump.incidents.iter().map(|inc| {
+        Record::nested()
+            .num("at_us", inc.at.as_micros())
+            .str("label", inc.label.as_str())
+            .build()
+    });
+    Record::new("flight", run)
+        .num("evicted_frames", dump.evicted_frames)
+        .num("dropped_incidents", dump.dropped_incidents)
+        .json("frames", Json::Array(frames.collect()))
+        .json("incidents", Json::Array(incidents.collect()))
+        .build()
+}
+
+fn attrs(attrs: &[(&'static str, String)]) -> Json {
+    object(attrs.iter().map(|(k, v)| (*k, Json::str(v.as_str()))))
 }
 
 /// One record per finished span.
@@ -158,24 +241,14 @@ pub fn span_lines(run: &str, spans: &[SpanRecord]) -> Vec<Json> {
     spans
         .iter()
         .map(|s| {
-            let mut o = Json::object();
-            o.set("record", Json::str("span"));
-            o.set("run", Json::str(run));
-            o.set("id", num(s.id));
-            if let Some(parent) = s.parent {
-                o.set("parent", num(parent));
-            }
-            o.set("name", Json::str(s.name));
-            o.set("start_us", num(s.start.as_micros()));
-            o.set("end_us", num(s.end.as_micros()));
-            if !s.attrs.is_empty() {
-                let mut attrs = Json::object();
-                for (k, v) in &s.attrs {
-                    attrs.set(*k, Json::str(v.clone()));
-                }
-                o.set("attrs", attrs);
-            }
-            o
+            Record::new("span", run)
+                .num("id", s.id)
+                .opt(s.parent, |r, parent| r.num("parent", parent))
+                .str("name", s.name)
+                .num("start_us", s.start.as_micros())
+                .num("end_us", s.end.as_micros())
+                .nonempty("attrs", attrs(&s.attrs))
+                .build()
         })
         .collect()
 }
@@ -185,27 +258,15 @@ pub fn event_lines(run: &str, events: &[EventRecord]) -> Vec<Json> {
     events
         .iter()
         .map(|e| {
-            let mut o = Json::object();
-            o.set("record", Json::str("event"));
-            o.set("run", Json::str(run));
-            o.set("id", num(e.id));
-            if let Some(parent) = e.parent {
-                o.set("cause", num(parent));
-            }
-            if let Some(span) = e.span {
-                o.set("span", num(span));
-            }
-            o.set("kind", Json::str(e.kind));
-            o.set("name", Json::str(e.name.clone()));
-            o.set("at_us", num(e.at.as_micros()));
-            if !e.attrs.is_empty() {
-                let mut attrs = Json::object();
-                for (k, v) in &e.attrs {
-                    attrs.set(*k, Json::str(v.clone()));
-                }
-                o.set("attrs", attrs);
-            }
-            o
+            Record::new("event", run)
+                .num("id", e.id)
+                .opt(e.parent, |r, parent| r.num("cause", parent))
+                .opt(e.span, |r, span| r.num("span", span))
+                .str("kind", e.kind)
+                .str("name", &*e.name)
+                .num("at_us", e.at.as_micros())
+                .nonempty("attrs", attrs(&e.attrs))
+                .build()
         })
         .collect()
 }
@@ -216,266 +277,245 @@ pub fn incident_lines(run: &str, chains: &[IncidentChain]) -> Vec<Json> {
     chains
         .iter()
         .map(|c| {
-            let mut o = Json::object();
-            o.set("record", Json::str("incident"));
-            o.set("run", Json::str(run));
-            o.set("detection", Json::str(c.detection.name.clone()));
-            o.set("detection_event", num(c.detection.id));
-            o.set(
-                "hops",
-                Json::Array(c.hops.iter().map(|h| Json::str(h.kind)).collect()),
-            );
-            o.set("anchored", Json::Bool(c.anchored));
-            o.set("diagnosed", Json::Bool(c.diagnosed));
-            o.set("complete", Json::Bool(c.complete()));
-            o.set("elapsed_us", num(c.elapsed().as_micros()));
-            if !c.root_causes.is_empty() {
-                o.set(
+            Record::new("incident", run)
+                .str("detection", &*c.detection.name)
+                .num("detection_event", c.detection.id)
+                .json("hops", strings(c.hops.iter().map(|h| h.kind)))
+                .json("anchored", Json::Bool(c.anchored))
+                .json("diagnosed", Json::Bool(c.diagnosed))
+                .json("complete", Json::Bool(c.complete()))
+                .num("elapsed_us", c.elapsed().as_micros())
+                .nonempty(
                     "root_causes",
-                    Json::Array(
-                        c.root_causes
-                            .iter()
-                            .map(|r| Json::str(r.name.clone()))
-                            .collect(),
-                    ),
-                );
-            }
-            o
+                    strings(c.root_causes.iter().map(|r| &*r.name)),
+                )
+                .build()
         })
         .collect()
 }
 
-/// One "gateway" summary record plus one "gateway-shard" record per shard:
-/// the machine-readable form of [`pod_gateway::GatewayStats`], including
-/// every shed/deferred/blocked line and the per-shard queue-wait quantiles.
-pub fn gateway_lines(run: &str, stats: &pod_gateway::GatewayStats) -> Vec<Json> {
-    let mut out = Vec::new();
-    let mut o = Json::object();
-    o.set("record", Json::str("gateway"));
-    o.set("run", Json::str(run));
-    o.set("lines_submitted", num(stats.lines_submitted));
-    o.set("lines_processed", num(stats.lines_processed));
-    o.set("shed_oldest", num(stats.shed_oldest));
-    o.set("shed_newest", num(stats.shed_newest));
-    o.set("blocked", num(stats.blocked));
-    o.set("deferred", num(stats.deferred));
-    o.set("admission_denied", num(stats.admission_denied));
-    o.set("batches", num(stats.batches));
-    o.set("virtual_elapsed_us", num(stats.virtual_elapsed.as_micros()));
-    o.set(
-        "lines_per_sec_virtual",
-        Json::Number(stats.lines_per_sec_virtual()),
-    );
-    out.push(o);
-    for shard in &stats.shards {
-        let mut o = Json::object();
-        o.set("record", Json::str("gateway-shard"));
-        o.set("run", Json::str(run));
-        o.set("shard", num(shard.shard as u64));
-        o.set("ops", num(shard.ops as u64));
-        o.set("lines", num(shard.lines));
-        o.set("shed", num(shard.shed));
-        o.set("batches", num(shard.batches));
-        if let Some(h) = &shard.queue_wait_us {
-            o.set("queue_wait_count", num(h.count));
-            o.set("queue_wait_mean_us", Json::Number(h.mean()));
-            for (key, q) in [
-                ("queue_wait_p50_us", 0.5),
-                ("queue_wait_p95_us", 0.95),
-                ("queue_wait_p99_us", 0.99),
-            ] {
-                if let Some(v) = h.quantile(q) {
-                    o.set(key, num(v));
-                }
-            }
-        }
-        out.push(o);
+/// The "gateway" record: the preamble plus [`GatewayStats::to_json`] —
+/// totals, parse counts and every shard's queue-wait quantiles.
+pub fn gateway_line(run: &str, stats: &GatewayStats) -> Json {
+    let mut record = Record::new("gateway", run);
+    if let Json::Object(fields) = stats.to_json() {
+        record.0.extend(fields);
     }
-    out
+    record.build()
 }
 
-fn set_recovery_counts(
-    o: &mut Json,
-    attempted: usize,
-    recovered: usize,
-    escalated: usize,
-    conformance_fit: usize,
+/// The recovery counts, rates and MTTR block the "recovery" and
+/// "recovery-fault" records share.
+fn recovery_counts(
+    r: Record,
+    [attempted, recovered, escalated, conformance_fit]: [usize; 4],
     mttr: &TimingStats,
-) {
-    o.set("attempted", num(attempted as u64));
-    o.set("recovered", num(recovered as u64));
-    o.set("escalated", num(escalated as u64));
-    o.set("conformance_fit", num(conformance_fit as u64));
-    if attempted > 0 {
-        o.set(
-            "success_rate",
-            Json::Number(recovered as f64 / attempted as f64),
-        );
-        o.set(
-            "escalation_rate",
-            Json::Number(escalated as f64 / attempted as f64),
-        );
-    }
-    if !mttr.is_empty() {
-        o.set("mttr_count", num(mttr.len() as u64));
-        o.set("mttr_mean_us", num(mttr.mean().as_micros()));
-        o.set("mttr_p50_us", num(mttr.percentile(0.5).as_micros()));
-        o.set("mttr_p95_us", num(mttr.percentile(0.95).as_micros()));
-        o.set("mttr_max_us", num(mttr.max().as_micros()));
-    }
+) -> Record {
+    r.num("attempted", attempted as u64)
+        .num("recovered", recovered as u64)
+        .num("escalated", escalated as u64)
+        .num("conformance_fit", conformance_fit as u64)
+        .when(attempted > 0, |r| {
+            r.float("success_rate", recovered as f64 / attempted as f64)
+                .float("escalation_rate", escalated as f64 / attempted as f64)
+        })
+        .timing("mttr", mttr, true)
 }
 
-/// The MTTR phase breakdown (p50/p95 per phase) of recovered runs: where
-/// the seconds go between first failing signal and verified repair.
-fn set_phase_quantiles(o: &mut Json, phases: &PhaseStats) {
-    let named: [(&str, &TimingStats); 5] = [
-        ("detection", &phases.detection),
-        ("diagnosis", &phases.diagnosis),
-        ("staging", &phases.staging),
-        ("repair", &phases.repair),
-        ("verification", &phases.verification),
-    ];
-    for (name, stats) in named {
-        if stats.is_empty() {
-            continue;
-        }
-        o.set(
-            format!("phase_{name}_p50_us"),
-            num(stats.percentile(0.5).as_micros()),
-        );
-        o.set(
-            format!("phase_{name}_p95_us"),
-            num(stats.percentile(0.95).as_micros()),
-        );
-    }
-}
-
-/// One "recovery" summary record plus one "recovery-fault" record per fault
-/// type: success/escalation rates and the MTTR distribution (detection →
-/// verified repair) — the `BENCH_recovery.json` content.
+/// One "recovery" summary record — success/escalation rates, the MTTR
+/// distribution (detection → verified repair) and its phase breakdown —
+/// plus one "recovery-fault" record per attempted fault type.
 pub fn recovery_lines(run: &str, stats: &RecoveryStats) -> Vec<Json> {
-    let mut out = Vec::new();
-    let mut o = Json::object();
-    o.set("record", Json::str("recovery"));
-    o.set("run", Json::str(run));
-    set_recovery_counts(
-        &mut o,
-        stats.attempted,
-        stats.recovered,
-        stats.escalated,
-        stats.conformance_fit,
+    let phases = [
+        ("phase_detection", &stats.phases.detection),
+        ("phase_diagnosis", &stats.phases.diagnosis),
+        ("phase_staging", &stats.phases.staging),
+        ("phase_repair", &stats.phases.repair),
+        ("phase_verification", &stats.phases.verification),
+    ];
+    let summary = recovery_counts(
+        Record::new("recovery", run),
+        [
+            stats.attempted,
+            stats.recovered,
+            stats.escalated,
+            stats.conformance_fit,
+        ],
         &stats.mttr,
     );
-    set_phase_quantiles(&mut o, &stats.phases);
-    out.push(o);
-    for (fault, f) in &stats.per_fault {
-        let FaultRecoveryStats {
-            attempted,
-            recovered,
-            escalated,
-            conformance_fit,
-            mttr,
-        } = f;
-        if *attempted == 0 {
-            continue;
-        }
-        let mut o = Json::object();
-        o.set("record", Json::str("recovery-fault"));
-        o.set("run", Json::str(run));
-        o.set("fault", Json::str(fault.to_string()));
-        set_recovery_counts(
-            &mut o,
-            *attempted,
-            *recovered,
-            *escalated,
-            *conformance_fit,
-            mttr,
-        );
-        out.push(o);
-    }
-    out
+    let summary = phases
+        .iter()
+        .fold(summary, |r, (prefix, phase)| r.timing(prefix, phase, false));
+    let per_fault = stats
+        .per_fault
+        .iter()
+        .filter(|(_, f)| f.attempted > 0)
+        .map(|(fault, f)| {
+            recovery_counts(
+                Record::new("recovery-fault", run).str("fault", fault.to_string()),
+                [f.attempted, f.recovered, f.escalated, f.conformance_fit],
+                &f.mttr,
+            )
+        });
+    std::iter::once(summary)
+        .chain(per_fault)
+        .map(Record::build)
+        .collect()
 }
 
 /// One "recovery-storm" summary record plus one "recovery-tenant" record
 /// per tenant: the storm's admission ledger and the per-tenant
-/// MTTR-under-load quantiles — the `BENCH_recovery_soak.json` content
-/// (and the CI regression gate's input: `mttr_p50_us` on the summary).
-pub fn recovery_soak_lines(run: &str, rec: &crate::soak::SoakRecoveryReport) -> Vec<Json> {
-    let mut out = Vec::new();
-    let mut o = Json::object();
-    o.set("record", Json::str("recovery-storm"));
-    o.set("run", Json::str(run));
-    o.set("tenants", num(rec.tenants.len() as u64));
-    o.set("lanes", num(rec.config.lanes as u64));
-    o.set("throttle_at", num(rec.config.throttle_at as u64));
-    o.set("attempted", num(rec.attempted as u64));
-    o.set("recovered", num(rec.recovered as u64));
-    o.set("escalated", num(rec.escalated as u64));
-    o.set("deferred_swept", num(rec.deferred_swept as u64));
-    o.set("throttled", num(rec.throttled as u64));
-    o.set("requests", num(rec.stats.requests));
-    o.set("admitted", num(rec.stats.admitted));
-    o.set("deferred", num(rec.stats.deferred));
-    o.set("swept", num(rec.stats.swept));
-    o.set("peak_concurrent", num(rec.stats.peak_concurrent as u64));
-    o.set("none_dropped", Json::Bool(rec.none_dropped()));
-    if rec.attempted > 0 {
-        o.set(
-            "success_rate",
-            Json::Number(rec.recovered as f64 / rec.attempted as f64),
-        );
-    }
-    if !rec.mttr.is_empty() {
-        o.set("mttr_count", num(rec.mttr.len() as u64));
-        o.set("mttr_mean_us", num(rec.mttr.mean().as_micros()));
-        o.set("mttr_p50_us", num(rec.mttr.percentile(0.5).as_micros()));
-        o.set("mttr_p95_us", num(rec.mttr.percentile(0.95).as_micros()));
-        o.set("mttr_max_us", num(rec.mttr.max().as_micros()));
-    }
-    out.push(o);
-    for t in &rec.tenants {
-        let mut o = Json::object();
-        o.set("record", Json::str("recovery-tenant"));
-        o.set("run", Json::str(run));
-        o.set("trace_id", Json::str(t.trace_id.clone()));
-        if let Some(fault) = t.fault {
-            o.set("fault", Json::str(fault.to_string()));
-        }
-        o.set("attempted", num(t.attempted as u64));
-        o.set("recovered", num(t.recovered as u64));
-        o.set("escalated", num(t.escalated as u64));
-        o.set("deferred_swept", num(t.deferred_swept as u64));
-        o.set("throttled", num(t.throttled as u64));
-        if !t.mttr.is_empty() {
-            o.set("mttr_p50_us", num(t.mttr.percentile(0.5).as_micros()));
-            o.set("mttr_p95_us", num(t.mttr.percentile(0.95).as_micros()));
-        }
-        out.push(o);
-    }
-    out
+/// MTTR-under-load quantiles (`mttr_p50_us` on the summary is what CI
+/// gates).
+pub fn recovery_soak_lines(run: &str, rec: &SoakRecoveryReport) -> Vec<Json> {
+    let storm = Record::new("recovery-storm", run)
+        .num("tenants", rec.tenants.len() as u64)
+        .num("lanes", rec.config.lanes as u64)
+        .num("throttle_at", rec.config.throttle_at as u64)
+        .num("attempted", rec.attempted as u64)
+        .num("recovered", rec.recovered as u64)
+        .num("escalated", rec.escalated as u64)
+        .num("deferred_swept", rec.deferred_swept as u64)
+        .num("throttled", rec.throttled as u64)
+        .num("requests", rec.stats.requests)
+        .num("admitted", rec.stats.admitted)
+        .num("deferred", rec.stats.deferred)
+        .num("swept", rec.stats.swept)
+        .num("peak_concurrent", rec.stats.peak_concurrent as u64)
+        .json("none_dropped", Json::Bool(rec.none_dropped()))
+        .when(rec.attempted > 0, |r| {
+            r.float("success_rate", rec.recovered as f64 / rec.attempted as f64)
+        })
+        .timing("mttr", &rec.mttr, true);
+    let tenants = rec.tenants.iter().map(|t| {
+        Record::new("recovery-tenant", run)
+            .str("trace_id", t.trace_id.as_str())
+            .opt(t.fault, |r, fault| r.str("fault", fault.to_string()))
+            .num("attempted", t.attempted as u64)
+            .num("recovered", t.recovered as u64)
+            .num("escalated", t.escalated as u64)
+            .num("deferred_swept", t.deferred_swept as u64)
+            .num("throttled", t.throttled as u64)
+            .timing("mttr", &t.mttr, false)
+    });
+    std::iter::once(storm)
+        .chain(tenants)
+        .map(Record::build)
+        .collect()
 }
 
 /// The Table-I metrics of one metric set as a single record.
-pub fn metrics_line(label: &str, m: &MetricSet) -> Json {
-    let mut o = Json::object();
-    o.set("record", Json::str("metrics"));
-    o.set("label", Json::str(label));
-    o.set("runs", num(m.runs as u64));
-    o.set("faults_detected", num(m.faults_detected as u64));
-    o.set("faults_missed", num(m.faults_missed as u64));
-    o.set("false_positives", num(m.false_positives as u64));
-    o.set(
-        "interference_detections",
-        num(m.interference_detections as u64),
-    );
-    o.set("precision", Json::Number(m.detection_precision()));
-    o.set("recall", Json::Number(m.detection_recall()));
-    o.set(
-        "diagnosis_accuracy",
-        Json::Number(m.diagnosis_accuracy_over_detected()),
-    );
-    o.set("accuracy_rate", Json::Number(m.accuracy_rate()));
-    o
+pub fn metrics_line(run: &str, label: &str, m: &MetricSet) -> Json {
+    Record::new("metrics", run)
+        .str("label", label)
+        .num("runs", m.runs as u64)
+        .num("faults_detected", m.faults_detected as u64)
+        .num("faults_missed", m.faults_missed as u64)
+        .num("false_positives", m.false_positives as u64)
+        .num("interference_detections", m.interference_detections as u64)
+        .float("precision", m.detection_precision())
+        .float("recall", m.detection_recall())
+        .float("diagnosis_accuracy", m.diagnosis_accuracy_over_detected())
+        .float("accuracy_rate", m.accuracy_rate())
+        .build()
+}
+
+/// One "latency-budget" record per fault type: per stage, the
+/// p50/p95/p99, mean and total of the per-run virtual self time (µs).
+pub fn latency_lines(run: &str, profile: &LatencyProfile) -> Vec<Json> {
+    profile
+        .budgets()
+        .map(|(fault, runs, stages)| {
+            let rows = stages.iter().map(|(stage, sorted)| {
+                let total: u64 = sorted.iter().sum();
+                Record::nested()
+                    .str("stage", *stage)
+                    .quantiles(|q| nearest_rank(sorted, q))
+                    .float("mean", total as f64 / sorted.len().max(1) as f64)
+                    .num("total_us", total)
+                    .build()
+            });
+            Record::new("latency-budget", run)
+                .str("fault", fault)
+                .num("runs", runs as u64)
+                .json("stages", Json::Array(rows.collect()))
+                .build()
+        })
+        .collect()
+}
+
+/// The "telemetry" record of one replay: the mode it ran under and what
+/// the tail sampler and flight recorder retained.
+pub fn telemetry_line(run: &str, report: &SoakReport) -> Json {
+    Record::new("telemetry", run)
+        .str("mode", report.mode.to_string())
+        .num("kept_traces", report.kept_traces as u64)
+        .num("discarded_traces", report.discarded_traces as u64)
+        .num("incidents", report.incidents as u64)
+        .opt(report.flight.as_ref(), |r, flight| {
+            r.num("flight_frames", flight.frames.len() as u64)
+                .num("flight_incidents", flight.incidents.len() as u64)
+        })
+        .build()
+}
+
+/// The campaign's run record: Table-I metrics overall and per fault type,
+/// the aggregated pod-obs snapshot, the latency budget, and the last
+/// run's incident chains (under that run's own trace id).
+pub fn campaign_lines(run: &str, report: &CampaignReport) -> Vec<Json> {
+    let mut lines = vec![metrics_line(run, "overall", &report.overall)];
+    for (fault, set) in &report.per_fault {
+        lines.push(metrics_line(run, &fault.to_string(), set));
+    }
+    lines.extend(snapshot_lines(run, &report.obs_totals));
+    lines.extend(latency_lines(run, &report.latency));
+    if let Some(dump) = &report.last_trace {
+        let chains = pod_obs::incidents(&dump.events);
+        lines.extend(incident_lines(&dump.trace_id, &chains));
+    }
+    lines
+}
+
+/// The soak's run record: the "soak" headline, the gateway statistics,
+/// one "batch-sweep" row per swept batch size, the replay latency budget,
+/// the telemetry outcome, the gateway's pod-obs snapshot with its tail
+/// exemplars, and the flight recorder's black box.
+pub fn soak_lines(run: &str, report: &SoakReport, sweep: &[(usize, GatewayStats)]) -> Vec<Json> {
+    let detections: usize = report.ops.iter().map(|o| o.detections).sum();
+    let headline = Record::new("soak", run)
+        .num("ops", report.ops.len() as u64)
+        .num("lines_total", report.lines_total)
+        .num("leaks", report.leaks.len() as u64)
+        .num("detections_total", detections as u64);
+    let mut lines = vec![headline.build(), gateway_line(run, &report.stats)];
+    lines.extend(sweep.iter().map(|(batch_size, stats)| {
+        Record::new("batch-sweep", run)
+            .num("batch_size", *batch_size as u64)
+            .float("lines_per_sec_virtual", stats.lines_per_sec_virtual())
+            .num("virtual_elapsed_us", stats.virtual_elapsed.as_micros())
+            .num("batches", stats.batches)
+            .num("deferred", stats.deferred)
+            .num("blocked", stats.blocked)
+            .num("shed", stats.total_shed())
+            .build()
+    }));
+    lines.extend(latency_lines(run, &report.latency));
+    lines.push(telemetry_line(run, report));
+    lines.extend(snapshot_lines(run, &report.snapshot));
+    lines.extend(exemplar_lines(run, &report.snapshot));
+    lines.extend(report.flight.iter().map(|f| flight_json(run, f)));
+    lines
+}
+
+/// The "wall" record of a timed replay: the only place wall-clock
+/// readings enter a journal.
+pub fn wall_line(run: &str, wall_secs: f64, lines_processed: u64) -> Json {
+    Record::new("wall", run)
+        .float("wall_secs", wall_secs)
+        .when(wall_secs > 0.0, |r| {
+            r.float("lines_per_sec_wall", lines_processed as f64 / wall_secs)
+        })
+        .build()
 }
 
 /// Renders records as a JSON-lines document (one record per line, trailing
@@ -489,45 +529,269 @@ pub fn render_journal(lines: &[Json]) -> String {
     out
 }
 
+/// Writes `records` to `RUN_<name>.jsonl` in the current directory — the
+/// one artifact a `--json` run leaves — and returns the path.
+pub fn write_journal(name: &str, records: &[Json]) -> std::io::Result<String> {
+    let path = format!("RUN_{name}.jsonl");
+    std::fs::write(&path, render_journal(records))?;
+    Ok(path)
+}
+
+/// The regression bound of every gate: a gated field may not exceed this
+/// multiple of its old value.
+pub const GATE_RATIO: f64 = 1.1;
+
+/// The string fields that, after `record`, identify a record in a journal.
+const KEY_FIELDS: [&str; 5] = ["run", "name", "fault", "trace_id", "label"];
+
+/// A journal line that is not a record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalError {
+    /// Which side of the comparison the journal was (`"old"` / `"new"`).
+    pub journal: &'static str,
+    /// 1-based line number.
+    pub line: usize,
+    /// What was wrong with the line.
+    pub error: JsonError,
+}
+
+impl fmt::Display for JournalError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} journal, line {}: {}",
+            self.journal, self.line, self.error
+        )
+    }
+}
+
+impl std::error::Error for JournalError {}
+
+/// A parsed journal: record identity → the record's numeric leaves by
+/// dotted path.
+type Journal = BTreeMap<String, BTreeMap<String, f64>>;
+
+/// Collects the numeric (and boolean, as 0/1) leaves under `value`, nested
+/// objects and arrays flattened to dotted paths.
+fn flatten(path: &str, value: &Json, out: &mut BTreeMap<String, f64>) {
+    let child = |key: &str| match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    };
+    match value {
+        Json::Number(n) => {
+            out.insert(path.to_string(), *n);
+        }
+        Json::Bool(b) => {
+            out.insert(path.to_string(), f64::from(u8::from(*b)));
+        }
+        Json::Object(entries) => entries.iter().for_each(|(k, v)| flatten(&child(k), v, out)),
+        Json::Array(items) => items
+            .iter()
+            .enumerate()
+            .for_each(|(i, v)| flatten(&child(&i.to_string()), v, out)),
+        Json::String(_) | Json::Null => {}
+    }
+}
+
+/// Parses one journal. A record's identity is its kind, then the
+/// [`KEY_FIELDS`] it carries, then — among records sharing those — its
+/// order of appearance.
+fn parse_journal(journal: &'static str, text: &str) -> Result<Journal, JournalError> {
+    let mut records = Journal::new();
+    for (i, line) in text.lines().enumerate() {
+        let fail = |error| JournalError {
+            journal,
+            line: i + 1,
+            error,
+        };
+        let value = Json::parse(line).map_err(fail)?;
+        let kind = value.get("record").and_then(Json::as_str).ok_or_else(|| {
+            fail(JsonError {
+                position: 0,
+                message: "not a journal record: no `record` string".to_string(),
+            })
+        })?;
+        let mut identity = kind.to_string();
+        for field in KEY_FIELDS {
+            if let Some(v) = value.get(field).and_then(Json::as_str) {
+                identity.push_str(&format!(" {field}={v}"));
+            }
+        }
+        let mut key = identity.clone();
+        let mut nth = 0;
+        while records.contains_key(&key) {
+            nth += 1;
+            key = format!("{identity} #{nth}");
+        }
+        flatten("", &value, records.entry(key).or_default());
+    }
+    Ok(records)
+}
+
+/// Two journals matched record by record: what moved between them.
+#[derive(Debug, Clone)]
+pub struct JournalDiff {
+    old: Journal,
+    new: Journal,
+}
+
+/// Compares two journals. Records are matched on `record` + `run` + the
+/// identifying fields (`name`, `fault`, `trace_id`, `label`), then on order
+/// of appearance.
+///
+/// # Errors
+///
+/// A line that is not a JSON record is a [`JournalError`] carrying its
+/// line number — never a skipped line.
+pub fn diff_journals(old: &str, new: &str) -> Result<JournalDiff, JournalError> {
+    Ok(JournalDiff {
+        old: parse_journal("old", old)?,
+        new: parse_journal("new", new)?,
+    })
+}
+
+impl JournalDiff {
+    /// The numeric fields that differ in records both journals have, as
+    /// `(record, field, old, new)`; `None` is a field absent on that side.
+    pub fn moved(&self) -> Vec<(&str, &str, Option<f64>, Option<f64>)> {
+        let mut moved = Vec::new();
+        for (key, before) in &self.old {
+            let Some(after) = self.new.get(key) else {
+                continue;
+            };
+            let fields: BTreeSet<&String> = before.keys().chain(after.keys()).collect();
+            for field in fields {
+                let (a, b) = (before.get(field).copied(), after.get(field).copied());
+                if a != b {
+                    moved.push((key.as_str(), field.as_str(), a, b));
+                }
+            }
+        }
+        moved
+    }
+
+    /// The records only the old journal has, then those only the new has.
+    pub fn one_sided(&self) -> [Vec<&str>; 2] {
+        fn only<'a>(a: &'a Journal, b: &Journal) -> Vec<&'a str> {
+            let missing = a.keys().filter(|key| !b.contains_key(*key));
+            missing.map(String::as_str).collect()
+        }
+        [only(&self.old, &self.new), only(&self.new, &self.old)]
+    }
+
+    /// Whether both journals hold the same records with the same numbers.
+    pub fn is_empty(&self) -> bool {
+        self.moved().is_empty() && self.one_sided().iter().all(Vec::is_empty)
+    }
+
+    /// The diff as text: one line per moved field and one-sided record,
+    /// then the totals.
+    pub fn render(&self) -> String {
+        use fmt::Write as _;
+        let show = |v: Option<f64>| v.map_or("absent".to_string(), |v| Json::Number(v).to_string());
+        let (moved, [only_old, only_new]) = (self.moved(), self.one_sided());
+        let mut out = String::new();
+        for (record, field, old, new) in &moved {
+            let _ = writeln!(out, "{record}: {field} {} -> {}", show(*old), show(*new));
+        }
+        for (side, keys) in [("old", &only_old), ("new", &only_new)] {
+            for key in keys {
+                let _ = writeln!(out, "only in {side}: {key}");
+            }
+        }
+        let _ = writeln!(
+            out,
+            "{} fields moved, {} records only in old, {} only in new",
+            moved.len(),
+            only_old.len(),
+            only_new.len()
+        );
+        out
+    }
+
+    /// Evaluates the gate `RECORD.FIELD`: every old record of that kind
+    /// carrying the field must still carry it on the new side, at no more
+    /// than [`GATE_RATIO`] × the old value. Returns one line per failure; a
+    /// gate that names nothing in the old journal fails too.
+    pub fn gate(&self, spec: &str) -> Vec<String> {
+        let (kind, field) = spec.split_once('.').unwrap_or((spec, ""));
+        let gated: Vec<(&String, f64)> = self
+            .old
+            .iter()
+            .filter(|(key, _)| key.split(' ').next() == Some(kind))
+            .filter_map(|(key, fields)| Some((key, *fields.get(field)?)))
+            .collect();
+        let mut failures: Vec<String> = gated
+            .iter()
+            .filter_map(|&(key, old)| {
+                match self.new.get(key).and_then(|fields| fields.get(field)) {
+                    None => Some(format!(
+                        "{key}: {field} missing from the new journal (old {old})"
+                    )),
+                    Some(new) if *new > GATE_RATIO * old => Some(format!(
+                        "{key}: {field} {new} exceeds {GATE_RATIO}x the old {old}"
+                    )),
+                    Some(_) => None,
+                }
+            })
+            .collect();
+        if gated.is_empty() {
+            failures.push(format!("the old journal has no {spec} to gate on"));
+        }
+        failures
+    }
+}
+
+/// `pod-diagnosis diff` and every `--baseline` gate: the rendered diff of
+/// the journal text `new` against the journal file at `old_path`, plus the
+/// exit code — 0, 1 when `gate` fails, 2 when the old journal is
+/// unreadable or either one is malformed.
+pub fn diff_report(old_path: &str, new: &str, gate: Option<&str>) -> (String, i32) {
+    let diff = match std::fs::read_to_string(old_path) {
+        Ok(old) => diff_journals(&old, new).map_err(|e| format!("malformed journal: {e}\n")),
+        Err(e) => Err(format!("cannot read {old_path}: {e}\n")),
+    };
+    let diff = match diff {
+        Ok(diff) => diff,
+        Err(message) => return (message, 2),
+    };
+    let failures = gate.map_or(Vec::new(), |spec| diff.gate(spec));
+    let mut report = diff.render();
+    for failure in &failures {
+        report.push_str(&format!("REGRESSION: {failure}\n"));
+    }
+    (report, i32::from(!failures.is_empty()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{FaultRecoveryStats, PhaseStats};
+    use pod_gateway::{Gateway, GatewayConfig};
     use pod_obs::Obs;
-    use pod_sim::SimTime;
+    use pod_orchestrator::FaultType;
+    use pod_sim::{SimDuration, SimTime};
 
-    #[test]
-    fn journal_lines_are_valid_json() {
-        let obs = Obs::detached();
-        obs.tracer().begin_trace("run-7");
-        obs.counter("cloud.api.calls").add(3);
-        obs.histogram("cloud.api.latency_us").record(250);
-        {
-            let span = obs.span("upgrade.step");
-            span.attr("step", "start");
-            obs.clock().advance(pod_sim::SimDuration::from_millis(5));
-        }
-        let mut lines = snapshot_lines("run-7", &obs.snapshot());
-        lines.extend(span_lines("run-7", &obs.tracer().finished()));
-        let text = render_journal(&lines);
-        assert!(lines.len() >= 3);
-        for line in text.lines() {
-            let v = Json::parse(line).expect(line);
-            assert!(v.get("record").is_some());
-        }
+    /// Re-parses `line` as written and looks a dotted path up in it
+    /// (`attrs.k`, `hops.0`); `Json::Null` when absent.
+    fn at(line: &Json, path: &str) -> Json {
+        let parsed = Json::parse(&line.to_string()).expect("a journal line is JSON");
+        let found = path.split('.').try_fold(&parsed, |v, key| match v {
+            Json::Array(items) => items.get(key.parse::<usize>().ok()?),
+            other => other.get(key),
+        });
+        found.cloned().unwrap_or(Json::Null)
     }
 
     #[test]
     fn counter_and_span_records_round_trip() {
         let obs = Obs::detached();
         obs.counter("consistent.retries").incr();
-        let snap_lines = snapshot_lines("r", &obs.snapshot());
-        let parsed = Json::parse(&snap_lines[0].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("counter"));
-        assert_eq!(
-            parsed.get("name").unwrap().as_str(),
-            Some("consistent.retries")
-        );
-        assert_eq!(parsed.get("value").unwrap().as_f64(), Some(1.0));
+        let counter = &snapshot_lines("r", &obs.snapshot())[0];
+        assert_eq!(at(counter, "record"), Json::str("counter"));
+        assert_eq!(at(counter, "name"), Json::str("consistent.retries"));
+        assert_eq!(at(counter, "value"), Json::Number(1.0));
 
         let spans = [SpanRecord {
             id: 1,
@@ -537,38 +801,29 @@ mod tests {
             end: SimTime::from_millis(2),
             attrs: vec![("k", "v".into())],
         }];
-        let line = &span_lines("r", &spans)[0];
-        let parsed = Json::parse(&line.to_string()).unwrap();
-        assert_eq!(parsed.get("end_us").unwrap().as_f64(), Some(2000.0));
-        assert_eq!(
-            parsed.get("attrs").unwrap().get("k").unwrap().as_str(),
-            Some("v")
-        );
+        let span = &span_lines("r", &spans)[0];
+        assert_eq!(at(span, "end_us"), Json::Number(2000.0));
+        assert_eq!(at(span, "parent"), Json::Null);
+        assert_eq!(at(span, "attrs.k"), Json::str("v"));
     }
 
     #[test]
     fn histogram_records_carry_p50_p95_p99() {
         let obs = Obs::detached();
         let h = obs.histogram("lat_us");
-        for _ in 0..95 {
-            h.record(50);
-        }
-        for _ in 0..5 {
-            h.record(5_000);
-        }
+        (0..95).for_each(|_| h.record(50));
+        (0..5).for_each(|_| h.record(5_000));
         let lines = snapshot_lines("r", &obs.snapshot());
-        let hist = lines
-            .iter()
-            .find(|l| l.get("record").and_then(|r| r.as_str()) == Some("histogram"))
-            .unwrap();
-        let parsed = Json::parse(&hist.to_string()).unwrap();
-        for key in ["p50", "p95", "p99"] {
-            assert!(parsed.get(key).is_some(), "missing {key}: {parsed:?}");
-        }
-        assert!(
-            parsed.get("p99").unwrap().as_f64() >= parsed.get("p50").unwrap().as_f64(),
-            "quantiles out of order: {parsed:?}"
-        );
+        let hist = &lines[0];
+        assert_eq!(at(hist, "record"), Json::str("histogram"));
+        assert_eq!(at(hist, "count"), Json::Number(100.0));
+        let q = |key| {
+            at(hist, key)
+                .as_f64()
+                .unwrap_or_else(|| panic!("missing {key}"))
+        };
+        assert!(q("p50") <= q("p95") && q("p95") <= q("p99"), "{hist}");
+        assert!(q("p50") < 100.0 && q("p99") >= 4_000.0, "{hist}");
     }
 
     #[test]
@@ -581,28 +836,20 @@ mod tests {
         let events = obs.events().records();
         let lines = event_lines("run-9", &events);
         assert_eq!(lines.len(), 3);
-        let parsed = Json::parse(&lines[1].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("event"));
-        assert_eq!(parsed.get("kind").unwrap().as_str(), Some("detection"));
-        assert_eq!(parsed.get("cause").unwrap().as_f64(), Some(0.0));
+        assert_eq!(at(&lines[1], "record"), Json::str("event"));
+        assert_eq!(at(&lines[1], "kind"), Json::str("detection"));
+        assert_eq!(at(&lines[1], "cause"), Json::Number(0.0));
 
-        let chains = pod_obs::incidents(&events);
-        let lines = incident_lines("run-9", &chains);
+        let lines = incident_lines("run-9", &pod_obs::incidents(&events));
         assert_eq!(lines.len(), 1);
-        let parsed = Json::parse(&lines[0].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("incident"));
-        assert_eq!(parsed.get("complete"), Some(&Json::Bool(true)));
-        let hops = parsed.get("hops").unwrap().as_array().unwrap();
-        assert_eq!(hops.len(), 3);
-        assert_eq!(hops[0].as_str(), Some("log.line"));
+        assert_eq!(at(&lines[0], "record"), Json::str("incident"));
+        assert_eq!(at(&lines[0], "complete"), Json::Bool(true));
+        assert_eq!(at(&lines[0], "hops.0"), Json::str("log.line"));
+        assert_eq!(at(&lines[0], "hops.2"), Json::str("diagnosis.verdict"));
     }
 
     #[test]
     fn gateway_records_cover_totals_and_every_shard() {
-        let mut gw = pod_gateway::Gateway::new(pod_gateway::GatewayConfig {
-            shards: 2,
-            ..pod_gateway::GatewayConfig::default()
-        });
         #[derive(Debug)]
         struct Null;
         impl pod_gateway::DiagnosisSink for Null {
@@ -611,45 +858,47 @@ mod tests {
                 pod_core::RunSummary::default()
             }
         }
+        let mut gw = Gateway::new(GatewayConfig {
+            shards: 2,
+            ..GatewayConfig::default()
+        });
         let op = gw.register("p", "i", Box::new(Null)).unwrap();
         for i in 0..5 {
             gw.submit(op, SimTime::from_millis(i), &format!("line {i}"));
         }
         gw.pump_until_idle();
-        let lines = gateway_lines("soak", &gw.stats());
-        assert_eq!(lines.len(), 3, "one summary + one per shard");
-        let parsed = Json::parse(&lines[0].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("gateway"));
-        assert_eq!(parsed.get("lines_processed").unwrap().as_f64(), Some(5.0));
-        let busy = lines[1..]
-            .iter()
-            .map(|l| Json::parse(&l.to_string()).unwrap())
-            .find(|l| l.get("lines").unwrap().as_f64() == Some(5.0))
-            .expect("the serving shard is in the journal");
-        assert_eq!(busy.get("record").unwrap().as_str(), Some("gateway-shard"));
-        assert!(busy.get("queue_wait_p99_us").is_some());
+        let stats = gw.stats();
+        let line = gateway_line("soak", &stats);
+        assert_eq!(at(&line, "record"), Json::str("gateway"));
+        assert_eq!(at(&line, "lines_processed"), Json::Number(5.0));
+        assert_eq!(at(&line, "shards.2"), Json::Null, "one entry per shard");
+        let busy = stats.shards.iter().position(|s| s.lines == 5).unwrap();
+        assert_ne!(
+            at(&line, &format!("shards.{busy}.queue_wait_us.p99")),
+            Json::Null
+        );
+        // The record is the preamble plus the struct's own encoding.
+        let body = stats.to_json().to_string();
+        let written = line.to_string();
+        assert!(written.ends_with(&body[1..]), "{written}");
     }
 
     #[test]
     fn exemplar_and_flight_records_round_trip() {
         let obs = Obs::detached();
-        let h = obs.histogram("gateway.queue_wait_us");
-        h.record_with(4_321, || pod_obs::Exemplar {
-            value: 4_321,
-            at: SimTime::from_millis(7),
-            event: Some(3),
-            labels: vec![("op".into(), "i-0001".into())],
-        });
+        obs.histogram("gateway.queue_wait_us")
+            .record_with(4_321, || pod_obs::Exemplar {
+                value: 4_321,
+                at: SimTime::from_millis(7),
+                event: Some(3),
+                labels: vec![("op".into(), "i-0001".into())],
+            });
         let lines = exemplar_lines("soak", &obs.snapshot());
         assert_eq!(lines.len(), 1);
-        let parsed = Json::parse(&lines[0].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("exemplar"));
-        assert_eq!(parsed.get("value").unwrap().as_f64(), Some(4321.0));
-        assert_eq!(parsed.get("event").unwrap().as_f64(), Some(3.0));
-        assert_eq!(
-            parsed.get("labels").unwrap().get("op").unwrap().as_str(),
-            Some("i-0001")
-        );
+        assert_eq!(at(&lines[0], "record"), Json::str("exemplar"));
+        assert_eq!(at(&lines[0], "value"), Json::Number(4321.0));
+        assert_eq!(at(&lines[0], "event"), Json::Number(3.0));
+        assert_eq!(at(&lines[0], "labels.op"), Json::str("i-0001"));
 
         let rec = pod_obs::FlightRecorder::new(
             obs.clock().clone(),
@@ -658,76 +907,58 @@ mod tests {
         );
         rec.tick();
         rec.mark_incident("i-0001 detection");
-        let doc = flight_json("soak", &rec.dump());
-        let parsed = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("flight"));
-        let frames = parsed.get("frames").unwrap().as_array().unwrap();
-        assert_eq!(frames.len(), 2);
-        assert!(frames[0]
-            .get("histograms")
-            .unwrap()
+        let flight = flight_json("soak", &rec.dump());
+        assert_eq!(at(&flight, "record"), Json::str("flight"));
+        assert_eq!(at(&flight, "frames.2"), Json::Null, "tick + incident frame");
+        let summaries = at(&flight, "frames.0.histograms");
+        assert!(summaries
             .get("gateway.queue_wait_us")
             .unwrap()
             .get("p99")
             .is_some());
-        let incidents = parsed.get("incidents").unwrap().as_array().unwrap();
         assert_eq!(
-            incidents[0].get("label").unwrap().as_str(),
-            Some("i-0001 detection")
+            at(&flight, "incidents.0.label"),
+            Json::str("i-0001 detection")
         );
     }
 
     #[test]
     fn recovery_records_carry_rates_and_mttr_quantiles() {
         let mttr = TimingStats::new(vec![
-            pod_sim::SimDuration::from_millis(100),
-            pod_sim::SimDuration::from_millis(300),
+            SimDuration::from_millis(100),
+            SimDuration::from_millis(300),
         ]);
+        let ami = FaultRecoveryStats {
+            attempted: 2,
+            recovered: 2,
+            escalated: 0,
+            conformance_fit: 2,
+            mttr: mttr.clone(),
+        };
         let stats = RecoveryStats {
             attempted: 3,
             recovered: 2,
             escalated: 1,
             conformance_fit: 3,
-            mttr: mttr.clone(),
+            mttr,
             phases: PhaseStats::default(),
             per_fault: vec![
-                (
-                    pod_orchestrator::FaultType::AmiUnavailable,
-                    FaultRecoveryStats {
-                        attempted: 2,
-                        recovered: 2,
-                        escalated: 0,
-                        conformance_fit: 2,
-                        mttr,
-                    },
-                ),
-                (
-                    pod_orchestrator::FaultType::ElbUnavailable,
-                    FaultRecoveryStats::default(),
-                ),
+                (FaultType::AmiUnavailable, ami),
+                (FaultType::ElbUnavailable, FaultRecoveryStats::default()),
             ],
         };
         let lines = recovery_lines("run-3", &stats);
         assert_eq!(lines.len(), 2, "summary + one per attempted fault type");
-        let parsed = Json::parse(&lines[0].to_string()).unwrap();
-        assert_eq!(parsed.get("record").unwrap().as_str(), Some("recovery"));
-        assert_eq!(parsed.get("attempted").unwrap().as_f64(), Some(3.0));
-        assert_eq!(
-            parsed.get("escalation_rate").unwrap().as_f64(),
-            Some(1.0 / 3.0)
-        );
-        assert_eq!(parsed.get("mttr_p95_us").unwrap().as_f64(), Some(300_000.0));
-        let parsed = Json::parse(&lines[1].to_string()).unwrap();
-        assert_eq!(
-            parsed.get("record").unwrap().as_str(),
-            Some("recovery-fault")
-        );
-        assert_eq!(
-            parsed.get("fault").unwrap().as_str(),
-            Some("AMI is unavailable during upgrade")
-        );
-        assert_eq!(parsed.get("success_rate").unwrap().as_f64(), Some(1.0));
-        assert_eq!(parsed.get("mttr_p50_us").unwrap().as_f64(), Some(100_000.0));
+        assert_eq!(at(&lines[0], "record"), Json::str("recovery"));
+        assert_eq!(at(&lines[0], "attempted"), Json::Number(3.0));
+        assert_eq!(at(&lines[0], "escalation_rate"), Json::Number(1.0 / 3.0));
+        assert_eq!(at(&lines[0], "mttr_p95_us"), Json::Number(300_000.0));
+        assert_eq!(at(&lines[0], "phase_detection_p50_us"), Json::Null);
+        assert_eq!(at(&lines[1], "record"), Json::str("recovery-fault"));
+        let fault = Json::str("AMI is unavailable during upgrade");
+        assert_eq!(at(&lines[1], "fault"), fault);
+        assert_eq!(at(&lines[1], "success_rate"), Json::Number(1.0));
+        assert_eq!(at(&lines[1], "mttr_p50_us"), Json::Number(100_000.0));
     }
 
     #[test]
@@ -738,8 +969,33 @@ mod tests {
             faults_missed: 1,
             ..MetricSet::default()
         };
-        let parsed = Json::parse(&metrics_line("overall", &m).to_string()).unwrap();
-        assert_eq!(parsed.get("runs").unwrap().as_f64(), Some(4.0));
-        assert_eq!(parsed.get("recall").unwrap().as_f64(), Some(0.75));
+        let line = metrics_line("campaign", "overall", &m);
+        assert_eq!(at(&line, "run"), Json::str("campaign"));
+        assert_eq!(at(&line, "label"), Json::str("overall"));
+        assert_eq!(at(&line, "runs"), Json::Number(4.0));
+        assert_eq!(at(&line, "recall"), Json::Number(0.75));
+    }
+
+    #[test]
+    fn latency_budget_records_carry_all_quantiles_per_fault() {
+        let mut profile = LatencyProfile::new();
+        let stages = BTreeMap::from([
+            ("cloud.api.call".to_string(), 2_000u64),
+            ("assertion.eval".to_string(), 500u64),
+        ]);
+        FaultType::all()
+            .into_iter()
+            .for_each(|fault| profile.record(fault, &stages));
+        let lines = latency_lines("campaign", &profile);
+        assert_eq!(lines.len(), 8);
+        for line in &lines {
+            assert_eq!(at(line, "record"), Json::str("latency-budget"));
+            assert_eq!(at(line, "runs"), Json::Number(1.0));
+            assert_eq!(at(line, "stages.2"), Json::Null, "two stages");
+            assert_eq!(at(line, "stages.0.stage"), Json::str("assertion.eval"));
+            for key in ["p50", "p95", "p99", "mean", "total_us"] {
+                assert_eq!(at(line, &format!("stages.1.{key}")), Json::Number(2000.0));
+            }
+        }
     }
 }

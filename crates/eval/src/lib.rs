@@ -11,30 +11,34 @@
 //!   rate);
 //! - [`TimingStats`] — the Figure-6 diagnosis-time distribution;
 //! - [`render_report`] — plain-text rendering of every table and figure;
-//! - [`snapshot_lines`] / [`span_lines`] / [`event_lines`] /
-//!   [`incident_lines`] / [`render_journal`] — the JSON-lines run journal
-//!   of pod-obs metrics, spans, causal events and incident chains;
 //! - [`LatencyProfile`] / [`stage_self_times`] — the latency-budget
 //!   profiler: per-stage virtual-time attribution, p50/p95/p99 per fault
-//!   type (the `BENCH_pod.json` content);
+//!   type;
 //! - [`collect_streams`] / [`replay`] / [`sweep_batches`] — the gateway
 //!   soak: many interleaved faulty upgrades serialized to raw lines, then
-//!   replayed through one `pod-gateway` with per-operation engines (the
-//!   `BENCH_gateway.json` content);
-//! - [`RecoveryStats`] / [`recovery_lines`] — the recovery loop: the
-//!   campaign's optional remediation stage hands every diagnosed root cause
-//!   to `pod-recovery`, and the per-fault MTTR distribution plus
-//!   success/escalation rates land in the report and `BENCH_recovery.json`;
+//!   replayed through one `pod-gateway` with per-operation engines;
+//! - [`RecoveryStats`] — the recovery loop: the campaign's optional
+//!   remediation stage hands every diagnosed root cause to `pod-recovery`
+//!   and aggregates the per-fault MTTR distribution plus
+//!   success/escalation rates;
 //! - [`replay_telemetry`] — the same soak under an explicit
 //!   `TelemetryMode` (off/sampled/full), with tail-based trace sampling,
-//!   queue-wait tail exemplars and the gateway's flight-recorder dump (the
-//!   `BENCH_obs.json` / `FLIGHT_*.json` content, via [`exemplar_lines`] and
-//!   [`flight_json`]);
+//!   queue-wait tail exemplars and the gateway's flight-recorder dump;
 //! - [`replay_with_recovery`] — the soak with the recovery stage wired
 //!   in: every tenant engine's detection hook feeds one shared
 //!   `pod_recovery::RecoveryStorm` whose repairs contend for the gateway's
-//!   admission gate, with per-tenant MTTR-under-load in the journal via
-//!   [`recovery_soak_lines`] (the `BENCH_recovery_soak.json` content).
+//!   admission gate, with per-tenant MTTR-under-load;
+//! - the run record — one JSON-lines journal per run, every record built
+//!   on [`Record`] and written by [`write_journal`] as `RUN_<name>.jsonl`:
+//!   [`campaign_lines`] ([`metrics_line`], [`snapshot_lines`],
+//!   [`latency_lines`], [`incident_lines`]), [`soak_lines`]
+//!   ([`gateway_line`], [`telemetry_line`], [`exemplar_lines`],
+//!   [`flight_json`]), [`recovery_lines`], [`recovery_soak_lines`],
+//!   [`span_lines`], [`event_lines`] and [`wall_line`] (the only
+//!   wall-clock record);
+//! - [`diff_journals`] / [`diff_report`] — what moved between two run
+//!   records; `pod-diagnosis diff` and every `--baseline` gate are this
+//!   one comparison.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -54,8 +58,10 @@ pub use campaign::{
     TraceDump,
 };
 pub use journal::{
-    event_lines, exemplar_lines, flight_json, gateway_lines, incident_lines, metrics_line,
-    recovery_lines, recovery_soak_lines, render_journal, snapshot_lines, span_lines,
+    campaign_lines, diff_journals, diff_report, event_lines, exemplar_lines, flight_json,
+    gateway_line, incident_lines, latency_lines, metrics_line, recovery_lines, recovery_soak_lines,
+    render_journal, snapshot_lines, soak_lines, span_lines, telemetry_line, wall_line,
+    write_journal, JournalDiff, JournalError, Record, GATE_RATIO,
 };
 pub use metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
 pub use profile::{stage_self_times, LatencyProfile};
@@ -63,7 +69,7 @@ pub use report::{render_gateway_report, render_metrics_line, render_report};
 pub use scenario::{build_engine, build_scenario, pod_config, Scenario, ScenarioConfig};
 pub use soak::{
     collect_streams, render_recovery_soak, render_soak_report, replay, replay_telemetry,
-    replay_with_recovery, soak_bench_json, sweep_batches, OpStream, SoakConfig, SoakOpResult,
-    SoakRecoveryReport, SoakReport, SoakStreams, TenantRecoveryResult,
+    replay_with_recovery, sweep_batches, OpStream, SoakConfig, SoakOpResult, SoakRecoveryReport,
+    SoakReport, SoakStreams, TenantRecoveryResult,
 };
 pub use timing::TimingStats;

@@ -1,6 +1,6 @@
 //! The latency-budget profiler: attributes each run's virtual-clock time
 //! across pipeline stages and aggregates per-stage self-time distributions
-//! (p50/p95/p99) per fault type — the content of `BENCH_pod.json`.
+//! (p50/p95/p99) per fault type — the journal's `latency-budget` records.
 //!
 //! A *stage* is a span name (`cloud.api.call`, `conformance.replay`,
 //! `assertion.eval`, `faulttree.walk`, …). A run's budget for a stage is
@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use pod_log::Json;
 use pod_obs::SpanRecord;
 use pod_orchestrator::FaultType;
 use pod_sim::{nearest_rank, SimDuration};
@@ -41,6 +40,14 @@ struct StageSamples {
     /// One self-time sample (µs) per run. Runs where the stage never ran
     /// contribute an explicit zero so quantiles are over *all* runs.
     samples: Vec<u64>,
+}
+
+impl StageSamples {
+    fn sorted(&self) -> Vec<u64> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        sorted
+    }
 }
 
 /// Aggregated latency budgets across a campaign: per fault type, per
@@ -83,11 +90,6 @@ impl LatencyProfile {
         }
     }
 
-    /// Total runs recorded.
-    pub fn runs(&self) -> usize {
-        self.runs.values().sum()
-    }
-
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.per_fault.is_empty()
@@ -100,55 +102,23 @@ impl LatencyProfile {
 
     /// p50/p95/p99 (µs) of a stage's per-run self time for one fault.
     pub fn quantiles(&self, fault: &str, stage: &str) -> Option<(u64, u64, u64)> {
-        let samples = &self.per_fault.get(fault)?.get(stage)?.samples;
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
+        let sorted = self.per_fault.get(fault)?.get(stage)?.sorted();
         let q = |q| nearest_rank(&sorted, q).unwrap_or(0);
         Some((q(0.50), q(0.95), q(0.99)))
     }
 
-    /// The `BENCH_pod.json` document: per fault type, per stage, the
-    /// p50/p95/p99 and mean of the per-run self time (µs).
-    pub fn bench_json(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("bench", Json::str("pod-latency-budget"));
-        doc.set("unit", Json::str("us"));
-        doc.set("runs", Json::Number(self.runs() as f64));
-        let mut faults = Vec::new();
-        for (fault, stages) in &self.per_fault {
-            let mut f = Json::object();
-            f.set("fault", Json::str(fault.clone()));
-            f.set(
-                "runs",
-                Json::Number(self.runs.get(fault).copied().unwrap_or(0) as f64),
-            );
-            let mut rows = Vec::new();
-            for (stage, samples) in stages {
-                let mut sorted = samples.samples.clone();
-                sorted.sort_unstable();
-                let sum: u64 = sorted.iter().sum();
-                let q = |q| Json::Number(nearest_rank(&sorted, q).unwrap_or(0) as f64);
-                let mut s = Json::object();
-                s.set("stage", Json::str(stage.clone()));
-                s.set("p50", q(0.50));
-                s.set("p95", q(0.95));
-                s.set("p99", q(0.99));
-                s.set(
-                    "mean",
-                    Json::Number(if sorted.is_empty() {
-                        0.0
-                    } else {
-                        sum as f64 / sorted.len() as f64
-                    }),
-                );
-                s.set("total_us", Json::Number(sum as f64));
-                rows.push(s);
-            }
-            f.set("stages", Json::Array(rows));
-            faults.push(f);
-        }
-        doc.set("faults", Json::Array(faults));
-        doc
+    /// Per fault type, in name order: its label, its run count and every
+    /// stage's per-run self times (µs, sorted) — what the journal's
+    /// `latency-budget` records summarize.
+    pub(crate) fn budgets(&self) -> impl Iterator<Item = (&str, usize, Vec<(&str, Vec<u64>)>)> {
+        self.per_fault.iter().map(|(fault, stages)| {
+            let runs = self.runs.get(fault).copied().unwrap_or(0);
+            let stages = stages
+                .iter()
+                .map(|(stage, samples)| (stage.as_str(), samples.sorted()))
+                .collect();
+            (fault.as_str(), runs, stages)
+        })
     }
 
     /// Renders the latency budget as a per-fault ASCII table.
@@ -235,34 +205,6 @@ mod tests {
         assert_eq!((p50, p95), (0, 100));
         let (p50, p95, _) = profile.quantiles(&fault, "faulttree.walk").unwrap();
         assert_eq!((p50, p95), (0, 10));
-    }
-
-    #[test]
-    fn bench_json_has_all_quantiles_per_fault() {
-        let mut profile = LatencyProfile::new();
-        for fault in FaultType::all() {
-            let mut stages = BTreeMap::new();
-            stages.insert("cloud.api.call".to_string(), 2_000u64);
-            stages.insert("assertion.eval".to_string(), 500u64);
-            profile.record(fault, &stages);
-        }
-        let doc = profile.bench_json();
-        let parsed = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(
-            parsed.get("bench").unwrap().as_str(),
-            Some("pod-latency-budget")
-        );
-        let faults = parsed.get("faults").unwrap().as_array().unwrap();
-        assert_eq!(faults.len(), 8);
-        for f in faults {
-            let stages = f.get("stages").unwrap().as_array().unwrap();
-            assert_eq!(stages.len(), 2);
-            for s in stages {
-                for key in ["p50", "p95", "p99", "mean"] {
-                    assert!(s.get(key).is_some(), "missing {key}");
-                }
-            }
-        }
     }
 
     #[test]

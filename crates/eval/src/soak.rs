@@ -42,7 +42,7 @@ use std::rc::Rc;
 
 use pod_cloud::Cloud;
 use pod_gateway::{Gateway, GatewayConfig, GatewayStats, OpId};
-use pod_log::{Json, LogEvent};
+use pod_log::LogEvent;
 use pod_obs::{FlightDump, RunSignals, SampleVerdict, SamplerConfig, TailSampler, TelemetryMode};
 use pod_orchestrator::{
     FaultInjector, FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver,
@@ -761,7 +761,7 @@ fn replay_inner(
 }
 
 /// Replays the same streams once per batch size and returns the gateway
-/// statistics of each pass (the amortization sweep of `BENCH_gateway.json`).
+/// statistics of each pass (the journal's `batch-sweep` rows).
 pub fn sweep_batches(
     streams: &SoakStreams,
     base: &GatewayConfig,
@@ -777,64 +777,6 @@ pub fn sweep_batches(
             (batch_size, replay(streams, &config).stats)
         })
         .collect()
-}
-
-/// The `BENCH_gateway.json` document: headline throughput, the full
-/// gateway statistics (per-shard p50/p95/p99 queue waits included), the
-/// batch-size sweep and the replay latency budget.
-pub fn soak_bench_json(
-    report: &SoakReport,
-    sweep: &[(usize, GatewayStats)],
-    wall_secs: f64,
-) -> Json {
-    let num = |n: u64| Json::Number(n as f64);
-    let mut doc = Json::object();
-    doc.set("bench", Json::str("pod-gateway-soak"));
-    doc.set("ops", num(report.ops.len() as u64));
-    doc.set("lines_total", num(report.lines_total));
-    doc.set("leaks", num(report.leaks.len() as u64));
-    doc.set(
-        "detections_total",
-        num(report.ops.iter().map(|o| o.detections as u64).sum()),
-    );
-    doc.set("wall_secs", Json::Number(wall_secs));
-    if wall_secs > 0.0 {
-        doc.set(
-            "lines_per_sec_wall",
-            Json::Number(report.stats.lines_processed as f64 / wall_secs),
-        );
-    }
-    doc.set("gateway", report.stats.to_json());
-    let rows = sweep
-        .iter()
-        .map(|(batch_size, stats)| {
-            let mut row = Json::object();
-            row.set("batch_size", num(*batch_size as u64));
-            row.set(
-                "lines_per_sec_virtual",
-                Json::Number(stats.lines_per_sec_virtual()),
-            );
-            row.set("virtual_elapsed_us", num(stats.virtual_elapsed.as_micros()));
-            row.set("batches", num(stats.batches));
-            row.set("deferred", num(stats.deferred));
-            row.set("blocked", num(stats.blocked));
-            row.set("shed", num(stats.total_shed()));
-            row
-        })
-        .collect();
-    doc.set("batch_sweep", Json::Array(rows));
-    doc.set("latency_budget", report.latency.bench_json());
-    let mut telemetry = Json::object();
-    telemetry.set("mode", Json::str(report.mode.to_string()));
-    telemetry.set("kept_traces", num(report.kept_traces as u64));
-    telemetry.set("discarded_traces", num(report.discarded_traces as u64));
-    telemetry.set("incidents", num(report.incidents as u64));
-    if let Some(flight) = &report.flight {
-        telemetry.set("flight_frames", num(flight.frames.len() as u64));
-        telemetry.set("flight_incidents", num(flight.incidents.len() as u64));
-    }
-    doc.set("telemetry", telemetry);
-    doc
 }
 
 /// Renders the soak result as plain text: headline, per-fault detection
@@ -1089,40 +1031,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_carries_sweep_and_shard_quantiles() {
-        let streams = collect_streams(&SoakConfig {
-            ops: 2,
-            seed: 5,
-            ..SoakConfig::default()
-        });
-        let base = GatewayConfig::default();
-        let report = replay(&streams, &base);
-        let sweep = sweep_batches(&streams, &base, &[1, 16]);
-        let doc = soak_bench_json(&report, &sweep, 1.5);
-        let parsed = Json::parse(&doc.to_string()).unwrap();
-        assert_eq!(
-            parsed.get("bench").unwrap().as_str(),
-            Some("pod-gateway-soak")
-        );
-        assert_eq!(parsed.get("leaks").unwrap().as_f64(), Some(0.0));
-        let rows = parsed.get("batch_sweep").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("batch_size").unwrap().as_f64(), Some(1.0));
-        let shards = parsed
-            .get("gateway")
-            .unwrap()
-            .get("shards")
-            .unwrap()
-            .as_array()
-            .unwrap();
-        assert!(shards
-            .iter()
-            .filter_map(|s| s.get("queue_wait_us"))
-            .any(|h| h.get("p99").is_some()));
-        assert!(parsed.get("latency_budget").is_some());
-    }
-
-    #[test]
     fn telemetry_modes_never_change_detections_and_sampling_keeps_incidents() {
         // Collect fresh (deterministic, seed-identical) streams per mode:
         // per-operation virtual clocks advance during a replay, so modes
@@ -1183,9 +1091,7 @@ mod tests {
         assert!(text.contains("telemetry: mode sampled"), "{text}");
         assert!(text.contains("flight recorder:"), "{text}");
 
-        let doc = soak_bench_json(&sampled, &[], 1.0);
-        let parsed = Json::parse(&doc.to_string()).unwrap();
-        let tel = parsed.get("telemetry").unwrap();
+        let tel = crate::journal::telemetry_line("soak", &sampled);
         assert_eq!(tel.get("mode").unwrap().as_str(), Some("sampled"));
         assert!(tel.get("flight_frames").is_some());
     }

@@ -235,7 +235,8 @@ impl GatewayStats {
         }
     }
 
-    /// The stats as a JSON object (the core of `BENCH_gateway.json`).
+    /// The stats as a JSON object (the body of the journal's `gateway`
+    /// record, and part of the soak digest).
     pub fn to_json(&self) -> Json {
         let num = |n: u64| Json::Number(n as f64);
         let mut o = Json::object();
@@ -271,7 +272,7 @@ impl GatewayStats {
                     let mut ho = Json::object();
                     ho.set("count", num(h.count));
                     ho.set("mean", Json::Number(h.mean()));
-                    for (key, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
+                    for (key, q) in pod_obs::TAIL_QUANTILES {
                         if let Some(v) = h.quantile(q) {
                             ho.set(key, num(v));
                         }

@@ -184,6 +184,9 @@ impl Histogram {
     }
 }
 
+/// The tail quantiles every summary reports, with their field names.
+pub const TAIL_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)];
+
 /// Immutable copy of one histogram's state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {

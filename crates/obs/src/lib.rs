@@ -75,7 +75,7 @@ pub use export::{chrome_trace, otlp_json};
 pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
-pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP};
+pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP, TAIL_QUANTILES};
 pub use metrics::{Counter, Gauge, Registry, ShardCell, ShardedCounter, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;

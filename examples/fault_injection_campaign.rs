@@ -6,19 +6,16 @@
 //! Run with `cargo run --release --example fault_injection_campaign`.
 //! Pass a number to change runs-per-fault (e.g. `-- 5` for a quick pass).
 //! Pass `--json` to also write:
-//! - `BENCH_campaign_{n}x8.json` — Table-I metrics, the aggregated pod-obs
-//!   snapshot, and the last run's incident chains as JSON-lines records;
-//! - `BENCH_pod.json` — the latency budget: per-stage virtual-time self
-//!   time, p50/p95/p99 per fault type;
+//! - `RUN_campaign.jsonl` — the run record: Table-I metrics, the
+//!   aggregated pod-obs snapshot, the latency budget (per-stage
+//!   virtual-time self time, p50/p95/p99 per fault type) and the last
+//!   run's incident chains as JSON-lines records;
 //! - `TRACE_campaign.json` — the last run's spans and causal events as a
 //!   Chrome trace-event file (load it in Perfetto / `chrome://tracing`);
 //! - `TRACE_campaign_otlp.json` — the same trace as OTLP-style JSON.
 
-use pod_diagnosis::eval::{
-    incident_lines, metrics_line, render_journal, render_report, snapshot_lines, Campaign,
-    CampaignConfig,
-};
-use pod_diagnosis::obs::{chrome_trace, incidents, otlp_json};
+use pod_diagnosis::eval::{campaign_lines, render_report, write_journal, Campaign, CampaignConfig};
+use pod_diagnosis::obs::{chrome_trace, otlp_json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,25 +47,9 @@ fn main() {
     }
 
     if json {
-        let mut lines = vec![metrics_line("overall", &report.overall)];
-        for (fault, set) in &report.per_fault {
-            lines.push(metrics_line(&fault.to_string(), set));
-        }
-        lines.extend(snapshot_lines("campaign", &report.obs_totals));
-        if let Some(dump) = &report.last_trace {
-            lines.extend(incident_lines(&dump.trace_id, &incidents(&dump.events)));
-        }
-        let path = format!("BENCH_campaign_{}x8.json", runs_per_fault);
-        std::fs::write(&path, render_journal(&lines)).expect("write journal");
+        let lines = campaign_lines("campaign", &report);
+        let path = write_journal("campaign", &lines).expect("write run record");
         eprintln!("wrote {} journal records to {path}", lines.len());
-
-        let bench = report.latency.bench_json().to_string();
-        std::fs::write("BENCH_pod.json", bench + "\n").expect("write BENCH_pod.json");
-        eprintln!(
-            "wrote latency budget ({} runs, {} fault types) to BENCH_pod.json",
-            report.latency.runs(),
-            report.latency.faults().len()
-        );
 
         if let Some(dump) = &report.last_trace {
             let chrome = chrome_trace(&dump.trace_id, &dump.spans, &dump.events);

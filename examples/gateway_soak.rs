@@ -16,27 +16,28 @@
 //! shed-to-sweep fallback). The run asserts zero dropped incidents and
 //! replays a second same-seed soak to prove byte-identical transcripts
 //! under maximal contention; `--json` then writes
-//! `BENCH_recovery_soak.json` (the recovery-storm/recovery-tenant journal)
-//! and `FLIGHT_recovery-soak.json`, and `--baseline <path>` gates the
-//! storm-mode MTTR p50 at 1.1x a committed baseline.
-//! Pass `--json` (without `--recovery`) to also write:
-//! - `BENCH_gateway.json` — lines/sec (wall and virtual), the batch-size
-//!   sweep, per-shard p50/p95/p99 queue waits and the replay latency budget;
-//! - `JOURNAL_gateway.json` — the gateway's pod-obs snapshot plus the
-//!   gateway/gateway-shard records for the main and stress replays;
-//! - `FLIGHT_gateway-soak.json` — the flight recorder's black box: every
-//!   periodic frame with counters/gauges/quantiles plus incident marks.
+//! `RUN_recovery-soak.jsonl` (the recovery-storm / recovery-tenant records
+//! plus the flight recorder's black box), and `--baseline <path>` gates
+//! the storm-mode MTTR p50 at 1.1x a committed baseline
+//! (`pod-diagnosis diff --gate recovery-storm.mttr_p50_us`).
+//! Pass `--json` (without `--recovery`) to also write
+//! `RUN_gateway-soak.jsonl`, the run record: the soak headline, the
+//! gateway statistics (per-shard p50/p95/p99 queue waits) of the main and
+//! stress replays, the batch-size sweep, the replay latency budget, the
+//! telemetry outcome, the gateway's pod-obs snapshot with its tail
+//! exemplars, the flight recorder's black box (every periodic frame with
+//! counters/gauges/quantiles plus incident marks) and one `wall` record
+//! with the wall-clock lines/sec.
 
 use pod_diagnosis::eval::{
-    collect_streams, flight_json, gateway_lines, recovery_soak_lines, render_gateway_report,
-    render_journal, render_soak_report, replay, replay_with_recovery, snapshot_lines,
-    soak_bench_json, sweep_batches, SoakConfig,
+    collect_streams, diff_report, flight_json, gateway_line, recovery_soak_lines,
+    render_gateway_report, render_journal, render_soak_report, replay, replay_with_recovery,
+    soak_lines, sweep_batches, wall_line, write_journal, SoakConfig,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::obs::render_dashboard;
 use pod_diagnosis::recovery::StormConfig;
 use pod_diagnosis::sim::SimDuration;
-use pod_log::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,34 +142,20 @@ fn main() {
     );
 
     if json {
-        let bench = soak_bench_json(&report, &sweep, wall_secs).to_string();
-        std::fs::write("BENCH_gateway.json", bench + "\n").expect("write BENCH_gateway.json");
+        let mut lines = soak_lines("gateway-soak", &report, &sweep);
+        lines.push(gateway_line("gateway-stress", &stress.stats));
+        lines.push(wall_line(
+            "gateway-soak",
+            wall_secs,
+            report.stats.lines_processed,
+        ));
+        let path = write_journal("gateway-soak", &lines).expect("write run record");
         eprintln!(
-            "wrote gateway bench ({} ops, {} lines) to BENCH_gateway.json",
+            "wrote {} journal records ({} ops, {} lines) to {path}",
+            lines.len(),
             report.ops.len(),
             report.lines_total
         );
-
-        let mut lines = snapshot_lines("gateway-soak", &report.snapshot);
-        lines.extend(gateway_lines("gateway-soak", &report.stats));
-        lines.extend(gateway_lines("gateway-stress", &stress.stats));
-        std::fs::write("JOURNAL_gateway.json", render_journal(&lines))
-            .expect("write JOURNAL_gateway.json");
-        eprintln!(
-            "wrote {} journal records to JOURNAL_gateway.json",
-            lines.len()
-        );
-
-        if let Some(flight) = &report.flight {
-            let doc = flight_json("gateway-soak", flight).to_string();
-            std::fs::write("FLIGHT_gateway-soak.json", doc + "\n")
-                .expect("write FLIGHT_gateway-soak.json");
-            eprintln!(
-                "wrote {} flight frames ({} incident marks) to FLIGHT_gateway-soak.json",
-                flight.frames.len(),
-                flight.incidents.len()
-            );
-        }
     }
 }
 
@@ -292,45 +279,24 @@ fn recovery_soak(
         rec.transcript().len()
     );
 
+    let mut lines = recovery_soak_lines("recovery-soak", rec);
+    lines.extend(
+        report
+            .flight
+            .iter()
+            .map(|f| flight_json("recovery-soak", f)),
+    );
     if json {
-        let lines = recovery_soak_lines("recovery-soak", rec);
-        std::fs::write("BENCH_recovery_soak.json", render_journal(&lines))
-            .expect("write BENCH_recovery_soak.json");
-        eprintln!(
-            "wrote {} journal records to BENCH_recovery_soak.json",
-            lines.len()
-        );
-        if let Some(flight) = &report.flight {
-            let doc = flight_json("recovery-soak", flight).to_string();
-            std::fs::write("FLIGHT_recovery-soak.json", doc + "\n")
-                .expect("write FLIGHT_recovery-soak.json");
-            eprintln!(
-                "wrote {} flight frames ({} incident marks) to FLIGHT_recovery-soak.json",
-                flight.frames.len(),
-                flight.incidents.len()
-            );
-        }
+        let path = write_journal("recovery-soak", &lines).expect("write run record");
+        eprintln!("wrote {} journal records to {path}", lines.len());
     }
 
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let committed = text
-            .lines()
-            .filter_map(|l| Json::parse(l).ok())
-            .find(|j| j.get("record").and_then(Json::as_str) == Some("recovery-storm"))
-            .and_then(|j| j.get("mttr_p50_us").and_then(Json::as_f64))
-            .unwrap_or_else(|| {
-                panic!("baseline {path} has no recovery-storm record with mttr_p50_us")
-            });
-        let fresh = rec.mttr.percentile(0.5).as_micros() as f64;
-        println!(
-            "regression gate: fresh storm mttr_p50 {fresh:.0}us vs committed {committed:.0}us \
-             (limit 1.1x)"
-        );
-        if fresh > committed * 1.1 {
-            eprintln!("REGRESSION: storm-mode MTTR p50 exceeds 1.1x the committed baseline");
-            std::process::exit(1);
+        let fresh = render_journal(&lines);
+        let (report, code) = diff_report(&path, &fresh, Some("recovery-storm.mttr_p50_us"));
+        print!("regression gate vs {path}:\n{report}");
+        if code != 0 {
+            std::process::exit(code);
         }
     }
 }

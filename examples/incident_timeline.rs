@@ -5,11 +5,11 @@
 //! with per-hop virtual-clock latency.
 //!
 //! Run with `cargo run --release --example incident_timeline`.
-//! Pass `--json` to also write `JOURNAL_incidents.json`: one JSON-lines
+//! Pass `--json` to also write `RUN_incidents.jsonl`: one JSON-lines
 //! record per incident chain across all eight runs.
 
 use pod_diagnosis::eval::{
-    execute_run_traced, incident_lines, render_journal, Campaign, CampaignConfig,
+    execute_run_traced, incident_lines, write_journal, Campaign, CampaignConfig,
 };
 use pod_diagnosis::log::Json;
 use pod_diagnosis::obs::{incidents, render_timelines};
@@ -54,11 +54,7 @@ fn main() {
          the per-key cooldown) =="
     );
     if json {
-        std::fs::write("JOURNAL_incidents.json", render_journal(&journal))
-            .expect("write incident journal");
-        eprintln!(
-            "wrote {} incident records to JOURNAL_incidents.json",
-            journal.len()
-        );
+        let path = write_journal("incidents", &journal).expect("write run record");
+        eprintln!("wrote {} incident records to {path}", journal.len());
     }
 }

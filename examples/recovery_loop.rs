@@ -7,19 +7,19 @@
 //!
 //! Run with `cargo run --release --example recovery_loop`.
 //! Pass a number to change runs-per-fault (e.g. `-- 5` for a quick pass).
-//! Pass `--json` to also write `BENCH_recovery.json` — one JSON-lines
+//! Pass `--json` to also write `RUN_recovery-loop.jsonl` — one JSON-lines
 //! record for the campaign plus one per fault type, carrying
 //! success/escalation rates, MTTR p50/p95 and the MTTR phase breakdown.
 //! Pass `--baseline <path>` to regression-gate against a committed
 //! `BENCH_recovery.baseline.json`: since the campaign runs in virtual
 //! time, same config + seed reproduce the committed numbers exactly, and
-//! the gate fails (non-zero exit) when the fresh MTTR p50 exceeds 1.1x
-//! the committed one.
+//! the gate (`pod-diagnosis diff --gate recovery.mttr_p50_us`) fails when
+//! the fresh MTTR p50 exceeds 1.1x the committed one or is missing.
 
 use pod_diagnosis::eval::{
-    recovery_lines, render_journal, render_report, Campaign, CampaignConfig,
+    diff_report, recovery_lines, render_journal, render_report, write_journal, Campaign,
+    CampaignConfig,
 };
-use pod_log::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,35 +56,18 @@ fn main() {
         rec.recovered + rec.escalated == rec.attempted
     );
 
+    let lines = recovery_lines("recovery-loop", rec);
     if json {
-        let lines = recovery_lines("recovery-loop", rec);
-        std::fs::write("BENCH_recovery.json", render_journal(&lines))
-            .expect("write BENCH_recovery.json");
-        eprintln!(
-            "wrote {} journal records to BENCH_recovery.json",
-            lines.len()
-        );
+        let path = write_journal("recovery-loop", &lines).expect("write run record");
+        eprintln!("wrote {} journal records to {path}", lines.len());
     }
 
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let committed = text
-            .lines()
-            .filter_map(|l| Json::parse(l).ok())
-            .find(|j| j.get("record").and_then(Json::as_str) == Some("recovery"))
-            .and_then(|j| j.get("mttr_p50_us").and_then(Json::as_f64))
-            .unwrap_or_else(|| panic!("baseline {path} has no recovery record with mttr_p50_us"));
-        let fresh = rec.mttr.percentile(0.5).as_micros() as f64;
-        println!(
-            "regression gate: fresh mttr_p50 {:.0}us vs committed {:.0}us (limit 1.1x)",
-            fresh, committed
-        );
-        if fresh > 1.1 * committed {
-            eprintln!(
-                "REGRESSION: mttr_p50 {fresh:.0}us exceeds 1.1x the committed {committed:.0}us"
-            );
-            std::process::exit(1);
+        let fresh = render_journal(&lines);
+        let (report, code) = diff_report(&path, &fresh, Some("recovery.mttr_p50_us"));
+        print!("regression gate vs {path}:\n{report}");
+        if code != 0 {
+            std::process::exit(code);
         }
     }
 }

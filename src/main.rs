@@ -4,10 +4,11 @@
 //! pod-diagnosis campaign [runs-per-fault] [seed]   # the paper's evaluation
 //! pod-diagnosis discover [runs]                    # mine Figure 2 from logs
 //! pod-diagnosis monitor [seed] [fault#]            # one monitored upgrade
+//! pod-diagnosis diff OLD NEW [--gate RECORD.FIELD] # what moved between two run records
 //! pod-diagnosis help
 //! ```
 
-use pod_diagnosis::eval::{render_report, Campaign, CampaignConfig};
+use pod_diagnosis::eval::{diff_report, render_report, Campaign, CampaignConfig};
 use pod_diagnosis::mining::{mine_process, MiningConfig};
 use pod_diagnosis::orchestrator::FaultType;
 
@@ -18,6 +19,7 @@ fn main() {
         "campaign" => campaign(&args[1..]),
         "discover" => discover(&args[1..]),
         "monitor" => monitor(&args[1..]),
+        "diff" => diff(&args[1..]),
         _ => help(),
     }
 }
@@ -37,6 +39,10 @@ fn help() {
          \x20   mine the rolling-upgrade process model from generated operation logs\n\
          \x20 pod-diagnosis monitor [seed=7] [fault=1..8]\n\
          \x20   run one monitored upgrade with the given fault type injected\n\
+         \x20 pod-diagnosis diff OLD NEW [--gate RECORD.FIELD]\n\
+         \x20   print what moved between two run records (RUN_*.jsonl); with --gate, exit 1\n\
+         \x20   when the field exceeds 1.1x its old value or is missing; exit 2 on a\n\
+         \x20   malformed or unreadable journal\n\
          \x20 pod-diagnosis help"
     );
 }
@@ -53,6 +59,25 @@ fn campaign(args: &[String]) {
     );
     let report = Campaign::new(config).run();
     println!("{}", render_report(&report));
+}
+
+fn diff(args: &[String]) {
+    let gate = args
+        .iter()
+        .position(|a| a == "--gate")
+        .and_then(|i| args.get(i + 1));
+    let mut paths = args.iter().filter(|a| *a != "--gate" && Some(*a) != gate);
+    let (Some(old), Some(new)) = (paths.next(), paths.next()) else {
+        eprintln!("usage: pod-diagnosis diff OLD NEW [--gate RECORD.FIELD]");
+        std::process::exit(2);
+    };
+    let fresh = std::fs::read_to_string(new).unwrap_or_else(|e| {
+        eprintln!("cannot read {new}: {e}");
+        std::process::exit(2);
+    });
+    let (report, code) = diff_report(old, &fresh, gate.map(String::as_str));
+    print!("{report}");
+    std::process::exit(code);
 }
 
 fn discover(args: &[String]) {
