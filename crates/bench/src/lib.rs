@@ -1,85 +1,24 @@
-//! Shared fixtures for the POD-Diagnosis benchmarks.
+//! The shared upgrade-log fixture.
 //!
-//! The benches live in `benches/`; this library only provides the common
-//! scenario builders so every bench measures the same workloads.
+//! The one bench target, `benches/obs_overhead.rs`, is the telemetry
+//! self-overhead gate; every other wall-clock figure comes from the
+//! `benchmark/` ledger. This library provides the deterministic operation
+//! log the annotator golden test matches against.
 
 #![warn(missing_docs)]
 
-use pod_cloud::{Cloud, CloudConfig};
-use pod_orchestrator::{CollectingObserver, NoiseGenerator, RollingUpgrade, UpgradeConfig};
-use pod_sim::{Clock, SimRng, SimTime};
-
-/// A ready-to-use 4-instance cluster with a consistent-API handle.
-pub fn bench_cloud(seed: u64) -> (Cloud, pod_assert::ExpectedEnv) {
-    let cloud = Cloud::new(
-        Clock::new(),
-        SimRng::seed_from(seed),
-        CloudConfig {
-            stale_read_prob: 0.0,
-            ..CloudConfig::default()
-        },
-    );
-    let ami = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("prod");
-    let elb = cloud.admin_create_elb("front");
-    let lc =
-        cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-    let asg = cloud.admin_create_asg("pm--asg", lc.clone(), 1, 10, 4, Some(elb.clone()));
-    let env = pod_assert::ExpectedEnv {
-        asg,
-        elb,
-        launch_config: lc,
-        expected_ami: ami,
-        expected_version: "2.0".into(),
-        expected_key_pair: kp,
-        expected_security_group: sg,
-        expected_instance_type: "m1.small".into(),
-        expected_count: 4,
-    };
-    (cloud, env)
-}
-
-/// A v1 cluster plus the config to roll it to v2 — the E1 rolling-upgrade
-/// scenario from the paper, ready to hand to [`RollingUpgrade`].
-pub fn upgrade_fixture(seed: u64, instances: u32) -> (Cloud, UpgradeConfig) {
-    let cloud = Cloud::new(
-        Clock::new(),
-        SimRng::seed_from(seed),
-        CloudConfig {
-            stale_read_prob: 0.0,
-            ..CloudConfig::default()
-        },
-    );
-    let ami_v1 = cloud.admin_create_ami("app", "1.0");
-    let ami_v2 = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("prod");
-    let elb = cloud.admin_create_elb("front");
-    let lc = cloud.admin_create_launch_config("lc-v1", ami_v1, "m1.small", kp, sg);
-    let asg = cloud.admin_create_asg("pm--asg", lc, 1, 30, instances, Some(elb.clone()));
-    let config = UpgradeConfig::new("pm", asg, elb, ami_v2, "2.0");
-    (cloud, config)
-}
+use pod_orchestrator::NoiseGenerator;
+use pod_sim::{SimRng, SimTime};
 
 /// The full operation log of a clean E1 rolling upgrade interleaved with
 /// deterministic application noise: `noise_per_line` noise lines are
-/// inserted after every operation line. This is the shared workload for
-/// the line-matching benches and the annotator golden test — every
-/// consumer sees byte-identical lines for the same arguments.
+/// inserted after every operation line. Every consumer sees byte-identical
+/// lines for the same arguments.
 pub fn upgrade_log_lines(seed: u64, instances: u32, noise_per_line: usize) -> Vec<String> {
-    let (cloud, config) = upgrade_fixture(seed, instances);
-    let mut upgrade = RollingUpgrade::new(cloud, config, "task-e1");
-    let mut observer = CollectingObserver::default();
-    let report = upgrade.run(&mut observer);
-    assert!(
-        report.outcome.is_success(),
-        "bench fixture upgrade must succeed: {:?}",
-        report.outcome
-    );
+    let events = pod_eval::healthy_log(seed, instances);
     let mut noise = NoiseGenerator::new(SimRng::seed_from(seed ^ 0x9e37_79b9), 1.0);
-    let mut lines = Vec::with_capacity(observer.events.len() * (1 + noise_per_line));
-    for event in &observer.events {
+    let mut lines = Vec::with_capacity(events.len() * (1 + noise_per_line));
+    for event in &events {
         lines.push(event.message.clone());
         for _ in 0..noise_per_line {
             lines.push(noise.emit(SimTime::ZERO).message);

@@ -236,13 +236,6 @@ impl Cloud {
         self.inner.lock().run_until(now);
     }
 
-    /// Processes engine events up to the current clock time without
-    /// consuming any additional time.
-    pub fn settle(&self) {
-        let now = self.clock.now();
-        self.inner.lock().run_until(now);
-    }
-
     // ---------------------------------------------------------------
     // Metered API calls
     // ---------------------------------------------------------------

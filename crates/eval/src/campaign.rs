@@ -228,7 +228,7 @@ pub struct CampaignReport {
 
 /// MTTR phase breakdown across recovered runs: where the seconds go
 /// between the first failing signal and the verified repair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
     /// First failing signal → diagnosis start (dispatch delay).
     pub detection: TimingStats,
@@ -243,20 +243,8 @@ pub struct PhaseStats {
     pub verification: TimingStats,
 }
 
-impl Default for PhaseStats {
-    fn default() -> PhaseStats {
-        PhaseStats {
-            detection: TimingStats::new(Vec::new()),
-            diagnosis: TimingStats::new(Vec::new()),
-            staging: TimingStats::new(Vec::new()),
-            repair: TimingStats::new(Vec::new()),
-            verification: TimingStats::new(Vec::new()),
-        }
-    }
-}
-
 /// Aggregated recovery-stage statistics for one fault type.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultRecoveryStats {
     /// Recovery runs attempted.
     pub attempted: usize,
@@ -270,20 +258,8 @@ pub struct FaultRecoveryStats {
     pub mttr: TimingStats,
 }
 
-impl Default for FaultRecoveryStats {
-    fn default() -> FaultRecoveryStats {
-        FaultRecoveryStats {
-            attempted: 0,
-            recovered: 0,
-            escalated: 0,
-            conformance_fit: 0,
-            mttr: TimingStats::new(Vec::new()),
-        }
-    }
-}
-
 /// Aggregated recovery-stage statistics (closed-loop MTTR evaluation).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryStats {
     /// All recovery runs attempted across the campaign.
     pub attempted: usize,
@@ -299,20 +275,6 @@ pub struct RecoveryStats {
     pub phases: PhaseStats,
     /// Per-fault-type breakdown.
     pub per_fault: Vec<(FaultType, FaultRecoveryStats)>,
-}
-
-impl Default for RecoveryStats {
-    fn default() -> RecoveryStats {
-        RecoveryStats {
-            attempted: 0,
-            recovered: 0,
-            escalated: 0,
-            conformance_fit: 0,
-            mttr: TimingStats::new(Vec::new()),
-            phases: PhaseStats::default(),
-            per_fault: Vec::new(),
-        }
-    }
 }
 
 /// The campaign runner.

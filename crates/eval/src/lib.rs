@@ -66,7 +66,9 @@ pub use journal::{
 pub use metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
 pub use profile::{stage_self_times, LatencyProfile};
 pub use report::{render_gateway_report, render_metrics_line, render_report};
-pub use scenario::{build_engine, build_scenario, pod_config, Scenario, ScenarioConfig};
+pub use scenario::{
+    build_engine, build_scenario, healthy_log, pod_config, Scenario, ScenarioConfig,
+};
 pub use soak::{
     collect_streams, render_recovery_soak, render_soak_report, replay, replay_telemetry,
     replay_with_recovery, sweep_batches, OpStream, SoakConfig, SoakOpResult, SoakRecoveryReport,

@@ -6,8 +6,8 @@ use pod_assert::{ExpectedEnv, RetryPolicy};
 use pod_cloud::{Cloud, CloudConfig};
 use pod_core::{PodConfig, PodEngine, SharedEnv};
 use pod_faulttree::{rolling_upgrade_repository, steps, TestOrder};
-use pod_log::LogStorage;
-use pod_orchestrator::{process_def, UpgradeConfig};
+use pod_log::{LogEvent, LogStorage};
+use pod_orchestrator::{process_def, CollectingObserver, RollingUpgrade, UpgradeConfig};
 use pod_sim::{Clock, SimDuration, SimRng};
 
 /// Everything one experiment run operates on.
@@ -103,6 +103,22 @@ pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
         upgrade_lc_name,
         trace_id,
     }
+}
+
+/// Runs one fault-free rolling upgrade of a `cluster_size`-instance cluster
+/// and returns its operation log: the training input of process mining and
+/// timeout calibration.
+pub fn healthy_log(seed: u64, cluster_size: u32) -> Vec<LogEvent> {
+    let scenario = build_scenario(&ScenarioConfig {
+        seed,
+        cluster_size,
+        ..ScenarioConfig::default()
+    });
+    let mut upgrade = RollingUpgrade::new(scenario.cloud, scenario.upgrade, scenario.trace_id);
+    let mut observer = CollectingObserver::default();
+    let outcome = upgrade.run(&mut observer).outcome;
+    assert!(outcome.is_success(), "fault-free upgrade: {outcome:?}");
+    observer.events
 }
 
 /// Builds the POD engine configuration for the rolling upgrade.

@@ -3,7 +3,7 @@
 use pod_sim::SimDuration;
 
 /// Summary statistics plus a histogram over a duration sample.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingStats {
     samples: Vec<SimDuration>,
 }

@@ -2,29 +2,16 @@
 //! historical timing profiles the way the paper derives it — "set based on
 //! experiments, at the 95% percentile".
 
-use pod_eval::{build_scenario, pod_config, ScenarioConfig};
+use pod_eval::{healthy_log, pod_config, ScenarioConfig};
 use pod_mining::ActivityTimings;
-use pod_orchestrator::{process_def, CollectingObserver, RollingUpgrade};
+use pod_orchestrator::process_def;
 
 /// Collects the operation logs of `n` healthy training upgrades.
 fn training_logs(n: u64) -> Vec<pod_log::LogEvent> {
-    let mut events = Vec::new();
-    for seed in 1000..1000 + n {
-        let config = ScenarioConfig {
-            seed,
-            ..ScenarioConfig::default()
-        };
-        let scenario = build_scenario(&config);
-        let mut upgrade = RollingUpgrade::new(
-            scenario.cloud.clone(),
-            scenario.upgrade.clone(),
-            scenario.trace_id.clone(),
-        );
-        let mut obs = CollectingObserver::default();
-        assert!(upgrade.run(&mut obs).outcome.is_success());
-        events.extend(obs.events);
-    }
-    events
+    let cluster_size = ScenarioConfig::default().cluster_size;
+    (1000..1000 + n)
+        .flat_map(|seed| healthy_log(seed, cluster_size))
+        .collect()
 }
 
 #[test]

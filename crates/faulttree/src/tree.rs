@@ -98,12 +98,6 @@ impl FaultNode {
         self
     }
 
-    /// Sets the gate.
-    pub fn with_gate(mut self, gate: Gate) -> FaultNode {
-        self.gate = gate;
-        self
-    }
-
     /// Adds a child.
     pub fn child(mut self, node: FaultNode) -> FaultNode {
         self.children.push(node);

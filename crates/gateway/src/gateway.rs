@@ -315,7 +315,6 @@ struct Shard {
     wakeup_at: Option<SimTime>,
     ops: usize,
     lines: u64,
-    shed: u64,
     batches: u64,
     shed_counter: Counter,
     /// This shard's cache-padded cell of `gateway.lines.processed`.
@@ -363,26 +362,9 @@ pub struct Gateway {
     obs: Obs,
     shards: Vec<Shard>,
     ops: Vec<OpSlot>,
-    tallies: Tallies,
     metrics: Metrics,
     flight: Option<FlightRecorder>,
     incident_hook: Option<IncidentHook>,
-}
-
-/// Plain mirrors of the headline counters (cheap to read for stats).
-#[derive(Debug, Default)]
-struct Tallies {
-    submitted: u64,
-    processed: u64,
-    batches: u64,
-    shed_oldest: u64,
-    shed_newest: u64,
-    blocked: u64,
-    deferred: u64,
-    admission_denied: u64,
-    parsed_json: u64,
-    parsed_plain: u64,
-    unclassified: u64,
 }
 
 impl Gateway {
@@ -405,7 +387,6 @@ impl Gateway {
                 wakeup_at: None,
                 ops: 0,
                 lines: 0,
-                shed: 0,
                 batches: 0,
                 shed_counter: obs.counter(&format!("gateway.shard.{i}.shed")),
                 processed: processed.cell(i),
@@ -436,7 +417,6 @@ impl Gateway {
             obs,
             shards,
             ops: Vec::new(),
-            tallies: Tallies::default(),
             metrics,
             flight,
             incident_hook: None,
@@ -484,7 +464,6 @@ impl Gateway {
         let instance_id = instance_id.into();
         let shard = self.route(&process_id, &instance_id);
         if self.shards[shard].ops >= self.config.max_ops_per_shard {
-            self.tallies.admission_denied += 1;
             self.metrics.admission_denied.incr();
             return Err(GatewayError::AdmissionDenied {
                 shard,
@@ -513,11 +492,9 @@ impl Gateway {
     pub fn submit(&mut self, op: OpId, arrival: SimTime, raw: &str) -> SubmitOutcome {
         self.clock.advance_to(arrival);
         self.run_due();
-        self.tallies.submitted += 1;
         self.metrics.submitted.incr();
         let shard_idx = self.ops[op.0].shard;
         if self.shards[shard_idx].queue.len() >= self.config.batch_size {
-            self.tallies.deferred += 1;
             self.metrics.deferred.incr();
         }
         let mut outcome = SubmitOutcome::Enqueued;
@@ -532,23 +509,18 @@ impl Gateway {
         {
             PushOutcome::Enqueued => {}
             PushOutcome::ShedOldest(_dropped) => {
-                self.tallies.shed_oldest += 1;
                 self.metrics.shed_oldest.incr();
-                self.shards[shard_idx].shed += 1;
                 self.shards[shard_idx].shed_counter.incr();
                 outcome = SubmitOutcome::ShedOldest;
             }
             PushOutcome::ShedNewest(_dropped) => {
-                self.tallies.shed_newest += 1;
                 self.metrics.shed_newest.incr();
-                self.shards[shard_idx].shed += 1;
                 self.shards[shard_idx].shed_counter.incr();
                 outcome = SubmitOutcome::ShedNewest;
             }
             PushOutcome::WouldBlock(_line) => {
                 // Backpressure: stall the producer while the shard drains
                 // one batch synchronously, then enqueue.
-                self.tallies.blocked += 1;
                 self.metrics.blocked.incr();
                 let stall_start = self.clock.now();
                 self.drain_one_batch(shard_idx, Reschedule::KeepWindow);
@@ -621,7 +593,6 @@ impl Gateway {
             .advance(self.config.per_batch_cost + self.config.per_line_cost * batch.len() as u64);
         self.metrics.batch_fill.record(batch.len() as u64);
         self.metrics.batches.incr();
-        self.tallies.batches += 1;
 
         // Parse at the edge, then group per operation preserving each
         // operation's line order (first-appearance order across groups).
@@ -673,22 +644,18 @@ impl Gateway {
             }
         }
         if n_json > 0 {
-            self.tallies.parsed_json += n_json;
             self.metrics.parse_json.add(n_json);
         }
         if n_plain > 0 {
-            self.tallies.parsed_plain += n_plain;
             self.metrics.parse_plain.add(n_plain);
         }
         if n_unclassified > 0 {
-            self.tallies.unclassified += n_unclassified;
             self.metrics.parse_unclassified.add(n_unclassified);
         }
         for (op, events) in groups {
             let n = events.len() as u64;
             self.ops[op].lines += n;
             self.shards[shard_idx].lines += n;
-            self.tallies.processed += n;
             self.shards[shard_idx].processed.add(n);
             self.ops[op].sink.ingest_batch(events);
             if self.flight.is_some() || self.incident_hook.is_some() {
@@ -778,7 +745,7 @@ impl Gateway {
                     shard: i,
                     ops: s.ops,
                     lines: s.lines,
-                    shed: s.shed,
+                    shed: snapshot.counter(&format!("gateway.shard.{i}.shed")),
                     batches: s.batches,
                     queue_wait_us: snapshot
                         .histogram(&format!("gateway.shard.{i}.queue_wait_us"))
@@ -786,17 +753,17 @@ impl Gateway {
                         .cloned(),
                 })
                 .collect(),
-            lines_submitted: self.tallies.submitted,
-            lines_processed: self.tallies.processed,
-            shed_oldest: self.tallies.shed_oldest,
-            shed_newest: self.tallies.shed_newest,
-            blocked: self.tallies.blocked,
-            deferred: self.tallies.deferred,
-            admission_denied: self.tallies.admission_denied,
-            batches: self.tallies.batches,
-            parsed_json: self.tallies.parsed_json,
-            parsed_plain: self.tallies.parsed_plain,
-            unclassified: self.tallies.unclassified,
+            lines_submitted: snapshot.counter("gateway.lines.submitted"),
+            lines_processed: snapshot.counter("gateway.lines.processed"),
+            shed_oldest: snapshot.counter("gateway.shed.oldest"),
+            shed_newest: snapshot.counter("gateway.shed.newest"),
+            blocked: snapshot.counter("gateway.backpressure.blocked"),
+            deferred: snapshot.counter("gateway.deferred"),
+            admission_denied: snapshot.counter("gateway.admission.denied"),
+            batches: snapshot.counter("gateway.batches"),
+            parsed_json: snapshot.counter("gateway.parse.json"),
+            parsed_plain: snapshot.counter("gateway.parse.plain"),
+            unclassified: snapshot.counter("gateway.parse.unclassified"),
             virtual_elapsed: self.clock.now().duration_since(SimTime::ZERO),
         }
     }

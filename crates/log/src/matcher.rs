@@ -5,15 +5,9 @@
 //! regex_i+1 or …) matches, add tag `[activity name]` to the line"*. A
 //! [`RuleBook`] holds those rules and classifies raw lines.
 
-use std::cell::RefCell;
+use std::sync::OnceLock;
 
-use pod_regex::{Captures, LiteralScanner, Regex};
-
-thread_local! {
-    /// Reusable candidate buffer: `(rule, pattern)` pairs whose required
-    /// literals occurred in the current line.
-    static RULE_CANDIDATES: RefCell<Vec<(u32, u32)>> = const { RefCell::new(Vec::new()) };
-}
+use pod_regex::{CandidateIndex, Captures, Regex};
 
 /// Where in an activity's lifetime a matching line falls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,58 +65,13 @@ pub struct RuleMatch {
     pub fields: Vec<(String, String)>,
 }
 
-/// The shared prefilter over every pattern of every rule: one literal scan
-/// per line yields the only `(rule, pattern)` pairs whose regex could
-/// match, so confirmation cost is proportional to the candidates — not to
-/// the size of the book.
-#[derive(Debug, Clone, Default)]
-struct RuleIndex {
-    /// Scanner over the union of all patterns' required literals; `None`
-    /// when no pattern yields literals (index would admit everything).
-    scanner: Option<LiteralScanner>,
-    /// `(rule, pattern)` owning each scanner literal id.
-    lit_owner: Vec<(u32, u32)>,
-    /// Patterns with no derivable literal requirement: always candidates.
-    always: Vec<(u32, u32)>,
-}
-
-impl RuleIndex {
-    fn build(rules: &[LineRule]) -> RuleIndex {
-        let mut literals: Vec<String> = Vec::new();
-        let mut lit_owner = Vec::new();
-        let mut always = Vec::new();
-        for (r, rule) in rules.iter().enumerate() {
-            for (p, re) in rule.patterns.iter().enumerate() {
-                match re.required_literals() {
-                    Some(req) => {
-                        for lit in req {
-                            literals.push(lit.clone());
-                            lit_owner.push((r as u32, p as u32));
-                        }
-                    }
-                    None => always.push((r as u32, p as u32)),
-                }
-            }
-        }
-        let scanner = if lit_owner.is_empty() {
-            None
-        } else {
-            Some(LiteralScanner::new(&literals))
-        };
-        RuleIndex {
-            scanner,
-            lit_owner,
-            always,
-        }
-    }
-}
-
 /// An ordered collection of transformation rules.
 ///
 /// Rules are tried in insertion order and the first match wins, mirroring a
 /// Logstash filter chain. Classification dispatches through a shared
-/// literal index (see [`RuleIndex`]): one scan over the line selects the
-/// candidate `(rule, pattern)` pairs, and only those run their regex.
+/// literal index ([`CandidateIndex`], keyed `rule << 32 | pattern`): one
+/// scan over the line selects the candidate `(rule, pattern)` pairs, and
+/// only those run their regex.
 ///
 /// # Examples
 ///
@@ -144,23 +93,30 @@ impl RuleIndex {
 #[derive(Debug, Clone, Default)]
 pub struct RuleBook {
     rules: Vec<LineRule>,
-    index: RuleIndex,
+    /// Built by the first `match_line` after the last `push`.
+    index: OnceLock<CandidateIndex>,
 }
 
 impl RuleBook {
     /// Creates an empty rule book.
     pub fn new() -> RuleBook {
-        RuleBook {
-            rules: Vec::new(),
-            index: RuleIndex::default(),
-        }
+        RuleBook::default()
     }
 
-    /// Appends a rule; later rules have lower priority. The literal index
-    /// is rebuilt (books are small and built once at startup).
+    /// Appends a rule; later rules have lower priority.
     pub fn push(&mut self, rule: LineRule) {
         self.rules.push(rule);
-        self.index = RuleIndex::build(&self.rules);
+        self.index = OnceLock::new();
+    }
+
+    /// The literal index over every pattern of every rule.
+    fn index(&self) -> &CandidateIndex {
+        self.index.get_or_init(|| {
+            CandidateIndex::new(self.rules.iter().enumerate().flat_map(|(r, rule)| {
+                let keyed = rule.patterns.iter().enumerate();
+                keyed.map(move |(p, re)| ((r as u64) << 32 | p as u64, re))
+            }))
+        })
     }
 
     /// The rules in priority order.
@@ -186,28 +142,13 @@ impl RuleBook {
     /// first-rule-wins semantics are preserved exactly (a pattern absent
     /// from the candidates is guaranteed not to match).
     pub fn match_line(&self, line: &str) -> Option<RuleMatch> {
-        let confirm = |cands: &[(u32, u32)]| {
-            cands.iter().find_map(|&(r, p)| {
-                let rule = &self.rules[r as usize];
-                let re = &rule.patterns[p as usize];
+        self.index().with_candidates(line, |keys| {
+            keys.iter().find_map(|&key| {
+                let rule = &self.rules[(key >> 32) as usize];
+                let re = &rule.patterns[key as u32 as usize];
                 let caps = re.captures(line)?;
                 Some(Self::rule_match(rule, re, &caps))
             })
-        };
-        let Some(scanner) = self.index.scanner.as_ref() else {
-            // No pattern yields literals: every pattern is in `always`.
-            return confirm(&self.index.always);
-        };
-        RULE_CANDIDATES.with(|buf| {
-            let mut fallback = Vec::new();
-            let mut guard = buf.try_borrow_mut().ok();
-            let cands = guard.as_deref_mut().unwrap_or(&mut fallback);
-            cands.clear();
-            cands.extend_from_slice(&self.index.always);
-            scanner.scan(line, |lit, _| cands.push(self.index.lit_owner[lit]));
-            cands.sort_unstable();
-            cands.dedup();
-            confirm(cands)
         })
     }
 
@@ -400,13 +341,13 @@ mod tests {
 
     #[test]
     fn literal_free_book_confirms_every_pattern_in_rule_order() {
-        // No pattern yields a literal, so there is no scanner and the
-        // `always` list is the whole candidate set.
+        // No pattern yields a literal, so every pattern is a candidate for
+        // every line.
         let mut b = RuleBook::new();
         b.push(LineRule::new("count", Boundary::During, &[r"(?P<n>\d+)\s\w+"]).unwrap());
         b.push(LineRule::new("pair", Boundary::End, &[r"^\w+$", r"\w+\s\w+"]).unwrap());
-        assert!(b.index.scanner.is_none());
-        assert_eq!(b.index.always, vec![(0, 0), (1, 0), (1, 1)]);
+        let candidates = b.index().with_candidates("!?", |keys| keys.to_vec());
+        assert_eq!(candidates, vec![0, 1 << 32, 1 << 32 | 1]);
         let m = b.match_line("7 dwarves").unwrap();
         assert_eq!(m.activity, "count", "first rule wins");
         assert_eq!(m.fields, vec![("n".to_string(), "7".to_string())]);

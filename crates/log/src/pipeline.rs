@@ -372,10 +372,6 @@ pub struct ProcessAnnotator {
     rules: RuleBook,
     process_id: String,
     process_instance_id: String,
-    /// Whether matched events also raise an assertion trigger at activity end.
-    trigger_assertions: bool,
-    /// Whether matched events raise a conformance trigger.
-    trigger_conformance: bool,
 }
 
 impl ProcessAnnotator {
@@ -389,21 +385,7 @@ impl ProcessAnnotator {
             rules,
             process_id: process_id.into(),
             process_instance_id: process_instance_id.into(),
-            trigger_assertions: true,
-            trigger_conformance: true,
         }
-    }
-
-    /// Disables assertion triggering (annotation only).
-    pub fn without_assertion_triggers(mut self) -> Self {
-        self.trigger_assertions = false;
-        self
-    }
-
-    /// Disables conformance triggering (annotation only).
-    pub fn without_conformance_triggers(mut self) -> Self {
-        self.trigger_conformance = false;
-        self
     }
 }
 
@@ -412,12 +394,10 @@ impl Stage for ProcessAnnotator {
         let Some(m) = self.rules.match_line(&event.message) else {
             // Unmatched lines still flow to conformance, which will classify
             // them as unknown/error — that is a detection signal.
-            let mut out = StageOutput::pass(event);
-            if self.trigger_conformance {
-                let e = out.event.as_ref().expect("pass keeps event").clone();
-                out.triggers.push(Trigger::Conformance(e));
-            }
-            return out;
+            return StageOutput {
+                triggers: vec![Trigger::Conformance(event.clone())],
+                event: Some(event),
+            };
         };
         let mut ctx =
             ProcessContext::new(self.process_id.clone(), self.process_instance_id.clone())
@@ -431,11 +411,8 @@ impl Stage for ProcessAnnotator {
                 event = event.with_field(k.clone(), v.clone());
             }
         }
-        let mut triggers = Vec::new();
-        if self.trigger_conformance {
-            triggers.push(Trigger::Conformance(event.clone()));
-        }
-        if self.trigger_assertions && m.boundary == Boundary::End {
+        let mut triggers = vec![Trigger::Conformance(event.clone())];
+        if m.boundary == Boundary::End {
             triggers.push(Trigger::Assertion {
                 activity: m.activity.clone(),
                 event: event.clone(),

@@ -162,16 +162,6 @@ impl FlightRecorder {
         self.force_frame();
     }
 
-    /// The number of retained frames.
-    pub fn frames_len(&self) -> usize {
-        self.inner.lock().frames.len()
-    }
-
-    /// The number of retained incident marks.
-    pub fn incidents_len(&self) -> usize {
-        self.inner.lock().incidents.len()
-    }
-
     /// Copies the black box out.
     pub fn dump(&self) -> FlightDump {
         let inner = self.inner.lock();

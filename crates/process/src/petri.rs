@@ -130,11 +130,6 @@ impl PetriNet {
         self.initial.clone()
     }
 
-    /// Number of places (including the synthetic done place).
-    pub fn place_count(&self) -> usize {
-        self.n_places
-    }
-
     /// The transitions of the net.
     pub fn transitions(&self) -> &[Transition] {
         &self.transitions

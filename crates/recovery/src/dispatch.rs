@@ -186,13 +186,8 @@ impl RecoveryDispatcher {
         let staged = self.staged.remove(&detection_index);
         self.update_queue_depth();
         let (cause, description) = root_cause_of(detection);
-        let mapped = self
-            .executor
-            .library()
-            .mapped_causes()
-            .contains(&cause.as_str());
 
-        if mapped {
+        if self.is_actionable(detection) {
             // Prestage accounting: a hit uses the staged plan verbatim;
             // everything staged for the losing candidates was wasted work.
             let mut prepared = None;

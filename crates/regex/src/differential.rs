@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use crate::pike::{self, ByteSlots, StartPolicy};
-use crate::{vm, Regex};
+use crate::{vm, CandidateIndex, Regex};
 
 /// Random pattern strings from the supported grammar. Leaves draw from a
 /// small alphabet (so random inputs actually collide with them) plus the
@@ -164,6 +164,30 @@ proptest! {
             format!("[2013] Rolling upgrade: 3 of 12 instances, ERROR {line}"),
         ] {
             assert_engines_agree(&re, &input, pattern);
+        }
+    }
+
+    /// The shared literal index never prunes a pattern that matches: over
+    /// random pattern sets filed under sparse keys, the candidates for a
+    /// text are ascending, duplicate-free and include every matching key.
+    #[test]
+    fn index_candidates_cover_every_match(
+        patterns in prop::collection::vec(pattern_strategy(), 1..6),
+        head in "[abc1 ]{0,8}",
+        middle in prop::sample::select(vec!["", "ab", "a1 b", "ccc"]),
+    ) {
+        let text = format!("{head}{middle}");
+        let regexes: Vec<Regex> = patterns.iter().map(|p| Regex::new(p).unwrap()).collect();
+        let key = |i: usize| (i as u64) << 32 | 7;
+        let index = CandidateIndex::new(regexes.iter().enumerate().map(|(i, re)| (key(i), re)));
+        let candidates = index.with_candidates(&text, |keys| keys.to_vec());
+        prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{candidates:?}");
+        for (i, re) in regexes.iter().enumerate() {
+            prop_assert!(
+                !re.is_match(&text) || candidates.contains(&key(i)),
+                "{:?} matches {text:?} but is no candidate of {patterns:?}",
+                patterns[i]
+            );
         }
     }
 }

@@ -17,9 +17,10 @@
 //! engine is built to reject cheaply:
 //!
 //! 1. **Literal prefilter** — at compile time the AST is analysed for
-//!    required literals ([`Regex::required_literals`]). At match time a
-//!    substring scan ([`LiteralScanner`]) either rejects the line outright
-//!    or yields the only byte offsets a match could start at.
+//!    required literals. At match time an Aho-Corasick substring scan
+//!    either rejects the line outright or yields the only byte offsets a
+//!    match could start at; [`CandidateIndex`] shares one such scan among
+//!    many patterns.
 //! 2. **Pike VM** — surviving candidates run on a non-backtracking
 //!    thread-list engine with reusable scratch buffers, visiting each
 //!    (position, instruction) pair at most once. The dialect has no
@@ -54,20 +55,19 @@ mod vm;
 #[cfg(test)]
 mod differential;
 
-pub use literal::LiteralScanner;
 pub use parser::ParseError;
 
 use std::cell::RefCell;
 
 use compile::Program;
-use literal::LiteralInfo;
+use literal::{LiteralInfo, LiteralScanner};
 use pike::StartPolicy;
 
 thread_local! {
     /// Reusable buffer for prefilter candidate start offsets.
     static START_BUF: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-    /// Reusable buffer for `RegexSet` candidate pattern ids.
-    static CANDIDATE_BUF: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// Reusable buffer for `CandidateIndex` candidate keys.
+    static CANDIDATE_BUF: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The compiled prefilter of one pattern.
@@ -93,6 +93,8 @@ pub struct Regex {
     names: Vec<(u32, String)>,
     anchored: bool,
     prefilter: Prefilter,
+    /// The literal requirement derived from the pattern, if any: every
+    /// match contains at least one of these strings.
     literals: Option<Vec<String>>,
 }
 
@@ -130,14 +132,6 @@ impl Regex {
     /// The source pattern.
     pub fn as_str(&self) -> &str {
         &self.pattern
-    }
-
-    /// The literal requirement derived from the pattern, if any: every
-    /// match of the pattern contains at least one of the returned strings.
-    /// Callers (like the annotator's rule index) build shared multi-pattern
-    /// prefilters from these.
-    pub fn required_literals(&self) -> Option<&[String]> {
-        self.literals.as_deref()
     }
 
     /// Whether the pattern matches anywhere in `text`.
@@ -372,70 +366,59 @@ impl<'t> Iterator for FindIter<'_, 't> {
     }
 }
 
-/// A set of patterns matched together, used by the log pipeline's noise
-/// filter and the activity matchers.
-///
-/// Membership tests run as a true multi-pattern engine: one shared literal
-/// scan over the line yields candidate pattern ids, and only those
-/// candidates are confirmed with their full regex. Patterns for which no
-/// literal requirement can be derived are always candidates.
+/// One literal prefilter shared by many patterns, each filed under a
+/// caller-chosen key: a single scan over a line yields the keys of the
+/// only patterns that could match it, so confirmation cost is proportional
+/// to the candidates — not to the number of patterns. The index holds no
+/// regex; the caller confirms candidates against its own compiled copies.
 ///
 /// # Examples
 ///
 /// ```
-/// use pod_regex::RegexSet;
+/// use pod_regex::{CandidateIndex, Regex};
 ///
-/// let set = RegexSet::new(&[r"ERROR", r"instance i-\w+ terminated"]).unwrap();
-/// assert_eq!(set.first_match("instance i-abc123 terminated"), Some(1));
-/// assert!(set.matches("all quiet").is_empty());
+/// let patterns = [Regex::new("ERROR").unwrap(), Regex::new(r"^\d+$").unwrap()];
+/// let index = CandidateIndex::new(patterns.iter().enumerate().map(|(i, re)| (i as u64, re)));
+/// // `^\d+$` requires no literal, so it is a candidate for every line.
+/// assert_eq!(index.with_candidates("all quiet", |keys| keys.to_vec()), vec![1]);
+/// assert_eq!(index.with_candidates("ERROR 42", |keys| keys.to_vec()), vec![0, 1]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct RegexSet {
-    regexes: Vec<Regex>,
-    /// One scanner over the union of every member's required literals;
-    /// absent when no member yields any (a prefilter that admits
+pub struct CandidateIndex {
+    /// One scanner over the union of every pattern's required literals;
+    /// absent when no pattern yields any (a prefilter that admits
     /// everything is pure overhead).
     scanner: Option<LiteralScanner>,
-    /// Pattern index owning each of the scanner's literal ids.
-    lit_owner: Vec<usize>,
-    /// Patterns with no literal requirement: always candidates.
-    always: Vec<usize>,
+    /// Key owning each of the scanner's literal ids.
+    lit_owner: Vec<u64>,
+    /// Keys of the patterns with no literal requirement: always
+    /// candidates. Ascending.
+    always: Vec<u64>,
 }
 
-impl RegexSet {
-    /// Compiles every pattern; fails on the first invalid one.
-    pub fn new<S: AsRef<str>>(patterns: &[S]) -> Result<RegexSet, ParseError> {
-        let regexes = patterns
-            .iter()
-            .map(|p| Regex::new(p.as_ref()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut literals: Vec<String> = Vec::new();
-        let mut lit_owner = Vec::new();
-        let mut always = Vec::new();
-        for (idx, re) in regexes.iter().enumerate() {
-            match re.required_literals() {
+impl CandidateIndex {
+    /// Files each pattern's required literals under its key.
+    pub fn new<'r>(patterns: impl IntoIterator<Item = (u64, &'r Regex)>) -> CandidateIndex {
+        let mut index = CandidateIndex::default();
+        let mut literals: Vec<&str> = Vec::new();
+        for (key, re) in patterns {
+            match &re.literals {
                 Some(lits) => {
-                    for lit in lits {
-                        literals.push(lit.clone());
-                        lit_owner.push(idx);
-                    }
+                    literals.extend(lits.iter().map(String::as_str));
+                    index.lit_owner.resize(literals.len(), key);
                 }
-                None => always.push(idx),
+                None => index.always.push(key),
             }
         }
-        let scanner = (!literals.is_empty()).then(|| LiteralScanner::new(&literals));
-        Ok(RegexSet {
-            regexes,
-            scanner,
-            lit_owner,
-            always,
-        })
+        index.always.sort_unstable();
+        index.scanner = (!literals.is_empty()).then(|| LiteralScanner::new(&literals));
+        index
     }
 
-    /// Computes the candidate pattern indices for `text` (sorted,
-    /// deduplicated; patterns not listed are guaranteed non-matching) into
+    /// Computes the candidate keys for `text` (ascending, deduplicated; a
+    /// pattern whose key is not listed is guaranteed not to match) into
     /// reusable scratch and hands them to `f`.
-    fn with_candidates<T>(&self, text: &str, f: impl FnOnce(&[usize]) -> T) -> T {
+    pub fn with_candidates<T>(&self, text: &str, f: impl FnOnce(&[u64]) -> T) -> T {
         let Some(scanner) = &self.scanner else {
             return f(&self.always);
         };
@@ -451,26 +434,59 @@ impl RegexSet {
             f(out)
         })
     }
+}
+
+/// A set of patterns matched together, used by the log pipeline's noise
+/// filter and the activity matchers.
+///
+/// Membership tests run as a true multi-pattern engine: one shared literal
+/// scan over the line ([`CandidateIndex`], keyed by pattern index) yields
+/// the candidate patterns, and only those are confirmed with their full
+/// regex.
+///
+/// # Examples
+///
+/// ```
+/// use pod_regex::RegexSet;
+///
+/// let set = RegexSet::new(&[r"ERROR", r"instance i-\w+ terminated"]).unwrap();
+/// assert_eq!(set.first_match("instance i-abc123 terminated"), Some(1));
+/// assert!(set.matches("all quiet").is_empty());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct RegexSet {
+    regexes: Vec<Regex>,
+    index: CandidateIndex,
+}
+
+impl RegexSet {
+    /// Compiles every pattern; fails on the first invalid one.
+    pub fn new<S: AsRef<str>>(patterns: &[S]) -> Result<RegexSet, ParseError> {
+        let regexes = patterns
+            .iter()
+            .map(|p| Regex::new(p.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let index = CandidateIndex::new(regexes.iter().enumerate().map(|(i, re)| (i as u64, re)));
+        Ok(RegexSet { regexes, index })
+    }
+
+    /// The pattern index behind candidate `key`, if that pattern matches.
+    fn confirm(&self, key: u64, text: &str) -> Option<usize> {
+        let idx = key as usize;
+        self.regexes[idx].is_match(text).then_some(idx)
+    }
 
     /// Indices of all patterns that match `text`.
     pub fn matches(&self, text: &str) -> Vec<usize> {
-        self.with_candidates(text, |cands| {
-            cands
-                .iter()
-                .copied()
-                .filter(|&i| self.regexes[i].is_match(text))
-                .collect()
-        })
+        let confirm_all =
+            |keys: &[u64]| keys.iter().filter_map(|&k| self.confirm(k, text)).collect();
+        self.index.with_candidates(text, confirm_all)
     }
 
     /// Index of the first (lowest-index) matching pattern.
     pub fn first_match(&self, text: &str) -> Option<usize> {
-        self.with_candidates(text, |cands| {
-            cands
-                .iter()
-                .copied()
-                .find(|&i| self.regexes[i].is_match(text))
-        })
+        let confirm_first = |keys: &[u64]| keys.iter().find_map(|&k| self.confirm(k, text));
+        self.index.with_candidates(text, confirm_first)
     }
 
     /// Number of patterns in the set.

@@ -405,19 +405,20 @@ impl TrieNode {
 }
 
 /// A multi-literal substring searcher: one pass over the haystack reports
-/// every occurrence of every needle. This is the shared prefilter behind
-/// [`crate::Regex`], [`crate::RegexSet`] and the rule index in `pod-log`.
+/// every occurrence of every needle. This is the prefilter behind
+/// [`crate::Regex`] and, shared among many patterns, behind
+/// [`crate::CandidateIndex`] — which is how code outside the crate
+/// reaches it.
 ///
 /// # Examples
 ///
 /// ```
-/// use pod_regex::LiteralScanner;
+/// use pod_regex::RegexSet;
 ///
-/// let scanner = LiteralScanner::new(&["ERROR", "Terminated"]);
-/// let mut hits = Vec::new();
-/// scanner.scan("ERROR: instance i-1 Terminated", |lit, start| hits.push((lit, start)));
-/// assert_eq!(hits, vec![(0, 0), (1, 20)]);
-/// assert!(!scanner.matches_any("all quiet"));
+/// // One scan for "ERROR" and "Terminated" selects the patterns to confirm.
+/// let set = RegexSet::new(&["ERROR", "Terminated"]).unwrap();
+/// assert_eq!(set.matches("ERROR: instance i-1 Terminated"), vec![0, 1]);
+/// assert!(set.matches("all quiet").is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct LiteralScanner {
@@ -484,21 +485,14 @@ impl LiteralScanner {
                 queue.push_back(child);
             }
         }
+        // Built once per pattern (or per tenant's rule book) and kept for
+        // its lifetime: do not keep the growth slack.
+        nodes.shrink_to_fit();
         LiteralScanner {
             nodes,
             root,
             lit_lens,
         }
-    }
-
-    /// Number of literals the scanner was built from.
-    pub fn len(&self) -> usize {
-        self.lit_lens.len()
-    }
-
-    /// Whether the scanner holds no literals (it then never matches).
-    pub fn is_empty(&self) -> bool {
-        self.lit_lens.is_empty()
     }
 
     /// Calls `on_hit(literal_id, start_byte_offset)` for every occurrence

@@ -54,11 +54,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.gen_range(lo..hi)
-    }
-
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {

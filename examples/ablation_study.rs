@@ -11,7 +11,9 @@
 //! the quality/virtual-time deltas. Run with
 //! `cargo run --release --example ablation_study`.
 
-use pod_diagnosis::eval::{render_metrics_line, Campaign, CampaignConfig};
+use pod_diagnosis::eval::{
+    build_scenario, render_metrics_line, Campaign, CampaignConfig, ScenarioConfig,
+};
 use pod_diagnosis::faulttree::TestOrder;
 
 fn campaign(mutate: impl FnOnce(&mut CampaignConfig)) -> pod_diagnosis::eval::CampaignReport {
@@ -111,16 +113,17 @@ fn main() {
     println!();
     println!("== Ablation 4: fault-tree memoisation ==");
     // Measured directly on the diagnosis engine (a tree where a shared
-    // child appears under two branches).
+    // child appears under two branches), against the campaign's
+    // steady-state cluster.
     use pod_diagnosis::assert::{CloudAssertion, ConsistentApi, RetryPolicy};
     use pod_diagnosis::faulttree::{
         DiagnosisContext, DiagnosisEngine, DiagnosticTest, FaultNode, FaultTree,
     };
-    let (cloud, env) = pod_bench_cloud();
+    let scenario = build_scenario(&ScenarioConfig::default());
     let shared = FaultNode::root_cause(
         "shared-check",
         "a shared diagnostic check",
-        DiagnosticTest::AssertionFails(CloudAssertion::LaunchConfigUsesAmi),
+        DiagnosticTest::AssertionFails(CloudAssertion::AmiAvailable),
         0.5,
     );
     let tree = FaultTree::new(
@@ -131,13 +134,13 @@ fn main() {
             .child(shared),
     );
     let ctx = DiagnosisContext {
-        env,
+        env: scenario.env.snapshot(),
         step: None,
         instance: None,
         operation_started: pod_diagnosis::sim::SimTime::ZERO,
     };
-    let api = ConsistentApi::new(cloud, RetryPolicy::default());
-    let storage = pod_diagnosis::log::LogStorage::new();
+    let api = ConsistentApi::new(scenario.cloud, RetryPolicy::default());
+    let storage = scenario.storage;
     let memo = DiagnosisEngine::new(api.clone(), storage.clone()).diagnose(&tree, &ctx);
     let nomemo = DiagnosisEngine::new(api, storage)
         .without_memoisation()
@@ -150,40 +153,4 @@ fn main() {
         "  unmemoised:  {} tests run in {}",
         nomemo.tests_run, nomemo.duration
     );
-}
-
-/// A small standalone cluster for ablation 4.
-fn pod_bench_cloud() -> (
-    pod_diagnosis::cloud::Cloud,
-    pod_diagnosis::assert::ExpectedEnv,
-) {
-    use pod_diagnosis::cloud::{Cloud, CloudConfig};
-    use pod_diagnosis::sim::{Clock, SimRng};
-    let cloud = Cloud::new(
-        Clock::new(),
-        SimRng::seed_from(77),
-        CloudConfig {
-            stale_read_prob: 0.0,
-            ..CloudConfig::default()
-        },
-    );
-    let ami = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("prod");
-    let elb = cloud.admin_create_elb("front");
-    let lc =
-        cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-    let asg = cloud.admin_create_asg("g", lc.clone(), 1, 10, 4, Some(elb.clone()));
-    let env = pod_diagnosis::assert::ExpectedEnv {
-        asg,
-        elb,
-        launch_config: lc,
-        expected_ami: ami,
-        expected_version: "2.0".into(),
-        expected_key_pair: kp,
-        expected_security_group: sg,
-        expected_instance_type: "m1.small".into(),
-        expected_count: 4,
-    };
-    (cloud, env)
 }

@@ -229,3 +229,74 @@ fn a_truncated_journal_is_an_error_with_its_line_number() {
     assert_eq!(code, 2, "{report}");
     assert!(report.contains("old journal, line 2"), "{report}");
 }
+
+/// Runs `pod-diagnosis campaign ARGS…` in a scratch directory of its own;
+/// returns the exit code and the files the run left there, by name.
+fn campaign_cli(case: &str, args: &[&str]) -> (i32, Vec<(String, String)>) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("campaign_cli_{}_{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_pod-diagnosis"))
+        .arg("campaign")
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("run pod-diagnosis");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("list scratch directory")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let text = std::fs::read_to_string(entry.path()).expect("utf-8 artifact");
+            (entry.file_name().to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    files.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    (out.status.code().expect("exit code"), files)
+}
+
+#[test]
+fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_recovery.baseline.json");
+    let args = ["3", "--recovery", "--json", "--baseline", baseline];
+    let (code, files) = campaign_cli("recovery", &args);
+    assert_eq!(code, 0, "the gate passes against its own baseline");
+    let expected = ("RUN_recovery-loop.jsonl".to_string(), BASELINE.to_string());
+    assert!(
+        files == [expected],
+        "one record, byte-equal to the baseline"
+    );
+}
+
+#[test]
+fn the_campaign_cli_leaves_one_run_record_and_two_viewer_traces() {
+    let (code, files) = campaign_cli("json", &["1", "--json"]);
+    assert_eq!(code, 0);
+    let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+    let expected = [
+        "RUN_campaign.jsonl",
+        "TRACE_campaign.json",
+        "TRACE_campaign_otlp.json",
+    ];
+    assert_eq!(names, expected);
+    for line in files[0].1.lines() {
+        Json::parse(line).expect("every journal line is one JSON record");
+    }
+    for (name, text) in &files[1..] {
+        Json::parse(text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+    }
+}
+
+#[test]
+fn the_cli_rejects_arguments_it_cannot_use() {
+    for args in [
+        &["abc"][..],
+        &["--jsno"],
+        &["1", "--json", "--baseline"],
+        &["1", "2", "3"],
+    ] {
+        let (code, files) = campaign_cli("usage", args);
+        assert_eq!(code, 2, "campaign {args:?} is a usage error");
+        assert!(files.is_empty(), "campaign {args:?} ran anyway");
+    }
+}
