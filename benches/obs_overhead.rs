@@ -265,10 +265,6 @@ fn main() {
                 .json("pass", Json::Bool(pass))
                 .build(),
         );
-        // cargo runs a bench from its package directory; the run record
-        // belongs at the workspace root beside the other `RUN_*.jsonl`.
-        std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-            .expect("enter the workspace root");
         let path = write_journal(run, &lines).expect("write run record");
         println!("wrote {} journal records to {path}", lines.len());
     }

@@ -1,6 +1,9 @@
 //! The cloud simulator: API front-end, ASG reconciliation engine, eventual
 //! consistency and throttling.
 
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -89,6 +92,33 @@ pub struct AsgUpdate {
     pub max_size: Option<u32>,
     /// New desired capacity.
     pub desired_capacity: Option<u32>,
+}
+
+/// The API's error for a `kind` resource that does not exist.
+fn not_found(kind: &'static str, id: &impl fmt::Display) -> ApiError {
+    ApiError::NotFound {
+        kind,
+        id: id.to_string(),
+    }
+}
+
+/// Files `value` under `key` with its first version at `at`; hands the key
+/// back.
+fn file<K: Eq + Hash + Clone, T>(
+    table: &mut HashMap<K, Versioned<T>>,
+    at: SimTime,
+    key: K,
+    value: T,
+) -> K {
+    table.insert(key.clone(), Versioned::new(at, value));
+    key
+}
+
+/// The API's error for any call on a load balancer whose service is down.
+fn elb_down(name: &ElbName) -> ApiError {
+    ApiError::ServiceUnavailable {
+        service: format!("elb {name}"),
+    }
 }
 
 #[derive(Debug)]
@@ -290,20 +320,26 @@ impl Cloud {
         }
     }
 
-    /// Describes an auto-scaling group (possibly stale).
-    pub fn describe_asg(&self, name: &AsgName) -> Result<AutoScalingGroup, ApiError> {
+    /// One metered, possibly stale read of the `kind` resource `id` in the
+    /// table `of` selects.
+    fn describe<K: Eq + Hash + fmt::Display, T: Clone>(
+        &self,
+        kind: &'static str,
+        id: &K,
+        of: impl FnOnce(&CloudState) -> &HashMap<K, Versioned<T>>,
+    ) -> Result<T, ApiError> {
         self.call(|inner, now| {
             let t = self.read_time(inner, now);
-            inner
-                .state
-                .asgs
-                .get(name)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "auto-scaling-group",
-                    id: name.to_string(),
-                })
+            let record = of(&inner.state)
+                .get(id)
+                .ok_or_else(|| not_found(kind, id))?;
+            Ok(record.at(t).clone())
         })
+    }
+
+    /// Describes an auto-scaling group (possibly stale).
+    pub fn describe_asg(&self, name: &AsgName) -> Result<AutoScalingGroup, ApiError> {
+        self.describe("auto-scaling-group", name, |s| &s.asgs)
     }
 
     /// Describes a launch configuration (possibly stale).
@@ -311,49 +347,24 @@ impl Cloud {
         &self,
         name: &LaunchConfigName,
     ) -> Result<LaunchConfig, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            inner
-                .state
-                .launch_configs
-                .get(name)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "launch-configuration",
-                    id: name.to_string(),
-                })
-        })
+        self.describe("launch-configuration", name, |s| &s.launch_configs)
     }
 
     /// Describes one instance (possibly stale).
     pub fn describe_instance(&self, id: &InstanceId) -> Result<Instance, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            inner
-                .state
-                .instances
-                .get(id)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "instance",
-                    id: id.to_string(),
-                })
-        })
+        self.describe("instance", id, |s| &s.instances)
     }
 
     /// Describes all member instances of an ASG (possibly stale).
     pub fn describe_asg_instances(&self, name: &AsgName) -> Result<Vec<Instance>, ApiError> {
         self.call(|inner, now| {
             let t = self.read_time(inner, now);
-            let group = inner
-                .state
-                .asgs
-                .get(name)
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "auto-scaling-group",
-                    id: name.to_string(),
-                })?;
-            let ids = group.at(t).instances.clone();
+            let group = inner.state.asgs.get(name);
+            let ids = group
+                .ok_or_else(|| not_found("auto-scaling-group", name))?
+                .at(t)
+                .instances
+                .clone();
             Ok(ids
                 .iter()
                 .filter_map(|id| inner.state.instances.get(id))
@@ -364,73 +375,28 @@ impl Cloud {
 
     /// Describes a machine image (possibly stale).
     pub fn describe_ami(&self, id: &AmiId) -> Result<Ami, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            inner
-                .state
-                .amis
-                .get(id)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "ami",
-                    id: id.to_string(),
-                })
-        })
+        self.describe("ami", id, |s| &s.amis)
     }
 
     /// Describes a key pair (possibly stale).
     pub fn describe_key_pair(&self, name: &KeyPairName) -> Result<KeyPair, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            inner
-                .state
-                .key_pairs
-                .get(name)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "key-pair",
-                    id: name.to_string(),
-                })
-        })
+        self.describe("key-pair", name, |s| &s.key_pairs)
     }
 
     /// Describes a security group (possibly stale).
     pub fn describe_security_group(&self, id: &SecurityGroupId) -> Result<SecurityGroup, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            inner
-                .state
-                .security_groups
-                .get(id)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "security-group",
-                    id: id.to_string(),
-                })
-        })
+        self.describe("security-group", id, |s| &s.security_groups)
     }
 
     /// Describes a load balancer (possibly stale). Fails with
     /// [`ApiError::ServiceUnavailable`] while the ELB service is down.
     pub fn describe_elb(&self, name: &ElbName) -> Result<Elb, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            let elb = inner
-                .state
-                .elbs
-                .get(name)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "elb",
-                    id: name.to_string(),
-                })?;
-            if !elb.available {
-                return Err(ApiError::ServiceUnavailable {
-                    service: format!("elb {name}"),
-                });
-            }
+        let elb = self.describe("elb", name, |s| &s.elbs)?;
+        if elb.available {
             Ok(elb)
-        })
+        } else {
+            Err(elb_down(name))
+        }
     }
 
     /// Health of every instance registered with a load balancer, the way an
@@ -439,33 +405,17 @@ impl Cloud {
     pub fn describe_elb_health(&self, name: &ElbName) -> Result<Vec<(InstanceId, bool)>, ApiError> {
         self.call(|inner, now| {
             let t = self.read_time(inner, now);
-            let elb = inner
-                .state
-                .elbs
-                .get(name)
-                .map(|v| v.at(t).clone())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "elb",
-                    id: name.to_string(),
-                })?;
+            let elb = inner.state.elbs.get(name);
+            let elb = elb.ok_or_else(|| not_found("elb", name))?.at(t);
             if !elb.available {
-                return Err(ApiError::ServiceUnavailable {
-                    service: format!("elb {name}"),
-                });
+                return Err(elb_down(name));
             }
-            Ok(elb
-                .registered
-                .iter()
-                .map(|id| {
-                    let healthy = inner
-                        .state
-                        .instances
-                        .get(id)
-                        .map(|v| v.at(t).state == InstanceState::InService)
-                        .unwrap_or(false);
-                    (id.clone(), healthy)
-                })
-                .collect())
+            let in_service = |id: &InstanceId| {
+                let instance = inner.state.instances.get(id);
+                instance.is_some_and(|v| v.at(t).state == InstanceState::InService)
+            };
+            let health = elb.registered.iter().map(|id| (id.clone(), in_service(id)));
+            Ok(health.collect())
         })
     }
 
@@ -517,10 +467,7 @@ impl Cloud {
                 )));
             }
             if !inner.state.amis.contains_key(&ami) {
-                return Err(ApiError::NotFound {
-                    kind: "ami",
-                    id: ami.to_string(),
-                });
+                return Err(not_found("ami", &ami));
             }
             let lc = LaunchConfig {
                 name: name.clone(),
@@ -530,26 +477,17 @@ impl Cloud {
                 security_group,
                 created_at: now,
             };
-            inner
-                .state
-                .launch_configs
-                .insert(name.clone(), Versioned::new(now, lc));
-            Ok(name)
+            Ok(file(&mut inner.state.launch_configs, now, name, lc))
         })
     }
 
     /// Deletes a launch configuration.
     pub fn delete_launch_config(&self, name: &LaunchConfigName) -> Result<(), ApiError> {
         self.call(|inner, _| {
-            inner
-                .state
-                .launch_configs
-                .remove(name)
-                .map(|_| ())
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "launch-configuration",
-                    id: name.to_string(),
-                })
+            let removed = inner.state.launch_configs.remove(name);
+            removed
+                .map(drop)
+                .ok_or_else(|| not_found("launch-configuration", name))
         })
     }
 
@@ -558,20 +496,11 @@ impl Cloud {
         self.call(|inner, now| {
             if let Some(lc) = &update.launch_config {
                 if !inner.state.launch_configs.contains_key(lc) {
-                    return Err(ApiError::NotFound {
-                        kind: "launch-configuration",
-                        id: lc.to_string(),
-                    });
+                    return Err(not_found("launch-configuration", lc));
                 }
             }
-            let group = inner
-                .state
-                .asgs
-                .get_mut(name)
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "auto-scaling-group",
-                    id: name.to_string(),
-                })?;
+            let group = inner.state.asgs.get_mut(name);
+            let group = group.ok_or_else(|| not_found("auto-scaling-group", name))?;
             let mut g = group.latest().clone();
             if let Some(lc) = update.launch_config {
                 g.launch_config = lc;
@@ -604,41 +533,25 @@ impl Cloud {
         decrement_desired: bool,
     ) -> Result<(), ApiError> {
         self.call(|inner, now| {
-            let record = inner
-                .state
-                .instances
-                .get_mut(id)
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "instance",
-                    id: id.to_string(),
-                })?;
-            let mut instance = record.latest().clone();
-            if !instance.state.is_active() {
+            let record = inner.state.instances.get_mut(id);
+            let record = record.ok_or_else(|| not_found("instance", id))?;
+            if !record.latest().state.is_active() {
                 return Err(ApiError::Validation(format!(
                     "instance {id} is not running"
                 )));
             }
-            instance.state = InstanceState::Terminating;
-            let asg = instance.asg.clone();
-            record.set(now, instance);
-            let delay = inner.config.terminate_time.sample(&mut inner.rng);
-            inner
-                .events
-                .schedule(now + delay, CloudEvent::TerminateComplete(id.clone()));
+            let asg = record.latest().asg.clone();
+            inner.begin_termination(now, id);
             if let Some(asg_name) = asg {
                 if decrement_desired {
                     if let Some(group) = inner.state.asgs.get_mut(&asg_name) {
-                        let mut g = group.latest().clone();
-                        g.desired_capacity = g.desired_capacity.saturating_sub(1);
-                        group.set(now, g);
+                        group.update(now, |g| {
+                            g.desired_capacity = g.desired_capacity.saturating_sub(1);
+                        });
                     }
                 }
-                inner.state.record_activity(ScalingActivity {
-                    at: now,
-                    asg: asg_name,
-                    description: format!("Terminating EC2 instance: {id}"),
-                    status: ActivityStatus::InProgress,
-                });
+                let description = format!("Terminating EC2 instance: {id}");
+                inner.activity(now, &asg_name, ActivityStatus::InProgress, description);
             }
             Ok(())
         })
@@ -650,60 +563,12 @@ impl Cloud {
         elb: &ElbName,
         instance: &InstanceId,
     ) -> Result<(), ApiError> {
-        self.call(|inner, now| {
-            let record = inner
-                .state
-                .elbs
-                .get_mut(elb)
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "elb",
-                    id: elb.to_string(),
-                })?;
-            if !record.latest().available {
-                return Err(ApiError::ServiceUnavailable {
-                    service: format!("elb {elb}"),
-                });
-            }
-            let mut e = record.latest().clone();
-            e.registered.retain(|i| i != instance);
-            record.set(now, e);
-            if let Some(rec) = inner.state.instances.get_mut(instance) {
-                let mut i = rec.latest().clone();
-                i.registered_with_elb = false;
-                rec.set(now, i);
-            }
-            Ok(())
-        })
+        self.call(|inner, now| inner.set_registered(now, elb, instance, false))
     }
 
     /// Registers an instance with a load balancer.
     pub fn register_with_elb(&self, elb: &ElbName, instance: &InstanceId) -> Result<(), ApiError> {
-        self.call(|inner, now| {
-            let record = inner
-                .state
-                .elbs
-                .get_mut(elb)
-                .ok_or_else(|| ApiError::NotFound {
-                    kind: "elb",
-                    id: elb.to_string(),
-                })?;
-            if !record.latest().available {
-                return Err(ApiError::ServiceUnavailable {
-                    service: format!("elb {elb}"),
-                });
-            }
-            let mut e = record.latest().clone();
-            if !e.registered.contains(instance) {
-                e.registered.push(instance.clone());
-            }
-            record.set(now, e);
-            if let Some(rec) = inner.state.instances.get_mut(instance) {
-                let mut i = rec.latest().clone();
-                i.registered_with_elb = true;
-                rec.set(now, i);
-            }
-            Ok(())
-        })
+        self.call(|inner, now| inner.set_registered(now, elb, instance, true))
     }
 
     // ---------------------------------------------------------------
@@ -727,11 +592,7 @@ impl Cloud {
                 version: version.to_string(),
                 available: true,
             };
-            inner
-                .state
-                .amis
-                .insert(id.clone(), Versioned::new(now, ami));
-            id
+            file(&mut inner.state.amis, now, id, ami)
         })
     }
 
@@ -745,11 +606,7 @@ impl Cloud {
                 ingress_ports: ports.to_vec(),
                 available: true,
             };
-            inner
-                .state
-                .security_groups
-                .insert(id.clone(), Versioned::new(now, sg));
-            id
+            file(&mut inner.state.security_groups, now, id, sg)
         })
     }
 
@@ -763,11 +620,7 @@ impl Cloud {
                 fingerprint,
                 available: true,
             };
-            inner
-                .state
-                .key_pairs
-                .insert(kp_name.clone(), Versioned::new(now, kp));
-            kp_name
+            file(&mut inner.state.key_pairs, now, kp_name, kp)
         })
     }
 
@@ -780,11 +633,7 @@ impl Cloud {
                 registered: Vec::new(),
                 available: true,
             };
-            inner
-                .state
-                .elbs
-                .insert(elb_name.clone(), Versioned::new(now, elb));
-            elb_name
+            file(&mut inner.state.elbs, now, elb_name, elb)
         })
     }
 
@@ -808,11 +657,7 @@ impl Cloud {
                 security_group,
                 created_at: now,
             };
-            inner
-                .state
-                .launch_configs
-                .insert(lc_name.clone(), Versioned::new(now, lc));
-            lc_name
+            file(&mut inner.state.launch_configs, now, lc_name, lc)
         })
     }
 
@@ -837,40 +682,17 @@ impl Cloud {
                 .expect("launch config must exist before creating an ASG")
                 .latest()
                 .clone();
-            let ami_version = inner
-                .state
-                .amis
-                .get(&lc.ami)
-                .map(|a| a.latest().version.clone())
-                .unwrap_or_default();
-            let mut ids = Vec::new();
-            for _ in 0..desired {
-                let id = InstanceId::generate(&mut inner.rng);
-                let instance = Instance {
-                    id: id.clone(),
-                    state: InstanceState::InService,
-                    ami: lc.ami.clone(),
-                    version: ami_version.clone(),
-                    instance_type: lc.instance_type.clone(),
-                    key_pair: lc.key_pair.clone(),
-                    security_group: lc.security_group.clone(),
-                    launch_config: Some(launch_config.clone()),
-                    asg: Some(asg_name.clone()),
-                    registered_with_elb: elb.is_some(),
-                    launched_at: now,
-                };
-                inner
-                    .state
-                    .instances
-                    .insert(id.clone(), Versioned::new(now, instance));
-                ids.push(id);
-            }
-            if let Some(elb_name) = &elb {
-                if let Some(rec) = inner.state.elbs.get_mut(elb_name) {
-                    let mut e = rec.latest().clone();
-                    e.registered.extend(ids.iter().cloned());
-                    rec.set(now, e);
-                }
+            let member = |i: &mut Instance| {
+                i.state = InstanceState::InService;
+                i.launch_config = Some(launch_config.clone());
+                i.asg = Some(asg_name.clone());
+                i.registered_with_elb = elb.is_some();
+            };
+            let ids: Vec<InstanceId> = (0..desired)
+                .map(|_| inner.spawn(now, &lc, member))
+                .collect();
+            if let Some(rec) = elb.as_ref().and_then(|n| inner.state.elbs.get_mut(n)) {
+                rec.update(now, |e| e.registered.extend(ids.iter().cloned()));
             }
             let group = AutoScalingGroup {
                 name: asg_name.clone(),
@@ -881,10 +703,7 @@ impl Cloud {
                 instances: ids,
                 elb,
             };
-            inner
-                .state
-                .asgs
-                .insert(asg_name.clone(), Versioned::new(now, group));
+            let asg_name = file(&mut inner.state.asgs, now, asg_name, group);
             inner.events.schedule(
                 now + inner.config.reconcile_interval,
                 CloudEvent::Reconcile(asg_name.clone()),
@@ -897,9 +716,7 @@ impl Cloud {
     pub fn admin_set_ami_available(&self, id: &AmiId, available: bool) {
         self.admin(|inner, now| {
             if let Some(rec) = inner.state.amis.get_mut(id) {
-                let mut a = rec.latest().clone();
-                a.available = available;
-                rec.set(now, a);
+                rec.update(now, |a| a.available = available);
             }
         });
     }
@@ -908,9 +725,7 @@ impl Cloud {
     pub fn admin_set_key_pair_available(&self, name: &KeyPairName, available: bool) {
         self.admin(|inner, now| {
             if let Some(rec) = inner.state.key_pairs.get_mut(name) {
-                let mut k = rec.latest().clone();
-                k.available = available;
-                rec.set(now, k);
+                rec.update(now, |k| k.available = available);
             }
         });
     }
@@ -919,9 +734,7 @@ impl Cloud {
     pub fn admin_set_security_group_available(&self, id: &SecurityGroupId, available: bool) {
         self.admin(|inner, now| {
             if let Some(rec) = inner.state.security_groups.get_mut(id) {
-                let mut s = rec.latest().clone();
-                s.available = available;
-                rec.set(now, s);
+                rec.update(now, |s| s.available = available);
             }
         });
     }
@@ -930,9 +743,7 @@ impl Cloud {
     pub fn admin_set_elb_available(&self, name: &ElbName, available: bool) {
         self.admin(|inner, now| {
             if let Some(rec) = inner.state.elbs.get_mut(name) {
-                let mut e = rec.latest().clone();
-                e.available = available;
-                rec.set(now, e);
+                rec.update(now, |e| e.available = available);
             }
         });
     }
@@ -943,20 +754,20 @@ impl Cloud {
     pub fn admin_update_launch_config(&self, name: &LaunchConfigName, update: LaunchConfigUpdate) {
         self.admin(|inner, now| {
             if let Some(rec) = inner.state.launch_configs.get_mut(name) {
-                let mut lc = rec.latest().clone();
-                if let Some(ami) = update.ami {
-                    lc.ami = ami;
-                }
-                if let Some(it) = update.instance_type {
-                    lc.instance_type = it;
-                }
-                if let Some(kp) = update.key_pair {
-                    lc.key_pair = kp;
-                }
-                if let Some(sg) = update.security_group {
-                    lc.security_group = sg;
-                }
-                rec.set(now, lc);
+                rec.update(now, |lc| {
+                    if let Some(ami) = update.ami {
+                        lc.ami = ami;
+                    }
+                    if let Some(it) = update.instance_type {
+                        lc.instance_type = it;
+                    }
+                    if let Some(kp) = update.key_pair {
+                        lc.key_pair = kp;
+                    }
+                    if let Some(sg) = update.security_group {
+                        lc.security_group = sg;
+                    }
+                });
             }
         });
     }
@@ -965,16 +776,9 @@ impl Cloud {
     /// termination" interference of the evaluation.
     pub fn admin_terminate_instance(&self, id: &InstanceId) {
         self.admin(|inner, now| {
-            if let Some(rec) = inner.state.instances.get_mut(id) {
-                let mut i = rec.latest().clone();
-                if i.state.is_active() {
-                    i.state = InstanceState::Terminating;
-                    rec.set(now, i);
-                    let delay = inner.config.terminate_time.sample(&mut inner.rng);
-                    inner
-                        .events
-                        .schedule(now + delay, CloudEvent::TerminateComplete(id.clone()));
-                }
+            let instance = inner.state.instances.get(id);
+            if instance.is_some_and(|rec| rec.latest().state.is_active()) {
+                inner.begin_termination(now, id);
             }
         });
     }
@@ -988,35 +792,18 @@ impl Cloud {
     /// independent team consuming account capacity.
     pub fn admin_launch_standalone(&self, count: usize, ami: &AmiId) -> Vec<InstanceId> {
         self.admin(|inner, now| {
-            let version = inner
-                .state
-                .amis
-                .get(ami)
-                .map(|a| a.latest().version.clone())
-                .unwrap_or_default();
-            let mut ids = Vec::new();
-            for _ in 0..count {
-                let id = InstanceId::generate(&mut inner.rng);
-                let instance = Instance {
-                    id: id.clone(),
-                    state: InstanceState::InService,
-                    ami: ami.clone(),
-                    version: version.clone(),
-                    instance_type: "m1.small".to_string(),
-                    key_pair: KeyPairName::new("other-team-key"),
-                    security_group: SecurityGroupId::new("sg-other"),
-                    launch_config: None,
-                    asg: None,
-                    registered_with_elb: false,
-                    launched_at: now,
-                };
-                inner
-                    .state
-                    .instances
-                    .insert(id.clone(), Versioned::new(now, instance));
-                ids.push(id);
-            }
-            ids
+            let other_team = LaunchConfig {
+                name: LaunchConfigName::new("other-team"),
+                ami: ami.clone(),
+                instance_type: "m1.small".to_string(),
+                key_pair: KeyPairName::new("other-team-key"),
+                security_group: SecurityGroupId::new("sg-other"),
+                created_at: now,
+            };
+            let in_service = |i: &mut Instance| i.state = InstanceState::InService;
+            (0..count)
+                .map(|_| inner.spawn(now, &other_team, in_service))
+                .collect()
         })
     }
 
@@ -1025,9 +812,7 @@ impl Cloud {
         self.admin(|inner, now| {
             for id in ids {
                 if let Some(rec) = inner.state.instances.get_mut(id) {
-                    let mut i = rec.latest().clone();
-                    i.state = InstanceState::Terminated;
-                    rec.set(now, i);
+                    rec.update(now, |i| i.state = InstanceState::Terminated);
                 }
             }
         });
@@ -1074,6 +859,86 @@ impl Cloud {
 }
 
 impl Inner {
+    /// Adds an instance launched from `lc` at `at` to the account under a
+    /// fresh id: `Pending` and unattached, then whatever `shape` makes of it.
+    fn spawn(
+        &mut self,
+        at: SimTime,
+        lc: &LaunchConfig,
+        shape: impl Fn(&mut Instance),
+    ) -> InstanceId {
+        let id = InstanceId::generate(&mut self.rng);
+        let ami = self.state.amis.get(&lc.ami);
+        let mut instance = Instance {
+            id: id.clone(),
+            state: InstanceState::Pending,
+            ami: lc.ami.clone(),
+            version: ami.map(|a| a.latest().version.clone()).unwrap_or_default(),
+            instance_type: lc.instance_type.clone(),
+            key_pair: lc.key_pair.clone(),
+            security_group: lc.security_group.clone(),
+            launch_config: None,
+            asg: None,
+            registered_with_elb: false,
+            launched_at: at,
+        };
+        shape(&mut instance);
+        file(&mut self.state.instances, at, id, instance)
+    }
+
+    /// Appends one entry to the scaling-activity history of `asg`.
+    fn activity(
+        &mut self,
+        at: SimTime,
+        asg: &AsgName,
+        status: ActivityStatus,
+        description: String,
+    ) {
+        self.state.record_activity(ScalingActivity {
+            at,
+            asg: asg.clone(),
+            description,
+            status,
+        });
+    }
+
+    /// Moves the (present) instance `id` to `Terminating` and schedules the
+    /// completion after a sampled terminate time.
+    fn begin_termination(&mut self, at: SimTime, id: &InstanceId) {
+        if let Some(rec) = self.state.instances.get_mut(id) {
+            rec.update(at, |i| i.state = InstanceState::Terminating);
+        }
+        let delay = self.config.terminate_time.sample(&mut self.rng);
+        self.events
+            .schedule(at + delay, CloudEvent::TerminateComplete(id.clone()));
+    }
+
+    /// Adds `instance` to (or removes it from) the registration list of
+    /// `elb` and mirrors that on the instance record. Fails while the ELB
+    /// is missing or unavailable.
+    fn set_registered(
+        &mut self,
+        at: SimTime,
+        elb: &ElbName,
+        instance: &InstanceId,
+        registered: bool,
+    ) -> Result<(), ApiError> {
+        let record = self.state.elbs.get_mut(elb);
+        let record = record.ok_or_else(|| not_found("elb", elb))?;
+        if !record.latest().available {
+            return Err(elb_down(elb));
+        }
+        record.update(at, |e| match registered {
+            true if e.registered.contains(instance) => {}
+            true => e.registered.push(instance.clone()),
+            false => e.registered.retain(|i| i != instance),
+        });
+        if let Some(rec) = self.state.instances.get_mut(instance) {
+            rec.update(at, |i| i.registered_with_elb = registered);
+        }
+        Ok(())
+    }
+
     /// Processes all engine events scheduled at or before `now`.
     fn run_until(&mut self, now: SimTime) {
         if now <= self.processed_until {
@@ -1097,20 +962,15 @@ impl Inner {
         let Some(rec) = self.state.instances.get_mut(id) else {
             return;
         };
-        let mut instance = rec.latest().clone();
-        if instance.state != InstanceState::Pending {
+        if rec.latest().state != InstanceState::Pending {
             return;
         }
-        instance.state = InstanceState::InService;
-        let asg_name = instance.asg.clone();
-        rec.set(at, instance);
-        let Some(asg_name) = asg_name else { return };
-        self.state.record_activity(ScalingActivity {
-            at,
-            asg: asg_name.clone(),
-            description: format!("Launched EC2 instance: {id}"),
-            status: ActivityStatus::Successful,
-        });
+        rec.update(at, |i| i.state = InstanceState::InService);
+        let Some(asg_name) = rec.latest().asg.clone() else {
+            return;
+        };
+        let description = format!("Launched EC2 instance: {id}");
+        self.activity(at, &asg_name, ActivityStatus::Successful, description);
         // Auto-register with the attached ELB, like AWS ASG-ELB integration.
         let elb_name = self
             .state
@@ -1118,34 +978,12 @@ impl Inner {
             .get(&asg_name)
             .and_then(|g| g.latest().elb.clone());
         if let Some(elb_name) = elb_name {
-            let available = self
-                .state
-                .elbs
-                .get(&elb_name)
-                .map(|e| e.latest().available)
-                .unwrap_or(false);
-            if available {
-                if let Some(erec) = self.state.elbs.get_mut(&elb_name) {
-                    let mut e = erec.latest().clone();
-                    if !e.registered.contains(id) {
-                        e.registered.push(id.clone());
-                    }
-                    erec.set(at, e);
-                }
-                if let Some(irec) = self.state.instances.get_mut(id) {
-                    let mut i = irec.latest().clone();
-                    i.registered_with_elb = true;
-                    irec.set(at, i);
-                }
-            } else {
-                self.state.record_activity(ScalingActivity {
-                    at,
-                    asg: asg_name,
-                    description: format!(
-                        "Failed to register instance {id} with ELB {elb_name}: ServiceUnavailable"
-                    ),
-                    status: ActivityStatus::Failed("ServiceUnavailable".into()),
-                });
+            if self.set_registered(at, &elb_name, id, true).is_err() {
+                let status = ActivityStatus::Failed("ServiceUnavailable".into());
+                let description = format!(
+                    "Failed to register instance {id} with ELB {elb_name}: ServiceUnavailable"
+                );
+                self.activity(at, &asg_name, status, description);
             }
         }
     }
@@ -1154,40 +992,24 @@ impl Inner {
         let Some(rec) = self.state.instances.get_mut(id) else {
             return;
         };
-        let mut instance = rec.latest().clone();
-        if instance.state == InstanceState::Terminated {
+        if rec.latest().state == InstanceState::Terminated {
             return;
         }
-        instance.state = InstanceState::Terminated;
-        instance.registered_with_elb = false;
-        let asg_name = instance.asg.clone();
-        rec.set(at, instance);
-        if let Some(asg_name) = &asg_name {
+        rec.update(at, |i| {
+            i.state = InstanceState::Terminated;
+            i.registered_with_elb = false;
+        });
+        if let Some(asg_name) = &rec.latest().asg.clone() {
             if let Some(grec) = self.state.asgs.get_mut(asg_name) {
-                let mut g = grec.latest().clone();
-                g.instances.retain(|i| i != id);
-                grec.set(at, g);
+                grec.update(at, |g| g.instances.retain(|i| i != id));
             }
-            self.state.record_activity(ScalingActivity {
-                at,
-                asg: asg_name.clone(),
-                description: format!("Terminated EC2 instance: {id}"),
-                status: ActivityStatus::Successful,
-            });
+            let description = format!("Terminated EC2 instance: {id}");
+            self.activity(at, asg_name, ActivityStatus::Successful, description);
         }
         // Remove from any ELB registration.
-        let elb_names: Vec<ElbName> = self
-            .state
-            .elbs
-            .iter()
-            .filter(|(_, e)| e.latest().registered.contains(id))
-            .map(|(n, _)| n.clone())
-            .collect();
-        for elb_name in elb_names {
-            if let Some(erec) = self.state.elbs.get_mut(&elb_name) {
-                let mut e = erec.latest().clone();
-                e.registered.retain(|i| i != id);
-                erec.set(at, e);
+        for erec in self.state.elbs.values_mut() {
+            if erec.latest().registered.contains(id) {
+                erec.update(at, |e| e.registered.retain(|i| i != id));
             }
         }
     }
@@ -1196,56 +1018,52 @@ impl Inner {
         let Some(grec) = self.state.asgs.get(asg_name) else {
             return; // ASG deleted; stop rescheduling.
         };
-        let group = grec.latest().clone();
-        let active: Vec<InstanceId> = group
-            .instances
+        let desired = grec.latest().desired_capacity as usize;
+        let active = self.state.asg_active_instances(asg_name);
+        let mut active: Vec<(SimTime, InstanceId)> = active
             .iter()
-            .filter(|id| {
-                self.state
-                    .instances
-                    .get(id)
-                    .is_some_and(|v| v.latest().state.is_active())
-            })
-            .cloned()
+            .map(|i| (i.launched_at, i.id.clone()))
             .collect();
-        let desired = group.desired_capacity as usize;
-        if active.len() < desired {
-            for _ in 0..(desired - active.len()) {
-                self.try_launch(at, asg_name);
-            }
-        } else if active.len() > desired {
-            // Scale in: newest first, deterministic.
-            let mut candidates: Vec<(SimTime, InstanceId)> = active
-                .iter()
-                .filter_map(|id| {
-                    self.state
-                        .instances
-                        .get(id)
-                        .map(|v| (v.latest().launched_at, id.clone()))
-                })
-                .collect();
-            candidates.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            for (_, id) in candidates.into_iter().take(active.len() - desired) {
-                if let Some(rec) = self.state.instances.get_mut(&id) {
-                    let mut i = rec.latest().clone();
-                    i.state = InstanceState::Terminating;
-                    rec.set(at, i);
-                }
-                let delay = self.config.terminate_time.sample(&mut self.rng);
-                self.events
-                    .schedule(at + delay, CloudEvent::TerminateComplete(id.clone()));
-                self.state.record_activity(ScalingActivity {
-                    at,
-                    asg: asg_name.clone(),
-                    description: format!("Terminating EC2 instance (scale in): {id}"),
-                    status: ActivityStatus::InProgress,
-                });
-            }
+        for _ in active.len()..desired {
+            self.try_launch(at, asg_name);
+        }
+        // Scale in: newest first, deterministic.
+        active.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        for (_, id) in active.iter().take(active.len().saturating_sub(desired)) {
+            self.begin_termination(at, id);
+            let description = format!("Terminating EC2 instance (scale in): {id}");
+            self.activity(at, asg_name, ActivityStatus::InProgress, description);
         }
         self.events.schedule(
             at + self.config.reconcile_interval,
             CloudEvent::Reconcile(asg_name.clone()),
         );
+    }
+
+    /// The launch configuration `group` launches from, or why a launch from
+    /// it fails right now.
+    fn launchable(&self, group: &AutoScalingGroup) -> Result<LaunchConfig, String> {
+        let state = &self.state;
+        let name = &group.launch_config;
+        let lc = state.launch_configs.get(name).map(Versioned::latest);
+        let lc = lc.ok_or_else(|| format!("launch configuration {name} not found"))?;
+        let (ami, key_pair) = (state.amis.get(&lc.ami), state.key_pairs.get(&lc.key_pair));
+        let security_group = state.security_groups.get(&lc.security_group);
+        if !ami.is_some_and(|a| a.latest().available) {
+            return Err(format!("AMI {} is unavailable", lc.ami));
+        }
+        if !key_pair.is_some_and(|k| k.latest().available) {
+            return Err(format!("key pair {} does not exist", lc.key_pair));
+        }
+        if !security_group.is_some_and(|s| s.latest().available) {
+            let id = &lc.security_group;
+            return Err(format!("security group {id} does not exist"));
+        }
+        if state.active_instance_count() >= state.instance_limit {
+            let limit = state.instance_limit;
+            return Err(format!("InstanceLimitExceeded (limit {limit})"));
+        }
+        Ok(lc.clone())
     }
 
     /// Attempts to launch one instance into `asg_name`, recording a failed
@@ -1257,114 +1075,25 @@ impl Inner {
             return;
         };
         let group = grec.latest().clone();
-        let fail = |state: &mut CloudState, message: String| {
-            state.record_activity(ScalingActivity {
-                at,
-                asg: asg_name.clone(),
-                description: message.clone(),
-                status: ActivityStatus::Failed(message),
-            });
+        let lc = match self.launchable(&group) {
+            Ok(lc) => lc,
+            Err(reason) => {
+                let message = format!("Failed to launch instance: {reason}");
+                let status = ActivityStatus::Failed(message.clone());
+                return self.activity(at, asg_name, status, message);
+            }
         };
-        let Some(lc_rec) = self.state.launch_configs.get(&group.launch_config) else {
-            fail(
-                &mut self.state,
-                format!(
-                    "Failed to launch instance: launch configuration {} not found",
-                    group.launch_config
-                ),
-            );
-            return;
-        };
-        let lc = lc_rec.latest().clone();
-        let ami_ok = self
-            .state
-            .amis
-            .get(&lc.ami)
-            .map(|a| a.latest().available)
-            .unwrap_or(false);
-        if !ami_ok {
-            fail(
-                &mut self.state,
-                format!("Failed to launch instance: AMI {} is unavailable", lc.ami),
-            );
-            return;
-        }
-        let kp_ok = self
-            .state
-            .key_pairs
-            .get(&lc.key_pair)
-            .map(|k| k.latest().available)
-            .unwrap_or(false);
-        if !kp_ok {
-            fail(
-                &mut self.state,
-                format!(
-                    "Failed to launch instance: key pair {} does not exist",
-                    lc.key_pair
-                ),
-            );
-            return;
-        }
-        let sg_ok = self
-            .state
-            .security_groups
-            .get(&lc.security_group)
-            .map(|s| s.latest().available)
-            .unwrap_or(false);
-        if !sg_ok {
-            fail(
-                &mut self.state,
-                format!(
-                    "Failed to launch instance: security group {} does not exist",
-                    lc.security_group
-                ),
-            );
-            return;
-        }
-        if self.state.active_instance_count() >= self.state.instance_limit {
-            let limit = self.state.instance_limit;
-            fail(
-                &mut self.state,
-                format!("Failed to launch instance: InstanceLimitExceeded (limit {limit})"),
-            );
-            return;
-        }
-        let version = self
-            .state
-            .amis
-            .get(&lc.ami)
-            .map(|a| a.latest().version.clone())
-            .unwrap_or_default();
-        let id = InstanceId::generate(&mut self.rng);
-        let instance = Instance {
-            id: id.clone(),
-            state: InstanceState::Pending,
-            ami: lc.ami.clone(),
-            version,
-            instance_type: lc.instance_type.clone(),
-            key_pair: lc.key_pair.clone(),
-            security_group: lc.security_group.clone(),
-            launch_config: Some(group.launch_config.clone()),
-            asg: Some(asg_name.clone()),
-            registered_with_elb: false,
-            launched_at: at,
-        };
-        self.state
-            .instances
-            .insert(id.clone(), Versioned::new(at, instance));
+        let id = self.spawn(at, &lc, |i| {
+            i.launch_config = Some(group.launch_config.clone());
+            i.asg = Some(asg_name.clone());
+        });
         if let Some(grec) = self.state.asgs.get_mut(asg_name) {
-            let mut g = grec.latest().clone();
-            g.instances.push(id.clone());
-            grec.set(at, g);
+            grec.update(at, |g| g.instances.push(id.clone()));
         }
         let boot = self.config.boot_time.sample(&mut self.rng);
         self.events
             .schedule(at + boot, CloudEvent::BootComplete(id.clone()));
-        self.state.record_activity(ScalingActivity {
-            at,
-            asg: asg_name.clone(),
-            description: format!("Launching a new EC2 instance: {id}"),
-            status: ActivityStatus::InProgress,
-        });
+        let description = format!("Launching a new EC2 instance: {id}");
+        self.activity(at, asg_name, ActivityStatus::InProgress, description);
     }
 }

@@ -57,6 +57,17 @@ impl<T> Versioned<T> {
         }
     }
 
+    /// Records a new version effective from `at`: the newest value with
+    /// `edit` applied.
+    pub(crate) fn update(&mut self, at: SimTime, edit: impl FnOnce(&mut T))
+    where
+        T: Clone,
+    {
+        let mut value = self.latest().clone();
+        edit(&mut value);
+        self.set(at, value);
+    }
+
     /// The newest value.
     pub fn latest(&self) -> &T {
         &self.versions.last().expect("history is never empty").1

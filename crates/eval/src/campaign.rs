@@ -18,7 +18,7 @@ use pod_sim::{SimDuration, SimRng, SimTime};
 
 use crate::metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
 use crate::profile::{stage_self_times, LatencyProfile};
-use crate::scenario::{build_engine, build_scenario, Scenario, ScenarioConfig};
+use crate::scenario::{build_engine, build_scenario, Injection, Scenario, ScenarioConfig};
 use crate::timing::TimingStats;
 
 /// Campaign knobs. Defaults reproduce the paper's setup: 20 runs per fault
@@ -507,16 +507,15 @@ pub fn execute_run(plan: &RunPlan) -> RunRecord {
 /// Like [`execute_run`], additionally returning the run's full trace
 /// (spans and causal events) for export.
 pub fn execute_run_traced(plan: &RunPlan) -> (RunRecord, TraceDump) {
-    let mut plan = plan.clone();
-    loop {
+    Injection::retry_earlier(plan.inject_at, |inject_at| {
+        let plan = RunPlan {
+            inject_at,
+            ..plan.clone()
+        };
         let (record, dump) = execute_run_once(&plan);
-        if record.truth.injected_at < SimTime::from_micros(u64::MAX)
-            || plan.inject_at < SimTime::from_secs(10)
-        {
-            return (record, dump);
-        }
-        plan.inject_at = SimTime::from_micros(plan.inject_at.as_micros() / 2);
-    }
+        let landed = record.truth.injected_at < SimTime::from_micros(u64::MAX);
+        ((record, dump), landed)
+    })
 }
 
 fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
@@ -593,7 +592,8 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
     let truth = GroundTruth {
         fault: plan.fault,
         injected_at: observer
-            .injected_at
+            .injection
+            .at
             .unwrap_or(SimTime::from_micros(u64::MAX)),
         reverted_at: observer.reverted_at,
         interferences: observer.applied_interferences.clone(),
@@ -622,8 +622,7 @@ struct CampaignObserver<'s> {
     scenario: &'s Scenario,
     plan: &'s RunPlan,
     rng: SimRng,
-    injector: FaultInjector,
-    injected_at: Option<SimTime>,
+    injection: Injection,
     reverted_at: Option<SimTime>,
     reinjected: bool,
     second_injector: Option<FaultInjector>,
@@ -642,8 +641,7 @@ impl<'s> CampaignObserver<'s> {
             scenario,
             plan,
             rng: SimRng::seed_from(plan.scenario.seed ^ 0xD1A6),
-            injector: FaultInjector::new(plan.fault),
-            injected_at: None,
+            injection: Injection::new(plan.fault, plan.inject_at),
             reverted_at: None,
             reinjected: false,
             second_injector: None,
@@ -655,33 +653,14 @@ impl<'s> CampaignObserver<'s> {
         }
     }
 
-    fn lc_exists(&self, cloud: &Cloud) -> bool {
-        cloud
-            .admin_describe_launch_config(&pod_cloud::LaunchConfigName::new(
-                &self.scenario.upgrade_lc_name,
-            ))
-            .is_some()
-    }
-
     fn drive_schedule(&mut self, cloud: &Cloud, now: SimTime) {
         // Fault injection (configuration faults wait for the upgrade LC).
-        if self.injected_at.is_none() && now >= self.plan.inject_at {
-            let ready = !self.plan.fault.is_configuration_fault() || self.lc_exists(cloud);
-            if ready {
-                self.injector.inject(
-                    cloud,
-                    &self.scenario.upgrade,
-                    &self.scenario.upgrade_lc_name,
-                    &mut self.rng,
-                );
-                self.injected_at = Some(now);
-            }
-        }
+        self.injection.tick(self.scenario, now, &mut self.rng);
         // Transient revert: the fault-injection mechanism corrects the
         // fault "soon after" — shortly after the first detection, racing
         // the dispatched diagnosis (wrong-diagnosis class 3). A fallback
         // deadline reverts even if nothing detected it.
-        if let (Some(injected), Some(after)) = (self.injected_at, self.plan.transient_after) {
+        if let (Some(injected), Some(after)) = (self.injection.at, self.plan.transient_after) {
             if self.reverted_at.is_none() {
                 // Only detections the fault itself can plausibly cause
                 // (periodic-timer detections are dominated by concurrent
@@ -703,13 +682,18 @@ impl<'s> CampaignObserver<'s> {
                     Some(at) => now >= at + SimDuration::from_secs(2),
                     None => now >= injected + after + SimDuration::from_secs(420),
                 };
-                if due && self.injector.revert(cloud, &self.scenario.upgrade_lc_name) {
+                if due
+                    && self
+                        .injection
+                        .injector
+                        .revert(cloud, &self.scenario.upgrade_lc_name)
+                {
                     self.reverted_at = Some(now);
                 }
             }
         }
         // Second AMI change mid-diagnosis (wrong-diagnosis class 2).
-        if let (Some(injected), Some(after)) = (self.injected_at, self.plan.reinject_after) {
+        if let (Some(injected), Some(after)) = (self.injection.at, self.plan.reinject_after) {
             if !self.reinjected && now >= injected + after && self.reverted_at.is_none() {
                 let mut second = FaultInjector::new(FaultType::AmiChangedDuringUpgrade);
                 second.inject(

@@ -20,7 +20,7 @@ use std::fmt;
 
 use pod_gateway::GatewayStats;
 use pod_log::{Json, JsonError};
-use pod_obs::{EventRecord, FlightDump, IncidentChain, Snapshot, SpanRecord, TAIL_QUANTILES};
+use pod_obs::{FlightDump, IncidentChain, Snapshot, TAIL_QUANTILES};
 use pod_sim::nearest_rank;
 
 use crate::campaign::{CampaignReport, RecoveryStats};
@@ -230,45 +230,6 @@ pub fn flight_json(run: &str, dump: &FlightDump) -> Json {
         .json("frames", Json::Array(frames.collect()))
         .json("incidents", Json::Array(incidents.collect()))
         .build()
-}
-
-fn attrs(attrs: &[(&'static str, String)]) -> Json {
-    object(attrs.iter().map(|(k, v)| (*k, Json::str(v.as_str()))))
-}
-
-/// One record per finished span.
-pub fn span_lines(run: &str, spans: &[SpanRecord]) -> Vec<Json> {
-    spans
-        .iter()
-        .map(|s| {
-            Record::new("span", run)
-                .num("id", s.id)
-                .opt(s.parent, |r, parent| r.num("parent", parent))
-                .str("name", s.name)
-                .num("start_us", s.start.as_micros())
-                .num("end_us", s.end.as_micros())
-                .nonempty("attrs", attrs(&s.attrs))
-                .build()
-        })
-        .collect()
-}
-
-/// One record per causal event.
-pub fn event_lines(run: &str, events: &[EventRecord]) -> Vec<Json> {
-    events
-        .iter()
-        .map(|e| {
-            Record::new("event", run)
-                .num("id", e.id)
-                .opt(e.parent, |r, parent| r.num("cause", parent))
-                .opt(e.span, |r, span| r.num("span", span))
-                .str("kind", e.kind)
-                .str("name", &*e.name)
-                .num("at_us", e.at.as_micros())
-                .nonempty("attrs", attrs(&e.attrs))
-                .build()
-        })
-        .collect()
 }
 
 /// One record per reconstructed incident chain: the ordered hop kinds,
@@ -785,26 +746,13 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_span_records_round_trip() {
+    fn counter_records_round_trip() {
         let obs = Obs::detached();
         obs.counter("consistent.retries").incr();
         let counter = &snapshot_lines("r", &obs.snapshot())[0];
         assert_eq!(at(counter, "record"), Json::str("counter"));
         assert_eq!(at(counter, "name"), Json::str("consistent.retries"));
         assert_eq!(at(counter, "value"), Json::Number(1.0));
-
-        let spans = [SpanRecord {
-            id: 1,
-            parent: None,
-            name: "x",
-            start: SimTime::ZERO,
-            end: SimTime::from_millis(2),
-            attrs: vec![("k", "v".into())],
-        }];
-        let span = &span_lines("r", &spans)[0];
-        assert_eq!(at(span, "end_us"), Json::Number(2000.0));
-        assert_eq!(at(span, "parent"), Json::Null);
-        assert_eq!(at(span, "attrs.k"), Json::str("v"));
     }
 
     #[test]
@@ -827,19 +775,13 @@ mod tests {
     }
 
     #[test]
-    fn event_and_incident_records_round_trip() {
+    fn incident_records_round_trip() {
         let obs = Obs::detached();
         obs.begin_run("run-9");
         let line = obs.event("log.line", "asgard.log");
         let det = obs.event_under(line.id(), "detection", "assertion-log");
         obs.event_under(det.id(), "diagnosis.verdict", "root-cause-identified");
         let events = obs.events().records();
-        let lines = event_lines("run-9", &events);
-        assert_eq!(lines.len(), 3);
-        assert_eq!(at(&lines[1], "record"), Json::str("event"));
-        assert_eq!(at(&lines[1], "kind"), Json::str("detection"));
-        assert_eq!(at(&lines[1], "cause"), Json::Number(0.0));
-
         let lines = incident_lines("run-9", &pod_obs::incidents(&events));
         assert_eq!(lines.len(), 1);
         assert_eq!(at(&lines[0], "record"), Json::str("incident"));

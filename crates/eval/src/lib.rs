@@ -33,9 +33,8 @@
 //!   [`campaign_lines`] ([`metrics_line`], [`snapshot_lines`],
 //!   [`latency_lines`], [`incident_lines`]), [`soak_lines`]
 //!   ([`gateway_line`], [`telemetry_line`], [`exemplar_lines`],
-//!   [`flight_json`]), [`recovery_lines`], [`recovery_soak_lines`],
-//!   [`span_lines`], [`event_lines`] and [`wall_line`] (the only
-//!   wall-clock record);
+//!   [`flight_json`]), [`recovery_lines`], [`recovery_soak_lines`] and
+//!   [`wall_line`] (the only wall-clock record);
 //! - [`diff_journals`] / [`diff_report`] — what moved between two run
 //!   records; `pod-diagnosis diff` and every `--baseline` gate are this
 //!   one comparison.
@@ -58,10 +57,10 @@ pub use campaign::{
     TraceDump,
 };
 pub use journal::{
-    campaign_lines, diff_journals, diff_report, event_lines, exemplar_lines, flight_json,
-    gateway_line, incident_lines, latency_lines, metrics_line, recovery_lines, recovery_soak_lines,
-    render_journal, snapshot_lines, soak_lines, span_lines, telemetry_line, wall_line,
-    write_journal, JournalDiff, JournalError, Record, GATE_RATIO,
+    campaign_lines, diff_journals, diff_report, exemplar_lines, flight_json, gateway_line,
+    incident_lines, latency_lines, metrics_line, recovery_lines, recovery_soak_lines,
+    render_journal, snapshot_lines, soak_lines, telemetry_line, wall_line, write_journal,
+    JournalDiff, JournalError, Record, GATE_RATIO,
 };
 pub use metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
 pub use profile::{stage_self_times, LatencyProfile};

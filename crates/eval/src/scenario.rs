@@ -7,8 +7,10 @@ use pod_cloud::{Cloud, CloudConfig};
 use pod_core::{PodConfig, PodEngine, SharedEnv};
 use pod_faulttree::{rolling_upgrade_repository, steps, TestOrder};
 use pod_log::{LogEvent, LogStorage};
-use pod_orchestrator::{process_def, CollectingObserver, RollingUpgrade, UpgradeConfig};
-use pod_sim::{Clock, SimDuration, SimRng};
+use pod_orchestrator::{
+    process_def, CollectingObserver, FaultInjector, FaultType, RollingUpgrade, UpgradeConfig,
+};
+use pod_sim::{Clock, SimDuration, SimRng, SimTime};
 
 /// Everything one experiment run operates on.
 #[derive(Debug)]
@@ -26,6 +28,60 @@ pub struct Scenario {
     pub upgrade_lc_name: String,
     /// The trace id of the upgrade.
     pub trace_id: String,
+}
+
+/// One run's fault injection, as the campaign and the soak both schedule
+/// it: the fault lands at the first orchestrator tick at or after `due`,
+/// and a configuration fault also waits for the upgrade's launch
+/// configuration to exist.
+#[derive(Debug)]
+pub(crate) struct Injection {
+    pub(crate) injector: FaultInjector,
+    due: SimTime,
+    /// When the fault landed.
+    pub(crate) at: Option<SimTime>,
+}
+
+impl Injection {
+    pub(crate) fn new(fault: FaultType, due: SimTime) -> Injection {
+        Injection {
+            injector: FaultInjector::new(fault),
+            due,
+            at: None,
+        }
+    }
+
+    pub(crate) fn tick(&mut self, scenario: &Scenario, now: SimTime, rng: &mut SimRng) {
+        if self.at.is_some() || now < self.due {
+            return;
+        }
+        let cloud = &scenario.cloud;
+        let lc = pod_cloud::LaunchConfigName::new(&scenario.upgrade_lc_name);
+        if self.injector.fault().is_configuration_fault()
+            && cloud.admin_describe_launch_config(&lc).is_none()
+        {
+            return;
+        }
+        self.injector
+            .inject(cloud, &scenario.upgrade, &scenario.upgrade_lc_name, rng);
+        self.at = Some(now);
+    }
+
+    /// Runs `attempt` with the injection due at `due`; while it reports the
+    /// fault never landed (a fast upgrade ended first) halves `due` and runs
+    /// it again, so every run really carries its fault.
+    pub(crate) fn retry_earlier<T>(
+        mut due: SimTime,
+        mut attempt: impl FnMut(SimTime) -> (T, bool),
+    ) -> T {
+        loop {
+            let (result, landed) = attempt(due);
+            if landed || due < SimTime::from_secs(10) {
+                return result;
+            }
+            due = SimTime::from_micros(due.as_micros() / 2);
+        }
+    }
 }
 
 /// Scenario knobs.

@@ -45,8 +45,7 @@ use pod_gateway::{Gateway, GatewayConfig, GatewayStats, OpId};
 use pod_log::LogEvent;
 use pod_obs::{FlightDump, RunSignals, SampleVerdict, SamplerConfig, TailSampler, TelemetryMode};
 use pod_orchestrator::{
-    FaultInjector, FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver,
-    UpgradeOutcome,
+    FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
 use pod_recovery::{
     RecoveryConfig, RecoveryPath, RecoveryStorm, StormConfig, StormStats, TenantId,
@@ -54,7 +53,7 @@ use pod_recovery::{
 use pod_sim::{SimDuration, SimRng, SimTime};
 
 use crate::profile::{stage_self_times, LatencyProfile};
-use crate::scenario::{build_engine, build_scenario, Scenario, ScenarioConfig};
+use crate::scenario::{build_engine, build_scenario, Injection, Scenario, ScenarioConfig};
 use crate::timing::TimingStats;
 
 /// Knobs of the soak.
@@ -301,24 +300,11 @@ fn instance_tokens(text: &str, out: &mut BTreeSet<String>) {
 /// launch configuration, like the campaign) and emits plaintext noise.
 struct SoakCollector<'s> {
     scenario: &'s Scenario,
-    fault: Option<FaultType>,
-    inject_at: SimTime,
-    injector: Option<FaultInjector>,
-    injected_at: Option<SimTime>,
+    injection: Option<Injection>,
     interference: Option<(SimTime, Interference)>,
     noise: NoiseGenerator,
     rng: SimRng,
     lines: Vec<(SimTime, String)>,
-}
-
-impl SoakCollector<'_> {
-    fn lc_exists(&self, cloud: &Cloud) -> bool {
-        cloud
-            .admin_describe_launch_config(&pod_cloud::LaunchConfigName::new(
-                &self.scenario.upgrade_lc_name,
-            ))
-            .is_some()
-    }
 }
 
 impl UpgradeObserver for SoakCollector<'_> {
@@ -330,21 +316,8 @@ impl UpgradeObserver for SoakCollector<'_> {
     }
 
     fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-        if let Some(fault) = self.fault {
-            if self.injected_at.is_none() && now >= self.inject_at {
-                let ready = !fault.is_configuration_fault() || self.lc_exists(cloud);
-                if ready {
-                    if let Some(injector) = self.injector.as_mut() {
-                        injector.inject(
-                            cloud,
-                            &self.scenario.upgrade,
-                            &self.scenario.upgrade_lc_name,
-                            &mut self.rng,
-                        );
-                    }
-                    self.injected_at = Some(now);
-                }
-            }
+        if let Some(injection) = &mut self.injection {
+            injection.tick(self.scenario, now, &mut self.rng);
         }
         if let Some((at, kind)) = self.interference {
             if now >= at {
@@ -404,16 +377,12 @@ fn plan_ops(config: &SoakConfig) -> Vec<OpPlan> {
 }
 
 fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
-    let mut inject_at = plan.inject_at;
-    loop {
+    Injection::retry_earlier(plan.inject_at, |inject_at| {
         let scenario = build_scenario(&plan.scenario);
         scenario.cloud.obs().begin_run(&scenario.trace_id);
         let mut collector = SoakCollector {
             scenario: &scenario,
-            fault: plan.fault,
-            inject_at,
-            injector: plan.fault.map(FaultInjector::new),
-            injected_at: None,
+            injection: plan.fault.map(|fault| Injection::new(fault, inject_at)),
             interference: plan.interference,
             noise: NoiseGenerator::new(SimRng::seed_from(plan.scenario.seed ^ 0x5048), noise_rate),
             rng: SimRng::seed_from(plan.scenario.seed ^ 0xD1A6),
@@ -425,20 +394,13 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             scenario.trace_id.clone(),
         );
         let report = upgrade.run(&mut collector);
-        let injected_at = collector.injected_at;
-        let lines = std::mem::take(&mut collector.lines);
-        drop(collector);
-        // The sampled injection time can fall after a fast upgrade already
-        // ended; retry earlier so every operation really carries its fault.
-        if plan.fault.is_some() && injected_at.is_none() && inject_at >= SimTime::from_secs(10) {
-            inject_at = SimTime::from_micros(inject_at.as_micros() / 2);
-            continue;
-        }
+        let injected_at = collector.injection.and_then(|i| i.at);
+        let lines = collector.lines;
         let mut tokens = BTreeSet::new();
         for (_, raw) in &lines {
             instance_tokens(raw, &mut tokens);
         }
-        return OpStream {
+        let stream = OpStream {
             fault: plan.fault,
             scenario,
             scenario_config: plan.scenario.clone(),
@@ -447,7 +409,8 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             lines,
             tokens,
         };
-    }
+        (stream, plan.fault.is_none() || injected_at.is_some())
+    })
 }
 
 /// Phase A: runs every operation's upgrade on its own cloud and collects

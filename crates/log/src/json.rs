@@ -312,12 +312,13 @@ impl<'a> JsonParser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape in one step.
+                    let rest = &self.bytes[self.pos..];
+                    let end = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let run = std::str::from_utf8(&rest[..end.unwrap_or(rest.len())])
                         .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
                 None => return Err(self.error("unterminated string")),
             }
@@ -401,6 +402,26 @@ mod tests {
         let original = Json::str("line1\nline2\t\"quoted\" \\slash\u{1}");
         let text = original.to_string();
         assert_eq!(Json::parse(&text).unwrap(), original);
+    }
+
+    #[test]
+    fn long_strings_round_trip_and_truncations_are_errors() {
+        // 64 KiB of multi-byte code points with an escape every few hundred
+        // bytes and a trailing `é`.
+        let mut long = String::new();
+        while long.len() < 64 * 1024 {
+            long.push_str(&"日本語 wire line — ".repeat(12));
+            long.push_str("\"quoted\"\n\\\u{1}");
+        }
+        long.push('é');
+        let text = Json::str(long.as_str()).to_string();
+        assert_eq!(Json::parse(&text).unwrap(), Json::str(long));
+        // Cut mid-string, mid-escape and mid-`\u`: an error, never a panic.
+        let escape = text.find('\\').expect("the text carries escapes");
+        let unicode = text.find("\\u").expect("the text carries a \\u escape");
+        for cut in [text.len() - 1, escape + 1, unicode + 3] {
+            assert!(Json::parse(&text[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

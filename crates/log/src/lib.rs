@@ -7,9 +7,9 @@
 //! ([`RuleBook`]), annotated with process context ([`ProcessContext`]) and
 //! pushed through a [`Pipeline`] of stages — noise filter, annotator, timer
 //! setter, trigger — before "important" lines are forwarded to the shared
-//! [`LogStorage`]. A [`CentralLogProcessor`] can tail that storage from a
-//! background thread and surface failure lines, the way Figure 1's central
-//! processor triggers error diagnosis.
+//! [`LogStorage`]. Figure 1's central log processor — the consumer that
+//! triggers diagnosis on a failure line — is `pod-core`'s engine, which
+//! reacts inline on the virtual clock.
 //!
 //! JSON serialization of events is hand-rolled in [`Json`] so the workspace
 //! carries no external serialization dependency.
@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod central;
 mod event;
 mod json;
 mod matcher;
@@ -25,7 +24,6 @@ mod parse;
 mod pipeline;
 mod storage;
 
-pub use central::{CentralLogProcessor, FailureNotice};
 pub use event::{LogEvent, ProcessContext, Severity, StepOutcome};
 pub use json::{Json, JsonError};
 pub use matcher::{Boundary, LineRule, RuleBook, RuleMatch};

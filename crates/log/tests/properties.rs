@@ -12,6 +12,8 @@ fn arb_json() -> impl Strategy<Value = Json> {
         // Finite, round-trippable numbers.
         (-1.0e12..1.0e12f64).prop_map(|n| Json::Number((n * 100.0).round() / 100.0)),
         "[ -~]{0,20}".prop_map(Json::str),
+        // Long, with multi-byte code points and characters that need escapes.
+        "[ -~é日\\n]{0,2000}".prop_map(Json::str),
     ];
     leaf.prop_recursive(3, 24, 6, |inner| {
         prop_oneof![
@@ -37,10 +39,18 @@ proptest! {
         prop_assert_eq!(parsed, v);
     }
 
-    /// Parsing never panics on arbitrary input.
+    /// Parsing never panics on arbitrary input, and a long string literal
+    /// cut anywhere short of its closing quote is an error.
     #[test]
-    fn json_parse_never_panics(s in "[ -~]{0,80}") {
+    fn json_parse_never_panics(
+        s in "[ -~]{0,80}",
+        long in "[ -~é日\\n]{0,4000}",
+        cut in 0usize..4096,
+    ) {
         let _ = Json::parse(&s);
+        let text = Json::str(long).to_string();
+        let cut = (0..text.len().min(cut + 1)).rev().find(|&i| text.is_char_boundary(i));
+        prop_assert!(Json::parse(&text[..cut.unwrap_or(0)]).is_err());
     }
 
     /// Every stored event is found by an unconstrained query, and

@@ -371,7 +371,6 @@ impl RecoveryExecutor {
             env: req.env.clone(),
             log: Vec::new(),
         };
-        let mut seq = 0u32;
         // How far the actual (sequential) clock runs ahead of the modeled
         // parallel timeline; every log line and record is stamped on the
         // modeled timeline.
@@ -379,7 +378,6 @@ impl RecoveryExecutor {
 
         self.log(
             &mut run,
-            &mut seq,
             lag,
             Severity::Info,
             format!(
@@ -406,7 +404,7 @@ impl RecoveryExecutor {
         };
         if next.is_none() {
             let reason = format!("no recovery plan mapped for root cause {}", req.root_cause);
-            self.escalate(&mut run, &mut seq, lag, reason);
+            self.escalate(&mut run, lag, reason);
             self.finish(&obs, &mut run, lag);
             return run;
         }
@@ -415,7 +413,6 @@ impl RecoveryExecutor {
             run.plans_tried.push(plan.id.clone());
             self.log(
                 &mut run,
-                &mut seq,
                 lag,
                 Severity::Info,
                 format!(
@@ -427,20 +424,12 @@ impl RecoveryExecutor {
             obs.event("recovery.plan", &plan.id)
                 .attr("steps", plan.steps.len());
 
-            match self.run_steps(&plan, req, &mut run, &mut seq, &mut lag) {
-                Err((step_name, error)) => {
-                    if let Some(fallback) = plan.fallback {
-                        self.metrics.fallbacks.incr();
-                        next = Some(*fallback);
-                    } else {
-                        let reason = format!(
-                            "step {step_name} of plan {} exhausted its retry budget: {error}",
-                            plan.id
-                        );
-                        self.escalate(&mut run, &mut seq, lag, reason);
-                        break;
-                    }
-                }
+            // Why this plan did not repair the fault, once it has not.
+            let failure = match self.run_steps(&plan, req, &mut run, &mut lag) {
+                Err((step_name, error)) => format!(
+                    "step {step_name} of plan {} exhausted its retry budget: {error}",
+                    plan.id
+                ),
                 Ok(()) => {
                     // Closed-loop verification: re-evaluate the plan's
                     // assertions through the same assertion machinery that
@@ -454,7 +443,6 @@ impl RecoveryExecutor {
                     if failing.is_empty() {
                         self.log(
                             &mut run,
-                            &mut seq,
                             lag,
                             Severity::Info,
                             format!(
@@ -465,7 +453,6 @@ impl RecoveryExecutor {
                         );
                         self.log(
                             &mut run,
-                            &mut seq,
                             lag,
                             Severity::Info,
                             format!(
@@ -479,7 +466,6 @@ impl RecoveryExecutor {
                     self.metrics.verify_failures.incr();
                     self.log(
                         &mut run,
-                        &mut seq,
                         lag,
                         Severity::Warn,
                         format!(
@@ -490,20 +476,19 @@ impl RecoveryExecutor {
                             failing.join(", ")
                         ),
                     );
-                    if let Some(fallback) = plan.fallback {
-                        self.metrics.fallbacks.incr();
-                        next = Some(*fallback);
-                    } else {
-                        let reason = format!(
-                            "verification failed after plan {}: {} still failing",
-                            plan.id,
-                            failing.join(", ")
-                        );
-                        self.escalate(&mut run, &mut seq, lag, reason);
-                        break;
-                    }
+                    format!(
+                        "verification failed after plan {}: {} still failing",
+                        plan.id,
+                        failing.join(", ")
+                    )
                 }
-            }
+            };
+            let Some(fallback) = plan.fallback else {
+                self.escalate(&mut run, lag, failure);
+                break;
+            };
+            self.metrics.fallbacks.incr();
+            next = Some(*fallback);
         }
 
         self.finish(&obs, &mut run, lag);
@@ -524,13 +509,13 @@ impl RecoveryExecutor {
         plan: &RecoveryPlan,
         req: &RecoveryRequest,
         run: &mut RecoveryRun,
-        seq: &mut u32,
         lag: &mut SimDuration,
     ) -> Result<(), (String, String)> {
         let base = rewind(self.now(), *lag);
         let n = plan.steps.len();
         let mut model_finish: Vec<Option<SimTime>> = vec![None; n];
         let mut makespan = base;
+        let mut failed = Ok(());
         for _ in 0..n {
             // Pick the lowest (ready-time, index) step whose conflicting
             // predecessors (earlier plan index, intersecting footprint)
@@ -563,32 +548,9 @@ impl RecoveryExecutor {
             // This step's lane starts at `ready` on the modeled timeline.
             *lag = self.now().duration_since(ready);
             let mut attempts = 0u32;
-            let finished = loop {
+            let outcome = loop {
                 attempts += 1;
-                match self.execute_step(step, req) {
-                    Ok(detail) => {
-                        self.metrics.steps_applied.incr();
-                        let at = rewind(self.now(), *lag);
-                        run.steps.push(StepRecord {
-                            plan: plan.id.clone(),
-                            step: name.clone(),
-                            attempts,
-                            ok: true,
-                            detail: detail.clone(),
-                            at,
-                        });
-                        let step_event = self.api.cloud().obs().event("recovery.step", &name);
-                        step_event.attr("plan", &plan.id);
-                        step_event.attr("attempts", attempts);
-                        self.log(
-                            run,
-                            seq,
-                            *lag,
-                            Severity::Info,
-                            format!("Applied recovery step {name}: {detail}"),
-                        );
-                        break at;
-                    }
+                match self.execute_step(step, &req.env).map_err(|e| e.to_string()) {
                     Err(error) if attempts < self.config.max_step_attempts => {
                         self.metrics.steps_retried.incr();
                         // Deliberately phrased to stay outside the
@@ -596,7 +558,6 @@ impl RecoveryExecutor {
                         // recovery process model.
                         self.log(
                             run,
-                            seq,
                             *lag,
                             Severity::Warn,
                             format!(
@@ -605,40 +566,45 @@ impl RecoveryExecutor {
                             ),
                         );
                     }
-                    Err(error) => {
-                        let at = rewind(self.now(), *lag);
-                        run.steps.push(StepRecord {
-                            plan: plan.id.clone(),
-                            step: name.clone(),
-                            attempts,
-                            ok: false,
-                            detail: error.clone(),
-                            at,
-                        });
-                        self.log(
-                            run,
-                            seq,
-                            *lag,
-                            Severity::Warn,
-                            format!(
-                                "Recovery plan {} abandoned: step {name} failed after \
-                                 {attempts} attempt(s): {error}",
-                                plan.id
-                            ),
-                        );
-                        makespan = makespan.max(at);
-                        run.phases.repair += makespan.duration_since(base);
-                        *lag = self.now().duration_since(makespan);
-                        return Err((name, error));
-                    }
+                    outcome => break outcome,
                 }
             };
-            model_finish[idx] = Some(finished);
-            makespan = makespan.max(finished);
+            let at = rewind(self.now(), *lag);
+            let (Ok(detail) | Err(detail)) = &outcome;
+            run.steps.push(StepRecord {
+                plan: plan.id.clone(),
+                step: name.clone(),
+                attempts,
+                ok: outcome.is_ok(),
+                detail: detail.clone(),
+                at,
+            });
+            model_finish[idx] = Some(at);
+            makespan = makespan.max(at);
+            if let Err(error) = outcome {
+                self.log(
+                    run,
+                    *lag,
+                    Severity::Warn,
+                    format!(
+                        "Recovery plan {} abandoned: step {name} failed after {attempts} \
+                         attempt(s): {error}",
+                        plan.id
+                    ),
+                );
+                failed = Err((name, error));
+                break;
+            }
+            self.metrics.steps_applied.incr();
+            let step_event = self.api.cloud().obs().event("recovery.step", &name);
+            step_event.attr("plan", &plan.id);
+            step_event.attr("attempts", attempts);
+            let applied = format!("Applied recovery step {name}: {detail}");
+            self.log(run, *lag, Severity::Info, applied);
         }
         run.phases.repair += makespan.duration_since(base);
         *lag = self.now().duration_since(makespan);
-        Ok(())
+        failed
     }
 
     /// Re-evaluates the plan's verification assertions; returns the keys
@@ -666,10 +632,9 @@ impl RecoveryExecutor {
         failing
     }
 
-    fn escalate(&self, run: &mut RecoveryRun, seq: &mut u32, lag: SimDuration, reason: String) {
+    fn escalate(&self, run: &mut RecoveryRun, lag: SimDuration, reason: String) {
         self.log(
             run,
-            seq,
             lag,
             Severity::Error,
             format!(
@@ -708,20 +673,12 @@ impl RecoveryExecutor {
     /// model: collected on the run (for conformance checking) and appended
     /// to the shared operation log. Stamped on the modeled parallel
     /// timeline (`lag` behind the sequential clock).
-    fn log(
-        &self,
-        run: &mut RecoveryRun,
-        seq: &mut u32,
-        lag: SimDuration,
-        severity: Severity,
-        message: String,
-    ) {
-        *seq += 1;
+    fn log(&self, run: &mut RecoveryRun, lag: SimDuration, severity: Severity, message: String) {
         let event = LogEvent::new(rewind(self.now(), lag), "recovery.log", message)
             .with_type("recovery")
             .with_severity(severity)
             .with_field("taskid", run.task_id.clone())
-            .with_field("seq", seq.to_string());
+            .with_field("seq", (run.log.len() + 1).to_string());
         run.log.push(event.clone());
         self.storage.append(event);
     }
@@ -729,40 +686,16 @@ impl RecoveryExecutor {
     /// Executes one step through the consistent API layer. Returns a
     /// human-readable success detail, or the error that exhausted the
     /// call's own retry budget.
-    fn execute_step(&self, step: &RecoveryStep, req: &RecoveryRequest) -> Result<String, String> {
-        let env = &req.env;
+    fn execute_step(
+        &self,
+        step: &RecoveryStep,
+        env: &ExpectedEnv,
+    ) -> Result<String, ConsistentError> {
         match step {
             RecoveryStep::RepairLaunchConfig => {
+                // Re-created under the same name from the expected values.
                 let name = env.launch_config.clone();
-                // Delete the corrupted configuration (tolerating a repair
-                // retry that already removed it), then re-create it under
-                // the same name from the expected values.
-                match self.api.execute(|c| c.delete_launch_config(&name)) {
-                    Ok(()) | Err(ConsistentError::Api(ApiError::NotFound { .. })) => {}
-                    Err(e) => return Err(e.to_string()),
-                }
-                self.api
-                    .execute(|c| {
-                        c.create_launch_config(
-                            name.to_string(),
-                            env.expected_ami.clone(),
-                            env.expected_instance_type.clone(),
-                            env.expected_key_pair.clone(),
-                            env.expected_security_group.clone(),
-                        )
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .execute(|c| {
-                        c.update_asg(
-                            &env.asg,
-                            AsgUpdate {
-                                launch_config: Some(name.clone()),
-                                ..AsgUpdate::default()
-                            },
-                        )
-                    })
-                    .map_err(|e| e.to_string())?;
+                self.recreate_launch_config(&name, env)?;
                 Ok(format!(
                     "rolled launch configuration {name} back to the expected configuration"
                 ))
@@ -770,33 +703,7 @@ impl RecoveryExecutor {
             RecoveryStep::SwitchLaunchConfig => {
                 let fresh =
                     pod_cloud::LaunchConfigName::new(format!("{}-recovery", env.launch_config));
-                // A retried switch may find the replacement half-created.
-                match self.api.execute(|c| c.delete_launch_config(&fresh)) {
-                    Ok(()) | Err(ConsistentError::Api(ApiError::NotFound { .. })) => {}
-                    Err(e) => return Err(e.to_string()),
-                }
-                self.api
-                    .execute(|c| {
-                        c.create_launch_config(
-                            fresh.to_string(),
-                            env.expected_ami.clone(),
-                            env.expected_instance_type.clone(),
-                            env.expected_key_pair.clone(),
-                            env.expected_security_group.clone(),
-                        )
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .execute(|c| {
-                        c.update_asg(
-                            &env.asg,
-                            AsgUpdate {
-                                launch_config: Some(fresh.clone()),
-                                ..AsgUpdate::default()
-                            },
-                        )
-                    })
-                    .map_err(|e| e.to_string())?;
+                self.recreate_launch_config(&fresh, env)?;
                 Ok(format!(
                     "switched {} to replacement launch configuration {fresh}",
                     env.asg
@@ -817,9 +724,7 @@ impl RecoveryExecutor {
                     .map(|i| i.id.clone())
                     .collect();
                 for id in &lost {
-                    self.api
-                        .execute(|c| c.register_with_elb(&env.elb, id))
-                        .map_err(|e| e.to_string())?;
+                    self.api.execute(|c| c.register_with_elb(&env.elb, id))?;
                 }
                 Ok(format!(
                     "re-registered {} instance(s) with load balancer {}",
@@ -843,9 +748,7 @@ impl RecoveryExecutor {
                     // Deregistration is best-effort: the instance may never
                     // have registered, or the balancer may be the fault.
                     let _ = self.api.execute(|c| c.deregister_from_elb(&env.elb, id));
-                    self.api
-                        .execute(|c| c.terminate_instance(id, false))
-                        .map_err(|e| e.to_string())?;
+                    self.api.execute(|c| c.terminate_instance(id, false))?;
                 }
                 Ok(format!(
                     "terminated {} corrupted instance(s) for relaunch from the repaired \
@@ -854,12 +757,10 @@ impl RecoveryExecutor {
                 ))
             }
             RecoveryStep::WaitLaunchConfigSettled => {
-                self.wait_api
-                    .read_until(
-                        |c| c.describe_asg_instances(&env.asg),
-                        |instances| !instances.iter().any(|i| is_corrupted(i, env)),
-                    )
-                    .map_err(|e| e.to_string())?;
+                self.wait_api.read_until(
+                    |c| c.describe_asg_instances(&env.asg),
+                    |instances| !instances.iter().any(|i| is_corrupted(i, env)),
+                )?;
                 Ok(format!(
                     "no active instance from launch configuration {} deviates from the expected \
                      configuration",
@@ -867,26 +768,20 @@ impl RecoveryExecutor {
                 ))
             }
             RecoveryStep::TerminateInstance(id) => {
-                self.api
-                    .execute(|c| c.terminate_instance(id, false))
-                    .map_err(|e| e.to_string())?;
-                self.wait_api
-                    .read_until(
-                        |c| c.describe_instance(id),
-                        |i| {
-                            matches!(
-                                i.state,
-                                InstanceState::Terminating | InstanceState::Terminated
-                            )
-                        },
-                    )
-                    .map_err(|e| e.to_string())?;
+                self.api.execute(|c| c.terminate_instance(id, false))?;
+                self.wait_api.read_until(
+                    |c| c.describe_instance(id),
+                    |i| {
+                        matches!(
+                            i.state,
+                            InstanceState::Terminating | InstanceState::Terminated
+                        )
+                    },
+                )?;
                 Ok(format!("re-issued terminate for instance {id}"))
             }
             RecoveryStep::RegisterInstanceWithElb(id) => {
-                self.api
-                    .execute(|c| c.register_with_elb(&env.elb, id))
-                    .map_err(|e| e.to_string())?;
+                self.api.execute(|c| c.register_with_elb(&env.elb, id))?;
                 Ok(format!(
                     "registered instance {id} with load balancer {}",
                     env.elb
@@ -895,69 +790,88 @@ impl RecoveryExecutor {
         }
     }
 
+    /// Deletes launch configuration `name` (tolerating a retry that finds
+    /// it already gone, or half-created), creates it from the expected
+    /// values and points the ASG at it.
+    fn recreate_launch_config(
+        &self,
+        name: &pod_cloud::LaunchConfigName,
+        env: &ExpectedEnv,
+    ) -> Result<(), ConsistentError> {
+        match self.api.execute(|c| c.delete_launch_config(name)) {
+            Ok(()) | Err(ConsistentError::Api(ApiError::NotFound { .. })) => {}
+            Err(e) => return Err(e),
+        }
+        self.api.execute(|c| {
+            c.create_launch_config(
+                name.to_string(),
+                env.expected_ami.clone(),
+                env.expected_instance_type.clone(),
+                env.expected_key_pair.clone(),
+                env.expected_security_group.clone(),
+            )
+        })?;
+        self.api.execute(|c| {
+            let launch_config = Some(name.clone());
+            c.update_asg(
+                &env.asg,
+                AsgUpdate {
+                    launch_config,
+                    ..AsgUpdate::default()
+                },
+            )
+        })
+    }
+
     /// Flips the resource back to available (operator-credential action,
     /// still metered through the consistent layer) and waits until reads
     /// observe it.
-    fn restore_resource(&self, kind: ResourceKind, env: &ExpectedEnv) -> Result<(), String> {
+    fn restore_resource(
+        &self,
+        kind: ResourceKind,
+        env: &ExpectedEnv,
+    ) -> Result<(), ConsistentError> {
         match kind {
-            ResourceKind::Ami => {
-                self.api
-                    .execute(|c| {
-                        c.admin_set_ami_available(&env.expected_ami, true);
-                        Ok(())
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .read_until(|c| c.describe_ami(&env.expected_ami), |a| a.available)
-                    .map_err(|e| e.to_string())?;
-            }
-            ResourceKind::KeyPair => {
-                self.api
-                    .execute(|c| {
-                        c.admin_set_key_pair_available(&env.expected_key_pair, true);
-                        Ok(())
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .read_until(
-                        |c| c.describe_key_pair(&env.expected_key_pair),
-                        |k| k.available,
-                    )
-                    .map_err(|e| e.to_string())?;
-            }
-            ResourceKind::SecurityGroup => {
-                self.api
-                    .execute(|c| {
-                        c.admin_set_security_group_available(&env.expected_security_group, true);
-                        Ok(())
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .read_until(
-                        |c| c.describe_security_group(&env.expected_security_group),
-                        |s| s.available,
-                    )
-                    .map_err(|e| e.to_string())?;
-            }
-            ResourceKind::Elb => {
-                self.api
-                    .execute(|c| {
-                        c.admin_set_elb_available(&env.elb, true);
-                        Ok(())
-                    })
-                    .map_err(|e| e.to_string())?;
-                self.api
-                    .read_until(|c| c.describe_elb(&env.elb), |e| e.available)
-                    .map_err(|e| e.to_string())?;
-            }
+            ResourceKind::Ami => self.restore(
+                |c| c.admin_set_ami_available(&env.expected_ami, true),
+                |c| c.describe_ami(&env.expected_ami).map(|a| a.available),
+            ),
+            ResourceKind::KeyPair => self.restore(
+                |c| c.admin_set_key_pair_available(&env.expected_key_pair, true),
+                |c| {
+                    c.describe_key_pair(&env.expected_key_pair)
+                        .map(|k| k.available)
+                },
+            ),
+            ResourceKind::SecurityGroup => self.restore(
+                |c| c.admin_set_security_group_available(&env.expected_security_group, true),
+                |c| {
+                    c.describe_security_group(&env.expected_security_group)
+                        .map(|s| s.available)
+                },
+            ),
+            ResourceKind::Elb => self.restore(
+                |c| c.admin_set_elb_available(&env.elb, true),
+                |c| c.describe_elb(&env.elb).map(|e| e.available),
+            ),
         }
+    }
+
+    fn restore(
+        &self,
+        make_available: impl Fn(&Cloud),
+        available: impl FnMut(&Cloud) -> Result<bool, ApiError>,
+    ) -> Result<(), ConsistentError> {
+        self.api.execute(|c| {
+            make_available(c);
+            Ok(())
+        })?;
+        self.api.read_until(available, |&available| available)?;
         Ok(())
     }
 
-    fn list_instances(&self, env: &ExpectedEnv) -> Result<Vec<Instance>, String> {
-        self.api
-            .execute(|c| c.describe_asg_instances(&env.asg))
-            .map_err(|e| e.to_string())
+    fn list_instances(&self, env: &ExpectedEnv) -> Result<Vec<Instance>, ConsistentError> {
+        self.api.execute(|c| c.describe_asg_instances(&env.asg))
     }
 }
 

@@ -5,17 +5,24 @@
 //! fails only on a real regression.
 
 use pod_diagnosis::eval::{
-    campaign_lines, diff_report, execute_run, healthy_log, recovery_lines, render_journal,
-    render_report, write_journal, Campaign, CampaignConfig,
+    campaign_lines, collect_streams, diff_report, execute_run, execute_run_traced, flight_json,
+    gateway_line, healthy_log, incident_lines, recovery_lines, recovery_soak_lines,
+    render_gateway_report, render_journal, render_report, render_soak_report, replay,
+    replay_with_recovery, soak_lines, sweep_batches, wall_line, write_journal, Campaign,
+    CampaignConfig, RunPlan, SoakConfig, SoakReport,
 };
+use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
+use pod_diagnosis::log::Json;
 use pod_diagnosis::mining::{mine_process, MiningConfig};
-use pod_diagnosis::obs::{chrome_trace, otlp_json};
+use pod_diagnosis::obs::{chrome_trace, incidents, otlp_json, render_dashboard, render_timelines};
 use pod_diagnosis::orchestrator::FaultType;
 use pod_diagnosis::process::replay_fitness;
+use pod_diagnosis::recovery::StormConfig;
+use pod_diagnosis::sim::SimDuration;
 
 /// Subcommand, synopsis, description: `help` prints all of it, a bad
 /// argument prints its subcommand's synopsis.
-const COMMANDS: [(&str, &str, &str); 4] = [
+const COMMANDS: [(&str, &str, &str); 6] = [
     (
         "campaign",
         "[runs-per-fault=20] [seed=2014] [--recovery] [--json] [--baseline PATH]",
@@ -24,6 +31,22 @@ const COMMANDS: [(&str, &str, &str); 4] = [
          \x20   --json writes RUN_campaign.jsonl + TRACE_campaign{,_otlp}.json, or with\n\
          \x20   --recovery RUN_recovery-loop.jsonl; --baseline (with --recovery) exits 1\n\
          \x20   when MTTR p50 exceeds 1.1x the committed record's",
+    ),
+    (
+        "soak",
+        "[ops=64] [--policy block|shed-oldest|shed-newest] [--recovery] [--json] [--baseline PATH]",
+        "replay that many interleaved faulty upgrades through one sharded gateway, then\n\
+         \x20   sweep the batch size and overload a 4-line queue; --recovery has every\n\
+         \x20   tenant's repairs contend for the admission gate and proves the transcript\n\
+         \x20   deterministic; --json writes RUN_gateway-soak.jsonl, or with --recovery\n\
+         \x20   RUN_recovery-soak.jsonl; --baseline (with --recovery) exits 1 when the\n\
+         \x20   storm's MTTR p50 exceeds 1.1x the committed record's",
+    ),
+    (
+        "timeline",
+        "[--json]",
+        "run one clean faulty upgrade per fault type and print every incident's causal\n\
+         \x20   chain with per-hop latency (E7); --json writes RUN_incidents.jsonl",
     ),
     (
         "discover",
@@ -54,6 +77,8 @@ fn main() {
     };
     match args.command.as_str() {
         "campaign" => campaign(args),
+        "soak" => soak(args),
+        "timeline" => timeline(args),
         "discover" => discover(args),
         "monitor" => monitor(args),
         "diff" => diff(args),
@@ -93,13 +118,31 @@ impl Args {
         at.map(|i| self.rest.remove(i)).is_some()
     }
 
-    fn value(&mut self, name: &str) -> Option<String> {
+    fn value<T: std::str::FromStr>(&mut self, name: &str) -> Option<T> {
         let at = self.rest.iter().position(|a| a == name)?;
         if at + 1 == self.rest.len() {
             self.usage();
         }
         self.rest.remove(at);
-        Some(self.rest.remove(at))
+        match self.rest.remove(at).parse() {
+            Ok(value) => Some(value),
+            Err(_) => self.usage(),
+        }
+    }
+
+    /// `[--recovery] [--json] [--baseline PATH]`. The gated field is the
+    /// recovery stage's MTTR, so `--baseline` without `--recovery` is a
+    /// usage error.
+    fn run_flags(&mut self) -> (bool, bool, Option<String>) {
+        let flags = (
+            self.flag("--recovery"),
+            self.flag("--json"),
+            self.value("--baseline"),
+        );
+        if flags.2.is_some() && !flags.0 {
+            self.usage();
+        }
+        flags
     }
 
     fn positional<T: std::str::FromStr>(&mut self) -> Option<T> {
@@ -120,19 +163,44 @@ impl Args {
     }
 }
 
+/// The tail of every subcommand that leaves a run record: with `--json`
+/// write `RUN_<name>.jsonl`; with `--baseline` print the diff against that
+/// committed record and exit 1 when its `gate` field regressed.
+fn conclude(name: &str, lines: &[Json], json: bool, baseline: Option<(String, &str)>) {
+    if json {
+        let path = write_journal(name, lines).expect("write run record");
+        eprintln!("wrote {} journal records to {path}", lines.len());
+    }
+    if let Some((path, gate)) = baseline {
+        let (report, code) = diff_report(&path, &render_journal(lines), Some(gate));
+        print!("regression gate vs {path}:\n{report}");
+        std::process::exit(code);
+    }
+}
+
+/// One run per fault type with nothing else going on — no interference, no
+/// transient reverts — so each shows exactly the injected fault's story.
+fn clean_plans(seed: u64) -> Vec<RunPlan> {
+    let campaign = Campaign::new(CampaignConfig {
+        runs_per_fault: 1,
+        seed,
+        interference_fraction: 0.0,
+        transient_fraction: 0.0,
+        reinject_fraction: 0.0,
+        large_cluster_every: 0,
+        ..CampaignConfig::default()
+    });
+    campaign.plans()
+}
+
 fn campaign(mut args: Args) {
-    let recovery = args.flag("--recovery");
-    let json = args.flag("--json");
-    let baseline = args.value("--baseline");
+    let (recovery, json, baseline) = args.run_flags();
     let config = CampaignConfig {
         runs_per_fault: args.positional().unwrap_or(20),
         seed: args.positional().unwrap_or(2014), // the year of the paper
         recovery,
         ..CampaignConfig::default()
     };
-    if baseline.is_some() && !recovery {
-        args.usage(); // the gated field is the recovery stage's MTTR
-    }
     args.finish();
     eprintln!(
         "running {} upgrades ({} per fault type{}) — all in virtual time...",
@@ -171,10 +239,6 @@ fn campaign(mut args: Args) {
         println!("conformance: 20 of 80 resource-fault runs flagged before assertions");
         ("campaign", campaign_lines("campaign", &report))
     };
-    if json {
-        let path = write_journal(name, &lines).expect("write run record");
-        eprintln!("wrote {} journal records to {path}", lines.len());
-    }
     if let (true, false, Some(dump)) = (json, recovery, &report.last_trace) {
         let chrome = chrome_trace(&dump.trace_id, &dump.spans, &dump.events);
         std::fs::write("TRACE_campaign.json", chrome).expect("write chrome trace");
@@ -186,16 +250,265 @@ fn campaign(mut args: Args) {
             dump.events.len()
         );
     }
-    if let Some(path) = baseline {
-        let fresh = render_journal(&lines);
-        let (report, code) = diff_report(&path, &fresh, Some("recovery.mttr_p50_us"));
-        print!("regression gate vs {path}:\n{report}");
-        std::process::exit(code);
+    conclude(
+        name,
+        &lines,
+        json,
+        baseline.map(|path| (path, "recovery.mttr_p50_us")),
+    );
+}
+
+fn soak(mut args: Args) {
+    let (recovery, json, baseline) = args.run_flags();
+    let base = GatewayConfig {
+        overload: args.value("--policy").unwrap_or(OverloadPolicy::Block),
+        ..GatewayConfig::default()
+    };
+    let config = SoakConfig {
+        ops: args.positional().unwrap_or(64),
+        ..SoakConfig::default()
+    };
+    args.finish();
+    let (name, lines) = if recovery {
+        ("recovery-soak", recovery_soak(&config, &base))
+    } else {
+        ("gateway-soak", gateway_soak(&config, &base))
+    };
+    conclude(
+        name,
+        &lines,
+        json,
+        baseline.map(|path| (path, "recovery-storm.mttr_p50_us")),
+    );
+}
+
+/// Prints one replay's report; a line that crossed operations is fatal.
+fn print_soak(report: &SoakReport) {
+    println!("{}", render_soak_report(report));
+    assert!(
+        report.leaks.is_empty(),
+        "cross-operation leakage detected: {:?}",
+        report.leaks
+    );
+}
+
+/// Prints the flight recorder's live view under `title`: one sparkline per
+/// metric in `rows` across the frame window, with `!` marks where incidents
+/// landed.
+fn print_dashboard(title: &str, report: &SoakReport, rows: &[&str]) {
+    if let Some(flight) = &report.flight {
+        println!("-- {title} --\n{}", render_dashboard(flight, rows));
     }
 }
 
+/// Phase A runs every upgrade on its own cloud and serializes its log to
+/// raw wire lines; phase B replays the merged feed through one gateway with
+/// an engine per operation, then sweeps the batch size and overloads a
+/// deliberately tiny queue. Returns the run record.
+fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
+    eprintln!(
+        "phase A: running {} faulty upgrades, each on its own cloud...",
+        config.ops
+    );
+    let started = std::time::Instant::now();
+    let streams = collect_streams(config);
+    eprintln!(
+        "collected {} raw lines from {} upgrades in {:.1?} wall-clock",
+        streams.lines_total,
+        streams.ops.len(),
+        started.elapsed()
+    );
+    eprintln!(
+        "phase B: replaying the interleaved feed through {} shards ({} policy)...",
+        base.shards, base.overload
+    );
+    let replay_started = std::time::Instant::now();
+    let report = replay(&streams, base);
+    let wall_secs = replay_started.elapsed().as_secs_f64();
+    print_soak(&report);
+    let rows = [
+        "gateway.lines.processed",
+        "gateway.batches",
+        "gateway.deferred",
+        "gateway.queue_wait_us",
+    ];
+    print_dashboard("flight dashboard", &report, &rows);
+
+    eprintln!("batch-size sweep...");
+    let sweep = sweep_batches(&streams, base, &[1, 4, 16, 64]);
+    println!("-- batch-size sweep (same feed, same policy) --");
+    for (batch, stats) in &sweep {
+        println!(
+            "batch {batch:>3}: {:>9.0} lines/s virtual, {:>6} batches, {:>6} deferred, {:>5} blocked",
+            stats.lines_per_sec_virtual(),
+            stats.batches,
+            stats.deferred,
+            stats.blocked
+        );
+    }
+    println!();
+
+    // A queue far too small for the burst pattern, shedding oldest-first:
+    // every lost line is accounted for.
+    let stress_config = GatewayConfig {
+        queue_capacity: 4,
+        batch_size: 4,
+        flush_interval: SimDuration::from_secs(5),
+        overload: OverloadPolicy::ShedOldest,
+        ..GatewayConfig::default()
+    };
+    let stress = replay(&streams, &stress_config);
+    println!("-- overload stress (capacity 4, shed-oldest) --");
+    print!("{}", render_gateway_report(&stress.stats));
+    assert_eq!(
+        stress.stats.lines_processed + stress.stats.total_shed(),
+        streams.lines_total,
+        "every line is delivered or counted as shed"
+    );
+
+    let mut lines = soak_lines("gateway-soak", &report, &sweep);
+    lines.push(gateway_line("gateway-stress", &stress.stats));
+    let processed = report.stats.lines_processed;
+    lines.push(wall_line("gateway-soak", wall_secs, processed));
+    lines
+}
+
+/// The recovery storm: the interleaved replay with every tenant's repairs
+/// contending for the shared admission gate, against a lane-per-tenant
+/// quiet run, then replayed from the same seed to prove byte-identical
+/// transcripts under contention. Returns the run record.
+fn recovery_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
+    let storm = StormConfig::default();
+    eprintln!(
+        "recovery storm: {} tenants through {} repair lanes (throttle beyond {} in flight)...",
+        config.ops, storm.lanes, storm.throttle_at
+    );
+    // Repairs mutate the per-tenant clouds, so each same-seed run starts
+    // from freshly collected (deterministic) streams.
+    let run =
+        |storm: &StormConfig| replay_with_recovery(&collect_streams(config), base, storm.clone());
+    let started = std::time::Instant::now();
+    let report = run(&storm);
+    eprintln!(
+        "soak + recovery finished in {:.1?} wall-clock",
+        started.elapsed()
+    );
+    print_soak(&report);
+    let rec = report.recovery.as_ref().expect("recovery stage ran");
+    println!("-- storm invariant --");
+    println!(
+        "recovered {} + escalated {} == attempted {} (direct {} + {} plus {} deferred-then-swept; \
+         zero dropped: {})",
+        rec.recovered,
+        rec.escalated,
+        rec.attempted,
+        rec.recovered_direct,
+        rec.escalated_direct,
+        rec.deferred_swept,
+        rec.none_dropped()
+    );
+    assert!(rec.none_dropped(), "an incident was dropped: {rec:#?}");
+    assert!(rec.attempted > 0, "faulty tenants must raise incidents");
+    let rows = [
+        "gateway.lines.processed",
+        "gateway.queue_wait_us",
+        "recovery.storm.concurrent",
+    ];
+    print_dashboard("flight dashboard (storm)", &report, &rows);
+
+    // Quiet baseline: a lane per tenant and no throttling — the same
+    // repairs with zero contention. Same plans, same verdicts; only the
+    // virtual clock moves.
+    let quiet_report = run(&StormConfig {
+        lanes: config.ops.max(1),
+        max_lane_wait: SimDuration::from_secs(3600),
+        throttle_at: config.ops,
+        ..storm.clone()
+    });
+    let quiet = quiet_report.recovery.as_ref().expect("recovery stage ran");
+    assert_eq!(
+        (quiet.recovered, quiet.escalated),
+        (rec.recovered, rec.escalated),
+        "contention must never change outcomes, only timing"
+    );
+    println!("-- quiet vs storm (same seed, same repairs) --");
+    println!(
+        "{:<8} {:>9} {:>9} {:>12} {:>12} {:>12}",
+        "mode", "throttled", "deferred", "mttr_p50_us", "mttr_p95_us", "mttr_max_us"
+    );
+    for (name, r) in [("quiet", quiet), ("storm", rec)] {
+        println!(
+            "{:<8} {:>9} {:>9} {:>12} {:>12} {:>12}",
+            name,
+            r.throttled,
+            r.deferred_swept,
+            r.mttr.percentile(0.5).as_micros(),
+            r.mttr.percentile(0.95).as_micros(),
+            r.mttr.max().as_micros()
+        );
+    }
+    println!();
+
+    eprintln!("replaying the same seed again to prove transcript determinism...");
+    let again = run(&storm);
+    assert_eq!(
+        report.digest(),
+        again.digest(),
+        "same seed + same interleaving must give a byte-identical report digest"
+    );
+    let transcript = rec.transcript();
+    assert_eq!(
+        Some(&transcript),
+        again.recovery.map(|r| r.transcript()).as_ref(),
+        "recovery transcripts must be byte-identical under contention"
+    );
+    println!(
+        "determinism: two same-seed storms produced byte-identical transcripts ({} bytes)",
+        transcript.len()
+    );
+
+    let mut lines = recovery_soak_lines("recovery-soak", rec);
+    let flight = report.flight.iter();
+    lines.extend(flight.map(|f| flight_json("recovery-soak", f)));
+    lines
+}
+
+/// Experiment E7: per detected error, the ordered causal chain from the
+/// triggering log line through detection, dispatch and fault-tree tests to
+/// the reported root cause, with per-hop virtual-clock latency.
+fn timeline(mut args: Args) {
+    let json = args.flag("--json");
+    args.finish();
+    let mut journal: Vec<Json> = Vec::new();
+    let (mut total, mut anchored, mut complete) = (0, 0, 0);
+    // Seed 1119: the date in the paper's sample log.
+    for plan in clean_plans(1119) {
+        let (record, dump) = execute_run_traced(&plan);
+        println!("== fault: {} (trace {}) ==", plan.fault, dump.trace_id);
+        print!("{}", render_timelines(&dump.events));
+        println!();
+        let chains = incidents(&dump.events);
+        total += chains.len();
+        anchored += chains.iter().filter(|c| c.anchored).count();
+        complete += chains.iter().filter(|c| c.complete()).count();
+        journal.extend(incident_lines(&dump.trace_id, &chains));
+        if record.events_dropped > 0 {
+            println!(
+                "WARNING: {} causal event(s) dropped in this run; chains may be cut",
+                record.events_dropped
+            );
+        }
+    }
+    println!(
+        "== summary: {total} incident chains, {anchored} anchored at a log line, {complete} \
+         carried through to a diagnosis verdict (the rest had their diagnosis suppressed by \
+         the per-key cooldown) =="
+    );
+    conclude("incidents", &journal, json, None);
+}
+
 fn diff(mut args: Args) {
-    let gate = args.value("--gate");
+    let gate = args.value::<String>("--gate");
     let (Some(old), Some(new)) = (args.positional::<String>(), args.positional::<String>()) else {
         args.usage()
     };
@@ -246,22 +559,11 @@ fn monitor(mut args: Args) {
     let fault_no: usize = args.positional().unwrap_or(1).clamp(1, 8);
     args.finish();
     let fault = FaultType::all()[fault_no - 1];
-    let campaign = Campaign::new(CampaignConfig {
-        runs_per_fault: 1,
-        seed,
-        interference_fraction: 0.0,
-        transient_fraction: 0.0,
-        reinject_fraction: 0.0,
-        large_cluster_every: 0,
-        ..CampaignConfig::default()
-    });
-    let plan = campaign
-        .plans()
-        .into_iter()
-        .find(|p| p.fault == fault)
-        .expect("every fault type has a plan");
+    let plans = clean_plans(seed);
+    let plan = plans.iter().find(|p| p.fault == fault);
+    let plan = plan.expect("every fault type has a plan");
     eprintln!("monitoring one upgrade with injected fault: {fault}");
-    let record = execute_run(&plan);
+    let record = execute_run(plan);
     println!(
         "fault injected at {}; detected: {}; diagnosed correctly: {}",
         record.truth.injected_at,

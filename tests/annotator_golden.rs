@@ -5,7 +5,21 @@
 
 use pod_log::{RuleBook, RuleMatch};
 use pod_orchestrator::process_def::rolling_upgrade_rules;
+use pod_orchestrator::NoiseGenerator;
 use pod_regex::RegexSet;
+use pod_sim::{SimRng, SimTime};
+
+/// The operation log of a clean E1 rolling upgrade with four deterministic
+/// application-noise lines after every operation line.
+fn upgrade_log_lines(seed: u64) -> Vec<String> {
+    let mut noise = NoiseGenerator::new(SimRng::seed_from(seed ^ 0x9e37_79b9), 1.0);
+    let mut lines = Vec::new();
+    for event in pod_eval::healthy_log(seed, 4) {
+        lines.push(event.message);
+        lines.extend((0..4).map(|_| noise.emit(SimTime::ZERO).message));
+    }
+    lines
+}
 
 /// The unindexed reference: every pattern of every rule, in order.
 fn match_each_pattern(rules: &RuleBook, line: &str) -> Option<RuleMatch> {
@@ -27,8 +41,11 @@ fn match_each_pattern(rules: &RuleBook, line: &str) -> Option<RuleMatch> {
 #[test]
 fn fast_path_annotation_matches_naive_over_e1_log() {
     let rules = rolling_upgrade_rules();
-    let lines = pod_bench::upgrade_log_lines(7, 4, 4);
+    let lines = upgrade_log_lines(7);
     assert!(lines.len() > 50, "fixture log is suspiciously short");
+    assert_eq!(lines, upgrade_log_lines(7), "same seed, same fixture");
+    assert!(lines.iter().any(|l| l.contains("Started rolling upgrade")));
+    assert!(lines.iter().any(|l| l.contains("is ready for use")));
     let mut operation_hits = 0usize;
     let mut noise_misses = 0usize;
     for line in &lines {
@@ -54,7 +71,7 @@ fn relevance_set_agrees_with_per_pattern_scan_over_e1_log() {
         .iter()
         .map(|p| pod_regex::Regex::new(p).unwrap())
         .collect();
-    for line in pod_bench::upgrade_log_lines(11, 4, 4) {
+    for line in upgrade_log_lines(11) {
         let via_set = set.matches(&line);
         let via_loop: Vec<usize> = regexes
             .iter()

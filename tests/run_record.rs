@@ -4,9 +4,9 @@
 use std::process::Command;
 
 use pod_diagnosis::eval::{
-    campaign_lines, collect_streams, diff_journals, event_lines, recovery_lines,
-    recovery_soak_lines, render_journal, replay_with_recovery, soak_lines, span_lines,
-    sweep_batches, wall_line, Campaign, CampaignConfig, SoakConfig,
+    campaign_lines, collect_streams, diff_journals, recovery_lines, recovery_soak_lines,
+    render_journal, replay_with_recovery, soak_lines, sweep_batches, wall_line, Campaign,
+    CampaignConfig, SoakConfig,
 };
 use pod_diagnosis::gateway::GatewayConfig;
 use pod_diagnosis::log::Json;
@@ -23,8 +23,6 @@ counter: name value
 gauge: name value
 histogram: name count sum min? max? mean? p50? p95? p99?
 exemplar: name value at_us event? labels?
-span: id parent? name start_us end_us attrs?
-event: id cause? span? kind name at_us attrs?
 incident: detection detection_event hops anchored diagnosed complete elapsed_us root_causes?
 latency-budget: fault runs stages
 recovery: attempted recovered escalated conformance_fit success_rate? escalation_rate?
@@ -72,9 +70,6 @@ fn campaign_journal() -> String {
     .run();
     let mut lines = campaign_lines("campaign", &report);
     lines.extend(recovery_lines("campaign", &report.recovery));
-    let trace = report.last_trace.expect("the last run is traced");
-    lines.extend(span_lines(&trace.trace_id, &trace.spans));
-    lines.extend(event_lines(&trace.trace_id, &trace.events));
     render_journal(&lines)
 }
 
@@ -101,30 +96,33 @@ fn soak_journal() -> String {
     render_journal(&lines)
 }
 
+/// Checks one journal line against [`SCHEMA`]; returns its record kind.
+fn check_schema(line: &str) -> String {
+    let Json::Object(fields) = Json::parse(line).expect(line) else {
+        panic!("not an object: {line}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys[..2], ["record", "run"], "{line}");
+    let kind = fields[0].1.as_str().expect(line);
+    let schema = schema();
+    let golden = schema.iter().find(|(k, _)| *k == kind);
+    let (_, golden) = golden.unwrap_or_else(|| panic!("unlisted record kind: {line}"));
+    let mut emitted = keys[2..].iter().peekable();
+    for field in golden {
+        let name = field.trim_end_matches('?');
+        if emitted.next_if(|k| **k == name).is_none() {
+            assert!(field.ends_with('?'), "{kind}: `{name}` missing in {keys:?}");
+        }
+    }
+    assert_eq!(emitted.next(), None, "{kind}: unlisted or misplaced field");
+    kind.to_string()
+}
+
 #[test]
 fn every_record_kind_keeps_its_schema() {
     let schema = schema();
     let journal = campaign_journal() + &soak_journal();
-    let mut seen = std::collections::BTreeSet::new();
-    for line in journal.lines() {
-        let Json::Object(fields) = Json::parse(line).expect(line) else {
-            panic!("not an object: {line}");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys[..2], ["record", "run"], "{line}");
-        let kind = fields[0].1.as_str().expect(line);
-        let golden = schema.iter().find(|(k, _)| *k == kind);
-        let (_, golden) = golden.unwrap_or_else(|| panic!("unlisted record kind: {line}"));
-        let mut emitted = keys[2..].iter().peekable();
-        for field in golden {
-            let name = field.trim_end_matches('?');
-            if emitted.next_if(|k| **k == name).is_none() {
-                assert!(field.ends_with('?'), "{kind}: `{name}` missing in {keys:?}");
-            }
-        }
-        assert_eq!(emitted.next(), None, "{kind}: unlisted or misplaced field");
-        seen.insert(kind.to_string());
-    }
+    let seen: std::collections::BTreeSet<String> = journal.lines().map(check_schema).collect();
     let missing: Vec<_> = schema.iter().filter(|(k, _)| !seen.contains(*k)).collect();
     assert!(missing.is_empty(), "kinds never emitted: {missing:?}");
 }
@@ -230,14 +228,13 @@ fn a_truncated_journal_is_an_error_with_its_line_number() {
     assert!(report.contains("old journal, line 2"), "{report}");
 }
 
-/// Runs `pod-diagnosis campaign ARGS…` in a scratch directory of its own;
-/// returns the exit code and the files the run left there, by name.
-fn campaign_cli(case: &str, args: &[&str]) -> (i32, Vec<(String, String)>) {
+/// Runs `pod-diagnosis ARGS…` in a scratch directory of its own; returns the
+/// exit code, stdout and the files the run left there, by name.
+fn cli(case: &str, args: &[&str]) -> (i32, String, Vec<(String, String)>) {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("campaign_cli_{}_{case}", std::process::id()));
+        .join(format!("cli_{}_{case}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch directory");
     let out = Command::new(env!("CARGO_BIN_EXE_pod-diagnosis"))
-        .arg("campaign")
         .args(args)
         .current_dir(&dir)
         .output()
@@ -252,14 +249,22 @@ fn campaign_cli(case: &str, args: &[&str]) -> (i32, Vec<(String, String)>) {
         .collect();
     files.sort();
     let _ = std::fs::remove_dir_all(&dir);
-    (out.status.code().expect("exit code"), files)
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    (out.status.code().expect("exit code"), stdout, files)
 }
 
 #[test]
 fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_recovery.baseline.json");
-    let args = ["3", "--recovery", "--json", "--baseline", baseline];
-    let (code, files) = campaign_cli("recovery", &args);
+    let args = [
+        "campaign",
+        "3",
+        "--recovery",
+        "--json",
+        "--baseline",
+        baseline,
+    ];
+    let (code, _, files) = cli("recovery", &args);
     assert_eq!(code, 0, "the gate passes against its own baseline");
     let expected = ("RUN_recovery-loop.jsonl".to_string(), BASELINE.to_string());
     assert!(
@@ -270,7 +275,7 @@ fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
 
 #[test]
 fn the_campaign_cli_leaves_one_run_record_and_two_viewer_traces() {
-    let (code, files) = campaign_cli("json", &["1", "--json"]);
+    let (code, _, files) = cli("json", &["campaign", "1", "--json"]);
     assert_eq!(code, 0);
     let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
     let expected = [
@@ -288,15 +293,45 @@ fn the_campaign_cli_leaves_one_run_record_and_two_viewer_traces() {
 }
 
 #[test]
+fn the_soak_and_timeline_subcommands_leave_exactly_their_run_record() {
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/BENCH_recovery_soak.baseline.json"
+    );
+    let gated = ["soak", "64", "--recovery", "--json", "--baseline", baseline];
+    let storm = "RUN_recovery-soak.jsonl";
+    for (args, record, report) in [
+        (&["soak", "8", "--json"][..], "RUN_gateway-soak.jsonl", ""),
+        (&["soak", "8", "--recovery", "--json"], storm, ""),
+        // The gate passes against its own committed record.
+        (&gated, storm, "\n0 fields moved, 0 records only in old"),
+        (&["timeline", "--json"], "RUN_incidents.jsonl", ""),
+    ] {
+        let (code, stdout, files) = cli("records", args);
+        assert_eq!(code, 0, "{args:?}");
+        assert!(stdout.contains(report), "{args:?}: {stdout}");
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, [record], "{args:?}");
+        assert!(files[0].1.lines().map(check_schema).count() > 0, "{args:?}");
+    }
+}
+
+#[test]
 fn the_cli_rejects_arguments_it_cannot_use() {
     for args in [
-        &["abc"][..],
-        &["--jsno"],
-        &["1", "--json", "--baseline"],
-        &["1", "2", "3"],
+        &["campaign", "abc"][..],
+        &["campaign", "--jsno"],
+        &["campaign", "1", "--json", "--baseline"],
+        &["campaign", "1", "2", "3"],
+        &["soak", "abc"],
+        &["soak", "--policy", "bogus"],
+        &["soak", "8", "--baseline", "X"],
+        &["soak", "8", "9"],
+        &["timeline", "extra"],
+        &["timeline", "--jsno"],
     ] {
-        let (code, files) = campaign_cli("usage", args);
-        assert_eq!(code, 2, "campaign {args:?} is a usage error");
-        assert!(files.is_empty(), "campaign {args:?} ran anyway");
+        let (code, _, files) = cli("usage", args);
+        assert_eq!(code, 2, "{args:?} is a usage error");
+        assert!(files.is_empty(), "{args:?} ran anyway");
     }
 }
