@@ -556,14 +556,6 @@ impl AssertionLibrary {
         });
     }
 
-    /// Convenience: binds fixed assertions.
-    pub fn bind_fixed(&mut self, activity: impl Into<String>, assertions: Vec<CloudAssertion>) {
-        self.bind(
-            activity,
-            assertions.into_iter().map(BoundAssertion::Fixed).collect(),
-        );
-    }
-
     /// Assertions bound to an activity (empty slice when none).
     pub fn for_activity(&self, activity: &str) -> &[BoundAssertion] {
         self.bindings
@@ -596,28 +588,8 @@ mod tests {
             },
         );
         let ami = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
-        let lc = cloud.admin_create_launch_config(
-            "lc-v2",
-            ami.clone(),
-            "m1.small",
-            kp.clone(),
-            sg.clone(),
-        );
-        let asg = cloud.admin_create_asg("app-asg", lc.clone(), 1, 10, 4, Some(elb.clone()));
-        let env = ExpectedEnv {
-            asg,
-            elb,
-            launch_config: lc,
-            expected_ami: ami,
-            expected_version: "2.0".into(),
-            expected_key_pair: kp,
-            expected_security_group: sg,
-            expected_instance_type: "m1.small".into(),
-            expected_count: 4,
-        };
+        let cluster = cloud.admin_create_cluster(ami, "prod", "lc-v2", "app-asg", 10, 4);
+        let env = ExpectedEnv::for_cluster(cluster, "2.0", 4);
         let policy = RetryPolicy {
             max_retries: 3,
             timeout: pod_sim::SimDuration::from_secs(10),
@@ -747,9 +719,11 @@ mod tests {
     #[test]
     fn library_lookup() {
         let mut lib = AssertionLibrary::new();
-        lib.bind_fixed(
+        lib.bind(
             "new-instance-ready",
-            vec![CloudAssertion::AsgHasInstancesWithVersion { count: 4 }],
+            vec![BoundAssertion::Fixed(
+                CloudAssertion::AsgHasInstancesWithVersion { count: 4 },
+            )],
         );
         assert_eq!(lib.for_activity("new-instance-ready").len(), 1);
         assert!(lib.for_activity("unknown").is_empty());

@@ -102,8 +102,6 @@ impl From<ApiError> for ConsistentError {
 pub struct ConsistentApi {
     cloud: Cloud,
     policy: RetryPolicy,
-    /// When `false`, calls pass straight through (the ablation baseline).
-    retries_enabled: bool,
     metrics: ConsistentMetrics,
 }
 
@@ -131,15 +129,8 @@ impl ConsistentApi {
         ConsistentApi {
             cloud,
             policy,
-            retries_enabled: true,
             metrics,
         }
-    }
-
-    /// Disables retries (used by the `ablation_consistent_api` bench).
-    pub fn without_retries(mut self) -> ConsistentApi {
-        self.retries_enabled = false;
-        self
     }
 
     /// The underlying cloud handle.
@@ -203,13 +194,13 @@ impl ConsistentApi {
                     }
                     return Ok(value);
                 }
-                Ok(_) if !self.retries_enabled || attempts > self.policy.max_retries => {
+                Ok(_) if attempts > self.policy.max_retries => {
                     self.metrics.expectation_failures.incr();
                     self.emit_retry("expectation-not-met", attempts, elapsed);
                     return Err(ConsistentError::ExpectationNotMet { attempts });
                 }
                 Ok(_) => {}
-                Err(e) if !self.retries_enabled || !e.is_retryable() => {
+                Err(e) if !e.is_retryable() => {
                     self.emit_retry("api-error", attempts, elapsed);
                     return Err(ConsistentError::Api(e));
                 }
@@ -375,14 +366,5 @@ mod tests {
         );
         let err = api.execute(|c| c.describe_ami(&ami)).unwrap_err();
         assert!(matches!(err, ConsistentError::Timeout { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn disabled_retries_surface_raw_errors() {
-        let cloud = cloud_with(0.0, 1.0);
-        let ami = cloud.admin_create_ami("a", "1");
-        let api = ConsistentApi::new(cloud, RetryPolicy::default()).without_retries();
-        let err = api.execute(|c| c.describe_ami(&ami)).unwrap_err();
-        assert!(matches!(err, ConsistentError::Api(ApiError::Internal(_))));
     }
 }

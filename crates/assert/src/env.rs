@@ -1,7 +1,7 @@
 //! The expected environment: what the configuration repository says the
 //! system *should* look like after (each stage of) the operation.
 
-use pod_cloud::{AmiId, AsgName, ElbName, KeyPairName, LaunchConfigName, SecurityGroupId};
+use pod_cloud::{AmiId, AsgName, Cluster, ElbName, KeyPairName, LaunchConfigName, SecurityGroupId};
 
 /// Expected state of the upgraded cluster, shared by assertions and
 /// diagnostic tests.
@@ -35,6 +35,22 @@ pub struct ExpectedEnv {
 }
 
 impl ExpectedEnv {
+    /// The expectation that `cluster` stays exactly as created: `count`
+    /// instances running application `version`.
+    pub fn for_cluster(cluster: Cluster, version: &str, count: u32) -> ExpectedEnv {
+        ExpectedEnv {
+            asg: cluster.asg,
+            elb: cluster.elb,
+            launch_config: cluster.launch_config,
+            expected_ami: cluster.ami,
+            expected_version: version.to_string(),
+            expected_key_pair: cluster.key_pair,
+            expected_security_group: cluster.security_group,
+            expected_instance_type: cluster.instance_type,
+            expected_count: count,
+        }
+    }
+
     /// Renders the instantiation variables used when a fault tree is
     /// selected, e.g. `N` and the ASG name.
     pub fn variables(&self) -> Vec<(String, String)> {

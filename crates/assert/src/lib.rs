@@ -16,16 +16,13 @@
 //!   sources;
 //! - [`AssertionEvaluator`] — the service that runs assertions, measures
 //!   their (virtual-time) duration and writes paper-style assertion log
-//!   lines to central storage;
-//! - [`dsl`] — the assertion specification language the paper names as
-//!   future work, compiling analyst-written text into assertion bindings.
+//!   lines to central storage.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod assertion;
 mod consistent;
-pub mod dsl;
 mod env;
 mod evaluator;
 mod timer;

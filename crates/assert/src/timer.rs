@@ -3,8 +3,7 @@
 //! Assertion evaluation is triggered by logs, but "sometimes there is no log
 //! line indicating the completion of a certain step. In such cases, we set a
 //! timer to trigger the corresponding assertion evaluation after a period of
-//! time." Periodic timers run for the whole operation and can be re-aligned
-//! by periodic log events.
+//! time." Periodic timers run for the whole operation.
 
 use std::collections::HashSet;
 
@@ -108,20 +107,6 @@ impl<T: Clone> TimerService<T> {
         self.cancelled.insert(id);
     }
 
-    /// Re-aligns a periodic timer to a fresh phase: cancels `id` and
-    /// schedules a new periodic timer at `next` — used when a periodic log
-    /// event arrives and the timer should track it.
-    pub fn realign(
-        &mut self,
-        id: TimerId,
-        next: SimTime,
-        every: SimDuration,
-        payload: T,
-    ) -> TimerId {
-        self.cancel(id);
-        self.schedule_periodic(next, every, payload)
-    }
-
     /// Returns all timers due at or before `now`, rescheduling periodic
     /// ones. Fired entries report their id, due time and payload.
     pub fn due(&mut self, now: SimTime) -> Vec<(TimerId, SimTime, T)> {
@@ -189,18 +174,6 @@ mod tests {
         assert_eq!(t.due(SimTime::from_secs(2)).len(), 2);
         t.cancel(id);
         assert!(t.due(SimTime::from_secs(10)).is_empty());
-    }
-
-    #[test]
-    fn realign_shifts_phase() {
-        let mut t = TimerService::new();
-        let id = t.schedule_periodic(SimTime::from_secs(10), SimDuration::from_secs(10), "h");
-        // A periodic log event arrives at t=3; re-align to fire at 3+10.
-        let id2 = t.realign(id, SimTime::from_secs(13), SimDuration::from_secs(10), "h");
-        let fired = t.due(SimTime::from_secs(13));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].0, id2);
-        assert_eq!(fired[0].1, SimTime::from_secs(13));
     }
 
     #[test]

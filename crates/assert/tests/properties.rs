@@ -1,6 +1,5 @@
-//! Property-based tests for timers, the DSL parser and the consistent API.
+//! Property-based tests for timers and the consistent API.
 
-use pod_assert::dsl::{parse_assertion, parse_library};
 use pod_assert::{ConsistentApi, RetryPolicy, TimerService};
 use pod_cloud::{Cloud, CloudConfig};
 use pod_sim::{Clock, SimDuration, SimRng, SimTime};
@@ -53,25 +52,6 @@ proptest! {
         let fired = timers.due(SimTime::from_millis(horizon));
         let expected = (horizon - first) / period + 1;
         prop_assert_eq!(fired.len() as u64, expected);
-    }
-
-    /// The DSL parser never panics on arbitrary input.
-    #[test]
-    fn dsl_never_panics(text in "[ -~\\n]{0,200}") {
-        let _ = parse_assertion(&text);
-        let _ = parse_library(&text);
-    }
-
-    /// Numeric forms round-trip through the parser for any count.
-    #[test]
-    fn dsl_parses_any_count(n in 0u32..100_000) {
-        let spec = format!("assert asg has exactly {n} instances");
-        match parse_assertion(&spec) {
-            Ok(pod_assert::BoundAssertion::Fixed(
-                pod_assert::CloudAssertion::AsgInstanceCount { count },
-            )) => prop_assert_eq!(count, n),
-            other => prop_assert!(false, "unexpected {:?}", other),
-        }
     }
 
     /// The consistent layer never exceeds its timeout budget by more than

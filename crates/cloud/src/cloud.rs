@@ -169,6 +169,26 @@ struct Inner {
     processed_until: SimTime,
 }
 
+/// The resources of one steady-state cluster, as
+/// [`Cloud::admin_create_cluster`] created them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cluster {
+    /// The AMI the launch configuration boots.
+    pub ami: AmiId,
+    /// The instances' security group.
+    pub security_group: SecurityGroupId,
+    /// The instances' key pair.
+    pub key_pair: KeyPairName,
+    /// The load balancer fronting the group.
+    pub elb: ElbName,
+    /// The group's launch configuration.
+    pub launch_config: LaunchConfigName,
+    /// The launch configuration's instance type.
+    pub instance_type: String,
+    /// The auto-scaling group, at its desired capacity.
+    pub asg: AsgName,
+}
+
 /// A handle to the simulated cloud. Cloning is cheap; all clones share the
 /// same account state and virtual clock.
 ///
@@ -397,26 +417,6 @@ impl Cloud {
         } else {
             Err(elb_down(name))
         }
-    }
-
-    /// Health of every instance registered with a load balancer, the way an
-    /// Edda-like monitor reports it: an instance is healthy when it is
-    /// registered and in service. Fails while the ELB is unavailable.
-    pub fn describe_elb_health(&self, name: &ElbName) -> Result<Vec<(InstanceId, bool)>, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            let elb = inner.state.elbs.get(name);
-            let elb = elb.ok_or_else(|| not_found("elb", name))?.at(t);
-            if !elb.available {
-                return Err(elb_down(name));
-            }
-            let in_service = |id: &InstanceId| {
-                let instance = inner.state.instances.get(id);
-                instance.is_some_and(|v| v.at(t).state == InstanceState::InService)
-            };
-            let health = elb.registered.iter().map(|id| (id.clone(), in_service(id)));
-            Ok(health.collect())
-        })
     }
 
     /// Scaling activities for `asg` at or after `since` (authoritative, the
@@ -710,6 +710,49 @@ impl Cloud {
             );
             asg_name
         })
+    }
+
+    /// Creates the steady-state cluster a rolling upgrade starts from:
+    /// security group `web`, the key pair, load balancer `front`, an
+    /// `m1.small` launch configuration on `ami` and an ASG of `desired`
+    /// in-service instances (`1..=max_size`) registered with the ELB.
+    pub fn admin_create_cluster(
+        &self,
+        ami: AmiId,
+        key_pair: &str,
+        launch_config: &str,
+        asg: &str,
+        max_size: u32,
+        desired: u32,
+    ) -> Cluster {
+        let instance_type = "m1.small";
+        let security_group = self.admin_create_security_group("web", &[80, 443]);
+        let key_pair = self.admin_create_key_pair(key_pair);
+        let elb = self.admin_create_elb("front");
+        let launch_config = self.admin_create_launch_config(
+            launch_config,
+            ami.clone(),
+            instance_type,
+            key_pair.clone(),
+            security_group.clone(),
+        );
+        let asg = self.admin_create_asg(
+            asg,
+            launch_config.clone(),
+            1,
+            max_size,
+            desired,
+            Some(elb.clone()),
+        );
+        Cluster {
+            ami,
+            security_group,
+            key_pair,
+            elb,
+            launch_config,
+            instance_type: instance_type.to_string(),
+            asg,
+        }
     }
 
     /// Marks an AMI available/unavailable (fault type 5).

@@ -35,7 +35,7 @@ mod resources;
 mod state;
 mod versioned;
 
-pub use cloud::{AsgUpdate, Cloud, CloudConfig, LaunchConfigUpdate};
+pub use cloud::{AsgUpdate, Cloud, CloudConfig, Cluster, LaunchConfigUpdate};
 pub use error::ApiError;
 pub use ids::{
     AmiId, AsgName, ElbName, InstanceId, KeyPairName, LaunchConfigName, SecurityGroupId,

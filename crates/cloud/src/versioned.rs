@@ -73,12 +73,6 @@ impl<T> Versioned<T> {
         &self.versions.last().expect("history is never empty").1
     }
 
-    /// Mutable access to the newest value. Use only for corrections that
-    /// should not create a new visible version.
-    pub fn latest_mut(&mut self) -> &mut T {
-        &mut self.versions.last_mut().expect("history is never empty").1
-    }
-
     /// The value visible at effective time `t`: the newest version whose
     /// effective-from is `<= t`, or the oldest retained version if `t`
     /// precedes the whole history.
@@ -87,11 +81,6 @@ impl<T> Versioned<T> {
             Some((_, v)) => v,
             None => &self.versions.first().expect("history is never empty").1,
         }
-    }
-
-    /// Time of the most recent modification.
-    pub fn modified_at(&self) -> SimTime {
-        self.versions.last().expect("history is never empty").0
     }
 }
 
@@ -108,7 +97,6 @@ mod tests {
         assert_eq!(*v.at(SimTime::from_secs(15)), 2);
         assert_eq!(*v.at(SimTime::from_secs(25)), 3);
         assert_eq!(*v.latest(), 3);
-        assert_eq!(v.modified_at(), SimTime::from_secs(20));
     }
 
     #[test]
@@ -128,13 +116,5 @@ mod tests {
         assert_eq!(*v.latest(), 99);
         // A read far in the past resolves to the oldest retained version.
         assert_eq!(*v.at(SimTime::ZERO), 92);
-    }
-
-    #[test]
-    fn latest_mut_edits_in_place() {
-        let mut v = Versioned::new(SimTime::ZERO, vec![1]);
-        v.latest_mut().push(2);
-        assert_eq!(*v.latest(), vec![1, 2]);
-        assert_eq!(v.modified_at(), SimTime::ZERO);
     }
 }

@@ -17,25 +17,15 @@ struct Env {
 fn env_with(config: CloudConfig, desired: u32) -> Env {
     let cloud = Cloud::new(Clock::new(), SimRng::seed_from(7), config);
     let ami_v1 = cloud.admin_create_ami("app", "1.0.0");
-    let sg = cloud.admin_create_security_group("web", &[80, 443]);
-    let kp = cloud.admin_create_key_pair("prod-key");
-    let elb = cloud.admin_create_elb("front");
-    let lc = cloud.admin_create_launch_config(
-        "lc-v1",
-        ami_v1.clone(),
-        "m1.small",
-        kp.clone(),
-        sg.clone(),
-    );
-    let asg = cloud.admin_create_asg("app-asg", lc.clone(), 1, 30, desired, Some(elb.clone()));
+    let cluster = cloud.admin_create_cluster(ami_v1, "prod-key", "lc-v1", "app-asg", 30, desired);
     Env {
         cloud,
-        asg,
-        lc,
-        elb,
-        ami_v1,
-        kp,
-        sg,
+        asg: cluster.asg,
+        lc: cluster.launch_config,
+        elb: cluster.elb,
+        ami_v1: cluster.ami,
+        kp: cluster.key_pair,
+        sg: cluster.security_group,
     }
 }
 
@@ -397,26 +387,6 @@ fn create_launch_config_validates_ami() {
         )
         .unwrap_err();
     assert!(matches!(err, ApiError::Validation(_)));
-}
-
-#[test]
-fn elb_health_reports_registered_instances() {
-    let e = env();
-    let health = e.cloud.describe_elb_health(&e.elb).unwrap();
-    assert_eq!(health.len(), 4);
-    assert!(health.iter().all(|(_, healthy)| *healthy));
-    // A terminating instance that is still registered shows unhealthy.
-    let victim = health[0].0.clone();
-    e.cloud.admin_terminate_instance(&victim);
-    let health = e.cloud.describe_elb_health(&e.elb).unwrap();
-    let entry = health.iter().find(|(id, _)| *id == victim).unwrap();
-    assert!(!entry.1, "terminating instance is unhealthy");
-    // Once the ELB is down, the monitor errors like any other caller.
-    e.cloud.admin_set_elb_available(&e.elb, false);
-    assert!(matches!(
-        e.cloud.describe_elb_health(&e.elb),
-        Err(ApiError::ServiceUnavailable { .. })
-    ));
 }
 
 #[test]

@@ -15,12 +15,8 @@ fn cluster(seed: u64, desired: u32, limit: usize) -> (Cloud, pod_cloud::AsgName)
         },
     );
     let ami = cloud.admin_create_ami("app", "1.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("kp");
-    let elb = cloud.admin_create_elb("front");
-    let lc = cloud.admin_create_launch_config("lc", ami, "m1.small", kp, sg);
-    let asg = cloud.admin_create_asg("g", lc, 1, 25, desired, Some(elb));
-    (cloud, asg)
+    let cluster = cloud.admin_create_cluster(ami, "kp", "lc", "g", 25, desired);
+    (cloud, cluster.asg)
 }
 
 proptest! {

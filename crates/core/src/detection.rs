@@ -172,11 +172,6 @@ impl RunSummary {
         self.detections.iter().filter(|d| d.diagnosis.is_some())
     }
 
-    /// Whether any detection came from conformance checking.
-    pub fn any_conformance_detection(&self) -> bool {
-        self.detections.iter().any(|d| d.source.is_conformance())
-    }
-
     /// A canonical multi-line rendering of every detection, in order.
     ///
     /// Two runs of the same operation produced byte-identical digests iff

@@ -24,25 +24,21 @@ fn build_world(seed: u64) -> World {
     );
     let ami_v1 = cloud.admin_create_ami("app", "1.0");
     let ami_v2 = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("prod");
-    let elb = cloud.admin_create_elb("front");
-    let lc = cloud.admin_create_launch_config("lc-v1", ami_v1, "m1.small", kp.clone(), sg.clone());
-    let asg = cloud.admin_create_asg("pm--asg", lc, 1, 30, 4, Some(elb.clone()));
-    let config = UpgradeConfig::new("pm", asg.clone(), elb.clone(), ami_v2.clone(), "2.0");
+    let cluster = cloud.admin_create_cluster(ami_v1, "prod", "lc-v1", "pm--asg", 30, 4);
+    let config = UpgradeConfig::new(
+        "pm",
+        cluster.asg.clone(),
+        cluster.elb.clone(),
+        ami_v2.clone(),
+        "2.0",
+    );
     let env = SharedEnv::new(pod_assert::ExpectedEnv {
-        asg,
-        elb,
         launch_config: pod_cloud::LaunchConfigName::new(format!(
             "{}-run-1",
             config.new_launch_config
         )),
         expected_ami: ami_v2,
-        expected_version: "2.0".into(),
-        expected_key_pair: kp,
-        expected_security_group: sg,
-        expected_instance_type: "m1.small".into(),
-        expected_count: 4,
+        ..pod_assert::ExpectedEnv::for_cluster(cluster, "2.0", 4)
     });
     World {
         cloud,

@@ -292,8 +292,9 @@ impl Campaign {
     /// Builds the deterministic run plans.
     pub fn plans(&self) -> Vec<RunPlan> {
         let mut rng = SimRng::seed_from(self.config.seed);
-        let mut plans = Vec::new();
-        for fault in FaultType::all() {
+        let faults = FaultType::all();
+        let mut plans = Vec::with_capacity(faults.len() * self.config.runs_per_fault);
+        for fault in faults {
             for i in 0..self.config.runs_per_fault {
                 plans.push(self.plan_one(fault, i, &mut rng));
             }
@@ -311,7 +312,6 @@ impl Campaign {
             seed: rng.uniform_u64(1, u64::MAX - 1),
             amended_trees: self.config.amended_trees,
             test_order: self.config.test_order,
-            consistent_api: true,
         };
         // Rough duration: replacements are sequential per instance, ≈ 62 s
         // each.

@@ -97,8 +97,6 @@ pub struct ScenarioConfig {
     pub amended_trees: bool,
     /// Sibling visiting order in diagnosis.
     pub test_order: TestOrder,
-    /// Disable the consistent-API retry layer (ablation).
-    pub consistent_api: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -109,7 +107,6 @@ impl Default for ScenarioConfig {
             seed: 1,
             amended_trees: true,
             test_order: TestOrder::ByProbability,
-            consistent_api: true,
         }
     }
 }
@@ -123,33 +120,28 @@ pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
     );
     let ami_v1 = cloud.admin_create_ami("app", "1.0");
     let ami_v2 = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80, 443]);
-    let kp = cloud.admin_create_key_pair("prod-key");
-    let elb = cloud.admin_create_elb("front");
-    let lc_v1 =
-        cloud.admin_create_launch_config("lc-v1", ami_v1, "m1.small", kp.clone(), sg.clone());
-    let asg = cloud.admin_create_asg(
+    let cluster = cloud.admin_create_cluster(
+        ami_v1,
+        "prod-key",
+        "lc-v1",
         "pm--asg",
-        lc_v1,
-        1,
         (config.cluster_size * 2).max(30),
         config.cluster_size,
-        Some(elb.clone()),
     );
     let trace_id = format!("run-{}", config.seed);
-    let mut upgrade = UpgradeConfig::new("pm", asg.clone(), elb.clone(), ami_v2.clone(), "2.0");
+    let mut upgrade = UpgradeConfig::new(
+        "pm",
+        cluster.asg.clone(),
+        cluster.elb.clone(),
+        ami_v2.clone(),
+        "2.0",
+    );
     upgrade.batch_size = config.batch_size as usize;
     let upgrade_lc_name = format!("{}-{}", upgrade.new_launch_config, trace_id);
     let env = SharedEnv::new(ExpectedEnv {
-        asg,
-        elb,
         launch_config: pod_cloud::LaunchConfigName::new(&upgrade_lc_name),
         expected_ami: ami_v2,
-        expected_version: "2.0".into(),
-        expected_key_pair: kp,
-        expected_security_group: sg,
-        expected_instance_type: "m1.small".into(),
-        expected_count: config.cluster_size,
+        ..ExpectedEnv::for_cluster(cluster, "2.0", config.cluster_size)
     });
     Scenario {
         cloud,

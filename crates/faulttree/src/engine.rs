@@ -451,23 +451,8 @@ mod tests {
             },
         );
         let ami = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
-        let lc =
-            cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-        let asg = cloud.admin_create_asg("g", lc.clone(), 1, 10, 2, Some(elb.clone()));
-        let env = ExpectedEnv {
-            asg,
-            elb,
-            launch_config: lc,
-            expected_ami: ami,
-            expected_version: "2.0".into(),
-            expected_key_pair: kp,
-            expected_security_group: sg,
-            expected_instance_type: "m1.small".into(),
-            expected_count: 2,
-        };
+        let cluster = cloud.admin_create_cluster(ami, "prod", "lc", "g", 10, 2);
+        let env = ExpectedEnv::for_cluster(cluster, "2.0", 2);
         let ctx = DiagnosisContext {
             env,
             step: None,

@@ -330,29 +330,18 @@ impl Pipeline {
 #[derive(Debug)]
 pub struct NoiseFilter {
     keep: RegexSet,
-    drop: RegexSet,
 }
 
 impl NoiseFilter {
     /// Keeps only lines matching any of `keep`.
     pub fn keep(keep: RegexSet) -> NoiseFilter {
-        NoiseFilter {
-            keep,
-            drop: RegexSet::default(),
-        }
-    }
-
-    /// Keeps lines matching `keep` unless they also match `drop`.
-    pub fn keep_except(keep: RegexSet, drop: RegexSet) -> NoiseFilter {
-        NoiseFilter { keep, drop }
+        NoiseFilter { keep }
     }
 }
 
 impl Stage for NoiseFilter {
     fn process(&mut self, event: LogEvent) -> StageOutput {
-        let relevant = self.keep.is_empty() || self.keep.first_match(&event.message).is_some();
-        let excluded = self.drop.first_match(&event.message).is_some();
-        if relevant && !excluded {
+        if self.keep.is_empty() || self.keep.first_match(&event.message).is_some() {
             StageOutput::pass(event)
         } else {
             StageOutput::drop_event()
@@ -731,15 +720,5 @@ mod tests {
                 assert_eq!(gf.context, ef.context);
             }
         }
-    }
-
-    #[test]
-    fn keep_except_drops_excluded() {
-        let mut f = NoiseFilter::keep_except(
-            RegexSet::new(&["instance"]).unwrap(),
-            RegexSet::new(&["DEBUG"]).unwrap(),
-        );
-        assert!(f.process(event("instance ok")).event.is_some());
-        assert!(f.process(event("DEBUG instance detail")).event.is_none());
     }
 }

@@ -3,15 +3,12 @@
 //! All "important" lines from distributed nodes, plus the result logs of
 //! conformance checking, assertion evaluation and error diagnosis, are
 //! merged here. The storage is shared (cheap to clone, internally locked)
-//! and supports cursor-based tailing — which is how the central log
-//! processor discovers failure lines to react to — as well as ad-hoc
-//! querying for offline analysis and process discovery.
+//! and supports ad-hoc querying for offline analysis and process
+//! discovery.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pod_regex::Regex;
-use pod_sim::SimTime;
 
 use crate::event::{LogEvent, Severity};
 
@@ -26,10 +23,7 @@ use crate::event::{LogEvent, Severity};
 /// let storage = LogStorage::new();
 /// let tail = storage.clone();
 /// storage.append(LogEvent::new(SimTime::ZERO, "asgard.log", "started"));
-/// let mut cursor = 0;
-/// let new = tail.events_since(&mut cursor);
-/// assert_eq!(new.len(), 1);
-/// assert!(tail.events_since(&mut cursor).is_empty());
+/// assert_eq!(tail.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStorage {
@@ -60,15 +54,6 @@ impl LogStorage {
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns events appended since `cursor` and advances the cursor —
-    /// the tailing primitive used by the central log processor.
-    pub fn events_since(&self, cursor: &mut usize) -> Vec<LogEvent> {
-        let events = self.events.lock();
-        let new = events[(*cursor).min(events.len())..].to_vec();
-        *cursor = events.len();
-        new
     }
 
     /// A snapshot of all events.
@@ -115,10 +100,6 @@ pub struct LogQuery {
     tag: Option<String>,
     event_type: Option<String>,
     min_severity: Option<Severity>,
-    after: Option<SimTime>,
-    before: Option<SimTime>,
-    message_pattern: Option<Regex>,
-    process_instance_id: Option<String>,
 }
 
 impl LogQuery {
@@ -151,30 +132,6 @@ impl LogQuery {
         self
     }
 
-    /// Restricts to events at or after `t`.
-    pub fn with_after(mut self, t: SimTime) -> Self {
-        self.after = Some(t);
-        self
-    }
-
-    /// Restricts to events strictly before `t`.
-    pub fn with_before(mut self, t: SimTime) -> Self {
-        self.before = Some(t);
-        self
-    }
-
-    /// Requires the message to match a pattern.
-    pub fn with_message_pattern(mut self, re: Regex) -> Self {
-        self.message_pattern = Some(re);
-        self
-    }
-
-    /// Restricts to one process instance (trace).
-    pub fn with_process_instance(mut self, id: impl Into<String>) -> Self {
-        self.process_instance_id = Some(id.into());
-        self
-    }
-
     /// Whether `event` satisfies every set condition.
     pub fn matches(&self, event: &LogEvent) -> bool {
         if let Some(s) = &self.source {
@@ -197,31 +154,6 @@ impl LogQuery {
                 return false;
             }
         }
-        if let Some(after) = self.after {
-            if event.timestamp < after {
-                return false;
-            }
-        }
-        if let Some(before) = self.before {
-            if event.timestamp >= before {
-                return false;
-            }
-        }
-        if let Some(re) = &self.message_pattern {
-            if !re.is_match(&event.message) {
-                return false;
-            }
-        }
-        if let Some(id) = &self.process_instance_id {
-            let in_ctx = event
-                .context
-                .as_ref()
-                .is_some_and(|c| c.process_instance_id == *id);
-            let in_fields = event.field("processinsid") == Some(id.as_str());
-            if !in_ctx && !in_fields {
-                return false;
-            }
-        }
         true
     }
 }
@@ -229,14 +161,13 @@ impl LogQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ProcessContext;
+    use pod_sim::SimTime;
 
     fn store() -> LogStorage {
         let s = LogStorage::new();
         s.append(
             LogEvent::new(SimTime::from_millis(10), "asgard.log", "upgrade started")
-                .with_tag("start")
-                .with_context(ProcessContext::new("rolling-upgrade", "run-1")),
+                .with_tag("start"),
         );
         s.append(LogEvent::new(
             SimTime::from_millis(20),
@@ -252,50 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn cursor_tailing_sees_each_event_once() {
-        let s = store();
-        let mut cursor = 0;
-        assert_eq!(s.events_since(&mut cursor).len(), 3);
-        assert!(s.events_since(&mut cursor).is_empty());
-        s.append(LogEvent::new(SimTime::from_millis(40), "x", "new"));
-        assert_eq!(s.events_since(&mut cursor).len(), 1);
-    }
-
-    #[test]
     fn query_by_source_and_severity() {
         let s = store();
         assert_eq!(s.query(&LogQuery::new().with_source("asgard.log")).len(), 2);
         let errs = s.query(&LogQuery::new().with_min_severity(Severity::Error));
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("launch failed"));
-    }
-
-    #[test]
-    fn query_by_time_window() {
-        let s = store();
-        let q = LogQuery::new()
-            .with_after(SimTime::from_millis(15))
-            .with_before(SimTime::from_millis(30));
-        let hits = s.query(&q);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].source, "assertion.log");
-    }
-
-    #[test]
-    fn query_by_process_instance() {
-        let s = store();
-        let hits = s.query(&LogQuery::new().with_process_instance("run-1"));
-        assert_eq!(hits.len(), 1);
-        assert!(s
-            .query(&LogQuery::new().with_process_instance("run-2"))
-            .is_empty());
-    }
-
-    #[test]
-    fn query_by_message_pattern() {
-        let s = store();
-        let q = LogQuery::new().with_message_pattern(Regex::new(r"\d+ instances").unwrap());
-        assert_eq!(s.query(&q).len(), 1);
     }
 
     #[test]

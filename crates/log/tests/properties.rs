@@ -70,31 +70,6 @@ proptest! {
         prop_assert_eq!(storage.query(&LogQuery::new().with_tag("wanted")).len(), tagged_count);
     }
 
-    /// Cursor tailing sees every event exactly once, in order, regardless
-    /// of how appends and reads interleave.
-    #[test]
-    fn cursor_sees_each_event_once(batches in prop::collection::vec(1usize..5, 1..10)) {
-        let storage = LogStorage::new();
-        let mut cursor = 0;
-        let mut seen = Vec::new();
-        let mut next_id = 0u64;
-        for batch in batches {
-            for _ in 0..batch {
-                storage.append(LogEvent::new(
-                    SimTime::from_millis(next_id),
-                    "s.log",
-                    format!("event-{next_id}"),
-                ));
-                next_id += 1;
-            }
-            seen.extend(storage.events_since(&mut cursor));
-        }
-        prop_assert_eq!(seen.len(), next_id as usize);
-        for (i, e) in seen.iter().enumerate() {
-            prop_assert_eq!(e.message.clone(), format!("event-{i}"));
-        }
-    }
-
     /// Severity filtering is monotone: Error ⊆ Warn ⊆ Info.
     #[test]
     fn severity_filter_is_monotone(levels in prop::collection::vec(0u8..3, 0..30)) {

@@ -5,8 +5,6 @@
 //! expressions can be derived. A [`Template`] captures the constant skeleton
 //! of a cluster of lines plus typed wildcards for the volatile positions.
 
-use pod_regex::Regex;
-
 /// The recognised classes of volatile tokens, in masking priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VariableKind {
@@ -216,16 +214,6 @@ impl Template {
         }
         parts.join(r"\s+")
     }
-
-    /// The compiled regex for this template.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern-compilation failures (should not occur for
-    /// templates derived from real lines).
-    pub fn to_regex(&self) -> Result<Regex, pod_regex::ParseError> {
-        Regex::new(&self.to_pattern())
-    }
 }
 
 fn escape_literal(lit: &str) -> String {
@@ -242,6 +230,7 @@ fn escape_literal(lit: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pod_regex::Regex;
 
     #[test]
     fn classify_recognises_id_families() {
@@ -291,7 +280,7 @@ mod tests {
         ];
         let t = Template::derive(&lines);
         assert_eq!(t.activity_name(), "terminated-instance");
-        let re = t.to_regex().unwrap();
+        let re = Regex::new(&t.to_pattern()).unwrap();
         let caps = re.captures("Terminated instance i-0f0f0f0f").unwrap();
         assert_eq!(caps.name("instanceid").unwrap().as_str(), "i-0f0f0f0f");
         assert!(!re.is_match("Launched instance i-0f0f0f0f"));
@@ -301,7 +290,7 @@ mod tests {
     fn varying_word_becomes_wildcard() {
         let lines = ["state went up", "state went down"];
         let t = Template::derive(&lines);
-        let re = t.to_regex().unwrap();
+        let re = Regex::new(&t.to_pattern()).unwrap();
         assert!(re.is_match("state went sideways"));
         assert!(!re.is_match("mood went sideways"));
     }
@@ -328,8 +317,7 @@ mod tests {
     fn single_line_cluster_works() {
         let t = Template::derive(&["Sorting 4 instances by launch time"]);
         assert_eq!(t.activity_name(), "sorting-instances-by-launch-time");
-        assert!(t
-            .to_regex()
+        assert!(Regex::new(&t.to_pattern())
             .unwrap()
             .is_match("Sorting 20 instances by launch time"));
     }

@@ -5,6 +5,7 @@ use pod_mining::{
     Template,
 };
 use pod_process::replay_fitness;
+use pod_regex::Regex;
 use proptest::prelude::*;
 
 proptest! {
@@ -67,7 +68,7 @@ proptest! {
             .collect();
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         let template = Template::derive(&refs);
-        let re = template.to_regex().unwrap();
+        let re = Regex::new(&template.to_pattern()).unwrap();
         for l in &lines {
             prop_assert!(re.is_match(l), "template {:?} misses {l}", template.to_pattern());
         }

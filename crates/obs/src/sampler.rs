@@ -59,11 +59,6 @@ impl RunSignals {
     pub fn healthy(&self) -> bool {
         self.detections == 0 && self.errors == 0 && self.warnings == 0 && !self.tail_exemplar
     }
-
-    /// Whether the run is incident-relevant (must never be sampled away).
-    pub fn incident_relevant(&self) -> bool {
-        self.detections > 0 || self.errors > 0 || self.warnings > 0
-    }
 }
 
 /// The sampler's decision for one run, in priority order.

@@ -204,11 +204,6 @@ impl Tracer {
         self.inner.lock().dropped
     }
 
-    /// The number of spans currently open.
-    pub fn open_count(&self) -> usize {
-        self.inner.lock().open.len()
-    }
-
     /// Renders the finished spans as an indented tree in start order.
     pub fn render_tree(&self) -> String {
         let inner = self.inner.lock();
@@ -401,7 +396,6 @@ mod tests {
         assert_eq!(spans[0].duration(), SimDuration::from_millis(5));
         assert_eq!(spans[1].duration(), SimDuration::from_millis(16));
         assert_eq!(spans[0].attrs, vec![("k", "3".to_string())]);
-        assert_eq!(tracer.open_count(), 0);
     }
 
     #[test]

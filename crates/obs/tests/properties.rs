@@ -157,7 +157,7 @@ proptest! {
         let sampler = TailSampler::new(&reg, SamplerConfig { keep_one_in });
         for signals in &runs {
             let verdict = sampler.decide(signals);
-            if signals.incident_relevant() {
+            if signals.detections > 0 || signals.errors > 0 || signals.warnings > 0 {
                 prop_assert!(
                     verdict.keep(),
                     "incident-relevant run discarded: {signals:?} -> {verdict:?}"

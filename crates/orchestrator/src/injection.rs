@@ -328,13 +328,9 @@ mod tests {
             },
         );
         let ami_v2 = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
-        let lc = cloud.admin_create_launch_config("lc-up", ami_v2.clone(), "m1.small", kp, sg);
-        let asg = cloud.admin_create_asg("pm--asg", lc.clone(), 1, 30, 4, Some(elb.clone()));
-        let config = UpgradeConfig::new("pm", asg, elb, ami_v2, "2.0");
-        (cloud, config, lc.to_string())
+        let cluster = cloud.admin_create_cluster(ami_v2.clone(), "prod", "lc-up", "pm--asg", 30, 4);
+        let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2, "2.0");
+        (cloud, config, cluster.launch_config.to_string())
     }
 
     #[test]

@@ -15,15 +15,9 @@ fn build(seed: u64, n: u32) -> (Cloud, UpgradeConfig) {
     );
     let ami_v1 = cloud.admin_create_ami("app", "1.0");
     let ami_v2 = cloud.admin_create_ami("app", "2.0");
-    let sg = cloud.admin_create_security_group("web", &[80]);
-    let kp = cloud.admin_create_key_pair("prod");
-    let elb = cloud.admin_create_elb("front");
-    let lc = cloud.admin_create_launch_config("lc-v1", ami_v1, "m1.small", kp, sg);
-    let asg = cloud.admin_create_asg("pm--asg", lc, 1, 40, n, Some(elb.clone()));
-    (
-        cloud.clone(),
-        UpgradeConfig::new("pm", asg, elb, ami_v2, "2.0"),
-    )
+    let cluster = cloud.admin_create_cluster(ami_v1, "prod", "lc-v1", "pm--asg", 40, n);
+    let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2, "2.0");
+    (cloud, config)
 }
 
 fn run_log(seed: u64, n: u32) -> Vec<String> {

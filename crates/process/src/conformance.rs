@@ -57,22 +57,6 @@ impl Conformance {
 struct InstanceState {
     marking: Marking,
     history: Vec<String>,
-    nonconforming_events: usize,
-}
-
-/// Error context derived when conformance detects a problem — "the last
-/// valid state of the process before the error, the last activity that
-/// executed successfully, and the hypothesized skipped/undone activities."
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ErrorContext {
-    /// The trace the error occurred in.
-    pub trace_id: String,
-    /// Last activity that replayed successfully, if any.
-    pub last_valid_activity: Option<String>,
-    /// Activities the model expected at the point of error.
-    pub expected: Vec<String>,
-    /// The offending activity (when known to the model).
-    pub activity: Option<String>,
 }
 
 /// The conformance-checking service: one [`ProcessModel`], many traces.
@@ -211,7 +195,6 @@ impl ConformanceChecker {
             .or_insert_with(|| InstanceState {
                 marking: net.initial_marking(),
                 history: Vec::new(),
-                nonconforming_events: 0,
             })
     }
 
@@ -231,7 +214,6 @@ impl ConformanceChecker {
                 Conformance::Fit
             }
             None => {
-                inst.nonconforming_events += 1;
                 let expected = net.enabled_labels(&inst.marking);
                 let skipped = Self::hypothesise_skips(&net, &inst.marking, activity, &expected);
                 self.metrics.unfit.incr();
@@ -281,11 +263,11 @@ impl ConformanceChecker {
     }
 
     /// Marks a non-replay error (known-error line or unclassified line)
-    /// against the trace's counters and returns the matching verdict.
+    /// against the trace, creating it on first contact, and returns the
+    /// matching verdict.
     pub fn record_error(&mut self, trace_id: &str, known_error: bool) -> Conformance {
         self.metrics.replays.incr();
-        let inst = self.instance(trace_id);
-        inst.nonconforming_events += 1;
+        self.instance(trace_id);
         let verdict = if known_error {
             self.metrics.error.incr();
             Conformance::Error
@@ -326,25 +308,6 @@ impl ConformanceChecker {
         self.instances
             .get(trace_id)
             .is_some_and(|i| self.net.is_complete(&i.marking))
-    }
-
-    /// Number of non-conforming events recorded for a trace.
-    pub fn nonconforming_events(&self, trace_id: &str) -> usize {
-        self.instances
-            .get(trace_id)
-            .map(|i| i.nonconforming_events)
-            .unwrap_or(0)
-    }
-
-    /// Builds the error context for a detected problem in `trace_id`.
-    pub fn error_context(&mut self, trace_id: &str, activity: Option<&str>) -> ErrorContext {
-        let expected = self.expected(trace_id);
-        ErrorContext {
-            trace_id: trace_id.to_string(),
-            last_valid_activity: self.last_activity(trace_id).map(str::to_string),
-            expected,
-            activity: activity.map(str::to_string),
-        }
     }
 
     /// Discards a trace's state.
@@ -391,7 +354,6 @@ mod tests {
         }
         assert!(ch.is_complete("t"));
         assert_eq!(ch.history("t"), ["a", "b", "c", "b", "c"]);
-        assert_eq!(ch.nonconforming_events("t"), 0);
     }
 
     #[test]
@@ -422,22 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn error_context_reports_last_valid_state() {
-        let mut ch = checker();
-        ch.replay("t", "a");
-        ch.replay("t", "b");
-        let ctx = ch.error_context("t", Some("a"));
-        assert_eq!(ctx.last_valid_activity.as_deref(), Some("b"));
-        assert_eq!(ctx.expected, vec!["c"]);
-        assert_eq!(ctx.activity.as_deref(), Some("a"));
-    }
-
-    #[test]
     fn record_error_classifications() {
         let mut ch = checker();
         assert_eq!(ch.record_error("t", true), Conformance::Error);
         assert_eq!(ch.record_error("t", false), Conformance::Unclassified);
-        assert_eq!(ch.nonconforming_events("t"), 2);
     }
 
     #[test]

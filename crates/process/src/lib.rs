@@ -10,9 +10,9 @@
 //!   semantics;
 //! - [`ConformanceChecker`] — the near-real-time conformance service: one
 //!   model, many traces, classifying each event as fit / unfit / error /
-//!   unclassified ([`Conformance`]) and deriving the [`ErrorContext`]
-//!   (last valid activity, expected activities, hypothesised skips) that
-//!   error diagnosis consumes;
+//!   unclassified ([`Conformance`]) and tracking the error context (last
+//!   valid activity, expected activities, hypothesised skips) that error
+//!   diagnosis consumes;
 //! - [`replay_fitness`] — the token-replay fitness metric used to evaluate
 //!   models discovered by process mining.
 
@@ -24,7 +24,7 @@ mod fitness;
 mod model;
 mod petri;
 
-pub use conformance::{Conformance, ConformanceChecker, ErrorContext};
+pub use conformance::{Conformance, ConformanceChecker};
 pub use fitness::{replay_fitness, ReplayCounts};
 pub use model::{
     Flow, FlowId, GatewayKind, ModelError, Node, NodeId, NodeKind, ProcessModel,

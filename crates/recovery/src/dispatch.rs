@@ -390,77 +390,15 @@ fn confirm_assertion(key: &str, env: &ExpectedEnv) -> CloudAssertion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_cloud::{CloudConfig, LaunchConfigUpdate};
-    use pod_core::DetectionSource;
-    use pod_faulttree::{DiagnosedCause, DiagnosisReport};
-    use pod_sim::{Clock, SimRng};
-
-    fn setup(seed: u64) -> (Cloud, ExpectedEnv) {
-        let cloud = Cloud::new(
-            Clock::new(),
-            SimRng::seed_from(seed),
-            CloudConfig {
-                stale_read_prob: 0.0,
-                ..CloudConfig::default()
-            },
-        );
-        let ami = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
-        let lc =
-            cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-        let asg = cloud.admin_create_asg("g", lc.clone(), 1, 10, 2, Some(elb.clone()));
-        let env = ExpectedEnv {
-            asg,
-            elb,
-            launch_config: lc,
-            expected_ami: ami,
-            expected_version: "2.0".into(),
-            expected_key_pair: kp,
-            expected_security_group: sg,
-            expected_instance_type: "m1.small".into(),
-            expected_count: 2,
-        };
-        (cloud, env)
-    }
-
-    fn diagnosed(cloud: &Cloud, key: &str, cause: Option<&str>) -> Detection {
-        let at = cloud.clock().now();
-        Detection {
-            at,
-            source: DetectionSource::AssertionLog,
-            description: format!("assertion {key} failed"),
-            step: Some("update-launch-config".to_string()),
-            key: key.to_string(),
-            instance: None,
-            diagnosis: Some(DiagnosisReport {
-                root_causes: cause
-                    .map(|c| {
-                        vec![DiagnosedCause {
-                            node_id: c.to_string(),
-                            description: format!("confirmed {c}"),
-                        }]
-                    })
-                    .unwrap_or_default(),
-                stopped_at: Vec::new(),
-                potential_faults: 4,
-                excluded: 3,
-                tests_run: 4,
-                first_cause_after: Some(SimDuration::from_secs(2)),
-                started_at: at + SimDuration::from_secs(5),
-                duration: SimDuration::from_secs(3),
-            }),
-            event: None,
-        }
-    }
+    use crate::fixtures::{cluster, diagnosed};
+    use pod_cloud::LaunchConfigUpdate;
 
     /// Satellite (d): when the eager path and the end-of-run sweep race on
     /// the same incident, exactly one recovery runs, the duplicate is
     /// counted, and `attempted == recovered + escalated` holds.
     #[test]
     fn eager_and_sweep_dedup_to_one_recovery() {
-        let (cloud, env) = setup(91);
+        let (cloud, env) = cluster(91);
         let old = cloud.admin_create_ami("app-old", "1.0");
         cloud.admin_update_launch_config(
             &env.launch_config,
@@ -517,7 +455,7 @@ mod tests {
     /// waste, and the incident is reviewed (not repaired) at the sweep.
     #[test]
     fn unmapped_diagnosis_defers_to_operation_end_review() {
-        let (cloud, env) = setup(92);
+        let (cloud, env) = cluster(92);
         let shared = SharedEnv::new(env);
         let mut dispatcher = RecoveryDispatcher::new(
             cloud.clone(),

@@ -300,18 +300,11 @@ impl RecoveryExecutor {
     /// Executes the recovery for one diagnosed root cause: plan selection,
     /// step execution with bounded retries, closed-loop verification, and
     /// the fallback/escalation ladder. Always returns a terminal run —
-    /// escalations are explicit, never dropped. The plan is staged cold
-    /// (see [`RecoveryConfig::stage_latency`]); the fast path avoids that
-    /// cost via [`RecoveryExecutor::recover_prepared`].
-    pub fn recover(&self, req: &RecoveryRequest) -> RecoveryRun {
-        self.recover_inner(req, None, false)
-    }
-
-    /// Like [`recover`](RecoveryExecutor::recover), but consumes a plan
-    /// pre-staged while the diagnosis was still walking the fault tree,
-    /// provided the speculation matches the confirmed root cause — then
-    /// the winning plan starts executing with zero staging latency. A
-    /// stale or missing pre-stage falls back to cold staging.
+    /// escalations are explicit, never dropped. A plan pre-staged while
+    /// the diagnosis was still walking the fault tree is consumed when the
+    /// speculation matches the confirmed root cause — then the winning
+    /// plan starts executing with zero staging latency. A stale or missing
+    /// pre-stage is staged cold (see [`RecoveryConfig::stage_latency`]).
     pub fn recover_prepared(
         &self,
         req: &RecoveryRequest,
@@ -954,43 +947,17 @@ fn rewind(t: SimTime, lag: SimDuration) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_cloud::{CloudConfig, LaunchConfigUpdate};
-    use pod_sim::{Clock, SimRng};
+    use crate::fixtures;
+    use pod_cloud::LaunchConfigUpdate;
 
     use crate::monitor;
 
-    /// A two-instance group behind a load balancer, matching the
-    /// fault-tree test environment. Returns the cloud and the expectation.
+    /// The fixture cluster with its load balancer up or down.
     fn setup(seed: u64, elb_available: bool) -> (Cloud, ExpectedEnv) {
-        let cloud = Cloud::new(
-            Clock::new(),
-            SimRng::seed_from(seed),
-            CloudConfig {
-                stale_read_prob: 0.0,
-                ..CloudConfig::default()
-            },
-        );
-        let ami = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
+        let (cloud, env) = fixtures::cluster(seed);
         if !elb_available {
-            cloud.admin_set_elb_available(&elb, false);
+            cloud.admin_set_elb_available(&env.elb, false);
         }
-        let lc =
-            cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-        let asg = cloud.admin_create_asg("g", lc.clone(), 1, 10, 2, Some(elb.clone()));
-        let env = ExpectedEnv {
-            asg,
-            elb,
-            launch_config: lc,
-            expected_ami: ami,
-            expected_version: "2.0".into(),
-            expected_key_pair: kp,
-            expected_security_group: sg,
-            expected_instance_type: "m1.small".into(),
-            expected_count: 2,
-        };
         (cloud, env)
     }
 
@@ -1022,7 +989,7 @@ mod tests {
             },
         );
 
-        let run = executor(&cloud).recover(&request(&env, "lc-wrong-ami", None));
+        let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
         assert!(run.verifications.iter().all(|v| v.passed));
@@ -1039,7 +1006,8 @@ mod tests {
     #[test]
     fn unmapped_cause_escalates_and_still_conforms() {
         let (cloud, env) = setup(22, true);
-        let run = executor(&cloud).recover(&request(&env, "concurrent-scale-in", None));
+        let run =
+            executor(&cloud).recover_prepared(&request(&env, "concurrent-scale-in", None), None);
 
         match &run.outcome {
             RecoveryOutcome::Escalated {
@@ -1068,11 +1036,8 @@ mod tests {
             .id
             .clone();
 
-        let run = executor(&cloud).recover(&request(
-            &env,
-            "instance-not-registered",
-            Some(instance.clone()),
-        ));
+        let req = request(&env, "instance-not-registered", Some(instance.clone()));
+        let run = executor(&cloud).recover_prepared(&req, None);
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
         assert_eq!(
@@ -1096,7 +1061,8 @@ mod tests {
         // fails non-retryably, the plan has no fallback, the run must end
         // escalated — never dropped.
         let ghost = InstanceId::new("i-deadbeef");
-        let run = executor(&cloud).recover(&request(&env, "instance-still-running", Some(ghost)));
+        let req = request(&env, "instance-still-running", Some(ghost));
+        let run = executor(&cloud).recover_prepared(&req, None);
 
         match &run.outcome {
             RecoveryOutcome::Escalated { reason, .. } => {
@@ -1122,7 +1088,7 @@ mod tests {
                     ..LaunchConfigUpdate::default()
                 },
             );
-            let run = executor(&cloud).recover(&request(&env, "lc-wrong-ami", None));
+            let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
             assert_eq!(run.outcome, RecoveryOutcome::Recovered);
             digests.push(run.digest());
         }
@@ -1133,7 +1099,7 @@ mod tests {
     #[test]
     fn recovery_metrics_are_recorded() {
         let (cloud, env) = setup(26, true);
-        executor(&cloud).recover(&request(&env, "concurrent-scale-in", None));
+        executor(&cloud).recover_prepared(&request(&env, "concurrent-scale-in", None), None);
         let snapshot = cloud.obs().snapshot();
         assert_eq!(snapshot.counter("recovery.runs"), 1);
         assert_eq!(snapshot.counter("recovery.escalated"), 1);

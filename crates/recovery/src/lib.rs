@@ -51,3 +51,6 @@ pub use executor::{
 pub use monitor::{conformance_check, recovery_model, recovery_pod_config, ConformanceReport};
 pub use plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
 pub use storm::{RecoveryPath, RecoveryStorm, StormConfig, StormRecord, StormStats, TenantId};
+
+#[cfg(test)]
+mod fixtures;

@@ -338,20 +338,9 @@ fn reregister_instance(instance: &InstanceId) -> RecoveryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_cloud::{AmiId, AsgName, ElbName, KeyPairName, LaunchConfigName, SecurityGroupId};
 
     fn env() -> ExpectedEnv {
-        ExpectedEnv {
-            asg: AsgName::new("g"),
-            elb: ElbName::new("front"),
-            launch_config: LaunchConfigName::new("lc"),
-            expected_ami: AmiId::new("ami-2"),
-            expected_version: "2.0".to_string(),
-            expected_key_pair: KeyPairName::new("prod"),
-            expected_security_group: SecurityGroupId::new("sg-1"),
-            expected_instance_type: "m1.small".to_string(),
-            expected_count: 2,
-        }
+        crate::fixtures::cluster(1).1
     }
 
     #[test]

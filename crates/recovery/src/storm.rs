@@ -363,44 +363,16 @@ impl RecoveryStorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_assert::ExpectedEnv;
-    use pod_cloud::{CloudConfig, LaunchConfigUpdate};
-    use pod_core::DetectionSource;
-    use pod_faulttree::{DiagnosedCause, DiagnosisReport};
-    use pod_sim::SimRng;
+    use crate::fixtures;
+    use pod_cloud::LaunchConfigUpdate;
 
     /// A cluster whose upgrade launch configuration points at a stale AMI
     /// — the repairable `lc-wrong-ami` fault the dispatcher tests use.
     fn corrupted_tenant(seed: u64) -> (Cloud, SharedEnv) {
-        let cloud = Cloud::new(
-            Clock::new(),
-            SimRng::seed_from(seed),
-            CloudConfig {
-                stale_read_prob: 0.0,
-                ..CloudConfig::default()
-            },
-        );
-        let ami = cloud.admin_create_ami("app", "2.0");
-        let sg = cloud.admin_create_security_group("web", &[80]);
-        let kp = cloud.admin_create_key_pair("prod");
-        let elb = cloud.admin_create_elb("front");
-        let lc =
-            cloud.admin_create_launch_config("lc", ami.clone(), "m1.small", kp.clone(), sg.clone());
-        let asg = cloud.admin_create_asg("g", lc.clone(), 1, 10, 2, Some(elb.clone()));
-        let env = ExpectedEnv {
-            asg,
-            elb,
-            launch_config: lc.clone(),
-            expected_ami: ami,
-            expected_version: "2.0".into(),
-            expected_key_pair: kp,
-            expected_security_group: sg,
-            expected_instance_type: "m1.small".into(),
-            expected_count: 2,
-        };
+        let (cloud, env) = fixtures::cluster(seed);
         let old = cloud.admin_create_ami("app-old", "1.0");
         cloud.admin_update_launch_config(
-            &lc,
+            &env.launch_config,
             LaunchConfigUpdate {
                 ami: Some(old),
                 ..LaunchConfigUpdate::default()
@@ -410,29 +382,7 @@ mod tests {
     }
 
     fn diagnosed(cloud: &Cloud, cause: &str) -> Detection {
-        let at = cloud.clock().now();
-        Detection {
-            at,
-            source: DetectionSource::AssertionLog,
-            description: "assertion asg-launch-config-correct failed".to_string(),
-            step: Some("update-launch-config".to_string()),
-            key: "asg-launch-config-correct".to_string(),
-            instance: None,
-            diagnosis: Some(DiagnosisReport {
-                root_causes: vec![DiagnosedCause {
-                    node_id: cause.to_string(),
-                    description: format!("confirmed {cause}"),
-                }],
-                stopped_at: Vec::new(),
-                potential_faults: 4,
-                excluded: 3,
-                tests_run: 4,
-                first_cause_after: Some(SimDuration::from_secs(2)),
-                started_at: at + SimDuration::from_secs(5),
-                duration: SimDuration::from_secs(3),
-            }),
-            event: None,
-        }
+        fixtures::diagnosed(cloud, "asg-launch-config-correct", Some(cause))
     }
 
     fn register(storm: &mut RecoveryStorm, cloud: &Cloud, env: &SharedEnv, id: &str) -> TenantId {

@@ -217,19 +217,6 @@ impl Regex {
         }
     }
 
-    /// Replaces every non-overlapping match with `replacement`.
-    pub fn replace_all(&self, text: &str, replacement: &str) -> String {
-        let mut out = String::with_capacity(text.len());
-        let mut last = 0;
-        for m in self.find_iter(text) {
-            out.push_str(&text[last..m.start()]);
-            out.push_str(replacement);
-            last = m.end();
-        }
-        out.push_str(&text[last..]);
-        out
-    }
-
     /// Splits `text` around every non-overlapping match. Empty matches
     /// split between characters, like the standard library's pattern split.
     pub fn split<'r, 't>(&'r self, text: &'t str) -> impl Iterator<Item = &'t str> + 'r
@@ -564,13 +551,6 @@ mod tests {
         let re = Regex::new(r"\d+").unwrap();
         assert_eq!(re.replace("run 42 done", "N"), "run N done");
         assert_eq!(re.replace("no digits", "N"), "no digits");
-    }
-
-    #[test]
-    fn replace_all_matches() {
-        let re = Regex::new(r"\d+").unwrap();
-        assert_eq!(re.replace_all("1 and 22 and 333", "N"), "N and N and N");
-        assert_eq!(re.replace_all("nothing", "N"), "nothing");
     }
 
     #[test]

@@ -95,14 +95,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
         &slice[self.index(slice.len())]
@@ -164,15 +156,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(r.lognormal(-1.0, 1.5) > 0.0);
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
     }
 }
