@@ -564,11 +564,6 @@ impl AssertionLibrary {
             .map(|b| b.assertions.as_slice())
             .unwrap_or(&[])
     }
-
-    /// All bindings.
-    pub fn bindings(&self) -> &[AssertionBinding] {
-        &self.bindings
-    }
 }
 
 #[cfg(test)]
@@ -727,6 +722,6 @@ mod tests {
         );
         assert_eq!(lib.for_activity("new-instance-ready").len(), 1);
         assert!(lib.for_activity("unknown").is_empty());
-        assert_eq!(lib.bindings().len(), 1);
+        assert_eq!(lib.bindings.len(), 1);
     }
 }

@@ -138,11 +138,6 @@ impl ConsistentApi {
         &self.cloud
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Executes `call`, retrying transient API errors with exponential
     /// backoff, within the policy timeout.
     ///

@@ -104,11 +104,6 @@ impl AssertionEvaluator {
         AssertionEvaluator { api, storage }
     }
 
-    /// The consistent API the evaluator uses.
-    pub fn api(&self) -> &ConsistentApi {
-        &self.api
-    }
-
     /// Evaluates one assertion, records the result log line and returns the
     /// record.
     pub fn evaluate(

@@ -127,12 +127,6 @@ impl<T: Clone> TimerService<T> {
         }
         fired
     }
-
-    /// Number of pending (scheduled, not yet cancelled-and-collected)
-    /// timers.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use pod_obs::{EventRecord, SpanRecord};
 use pod_orchestrator::{
     FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
-use pod_recovery::{conformance_check, ConformanceReport, RecoveryConfig, RecoveryDispatcher};
+use pod_recovery::{conformance_check, ConformanceReport, RecoveryDispatcher};
 use pod_sim::{SimDuration, SimRng, SimTime};
 
 use crate::metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
@@ -136,8 +136,8 @@ pub struct IncidentSummary {
     pub elapsed_us: u64,
 }
 
-/// The raw spans and causal events of one run, retained for trace export
-/// (Chrome trace-event and OTLP JSON).
+/// The raw spans and causal events of one run, retained for the
+/// trace-viewer export ([`TraceDump::chrome_trace`]).
 #[derive(Debug, Clone)]
 pub struct TraceDump {
     /// The run's trace id.
@@ -536,7 +536,6 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
             scenario.storage.clone(),
             scenario.env.clone(),
             scenario.trace_id.clone(),
-            RecoveryConfig::default(),
         )))
     });
     if plan.eager_recovery {

@@ -35,6 +35,10 @@
 //!   ([`gateway_line`], [`telemetry_line`], [`exemplar_lines`],
 //!   [`flight_json`]), [`recovery_lines`], [`recovery_soak_lines`] and
 //!   [`wall_line`] (the only wall-clock record);
+//! - [`TraceDump::chrome_trace`] — the one trace export: a run's spans,
+//!   causal events and cause arrows as Chrome trace-event JSON
+//!   (Perfetto-loadable), written with the same [`pod_log::Json`] as the
+//!   run record;
 //! - [`diff_journals`] / [`diff_report`] — what moved between two run
 //!   records; `pod-diagnosis diff` and every `--baseline` gate are this
 //!   one comparison.

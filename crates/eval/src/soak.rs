@@ -47,9 +47,7 @@ use pod_obs::{FlightDump, RunSignals, SampleVerdict, SamplerConfig, TailSampler,
 use pod_orchestrator::{
     FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
-use pod_recovery::{
-    RecoveryConfig, RecoveryPath, RecoveryStorm, StormConfig, StormStats, TenantId,
-};
+use pod_recovery::{RecoveryPath, RecoveryStorm, StormConfig, StormStats, TenantId};
 use pod_sim::{SimDuration, SimRng, SimTime};
 
 use crate::profile::{stage_self_times, LatencyProfile};
@@ -491,7 +489,6 @@ fn replay_inner(
                 stream.scenario.storage.clone(),
                 stream.scenario.env.clone(),
                 stream.scenario.trace_id.clone(),
-                RecoveryConfig::default(),
             );
             tenant_ids.push(tenant);
             let hook = Rc::clone(storm);

@@ -46,8 +46,6 @@ pub struct AdmissionGate {
     /// Busy-until time per lane.
     lanes: Vec<SimTime>,
     max_wait: SimDuration,
-    admitted: u64,
-    deferred: u64,
 }
 
 impl AdmissionGate {
@@ -62,8 +60,6 @@ impl AdmissionGate {
         AdmissionGate {
             lanes: vec![SimTime::ZERO; lanes],
             max_wait,
-            admitted: 0,
-            deferred: 0,
         }
     }
 
@@ -81,13 +77,11 @@ impl AdmissionGate {
         let start = free_at.max(now);
         let waited = start.duration_since(now);
         if waited > self.max_wait {
-            self.deferred += 1;
             return Admission::Deferred {
                 earliest_start: start,
             };
         }
         let in_flight = self.lanes.iter().filter(|&&busy| busy > start).count() + 1;
-        self.admitted += 1;
         Admission::Granted {
             lane,
             start,
@@ -107,21 +101,6 @@ impl AdmissionGate {
     /// Lanes busy at `at`.
     pub fn in_flight(&self, at: SimTime) -> usize {
         self.lanes.iter().filter(|&&busy| busy > at).count()
-    }
-
-    /// Total lanes in the pool.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Requests granted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Requests deferred so far.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
     }
 }
 
@@ -150,7 +129,6 @@ mod tests {
             }
             other => panic!("expected grant, got {other:?}"),
         }
-        assert_eq!(gate.admitted(), 1);
     }
 
     #[test]
@@ -184,7 +162,6 @@ mod tests {
             Admission::Deferred { earliest_start } => assert_eq!(earliest_start, t(60)),
             other => panic!("expected deferral, got {other:?}"),
         }
-        assert_eq!(gate.deferred(), 1);
         // The deferral reserved nothing: a later request (within the cap)
         // still gets the lane at 60s.
         match gate.request(t(58)) {

@@ -112,6 +112,7 @@ impl Json {
         let mut p = JsonParser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.parse_value()?;
@@ -197,9 +198,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting [`Json::parse`] accepts. Logstash events nest three or
+/// four levels; the parser recurses per level, so an unbounded document
+/// from the wire would overflow the stack and abort the process.
+const MAX_DEPTH: usize = 128;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
@@ -235,8 +242,8 @@ impl<'a> JsonParser<'a> {
 
     fn parse_value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Json::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
@@ -245,6 +252,21 @@ impl<'a> JsonParser<'a> {
             Some(c) => Err(self.error(format!("unexpected `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Json) -> Result<Json, JsonError> {

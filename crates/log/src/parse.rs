@@ -192,11 +192,15 @@ mod tests {
 
     #[test]
     fn truncated_and_invalid_json_degrade_to_unclassified() {
+        // The last input nests deeper than any stack: it must be refused,
+        // not recursed into.
+        let bottomless = "{\"a\":".repeat(200_000);
         for raw in [
             "{\"@message\": \"chopped",
             "{\"@message\" \"no colon\"}",
             "{",
             "{\"@fields\": [}",
+            bottomless.as_str(),
         ] {
             let parsed = parse_line(raw, now());
             assert_eq!(parsed.format, LineFormat::Unclassified, "input {raw:?}");

@@ -39,15 +39,19 @@ proptest! {
         prop_assert_eq!(parsed, v);
     }
 
-    /// Parsing never panics on arbitrary input, and a long string literal
-    /// cut anywhere short of its closing quote is an error.
+    /// Parsing never panics on arbitrary input, a long string literal cut
+    /// anywhere short of its closing quote is an error, and so is nesting
+    /// past the parser's 128 levels.
     #[test]
     fn json_parse_never_panics(
         s in "[ -~]{0,80}",
         long in "[ -~é日\\n]{0,4000}",
         cut in 0usize..4096,
+        depth in 1usize..400,
     ) {
         let _ = Json::parse(&s);
+        let nest = "[".repeat(depth) + &"]".repeat(depth);
+        prop_assert_eq!(Json::parse(&nest).is_ok(), depth <= 128);
         let text = Json::str(long).to_string();
         let cut = (0..text.len().min(cut + 1)).rev().find(|&i| text.is_char_boundary(i));
         prop_assert!(Json::parse(&text[..cut.unwrap_or(0)]).is_err());

@@ -25,13 +25,6 @@ pub fn token_levenshtein(a: &[&str], b: &[&str]) -> usize {
     prev[b.len()]
 }
 
-/// Character-level Levenshtein distance.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let av: Vec<&str> = a.split("").filter(|s| !s.is_empty()).collect();
-    let bv: Vec<&str> = b.split("").filter(|s| !s.is_empty()).collect();
-    token_levenshtein(&av, &bv)
-}
-
 /// Normalised token distance in `[0, 1]`: edit distance divided by the
 /// longer token count. Two identical lines score 0; completely different
 /// lines score 1.
@@ -64,10 +57,12 @@ mod tests {
 
     #[test]
     fn classic_levenshtein_cases() {
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("same", "same"), 0);
+        let kitten = ["k", "i", "t", "t", "e", "n"];
+        let sitting = ["s", "i", "t", "t", "i", "n", "g"];
+        assert_eq!(token_levenshtein(&kitten, &sitting), 3);
+        assert_eq!(token_levenshtein(&[], &kitten), 6);
+        assert_eq!(token_levenshtein(&kitten, &[]), 6);
+        assert_eq!(token_levenshtein(&kitten, &kitten), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! This crate implements the full pipeline, replacing the off-the-shelf
 //! Disco tool the paper used:
 //!
-//! - [`normalized_token_distance`] / [`levenshtein`] — string distances;
+//! - [`normalized_token_distance`] / [`token_levenshtein`] — string distances;
 //! - [`mask_line`] / [`Template`] — variable masking and template
 //!   derivation with typed named captures;
 //! - [`cluster_lines`] — leader-based agglomerative clustering;
@@ -33,7 +33,7 @@ mod timing;
 pub use cluster::{cluster_lines, Cluster, ClusterConfig};
 pub use dfg::Dfg;
 pub use discovery::{discover_model, DiscoveryError};
-pub use distance::{levenshtein, normalized_token_distance, token_levenshtein};
+pub use distance::{normalized_token_distance, token_levenshtein};
 pub use pipeline::{mine_process, MinedProcess, MiningConfig, MiningError};
 pub use template::{mask_line, Template, TemplateToken, VariableKind};
 pub use timing::ActivityTimings;

@@ -166,11 +166,6 @@ impl Template {
         Template { tokens }
     }
 
-    /// The template's tokens.
-    pub fn tokens(&self) -> &[TemplateToken] {
-        &self.tokens
-    }
-
     /// A human-readable activity name: the first few literal words,
     /// lowercased and hyphenated — standing in for the paper's manual
     /// cluster naming by the analyst.
@@ -303,7 +298,7 @@ mod tests {
             "Launched instance i-3 ok extra-token",
         ];
         let t = Template::derive(&lines);
-        assert_eq!(t.tokens().len(), 4);
+        assert_eq!(t.tokens.len(), 4);
     }
 
     #[test]

@@ -16,22 +16,21 @@
 //!   events with explicit parent links and span/trace correlation, emitted
 //!   at every pipeline hand-off so each incident carries its evidence
 //!   chain;
-//! - **exporters**: Chrome trace-event JSON ([`chrome_trace`],
-//!   Perfetto-loadable) and an OTLP-style JSON document ([`otlp_json`]) for
-//!   spans+events;
 //! - an **incident timeline explainer** ([`incidents`],
 //!   [`render_timelines`]) reconstructing, per detection, the ordered
 //!   causal chain from the triggering log line to the reported root cause
 //!   with per-hop latency;
-//! - **ASCII sinks**: a metrics summary table ([`render_summary`]), a span
-//!   tree ([`Tracer::render_tree`]) and a flame-style aggregation
-//!   ([`Tracer::render_flame`]).
+//! - an **ASCII sink**: the metrics summary table ([`render_summary`]).
 //!
-//! Timestamps come from the `pod-sim` virtual [`Clock`], so under a fixed
-//! seed two runs produce byte-identical traces. The JSON-lines run journal
-//! lives in `pod-eval` (it reuses the `pod-log` JSON serializer; this crate
-//! sits *below* `pod-log` in the dependency order so the log pipeline
-//! itself can be instrumented).
+//! Each question about a trace has one view: *why a detection happened* is
+//! the incident timeline above; *where the virtual time went* is
+//! `pod_eval::stage_self_times` over [`Tracer::finished`]; *nesting* is
+//! the trace-viewer export. Timestamps come from the `pod-sim` virtual
+//! [`Clock`], so under a fixed seed two runs produce byte-identical traces.
+//! The run record and the trace-viewer export live in `pod-eval`, on the
+//! `pod-log` JSON writer: this crate sits *below* `pod-log` in the
+//! dependency order so the log pipeline itself can be instrumented, and
+//! writes no JSON of its own.
 //!
 //! # Examples
 //!
@@ -53,14 +52,13 @@
 //!
 //! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("cloud.api.calls"), 1);
-//! assert!(obs.tracer().render_tree().contains("cloud.api.call"));
+//! assert_eq!(obs.tracer().finished()[0].name, "cloud.api.call");
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod event;
-mod export;
 mod flight;
 mod histogram;
 mod metrics;
@@ -71,7 +69,6 @@ mod span;
 mod timeline;
 
 pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent};
-pub use export::{chrome_trace, otlp_json};
 pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
@@ -81,4 +78,4 @@ pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};
 pub use span::{SpanGuard, SpanRecord, Tracer};
-pub use timeline::{incident_count, incidents, render_timeline, render_timelines, IncidentChain};
+pub use timeline::{incident_count, incidents, render_timelines, IncidentChain};

@@ -55,11 +55,6 @@ impl ShardedCounter {
         }
     }
 
-    /// The number of cells.
-    pub fn shards(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The cheap per-shard handle; `shard` wraps modulo the cell count.
     pub fn cell(&self, shard: usize) -> ShardCell {
         ShardCell {
@@ -426,7 +421,7 @@ mod tests {
     fn sharded_counter_folds_into_the_snapshot_total() {
         let reg = Registry::new();
         let sc = reg.sharded_counter("gateway.lines.processed", 4);
-        assert_eq!(sc.shards(), 4);
+        assert_eq!(sc.cells.len(), 4);
         let cells: Vec<_> = (0..4).map(|i| sc.cell(i)).collect();
         let handles: Vec<_> = cells
             .into_iter()
@@ -449,7 +444,7 @@ mod tests {
         assert_eq!(reg.snapshot().counter("gateway.lines.processed"), 40_010);
         // Re-registration shares cells regardless of the shard count asked.
         let again = reg.sharded_counter("gateway.lines.processed", 16);
-        assert_eq!(again.shards(), 4);
+        assert_eq!(again.cells.len(), 4);
     }
 
     #[test]

@@ -54,13 +54,6 @@ pub struct RunSignals {
     pub tail_exemplar: bool,
 }
 
-impl RunSignals {
-    /// Whether the run carries no keep-worthy signal at all.
-    pub fn healthy(&self) -> bool {
-        self.detections == 0 && self.errors == 0 && self.warnings == 0 && !self.tail_exemplar
-    }
-}
-
 /// The sampler's decision for one run, in priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleVerdict {
@@ -164,16 +157,6 @@ impl TailSampler {
         }
         verdict
     }
-
-    /// Runs kept so far.
-    pub fn kept(&self) -> u64 {
-        self.kept.get()
-    }
-
-    /// Runs discarded so far.
-    pub fn discarded(&self) -> u64 {
-        self.discarded.get()
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +193,8 @@ mod tests {
             sampler.decide(&signals(0, 0, 0, true)),
             SampleVerdict::KeptTailExemplar
         );
-        assert_eq!(sampler.kept(), 4);
-        assert_eq!(sampler.discarded(), 0);
+        assert_eq!(sampler.kept.get(), 4);
+        assert_eq!(sampler.discarded.get(), 0);
     }
 
     #[test]
@@ -225,7 +208,6 @@ mod tests {
             verdicts,
             vec![true, false, false, false, true, false, false, false]
         );
-        assert_eq!(sampler.kept() + sampler.discarded(), 8);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("obs.sampler.kept"), 2);
         assert_eq!(snap.counter("obs.sampler.kept.healthy"), 2);

@@ -1,8 +1,6 @@
 //! The span/trace layer: nested spans on the virtual clock, one trace per
-//! run, with ASCII tree and flame-style rendering.
+//! run.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -203,122 +201,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
-
-    /// Renders the finished spans as an indented tree in start order.
-    pub fn render_tree(&self) -> String {
-        let inner = self.inner.lock();
-        let mut spans = inner.finished.clone();
-        spans.sort_by_key(|s| (s.start, s.id));
-        let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
-        let mut children: BTreeMap<Option<u64>, Vec<&SpanRecord>> = BTreeMap::new();
-        for span in &spans {
-            // Spans whose parent was evicted render as roots.
-            let parent = span.parent.filter(|p| ids.contains(p));
-            children.entry(parent).or_default().push(span);
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "trace {} ({} spans{})",
-            if inner.trace_id.is_empty() {
-                "<unnamed>"
-            } else {
-                &inner.trace_id
-            },
-            spans.len(),
-            if inner.dropped > 0 {
-                format!(", {} dropped", inner.dropped)
-            } else {
-                String::new()
-            }
-        );
-        fn walk(
-            out: &mut String,
-            children: &BTreeMap<Option<u64>, Vec<&SpanRecord>>,
-            parent: Option<u64>,
-            depth: usize,
-        ) {
-            let Some(list) = children.get(&parent) else {
-                return;
-            };
-            for span in list {
-                let attrs = if span.attrs.is_empty() {
-                    String::new()
-                } else {
-                    let parts: Vec<String> =
-                        span.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    format!("  {}", parts.join(" "))
-                };
-                let _ = writeln!(
-                    out,
-                    "{}{} [{} +{}]{}",
-                    "  ".repeat(depth + 1),
-                    span.name,
-                    span.start,
-                    span.duration(),
-                    attrs,
-                );
-                walk(out, children, Some(span.id), depth + 1);
-            }
-        }
-        walk(&mut out, &children, None, 0);
-        out
-    }
-
-    /// Renders a flame-style aggregation: per span name, call count, total
-    /// and self virtual time, with bars scaled to the hottest name.
-    pub fn render_flame(&self) -> String {
-        let spans = self.finished();
-        if spans.is_empty() {
-            return "flame: no spans recorded\n".to_string();
-        }
-        let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
-        for span in &spans {
-            if let Some(parent) = span.parent {
-                *child_time.entry(parent).or_insert(0) += span.duration().as_micros();
-            }
-        }
-        struct Agg {
-            count: u64,
-            total_us: u64,
-            self_us: u64,
-        }
-        let mut by_name: BTreeMap<&str, Agg> = BTreeMap::new();
-        for span in &spans {
-            let total = span.duration().as_micros();
-            let own = total.saturating_sub(child_time.get(&span.id).copied().unwrap_or(0));
-            let agg = by_name.entry(span.name).or_insert(Agg {
-                count: 0,
-                total_us: 0,
-                self_us: 0,
-            });
-            agg.count += 1;
-            agg.total_us += total;
-            agg.self_us += own;
-        }
-        let mut rows: Vec<(&str, Agg)> = by_name.into_iter().collect();
-        rows.sort_by(|a, b| b.1.total_us.cmp(&a.1.total_us).then(a.0.cmp(b.0)));
-        let peak = rows.first().map(|(_, a)| a.total_us).unwrap_or(1).max(1);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<34} {:>6} {:>12} {:>12}  flame",
-            "span", "count", "total", "self"
-        );
-        for (name, agg) in rows {
-            let width = ((agg.total_us as f64 / peak as f64) * 24.0).round() as usize;
-            let _ = writeln!(
-                out,
-                "{:<34} {:>6} {:>12} {:>12}  {}",
-                name,
-                agg.count,
-                SimDuration::from_micros(agg.total_us).to_string(),
-                SimDuration::from_micros(agg.self_us).to_string(),
-                "#".repeat(width.max(1)),
-            );
-        }
-        out
-    }
 }
 
 /// RAII guard for an open span; dropping it closes the span at the
@@ -428,43 +310,6 @@ mod tests {
         tracer.begin_trace("run-b");
         assert_eq!(tracer.finished().len(), 0);
         assert_eq!(tracer.trace_id(), "run-b");
-    }
-
-    #[test]
-    fn tree_rendering_indents_children() {
-        let clock = Clock::new();
-        let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-3");
-        {
-            let _outer = tracer.span("upgrade.step");
-            advance(&clock, 3);
-            let api = tracer.span("cloud.api.call");
-            api.attr("op", "DescribeAsg");
-            advance(&clock, 80);
-        }
-        let tree = tracer.render_tree();
-        assert!(tree.contains("trace run-3 (2 spans)"), "got:\n{tree}");
-        assert!(tree.contains("  upgrade.step ["), "got:\n{tree}");
-        assert!(tree.contains("    cloud.api.call ["), "got:\n{tree}");
-        assert!(tree.contains("op=DescribeAsg"), "got:\n{tree}");
-    }
-
-    #[test]
-    fn flame_rendering_aggregates_by_name() {
-        let clock = Clock::new();
-        let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-4");
-        {
-            let _w = tracer.span("walk");
-            for _ in 0..2 {
-                let _t = tracer.span("test");
-                advance(&clock, 10);
-            }
-        }
-        let flame = tracer.render_flame();
-        assert!(flame.contains("walk"), "got:\n{flame}");
-        let test_line = flame.lines().find(|l| l.starts_with("test")).unwrap();
-        assert!(test_line.contains("2"), "count column: {test_line}");
     }
 
     #[test]

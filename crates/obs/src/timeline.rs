@@ -143,7 +143,7 @@ fn attr_summary(event: &EventRecord, width: usize) -> String {
 
 /// Renders one incident chain as an ASCII timeline: one row per hop with
 /// the hop's virtual timestamp and the latency since the previous hop.
-pub fn render_timeline(chain: &IncidentChain) -> String {
+fn render_timeline(chain: &IncidentChain) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -129,13 +129,14 @@ proptest! {
         for signals in &runs {
             sampler.decide(signals);
         }
+        let snap = reg.snapshot();
+        let (kept, discarded) = (snap.counter("obs.sampler.kept"), snap.counter("obs.sampler.discarded"));
         prop_assert_eq!(
-            sampler.kept() + sampler.discarded(),
+            kept + discarded,
             runs.len() as u64,
             "decisions lost: kept {} + discarded {} != {} runs",
-            sampler.kept(), sampler.discarded(), runs.len()
+            kept, discarded, runs.len()
         );
-        let snap = reg.snapshot();
         prop_assert_eq!(
             snap.sum_counters("obs.sampler.kept."),
             snap.counter("obs.sampler.kept"),

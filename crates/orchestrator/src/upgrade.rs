@@ -99,11 +99,6 @@ impl RollingUpgrade {
         }
     }
 
-    /// The task (process instance) id.
-    pub fn task_id(&self) -> &str {
-        &self.task_id
-    }
-
     fn log(&mut self, observer: &mut dyn UpgradeObserver, severity: Severity, message: String) {
         self.seq += 1;
         let event = LogEvent::new(self.cloud.clock().now(), "asgard.log", message)

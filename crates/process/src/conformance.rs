@@ -84,7 +84,6 @@ struct InstanceState {
 #[derive(Debug)]
 pub struct ConformanceChecker {
     net: PetriNet,
-    model_name: String,
     instances: HashMap<String, InstanceState>,
     metrics: ConformanceMetrics,
     obs: Obs,
@@ -123,7 +122,6 @@ impl ConformanceChecker {
         let obs = Obs::detached();
         ConformanceChecker {
             net: PetriNet::compile(model),
-            model_name: model.name().to_string(),
             instances: HashMap::new(),
             metrics: ConformanceMetrics::new(&obs),
             obs,
@@ -181,11 +179,6 @@ impl ConformanceChecker {
     /// error), so the engine can parent its detection on it.
     pub fn last_verdict_event(&self) -> Option<pod_obs::EventId> {
         self.last_event
-    }
-
-    /// The model this checker validates against.
-    pub fn model_name(&self) -> &str {
-        &self.model_name
     }
 
     fn instance(&mut self, trace_id: &str) -> &mut InstanceState {
@@ -295,14 +288,6 @@ impl ConformanceChecker {
             .map(String::as_str)
     }
 
-    /// Full replay history of a trace.
-    pub fn history(&self, trace_id: &str) -> &[String] {
-        self.instances
-            .get(trace_id)
-            .map(|i| i.history.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Whether a trace has reached the end event.
     pub fn is_complete(&self, trace_id: &str) -> bool {
         self.instances
@@ -353,7 +338,7 @@ mod tests {
             assert_eq!(ch.replay("t", act), Conformance::Fit);
         }
         assert!(ch.is_complete("t"));
-        assert_eq!(ch.history("t"), ["a", "b", "c", "b", "c"]);
+        assert_eq!(ch.last_activity("t"), Some("c"));
     }
 
     #[test]

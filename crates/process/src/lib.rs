@@ -30,4 +30,4 @@ pub use model::{
     Flow, FlowId, GatewayKind, ModelError, Node, NodeId, NodeKind, ProcessModel,
     ProcessModelBuilder,
 };
-pub use petri::{Marking, PetriNet, Transition};
+pub use petri::{Marking, PetriNet};

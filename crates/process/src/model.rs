@@ -169,11 +169,6 @@ impl ProcessModel {
         })
     }
 
-    /// The node for an id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0]
-    }
-
     /// Incoming flows of a node.
     pub fn incoming(&self, id: NodeId) -> Vec<FlowId> {
         self.flows

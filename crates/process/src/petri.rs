@@ -15,13 +15,13 @@ pub type Marking = Vec<u8>;
 
 /// One Petri-net transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transition {
+struct Transition {
     /// Activity name for task transitions; `None` for silent ones.
-    pub label: Option<String>,
+    label: Option<String>,
     /// Places a token is consumed from.
-    pub consume: Vec<usize>,
+    consume: Vec<usize>,
     /// Places a token is produced on.
-    pub produce: Vec<usize>,
+    produce: Vec<usize>,
 }
 
 /// Bound on the number of distinct markings explored when saturating silent
@@ -128,11 +128,6 @@ impl PetriNet {
     /// The marking before any activity has executed.
     pub fn initial_marking(&self) -> Marking {
         self.initial.clone()
-    }
-
-    /// The transitions of the net.
-    pub fn transitions(&self) -> &[Transition] {
-        &self.transitions
     }
 
     /// Whether `t` is enabled in `m`.

@@ -30,9 +30,7 @@ use pod_log::LogStorage;
 use pod_obs::{Counter, Gauge};
 use pod_sim::SimDuration;
 
-use crate::executor::{
-    PreparedPlan, RecoveryConfig, RecoveryExecutor, RecoveryRequest, RecoveryRun,
-};
+use crate::executor::{PreparedPlan, RecoveryExecutor, RecoveryRequest, RecoveryRun};
 use crate::plan::RecoveryPlan;
 
 /// Cached handles for the dispatcher's own metrics.
@@ -93,10 +91,9 @@ impl RecoveryDispatcher {
         storage: LogStorage,
         env: SharedEnv,
         trace_id: impl Into<String>,
-        config: RecoveryConfig,
     ) -> RecoveryDispatcher {
         RecoveryDispatcher {
-            executor: RecoveryExecutor::new(cloud.clone(), storage, config),
+            executor: RecoveryExecutor::new(cloud.clone(), storage),
             metrics: DispatchMetrics::new(&cloud),
             cloud,
             env,
@@ -408,13 +405,8 @@ mod tests {
             },
         );
         let shared = SharedEnv::new(env);
-        let mut dispatcher = RecoveryDispatcher::new(
-            cloud.clone(),
-            LogStorage::new(),
-            shared,
-            "run-1",
-            RecoveryConfig::default(),
-        );
+        let mut dispatcher =
+            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-1");
 
         let detection = diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami"));
         dispatcher.on_notice(&EngineNotice::Detected {
@@ -457,13 +449,8 @@ mod tests {
     fn unmapped_diagnosis_defers_to_operation_end_review() {
         let (cloud, env) = cluster(92);
         let shared = SharedEnv::new(env);
-        let mut dispatcher = RecoveryDispatcher::new(
-            cloud.clone(),
-            LogStorage::new(),
-            shared,
-            "run-2",
-            RecoveryConfig::default(),
-        );
+        let mut dispatcher =
+            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-2");
 
         let detection = diagnosed(&cloud, "asg-desired-capacity", Some("concurrent-scale-in"));
         dispatcher.on_notice(&EngineNotice::Diagnosed {

@@ -10,48 +10,34 @@ use pod_sim::{SimDuration, SimTime};
 
 use crate::plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
 
-/// Budgets for the executor.
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Retry policy for individual repair calls (one consistent-layer call
-    /// per step action).
-    pub step_policy: RetryPolicy,
-    /// Retry policy for convergence waits
-    /// ([`RecoveryStep::WaitLaunchConfigSettled`] and terminate
-    /// confirmation) — long, because instance relaunches take minutes of
-    /// virtual time.
-    pub wait_policy: RetryPolicy,
-    /// How many times a failed step is re-attempted before the plan is
-    /// abandoned (fallback or escalation).
-    pub max_step_attempts: u32,
-    /// Cost of staging a plan cold: resolving its parameters against the
-    /// environment, checking step preconditions and warming the consistent
-    /// API handles. A plan pre-staged during diagnosis (see
-    /// [`PreparedPlan`]) skips this entirely — that is the fast path's
-    /// zero-staging-latency win.
-    pub stage_latency: SimDuration,
-}
+/// Retry policy for individual repair calls (one consistent-layer call
+/// per step action).
+const STEP_POLICY: RetryPolicy = RetryPolicy {
+    max_retries: 4,
+    base_backoff: SimDuration::from_millis(200),
+    multiplier: 2.0,
+    timeout: SimDuration::from_secs(30),
+};
 
-impl Default for RecoveryConfig {
-    fn default() -> RecoveryConfig {
-        RecoveryConfig {
-            step_policy: RetryPolicy {
-                max_retries: 4,
-                base_backoff: SimDuration::from_millis(200),
-                multiplier: 2.0,
-                timeout: SimDuration::from_secs(30),
-            },
-            wait_policy: RetryPolicy {
-                max_retries: 60,
-                base_backoff: SimDuration::from_secs(2),
-                multiplier: 1.2,
-                timeout: SimDuration::from_secs(600),
-            },
-            max_step_attempts: 2,
-            stage_latency: SimDuration::from_millis(1500),
-        }
-    }
-}
+/// Retry policy for convergence waits
+/// ([`RecoveryStep::WaitLaunchConfigSettled`] and terminate confirmation) —
+/// long, because instance relaunches take minutes of virtual time.
+const WAIT_POLICY: RetryPolicy = RetryPolicy {
+    max_retries: 60,
+    base_backoff: SimDuration::from_secs(2),
+    multiplier: 1.2,
+    timeout: SimDuration::from_secs(600),
+};
+
+/// How many times a failed step is re-attempted before the plan is
+/// abandoned (fallback or escalation).
+const MAX_STEP_ATTEMPTS: u32 = 2;
+
+/// Cost of staging a plan cold: resolving its parameters against the
+/// environment, checking step preconditions and warming the consistent
+/// API handles. A plan pre-staged during diagnosis (see [`PreparedPlan`])
+/// skips this entirely — that is the fast path's zero-staging-latency win.
+const STAGE_LATENCY: SimDuration = SimDuration::from_millis(1500);
 
 /// A plan staged ahead of the diagnosis verdict: parameters resolved,
 /// preconditions checked, API handles warm. Produced by the dispatcher
@@ -269,20 +255,18 @@ pub struct RecoveryExecutor {
     api: ConsistentApi,
     wait_api: ConsistentApi,
     library: PlanLibrary,
-    config: RecoveryConfig,
     storage: LogStorage,
     metrics: RecoveryMetrics,
 }
 
 impl RecoveryExecutor {
     /// Builds an executor appending its operation log to `storage`.
-    pub fn new(cloud: Cloud, storage: LogStorage, config: RecoveryConfig) -> RecoveryExecutor {
+    pub fn new(cloud: Cloud, storage: LogStorage) -> RecoveryExecutor {
         let metrics = RecoveryMetrics::new(cloud.obs());
         RecoveryExecutor {
-            api: ConsistentApi::new(cloud.clone(), config.step_policy.clone()),
-            wait_api: ConsistentApi::new(cloud, config.wait_policy.clone()),
+            api: ConsistentApi::new(cloud.clone(), STEP_POLICY),
+            wait_api: ConsistentApi::new(cloud, WAIT_POLICY),
             library: PlanLibrary::new(),
-            config,
             storage,
             metrics,
         }
@@ -304,7 +288,7 @@ impl RecoveryExecutor {
     /// the diagnosis was still walking the fault tree is consumed when the
     /// speculation matches the confirmed root cause — then the winning
     /// plan starts executing with zero staging latency. A stale or missing
-    /// pre-stage is staged cold (see [`RecoveryConfig::stage_latency`]).
+    /// pre-stage is staged cold (`STAGE_LATENCY`).
     pub fn recover_prepared(
         &self,
         req: &RecoveryRequest,
@@ -389,8 +373,8 @@ impl RecoveryExecutor {
                     // Cold staging: resolve parameters, check preconditions
                     // and warm the API handles — the latency speculative
                     // pre-staging eliminates.
-                    self.api.cloud().clock().advance(self.config.stage_latency);
-                    run.phases.staging = self.config.stage_latency;
+                    self.api.cloud().clock().advance(STAGE_LATENCY);
+                    run.phases.staging = STAGE_LATENCY;
                 }
                 plan
             }
@@ -544,7 +528,7 @@ impl RecoveryExecutor {
             let outcome = loop {
                 attempts += 1;
                 match self.execute_step(step, &req.env).map_err(|e| e.to_string()) {
-                    Err(error) if attempts < self.config.max_step_attempts => {
+                    Err(error) if attempts < MAX_STEP_ATTEMPTS => {
                         self.metrics.steps_retried.incr();
                         // Deliberately phrased to stay outside the
                         // relevance patterns: retries are noise to the
@@ -974,7 +958,7 @@ mod tests {
     }
 
     fn executor(cloud: &Cloud) -> RecoveryExecutor {
-        RecoveryExecutor::new(cloud.clone(), LogStorage::new(), RecoveryConfig::default())
+        RecoveryExecutor::new(cloud.clone(), LogStorage::new())
     }
 
     #[test]

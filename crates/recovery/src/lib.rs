@@ -45,8 +45,8 @@ mod storm;
 
 pub use dispatch::RecoveryDispatcher;
 pub use executor::{
-    PreparedPlan, RecoveryConfig, RecoveryExecutor, RecoveryOutcome, RecoveryPhases,
-    RecoveryRequest, RecoveryRun, StepRecord, VerifyRecord,
+    PreparedPlan, RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun,
+    StepRecord, VerifyRecord,
 };
 pub use monitor::{conformance_check, recovery_model, recovery_pod_config, ConformanceReport};
 pub use plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};

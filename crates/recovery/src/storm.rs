@@ -40,7 +40,7 @@ use pod_obs::{Counter, Gauge, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::dispatch::RecoveryDispatcher;
-use crate::executor::{RecoveryConfig, RecoveryRun};
+use crate::executor::RecoveryRun;
 
 /// Contention knobs of a recovery storm.
 #[derive(Debug, Clone)]
@@ -218,11 +218,10 @@ impl RecoveryStorm {
         storage: LogStorage,
         env: SharedEnv,
         trace_id: impl Into<String>,
-        config: RecoveryConfig,
     ) -> TenantId {
         let id = TenantId(self.tenants.len());
         self.tenants.push(TenantSlot {
-            dispatcher: RecoveryDispatcher::new(cloud.clone(), storage, env, trace_id, config),
+            dispatcher: RecoveryDispatcher::new(cloud.clone(), storage, env, trace_id),
             cloud,
             deferred: Vec::new(),
             eager: BTreeMap::new(),
@@ -386,13 +385,7 @@ mod tests {
     }
 
     fn register(storm: &mut RecoveryStorm, cloud: &Cloud, env: &SharedEnv, id: &str) -> TenantId {
-        storm.register_tenant(
-            cloud.clone(),
-            LogStorage::new(),
-            env.clone(),
-            id,
-            RecoveryConfig::default(),
-        )
+        storm.register_tenant(cloud.clone(), LogStorage::new(), env.clone(), id)
     }
 
     fn dispatch_one(storm: &mut RecoveryStorm, tenant: TenantId, detection: &Detection) {

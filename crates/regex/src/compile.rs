@@ -49,8 +49,6 @@ pub struct Program {
     /// visited set makes loop guards unnecessary.
     #[cfg_attr(not(test), allow(dead_code))]
     pub n_regs: usize,
-    /// Number of capturing groups excluding group 0.
-    pub n_captures: u32,
 }
 
 struct Compiler {
@@ -72,7 +70,6 @@ pub fn compile(ast: &Ast, capture_count: u32) -> Program {
         insts: c.insts,
         n_slots: 2 * (capture_count as usize + 1),
         n_regs: c.n_regs,
-        n_captures: capture_count,
     }
 }
 
@@ -222,6 +219,5 @@ mod tests {
     fn groups_allocate_slots() {
         let p = prog("(a)(b)");
         assert_eq!(p.n_slots, 6);
-        assert_eq!(p.n_captures, 2);
     }
 }

@@ -193,11 +193,6 @@ impl Regex {
         }
     }
 
-    /// Number of capturing groups, excluding group 0.
-    pub fn capture_count(&self) -> u32 {
-        self.prog.n_captures
-    }
-
     /// The names of the named capture groups, in index order.
     pub fn capture_names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(|(_, n)| n.as_str())
@@ -484,11 +479,6 @@ impl RegexSet {
     /// Whether the set contains no patterns.
     pub fn is_empty(&self) -> bool {
         self.regexes.is_empty()
-    }
-
-    /// The individual compiled patterns.
-    pub fn regexes(&self) -> &[Regex] {
-        &self.regexes
     }
 }
 

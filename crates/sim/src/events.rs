@@ -10,15 +10,10 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Identifier of a scheduled event, used to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 #[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -63,7 +58,6 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<EventId>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -78,7 +72,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
         }
     }
 
@@ -86,65 +79,21 @@ impl<E> EventQueue<E> {
     ///
     /// Events scheduled for the same instant fire in the order they were
     /// scheduled.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.heap.push(Scheduled {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        id
+        self.heap.push(Scheduled { at, seq, payload });
     }
 
-    /// Cancels a scheduled event. Returns `true` if the event had not yet
-    /// fired (or been cancelled).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: mark and skip at pop time.
-        if self.heap.iter().any(|s| s.id == id) {
-            self.cancelled.insert(id)
-        } else {
-            false
-        }
-    }
-
-    /// Removes and returns the earliest pending event, skipping cancelled
-    /// ones. Returns `None` when the queue is exhausted.
+    /// Removes and returns the earliest pending event. Returns `None` when
+    /// the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.heap.pop() {
-            if self.cancelled.remove(&s.id) {
-                continue;
-            }
-            return Some((s.at, s.payload));
-        }
-        None
+        self.heap.pop().map(|s| (s.at, s.payload))
     }
 
     /// The time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            let skip = match self.heap.peek() {
-                Some(s) if self.cancelled.contains(&s.id) => true,
-                Some(s) => return Some(s.at),
-                None => return None,
-            };
-            if skip {
-                let s = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&s.id);
-            }
-        }
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.at)
     }
 }
 
@@ -173,30 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_millis(1), "gone");
-        q.schedule(SimTime::from_millis(2), "kept");
-        assert!(q.cancel(id));
-        assert!(!q.cancel(id));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().1, "kept");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let id = q.schedule(SimTime::from_millis(1), ());
-        q.schedule(SimTime::from_millis(7), ());
-        q.cancel(id);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
     }

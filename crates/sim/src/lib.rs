@@ -50,7 +50,7 @@ mod stats;
 mod time;
 
 pub use clock::Clock;
-pub use events::{EventId, EventQueue};
+pub use events::EventQueue;
 pub use latency::LatencyModel;
 pub use rng::SimRng;
 pub use stats::nearest_rank;

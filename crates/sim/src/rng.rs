@@ -35,13 +35,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. for a parallel component
-    /// that must not perturb the parent's stream.
-    pub fn fork(&mut self, stream: u64) -> SimRng {
-        let base: u64 = self.inner.gen();
-        SimRng::seed_from(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "uniform_u64 requires lo < hi");
@@ -112,16 +105,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform_u64(0, 1_000_000), b.uniform_u64(0, 1_000_000));
         }
-    }
-
-    #[test]
-    fn forked_streams_diverge() {
-        let mut a = SimRng::seed_from(7);
-        let mut f1 = a.fork(1);
-        let mut f2 = a.fork(2);
-        let s1: Vec<u64> = (0..10).map(|_| f1.uniform_u64(0, 1000)).collect();
-        let s2: Vec<u64> = (0..10).map(|_| f2.uniform_u64(0, 1000)).collect();
-        assert_ne!(s1, s2);
     }
 
     #[test]

@@ -24,31 +24,6 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
-    #[test]
-    fn cancellation_removes_exactly_the_cancelled(
-        spec in prop::collection::vec((0u64..100, prop::bool::ANY), 0..40),
-    ) {
-        let mut q = EventQueue::new();
-        let mut keep = Vec::new();
-        let mut ids = Vec::new();
-        for (i, (t, cancel)) in spec.iter().enumerate() {
-            let id = q.schedule(SimTime::from_millis(*t), i);
-            if *cancel {
-                ids.push(id);
-            } else {
-                keep.push(i);
-            }
-        }
-        for id in ids {
-            prop_assert!(q.cancel(id));
-        }
-        let mut popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        popped.sort_unstable();
-        keep.sort_unstable();
-        prop_assert_eq!(popped, keep);
-    }
-
     /// Latency samples are non-negative and deterministic per seed.
     #[test]
     fn latency_models_are_deterministic(seed in 0u64..10_000, median in 1.0f64..500.0) {

@@ -6,10 +6,12 @@
 //! Run with `cargo run --example rolling_upgrade_diagnosis`.
 
 use pod_diagnosis::cloud::Cloud;
-use pod_diagnosis::eval::{build_engine, build_scenario, ScenarioConfig};
+use pod_diagnosis::eval::{
+    build_engine, build_scenario, stage_self_times, ScenarioConfig, TraceDump,
+};
 use pod_diagnosis::log::{LogEvent, LogQuery};
 use pod_diagnosis::orchestrator::{FaultInjector, FaultType, RollingUpgrade, UpgradeObserver};
-use pod_diagnosis::sim::{SimRng, SimTime};
+use pod_diagnosis::sim::{SimDuration, SimRng, SimTime};
 
 struct Monitor<'s> {
     engine: pod_diagnosis::core::PodEngine,
@@ -115,18 +117,20 @@ fn main() {
     }
 
     let obs = scenario.cloud.obs();
+    let dump = TraceDump {
+        trace_id: scenario.trace_id.clone(),
+        spans: obs.tracer().finished(),
+        events: obs.events().records(),
+    };
     println!();
     println!("== incident timelines (causal chains, virtual time) ==");
-    print!(
-        "{}",
-        pod_diagnosis::obs::render_timelines(&obs.events().records())
-    );
+    print!("{}", pod_diagnosis::obs::render_timelines(&dump.events));
     println!();
-    println!("== span tree (virtual time) ==");
-    print!("{}", obs.tracer().render_tree());
-    println!();
-    println!("== span flame summary ==");
-    print!("{}", obs.tracer().render_flame());
+    println!("== stage self time (virtual) ==");
+    for (stage, us) in stage_self_times(&dump.spans) {
+        let self_time = SimDuration::from_micros(us).to_string();
+        println!("{stage:<34} {self_time:>12}");
+    }
     println!();
     println!("== metrics summary ==");
     print!("{}", pod_diagnosis::obs::render_summary(&obs.snapshot()));
@@ -135,22 +139,16 @@ fn main() {
     if spans_dropped > 0 || events_dropped > 0 {
         println!(
             "WARNING: retention caps hit — {spans_dropped} span(s) and {events_dropped} causal \
-             event(s) dropped; the trace exports below are incomplete"
+             event(s) dropped; the trace export below is incomplete"
         );
     } else {
         println!("spans dropped: 0, causal events dropped: 0");
     }
 
-    let spans = obs.tracer().finished();
-    let events = obs.events().records();
-    let chrome = pod_diagnosis::obs::chrome_trace(&scenario.trace_id, &spans, &events);
-    std::fs::write("TRACE_e6.json", chrome).expect("write chrome trace");
-    let otlp = pod_diagnosis::obs::otlp_json(&scenario.trace_id, &spans, &events);
-    std::fs::write("TRACE_e6_otlp.json", otlp).expect("write otlp trace");
+    std::fs::write("TRACE_e6.json", dump.chrome_trace()).expect("write chrome trace");
     println!(
-        "exported {} spans and {} causal events to TRACE_e6.json (Chrome trace-event) and \
-         TRACE_e6_otlp.json (OTLP-style JSON)",
-        spans.len(),
-        events.len()
+        "exported {} spans and {} causal events to TRACE_e6.json (Chrome trace-event)",
+        dump.spans.len(),
+        dump.events.len()
     );
 }

@@ -14,7 +14,7 @@ use pod_diagnosis::eval::{
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::Json;
 use pod_diagnosis::mining::{mine_process, MiningConfig};
-use pod_diagnosis::obs::{chrome_trace, incidents, otlp_json, render_dashboard, render_timelines};
+use pod_diagnosis::obs::{incidents, render_dashboard, render_timelines};
 use pod_diagnosis::orchestrator::FaultType;
 use pod_diagnosis::process::replay_fitness;
 use pod_diagnosis::recovery::StormConfig;
@@ -28,7 +28,7 @@ const COMMANDS: [(&str, &str, &str); 6] = [
         "[runs-per-fault=20] [seed=2014] [--recovery] [--json] [--baseline PATH]",
         "run the fault-injection evaluation and print Table I, Figure 6, Figure 7;\n\
          \x20   --recovery hands every diagnosis to pod-recovery and prints MTTR;\n\
-         \x20   --json writes RUN_campaign.jsonl + TRACE_campaign{,_otlp}.json, or with\n\
+         \x20   --json writes RUN_campaign.jsonl + TRACE_campaign.json, or with\n\
          \x20   --recovery RUN_recovery-loop.jsonl; --baseline (with --recovery) exits 1\n\
          \x20   when MTTR p50 exceeds 1.1x the committed record's",
     ),
@@ -240,12 +240,9 @@ fn campaign(mut args: Args) {
         ("campaign", campaign_lines("campaign", &report))
     };
     if let (true, false, Some(dump)) = (json, recovery, &report.last_trace) {
-        let chrome = chrome_trace(&dump.trace_id, &dump.spans, &dump.events);
-        std::fs::write("TRACE_campaign.json", chrome).expect("write chrome trace");
-        let otlp = otlp_json(&dump.trace_id, &dump.spans, &dump.events);
-        std::fs::write("TRACE_campaign_otlp.json", otlp).expect("write otlp trace");
+        std::fs::write("TRACE_campaign.json", dump.chrome_trace()).expect("write chrome trace");
         eprintln!(
-            "wrote last run's trace ({} spans, {} events) to TRACE_campaign{{,_otlp}}.json",
+            "wrote last run's trace ({} spans, {} events) to TRACE_campaign.json",
             dump.spans.len(),
             dump.events.len()
         );
@@ -556,9 +553,11 @@ fn discover(mut args: Args) {
 
 fn monitor(mut args: Args) {
     let seed: u64 = args.positional().unwrap_or(7);
-    let fault_no: usize = args.positional().unwrap_or(1).clamp(1, 8);
+    let fault_no: usize = args.positional().unwrap_or(1);
+    let Some(fault) = FaultType::all().into_iter().nth(fault_no.wrapping_sub(1)) else {
+        args.usage()
+    };
     args.finish();
-    let fault = FaultType::all()[fault_no - 1];
     let plans = clean_plans(seed);
     let plan = plans.iter().find(|p| p.fault == fault);
     let plan = plan.expect("every fault type has a plan");

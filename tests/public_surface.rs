@@ -1,7 +1,8 @@
 //! A module's own tests are not callers: every `pub fn` in product code must
 //! be named outside its definition, its comments, its file's `mod tests` and
-//! its own crate's `tests/`. A word-level heuristic on purpose: it cannot flag
-//! a used function. When it fires, delete the function or give it a caller.
+//! its own crate's `tests/` — in call or path position, so a field or an
+//! ordinary word of the same name is not a caller. Still a textual heuristic
+//! on purpose. When it fires, delete the function or give it a caller.
 
 use std::{fs, path::Path};
 
@@ -22,9 +23,16 @@ fn ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-fn has_word(text: &str, word: &str) -> bool {
-    let mut hits = text.match_indices(word);
-    hits.any(|(at, _)| !text[..at].ends_with(ident) && !text[at + word.len()..].starts_with(ident))
+/// Whether `text` names `name` in call or path position: `.name(`,
+/// `::name(`, bare `name(` outside its `fn` definition, or `::name` passed
+/// as a value (followed by `)` or `,`).
+fn calls(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        let (before, after) = (&text[..at], &text[at + name.len()..]);
+        let called = after.starts_with('(') && !before.ends_with("fn ");
+        let passed = before.ends_with("::") && after.starts_with([')', ',']);
+        !before.ends_with(ident) && (called || passed)
+    })
 }
 
 #[test]
@@ -45,12 +53,13 @@ fn every_public_function_has_a_caller_outside_its_own_tests() {
         let code: Vec<&str> = code.filter(|line| !line.starts_with("//")).collect();
         for rest in code.iter().filter_map(|line| line.strip_prefix("pub fn ")) {
             let name = rest.split(|c| !ident(c)).next().unwrap();
-            let definition = format!("fn {name}");
-            let here = |line: &&str| !has_word(line, &definition) && has_word(line, name);
             let elsewhere = |(other, text): &(String, String)| {
-                other != path && !other.starts_with(&own_tests) && has_word(text, name)
+                other != path && !other.starts_with(&own_tests) && calls(text, name)
             };
-            if name.len() >= 4 && !code.iter().any(here) && !files.iter().any(elsewhere) {
+            if name.len() >= 4
+                && !code.iter().any(|line| calls(line, name))
+                && !files.iter().any(elsewhere)
+            {
                 uncalled.push(format!("{path}: {name}"));
             }
         }

@@ -274,22 +274,16 @@ fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
 }
 
 #[test]
-fn the_campaign_cli_leaves_one_run_record_and_two_viewer_traces() {
+fn the_campaign_cli_leaves_one_run_record_and_one_viewer_trace() {
     let (code, _, files) = cli("json", &["campaign", "1", "--json"]);
     assert_eq!(code, 0);
     let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
-    let expected = [
-        "RUN_campaign.jsonl",
-        "TRACE_campaign.json",
-        "TRACE_campaign_otlp.json",
-    ];
+    let expected = ["RUN_campaign.jsonl", "TRACE_campaign.json"];
     assert_eq!(names, expected);
     for line in files[0].1.lines() {
         Json::parse(line).expect("every journal line is one JSON record");
     }
-    for (name, text) in &files[1..] {
-        Json::parse(text).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
-    }
+    Json::parse(&files[1].1).expect("the viewer trace parses");
 }
 
 #[test]
@@ -329,6 +323,7 @@ fn the_cli_rejects_arguments_it_cannot_use() {
         &["soak", "8", "9"],
         &["timeline", "extra"],
         &["timeline", "--jsno"],
+        &["monitor", "7", "99"],
     ] {
         let (code, _, files) = cli("usage", args);
         assert_eq!(code, 2, "{args:?} is a usage error");
