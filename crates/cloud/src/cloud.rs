@@ -21,18 +21,19 @@ use crate::resources::{
 use crate::state::CloudState;
 use crate::versioned::Versioned;
 
+/// Time from launch request to `InService`: lognormal (median ms, sigma).
+const BOOT_TIME: (f64, f64) = (50_000.0, 0.25);
+/// Time from terminate request to `Terminated`: lognormal (median ms, sigma).
+const TERMINATE_TIME: (f64, f64) = (25_000.0, 0.2);
+/// How often each ASG reconciles desired vs. actual capacity.
+const RECONCILE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
 /// Tunables of the simulated cloud.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
     /// Round-trip latency of one API call (the paper's diagnosis log shows
     /// ≈ 70–90 ms per call).
     pub api_latency: LatencyModel,
-    /// Time from launch request to `InService`.
-    pub boot_time: LatencyModel,
-    /// Time from terminate request to `Terminated`.
-    pub terminate_time: LatencyModel,
-    /// How often each ASG reconciles desired vs. actual capacity.
-    pub reconcile_interval: SimDuration,
     /// Probability that a describe-call observes a stale view.
     pub stale_read_prob: f64,
     /// How far behind a stale view lags.
@@ -51,9 +52,6 @@ impl Default for CloudConfig {
     fn default() -> CloudConfig {
         CloudConfig {
             api_latency: LatencyModel::uniform_millis(70, 90),
-            boot_time: LatencyModel::lognormal_median_millis(50_000.0, 0.25),
-            terminate_time: LatencyModel::lognormal_median_millis(25_000.0, 0.2),
-            reconcile_interval: SimDuration::from_secs(10),
             stale_read_prob: 0.08,
             consistency_lag: LatencyModel::Exponential {
                 mean: SimDuration::from_millis(1_500),
@@ -705,7 +703,7 @@ impl Cloud {
             };
             let asg_name = file(&mut inner.state.asgs, now, asg_name, group);
             inner.events.schedule(
-                now + inner.config.reconcile_interval,
+                now + RECONCILE_INTERVAL,
                 CloudEvent::Reconcile(asg_name.clone()),
             );
             asg_name
@@ -951,7 +949,8 @@ impl Inner {
         if let Some(rec) = self.state.instances.get_mut(id) {
             rec.update(at, |i| i.state = InstanceState::Terminating);
         }
-        let delay = self.config.terminate_time.sample(&mut self.rng);
+        let (median_ms, sigma) = TERMINATE_TIME;
+        let delay = LatencyModel::lognormal_median_millis(median_ms, sigma).sample(&mut self.rng);
         self.events
             .schedule(at + delay, CloudEvent::TerminateComplete(id.clone()));
     }
@@ -1078,7 +1077,7 @@ impl Inner {
             self.activity(at, asg_name, ActivityStatus::InProgress, description);
         }
         self.events.schedule(
-            at + self.config.reconcile_interval,
+            at + RECONCILE_INTERVAL,
             CloudEvent::Reconcile(asg_name.clone()),
         );
     }
@@ -1133,7 +1132,8 @@ impl Inner {
         if let Some(grec) = self.state.asgs.get_mut(asg_name) {
             grec.update(at, |g| g.instances.push(id.clone()));
         }
-        let boot = self.config.boot_time.sample(&mut self.rng);
+        let (median_ms, sigma) = BOOT_TIME;
+        let boot = LatencyModel::lognormal_median_millis(median_ms, sigma).sample(&mut self.rng);
         self.events
             .schedule(at + boot, CloudEvent::BootComplete(id.clone()));
         let description = format!("Launching a new EC2 instance: {id}");

@@ -22,7 +22,6 @@
 mod config;
 mod detection;
 mod engine;
-pub mod offline;
 
 pub use config::{PodConfig, SharedEnv};
 pub use detection::{Detection, DetectionSource, EngineNotice, RunSummary};

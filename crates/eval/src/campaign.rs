@@ -12,6 +12,7 @@ use pod_log::LogEvent;
 use pod_obs::{EventRecord, SpanRecord};
 use pod_orchestrator::{
     FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
+    UpgradeReport,
 };
 use pod_recovery::{conformance_check, ConformanceReport, RecoveryDispatcher};
 use pod_sim::{SimDuration, SimRng, SimTime};
@@ -86,6 +87,23 @@ impl Default for CampaignConfig {
     }
 }
 
+impl CampaignConfig {
+    /// One run per fault type on a 4-instance cluster with nothing else
+    /// going on — no interference, no transient reverts, no second AMI
+    /// change — so each run shows exactly the injected fault's story.
+    pub fn clean(seed: u64) -> CampaignConfig {
+        CampaignConfig {
+            runs_per_fault: 1,
+            seed,
+            interference_fraction: 0.0,
+            transient_fraction: 0.0,
+            reinject_fraction: 0.0,
+            large_cluster_every: 0,
+            ..CampaignConfig::default()
+        }
+    }
+}
+
 /// The plan of one run, derived deterministically from the campaign seed.
 #[derive(Debug, Clone)]
 pub struct RunPlan {
@@ -136,8 +154,9 @@ pub struct IncidentSummary {
     pub elapsed_us: u64,
 }
 
-/// The raw spans and causal events of one run, retained for the
-/// trace-viewer export ([`TraceDump::chrome_trace`]).
+/// The raw spans and causal events of one run, copied out of its tracer
+/// by [`MonitoredRun::trace`] for the trace-viewer export
+/// ([`TraceDump::chrome_trace`]) and the timeline views.
 #[derive(Debug, Clone)]
 pub struct TraceDump {
     /// The run's trace id.
@@ -175,6 +194,34 @@ pub struct RunRecord {
     /// The recovery stage: one record per diagnosed detection (empty when
     /// the stage is disabled).
     pub recoveries: Vec<RecoveryRecord>,
+}
+
+/// One monitored upgrade together with the world it ran in: what
+/// [`monitor_upgrade`] returns, so a caller that wants to look inside a run
+/// (its storage, its detections, its trace) needs no driver of its own.
+#[derive(Debug)]
+pub struct MonitoredRun {
+    /// The classified record the campaign aggregates.
+    pub record: RunRecord,
+    /// The engine's summary: every detection with its diagnosis.
+    pub summary: pod_core::RunSummary,
+    /// The orchestrator's report of the upgrade itself.
+    pub upgrade: UpgradeReport,
+    /// The cloud, central log storage and expected environment the run
+    /// left behind.
+    pub scenario: Scenario,
+}
+
+impl MonitoredRun {
+    /// Copies the run's spans and causal events out of its tracer.
+    pub fn trace(&self) -> TraceDump {
+        let obs = self.scenario.cloud.obs();
+        TraceDump {
+            trace_id: self.scenario.trace_id.clone(),
+            spans: obs.tracer().finished(),
+            events: obs.events().records(),
+        }
+    }
 }
 
 /// Conformance-checking statistics across the campaign (§V.D).
@@ -347,15 +394,22 @@ impl Campaign {
         }
     }
 
-    /// Executes the whole campaign.
+    /// Executes the whole campaign, one run's world alive at a time; only
+    /// the last run's trace is copied out.
     pub fn run(&self) -> CampaignReport {
-        let mut records = Vec::new();
+        let plans = self.plans();
         let mut last_trace = None;
-        for plan in self.plans() {
-            let (record, dump) = execute_run_traced(&plan);
-            records.push(record);
-            last_trace = Some(dump);
-        }
+        let records = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let run = monitor_upgrade(plan);
+                if i + 1 == plans.len() {
+                    last_trace = Some(run.trace());
+                }
+                run.record
+            })
+            .collect();
         summarise(records, last_trace)
     }
 }
@@ -496,29 +550,31 @@ fn aggregate_recovery(records: &[RunRecord]) -> RecoveryStats {
     stats
 }
 
-/// Executes one planned run and classifies its detections. If the sampled
-/// injection time falls after the operation already ended (the upgrade was
-/// faster than estimated), the run is retried with an earlier injection so
-/// every run really carries its fault, like the paper's campaign.
+/// [`monitor_upgrade`], keeping only the classified record.
 pub fn execute_run(plan: &RunPlan) -> RunRecord {
-    execute_run_traced(plan).0
+    monitor_upgrade(plan).record
 }
 
-/// Like [`execute_run`], additionally returning the run's full trace
-/// (spans and causal events) for export.
-pub fn execute_run_traced(plan: &RunPlan) -> (RunRecord, TraceDump) {
+/// The one driver of a monitored upgrade: builds the plan's scenario, runs
+/// the rolling upgrade through a POD engine with the plan's fault and
+/// interference schedule (and recovery stage), and classifies the
+/// detections. If the sampled injection time falls after the operation
+/// already ended (the upgrade was faster than estimated), the run is
+/// retried with an earlier injection so every run really carries its
+/// fault, like the paper's campaign.
+pub fn monitor_upgrade(plan: &RunPlan) -> MonitoredRun {
     Injection::retry_earlier(plan.inject_at, |inject_at| {
         let plan = RunPlan {
             inject_at,
             ..plan.clone()
         };
-        let (record, dump) = execute_run_once(&plan);
-        let landed = record.truth.injected_at < SimTime::from_micros(u64::MAX);
-        ((record, dump), landed)
+        let run = monitor_once(plan);
+        let landed = run.record.truth.injected_at < SimTime::from_micros(u64::MAX);
+        (run, landed)
     })
 }
 
-fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
+fn monitor_once(plan: RunPlan) -> MonitoredRun {
     let scenario = build_scenario(&plan.scenario);
     // One trace per run; the baseline diff keeps scenario-setup admin
     // traffic out of the run's metric snapshot. `begin_run` resets the
@@ -544,7 +600,7 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
             engine.set_detection_hook(move |notice| hook.borrow_mut().on_notice(notice));
         }
     }
-    let mut observer = CampaignObserver::new(engine, &scenario, plan);
+    let mut observer = CampaignObserver::new(engine, &scenario, &plan);
     let mut upgrade = RollingUpgrade::new(
         scenario.cloud.clone(),
         scenario.upgrade.clone(),
@@ -571,23 +627,20 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
     };
     let run_obs = scenario.cloud.obs();
     let obs = run_obs.snapshot().diff(&obs_baseline);
-    let dump = TraceDump {
-        trace_id: scenario.trace_id.clone(),
-        spans: run_obs.tracer().finished(),
-        events: run_obs.events().records(),
-    };
-    let stage_self_us = stage_self_times(&dump.spans);
-    let incidents = pod_obs::incidents(&dump.events)
-        .iter()
-        .map(|c| IncidentSummary {
-            detection: c.detection.name.to_string(),
-            hops: c.hops.len(),
-            anchored: c.anchored,
-            diagnosed: c.diagnosed,
-            complete: c.complete(),
-            elapsed_us: c.elapsed().as_micros(),
-        })
-        .collect();
+    let stage_self_us = run_obs.tracer().with_finished(stage_self_times);
+    let incidents = run_obs.events().with_records(|events| {
+        pod_obs::incidents(events)
+            .iter()
+            .map(|c| IncidentSummary {
+                detection: c.detection.name.to_string(),
+                hops: c.hops.len(),
+                anchored: c.anchored,
+                diagnosed: c.diagnosed,
+                complete: c.complete(),
+                elapsed_us: c.elapsed().as_micros(),
+            })
+            .collect()
+    });
     let truth = GroundTruth {
         fault: plan.fault,
         injected_at: observer
@@ -595,12 +648,12 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
             .at
             .unwrap_or(SimTime::from_micros(u64::MAX)),
         reverted_at: observer.reverted_at,
-        interferences: observer.applied_interferences.clone(),
+        interferences: std::mem::take(&mut observer.applied_interferences),
     };
     let outcome = classify_run(&truth, &summary.detections);
     let record = RunRecord {
         detection_sources: summary.detections.iter().map(|d| d.source).collect(),
-        plan: plan.clone(),
+        plan,
         truth,
         outcome,
         upgrade_completed: matches!(report.outcome, UpgradeOutcome::Completed),
@@ -611,7 +664,12 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
         events_dropped: run_obs.events().dropped(),
         recoveries,
     };
-    (record, dump)
+    MonitoredRun {
+        record,
+        summary,
+        upgrade: report,
+        scenario,
+    }
 }
 
 /// The observer that feeds the engine and executes the injection /
@@ -624,7 +682,6 @@ struct CampaignObserver<'s> {
     injection: Injection,
     reverted_at: Option<SimTime>,
     reinjected: bool,
-    second_injector: Option<FaultInjector>,
     pending_interferences: Vec<(SimTime, Interference)>,
     applied_interferences: Vec<(SimTime, Interference)>,
     /// Scale acks pending: (when, new expected count delta).
@@ -643,7 +700,6 @@ impl<'s> CampaignObserver<'s> {
             injection: Injection::new(plan.fault, plan.inject_at),
             reverted_at: None,
             reinjected: false,
-            second_injector: None,
             pending_interferences: plan.interferences.clone(),
             applied_interferences: Vec::new(),
             pending_env_acks: Vec::new(),
@@ -694,14 +750,12 @@ impl<'s> CampaignObserver<'s> {
         // Second AMI change mid-diagnosis (wrong-diagnosis class 2).
         if let (Some(injected), Some(after)) = (self.injection.at, self.plan.reinject_after) {
             if !self.reinjected && now >= injected + after && self.reverted_at.is_none() {
-                let mut second = FaultInjector::new(FaultType::AmiChangedDuringUpgrade);
-                second.inject(
+                FaultInjector::new(FaultType::AmiChangedDuringUpgrade).inject(
                     cloud,
                     &self.scenario.upgrade,
                     &self.scenario.upgrade_lc_name,
                     &mut self.rng,
                 );
-                self.second_injector = Some(second);
                 self.reinjected = true;
             }
         }
@@ -802,14 +856,7 @@ mod tests {
 
     #[test]
     fn single_run_detects_its_fault() {
-        let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
-            ..CampaignConfig::default()
-        });
+        let c = Campaign::new(CampaignConfig::clean(42));
         let plans = c.plans();
         let record = execute_run(&plans[0]);
         assert_eq!(record.plan.fault, FaultType::AmiChangedDuringUpgrade);
@@ -819,14 +866,7 @@ mod tests {
 
     #[test]
     fn run_snapshot_covers_the_whole_pipeline() {
-        let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
-            ..CampaignConfig::default()
-        });
+        let c = Campaign::new(CampaignConfig::clean(42));
         let record = execute_run(&c.plans()[0]);
         let obs = &record.obs;
         // Cloud API traffic and latency.
@@ -855,40 +895,27 @@ mod tests {
 
     #[test]
     fn every_detected_fault_has_an_unbroken_causal_chain() {
-        let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
-            ..CampaignConfig::default()
-        });
+        let c = Campaign::new(CampaignConfig::clean(42));
         for plan in c.plans() {
-            let (record, dump) = execute_run_traced(&plan);
-            if !record.outcome.fault_detected {
+            let run = monitor_upgrade(&plan);
+            if !run.record.outcome.fault_detected {
                 continue;
             }
             assert!(
-                record.incidents.iter().any(|i| i.complete),
+                run.record.incidents.iter().any(|i| i.complete),
                 "fault {:?}: no unbroken chain in {:#?}\ntimelines:\n{}",
                 plan.fault,
-                record.incidents,
-                pod_obs::render_timelines(&dump.events),
+                run.record.incidents,
+                pod_obs::render_timelines(&run.trace().events),
             );
         }
     }
 
     #[test]
     fn run_trace_captures_stages_and_events() {
-        let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
-            ..CampaignConfig::default()
-        });
-        let (record, dump) = execute_run_traced(&c.plans()[0]);
+        let c = Campaign::new(CampaignConfig::clean(42));
+        let run = monitor_upgrade(&c.plans()[0]);
+        let (record, dump) = (&run.record, run.trace());
         assert!(!dump.spans.is_empty());
         assert!(!dump.events.is_empty());
         assert!(dump.trace_id.starts_with("run-"));
@@ -906,13 +933,8 @@ mod tests {
     #[test]
     fn recovery_stage_closes_the_loop_for_every_fault_type() {
         let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
             recovery: true,
-            ..CampaignConfig::default()
+            ..CampaignConfig::clean(42)
         });
         let report = c.run();
         let stats = &report.recovery;
@@ -950,13 +972,8 @@ mod tests {
     #[test]
     fn recovery_stage_is_deterministic() {
         let c = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
             recovery: true,
-            ..CampaignConfig::default()
+            ..CampaignConfig::clean(42)
         });
         let plan = &c.plans()[0];
         let digests = |r: &RunRecord| {

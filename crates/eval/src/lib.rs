@@ -2,18 +2,23 @@
 //!
 //! - [`build_scenario`] / [`build_engine`] — a steady-state cluster on the
 //!   simulated cloud plus a wired POD engine;
+//! - [`monitor_upgrade`] — the one driver of a monitored upgrade: a
+//!   [`RunPlan`] in, a [`MonitoredRun`] out (the classified [`RunRecord`],
+//!   the engine's summary, the orchestrator's report and the [`Scenario`]
+//!   it ran in; [`MonitoredRun::trace`] copies its trace out on demand);
 //! - [`Campaign`] — the fault-injection campaign: the 8 fault types × N
-//!   runs, clusters of 4 or 20 instances, confounded by concurrent
-//!   scale-in/out, random terminations and a second team exhausting the
-//!   shared account;
+//!   runs of that driver, clusters of 4 or 20 instances, confounded by
+//!   concurrent scale-in/out, random terminations and a second team
+//!   exhausting the shared account ([`CampaignConfig::clean`]: no
+//!   confounders, one run per fault type);
 //! - [`classify_run`] / [`MetricSet`] — per-run attribution of detections
 //!   to ground truth and the Table-I formulas (precision, recall, accuracy
 //!   rate);
 //! - [`TimingStats`] — the Figure-6 diagnosis-time distribution;
 //! - [`render_report`] — plain-text rendering of every table and figure;
-//! - [`LatencyProfile`] / [`stage_self_times`] — the latency-budget
-//!   profiler: per-stage virtual-time attribution, p50/p95/p99 per fault
-//!   type;
+//! - [`LatencyProfile`] — the latency-budget profiler: every run's
+//!   per-stage self virtual time ([`RunRecord::stage_self_us`]),
+//!   p50/p95/p99 per fault type;
 //! - [`collect_streams`] / [`replay`] / [`sweep_batches`] — the gateway
 //!   soak: many interleaved faulty upgrades serialized to raw lines, then
 //!   replayed through one `pod-gateway` with per-operation engines;
@@ -56,9 +61,9 @@ mod soak;
 mod timing;
 
 pub use campaign::{
-    execute_run, execute_run_traced, Campaign, CampaignConfig, CampaignReport, ConformanceStats,
-    FaultRecoveryStats, IncidentSummary, RecoveryRecord, RecoveryStats, RunPlan, RunRecord,
-    TraceDump,
+    execute_run, monitor_upgrade, Campaign, CampaignConfig, CampaignReport, ConformanceStats,
+    FaultRecoveryStats, IncidentSummary, MonitoredRun, RecoveryRecord, RecoveryStats, RunPlan,
+    RunRecord, TraceDump,
 };
 pub use journal::{
     campaign_lines, diff_journals, diff_report, exemplar_lines, flight_json, gateway_line,
@@ -67,7 +72,7 @@ pub use journal::{
     JournalDiff, JournalError, Record, GATE_RATIO,
 };
 pub use metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
-pub use profile::{stage_self_times, LatencyProfile};
+pub use profile::LatencyProfile;
 pub use report::{render_gateway_report, render_metrics_line, render_report};
 pub use scenario::{
     build_engine, build_scenario, healthy_log, pod_config, Scenario, ScenarioConfig,

@@ -16,7 +16,7 @@ use pod_sim::{nearest_rank, SimDuration};
 
 /// Computes one run's latency budget: span name → summed *self* virtual
 /// time in microseconds (child-span time subtracted).
-pub fn stage_self_times(spans: &[SpanRecord]) -> BTreeMap<String, u64> {
+pub(crate) fn stage_self_times(spans: &[SpanRecord]) -> BTreeMap<String, u64> {
     let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
     for span in spans {
         if let Some(parent) = span.parent {
@@ -66,8 +66,8 @@ impl LatencyProfile {
         LatencyProfile::default()
     }
 
-    /// Records one run's stage budget (see [`stage_self_times`]) under its
-    /// fault type.
+    /// Records one run's stage budget ([`crate::RunRecord::stage_self_us`])
+    /// under its fault type.
     pub fn record(&mut self, fault: FaultType, stages: &BTreeMap<String, u64>) {
         let label = fault.to_string();
         let runs_so_far = {

@@ -344,13 +344,8 @@ mod tests {
         assert!(text.contains("(recovery stage disabled)"), "{text}");
 
         let enabled = Campaign::new(CampaignConfig {
-            runs_per_fault: 1,
-            interference_fraction: 0.0,
-            transient_fraction: 0.0,
-            reinject_fraction: 0.0,
-            large_cluster_every: 0,
             recovery: true,
-            ..CampaignConfig::default()
+            ..CampaignConfig::clean(42)
         })
         .run();
         let text = render_report(&enabled);

@@ -269,4 +269,48 @@ mod tests {
         let e = build_engine(&s, &cfg);
         assert_eq!(e.trace_id(), "run-1");
     }
+
+    /// Ticks `injection` at each of `secs`; returns when the fault landed.
+    fn tick_at(injection: &mut Injection, s: &Scenario, secs: &[u64]) -> Option<SimTime> {
+        let mut rng = SimRng::seed_from(1);
+        for at in secs {
+            injection.tick(s, SimTime::from_secs(*at), &mut rng);
+        }
+        injection.at
+    }
+
+    #[test]
+    fn resource_fault_lands_at_the_first_tick_at_or_after_due() {
+        let s = build_scenario(&ScenarioConfig::default());
+        let mut injection = Injection::new(FaultType::ElbUnavailable, SimTime::from_secs(15));
+        let landed = tick_at(&mut injection, &s, &[0, 10, 20, 30]);
+        assert_eq!(landed, Some(SimTime::from_secs(20)));
+    }
+
+    #[test]
+    fn configuration_fault_waits_for_the_upgrade_launch_config() {
+        let s = build_scenario(&ScenarioConfig::default());
+        let due = SimTime::from_secs(10);
+        let mut injection = Injection::new(FaultType::AmiChangedDuringUpgrade, due);
+        // Due, but the upgrade has not created its launch configuration yet.
+        assert_eq!(tick_at(&mut injection, &s, &[10, 20]), None);
+        let v1 = pod_cloud::LaunchConfigName::new("lc-v1");
+        let v1 = s.cloud.admin_describe_launch_config(&v1).unwrap();
+        let (ami, name) = (s.upgrade.new_ami.clone(), &s.upgrade_lc_name);
+        s.cloud
+            .admin_create_launch_config(name, ami, "m1.small", v1.key_pair, v1.security_group);
+        let landed = tick_at(&mut injection, &s, &[30, 40]);
+        assert_eq!(landed, Some(SimTime::from_secs(30)));
+    }
+
+    #[test]
+    fn retry_earlier_halves_due_until_the_fault_lands() {
+        let mut tried = Vec::new();
+        let landed_at = Injection::retry_earlier(SimTime::from_secs(200), |due| {
+            tried.push(due);
+            (due, due <= SimTime::from_secs(50))
+        });
+        assert_eq!(tried, [200, 100, 50].map(SimTime::from_secs));
+        assert_eq!(landed_at, SimTime::from_secs(50));
+    }
 }

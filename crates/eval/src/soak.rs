@@ -63,9 +63,6 @@ pub struct SoakConfig {
     pub seed: u64,
     /// Per-tick probability of a plaintext application-noise line.
     pub noise_rate: f64,
-    /// Every n-th operation also suffers a shared-account interference
-    /// operation (scale-out or random termination). 0 disables.
-    pub interference_every: usize,
     /// Every n-th operation suffers an injected fault (cycling through all
     /// eight types); the rest run healthy. 1 = every operation is faulty
     /// (the default, and the historical behavior), 0 = no faults. A
@@ -80,7 +77,6 @@ impl Default for SoakConfig {
             ops: 64,
             seed: 2014,
             noise_rate: 0.05,
-            interference_every: 4,
             fault_every: 1,
         }
     }
@@ -338,6 +334,10 @@ struct OpPlan {
     interference: Option<(SimTime, Interference)>,
 }
 
+/// Every n-th operation also suffers a shared-account interference
+/// operation (scale-out or random termination).
+const INTERFERENCE_EVERY: usize = 4;
+
 fn plan_ops(config: &SoakConfig) -> Vec<OpPlan> {
     let mut rng = SimRng::seed_from(config.seed);
     let mut seen_seeds = BTreeSet::new();
@@ -347,9 +347,7 @@ fn plan_ops(config: &SoakConfig) -> Vec<OpPlan> {
             while !seen_seeds.insert(seed) {
                 seed = rng.uniform_u64(1, u64::MAX - 1);
             }
-            let interference = (config.interference_every > 0
-                && (i + 1).is_multiple_of(config.interference_every))
-            .then(|| {
+            let interference = (i + 1).is_multiple_of(INTERFERENCE_EVERY).then(|| {
                 let kind = if rng.chance(0.5) {
                     Interference::ScaleOut
                 } else {
@@ -459,7 +457,12 @@ fn replay_inner(
     mode: TelemetryMode,
     storm_config: Option<StormConfig>,
 ) -> SoakReport {
-    let mut gw = Gateway::new(gateway.clone());
+    // A replay registers every stream by construction, so the per-shard
+    // admission limit is raised to whatever the input needs.
+    let mut gw = Gateway::new(GatewayConfig {
+        max_ops_per_shard: gateway.max_ops_per_shard.max(streams.ops.len()),
+        ..gateway.clone()
+    });
     gw.obs().set_mode(mode);
     let sampler = TailSampler::new(gw.obs().registry(), SamplerConfig::default());
     // The storm arbitrates on the gateway clock and reports into the
@@ -501,7 +504,7 @@ fn replay_inner(
                 stream.scenario.trace_id.clone(),
                 Box::new(engine),
             )
-            .expect("per-shard admission limit accommodates the soak");
+            .expect("the admission limit was raised to the stream count");
         op_ids.push(op);
     }
     if let Some(storm) = &storm {
@@ -961,6 +964,22 @@ mod tests {
         );
         assert!(!report.latency.is_empty());
         assert!(report.stats.lines_per_sec_virtual() > 0.0);
+    }
+
+    #[test]
+    fn replay_admits_more_operations_than_the_default_shard_limit() {
+        let config = SoakConfig {
+            ops: 40,
+            ..SoakConfig::default()
+        };
+        // One shard, which admits 32 operations by default.
+        let gateway = GatewayConfig {
+            shards: 1,
+            ..GatewayConfig::default()
+        };
+        let report = replay(&collect_streams(&config), &gateway);
+        assert_eq!(report.ops.len(), 40);
+        assert!(report.leaks.is_empty(), "{:?}", report.leaks);
     }
 
     #[test]

@@ -157,13 +157,8 @@ mod fastpath {
         #[test]
         fn eager_and_sweep_recoveries_are_equivalent(fault_idx in 0usize..8) {
             let base = CampaignConfig {
-                runs_per_fault: 1,
-                interference_fraction: 0.0,
-                transient_fraction: 0.0,
-                reinject_fraction: 0.0,
-                large_cluster_every: 0,
                 recovery: true,
-                ..CampaignConfig::default()
+                ..CampaignConfig::clean(42)
             };
             let eager_plan = &Campaign::new(CampaignConfig {
                 eager_recovery: true,

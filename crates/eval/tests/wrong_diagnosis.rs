@@ -6,15 +6,7 @@ use pod_orchestrator::FaultType;
 use pod_sim::SimDuration;
 
 fn base_plans(mutate: impl FnOnce(&mut CampaignConfig)) -> Vec<RunPlan> {
-    let mut config = CampaignConfig {
-        runs_per_fault: 1,
-        seed: 97,
-        interference_fraction: 0.0,
-        transient_fraction: 0.0,
-        reinject_fraction: 0.0,
-        large_cluster_every: 0,
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::clean(97);
     mutate(&mut config);
     Campaign::new(config).plans()
 }

@@ -60,6 +60,11 @@ impl DiagnosisSink for PodEngine {
     }
 }
 
+/// Virtual cost of parsing + dispatching one line.
+const PER_LINE_COST: SimDuration = SimDuration::from_micros(150);
+/// Fixed virtual cost of one wakeup, amortized over the batch.
+const PER_BATCH_COST: SimDuration = SimDuration::from_millis(2);
+
 /// Tuning knobs of a [`Gateway`].
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -72,11 +77,6 @@ pub struct GatewayConfig {
     /// Delay between a line arriving at an idle shard and the shard's
     /// wakeup (the batching window). Default 20ms.
     pub flush_interval: SimDuration,
-    /// Virtual cost of parsing + dispatching one line. Default 150µs.
-    pub per_line_cost: SimDuration,
-    /// Fixed virtual cost of one wakeup, amortized over the batch.
-    /// Default 2ms.
-    pub per_batch_cost: SimDuration,
     /// What gives way when a shard queue is full. Default block.
     pub overload: OverloadPolicy,
     /// Admission control: maximum operations per shard. Default 32.
@@ -94,8 +94,6 @@ impl Default for GatewayConfig {
             queue_capacity: 256,
             batch_size: 16,
             flush_interval: SimDuration::from_millis(20),
-            per_line_cost: SimDuration::from_micros(150),
-            per_batch_cost: SimDuration::from_millis(2),
             overload: OverloadPolicy::Block,
             max_ops_per_shard: 32,
             flight: Some(FlightConfig::default()),
@@ -590,7 +588,7 @@ impl Gateway {
         }
         let service_start = self.clock.now();
         self.clock
-            .advance(self.config.per_batch_cost + self.config.per_line_cost * batch.len() as u64);
+            .advance(PER_BATCH_COST + PER_LINE_COST * batch.len() as u64);
         self.metrics.batch_fill.record(batch.len() as u64);
         self.metrics.batches.incr();
 

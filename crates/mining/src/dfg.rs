@@ -102,23 +102,6 @@ impl Dfg {
         preds
     }
 
-    /// Returns a copy with edges below `min_frequency` removed — the noise
-    /// filtering knob every discovery tool exposes. Start/end/activity
-    /// counts are preserved.
-    pub fn filter_edges(&self, min_frequency: usize) -> Dfg {
-        Dfg {
-            edges: self
-                .edges
-                .iter()
-                .filter(|(_, f)| **f >= min_frequency)
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            starts: self.starts.clone(),
-            ends: self.ends.clone(),
-            activity_counts: self.activity_counts.clone(),
-        }
-    }
-
     /// Whether the graph is empty.
     pub fn is_empty(&self) -> bool {
         self.activity_counts.is_empty()
@@ -150,15 +133,6 @@ mod tests {
         let dfg = Dfg::from_traces(&traces(&[&["a", "b"], &["a", "c"], &["x", "b"]]));
         assert_eq!(dfg.start_activities(), vec!["a", "x"]);
         assert_eq!(dfg.end_activities(), vec!["b", "c"]);
-    }
-
-    #[test]
-    fn filter_drops_rare_edges() {
-        let dfg = Dfg::from_traces(&traces(&[&["a", "b"], &["a", "b"], &["a", "c"]]));
-        let filtered = dfg.filter_edges(2);
-        assert_eq!(filtered.edge_frequency("a", "b"), 2);
-        assert_eq!(filtered.edge_frequency("a", "c"), 0);
-        assert!(filtered.activities().contains(&"c"), "activities retained");
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use cluster::{cluster_lines, Cluster, ClusterConfig};
 pub use dfg::Dfg;
 pub use discovery::{discover_model, DiscoveryError};
 pub use distance::{normalized_token_distance, token_levenshtein};
-pub use pipeline::{mine_process, MinedProcess, MiningConfig, MiningError};
+pub use pipeline::{mine_process, MinedProcess, MiningError};
 pub use template::{mask_line, Template, TemplateToken, VariableKind};
 pub use timing::ActivityTimings;

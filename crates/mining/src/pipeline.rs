@@ -23,27 +23,6 @@ pub struct MinedProcess {
     pub traces: Vec<Vec<String>>,
 }
 
-/// Configuration of the mining pipeline.
-#[derive(Debug, Clone)]
-pub struct MiningConfig {
-    /// Clustering tunables.
-    pub clustering: ClusterConfig,
-    /// Minimum directly-follows frequency to keep an edge (noise filter).
-    pub min_edge_frequency: usize,
-    /// Name for the discovered model.
-    pub model_name: String,
-}
-
-impl Default for MiningConfig {
-    fn default() -> MiningConfig {
-        MiningConfig {
-            clustering: ClusterConfig::default(),
-            min_edge_frequency: 1,
-            model_name: "mined-process".to_string(),
-        }
-    }
-}
-
 /// An error from [`mine_process`].
 #[derive(Debug)]
 pub enum MiningError {
@@ -82,7 +61,7 @@ impl std::error::Error for MiningError {}
 ///
 /// ```
 /// use pod_log::LogEvent;
-/// use pod_mining::{mine_process, MiningConfig};
+/// use pod_mining::mine_process;
 /// use pod_sim::SimTime;
 ///
 /// let mut events = Vec::new();
@@ -100,21 +79,21 @@ impl std::error::Error for MiningError {}
 ///     }
 /// }
 /// let mined = mine_process(&events, |e| e.field("run").map(str::to_string),
-///                          &MiningConfig::default()).unwrap();
+///                          "mined-process").unwrap();
 /// assert_eq!(mined.traces.len(), 3);
 /// assert_eq!(mined.model.task_names().len(), 4);
 /// ```
 pub fn mine_process(
     events: &[LogEvent],
     trace_of: impl Fn(&LogEvent) -> Option<String>,
-    config: &MiningConfig,
+    model_name: &str,
 ) -> Result<MinedProcess, MiningError> {
     if events.is_empty() {
         return Err(MiningError::NoEvents);
     }
     // 1. Cluster the raw lines.
     let messages: Vec<&str> = events.iter().map(|e| e.message.as_str()).collect();
-    let clusters = cluster_lines(&messages, &config.clustering);
+    let clusters = cluster_lines(&messages, &ClusterConfig::default());
 
     // 2. Derive a template, an activity name and a rule per cluster.
     let mut rules = RuleBook::new();
@@ -158,8 +137,8 @@ pub fn mine_process(
     }
 
     // 4. DFG + discovery.
-    let dfg = Dfg::from_traces(&traces).filter_edges(config.min_edge_frequency);
-    let model = discover_model(&config.model_name, &dfg).map_err(MiningError::Discovery)?;
+    let dfg = Dfg::from_traces(&traces);
+    let model = discover_model(model_name, &dfg).map_err(MiningError::Discovery)?;
     Ok(MinedProcess {
         model,
         rules,
@@ -210,10 +189,7 @@ mod tests {
         let mined = mine_process(
             &events,
             |e| e.field("run").map(str::to_string),
-            &MiningConfig {
-                model_name: "rolling-upgrade".to_string(),
-                ..MiningConfig::default()
-            },
+            "rolling-upgrade",
         )
         .unwrap();
         assert_eq!(mined.traces.len(), 5);
@@ -240,7 +216,7 @@ mod tests {
         let mined = mine_process(
             &events,
             |e| e.field("run").map(str::to_string),
-            &MiningConfig::default(),
+            "mined-process",
         )
         .unwrap();
         let m = mined
@@ -264,7 +240,7 @@ mod tests {
         let mined = mine_process(
             &events,
             |e| e.field("run").map(str::to_string),
-            &MiningConfig::default(),
+            "mined-process",
         )
         .unwrap();
         assert_eq!(mined.traces.len(), 1);
@@ -273,7 +249,7 @@ mod tests {
     #[test]
     fn no_events_is_an_error() {
         assert!(matches!(
-            mine_process(&[], |_| None, &MiningConfig::default()),
+            mine_process(&[], |_| None, "mined-process"),
             Err(MiningError::NoEvents)
         ));
     }

@@ -24,7 +24,8 @@
 //!
 //! Each question about a trace has one view: *why a detection happened* is
 //! the incident timeline above; *where the virtual time went* is
-//! `pod_eval::stage_self_times` over [`Tracer::finished`]; *nesting* is
+//! `pod_eval::RunRecord::stage_self_us`, summed over
+//! [`Tracer::with_finished`]; *nesting* is
 //! the trace-viewer export. Timestamps come from the `pod-sim` virtual
 //! [`Clock`], so under a fixed seed two runs produce byte-identical traces.
 //! The run record and the trace-viewer export live in `pod-eval`, on the

@@ -272,13 +272,6 @@ impl ConformanceChecker {
         verdict
     }
 
-    /// Activities currently expected for a trace.
-    pub fn expected(&mut self, trace_id: &str) -> Vec<String> {
-        let net = self.net.clone();
-        let inst = self.instance(trace_id);
-        net.enabled_labels(&inst.marking)
-    }
-
     /// The last successfully replayed activity of a trace.
     pub fn last_activity(&self, trace_id: &str) -> Option<&str> {
         self.instances

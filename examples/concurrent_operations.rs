@@ -1,91 +1,40 @@
-//! Interference demo: a rolling upgrade confounded by simultaneous
-//! operations — a legitimate scale-in (later acknowledged by the operator)
-//! and a random instance termination — showing how process context
-//! separates expected changes from real anomalies, and how diagnosis
-//! attributes each detection.
+//! Interference demo, the paper's §V design in one run: a rolling upgrade
+//! of an 8-instance cluster carrying an injected configuration fault *and*
+//! confounded by simultaneous operations — a legitimate scale-in (which
+//! the operator acknowledges 75 s later) and a random instance termination
+//! — showing how process context separates expected changes from real
+//! anomalies, and how diagnosis attributes each detection.
 //!
 //! Run with `cargo run --example concurrent_operations`.
 
-use pod_diagnosis::cloud::Cloud;
-use pod_diagnosis::core::SharedEnv;
-use pod_diagnosis::eval::{build_engine, build_scenario, ScenarioConfig};
-use pod_diagnosis::log::LogEvent;
-use pod_diagnosis::orchestrator::{Interference, RollingUpgrade, UpgradeObserver};
-use pod_diagnosis::sim::{SimRng, SimTime};
-
-struct Monitor<'s> {
-    engine: pod_diagnosis::core::PodEngine,
-    scenario: &'s pod_diagnosis::eval::Scenario,
-    env: SharedEnv,
-    schedule: Vec<(SimTime, Interference)>,
-    ack_at: Option<SimTime>,
-    rng: SimRng,
-}
-
-impl UpgradeObserver for Monitor<'_> {
-    fn on_log(&mut self, event: LogEvent) {
-        self.engine.ingest(event);
-    }
-
-    fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-        let due: Vec<(SimTime, Interference)> = {
-            let (fire, keep): (Vec<_>, Vec<_>) =
-                self.schedule.drain(..).partition(|(at, _)| now >= *at);
-            self.schedule = keep;
-            fire
-        };
-        for (_, kind) in due {
-            kind.apply(cloud, &self.scenario.upgrade, &mut self.rng);
-            println!(">>> concurrent operation at {now}: {kind:?}");
-            if kind == Interference::ScaleIn {
-                // The operator acknowledges the legitimate change 75 s later.
-                self.ack_at = Some(SimTime::from_micros(now.as_micros() + 75_000_000));
-            }
-        }
-        if let Some(at) = self.ack_at {
-            if now >= at {
-                self.env.update(|e| e.expected_count -= 1);
-                self.ack_at = None;
-                println!(">>> operator acknowledged the scale-in at {now} (N := N-1)");
-            }
-        }
-        self.engine.poll();
-    }
-}
+use pod_diagnosis::eval::{monitor_upgrade, Campaign, CampaignConfig};
+use pod_diagnosis::orchestrator::Interference;
+use pod_diagnosis::sim::SimTime;
 
 fn main() {
-    let config = ScenarioConfig {
-        seed: 23,
-        cluster_size: 8,
-        ..ScenarioConfig::default()
-    };
-    let scenario = build_scenario(&config);
-    let engine = build_engine(&scenario, &config);
-    let mut monitor = Monitor {
-        engine,
-        scenario: &scenario,
-        env: scenario.env.clone(),
-        schedule: vec![
-            (SimTime::from_secs(120), Interference::ScaleIn),
-            (SimTime::from_secs(300), Interference::RandomTermination),
-        ],
-        ack_at: None,
-        rng: SimRng::seed_from(5),
-    };
-    let mut upgrade = RollingUpgrade::new(
-        scenario.cloud.clone(),
-        scenario.upgrade.clone(),
-        scenario.trace_id.clone(),
+    // The clean wrong-AMI plan, on a larger cluster and with company.
+    let mut plan = Campaign::new(CampaignConfig::clean(23)).plans().remove(0);
+    plan.scenario.cluster_size = 8;
+    plan.interferences = vec![
+        (SimTime::from_secs(120), Interference::ScaleIn),
+        (SimTime::from_secs(300), Interference::RandomTermination),
+    ];
+    let run = monitor_upgrade(&plan);
+    let truth = &run.record.truth;
+    println!(
+        ">>> fault injected at {}: {}",
+        truth.injected_at, truth.fault
     );
-    let report = upgrade.run(&mut monitor);
-    let summary = monitor.engine.finish();
+    for (at, kind) in &truth.interferences {
+        println!(">>> concurrent operation at {at}: {kind:?}");
+    }
 
     println!(
         "\nupgrade {:?}; {} detections",
-        report.outcome,
-        summary.detections.len()
+        run.upgrade.outcome,
+        run.summary.detections.len()
     );
-    for d in &summary.detections {
+    for d in &run.summary.detections {
         println!("  [{}] {:?}: {}", d.at, d.source, d.description);
         if let Some(diag) = &d.diagnosis {
             for c in &diag.root_causes {

@@ -1,80 +1,33 @@
 //! Quickstart: monitor one rolling upgrade with POD-Diagnosis.
 //!
-//! Builds a 4-instance cluster on the simulated cloud, runs an Asgard-style
-//! rolling upgrade through the POD engine twice — once healthy, once with a
-//! wrong-AMI fault injected mid-flight — and prints what the engine saw.
+//! Plans a 4-instance Asgard-style rolling upgrade with a wrong-AMI fault
+//! injected mid-flight (what `pod-diagnosis monitor 7 1` runs), hands the
+//! plan to the one driver, `monitor_upgrade`, and prints what the engine
+//! saw: detections and their diagnosed root causes.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use pod_diagnosis::cloud::Cloud;
-use pod_diagnosis::eval::{build_engine, build_scenario, ScenarioConfig};
-use pod_diagnosis::log::LogEvent;
-use pod_diagnosis::orchestrator::{FaultInjector, FaultType, RollingUpgrade, UpgradeObserver};
-use pod_diagnosis::sim::{SimRng, SimTime};
+use pod_diagnosis::eval::{monitor_upgrade, Campaign, CampaignConfig};
 
-/// Wires orchestrator output into the POD engine and injects an optional
-/// fault at a chosen virtual time.
-struct Monitor<'s> {
-    engine: pod_diagnosis::core::PodEngine,
-    scenario: &'s pod_diagnosis::eval::Scenario,
-    injection: Option<(SimTime, FaultInjector)>,
-    rng: SimRng,
-}
-
-impl UpgradeObserver for Monitor<'_> {
-    fn on_log(&mut self, event: LogEvent) {
-        self.engine.ingest(event);
-    }
-
-    fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-        if let Some((at, _)) = &self.injection {
-            if now >= *at {
-                let (_, mut injector) = self.injection.take().expect("checked above");
-                injector.inject(
-                    cloud,
-                    &self.scenario.upgrade,
-                    &self.scenario.upgrade_lc_name,
-                    &mut self.rng,
-                );
-                println!(">>> fault injected at {now}: {}", injector.fault());
-            }
-        }
-        self.engine.poll();
-    }
-}
-
-fn run(label: &str, fault: Option<FaultType>) {
-    println!("=== {label} ===");
-    let config = ScenarioConfig {
-        seed: 7,
-        ..ScenarioConfig::default()
-    };
-    let scenario = build_scenario(&config);
-    let engine = build_engine(&scenario, &config);
-    let mut monitor = Monitor {
-        engine,
-        scenario: &scenario,
-        injection: fault.map(|f| (SimTime::from_secs(90), FaultInjector::new(f))),
-        rng: SimRng::seed_from(99),
-    };
-    let mut upgrade = RollingUpgrade::new(
-        scenario.cloud.clone(),
-        scenario.upgrade.clone(),
-        scenario.trace_id.clone(),
+fn main() {
+    // One unconfounded run per fault type; the first is fault type 1, a
+    // concurrent AMI change.
+    let plan = &Campaign::new(CampaignConfig::clean(7)).plans()[0];
+    let run = monitor_upgrade(plan);
+    println!(
+        "=== rolling upgrade with {} injected at {} ===",
+        plan.fault, run.record.truth.injected_at
     );
-    let report = upgrade.run(&mut monitor);
-    let summary = monitor.engine.finish();
     println!(
         "upgrade {:?} in {} (virtual); {} log events checked by conformance, {} assertions \
          evaluated",
-        report.outcome, report.duration, summary.conformance_events, summary.assertions_evaluated
+        run.upgrade.outcome,
+        run.upgrade.duration,
+        run.summary.conformance_events,
+        run.summary.assertions_evaluated
     );
-    if summary.detections.is_empty() {
-        println!("no errors detected\n");
-        return;
-    }
-    println!("{} detection(s):", summary.detections.len());
-    for d in summary.detections.iter().take(4) {
+    println!("{} detection(s):", run.summary.detections.len());
+    for d in run.summary.detections.iter().take(4) {
         println!("  [{}] {:?}: {}", d.at, d.source, d.description);
         if let Some(diag) = &d.diagnosis {
             for cause in &diag.root_causes {
@@ -85,13 +38,4 @@ fn run(label: &str, fault: Option<FaultType>) {
             }
         }
     }
-    println!();
-}
-
-fn main() {
-    run("healthy rolling upgrade", None);
-    run(
-        "rolling upgrade with a concurrent AMI change (fault type 1)",
-        Some(FaultType::AmiChangedDuringUpgrade),
-    );
 }

@@ -5,98 +5,39 @@
 //!
 //! Run with `cargo run --example rolling_upgrade_diagnosis`.
 
-use pod_diagnosis::cloud::Cloud;
-use pod_diagnosis::eval::{
-    build_engine, build_scenario, stage_self_times, ScenarioConfig, TraceDump,
-};
-use pod_diagnosis::log::{LogEvent, LogQuery};
-use pod_diagnosis::orchestrator::{FaultInjector, FaultType, RollingUpgrade, UpgradeObserver};
-use pod_diagnosis::sim::{SimDuration, SimRng, SimTime};
-
-struct Monitor<'s> {
-    engine: pod_diagnosis::core::PodEngine,
-    scenario: &'s pod_diagnosis::eval::Scenario,
-    injection: Option<(SimTime, FaultInjector)>,
-    rng: SimRng,
-}
-
-impl UpgradeObserver for Monitor<'_> {
-    fn on_log(&mut self, event: LogEvent) {
-        self.engine.ingest(event);
-    }
-
-    fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-        if let Some((at, _)) = &self.injection {
-            if now >= *at {
-                let (_, mut injector) = self.injection.take().expect("checked above");
-                injector.inject(
-                    cloud,
-                    &self.scenario.upgrade,
-                    &self.scenario.upgrade_lc_name,
-                    &mut self.rng,
-                );
-            }
-        }
-        self.engine.poll();
-    }
-}
+use pod_diagnosis::eval::{monitor_upgrade, Campaign, CampaignConfig};
+use pod_diagnosis::log::LogQuery;
+use pod_diagnosis::sim::SimDuration;
 
 fn main() {
-    let config = ScenarioConfig {
-        seed: 1119, // 2013-11-19, the date in the paper's sample log
-        ..ScenarioConfig::default()
-    };
-    let scenario = build_scenario(&config);
-    scenario.cloud.obs().begin_run(&scenario.trace_id);
-    let engine = build_engine(&scenario, &config);
-    let mut monitor = Monitor {
-        engine,
-        scenario: &scenario,
-        injection: Some((
-            SimTime::from_secs(70),
-            FaultInjector::new(FaultType::AmiChangedDuringUpgrade),
-        )),
-        rng: SimRng::seed_from(13),
-    };
-    let mut upgrade = RollingUpgrade::new(
-        scenario.cloud.clone(),
-        scenario.upgrade.clone(),
-        scenario.trace_id.clone(),
-    );
-    upgrade.run(&mut monitor);
-    let summary = monitor.engine.finish();
+    // Seed 1119 (2013-11-19, the date in the paper's sample log); the first
+    // clean plan is the wrong-AMI fault — `pod-diagnosis timeline`'s first
+    // run.
+    let plan = &Campaign::new(CampaignConfig::clean(1119)).plans()[0];
+    let run = monitor_upgrade(plan);
+    let storage = &run.scenario.storage;
 
     println!("== operation log (tagged lines forwarded to central storage) ==");
-    for e in scenario
-        .storage
-        .query(&LogQuery::new().with_source("asgard.log"))
-    {
+    for e in storage.query(&LogQuery::new().with_source("asgard.log")) {
         println!("{e}");
     }
 
     println!();
     println!("== assertion-evaluation log ==");
-    for e in scenario
-        .storage
-        .query(&LogQuery::new().with_type("assertion"))
-        .iter()
-        .take(14)
-    {
+    let assertions = storage.query(&LogQuery::new().with_type("assertion"));
+    for e in assertions.iter().take(14) {
         println!("{e}");
     }
 
     println!();
     println!("== diagnosis transcript (compare with Section III.B.4 of the paper) ==");
-    for e in scenario
-        .storage
-        .query(&LogQuery::new().with_type("diagnosis"))
-    {
+    for e in storage.query(&LogQuery::new().with_type("diagnosis")) {
         println!("{e}");
     }
 
     println!();
     println!("== operator report ==");
-    for d in &summary.detections {
+    for d in &run.summary.detections {
         if let Some(diag) = &d.diagnosis {
             println!(
                 "[{}] detected via {:?} (step {}): {} — {} potential faults, {} excluded, \
@@ -116,26 +57,20 @@ fn main() {
         }
     }
 
-    let obs = scenario.cloud.obs();
-    let dump = TraceDump {
-        trace_id: scenario.trace_id.clone(),
-        spans: obs.tracer().finished(),
-        events: obs.events().records(),
-    };
+    let dump = run.trace();
     println!();
     println!("== incident timelines (causal chains, virtual time) ==");
     print!("{}", pod_diagnosis::obs::render_timelines(&dump.events));
     println!();
     println!("== stage self time (virtual) ==");
-    for (stage, us) in stage_self_times(&dump.spans) {
-        let self_time = SimDuration::from_micros(us).to_string();
+    for (stage, us) in &run.record.stage_self_us {
+        let self_time = SimDuration::from_micros(*us).to_string();
         println!("{stage:<34} {self_time:>12}");
     }
     println!();
     println!("== metrics summary ==");
-    print!("{}", pod_diagnosis::obs::render_summary(&obs.snapshot()));
-    let spans_dropped = obs.tracer().dropped();
-    let events_dropped = obs.events().dropped();
+    print!("{}", pod_diagnosis::obs::render_summary(&run.record.obs));
+    let (spans_dropped, events_dropped) = (run.record.spans_dropped, run.record.events_dropped);
     if spans_dropped > 0 || events_dropped > 0 {
         println!(
             "WARNING: retention caps hit — {spans_dropped} span(s) and {events_dropped} causal \

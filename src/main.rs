@@ -5,15 +5,14 @@
 //! fails only on a real regression.
 
 use pod_diagnosis::eval::{
-    campaign_lines, collect_streams, diff_report, execute_run, execute_run_traced, flight_json,
-    gateway_line, healthy_log, incident_lines, recovery_lines, recovery_soak_lines,
-    render_gateway_report, render_journal, render_report, render_soak_report, replay,
-    replay_with_recovery, soak_lines, sweep_batches, wall_line, write_journal, Campaign,
-    CampaignConfig, RunPlan, SoakConfig, SoakReport,
+    campaign_lines, collect_streams, diff_report, flight_json, gateway_line, healthy_log,
+    incident_lines, monitor_upgrade, recovery_lines, recovery_soak_lines, render_gateway_report,
+    render_journal, render_report, render_soak_report, replay, replay_with_recovery, soak_lines,
+    sweep_batches, wall_line, write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::Json;
-use pod_diagnosis::mining::{mine_process, MiningConfig};
+use pod_diagnosis::mining::mine_process;
 use pod_diagnosis::obs::{incidents, render_dashboard, render_timelines};
 use pod_diagnosis::orchestrator::FaultType;
 use pod_diagnosis::process::replay_fitness;
@@ -176,21 +175,6 @@ fn conclude(name: &str, lines: &[Json], json: bool, baseline: Option<(String, &s
         print!("regression gate vs {path}:\n{report}");
         std::process::exit(code);
     }
-}
-
-/// One run per fault type with nothing else going on — no interference, no
-/// transient reverts — so each shows exactly the injected fault's story.
-fn clean_plans(seed: u64) -> Vec<RunPlan> {
-    let campaign = Campaign::new(CampaignConfig {
-        runs_per_fault: 1,
-        seed,
-        interference_fraction: 0.0,
-        transient_fraction: 0.0,
-        reinject_fraction: 0.0,
-        large_cluster_every: 0,
-        ..CampaignConfig::default()
-    });
-    campaign.plans()
 }
 
 fn campaign(mut args: Args) {
@@ -479,8 +463,9 @@ fn timeline(mut args: Args) {
     let mut journal: Vec<Json> = Vec::new();
     let (mut total, mut anchored, mut complete) = (0, 0, 0);
     // Seed 1119: the date in the paper's sample log.
-    for plan in clean_plans(1119) {
-        let (record, dump) = execute_run_traced(&plan);
+    for plan in Campaign::new(CampaignConfig::clean(1119)).plans() {
+        let run = monitor_upgrade(&plan);
+        let dump = run.trace();
         println!("== fault: {} (trace {}) ==", plan.fault, dump.trace_id);
         print!("{}", render_timelines(&dump.events));
         println!();
@@ -489,10 +474,10 @@ fn timeline(mut args: Args) {
         anchored += chains.iter().filter(|c| c.anchored).count();
         complete += chains.iter().filter(|c| c.complete()).count();
         journal.extend(incident_lines(&dump.trace_id, &chains));
-        if record.events_dropped > 0 {
+        if run.record.events_dropped > 0 {
             println!(
                 "WARNING: {} causal event(s) dropped in this run; chains may be cut",
-                record.events_dropped
+                run.record.events_dropped
             );
         }
     }
@@ -525,15 +510,15 @@ fn discover(mut args: Args) {
     let events: Vec<_> = (1..=runs)
         .flat_map(|seed| healthy_log(seed, 4 + 2 * (seed % 3) as u32))
         .collect();
-    let config = MiningConfig {
-        model_name: "rolling-upgrade-mined".to_string(),
-        ..MiningConfig::default()
-    };
-    let mined = mine_process(&events, |e| e.field("taskid").map(str::to_string), &config)
-        .unwrap_or_else(|e| {
-            eprintln!("discovery failed: {e}");
-            std::process::exit(1);
-        });
+    let mined = mine_process(
+        &events,
+        |e| e.field("taskid").map(str::to_string),
+        "rolling-upgrade-mined",
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("discovery failed: {e}");
+        std::process::exit(1);
+    });
     println!("{}", mined.model.to_dot());
     eprintln!(
         "mined {} activities from {} traces; fitness {:.4}",
@@ -558,11 +543,11 @@ fn monitor(mut args: Args) {
         args.usage()
     };
     args.finish();
-    let plans = clean_plans(seed);
+    let plans = Campaign::new(CampaignConfig::clean(seed)).plans();
     let plan = plans.iter().find(|p| p.fault == fault);
     let plan = plan.expect("every fault type has a plan");
     eprintln!("monitoring one upgrade with injected fault: {fault}");
-    let record = execute_run(plan);
+    let record = monitor_upgrade(plan).record;
     println!(
         "fault injected at {}; detected: {}; diagnosed correctly: {}",
         record.truth.injected_at,

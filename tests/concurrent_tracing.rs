@@ -6,85 +6,26 @@
 use std::collections::BTreeSet;
 use std::thread;
 
-use pod_diagnosis::eval::{build_engine, build_scenario, ScenarioConfig};
-use pod_diagnosis::log::LogEvent;
-use pod_diagnosis::orchestrator::{FaultInjector, FaultType, RollingUpgrade, UpgradeObserver};
-use pod_diagnosis::sim::{SimRng, SimTime};
+use pod_diagnosis::eval::{
+    build_scenario, monitor_upgrade, Campaign, CampaignConfig, ScenarioConfig, TraceDump,
+};
+use pod_diagnosis::orchestrator::FaultType;
 
-struct Monitor<'s> {
-    engine: pod_diagnosis::core::PodEngine,
-    scenario: &'s pod_diagnosis::eval::Scenario,
-    injection: Option<(SimTime, FaultInjector)>,
-    rng: SimRng,
-}
-
-impl UpgradeObserver for Monitor<'_> {
-    fn on_log(&mut self, event: LogEvent) {
-        self.engine.ingest(event);
-    }
-
-    fn on_tick(&mut self, cloud: &pod_diagnosis::cloud::Cloud, now: SimTime) {
-        if let Some((at, _)) = &self.injection {
-            if now >= *at {
-                let (_, mut injector) = self.injection.take().expect("checked above");
-                injector.inject(
-                    cloud,
-                    &self.scenario.upgrade,
-                    &self.scenario.upgrade_lc_name,
-                    &mut self.rng,
-                );
-            }
-        }
-        self.engine.poll();
-    }
-}
-
-/// Runs one faulty upgrade end to end and returns its trace.
-fn run_upgrade(
-    seed: u64,
-    fault: FaultType,
-) -> (
-    String,
-    Vec<pod_diagnosis::obs::SpanRecord>,
-    Vec<pod_diagnosis::obs::EventRecord>,
-) {
-    let config = ScenarioConfig {
-        seed,
-        ..ScenarioConfig::default()
-    };
-    let scenario = build_scenario(&config);
-    scenario.cloud.obs().begin_run(&scenario.trace_id);
-    let engine = build_engine(&scenario, &config);
-    let mut monitor = Monitor {
-        engine,
-        scenario: &scenario,
-        injection: Some((SimTime::from_secs(70), FaultInjector::new(fault))),
-        rng: SimRng::seed_from(seed ^ 0xBEEF),
-    };
-    let mut upgrade = RollingUpgrade::new(
-        scenario.cloud.clone(),
-        scenario.upgrade.clone(),
-        scenario.trace_id.clone(),
-    );
-    upgrade.run(&mut monitor);
-    monitor.engine.finish();
-    let obs = scenario.cloud.obs();
-    assert_eq!(obs.tracer().trace_id(), scenario.trace_id);
-    assert_eq!(obs.events().trace_id(), scenario.trace_id);
-    (
-        scenario.trace_id.clone(),
-        obs.tracer().finished(),
-        obs.events().records(),
-    )
+/// Runs one clean faulty upgrade end to end and returns its trace.
+fn run_upgrade(seed: u64, fault: FaultType) -> TraceDump {
+    let plans = Campaign::new(CampaignConfig::clean(seed)).plans();
+    let plan = plans.iter().find(|p| p.fault == fault);
+    let run = monitor_upgrade(plan.expect("every fault type has a plan"));
+    let obs = run.scenario.cloud.obs();
+    assert_eq!(obs.tracer().trace_id(), run.scenario.trace_id);
+    assert_eq!(obs.events().trace_id(), run.scenario.trace_id);
+    run.trace()
 }
 
 /// Every span parent and every event parent/span link must resolve within
 /// the same trace (links only point at ids that exist, or were evicted —
 /// never at another trace's ids, which these small runs never evict).
-fn assert_self_contained(
-    spans: &[pod_diagnosis::obs::SpanRecord],
-    events: &[pod_diagnosis::obs::EventRecord],
-) {
+fn assert_self_contained(TraceDump { spans, events, .. }: &TraceDump) {
     let span_ids: BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
     let event_ids: BTreeSet<u64> = events.iter().map(|e| e.id).collect();
     for span in spans {
@@ -112,19 +53,19 @@ fn interleaved_upgrades_do_not_cross_link() {
     // clouds; their traces must be disjoint and internally consistent.
     let a = thread::spawn(|| run_upgrade(101, FaultType::AmiChangedDuringUpgrade));
     let b = thread::spawn(|| run_upgrade(202, FaultType::ElbUnavailable));
-    let (id_a, spans_a, events_a) = a.join().expect("upgrade A panicked");
-    let (id_b, spans_b, events_b) = b.join().expect("upgrade B panicked");
+    let a = a.join().expect("upgrade A panicked");
+    let b = b.join().expect("upgrade B panicked");
 
-    assert_ne!(id_a, id_b);
-    assert!(!spans_a.is_empty() && !spans_b.is_empty());
-    assert!(!events_a.is_empty() && !events_b.is_empty());
-    assert_self_contained(&spans_a, &events_a);
-    assert_self_contained(&spans_b, &events_b);
+    assert_ne!(a.trace_id, b.trace_id);
+    assert!(!a.spans.is_empty() && !b.spans.is_empty());
+    assert!(!a.events.is_empty() && !b.events.is_empty());
+    assert_self_contained(&a);
+    assert_self_contained(&b);
 
     // Both runs reconstruct incidents, and each run's chains stay anchored
     // in its own log — the other run's fault never leaks into the story.
-    let incidents_a = pod_diagnosis::obs::incidents(&events_a);
-    let incidents_b = pod_diagnosis::obs::incidents(&events_b);
+    let incidents_a = pod_diagnosis::obs::incidents(&a.events);
+    let incidents_b = pod_diagnosis::obs::incidents(&b.events);
     assert!(incidents_a.iter().any(|c| c.complete()));
     assert!(incidents_b.iter().any(|c| c.complete()));
     let causes_a: BTreeSet<String> = incidents_a

@@ -2,7 +2,8 @@
 //! small, must reproduce the paper's qualitative results and be
 //! deterministic.
 
-use pod_diagnosis::eval::{Campaign, CampaignConfig};
+use pod_diagnosis::eval::{monitor_upgrade, Campaign, CampaignConfig};
+use pod_diagnosis::log::LogQuery;
 
 fn mini_config() -> CampaignConfig {
     CampaignConfig {
@@ -152,16 +153,7 @@ fn configuration_faults_stay_invisible_to_conformance() {
 
 #[test]
 fn every_fault_type_is_diagnosed_correctly_in_clean_runs() {
-    let report = Campaign::new(CampaignConfig {
-        interference_fraction: 0.0,
-        transient_fraction: 0.0,
-        reinject_fraction: 0.0,
-        runs_per_fault: 1,
-        large_cluster_every: 0,
-        seed: 555,
-        ..CampaignConfig::default()
-    })
-    .run();
+    let report = Campaign::new(CampaignConfig::clean(555)).run();
     for r in &report.records {
         assert!(r.outcome.fault_detected, "{:?} not detected", r.plan.fault);
         assert!(
@@ -170,5 +162,26 @@ fn every_fault_type_is_diagnosed_correctly_in_clean_runs() {
             r.plan.fault
         );
         assert_eq!(r.outcome.false_positives, 0, "{:?}", r.plan.fault);
+    }
+}
+
+/// The §III.B.4 sample diagnosis: a wrong-AMI instance walks the four
+/// launch-configuration faults, excludes three and pinpoints the AMI.
+#[test]
+fn wrong_ami_diagnosis_has_the_papers_transcript_shape() {
+    let run = monitor_upgrade(&Campaign::new(CampaignConfig::clean(1119)).plans()[0]);
+    let mut diagnoses = run.summary.diagnosed().filter_map(|d| d.diagnosis.as_ref());
+    let shaped = diagnoses.any(|diag| {
+        let causes: Vec<&str> = diag.root_causes.iter().map(|c| &*c.node_id).collect();
+        diag.potential_faults == 4 && diag.excluded == 3 && causes == ["lc-wrong-ami"]
+    });
+    assert!(shaped, "{:#?}", run.summary.detections);
+    let transcript = run
+        .scenario
+        .storage
+        .query(&LogQuery::new().with_type("diagnosis"));
+    for phrase in ["4 potential faults in total", "3/4 faults excluded"] {
+        let logged = transcript.iter().any(|e| e.message.contains(phrase));
+        assert!(logged, "no {phrase:?} in the diagnosis log");
     }
 }

@@ -2,21 +2,13 @@
 //! from a real diagnosis run must parse and carry the keys the viewer
 //! requires.
 
-use pod_diagnosis::eval::{execute_run_traced, Campaign, CampaignConfig};
+use pod_diagnosis::eval::{monitor_upgrade, Campaign, CampaignConfig};
 use pod_diagnosis::log::Json;
 
 #[test]
 fn chrome_trace_parses_and_carries_required_keys() {
-    let campaign = Campaign::new(CampaignConfig {
-        runs_per_fault: 1,
-        seed: 99,
-        interference_fraction: 0.0,
-        transient_fraction: 0.0,
-        reinject_fraction: 0.0,
-        large_cluster_every: 0,
-        ..CampaignConfig::default()
-    });
-    let (_, dump) = execute_run_traced(&campaign.plans()[0]);
+    let campaign = Campaign::new(CampaignConfig::clean(99));
+    let dump = monitor_upgrade(&campaign.plans()[0]).trace();
     assert!(!dump.spans.is_empty());
     assert!(!dump.events.is_empty());
     let doc = Json::parse(&dump.chrome_trace()).expect("chrome trace is valid JSON");
