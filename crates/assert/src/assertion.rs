@@ -573,6 +573,13 @@ mod tests {
     use pod_cloud::{Cloud, CloudConfig};
     use pod_sim::{Clock, SimRng};
 
+    /// Shared by `Arc` between engines: an `Rc` or `RefCell` inside stops this compiling.
+    #[test]
+    fn library_is_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<AssertionLibrary>();
+    }
+
     fn setup() -> (ConsistentApi, ExpectedEnv, Cloud) {
         let cloud = Cloud::new(
             Clock::new(),

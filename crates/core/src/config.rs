@@ -1,4 +1,5 @@
-//! Engine configuration and the shared expected-environment handle.
+//! Engine configuration as authored ([`PodConfig`]) and as compiled once per
+//! process ([`CompiledPod`]), and the shared expected-environment handle.
 
 use std::sync::Arc;
 
@@ -6,7 +7,8 @@ use parking_lot::Mutex;
 use pod_assert::{AssertionLibrary, CloudAssertion, ExpectedEnv, RetryPolicy};
 use pod_faulttree::{FaultTreeRepository, TestOrder};
 use pod_log::RuleBook;
-use pod_process::ProcessModel;
+use pod_process::{PetriNet, ProcessModel};
+use pod_regex::{ParseError, Regex, RegexSet};
 use pod_sim::{LatencyModel, SimDuration};
 
 /// The expected environment, shared between the engine and the operator /
@@ -38,13 +40,15 @@ impl SharedEnv {
     }
 }
 
-/// Static configuration of a [`crate::PodEngine`].
+/// Static configuration of a [`crate::PodEngine`], patterns still text;
+/// [`PodConfig::compile`] turns it into the form engines run on.
 #[derive(Debug)]
 pub struct PodConfig {
     /// The process model conformance checks against.
     pub model: ProcessModel,
-    /// Transformation rules annotating log lines with process context.
-    pub rules: RuleBook,
+    /// Transformation rules annotating log lines with process context; by
+    /// `Arc` because every execution's annotator holds this one book.
+    pub rules: Arc<RuleBook>,
     /// Noise-filter keep patterns.
     pub relevance_patterns: Vec<String>,
     /// Patterns of known-error log lines.
@@ -67,6 +71,8 @@ pub struct PodConfig {
     /// the tree, pruning, fetching the recent log context.
     pub diagnosis_overhead: LatencyModel,
     /// Seed for the engine's own randomness (diagnosis overhead sampling).
+    /// The one per-execution value here: [`crate::PodEngine::new`] reads it
+    /// and [`PodConfig::compile`] does not.
     pub engine_seed: u64,
     /// Visiting order of fault-tree siblings.
     pub test_order: TestOrder,
@@ -106,13 +112,13 @@ impl PodConfig {
     /// process artefacts (model, rules, bindings, trees, patterns).
     pub fn new(
         model: ProcessModel,
-        rules: RuleBook,
+        rules: impl Into<Arc<RuleBook>>,
         bindings: AssertionLibrary,
         trees: FaultTreeRepository,
     ) -> PodConfig {
         PodConfig {
             model,
-            rules,
+            rules: rules.into(),
             relevance_patterns: Vec::new(),
             known_error_patterns: Vec::new(),
             operation_start_pattern: "^$".to_string(),
@@ -143,5 +149,58 @@ impl PodConfig {
             periodic_assertions: Vec::new(),
             batch_size: 1,
         }
+    }
+
+    /// Compiles what an engine derives from this configuration whatever
+    /// execution it watches — patterns, the rule book's literal index, the
+    /// Petri net — once per process; every engine built from the result
+    /// ([`crate::PodEngine::from_compiled`]) shares it and compiles nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any configured pattern does not compile.
+    pub fn compile(self) -> Result<Arc<CompiledPod>, ParseError> {
+        let noise_filter = match self.relevance_patterns.as_slice() {
+            [] => None,
+            patterns => Some(Arc::new(RegexSet::new(patterns)?)),
+        };
+        self.rules.build_index();
+        Ok(Arc::new(CompiledPod {
+            noise_filter,
+            operation_start: Arc::new(Regex::new(&self.operation_start_pattern)?),
+            operation_end: Arc::new(Regex::new(&self.operation_end_pattern)?),
+            known_errors: RegexSet::new(&self.known_error_patterns)?,
+            net: Arc::new(PetriNet::compile(&self.model)),
+            config: self,
+        }))
+    }
+}
+
+/// A [`PodConfig`] compiled: what every execution of one process shares.
+/// Immutable and `Send + Sync` (matching scratch lives in thread-locals), so
+/// a fleet's engines hold one allocation by `Arc`; what differs per execution
+/// is an argument of [`crate::PodEngine::from_compiled`].
+#[derive(Debug)]
+pub struct CompiledPod {
+    /// What it was compiled from: engines read the settings, bindings, trees
+    /// and the (now indexed) rule book in place. `engine_seed` is unused.
+    pub(crate) config: PodConfig,
+    /// `None` when no relevance pattern is configured: no filter stage.
+    pub(crate) noise_filter: Option<Arc<RegexSet>>,
+    pub(crate) operation_start: Arc<Regex>,
+    pub(crate) operation_end: Arc<Regex>,
+    pub(crate) known_errors: RegexSet,
+    pub(crate) net: Arc<PetriNet>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Engines on different threads will hold one `CompiledPod`.
+    #[test]
+    fn compiled_pod_is_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<CompiledPod>();
     }
 }

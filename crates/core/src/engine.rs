@@ -3,14 +3,14 @@
 //! half of Figure 1 of the paper.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pod_assert::{
-    AssertionEvaluator, AssertionLibrary, AssertionTrigger, CloudAssertion, ConsistentApi, TimerId,
-    TimerService,
+    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, TimerId, TimerService,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
-    DiagnosisContext, DiagnosisEngine, DiagnosisReport, DiagnosisVerdict, FaultTreeRepository,
+    DiagnosisContext, DiagnosisEngine, DiagnosisReport, DiagnosisVerdict, FaultTree,
 };
 use pod_log::{
     ImportantLineForwarder, LogEvent, LogStorage, NoiseFilter, Pipeline, PipelineOutput,
@@ -18,15 +18,23 @@ use pod_log::{
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
-use pod_regex::{Regex, RegexSet};
-use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
+use pod_sim::{SimDuration, SimRng, SimTime};
 
-use crate::config::{PodConfig, SharedEnv};
+use crate::config::{CompiledPod, PodConfig, SharedEnv};
 use crate::detection::{Detection, DetectionSource, EngineNotice, RunSummary};
 
 /// The assertion key of the master fault tree, used as a fallback for
 /// detections without a more specific tree.
 const MASTER_TREE_KEY: &str = "asg-has-n-instances-with-version";
+
+impl CompiledPod {
+    /// The tree for a failed assertion, else the master tree. On the shared
+    /// part, not the engine, so a walk can borrow it beside `&mut` state.
+    fn tree(&self, key: &str) -> Option<&FaultTree> {
+        let trees = &self.config.trees;
+        trees.select(key).or_else(|| trees.select(MASTER_TREE_KEY))
+    }
+}
 
 /// Cached handles for the engine's own metrics.
 #[derive(Debug)]
@@ -102,33 +110,22 @@ enum TimerPayload {
 /// Feed it every operation-log line with [`PodEngine::ingest`]; call
 /// [`PodEngine::poll`] at idle moments so timers can fire; collect the
 /// [`RunSummary`] with [`PodEngine::finish`].
+///
+/// It compiles nothing: patterns, rules, net, bindings and trees are the
+/// process's shared [`CompiledPod`]; its own state is one trace's.
 #[derive(Debug)]
 pub struct PodEngine {
+    pod: Arc<CompiledPod>,
     cloud: Cloud,
     storage: LogStorage,
     env: SharedEnv,
     trace_id: String,
-    process_id: String,
     pipeline: Pipeline,
     conformance: ConformanceChecker,
-    known_errors: RegexSet,
     evaluator: AssertionEvaluator,
     diag: DiagnosisEngine,
     timers: TimerService<TimerPayload>,
-    bindings: AssertionLibrary,
-    trees: FaultTreeRepository,
-    wait_activity: Option<String>,
-    completion_activity: Option<String>,
-    in_flight_activities: Vec<String>,
-    step_timeout: SimDuration,
-    periodic_interval: SimDuration,
-    conformance_latency: SimDuration,
-    diagnosis_cooldown: SimDuration,
-    diagnosis_dispatch_delay: SimDuration,
-    diagnosis_overhead: LatencyModel,
     rng: SimRng,
-    periodic_assertions: Vec<CloudAssertion>,
-    batch_size: u32,
     op_started: Option<SimTime>,
     periodic_timer: Option<TimerId>,
     step_timer: Option<TimerId>,
@@ -140,7 +137,10 @@ pub struct PodEngine {
 }
 
 impl PodEngine {
-    /// Builds an engine for one trace.
+    /// Builds an engine for one trace from an uncompiled configuration:
+    /// [`PodConfig::compile`], then [`PodEngine::from_compiled`] seeded with
+    /// `config.engine_seed`. Whoever watches many executions of one process
+    /// compiles once and calls `from_compiled` per trace instead.
     ///
     /// # Errors
     ///
@@ -152,60 +152,61 @@ impl PodEngine {
         config: PodConfig,
         trace_id: impl Into<String>,
     ) -> Result<PodEngine, pod_regex::ParseError> {
+        let (seed, pod) = (config.engine_seed, config.compile()?);
+        Ok(PodEngine::from_compiled(
+            &pod, cloud, storage, env, trace_id, seed,
+        ))
+    }
+
+    /// Builds an engine for one trace of an already compiled process: takes
+    /// a reference count on `pod`, compiles nothing, and registers every
+    /// component's counters on the cloud's observability context, so the
+    /// whole run lands in one trace and one metrics registry. `engine_seed`
+    /// seeds the engine's own randomness (diagnosis overhead sampling).
+    pub fn from_compiled(
+        pod: &Arc<CompiledPod>,
+        cloud: Cloud,
+        storage: LogStorage,
+        env: SharedEnv,
+        trace_id: impl Into<String>,
+        engine_seed: u64,
+    ) -> PodEngine {
         let trace_id = trace_id.into();
-        let process_id = config.model.name().to_string();
-        let mut pipeline = Pipeline::new();
-        if !config.relevance_patterns.is_empty() {
-            pipeline.add_stage(Box::new(NoiseFilter::keep(RegexSet::new(
-                &config.relevance_patterns,
-            )?)));
+        let obs = cloud.obs();
+        let mut pipeline = Pipeline::on(obs);
+        if let Some(keep) = &pod.noise_filter {
+            pipeline.add_stage(Box::new(NoiseFilter::keep(Arc::clone(keep))));
         }
         pipeline.add_stage(Box::new(TimerSetter::new(
-            Regex::new(&config.operation_start_pattern)?,
-            Regex::new(&config.operation_end_pattern)?,
+            Arc::clone(&pod.operation_start),
+            Arc::clone(&pod.operation_end),
             trace_id.clone(),
         )));
         pipeline.add_stage(Box::new(ProcessAnnotator::new(
-            config.rules.clone(),
-            process_id.clone(),
+            Arc::clone(&pod.config.rules),
+            pod.config.model.name().to_string(),
             trace_id.clone(),
         )));
         pipeline.add_stage(Box::new(ImportantLineForwarder));
-        // All components share the cloud's observability context, so the
-        // whole run lands in one trace and one metrics registry.
-        pipeline.set_obs(cloud.obs());
 
-        let api = ConsistentApi::new(cloud.clone(), config.retry_policy.clone());
+        let api = ConsistentApi::new(cloud.clone(), pod.config.retry_policy.clone());
         let evaluator = AssertionEvaluator::new(api, storage.clone());
-        let diag_api = ConsistentApi::new(cloud.clone(), config.diagnosis_retry_policy.clone());
-        let diag = DiagnosisEngine::new(diag_api, storage.clone()).with_order(config.test_order);
-        Ok(PodEngine {
-            metrics: EngineMetrics::new(cloud.obs()),
-            conformance: ConformanceChecker::new(&config.model).with_obs(cloud.obs()),
-            known_errors: RegexSet::new(&config.known_error_patterns)?,
+        let diag_api = ConsistentApi::new(cloud.clone(), pod.config.diagnosis_retry_policy.clone());
+        let diag =
+            DiagnosisEngine::new(diag_api, storage.clone()).with_order(pod.config.test_order);
+        PodEngine {
+            metrics: EngineMetrics::new(obs),
+            conformance: ConformanceChecker::on(Arc::clone(&pod.net), obs),
             pipeline,
             evaluator,
             diag,
             timers: TimerService::new(),
-            bindings: config.bindings,
-            trees: config.trees,
-            wait_activity: config.wait_activity,
-            completion_activity: config.completion_activity,
-            in_flight_activities: config.in_flight_activities,
-            step_timeout: config.step_timeout,
-            periodic_interval: config.periodic_interval,
-            conformance_latency: config.conformance_latency,
-            diagnosis_cooldown: config.diagnosis_cooldown,
-            diagnosis_dispatch_delay: config.diagnosis_dispatch_delay,
-            diagnosis_overhead: config.diagnosis_overhead,
-            rng: SimRng::seed_from(config.engine_seed ^ 0x90D_D1A6),
-            periodic_assertions: config.periodic_assertions,
-            batch_size: config.batch_size,
+            rng: SimRng::seed_from(engine_seed ^ 0x90D_D1A6),
+            pod: Arc::clone(pod),
             cloud,
             storage,
             env,
             trace_id,
-            process_id,
             op_started: None,
             periodic_timer: None,
             step_timer: None,
@@ -213,7 +214,7 @@ impl PodEngine {
             last_diagnosis_at: HashMap::new(),
             summary: RunSummary::default(),
             hook: DetectionHook::default(),
-        })
+        }
     }
 
     /// Installs the fast-path detection hook: a closure called synchronously
@@ -248,7 +249,12 @@ impl PodEngine {
 
     /// The process model id this engine monitors (e.g. `rolling-upgrade`).
     pub fn process_id(&self) -> &str {
-        &self.process_id
+        self.pod.config.model.name()
+    }
+
+    /// The bare process context of this trace (no step, no instance).
+    fn context(&self) -> ProcessContext {
+        ProcessContext::new(self.process_id().to_string(), self.trace_id.clone())
     }
 
     /// Ingests one raw operation-log line.
@@ -318,7 +324,7 @@ impl PodEngine {
         // Let any dispatched-but-not-yet-started diagnosis run.
         self.cloud
             .clock()
-            .advance(self.diagnosis_dispatch_delay + SimDuration::from_millis(1));
+            .advance(self.pod.config.diagnosis_dispatch_delay + SimDuration::from_millis(1));
         self.fire_due_timers();
         self.summary.trace_complete = self.conformance.is_complete(&self.trace_id);
         self.summary.clone()
@@ -331,13 +337,15 @@ impl PodEngine {
     fn on_conformance(&mut self, event: LogEvent) {
         let replay_started = self.cloud.clock().now();
         // The conformance service call costs ≈ 10 ms.
-        self.cloud.clock().advance(self.conformance_latency);
+        self.cloud
+            .clock()
+            .advance(self.pod.config.conformance_latency);
         self.summary.conformance_events += 1;
         let activity = event.context.as_ref().and_then(|c| c.step_id.clone());
         let verdict = match &activity {
             Some(act) => self.conformance.replay(&self.trace_id, act),
             None => {
-                let known = self.known_errors.first_match(&event.message).is_some();
+                let known = self.pod.known_errors.first_match(&event.message).is_some();
                 self.conformance.record_error(&self.trace_id, known)
             }
         };
@@ -388,10 +396,10 @@ impl PodEngine {
         }
         // Step-timer management from process context.
         if let Some(act) = &activity {
-            if self.wait_activity.as_deref() == Some(act.as_str()) {
+            if self.pod.config.wait_activity.as_deref() == Some(act.as_str()) {
                 self.arm_step_timer();
             }
-            if self.completion_activity.as_deref() == Some(act.as_str()) {
+            if self.pod.config.completion_activity.as_deref() == Some(act.as_str()) {
                 if let Some(id) = self.step_timer.take() {
                     self.timers.cancel(id);
                 }
@@ -438,15 +446,13 @@ impl PodEngine {
         if let Some(done) = event.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
-        let bound = self.bindings.for_activity(&activity).to_vec();
+        let bound = self.pod.config.bindings.for_activity(&activity).to_vec();
         for binding in bound {
             let env = self.env.snapshot();
             let Some(assertion) = binding.resolve(Some(&event), env.expected_count) else {
                 continue;
             };
-            let ctx = event.context.clone().unwrap_or_else(|| {
-                ProcessContext::new(self.process_id.clone(), self.trace_id.clone())
-            });
+            let ctx = event.context.clone().unwrap_or_else(|| self.context());
             let record =
                 self.evaluator
                     .evaluate(&assertion, &env, AssertionTrigger::Log, Some(&ctx));
@@ -475,8 +481,8 @@ impl PodEngine {
         // Periodic checks chain back to the operation-start log line.
         let cause = self.cloud.obs().events().current_cause();
         let id = self.timers.schedule_periodic(
-            now + self.periodic_interval,
-            self.periodic_interval,
+            now + self.pod.config.periodic_interval,
+            self.pod.config.periodic_interval,
             TimerPayload::Periodic { cause },
         );
         self.periodic_timer = Some(id);
@@ -495,14 +501,14 @@ impl PodEngine {
         if let Some(id) = self.step_timer.take() {
             self.timers.cancel(id);
         }
-        let at = self.cloud.clock().now() + self.step_timeout;
+        let at = self.cloud.clock().now() + self.pod.config.step_timeout;
         // A timeout firing later still chains to the wait-activity line
         // that armed it.
         let cause = self.cloud.obs().events().current_cause();
         let id = self.timers.schedule_once(
             at,
             TimerPayload::StepCompletion {
-                expected_done: self.last_done + self.batch_size,
+                expected_done: self.last_done + self.pod.config.batch_size,
                 cause,
             },
         );
@@ -566,9 +572,9 @@ impl PodEngine {
         let assertion = CloudAssertion::AsgHasInstancesWithVersion {
             count: expected_done,
         };
-        let step = self.completion_activity.clone();
+        let step = self.pod.config.completion_activity.clone();
         let ctx = {
-            let mut c = ProcessContext::new(self.process_id.clone(), self.trace_id.clone());
+            let mut c = self.context();
             if let Some(s) = &step {
                 c = c.with_step(s.clone());
             }
@@ -603,9 +609,16 @@ impl PodEngine {
         let in_flight = self
             .conformance
             .last_activity(&self.trace_id)
-            .is_some_and(|act| self.in_flight_activities.iter().any(|a| a == act));
+            .is_some_and(|act| {
+                self.pod
+                    .config
+                    .in_flight_activities
+                    .iter()
+                    .any(|a| a == act)
+            });
         let floor = if in_flight {
-            env.expected_count.saturating_sub(self.batch_size)
+            env.expected_count
+                .saturating_sub(self.pod.config.batch_size)
         } else {
             env.expected_count
         };
@@ -615,8 +628,8 @@ impl PodEngine {
             },
             CloudAssertion::AsgActiveCountAtLeast { count: floor },
         ];
-        checks.extend(self.periodic_assertions.iter().cloned());
-        let ctx = ProcessContext::new(self.process_id.clone(), self.trace_id.clone());
+        checks.extend(self.pod.config.periodic_assertions.iter().cloned());
+        let ctx = self.context();
         for assertion in checks {
             let record = {
                 let events = self.cloud.obs().events().clone();
@@ -688,11 +701,11 @@ impl PodEngine {
         let cooled_down = self
             .last_diagnosis_at
             .get(&key)
-            .is_none_or(|last| at.duration_since(*last) >= self.diagnosis_cooldown);
+            .is_none_or(|last| at.duration_since(*last) >= self.pod.config.diagnosis_cooldown);
         if cooled_down {
             self.last_diagnosis_at.insert(key.clone(), at);
             self.timers.schedule_once(
-                at + self.diagnosis_dispatch_delay,
+                at + self.pod.config.diagnosis_dispatch_delay,
                 TimerPayload::Diagnose {
                     detection_index,
                     key: key.clone(),
@@ -725,9 +738,8 @@ impl PodEngine {
     }
 
     fn plausible_causes(&self, key: &str, step: Option<&str>) -> Vec<String> {
-        self.trees
-            .select(key)
-            .or_else(|| self.trees.select(MASTER_TREE_KEY))
+        self.pod
+            .tree(key)
             .map(|tree| {
                 tree.plausible_root_causes(step)
                     .into_iter()
@@ -744,9 +756,8 @@ impl PodEngine {
         instance: Option<InstanceId>,
     ) -> DiagnosisReport {
         let tree = self
-            .trees
-            .select(key)
-            .or_else(|| self.trees.select(MASTER_TREE_KEY))
+            .pod
+            .tree(key)
             .expect("repository provides the master tree");
         let ctx = DiagnosisContext {
             env: self.env.snapshot(),
@@ -759,7 +770,7 @@ impl PodEngine {
         self.metrics.diagnoses.incr();
         // Service overhead: tree selection, instantiation, pruning, log
         // context collection.
-        let overhead = self.diagnosis_overhead.sample(&mut self.rng);
+        let overhead = self.pod.config.diagnosis_overhead.sample(&mut self.rng);
         let started = self.cloud.clock().now();
         self.cloud.clock().advance(overhead);
         let mut report = self.diag.diagnose(tree, &ctx);

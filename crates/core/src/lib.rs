@@ -13,8 +13,16 @@
 //!
 //! Key types: [`PodEngine`] (one per operation execution), [`PodConfig`]
 //! (the offline artefacts: model, rules, bindings, trees, patterns),
-//! [`SharedEnv`] (the mutable expected environment), [`Detection`] and
-//! [`RunSummary`] (what the operator gets).
+//! [`CompiledPod`] (those artefacts compiled), [`SharedEnv`] (the mutable
+//! expected environment), [`Detection`] and [`RunSummary`] (what the
+//! operator gets).
+//!
+//! Who compiles when: as in the paper, once per process, offline.
+//! [`PodConfig::compile`] yields an immutable `Arc<CompiledPod>` (patterns,
+//! indexed rule book, Petri net, bindings, trees, settings);
+//! [`PodEngine::from_compiled`] runs once per execution, takes a reference
+//! count and compiles nothing. [`PodEngine::new`] is the two in a row, for
+//! a caller with one execution to watch.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -23,6 +31,6 @@ mod config;
 mod detection;
 mod engine;
 
-pub use config::{PodConfig, SharedEnv};
+pub use config::{CompiledPod, PodConfig, SharedEnv};
 pub use detection::{Detection, DetectionSource, EngineNotice, RunSummary};
 pub use engine::PodEngine;

@@ -1,6 +1,8 @@
 //! End-to-end tests: the POD engine monitoring real rolling upgrades on the
 //! simulated cloud.
 
+use std::sync::Arc;
+
 use pod_assert::RetryPolicy;
 use pod_cloud::{Cloud, CloudConfig};
 use pod_core::{DetectionSource, PodConfig, PodEngine, RunSummary, SharedEnv};
@@ -289,4 +291,19 @@ fn configuration_faults_are_invisible_to_conformance() {
         .detections
         .iter()
         .any(|d| d.source == DetectionSource::AssertionLog));
+}
+
+#[test]
+fn engines_of_one_process_hold_one_compiled_pod() {
+    let w = build_world(107, 4);
+    let pod = pod_config().compile().expect("patterns compile");
+    let engine = |i: u64| {
+        let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
+        PodEngine::from_compiled(&pod, cloud, storage, env, format!("run-{i}"), i)
+    };
+    let engines: Vec<PodEngine> = (0..64).map(engine).collect();
+    // One reference each and no private copy: compile once, share by count.
+    assert_eq!(Arc::strong_count(&pod), 65);
+    drop(engines);
+    assert_eq!(Arc::strong_count(&pod), 1);
 }

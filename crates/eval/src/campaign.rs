@@ -832,6 +832,49 @@ impl UpgradeObserver for CampaignObserver<'_> {
 mod tests {
     use super::*;
 
+    /// The guard for a `ScenarioConfig` field added to `pod_config` and
+    /// forgotten in `build_engine`'s memo key: some tenant would then run on
+    /// another configuration's artefacts and part from an engine that
+    /// compiled its own. One configuration per key, an AMI lost mid-upgrade.
+    #[test]
+    fn shared_engine_behaves_as_one_that_compiled_its_own() {
+        use crate::scenario::pod_config;
+        let digest = |plan: &RunPlan, build: &dyn Fn(&Scenario) -> PodEngine| {
+            let scenario = build_scenario(&plan.scenario);
+            let mut observer = CampaignObserver::new(build(&scenario), &scenario, plan);
+            let (cloud, upgrade) = (scenario.cloud.clone(), scenario.upgrade.clone());
+            RollingUpgrade::new(cloud, upgrade, scenario.trace_id.clone()).run(&mut observer);
+            observer.engine.finish().digest()
+        };
+        let mut plan = Campaign::new(CampaignConfig::clean(5))
+            .plans()
+            .swap_remove(4);
+        assert_eq!(plan.fault, FaultType::AmiUnavailable);
+        for (amended_trees, test_order, batch_size) in [
+            (true, TestOrder::ByProbability, 1),
+            (false, TestOrder::ByProbability, 1),
+            (true, TestOrder::ByCost, 1),
+            (true, TestOrder::ByProbability, 2),
+        ] {
+            let keyed = (amended_trees, test_order, batch_size);
+            plan.scenario = ScenarioConfig {
+                amended_trees,
+                test_order,
+                batch_size,
+                ..plan.scenario
+            };
+            let cfg = &plan.scenario;
+            let shared = digest(&plan, &|s| build_engine(s, cfg));
+            let own = digest(&plan, &|s| {
+                let (cloud, storage, env) = (s.cloud.clone(), s.storage.clone(), s.env.clone());
+                PodEngine::new(cloud, storage, env, pod_config(cfg), s.trace_id.clone())
+                    .expect("rolling-upgrade patterns compile")
+            });
+            assert!(!shared.is_empty(), "the lost AMI is detected: {keyed:?}");
+            assert_eq!(shared, own, "{keyed:?}");
+        }
+    }
+
     #[test]
     fn plans_are_deterministic_and_cover_all_faults() {
         let c = Campaign::new(CampaignConfig {

@@ -2,9 +2,11 @@
 //! configuration, the expected environment, and the POD engine wired with
 //! the rolling-upgrade artefacts.
 
+use std::sync::{Arc, Mutex};
+
 use pod_assert::{ExpectedEnv, RetryPolicy};
 use pod_cloud::{Cloud, CloudConfig};
-use pod_core::{PodConfig, PodEngine, SharedEnv};
+use pod_core::{CompiledPod, PodConfig, PodEngine, SharedEnv};
 use pod_faulttree::{rolling_upgrade_repository, steps, TestOrder};
 use pod_log::{LogEvent, LogStorage};
 use pod_orchestrator::{
@@ -169,7 +171,8 @@ pub fn healthy_log(seed: u64, cluster_size: u32) -> Vec<LogEvent> {
     observer.events
 }
 
-/// Builds the POD engine configuration for the rolling upgrade.
+/// Builds the POD engine configuration for the rolling upgrade (uncompiled;
+/// [`build_engine`] compiles it once per fleet).
 pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
     let mut c = PodConfig::new(
         process_def::rolling_upgrade_model(),
@@ -226,17 +229,42 @@ pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
     c
 }
 
-/// Builds the engine for a scenario.
+/// [`pod_config`] compiled, once per distinct configuration it can return.
+/// The memo sits here because every driver — campaign, soak, the ledger —
+/// reaches engines only through [`build_engine`], one call per tenant, and
+/// none has a fleet-wide place to hold the compiled form. Its key is exactly
+/// what `pod_config` reads besides the seed (which goes to the engine), so
+/// it holds the few combinations the drivers use and is never invalidated.
+fn compiled_pod(config: &ScenarioConfig) -> Arc<CompiledPod> {
+    type Key = (bool, TestOrder, u32);
+    static COMPILED: Mutex<Vec<(Key, Arc<CompiledPod>)>> = Mutex::new(Vec::new());
+    let key = (config.amended_trees, config.test_order, config.batch_size);
+    let mut compiled = COMPILED
+        .lock()
+        .expect("the rolling-upgrade patterns compile, so no holder panicked");
+    if let Some((_, pod)) = compiled.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(pod);
+    }
+    let pod = pod_config(config)
+        .compile()
+        .expect("rolling-upgrade patterns compile");
+    compiled.push((key, Arc::clone(&pod)));
+    pod
+}
+
+/// Builds the engine for a scenario. Compiles nothing after the first call
+/// for a given (`amended_trees`, `test_order`, `batch_size`): every engine
+/// of a fleet shares one [`CompiledPod`] and differs in its scenario and
+/// seed only.
 pub fn build_engine(scenario: &Scenario, config: &ScenarioConfig) -> PodEngine {
-    let pod = pod_config(config);
-    PodEngine::new(
+    PodEngine::from_compiled(
+        &compiled_pod(config),
         scenario.cloud.clone(),
         scenario.storage.clone(),
         scenario.env.clone(),
-        pod,
         scenario.trace_id.clone(),
+        config.seed,
     )
-    .expect("rolling-upgrade patterns compile")
 }
 
 #[cfg(test)]
@@ -268,6 +296,32 @@ mod tests {
         let s = build_scenario(&cfg);
         let e = build_engine(&s, &cfg);
         assert_eq!(e.trace_id(), "run-1");
+    }
+
+    #[test]
+    fn compiled_pod_is_shared_by_exactly_what_pod_config_reads() {
+        // One configuration per key: the default and each keyed field moved.
+        let mut configs = [(); 4].map(|()| ScenarioConfig::default());
+        configs[1].amended_trees = false;
+        configs[2].test_order = TestOrder::ByCost;
+        configs[3].batch_size = 2;
+        for (i, cfg) in configs.iter().enumerate() {
+            let other_tenant = ScenarioConfig {
+                seed: cfg.seed + 41,
+                cluster_size: 20,
+                ..cfg.clone()
+            };
+            assert!(
+                Arc::ptr_eq(&compiled_pod(cfg), &compiled_pod(&other_tenant)),
+                "seed and cluster size are per tenant: {cfg:?}"
+            );
+            for other_key in &configs[..i] {
+                assert!(
+                    !Arc::ptr_eq(&compiled_pod(cfg), &compiled_pod(other_key)),
+                    "{cfg:?} must not run on the artefacts of {other_key:?}"
+                );
+            }
+        }
     }
 
     /// Ticks `injection` at each of `secs`; returns when the fault landed.

@@ -966,6 +966,32 @@ mod tests {
         assert!(report.stats.lines_per_sec_virtual() > 0.0);
     }
 
+    /// One tenant's wire lines replayed straight into `engine`, no gateway
+    /// between them; the run's detection digest.
+    fn digest_through(mut engine: pod_core::PodEngine, stream: &OpStream) -> String {
+        let parsed = stream.lines.iter();
+        engine.ingest_batch(parsed.map(|(at, raw)| pod_log::parse_line(raw, *at).event));
+        engine.finish().digest()
+    }
+
+    #[test]
+    fn a_shared_compiled_pod_carries_nothing_between_tenants() {
+        // A then B, both on the fleet's one `CompiledPod`.
+        let streams = collect_streams(&small_config());
+        let shared =
+            |t: &OpStream| digest_through(build_engine(&t.scenario, &t.scenario_config), t);
+        let (a, b_after_a) = (shared(&streams.ops[0]), shared(&streams.ops[1]));
+        // B alone, on a pod compiled for it and never shown another tenant.
+        let streams = collect_streams(&small_config());
+        let (b, s) = (&streams.ops[1], &streams.ops[1].scenario);
+        let own = crate::scenario::pod_config(&b.scenario_config);
+        let (cloud, storage, env) = (s.cloud.clone(), s.storage.clone(), s.env.clone());
+        let alone = pod_core::PodEngine::new(cloud, storage, env, own, s.trace_id.clone())
+            .expect("rolling-upgrade patterns compile");
+        assert!(!a.is_empty() && a != b_after_a, "two tenants, two faults");
+        assert_eq!(b_after_a, digest_through(alone, b));
+    }
+
     #[test]
     fn replay_admits_more_operations_than_the_default_shard_limit() {
         let config = SoakConfig {

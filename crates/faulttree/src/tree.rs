@@ -227,6 +227,13 @@ mod tests {
     use crate::test::DiagnosticTest;
     use pod_assert::CloudAssertion;
 
+    /// Shared by `Arc` between engines: an `Rc` or `RefCell` inside stops this compiling.
+    #[test]
+    fn repository_is_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<FaultTreeRepository>();
+    }
+
     fn leaf(id: &str, p: f64) -> FaultNode {
         FaultNode::root_cause(
             id,

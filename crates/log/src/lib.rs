@@ -11,6 +11,12 @@
 //! triggers diagnosis on a failure line — is `pod-core`'s engine, which
 //! reacts inline on the virtual clock.
 //!
+//! Who compiles when: a [`RuleBook`] and the stages' patterns are per
+//! *process*, a [`Pipeline`] per *execution*. The pattern-holding stages
+//! take `impl Into<Arc<_>>`: whoever watches many executions compiles (and
+//! [`RuleBook::build_index`]es) once and hands every pipeline an `Arc`; a
+//! caller with one pipeline passes the value.
+//!
 //! JSON serialization of events is hand-rolled in [`Json`] so the workspace
 //! carries no external serialization dependency.
 

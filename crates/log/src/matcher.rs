@@ -93,7 +93,8 @@ pub struct RuleMatch {
 #[derive(Debug, Clone, Default)]
 pub struct RuleBook {
     rules: Vec<LineRule>,
-    /// Built by the first `match_line` after the last `push`.
+    /// Built by [`RuleBook::build_index`], or else by the first
+    /// `match_line` after the last `push`.
     index: OnceLock<CandidateIndex>,
 }
 
@@ -107,6 +108,12 @@ impl RuleBook {
     pub fn push(&mut self, rule: LineRule) {
         self.rules.push(rule);
         self.index = OnceLock::new();
+    }
+
+    /// Builds the literal index now, not inside the first `match_line`: for
+    /// a finished book many holders share, so none pays for it mid-stream.
+    pub fn build_index(&self) {
+        self.index();
     }
 
     /// The literal index over every pattern of every rule.
@@ -183,6 +190,13 @@ impl RuleBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shared by `Arc` between engines: an `Rc` or `RefCell` inside stops this compiling.
+    #[test]
+    fn rule_book_is_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<RuleBook>();
+    }
 
     fn book() -> RuleBook {
         let mut b = RuleBook::new();

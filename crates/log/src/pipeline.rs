@@ -6,9 +6,10 @@
 //! setter, trigger stage) and finally forward it to central storage.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pod_obs::{Counter, Obs};
-use pod_regex::RegexSet;
+use pod_regex::{Regex, RegexSet};
 
 use crate::event::{LogEvent, ProcessContext};
 use crate::matcher::{Boundary, RuleBook};
@@ -182,37 +183,24 @@ impl Default for Pipeline {
 
 impl Pipeline {
     /// Creates an empty pipeline (passes everything through) recording its
-    /// metrics into a detached observability context; attach a shared one
-    /// with [`Pipeline::with_obs`].
+    /// metrics into a detached observability context; [`Pipeline::on`]
+    /// records into a shared one.
     pub fn new() -> Pipeline {
-        let obs = Obs::detached();
+        Pipeline::on(&Obs::detached())
+    }
+
+    /// Creates an empty pipeline whose metrics — its own and those of every
+    /// stage added later — land in `obs` (the engine passes the cloud-wide
+    /// context, so each counter is registered once, where it is read).
+    pub fn on(obs: &Obs) -> Pipeline {
         Pipeline {
             pushed: obs.counter("pipeline.pushed"),
             forwarded: obs.counter("pipeline.forwarded"),
-            obs,
+            obs: obs.clone(),
             stages: Vec::new(),
             stage_metrics: Vec::new(),
             scratch: BatchTallies::default(),
         }
-    }
-
-    /// Rebinds the pipeline's metrics to a shared observability context.
-    pub fn with_obs(mut self, obs: &Obs) -> Pipeline {
-        self.set_obs(obs);
-        self
-    }
-
-    /// Rebinds the pipeline's metrics (including those of already-added
-    /// stages) to a shared observability context.
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.obs = obs.clone();
-        self.pushed = obs.counter("pipeline.pushed");
-        self.forwarded = obs.counter("pipeline.forwarded");
-        self.stage_metrics = self
-            .stages
-            .iter()
-            .map(|s| StageMetrics::new(obs, s.name()))
-            .collect();
     }
 
     /// Appends a stage to the end of the chain.
@@ -329,13 +317,14 @@ impl Pipeline {
 /// Drops lines that are not relevant to the current operation.
 #[derive(Debug)]
 pub struct NoiseFilter {
-    keep: RegexSet,
+    keep: Arc<RegexSet>,
 }
 
 impl NoiseFilter {
-    /// Keeps only lines matching any of `keep`.
-    pub fn keep(keep: RegexSet) -> NoiseFilter {
-        NoiseFilter { keep }
+    /// Keeps only lines matching any of `keep`: a set of the filter's own,
+    /// or an `Arc` of one compiled once for many filters.
+    pub fn keep(keep: impl Into<Arc<RegexSet>>) -> NoiseFilter {
+        NoiseFilter { keep: keep.into() }
     }
 }
 
@@ -358,20 +347,22 @@ impl Stage for NoiseFilter {
 /// and *trigger* components.
 #[derive(Debug)]
 pub struct ProcessAnnotator {
-    rules: RuleBook,
+    rules: Arc<RuleBook>,
     process_id: String,
     process_instance_id: String,
 }
 
 impl ProcessAnnotator {
-    /// Creates an annotator bound to one process instance.
+    /// Creates an annotator bound to one process instance. The rules are
+    /// per process, not per instance: pass an `Arc` to share one indexed
+    /// book between every instance's annotator.
     pub fn new(
-        rules: RuleBook,
+        rules: impl Into<Arc<RuleBook>>,
         process_id: impl Into<String>,
         process_instance_id: impl Into<String>,
     ) -> ProcessAnnotator {
         ProcessAnnotator {
-            rules,
+            rules: rules.into(),
             process_id: process_id.into(),
             process_instance_id: process_instance_id.into(),
         }
@@ -422,21 +413,22 @@ impl Stage for ProcessAnnotator {
 /// operation-end line (the paper's *timer setter*).
 #[derive(Debug)]
 pub struct TimerSetter {
-    start: pod_regex::Regex,
-    end: pod_regex::Regex,
+    start: Arc<Regex>,
+    end: Arc<Regex>,
     process_instance_id: String,
 }
 
 impl TimerSetter {
-    /// Creates a timer setter for one process instance.
+    /// Creates a timer setter for one process instance; the two patterns
+    /// may be its own or `Arc`s shared with every other instance's.
     pub fn new(
-        start: pod_regex::Regex,
-        end: pod_regex::Regex,
+        start: impl Into<Arc<Regex>>,
+        end: impl Into<Arc<Regex>>,
         process_instance_id: impl Into<String>,
     ) -> TimerSetter {
         TimerSetter {
-            start,
-            end,
+            start: start.into(),
+            end: end.into(),
             process_instance_id: process_instance_id.into(),
         }
     }
@@ -486,7 +478,6 @@ impl Stage for ImportantLineForwarder {
 mod tests {
     use super::*;
     use crate::matcher::LineRule;
-    use pod_regex::Regex;
     use pod_sim::SimTime;
 
     fn event(msg: &str) -> LogEvent {
@@ -590,7 +581,7 @@ mod tests {
     #[test]
     fn pipeline_records_per_stage_metrics() {
         let obs = Obs::detached();
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::on(&obs);
         p.add_stage(Box::new(NoiseFilter::keep(
             RegexSet::new(&["Instance", "upgrade"]).unwrap(),
         )));
@@ -600,8 +591,6 @@ mod tests {
             "run-1",
         )));
         p.add_stage(Box::new(ImportantLineForwarder));
-        // Rebinding after stages were added re-registers their counters.
-        p.set_obs(&obs);
 
         p.push(event("jvm gc pause 12ms"));
         p.push(event("Instance i-aa is ready for use"));
@@ -620,7 +609,7 @@ mod tests {
     fn acted_on_lines_capture_a_lazy_causal_root() {
         let obs = Obs::detached();
         obs.begin_run("run-1");
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::on(&obs);
         p.add_stage(Box::new(NoiseFilter::keep(
             RegexSet::new(&["Instance", "upgrade"]).unwrap(),
         )));
@@ -630,7 +619,6 @@ mod tests {
             "run-1",
         )));
         p.add_stage(Box::new(ImportantLineForwarder));
-        p.set_obs(&obs);
 
         // Noise: no causal root, nothing captured.
         let out = p.push(event("jvm gc pause 12ms"));
@@ -671,13 +659,12 @@ mod tests {
     fn off_mode_captures_no_cause() {
         let obs = Obs::detached();
         obs.set_mode(pod_obs::TelemetryMode::Off);
-        let mut p = Pipeline::new();
+        let mut p = Pipeline::on(&obs);
         p.add_stage(Box::new(ProcessAnnotator::new(
             rules(),
             "rolling-upgrade",
             "run-1",
         )));
-        p.set_obs(&obs);
         let out = p.push(event("Instance i-aa is ready for use"));
         assert!(!out.triggers.is_empty());
         assert!(

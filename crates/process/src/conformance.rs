@@ -9,6 +9,7 @@
 //! hypothesised skipped activities.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pod_obs::{Counter, Obs};
 
@@ -83,7 +84,7 @@ struct InstanceState {
 /// ```
 #[derive(Debug)]
 pub struct ConformanceChecker {
-    net: PetriNet,
+    net: Arc<PetriNet>,
     instances: HashMap<String, InstanceState>,
     metrics: ConformanceMetrics,
     obs: Obs,
@@ -116,25 +117,23 @@ impl ConformanceMetrics {
 }
 
 impl ConformanceChecker {
-    /// Creates a checker for one process model with a detached
-    /// observability context (see [`ConformanceChecker::with_obs`]).
+    /// Compiles `model` into a checker of its own with a detached
+    /// observability context (see [`ConformanceChecker::on`]).
     pub fn new(model: &ProcessModel) -> ConformanceChecker {
-        let obs = Obs::detached();
-        ConformanceChecker {
-            net: PetriNet::compile(model),
-            instances: HashMap::new(),
-            metrics: ConformanceMetrics::new(&obs),
-            obs,
-            last_event: None,
-        }
+        ConformanceChecker::on(PetriNet::compile(model), &Obs::detached())
     }
 
-    /// Rebinds the checker's classification counters and causal events to a
-    /// shared observability context (the engine passes the cloud-wide one).
-    pub fn with_obs(mut self, obs: &Obs) -> ConformanceChecker {
-        self.metrics = ConformanceMetrics::new(obs);
-        self.obs = obs.clone();
-        self
+    /// Creates a checker over an already compiled net — its own, or an
+    /// `Arc` shared with other checkers — whose classification counters and
+    /// causal events land in `obs` (the engine passes the cloud-wide one).
+    pub fn on(net: impl Into<Arc<PetriNet>>, obs: &Obs) -> ConformanceChecker {
+        ConformanceChecker {
+            net: net.into(),
+            instances: HashMap::new(),
+            metrics: ConformanceMetrics::new(obs),
+            obs: obs.clone(),
+            last_event: None,
+        }
     }
 
     /// Emits the `conformance.verdict` causal event for a classification
@@ -181,9 +180,14 @@ impl ConformanceChecker {
         self.last_event
     }
 
-    fn instance(&mut self, trace_id: &str) -> &mut InstanceState {
-        let net = &self.net;
-        self.instances
+    /// The state of `trace_id`, created on first contact. Takes fields, not
+    /// `self`, so `replay` can read the net while it holds the state.
+    fn instance<'a>(
+        instances: &'a mut HashMap<String, InstanceState>,
+        net: &PetriNet,
+        trace_id: &str,
+    ) -> &'a mut InstanceState {
+        instances
             .entry(trace_id.to_string())
             .or_insert_with(|| InstanceState {
                 marking: net.initial_marking(),
@@ -196,9 +200,9 @@ impl ConformanceChecker {
     /// the instance state is left unchanged (the paper does not advance the
     /// token replay on unfit events).
     pub fn replay(&mut self, trace_id: &str, activity: &str) -> Conformance {
-        let net = self.net.clone();
+        let net: &PetriNet = &self.net;
         self.metrics.replays.incr();
-        let inst = self.instance(trace_id);
+        let inst = Self::instance(&mut self.instances, net, trace_id);
         let verdict = match net.replay(&inst.marking, activity) {
             Some(next) => {
                 inst.marking = next;
@@ -208,7 +212,7 @@ impl ConformanceChecker {
             }
             None => {
                 let expected = net.enabled_labels(&inst.marking);
-                let skipped = Self::hypothesise_skips(&net, &inst.marking, activity, &expected);
+                let skipped = Self::hypothesise_skips(net, &inst.marking, activity, &expected);
                 self.metrics.unfit.incr();
                 Conformance::Unfit { expected, skipped }
             }
@@ -260,7 +264,7 @@ impl ConformanceChecker {
     /// matching verdict.
     pub fn record_error(&mut self, trace_id: &str, known_error: bool) -> Conformance {
         self.metrics.replays.incr();
-        self.instance(trace_id);
+        Self::instance(&mut self.instances, &self.net, trace_id);
         let verdict = if known_error {
             self.metrics.error.incr();
             Conformance::Error
@@ -304,7 +308,7 @@ mod tests {
     use super::*;
     use crate::model::ProcessModelBuilder;
 
-    fn checker() -> ConformanceChecker {
+    fn model() -> ProcessModel {
         // start -> a -> join -> b -> c -> split -> (join | end)
         let mut bld = ProcessModelBuilder::new("loop");
         let s = bld.start();
@@ -321,7 +325,11 @@ mod tests {
         bld.flow(c, split);
         bld.flow(split, join);
         bld.flow(split, e);
-        ConformanceChecker::new(&bld.build().unwrap())
+        bld.build().unwrap()
+    }
+
+    fn checker() -> ConformanceChecker {
+        ConformanceChecker::new(&model())
     }
 
     #[test]
@@ -372,7 +380,7 @@ mod tests {
     fn verdicts_emit_causal_events_parented_to_the_ambient_cause() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        let mut ch = checker().with_obs(&obs);
+        let mut ch = ConformanceChecker::on(PetriNet::compile(&model()), &obs);
         let line = obs.event("log.line", "asgard.log");
         let _scope = obs.events().scope(Some(line.id()));
         // Outcome-conditional tracing: a fit replay is counted, not traced.

@@ -15,6 +15,10 @@
 //!   diagnosis consumes;
 //! - [`replay_fitness`] — the token-replay fitness metric used to evaluate
 //!   models discovered by process mining.
+//!
+//! Who compiles when: [`PetriNet::compile`] once per model. The net is
+//! immutable, so every checker of one model can hold the same `Arc` of it
+//! ([`ConformanceChecker::on`]); [`ConformanceChecker::new`] compiles its own.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

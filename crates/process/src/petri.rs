@@ -266,6 +266,13 @@ mod tests {
     use super::*;
     use crate::model::ProcessModelBuilder;
 
+    /// Shared by `Arc` between checkers: an `Rc` or `RefCell` inside stops this compiling.
+    #[test]
+    fn petri_net_is_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<PetriNet>();
+    }
+
     fn loop_model() -> ProcessModel {
         // start -> a -> join -> b -> c -> split -> (back to join | end)
         let mut bld = ProcessModelBuilder::new("loop");

@@ -8,9 +8,11 @@
 //! ready-made [`pod_core::PodConfig`] so a fresh `PodEngine` can replay a
 //! run and vouch that the repair followed its playbook.
 
+use std::sync::{Arc, OnceLock};
+
 use pod_assert::AssertionLibrary;
 use pod_cloud::Cloud;
-use pod_core::{PodConfig, PodEngine, SharedEnv};
+use pod_core::{CompiledPod, PodConfig, PodEngine, SharedEnv};
 use pod_log::{Boundary, LineRule, RuleBook};
 use pod_process::{ProcessModel, ProcessModelBuilder};
 use pod_sim::SimDuration;
@@ -166,17 +168,25 @@ pub struct ConformanceReport {
 }
 
 /// Replays a finished recovery run through a fresh `PodEngine` against the
-/// recovery process model — POD-Diagnosis monitoring its own repair.
+/// recovery process model — POD-Diagnosis monitoring its own repair. The
+/// engine is per run; [`recovery_pod_config`] is compiled by the first call
+/// and shared by every later one.
 pub fn conformance_check(cloud: &Cloud, run: &RecoveryRun) -> ConformanceReport {
-    let storage = pod_log::LogStorage::new();
-    let mut engine = PodEngine::new(
+    static COMPILED: OnceLock<Arc<CompiledPod>> = OnceLock::new();
+    let pod = COMPILED.get_or_init(|| {
+        recovery_pod_config()
+            .compile()
+            .expect("recovery monitor patterns are valid")
+    });
+    let mut engine = PodEngine::from_compiled(
+        pod,
         cloud.clone(),
-        storage,
+        pod_log::LogStorage::new(),
         SharedEnv::new(run.env.clone()),
-        recovery_pod_config(),
         run.task_id.clone(),
-    )
-    .expect("recovery monitor patterns are valid");
+        // `PodConfig`'s default seed: every audit draws the same overheads.
+        0,
+    );
     engine.ingest_batch(run.log.iter().cloned());
     let summary = engine.finish();
     ConformanceReport {

@@ -58,6 +58,7 @@ mod differential;
 pub use parser::ParseError;
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use compile::Program;
 use literal::{LiteralInfo, LiteralScanner};
@@ -90,7 +91,9 @@ enum Prefilter {
 pub struct Regex {
     pattern: String,
     prog: Program,
-    names: Vec<(u32, String)>,
+    /// Shared with every [`Captures`] this pattern produces: a match costs
+    /// a reference-count bump, not a copy of the table.
+    names: Arc<[(u32, String)]>,
     anchored: bool,
     prefilter: Prefilter,
     /// The literal requirement derived from the pattern, if any: every
@@ -122,7 +125,7 @@ impl Regex {
         Ok(Regex {
             pattern: pattern.to_string(),
             prog,
-            names: parsed.capture_names,
+            names: parsed.capture_names.into(),
             anchored,
             prefilter,
             literals,
@@ -150,7 +153,7 @@ impl Regex {
         self.exec(text).map(|slots| Captures {
             text,
             slots,
-            names: self.names.clone(),
+            names: Arc::clone(&self.names),
         })
     }
 
@@ -276,7 +279,7 @@ impl<'t> Match<'t> {
 pub struct Captures<'t> {
     text: &'t str,
     slots: Vec<Option<usize>>,
-    names: Vec<(u32, String)>,
+    names: Arc<[(u32, String)]>,
 }
 
 impl<'t> Captures<'t> {
@@ -485,6 +488,14 @@ impl RegexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shared by `Arc` between engines: an `Rc` or `RefCell` inside stops this compiling.
+    #[test]
+    fn compiled_patterns_are_shareable_across_threads() {
+        fn shared<T: Send + Sync>() {}
+        shared::<Regex>();
+        shared::<RegexSet>();
+    }
 
     #[test]
     fn unanchored_find_locates_leftmost() {
