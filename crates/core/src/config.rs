@@ -9,7 +9,7 @@ use pod_faulttree::{FaultTreeRepository, TestOrder};
 use pod_log::RuleBook;
 use pod_process::{PetriNet, ProcessModel};
 use pod_regex::{ParseError, Regex, RegexSet};
-use pod_sim::{LatencyModel, SimDuration};
+use pod_sim::SimDuration;
 
 /// The expected environment, shared between the engine and the operator /
 /// experiment harness. Legitimate concurrent operations (a deliberate
@@ -64,12 +64,6 @@ pub struct PodConfig {
     /// Retry/timeout policy of the consistent API layer (post-step
     /// assertion evaluation).
     pub retry_policy: RetryPolicy,
-    /// Retry/timeout policy of on-demand diagnostic tests (diagnosis wants
-    /// quick answers, so this is tighter than the assertion policy).
-    pub diagnosis_retry_policy: RetryPolicy,
-    /// Fixed service overhead per diagnosis: selecting and instantiating
-    /// the tree, pruning, fetching the recent log context.
-    pub diagnosis_overhead: LatencyModel,
     /// Seed for the engine's own randomness (diagnosis overhead sampling).
     /// The one per-execution value here: [`crate::PodEngine::new`] reads it
     /// and [`PodConfig::compile`] does not.
@@ -88,12 +82,6 @@ pub struct PodConfig {
     pub step_timeout: SimDuration,
     /// Period of the operation-wide periodic health check.
     pub periodic_interval: SimDuration,
-    /// Virtual cost of one conformance-checking call (the paper measured
-    /// ≈ 10 ms per local call).
-    pub conformance_latency: SimDuration,
-    /// Minimum spacing between two diagnoses for the same tree key; a
-    /// detection inside the window is recorded without re-diagnosing.
-    pub diagnosis_cooldown: SimDuration,
     /// Delay between a detection and the start of its diagnosis (the
     /// central log processor picks failures up from storage). Transient
     /// faults reverted inside this window reproduce the paper's third
@@ -126,16 +114,6 @@ impl PodConfig {
             bindings,
             trees,
             retry_policy: RetryPolicy::default(),
-            diagnosis_retry_policy: RetryPolicy {
-                max_retries: 2,
-                base_backoff: SimDuration::from_millis(250),
-                multiplier: 2.0,
-                timeout: SimDuration::from_secs(12),
-            },
-            diagnosis_overhead: LatencyModel::Shifted {
-                offset: SimDuration::from_millis(600),
-                base: Box::new(LatencyModel::lognormal_median_millis(500.0, 0.8)),
-            },
             engine_seed: 0,
             test_order: TestOrder::ByProbability,
             wait_activity: None,
@@ -143,8 +121,6 @@ impl PodConfig {
             in_flight_activities: Vec::new(),
             step_timeout: SimDuration::from_secs(150),
             periodic_interval: SimDuration::from_secs(60),
-            conformance_latency: SimDuration::from_millis(10),
-            diagnosis_cooldown: SimDuration::from_secs(45),
             diagnosis_dispatch_delay: SimDuration::from_secs(5),
             periodic_assertions: Vec::new(),
             batch_size: 1,

@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pod_assert::{
-    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, TimerId, TimerService,
+    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, RetryPolicy, TimerId,
+    TimerService,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
@@ -18,7 +19,7 @@ use pod_log::{
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
-use pod_sim::{SimDuration, SimRng, SimTime};
+use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
 use crate::config::{CompiledPod, PodConfig, SharedEnv};
 use crate::detection::{Detection, DetectionSource, EngineNotice, RunSummary};
@@ -26,6 +27,28 @@ use crate::detection::{Detection, DetectionSource, EngineNotice, RunSummary};
 /// The assertion key of the master fault tree, used as a fallback for
 /// detections without a more specific tree.
 const MASTER_TREE_KEY: &str = "asg-has-n-instances-with-version";
+
+/// Retry/timeout policy of on-demand diagnostic tests (diagnosis wants
+/// quick answers, so this is tighter than the assertion policy).
+const DIAGNOSIS_RETRY_POLICY: RetryPolicy = RetryPolicy {
+    max_retries: 2,
+    base_backoff: SimDuration::from_millis(250),
+    multiplier: 2.0,
+    timeout: SimDuration::from_secs(12),
+};
+/// Virtual cost of one conformance-checking call (the paper measured
+/// ≈ 10 ms per local call).
+const CONFORMANCE_LATENCY: SimDuration = SimDuration::from_millis(10);
+/// Minimum spacing between two diagnoses for the same tree key; a
+/// detection inside the window is recorded without re-diagnosing.
+const DIAGNOSIS_COOLDOWN: SimDuration = SimDuration::from_secs(45);
+
+/// Service overhead of one diagnosis (selecting and instantiating the tree,
+/// pruning, fetching the recent log context): a 600 ms floor plus a
+/// lognormal tail of median 500 ms.
+fn diagnosis_overhead(rng: &mut SimRng) -> SimDuration {
+    SimDuration::from_millis(600) + LatencyModel::lognormal_median_millis(500.0, 0.8).sample(rng)
+}
 
 impl CompiledPod {
     /// The tree for a failed assertion, else the master tree. On the shared
@@ -191,7 +214,7 @@ impl PodEngine {
 
         let api = ConsistentApi::new(cloud.clone(), pod.config.retry_policy.clone());
         let evaluator = AssertionEvaluator::new(api, storage.clone());
-        let diag_api = ConsistentApi::new(cloud.clone(), pod.config.diagnosis_retry_policy.clone());
+        let diag_api = ConsistentApi::new(cloud.clone(), DIAGNOSIS_RETRY_POLICY);
         let diag =
             DiagnosisEngine::new(diag_api, storage.clone()).with_order(pod.config.test_order);
         PodEngine {
@@ -257,31 +280,21 @@ impl PodEngine {
         ProcessContext::new(self.process_id().to_string(), self.trace_id.clone())
     }
 
-    /// Ingests one raw operation-log line.
+    /// Ingests one raw operation-log line: [`PodEngine::ingest_batch`] of one.
     pub fn ingest(&mut self, event: LogEvent) {
-        self.ingest_line(event);
-        self.fire_due_timers();
+        self.ingest_batch([event]);
     }
 
-    /// Ingests a batch of raw lines, firing due timers once at the end.
-    ///
-    /// This is the gateway's amortized entry point: the whole batch runs
-    /// through the pipeline's batch-aware API (one counter flush per
-    /// batch), the causal-event ring handle is resolved once instead of per
-    /// line, and the timer wheel is only consulted once per batch.
+    /// Ingests the lines of one sink call in order, each through the
+    /// pipeline and its triggers before the next, then lets due timers fire
+    /// once, after the last line: a timer that falls due mid-call fires
+    /// after the call's last line, not between two of its lines.
     pub fn ingest_batch(&mut self, events: impl IntoIterator<Item = LogEvent>) {
-        let outs = self.pipeline.push_batch(events.into_iter().collect());
-        let ring = self.cloud.obs().events().clone();
-        for out in outs {
-            self.handle_pipeline_output(out, &ring);
+        for event in events {
+            let out = self.pipeline.push(event);
+            self.handle_pipeline_output(out);
         }
         self.fire_due_timers();
-    }
-
-    fn ingest_line(&mut self, event: LogEvent) {
-        let out = self.pipeline.push(event);
-        let ring = self.cloud.obs().events().clone();
-        self.handle_pipeline_output(out, &ring);
     }
 
     /// Applies one line's pipeline output: forwarded events go to central
@@ -290,11 +303,12 @@ impl PodEngine {
     /// arming all chain back to the line that caused them. The root only
     /// materialises in the event ring when something actually emits under
     /// it — healthy lines (fit verdicts, passing assertions) record nothing.
-    fn handle_pipeline_output(&mut self, out: PipelineOutput, ring: &pod_obs::EventLog) {
+    fn handle_pipeline_output(&mut self, out: PipelineOutput) {
         self.storage.extend(out.forwarded);
+        let obs = self.cloud.obs();
         let _scope = match out.cause {
-            Some(c) => self.cloud.obs().scope_cause("log.line", c.source, c.attrs),
-            None => ring.scope(None),
+            Some(c) => obs.scope_cause("log.line", c.source, c.attrs),
+            None => obs.events().scope(None),
         };
         for trigger in out.triggers {
             match trigger {
@@ -336,10 +350,7 @@ impl PodEngine {
 
     fn on_conformance(&mut self, event: LogEvent) {
         let replay_started = self.cloud.clock().now();
-        // The conformance service call costs ≈ 10 ms.
-        self.cloud
-            .clock()
-            .advance(self.pod.config.conformance_latency);
+        self.cloud.clock().advance(CONFORMANCE_LATENCY);
         self.summary.conformance_events += 1;
         let activity = event.context.as_ref().and_then(|c| c.step_id.clone());
         let verdict = match &activity {
@@ -701,7 +712,7 @@ impl PodEngine {
         let cooled_down = self
             .last_diagnosis_at
             .get(&key)
-            .is_none_or(|last| at.duration_since(*last) >= self.pod.config.diagnosis_cooldown);
+            .is_none_or(|last| at.duration_since(*last) >= DIAGNOSIS_COOLDOWN);
         if cooled_down {
             self.last_diagnosis_at.insert(key.clone(), at);
             self.timers.schedule_once(
@@ -768,9 +779,7 @@ impl PodEngine {
         let span = self.cloud.obs().span("engine.diagnosis");
         span.attr("tree", key);
         self.metrics.diagnoses.incr();
-        // Service overhead: tree selection, instantiation, pruning, log
-        // context collection.
-        let overhead = self.pod.config.diagnosis_overhead.sample(&mut self.rng);
+        let overhead = diagnosis_overhead(&mut self.rng);
         let started = self.cloud.clock().now();
         self.cloud.clock().advance(overhead);
         let mut report = self.diag.diagnose(tree, &ctx);

@@ -307,3 +307,51 @@ fn engines_of_one_process_hold_one_compiled_pod() {
     drop(engines);
     assert_eq!(Arc::strong_count(&pod), 1);
 }
+
+/// Four lines of one sink call — the wait line arms the step timer, each
+/// known-error line costs one 10 ms conformance call — through one
+/// `ingest_batch` or through one `ingest` each, on a fresh same-seed world.
+fn ingest_four_lines(step_timeout: SimDuration, batched: bool) -> RunSummary {
+    let w = build_world(11, 4);
+    let mut config = pod_config();
+    config.step_timeout = step_timeout;
+    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
+    let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+    let lines = [
+        "Started rolling upgrade task run-1 pushing ami-0a into group pm--asg",
+        "Waiting for ASG pm--asg to start a new instance",
+        "ERROR: cloud reported: first",
+        "ERROR: cloud reported: second",
+    ]
+    .into_iter()
+    .zip(1..)
+    .map(|(line, ms)| LogEvent::new(SimTime::from_millis(ms), "asgard.log", line));
+    if batched {
+        engine.ingest_batch(lines);
+    } else {
+        lines.for_each(|line| engine.ingest(line));
+    }
+    engine.finish()
+}
+
+#[test]
+fn one_batch_equals_per_line_ingests_when_no_timer_falls_due_in_between() {
+    let timeout = SimDuration::from_secs(150);
+    let batched = ingest_four_lines(timeout, true);
+    assert_eq!(batched.detections.len(), 3, "{}", batched.digest());
+    assert_eq!(batched.digest(), ingest_four_lines(timeout, false).digest());
+}
+
+#[test]
+fn a_timer_due_mid_batch_fires_after_its_last_line() {
+    use DetectionSource::{AssertionOneOffTimer as Timer, ConformanceKnownError as Line};
+    let sources = |s: &RunSummary| Vec::from_iter(s.detections[1..].iter().map(|d| d.source));
+    // Armed 5 ms after the wait line's conformance call, so the first error
+    // line's call makes it due.
+    let timeout = SimDuration::from_millis(5);
+    let per_line = ingest_four_lines(timeout, false);
+    assert_eq!(sources(&per_line), [Line, Timer, Line]);
+    let batched = ingest_four_lines(timeout, true);
+    assert_eq!(sources(&batched), [Line, Line, Timer]);
+    assert_ne!(batched.digest(), per_line.digest());
+}

@@ -413,10 +413,8 @@ pub fn telemetry_line(run: &str, report: &SoakReport) -> Json {
         .num("kept_traces", report.kept_traces as u64)
         .num("discarded_traces", report.discarded_traces as u64)
         .num("incidents", report.incidents as u64)
-        .opt(report.flight.as_ref(), |r, flight| {
-            r.num("flight_frames", flight.frames.len() as u64)
-                .num("flight_incidents", flight.incidents.len() as u64)
-        })
+        .num("flight_frames", report.flight.frames.len() as u64)
+        .num("flight_incidents", report.flight.incidents.len() as u64)
         .build()
 }
 
@@ -464,7 +462,7 @@ pub fn soak_lines(run: &str, report: &SoakReport, sweep: &[(usize, GatewayStats)
     lines.push(telemetry_line(run, report));
     lines.extend(snapshot_lines(run, &report.snapshot));
     lines.extend(exemplar_lines(run, &report.snapshot));
-    lines.extend(report.flight.iter().map(|f| flight_json(run, f)));
+    lines.push(flight_json(run, &report.flight));
     lines
 }
 

@@ -219,12 +219,6 @@ pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
         multiplier: 2.0,
         timeout: SimDuration::from_secs(20),
     };
-    c.diagnosis_retry_policy = RetryPolicy {
-        max_retries: 2,
-        base_backoff: SimDuration::from_millis(250),
-        multiplier: 2.0,
-        timeout: SimDuration::from_secs(12),
-    };
     c.engine_seed = config.seed;
     c
 }

@@ -11,8 +11,9 @@
 //! **Phase B ([`replay`])** merges all streams by arrival time into one
 //! interleaved feed and pushes it through a single [`Gateway`], with one
 //! freshly built `pod_core` engine per operation as the sink. Detections
-//! arise at replay time — this is the batched-replay half of the design:
-//! parsing and token replay are amortized over gateway batches.
+//! arise at replay time. A tenant's lines arrive seconds apart and the
+//! flush window is 20 ms, so a sink call carries 1.1–1.4 lines (measured;
+//! DESIGN §7): parsing and token replay are per-line work.
 //!
 //! Everything runs on deterministic virtual clocks, so the same
 //! [`SoakConfig`] always produces a byte-identical [`SoakReport::digest`].
@@ -28,7 +29,7 @@
 //! [`replay_with_recovery`] adds the recovery stage on top: every
 //! per-tenant engine's detection hook feeds one shared
 //! [`RecoveryStorm`], whose executor lanes contend for the single
-//! simulated cloud through the gateway's admission gate. Repairs that
+//! simulated cloud through the storm's admission gate. Repairs that
 //! would queue past the lane-wait cap are shed to the per-tenant
 //! end-of-operation sweep — deferred, never dropped — and every lane
 //! wait and throttle penalty is charged to the repairing tenant's
@@ -163,8 +164,8 @@ pub struct SoakReport {
     pub discarded_traces: usize,
     /// Incident chains reconstructed across all retained traces.
     pub incidents: usize,
-    /// The gateway's flight-recorder black box, when enabled.
-    pub flight: Option<FlightDump>,
+    /// The gateway's flight-recorder black box.
+    pub flight: FlightDump,
     /// The recovery stage's outcome ([`replay_with_recovery`] only).
     pub recovery: Option<SoakRecoveryReport>,
 }
@@ -439,7 +440,7 @@ pub fn replay_telemetry(
 }
 
 /// Phase B with the recovery stage wired in: one shared [`RecoveryStorm`]
-/// arbitrates every tenant's repairs over the gateway's admission gate.
+/// arbitrates every tenant's repairs over its admission gate.
 /// Repairs mutate the per-tenant clouds, so a second same-seed run needs
 /// fresh [`collect_streams`] output — against which the full report
 /// digest (recovery transcript included) is byte-identical.
@@ -706,7 +707,7 @@ fn replay_inner(
     // Snapshot after the sampling pass so `obs.sampler.*` accounting (and
     // the queue-wait tail exemplars) are part of the report.
     let snapshot = gw.obs().snapshot();
-    let flight = gw.flight().map(|f| f.dump());
+    let flight = gw.flight().dump();
     SoakReport {
         ops,
         stats,
@@ -833,15 +834,13 @@ pub fn render_soak_report(report: &SoakReport) -> String {
             );
         }
     }
-    if let Some(flight) = &report.flight {
-        let _ = writeln!(
-            out,
-            "flight recorder: {} frames, {} incident marks ({} frames evicted)",
-            flight.frames.len(),
-            flight.incidents.len(),
-            flight.evicted_frames
-        );
-    }
+    let _ = writeln!(
+        out,
+        "flight recorder: {} frames, {} incident marks ({} frames evicted)",
+        report.flight.frames.len(),
+        report.flight.incidents.len(),
+        report.flight.evicted_frames
+    );
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -1085,7 +1084,7 @@ mod tests {
         );
 
         // The flight recorder stamped each detection as an incident.
-        let flight = sampled.flight.as_ref().expect("flight on by default");
+        let flight = &sampled.flight;
         assert!(!flight.frames.is_empty());
         assert!(
             !flight.incidents.is_empty(),

@@ -128,17 +128,18 @@ fn single_cause_tree(key: &str, cause: FaultNode) -> FaultTree {
     )
 }
 
-/// The tree for capacity-family assertion failures: a concurrent scale-in,
-/// an unexpected termination, or launches failing.
-fn capacity_tree(key: &str, amended: bool) -> FaultTree {
+/// The `instance-launch-failing` branch: confirmed by failed launch
+/// activities in the feed, explained by a missing AMI, key pair or security
+/// group — and, when `amended`, by the shared account's instance limit.
+fn launch_failing_branch(probability: f64, amended: bool) -> FaultNode {
     let mut launch_failing = FaultNode::branch(
         "instance-launch-failing",
         "the ASG {ASG} cannot launch replacement instances",
     )
-    .with_test(DiagnosticTest::FailedActivityMatching {
-        pattern: "Failed to launch instance".to_string(),
-    })
-    .with_probability(0.3)
+    .with_test(DiagnosticTest::failed_activity_matching(
+        "Failed to launch instance",
+    ))
+    .with_probability(probability)
     .child(FaultNode::root_cause(
         "ami-unavailable",
         "the AMI {AMI} is unavailable",
@@ -161,12 +162,16 @@ fn capacity_tree(key: &str, amended: bool) -> FaultTree {
         launch_failing = launch_failing.child(FaultNode::root_cause(
             "instance-limit-reached",
             "the shared account reached its instance limit",
-            DiagnosticTest::FailedActivityMatching {
-                pattern: "InstanceLimitExceeded".to_string(),
-            },
+            DiagnosticTest::failed_activity_matching("InstanceLimitExceeded"),
             0.1,
         ));
     }
+    launch_failing
+}
+
+/// The tree for capacity-family assertion failures: a concurrent scale-in,
+/// an unexpected termination, or launches failing.
+fn capacity_tree(key: &str, amended: bool) -> FaultTree {
     let root = FaultNode::branch(
         format!("{key}-violated"),
         "the ASG {ASG} capacity deviates from the expectation",
@@ -180,9 +185,7 @@ fn capacity_tree(key: &str, amended: bool) -> FaultTree {
     .child(FaultNode::root_cause(
         "concurrent-scale-in",
         "a concurrent scale-in changed the capacity of {ASG}",
-        DiagnosticTest::ActivityMatching {
-            pattern: "scale in".to_string(),
-        },
+        DiagnosticTest::activity_matching("scale in"),
         0.5,
     ))
     .child(
@@ -193,7 +196,7 @@ fn capacity_tree(key: &str, amended: bool) -> FaultTree {
         .with_test(DiagnosticTest::UnexpectedTermination)
         .with_probability(0.3),
     )
-    .child(launch_failing);
+    .child(launch_failing_branch(0.3, amended));
     FaultTree::new(key, root)
 }
 
@@ -220,45 +223,6 @@ pub fn version_count_tree(amended: bool) -> FaultTree {
     .child(wrong_key_pair_cause(0.3))
     .child(wrong_sg_cause(0.3))
     .child(wrong_instance_type_cause(0.2));
-
-    let mut launch_failing = FaultNode::branch(
-        "instance-launch-failing",
-        "the ASG {ASG} cannot launch replacement instances",
-    )
-    .with_probability(0.4)
-    .child(FaultNode::root_cause(
-        "ami-unavailable",
-        "the AMI {AMI} is unavailable",
-        DiagnosticTest::AssertionFails(CloudAssertion::AmiAvailable),
-        0.4,
-    ))
-    .child(FaultNode::root_cause(
-        "key-pair-unavailable",
-        "the key pair {KEYPAIR} does not exist",
-        DiagnosticTest::AssertionFails(CloudAssertion::KeyPairAvailable),
-        0.3,
-    ))
-    .child(FaultNode::root_cause(
-        "sg-unavailable",
-        "the security group {SG} does not exist",
-        DiagnosticTest::AssertionFails(CloudAssertion::SecurityGroupAvailable),
-        0.3,
-    ));
-    // Checked via the activity feed as well: launch failures leave failed
-    // scaling activities behind.
-    launch_failing = launch_failing.with_test(DiagnosticTest::FailedActivityMatching {
-        pattern: "Failed to launch instance".to_string(),
-    });
-    if amended {
-        launch_failing = launch_failing.child(FaultNode::root_cause(
-            "instance-limit-reached",
-            "the shared account reached its instance limit",
-            DiagnosticTest::FailedActivityMatching {
-                pattern: "InstanceLimitExceeded".to_string(),
-            },
-            0.1,
-        ));
-    }
 
     let elb_problems = FaultNode::branch("elb-problems", "ELB {ELB} problems")
         .with_probability(0.3)
@@ -292,9 +256,7 @@ pub fn version_count_tree(amended: bool) -> FaultTree {
     .child(FaultNode::root_cause(
         "concurrent-scale-in",
         "a concurrent scale-in reduced the capacity of {ASG}",
-        DiagnosticTest::ActivityMatching {
-            pattern: "scale in".to_string(),
-        },
+        DiagnosticTest::activity_matching("scale in"),
         0.5,
     ))
     .child(
@@ -315,7 +277,7 @@ pub fn version_count_tree(amended: bool) -> FaultTree {
     )
     .child(asg_wrong_version)
     .child(lc_misconfigured)
-    .child(launch_failing)
+    .child(launch_failing_branch(0.4, amended))
     .child(elb_problems)
     .child(capacity_changed);
 

@@ -1,10 +1,21 @@
 //! On-demand diagnostic tests: how a fault-tree node is confirmed or
 //! excluded at diagnosis time.
 
+use std::sync::LazyLock;
+
 use pod_assert::{AssertionOutcome, CloudAssertion, ConsistentApi, ExpectedEnv};
 use pod_cloud::{ActivityStatus, InstanceId};
 use pod_regex::Regex;
 use pod_sim::SimTime;
+
+/// A termination request in the scaling-activity feed.
+static TERMINATION_REQUESTED: LazyLock<Regex> = LazyLock::new(|| {
+    Regex::new(r"Terminating EC2 instance.*: (?P<id>i-[0-9a-f]+)").expect("static pattern")
+});
+/// A completed termination in the scaling-activity feed.
+static TERMINATION_COMPLETED: LazyLock<Regex> = LazyLock::new(|| {
+    Regex::new(r"Terminated EC2 instance: (?P<id>i-[0-9a-f]+)").expect("static pattern")
+});
 
 /// The outcome of one diagnostic test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,14 +57,14 @@ pub enum DiagnosticTest {
     /// **failed** activity since operation start matches the pattern.
     FailedActivityMatching {
         /// Pattern over activity descriptions.
-        pattern: String,
+        pattern: Regex,
     },
     /// Consult the scaling-activity feed: present iff **any** activity
     /// since operation start matches the pattern (used for legitimate
     /// concurrent operations such as scale-in).
     ActivityMatching {
         /// Pattern over activity descriptions.
-        pattern: String,
+        pattern: Regex,
     },
     /// Consult the scaling-activity feed for an instance that completed
     /// termination without any recorded termination *request* — the
@@ -81,6 +92,20 @@ pub struct DiagnosisContext {
 }
 
 impl DiagnosticTest {
+    /// [`DiagnosticTest::FailedActivityMatching`] over `pattern`, compiled
+    /// here, when the tree is built; panics on an invalid pattern.
+    pub fn failed_activity_matching(pattern: &str) -> DiagnosticTest {
+        let pattern = Regex::new(pattern).expect("valid activity pattern");
+        DiagnosticTest::FailedActivityMatching { pattern }
+    }
+
+    /// [`DiagnosticTest::ActivityMatching`] over `pattern`, compiled here,
+    /// when the tree is built; panics on an invalid pattern.
+    pub fn activity_matching(pattern: &str) -> DiagnosticTest {
+        let pattern = Regex::new(pattern).expect("valid activity pattern");
+        DiagnosticTest::ActivityMatching { pattern }
+    }
+
     /// A rough cost estimate in API calls, used by the cost-ordered visit
     /// strategy (the paper's "another option would be to consider the
     /// expected time/cost of the diagnostic tests").
@@ -155,10 +180,6 @@ impl DiagnosticTest {
     /// Looks for a completed termination with no matching termination
     /// request in the activity feed.
     fn unexpected_termination(&self, api: &ConsistentApi, ctx: &DiagnosisContext) -> TestResult {
-        let requested =
-            Regex::new(r"Terminating EC2 instance.*: (?P<id>i-[0-9a-f]+)").expect("static pattern");
-        let completed =
-            Regex::new(r"Terminated EC2 instance: (?P<id>i-[0-9a-f]+)").expect("static pattern");
         let activities =
             api.execute(|c| c.describe_scaling_activities(&ctx.env.asg, ctx.operation_started));
         match activities {
@@ -166,9 +187,9 @@ impl DiagnosticTest {
                 let mut asked: Vec<String> = Vec::new();
                 let mut done: Vec<String> = Vec::new();
                 for a in &acts {
-                    if let Some(caps) = requested.captures(&a.description) {
+                    if let Some(caps) = TERMINATION_REQUESTED.captures(&a.description) {
                         asked.push(caps.name("id").expect("captured").as_str().to_string());
-                    } else if let Some(caps) = completed.captures(&a.description) {
+                    } else if let Some(caps) = TERMINATION_COMPLETED.captures(&a.description) {
                         done.push(caps.name("id").expect("captured").as_str().to_string());
                     }
                 }
@@ -188,24 +209,16 @@ impl DiagnosticTest {
         &self,
         api: &ConsistentApi,
         ctx: &DiagnosisContext,
-        pattern: &str,
+        pattern: &Regex,
         failed_only: bool,
     ) -> TestResult {
-        let re = match Regex::new(pattern) {
-            Ok(re) => re,
-            Err(e) => {
-                return TestResult::Inconclusive {
-                    reason: format!("invalid activity pattern: {e}"),
-                }
-            }
-        };
         let activities =
             api.execute(|c| c.describe_scaling_activities(&ctx.env.asg, ctx.operation_started));
         match activities {
             Ok(acts) => {
                 let hit = acts.iter().any(|a| {
                     let status_ok = !failed_only || matches!(a.status, ActivityStatus::Failed(_));
-                    status_ok && re.is_match(&a.description)
+                    status_ok && pattern.is_match(&a.description)
                 });
                 if hit {
                     TestResult::Present
@@ -275,9 +288,7 @@ mod tests {
     #[test]
     fn failed_activity_test_sees_launch_failures() {
         let (api, ctx, cloud) = setup();
-        let t = DiagnosticTest::FailedActivityMatching {
-            pattern: "AMI .* unavailable".to_string(),
-        };
+        let t = DiagnosticTest::failed_activity_matching("AMI .* unavailable");
         assert_eq!(t.run(&api, &ctx), TestResult::Absent);
         // Break the AMI and force a replacement launch.
         cloud.admin_set_ami_available(&ctx.env.expected_ami, false);
@@ -290,9 +301,7 @@ mod tests {
     #[test]
     fn scale_in_activity_is_visible() {
         let (api, ctx, cloud) = setup();
-        let t = DiagnosticTest::ActivityMatching {
-            pattern: "scale in".to_string(),
-        };
+        let t = DiagnosticTest::activity_matching("scale in");
         assert_eq!(t.run(&api, &ctx), TestResult::Absent);
         cloud
             .update_asg(

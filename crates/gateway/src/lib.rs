@@ -12,29 +12,24 @@
 //! * **Backpressure** — queues are bounded; an [`OverloadPolicy`] decides
 //!   whether the producer blocks or which line is shed, and every shed or
 //!   deferred line is counted in `pod-obs` metrics.
-//! * **Batching** — shards wake up per flush interval (or full batch) and
-//!   amortize per-wakeup cost over up to `batch_size` lines.
+//! * **Batching** — a shard wakes one flush interval after a line lands
+//!   in its idle queue and drains up to `batch_size` lines, grouped per
+//!   operation: one wakeup cost per drain, one sink call per group.
 //! * **Determinism** — the whole service runs on one `pod_sim` clock;
 //!   wakeups fire in (time, shard) order, so the same interleaved input
 //!   always produces byte-identical detections.
 //!
-//! The gateway also owns **repair admission**: the [`AdmissionGate`] is a
-//! deterministic virtual-time lane arbiter that bounds how many repairs
-//! (or other expensive backend-touching tasks) run concurrently against
-//! the shared cloud API, deferring anything that would queue past its wait
-//! cap to a quieter fallback path. [`Gateway::set_incident_hook`] is the
-//! matching dispatcher hookup: it fires on the gateway timeline whenever a
-//! sink raises new detections.
+//! [`Gateway::set_incident_hook`] is the dispatcher hookup for recovery
+//! storms: it fires on the gateway timeline whenever a sink raises new
+//! detections.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod admission;
 mod gateway;
 mod queue;
 mod shard;
 
-pub use admission::{Admission, AdmissionGate};
 pub use gateway::{
     DiagnosisSink, Gateway, GatewayConfig, GatewayError, GatewayStats, OpId, OpReport, ShardStats,
     SubmitOutcome,

@@ -135,28 +135,6 @@ pub struct Pipeline {
     stage_metrics: Vec<StageMetrics>,
     pushed: Counter,
     forwarded: Counter,
-    /// Reusable per-batch counter accumulator: counts collect in plain
-    /// integers during a batch and flush to the shared atomics once, so a
-    /// 64-line batch costs a handful of atomic bumps instead of hundreds.
-    scratch: BatchTallies,
-}
-
-/// Plain per-batch counts, flushed to the cached counters once per batch.
-#[derive(Debug, Default)]
-struct BatchTallies {
-    pushed: u64,
-    forwarded: u64,
-    /// `(processed, dropped)` per stage, by stage index.
-    stages: Vec<(u64, u64)>,
-}
-
-impl BatchTallies {
-    fn reset(&mut self, n_stages: usize) {
-        self.pushed = 0;
-        self.forwarded = 0;
-        self.stages.clear();
-        self.stages.resize(n_stages, (0, 0));
-    }
 }
 
 /// Per-stage throughput/drop counters, cached so `push` stays lock-free.
@@ -199,7 +177,6 @@ impl Pipeline {
             obs: obs.clone(),
             stages: Vec::new(),
             stage_metrics: Vec::new(),
-            scratch: BatchTallies::default(),
         }
     }
 
@@ -222,53 +199,7 @@ impl Pipeline {
 
     /// Pushes one event through every stage in order.
     pub fn push(&mut self, event: LogEvent) -> PipelineOutput {
-        let mut tallies = std::mem::take(&mut self.scratch);
-        tallies.reset(self.stages.len());
-        let out = self.push_tallied(event, &mut tallies);
-        self.flush_tallies(&tallies);
-        self.scratch = tallies;
-        out
-    }
-
-    /// Pushes a whole batch through the pipeline, one output per input
-    /// event in order. Equivalent to calling [`Pipeline::push`] per event,
-    /// but the counter bumps are amortized over the batch — counts
-    /// accumulate in plain locals and hit the shared atomics once. This is
-    /// the entry point the gateway's batched drain uses.
-    pub fn push_batch(&mut self, events: Vec<LogEvent>) -> Vec<PipelineOutput> {
-        let mut tallies = std::mem::take(&mut self.scratch);
-        tallies.reset(self.stages.len());
-        let outs = events
-            .into_iter()
-            .map(|event| self.push_tallied(event, &mut tallies))
-            .collect();
-        self.flush_tallies(&tallies);
-        self.scratch = tallies;
-        outs
-    }
-
-    /// Flushes a batch's accumulated counts to the cached counters.
-    fn flush_tallies(&self, tallies: &BatchTallies) {
-        if tallies.pushed > 0 {
-            self.pushed.add(tallies.pushed);
-        }
-        if tallies.forwarded > 0 {
-            self.forwarded.add(tallies.forwarded);
-        }
-        for (metrics, &(processed, dropped)) in self.stage_metrics.iter().zip(&tallies.stages) {
-            if processed > 0 {
-                metrics.processed.add(processed);
-            }
-            if dropped > 0 {
-                metrics.dropped.add(dropped);
-            }
-        }
-    }
-
-    /// The per-event stage loop; counts land in `tallies`, not the shared
-    /// counters.
-    fn push_tallied(&mut self, event: LogEvent, tallies: &mut BatchTallies) -> PipelineOutput {
-        tallies.pushed += 1;
+        self.pushed.incr();
         // The stage loop consumes the event, so its origin is saved up
         // front — but only when tracing can use it: the off baseline must
         // not pay for strings it will never record.
@@ -279,19 +210,19 @@ impl Pipeline {
             .then(|| (event.source.clone(), event.message.clone()));
         let mut out = PipelineOutput::default();
         let mut current = Some(event);
-        for (stage, counts) in self.stages.iter_mut().zip(tallies.stages.iter_mut()) {
+        for (stage, metrics) in self.stages.iter_mut().zip(&self.stage_metrics) {
             let Some(event) = current.take() else { break };
-            counts.0 += 1;
+            metrics.processed.incr();
             let result = stage.process(event);
             out.triggers.extend(result.triggers);
             current = result.event;
             if current.is_none() {
-                counts.1 += 1;
+                metrics.dropped.incr();
             }
         }
         if let Some(event) = current {
             out.forwarded.push(event);
-            tallies.forwarded += 1;
+            self.forwarded.incr();
         }
         // Lines the pipeline acted on become (lazy) causal roots; pure
         // noise does not even capture its strings.
@@ -311,6 +242,13 @@ impl Pipeline {
             }
         }
         out
+    }
+
+    /// [`Pipeline::push`] per event, one output per input in order. Kept
+    /// only because the ledger's isolated pipeline pass
+    /// (`benchmark/src/layers.rs`) calls it; the engine pushes line by line.
+    pub fn push_batch(&mut self, events: Vec<LogEvent>) -> Vec<PipelineOutput> {
+        events.into_iter().map(|event| self.push(event)).collect()
     }
 }
 

@@ -74,7 +74,7 @@ pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP, TAIL_QUANTILES};
-pub use metrics::{Counter, Gauge, Registry, ShardCell, ShardedCounter, Snapshot};
+pub use metrics::{Counter, Gauge, Registry, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};

@@ -1,5 +1,5 @@
-//! The metrics registry: counters (plain and sharded), gauges, histograms,
-//! and point-in-time snapshots with diff/merge support.
+//! The metrics registry: counters, gauges, histograms, and point-in-time
+//! snapshots with diff/merge support.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -31,63 +31,6 @@ impl Counter {
     }
 }
 
-/// One cache line per shard so concurrent bumps from different shards
-/// never contend on the same line (the local crossbeam shim has no
-/// `CachePadded`).
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// A monotonically increasing counter split across per-shard cache-padded
-/// cells. Each gateway shard bumps its own [`ShardCell`] lock-free with no
-/// false sharing; [`Registry::snapshot`] folds the cells into one total
-/// under the counter's name, so renderers, diff and merge see an ordinary
-/// counter. Cloning shares the cells.
-#[derive(Debug, Clone)]
-pub struct ShardedCounter {
-    cells: Arc<Vec<PaddedCell>>,
-}
-
-impl ShardedCounter {
-    fn new(shards: usize) -> ShardedCounter {
-        ShardedCounter {
-            cells: Arc::new((0..shards.max(1)).map(|_| PaddedCell::default()).collect()),
-        }
-    }
-
-    /// The cheap per-shard handle; `shard` wraps modulo the cell count.
-    pub fn cell(&self, shard: usize) -> ShardCell {
-        ShardCell {
-            cells: Arc::clone(&self.cells),
-            idx: shard % self.cells.len(),
-        }
-    }
-
-    /// Sum over all cells.
-    pub fn total(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A handle bound to one cell of a [`ShardedCounter`].
-#[derive(Debug, Clone)]
-pub struct ShardCell {
-    cells: Arc<Vec<PaddedCell>>,
-    idx: usize,
-}
-
-impl ShardCell {
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.cells[self.idx].0.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 /// A signed instantaneous value (queue depths, open spans, ...).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
@@ -112,8 +55,7 @@ impl Gauge {
 /// Point-in-time copy of every metric in a [`Registry`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
-    /// Counter values by name (sharded counters are folded into their
-    /// per-name totals here).
+    /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, i64>,
@@ -223,7 +165,6 @@ impl Snapshot {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
-    sharded: BTreeMap<String, ShardedCounter>,
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
 }
@@ -254,20 +195,6 @@ impl Registry {
         inner.gauges.entry(name.to_string()).or_default().clone()
     }
 
-    /// The sharded counter registered under `name`, created on first use
-    /// with `shards` cells. Later callers get the existing counter
-    /// regardless of the shard count they pass. Snapshots fold the cells
-    /// into one total under `name` (added to any plain counter of the same
-    /// name).
-    pub fn sharded_counter(&self, name: &str, shards: usize) -> ShardedCounter {
-        let mut inner = self.inner.lock();
-        inner
-            .sharded
-            .entry(name.to_string())
-            .or_insert_with(|| ShardedCounter::new(shards))
-            .clone()
-    }
-
     /// The histogram registered under `name`, created on first use.
     /// Snapshots carry its state under [`Snapshot::histograms`] and its
     /// tail exemplars, if any, under [`Snapshot::exemplars`].
@@ -283,14 +210,6 @@ impl Registry {
     /// Copies every metric's current value.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock();
-        let mut counters: BTreeMap<String, u64> = inner
-            .counters
-            .iter()
-            .map(|(k, c)| (k.clone(), c.get()))
-            .collect();
-        for (k, s) in &inner.sharded {
-            *counters.entry(k.clone()).or_insert(0) += s.total();
-        }
         let mut histograms = BTreeMap::new();
         let mut exemplars = BTreeMap::new();
         for (k, h) in &inner.histograms {
@@ -301,7 +220,11 @@ impl Registry {
             }
         }
         Snapshot {
-            counters,
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, c)| (k.clone(), c.get()))
+                .collect(),
             gauges: inner
                 .gauges
                 .iter()
@@ -415,36 +338,6 @@ mod tests {
                 "q={q}: est {est} vs true {truth}"
             );
         }
-    }
-
-    #[test]
-    fn sharded_counter_folds_into_the_snapshot_total() {
-        let reg = Registry::new();
-        let sc = reg.sharded_counter("gateway.lines.processed", 4);
-        assert_eq!(sc.cells.len(), 4);
-        let cells: Vec<_> = (0..4).map(|i| sc.cell(i)).collect();
-        let handles: Vec<_> = cells
-            .into_iter()
-            .map(|cell| {
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        cell.incr();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        sc.cell(7).add(2); // wraps to cell 3
-        assert_eq!(sc.total(), 40_002);
-        assert_eq!(reg.snapshot().counter("gateway.lines.processed"), 40_002);
-        // A plain counter of the same name adds to the folded total.
-        reg.counter("gateway.lines.processed").add(8);
-        assert_eq!(reg.snapshot().counter("gateway.lines.processed"), 40_010);
-        // Re-registration shares cells regardless of the shard count asked.
-        let again = reg.sharded_counter("gateway.lines.processed", 16);
-        assert_eq!(again.cells.len(), 4);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use pod_sim::Clock;
 
 use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent};
 use crate::histogram::Histogram;
-use crate::metrics::{Counter, Gauge, Registry, ShardedCounter, Snapshot};
+use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 use crate::span::{SpanGuard, Tracer};
 
 /// How much telemetry an [`Obs`] context records.
@@ -222,11 +222,6 @@ impl Obs {
     /// Histogram accessor (see [`Registry::histogram`]).
     pub fn histogram(&self, name: &str) -> Histogram {
         self.registry.histogram(name)
-    }
-
-    /// Sharded counter accessor (see [`Registry::sharded_counter`]).
-    pub fn sharded_counter(&self, name: &str, shards: usize) -> ShardedCounter {
-        self.registry.sharded_counter(name, shards)
     }
 
     /// Retroactively records a completed span (see

@@ -292,11 +292,6 @@ impl ConformanceChecker {
             .is_some_and(|i| self.net.is_complete(&i.marking))
     }
 
-    /// Discards a trace's state.
-    pub fn reset(&mut self, trace_id: &str) {
-        self.instances.remove(trace_id);
-    }
-
     /// Number of traces currently tracked.
     pub fn instance_count(&self) -> usize {
         self.instances.len()
@@ -365,8 +360,6 @@ mod tests {
         // t2 starts fresh: "b" first is unfit there.
         assert!(ch.replay("t2", "b").is_error());
         assert_eq!(ch.instance_count(), 2);
-        ch.reset("t2");
-        assert_eq!(ch.instance_count(), 1);
     }
 
     #[test]

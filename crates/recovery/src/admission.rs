@@ -1,8 +1,8 @@
 //! The repair admission gate: a deterministic virtual-time lane arbiter
 //! for bounded concurrent work against one shared backend.
 //!
-//! The gateway bounds how many repairs (or any other expensive
-//! backend-touching tasks) may run concurrently: the gate models `lanes`
+//! The recovery storm bounds how many repairs may run concurrently
+//! against the shared cloud API: the gate models `lanes`
 //! parallel service lanes, each with a busy-until time on the shared
 //! clock. A request is granted the lane that frees earliest — possibly
 //! after a queue wait — unless that wait exceeds the configured cap, in

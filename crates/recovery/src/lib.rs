@@ -28,7 +28,7 @@
 //! 5. **Storm arbitration** ([`RecoveryStorm`]) — at gateway scale many
 //!    tenants repair concurrently against one shared, throttled cloud
 //!    API; the storm arbitrates their dispatchers over a bounded lane
-//!    pool (`pod_gateway::AdmissionGate`), charges lane waits and
+//!    pool (the `AdmissionGate`), charges lane waits and
 //!    throttle penalties to each tenant's MTTR, and sheds over-cap
 //!    repairs to the end-of-operation sweep so nothing is dropped.
 //!
@@ -37,6 +37,7 @@
 //!
 //! [`DiagnosisReport`]: pod_faulttree::DiagnosisReport
 
+mod admission;
 mod dispatch;
 mod executor;
 pub mod monitor;

@@ -6,7 +6,7 @@
 //! [`RecoveryStorm`] models exactly that contention, deterministically:
 //!
 //! * **Lane arbitration** — every actionable repair must pass the shared
-//!   [`AdmissionGate`] (from `pod-gateway`), which bounds concurrent
+//!   [`AdmissionGate`], which bounds concurrent
 //!   repairs to a fixed lane pool on the *gateway* clock. Queue waits are
 //!   charged to the repairing tenant's own virtual clock, so MTTR-under-
 //!   load honestly includes the time spent waiting for a lane.
@@ -34,11 +34,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pod_cloud::Cloud;
 use pod_core::{Detection, EngineNotice, SharedEnv};
-use pod_gateway::{Admission, AdmissionGate};
 use pod_log::LogStorage;
 use pod_obs::{Counter, Gauge, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
+use crate::admission::{Admission, AdmissionGate};
 use crate::dispatch::RecoveryDispatcher;
 use crate::executor::RecoveryRun;
 
@@ -299,7 +299,7 @@ impl RecoveryStorm {
     }
 
     /// Refreshes the in-flight and backlog gauges at `now` — wired to
-    /// [`pod_gateway::Gateway::set_incident_hook`] so every flight frame
+    /// `pod_gateway::Gateway::set_incident_hook` so every flight frame
     /// forced by a detection carries the storm's current pressure.
     pub fn observe(&mut self, now: SimTime) {
         self.metrics.concurrent.set(self.gate.in_flight(now) as i64);

@@ -277,9 +277,7 @@ fn print_soak(report: &SoakReport) {
 /// metric in `rows` across the frame window, with `!` marks where incidents
 /// landed.
 fn print_dashboard(title: &str, report: &SoakReport, rows: &[&str]) {
-    if let Some(flight) = &report.flight {
-        println!("-- {title} --\n{}", render_dashboard(flight, rows));
-    }
+    println!("-- {title} --\n{}", render_dashboard(&report.flight, rows));
 }
 
 /// Phase A runs every upgrade on its own cloud and serializes its log to
@@ -449,8 +447,7 @@ fn recovery_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
     );
 
     let mut lines = recovery_soak_lines("recovery-soak", rec);
-    let flight = report.flight.iter();
-    lines.extend(flight.map(|f| flight_json("recovery-soak", f)));
+    lines.push(flight_json("recovery-soak", &report.flight));
     lines
 }
 

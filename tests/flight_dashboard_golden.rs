@@ -25,9 +25,8 @@ fn storm_dashboard() -> String {
     let report = replay_with_recovery(&collect_streams(&config), &GatewayConfig::default(), storm);
     let rec = report.recovery.as_ref().expect("recovery stage ran");
     assert!(rec.none_dropped(), "{rec:#?}");
-    let flight = report.flight.as_ref().expect("flight on by default");
     render_dashboard(
-        flight,
+        &report.flight,
         &[
             "gateway.lines.processed",
             "gateway.queue_wait_us",

@@ -36,7 +36,7 @@ soak: ops lines_total leaks detections_total
 gateway: lines_submitted lines_processed lines_per_sec_virtual virtual_elapsed_us shed_oldest
   shed_newest blocked deferred admission_denied batches parse shards
 batch-sweep: batch_size lines_per_sec_virtual virtual_elapsed_us batches deferred blocked shed
-telemetry: mode kept_traces discarded_traces incidents flight_frames? flight_incidents?
+telemetry: mode kept_traces discarded_traces incidents flight_frames flight_incidents
 flight: evicted_frames dropped_incidents frames incidents
 recovery-storm: tenants lanes throttle_at attempted recovered escalated deferred_swept throttled
   requests admitted deferred swept peak_concurrent none_dropped success_rate?
