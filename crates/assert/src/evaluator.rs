@@ -2,6 +2,7 @@
 //! their results to central storage in the paper's assertion-log shape.
 
 use pod_log::{LogEvent, LogStorage, ProcessContext, Severity, StepOutcome};
+use pod_obs::Counter;
 use pod_sim::{SimDuration, SimTime};
 
 use crate::assertion::{AssertionOutcome, CloudAssertion};
@@ -96,12 +97,18 @@ impl AssertionRecord {
 pub struct AssertionEvaluator {
     api: ConsistentApi,
     storage: LogStorage,
+    passed: Counter,
 }
 
 impl AssertionEvaluator {
     /// Creates an evaluator writing result lines to `storage`.
     pub fn new(api: ConsistentApi, storage: LogStorage) -> AssertionEvaluator {
-        AssertionEvaluator { api, storage }
+        let passed = api.cloud().obs().counter("assertion.passed");
+        AssertionEvaluator {
+            api,
+            storage,
+            passed,
+        }
     }
 
     /// Evaluates one assertion, records the result log line and returns the
@@ -113,7 +120,7 @@ impl AssertionEvaluator {
         trigger: AssertionTrigger,
         context: Option<&ProcessContext>,
     ) -> AssertionRecord {
-        let obs = self.api.cloud().obs().clone();
+        let obs = self.api.cloud().obs();
         let started_at = self.api.cloud().clock().now();
         let outcome = assertion.evaluate(&self.api, env);
         let finished = self.api.cloud().clock().now();
@@ -143,7 +150,7 @@ impl AssertionEvaluator {
             }
             obs.event_with("assertion.result", assertion.key(), attrs)
         } else {
-            obs.counter("assertion.passed").incr();
+            self.passed.incr();
             None
         };
         let description = assertion.describe(env);

@@ -510,7 +510,8 @@ fn replay_inner(
     }
     if let Some(storm) = &storm {
         // Each new detection refreshes the storm's in-flight and backlog
-        // gauges right before the flight recorder stamps its frame.
+        // gauges before the drain's flight-recorder tick, so the frame
+        // that closes the incident window holds them as of its last mark.
         let hook = Rc::clone(storm);
         gw.set_incident_hook(move |_op, now, _new| hook.borrow_mut().observe(now));
     }

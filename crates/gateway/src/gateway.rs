@@ -38,9 +38,10 @@ pub trait DiagnosisSink: fmt::Debug {
     /// Finalises the operation and returns its summary.
     fn finish(&mut self) -> RunSummary;
 
-    /// Detections raised so far. The gateway polls this after each
-    /// delivered batch to stamp its flight recorder; sinks with no
-    /// detection concept keep the default.
+    /// Detections raised so far. The gateway polls this after each sink
+    /// call and, when it rose, runs the incident hook and leaves a mark
+    /// (not a frame) in its flight recorder; sinks with no detection
+    /// concept keep the default.
     fn detections(&self) -> usize {
         0
     }
@@ -420,8 +421,8 @@ impl Gateway {
     /// count rises during a drain, with the operation, the gateway-clock
     /// time, and the number of new detections. This is where a shared
     /// recovery dispatcher observes incidents on the gateway timeline
-    /// (e.g. to refresh its in-flight/backlog gauges before the flight
-    /// recorder frames them). Replaces any previous hook.
+    /// (e.g. to refresh its in-flight/backlog gauges before the drain's
+    /// flight-recorder tick frames them). Replaces any previous hook.
     pub fn set_incident_hook(&mut self, hook: impl FnMut(OpId, SimTime, usize) + 'static) {
         self.incident_hook = Some(IncidentHook(Box::new(hook)));
     }
@@ -431,8 +432,10 @@ impl Gateway {
         &self.obs
     }
 
-    /// The incident flight recorder: periodic metric frames plus an
-    /// incident mark per detection (see [`FlightRecorder`]).
+    /// The incident flight recorder: an incident mark per detection, and
+    /// metric frames taken by the once-per-drain tick — every 30 virtual
+    /// seconds, or one flush window after the last frame while marks are
+    /// pending (see [`FlightRecorder`]).
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }

@@ -2,16 +2,20 @@
 //!
 //! Aggregate metrics tell you *that* something went wrong; by the time an
 //! operator looks, the interesting window is gone. The [`FlightRecorder`]
-//! keeps a bounded ring of periodic virtual-time [`FlightFrame`]s (full
-//! metric snapshots) and stamps an [`IncidentMark`] — plus an immediate
-//! extra frame — whenever the pipeline reports a detection. Dumping the
-//! ring yields the last N frames *around* each incident, like an aircraft
-//! black box, without unbounded memory: old frames are evicted and
-//! counted.
+//! keeps a bounded ring of virtual-time [`FlightFrame`]s (full metric
+//! snapshots) and a bounded ring of [`IncidentMark`]s, one per reported
+//! detection. Frames are a function of virtual time, not of detection
+//! count: [`FlightRecorder::tick`] is the one place that takes them, every
+//! [`FlightConfig::interval`] while the pipeline is quiet and once per
+//! flush window while marks are arriving, so a burst of detections costs
+//! one frame per window instead of one per detection. Dumping the rings
+//! yields the last N frames *around* the latest incidents, like an
+//! aircraft black box, without unbounded memory: old frames and old marks
+//! are evicted oldest-first and counted.
 //!
 //! [`render_dashboard`] turns a dump into an ASCII dashboard — one
 //! sparkline per metric over the frame window, with incident marks aligned
-//! under the frame columns — used live by the gateway soak example.
+//! under the frame columns.
 //!
 //! The recorder is metrics-side telemetry: it runs in every
 //! [`TelemetryMode`](crate::TelemetryMode) (including `Off`) so the
@@ -26,8 +30,14 @@ use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::metrics::{Registry, Snapshot};
 
-/// Upper bound on retained incident marks per recorder.
+/// Incident marks retained per recorder (the newest ones).
 const INCIDENT_CAP: usize = 256;
+
+/// Minimum virtual time between frames while an incident is pending: one
+/// gateway flush window (`GatewayConfig::flush_interval`'s default), so a
+/// burst of detections is framed as often as the gateway flushes and no
+/// oftener.
+const INCIDENT_FRAME_WINDOW: SimDuration = SimDuration::from_millis(20);
 
 /// Flight-recorder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +45,8 @@ pub struct FlightConfig {
     /// Frames retained in the ring.
     pub capacity: usize,
     /// Minimum virtual time between periodic frames ([`FlightRecorder::tick`]
-    /// is rate-limited to this; incident frames bypass it).
+    /// is rate-limited to this; a pending incident shortens the wait to one
+    /// flush window).
     pub interval: SimDuration,
 }
 
@@ -48,7 +59,7 @@ impl Default for FlightConfig {
     }
 }
 
-/// One periodic snapshot frame.
+/// One snapshot frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightFrame {
     /// Virtual time the frame was taken.
@@ -75,21 +86,24 @@ pub struct FlightDump {
     pub incidents: Vec<IncidentMark>,
     /// Frames evicted from the ring before the dump.
     pub evicted_frames: u64,
-    /// Incident marks dropped after [`INCIDENT_CAP`].
+    /// Incident marks evicted (oldest first) from the ring of the newest
+    /// [`INCIDENT_CAP`] before the dump.
     pub dropped_incidents: u64,
 }
 
 #[derive(Debug, Default)]
 struct FlightInner {
     frames: VecDeque<FlightFrame>,
-    incidents: Vec<IncidentMark>,
+    incidents: VecDeque<IncidentMark>,
     evicted_frames: u64,
     dropped_incidents: u64,
     last_frame: Option<SimTime>,
+    /// A mark was made since the last frame.
+    incident_pending: bool,
 }
 
-/// Bounded ring of periodic metric snapshots with on-incident stamping.
-/// Cloning shares the ring.
+/// Bounded ring of metric snapshots, periodic and per incident window,
+/// beside a bounded ring of incident marks. Cloning shares the rings.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     clock: Clock,
@@ -112,31 +126,39 @@ impl FlightRecorder {
         }
     }
 
-    /// Records a periodic frame if at least [`FlightConfig::interval`] has
-    /// passed since the last one. Returns whether a frame was recorded.
-    /// Cheap to call once per drained batch.
+    /// Records a frame when one is due: [`FlightConfig::interval`] has
+    /// passed since the last one, or an incident is pending and one flush
+    /// window has. Returns whether a frame was recorded. The only frame
+    /// site besides [`FlightRecorder::dump`]; cheap to call once per
+    /// drained batch.
     pub fn tick(&self) -> bool {
         let now = self.clock.now();
-        {
+        let due = {
             let inner = self.inner.lock();
-            if let Some(last) = inner.last_frame {
-                if now.duration_since(last) < self.config.interval {
-                    return false;
+            match inner.last_frame {
+                None => true,
+                Some(last) => {
+                    let since = now.duration_since(last);
+                    since >= self.config.interval
+                        || (inner.incident_pending && since >= INCIDENT_FRAME_WINDOW)
                 }
             }
+        };
+        if due {
+            self.force_frame();
         }
-        self.force_frame();
-        true
+        due
     }
 
-    /// Records a frame right now, bypassing the interval gate.
-    pub fn force_frame(&self) {
+    /// Records a frame right now and closes any pending incident window.
+    fn force_frame(&self) {
         let frame = FlightFrame {
             at: self.clock.now(),
             snapshot: self.registry.snapshot(),
         };
         let mut inner = self.inner.lock();
         inner.last_frame = Some(frame.at);
+        inner.incident_pending = false;
         if inner.frames.len() >= self.config.capacity {
             inner.frames.pop_front();
             inner.evicted_frames += 1;
@@ -144,30 +166,33 @@ impl FlightRecorder {
         inner.frames.push_back(frame);
     }
 
-    /// Stamps an incident and records an immediate frame, so the dump
-    /// always holds the metric state at the moment of detection.
+    /// Stamps an incident: O(1), no snapshot. The next due
+    /// [`FlightRecorder::tick`] (or the dump) frames the state at or just
+    /// after it, one frame for every mark of the window.
     pub fn mark_incident(&self, label: &str) {
-        {
-            let mut inner = self.inner.lock();
-            if inner.incidents.len() >= INCIDENT_CAP {
-                inner.dropped_incidents += 1;
-            } else {
-                let at = self.clock.now();
-                inner.incidents.push(IncidentMark {
-                    at,
-                    label: label.to_string(),
-                });
-            }
+        let mut inner = self.inner.lock();
+        if inner.incidents.len() >= INCIDENT_CAP {
+            inner.incidents.pop_front();
+            inner.dropped_incidents += 1;
         }
-        self.force_frame();
+        inner.incidents.push_back(IncidentMark {
+            at: self.clock.now(),
+            label: label.to_string(),
+        });
+        inner.incident_pending = true;
     }
 
-    /// Copies the black box out.
+    /// Copies the black box out, first closing a pending incident window
+    /// with one frame so every retained mark is followed by a frame
+    /// holding the state at or after it.
     pub fn dump(&self) -> FlightDump {
+        if self.inner.lock().incident_pending {
+            self.force_frame();
+        }
         let inner = self.inner.lock();
         FlightDump {
             frames: inner.frames.iter().cloned().collect(),
-            incidents: inner.incidents.clone(),
+            incidents: inner.incidents.iter().cloned().collect(),
             evicted_frames: inner.evicted_frames,
             dropped_incidents: inner.dropped_incidents,
         }
@@ -198,7 +223,8 @@ fn sparkline(series: &[u64]) -> String {
 /// Counters plot the **per-frame delta** (rate shape); gauges plot the
 /// instantaneous value; histograms plot the cumulative p99. A final
 /// `incidents` row marks the frame column each incident landed in with
-/// `!`, followed by one line per mark.
+/// `!`, followed by one line per mark; marks older than the first retained
+/// frame are counted on one line instead.
 pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
     let mut out = String::new();
     let frames = &dump.frames;
@@ -325,15 +351,21 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
         );
     }
     if !dump.incidents.is_empty() {
+        // Marks older than the first retained frame belong to evicted
+        // frames, not to column 0: they are counted, not plotted. (Marks
+        // are in time order: the clock never goes back.)
+        let window_start = frames[0].at;
+        let (preceding, retained) = dump
+            .incidents
+            .split_at(dump.incidents.partition_point(|inc| inc.at < window_start));
         let marks: String = frames
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                let window_start = if i == 0 { None } else { Some(frames[i - 1].at) };
-                let hit = dump
-                    .incidents
+                let after = if i == 0 { None } else { Some(frames[i - 1].at) };
+                let hit = retained
                     .iter()
-                    .any(|inc| inc.at <= f.at && window_start.map(|s| inc.at > s).unwrap_or(true));
+                    .any(|inc| inc.at <= f.at && after.map(|s| inc.at > s).unwrap_or(true));
                 if hit {
                     '!'
                 } else {
@@ -342,7 +374,19 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
             })
             .collect();
         let _ = writeln!(out, "{:<38} |{}|", "incidents", marks);
-        for inc in &dump.incidents {
+        if !preceding.is_empty() {
+            let _ = writeln!(
+                out,
+                "  {} mark{} the retained window",
+                preceding.len(),
+                if preceding.len() == 1 {
+                    " precedes"
+                } else {
+                    "s precede"
+                },
+            );
+        }
+        for inc in retained {
             let _ = writeln!(out, "  ! {} {}", inc.at, inc.label);
         }
     }
@@ -385,26 +429,90 @@ mod tests {
         );
     }
 
+    /// `n` marks one virtual millisecond apart.
+    fn burst(clock: &Clock, rec: &FlightRecorder, n: usize) {
+        for i in 0..n {
+            clock.advance(SimDuration::from_millis(1));
+            rec.mark_incident(&format!("i-{i:04} detection"));
+        }
+    }
+
     #[test]
-    fn incidents_stamp_a_frame_immediately() {
+    fn a_burst_of_marks_costs_one_frame_per_window() {
+        let (clock, reg, rec) = recorder(8, 1_000);
+        assert!(rec.tick());
+        clock.advance(INCIDENT_FRAME_WINDOW);
+        reg.counter("engine.detections").add(5);
+        burst(&clock, &rec, 5);
+        assert!(rec.tick(), "a pending incident is framed after one window");
+        assert!(!rec.tick(), "the window is closed: nothing is pending");
+
+        // A second burst right behind the frame waits out its window...
+        burst(&clock, &rec, 3);
+        assert!(!rec.tick(), "less than one window since the last frame");
+        clock.advance(INCIDENT_FRAME_WINDOW);
+        assert!(rec.tick(), "two bursts a window apart are two frames");
+
+        let dump = rec.dump();
+        assert_eq!(dump.incidents.len(), 8, "marks stay per detection");
+        assert_eq!(dump.frames.len(), 3, "first tick + one frame per burst");
+        assert_eq!(dump.frames[1].snapshot.counter("engine.detections"), 5);
+        assert_eq!(dump.evicted_frames + dump.dropped_incidents, 0);
+    }
+
+    #[test]
+    fn dump_closes_a_pending_window_once() {
         let (clock, reg, rec) = recorder(8, 1_000);
         rec.tick();
         clock.advance(SimDuration::from_millis(3));
         reg.counter("engine.detections").incr();
         rec.mark_incident("i-0042 detection");
+        assert!(!rec.tick(), "3 ms is inside the window");
         let dump = rec.dump();
-        assert_eq!(dump.frames.len(), 2, "interval gate bypassed");
-        assert_eq!(dump.incidents.len(), 1);
         assert_eq!(dump.incidents[0].at, SimTime::from_millis(3));
+        assert_eq!(dump.frames.len(), 2);
+        let last = dump.frames.last().unwrap();
+        assert!(last.at >= dump.incidents[0].at);
         assert_eq!(
-            dump.frames
-                .last()
-                .unwrap()
-                .snapshot
-                .counter("engine.detections"),
+            last.snapshot.counter("engine.detections"),
             1,
-            "the incident frame holds the state at detection time"
+            "the closing frame holds the state at or after the mark"
         );
+        assert_eq!(rec.dump(), dump, "a second dump adds no frame");
+    }
+
+    #[test]
+    fn the_mark_ring_keeps_the_newest_and_counts_the_rest() {
+        let (clock, _reg, rec) = recorder(8, 1_000);
+        burst(&clock, &rec, INCIDENT_CAP + 7);
+        let dump = rec.dump();
+        assert_eq!(dump.incidents.len(), INCIDENT_CAP);
+        assert_eq!(dump.dropped_incidents, 7);
+        assert_eq!(dump.incidents[0].label, "i-0007 detection");
+        assert_eq!(
+            dump.incidents.last().unwrap().at,
+            dump.frames.last().unwrap().at,
+            "the newest mark lies inside the retained frame window"
+        );
+    }
+
+    #[test]
+    fn dashboard_counts_marks_older_than_the_first_retained_frame() {
+        let (clock, _reg, rec) = recorder(2, 1_000);
+        for _ in 0..3 {
+            clock.advance(INCIDENT_FRAME_WINDOW);
+            rec.mark_incident("i-0001 detection");
+            assert!(rec.tick());
+        }
+        let dump = rec.dump();
+        assert_eq!((dump.frames.len(), dump.evicted_frames), (2, 1));
+        let text = render_dashboard(&dump, &[]);
+        assert!(
+            text.contains("1 mark precedes the retained window"),
+            "got:\n{text}"
+        );
+        assert_eq!(text.matches("  ! ").count(), 2, "got:\n{text}");
+        assert!(text.contains("|!!|"), "got:\n{text}");
     }
 
     #[test]

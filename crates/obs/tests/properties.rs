@@ -1,6 +1,9 @@
 //! Property-based tests for the pod-obs metrics layer.
 
-use pod_obs::{Registry, RunSignals, SampleVerdict, SamplerConfig, TailSampler};
+use pod_obs::{
+    FlightConfig, FlightRecorder, Registry, RunSignals, SampleVerdict, SamplerConfig, TailSampler,
+};
+use pod_sim::{Clock, SimDuration};
 use proptest::prelude::*;
 
 /// An arbitrary completed-run signal set for the tail sampler.
@@ -172,5 +175,54 @@ proptest! {
                 prop_assert_eq!(verdict, SampleVerdict::KeptWarning);
             }
         }
+    }
+
+    /// Whatever the interleaving of clock advances, marks and ticks, the
+    /// flight recorder loses nothing silently (every mark and every frame
+    /// is retained or counted as evicted), keeps its frames in time order,
+    /// and a dump's last frame is never older than its last mark.
+    #[test]
+    fn flight_recorder_accounts_for_every_mark_and_frame(
+        steps in prop::collection::vec((0u8..4, 0u64..40), 0..800),
+        capacity in 2usize..10,
+        interval_ms in 5u64..100,
+    ) {
+        let clock = Clock::new();
+        let rec = FlightRecorder::new(
+            clock.clone(),
+            Registry::new(),
+            FlightConfig { capacity, interval: SimDuration::from_millis(interval_ms) },
+        );
+        let (mut marks, mut frames, mut pending) = (0u64, 0u64, false);
+        for &(kind, ms) in &steps {
+            match kind {
+                0 => {
+                    clock.advance(SimDuration::from_millis(ms));
+                }
+                1 | 2 => {
+                    rec.mark_incident("i-0001 detection");
+                    marks += 1;
+                    pending = true;
+                }
+                _ => {
+                    if rec.tick() {
+                        frames += 1;
+                        pending = false;
+                    }
+                }
+            }
+        }
+        // The dump closes a pending window with exactly one frame.
+        frames += u64::from(pending);
+        let dump = rec.dump();
+        prop_assert_eq!(marks, dump.incidents.len() as u64 + dump.dropped_incidents);
+        prop_assert_eq!(frames, dump.frames.len() as u64 + dump.evicted_frames);
+        prop_assert!(dump.frames.len() <= capacity);
+        prop_assert!(dump.frames.windows(2).all(|w| w[0].at <= w[1].at));
+        if let Some(last_mark) = dump.incidents.last() {
+            let last_frame = dump.frames.last().expect("a mark is always followed by a frame");
+            prop_assert!(last_frame.at >= last_mark.at);
+        }
+        prop_assert_eq!(&rec.dump(), &dump, "a second dump adds nothing");
     }
 }

@@ -1,9 +1,27 @@
 //! Bit-reproducibility and isolation of the gateway soak: the same seed
 //! must produce byte-identical detections across independent runs, and no
 //! operation's detections may reference another operation's instances.
+//! Also the flight recorder's cost bound: frames follow drains, not
+//! detections.
 
-use pod_diagnosis::eval::{collect_streams, replay, SoakConfig};
-use pod_diagnosis::gateway::GatewayConfig;
+use pod_diagnosis::eval::{collect_streams, replay, SoakConfig, SoakReport};
+use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
+use pod_diagnosis::sim::SimDuration;
+
+/// `tick()` runs once per drain and is the only frame site besides the
+/// dump's one closing frame, however many detections a drain raises.
+fn assert_frames_follow_drains(report: &SoakReport) {
+    let flight = &report.flight;
+    let taken = flight.frames.len() as u64 + flight.evicted_frames;
+    assert!(
+        taken <= report.stats.batches + 1,
+        "{taken} frames over {} drains",
+        report.stats.batches
+    );
+    let marks = flight.incidents.len() as u64 + flight.dropped_incidents;
+    let detections: usize = report.ops.iter().map(|op| op.detections).sum();
+    assert!(marks > 0 && marks <= detections as u64, "{marks} marks");
+}
 
 fn soak_digest() -> (String, u64) {
     let config = SoakConfig {
@@ -22,6 +40,7 @@ fn soak_digest() -> (String, u64) {
         report.stats.lines_processed, streams.lines_total,
         "block policy must deliver every line"
     );
+    assert_frames_follow_drains(&report);
     (report.digest(), report.stats.lines_processed)
 }
 
@@ -39,4 +58,26 @@ fn same_seed_produces_byte_identical_detections() {
         digest_a, digest_b,
         "same seed and same interleaved input must be bit-reproducible"
     );
+}
+
+#[test]
+fn a_detection_storm_costs_at_most_one_frame_per_drain() {
+    // Every tenant faulty into 16-line shed-oldest queues drained four
+    // lines at a time: more detections than drains (one frame per
+    // detection took 438 frames over 383 drains here).
+    let config = SoakConfig {
+        ops: 16,
+        seed: 2014,
+        ..SoakConfig::default()
+    };
+    let gateway = GatewayConfig {
+        queue_capacity: 16,
+        batch_size: 4,
+        flush_interval: SimDuration::from_secs(5),
+        overload: OverloadPolicy::ShedOldest,
+        ..GatewayConfig::default()
+    };
+    let report = replay(&collect_streams(&config), &gateway);
+    assert!(report.stats.shed_oldest > 0, "the queues must overflow");
+    assert_frames_follow_drains(&report);
 }
