@@ -308,13 +308,7 @@ impl CloudAssertion {
                             i.state.is_active()
                                 && i.launch_config.as_ref() == Some(&env.launch_config)
                         })
-                        .all(|i| {
-                            i.version == env.expected_version
-                                && i.ami == env.expected_ami
-                                && i.key_pair == env.expected_key_pair
-                                && i.security_group == env.expected_security_group
-                                && i.instance_type == env.expected_instance_type
-                        })
+                        .all(|i| env.matches(i))
                 },
             )),
             CloudAssertion::LaunchConfigUsesAmi => map(api.read_until(
@@ -462,19 +456,36 @@ pub enum BoundAssertion {
     },
 }
 
-/// The per-instance assertion kinds resolvable from log context.
+/// A per-instance assertion waiting for its instance id: from the log
+/// context of a triggering line, or from the error context of a diagnosis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceAssertionKind {
     /// The instance runs the expected AMI.
     UsesExpectedAmi,
     /// The instance matches the whole expected configuration.
     ConfigurationCorrect,
+    /// The instance is in service.
+    InService,
     /// The instance is registered with the ELB.
     RegisteredWithElb,
     /// The instance has been deregistered from the ELB.
     DeregisteredFromElb,
     /// The instance has terminated.
     Terminated,
+}
+
+impl InstanceAssertionKind {
+    /// The concrete assertion about `instance`.
+    pub fn on(self, instance: InstanceId) -> CloudAssertion {
+        match self {
+            Self::UsesExpectedAmi => CloudAssertion::InstanceUsesAmi { instance },
+            Self::ConfigurationCorrect => CloudAssertion::InstanceConfigurationCorrect { instance },
+            Self::InService => CloudAssertion::InstanceInService { instance },
+            Self::RegisteredWithElb => CloudAssertion::InstanceRegisteredWithElb { instance },
+            Self::DeregisteredFromElb => CloudAssertion::InstanceDeregisteredFromElb { instance },
+            Self::Terminated => CloudAssertion::InstanceTerminated { instance },
+        }
+    }
 }
 
 impl BoundAssertion {
@@ -504,24 +515,7 @@ impl BoundAssertion {
                     .as_ref()
                     .and_then(|c| c.cloud_instance_id.clone())
                     .or_else(|| event?.field("instanceid").map(str::to_string))?;
-                let instance = pod_cloud::InstanceId::new(id);
-                Some(match kind {
-                    InstanceAssertionKind::UsesExpectedAmi => {
-                        CloudAssertion::InstanceUsesAmi { instance }
-                    }
-                    InstanceAssertionKind::ConfigurationCorrect => {
-                        CloudAssertion::InstanceConfigurationCorrect { instance }
-                    }
-                    InstanceAssertionKind::RegisteredWithElb => {
-                        CloudAssertion::InstanceRegisteredWithElb { instance }
-                    }
-                    InstanceAssertionKind::DeregisteredFromElb => {
-                        CloudAssertion::InstanceDeregisteredFromElb { instance }
-                    }
-                    InstanceAssertionKind::Terminated => {
-                        CloudAssertion::InstanceTerminated { instance }
-                    }
-                })
+                Some(kind.on(InstanceId::new(id)))
             }
         }
     }
@@ -708,6 +702,27 @@ mod tests {
         assert_eq!(
             CloudAssertion::InstanceDeregisteredFromElb { instance: id }.evaluate(&api, &env),
             AssertionOutcome::Passed
+        );
+    }
+
+    #[test]
+    fn every_instance_kind_binds_its_own_assertion_to_the_instance() {
+        use InstanceAssertionKind::*;
+        let id = InstanceId::new("i-1");
+        let bound = |kind: InstanceAssertionKind| kind.on(id.clone()).key();
+        assert_eq!(bound(UsesExpectedAmi), "instance-uses-ami");
+        assert_eq!(
+            bound(ConfigurationCorrect),
+            "instance-configuration-correct"
+        );
+        assert_eq!(bound(InService), "instance-in-service");
+        assert_eq!(bound(RegisteredWithElb), "instance-registered-with-elb");
+        assert_eq!(bound(DeregisteredFromElb), "instance-deregistered-from-elb");
+        assert_eq!(bound(Terminated), "instance-terminated");
+        let instance = id.clone();
+        assert_eq!(
+            InService.on(id),
+            CloudAssertion::InstanceInService { instance }
         );
     }
 

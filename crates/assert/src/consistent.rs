@@ -246,7 +246,7 @@ mod tests {
             CloudConfig {
                 stale_read_prob: stale_prob,
                 api_failure_prob: failure_prob,
-                api_latency: LatencyModel::fixed_millis(80),
+                api_latency: LatencyModel::Fixed(SimDuration::from_millis(80)),
                 ..CloudConfig::default()
             },
         )

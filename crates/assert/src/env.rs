@@ -1,7 +1,9 @@
 //! The expected environment: what the configuration repository says the
 //! system *should* look like after (each stage of) the operation.
 
-use pod_cloud::{AmiId, AsgName, Cluster, ElbName, KeyPairName, LaunchConfigName, SecurityGroupId};
+use pod_cloud::{
+    AmiId, AsgName, Cluster, ElbName, Instance, KeyPairName, LaunchConfigName, SecurityGroupId,
+};
 
 /// Expected state of the upgraded cluster, shared by assertions and
 /// diagnostic tests.
@@ -51,6 +53,17 @@ impl ExpectedEnv {
         }
     }
 
+    /// Whether `instance` matches the expected configuration: version and
+    /// every launch parameter. What verification checks and what a repair
+    /// replaces are both this predicate.
+    pub fn matches(&self, instance: &Instance) -> bool {
+        instance.version == self.expected_version
+            && instance.ami == self.expected_ami
+            && instance.key_pair == self.expected_key_pair
+            && instance.security_group == self.expected_security_group
+            && instance.instance_type == self.expected_instance_type
+    }
+
     /// Renders the instantiation variables used when a fault tree is
     /// selected, e.g. `N` and the ASG name.
     pub fn variables(&self) -> Vec<(String, String)> {
@@ -72,9 +85,8 @@ impl ExpectedEnv {
 mod tests {
     use super::*;
 
-    #[test]
-    fn variables_cover_all_parameters() {
-        let env = ExpectedEnv {
+    fn env() -> ExpectedEnv {
+        ExpectedEnv {
             asg: AsgName::new("app-asg"),
             elb: ElbName::new("front"),
             launch_config: LaunchConfigName::new("lc-v2"),
@@ -84,10 +96,45 @@ mod tests {
             expected_security_group: SecurityGroupId::new("sg-1"),
             expected_instance_type: "m1.small".into(),
             expected_count: 4,
-        };
-        let vars = env.variables();
+        }
+    }
+
+    #[test]
+    fn variables_cover_all_parameters() {
+        let vars = env().variables();
         assert_eq!(vars.len(), 9);
         assert!(vars.contains(&("N".to_string(), "4".to_string())));
         assert!(vars.contains(&("ASG".to_string(), "app-asg".to_string())));
+    }
+
+    #[test]
+    fn matches_needs_the_version_and_every_launch_parameter() {
+        let env = env();
+        let good = Instance {
+            id: pod_cloud::InstanceId::new("i-1"),
+            state: pod_cloud::InstanceState::InService,
+            ami: env.expected_ami.clone(),
+            version: env.expected_version.clone(),
+            instance_type: env.expected_instance_type.clone(),
+            key_pair: env.expected_key_pair.clone(),
+            security_group: env.expected_security_group.clone(),
+            launch_config: None,
+            asg: None,
+            registered_with_elb: false,
+            launched_at: pod_sim::SimTime::ZERO,
+        };
+        assert!(env.matches(&good));
+        let flips: [fn(&mut Instance); 5] = [
+            |i| i.version = "1.0".into(),
+            |i| i.ami = AmiId::new("ami-old"),
+            |i| i.key_pair = KeyPairName::new("attacker"),
+            |i| i.security_group = SecurityGroupId::new("sg-open"),
+            |i| i.instance_type = "m1.large".into(),
+        ];
+        for flip in flips {
+            let mut bad = good.clone();
+            flip(&mut bad);
+            assert!(!env.matches(&bad), "{bad:?}");
+        }
     }
 }

@@ -91,7 +91,7 @@ impl AssertionRecord {
 ///     &CloudAssertion::AsgHasInstancesWithVersion { count: 2 },
 ///     &env, AssertionTrigger::Log, None);
 /// assert!(!record.is_failure());
-/// assert_eq!(storage.len(), 1); // the result was logged
+/// assert_eq!(storage.query(&pod_log::LogQuery::new()).len(), 1); // the result was logged
 /// ```
 #[derive(Debug, Clone)]
 pub struct AssertionEvaluator {
@@ -246,11 +246,11 @@ mod tests {
         );
         assert!(!rec.is_failure());
         assert!(rec.duration > SimDuration::ZERO);
-        let logged = storage.snapshot();
+        let logged = storage.query(&LogQuery::new());
         assert_eq!(logged.len(), 1);
         assert_eq!(logged[0].event_type, "assertion");
         assert!(logged[0].message.contains("holds"));
-        assert!(logged[0].has_tag("trigger:log"));
+        assert!(logged[0].tags.iter().any(|t| t == "trigger:log"));
     }
 
     #[test]
@@ -264,15 +264,15 @@ mod tests {
             Some(&ctx),
         );
         assert!(rec.is_failure());
-        let errors = storage.query(&LogQuery::new().with_min_severity(Severity::Error));
-        assert_eq!(errors.len(), 1);
+        let errors = storage.query(&LogQuery::new());
+        assert_eq!((errors.len(), errors[0].severity), (1, Severity::Error));
         assert!(errors[0].message.contains("FAILED"));
         assert!(errors[0].message.contains("[Step:step4]"));
         assert_eq!(
             errors[0].context.as_ref().unwrap().outcome,
             Some(StepOutcome::Failure)
         );
-        assert!(errors[0].has_tag("trigger:oneoff-timer"));
+        assert!(errors[0].tags.iter().any(|t| t == "trigger:oneoff-timer"));
     }
 
     #[test]

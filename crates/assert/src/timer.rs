@@ -116,8 +116,9 @@ impl<T: Clone> TimerService<T> {
                 break;
             }
             let (at, entry) = self.queue.pop().expect("peeked entry");
-            if self.cancelled.contains(&entry.id) {
-                // A cancelled periodic timer is dropped permanently.
+            if self.cancelled.remove(&entry.id) {
+                // Dropped for good, periodic or not: its id is never queued
+                // again, so the set need not remember it either.
                 continue;
             }
             fired.push((entry.id, at, entry.payload.clone()));
@@ -168,6 +169,24 @@ mod tests {
         assert_eq!(t.due(SimTime::from_secs(2)).len(), 2);
         t.cancel(id);
         assert!(t.due(SimTime::from_secs(10)).is_empty());
+    }
+
+    #[test]
+    fn a_fired_cancellation_is_forgotten() {
+        let mut t = TimerService::new();
+        for i in 0..1000u64 {
+            let at = SimTime::from_secs(1 + i % 7);
+            let id = match i % 2 {
+                0 => t.schedule_once(at, i),
+                _ => t.schedule_periodic(at, SimDuration::from_secs(1), i),
+            };
+            t.schedule_once(at, 1000 + i);
+            t.cancel(id);
+        }
+        let fired = t.due(SimTime::from_secs(60));
+        assert_eq!(fired.len(), 1000);
+        assert!(fired.iter().all(|(_, _, payload)| *payload >= 1000));
+        assert!(t.cancelled.is_empty());
     }
 
     #[test]

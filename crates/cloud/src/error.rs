@@ -40,18 +40,6 @@ impl ApiError {
             ApiError::Throttling | ApiError::Internal(_) | ApiError::ServiceUnavailable { .. }
         )
     }
-
-    /// The AWS-style error code string, as it would appear in logs.
-    pub fn code(&self) -> &'static str {
-        match self {
-            ApiError::Throttling => "RequestLimitExceeded",
-            ApiError::NotFound { .. } => "InvalidResource.NotFound",
-            ApiError::LimitExceeded { .. } => "InstanceLimitExceeded",
-            ApiError::ServiceUnavailable { .. } => "ServiceUnavailable",
-            ApiError::Validation(_) => "ValidationError",
-            ApiError::Internal(_) => "InternalError",
-        }
-    }
 }
 
 impl fmt::Display for ApiError {
@@ -106,7 +94,6 @@ mod tests {
             id: "prod-key".into(),
         };
         let s = e.to_string();
-        assert!(s.contains("NotFound") && s.contains("prod-key"));
-        assert_eq!(e.code(), "InvalidResource.NotFound");
+        assert!(s.contains("InvalidResource.NotFound") && s.contains("prod-key"));
     }
 }

@@ -75,11 +75,6 @@ impl KeyPairName {
     pub fn new(name: impl Into<String>) -> Self {
         KeyPairName(name.into())
     }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
 }
 
 impl fmt::Display for KeyPairName {
@@ -96,11 +91,6 @@ impl LaunchConfigName {
     /// Wraps a name.
     pub fn new(name: impl Into<String>) -> Self {
         LaunchConfigName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
     }
 }
 
@@ -119,11 +109,6 @@ impl AsgName {
     pub fn new(name: impl Into<String>) -> Self {
         AsgName(name.into())
     }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
 }
 
 impl fmt::Display for AsgName {
@@ -140,11 +125,6 @@ impl ElbName {
     /// Wraps a name.
     pub fn new(name: impl Into<String>) -> Self {
         ElbName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
     }
 }
 

@@ -281,7 +281,7 @@ fn throttling_kicks_in_under_burst() {
         stale_read_prob: 0.0,
         throttle_capacity: 5.0,
         throttle_refill_per_sec: 0.001,
-        api_latency: LatencyModel::fixed_millis(1),
+        api_latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
         ..CloudConfig::default()
     };
     let e = env_with(config, 2);

@@ -167,11 +167,6 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// Detections that ran a full diagnosis.
-    pub fn diagnosed(&self) -> impl Iterator<Item = &Detection> {
-        self.detections.iter().filter(|d| d.diagnosis.is_some())
-    }
-
     /// A canonical multi-line rendering of every detection, in order.
     ///
     /// Two runs of the same operation produced byte-identical digests iff

@@ -260,11 +260,6 @@ impl PodEngine {
         }
     }
 
-    /// The trace (process-instance) id this engine monitors.
-    pub fn trace_id(&self) -> &str {
-        &self.trace_id
-    }
-
     /// Detections so far.
     pub fn detections(&self) -> &[Detection] {
         &self.summary.detections
@@ -457,8 +452,8 @@ impl PodEngine {
         if let Some(done) = event.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
-        let bound = self.pod.config.bindings.for_activity(&activity).to_vec();
-        for binding in bound {
+        let pod = Arc::clone(&self.pod);
+        for binding in pod.config.bindings.for_activity(&activity) {
             let env = self.env.snapshot();
             let Some(assertion) = binding.resolve(Some(&event), env.expected_count) else {
                 continue;

@@ -1044,7 +1044,11 @@ mod tests {
         });
         let report = c.run();
         assert_eq!(report.records.len(), 16);
-        assert_eq!(report.latency.faults().len(), 8);
+        // Every fault type has a profile, of both its runs.
+        let budgets: Vec<_> = report.latency.budgets().collect();
+        assert_eq!(budgets.len(), 8);
+        let profiled = |(_, runs, stages): &(_, usize, Vec<_>)| *runs == 2 && !stages.is_empty();
+        assert!(budgets.iter().all(profiled));
         assert!(report.incidents_total > 0);
         assert!(report
             .last_trace

@@ -722,11 +722,6 @@ impl JournalDiff {
         [only(&self.old, &self.new), only(&self.new, &self.old)]
     }
 
-    /// Whether both journals hold the same records with the same numbers.
-    pub fn is_empty(&self) -> bool {
-        self.moved().is_empty() && self.one_sided().iter().all(Vec::is_empty)
-    }
-
     /// The diff as text: one line per moved field and one-sided record,
     /// then the totals.
     pub fn render(&self) -> String {
@@ -908,7 +903,8 @@ mod tests {
 
     #[test]
     fn exemplar_and_flight_records_round_trip() {
-        let obs = Obs::detached();
+        let clock = pod_sim::Clock::new();
+        let obs = Obs::new(clock.clone());
         obs.histogram("gateway.queue_wait_us")
             .record_with(4_321, || pod_obs::Exemplar {
                 value: 4_321,
@@ -924,7 +920,7 @@ mod tests {
         assert_eq!(at(&lines[0], "labels.op"), Json::str("i-0001"));
 
         let rec = pod_obs::FlightRecorder::new(
-            obs.clock().clone(),
+            clock,
             obs.registry().clone(),
             pod_obs::FlightConfig::default(),
         );
@@ -1024,14 +1020,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_required_keys_and_escapes_strings() {
-        let obs = Obs::detached();
+        let clock = pod_sim::Clock::new();
+        let obs = Obs::new(clock.clone());
         obs.begin_run("run-x");
         {
             let span = obs.span("conformance.replay");
             span.attr("activity", "terminate \"old\" instance");
             let line = obs.event("log.line", "asgard.log");
             line.attr("message", "says \"hi\"\n");
-            obs.clock().advance(SimDuration::from_millis(10));
+            clock.advance(SimDuration::from_millis(10));
             obs.event_under(line.id(), "conformance.verdict", "conformance:unfit");
         }
         let dump = TraceDump {

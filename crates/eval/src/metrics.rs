@@ -256,18 +256,6 @@ impl MetricSet {
         self.fp_diagnosed_as_none += outcome.fp_diagnosed_as_none;
     }
 
-    /// Merges another set.
-    pub fn merge(&mut self, other: &MetricSet) {
-        self.runs += other.runs;
-        self.faults_detected += other.faults_detected;
-        self.faults_missed += other.faults_missed;
-        self.correct_fault_diagnoses += other.correct_fault_diagnoses;
-        self.interference_detections += other.interference_detections;
-        self.interference_correct += other.interference_correct;
-        self.false_positives += other.false_positives;
-        self.fp_diagnosed_as_none += other.fp_diagnosed_as_none;
-    }
-
     /// True detections: injected faults plus interferences.
     pub fn true_detections(&self) -> usize {
         self.faults_detected + self.interference_detections
@@ -477,26 +465,6 @@ mod tests {
         assert_eq!(m.detection_recall(), 1.0);
         assert!((m.diagnosis_accuracy_over_detected() - 154.0 / 160.0).abs() < 1e-9);
         assert!((m.accuracy_rate() - 218.0 / 224.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = MetricSet::default();
-        a.add(&RunOutcome {
-            fault_detected: true,
-            fault_diagnosed_correctly: true,
-            ..RunOutcome::default()
-        });
-        let mut b = MetricSet::default();
-        b.add(&RunOutcome {
-            fault_detected: false,
-            ..RunOutcome::default()
-        });
-        a.merge(&b);
-        assert_eq!(a.runs, 2);
-        assert_eq!(a.faults_detected, 1);
-        assert_eq!(a.faults_missed, 1);
-        assert_eq!(a.detection_recall(), 0.5);
     }
 
     use pod_sim::{SimDuration, SimTime};

@@ -95,11 +95,6 @@ impl LatencyProfile {
         self.per_fault.is_empty()
     }
 
-    /// The fault labels recorded, in name order.
-    pub fn faults(&self) -> Vec<String> {
-        self.per_fault.keys().cloned().collect()
-    }
-
     /// p50/p95/p99 (µs) of a stage's per-run self time for one fault.
     pub fn quantiles(&self, fault: &str, stage: &str) -> Option<(u64, u64, u64)> {
         let sorted = self.per_fault.get(fault)?.get(stage)?.sorted();

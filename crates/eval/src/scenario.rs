@@ -288,8 +288,13 @@ mod tests {
     fn engine_builds() {
         let cfg = ScenarioConfig::default();
         let s = build_scenario(&cfg);
-        let e = build_engine(&s, &cfg);
-        assert_eq!(e.trace_id(), "run-1");
+        let mut e = build_engine(&s, &cfg);
+        // The engine runs under the scenario's trace id: its conformance
+        // log names it on the first line replayed.
+        let line = "Started rolling upgrade task t-1 pushing ami-0f into group pm--asg";
+        e.ingest(LogEvent::new(SimTime::ZERO, "asgard.log", line));
+        let replayed = pod_log::LogQuery::new().with_source("conformance.log");
+        assert!(s.storage.query(&replayed)[0].message.contains("[run-1]"));
     }
 
     #[test]

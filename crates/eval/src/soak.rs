@@ -1027,8 +1027,9 @@ mod tests {
         );
         let per_shard: u64 = report.stats.shards.iter().map(|s| s.shed).sum();
         assert_eq!(per_shard, report.stats.total_shed());
+        let counted = |policy| report.snapshot.counter(&format!("gateway.shed.{policy}"));
         assert_eq!(
-            report.snapshot.sum_counters("gateway.shed."),
+            counted("oldest") + counted("newest"),
             report.stats.total_shed()
         );
         let text = render_soak_report(&report);

@@ -76,11 +76,6 @@ impl TimingStats {
             })
             .collect()
     }
-
-    /// The raw, sorted samples.
-    pub fn samples(&self) -> &[SimDuration] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]

@@ -48,28 +48,6 @@ proptest! {
         prop_assert_eq!(m.runs, outcomes.len());
     }
 
-    /// Merging metric sets equals accumulating the union of their runs.
-    #[test]
-    fn merge_equals_union(
-        left in prop::collection::vec(arb_outcome(), 0..20),
-        right in prop::collection::vec(arb_outcome(), 0..20),
-    ) {
-        let mut a = MetricSet::default();
-        for o in &left {
-            a.add(o);
-        }
-        let mut b = MetricSet::default();
-        for o in &right {
-            b.add(o);
-        }
-        a.merge(&b);
-        let mut whole = MetricSet::default();
-        for o in left.iter().chain(&right) {
-            whole.add(o);
-        }
-        prop_assert_eq!(a, whole);
-    }
-
     /// Recall is exactly detected/(detected+missed), and adding a detected
     /// run never lowers it.
     #[test]

@@ -439,6 +439,7 @@ mod tests {
     use crate::tree::{FaultNode, FaultTree};
     use pod_assert::{CloudAssertion, ExpectedEnv, RetryPolicy};
     use pod_cloud::{Cloud, CloudConfig};
+    use pod_log::LogQuery;
     use pod_sim::{Clock, SimRng};
 
     fn setup() -> (DiagnosisEngine, DiagnosisContext, Cloud, LogStorage) {
@@ -509,7 +510,7 @@ mod tests {
         assert_eq!(report.verdict(), DiagnosisVerdict::NoRootCauseIdentified);
         assert!(report.excluded > 0);
         assert!(report.duration > SimDuration::ZERO);
-        let transcript = storage.snapshot();
+        let transcript = storage.query(&LogQuery::new());
         assert!(transcript
             .iter()
             .any(|e| e.message.contains("No root cause identified")));
@@ -536,7 +537,7 @@ mod tests {
         // The key-pair fault was excluded.
         assert!(report.excluded >= 1);
         assert!(storage
-            .snapshot()
+            .query(&LogQuery::new())
             .iter()
             .any(|e| e.message.contains("root cause(s) identified")));
     }
@@ -747,27 +748,23 @@ mod tests {
                     0.1,
                 )),
         );
-        storage.clear();
+        let logged = || storage.query(&LogQuery::new());
+        let first_verify_after = |seen: usize| {
+            let mut verifying = logged().into_iter().skip(seen);
+            let first = verifying.find(|e| e.message.contains("Verifying:"));
+            first.unwrap().message
+        };
+        let seen = logged().len();
         engine
             .clone()
             .with_order(TestOrder::ByCost)
             .diagnose(&tree, &ctx);
-        let first_verify = storage
-            .snapshot()
-            .into_iter()
-            .find(|e| e.message.contains("Verifying:"))
-            .unwrap();
-        assert!(first_verify.message.contains("cheap"));
-        storage.clear();
+        assert!(first_verify_after(seen).contains("cheap"));
+        let seen = logged().len();
         engine
             .with_order(TestOrder::ByProbability)
             .diagnose(&tree, &ctx);
-        let first_verify = storage
-            .snapshot()
-            .into_iter()
-            .find(|e| e.message.contains("Verifying:"))
-            .unwrap();
-        assert!(first_verify.message.contains("expensive"));
+        assert!(first_verify_after(seen).contains("expensive"));
     }
 
     use pod_sim::SimDuration;

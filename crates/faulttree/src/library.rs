@@ -7,9 +7,9 @@
 //! version — the shared-account instance-limit root cause the paper added
 //! after its fourth wrong-diagnosis class.
 
-use pod_assert::CloudAssertion;
+use pod_assert::{CloudAssertion, InstanceAssertionKind};
 
-use crate::test::{DiagnosticTest, InstanceCheck};
+use crate::test::DiagnosticTest;
 use crate::tree::{FaultNode, FaultTree, FaultTreeRepository};
 
 /// Activity names of the rolling-upgrade process (Figure 2), shared between
@@ -236,7 +236,7 @@ pub fn version_count_tree(amended: bool) -> FaultTree {
             FaultNode::root_cause(
                 "instance-not-registered",
                 "the new instance is not registered with ELB {ELB}",
-                DiagnosticTest::InstanceAssertionFails(InstanceCheck::RegisteredWithElb),
+                DiagnosticTest::InstanceAssertionFails(InstanceAssertionKind::RegisteredWithElb),
                 0.3,
             )
             .in_step(steps::READY),
@@ -315,7 +315,7 @@ fn terminate_tree() -> FaultTree {
         FaultNode::root_cause(
             "instance-still-running",
             "the instance is still in service (terminate call lost or throttled)",
-            DiagnosticTest::InstanceAssertionFails(InstanceCheck::InService),
+            DiagnosticTest::InstanceAssertionFails(InstanceAssertionKind::InService),
             0.5,
         ),
     );
@@ -337,7 +337,7 @@ fn elb_registration_tree() -> FaultTree {
     .child(FaultNode::root_cause(
         "instance-not-in-service",
         "the new instance never reached in-service state",
-        DiagnosticTest::InstanceAssertionFails(InstanceCheck::InService),
+        DiagnosticTest::InstanceAssertionFails(InstanceAssertionKind::InService),
         0.3,
     ));
     FaultTree::new("instance-registered-with-elb", root)

@@ -3,7 +3,9 @@
 
 use std::sync::LazyLock;
 
-use pod_assert::{AssertionOutcome, CloudAssertion, ConsistentApi, ExpectedEnv};
+use pod_assert::{
+    AssertionOutcome, CloudAssertion, ConsistentApi, ExpectedEnv, InstanceAssertionKind,
+};
 use pod_cloud::{ActivityStatus, InstanceId};
 use pod_regex::Regex;
 use pod_sim::SimTime;
@@ -32,17 +34,6 @@ pub enum TestResult {
     },
 }
 
-/// Per-instance checks that require an instance id from the error context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstanceCheck {
-    /// The instance runs the expected AMI.
-    UsesExpectedAmi,
-    /// The instance is registered with the ELB.
-    RegisteredWithElb,
-    /// The instance is in service.
-    InService,
-}
-
 /// A diagnostic test bound to a fault-tree node.
 #[derive(Debug, Clone)]
 pub enum DiagnosticTest {
@@ -52,7 +43,7 @@ pub enum DiagnosticTest {
     /// context; inconclusive when the context has no instance id (the
     /// paper's first wrong-diagnosis class: purely timer-based triggers
     /// carry no instance id).
-    InstanceAssertionFails(InstanceCheck),
+    InstanceAssertionFails(InstanceAssertionKind),
     /// Consult the scaling-activity feed: the fault is present iff a
     /// **failed** activity since operation start matches the pattern.
     FailedActivityMatching {
@@ -136,18 +127,7 @@ impl DiagnosticTest {
                         reason: "no instance id in the error context".to_string(),
                     };
                 };
-                let assertion = match check {
-                    InstanceCheck::UsesExpectedAmi => CloudAssertion::InstanceUsesAmi {
-                        instance: instance.clone(),
-                    },
-                    InstanceCheck::RegisteredWithElb => CloudAssertion::InstanceRegisteredWithElb {
-                        instance: instance.clone(),
-                    },
-                    InstanceCheck::InService => CloudAssertion::InstanceInService {
-                        instance: instance.clone(),
-                    },
-                };
-                match assertion.evaluate(api, &ctx.env) {
+                match check.on(instance.clone()).evaluate(api, &ctx.env) {
                     AssertionOutcome::Passed => TestResult::Absent,
                     AssertionOutcome::Failed { .. } => TestResult::Present,
                 }
@@ -188,9 +168,9 @@ impl DiagnosticTest {
                 let mut done: Vec<String> = Vec::new();
                 for a in &acts {
                     if let Some(caps) = TERMINATION_REQUESTED.captures(&a.description) {
-                        asked.push(caps.name("id").expect("captured").as_str().to_string());
+                        asked.push(caps.name("id").expect("captured").to_string());
                     } else if let Some(caps) = TERMINATION_COMPLETED.captures(&a.description) {
-                        done.push(caps.name("id").expect("captured").as_str().to_string());
+                        done.push(caps.name("id").expect("captured").to_string());
                     }
                 }
                 if done.iter().any(|id| !asked.contains(id)) {
@@ -278,7 +258,7 @@ mod tests {
     #[test]
     fn instance_test_needs_context() {
         let (api, mut ctx, cloud) = setup();
-        let t = DiagnosticTest::InstanceAssertionFails(InstanceCheck::UsesExpectedAmi);
+        let t = DiagnosticTest::InstanceAssertionFails(InstanceAssertionKind::UsesExpectedAmi);
         assert!(matches!(t.run(&api, &ctx), TestResult::Inconclusive { .. }));
         let id = cloud.admin_describe_asg(&ctx.env.asg).unwrap().instances[0].clone();
         ctx.instance = Some(id);

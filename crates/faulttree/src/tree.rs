@@ -215,7 +215,7 @@ impl FaultTreeRepository {
         self.trees.iter().find(|t| t.assertion_key == assertion_key)
     }
 
-    /// All trees.
+    /// All trees, read-only: what the library-wide invariant tests walk.
     pub fn trees(&self) -> &[FaultTree] {
         &self.trees
     }

@@ -101,13 +101,6 @@ impl Default for GatewayConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct OpId(pub(crate) usize);
 
-impl OpId {
-    /// The registration index (0-based, in registration order).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Errors surfaced by the gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GatewayError {
@@ -650,7 +643,7 @@ impl Gateway {
                     hook(OpId(op), self.clock.now(), detections - seen);
                 }
                 self.flight
-                    .mark_incident(&format!("{} detection", self.ops[op].instance_id));
+                    .mark_incident(format!("{} detection", self.ops[op].instance_id));
             }
         }
         self.flight.tick();

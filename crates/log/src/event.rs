@@ -120,7 +120,7 @@ impl fmt::Display for Severity {
 /// let e = LogEvent::new(SimTime::from_millis(500), "asgard.log", "Instance i-1 is ready")
 ///     .with_tag("step4")
 ///     .with_field("instanceid", "i-1");
-/// assert!(e.has_tag("step4"));
+/// assert_eq!(e.tags, ["step4"]);
 /// assert_eq!(e.field("instanceid"), Some("i-1"));
 /// assert_eq!(e.severity, Severity::Info);
 /// ```
@@ -218,11 +218,6 @@ impl LogEvent {
         self
     }
 
-    /// Whether the event carries `tag`.
-    pub fn has_tag(&self, tag: &str) -> bool {
-        self.tags.iter().any(|t| t == tag)
-    }
-
     /// The first value of field `key`, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
         self.fields
@@ -280,8 +275,7 @@ mod tests {
             .with_step("step4")
             .with_cloud_instance("i-abc");
         let e = event("instance ready").with_context(ctx);
-        assert!(e.has_tag("rolling-upgrade"));
-        assert!(e.has_tag("step4"));
+        assert_eq!(e.tags, ["rolling-upgrade", "step4"]);
         assert_eq!(e.field("processinsid"), Some("run-1"));
         assert_eq!(e.field("instanceid"), Some("i-abc"));
     }

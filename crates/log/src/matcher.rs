@@ -126,19 +126,10 @@ impl RuleBook {
         })
     }
 
-    /// The rules in priority order.
+    /// The rules in priority order: what the unindexed reference in
+    /// `tests/annotator_golden.rs` walks to check `match_line` against.
     pub fn rules(&self) -> &[LineRule] {
         &self.rules
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the book has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// Classifies `line`, returning the first matching rule's activity and
@@ -163,27 +154,13 @@ impl RuleBook {
     fn rule_match(rule: &LineRule, re: &Regex, caps: &Captures<'_>) -> RuleMatch {
         let fields = re
             .capture_names()
-            .filter_map(|name| {
-                caps.name(name)
-                    .map(|m| (name.to_string(), m.as_str().to_string()))
-            })
+            .filter_map(|name| Some((name.to_string(), caps.name(name)?.to_string())))
             .collect();
         RuleMatch {
             activity: rule.activity.clone(),
             boundary: rule.boundary,
             fields,
         }
-    }
-
-    /// All activities known to the book, deduplicated, in rule order.
-    pub fn activities(&self) -> Vec<&str> {
-        let mut seen = Vec::new();
-        for rule in &self.rules {
-            if !seen.contains(&rule.activity.as_str()) {
-                seen.push(rule.activity.as_str());
-            }
-        }
-        seen
     }
 }
 
@@ -243,15 +220,6 @@ mod tests {
     #[test]
     fn no_match_returns_none() {
         assert!(book().match_line("something else entirely").is_none());
-    }
-
-    #[test]
-    fn activities_deduplicated() {
-        let b = book();
-        assert_eq!(
-            b.activities(),
-            vec!["update-launch-config", "terminate-old-instance"]
-        );
     }
 
     #[test]

@@ -29,17 +29,6 @@ pub enum LineFormat {
     Unclassified,
 }
 
-impl LineFormat {
-    /// Stable lowercase label, used as a metric suffix by the gateway.
-    pub fn label(self) -> &'static str {
-        match self {
-            LineFormat::Json => "json",
-            LineFormat::Plain => "plain",
-            LineFormat::Unclassified => "unclassified",
-        }
-    }
-}
-
 /// A parsed raw line: the reconstructed event plus how it was recognized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedLine {
@@ -72,7 +61,7 @@ pub fn parse_line(raw: &str, received_at: SimTime) -> ParsedLine {
     }
     if trimmed.starts_with('{') {
         return match Json::parse(trimmed) {
-            Ok(json) => from_logstash(&json, received_at)
+            Ok(json) => from_logstash(json, received_at)
                 .map(|event| ParsedLine {
                     event,
                     format: LineFormat::Json,
@@ -99,41 +88,46 @@ fn unclassified(raw: &str, received_at: SimTime) -> ParsedLine {
 /// Rebuilds a [`LogEvent`] from the Logstash shape emitted by
 /// [`LogEvent::to_json`]. Returns `None` when the object is not
 /// event-shaped (no `@message`).
-fn from_logstash(json: &Json, received_at: SimTime) -> Option<LogEvent> {
-    let message = json.get("@message")?.as_str()?;
-    let timestamp = json
-        .get("@timestamp")
-        .and_then(|t| t.as_str())
+fn from_logstash(mut json: Json, received_at: SimTime) -> Option<LogEvent> {
+    // The tree is dropped on return: move strings out of it, do not copy.
+    let mut take = |key: &str| match &mut json {
+        Json::Object(entries) => {
+            let entry = entries.iter_mut().find(|(k, _)| k == key)?;
+            Some(std::mem::replace(&mut entry.1, Json::Null))
+        }
+        _ => None,
+    };
+    let string = |value: Json| match value {
+        Json::String(s) => Some(s),
+        _ => None,
+    };
+    let message = take("@message").and_then(string)?;
+    let timestamp = take("@timestamp")
+        .and_then(string)
         .and_then(|t| t.parse::<SimTime>().ok())
         .unwrap_or(received_at);
-    let source = json
-        .get("@source")
-        .and_then(|s| s.as_str())
-        .unwrap_or("gateway.raw");
+    let source = take("@source").and_then(string);
+    let source = source.unwrap_or_else(|| "gateway.raw".to_string());
     let mut event = LogEvent::new(timestamp, source, message);
-    if let Some(host) = json.get("@source_host").and_then(|h| h.as_str()) {
-        event.source_host = host.to_string();
+    if let Some(host) = take("@source_host").and_then(string) {
+        event.source_host = host;
     }
-    if let Some(t) = json.get("@type").and_then(|t| t.as_str()) {
-        event.event_type = t.to_string();
+    if let Some(t) = take("@type").and_then(string) {
+        event.event_type = t;
     }
-    if let Some(tags) = json.get("@tags").and_then(|t| t.as_array()) {
-        for tag in tags {
-            if let Some(tag) = tag.as_str() {
-                event.tags.push(tag.to_string());
-            }
-        }
+    if let Some(Json::Array(tags)) = take("@tags") {
+        event.tags.extend(tags.into_iter().filter_map(string));
     }
-    if let Some(Json::Object(entries)) = json.get("@fields") {
+    if let Some(Json::Object(entries)) = take("@fields") {
         for (key, value) in entries {
             // `to_json` writes each field as a one-element array; accept
             // bare strings too for hand-written input.
             let value = match value {
-                Json::Array(items) => items.first().and_then(|v| v.as_str()),
-                other => other.as_str(),
+                Json::Array(items) => items.into_iter().next(),
+                other => Some(other),
             };
-            if let Some(value) = value {
-                event.fields.push((key.clone(), value.to_string()));
+            if let Some(value) = value.and_then(string) {
+                event.fields.push((key, value));
             }
         }
     }
@@ -222,12 +216,5 @@ mod tests {
         let parsed = parse_line(raw, now());
         assert_eq!(parsed.format, LineFormat::Json);
         assert_eq!(parsed.event.timestamp, now());
-    }
-
-    #[test]
-    fn format_labels_are_stable() {
-        assert_eq!(LineFormat::Json.label(), "json");
-        assert_eq!(LineFormat::Plain.label(), "plain");
-        assert_eq!(LineFormat::Unclassified.label(), "unclassified");
     }
 }

@@ -187,16 +187,6 @@ impl Pipeline {
         self.stages.push(stage);
     }
 
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether the pipeline has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
     /// Pushes one event through every stage in order.
     pub fn push(&mut self, event: LogEvent) -> PipelineOutput {
         self.pushed.incr();
@@ -561,13 +551,16 @@ mod tests {
         // Noise: no causal root, nothing captured.
         let out = p.push(event("jvm gc pause 12ms"));
         assert!(out.cause.is_none());
-        assert!(obs.events().is_empty());
+        assert!(obs.events().records().is_empty());
 
         // Known activity: a lazy root with message and step attrs — and
         // crucially *nothing* recorded in the ring yet.
         let out = p.push(event("Instance i-aa is ready for use"));
         let cause = out.cause.expect("forwarded line has a cause");
-        assert!(obs.events().is_empty(), "lazy root must not record eagerly");
+        assert!(
+            obs.events().records().is_empty(),
+            "lazy root must not record eagerly"
+        );
         assert_eq!(cause.source, "asgard.log");
         assert!(cause
             .attrs

@@ -10,20 +10,20 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::event::{LogEvent, Severity};
+use crate::event::LogEvent;
 
 /// A shared, append-only store of log events.
 ///
 /// # Examples
 ///
 /// ```
-/// use pod_log::{LogEvent, LogStorage};
+/// use pod_log::{LogEvent, LogQuery, LogStorage};
 /// use pod_sim::SimTime;
 ///
 /// let storage = LogStorage::new();
 /// let tail = storage.clone();
 /// storage.append(LogEvent::new(SimTime::ZERO, "asgard.log", "started"));
-/// assert_eq!(tail.len(), 1);
+/// assert_eq!(tail.query(&LogQuery::new()).len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStorage {
@@ -46,21 +46,6 @@ impl LogStorage {
         self.events.lock().extend(events);
     }
 
-    /// Number of stored events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of all events.
-    pub fn snapshot(&self) -> Vec<LogEvent> {
-        self.events.lock().clone()
-    }
-
     /// Runs a query against the current contents.
     pub fn query(&self, q: &LogQuery) -> Vec<LogEvent> {
         self.events
@@ -69,11 +54,6 @@ impl LogStorage {
             .filter(|e| q.matches(e))
             .cloned()
             .collect()
-    }
-
-    /// Removes all events (used between experiment runs).
-    pub fn clear(&self) {
-        self.events.lock().clear();
     }
 }
 
@@ -86,20 +66,18 @@ impl LogStorage {
 /// use pod_sim::SimTime;
 ///
 /// let s = LogStorage::new();
-/// s.append(LogEvent::new(SimTime::from_millis(1), "a.log", "ok").with_tag("step1"));
-/// s.append(LogEvent::new(SimTime::from_millis(2), "b.log", "ERROR boom"));
+/// s.append(LogEvent::new(SimTime::from_millis(1), "a.log", "ok"));
+/// s.append(LogEvent::new(SimTime::from_millis(2), "b.log", "ERROR boom").with_type("assertion"));
 ///
-/// let errors = s.query(&LogQuery::new().with_min_severity(Severity::Error));
-/// assert_eq!(errors.len(), 1);
-/// let tagged = s.query(&LogQuery::new().with_tag("step1"));
-/// assert_eq!(tagged.len(), 1);
+/// let from_b = s.query(&LogQuery::new().with_source("b.log"));
+/// assert_eq!(from_b[0].severity, Severity::Error);
+/// let assertions = s.query(&LogQuery::new().with_type("assertion"));
+/// assert_eq!(assertions.len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogQuery {
     source: Option<String>,
-    tag: Option<String>,
     event_type: Option<String>,
-    min_severity: Option<Severity>,
 }
 
 impl LogQuery {
@@ -114,21 +92,9 @@ impl LogQuery {
         self
     }
 
-    /// Requires a tag.
-    pub fn with_tag(mut self, tag: impl Into<String>) -> Self {
-        self.tag = Some(tag.into());
-        self
-    }
-
     /// Restricts to one event type (`@type`).
     pub fn with_type(mut self, t: impl Into<String>) -> Self {
         self.event_type = Some(t.into());
-        self
-    }
-
-    /// Requires at least this severity.
-    pub fn with_min_severity(mut self, s: Severity) -> Self {
-        self.min_severity = Some(s);
         self
     }
 
@@ -139,18 +105,8 @@ impl LogQuery {
                 return false;
             }
         }
-        if let Some(t) = &self.tag {
-            if !event.has_tag(t) {
-                return false;
-            }
-        }
         if let Some(t) = &self.event_type {
             if event.event_type != *t {
-                return false;
-            }
-        }
-        if let Some(min) = self.min_severity {
-            if event.severity < min {
                 return false;
             }
         }
@@ -183,12 +139,14 @@ mod tests {
     }
 
     #[test]
-    fn query_by_source_and_severity() {
+    fn query_by_source_and_type() {
         let s = store();
         assert_eq!(s.query(&LogQuery::new().with_source("asgard.log")).len(), 2);
-        let errs = s.query(&LogQuery::new().with_min_severity(Severity::Error));
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].message.contains("launch failed"));
+        let both = LogQuery::new().with_source("assertion.log");
+        let hits = s.query(&both.with_type("operation"));
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("4 instances"));
+        assert!(s.query(&LogQuery::new().with_type("assertion")).is_empty());
     }
 
     #[test]
@@ -196,8 +154,6 @@ mod tests {
         let s = store();
         let t = s.clone();
         t.append(LogEvent::new(SimTime::from_millis(99), "y", "shared"));
-        assert_eq!(s.len(), 4);
-        s.clear();
-        assert!(t.is_empty());
+        assert_eq!(s.query(&LogQuery::new()).len(), 4);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for JSON round-tripping and log storage.
 
-use pod_log::{Json, LogEvent, LogQuery, LogStorage, Severity};
+use pod_log::{Json, LogEvent, LogQuery, LogStorage};
 use pod_sim::SimTime;
 use proptest::prelude::*;
 
@@ -58,41 +58,18 @@ proptest! {
     }
 
     /// Every stored event is found by an unconstrained query, and
-    /// tag-filtered queries return exactly the tagged subset.
+    /// source-filtered queries return exactly that source's subset.
     #[test]
-    fn storage_queries_partition(tags in prop::collection::vec(prop::bool::ANY, 1..30)) {
+    fn storage_queries_partition(wanted in prop::collection::vec(prop::bool::ANY, 1..30)) {
         let storage = LogStorage::new();
-        for (i, tagged) in tags.iter().enumerate() {
-            let mut e = LogEvent::new(SimTime::from_millis(i as u64), "s.log", format!("m{i}"));
-            if *tagged {
-                e = e.with_tag("wanted");
-            }
-            storage.append(e);
+        for (i, wanted) in wanted.iter().enumerate() {
+            let source = if *wanted { "wanted.log" } else { "s.log" };
+            storage.append(LogEvent::new(SimTime::from_millis(i as u64), source, format!("m{i}")));
         }
-        prop_assert_eq!(storage.query(&LogQuery::new()).len(), tags.len());
-        let tagged_count = tags.iter().filter(|t| **t).count();
-        prop_assert_eq!(storage.query(&LogQuery::new().with_tag("wanted")).len(), tagged_count);
-    }
-
-    /// Severity filtering is monotone: Error ⊆ Warn ⊆ Info.
-    #[test]
-    fn severity_filter_is_monotone(levels in prop::collection::vec(0u8..3, 0..30)) {
-        let storage = LogStorage::new();
-        for (i, level) in levels.iter().enumerate() {
-            let severity = match level {
-                0 => Severity::Info,
-                1 => Severity::Warn,
-                _ => Severity::Error,
-            };
-            storage.append(
-                LogEvent::new(SimTime::from_millis(i as u64), "s", "x").with_severity(severity),
-            );
-        }
-        let info = storage.query(&LogQuery::new().with_min_severity(Severity::Info)).len();
-        let warn = storage.query(&LogQuery::new().with_min_severity(Severity::Warn)).len();
-        let error = storage.query(&LogQuery::new().with_min_severity(Severity::Error)).len();
-        prop_assert!(error <= warn && warn <= info);
-        prop_assert_eq!(info, levels.len());
+        prop_assert_eq!(storage.query(&LogQuery::new()).len(), wanted.len());
+        let wanted_count = wanted.iter().filter(|w| **w).count();
+        let found = storage.query(&LogQuery::new().with_source("wanted.log"));
+        prop_assert_eq!(found.len(), wanted_count);
     }
 
     /// The Logstash JSON shape of any event parses back.

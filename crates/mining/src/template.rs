@@ -277,7 +277,7 @@ mod tests {
         assert_eq!(t.activity_name(), "terminated-instance");
         let re = Regex::new(&t.to_pattern()).unwrap();
         let caps = re.captures("Terminated instance i-0f0f0f0f").unwrap();
-        assert_eq!(caps.name("instanceid").unwrap().as_str(), "i-0f0f0f0f");
+        assert_eq!(caps.name("instanceid"), Some("i-0f0f0f0f"));
         assert!(!re.is_match("Launched instance i-0f0f0f0f"));
     }
 

@@ -54,11 +54,6 @@ impl ActivityTimings {
         timings
     }
 
-    /// Activities with at least one sample, sorted.
-    pub fn activities(&self) -> Vec<&str> {
-        self.samples.keys().map(String::as_str).collect()
-    }
-
     /// Number of samples for an activity.
     pub fn sample_count(&self, activity: &str) -> usize {
         self.samples.get(activity).map(Vec::len).unwrap_or(0)
@@ -118,7 +113,6 @@ mod tests {
             event("x", 150, "did A"), // next loop of trace x
         ];
         let t = ActivityTimings::measure(&events, &rules(), |e| e.field("t").map(str::to_string));
-        assert_eq!(t.activities(), vec!["a", "b"]);
         // b: 100ms (trace x) and 300ms (trace y).
         assert_eq!(t.sample_count("b"), 2);
         assert_eq!(t.mean("b"), Some(SimDuration::from_millis(200)));

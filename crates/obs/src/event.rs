@@ -24,7 +24,7 @@
 //! use pod_sim::Clock;
 //!
 //! let log = EventLog::new(Clock::new());
-//! log.begin_trace("run-1");
+//! log.begin_trace();
 //! let line = log.emit("log.line", "asgard.log", Parent::Ambient, None);
 //! let _scope = log.scope(Some(line.id()));
 //! let verdict = log.emit("conformance.verdict", "conformance:unfit", Parent::Ambient, None);
@@ -113,7 +113,6 @@ enum CauseFrame {
 
 #[derive(Debug, Default)]
 struct EventLogInner {
-    trace_id: String,
     next_id: u64,
     ring: VecDeque<EventRecord>,
     dropped: u64,
@@ -182,17 +181,8 @@ impl EventLog {
 
     /// Starts a fresh trace, discarding all events (and scopes) of the
     /// previous one.
-    pub fn begin_trace(&self, trace_id: &str) {
-        let mut inner = self.inner.lock();
-        *inner = EventLogInner {
-            trace_id: trace_id.to_string(),
-            ..EventLogInner::default()
-        };
-    }
-
-    /// The current trace id (empty before the first `begin_trace`).
-    pub fn trace_id(&self) -> String {
-        self.inner.lock().trace_id.clone()
+    pub fn begin_trace(&self) {
+        *self.inner.lock() = EventLogInner::default();
     }
 
     /// Emits one event and returns a handle for attaching attributes.
@@ -322,16 +312,6 @@ impl EventLog {
         f(inner.ring.make_contiguous())
     }
 
-    /// The number of retained events.
-    pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().ring.is_empty()
-    }
-
     /// Events evicted from the ring after the retention cap was reached.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
@@ -402,7 +382,7 @@ mod tests {
 
     fn log() -> EventLog {
         let l = EventLog::new(Clock::new());
-        l.begin_trace("t");
+        l.begin_trace();
         l
     }
 
@@ -448,7 +428,7 @@ mod tests {
             let _scope = log.scope_pending("log.line", "asgard.log", Vec::new(), None);
             // Nothing emitted under the scope: the frame is discarded.
         }
-        assert!(log.is_empty());
+        assert!(log.records().is_empty());
         // Ids were never consumed either.
         let ev = log.emit("e", "e", Parent::Ambient, None);
         assert_eq!(ev.id().get(), 0);
@@ -458,7 +438,7 @@ mod tests {
     fn pending_scope_materialises_on_first_ambient_emit() {
         let clock = Clock::new();
         let log = EventLog::new(clock.clone());
-        log.begin_trace("t");
+        log.begin_trace();
         clock.advance(pod_sim::SimDuration::from_millis(5));
         let _scope = log.scope_pending(
             "log.line",
@@ -488,7 +468,7 @@ mod tests {
         // A second emission reuses the already-materialised id.
         log.emit("detection", "conformance-unfit", Parent::Ambient, None);
         assert_eq!(log.records()[2].parent, Some(records[0].id));
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.records().len(), 3);
     }
 
     #[test]
@@ -512,7 +492,7 @@ mod tests {
         let _scope = log.scope_pending("log.line", "asgard.log", Vec::new(), None);
         let cause = log.current_cause().expect("scope is active");
         // Resolving materialised the root; later ambient emits chain to it.
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.records().len(), 1);
         log.emit("assertion.result", "late", Parent::Ambient, None);
         assert_eq!(log.records()[1].parent, Some(cause.get()));
     }
@@ -525,7 +505,7 @@ mod tests {
         log.emit("b", "b", Parent::Of(a.id()), None);
         log.emit("c", "c", Parent::None, None);
         // Neither explicit-parent nor root emissions consult the stack.
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.records().len(), 3);
         assert!(log.records().iter().all(|r| r.kind != "log.line"));
     }
 
@@ -561,7 +541,7 @@ mod tests {
         for i in 0..(EVENT_CAP + 5) {
             log.emit("e", &i.to_string(), Parent::Ambient, None);
         }
-        assert_eq!(log.len(), EVENT_CAP);
+        assert_eq!(log.records().len(), EVENT_CAP);
         assert_eq!(log.dropped(), 5);
         // The oldest ids are gone; the newest survive.
         let records = log.records();
@@ -574,17 +554,16 @@ mod tests {
         let log = log();
         let a = log.emit("a", "a", Parent::Ambient, None);
         let _leaked = log.scope(Some(a.id()));
-        log.begin_trace("t2");
-        assert!(log.is_empty());
+        log.begin_trace();
+        assert!(log.records().is_empty());
         assert_eq!(log.current_cause(), None);
-        assert_eq!(log.trace_id(), "t2");
     }
 
     #[test]
     fn timestamps_come_from_the_clock() {
         let clock = Clock::new();
         let log = EventLog::new(clock.clone());
-        log.begin_trace("t");
+        log.begin_trace();
         clock.advance(pod_sim::SimDuration::from_millis(42));
         log.emit("e", "e", Parent::Ambient, None);
         assert_eq!(log.records()[0].at, SimTime::from_millis(42));

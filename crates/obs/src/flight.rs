@@ -169,7 +169,7 @@ impl FlightRecorder {
     /// Stamps an incident: O(1), no snapshot. The next due
     /// [`FlightRecorder::tick`] (or the dump) frames the state at or just
     /// after it, one frame for every mark of the window.
-    pub fn mark_incident(&self, label: &str) {
+    pub fn mark_incident(&self, label: impl Into<String>) {
         let mut inner = self.inner.lock();
         if inner.incidents.len() >= INCIDENT_CAP {
             inner.incidents.pop_front();
@@ -177,7 +177,7 @@ impl FlightRecorder {
         }
         inner.incidents.push_back(IncidentMark {
             at: self.clock.now(),
-            label: label.to_string(),
+            label: label.into(),
         });
         inner.incident_pending = true;
     }
@@ -217,6 +217,36 @@ fn sparkline(series: &[u64]) -> String {
         .collect()
 }
 
+/// The per-frame series of one metric and the text after its sparkline:
+/// a histogram plots its cumulative p99, a gauge its level, and anything
+/// else is a counter, plotted as the per-frame delta so the sparkline
+/// shows the rate shape, not a monotone ramp.
+fn series(frames: &[FlightFrame], name: &str) -> (Vec<u64>, String) {
+    let snapshots = || frames.iter().map(|f| &f.snapshot);
+    if snapshots().any(|s| s.histograms.contains_key(name)) {
+        let p99 = |s: &Snapshot| s.histogram(name).and_then(|h| h.quantile(0.99));
+        let series: Vec<u64> = snapshots().map(|s| p99(s).unwrap_or(0)).collect();
+        let last = *series.last().unwrap();
+        let text = if name.ends_with("_us") {
+            format!("p99 {}", SimDuration::from_micros(last))
+        } else {
+            format!("p99 {last}")
+        };
+        (series, text)
+    } else if snapshots().any(|s| s.gauges.contains_key(name)) {
+        let level = |s: &Snapshot| s.gauges.get(name).copied().unwrap_or(0).max(0) as u64;
+        let series: Vec<u64> = snapshots().map(level).collect();
+        let text = series.last().unwrap().to_string();
+        (series, text)
+    } else {
+        let totals: Vec<u64> = snapshots().map(|s| s.counter(name)).collect();
+        let deltas = totals.iter().enumerate();
+        let series = deltas.map(|(i, &v)| if i == 0 { v } else { v - totals[i - 1].min(v) });
+        let text = format!("total {}", totals.last().unwrap());
+        (series.collect(), text)
+    }
+}
+
 /// Renders a dump as an ASCII dashboard: one sparkline per requested
 /// metric across the frame window, scaled to its own peak.
 ///
@@ -245,47 +275,11 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
             String::new()
         },
     );
-    for &name in metrics {
-        let (series, last_text): (Vec<u64>, String) = if frames
-            .iter()
-            .any(|f| f.snapshot.histograms.contains_key(name))
-        {
-            let series: Vec<u64> = frames
-                .iter()
-                .map(|f| {
-                    f.snapshot
-                        .histogram(name)
-                        .and_then(|h| h.quantile(0.99))
-                        .unwrap_or(0)
-                })
-                .collect();
-            let last = *series.last().unwrap();
-            let text = if name.ends_with("_us") {
-                format!("p99 {}", SimDuration::from_micros(last))
-            } else {
-                format!("p99 {last}")
-            };
-            (series, text)
-        } else if frames.iter().any(|f| f.snapshot.gauges.contains_key(name)) {
-            let series: Vec<u64> = frames
-                .iter()
-                .map(|f| f.snapshot.gauges.get(name).copied().unwrap_or(0).max(0) as u64)
-                .collect();
-            let text = series.last().unwrap().to_string();
-            (series, text)
-        } else {
-            // Counter: plot the per-frame delta so the sparkline shows
-            // the rate shape, not a monotone ramp.
-            let totals: Vec<u64> = frames.iter().map(|f| f.snapshot.counter(name)).collect();
-            let series: Vec<u64> = totals
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| if i == 0 { v } else { v - totals[i - 1].min(v) })
-                .collect();
-            (series, format!("total {}", totals.last().unwrap()))
-        };
-        let _ = writeln!(out, "{:<38} |{}| {}", name, sparkline(&series), last_text);
-    }
+    let mut row = |name: &str| {
+        let (series, text) = series(frames, name);
+        let _ = writeln!(out, "{:<38} |{}| {}", name, sparkline(&series), text);
+    };
+    metrics.iter().for_each(|name| row(name));
     // Overload during bursts (recovery storms, replay floods) must be
     // visible alongside the incident marks even when the caller did not ask
     // for it: append every gateway shed/admission counter the frames saw,
@@ -293,63 +287,25 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
     // misprediction cost belongs next to the shedding rows — and the
     // storm's admission ledger (requests/admitted/throttled/deferred/
     // swept), so shed-to-sweep pressure shows up without opt-in.
-    let last_frame = frames.last().unwrap();
-    let overload: Vec<&str> = last_frame
-        .snapshot
-        .counters
-        .keys()
-        .filter(|name| {
-            (name.starts_with("gateway.shed.")
-                || name.starts_with("gateway.admission.")
-                || name.starts_with("gateway.backpressure.")
-                || name.starts_with("recovery.prestage.")
-                || name.starts_with("recovery.dispatch.")
-                || name.starts_with("recovery.storm."))
-                && !metrics.contains(&name.as_str())
-        })
-        .map(|name| name.as_str())
-        .collect();
-    for name in overload {
-        let totals: Vec<u64> = frames.iter().map(|f| f.snapshot.counter(name)).collect();
-        let series: Vec<u64> = totals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if i == 0 { v } else { v - totals[i - 1].min(v) })
-            .collect();
-        let _ = writeln!(
-            out,
-            "{:<38} |{}| total {}",
-            name,
-            sparkline(&series),
-            totals.last().unwrap()
-        );
-    }
+    const OVERLOAD: [&str; 6] = [
+        "gateway.shed.",
+        "gateway.admission.",
+        "gateway.backpressure.",
+        "recovery.prestage.",
+        "recovery.dispatch.",
+        "recovery.storm.",
+    ];
     // The recovery dispatcher's queue depth (staged speculations plus
     // deferred reviews) and the storm's in-flight/backlog pressure are
-    // gauges, not counters: plot levels, not deltas.
-    let queues: Vec<&str> = last_frame
-        .snapshot
-        .gauges
-        .keys()
-        .filter(|name| {
-            (name.starts_with("recovery.queue.") || name.starts_with("recovery.storm."))
-                && !metrics.contains(&name.as_str())
-        })
-        .map(|name| name.as_str())
-        .collect();
-    for name in queues {
-        let series: Vec<u64> = frames
-            .iter()
-            .map(|f| f.snapshot.gauges.get(name).copied().unwrap_or(0).max(0) as u64)
-            .collect();
-        let _ = writeln!(
-            out,
-            "{:<38} |{}| {}",
-            name,
-            sparkline(&series),
-            series.last().unwrap()
-        );
-    }
+    // gauges, not counters: levels, not deltas.
+    const QUEUES: [&str; 2] = ["recovery.queue.", "recovery.storm."];
+    let last = &frames.last().unwrap().snapshot;
+    let unasked = |name: &&String, prefixes: &[&str]| {
+        prefixes.iter().any(|p| name.starts_with(p)) && !metrics.contains(&name.as_str())
+    };
+    let counters = last.counters.keys().filter(|name| unasked(name, &OVERLOAD));
+    let gauges = last.gauges.keys().filter(|name| unasked(name, &QUEUES));
+    counters.chain(gauges).for_each(|name| row(name));
     if !dump.incidents.is_empty() {
         // Marks older than the first retained frame belong to evicted
         // frames, not to column 0: they are counted, not plotted. (Marks
@@ -433,7 +389,7 @@ mod tests {
     fn burst(clock: &Clock, rec: &FlightRecorder, n: usize) {
         for i in 0..n {
             clock.advance(SimDuration::from_millis(1));
-            rec.mark_incident(&format!("i-{i:04} detection"));
+            rec.mark_incident(format!("i-{i:04} detection"));
         }
     }
 

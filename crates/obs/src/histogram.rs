@@ -155,11 +155,6 @@ impl Histogram {
         }
     }
 
-    /// The number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
     /// The retained tail exemplars, largest value first.
     pub fn exemplars(&self) -> Vec<Exemplar> {
         let mut out = self.0.exemplars.lock().clone();

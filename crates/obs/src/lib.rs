@@ -41,7 +41,7 @@
 //!
 //! let clock = Clock::new();
 //! let obs = Obs::new(clock.clone());
-//! obs.tracer().begin_trace("run-7");
+//! obs.begin_run("run-7");
 //!
 //! let calls = obs.counter("cloud.api.calls");
 //! {

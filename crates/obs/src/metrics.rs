@@ -41,11 +41,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -76,38 +71,9 @@ impl Snapshot {
         self.histograms.get(name)
     }
 
-    /// Counters whose names start with `prefix`, in name order.
-    ///
-    /// The gateway uses this to roll per-shard counters
-    /// (`gateway.shard.3.shed` …) into reports without enumerating shard
-    /// ids by hand.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
-    }
-
-    /// Sum of all counters whose names start with `prefix`.
-    pub fn sum_counters(&self, prefix: &str) -> u64 {
-        self.counters_with_prefix(prefix)
-            .iter()
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// The named histogram's tail exemplars (empty when absent).
     pub fn exemplars(&self, name: &str) -> &[Exemplar] {
         self.exemplars.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self.gauges.is_empty()
-            && self.histograms.values().all(|h| h.count == 0)
-            && self.exemplars.is_empty()
     }
 
     /// The change from `earlier` to `self`: counters and histogram
@@ -249,26 +215,7 @@ mod tests {
         assert_eq!(reg.counter("x").get(), 5, "handles share the cell");
         let g = reg.gauge("depth");
         g.set(3);
-        g.add(-1);
-        assert_eq!(g.get(), 2);
-    }
-
-    #[test]
-    fn prefix_queries_select_and_sum() {
-        let reg = Registry::new();
-        reg.counter("gateway.shard.0.shed").add(2);
-        reg.counter("gateway.shard.1.shed").add(3);
-        reg.counter("gateway.shed.oldest").add(7);
-        reg.counter("other").incr();
-        let snap = reg.snapshot();
-        let shards = snap.counters_with_prefix("gateway.shard.");
-        assert_eq!(
-            shards,
-            vec![("gateway.shard.0.shed", 2), ("gateway.shard.1.shed", 3)]
-        );
-        assert_eq!(snap.sum_counters("gateway.shard."), 5);
-        assert_eq!(snap.sum_counters("gateway."), 12);
-        assert_eq!(snap.sum_counters("missing."), 0);
+        assert_eq!(reg.gauge("depth").get(), 3);
     }
 
     #[test]

@@ -78,7 +78,6 @@ impl std::fmt::Display for TelemetryMode {
 /// layer of the pipeline.
 #[derive(Debug, Clone)]
 pub struct Obs {
-    clock: Clock,
     registry: Registry,
     tracer: Tracer,
     events: EventLog,
@@ -91,9 +90,8 @@ impl Obs {
     pub fn new(clock: Clock) -> Obs {
         Obs {
             tracer: Tracer::new(clock.clone()),
-            events: EventLog::new(clock.clone()),
+            events: EventLog::new(clock),
             registry: Registry::new(),
-            clock,
             mode: Arc::new(AtomicU8::new(TelemetryMode::Full.as_u8())),
         }
     }
@@ -103,11 +101,6 @@ impl Obs {
     /// pipeline) until the engine hands them the shared context.
     pub fn detached() -> Obs {
         Obs::new(Clock::new())
-    }
-
-    /// The clock all timestamps come from.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
     }
 
     /// The metrics registry.
@@ -203,10 +196,11 @@ impl Obs {
     }
 
     /// Starts a fresh run: resets both the tracer and the event log to a
-    /// new trace identified by `trace_id`.
-    pub fn begin_run(&self, trace_id: &str) {
-        self.tracer.begin_trace(trace_id);
-        self.events.begin_trace(trace_id);
+    /// new trace. Spans and events do not carry the run's id — the caller's
+    /// own record does — so `_trace_id` only names the run at the call site.
+    pub fn begin_run(&self, _trace_id: &str) {
+        self.tracer.begin_trace();
+        self.events.begin_trace();
     }
 
     /// Counter accessor (see [`Registry::counter`]).
@@ -272,7 +266,7 @@ mod tests {
         let obs = Obs::detached();
         let copy = obs.clone();
         copy.counter("x").incr();
-        obs.tracer().begin_trace("t");
+        obs.tracer().begin_trace();
         drop(copy.span("s"));
         assert_eq!(obs.snapshot().counter("x"), 1);
         assert_eq!(obs.tracer().finished().len(), 1);
@@ -285,7 +279,8 @@ mod tests {
         let guard = obs.span("conformance.replay");
         let ev = obs.event("conformance.verdict", "conformance:fit");
         let records = obs.events().records();
-        assert_eq!(records[0].span, Some(guard.id()));
+        assert_eq!(records[0].span, obs.tracer().current_span_id());
+        drop(guard);
         assert_eq!(records[0].parent, None);
         let child = obs.event_under(ev.id(), "detection", "conformance-unfit");
         assert_eq!(child.id().get(), 1);
@@ -300,8 +295,7 @@ mod tests {
         obs.event("e", "e");
         obs.begin_run("b");
         assert_eq!(obs.tracer().finished().len(), 0);
-        assert!(obs.events().is_empty());
-        assert_eq!(obs.events().trace_id(), "b");
+        assert!(obs.events().records().is_empty());
     }
 
     #[test]
@@ -313,13 +307,13 @@ mod tests {
         {
             let span = obs.span("s");
             span.attr("k", "v");
-            assert_eq!(span.id(), u64::MAX);
+            assert_eq!(obs.tracer().current_span_id(), None);
             let ev = obs.event("detection", "x");
             ev.attr("k", "v");
             obs.event_under(ev.id(), "diagnosis.cause", "y");
         }
         assert_eq!(obs.tracer().finished().len(), 0);
-        assert!(obs.events().is_empty());
+        assert!(obs.events().records().is_empty());
         obs.counter("c").incr();
         assert_eq!(obs.snapshot().counter("c"), 1, "metrics stay on");
         obs.set_mode(TelemetryMode::Full);
@@ -331,7 +325,7 @@ mod tests {
     fn spans_use_the_shared_clock() {
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
-        obs.tracer().begin_trace("t");
+        obs.tracer().begin_trace();
         {
             let _s = obs.span("s");
             clock.advance(SimDuration::from_millis(7));

@@ -76,18 +76,6 @@ impl SampleVerdict {
     pub fn keep(self) -> bool {
         self != SampleVerdict::Discarded
     }
-
-    /// Short label for reports and journals.
-    pub fn label(self) -> &'static str {
-        match self {
-            SampleVerdict::KeptDetection => "detection",
-            SampleVerdict::KeptError => "error",
-            SampleVerdict::KeptWarning => "warning",
-            SampleVerdict::KeptTailExemplar => "tail-exemplar",
-            SampleVerdict::KeptHealthy => "healthy-1-in-n",
-            SampleVerdict::Discarded => "discarded",
-        }
-    }
 }
 
 /// Decides, per completed run, whether its trace is retained, and accounts
@@ -222,7 +210,9 @@ mod tests {
             sampler.decide(&signals(i % 5, i % 3, i % 2, i % 7 == 0));
         }
         let snap = reg.snapshot();
-        let breakdown = snap.sum_counters("obs.sampler.kept.");
+        let reasons = snap.counters.iter();
+        let reasons = reasons.filter(|(name, _)| name.starts_with("obs.sampler.kept."));
+        let breakdown: u64 = reasons.map(|(_, kept)| kept).sum();
         assert_eq!(breakdown, snap.counter("obs.sampler.kept"));
         assert_eq!(
             snap.counter("obs.sampler.kept") + snap.counter("obs.sampler.discarded"),

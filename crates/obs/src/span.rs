@@ -49,7 +49,6 @@ struct OpenSpan {
 
 #[derive(Debug, Default)]
 struct TracerInner {
-    trace_id: String,
     next_id: u64,
     stack: Vec<u64>,
     open: Vec<OpenSpan>,
@@ -73,21 +72,9 @@ impl Tracer {
         }
     }
 
-    /// Starts a fresh trace identified by `trace_id` (normally the run
-    /// id), discarding all spans of the previous trace.
-    pub fn begin_trace(&self, trace_id: &str) {
-        let mut inner = self.inner.lock();
-        *inner = TracerInner {
-            trace_id: trace_id.to_string(),
-            ..TracerInner::default()
-        };
-    }
-
-    /// The current trace id (empty before the first [`begin_trace`]).
-    ///
-    /// [`begin_trace`]: Tracer::begin_trace
-    pub fn trace_id(&self) -> String {
-        self.inner.lock().trace_id.clone()
+    /// Starts a fresh trace, discarding all spans of the previous one.
+    pub fn begin_trace(&self) {
+        *self.inner.lock() = TracerInner::default();
     }
 
     /// Opens a span nested under the innermost open span. The span closes
@@ -230,11 +217,6 @@ impl SpanGuard {
             tracer.set_attr(self.id, key, value.to_string());
         }
     }
-
-    /// The span's id within the trace (`u64::MAX` for an inert guard).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 impl Drop for SpanGuard {
@@ -257,7 +239,7 @@ mod tests {
     fn spans_nest_under_the_innermost_open_span() {
         let clock = Clock::new();
         let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-1");
+        tracer.begin_trace();
         {
             let outer = tracer.span("outer");
             advance(&clock, 10);
@@ -284,7 +266,7 @@ mod tests {
     fn sibling_spans_share_a_parent() {
         let clock = Clock::new();
         let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-2");
+        tracer.begin_trace();
         let root = tracer.span("walk");
         for _ in 0..3 {
             let t = tracer.span("test");
@@ -304,19 +286,18 @@ mod tests {
     fn begin_trace_resets_state() {
         let clock = Clock::new();
         let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-a");
+        tracer.begin_trace();
         drop(tracer.span("x"));
         assert_eq!(tracer.finished().len(), 1);
-        tracer.begin_trace("run-b");
+        tracer.begin_trace();
         assert_eq!(tracer.finished().len(), 0);
-        assert_eq!(tracer.trace_id(), "run-b");
     }
 
     #[test]
     fn span_cap_counts_dropped_spans() {
         let clock = Clock::new();
         let tracer = Tracer::new(clock.clone());
-        tracer.begin_trace("run-5");
+        tracer.begin_trace();
         for _ in 0..(SPAN_CAP + 10) {
             drop(tracer.span("s"));
         }

@@ -213,29 +213,31 @@ mod tests {
     /// Emits the canonical chain: log.line -> conformance.verdict ->
     /// detection -> diagnosis.dispatch -> faulttree.test* ->
     /// diagnosis.cause + diagnosis.verdict.
-    fn canonical_chain(obs: &Obs) {
-        let step = SimDuration::from_millis(10);
+    fn canonical_chain() -> Obs {
+        let clock = pod_sim::Clock::new();
+        let obs = Obs::new(clock.clone());
+        let tick = || clock.advance(SimDuration::from_millis(10));
+        obs.begin_run("t");
         let line = obs.event("log.line", "asgard.log");
         line.attr("message", "launch configuration updated");
-        obs.clock().advance(step);
+        tick();
         let verdict = obs.event_under(line.id(), "conformance.verdict", "conformance:unfit");
-        obs.clock().advance(step);
+        tick();
         let det = obs.event_under(verdict.id(), "detection", "conformance-unfit");
-        obs.clock().advance(step);
+        tick();
         let dispatch = obs.event_under(det.id(), "diagnosis.dispatch", "asg-tree");
-        obs.clock().advance(step);
+        tick();
         let test = obs.event_under(dispatch.id(), "faulttree.test", "wrong-ami");
-        obs.clock().advance(step);
+        tick();
         obs.event_under(test.id(), "diagnosis.cause", "wrong-ami")
             .attr("description", "the launch configuration uses a wrong AMI");
         obs.event_under(dispatch.id(), "diagnosis.verdict", "1 root cause(s)");
+        obs
     }
 
     #[test]
     fn reconstructs_an_unbroken_chain() {
-        let obs = Obs::detached();
-        obs.begin_run("t");
-        canonical_chain(&obs);
+        let obs = canonical_chain();
         let chains = incidents(&obs.events().records());
         assert_eq!(chains.len(), 1);
         let chain = &chains[0];
@@ -262,9 +264,7 @@ mod tests {
 
     #[test]
     fn timeline_renders_hops_with_latency() {
-        let obs = Obs::detached();
-        obs.begin_run("t");
-        canonical_chain(&obs);
+        let obs = canonical_chain();
         let out = render_timelines(&obs.events().records());
         assert!(
             out.contains("incident #2: conformance-unfit"),
@@ -284,9 +284,7 @@ mod tests {
 
     #[test]
     fn unrelated_events_stay_out_of_the_chain() {
-        let obs = Obs::detached();
-        obs.begin_run("t");
-        canonical_chain(&obs);
+        let obs = canonical_chain();
         obs.event("log.line", "unrelated.log");
         let chains = incidents(&obs.events().records());
         assert_eq!(chains[0].hops.len(), 7);

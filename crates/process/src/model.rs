@@ -141,15 +141,6 @@ impl ProcessModel {
         &self.flows
     }
 
-    /// The start node.
-    pub fn start(&self) -> NodeId {
-        self.nodes
-            .iter()
-            .find(|n| n.kind == NodeKind::Start)
-            .expect("validated model has a start")
-            .id
-    }
-
     /// Task names in node order.
     pub fn task_names(&self) -> Vec<&str> {
         self.nodes
@@ -159,14 +150,6 @@ impl ProcessModel {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Finds a task node by name.
-    pub fn task(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().find_map(|n| match &n.kind {
-            NodeKind::Task(t) if t == name => Some(n.id),
-            _ => None,
-        })
     }
 
     /// Incoming flows of a node.
@@ -359,10 +342,10 @@ mod tests {
     fn builds_and_queries_linear_model() {
         let m = linear();
         assert_eq!(m.task_names(), vec!["a", "b"]);
-        let a = m.task("a").unwrap();
+        let is_a = |n: &&Node| n.kind == NodeKind::Task("a".into());
+        let a = m.nodes().iter().find(is_a).unwrap().id;
         assert_eq!(m.incoming(a).len(), 1);
         assert_eq!(m.outgoing(a).len(), 1);
-        assert!(m.task("zzz").is_none());
     }
 
     #[test]

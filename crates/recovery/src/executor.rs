@@ -852,23 +852,13 @@ impl RecoveryExecutor {
     }
 }
 
-/// Whether an instance matches the expected configuration (version and
-/// every launch parameter).
-fn matches_env(instance: &Instance, env: &ExpectedEnv) -> bool {
-    instance.version == env.expected_version
-        && instance.ami == env.expected_ami
-        && instance.key_pair == env.expected_key_pair
-        && instance.security_group == env.expected_security_group
-        && instance.instance_type == env.expected_instance_type
-}
-
 /// Whether an instance was corrupted by the fault under repair: active,
 /// launched from the expected launch configuration, yet deviating from the
 /// expected configuration.
 fn is_corrupted(instance: &Instance, env: &ExpectedEnv) -> bool {
     instance.state.is_active()
         && instance.launch_config.as_ref() == Some(&env.launch_config)
-        && !matches_env(instance, env)
+        && !env.matches(instance)
 }
 
 /// The cloud resources a step reads or mutates — its dependency footprint

@@ -73,13 +73,6 @@ impl Default for StormConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantId(usize);
 
-impl TenantId {
-    /// The registration index (0-based, in registration order).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// How a recovery run reached the executor during a storm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPath {
@@ -346,11 +339,6 @@ impl RecoveryStorm {
     /// The contention knobs the storm runs under.
     pub fn config(&self) -> &StormConfig {
         &self.config
-    }
-
-    /// Registered tenants.
-    pub fn tenants(&self) -> usize {
-        self.tenants.len()
     }
 
     fn update_queue_depth(&self) {

@@ -37,8 +37,8 @@
 //!
 //! let re = Regex::new(r"Instance (?P<app>\w+) on (?P<id>i-[0-9a-f]+) is ready").unwrap();
 //! let caps = re.captures("... Instance pm on i-7df34041 is ready for use.").unwrap();
-//! assert_eq!(caps.name("id").unwrap().as_str(), "i-7df34041");
-//! assert_eq!(caps.name("app").unwrap().as_str(), "pm");
+//! assert_eq!(caps.name("id"), Some("i-7df34041"));
+//! assert_eq!(caps.name("app"), Some("pm"));
 //! ```
 
 #![warn(missing_docs)]
@@ -84,12 +84,10 @@ enum Prefilter {
 
 /// A compiled regular expression.
 ///
-/// Matching is *unanchored* by default: [`Regex::find`] and
-/// [`Regex::captures`] scan for the leftmost match. Use `^` / `$` in the
-/// pattern to anchor.
+/// Matching is *unanchored* by default: [`Regex::captures`] scans for the
+/// leftmost match. Use `^` / `$` in the pattern to anchor.
 #[derive(Debug, Clone)]
 pub struct Regex {
-    pattern: String,
     prog: Program,
     /// Shared with every [`Captures`] this pattern produces: a match costs
     /// a reference-count bump, not a copy of the table.
@@ -123,7 +121,6 @@ impl Regex {
             LiteralInfo::None => Prefilter::None,
         };
         Ok(Regex {
-            pattern: pattern.to_string(),
             prog,
             names: parsed.capture_names.into(),
             anchored,
@@ -132,20 +129,9 @@ impl Regex {
         })
     }
 
-    /// The source pattern.
-    pub fn as_str(&self) -> &str {
-        &self.pattern
-    }
-
     /// Whether the pattern matches anywhere in `text`.
     pub fn is_match(&self, text: &str) -> bool {
-        self.find(text).is_some()
-    }
-
-    /// Finds the leftmost match in `text`.
-    pub fn find<'t>(&self, text: &'t str) -> Option<Match<'t>> {
-        self.captures(text)
-            .map(|c| c.get(0).expect("group 0 always set"))
+        self.exec(text).is_some()
     }
 
     /// Finds the leftmost match and returns all capture groups.
@@ -186,90 +172,9 @@ impl Regex {
         }
     }
 
-    /// Iterates over all non-overlapping matches in `text`.
-    pub fn find_iter<'r, 't>(&'r self, text: &'t str) -> FindIter<'r, 't> {
-        FindIter {
-            re: self,
-            text,
-            next_start: 0,
-            done: false,
-        }
-    }
-
     /// The names of the named capture groups, in index order.
     pub fn capture_names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(|(_, n)| n.as_str())
-    }
-
-    /// Replaces the leftmost match with `replacement` (no `$` expansion).
-    pub fn replace(&self, text: &str, replacement: &str) -> String {
-        match self.find(text) {
-            Some(m) => {
-                let mut out = String::with_capacity(text.len());
-                out.push_str(&text[..m.start()]);
-                out.push_str(replacement);
-                out.push_str(&text[m.end()..]);
-                out
-            }
-            None => text.to_string(),
-        }
-    }
-
-    /// Splits `text` around every non-overlapping match. Empty matches
-    /// split between characters, like the standard library's pattern split.
-    pub fn split<'r, 't>(&'r self, text: &'t str) -> impl Iterator<Item = &'t str> + 'r
-    where
-        't: 'r,
-    {
-        let mut last = 0;
-        let mut matches = self.find_iter(text).collect::<Vec<_>>().into_iter();
-        let mut done = false;
-        std::iter::from_fn(move || {
-            if done {
-                return None;
-            }
-            match matches.next() {
-                Some(m) => {
-                    let piece = &text[last..m.start()];
-                    last = m.end();
-                    Some(piece)
-                }
-                None => {
-                    done = true;
-                    Some(&text[last..])
-                }
-            }
-        })
-    }
-}
-
-/// A single match: a located substring of the searched text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match<'t> {
-    text: &'t str,
-    start: usize,
-    end: usize,
-}
-
-impl<'t> Match<'t> {
-    /// Byte offset of the start of the match.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Byte offset of the end of the match (exclusive).
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// The matched text.
-    pub fn as_str(&self) -> &'t str {
-        &self.text[self.start..self.end]
-    }
-
-    /// Whether the match is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 }
 
@@ -283,71 +188,21 @@ pub struct Captures<'t> {
 }
 
 impl<'t> Captures<'t> {
-    /// Returns the match for capture group `i`, if it participated.
-    pub fn get(&self, i: usize) -> Option<Match<'t>> {
+    /// The text of capture group `i`, if it participated.
+    fn get(&self, i: usize) -> Option<&'t str> {
         let s = (*self.slots.get(2 * i)?)?;
         let e = (*self.slots.get(2 * i + 1)?)?;
-        Some(Match {
-            text: self.text,
-            start: s,
-            end: e,
-        })
+        Some(&self.text[s..e])
     }
 
-    /// Returns the match for the named group `name`.
-    pub fn name(&self, name: &str) -> Option<Match<'t>> {
+    /// The text the named group `name` matched, if it participated.
+    pub fn name(&self, name: &str) -> Option<&'t str> {
         let idx = self
             .names
             .iter()
             .find(|(_, n)| n == name)
             .map(|(i, _)| *i as usize)?;
         self.get(idx)
-    }
-
-    /// Number of groups, including group 0.
-    pub fn len(&self) -> usize {
-        self.slots.len() / 2
-    }
-
-    /// Always `false`: group 0 exists on every successful match.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-/// Iterator over non-overlapping matches; see [`Regex::find_iter`].
-#[derive(Debug)]
-pub struct FindIter<'r, 't> {
-    re: &'r Regex,
-    text: &'t str,
-    next_start: usize,
-    done: bool,
-}
-
-impl<'t> Iterator for FindIter<'_, 't> {
-    type Item = Match<'t>;
-
-    fn next(&mut self) -> Option<Match<'t>> {
-        if self.done || self.next_start > self.text.len() {
-            return None;
-        }
-        let tail = &self.text[self.next_start..];
-        let m = self.re.find(tail)?;
-        let abs = Match {
-            text: self.text,
-            start: self.next_start + m.start(),
-            end: self.next_start + m.end(),
-        };
-        if abs.is_empty() {
-            // Step one char past an empty match to guarantee progress.
-            match self.text[abs.end()..].chars().next() {
-                Some(c) => self.next_start = abs.end() + c.len_utf8(),
-                None => self.done = true,
-            }
-        } else {
-            self.next_start = abs.end();
-        }
-        Some(abs)
     }
 }
 
@@ -474,11 +329,6 @@ impl RegexSet {
         self.index.with_candidates(text, confirm_first)
     }
 
-    /// Number of patterns in the set.
-    pub fn len(&self) -> usize {
-        self.regexes.len()
-    }
-
     /// Whether the set contains no patterns.
     pub fn is_empty(&self) -> bool {
         self.regexes.is_empty()
@@ -500,34 +350,17 @@ mod tests {
     #[test]
     fn unanchored_find_locates_leftmost() {
         let re = Regex::new(r"\d+").unwrap();
-        let m = re.find("abc 123 def 456").unwrap();
-        assert_eq!(m.as_str(), "123");
-        assert_eq!((m.start(), m.end()), (4, 7));
-    }
-
-    #[test]
-    fn find_iter_collects_all() {
-        let re = Regex::new(r"i-[0-9a-f]+").unwrap();
-        let ids: Vec<&str> = re
-            .find_iter("i-7df34041, i-aa12, then i-beef")
-            .map(|m| m.as_str())
-            .collect();
-        assert_eq!(ids, vec!["i-7df34041", "i-aa12", "i-beef"]);
-    }
-
-    #[test]
-    fn find_iter_handles_empty_matches() {
-        let re = Regex::new(r"x*").unwrap();
-        let count = re.find_iter("abc").count();
-        assert_eq!(count, 4); // empty match at each position incl. end
+        let caps = re.captures("abc 123 def 456").unwrap();
+        assert_eq!(caps.get(0), Some("123"));
+        assert_eq!(caps.slots[..2], [Some(4), Some(7)]);
     }
 
     #[test]
     fn named_captures() {
         let re = Regex::new(r"\[(?P<level>INFO|ERROR)\] (?P<msg>.*)$").unwrap();
         let caps = re.captures("[ERROR] instance launch failed").unwrap();
-        assert_eq!(caps.name("level").unwrap().as_str(), "ERROR");
-        assert_eq!(caps.name("msg").unwrap().as_str(), "instance launch failed");
+        assert_eq!(caps.name("level"), Some("ERROR"));
+        assert_eq!(caps.name("msg"), Some("instance launch failed"));
         assert!(caps.name("missing").is_none());
     }
 
@@ -536,32 +369,14 @@ mod tests {
         let re = Regex::new(r"a(b)?c").unwrap();
         let caps = re.captures("ac").unwrap();
         assert!(caps.get(1).is_none());
-        assert_eq!(caps.len(), 2);
     }
 
     #[test]
     fn unicode_text_offsets_are_bytes() {
         let re = Regex::new("b").unwrap();
-        let m = re.find("äb").unwrap();
-        assert_eq!(m.start(), 2);
-        assert_eq!(m.as_str(), "b");
-    }
-
-    #[test]
-    fn replace_first() {
-        let re = Regex::new(r"\d+").unwrap();
-        assert_eq!(re.replace("run 42 done", "N"), "run N done");
-        assert_eq!(re.replace("no digits", "N"), "no digits");
-    }
-
-    #[test]
-    fn split_around_matches() {
-        let re = Regex::new(r",\s*").unwrap();
-        let parts: Vec<&str> = re.split("a, b,c,  d").collect();
-        assert_eq!(parts, vec!["a", "b", "c", "d"]);
-        let re = Regex::new("x").unwrap();
-        let parts: Vec<&str> = re.split("no matches").collect();
-        assert_eq!(parts, vec!["no matches"]);
+        let caps = re.captures("äb").unwrap();
+        assert_eq!(caps.slots[0], Some(2));
+        assert_eq!(caps.get(0), Some("b"));
     }
 
     #[test]
@@ -573,8 +388,8 @@ mod tests {
         let line =
             "[2013-10-24 11:41:48,312] [Task:Pushing ami-750c9e4f into group pm--asg for app pm]";
         let caps = re.captures(line).unwrap();
-        assert_eq!(caps.name("ami").unwrap().as_str(), "ami-750c9e4f");
-        assert_eq!(caps.name("asg").unwrap().as_str(), "pm--asg");
+        assert_eq!(caps.name("ami"), Some("ami-750c9e4f"));
+        assert_eq!(caps.name("asg"), Some("pm--asg"));
     }
 
     #[test]
@@ -583,13 +398,13 @@ mod tests {
         let caps = re
             .captures("[2013-11-19 11:48:01,100] [diagnosis] ...")
             .unwrap();
-        assert_eq!(caps.name("ts").unwrap().as_str(), "2013-11-19 11:48:01,100");
+        assert_eq!(caps.name("ts"), Some("2013-11-19 11:48:01,100"));
     }
 
     #[test]
     fn alternation_prefers_left_branch() {
         let re = Regex::new("ab|a").unwrap();
-        assert_eq!(re.find("ab").unwrap().as_str(), "ab");
+        assert_eq!(re.captures("ab").unwrap().get(0), Some("ab"));
     }
 
     #[test]
@@ -597,7 +412,6 @@ mod tests {
         let set = RegexSet::new(&["a", "b", "c"]).unwrap();
         assert_eq!(set.matches("cab"), vec![0, 1, 2]);
         assert_eq!(set.matches("b"), vec![1]);
-        assert_eq!(set.len(), 3);
     }
 
     #[test]

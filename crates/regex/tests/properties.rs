@@ -34,33 +34,6 @@ proptest! {
         prop_assert!(!re.is_match(&prefixed));
     }
 
-    /// `find` returns a range whose slice equals `as_str`, inside bounds.
-    #[test]
-    fn find_range_is_consistent(hay in "[ -~]{0,60}") {
-        let re = Regex::new(r"[0-9]+").unwrap();
-        if let Some(m) = re.find(&hay) {
-            prop_assert!(m.end() <= hay.len());
-            prop_assert_eq!(m.as_str(), &hay[m.start()..m.end()]);
-            prop_assert!(m.as_str().chars().all(|c| c.is_ascii_digit()));
-            // Leftmost: nothing before the match may contain a digit.
-            prop_assert!(!hay[..m.start()].chars().any(|c| c.is_ascii_digit()));
-        } else {
-            prop_assert!(!hay.chars().any(|c| c.is_ascii_digit()));
-        }
-    }
-
-    /// `find_iter` yields non-overlapping, strictly advancing matches.
-    #[test]
-    fn find_iter_advances(hay in "[a-c0-9]{0,50}") {
-        let re = Regex::new(r"[0-9]+").unwrap();
-        let mut last_end = 0usize;
-        for m in re.find_iter(&hay) {
-            prop_assert!(m.start() >= last_end);
-            prop_assert!(m.end() > m.start());
-            last_end = m.end();
-        }
-    }
-
     /// Star never fails: `x*` matches every string.
     #[test]
     fn star_matches_everything(hay in "[ -~]{0,50}") {
@@ -84,21 +57,6 @@ proptest! {
         let hay: String = "a".repeat(n);
         let re = Regex::new("^a{2,5}$").unwrap();
         prop_assert_eq!(re.is_match(&hay), (2..=5).contains(&n));
-    }
-
-    /// Captures lie within the overall match.
-    #[test]
-    fn captures_nested_in_match(hay in "[a-z0-9 ]{0,40}") {
-        let re = Regex::new(r"(\w+) (\w+)").unwrap();
-        if let Some(caps) = re.captures(&hay) {
-            let whole = caps.get(0).unwrap();
-            for i in 1..caps.len() {
-                if let Some(g) = caps.get(i) {
-                    prop_assert!(g.start() >= whole.start());
-                    prop_assert!(g.end() <= whole.end());
-                }
-            }
-        }
     }
 
     /// RegexSet::matches agrees with matching each pattern individually.

@@ -44,21 +44,9 @@ pub enum LatencyModel {
         /// Mean duration.
         mean: SimDuration,
     },
-    /// A base model plus a fixed offset, e.g. "at least 50 ms, then a tail".
-    Shifted {
-        /// The fixed floor added to every sample.
-        offset: SimDuration,
-        /// The variable part.
-        base: Box<LatencyModel>,
-    },
 }
 
 impl LatencyModel {
-    /// Fixed latency in milliseconds.
-    pub fn fixed_millis(ms: u64) -> Self {
-        LatencyModel::Fixed(SimDuration::from_millis(ms))
-    }
-
     /// Uniform latency between `low` and `high` milliseconds.
     pub fn uniform_millis(low: u64, high: u64) -> Self {
         LatencyModel::Uniform {
@@ -94,21 +82,7 @@ impl LatencyModel {
             LatencyModel::Exponential { mean } => {
                 SimDuration::from_secs_f64(rng.exponential(mean.as_secs_f64()))
             }
-            LatencyModel::Shifted { offset, base } => *offset + base.sample(rng),
         }
-    }
-
-    /// Approximates the `q`-quantile (0 < q < 1) empirically with `n` samples
-    /// from a throwaway generator — used to derive timeout settings "at the
-    /// 95% percentile" the way the paper's implementation does.
-    pub fn quantile(&self, q: f64, n: usize, seed: u64) -> SimDuration {
-        assert!(q > 0.0 && q < 1.0, "quantile requires 0 < q < 1");
-        assert!(n > 0, "quantile requires at least one sample");
-        let mut rng = SimRng::seed_from(seed);
-        let mut samples: Vec<u64> = (0..n).map(|_| self.sample(&mut rng).as_micros()).collect();
-        samples.sort_unstable();
-        let idx = ((n as f64) * q).ceil() as usize - 1;
-        SimDuration::from_micros(samples[idx.min(n - 1)])
     }
 }
 
@@ -119,7 +93,7 @@ mod tests {
     #[test]
     fn fixed_is_fixed() {
         let mut rng = SimRng::seed_from(0);
-        let m = LatencyModel::fixed_millis(80);
+        let m = LatencyModel::Fixed(SimDuration::from_millis(80));
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), SimDuration::from_millis(80));
         }
@@ -148,31 +122,12 @@ mod tests {
     #[test]
     fn lognormal_median_is_calibrated() {
         let m = LatencyModel::lognormal_median_millis(80.0, 0.3);
-        let median = m.quantile(0.5, 20_000, 42);
-        let ms = median.as_millis() as f64;
+        let mut rng = SimRng::seed_from(42);
+        let mut samples: Vec<u64> = (0..20_000)
+            .map(|_| m.sample(&mut rng).as_millis())
+            .collect();
+        samples.sort_unstable();
+        let ms = crate::nearest_rank(&samples, 0.5).unwrap() as f64;
         assert!((ms - 80.0).abs() < 5.0, "median {ms}ms");
-    }
-
-    #[test]
-    fn shifted_adds_floor() {
-        let mut rng = SimRng::seed_from(2);
-        let m = LatencyModel::Shifted {
-            offset: SimDuration::from_millis(50),
-            base: Box::new(LatencyModel::Exponential {
-                mean: SimDuration::from_millis(10),
-            }),
-        };
-        for _ in 0..100 {
-            assert!(m.sample(&mut rng) >= SimDuration::from_millis(50));
-        }
-    }
-
-    #[test]
-    fn quantile_is_monotone() {
-        let m = LatencyModel::lognormal_median_millis(80.0, 0.5);
-        let p50 = m.quantile(0.5, 5000, 7);
-        let p95 = m.quantile(0.95, 5000, 7);
-        let p99 = m.quantile(0.99, 5000, 7);
-        assert!(p50 < p95 && p95 < p99);
     }
 }

@@ -53,24 +53,10 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Seconds since simulation start as a floating point value.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// The duration elapsed since `earlier`, saturating at zero if `earlier`
     /// is in the future.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_micros(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Returns the later of two time stamps.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -205,16 +191,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
-
-    /// Checked subtraction; `None` on underflow.
-    pub fn checked_sub(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(rhs.0).map(SimDuration)
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl fmt::Display for SimDuration {
@@ -338,11 +314,6 @@ mod tests {
         let d = SimDuration::from_millis(100);
         assert_eq!(d * 3, SimDuration::from_millis(300));
         assert_eq!(d / 4, SimDuration::from_millis(25));
-        assert_eq!(d.checked_sub(SimDuration::from_millis(200)), None);
-        assert_eq!(
-            d.saturating_sub(SimDuration::from_millis(200)),
-            SimDuration::ZERO
-        );
         let total: SimDuration = vec![d, d, d].into_iter().sum();
         assert_eq!(total, SimDuration::from_millis(300));
     }

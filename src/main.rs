@@ -1,14 +1,14 @@
 //! The `pod-diagnosis` command-line tool — the one front door to the
 //! paper's evaluation. `help` prints [`COMMANDS`], which also says what each
 //! `--json` run writes. The campaign runs in virtual time, so the same runs
-//! and seed reproduce a committed record exactly and the `--baseline` gate
-//! fails only on a real regression.
+//! and seed reproduce a committed record exactly and `diff --gate` against
+//! it fails only on a real regression.
 
 use pod_diagnosis::eval::{
     campaign_lines, collect_streams, diff_report, flight_json, gateway_line, healthy_log,
     incident_lines, monitor_upgrade, recovery_lines, recovery_soak_lines, render_gateway_report,
-    render_journal, render_report, render_soak_report, replay, replay_with_recovery, soak_lines,
-    sweep_batches, wall_line, write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
+    render_report, render_soak_report, replay, replay_with_recovery, soak_lines, sweep_batches,
+    wall_line, write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::Json;
@@ -24,22 +24,20 @@ use pod_diagnosis::sim::SimDuration;
 const COMMANDS: [(&str, &str, &str); 6] = [
     (
         "campaign",
-        "[runs-per-fault=20] [seed=2014] [--recovery] [--json] [--baseline PATH]",
+        "[runs-per-fault=20] [seed=2014] [--recovery] [--json]",
         "run the fault-injection evaluation and print Table I, Figure 6, Figure 7;\n\
          \x20   --recovery hands every diagnosis to pod-recovery and prints MTTR;\n\
          \x20   --json writes RUN_campaign.jsonl + TRACE_campaign.json, or with\n\
-         \x20   --recovery RUN_recovery-loop.jsonl; --baseline (with --recovery) exits 1\n\
-         \x20   when MTTR p50 exceeds 1.1x the committed record's",
+         \x20   --recovery RUN_recovery-loop.jsonl",
     ),
     (
         "soak",
-        "[ops=64] [--policy block|shed-oldest|shed-newest] [--recovery] [--json] [--baseline PATH]",
+        "[ops=64] [--policy block|shed-oldest|shed-newest] [--recovery] [--json]",
         "replay that many interleaved faulty upgrades through one sharded gateway, then\n\
          \x20   sweep the batch size and overload a 4-line queue; --recovery has every\n\
          \x20   tenant's repairs contend for the admission gate and proves the transcript\n\
          \x20   deterministic; --json writes RUN_gateway-soak.jsonl, or with --recovery\n\
-         \x20   RUN_recovery-soak.jsonl; --baseline (with --recovery) exits 1 when the\n\
-         \x20   storm's MTTR p50 exceeds 1.1x the committed record's",
+         \x20   RUN_recovery-soak.jsonl",
     ),
     (
         "timeline",
@@ -129,19 +127,9 @@ impl Args {
         }
     }
 
-    /// `[--recovery] [--json] [--baseline PATH]`. The gated field is the
-    /// recovery stage's MTTR, so `--baseline` without `--recovery` is a
-    /// usage error.
-    fn run_flags(&mut self) -> (bool, bool, Option<String>) {
-        let flags = (
-            self.flag("--recovery"),
-            self.flag("--json"),
-            self.value("--baseline"),
-        );
-        if flags.2.is_some() && !flags.0 {
-            self.usage();
-        }
-        flags
+    /// `[--recovery] [--json]`.
+    fn run_flags(&mut self) -> (bool, bool) {
+        (self.flag("--recovery"), self.flag("--json"))
     }
 
     fn positional<T: std::str::FromStr>(&mut self) -> Option<T> {
@@ -163,22 +151,17 @@ impl Args {
 }
 
 /// The tail of every subcommand that leaves a run record: with `--json`
-/// write `RUN_<name>.jsonl`; with `--baseline` print the diff against that
-/// committed record and exit 1 when its `gate` field regressed.
-fn conclude(name: &str, lines: &[Json], json: bool, baseline: Option<(String, &str)>) {
+/// write `RUN_<name>.jsonl`, which `diff --gate` checks against a committed
+/// record.
+fn conclude(name: &str, lines: &[Json], json: bool) {
     if json {
         let path = write_journal(name, lines).expect("write run record");
         eprintln!("wrote {} journal records to {path}", lines.len());
     }
-    if let Some((path, gate)) = baseline {
-        let (report, code) = diff_report(&path, &render_journal(lines), Some(gate));
-        print!("regression gate vs {path}:\n{report}");
-        std::process::exit(code);
-    }
 }
 
 fn campaign(mut args: Args) {
-    let (recovery, json, baseline) = args.run_flags();
+    let (recovery, json) = args.run_flags();
     let config = CampaignConfig {
         runs_per_fault: args.positional().unwrap_or(20),
         seed: args.positional().unwrap_or(2014), // the year of the paper
@@ -231,16 +214,11 @@ fn campaign(mut args: Args) {
             dump.events.len()
         );
     }
-    conclude(
-        name,
-        &lines,
-        json,
-        baseline.map(|path| (path, "recovery.mttr_p50_us")),
-    );
+    conclude(name, &lines, json);
 }
 
 fn soak(mut args: Args) {
-    let (recovery, json, baseline) = args.run_flags();
+    let (recovery, json) = args.run_flags();
     let base = GatewayConfig {
         overload: args.value("--policy").unwrap_or(OverloadPolicy::Block),
         ..GatewayConfig::default()
@@ -255,12 +233,7 @@ fn soak(mut args: Args) {
     } else {
         ("gateway-soak", gateway_soak(&config, &base))
     };
-    conclude(
-        name,
-        &lines,
-        json,
-        baseline.map(|path| (path, "recovery-storm.mttr_p50_us")),
-    );
+    conclude(name, &lines, json);
 }
 
 /// Prints one replay's report; a line that crossed operations is fatal.
@@ -483,7 +456,7 @@ fn timeline(mut args: Args) {
          carried through to a diagnosis verdict (the rest had their diagnosis suppressed by \
          the per-key cooldown) =="
     );
-    conclude("incidents", &journal, json, None);
+    conclude("incidents", &journal, json);
 }
 
 fn diff(mut args: Args) {

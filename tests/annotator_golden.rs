@@ -31,7 +31,7 @@ fn match_each_pattern(rules: &RuleBook, line: &str) -> Option<RuleMatch> {
                 boundary: rule.boundary,
                 fields: re
                     .capture_names()
-                    .filter_map(|n| Some((n.to_string(), caps.name(n)?.as_str().to_string())))
+                    .filter_map(|n| Some((n.to_string(), caps.name(n)?.to_string())))
                     .collect(),
             })
         })

@@ -98,7 +98,7 @@ fn campaign_is_deterministic() {
     let a = Campaign::new(mini_config()).run();
     let b = Campaign::new(mini_config()).run();
     assert_eq!(a.overall, b.overall);
-    assert_eq!(a.timing.samples(), b.timing.samples());
+    assert_eq!(a.timing, b.timing);
     assert_eq!(a.records.len(), b.records.len());
     for (ra, rb) in a.records.iter().zip(&b.records) {
         assert_eq!(ra.truth.injected_at, rb.truth.injected_at);
@@ -170,7 +170,7 @@ fn every_fault_type_is_diagnosed_correctly_in_clean_runs() {
 #[test]
 fn wrong_ami_diagnosis_has_the_papers_transcript_shape() {
     let run = monitor_upgrade(&Campaign::new(CampaignConfig::clean(1119)).plans()[0]);
-    let mut diagnoses = run.summary.diagnosed().filter_map(|d| d.diagnosis.as_ref());
+    let mut diagnoses = (run.summary.detections.iter()).filter_map(|d| d.diagnosis.as_ref());
     let shaped = diagnoses.any(|diag| {
         let causes: Vec<&str> = diag.root_causes.iter().map(|c| &*c.node_id).collect();
         diag.potential_faults == 4 && diag.excluded == 3 && causes == ["lc-wrong-ami"]

@@ -139,7 +139,8 @@ fn same_seed_gives_the_same_journal_once_wall_records_are_dropped() {
         let (first, second) = (deterministic(driver()), deterministic(driver()));
         assert!(first == second, "same seed, different journal bytes");
         let diff = diff_journals(&first, &second).expect("both parse");
-        assert!(diff.is_empty(), "{}", diff.render());
+        let same = diff.moved().is_empty() && diff.one_sided().iter().all(Vec::is_empty);
+        assert!(same, "{}", diff.render());
     }
 }
 
@@ -253,23 +254,36 @@ fn cli(case: &str, args: &[&str]) -> (i32, String, Vec<(String, String)>) {
     (out.status.code().expect("exit code"), stdout, files)
 }
 
+/// `pod-diagnosis diff BASELINE fresh --gate FIELD`, the one gate, on a
+/// record a run just left: its exit code and report.
+fn gate(baseline: &str, fresh: &str, field: &str) -> (i32, String) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("fresh_{}_{field}.jsonl", std::process::id()));
+    std::fs::write(&path, fresh).expect("scratch record");
+    let baseline = format!("{}/{baseline}", env!("CARGO_MANIFEST_DIR"));
+    let args = ["diff", &baseline, path.to_str().unwrap(), "--gate", field];
+    let (code, report, _) = cli("gate", &args);
+    let _ = std::fs::remove_file(&path);
+    (code, report)
+}
+
 #[test]
 fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_recovery.baseline.json");
-    let args = [
-        "campaign",
-        "3",
-        "--recovery",
-        "--json",
-        "--baseline",
-        baseline,
-    ];
-    let (code, _, files) = cli("recovery", &args);
-    assert_eq!(code, 0, "the gate passes against its own baseline");
+    let (code, _, files) = cli("recovery", &["campaign", "3", "--recovery", "--json"]);
+    assert_eq!(code, 0);
     let expected = ("RUN_recovery-loop.jsonl".to_string(), BASELINE.to_string());
     assert!(
         files == [expected],
         "one record, byte-equal to the baseline"
+    );
+    let (code, report) = gate(
+        "BENCH_recovery.baseline.json",
+        &files[0].1,
+        "recovery.mttr_p50_us",
+    );
+    assert_eq!(
+        code, 0,
+        "the gate passes against its own baseline: {report}"
     );
 }
 
@@ -288,25 +302,30 @@ fn the_campaign_cli_leaves_one_run_record_and_one_viewer_trace() {
 
 #[test]
 fn the_soak_and_timeline_subcommands_leave_exactly_their_run_record() {
-    let baseline = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/BENCH_recovery_soak.baseline.json"
-    );
-    let gated = ["soak", "64", "--recovery", "--json", "--baseline", baseline];
     let storm = "RUN_recovery-soak.jsonl";
-    for (args, record, report) in [
-        (&["soak", "8", "--json"][..], "RUN_gateway-soak.jsonl", ""),
-        (&["soak", "8", "--recovery", "--json"], storm, ""),
-        // The gate passes against its own committed record.
-        (&gated, storm, "\n0 fields moved, 0 records only in old"),
-        (&["timeline", "--json"], "RUN_incidents.jsonl", ""),
+    for (args, record, gated) in [
+        (
+            &["soak", "8", "--json"][..],
+            "RUN_gateway-soak.jsonl",
+            false,
+        ),
+        (&["soak", "8", "--recovery", "--json"], storm, false),
+        (&["soak", "64", "--recovery", "--json"], storm, true),
+        (&["timeline", "--json"], "RUN_incidents.jsonl", false),
     ] {
-        let (code, stdout, files) = cli("records", args);
+        let (code, _, files) = cli("records", args);
         assert_eq!(code, 0, "{args:?}");
-        assert!(stdout.contains(report), "{args:?}: {stdout}");
         let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, [record], "{args:?}");
         assert!(files[0].1.lines().map(check_schema).count() > 0, "{args:?}");
+        if gated {
+            // The gate passes against its own committed record.
+            let field = "recovery-storm.mttr_p50_us";
+            let (code, report) = gate("BENCH_recovery_soak.baseline.json", &files[0].1, field);
+            assert_eq!(code, 0, "{report}");
+            let same = "\n0 fields moved, 0 records only in old";
+            assert!(report.contains(same), "{report}");
+        }
     }
 }
 
@@ -315,11 +334,10 @@ fn the_cli_rejects_arguments_it_cannot_use() {
     for args in [
         &["campaign", "abc"][..],
         &["campaign", "--jsno"],
-        &["campaign", "1", "--json", "--baseline"],
         &["campaign", "1", "2", "3"],
         &["soak", "abc"],
         &["soak", "--policy", "bogus"],
-        &["soak", "8", "--baseline", "X"],
+        &["soak", "8", "--baseline", "X"], // gone: `diff --gate` is the gate
         &["soak", "8", "9"],
         &["timeline", "extra"],
         &["timeline", "--jsno"],
