@@ -14,7 +14,9 @@ use pod_orchestrator::{
     FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
     UpgradeReport,
 };
-use pod_recovery::{conformance_check, ConformanceReport, RecoveryDispatcher};
+use pod_recovery::{
+    conformance_check, ConformanceReport, DispatchRecord, RecoveryDispatcher, RecoveryRun,
+};
 use pod_sim::{SimDuration, SimRng, SimTime};
 
 use crate::metrics::{classify_run, GroundTruth, MetricSet, RunOutcome};
@@ -130,28 +132,9 @@ pub struct RunPlan {
 #[derive(Debug, Clone)]
 pub struct RecoveryRecord {
     /// The executed recovery run (outcome, transcript, MTTR).
-    pub run: pod_recovery::RecoveryRun,
+    pub run: RecoveryRun,
     /// The run replayed against its own process model.
     pub conformance: ConformanceReport,
-}
-
-/// A compact summary of one reconstructed incident chain (see
-/// [`pod_obs::incidents`]), kept per run so the campaign can score causal
-/// coverage without retaining every event.
-#[derive(Debug, Clone)]
-pub struct IncidentSummary {
-    /// The detection event's name (the [`pod_core::DetectionSource`] tag).
-    pub detection: String,
-    /// Hops in the chain, evidence and explanation included.
-    pub hops: usize,
-    /// Whether the chain starts at a `log.line` event.
-    pub anchored: bool,
-    /// Whether the chain reaches a `diagnosis.verdict` event.
-    pub diagnosed: bool,
-    /// `anchored && diagnosed` — an unbroken chain.
-    pub complete: bool,
-    /// Virtual time from first evidence to verdict (µs).
-    pub elapsed_us: u64,
 }
 
 /// The raw spans and causal events of one run, copied out of its tracer
@@ -185,8 +168,11 @@ pub struct RunRecord {
     pub obs: pod_obs::Snapshot,
     /// The run's latency budget: span name → self virtual time (µs).
     pub stage_self_us: BTreeMap<String, u64>,
-    /// One summary per reconstructed incident chain.
-    pub incidents: Vec<IncidentSummary>,
+    /// Incident chains reconstructed from the run's causal events (see
+    /// [`pod_obs::incidents`]).
+    pub incidents: usize,
+    /// …of which were unbroken (log-line anchor through to verdict).
+    pub incidents_complete: usize,
     /// Spans discarded at the retention cap during this run.
     pub spans_dropped: u64,
     /// Causal events evicted from the ring during this run.
@@ -297,7 +283,7 @@ pub struct FaultRecoveryStats {
     pub attempted: usize,
     /// …ending `Recovered` with a passing re-check.
     pub recovered: usize,
-    /// …ending `Escalated { to_operator }`.
+    /// …ending `Escalated`.
     pub escalated: usize,
     /// …whose self-conformance replay was fit.
     pub conformance_fit: usize,
@@ -434,8 +420,8 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
         latency.record(r.plan.fault, &r.stage_self_us);
         spans_dropped += r.spans_dropped;
         events_dropped += r.events_dropped;
-        incidents_total += r.incidents.len();
-        incidents_complete += r.incidents.iter().filter(|i| i.complete).count();
+        incidents_total += r.incidents;
+        incidents_complete += r.incidents_complete;
         if let Some((_, set)) = per_fault.iter_mut().find(|(f, _)| *f == r.plan.fault) {
             set.add(&r.outcome);
         }
@@ -480,74 +466,86 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
     }
 }
 
+/// Recovered and escalated runs and the MTTR samples of the repairs among
+/// them: what the campaign's and the soak's recovery wrap-ups both count.
+#[derive(Debug, Default)]
+pub(crate) struct RecoveryTally {
+    pub(crate) recovered: usize,
+    pub(crate) escalated: usize,
+    pub(crate) mttr: Vec<SimDuration>,
+}
+
+impl RecoveryTally {
+    pub(crate) fn add(&mut self, run: &RecoveryRun) {
+        if run.outcome.is_recovered() {
+            self.recovered += 1;
+        } else {
+            self.escalated += 1;
+        }
+        // Step-less reviews of self-resolved incidents have no repair
+        // time to sample.
+        self.mttr.extend(run.mttr());
+    }
+}
+
 fn aggregate_recovery(records: &[RunRecord]) -> RecoveryStats {
-    let mut stats = RecoveryStats::default();
-    let mut all_mttr = Vec::new();
+    let (mut all, mut fit) = (RecoveryTally::default(), 0);
     let mut phase_samples: [Vec<SimDuration>; 5] = Default::default();
-    let mut per_fault: Vec<(FaultType, usize, usize, usize, usize, Vec<SimDuration>)> =
-        FaultType::all()
-            .into_iter()
-            .map(|f| (f, 0, 0, 0, 0, Vec::new()))
-            .collect();
+    let mut per_fault: Vec<(FaultType, RecoveryTally, usize)> = FaultType::all()
+        .into_iter()
+        .map(|f| (f, RecoveryTally::default(), 0))
+        .collect();
     for r in records {
-        let slot = per_fault
+        let (_, fault, fault_fit) = per_fault
             .iter_mut()
             .find(|(f, ..)| *f == r.plan.fault)
             .expect("all fault types present");
         for rec in &r.recoveries {
-            stats.attempted += 1;
-            slot.1 += 1;
-            if rec.run.outcome.is_recovered() {
-                stats.recovered += 1;
-                slot.2 += 1;
-                // MTTR and its phase breakdown cover actual repairs;
-                // step-less reviews of self-resolved incidents have no
-                // repair time to sample.
-                if let Some(mttr) = rec.run.mttr() {
-                    all_mttr.push(mttr);
-                    slot.5.push(mttr);
-                    let p = &rec.run.phases;
-                    phase_samples[0].push(p.detection);
-                    phase_samples[1].push(p.diagnosis);
-                    phase_samples[2].push(p.staging);
-                    phase_samples[3].push(p.repair);
-                    phase_samples[4].push(p.verification);
-                }
-            } else {
-                stats.escalated += 1;
-                slot.3 += 1;
+            all.add(&rec.run);
+            fault.add(&rec.run);
+            // The phase breakdown covers actual repairs, like MTTR.
+            if rec.run.mttr().is_some() {
+                let p = &rec.run.phases;
+                phase_samples[0].push(p.detection);
+                phase_samples[1].push(p.diagnosis);
+                phase_samples[2].push(p.staging);
+                phase_samples[3].push(p.repair);
+                phase_samples[4].push(p.verification);
             }
             if rec.conformance.fit {
-                stats.conformance_fit += 1;
-                slot.4 += 1;
+                fit += 1;
+                *fault_fit += 1;
             }
         }
     }
-    stats.mttr = TimingStats::new(all_mttr);
-    let [detection, diagnosis, staging, repair, verification] = phase_samples;
-    stats.phases = PhaseStats {
-        detection: TimingStats::new(detection),
-        diagnosis: TimingStats::new(diagnosis),
-        staging: TimingStats::new(staging),
-        repair: TimingStats::new(repair),
-        verification: TimingStats::new(verification),
-    };
-    stats.per_fault = per_fault
-        .into_iter()
-        .map(|(f, attempted, recovered, escalated, fit, mttr)| {
-            (
-                f,
-                FaultRecoveryStats {
-                    attempted,
-                    recovered,
-                    escalated,
+    let [detection, diagnosis, staging, repair, verification] = phase_samples.map(TimingStats::new);
+    RecoveryStats {
+        attempted: all.recovered + all.escalated,
+        recovered: all.recovered,
+        escalated: all.escalated,
+        conformance_fit: fit,
+        mttr: TimingStats::new(all.mttr),
+        phases: PhaseStats {
+            detection,
+            diagnosis,
+            staging,
+            repair,
+            verification,
+        },
+        per_fault: per_fault
+            .into_iter()
+            .map(|(f, t, fit)| {
+                let stats = FaultRecoveryStats {
+                    attempted: t.recovered + t.escalated,
+                    recovered: t.recovered,
+                    escalated: t.escalated,
                     conformance_fit: fit,
-                    mttr: TimingStats::new(mttr),
-                },
-            )
-        })
-        .collect();
-    stats
+                    mttr: TimingStats::new(t.mttr),
+                };
+                (f, stats)
+            })
+            .collect(),
+    }
 }
 
 /// [`monitor_upgrade`], keeping only the classified record.
@@ -592,6 +590,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
             scenario.storage.clone(),
             scenario.env.clone(),
             scenario.trace_id.clone(),
+            None,
         )))
     });
     if plan.eager_recovery {
@@ -617,7 +616,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
             d.sweep(&summary.detections);
             d.take_records()
                 .into_iter()
-                .map(|(_, run)| {
+                .map(|DispatchRecord { run, .. }| {
                     let conformance = conformance_check(&scenario.cloud, &run);
                     RecoveryRecord { run, conformance }
                 })
@@ -628,18 +627,9 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     let run_obs = scenario.cloud.obs();
     let obs = run_obs.snapshot().diff(&obs_baseline);
     let stage_self_us = run_obs.tracer().with_finished(stage_self_times);
-    let incidents = run_obs.events().with_records(|events| {
-        pod_obs::incidents(events)
-            .iter()
-            .map(|c| IncidentSummary {
-                detection: c.detection.name.to_string(),
-                hops: c.hops.len(),
-                anchored: c.anchored,
-                diagnosed: c.diagnosed,
-                complete: c.complete(),
-                elapsed_us: c.elapsed().as_micros(),
-            })
-            .collect()
+    let (incidents, incidents_complete) = run_obs.events().with_records(|events| {
+        let chains = pod_obs::incidents(events);
+        (chains.len(), chains.iter().filter(|c| c.complete()).count())
     });
     let truth = GroundTruth {
         fault: plan.fault,
@@ -660,6 +650,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
         obs,
         stage_self_us,
         incidents,
+        incidents_complete,
         spans_dropped: run_obs.tracer().dropped(),
         events_dropped: run_obs.events().dropped(),
         recoveries,
@@ -945,8 +936,8 @@ mod tests {
                 continue;
             }
             assert!(
-                run.record.incidents.iter().any(|i| i.complete),
-                "fault {:?}: no unbroken chain in {:#?}\ntimelines:\n{}",
+                run.record.incidents_complete > 0,
+                "fault {:?}: no unbroken chain among {} incidents\ntimelines:\n{}",
                 plan.fault,
                 run.record.incidents,
                 pod_obs::render_timelines(&run.trace().events),
@@ -969,7 +960,7 @@ mod tests {
             "stages: {:?}",
             record.stage_self_us.keys().collect::<Vec<_>>()
         );
-        assert!(!record.incidents.is_empty());
+        assert!(record.incidents > 0);
         assert_eq!(record.events_dropped, 0);
     }
 

@@ -919,11 +919,7 @@ mod tests {
         assert_eq!(at(&lines[0], "event"), Json::Number(3.0));
         assert_eq!(at(&lines[0], "labels.op"), Json::str("i-0001"));
 
-        let rec = pod_obs::FlightRecorder::new(
-            clock,
-            obs.registry().clone(),
-            pod_obs::FlightConfig::default(),
-        );
+        let rec = pod_obs::FlightRecorder::new(clock, obs.registry().clone());
         rec.tick();
         rec.mark_incident("i-0001 detection");
         let flight = flight_json("soak", &rec.dump());

@@ -30,9 +30,10 @@
 //!   `TelemetryMode` (off/sampled/full), with tail-based trace sampling,
 //!   queue-wait tail exemplars and the gateway's flight-recorder dump;
 //! - [`replay_with_recovery`] — the soak with the recovery stage wired
-//!   in: every tenant engine's detection hook feeds one shared
-//!   `pod_recovery::RecoveryStorm` whose repairs contend for the gateway's
-//!   admission gate, with per-tenant MTTR-under-load;
+//!   in: every tenant engine's detection hook feeds that tenant's own
+//!   `pod_recovery::RecoveryDispatcher`, whose repairs contend for the
+//!   lanes of one shared `pod_recovery::RecoveryStorm`, with per-tenant
+//!   MTTR-under-load;
 //! - the run record — one JSON-lines journal per run, every record built
 //!   on [`Record`] and written by [`write_journal`] as `RUN_<name>.jsonl`:
 //!   [`campaign_lines`] ([`metrics_line`], [`snapshot_lines`],
@@ -62,8 +63,7 @@ mod timing;
 
 pub use campaign::{
     execute_run, monitor_upgrade, Campaign, CampaignConfig, CampaignReport, ConformanceStats,
-    FaultRecoveryStats, IncidentSummary, MonitoredRun, RecoveryRecord, RecoveryStats, RunPlan,
-    RunRecord, TraceDump,
+    FaultRecoveryStats, MonitoredRun, RecoveryRecord, RecoveryStats, RunPlan, RunRecord, TraceDump,
 };
 pub use journal::{
     campaign_lines, diff_journals, diff_report, exemplar_lines, flight_json, gateway_line,

@@ -27,13 +27,14 @@
 //! detections — [`SoakReport::digest`] is byte-identical across all three.
 //!
 //! [`replay_with_recovery`] adds the recovery stage on top: every
-//! per-tenant engine's detection hook feeds one shared
-//! [`RecoveryStorm`], whose executor lanes contend for the single
-//! simulated cloud through the storm's admission gate. Repairs that
-//! would queue past the lane-wait cap are shed to the per-tenant
-//! end-of-operation sweep — deferred, never dropped — and every lane
-//! wait and throttle penalty is charged to the repairing tenant's
-//! virtual clock, so the per-tenant MTTR honestly reflects the load.
+//! per-tenant engine's detection hook feeds that tenant's own
+//! [`RecoveryDispatcher`], and the dispatchers' repairs contend for the
+//! lanes of one shared [`RecoveryStorm`] — the only recovery state the
+//! tenants share. Repairs that would queue past the lane-wait cap are
+//! parked for the tenant's end-of-operation sweep — deferred, never
+//! dropped — and every lane wait and throttle penalty is charged to the
+//! repairing tenant's virtual clock, so the per-tenant MTTR honestly
+//! reflects the load.
 //! The recovery transcript folds into [`SoakReport::digest`]: same seed
 //! + same interleaving ⇒ byte-identical even under maximal contention.
 
@@ -44,13 +45,14 @@ use std::rc::Rc;
 use pod_cloud::Cloud;
 use pod_gateway::{Gateway, GatewayConfig, GatewayStats, OpId};
 use pod_log::LogEvent;
-use pod_obs::{FlightDump, RunSignals, SampleVerdict, SamplerConfig, TailSampler, TelemetryMode};
+use pod_obs::{FlightDump, RunSignals, SampleVerdict, TailSampler, TelemetryMode};
 use pod_orchestrator::{
     FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
-use pod_recovery::{RecoveryPath, RecoveryStorm, StormConfig, StormStats, TenantId};
-use pod_sim::{SimDuration, SimRng, SimTime};
+use pod_recovery::{RecoveryDispatcher, RecoveryPath, RecoveryStorm, StormConfig, StormStats};
+use pod_sim::{SimRng, SimTime};
 
+use crate::campaign::RecoveryTally;
 use crate::profile::{stage_self_times, LatencyProfile};
 use crate::scenario::{build_engine, build_scenario, Injection, Scenario, ScenarioConfig};
 use crate::timing::TimingStats;
@@ -439,8 +441,9 @@ pub fn replay_telemetry(
     replay_inner(streams, gateway, mode, None)
 }
 
-/// Phase B with the recovery stage wired in: one shared [`RecoveryStorm`]
-/// arbitrates every tenant's repairs over its admission gate.
+/// Phase B with the recovery stage wired in: one [`RecoveryDispatcher`]
+/// per tenant, all repairing through the lanes of one shared
+/// [`RecoveryStorm`].
 /// Repairs mutate the per-tenant clouds, so a second same-seed run needs
 /// fresh [`collect_streams`] output — against which the full report
 /// digest (recovery transcript included) is byte-identical.
@@ -465,7 +468,7 @@ fn replay_inner(
         ..gateway.clone()
     });
     gw.obs().set_mode(mode);
-    let sampler = TailSampler::new(gw.obs().registry(), SamplerConfig::default());
+    let sampler = TailSampler::new(gw.obs().registry());
     // The storm arbitrates on the gateway clock and reports into the
     // gateway's obs handle, so flight frames capture storm pressure.
     let storm = storm_config.map(|cfg| {
@@ -476,7 +479,7 @@ fn replay_inner(
         )))
     });
     let mut op_ids: Vec<OpId> = Vec::with_capacity(streams.ops.len());
-    let mut tenant_ids: Vec<TenantId> = Vec::with_capacity(streams.ops.len());
+    let mut dispatchers = Vec::with_capacity(streams.ops.len());
     for stream in &streams.ops {
         // A fresh trace per replay so the latency budget covers exactly
         // the replay-time work (conformance, assertions, diagnosis).
@@ -488,15 +491,16 @@ fn replay_inner(
             .begin_run(&stream.scenario.trace_id);
         let mut engine = build_engine(&stream.scenario, &stream.scenario_config);
         if let Some(storm) = &storm {
-            let tenant = storm.borrow_mut().register_tenant(
+            let dispatcher = Rc::new(RefCell::new(RecoveryDispatcher::new(
                 stream.scenario.cloud.clone(),
                 stream.scenario.storage.clone(),
                 stream.scenario.env.clone(),
                 stream.scenario.trace_id.clone(),
-            );
-            tenant_ids.push(tenant);
-            let hook = Rc::clone(storm);
-            engine.set_detection_hook(move |notice| hook.borrow_mut().on_notice(tenant, notice));
+                Some(Rc::clone(storm)),
+            )));
+            let hook = Rc::clone(&dispatcher);
+            engine.set_detection_hook(move |notice| hook.borrow_mut().on_notice(notice));
+            dispatchers.push(dispatcher);
         }
         let process_id = engine.process_id().to_string();
         let op = gw
@@ -537,78 +541,66 @@ fn replay_inner(
     // did not handle (including every gate-shed repair) — before the
     // metric snapshot, so `recovery.storm.*` accounting is final in it.
     let recovery = storm.as_ref().map(|storm| {
-        let mut storm = storm.borrow_mut();
-        let config = storm.config().clone();
+        use std::fmt::Write as _;
         let mut tenants = Vec::with_capacity(streams.ops.len());
-        let mut all_mttr: Vec<SimDuration> = Vec::new();
-        let (mut attempted, mut recovered, mut escalated) = (0usize, 0usize, 0usize);
-        let (mut recovered_direct, mut escalated_direct) = (0usize, 0usize);
+        let (mut all, mut direct) = (RecoveryTally::default(), RecoveryTally::default());
         let (mut deferred_swept, mut throttled) = (0usize, 0usize);
-        for ((stream, report), &tenant) in streams.ops.iter().zip(&reports).zip(&tenant_ids) {
-            use std::fmt::Write as _;
-            let records = storm.sweep(tenant, &report.summary.detections);
-            let mut t = TenantRecoveryResult {
-                trace_id: stream.scenario.trace_id.clone(),
-                fault: stream.fault,
-                attempted: records.len(),
-                recovered: 0,
-                escalated: 0,
-                deferred_swept: 0,
-                throttled: 0,
-                mttr: TimingStats::new(Vec::new()),
-                transcript: String::new(),
-            };
-            let _ = writeln!(t.transcript, "== {} fault={:?} ==", t.trace_id, t.fault);
-            let mut mttr = Vec::new();
+        for ((stream, report), dispatcher) in streams.ops.iter().zip(&reports).zip(&dispatchers) {
+            let mut dispatcher = dispatcher.borrow_mut();
+            dispatcher.sweep(&report.summary.detections);
+            let records = dispatcher.take_records();
+            let mut tally = RecoveryTally::default();
+            let (trace_id, fault) = (stream.scenario.trace_id.clone(), stream.fault);
+            let mut transcript = format!("== {trace_id} fault={fault:?} ==\n");
+            let (mut swept, mut tenant_throttled) = (0usize, 0usize);
             for rec in &records {
-                let swept = rec.path == RecoveryPath::DeferredSwept;
-                if rec.run.outcome.is_recovered() {
-                    t.recovered += 1;
-                    recovered_direct += !swept as usize;
-                } else {
-                    t.escalated += 1;
-                    escalated_direct += !swept as usize;
-                }
-                t.deferred_swept += swept as usize;
-                t.throttled += matches!(
-                    rec.path,
+                tally.add(&rec.run);
+                all.add(&rec.run);
+                match rec.path {
+                    RecoveryPath::DeferredSwept => swept += 1,
                     RecoveryPath::Eager {
-                        throttled: true,
-                        ..
+                        throttled: true, ..
+                    } => {
+                        tenant_throttled += 1;
+                        direct.add(&rec.run);
                     }
-                ) as usize;
-                if let Some(d) = rec.run.mttr() {
-                    mttr.push(d);
-                    all_mttr.push(d);
+                    _ => direct.add(&rec.run),
                 }
                 let _ = writeln!(
-                    t.transcript,
+                    transcript,
                     "-- incident {} path={} --\n{}",
                     rec.detection_index,
                     rec.path.tag(),
                     rec.run.digest()
                 );
             }
-            attempted += t.attempted;
-            recovered += t.recovered;
-            escalated += t.escalated;
-            deferred_swept += t.deferred_swept;
-            throttled += t.throttled;
-            t.mttr = TimingStats::new(mttr);
-            tenants.push(t);
+            deferred_swept += swept;
+            throttled += tenant_throttled;
+            tenants.push(TenantRecoveryResult {
+                trace_id,
+                fault,
+                attempted: records.len(),
+                recovered: tally.recovered,
+                escalated: tally.escalated,
+                deferred_swept: swept,
+                throttled: tenant_throttled,
+                mttr: TimingStats::new(tally.mttr),
+                transcript,
+            });
         }
+        let storm = storm.borrow();
         SoakRecoveryReport {
-            config,
+            config: storm.config().clone(),
             tenants,
-            attempted,
-            recovered,
-            escalated,
-            recovered_direct,
-            escalated_direct,
+            attempted: all.recovered + all.escalated,
+            recovered: all.recovered,
+            escalated: all.escalated,
+            recovered_direct: direct.recovered,
+            escalated_direct: direct.escalated,
             deferred_swept,
             throttled,
             stats: storm.stats(),
-            mttr: TimingStats::new(all_mttr),
+            mttr: TimingStats::new(all.mttr),
         }
     });
 
@@ -937,6 +929,7 @@ pub fn render_recovery_soak(rec: &SoakRecoveryReport) -> String {
 mod tests {
     use super::*;
     use pod_gateway::OverloadPolicy;
+    use pod_sim::SimDuration;
 
     fn small_config() -> SoakConfig {
         SoakConfig {

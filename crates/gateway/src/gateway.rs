@@ -22,7 +22,7 @@ use std::fmt;
 
 use pod_core::{PodEngine, RunSummary};
 use pod_log::{parse_line, Json, LineFormat, LogEvent};
-use pod_obs::{Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, Obs};
+use pod_obs::{Counter, Exemplar, FlightRecorder, Histogram, HistogramSnapshot, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
@@ -393,11 +393,7 @@ impl Gateway {
             stall: obs.histogram("gateway.backpressure.stall_us"),
             batch_fill: obs.histogram("gateway.batch_fill"),
         };
-        let flight = FlightRecorder::new(
-            clock.clone(),
-            obs.registry().clone(),
-            FlightConfig::default(),
-        );
+        let flight = FlightRecorder::new(clock.clone(), obs.registry().clone());
         Gateway {
             config,
             clock,

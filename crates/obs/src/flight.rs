@@ -6,7 +6,7 @@
 //! snapshots) and a bounded ring of [`IncidentMark`]s, one per reported
 //! detection. Frames are a function of virtual time, not of detection
 //! count: [`FlightRecorder::tick`] is the one place that takes them, every
-//! [`FlightConfig::interval`] while the pipeline is quiet and once per
+//! `FRAME_INTERVAL` (30 s) while the pipeline is quiet and once per
 //! flush window while marks are arriving, so a burst of detections costs
 //! one frame per window instead of one per detection. Dumping the rings
 //! yields the last N frames *around* the latest incidents, like an
@@ -39,25 +39,13 @@ const INCIDENT_CAP: usize = 256;
 /// oftener.
 const INCIDENT_FRAME_WINDOW: SimDuration = SimDuration::from_millis(20);
 
-/// Flight-recorder configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightConfig {
-    /// Frames retained in the ring.
-    pub capacity: usize,
-    /// Minimum virtual time between periodic frames ([`FlightRecorder::tick`]
-    /// is rate-limited to this; a pending incident shortens the wait to one
-    /// flush window).
-    pub interval: SimDuration,
-}
+/// Frames retained per recorder (the newest ones).
+pub const FRAME_CAP: usize = 64;
 
-impl Default for FlightConfig {
-    fn default() -> FlightConfig {
-        FlightConfig {
-            capacity: 64,
-            interval: SimDuration::from_secs(30),
-        }
-    }
-}
+/// Minimum virtual time between periodic frames ([`FlightRecorder::tick`]
+/// is rate-limited to this; a pending incident shortens the wait to one
+/// flush window).
+const FRAME_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// One snapshot frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,25 +96,20 @@ struct FlightInner {
 pub struct FlightRecorder {
     clock: Clock,
     registry: Registry,
-    config: FlightConfig,
     inner: Arc<Mutex<FlightInner>>,
 }
 
 impl FlightRecorder {
     /// Creates a recorder snapshotting `registry` on `clock` time.
-    pub fn new(clock: Clock, registry: Registry, config: FlightConfig) -> FlightRecorder {
+    pub fn new(clock: Clock, registry: Registry) -> FlightRecorder {
         FlightRecorder {
             clock,
             registry,
-            config: FlightConfig {
-                capacity: config.capacity.max(2),
-                ..config
-            },
             inner: Arc::new(Mutex::new(FlightInner::default())),
         }
     }
 
-    /// Records a frame when one is due: [`FlightConfig::interval`] has
+    /// Records a frame when one is due: `FRAME_INTERVAL` has
     /// passed since the last one, or an incident is pending and one flush
     /// window has. Returns whether a frame was recorded. The only frame
     /// site besides [`FlightRecorder::dump`]; cheap to call once per
@@ -139,7 +122,7 @@ impl FlightRecorder {
                 None => true,
                 Some(last) => {
                     let since = now.duration_since(last);
-                    since >= self.config.interval
+                    since >= FRAME_INTERVAL
                         || (inner.incident_pending && since >= INCIDENT_FRAME_WINDOW)
                 }
             }
@@ -159,7 +142,7 @@ impl FlightRecorder {
         let mut inner = self.inner.lock();
         inner.last_frame = Some(frame.at);
         inner.incident_pending = false;
-        if inner.frames.len() >= self.config.capacity {
+        if inner.frames.len() >= FRAME_CAP {
             inner.frames.pop_front();
             inner.evicted_frames += 1;
         }
@@ -353,31 +336,27 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
 mod tests {
     use super::*;
 
-    fn recorder(capacity: usize, interval_ms: u64) -> (Clock, Registry, FlightRecorder) {
+    fn recorder() -> (Clock, Registry, FlightRecorder) {
         let clock = Clock::new();
         let registry = Registry::new();
-        let rec = FlightRecorder::new(
-            clock.clone(),
-            registry.clone(),
-            FlightConfig {
-                capacity,
-                interval: SimDuration::from_millis(interval_ms),
-            },
-        );
+        let rec = FlightRecorder::new(clock.clone(), registry.clone());
         (clock, registry, rec)
     }
 
     #[test]
     fn tick_is_interval_gated_and_the_ring_is_bounded() {
-        let (clock, _reg, rec) = recorder(4, 10);
+        let (clock, _reg, rec) = recorder();
         assert!(rec.tick(), "first tick always records");
-        assert!(!rec.tick(), "no virtual time passed");
-        for _ in 0..10 {
-            clock.advance(SimDuration::from_millis(10));
+        clock.advance(FRAME_INTERVAL / 2);
+        assert!(!rec.tick(), "less than one interval passed");
+        clock.advance(FRAME_INTERVAL / 2);
+        assert!(rec.tick());
+        for _ in 0..FRAME_CAP + 5 {
+            clock.advance(FRAME_INTERVAL);
             assert!(rec.tick());
         }
         let dump = rec.dump();
-        assert_eq!(dump.frames.len(), 4);
+        assert_eq!(dump.frames.len(), FRAME_CAP);
         assert_eq!(dump.evicted_frames, 7);
         assert!(
             dump.frames.windows(2).all(|w| w[0].at < w[1].at),
@@ -395,7 +374,7 @@ mod tests {
 
     #[test]
     fn a_burst_of_marks_costs_one_frame_per_window() {
-        let (clock, reg, rec) = recorder(8, 1_000);
+        let (clock, reg, rec) = recorder();
         assert!(rec.tick());
         clock.advance(INCIDENT_FRAME_WINDOW);
         reg.counter("engine.detections").add(5);
@@ -418,7 +397,7 @@ mod tests {
 
     #[test]
     fn dump_closes_a_pending_window_once() {
-        let (clock, reg, rec) = recorder(8, 1_000);
+        let (clock, reg, rec) = recorder();
         rec.tick();
         clock.advance(SimDuration::from_millis(3));
         reg.counter("engine.detections").incr();
@@ -439,7 +418,7 @@ mod tests {
 
     #[test]
     fn the_mark_ring_keeps_the_newest_and_counts_the_rest() {
-        let (clock, _reg, rec) = recorder(8, 1_000);
+        let (clock, _reg, rec) = recorder();
         burst(&clock, &rec, INCIDENT_CAP + 7);
         let dump = rec.dump();
         assert_eq!(dump.incidents.len(), INCIDENT_CAP);
@@ -454,26 +433,27 @@ mod tests {
 
     #[test]
     fn dashboard_counts_marks_older_than_the_first_retained_frame() {
-        let (clock, _reg, rec) = recorder(2, 1_000);
-        for _ in 0..3 {
+        let (clock, _reg, rec) = recorder();
+        for _ in 0..=FRAME_CAP {
             clock.advance(INCIDENT_FRAME_WINDOW);
             rec.mark_incident("i-0001 detection");
             assert!(rec.tick());
         }
         let dump = rec.dump();
-        assert_eq!((dump.frames.len(), dump.evicted_frames), (2, 1));
+        assert_eq!((dump.frames.len(), dump.evicted_frames), (FRAME_CAP, 1));
         let text = render_dashboard(&dump, &[]);
         assert!(
             text.contains("1 mark precedes the retained window"),
             "got:\n{text}"
         );
-        assert_eq!(text.matches("  ! ").count(), 2, "got:\n{text}");
-        assert!(text.contains("|!!|"), "got:\n{text}");
+        assert_eq!(text.matches("  ! ").count(), FRAME_CAP, "got:\n{text}");
+        let every_column = format!("|{}|", "!".repeat(FRAME_CAP));
+        assert!(text.contains(&every_column), "got:\n{text}");
     }
 
     #[test]
     fn dashboard_renders_sparklines_and_incident_marks() {
-        let (clock, reg, rec) = recorder(16, 10);
+        let (clock, reg, rec) = recorder();
         let c = reg.counter("gateway.lines.processed");
         let h = reg.histogram("gateway.queue_wait_us");
         for i in 0..6u64 {
@@ -483,7 +463,7 @@ mod tests {
                 rec.mark_incident("i-0003 detection");
             }
             rec.tick();
-            clock.advance(SimDuration::from_millis(10));
+            clock.advance(FRAME_INTERVAL);
         }
         let dump = rec.dump();
         let text = render_dashboard(
@@ -508,7 +488,7 @@ mod tests {
 
     #[test]
     fn dashboard_surfaces_gateway_overload_counters_unasked() {
-        let (clock, reg, rec) = recorder(16, 10);
+        let (clock, reg, rec) = recorder();
         let shed = reg.counter("gateway.shed.oldest");
         let denied = reg.counter("gateway.admission.denied");
         let healthy = reg.counter("gateway.lines.processed");
@@ -519,7 +499,7 @@ mod tests {
                 denied.incr();
             }
             rec.tick();
-            clock.advance(SimDuration::from_millis(10));
+            clock.advance(FRAME_INTERVAL);
         }
         let text = render_dashboard(&rec.dump(), &[]);
         assert!(text.contains("gateway.shed.oldest"), "got:\n{text}");
@@ -540,7 +520,7 @@ mod tests {
 
     #[test]
     fn dashboard_surfaces_recovery_fastpath_metrics_unasked() {
-        let (clock, reg, rec) = recorder(16, 10);
+        let (clock, reg, rec) = recorder();
         let staged = reg.counter("recovery.prestage.staged");
         let hit = reg.counter("recovery.prestage.hit");
         let waste = reg.counter("recovery.prestage.waste");
@@ -553,7 +533,7 @@ mod tests {
             }
             queue.set(3 - i as i64);
             rec.tick();
-            clock.advance(SimDuration::from_millis(10));
+            clock.advance(FRAME_INTERVAL);
         }
         let text = render_dashboard(&rec.dump(), &[]);
         assert!(text.contains("recovery.prestage.staged"), "got:\n{text}");

@@ -71,12 +71,12 @@ mod timeline;
 
 pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent};
 pub use flight::{
-    render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
+    render_dashboard, FlightDump, FlightFrame, FlightRecorder, IncidentMark, FRAME_CAP,
 };
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP, TAIL_QUANTILES};
 pub use metrics::{Counter, Gauge, Registry, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
-pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};
+pub use sampler::{RunSignals, SampleVerdict, TailSampler};
 pub use span::{SpanGuard, SpanRecord, Tracer};
 pub use timeline::{incident_count, incidents, render_timelines, IncidentChain};

@@ -24,19 +24,8 @@ use std::sync::Arc;
 
 use crate::metrics::{Counter, Registry};
 
-/// Sampler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplerConfig {
-    /// Keep every `keep_one_in`-th healthy run (1 = keep all healthy runs,
-    /// 0 = keep none).
-    pub keep_one_in: u64,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> SamplerConfig {
-        SamplerConfig { keep_one_in: 10 }
-    }
-}
+/// Healthy runs are kept one in this many: the 1st, the 11th, the 21st…
+const KEEP_ONE_IN: u64 = 10;
 
 /// What a completed run ended with, as seen by the sampler.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -82,7 +71,6 @@ impl SampleVerdict {
 /// every decision in the registry. Cloning shares all state.
 #[derive(Debug, Clone)]
 pub struct TailSampler {
-    keep_one_in: u64,
     healthy_seen: Arc<AtomicU64>,
     kept: Counter,
     discarded: Counter,
@@ -96,9 +84,8 @@ pub struct TailSampler {
 impl TailSampler {
     /// Creates a sampler accounting its decisions in `registry` under
     /// `obs.sampler.*`.
-    pub fn new(registry: &Registry, config: SamplerConfig) -> TailSampler {
+    pub fn new(registry: &Registry) -> TailSampler {
         TailSampler {
-            keep_one_in: config.keep_one_in,
             healthy_seen: Arc::new(AtomicU64::new(0)),
             kept: registry.counter("obs.sampler.kept"),
             discarded: registry.counter("obs.sampler.discarded"),
@@ -124,7 +111,7 @@ impl TailSampler {
             SampleVerdict::KeptTailExemplar
         } else {
             let seq = self.healthy_seen.fetch_add(1, Ordering::Relaxed);
-            if self.keep_one_in > 0 && seq.is_multiple_of(self.keep_one_in) {
+            if seq.is_multiple_of(KEEP_ONE_IN) {
                 SampleVerdict::KeptHealthy
             } else {
                 SampleVerdict::Discarded
@@ -164,7 +151,7 @@ mod tests {
     #[test]
     fn incident_relevant_runs_are_always_kept() {
         let reg = Registry::new();
-        let sampler = TailSampler::new(&reg, SamplerConfig { keep_one_in: 0 });
+        let sampler = TailSampler::new(&reg);
         assert_eq!(
             sampler.decide(&signals(1, 0, 0, false)),
             SampleVerdict::KeptDetection
@@ -188,24 +175,22 @@ mod tests {
     #[test]
     fn healthy_runs_keep_one_in_n_deterministically() {
         let reg = Registry::new();
-        let sampler = TailSampler::new(&reg, SamplerConfig { keep_one_in: 4 });
-        let verdicts: Vec<bool> = (0..8)
+        let sampler = TailSampler::new(&reg);
+        let verdicts: Vec<bool> = (0..20)
             .map(|_| sampler.decide(&RunSignals::default()).keep())
             .collect();
-        assert_eq!(
-            verdicts,
-            vec![true, false, false, false, true, false, false, false]
-        );
+        let one_in_ten: Vec<bool> = (0..20).map(|i| i % 10 == 0).collect();
+        assert_eq!(verdicts, one_in_ten);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("obs.sampler.kept"), 2);
         assert_eq!(snap.counter("obs.sampler.kept.healthy"), 2);
-        assert_eq!(snap.counter("obs.sampler.discarded"), 6);
+        assert_eq!(snap.counter("obs.sampler.discarded"), 18);
     }
 
     #[test]
     fn accounting_breakdown_sums_to_kept() {
         let reg = Registry::new();
-        let sampler = TailSampler::new(&reg, SamplerConfig::default());
+        let sampler = TailSampler::new(&reg);
         for i in 0..50usize {
             sampler.decide(&signals(i % 5, i % 3, i % 2, i % 7 == 0));
         }

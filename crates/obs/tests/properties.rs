@@ -1,8 +1,6 @@
 //! Property-based tests for the pod-obs metrics layer.
 
-use pod_obs::{
-    FlightConfig, FlightRecorder, Registry, RunSignals, SampleVerdict, SamplerConfig, TailSampler,
-};
+use pod_obs::{FlightRecorder, Registry, RunSignals, SampleVerdict, TailSampler, FRAME_CAP};
 use pod_sim::{Clock, SimDuration};
 use proptest::prelude::*;
 
@@ -119,16 +117,14 @@ proptest! {
     }
 
     /// Tail-sampler accounting never loses a decision: whatever mix of
-    /// runs arrives and whatever keep rate is configured,
-    /// `kept + discarded` equals the number of decisions and the
+    /// runs arrives, `kept + discarded` equals the number of decisions and the
     /// per-reason breakdown sums exactly to `kept`.
     #[test]
     fn sampler_accounts_for_every_decision(
         runs in prop::collection::vec(arb_signals(), 1..100),
-        keep_one_in in 0u64..20,
     ) {
         let reg = Registry::new();
-        let sampler = TailSampler::new(&reg, SamplerConfig { keep_one_in });
+        let sampler = TailSampler::new(&reg);
         for signals in &runs {
             sampler.decide(signals);
         }
@@ -149,17 +145,15 @@ proptest! {
     }
 
     /// Incident-relevant runs — any detection, error verdict, or
-    /// degradation warning — are never sampled away, even at the most
-    /// aggressive keep rate (`keep_one_in: 0` discards every healthy run).
-    /// This is the property behind the flight-recorder guarantee that a
+    /// degradation warning — are never sampled away, however many healthy
+    /// runs the 1-in-N keep discards around them. This is the property behind the flight-recorder guarantee that a
     /// detection's causal chain survives sampling.
     #[test]
     fn detections_and_warnings_are_never_discarded(
         runs in prop::collection::vec(arb_signals(), 1..100),
-        keep_one_in in 0u64..20,
     ) {
         let reg = Registry::new();
-        let sampler = TailSampler::new(&reg, SamplerConfig { keep_one_in });
+        let sampler = TailSampler::new(&reg);
         for signals in &runs {
             let verdict = sampler.decide(signals);
             if signals.detections > 0 || signals.errors > 0 || signals.warnings > 0 {
@@ -181,19 +175,16 @@ proptest! {
     /// Whatever the interleaving of clock advances, marks and ticks, the
     /// flight recorder loses nothing silently (every mark and every frame
     /// is retained or counted as evicted), keeps its frames in time order,
-    /// and a dump's last frame is never older than its last mark.
+    /// and a dump's last frame is never older than its last mark. Clock
+    /// steps of up to 40 s cross both the 20 ms incident window and the
+    /// 30 s periodic interval, so nearly every tick frames and the longer
+    /// step lists take more than `FRAME_CAP` frames: eviction is exercised.
     #[test]
     fn flight_recorder_accounts_for_every_mark_and_frame(
-        steps in prop::collection::vec((0u8..4, 0u64..40), 0..800),
-        capacity in 2usize..10,
-        interval_ms in 5u64..100,
+        steps in prop::collection::vec((0u8..4, 0u64..40_000), 0..800),
     ) {
         let clock = Clock::new();
-        let rec = FlightRecorder::new(
-            clock.clone(),
-            Registry::new(),
-            FlightConfig { capacity, interval: SimDuration::from_millis(interval_ms) },
-        );
+        let rec = FlightRecorder::new(clock.clone(), Registry::new());
         let (mut marks, mut frames, mut pending) = (0u64, 0u64, false);
         for &(kind, ms) in &steps {
             match kind {
@@ -218,7 +209,7 @@ proptest! {
         let dump = rec.dump();
         prop_assert_eq!(marks, dump.incidents.len() as u64 + dump.dropped_incidents);
         prop_assert_eq!(frames, dump.frames.len() as u64 + dump.evicted_frames);
-        prop_assert!(dump.frames.len() <= capacity);
+        prop_assert!(dump.frames.len() <= FRAME_CAP);
         prop_assert!(dump.frames.windows(2).all(|w| w[0].at <= w[1].at));
         if let Some(last_mark) = dump.incidents.last() {
             let last_frame = dump.frames.last().expect("a mark is always followed by a frame");

@@ -1,5 +1,6 @@
 //! The recovery dispatcher: the fast-path glue between the engine's
-//! detection hook and the executor.
+//! detection hook and the executor. One dispatcher serves one operation
+//! and owns its incidents.
 //!
 //! Three jobs, in incident order:
 //!
@@ -10,7 +11,10 @@
 //!    `recovery.prestage.{staged,hit,waste,miss}` metrics.
 //! 2. **Eager dispatch** — on a `Diagnosed` notice carrying a mapped root
 //!    cause it executes the repair immediately, mid-operation, instead of
-//!    waiting for the end-of-run sweep. Diagnoses without an actionable
+//!    waiting for the end-of-run sweep. Under a [`RecoveryStorm`] the
+//!    repair first asks the shared lanes for a grant and charges the wait
+//!    to this operation's clock; a shed repair is parked, its staged plans
+//!    kept, for the sweep. Diagnoses without an actionable
 //!    repair (no root cause identified, or a confirmed-benign concurrent
 //!    operation) are queued for operation-end review instead: at the
 //!    sweep they get a step-less `confirm-resolved` plan that re-checks
@@ -20,8 +24,13 @@
 //!    same incidents; a handled-set keyed by detection index guarantees
 //!    exactly one recovery per diagnosed detection, so
 //!    `attempted == recovered + escalated` survives the race.
+//!
+//! Every run is recorded with the [`RecoveryPath`] it took, fixed when it
+//! is dispatched.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use pod_assert::{CloudAssertion, ExpectedEnv};
 use pod_cloud::Cloud;
@@ -30,8 +39,54 @@ use pod_log::LogStorage;
 use pod_obs::{Counter, Gauge};
 use pod_sim::SimDuration;
 
-use crate::executor::{PreparedPlan, RecoveryExecutor, RecoveryRequest, RecoveryRun};
+use crate::executor::{RecoveryExecutor, RecoveryRequest, RecoveryRun};
 use crate::plan::RecoveryPlan;
+use crate::storm::RecoveryStorm;
+
+/// How a recovery run reached the executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryPath {
+    /// Dispatched eagerly from the engine hook (through a storm lane, when
+    /// there is a storm).
+    Eager {
+        /// Whether the shared API throttled the repair.
+        throttled: bool,
+        /// Lane queue wait plus throttle penalty charged to the tenant.
+        delayed: SimDuration,
+    },
+    /// Shed to the end-of-operation sweep by the admission gate, then
+    /// executed on the quiet path — deferred, never dropped.
+    DeferredSwept,
+    /// A step-less review (or a sweep-discovered incident) that never
+    /// contended for a lane.
+    Review,
+}
+
+impl RecoveryPath {
+    /// Canonical tag for transcripts and journals.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            RecoveryPath::Eager {
+                throttled: true, ..
+            } => "eager-throttled",
+            RecoveryPath::Eager { .. } => "eager",
+            RecoveryPath::DeferredSwept => "deferred-swept",
+            RecoveryPath::Review => "review",
+        }
+    }
+}
+
+/// One finished recovery run, tagged with its detection index and the
+/// path it took.
+#[derive(Debug, Clone)]
+pub struct DispatchRecord {
+    /// The detection index within the operation's run.
+    pub detection_index: usize,
+    /// How the run reached the executor.
+    pub path: RecoveryPath,
+    /// The full recovery run.
+    pub run: RecoveryRun,
+}
 
 /// Cached handles for the dispatcher's own metrics.
 #[derive(Debug, Clone)]
@@ -71,26 +126,34 @@ pub struct RecoveryDispatcher {
     cloud: Cloud,
     env: SharedEnv,
     trace_id: String,
-    /// Pre-staged plans per detection index, awaiting the verdict.
-    staged: HashMap<usize, Vec<PreparedPlan>>,
+    /// The lanes shared with the other tenants of a storm; `None`: a
+    /// repair never waits for one.
+    storm: Option<Rc<RefCell<RecoveryStorm>>>,
+    /// Pre-staged plans per detection index, by the cause each repairs,
+    /// awaiting the verdict.
+    staged: HashMap<usize, Vec<(String, RecoveryPlan)>>,
     /// Detection indices already dispatched (the dedup set).
     handled: HashSet<usize>,
     /// Diagnosed incidents without an actionable repair, queued for
     /// operation-end review.
     deferred: Vec<(usize, Detection)>,
-    /// Finished runs, tagged with their detection index.
-    records: Vec<(usize, RecoveryRun)>,
+    /// Detection indices whose repair the storm shed, parked for the sweep.
+    parked: Vec<usize>,
+    /// Finished runs.
+    records: Vec<DispatchRecord>,
     metrics: DispatchMetrics,
 }
 
 impl RecoveryDispatcher {
     /// Builds a dispatcher executing repairs against `cloud` and logging
-    /// to `storage`.
+    /// to `storage`; with a `storm`, every eager repair needs one of its
+    /// lanes.
     pub fn new(
         cloud: Cloud,
         storage: LogStorage,
         env: SharedEnv,
         trace_id: impl Into<String>,
+        storm: Option<Rc<RefCell<RecoveryStorm>>>,
     ) -> RecoveryDispatcher {
         RecoveryDispatcher {
             executor: RecoveryExecutor::new(cloud.clone(), storage),
@@ -98,9 +161,11 @@ impl RecoveryDispatcher {
             cloud,
             env,
             trace_id: trace_id.into(),
+            storm,
             staged: HashMap::new(),
             handled: HashSet::new(),
             deferred: Vec::new(),
+            parked: Vec::new(),
             records: Vec::new(),
         }
     }
@@ -108,9 +173,8 @@ impl RecoveryDispatcher {
     /// Whether dispatching `detection` would execute an actual repair
     /// against the cloud API (its confirmed root cause is mapped in the
     /// plan library), as opposed to queueing a step-less operation-end
-    /// review. Cross-tenant arbiters use this to charge admission lanes
-    /// only for work that really contends for the shared backend.
-    pub fn is_actionable(&self, detection: &Detection) -> bool {
+    /// review. Only such work contends for a storm lane.
+    fn is_actionable(&self, detection: &Detection) -> bool {
         let (cause, _) = root_cause_of(detection);
         self.executor
             .library()
@@ -136,10 +200,38 @@ impl RecoveryDispatcher {
             EngineNotice::Diagnosed {
                 detection_index,
                 detection,
-            } => {
-                self.dispatch(*detection_index, detection, false);
-            }
+            } => self.diagnosed(*detection_index, detection),
         }
+    }
+
+    /// Eager dispatch of a verdict. Under a storm an actionable repair
+    /// first needs a lane: the lane wait and the throttle penalty land on
+    /// this operation's clock before the repair starts — that is where
+    /// MTTR-under-load diverges from the quiet path — and a shed repair is
+    /// parked for the sweep.
+    fn diagnosed(&mut self, detection_index: usize, detection: &Detection) {
+        let storm = match &self.storm {
+            Some(storm) if self.is_actionable(detection) => Rc::clone(storm),
+            _ => {
+                let quiet = RecoveryPath::Eager {
+                    throttled: false,
+                    delayed: SimDuration::ZERO,
+                };
+                return self.dispatch(detection_index, detection, quiet);
+            }
+        };
+        let Some(grant) = storm.borrow_mut().admit() else {
+            self.parked.push(detection_index);
+            return;
+        };
+        let start = self.cloud.clock().advance(grant.delay);
+        let path = RecoveryPath::Eager {
+            throttled: grant.throttled,
+            delayed: grant.delay,
+        };
+        self.dispatch(detection_index, detection, path);
+        let took = self.cloud.clock().now().duration_since(start);
+        storm.borrow_mut().occupy(grant, took);
     }
 
     /// Speculatively stages the plans of every mapped candidate cause
@@ -151,18 +243,12 @@ impl RecoveryDispatcher {
         instance: Option<&pod_cloud::InstanceId>,
     ) {
         let env = self.env.snapshot();
-        let staged_at = self.cloud.clock().now();
-        let plans: Vec<PreparedPlan> = candidates
+        let library = self.executor.library();
+        let plans: Vec<(String, RecoveryPlan)> = candidates
             .iter()
             .filter_map(|cause| {
-                self.executor
-                    .library()
-                    .plan_for(cause, &env, instance)
-                    .map(|plan| PreparedPlan {
-                        root_cause: cause.clone(),
-                        plan,
-                        staged_at,
-                    })
+                let plan = library.plan_for(cause, &env, instance)?;
+                Some((cause.clone(), plan))
             })
             .collect();
         if !plans.is_empty() {
@@ -173,9 +259,10 @@ impl RecoveryDispatcher {
     }
 
     /// Dispatches one diagnosed detection exactly once (the dedup
-    /// guarantee). `at_sweep` selects how unmapped/none causes are
-    /// treated: deferred for review (eager path) or reviewed now (sweep).
-    fn dispatch(&mut self, detection_index: usize, detection: &Detection, at_sweep: bool) {
+    /// guarantee), recording the run under `path`. On an eager path an
+    /// unmapped/none cause is deferred for review; at the sweep it is
+    /// reviewed now.
+    fn dispatch(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
         if !self.handled.insert(detection_index) {
             self.metrics.dedup.incr();
             return;
@@ -188,14 +275,14 @@ impl RecoveryDispatcher {
             // Prestage accounting: a hit uses the staged plan verbatim;
             // everything staged for the losing candidates was wasted work.
             let mut prepared = None;
-            if let Some(plans) = staged {
-                match plans.iter().position(|p| p.root_cause == cause) {
+            if let Some(mut plans) = staged {
+                match plans.iter().position(|(c, _)| *c == cause) {
                     Some(i) => {
                         self.metrics.prestage_hit.incr();
                         self.metrics
                             .prestage_waste
                             .add(plans.len().saturating_sub(1) as u64);
-                        prepared = plans.into_iter().nth(i);
+                        prepared = Some(plans.swap_remove(i).1);
                     }
                     None => {
                         self.metrics.prestage_miss.incr();
@@ -204,25 +291,26 @@ impl RecoveryDispatcher {
                 }
             }
             let req = self.request(detection_index, detection, &cause, &description);
-            let mut run = self.executor.recover_prepared(&req, prepared.as_ref());
+            let mut run = self.executor.recover_prepared(&req, prepared);
             stamp_phases(&mut run, detection);
-            self.records.push((detection_index, run));
-        } else if !at_sweep {
-            // No actionable repair mid-operation: everything staged was
-            // speculative waste; queue the incident for operation-end
-            // review.
-            if let Some(plans) = staged {
-                self.metrics.prestage_miss.incr();
-                self.metrics.prestage_waste.add(plans.len() as u64);
-            }
+            self.records.push(DispatchRecord {
+                detection_index,
+                path,
+                run,
+            });
+            return;
+        }
+        // No actionable repair: everything staged was speculative waste.
+        if let Some(plans) = staged {
+            self.metrics.prestage_miss.incr();
+            self.metrics.prestage_waste.add(plans.len() as u64);
+        }
+        if let RecoveryPath::Eager { .. } = path {
+            // Mid-operation: queue the incident for operation-end review.
             self.deferred.push((detection_index, detection.clone()));
             self.update_queue_depth();
         } else {
-            if let Some(plans) = staged {
-                self.metrics.prestage_miss.incr();
-                self.metrics.prestage_waste.add(plans.len() as u64);
-            }
-            self.review(detection_index, detection, cause, description);
+            self.review(detection_index, detection, path);
         }
     }
 
@@ -243,13 +331,8 @@ impl RecoveryDispatcher {
     ///   transient) — recovered without paging anyone; still failing
     ///   escalates, because an unexplained, persistent violation needs a
     ///   human.
-    fn review(
-        &mut self,
-        detection_index: usize,
-        detection: &Detection,
-        cause: String,
-        description: String,
-    ) {
+    fn review(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
+        let (cause, description) = root_cause_of(detection);
         let env = self.env.snapshot();
         let verify = if is_benign_cause(&cause) {
             vec![CloudAssertion::LaunchConfigInstancesConsistent]
@@ -263,34 +346,45 @@ impl RecoveryDispatcher {
         let req = self.request(detection_index, detection, &cause, &description);
         let mut run = self.executor.recover_with(&req, plan);
         stamp_phases(&mut run, detection);
-        self.records.push((detection_index, run));
+        self.records.push(DispatchRecord {
+            detection_index,
+            path,
+            run,
+        });
     }
 
     /// The end-of-run sweep: recovers every diagnosed detection the eager
-    /// path did not handle (all of them when no hook was installed), then
-    /// reviews the deferred incidents. Dedup makes this idempotent with
-    /// respect to the eager path.
+    /// path did not handle (all of them when no hook was installed, and
+    /// every repair the storm shed), then reviews the deferred incidents.
+    /// Dedup makes this idempotent with respect to the eager path.
     pub fn sweep(&mut self, detections: &[Detection]) {
+        let parked = std::mem::take(&mut self.parked);
+        if let Some(storm) = &self.storm {
+            storm.borrow_mut().swept(parked.len());
+        }
         for (i, d) in detections.iter().enumerate() {
             if d.diagnosis.is_none() {
                 // Suppressed by the diagnosis cooldown — an identical
                 // diagnosis just ran; nothing to recover.
                 continue;
             }
-            self.dispatch(i, d, true);
+            let path = if parked.contains(&i) {
+                RecoveryPath::DeferredSwept
+            } else {
+                RecoveryPath::Review
+            };
+            self.dispatch(i, d, path);
         }
-        let deferred = std::mem::take(&mut self.deferred);
-        for (i, d) in deferred {
-            let (cause, description) = root_cause_of(&d);
-            self.review(i, &d, cause, description);
+        for (i, d) in std::mem::take(&mut self.deferred) {
+            self.review(i, &d, RecoveryPath::Review);
         }
         self.update_queue_depth();
     }
 
     /// Drains the finished runs, ordered by detection index.
-    pub fn take_records(&mut self) -> Vec<(usize, RecoveryRun)> {
+    pub fn take_records(&mut self) -> Vec<DispatchRecord> {
         let mut records = std::mem::take(&mut self.records);
-        records.sort_by_key(|(i, _)| *i);
+        records.sort_by_key(|r| r.detection_index);
         records
     }
 
@@ -406,7 +500,7 @@ mod tests {
         );
         let shared = SharedEnv::new(env);
         let mut dispatcher =
-            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-1");
+            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-1", None);
 
         let detection = diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami"));
         dispatcher.on_notice(&EngineNotice::Detected {
@@ -428,12 +522,24 @@ mod tests {
 
         let records = dispatcher.take_records();
         assert_eq!(records.len(), 1, "exactly one recovery per incident");
-        let (idx, run) = &records[0];
-        assert_eq!(*idx, 0);
+        let DispatchRecord {
+            detection_index,
+            path,
+            run,
+        } = &records[0];
+        assert_eq!(*detection_index, 0);
         let recovered = (run.outcome == crate::RecoveryOutcome::Recovered) as usize;
         let escalated = matches!(run.outcome, crate::RecoveryOutcome::Escalated { .. }) as usize;
         assert_eq!(records.len(), recovered + escalated);
         assert_eq!(run.outcome, crate::RecoveryOutcome::Recovered);
+        assert_eq!(
+            *path,
+            RecoveryPath::Eager {
+                throttled: false,
+                delayed: SimDuration::ZERO
+            },
+            "no storm: the eager path never waits"
+        );
 
         let obs = cloud.obs();
         assert_eq!(obs.counter("recovery.dispatch.dedup").get(), 1);
@@ -450,7 +556,7 @@ mod tests {
         let (cloud, env) = cluster(92);
         let shared = SharedEnv::new(env);
         let mut dispatcher =
-            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-2");
+            RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-2", None);
 
         let detection = diagnosed(&cloud, "asg-desired-capacity", Some("concurrent-scale-in"));
         dispatcher.on_notice(&EngineNotice::Diagnosed {
@@ -463,8 +569,9 @@ mod tests {
         dispatcher.sweep(std::slice::from_ref(&detection));
         let records = dispatcher.take_records();
         assert_eq!(records.len(), 1);
-        let run = &records[0].1;
+        let run = &records[0].run;
         assert_eq!(run.plans_tried, vec!["confirm-resolved"]);
+        assert_eq!(records[0].path, RecoveryPath::Review);
         // The desired-capacity expectation (2) is met by the healthy group,
         // so the review confirms the incident resolved itself.
         assert_eq!(run.outcome, crate::RecoveryOutcome::Recovered);

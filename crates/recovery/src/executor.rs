@@ -35,23 +35,9 @@ const MAX_STEP_ATTEMPTS: u32 = 2;
 
 /// Cost of staging a plan cold: resolving its parameters against the
 /// environment, checking step preconditions and warming the consistent
-/// API handles. A plan pre-staged during diagnosis (see [`PreparedPlan`])
-/// skips this entirely — that is the fast path's zero-staging-latency win.
+/// API handles. A plan the dispatcher pre-staged during diagnosis skips
+/// this entirely — that is the fast path's zero-staging-latency win.
 const STAGE_LATENCY: SimDuration = SimDuration::from_millis(1500);
-
-/// A plan staged ahead of the diagnosis verdict: parameters resolved,
-/// preconditions checked, API handles warm. Produced by the dispatcher
-/// while the fault tree is still being walked; consumed with
-/// [`RecoveryExecutor::recover_prepared`].
-#[derive(Debug, Clone)]
-pub struct PreparedPlan {
-    /// The root cause this plan repairs — the speculation target.
-    pub root_cause: String,
-    /// The fully instantiated plan.
-    pub plan: RecoveryPlan,
-    /// When the plan was staged (virtual time).
-    pub staged_at: SimTime,
-}
 
 /// Where a recovered run's repair time went, on the virtual clock. The
 /// segments sum to ≈ MTTR and tell future optimisation passes which phase
@@ -98,11 +84,8 @@ pub struct RecoveryRequest {
 pub enum RecoveryOutcome {
     /// The repair executed and the closed-loop re-check passed.
     Recovered,
-    /// The run was handed to a human.
+    /// The run was handed to the operator.
     Escalated {
-        /// Whether an operator page was raised (always true today; kept
-        /// explicit so quieter escalation channels stay representable).
-        to_operator: bool,
         /// Why automation gave up.
         reason: String,
     },
@@ -284,22 +267,16 @@ impl RecoveryExecutor {
     /// Executes the recovery for one diagnosed root cause: plan selection,
     /// step execution with bounded retries, closed-loop verification, and
     /// the fallback/escalation ladder. Always returns a terminal run —
-    /// escalations are explicit, never dropped. A plan pre-staged while
-    /// the diagnosis was still walking the fault tree is consumed when the
-    /// speculation matches the confirmed root cause — then the winning
-    /// plan starts executing with zero staging latency. A stale or missing
-    /// pre-stage is staged cold (`STAGE_LATENCY`).
+    /// escalations are explicit, never dropped. A `prepared` plan, staged
+    /// for the confirmed root cause while the diagnosis was still walking
+    /// the fault tree, starts executing with zero staging latency; without
+    /// one the library's plan is staged cold (`STAGE_LATENCY`).
     pub fn recover_prepared(
         &self,
         req: &RecoveryRequest,
-        prepared: Option<&PreparedPlan>,
+        prepared: Option<RecoveryPlan>,
     ) -> RecoveryRun {
-        match prepared {
-            Some(p) if p.root_cause == req.root_cause => {
-                self.recover_inner(req, Some(p.plan.clone()), false)
-            }
-            _ => self.recover_inner(req, None, false),
-        }
+        self.recover_inner(req, prepared, false)
     }
 
     /// Runs an explicit plan instead of consulting the library — the
@@ -335,7 +312,6 @@ impl RecoveryExecutor {
             task_id: req.task_id.clone(),
             root_cause: req.root_cause.clone(),
             outcome: RecoveryOutcome::Escalated {
-                to_operator: true,
                 reason: "not executed".to_string(),
             },
             plans_tried: Vec::new(),
@@ -619,10 +595,7 @@ impl RecoveryExecutor {
                 run.task_id
             ),
         );
-        run.outcome = RecoveryOutcome::Escalated {
-            to_operator: true,
-            reason,
-        };
+        run.outcome = RecoveryOutcome::Escalated { reason };
     }
 
     /// Stamps the terminal state: outcome event, outcome counters, MTTR.
@@ -639,7 +612,7 @@ impl RecoveryExecutor {
                     self.metrics.mttr_us.record(mttr.as_micros());
                 }
             }
-            RecoveryOutcome::Escalated { reason, .. } => {
+            RecoveryOutcome::Escalated { reason } => {
                 self.metrics.escalated.incr();
                 outcome_event.attr("reason", reason);
             }
@@ -984,11 +957,7 @@ mod tests {
             executor(&cloud).recover_prepared(&request(&env, "concurrent-scale-in", None), None);
 
         match &run.outcome {
-            RecoveryOutcome::Escalated {
-                to_operator,
-                reason,
-            } => {
-                assert!(*to_operator);
+            RecoveryOutcome::Escalated { reason } => {
                 assert!(reason.contains("no recovery plan mapped"), "{reason}");
             }
             other => panic!("expected escalation, got {other:?}"),
@@ -1039,7 +1008,7 @@ mod tests {
         let run = executor(&cloud).recover_prepared(&req, None);
 
         match &run.outcome {
-            RecoveryOutcome::Escalated { reason, .. } => {
+            RecoveryOutcome::Escalated { reason } => {
                 assert!(reason.contains("terminate-instance"), "{reason}");
             }
             other => panic!("expected escalation, got {other:?}"),

@@ -27,10 +27,13 @@
 //!    `pod-obs`, under new `recovery.*` metrics.
 //! 5. **Storm arbitration** ([`RecoveryStorm`]) — at gateway scale many
 //!    tenants repair concurrently against one shared, throttled cloud
-//!    API; the storm arbitrates their dispatchers over a bounded lane
-//!    pool (the `AdmissionGate`), charges lane waits and
-//!    throttle penalties to each tenant's MTTR, and sheds over-cap
-//!    repairs to the end-of-operation sweep so nothing is dropped.
+//!    API. Each tenant's [`RecoveryDispatcher`] still owns its incidents;
+//!    the storm is only the bounded lane pool they share (the
+//!    `AdmissionGate`). A dispatcher asks it for a lane in one short call
+//!    before a repair and reports the lane's hold time after, charges the
+//!    lane wait and throttle penalty to its own MTTR, and parks an
+//!    over-cap repair for its end-of-operation sweep so nothing is
+//!    dropped.
 //!
 //! Everything runs in virtual time: same seed ⇒ byte-identical recovery
 //! transcripts ([`RecoveryRun::transcript`]).
@@ -44,14 +47,14 @@ pub mod monitor;
 mod plan;
 mod storm;
 
-pub use dispatch::RecoveryDispatcher;
+pub use dispatch::{DispatchRecord, RecoveryDispatcher, RecoveryPath};
 pub use executor::{
-    PreparedPlan, RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun,
-    StepRecord, VerifyRecord,
+    RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun, StepRecord,
+    VerifyRecord,
 };
 pub use monitor::{conformance_check, recovery_model, recovery_pod_config, ConformanceReport};
 pub use plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
-pub use storm::{RecoveryPath, RecoveryStorm, StormConfig, StormRecord, StormStats, TenantId};
+pub use storm::{RecoveryStorm, StormConfig, StormStats};
 
 #[cfg(test)]
 mod fixtures;

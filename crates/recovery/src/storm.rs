@@ -1,9 +1,13 @@
-//! Recovery storms: cross-tenant repair arbitration under gateway load.
+//! Recovery storms: the repair lanes every tenant of a gateway soak shares.
 //!
-//! PR 7's eager dispatch fires repairs mid-operation. At gateway scale
-//! that means dozens of per-tenant dispatchers repairing *concurrently*
-//! against what is operationally one shared, throttled cloud API. The
-//! [`RecoveryStorm`] models exactly that contention, deterministically:
+//! Eager dispatch fires repairs mid-operation. At gateway scale that means
+//! dozens of per-tenant dispatchers repairing *concurrently* against what
+//! is operationally one shared, throttled cloud API. The [`RecoveryStorm`]
+//! models exactly that contention, deterministically, and holds nothing
+//! else: each tenant's [`RecoveryDispatcher`](crate::RecoveryDispatcher)
+//! owns its incidents and asks the storm only for a lane, in one short call
+//! before its repair (`admit`) and one after it (`occupy`). No repair runs
+//! while the storm is borrowed.
 //!
 //! * **Lane arbitration** — every actionable repair must pass the shared
 //!   [`AdmissionGate`], which bounds concurrent
@@ -15,10 +19,10 @@
 //!   penalty is added to the tenant's clock and the repair is counted in
 //!   `recovery.storm.throttled` (exactly once).
 //! * **Shed-to-sweep fallback** — a repair whose lane wait would exceed
-//!   the cap is *deferred*, never dropped: its detection index is parked
-//!   and the per-tenant dispatcher's end-of-operation sweep executes it on
-//!   the quiet post-soak path. `recovered + escalated == attempted` holds
-//!   across all paths.
+//!   the cap is *deferred*, never dropped: the dispatcher parks its
+//!   detection index and its own end-of-operation sweep executes it on the
+//!   quiet post-soak path (reported back with `swept`).
+//!   `recovered + escalated == attempted` holds across all paths.
 //!
 //! Storm pressure is visible on the gateway's observability handle:
 //! `recovery.storm.{requests,admitted,throttled,deferred,swept}` counters
@@ -30,17 +34,10 @@
 //! notice interleaving produce byte-identical recovery transcripts even
 //! under maximal contention.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use pod_cloud::Cloud;
-use pod_core::{Detection, EngineNotice, SharedEnv};
-use pod_log::LogStorage;
 use pod_obs::{Counter, Gauge, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::admission::{Admission, AdmissionGate};
-use crate::dispatch::RecoveryDispatcher;
-use crate::executor::RecoveryRun;
 
 /// Contention knobs of a recovery storm.
 #[derive(Debug, Clone)]
@@ -69,55 +66,8 @@ impl Default for StormConfig {
     }
 }
 
-/// Handle to one registered tenant (one operation's dispatcher).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantId(usize);
-
-/// How a recovery run reached the executor during a storm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPath {
-    /// Dispatched eagerly through an admission-gate lane.
-    Eager {
-        /// Whether the shared API throttled the repair.
-        throttled: bool,
-        /// Lane queue wait plus throttle penalty charged to the tenant.
-        delayed: SimDuration,
-    },
-    /// Shed to the end-of-operation sweep by the admission gate, then
-    /// executed on the quiet path — deferred, never dropped.
-    DeferredSwept,
-    /// A step-less review (or a sweep-discovered incident) that never
-    /// contended for a lane.
-    Review,
-}
-
-impl RecoveryPath {
-    /// Canonical tag for transcripts and journals.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            RecoveryPath::Eager {
-                throttled: true, ..
-            } => "eager-throttled",
-            RecoveryPath::Eager { .. } => "eager",
-            RecoveryPath::DeferredSwept => "deferred-swept",
-            RecoveryPath::Review => "review",
-        }
-    }
-}
-
-/// One finished recovery run, tagged with its detection index and the
-/// path it took through the storm.
-#[derive(Debug, Clone)]
-pub struct StormRecord {
-    /// The detection index within the tenant's run.
-    pub detection_index: usize,
-    /// How the run reached the executor.
-    pub path: RecoveryPath,
-    /// The full recovery run.
-    pub run: RecoveryRun,
-}
-
-/// Exact accounting of the storm's admission decisions.
+/// Exact accounting of the storm's admission decisions, read off its
+/// `recovery.storm.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StormStats {
     /// Actionable repairs offered to the admission gate.
@@ -162,31 +112,33 @@ impl StormMetrics {
     }
 }
 
-/// One tenant's slot: its dispatcher plus the storm's bookkeeping about
-/// which of its incidents went where.
-#[derive(Debug)]
-struct TenantSlot {
-    dispatcher: RecoveryDispatcher,
-    cloud: Cloud,
-    /// Detection indices shed to the sweep by the admission gate.
-    deferred: Vec<usize>,
-    /// Detection indices dispatched eagerly: (throttled, charged delay).
-    eager: BTreeMap<usize, (bool, SimDuration)>,
+/// A lane granted to one repair; hand it back to `occupy` once the
+/// repair's duration is known.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Grant {
+    lane: usize,
+    start: SimTime,
+    /// Whether the shared API throttled the repair.
+    pub(crate) throttled: bool,
+    /// Lane queue wait plus throttle penalty, charged to the tenant's
+    /// clock before the repair starts.
+    pub(crate) delay: SimDuration,
 }
 
-/// The shared cross-tenant repair arbiter. One storm serves every tenant
-/// of a gateway soak; wire each engine's detection hook to
-/// [`RecoveryStorm::on_notice`] and call [`RecoveryStorm::sweep`] per
-/// tenant after the gateway finishes.
+/// The lane pool every tenant of a gateway soak repairs through. Hand one
+/// `Rc<RefCell<RecoveryStorm>>` to every tenant's
+/// [`RecoveryDispatcher::new`](crate::RecoveryDispatcher::new).
 #[derive(Debug)]
 pub struct RecoveryStorm {
     /// The shared arbitration timeline (the gateway clock).
     clock: Clock,
     gate: AdmissionGate,
     config: StormConfig,
-    tenants: Vec<TenantSlot>,
     metrics: StormMetrics,
-    stats: StormStats,
+    /// Shed repairs not yet swept, across every tenant.
+    backlog: usize,
+    /// Highest in-flight lane count any grant observed.
+    peak_concurrent: usize,
 }
 
 impl RecoveryStorm {
@@ -198,97 +150,56 @@ impl RecoveryStorm {
             metrics: StormMetrics::new(obs),
             clock,
             config,
-            tenants: Vec::new(),
-            stats: StormStats::default(),
+            backlog: 0,
+            peak_concurrent: 0,
         }
     }
 
-    /// Registers one tenant: its own cloud, log storage, expected
-    /// environment and trace id, served by a dedicated dispatcher.
-    pub fn register_tenant(
-        &mut self,
-        cloud: Cloud,
-        storage: LogStorage,
-        env: SharedEnv,
-        trace_id: impl Into<String>,
-    ) -> TenantId {
-        let id = TenantId(self.tenants.len());
-        self.tenants.push(TenantSlot {
-            dispatcher: RecoveryDispatcher::new(cloud.clone(), storage, env, trace_id),
-            cloud,
-            deferred: Vec::new(),
-            eager: BTreeMap::new(),
-        });
-        id
-    }
-
-    /// The engine-hook entry point for `tenant`. `Detected` notices pass
-    /// straight through (pre-staging is tenant-local and free of shared
-    /// API work); `Diagnosed` notices with an actionable repair contend
-    /// for an admission-gate lane.
-    pub fn on_notice(&mut self, tenant: TenantId, notice: &EngineNotice) {
-        match notice {
-            EngineNotice::Detected { .. } => self.tenants[tenant.0].dispatcher.on_notice(notice),
-            EngineNotice::Diagnosed {
-                detection_index,
-                detection,
-            } => self.diagnosed(tenant, *detection_index, detection, notice),
-        }
-    }
-
-    fn diagnosed(
-        &mut self,
-        tenant: TenantId,
-        detection_index: usize,
-        detection: &Detection,
-        notice: &EngineNotice,
-    ) {
-        if !self.tenants[tenant.0].dispatcher.is_actionable(detection) {
-            // A step-less review: no shared-API repair work, no lane.
-            self.tenants[tenant.0].dispatcher.on_notice(notice);
-            return;
-        }
-        self.stats.requests += 1;
+    /// One actionable repair asks for a lane now. `None` means it was
+    /// shed: every lane is busy past the wait cap, and the caller parks
+    /// the repair for its sweep.
+    pub(crate) fn admit(&mut self) -> Option<Grant> {
         self.metrics.requests.incr();
-        let now = self.clock.now();
-        match self.gate.request(now) {
+        match self.gate.request(self.clock.now()) {
             Admission::Granted {
                 lane,
                 start,
                 waited,
                 in_flight,
             } => {
-                self.stats.admitted += 1;
                 self.metrics.admitted.incr();
-                self.stats.peak_concurrent = self.stats.peak_concurrent.max(in_flight);
+                self.peak_concurrent = self.peak_concurrent.max(in_flight);
                 self.metrics.concurrent.set(in_flight as i64);
                 let excess = in_flight.saturating_sub(self.config.throttle_at);
-                let throttled = excess > 0;
-                if throttled {
-                    self.stats.throttled += 1;
+                if excess > 0 {
                     self.metrics.throttled.incr();
                 }
-                // The lane queue wait and the throttle penalty both land
-                // on the tenant's clock before the repair starts — that
-                // is where MTTR-under-load diverges from the quiet path.
-                let delay = waited + self.config.throttle_penalty * excess as u64;
-                let slot = &mut self.tenants[tenant.0];
-                if delay > SimDuration::ZERO {
-                    slot.cloud.clock().advance(delay);
-                }
-                let before = slot.cloud.clock().now();
-                slot.dispatcher.on_notice(notice);
-                let took = slot.cloud.clock().now().duration_since(before);
-                slot.eager.insert(detection_index, (throttled, delay));
-                self.gate.occupy(lane, start + took);
+                Some(Grant {
+                    lane,
+                    start,
+                    throttled: excess > 0,
+                    delay: waited + self.config.throttle_penalty * excess as u64,
+                })
             }
             Admission::Deferred { .. } => {
-                self.stats.deferred += 1;
                 self.metrics.deferred.incr();
-                self.tenants[tenant.0].deferred.push(detection_index);
-                self.update_queue_depth();
+                self.backlog += 1;
+                self.metrics.queue_depth.set(self.backlog as i64);
+                None
             }
         }
+    }
+
+    /// Holds `grant`'s lane for the `took` its repair ran.
+    pub(crate) fn occupy(&mut self, grant: Grant, took: SimDuration) {
+        self.gate.occupy(grant.lane, grant.start + took);
+    }
+
+    /// A tenant's sweep is about to execute `n` shed repairs.
+    pub(crate) fn swept(&mut self, n: usize) {
+        self.metrics.swept.add(n as u64);
+        self.backlog -= n;
+        self.metrics.queue_depth.set(self.backlog as i64);
     }
 
     /// Refreshes the in-flight and backlog gauges at `now` — wired to
@@ -296,62 +207,40 @@ impl RecoveryStorm {
     /// forced by a detection carries the storm's current pressure.
     pub fn observe(&mut self, now: SimTime) {
         self.metrics.concurrent.set(self.gate.in_flight(now) as i64);
-        self.update_queue_depth();
-    }
-
-    /// The per-tenant end-of-operation sweep: executes everything the
-    /// eager path did not handle — including every repair the gate shed —
-    /// on the quiet post-soak path, and returns the tenant's finished
-    /// runs tagged with the path each one took. No incident is dropped.
-    pub fn sweep(&mut self, tenant: TenantId, detections: &[Detection]) -> Vec<StormRecord> {
-        let shed: BTreeSet<usize> = std::mem::take(&mut self.tenants[tenant.0].deferred)
-            .into_iter()
-            .collect();
-        self.stats.swept += shed.len() as u64;
-        self.metrics.swept.add(shed.len() as u64);
-        self.update_queue_depth();
-        let slot = &mut self.tenants[tenant.0];
-        slot.dispatcher.sweep(detections);
-        let eager = std::mem::take(&mut slot.eager);
-        slot.dispatcher
-            .take_records()
-            .into_iter()
-            .map(|(detection_index, run)| {
-                let path = match eager.get(&detection_index) {
-                    Some(&(throttled, delayed)) => RecoveryPath::Eager { throttled, delayed },
-                    None if shed.contains(&detection_index) => RecoveryPath::DeferredSwept,
-                    None => RecoveryPath::Review,
-                };
-                StormRecord {
-                    detection_index,
-                    path,
-                    run,
-                }
-            })
-            .collect()
+        self.metrics.queue_depth.set(self.backlog as i64);
     }
 
     /// The storm's exact admission accounting.
     pub fn stats(&self) -> StormStats {
-        self.stats
+        let m = &self.metrics;
+        StormStats {
+            requests: m.requests.get(),
+            admitted: m.admitted.get(),
+            throttled: m.throttled.get(),
+            deferred: m.deferred.get(),
+            swept: m.swept.get(),
+            peak_concurrent: self.peak_concurrent,
+        }
     }
 
     /// The contention knobs the storm runs under.
     pub fn config(&self) -> &StormConfig {
         &self.config
     }
-
-    fn update_queue_depth(&self) {
-        let backlog: usize = self.tenants.iter().map(|t| t.deferred.len()).sum();
-        self.metrics.queue_depth.set(backlog as i64);
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::dispatch::{DispatchRecord, RecoveryDispatcher, RecoveryPath};
+    use crate::executor::RecoveryRun;
     use crate::fixtures;
-    use pod_cloud::LaunchConfigUpdate;
+    use pod_cloud::{Cloud, LaunchConfigUpdate};
+    use pod_core::{Detection, EngineNotice, SharedEnv};
+    use pod_log::LogStorage;
 
     /// A cluster whose upgrade launch configuration points at a stale AMI
     /// — the repairable `lc-wrong-ami` fault the dispatcher tests use.
@@ -372,18 +261,34 @@ mod tests {
         fixtures::diagnosed(cloud, "asg-launch-config-correct", Some(cause))
     }
 
-    fn register(storm: &mut RecoveryStorm, cloud: &Cloud, env: &SharedEnv, id: &str) -> TenantId {
-        storm.register_tenant(cloud.clone(), LogStorage::new(), env.clone(), id)
+    fn storm(config: StormConfig) -> (Obs, Rc<RefCell<RecoveryStorm>>) {
+        let clock = Clock::new();
+        let obs = Obs::new(clock.clone());
+        let storm = RecoveryStorm::new(&obs, clock, config);
+        (obs, Rc::new(RefCell::new(storm)))
     }
 
-    fn dispatch_one(storm: &mut RecoveryStorm, tenant: TenantId, detection: &Detection) {
-        storm.on_notice(
-            tenant,
-            &EngineNotice::Diagnosed {
-                detection_index: 0,
-                detection: detection.clone(),
-            },
-        );
+    /// A tenant: its own dispatcher, repairing through the shared lanes.
+    fn tenant(
+        storm: &Rc<RefCell<RecoveryStorm>>,
+        cloud: &Cloud,
+        env: &SharedEnv,
+        id: &str,
+    ) -> RecoveryDispatcher {
+        let storm = Some(Rc::clone(storm));
+        RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), env.clone(), id, storm)
+    }
+
+    fn dispatch_one(tenant: &mut RecoveryDispatcher, detection: &Detection) {
+        tenant.on_notice(&EngineNotice::Diagnosed {
+            detection_index: 0,
+            detection: detection.clone(),
+        });
+    }
+
+    fn sweep(tenant: &mut RecoveryDispatcher, detection: &Detection) -> Vec<DispatchRecord> {
+        tenant.sweep(std::slice::from_ref(detection));
+        tenant.take_records()
     }
 
     /// Satellite: quiet-vs-loaded equivalence. The same tenant (same
@@ -394,47 +299,35 @@ mod tests {
     #[test]
     fn loaded_repair_matches_quiet_end_state_only_slower() {
         // Quiet: plenty of lanes, throttle threshold never reached.
-        let clock_q = Clock::new();
-        let obs_q = Obs::new(clock_q.clone());
-        let mut quiet = RecoveryStorm::new(
-            &obs_q,
-            clock_q,
-            StormConfig {
-                lanes: 4,
-                throttle_at: 8,
-                ..StormConfig::default()
-            },
-        );
+        let (_, quiet) = storm(StormConfig {
+            lanes: 4,
+            throttle_at: 8,
+            ..StormConfig::default()
+        });
         let (cloud_q, env_q) = corrupted_tenant(91);
-        let tq = register(&mut quiet, &cloud_q, &env_q, "quiet-1");
+        let mut tq = tenant(&quiet, &cloud_q, &env_q, "quiet-1");
         let dq = diagnosed(&cloud_q, "lc-wrong-ami");
-        dispatch_one(&mut quiet, tq, &dq);
-        let quiet_records = quiet.sweep(tq, std::slice::from_ref(&dq));
+        dispatch_one(&mut tq, &dq);
+        let quiet_records = sweep(&mut tq, &dq);
 
         // Loaded: one lane, zero-tolerance throttling, and a contending
         // tenant that grabs the lane first.
-        let clock_l = Clock::new();
-        let obs_l = Obs::new(clock_l.clone());
-        let mut loaded = RecoveryStorm::new(
-            &obs_l,
-            clock_l,
-            StormConfig {
-                lanes: 1,
-                throttle_at: 0,
-                throttle_penalty: SimDuration::from_secs(5),
-                max_lane_wait: SimDuration::from_secs(3600),
-            },
-        );
+        let (obs_l, loaded) = storm(StormConfig {
+            lanes: 1,
+            throttle_at: 0,
+            throttle_penalty: SimDuration::from_secs(5),
+            max_lane_wait: SimDuration::from_secs(3600),
+        });
         let (cloud_a, env_a) = corrupted_tenant(95);
-        let ta = register(&mut loaded, &cloud_a, &env_a, "contender");
+        let mut ta = tenant(&loaded, &cloud_a, &env_a, "contender");
         let (cloud_b, env_b) = corrupted_tenant(91);
-        let tb = register(&mut loaded, &cloud_b, &env_b, "quiet-1");
+        let mut tb = tenant(&loaded, &cloud_b, &env_b, "quiet-1");
         let da = diagnosed(&cloud_a, "lc-wrong-ami");
-        dispatch_one(&mut loaded, ta, &da);
+        dispatch_one(&mut ta, &da);
         let db = diagnosed(&cloud_b, "lc-wrong-ami");
-        dispatch_one(&mut loaded, tb, &db);
-        loaded.sweep(ta, std::slice::from_ref(&da));
-        let loaded_records = loaded.sweep(tb, std::slice::from_ref(&db));
+        dispatch_one(&mut tb, &db);
+        sweep(&mut ta, &da);
+        let loaded_records = sweep(&mut tb, &db);
 
         assert_eq!(quiet_records.len(), 1);
         assert_eq!(loaded_records.len(), 1);
@@ -469,8 +362,18 @@ mod tests {
             l.finished_at
         );
         assert!(l.mttr().unwrap() > q.mttr().unwrap());
-        assert_eq!(loaded.stats().throttled, 2);
+        assert_eq!(loaded.borrow().stats().throttled, 2);
         assert_eq!(obs_l.snapshot().counter("recovery.storm.throttled"), 2);
+    }
+
+    /// A one-lane storm that sheds anything that would have to wait.
+    fn zero_wait_storm() -> (Obs, Rc<RefCell<RecoveryStorm>>) {
+        storm(StormConfig {
+            lanes: 1,
+            max_lane_wait: SimDuration::ZERO,
+            throttle_at: 8,
+            ..StormConfig::default()
+        })
     }
 
     /// Shed-to-sweep: a repair the gate cannot serve within the wait cap
@@ -478,31 +381,20 @@ mod tests {
     /// accounting stays exact.
     #[test]
     fn deferred_repair_is_swept_never_dropped() {
-        let clock = Clock::new();
-        let obs = Obs::new(clock.clone());
-        let mut storm = RecoveryStorm::new(
-            &obs,
-            clock,
-            StormConfig {
-                lanes: 1,
-                max_lane_wait: SimDuration::ZERO,
-                throttle_at: 8,
-                ..StormConfig::default()
-            },
-        );
+        let (obs, storm) = zero_wait_storm();
         let (cloud_a, env_a) = corrupted_tenant(21);
-        let ta = register(&mut storm, &cloud_a, &env_a, "t-a");
+        let mut ta = tenant(&storm, &cloud_a, &env_a, "t-a");
         let (cloud_b, env_b) = corrupted_tenant(22);
-        let tb = register(&mut storm, &cloud_b, &env_b, "t-b");
+        let mut tb = tenant(&storm, &cloud_b, &env_b, "t-b");
 
         // Tenant A takes the only lane; tenant B's repair would have to
         // queue past the (zero) cap and is shed to the sweep.
         let da = diagnosed(&cloud_a, "lc-wrong-ami");
-        dispatch_one(&mut storm, ta, &da);
+        dispatch_one(&mut ta, &da);
         let db = diagnosed(&cloud_b, "lc-wrong-ami");
-        dispatch_one(&mut storm, tb, &db);
+        dispatch_one(&mut tb, &db);
 
-        let s = storm.stats();
+        let s = storm.borrow().stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.admitted, 1);
         assert_eq!(s.deferred, 1);
@@ -512,15 +404,15 @@ mod tests {
             Some(&1)
         );
 
-        let ra = storm.sweep(ta, std::slice::from_ref(&da));
-        let rb = storm.sweep(tb, std::slice::from_ref(&db));
+        let ra = sweep(&mut ta, &da);
+        let rb = sweep(&mut tb, &db);
         assert_eq!(ra.len(), 1);
         assert_eq!(rb.len(), 1);
         assert_eq!(ra[0].path.tag(), "eager");
         assert_eq!(rb[0].path.tag(), "deferred-swept");
         assert!(rb[0].run.outcome.is_recovered(), "swept repair still runs");
 
-        let s = storm.stats();
+        let s = storm.borrow().stats();
         assert_eq!(s.swept, s.deferred);
         assert_eq!(s.admitted + s.deferred, s.requests);
         assert_eq!(obs.snapshot().counter("recovery.storm.swept"), 1);
@@ -530,19 +422,52 @@ mod tests {
         );
     }
 
+    /// A shed repair's speculative plans are not wasted: they stay staged
+    /// in its dispatcher and the sweep consumes the winner.
+    #[test]
+    fn a_shed_repair_keeps_its_prestaged_plan_until_the_sweep() {
+        let (_, storm) = zero_wait_storm();
+        let (cloud_a, env_a) = corrupted_tenant(41);
+        let mut ta = tenant(&storm, &cloud_a, &env_a, "t-a");
+        let da = diagnosed(&cloud_a, "lc-wrong-ami");
+        dispatch_one(&mut ta, &da);
+
+        let (cloud_b, env_b) = corrupted_tenant(42);
+        let mut tb = tenant(&storm, &cloud_b, &env_b, "t-b");
+        let db = diagnosed(&cloud_b, "lc-wrong-ami");
+        tb.on_notice(&EngineNotice::Detected {
+            detection_index: 0,
+            at: db.at,
+            source: db.source,
+            key: db.key.clone(),
+            step: db.step.clone(),
+            instance: None,
+            dispatched: true,
+            candidates: vec!["lc-wrong-ami".to_string(), "ami-unavailable".to_string()],
+        });
+        dispatch_one(&mut tb, &db);
+        assert_eq!(storm.borrow().stats().deferred, 1, "the only lane is taken");
+
+        let records = sweep(&mut tb, &db);
+        let obs = cloud_b.obs();
+        assert_eq!(obs.counter("recovery.prestage.staged").get(), 2);
+        assert_eq!(obs.counter("recovery.prestage.hit").get(), 1);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].path, RecoveryPath::DeferredSwept);
+        assert!(records[0].run.outcome.is_recovered());
+    }
+
     /// Non-actionable diagnoses (benign interference, no cause found)
     /// never touch the admission gate: lanes are for real repairs.
     #[test]
     fn reviews_do_not_contend_for_lanes() {
-        let clock = Clock::new();
-        let obs = Obs::new(clock.clone());
-        let mut storm = RecoveryStorm::new(&obs, clock, StormConfig::default());
+        let (_, storm) = storm(StormConfig::default());
         let (cloud, env) = corrupted_tenant(31);
-        let t = register(&mut storm, &cloud, &env, "t-r");
+        let mut t = tenant(&storm, &cloud, &env, "t-r");
         let d = diagnosed(&cloud, "concurrent-scale-in");
-        dispatch_one(&mut storm, t, &d);
-        assert_eq!(storm.stats().requests, 0);
-        let records = storm.sweep(t, std::slice::from_ref(&d));
+        dispatch_one(&mut t, &d);
+        assert_eq!(storm.borrow().stats().requests, 0);
+        let records = sweep(&mut t, &d);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].path, RecoveryPath::Review);
         assert_eq!(records[0].run.plans_tried, vec!["confirm-resolved"]);
