@@ -80,13 +80,6 @@ pub struct PodConfig {
     /// Timeout for the step timer — "set based on experiments, at the 95%
     /// percentile" of historical step durations.
     pub step_timeout: SimDuration,
-    /// Period of the operation-wide periodic health check.
-    pub periodic_interval: SimDuration,
-    /// Delay between a detection and the start of its diagnosis (the
-    /// central log processor picks failures up from storage). Transient
-    /// faults reverted inside this window reproduce the paper's third
-    /// wrong-diagnosis class.
-    pub diagnosis_dispatch_delay: SimDuration,
     /// Extra assertions evaluated at every periodic tick, besides the
     /// process-aware capacity checks — the paper's "regression test"
     /// assertions (e.g. resource availability).
@@ -120,8 +113,6 @@ impl PodConfig {
             completion_activity: None,
             in_flight_activities: Vec::new(),
             step_timeout: SimDuration::from_secs(150),
-            periodic_interval: SimDuration::from_secs(60),
-            diagnosis_dispatch_delay: SimDuration::from_secs(5),
             periodic_assertions: Vec::new(),
             batch_size: 1,
         }

@@ -42,6 +42,12 @@ const CONFORMANCE_LATENCY: SimDuration = SimDuration::from_millis(10);
 /// Minimum spacing between two diagnoses for the same tree key; a
 /// detection inside the window is recorded without re-diagnosing.
 const DIAGNOSIS_COOLDOWN: SimDuration = SimDuration::from_secs(45);
+/// Period of the operation-wide periodic health check.
+const PERIODIC_INTERVAL: SimDuration = SimDuration::from_secs(60);
+/// Delay between a detection and the start of its diagnosis (the central
+/// log processor picks failures up from storage). Transient faults reverted
+/// inside this window reproduce the paper's third wrong-diagnosis class.
+const DIAGNOSIS_DISPATCH_DELAY: SimDuration = SimDuration::from_secs(5);
 
 /// Service overhead of one diagnosis (selecting and instantiating the tree,
 /// pruning, fetching the recent log context): a 600 ms floor plus a
@@ -333,7 +339,7 @@ impl PodEngine {
         // Let any dispatched-but-not-yet-started diagnosis run.
         self.cloud
             .clock()
-            .advance(self.pod.config.diagnosis_dispatch_delay + SimDuration::from_millis(1));
+            .advance(DIAGNOSIS_DISPATCH_DELAY + SimDuration::from_millis(1));
         self.fire_due_timers();
         self.summary.trace_complete = self.conformance.is_complete(&self.trace_id);
         self.summary.clone()
@@ -487,8 +493,8 @@ impl PodEngine {
         // Periodic checks chain back to the operation-start log line.
         let cause = self.cloud.obs().events().current_cause();
         let id = self.timers.schedule_periodic(
-            now + self.pod.config.periodic_interval,
-            self.pod.config.periodic_interval,
+            now + PERIODIC_INTERVAL,
+            PERIODIC_INTERVAL,
             TimerPayload::Periodic { cause },
         );
         self.periodic_timer = Some(id);
@@ -711,7 +717,7 @@ impl PodEngine {
         if cooled_down {
             self.last_diagnosis_at.insert(key.clone(), at);
             self.timers.schedule_once(
-                at + self.pod.config.diagnosis_dispatch_delay,
+                at + DIAGNOSIS_DISPATCH_DELAY,
                 TimerPayload::Diagnose {
                     detection_index,
                     key: key.clone(),

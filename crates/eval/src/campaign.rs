@@ -617,7 +617,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
             d.take_records()
                 .into_iter()
                 .map(|DispatchRecord { run, .. }| {
-                    let conformance = conformance_check(&scenario.cloud, &run);
+                    let conformance = conformance_check(scenario.cloud.obs(), &run);
                     RecoveryRecord { run, conformance }
                 })
                 .collect()

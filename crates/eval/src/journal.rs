@@ -435,11 +435,10 @@ pub fn campaign_lines(run: &str, report: &CampaignReport) -> Vec<Json> {
     lines
 }
 
-/// The soak's run record: the "soak" headline, the gateway statistics,
-/// one "batch-sweep" row per swept batch size, the replay latency budget,
-/// the telemetry outcome, the gateway's pod-obs snapshot with its tail
-/// exemplars, and the flight recorder's black box.
-pub fn soak_lines(run: &str, report: &SoakReport, sweep: &[(usize, GatewayStats)]) -> Vec<Json> {
+/// The soak's run record: the "soak" headline, the gateway statistics, the
+/// replay latency budget, the telemetry outcome, the gateway's pod-obs
+/// snapshot with its tail exemplars, and the flight recorder's black box.
+pub fn soak_lines(run: &str, report: &SoakReport) -> Vec<Json> {
     let detections: usize = report.ops.iter().map(|o| o.detections).sum();
     let headline = Record::new("soak", run)
         .num("ops", report.ops.len() as u64)
@@ -447,17 +446,6 @@ pub fn soak_lines(run: &str, report: &SoakReport, sweep: &[(usize, GatewayStats)
         .num("leaks", report.leaks.len() as u64)
         .num("detections_total", detections as u64);
     let mut lines = vec![headline.build(), gateway_line(run, &report.stats)];
-    lines.extend(sweep.iter().map(|(batch_size, stats)| {
-        Record::new("batch-sweep", run)
-            .num("batch_size", *batch_size as u64)
-            .float("lines_per_sec_virtual", stats.lines_per_sec_virtual())
-            .num("virtual_elapsed_us", stats.virtual_elapsed.as_micros())
-            .num("batches", stats.batches)
-            .num("deferred", stats.deferred)
-            .num("blocked", stats.blocked)
-            .num("shed", stats.total_shed())
-            .build()
-    }));
     lines.extend(latency_lines(run, &report.latency));
     lines.push(telemetry_line(run, report));
     lines.extend(snapshot_lines(run, &report.snapshot));

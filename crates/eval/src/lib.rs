@@ -19,9 +19,9 @@
 //! - [`LatencyProfile`] — the latency-budget profiler: every run's
 //!   per-stage self virtual time ([`RunRecord::stage_self_us`]),
 //!   p50/p95/p99 per fault type;
-//! - [`collect_streams`] / [`replay`] / [`sweep_batches`] — the gateway
-//!   soak: many interleaved faulty upgrades serialized to raw lines, then
-//!   replayed through one `pod-gateway` with per-operation engines;
+//! - [`collect_streams`] / [`replay`] — the gateway soak: many interleaved
+//!   faulty upgrades serialized to raw lines, then replayed through one
+//!   `pod-gateway` with per-operation engines;
 //! - [`RecoveryStats`] — the recovery loop: the campaign's optional
 //!   remediation stage hands every diagnosed root cause to `pod-recovery`
 //!   and aggregates the per-fault MTTR distribution plus
@@ -79,7 +79,7 @@ pub use scenario::{
 };
 pub use soak::{
     collect_streams, render_recovery_soak, render_soak_report, replay, replay_telemetry,
-    replay_with_recovery, sweep_batches, OpStream, SoakConfig, SoakOpResult, SoakRecoveryReport,
-    SoakReport, SoakStreams, TenantRecoveryResult,
+    replay_with_recovery, OpStream, SoakConfig, SoakOpResult, SoakRecoveryReport, SoakReport,
+    SoakStreams, TenantRecoveryResult,
 };
 pub use timing::TimingStats;

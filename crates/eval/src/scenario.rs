@@ -204,7 +204,6 @@ pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
     // heavy tail). Late-but-healthy replacements beyond p95 become the
     // paper's first false-positive class.
     c.step_timeout = SimDuration::from_millis(82_000);
-    c.periodic_interval = SimDuration::from_secs(60);
     // Regression-test assertions at every periodic tick: every referenced
     // resource must still exist.
     c.periodic_assertions = vec![

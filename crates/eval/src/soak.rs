@@ -717,25 +717,6 @@ fn replay_inner(
     }
 }
 
-/// Replays the same streams once per batch size and returns the gateway
-/// statistics of each pass (the journal's `batch-sweep` rows).
-pub fn sweep_batches(
-    streams: &SoakStreams,
-    base: &GatewayConfig,
-    sizes: &[usize],
-) -> Vec<(usize, GatewayStats)> {
-    sizes
-        .iter()
-        .map(|&batch_size| {
-            let config = GatewayConfig {
-                batch_size,
-                ..base.clone()
-            };
-            (batch_size, replay(streams, &config).stats)
-        })
-        .collect()
-}
-
 /// Renders the soak result as plain text: headline, per-fault detection
 /// counts, the gateway section and the replay latency budget.
 pub fn render_soak_report(report: &SoakReport) -> String {

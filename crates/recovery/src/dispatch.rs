@@ -114,9 +114,9 @@ impl DispatchMetrics {
 }
 
 /// The fast-path recovery dispatcher. Wire [`RecoveryDispatcher::on_notice`]
-/// into `PodEngine::set_detection_hook` for eager dispatch, then call
-/// [`RecoveryDispatcher::sweep`] with the run's detections after the
-/// operation ends — the sweep recovers anything the eager path did not
+/// into the `pod-core` engine's `set_detection_hook` for eager dispatch,
+/// then call [`RecoveryDispatcher::sweep`] with the run's detections after
+/// the operation ends — the sweep recovers anything the eager path did not
 /// handle (or everything, when no hook was installed) and reviews the
 /// deferred incidents. Collect results with
 /// [`RecoveryDispatcher::take_records`].
@@ -481,23 +481,14 @@ fn confirm_assertion(key: &str, env: &ExpectedEnv) -> CloudAssertion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{cluster, diagnosed};
-    use pod_cloud::LaunchConfigUpdate;
+    use crate::fixtures::{cluster, diagnosed, wrong_ami};
 
     /// Satellite (d): when the eager path and the end-of-run sweep race on
     /// the same incident, exactly one recovery runs, the duplicate is
     /// counted, and `attempted == recovered + escalated` holds.
     #[test]
     fn eager_and_sweep_dedup_to_one_recovery() {
-        let (cloud, env) = cluster(91);
-        let old = cloud.admin_create_ami("app-old", "1.0");
-        cloud.admin_update_launch_config(
-            &env.launch_config,
-            LaunchConfigUpdate {
-                ami: Some(old),
-                ..LaunchConfigUpdate::default()
-            },
-        );
+        let (cloud, env) = wrong_ami(91);
         let shared = SharedEnv::new(env);
         let mut dispatcher =
             RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-1", None);

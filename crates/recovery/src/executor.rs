@@ -894,9 +894,7 @@ fn rewind(t: SimTime, lag: SimDuration) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures;
-    use pod_cloud::LaunchConfigUpdate;
-
+    use crate::fixtures::{self, request};
     use crate::monitor;
 
     /// The fixture cluster with its load balancer up or down.
@@ -908,34 +906,13 @@ mod tests {
         (cloud, env)
     }
 
-    fn request(env: &ExpectedEnv, cause: &str, instance: Option<InstanceId>) -> RecoveryRequest {
-        RecoveryRequest {
-            task_id: "run-1-r0".to_string(),
-            root_cause: cause.to_string(),
-            description: format!("diagnosed {cause}"),
-            detected_at: SimTime::ZERO,
-            instance,
-            env: env.clone(),
-            parent_event: None,
-        }
-    }
-
     fn executor(cloud: &Cloud) -> RecoveryExecutor {
         RecoveryExecutor::new(cloud.clone(), LogStorage::new())
     }
 
     #[test]
     fn repairs_a_corrupted_launch_config_and_verifies() {
-        let (cloud, env) = setup(21, true);
-        let old = cloud.admin_create_ami("app-old", "1.0");
-        cloud.admin_update_launch_config(
-            &env.launch_config,
-            LaunchConfigUpdate {
-                ami: Some(old),
-                ..LaunchConfigUpdate::default()
-            },
-        );
-
+        let (cloud, env) = fixtures::wrong_ami(21);
         let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
@@ -946,7 +923,7 @@ mod tests {
             .admin_describe_launch_config(&env.launch_config)
             .expect("launch config re-created");
         assert_eq!(lc.ami, env.expected_ami);
-        let report = monitor::conformance_check(&cloud, &run);
+        let report = monitor::conformance_check(cloud.obs(), &run);
         assert!(report.fit, "recovered run must conform: {report:?}");
     }
 
@@ -964,7 +941,7 @@ mod tests {
         }
         assert!(run.plans_tried.is_empty());
         assert!(run.mttr().is_none());
-        let report = monitor::conformance_check(&cloud, &run);
+        let report = monitor::conformance_check(cloud.obs(), &run);
         assert!(report.fit, "escalated run must conform: {report:?}");
     }
 
@@ -993,7 +970,7 @@ mod tests {
                 .unwrap()
                 .registered_with_elb
         );
-        let report = monitor::conformance_check(&cloud, &run);
+        let report = monitor::conformance_check(cloud.obs(), &run);
         assert!(report.fit, "fallback run must conform: {report:?}");
     }
 
@@ -1014,7 +991,7 @@ mod tests {
             other => panic!("expected escalation, got {other:?}"),
         }
         assert_eq!(run.steps.iter().filter(|s| s.ok).count(), 0);
-        let report = monitor::conformance_check(&cloud, &run);
+        let report = monitor::conformance_check(cloud.obs(), &run);
         assert!(report.fit, "escalated run must conform: {report:?}");
     }
 
@@ -1022,15 +999,7 @@ mod tests {
     fn same_seed_produces_byte_identical_transcripts() {
         let mut digests = Vec::new();
         for _ in 0..2 {
-            let (cloud, env) = setup(25, true);
-            let old = cloud.admin_create_ami("app-old", "1.0");
-            cloud.admin_update_launch_config(
-                &env.launch_config,
-                LaunchConfigUpdate {
-                    ami: Some(old),
-                    ..LaunchConfigUpdate::default()
-                },
-            );
+            let (cloud, env) = fixtures::wrong_ami(25);
             let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
             assert_eq!(run.outcome, RecoveryOutcome::Recovered);
             digests.push(run.digest());

@@ -2,8 +2,8 @@
 //! follow-up the paper defers to future work.
 //!
 //! POD-Diagnosis walks a fault tree to a confirmed root cause and stops.
-//! This crate closes the loop: a [`DiagnosisReport`] root cause becomes an
-//! executed, verified repair. Four layers:
+//! This crate closes the loop: a `pod_faulttree::DiagnosisReport` root
+//! cause becomes an executed, verified repair. Five layers:
 //!
 //! 1. **Plan library** ([`PlanLibrary`]) — maps each diagnosable root cause
 //!    in `pod_faulttree::library` (wrong launch-configuration values,
@@ -21,8 +21,11 @@
 //!    [`RecoveryOutcome::Recovered`].
 //! 4. **Self-monitoring** ([`monitor`]) — recovery operations are
 //!    themselves sporadic operations, so each run emits Asgard-style log
-//!    lines for its own process model and `pod-core` conformance-checks
-//!    the repair like any other operation. The whole arc (detection →
+//!    lines for its own process model, and [`conformance_check`] replays
+//!    them through the `pod-log` noise filter and annotator into a
+//!    `pod-process` conformance checker, as the paper checks any
+//!    operation's log. The audit reads the run's transcript, never its
+//!    cloud. The whole arc (detection →
 //!    diagnosis → recovery → verification) is one causal chain in
 //!    `pod-obs`, under new `recovery.*` metrics.
 //! 5. **Storm arbitration** ([`RecoveryStorm`]) — at gateway scale many
@@ -37,8 +40,6 @@
 //!
 //! Everything runs in virtual time: same seed ⇒ byte-identical recovery
 //! transcripts ([`RecoveryRun::transcript`]).
-//!
-//! [`DiagnosisReport`]: pod_faulttree::DiagnosisReport
 
 mod admission;
 mod dispatch;
@@ -52,7 +53,7 @@ pub use executor::{
     RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun, StepRecord,
     VerifyRecord,
 };
-pub use monitor::{conformance_check, recovery_model, recovery_pod_config, ConformanceReport};
+pub use monitor::{conformance_check, ConformanceReport};
 pub use plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
 pub use storm::{RecoveryStorm, StormConfig, StormStats};
 

@@ -4,18 +4,17 @@
 //! repairs.
 //!
 //! The executor emits Asgard-style log lines ([`crate::RecoveryRun::log`]);
-//! this module provides the process model, the transformation rules and a
-//! ready-made [`pod_core::PodConfig`] so a fresh `PodEngine` can replay a
-//! run and vouch that the repair followed its playbook.
+//! [`conformance_check`] replays them through the local log processor and
+//! the conformance service, on this module's rules and model. It reads the
+//! transcript and the run's `Obs`, never its cloud: an audit makes no API
+//! call and moves no clock.
 
 use std::sync::{Arc, OnceLock};
 
-use pod_assert::AssertionLibrary;
-use pod_cloud::Cloud;
-use pod_core::{CompiledPod, PodConfig, PodEngine, SharedEnv};
-use pod_log::{Boundary, LineRule, RuleBook};
-use pod_process::{ProcessModel, ProcessModelBuilder};
-use pod_sim::SimDuration;
+use pod_log::{Boundary, LineRule, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, Trigger};
+use pod_obs::Obs;
+use pod_process::{ConformanceChecker, PetriNet, ProcessModel, ProcessModelBuilder};
+use pod_regex::RegexSet;
 
 use crate::executor::RecoveryRun;
 
@@ -52,7 +51,7 @@ pub mod steps {
 ///
 /// Every terminal run ends in exactly one of `recovery-completed` /
 /// `recovery-escalated` — conformance checking rejects dropped runs.
-pub fn recovery_model() -> ProcessModel {
+fn recovery_model() -> ProcessModel {
     let mut b = ProcessModelBuilder::new(PROCESS_ID);
     let start = b.start();
     let t_start = b.task(steps::START);
@@ -85,7 +84,7 @@ pub fn recovery_model() -> ProcessModel {
 }
 
 /// Transformation rules matching the executor's log lines.
-pub fn recovery_rules() -> RuleBook {
+fn recovery_rules() -> RuleBook {
     let mut book = RuleBook::new();
     let mut rule = |activity: &str, boundary, patterns: &[&str]| {
         book.push(
@@ -123,7 +122,7 @@ pub fn recovery_rules() -> RuleBook {
 
 /// Keep-patterns for the noise filter. Retry/abandon chatter from the
 /// executor deliberately falls outside these.
-pub fn relevance_patterns() -> Vec<&'static str> {
+fn relevance_patterns() -> Vec<&'static str> {
     vec![
         r"Started recovery task",
         r"Selected recovery plan",
@@ -134,30 +133,11 @@ pub fn relevance_patterns() -> Vec<&'static str> {
     ]
 }
 
-/// A [`PodConfig`] for conformance-checking recovery runs. Timers are
-/// effectively disabled (a recovery replay is a post-hoc audit, not live
-/// detection) and diagnosis dispatch is immediate.
-pub fn recovery_pod_config() -> PodConfig {
-    let mut config = PodConfig::new(
-        recovery_model(),
-        recovery_rules(),
-        AssertionLibrary::new(),
-        pod_faulttree::rolling_upgrade_repository(true),
-    );
-    config.relevance_patterns = relevance_patterns().into_iter().map(String::from).collect();
-    config.operation_start_pattern = r"Started recovery task".to_string();
-    config.operation_end_pattern = r"Recovery task [\w-]+ (completed|escalated)".to_string();
-    config.step_timeout = SimDuration::from_secs(86_400);
-    config.periodic_interval = SimDuration::from_secs(86_400);
-    config.diagnosis_dispatch_delay = SimDuration::ZERO;
-    config
-}
-
 /// Verdict of replaying one recovery run against its process model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConformanceReport {
-    /// The run followed the playbook: no conformance errors, no
-    /// detections, and the trace reached the end event.
+    /// The run followed the playbook: no conformance errors, and the trace
+    /// reached the end event.
     pub fit: bool,
     /// Log events submitted to conformance checking.
     pub events: usize,
@@ -167,42 +147,66 @@ pub struct ConformanceReport {
     pub complete: bool,
 }
 
-/// Replays a finished recovery run through a fresh `PodEngine` against the
-/// recovery process model — POD-Diagnosis monitoring its own repair. The
-/// engine is per run; [`recovery_pod_config`] is compiled by the first call
-/// and shared by every later one.
-pub fn conformance_check(cloud: &Cloud, run: &RecoveryRun) -> ConformanceReport {
-    static COMPILED: OnceLock<Arc<CompiledPod>> = OnceLock::new();
-    let pod = COMPILED.get_or_init(|| {
-        recovery_pod_config()
-            .compile()
-            .expect("recovery monitor patterns are valid")
+/// Replays a finished recovery run against the recovery process model —
+/// POD-Diagnosis monitoring its own repair: noise filter, annotator, then
+/// token replay of each annotated step (a line no rule names is
+/// unclassified). Counters land in `obs`. The relevance set, the indexed
+/// rule book and the net are compiled once, by the first call.
+pub fn conformance_check(obs: &Obs, run: &RecoveryRun) -> ConformanceReport {
+    static COMPILED: OnceLock<(Arc<RegexSet>, Arc<RuleBook>, Arc<PetriNet>)> = OnceLock::new();
+    let (keep, rules, net) = COMPILED.get_or_init(|| {
+        let rules = recovery_rules();
+        rules.build_index();
+        let keep = RegexSet::new(&relevance_patterns()).expect("recovery patterns are valid");
+        let net = PetriNet::compile(&recovery_model());
+        (Arc::new(keep), Arc::new(rules), Arc::new(net))
     });
-    let mut engine = PodEngine::from_compiled(
-        pod,
-        cloud.clone(),
-        pod_log::LogStorage::new(),
-        SharedEnv::new(run.env.clone()),
-        run.task_id.clone(),
-        // `PodConfig`'s default seed: every audit draws the same overheads.
-        0,
-    );
-    engine.ingest_batch(run.log.iter().cloned());
-    let summary = engine.finish();
+    let trace = run.task_id.as_str();
+    let mut pipeline = Pipeline::on(obs);
+    pipeline.add_stage(Box::new(NoiseFilter::keep(Arc::clone(keep))));
+    let annotator = ProcessAnnotator::new(Arc::clone(rules), PROCESS_ID, trace);
+    pipeline.add_stage(Box::new(annotator));
+    let mut checker = ConformanceChecker::on(Arc::clone(net), obs);
+    let (mut events, mut errors) = (0, 0);
+    for line in &run.log {
+        let out = pipeline.push(line.clone());
+        // A non-fit verdict chains back to the line that caused it.
+        let _scope = out
+            .cause
+            .map(|c| obs.scope_cause("log.line", c.source, c.attrs));
+        for trigger in out.triggers {
+            let Trigger::Conformance(event) = trigger else {
+                continue;
+            };
+            let verdict = match event.context.and_then(|c| c.step_id) {
+                Some(step) => checker.replay(trace, &step),
+                None => checker.record_error(trace, false),
+            };
+            events += 1;
+            errors += usize::from(verdict.is_error());
+        }
+    }
+    let complete = checker.is_complete(trace);
     ConformanceReport {
-        fit: summary.conformance_errors == 0
-            && summary.trace_complete
-            && summary.detections.is_empty(),
-        events: summary.conformance_events,
-        errors: summary.conformance_errors,
-        complete: summary.trace_complete,
+        fit: errors == 0 && complete,
+        events,
+        errors,
+        complete,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_process::{Conformance, ConformanceChecker};
+    use crate::{fixtures, RecoveryExecutor};
+    use pod_assert::{AssertionLibrary, ExpectedEnv};
+    use pod_cloud::Cloud;
+    use pod_core::{PodConfig, PodEngine, SharedEnv};
+    use pod_faulttree::rolling_upgrade_repository;
+    use pod_log::{LogEvent, LogStorage};
+    use pod_process::Conformance;
+    use pod_sim::SimTime;
+    use proptest::prelude::*;
 
     #[test]
     fn model_replays_the_recovered_arc() {
@@ -264,61 +268,119 @@ mod tests {
         ));
     }
 
+    /// One executor line per activity, in [`steps`] order, both re-check
+    /// outcomes included.
+    const CANONICAL: [&str; 7] = [
+        "Started recovery task run-1-r0 for root cause lc-wrong-ami: launch config uses wrong AMI",
+        "Selected recovery plan rollback-launch-config with 3 step(s)",
+        "Applied recovery step repair-launch-config: rolled launch configuration lc back",
+        "Re-checked 2 assertion(s) after plan rollback-launch-config: all passed",
+        "Re-checked 2 assertion(s) after plan rollback-launch-config: 1 still failing (asg-has-n-instances-with-version)",
+        "Recovery task run-1-r0 completed; root cause lc-wrong-ami repaired",
+        "Recovery task run-1-r0 escalated to operator: no recovery plan mapped for root cause concurrent-scale-in",
+    ];
+    const CHATTER: [&str; 2] = [
+        "Recovery attempt 1 of step wait-asg-steady failed: timed out; backing off",
+        "Recovery plan register-instance abandoned: step register-instance-with-elb \
+         failed after 2 attempt(s): service unavailable",
+    ];
+    /// Relevant, as it starts like a task start, but matched by no rule.
+    const UNMATCHED: &str = "Started recovery task x";
+
     #[test]
     fn rules_match_executor_lines() {
-        let rules = recovery_rules();
-        let cases = [
-            (
-                "Started recovery task run-1-r0 for root cause lc-wrong-ami: launch config uses wrong AMI",
-                steps::START,
-            ),
-            (
-                "Selected recovery plan rollback-launch-config with 3 step(s)",
-                steps::PLAN,
-            ),
-            (
-                "Applied recovery step repair-launch-config: rolled launch configuration lc back",
-                steps::STEP,
-            ),
-            (
-                "Re-checked 2 assertion(s) after plan rollback-launch-config: all passed",
-                steps::VERIFY,
-            ),
-            (
-                "Re-checked 2 assertion(s) after plan rollback-launch-config: 1 still failing (asg-has-n-instances-with-version)",
-                steps::VERIFY,
-            ),
-            (
-                "Recovery task run-1-r0 completed; root cause lc-wrong-ami repaired",
-                steps::COMPLETED,
-            ),
-            (
-                "Recovery task run-1-r0 escalated to operator: no recovery plan mapped for root cause concurrent-scale-in",
-                steps::ESCALATED,
-            ),
-        ];
-        for (line, want) in cases {
-            let m = rules.match_line(line);
-            assert_eq!(
-                m.as_ref().map(|m| m.activity.as_str()),
-                Some(want),
-                "line: {line}"
-            );
+        use steps::*;
+        let activities = [START, PLAN, STEP, VERIFY, VERIFY, COMPLETED, ESCALATED];
+        for (line, want) in CANONICAL.into_iter().zip(activities) {
+            let m = recovery_rules().match_line(line);
+            let got = m.as_ref().map(|m| m.activity.as_str());
+            assert_eq!(got, Some(want), "line: {line}");
         }
     }
 
     #[test]
     fn retry_chatter_is_noise() {
-        let set = pod_regex::RegexSet::new(&relevance_patterns()).unwrap();
-        for noise in [
-            "Recovery attempt 1 of step wait-asg-steady failed: timed out; backing off",
-            "Recovery plan register-instance abandoned: step register-instance-with-elb \
-             failed after 2 attempt(s): service unavailable",
-        ] {
+        let set = RegexSet::new(&relevance_patterns()).unwrap();
+        for noise in CHATTER {
             assert!(set.first_match(noise).is_none(), "matched noise: {noise}");
         }
-        let op_end = pod_regex::Regex::new(&recovery_pod_config().operation_end_pattern).unwrap();
-        assert!(op_end.is_match("Recovery task r-1 completed; root cause x repaired"));
-        assert!(op_end.is_match("Recovery task r-1 escalated to operator: y"));
+    }
+
+    fn run_with(cloud: &Cloud, env: &ExpectedEnv, cause: &str) -> RecoveryRun {
+        RecoveryExecutor::new(cloud.clone(), LogStorage::new())
+            .recover_prepared(&fixtures::request(env, cause, None), None)
+    }
+
+    fn line(message: &str) -> LogEvent {
+        LogEvent::new(SimTime::ZERO, "recovery.log", message)
+    }
+
+    #[test]
+    fn an_audit_never_touches_the_cloud_it_audits() {
+        let (cloud, env) = fixtures::wrong_ami(21);
+        let mut run = run_with(&cloud, &env, "lc-wrong-ami");
+        assert!(conformance_check(cloud.obs(), &run).fit);
+        // Unfit twice over: completion without its re-check, and a line no
+        // rule classifies.
+        run.log.retain(|e| !e.message.starts_with("Re-checked"));
+        run.log.push(line(UNMATCHED));
+
+        let calls = || cloud.obs().snapshot().counter("cloud.api.calls");
+        let (now, api_calls) = (cloud.clock().now(), calls());
+        let report = conformance_check(cloud.obs(), &run);
+        let expected = ConformanceReport {
+            fit: false,
+            events: 7, // start, plan, three steps, completion, the stray line
+            errors: 2,
+            complete: false,
+        };
+        assert_eq!(report, expected);
+        assert_eq!(cloud.clock().now(), now, "the audit moved the clock");
+        assert_eq!(calls(), api_calls, "the audit called the cloud");
+    }
+
+    /// The reference: a whole engine on the recovery model, rules and
+    /// relevance patterns, with no assertions and the rolling upgrade's
+    /// trees, on a cloud of its own.
+    fn engine_replay(lines: &[&str]) -> ConformanceReport {
+        let bindings = AssertionLibrary::new();
+        let trees = rolling_upgrade_repository(true);
+        let mut config = PodConfig::new(recovery_model(), recovery_rules(), bindings, trees);
+        config.relevance_patterns = relevance_patterns().into_iter().map(String::from).collect();
+        let (cloud, env) = fixtures::cluster(7);
+        let mut engine = PodEngine::new(cloud, LogStorage::new(), SharedEnv::new(env), config, "t")
+            .expect("recovery patterns are valid");
+        engine.ingest_batch(lines.iter().map(|m| line(m)));
+        let s = engine.finish();
+        ConformanceReport {
+            fit: s.conformance_errors == 0 && s.trace_complete && s.detections.is_empty(),
+            events: s.conformance_events,
+            errors: s.conformance_errors,
+            complete: s.trace_complete,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A prefix of the recovered arc, so fit and complete traces occur,
+        /// then any mix of executor lines, chatter and the stray line: the
+        /// replay and the engine agree on every count.
+        #[test]
+        fn the_replay_agrees_with_the_engine(
+            prefix in 0usize..=5,
+            tail in prop::collection::vec(
+                prop::sample::select([&CANONICAL[..], &CHATTER, &[UNMATCHED]].concat()),
+                0..6,
+            ),
+        ) {
+            let arc = [0, 1, 2, 3, 5].map(|i| CANONICAL[i]);
+            let lines: Vec<&str> = arc[..prefix].iter().copied().chain(tail).collect();
+            let (cloud, env) = fixtures::cluster(3);
+            let mut run = run_with(&cloud, &env, "concurrent-scale-in");
+            run.log = lines.iter().map(|m| line(m)).collect();
+            let replayed = conformance_check(cloud.obs(), &run);
+            prop_assert_eq!(replayed, engine_replay(&lines), "{:?}", lines);
+        }
     }
 }

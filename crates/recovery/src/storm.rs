@@ -238,22 +238,13 @@ mod tests {
     use crate::dispatch::{DispatchRecord, RecoveryDispatcher, RecoveryPath};
     use crate::executor::RecoveryRun;
     use crate::fixtures;
-    use pod_cloud::{Cloud, LaunchConfigUpdate};
+    use pod_cloud::Cloud;
     use pod_core::{Detection, EngineNotice, SharedEnv};
     use pod_log::LogStorage;
 
-    /// A cluster whose upgrade launch configuration points at a stale AMI
-    /// — the repairable `lc-wrong-ami` fault the dispatcher tests use.
+    /// A [`fixtures::wrong_ami`] cluster and its shared expectation.
     fn corrupted_tenant(seed: u64) -> (Cloud, SharedEnv) {
-        let (cloud, env) = fixtures::cluster(seed);
-        let old = cloud.admin_create_ami("app-old", "1.0");
-        cloud.admin_update_launch_config(
-            &env.launch_config,
-            LaunchConfigUpdate {
-                ami: Some(old),
-                ..LaunchConfigUpdate::default()
-            },
-        );
+        let (cloud, env) = fixtures::wrong_ami(seed);
         (cloud, SharedEnv::new(env))
     }
 

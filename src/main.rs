@@ -7,8 +7,8 @@
 use pod_diagnosis::eval::{
     campaign_lines, collect_streams, diff_report, flight_json, gateway_line, healthy_log,
     incident_lines, monitor_upgrade, recovery_lines, recovery_soak_lines, render_gateway_report,
-    render_report, render_soak_report, replay, replay_with_recovery, soak_lines, sweep_batches,
-    wall_line, write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
+    render_report, render_soak_report, replay, replay_with_recovery, soak_lines, wall_line,
+    write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::Json;
@@ -34,10 +34,9 @@ const COMMANDS: [(&str, &str, &str); 6] = [
         "soak",
         "[ops=64] [--policy block|shed-oldest|shed-newest] [--recovery] [--json]",
         "replay that many interleaved faulty upgrades through one sharded gateway, then\n\
-         \x20   sweep the batch size and overload a 4-line queue; --recovery has every\n\
-         \x20   tenant's repairs contend for the admission gate and proves the transcript\n\
-         \x20   deterministic; --json writes RUN_gateway-soak.jsonl, or with --recovery\n\
-         \x20   RUN_recovery-soak.jsonl",
+         \x20   overload a 4-line queue; --recovery has every tenant's repairs contend for\n\
+         \x20   the admission gate and proves the transcript deterministic; --json writes\n\
+         \x20   RUN_gateway-soak.jsonl, or with --recovery RUN_recovery-soak.jsonl",
     ),
     (
         "timeline",
@@ -255,8 +254,8 @@ fn print_dashboard(title: &str, report: &SoakReport, rows: &[&str]) {
 
 /// Phase A runs every upgrade on its own cloud and serializes its log to
 /// raw wire lines; phase B replays the merged feed through one gateway with
-/// an engine per operation, then sweeps the batch size and overloads a
-/// deliberately tiny queue. Returns the run record.
+/// an engine per operation, then overloads a deliberately tiny queue.
+/// Returns the run record.
 fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
     eprintln!(
         "phase A: running {} faulty upgrades, each on its own cloud...",
@@ -286,20 +285,6 @@ fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
     ];
     print_dashboard("flight dashboard", &report, &rows);
 
-    eprintln!("batch-size sweep...");
-    let sweep = sweep_batches(&streams, base, &[1, 4, 16, 64]);
-    println!("-- batch-size sweep (same feed, same policy) --");
-    for (batch, stats) in &sweep {
-        println!(
-            "batch {batch:>3}: {:>9.0} lines/s virtual, {:>6} batches, {:>6} deferred, {:>5} blocked",
-            stats.lines_per_sec_virtual(),
-            stats.batches,
-            stats.deferred,
-            stats.blocked
-        );
-    }
-    println!();
-
     // A queue far too small for the burst pattern, shedding oldest-first:
     // every lost line is accounted for.
     let stress_config = GatewayConfig {
@@ -318,7 +303,7 @@ fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
         "every line is delivered or counted as shed"
     );
 
-    let mut lines = soak_lines("gateway-soak", &report, &sweep);
+    let mut lines = soak_lines("gateway-soak", &report);
     lines.push(gateway_line("gateway-stress", &stress.stats));
     let processed = report.stats.lines_processed;
     lines.push(wall_line("gateway-soak", wall_secs, processed));

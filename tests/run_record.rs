@@ -5,8 +5,8 @@ use std::process::Command;
 
 use pod_diagnosis::eval::{
     campaign_lines, collect_streams, diff_journals, recovery_lines, recovery_soak_lines,
-    render_journal, replay_with_recovery, soak_lines, sweep_batches, wall_line, Campaign,
-    CampaignConfig, SoakConfig,
+    render_journal, replay_with_recovery, soak_lines, wall_line, Campaign, CampaignConfig,
+    SoakConfig,
 };
 use pod_diagnosis::gateway::GatewayConfig;
 use pod_diagnosis::log::Json;
@@ -35,7 +35,6 @@ recovery-fault: fault attempted recovered escalated conformance_fit success_rate
 soak: ops lines_total leaks detections_total
 gateway: lines_submitted lines_processed lines_per_sec_virtual virtual_elapsed_us shed_oldest
   shed_newest blocked deferred admission_denied batches parse shards
-batch-sweep: batch_size lines_per_sec_virtual virtual_elapsed_us batches deferred blocked shed
 telemetry: mode kept_traces discarded_traces incidents flight_frames flight_incidents
 flight: evicted_frames dropped_incidents frames incidents
 recovery-storm: tenants lanes throttle_at attempted recovered escalated deferred_swept throttled
@@ -82,11 +81,10 @@ fn soak_journal() -> String {
         ..SoakConfig::default()
     };
     let gateway = GatewayConfig::default();
-    let sweep = sweep_batches(&collect_streams(&config), &gateway, &[1, 16]);
     let started = std::time::Instant::now();
     let report = replay_with_recovery(&collect_streams(&config), &gateway, StormConfig::default());
     let rec = report.recovery.as_ref().expect("the recovery stage ran");
-    let mut lines = soak_lines("soak", &report, &sweep);
+    let mut lines = soak_lines("soak", &report);
     lines.extend(recovery_soak_lines("soak", rec));
     lines.push(wall_line(
         "soak",
