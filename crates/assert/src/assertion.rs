@@ -6,7 +6,7 @@
 //! one configuration value. Each assertion evaluates cloud state through the
 //! consistent API layer and returns a typed outcome.
 
-use pod_cloud::{InstanceId, InstanceState};
+use pod_cloud::{Instance, InstanceId, InstanceState};
 
 use crate::consistent::{ConsistentApi, ConsistentError};
 use crate::env::ExpectedEnv;
@@ -254,21 +254,17 @@ impl CloudAssertion {
     /// Evaluates the assertion against live cloud state.
     ///
     /// Timeouts and exhausted retries are reported as failures, exactly as
-    /// the paper's implementation treats them.
+    /// the paper's implementation treats them. The auto-scaling-group
+    /// assertions count or check the group in place (`Cloud::with_asg*`):
+    /// one metered read each, as a `describe_*` would be, without copying
+    /// the group or its instances.
     pub fn evaluate(&self, api: &ConsistentApi, env: &ExpectedEnv) -> AssertionOutcome {
         let result: Result<(), String> = match self {
             CloudAssertion::AsgHasInstancesWithVersion { count } => {
                 let needed = *count;
-                let version = env.expected_version.clone();
                 match api.read_until(
-                    |c| c.describe_asg_instances(&env.asg),
-                    |instances| {
-                        instances
-                            .iter()
-                            .filter(|i| i.state == InstanceState::InService && i.version == version)
-                            .count() as u32
-                            >= needed
-                    },
+                    |c| c.with_asg_instances(&env.asg, |is| in_service_with_version(is, env)),
+                    |&n| n as u32 >= needed,
                 ) {
                     Ok(_) => Ok(()),
                     Err(e) => Err(self.observe_version_shortfall(api, env, needed, e)),
@@ -277,39 +273,44 @@ impl CloudAssertion {
             CloudAssertion::AsgInstanceCount { count } => {
                 let needed = *count;
                 map(api.read_until(
-                    |c| c.describe_asg(&env.asg),
-                    |g| g.instances.len() as u32 == needed,
+                    |c| c.with_asg(&env.asg, |g| g.instances.len() as u32),
+                    |&n| n == needed,
                 ))
             }
             CloudAssertion::AsgDesiredCapacity { count } => {
                 let needed = *count;
                 map(api.read_until(
-                    |c| c.describe_asg(&env.asg),
-                    |g| g.desired_capacity == needed,
+                    |c| c.with_asg(&env.asg, |g| g.desired_capacity),
+                    |&n| n == needed,
                 ))
             }
             CloudAssertion::AsgActiveCountAtLeast { count } => {
                 let needed = *count as usize;
                 map(api.read_until(
-                    |c| c.describe_asg_instances(&env.asg),
-                    |instances| instances.iter().filter(|i| i.state.is_active()).count() >= needed,
+                    |c| {
+                        c.with_asg_instances(&env.asg, |is| {
+                            is.iter().filter(|i| i.state.is_active()).count()
+                        })
+                    },
+                    |&n| n >= needed,
                 ))
             }
             CloudAssertion::AsgLaunchConfigCorrect => map(api.read_until(
-                |c| c.describe_asg(&env.asg),
-                |g| g.launch_config == env.launch_config,
+                |c| c.with_asg(&env.asg, |g| g.launch_config == env.launch_config),
+                |&correct| correct,
             )),
             CloudAssertion::LaunchConfigInstancesConsistent => map(api.read_until(
-                |c| c.describe_asg_instances(&env.asg),
-                |instances| {
-                    instances
-                        .iter()
-                        .filter(|i| {
-                            i.state.is_active()
-                                && i.launch_config.as_ref() == Some(&env.launch_config)
-                        })
-                        .all(|i| env.matches(i))
+                |c| {
+                    c.with_asg_instances(&env.asg, |is| {
+                        is.iter()
+                            .filter(|i| {
+                                i.state.is_active()
+                                    && i.launch_config.as_ref() == Some(&env.launch_config)
+                            })
+                            .all(|i| env.matches(i))
+                    })
                 },
+                |&consistent| consistent,
             )),
             CloudAssertion::LaunchConfigUsesAmi => map(api.read_until(
                 |c| c.describe_launch_config(&env.launch_config),
@@ -399,15 +400,7 @@ impl CloudAssertion {
     ) -> String {
         let observed = api
             .cloud()
-            .describe_asg_instances(&env.asg)
-            .map(|instances| {
-                instances
-                    .iter()
-                    .filter(|i| {
-                        i.state == InstanceState::InService && i.version == env.expected_version
-                    })
-                    .count()
-            })
+            .with_asg_instances(&env.asg, |is| in_service_with_version(is, env))
             .unwrap_or(0);
         match err {
             ConsistentError::Timeout { elapsed } => format!(
@@ -421,6 +414,14 @@ impl CloudAssertion {
             ),
         }
     }
+}
+
+/// How many of `instances` are in service with the expected version.
+fn in_service_with_version(instances: &[&Instance], env: &ExpectedEnv) -> usize {
+    instances
+        .iter()
+        .filter(|i| i.state == InstanceState::InService && i.version == env.expected_version)
+        .count()
 }
 
 fn map<T>(r: Result<T, ConsistentError>) -> Result<(), String> {

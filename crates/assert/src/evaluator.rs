@@ -51,8 +51,6 @@ pub struct AssertionRecord {
     pub started_at: SimTime,
     /// How long it took (virtual time, dominated by API calls/retries).
     pub duration: SimDuration,
-    /// The process context the evaluation ran under, if any.
-    pub context: Option<ProcessContext>,
     /// The `assertion.result` causal event emitted for this evaluation, so
     /// the engine can parent a detection on it. `Some` only for failures:
     /// passing evaluations are counted (`assertion.passed`), not traced.
@@ -112,7 +110,9 @@ impl AssertionEvaluator {
     }
 
     /// Evaluates one assertion, records the result log line and returns the
-    /// record.
+    /// record. `context` is the process context the evaluation runs under;
+    /// it is rendered into the log line from the borrow, not copied into
+    /// the record.
     pub fn evaluate(
         &self,
         assertion: &CloudAssertion,
@@ -153,57 +153,60 @@ impl AssertionEvaluator {
             self.passed.incr();
             None
         };
-        let description = assertion.describe(env);
         let record = AssertionRecord {
             assertion: assertion.clone(),
-            description: description.clone(),
-            outcome: outcome.clone(),
-            trigger: trigger.clone(),
+            description: assertion.describe(env),
+            outcome,
+            trigger,
             started_at,
             duration,
-            context: context.cloned(),
             event,
         };
-        self.storage.append(self.render(&record));
+        self.storage.append(render(&record, context));
         record
     }
+}
 
-    /// Renders the paper-style assertion log line.
-    fn render(&self, record: &AssertionRecord) -> LogEvent {
-        let (verdict, severity) = match &record.outcome {
-            AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
-            AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
-        };
-        let message = match &record.context {
-            Some(ctx) => format!(
-                "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
-                ctx.process_instance_id,
-                ctx.step_id.as_deref().unwrap_or("-"),
-                record.description,
-            ),
-            None => format!(
-                "[assertion] Assertion that {} {verdict}",
-                record.description
-            ),
-        };
-        let mut event = LogEvent::new(
-            record.started_at + record.duration,
-            "assertion-evaluation.log",
-            message,
-        )
-        .with_type("assertion")
-        .with_tag(record.trigger.tag())
-        .with_severity(severity)
-        .with_field("duration_ms", record.duration.as_millis().to_string());
-        if let Some(ctx) = &record.context {
-            let ctx = ctx.clone().with_outcome(if record.is_failure() {
-                StepOutcome::Failure
-            } else {
-                StepOutcome::Success
-            });
-            event = event.with_context(ctx);
-        }
-        event
+/// Renders the paper-style assertion log line, built with its final host
+/// and type.
+fn render(record: &AssertionRecord, context: Option<&ProcessContext>) -> LogEvent {
+    let (verdict, severity) = match &record.outcome {
+        AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
+        AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
+    };
+    let message = match context {
+        Some(ctx) => format!(
+            "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
+            ctx.process_instance_id,
+            ctx.step_id.as_deref().unwrap_or("-"),
+            record.description,
+        ),
+        None => format!(
+            "[assertion] Assertion that {} {verdict}",
+            record.description
+        ),
+    };
+    let event = LogEvent {
+        timestamp: record.started_at + record.duration,
+        source: "assertion-evaluation.log".to_string(),
+        source_host: "sim.local".to_string(),
+        event_type: "assertion".to_string(),
+        tags: vec![record.trigger.tag().to_string()],
+        fields: vec![(
+            "duration_ms".to_string(),
+            record.duration.as_millis().to_string(),
+        )],
+        message,
+        severity,
+        context: None,
+    };
+    match context {
+        Some(ctx) => event.with_context(ctx.clone().with_outcome(if record.is_failure() {
+            StepOutcome::Failure
+        } else {
+            StepOutcome::Success
+        })),
+        None => event,
     }
 }
 

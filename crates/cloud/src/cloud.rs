@@ -338,26 +338,37 @@ impl Cloud {
         }
     }
 
-    /// One metered, possibly stale read of the `kind` resource `id` in the
-    /// table `of` selects.
-    fn describe<K: Eq + Hash + fmt::Display, T: Clone>(
+    /// One metered, possibly stale read of the `kind` resource `id` in
+    /// `table`, projected in place by `f`.
+    fn read<K: Eq + Hash + fmt::Display, T, R>(
         &self,
         kind: &'static str,
         id: &K,
-        of: impl FnOnce(&CloudState) -> &HashMap<K, Versioned<T>>,
-    ) -> Result<T, ApiError> {
+        table: impl FnOnce(&CloudState) -> &HashMap<K, Versioned<T>>,
+        f: impl FnOnce(&T) -> R,
+    ) -> Result<R, ApiError> {
         self.call(|inner, now| {
             let t = self.read_time(inner, now);
-            let record = of(&inner.state)
+            let record = table(&inner.state)
                 .get(id)
                 .ok_or_else(|| not_found(kind, id))?;
-            Ok(record.at(t).clone())
+            Ok(f(record.at(t)))
         })
+    }
+
+    /// Reads an auto-scaling group (possibly stale) in place: `f` sees the
+    /// group without copying it. Metered like [`Cloud::describe_asg`].
+    pub fn with_asg<R>(
+        &self,
+        name: &AsgName,
+        f: impl FnOnce(&AutoScalingGroup) -> R,
+    ) -> Result<R, ApiError> {
+        self.read("auto-scaling-group", name, |s| &s.asgs, f)
     }
 
     /// Describes an auto-scaling group (possibly stale).
     pub fn describe_asg(&self, name: &AsgName) -> Result<AutoScalingGroup, ApiError> {
-        self.describe("auto-scaling-group", name, |s| &s.asgs)
+        self.with_asg(name, Clone::clone)
     }
 
     /// Describes a launch configuration (possibly stale).
@@ -365,51 +376,67 @@ impl Cloud {
         &self,
         name: &LaunchConfigName,
     ) -> Result<LaunchConfig, ApiError> {
-        self.describe("launch-configuration", name, |s| &s.launch_configs)
+        self.read(
+            "launch-configuration",
+            name,
+            |s| &s.launch_configs,
+            Clone::clone,
+        )
     }
 
     /// Describes one instance (possibly stale).
     pub fn describe_instance(&self, id: &InstanceId) -> Result<Instance, ApiError> {
-        self.describe("instance", id, |s| &s.instances)
+        self.read("instance", id, |s| &s.instances, Clone::clone)
+    }
+
+    /// Reads all member instances of an ASG (possibly stale) in place: `f`
+    /// sees them without copying any. Metered like
+    /// [`Cloud::describe_asg_instances`].
+    pub fn with_asg_instances<R>(
+        &self,
+        name: &AsgName,
+        f: impl FnOnce(&[&Instance]) -> R,
+    ) -> Result<R, ApiError> {
+        self.call(|inner, now| {
+            let t = self.read_time(inner, now);
+            let state = &inner.state;
+            let group = state.asgs.get(name);
+            let group = group.ok_or_else(|| not_found("auto-scaling-group", name))?;
+            let instances: Vec<&Instance> = group
+                .at(t)
+                .instances
+                .iter()
+                .filter_map(|id| state.instances.get(id))
+                .map(|v| v.at(t))
+                .collect();
+            Ok(f(&instances))
+        })
     }
 
     /// Describes all member instances of an ASG (possibly stale).
     pub fn describe_asg_instances(&self, name: &AsgName) -> Result<Vec<Instance>, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            let group = inner.state.asgs.get(name);
-            let ids = group
-                .ok_or_else(|| not_found("auto-scaling-group", name))?
-                .at(t)
-                .instances
-                .clone();
-            Ok(ids
-                .iter()
-                .filter_map(|id| inner.state.instances.get(id))
-                .map(|v| v.at(t).clone())
-                .collect())
-        })
+        self.with_asg_instances(name, |is| is.iter().copied().cloned().collect())
     }
 
     /// Describes a machine image (possibly stale).
     pub fn describe_ami(&self, id: &AmiId) -> Result<Ami, ApiError> {
-        self.describe("ami", id, |s| &s.amis)
+        self.read("ami", id, |s| &s.amis, Clone::clone)
     }
 
     /// Describes a key pair (possibly stale).
     pub fn describe_key_pair(&self, name: &KeyPairName) -> Result<KeyPair, ApiError> {
-        self.describe("key-pair", name, |s| &s.key_pairs)
+        self.read("key-pair", name, |s| &s.key_pairs, Clone::clone)
     }
 
     /// Describes a security group (possibly stale).
     pub fn describe_security_group(&self, id: &SecurityGroupId) -> Result<SecurityGroup, ApiError> {
-        self.describe("security-group", id, |s| &s.security_groups)
+        self.read("security-group", id, |s| &s.security_groups, Clone::clone)
     }
 
     /// Describes a load balancer (possibly stale). Fails with
     /// [`ApiError::ServiceUnavailable`] while the ELB service is down.
     pub fn describe_elb(&self, name: &ElbName) -> Result<Elb, ApiError> {
-        let elb = self.describe("elb", name, |s| &s.elbs)?;
+        let elb = self.read("elb", name, |s| &s.elbs, Clone::clone)?;
         if elb.available {
             Ok(elb)
         } else {

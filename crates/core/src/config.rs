@@ -15,28 +15,29 @@ use pod_sim::SimDuration;
 /// experiment harness. Legitimate concurrent operations (a deliberate
 /// scale-in) update it; an assertion evaluation that snapshotted the old
 /// expectation mid-flight reproduces the paper's second false-positive
-/// class.
+/// class. Copy-on-write: a snapshot is a reference count, and an update
+/// copies the expectation only while some snapshot still holds it.
 #[derive(Debug, Clone)]
 pub struct SharedEnv {
-    inner: Arc<Mutex<ExpectedEnv>>,
+    inner: Arc<Mutex<Arc<ExpectedEnv>>>,
 }
 
 impl SharedEnv {
     /// Wraps an initial expectation.
     pub fn new(env: ExpectedEnv) -> SharedEnv {
         SharedEnv {
-            inner: Arc::new(Mutex::new(env)),
+            inner: Arc::new(Mutex::new(Arc::new(env))),
         }
     }
 
-    /// A copy of the current expectation.
-    pub fn snapshot(&self) -> ExpectedEnv {
-        self.inner.lock().clone()
+    /// The current expectation, unaffected by later updates.
+    pub fn snapshot(&self) -> Arc<ExpectedEnv> {
+        Arc::clone(&self.inner.lock())
     }
 
     /// Applies a mutation (e.g. the operator acknowledging a scale-in).
     pub fn update(&self, f: impl FnOnce(&mut ExpectedEnv)) {
-        f(&mut self.inner.lock());
+        f(Arc::make_mut(&mut self.inner.lock()));
     }
 }
 

@@ -6,16 +6,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pod_assert::{
-    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, RetryPolicy, TimerId,
-    TimerService,
+    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, ExpectedEnv, RetryPolicy,
+    TimerId, TimerService,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
     DiagnosisContext, DiagnosisEngine, DiagnosisReport, DiagnosisVerdict, FaultTree,
 };
 use pod_log::{
-    ImportantLineForwarder, LogEvent, LogStorage, NoiseFilter, Pipeline, PipelineOutput,
-    ProcessAnnotator, ProcessContext, Severity, TimerSetter, Trigger,
+    LogEvent, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator, ProcessContext,
+    Severity, TimerSetter, Trigger,
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
@@ -216,7 +216,6 @@ impl PodEngine {
             pod.config.model.name().to_string(),
             trace_id.clone(),
         )));
-        pipeline.add_stage(Box::new(ImportantLineForwarder));
 
         let api = ConsistentApi::new(cloud.clone(), pod.config.retry_policy.clone());
         let evaluator = AssertionEvaluator::new(api, storage.clone());
@@ -298,23 +297,42 @@ impl PodEngine {
         self.fire_due_timers();
     }
 
-    /// Applies one line's pipeline output: forwarded events go to central
-    /// storage and triggers run scoped under the line's *pending* `log.line`
-    /// causal root, so conformance verdicts, assertion results and timer
-    /// arming all chain back to the line that caused them. The root only
-    /// materialises in the event ring when something actually emits under
-    /// it — healthy lines (fit verdicts, passing assertions) record nothing.
+    /// Applies one line's pipeline output. Triggers run scoped under the
+    /// line's *pending* `log.line` causal root, so conformance verdicts,
+    /// assertion results and timer arming all chain back to the line that
+    /// caused them. The root only materialises in the event ring when
+    /// something actually emits under it — healthy lines (fit verdicts,
+    /// passing assertions) record nothing.
+    ///
+    /// The annotated line arrives in its conformance trigger and is wrapped
+    /// in an `Arc` once: central storage keeps it when it carries process
+    /// context (the "important" lines), and the conformance and assertion
+    /// triggers borrow the same allocation. It is stored before its
+    /// conformance and assertion lines; the timer triggers ahead of it
+    /// write no storage, so the stored order is line, conformance line,
+    /// assertion line.
     fn handle_pipeline_output(&mut self, out: PipelineOutput) {
-        self.storage.extend(out.forwarded);
         let obs = self.cloud.obs();
         let _scope = match out.cause {
             Some(c) => obs.scope_cause("log.line", c.source, c.attrs),
             None => obs.events().scope(None),
         };
+        let mut line: Option<Arc<LogEvent>> = None;
         for trigger in out.triggers {
             match trigger {
-                Trigger::Conformance(e) => self.on_conformance(e),
-                Trigger::Assertion { activity, event } => self.on_assertion(activity, event),
+                Trigger::Conformance(event) => {
+                    let event = Arc::new(event);
+                    if event.context.is_some() {
+                        self.storage.append(Arc::clone(&event));
+                    }
+                    self.on_conformance(&event);
+                    line = Some(event);
+                }
+                Trigger::Assertion { activity } => {
+                    if let Some(event) = &line {
+                        self.on_assertion(&activity, event);
+                    }
+                }
                 Trigger::PeriodicStart { .. } => self.on_operation_start(),
                 Trigger::PeriodicStop { .. } => self.on_operation_end(),
             }
@@ -349,7 +367,7 @@ impl PodEngine {
     // Conformance
     // -----------------------------------------------------------------
 
-    fn on_conformance(&mut self, event: LogEvent) {
+    fn on_conformance(&mut self, event: &LogEvent) {
         let replay_started = self.cloud.clock().now();
         self.cloud.clock().advance(CONFORMANCE_LATENCY);
         self.summary.conformance_events += 1;
@@ -388,7 +406,7 @@ impl PodEngine {
                     ("verdict".to_string(), verdict.tag().to_string()),
                 ],
             });
-        self.log_conformance(&event, &verdict);
+        self.log_conformance(event, &verdict);
         if verdict.is_error() {
             self.summary.conformance_errors += 1;
             let source = match &verdict {
@@ -396,7 +414,7 @@ impl PodEngine {
                 Conformance::Error => DetectionSource::ConformanceKnownError,
                 _ => DetectionSource::ConformanceUnclassified,
             };
-            let instance = extract_instance(&event);
+            let instance = extract_instance(event);
             let step = activity.clone().or_else(|| {
                 self.conformance
                     .last_activity(&self.trace_id)
@@ -433,49 +451,59 @@ impl PodEngine {
             ),
             _ => String::new(),
         };
-        self.storage.append(
-            LogEvent::new(
-                self.cloud.clock().now(),
-                "conformance.log",
-                format!(
-                    "[conformance] [{}] [{}]{extra} {}",
-                    self.trace_id,
-                    verdict.tag(),
-                    event.message
-                ),
-            )
-            .with_type("conformance")
-            .with_tag(verdict.tag())
-            .with_severity(severity),
-        );
+        // Built with its final host and type, not `LogEvent::new`'s
+        // defaults.
+        self.storage.append(LogEvent {
+            timestamp: self.cloud.clock().now(),
+            source: "conformance.log".to_string(),
+            source_host: "sim.local".to_string(),
+            event_type: "conformance".to_string(),
+            tags: vec![verdict.tag().to_string()],
+            fields: Vec::new(),
+            message: format!(
+                "[conformance] [{}] [{}]{extra} {}",
+                self.trace_id,
+                verdict.tag(),
+                event.message
+            ),
+            severity,
+            context: None,
+        });
     }
 
     // -----------------------------------------------------------------
     // Assertions
     // -----------------------------------------------------------------
 
-    fn on_assertion(&mut self, activity: String, event: LogEvent) {
+    fn on_assertion(&mut self, activity: &str, event: &LogEvent) {
         if let Some(done) = event.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
         let pod = Arc::clone(&self.pod);
-        for binding in pod.config.bindings.for_activity(&activity) {
+        let bare;
+        let ctx = match &event.context {
+            Some(ctx) => ctx,
+            None => {
+                bare = self.context();
+                &bare
+            }
+        };
+        for binding in pod.config.bindings.for_activity(activity) {
             let env = self.env.snapshot();
-            let Some(assertion) = binding.resolve(Some(&event), env.expected_count) else {
+            let Some(assertion) = binding.resolve(Some(event), env.expected_count) else {
                 continue;
             };
-            let ctx = event.context.clone().unwrap_or_else(|| self.context());
             let record =
                 self.evaluator
-                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(&ctx));
+                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(ctx));
             self.summary.assertions_evaluated += 1;
             if record.is_failure() {
-                let instance = extract_instance(&event);
+                let instance = extract_instance(event);
                 self.detect(
                     DetectionSource::AssertionLog,
                     Some(assertion.key()),
                     format!("assertion failed: {}", record.description),
-                    Some(activity.clone()),
+                    Some(activity.to_string()),
                     instance,
                     record.event,
                 );
@@ -772,7 +800,7 @@ impl PodEngine {
             .tree(key)
             .expect("repository provides the master tree");
         let ctx = DiagnosisContext {
-            env: self.env.snapshot(),
+            env: ExpectedEnv::clone(&self.env.snapshot()),
             step,
             instance,
             operation_started: self.op_started.unwrap_or(SimTime::ZERO),

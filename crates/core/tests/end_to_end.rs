@@ -355,3 +355,47 @@ fn a_timer_due_mid_batch_fires_after_its_last_line() {
     assert_eq!(sources(&batched), [Line, Line, Timer]);
     assert_ne!(batched.digest(), per_line.digest());
 }
+
+/// One `End` line: central storage holds the annotated line itself — every
+/// field as the annotator's conformance trigger carries it — then the line's
+/// conformance line, then its assertion line, in that order.
+#[test]
+fn storage_keeps_the_annotated_line_before_its_conformance_and_assertion_lines() {
+    use pod_log::{LogQuery, ProcessAnnotator, Stage, Trigger};
+
+    let w = build_world(12, 4);
+    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
+    let mut engine = PodEngine::new(cloud, storage, env, pod_config(), "run-1").expect("compiles");
+    let line = |ms, text| LogEvent::new(SimTime::from_millis(ms), "asgard.log", text);
+    let start = "Started rolling upgrade task run-1 pushing ami-0a into group pm--asg";
+    engine.ingest(line(1, start));
+    let before = w.storage.query(&LogQuery::new()).len();
+    // Out of turn (unfit), and its one assertion fails on an unknown
+    // instance: every verdict still writes its line.
+    let end = "Terminated old instance i-0dead";
+    engine.ingest(line(2, end));
+
+    let stored = w.storage.query(&LogQuery::new());
+    let [annotated, conformance, assertion] = &stored[before..] else {
+        panic!("{} lines stored for one End line", stored.len() - before)
+    };
+    let mut annotator = ProcessAnnotator::new(
+        process_def::rolling_upgrade_rules(),
+        "rolling-upgrade",
+        "run-1",
+    );
+    let Trigger::Conformance(expected) = annotator.process(line(2, end)).triggers.remove(0) else {
+        panic!("the annotator hands its line on in its conformance trigger")
+    };
+    assert_eq!(annotated, &expected);
+    let step = |e: &LogEvent| e.context.as_ref().and_then(|c| c.step_id.clone());
+    assert_eq!(step(annotated).as_deref(), Some("terminate-old-instance"));
+    assert_eq!(conformance.event_type, "conformance");
+    assert!(
+        conformance.message.ends_with(end),
+        "{}",
+        conformance.message
+    );
+    assert_eq!(assertion.event_type, "assertion");
+    assert_eq!(step(assertion), step(annotated));
+}

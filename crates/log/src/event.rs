@@ -118,9 +118,7 @@ impl fmt::Display for Severity {
 /// use pod_sim::SimTime;
 ///
 /// let e = LogEvent::new(SimTime::from_millis(500), "asgard.log", "Instance i-1 is ready")
-///     .with_tag("step4")
 ///     .with_field("instanceid", "i-1");
-/// assert_eq!(e.tags, ["step4"]);
 /// assert_eq!(e.field("instanceid"), Some("i-1"));
 /// assert_eq!(e.severity, Severity::Info);
 /// ```
@@ -153,7 +151,24 @@ impl LogEvent {
         source: impl Into<String>,
         message: impl Into<String>,
     ) -> LogEvent {
-        let message = message.into();
+        LogEvent::stamped(
+            timestamp,
+            source.into(),
+            "sim.local".to_string(),
+            "operation".to_string(),
+            message.into(),
+        )
+    }
+
+    /// [`LogEvent::new`] with its final host and type, so a caller that
+    /// knows them does not allocate the defaults only to drop them.
+    pub(crate) fn stamped(
+        timestamp: SimTime,
+        source: String,
+        source_host: String,
+        event_type: String,
+        message: String,
+    ) -> LogEvent {
         let severity = if message.contains("ERROR") || message.contains("error:") {
             Severity::Error
         } else if message.contains("WARN") {
@@ -163,9 +178,9 @@ impl LogEvent {
         };
         LogEvent {
             timestamp,
-            source: source.into(),
-            source_host: "sim.local".to_string(),
-            event_type: "operation".to_string(),
+            source,
+            source_host,
+            event_type,
             tags: Vec::new(),
             fields: Vec::new(),
             message,
@@ -177,12 +192,6 @@ impl LogEvent {
     /// Sets the event type (Logstash `@type`).
     pub fn with_type(mut self, t: impl Into<String>) -> LogEvent {
         self.event_type = t.into();
-        self
-    }
-
-    /// Adds a tag.
-    pub fn with_tag(mut self, tag: impl Into<String>) -> LogEvent {
-        self.tags.push(tag.into());
         self
     }
 
@@ -283,18 +292,19 @@ mod tests {
     #[test]
     fn context_tags_not_duplicated() {
         let ctx = ProcessContext::new("p", "t").with_step("s");
-        let e = event("x").with_tag("p").with_tag("s").with_context(ctx);
+        let mut e = event("x");
+        e.tags = vec!["p".into(), "s".into()];
+        let e = e.with_context(ctx);
         assert_eq!(e.tags.iter().filter(|t| *t == "p").count(), 1);
         assert_eq!(e.tags.iter().filter(|t| *t == "s").count(), 1);
     }
 
     #[test]
     fn json_shape_matches_logstash() {
-        let e = event("Instance pm on i-7df34041 is ready for use.")
-            .with_tag("push")
-            .with_tag("step4")
+        let mut e = event("Instance pm on i-7df34041 is ready for use.")
             .with_field("instanceid", "i-7df34041")
             .with_type("asgard");
+        e.tags = vec!["push".into(), "step4".into()];
         let j = e.to_json();
         assert_eq!(j.get("@type").unwrap().as_str(), Some("asgard"));
         assert_eq!(j.get("@tags").unwrap().as_array().unwrap().len(), 2);

@@ -5,11 +5,13 @@
 //! implementation (Section IV): log lines are modelled as Logstash-shaped
 //! events ([`LogEvent`]), matched against per-activity regular expressions
 //! ([`RuleBook`]), annotated with process context ([`ProcessContext`]) and
-//! pushed through a [`Pipeline`] of stages — noise filter, annotator, timer
-//! setter, trigger — before "important" lines are forwarded to the shared
-//! [`LogStorage`]. Figure 1's central log processor — the consumer that
-//! triggers diagnosis on a failure line — is `pod-core`'s engine, which
-//! reacts inline on the virtual clock.
+//! pushed through a [`Pipeline`] of stages — noise filter, timer setter,
+//! annotator-and-trigger. The annotator hands each line on inside its
+//! conformance [`Trigger`] instead of copying it; the engine then forwards
+//! that same line, by `Arc`, to the shared [`LogStorage`] when it is
+//! "important" (annotated with process context). Figure 1's central log
+//! processor — the consumer that triggers diagnosis on a failure line — is
+//! `pod-core`'s engine, which reacts inline on the virtual clock.
 //!
 //! Who compiles when: a [`RuleBook`] and the stages' patterns are per
 //! *process*, a [`Pipeline`] per *execution*. The pattern-holding stages

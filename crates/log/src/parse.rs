@@ -108,13 +108,15 @@ fn from_logstash(mut json: Json, received_at: SimTime) -> Option<LogEvent> {
         .unwrap_or(received_at);
     let source = take("@source").and_then(string);
     let source = source.unwrap_or_else(|| "gateway.raw".to_string());
-    let mut event = LogEvent::new(timestamp, source, message);
-    if let Some(host) = take("@source_host").and_then(string) {
-        event.source_host = host;
-    }
-    if let Some(t) = take("@type").and_then(string) {
-        event.event_type = t;
-    }
+    let host = take("@source_host").and_then(string);
+    let event_type = take("@type").and_then(string);
+    let mut event = LogEvent::stamped(
+        timestamp,
+        source,
+        host.unwrap_or_else(|| "sim.local".to_string()),
+        event_type.unwrap_or_else(|| "operation".to_string()),
+        message,
+    );
     if let Some(Json::Array(tags)) = take("@tags") {
         event.tags.extend(tags.into_iter().filter_map(string));
     }
@@ -145,15 +147,14 @@ mod tests {
 
     #[test]
     fn logstash_json_round_trips() {
-        let original = LogEvent::new(
+        let mut original = LogEvent::new(
             SimTime::from_millis(82_500),
             "asgard.log",
             "ERROR: Instance i-7df34041 failed health check",
         )
-        .with_tag("rolling-upgrade")
-        .with_tag("step4")
         .with_field("instanceid", "i-7df34041")
         .with_type("asgard");
+        original.tags = vec!["rolling-upgrade".into(), "step4".into()];
         let parsed = parse_line(&original.to_json().to_string(), now());
         assert_eq!(parsed.format, LineFormat::Json);
         let e = parsed.event;

@@ -2,8 +2,11 @@
 //!
 //! A [`Pipeline`] is an ordered chain of [`Stage`]s. Each raw line from the
 //! operation log flows through the stages, which can drop it (noise filter),
-//! annotate it (process/assertion annotator), raise [`Trigger`]s (timer
-//! setter, trigger stage) and finally forward it to central storage.
+//! raise [`Trigger`]s (timer setter) or annotate it and hand it on: the
+//! process annotator moves the annotated line into its
+//! [`Trigger::Conformance`], and whoever consumes that trigger owns the one
+//! copy of the line. The engine forwards that same line to central storage
+//! when it carries process context.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,16 +19,19 @@ use crate::matcher::{Boundary, RuleBook};
 
 /// A side effect raised by a pipeline stage, consumed by the POD-Diagnosis
 /// engine (conformance checking, assertion evaluation, timers).
+// The line travels inline: a line raises at most three triggers, and
+// boxing it would cost the allocation this variant exists to save.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Trigger {
-    /// Send the event to the conformance-checking service.
+    /// Send the line to the conformance-checking service. This is the line
+    /// itself, not a copy: the stage that raised it has handed it on.
     Conformance(LogEvent),
-    /// Evaluate the post-step assertion for `activity`.
+    /// Evaluate the post-step assertion for `activity`, on the line of the
+    /// same output's [`Trigger::Conformance`].
     Assertion {
         /// The activity whose post-conditions should be checked.
         activity: String,
-        /// The event that completed the activity.
-        event: LogEvent,
     },
     /// Start the per-process periodic timer (operation began).
     PeriodicStart {
@@ -42,7 +48,8 @@ pub enum Trigger {
 /// What a stage did with an event.
 #[derive(Debug)]
 pub struct StageOutput {
-    /// The (possibly transformed) event, or `None` if dropped.
+    /// The (possibly transformed) event for the next stage; `None` if the
+    /// stage dropped it or handed it on in a [`Trigger::Conformance`].
     pub event: Option<LogEvent>,
     /// Triggers raised while processing.
     pub triggers: Vec<Trigger>,
@@ -98,15 +105,14 @@ pub struct LineCause {
 /// The result of pushing one raw line through the whole pipeline.
 #[derive(Debug, Default)]
 pub struct PipelineOutput {
-    /// Events that survived all stages (to forward to central storage).
-    pub forwarded: Vec<LogEvent>,
-    /// All triggers raised by any stage.
+    /// All triggers raised by any stage, in stage order; an annotated line
+    /// travels in its [`Trigger::Conformance`].
     pub triggers: Vec<Trigger>,
-    /// The lazy `log.line` causal root for this line, when the line raised
-    /// triggers or was forwarded (and the telemetry mode records traces).
-    /// The engine scopes all downstream work (conformance, assertions,
-    /// timers) under it so every detection chains back to the log line
-    /// that triggered it — without recording anything for healthy lines.
+    /// The lazy `log.line` causal root for this line, when the line left
+    /// the stages (and the telemetry mode records traces). The engine
+    /// scopes all downstream work (conformance, assertions, timers) under
+    /// it so every detection chains back to the log line that triggered
+    /// it — without recording anything for healthy lines.
     pub cause: Option<LineCause>,
 }
 
@@ -115,18 +121,24 @@ pub struct PipelineOutput {
 /// # Examples
 ///
 /// ```
-/// use pod_log::{LogEvent, NoiseFilter, Pipeline};
+/// use pod_log::{
+///     Boundary, LineRule, LogEvent, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, Trigger,
+/// };
 /// use pod_regex::RegexSet;
 /// use pod_sim::SimTime;
 ///
+/// let mut rules = RuleBook::new();
+/// rules.push(LineRule::new("start", Boundary::Start, &["upgrade started"]).unwrap());
 /// let mut p = Pipeline::new();
 /// p.add_stage(Box::new(NoiseFilter::keep(
 ///     RegexSet::new(&["instance", "upgrade"]).unwrap(),
 /// )));
+/// p.add_stage(Box::new(ProcessAnnotator::new(rules, "upgrade", "run-1")));
 /// let out = p.push(LogEvent::new(SimTime::ZERO, "op.log", "rolling upgrade started"));
-/// assert_eq!(out.forwarded.len(), 1);
+/// let Trigger::Conformance(line) = &out.triggers[0] else { panic!() };
+/// assert_eq!(line.context.as_ref().unwrap().step_id.as_deref(), Some("start"));
 /// let out = p.push(LogEvent::new(SimTime::ZERO, "op.log", "heartbeat tick"));
-/// assert!(out.forwarded.is_empty());
+/// assert!(out.triggers.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct Pipeline {
@@ -187,49 +199,42 @@ impl Pipeline {
         self.stages.push(stage);
     }
 
-    /// Pushes one event through every stage in order.
+    /// Pushes one event through the stages in order, until one drops it or
+    /// hands it on in a [`Trigger::Conformance`]. A line that leaves the
+    /// stages with process context counts as `pipeline.forwarded`: it is
+    /// what central storage keeps.
     pub fn push(&mut self, event: LogEvent) -> PipelineOutput {
         self.pushed.incr();
-        // The stage loop consumes the event, so its origin is saved up
-        // front — but only when tracing can use it: the off baseline must
-        // not pay for strings it will never record.
-        let origin = self
-            .obs
-            .mode()
-            .records_traces()
-            .then(|| (event.source.clone(), event.message.clone()));
         let mut out = PipelineOutput::default();
         let mut current = Some(event);
         for (stage, metrics) in self.stages.iter_mut().zip(&self.stage_metrics) {
             let Some(event) = current.take() else { break };
             metrics.processed.incr();
             let result = stage.process(event);
-            out.triggers.extend(result.triggers);
             current = result.event;
-            if current.is_none() {
+            if current.is_none() && handed_on(&result.triggers).is_none() {
                 metrics.dropped.incr();
             }
+            out.triggers.extend(result.triggers);
         }
-        if let Some(event) = current {
-            out.forwarded.push(event);
+        let Some(line) = current.as_ref().or(handed_on(&out.triggers)) else {
+            return out;
+        };
+        if line.context.is_some() {
             self.forwarded.incr();
         }
-        // Lines the pipeline acted on become (lazy) causal roots; pure
-        // noise does not even capture its strings.
-        if !out.triggers.is_empty() || !out.forwarded.is_empty() {
-            if let Some((source, message)) = origin {
-                let mut attrs = Vec::with_capacity(2);
-                attrs.push(("message", message));
-                if let Some(step) = out
-                    .forwarded
-                    .first()
-                    .and_then(|e| e.context.as_ref())
-                    .and_then(|c| c.step_id.as_deref())
-                {
-                    attrs.push(("step", step.to_string()));
-                }
-                out.cause = Some(LineCause { source, attrs });
+        // Lines that left the stages become (lazy) causal roots, built from
+        // the line itself; the off baseline captures no strings.
+        if self.obs.mode().records_traces() {
+            let mut attrs = Vec::with_capacity(2);
+            attrs.push(("message", line.message.clone()));
+            if let Some(step) = line.context.as_ref().and_then(|c| c.step_id.as_deref()) {
+                attrs.push(("step", step.to_string()));
             }
+            out.cause = Some(LineCause {
+                source: line.source.clone(),
+                attrs,
+            });
         }
         out
     }
@@ -240,6 +245,14 @@ impl Pipeline {
     pub fn push_batch(&mut self, events: Vec<LogEvent>) -> Vec<PipelineOutput> {
         events.into_iter().map(|event| self.push(event)).collect()
     }
+}
+
+/// The line a stage handed on, in its [`Trigger::Conformance`].
+fn handed_on(triggers: &[Trigger]) -> Option<&LogEvent> {
+    triggers.iter().find_map(|t| match t {
+        Trigger::Conformance(line) => Some(line),
+        _ => None,
+    })
 }
 
 /// Drops lines that are not relevant to the current operation.
@@ -272,7 +285,9 @@ impl Stage for NoiseFilter {
 
 /// Annotates events with process context using a [`RuleBook`] and raises
 /// conformance / assertion triggers — combining the paper's *log annotator*
-/// and *trigger* components.
+/// and *trigger* components. Every line it sees leaves it inside its
+/// [`Trigger::Conformance`], matched or not: the annotator hands the line
+/// on instead of copying it, so it is the last stage a line reaches.
 #[derive(Debug)]
 pub struct ProcessAnnotator {
     rules: Arc<RuleBook>,
@@ -303,32 +318,30 @@ impl Stage for ProcessAnnotator {
             // Unmatched lines still flow to conformance, which will classify
             // them as unknown/error — that is a detection signal.
             return StageOutput {
-                triggers: vec![Trigger::Conformance(event.clone())],
-                event: Some(event),
+                event: None,
+                triggers: vec![Trigger::Conformance(event)],
             };
         };
+        let assertion = (m.boundary == Boundary::End).then(|| Trigger::Assertion {
+            activity: m.activity.clone(),
+        });
         let mut ctx =
             ProcessContext::new(self.process_id.clone(), self.process_instance_id.clone())
-                .with_step(m.activity.clone());
+                .with_step(m.activity);
         if let Some((_, id)) = m.fields.iter().find(|(k, _)| k == "instanceid") {
             ctx = ctx.with_cloud_instance(id.clone());
         }
         let mut event = event.with_context(ctx);
-        for (k, v) in &m.fields {
-            if event.field(k).is_none() {
-                event = event.with_field(k.clone(), v.clone());
+        for (k, v) in m.fields {
+            if event.field(&k).is_none() {
+                event.fields.push((k, v));
             }
         }
-        let mut triggers = vec![Trigger::Conformance(event.clone())];
-        if m.boundary == Boundary::End {
-            triggers.push(Trigger::Assertion {
-                activity: m.activity.clone(),
-                event: event.clone(),
-            });
-        }
         StageOutput {
-            event: Some(event),
-            triggers,
+            event: None,
+            triggers: std::iter::once(Trigger::Conformance(event))
+                .chain(assertion)
+                .collect(),
         }
     }
 
@@ -383,8 +396,11 @@ impl Stage for TimerSetter {
     }
 }
 
-/// Forwards only "important" lines — those tagged with an activity — to the
-/// central storage, dropping the rest after triggers have fired.
+/// Passes only "important" lines — those tagged with an activity — and
+/// drops the rest. No line reaches it behind a [`ProcessAnnotator`], which
+/// hands every line on; the engine applies the same predicate where it
+/// stores the annotated line. Kept only because the ledger's isolated
+/// pipeline pass (`benchmark/src/layers.rs`) still adds it.
 #[derive(Debug, Default)]
 pub struct ImportantLineForwarder;
 
@@ -432,15 +448,21 @@ mod tests {
     fn annotator_attaches_context_and_triggers() {
         let mut a = ProcessAnnotator::new(rules(), "rolling-upgrade", "run-9");
         let out = a.process(event("Instance i-77 is ready for use."));
-        let e = out.event.unwrap();
+        assert!(out.event.is_none(), "the line leaves in its trigger");
+        assert_eq!(out.triggers.len(), 2);
+        let e = handed_on(&out.triggers).unwrap();
+        assert_eq!(e.message, "Instance i-77 is ready for use.");
         let ctx = e.context.as_ref().unwrap();
         assert_eq!(ctx.step_id.as_deref(), Some("new-instance-ready"));
         assert_eq!(ctx.cloud_instance_id.as_deref(), Some("i-77"));
-        assert_eq!(out.triggers.len(), 2);
-        assert!(matches!(out.triggers[0], Trigger::Conformance(_)));
+        assert_eq!(e.field("instanceid"), Some("i-77"));
+        assert_eq!(
+            e.fields.iter().filter(|(k, _)| k == "instanceid").count(),
+            1
+        );
         assert!(matches!(
             &out.triggers[1],
-            Trigger::Assertion { activity, .. } if activity == "new-instance-ready"
+            Trigger::Assertion { activity } if activity == "new-instance-ready"
         ));
     }
 
@@ -456,9 +478,11 @@ mod tests {
     fn unmatched_line_still_goes_to_conformance() {
         let mut a = ProcessAnnotator::new(rules(), "rolling-upgrade", "run-9");
         let out = a.process(event("some totally unknown output"));
-        assert!(out.event.as_ref().unwrap().context.is_none());
+        assert!(out.event.is_none(), "the line leaves in its trigger");
         assert_eq!(out.triggers.len(), 1);
-        assert!(matches!(out.triggers[0], Trigger::Conformance(_)));
+        let e = handed_on(&out.triggers).unwrap();
+        assert_eq!(e.message, "some totally unknown output");
+        assert!(e.context.is_none());
     }
 
     #[test]
@@ -478,7 +502,8 @@ mod tests {
 
     #[test]
     fn full_pipeline_filters_annotates_forwards() {
-        let mut p = Pipeline::new();
+        let obs = Obs::detached();
+        let mut p = Pipeline::on(&obs);
         p.add_stage(Box::new(NoiseFilter::keep(
             RegexSet::new(&["Instance", "upgrade"]).unwrap(),
         )));
@@ -487,23 +512,24 @@ mod tests {
             "rolling-upgrade",
             "run-1",
         )));
-        p.add_stage(Box::new(ImportantLineForwarder));
+        let forwarded = || obs.snapshot().counter("pipeline.forwarded");
 
         // Noise: dropped before annotation, no triggers.
         let out = p.push(event("jvm gc pause 12ms"));
-        assert!(out.forwarded.is_empty());
         assert!(out.triggers.is_empty());
+        assert_eq!(forwarded(), 0);
 
-        // Known activity: forwarded with context.
+        // Known activity: handed on with context, so forwarded.
         let out = p.push(event("Instance i-aa is ready for use"));
-        assert_eq!(out.forwarded.len(), 1);
-        assert!(out.forwarded[0].context.is_some());
         assert_eq!(out.triggers.len(), 2);
+        assert!(handed_on(&out.triggers).unwrap().context.is_some());
+        assert_eq!(forwarded(), 1);
 
         // Relevant but unknown: conformance trigger, not forwarded.
         let out = p.push(event("upgrade hit unexpected state"));
-        assert!(out.forwarded.is_empty());
         assert_eq!(out.triggers.len(), 1);
+        assert!(handed_on(&out.triggers).unwrap().context.is_none());
+        assert_eq!(forwarded(), 1);
     }
 
     #[test]
@@ -529,7 +555,13 @@ mod tests {
         assert_eq!(snap.counter("pipeline.noise-filter.processed"), 3);
         assert_eq!(snap.counter("pipeline.noise-filter.dropped"), 1);
         assert_eq!(snap.counter("pipeline.process-annotator.processed"), 2);
-        assert_eq!(snap.counter("pipeline.important-line-forwarder.dropped"), 1);
+        // Handing a line on in a trigger is not dropping it, and no line
+        // gets past the annotator.
+        assert_eq!(snap.counter("pipeline.process-annotator.dropped"), 0);
+        assert_eq!(
+            snap.counter("pipeline.important-line-forwarder.processed"),
+            0
+        );
         assert_eq!(snap.counter("pipeline.forwarded"), 1);
     }
 
@@ -631,12 +663,8 @@ mod tests {
         let got = batched.push_batch(lines.iter().map(|l| event(l)).collect());
         assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.forwarded.len(), e.forwarded.len());
             assert_eq!(g.triggers, e.triggers);
-            for (gf, ef) in g.forwarded.iter().zip(&e.forwarded) {
-                assert_eq!(gf.message, ef.message);
-                assert_eq!(gf.context, ef.context);
-            }
+            assert_eq!(g.cause, e.cause);
         }
     }
 }

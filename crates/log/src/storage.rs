@@ -4,7 +4,8 @@
 //! conformance checking, assertion evaluation and error diagnosis, are
 //! merged here. The storage is shared (cheap to clone, internally locked)
 //! and supports ad-hoc querying for offline analysis and process
-//! discovery.
+//! discovery. It holds each line by `Arc`, so the engine stores the same
+//! annotated line its conformance and assertion triggers read.
 
 use std::sync::Arc;
 
@@ -12,7 +13,8 @@ use parking_lot::Mutex;
 
 use crate::event::LogEvent;
 
-/// A shared, append-only store of log events.
+/// A shared, append-only store of log events, each held by `Arc`: a line
+/// appended from an `Arc` is shared with its appender, not copied.
 ///
 /// # Examples
 ///
@@ -27,7 +29,7 @@ use crate::event::LogEvent;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStorage {
-    events: Arc<Mutex<Vec<LogEvent>>>,
+    events: Arc<Mutex<Vec<Arc<LogEvent>>>>,
 }
 
 impl LogStorage {
@@ -36,23 +38,19 @@ impl LogStorage {
         LogStorage::default()
     }
 
-    /// Appends one event.
-    pub fn append(&self, event: LogEvent) {
-        self.events.lock().push(event);
+    /// Appends one event: an owned one, or an `Arc` shared with the caller.
+    pub fn append(&self, event: impl Into<Arc<LogEvent>>) {
+        self.events.lock().push(event.into());
     }
 
-    /// Appends many events.
-    pub fn extend(&self, events: impl IntoIterator<Item = LogEvent>) {
-        self.events.lock().extend(events);
-    }
-
-    /// Runs a query against the current contents.
+    /// Runs a query against the current contents, returning copies (a cold
+    /// path: diagnosis and offline analysis).
     pub fn query(&self, q: &LogQuery) -> Vec<LogEvent> {
         self.events
             .lock()
             .iter()
             .filter(|e| q.matches(e))
-            .cloned()
+            .map(|e| LogEvent::clone(e))
             .collect()
     }
 }
@@ -121,10 +119,11 @@ mod tests {
 
     fn store() -> LogStorage {
         let s = LogStorage::new();
-        s.append(
-            LogEvent::new(SimTime::from_millis(10), "asgard.log", "upgrade started")
-                .with_tag("start"),
-        );
+        s.append(LogEvent::new(
+            SimTime::from_millis(10),
+            "asgard.log",
+            "upgrade started",
+        ));
         s.append(LogEvent::new(
             SimTime::from_millis(20),
             "assertion.log",

@@ -79,9 +79,7 @@ proptest! {
         tags in prop::collection::vec("[a-z0-9:]{1,10}", 0..4),
     ) {
         let mut e = LogEvent::new(SimTime::from_millis(5), "asgard.log", msg);
-        for t in tags {
-            e = e.with_tag(t);
-        }
+        e.tags = tags;
         let parsed = Json::parse(&e.to_json().to_string()).unwrap();
         prop_assert_eq!(parsed.get("@source").and_then(Json::as_str), Some("asgard.log"));
     }

@@ -13,8 +13,9 @@
 //! the causal event id and free-form labels (operation, instance, shard) of
 //! one concrete observation — so a p99 read from the histogram links
 //! straight back to the run that produced it. Exemplar capture is guarded
-//! by an atomic floor: observations below the smallest retained exemplar
-//! value never take the lock or build labels.
+//! by an atomic bar: once the reservoir is full, observations at or below
+//! the smallest retained exemplar value — ties included, which never
+//! enter — neither take the lock nor build labels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,10 +82,11 @@ struct HistogramInner {
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    /// Values below this floor cannot enter the exemplar reservoir; once
-    /// the reservoir is full this is the smallest retained value, so the
-    /// hot path skips the lock (and label building) for non-tail values.
-    tail_floor: AtomicU64,
+    /// The smallest value that can enter the exemplar reservoir: 0 while
+    /// it has room, then one above the smallest retained value (a tie keeps
+    /// the earlier exemplar), so the hot path turns non-tail values and
+    /// ties away without the lock or label building.
+    admit_from: AtomicU64,
     exemplars: Mutex<Vec<Exemplar>>,
 }
 
@@ -109,7 +111,7 @@ impl Histogram {
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
-            tail_floor: AtomicU64::new(0),
+            admit_from: AtomicU64::new(0),
             exemplars: Mutex::new(Vec::new()),
         }))
     }
@@ -130,7 +132,7 @@ impl Histogram {
     /// path.
     pub fn record_with<F: FnOnce() -> Exemplar>(&self, value: u64, exemplar: F) {
         self.record(value);
-        if value < self.0.tail_floor.load(Ordering::Relaxed) {
+        if value < self.0.admit_from.load(Ordering::Relaxed) {
             return;
         }
         let mut pool = self.0.exemplars.lock();
@@ -151,7 +153,8 @@ impl Histogram {
         pool.push(exemplar());
         if pool.len() >= EXEMPLAR_CAP {
             let floor = pool.iter().map(|e| e.value).min().unwrap_or(0);
-            self.0.tail_floor.store(floor, Ordering::Relaxed);
+            let admit_from = floor.saturating_add(1);
+            self.0.admit_from.store(admit_from, Ordering::Relaxed);
         }
     }
 
@@ -362,6 +365,53 @@ mod tests {
             labels: Vec::new(),
         });
         assert_eq!(h2.exemplars().len(), 1);
+    }
+
+    #[test]
+    fn a_full_reservoir_turns_ties_away_and_admits_larger_values() {
+        let h = Histogram::new();
+        let offer = |value: u64, at: u64| {
+            let mut built = false;
+            h.record_with(value, || {
+                built = true;
+                Exemplar {
+                    value,
+                    at: SimTime::from_micros(at),
+                    event: None,
+                    labels: Vec::new(),
+                }
+            });
+            built
+        };
+        // A floor of 0 is still a full reservoir's floor.
+        for at in 0..EXEMPLAR_CAP as u64 {
+            assert!(offer(0, at), "room left: every value enters");
+        }
+        let full = h.exemplars();
+        assert!(!offer(0, 99), "a tie at a floor of 0 builds nothing");
+        assert_eq!(h.exemplars(), full, "and leaves the reservoir unchanged");
+        // Raise every retained value to 10 000, the replay latency's tie.
+        for at in 0..EXEMPLAR_CAP as u64 {
+            assert!(offer(10_000, at));
+        }
+        let full = h.exemplars();
+        assert!(full.iter().all(|e| e.value == 10_000));
+        for at in 100..200 {
+            assert!(!offer(10_000, at), "ties never enter");
+        }
+        assert_eq!(h.exemplars(), full);
+        // A larger value still evicts one of the weakest.
+        assert!(offer(10_001, 500));
+        let tail = h.exemplars();
+        assert_eq!(tail.len(), EXEMPLAR_CAP);
+        assert_eq!(
+            (tail[0].value, tail[0].at),
+            (10_001, SimTime::from_micros(500))
+        );
+        assert_eq!(
+            tail.iter().filter(|e| e.value == 10_000).count(),
+            EXEMPLAR_CAP - 1
+        );
     }
 
     #[test]

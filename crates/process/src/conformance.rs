@@ -57,7 +57,8 @@ impl Conformance {
 #[derive(Debug, Clone)]
 struct InstanceState {
     marking: Marking,
-    history: Vec<String>,
+    /// The last successfully replayed activity, its buffer reused.
+    last: Option<String>,
 }
 
 /// The conformance-checking service: one [`ProcessModel`], many traces.
@@ -180,19 +181,22 @@ impl ConformanceChecker {
         self.last_event
     }
 
-    /// The state of `trace_id`, created on first contact. Takes fields, not
-    /// `self`, so `replay` can read the net while it holds the state.
+    /// The state of `trace_id`, created on first contact (the only time
+    /// the id is copied). Takes fields, not `self`, so `replay` can read
+    /// the net while it holds the state.
     fn instance<'a>(
         instances: &'a mut HashMap<String, InstanceState>,
         net: &PetriNet,
         trace_id: &str,
     ) -> &'a mut InstanceState {
-        instances
-            .entry(trace_id.to_string())
-            .or_insert_with(|| InstanceState {
+        if !instances.contains_key(trace_id) {
+            let state = InstanceState {
                 marking: net.initial_marking(),
-                history: Vec::new(),
-            })
+                last: None,
+            };
+            instances.insert(trace_id.to_string(), state);
+        }
+        instances.get_mut(trace_id).expect("inserted above")
     }
 
     /// Replays one classified activity for a trace, creating the trace on
@@ -206,7 +210,9 @@ impl ConformanceChecker {
         let verdict = match net.replay(&inst.marking, activity) {
             Some(next) => {
                 inst.marking = next;
-                inst.history.push(activity.to_string());
+                let last = inst.last.get_or_insert_with(String::new);
+                last.clear();
+                last.push_str(activity);
                 self.metrics.fit.incr();
                 Conformance::Fit
             }
@@ -278,11 +284,7 @@ impl ConformanceChecker {
 
     /// The last successfully replayed activity of a trace.
     pub fn last_activity(&self, trace_id: &str) -> Option<&str> {
-        self.instances
-            .get(trace_id)?
-            .history
-            .last()
-            .map(String::as_str)
+        self.instances.get(trace_id)?.last.as_deref()
     }
 
     /// Whether a trace has reached the end event.

@@ -50,7 +50,6 @@ const CLOSURE_BOUND: usize = 4096;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PetriNet {
-    n_places: usize,
     transitions: Vec<Transition>,
     initial: Marking,
     done_place: usize,
@@ -118,7 +117,6 @@ impl PetriNet {
             }
         }
         PetriNet {
-            n_places,
             transitions,
             initial,
             done_place,
@@ -133,11 +131,10 @@ impl PetriNet {
     /// Whether `t` is enabled in `m`.
     fn enabled(&self, m: &Marking, t: &Transition) -> bool {
         // A transition consuming the same place twice needs two tokens.
-        let mut need = vec![0u8; self.n_places];
-        for p in &t.consume {
-            need[*p] += 1;
-        }
-        need.iter().zip(m.iter()).all(|(n, have)| have >= n)
+        t.consume.iter().all(|p| {
+            let need = t.consume.iter().filter(|q| *q == p).count();
+            usize::from(m[*p]) >= need
+        })
     }
 
     /// Fires `t` in `m`; caller must have checked enablement.
@@ -198,15 +195,24 @@ impl PetriNet {
     /// until a transition labelled `activity` is enabled, fires it, and
     /// returns the new marking. Returns `None` when the activity cannot be
     /// executed in the current state (non-conformance).
+    ///
+    /// `m` is the first marking of the closure walk, so a transition
+    /// enabled in `m` itself fires without building the closure; the walk
+    /// runs only when none is.
     pub fn replay(&self, m: &Marking, activity: &str) -> Option<Marking> {
-        for marking in self.silent_closure(m) {
-            for t in &self.transitions {
-                if t.label.as_deref() == Some(activity) && self.enabled(&marking, t) {
-                    return Some(self.fire(&marking, t));
-                }
-            }
-        }
-        None
+        self.fire_labelled(m, activity).or_else(|| {
+            self.silent_closure(m)
+                .iter()
+                .find_map(|marking| self.fire_labelled(marking, activity))
+        })
+    }
+
+    /// Fires the first transition labelled `activity` enabled in `m`.
+    fn fire_labelled(&self, m: &Marking, activity: &str) -> Option<Marking> {
+        self.transitions
+            .iter()
+            .find(|t| t.label.as_deref() == Some(activity) && self.enabled(m, t))
+            .map(|t| self.fire(m, t))
     }
 
     /// Replays `activity` even if it is not enabled, creating the missing
@@ -265,6 +271,7 @@ impl PetriNet {
 mod tests {
     use super::*;
     use crate::model::ProcessModelBuilder;
+    use proptest::prelude::*;
 
     /// Shared by `Arc` between checkers: an `Rc` or `RefCell` inside stops this compiling.
     #[test]
@@ -374,6 +381,98 @@ mod tests {
         assert_eq!(net.enabled_labels(&m), vec!["x"]);
         let m = net.replay(&m, "x").unwrap();
         assert!(net.is_complete(&m), "join fires silently once both done");
+    }
+
+    /// The Figure-2 rolling-upgrade shape (`pod-orchestrator`'s
+    /// `rolling_upgrade_model`): three setup tasks, the four-task
+    /// replacement loop between two exclusive gateways, then completion.
+    fn rolling_upgrade_net() -> PetriNet {
+        let mut b = ProcessModelBuilder::new("rolling-upgrade");
+        let start = b.start();
+        let tasks: Vec<_> = ROLLING_UPGRADE.iter().map(|t| b.task(*t)).collect();
+        let (join, split, end) = (b.exclusive_gateway(), b.exclusive_gateway(), b.end());
+        b.flow(start, tasks[0]);
+        b.flow(tasks[0], tasks[1]);
+        b.flow(tasks[1], tasks[2]);
+        b.flow(tasks[2], join);
+        b.flow(join, tasks[3]);
+        b.flow(tasks[3], tasks[4]);
+        b.flow(tasks[4], tasks[5]);
+        b.flow(tasks[5], tasks[6]);
+        b.flow(tasks[6], split);
+        b.flow(split, join);
+        b.flow(split, tasks[7]);
+        b.flow(tasks[7], end);
+        PetriNet::compile(&b.build().unwrap())
+    }
+
+    const ROLLING_UPGRADE: [&str; 8] = [
+        "start",
+        "update-lc",
+        "sort",
+        "deregister",
+        "terminate",
+        "wait",
+        "ready",
+        "completed",
+    ];
+
+    /// The closure walk alone, from `m` on: what `replay` did before its
+    /// fast path, and the reference the fast path must agree with.
+    fn replay_by_closure(net: &PetriNet, m: &Marking, activity: &str) -> Option<Marking> {
+        for marking in net.silent_closure(m) {
+            for t in &net.transitions {
+                if t.label.as_deref() == Some(activity) && net.enabled(&marking, t) {
+                    return Some(net.fire(&marking, t));
+                }
+            }
+        }
+        None
+    }
+
+    proptest! {
+        /// On every reachable marking of the rolling-upgrade net, `replay`
+        /// of any activity (or an unknown one) equals the closure walk.
+        /// Half the walk's steps pick an executable activity, so walks get
+        /// around the replacement loop, whose re-entry is a silent move.
+        #[test]
+        fn replay_equals_the_closure_walk(
+            walk in prop::collection::vec(0usize..18, 0..40),
+            probe in 0usize..9,
+        ) {
+            let net = rolling_upgrade_net();
+            let name = |i: usize| ROLLING_UPGRADE.get(i).copied().unwrap_or("garbage");
+            let mut m = net.initial_marking();
+            for step in walk {
+                let executable = net.enabled_labels(&m);
+                let activity = match step.checked_sub(9) {
+                    Some(i) if !executable.is_empty() => &executable[i % executable.len()],
+                    _ => name(step),
+                };
+                let expected = replay_by_closure(&net, &m, activity);
+                prop_assert_eq!(net.replay(&m, activity), expected.clone());
+                m = expected.unwrap_or(m);
+            }
+            let expected = replay_by_closure(&net, &m, name(probe));
+            prop_assert_eq!(net.replay(&m, name(probe)), expected);
+        }
+
+        /// `enabled` counts a place a transition consumes twice as two
+        /// tokens, as a per-place need vector would.
+        #[test]
+        fn enabled_counts_repeated_places(
+            tokens in prop::collection::vec(0u8..3, 3),
+            consume in prop::collection::vec(0usize..3, 0..4),
+        ) {
+            let net = rolling_upgrade_net();
+            let t = Transition { label: None, consume, produce: Vec::new() };
+            let mut need = [0u8; 3];
+            for p in &t.consume {
+                need[*p] += 1;
+            }
+            let by_vector = need.iter().zip(&tokens).all(|(n, have)| have >= n);
+            prop_assert_eq!(net.enabled(&tokens, &t), by_vector);
+        }
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl RecoveryDispatcher {
             description: description.to_string(),
             detected_at: detection.at,
             instance: detection.instance.clone(),
-            env: self.env.snapshot(),
+            env: ExpectedEnv::clone(&self.env.snapshot()),
             parent_event: detection.event,
         }
     }

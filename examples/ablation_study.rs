@@ -134,7 +134,7 @@ fn main() {
             .child(shared),
     );
     let ctx = DiagnosisContext {
-        env: scenario.env.snapshot(),
+        env: (*scenario.env.snapshot()).clone(),
         step: None,
         instance: None,
         operation_started: pod_diagnosis::sim::SimTime::ZERO,
