@@ -1,7 +1,7 @@
 //! The assertion-evaluation service: runs assertions, times them, and logs
 //! their results to central storage in the paper's assertion-log shape.
 
-use pod_log::{LogEvent, LogStorage, ProcessContext, Severity, StepOutcome};
+use pod_log::{LogEvent, LogStorage, ProcessContext, Severity};
 use pod_obs::Counter;
 use pod_sim::{SimDuration, SimTime};
 
@@ -39,9 +39,7 @@ impl AssertionTrigger {
 /// A completed assertion evaluation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssertionRecord {
-    /// The assertion that was evaluated.
-    pub assertion: CloudAssertion,
-    /// Its instantiated description.
+    /// The evaluated assertion's instantiated description.
     pub description: String,
     /// The outcome.
     pub outcome: AssertionOutcome,
@@ -154,7 +152,6 @@ impl AssertionEvaluator {
             None
         };
         let record = AssertionRecord {
-            assertion: assertion.clone(),
             description: assertion.describe(env),
             outcome,
             trigger,
@@ -201,11 +198,7 @@ fn render(record: &AssertionRecord, context: Option<&ProcessContext>) -> LogEven
         context: None,
     };
     match context {
-        Some(ctx) => event.with_context(ctx.clone().with_outcome(if record.is_failure() {
-            StepOutcome::Failure
-        } else {
-            StepOutcome::Success
-        })),
+        Some(ctx) => event.with_context(ctx.clone()),
         None => event,
     }
 }
@@ -271,10 +264,8 @@ mod tests {
         assert_eq!((errors.len(), errors[0].severity), (1, Severity::Error));
         assert!(errors[0].message.contains("FAILED"));
         assert!(errors[0].message.contains("[Step:step4]"));
-        assert_eq!(
-            errors[0].context.as_ref().unwrap().outcome,
-            Some(StepOutcome::Failure)
-        );
+        // The verdict is the line's severity; its context is the caller's.
+        assert_eq!(errors[0].context.as_ref(), Some(&ctx));
         assert!(errors[0].tags.iter().any(|t| t == "trigger:oneoff-timer"));
     }
 

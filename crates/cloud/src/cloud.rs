@@ -500,7 +500,6 @@ impl Cloud {
                 instance_type,
                 key_pair,
                 security_group,
-                created_at: now,
             };
             Ok(file(&mut inner.state.launch_configs, now, name, lc))
         })
@@ -680,7 +679,6 @@ impl Cloud {
                 instance_type: instance_type.to_string(),
                 key_pair,
                 security_group,
-                created_at: now,
             };
             file(&mut inner.state.launch_configs, now, lc_name, lc)
         })
@@ -866,7 +864,6 @@ impl Cloud {
                 instance_type: "m1.small".to_string(),
                 key_pair: KeyPairName::new("other-team-key"),
                 security_group: SecurityGroupId::new("sg-other"),
-                created_at: now,
             };
             let in_service = |i: &mut Instance| i.state = InstanceState::InService;
             (0..count)

@@ -56,8 +56,6 @@ pub struct LaunchConfig {
     pub key_pair: KeyPairName,
     /// Security group applied to instances.
     pub security_group: SecurityGroupId,
-    /// Creation time.
-    pub created_at: SimTime,
 }
 
 /// Lifecycle state of an EC2 instance.

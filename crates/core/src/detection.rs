@@ -123,16 +123,9 @@ pub enum EngineNotice {
     /// ids of the selected fault tree, most probable first — the speculation
     /// set for plan pre-staging.
     Detected {
-        /// Index of the detection in `RunSummary::detections`.
+        /// Index of the detection in `RunSummary::detections`, where its
+        /// time, source, key and step are.
         detection_index: usize,
-        /// Detection time.
-        at: SimTime,
-        /// The detecting mechanism.
-        source: DetectionSource,
-        /// The fault-tree selection key.
-        key: String,
-        /// The process step, if known.
-        step: Option<String>,
         /// The implicated instance, if known.
         instance: Option<InstanceId>,
         /// Whether a diagnosis was scheduled (false when suppressed by the

@@ -766,10 +766,6 @@ impl PodEngine {
             };
             self.notify(EngineNotice::Detected {
                 detection_index,
-                at,
-                source,
-                key,
-                step,
                 instance,
                 dispatched: cooled_down,
                 candidates,

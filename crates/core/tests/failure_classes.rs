@@ -30,7 +30,6 @@ fn build_world(seed: u64) -> World {
         cluster.asg.clone(),
         cluster.elb.clone(),
         ami_v2.clone(),
-        "2.0",
     );
     let env = SharedEnv::new(pod_assert::ExpectedEnv {
         launch_config: pod_cloud::LaunchConfigName::new(format!(

@@ -11,8 +11,7 @@ use pod_faulttree::TestOrder;
 use pod_log::LogEvent;
 use pod_obs::{EventRecord, SpanRecord};
 use pod_orchestrator::{
-    FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
-    UpgradeReport,
+    FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeReport,
 };
 use pod_recovery::{
     conformance_check, ConformanceReport, DispatchRecord, RecoveryDispatcher, RecoveryRun,
@@ -161,8 +160,6 @@ pub struct RunRecord {
     pub truth: GroundTruth,
     /// The classification of the run's detections.
     pub outcome: RunOutcome,
-    /// Whether the orchestrator finished the upgrade.
-    pub upgrade_completed: bool,
     /// The run's pod-obs metric snapshot (cloud API traffic, retries,
     /// conformance verdicts, fault-tree work, pipeline drops).
     pub obs: pod_obs::Snapshot,
@@ -466,10 +463,14 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
     }
 }
 
-/// Recovered and escalated runs and the MTTR samples of the repairs among
-/// them: what the campaign's and the soak's recovery wrap-ups both count.
+/// Recovery runs owed, the recovered and escalated runs that paid them, and
+/// the MTTR samples of the repairs among them: what the campaign's and the
+/// soak's recovery wrap-ups both count.
 #[derive(Debug, Default)]
 pub(crate) struct RecoveryTally {
+    /// Diagnosed detections, each owed exactly one recovery run. Counted
+    /// from the detections, not the runs, so a dropped incident shows.
+    pub(crate) attempted: usize,
     pub(crate) recovered: usize,
     pub(crate) escalated: usize,
     pub(crate) mttr: Vec<SimDuration>,
@@ -500,6 +501,10 @@ fn aggregate_recovery(records: &[RunRecord]) -> RecoveryStats {
             .iter_mut()
             .find(|(f, ..)| *f == r.plan.fault)
             .expect("all fault types present");
+        if r.plan.recovery {
+            all.attempted += r.outcome.diagnosis_times.len();
+            fault.attempted += r.outcome.diagnosis_times.len();
+        }
         for rec in &r.recoveries {
             all.add(&rec.run);
             fault.add(&rec.run);
@@ -520,7 +525,7 @@ fn aggregate_recovery(records: &[RunRecord]) -> RecoveryStats {
     }
     let [detection, diagnosis, staging, repair, verification] = phase_samples.map(TimingStats::new);
     RecoveryStats {
-        attempted: all.recovered + all.escalated,
+        attempted: all.attempted,
         recovered: all.recovered,
         escalated: all.escalated,
         conformance_fit: fit,
@@ -536,7 +541,7 @@ fn aggregate_recovery(records: &[RunRecord]) -> RecoveryStats {
             .into_iter()
             .map(|(f, t, fit)| {
                 let stats = FaultRecoveryStats {
-                    attempted: t.recovered + t.escalated,
+                    attempted: t.attempted,
                     recovered: t.recovered,
                     escalated: t.escalated,
                     conformance_fit: fit,
@@ -646,7 +651,6 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
         plan,
         truth,
         outcome,
-        upgrade_completed: matches!(report.outcome, UpgradeOutcome::Completed),
         obs,
         stage_self_us,
         incidents,
@@ -1001,6 +1005,14 @@ mod tests {
             assert!(!fs.mttr.is_empty());
         }
         assert!(!stats.mttr.is_empty());
+        // The ledger counts what was owed: one missing run shows.
+        let mut records = report.records;
+        records[0]
+            .recoveries
+            .pop()
+            .expect("a faulty run owes a recovery");
+        let short = aggregate_recovery(&records);
+        assert_eq!(short.recovered + short.escalated + 1, short.attempted);
     }
 
     #[test]

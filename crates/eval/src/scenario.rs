@@ -91,7 +91,9 @@ impl Injection {
 pub struct ScenarioConfig {
     /// Cluster size (the paper uses 4 or 20).
     pub cluster_size: u32,
-    /// Instances replaced per loop iteration (1 for 4-node, 4 for 20-node).
+    /// The replacements per wait the engine expects (the paper's `k`: 1
+    /// for 4-node, 4 for 20-node). The orchestrator replaces one instance
+    /// at a time whatever it is.
     pub batch_size: u32,
     /// RNG seed for the whole run.
     pub seed: u64,
@@ -131,14 +133,12 @@ pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
         config.cluster_size,
     );
     let trace_id = format!("run-{}", config.seed);
-    let mut upgrade = UpgradeConfig::new(
+    let upgrade = UpgradeConfig::new(
         "pm",
         cluster.asg.clone(),
         cluster.elb.clone(),
         ami_v2.clone(),
-        "2.0",
     );
-    upgrade.batch_size = config.batch_size as usize;
     let upgrade_lc_name = format!("{}-{}", upgrade.new_launch_config, trace_id);
     let env = SharedEnv::new(ExpectedEnv {
         launch_config: pod_cloud::LaunchConfigName::new(&upgrade_lc_name),
@@ -274,13 +274,14 @@ mod tests {
 
     #[test]
     fn twenty_node_scenario() {
-        let s = build_scenario(&ScenarioConfig {
+        let config = ScenarioConfig {
             cluster_size: 20,
             batch_size: 4,
             ..ScenarioConfig::default()
-        });
+        };
+        let s = build_scenario(&config);
         assert_eq!(s.cloud.admin_asg_active_instances(&s.upgrade.asg).len(), 20);
-        assert_eq!(s.upgrade.batch_size, 4);
+        assert_eq!(pod_config(&config).batch_size, 4);
     }
 
     #[test]

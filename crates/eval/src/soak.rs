@@ -43,13 +43,16 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use pod_cloud::Cloud;
+use pod_core::Detection;
 use pod_gateway::{Gateway, GatewayConfig, GatewayStats, OpId};
 use pod_log::LogEvent;
 use pod_obs::{FlightDump, RunSignals, SampleVerdict, TailSampler, TelemetryMode};
 use pod_orchestrator::{
     FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
-use pod_recovery::{RecoveryDispatcher, RecoveryPath, RecoveryStorm, StormConfig, StormStats};
+use pod_recovery::{
+    DispatchRecord, RecoveryDispatcher, RecoveryPath, RecoveryStorm, StormConfig, StormStats,
+};
 use pod_sim::{SimRng, SimTime};
 
 use crate::campaign::RecoveryTally;
@@ -95,8 +98,6 @@ pub struct OpStream {
     pub scenario: Scenario,
     /// The scenario's configuration (needed to rebuild the engine).
     pub scenario_config: ScenarioConfig,
-    /// When the fault was actually injected.
-    pub injected_at: Option<SimTime>,
     /// Whether the orchestrator completed the upgrade.
     pub upgrade_completed: bool,
     /// The raw wire lines, in arrival order: (arrival time, raw text).
@@ -124,8 +125,6 @@ pub struct SoakOpResult {
     pub fault: Option<FaultType>,
     /// The shard that served the operation.
     pub shard: usize,
-    /// Raw lines the operation submitted.
-    pub lines_submitted: u64,
     /// Lines the gateway delivered to the operation's engine.
     pub lines_delivered: u64,
     /// Detections the engine raised at replay.
@@ -138,8 +137,6 @@ pub struct SoakOpResult {
     /// ([`TelemetryMode::Sampled`] only; `None` means no sampling ran —
     /// everything retained under `Full`, nothing recorded under `Off`).
     pub verdict: Option<SampleVerdict>,
-    /// Incident chains reconstructed from this operation's retained trace.
-    pub incidents: usize,
 }
 
 /// The replay result: per-operation outcomes plus gateway-level statistics.
@@ -207,7 +204,7 @@ pub struct TenantRecoveryResult {
     pub trace_id: String,
     /// The fault injected into the tenant's upgrade.
     pub fault: Option<FaultType>,
-    /// Recovery runs attempted (one per detected incident).
+    /// Recovery runs owed: one per diagnosed detection.
     pub attempted: usize,
     /// Runs that reached a verified repair.
     pub recovered: usize,
@@ -231,17 +228,12 @@ pub struct SoakRecoveryReport {
     pub config: StormConfig,
     /// Per-tenant results, in stream order.
     pub tenants: Vec<TenantRecoveryResult>,
-    /// Total recovery runs attempted.
+    /// Recovery runs owed: one per diagnosed detection, across tenants.
     pub attempted: usize,
     /// Runs that reached a verified repair (any path).
     pub recovered: usize,
     /// Runs that escalated (any path).
     pub escalated: usize,
-    /// Recovered runs that went through an eager lane or review (not the
-    /// sweep).
-    pub recovered_direct: usize,
-    /// Escalated runs that went through an eager lane or review.
-    pub escalated_direct: usize,
     /// Runs shed to the sweep — deferred then executed, never dropped.
     pub deferred_swept: usize,
     /// Eager runs the shared API throttled.
@@ -260,13 +252,11 @@ impl SoakRecoveryReport {
     }
 
     /// The headline storm invariant: no incident is ever dropped.
-    /// `recovered + escalated == attempted` (every incident reached a
-    /// terminal state), `recovered_direct + escalated_direct +
-    /// deferred_swept == attempted` (every incident is accounted to
-    /// exactly one path), and the gate's own ledger balances.
+    /// `recovered + escalated == attempted` (every diagnosed detection
+    /// owed a run reached a terminal state), and the gate's own ledger
+    /// balances.
     pub fn none_dropped(&self) -> bool {
         self.recovered + self.escalated == self.attempted
-            && self.recovered_direct + self.escalated_direct + self.deferred_swept == self.attempted
             && self.stats.admitted + self.stats.deferred == self.stats.requests
             && self.stats.swept == self.stats.deferred
             && self.stats.throttled <= self.stats.admitted
@@ -393,7 +383,7 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             scenario.trace_id.clone(),
         );
         let report = upgrade.run(&mut collector);
-        let injected_at = collector.injection.and_then(|i| i.at);
+        let landed = collector.injection.is_none_or(|i| i.at.is_some());
         let lines = collector.lines;
         let mut tokens = BTreeSet::new();
         for (_, raw) in &lines {
@@ -403,12 +393,11 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             fault: plan.fault,
             scenario,
             scenario_config: plan.scenario.clone(),
-            injected_at,
             upgrade_completed: matches!(report.outcome, UpgradeOutcome::Completed),
             lines,
             tokens,
         };
-        (stream, plan.fault.is_none() || injected_at.is_some())
+        (stream, landed)
     })
 }
 
@@ -541,67 +530,16 @@ fn replay_inner(
     // did not handle (including every gate-shed repair) — before the
     // metric snapshot, so `recovery.storm.*` accounting is final in it.
     let recovery = storm.as_ref().map(|storm| {
-        use std::fmt::Write as _;
-        let mut tenants = Vec::with_capacity(streams.ops.len());
-        let (mut all, mut direct) = (RecoveryTally::default(), RecoveryTally::default());
-        let (mut deferred_swept, mut throttled) = (0usize, 0usize);
-        for ((stream, report), dispatcher) in streams.ops.iter().zip(&reports).zip(&dispatchers) {
+        let mut all = RecoveryTally::default();
+        let tenants = streams.ops.iter().zip(&reports).zip(&dispatchers);
+        let tenants = tenants.map(|((stream, report), dispatcher)| {
             let mut dispatcher = dispatcher.borrow_mut();
             dispatcher.sweep(&report.summary.detections);
             let records = dispatcher.take_records();
-            let mut tally = RecoveryTally::default();
-            let (trace_id, fault) = (stream.scenario.trace_id.clone(), stream.fault);
-            let mut transcript = format!("== {trace_id} fault={fault:?} ==\n");
-            let (mut swept, mut tenant_throttled) = (0usize, 0usize);
-            for rec in &records {
-                tally.add(&rec.run);
-                all.add(&rec.run);
-                match rec.path {
-                    RecoveryPath::DeferredSwept => swept += 1,
-                    RecoveryPath::Eager {
-                        throttled: true, ..
-                    } => {
-                        tenant_throttled += 1;
-                        direct.add(&rec.run);
-                    }
-                    _ => direct.add(&rec.run),
-                }
-                let _ = writeln!(
-                    transcript,
-                    "-- incident {} path={} --\n{}",
-                    rec.detection_index,
-                    rec.path.tag(),
-                    rec.run.digest()
-                );
-            }
-            deferred_swept += swept;
-            throttled += tenant_throttled;
-            tenants.push(TenantRecoveryResult {
-                trace_id,
-                fault,
-                attempted: records.len(),
-                recovered: tally.recovered,
-                escalated: tally.escalated,
-                deferred_swept: swept,
-                throttled: tenant_throttled,
-                mttr: TimingStats::new(tally.mttr),
-                transcript,
-            });
-        }
-        let storm = storm.borrow();
-        SoakRecoveryReport {
-            config: storm.config().clone(),
-            tenants,
-            attempted: all.recovered + all.escalated,
-            recovered: all.recovered,
-            escalated: all.escalated,
-            recovered_direct: direct.recovered,
-            escalated_direct: direct.escalated,
-            deferred_swept,
-            throttled,
-            stats: storm.stats(),
-            mttr: TimingStats::new(all.mttr),
-        }
+            tenant_recovery(stream, &report.summary.detections, &records, &mut all)
+        });
+        let tenants = tenants.collect();
+        storm_report(&storm.borrow(), tenants, all)
     });
 
     // Operations a gateway tail-latency exemplar points at: their traces
@@ -651,7 +589,6 @@ fn replay_inner(
         // Only retained traces pay for latency attribution and incident
         // reconstruction — that is where sampled mode earns its overhead
         // budget without ever dropping an incident-relevant run.
-        let mut op_incidents = 0usize;
         if retained {
             if let Some(fault) = stream.fault {
                 // Zero-clone accounting: the spans and events are read in
@@ -659,8 +596,7 @@ fn replay_inner(
                 // the telemetry being measured.
                 latency.record(fault, &obs.tracer().with_finished(stage_self_times));
             }
-            op_incidents = obs.events().with_records(pod_obs::incident_count);
-            incidents_total += op_incidents;
+            incidents_total += obs.events().with_records(pod_obs::incident_count);
             kept_traces += 1;
         } else if mode == TelemetryMode::Sampled {
             discarded_traces += 1;
@@ -688,13 +624,11 @@ fn replay_inner(
             trace_id: stream.scenario.trace_id.clone(),
             fault: stream.fault,
             shard: report.shard,
-            lines_submitted: stream.lines.len() as u64,
             lines_delivered: report.lines,
             detections: report.summary.detections.len(),
             upgrade_completed: stream.upgrade_completed,
             digest,
             verdict,
-            incidents: op_incidents,
         });
     }
     // Snapshot after the sampling pass so `obs.sampler.*` accounting (and
@@ -714,6 +648,73 @@ fn replay_inner(
         incidents: incidents_total,
         flight,
         recovery,
+    }
+}
+
+/// One tenant's recovery wrap-up: its finished runs, in detection order,
+/// tallied against the diagnosed detections that each owe one. Adds the
+/// tenant's tally to `all`.
+fn tenant_recovery(
+    stream: &OpStream,
+    detections: &[Detection],
+    records: &[DispatchRecord],
+    all: &mut RecoveryTally,
+) -> TenantRecoveryResult {
+    use std::fmt::Write as _;
+    let mut tally = RecoveryTally {
+        attempted: detections.iter().filter(|d| d.diagnosis.is_some()).count(),
+        ..RecoveryTally::default()
+    };
+    all.attempted += tally.attempted;
+    let (trace_id, fault) = (stream.scenario.trace_id.clone(), stream.fault);
+    let mut transcript = format!("== {trace_id} fault={fault:?} ==\n");
+    let (mut deferred_swept, mut throttled) = (0usize, 0usize);
+    for rec in records {
+        tally.add(&rec.run);
+        all.add(&rec.run);
+        match rec.path {
+            RecoveryPath::DeferredSwept => deferred_swept += 1,
+            RecoveryPath::Eager { throttled: true } => throttled += 1,
+            _ => {}
+        }
+        let _ = writeln!(
+            transcript,
+            "-- incident {} path={} --\n{}",
+            rec.detection_index,
+            rec.path.tag(),
+            rec.run.digest()
+        );
+    }
+    TenantRecoveryResult {
+        trace_id,
+        fault,
+        attempted: tally.attempted,
+        recovered: tally.recovered,
+        escalated: tally.escalated,
+        deferred_swept,
+        throttled,
+        mttr: TimingStats::new(tally.mttr),
+        transcript,
+    }
+}
+
+/// The recovery stage's report: every tenant's wrap-up, their sum `all`,
+/// and the storm's own ledger.
+fn storm_report(
+    storm: &RecoveryStorm,
+    tenants: Vec<TenantRecoveryResult>,
+    all: RecoveryTally,
+) -> SoakRecoveryReport {
+    SoakRecoveryReport {
+        config: storm.config().clone(),
+        attempted: all.attempted,
+        recovered: all.recovered,
+        escalated: all.escalated,
+        deferred_swept: tenants.iter().map(|t| t.deferred_swept).sum(),
+        throttled: tenants.iter().map(|t| t.throttled).sum(),
+        tenants,
+        stats: storm.stats(),
+        mttr: TimingStats::new(all.mttr),
     }
 }
 
@@ -925,27 +926,27 @@ mod tests {
         let streams = collect_streams(&small_config());
         assert_eq!(streams.ops.len(), 4);
         assert!(streams.lines_total > 0);
-        assert!(streams.ops.iter().all(|o| o.injected_at.is_some()));
         let report = replay(&streams, &GatewayConfig::default());
         assert!(report.leaks.is_empty(), "{:?}", report.leaks);
         // Block policy: every collected line reaches its engine.
         assert_eq!(report.stats.lines_processed, streams.lines_total);
         assert_eq!(report.stats.total_shed(), 0);
         assert!(report.ops.iter().all(|o| o.lines_delivered > 0));
-        assert!(
-            report.ops.iter().any(|o| o.detections > 0),
-            "injected faults must surface at replay: {report:#?}"
-        );
+        // Every op's fault landed: its detections name the fault's root cause.
+        for op in &report.ops {
+            let cause = op.fault.expect("every op is faulty").expected_root_cause();
+            assert!(op.digest.contains(cause), "{}: no {cause}", op.trace_id);
+        }
         assert!(!report.latency.is_empty());
         assert!(report.stats.lines_per_sec_virtual() > 0.0);
     }
 
     /// One tenant's wire lines replayed straight into `engine`, no gateway
-    /// between them; the run's detection digest.
-    fn digest_through(mut engine: pod_core::PodEngine, stream: &OpStream) -> String {
+    /// between them.
+    fn replay_into(mut engine: pod_core::PodEngine, stream: &OpStream) -> pod_core::RunSummary {
         let parsed = stream.lines.iter();
         engine.ingest_batch(parsed.map(|(at, raw)| pod_log::parse_line(raw, *at).event));
-        engine.finish().digest()
+        engine.finish()
     }
 
     #[test]
@@ -953,7 +954,7 @@ mod tests {
         // A then B, both on the fleet's one `CompiledPod`.
         let streams = collect_streams(&small_config());
         let shared =
-            |t: &OpStream| digest_through(build_engine(&t.scenario, &t.scenario_config), t);
+            |t: &OpStream| replay_into(build_engine(&t.scenario, &t.scenario_config), t).digest();
         let (a, b_after_a) = (shared(&streams.ops[0]), shared(&streams.ops[1]));
         // B alone, on a pod compiled for it and never shown another tenant.
         let streams = collect_streams(&small_config());
@@ -963,7 +964,7 @@ mod tests {
         let alone = pod_core::PodEngine::new(cloud, storage, env, own, s.trace_id.clone())
             .expect("rolling-upgrade patterns compile");
         assert!(!a.is_empty() && a != b_after_a, "two tenants, two faults");
-        assert_eq!(b_after_a, digest_through(alone, b));
+        assert_eq!(b_after_a, replay_into(alone, b).digest());
     }
 
     #[test]
@@ -1105,10 +1106,6 @@ mod tests {
         assert!(rec.attempted > 0, "faulty tenants must raise incidents");
         assert!(rec.none_dropped(), "{rec:#?}");
         assert_eq!(rec.recovered + rec.escalated, rec.attempted);
-        assert_eq!(
-            rec.recovered_direct + rec.escalated_direct + rec.deferred_swept,
-            rec.attempted
-        );
         // The metric mirror on the gateway snapshot matches the exact
         // stats, and throttle/defer pressure actually materialized.
         let s = rec.stats;
@@ -1132,6 +1129,37 @@ mod tests {
         assert_eq!(
             rec.transcript(),
             again.recovery.as_ref().unwrap().transcript()
+        );
+    }
+
+    #[test]
+    fn a_missing_record_breaks_the_ledger() {
+        let streams = collect_streams(&SoakConfig {
+            ops: 1,
+            seed: 17,
+            ..SoakConfig::default()
+        });
+        let (stream, s) = (&streams.ops[0], &streams.ops[0].scenario);
+        let engine = build_engine(s, &stream.scenario_config);
+        let detections = replay_into(engine, stream).detections;
+        let (cloud, storage, env) = (s.cloud.clone(), s.storage.clone(), s.env.clone());
+        let trace_id = s.trace_id.clone();
+        let mut dispatcher = RecoveryDispatcher::new(cloud, storage, env, trace_id, None);
+        dispatcher.sweep(&detections);
+        let mut records = dispatcher.take_records();
+        let clock = pod_sim::Clock::new();
+        let obs = pod_obs::Obs::new(clock.clone());
+        let storm = RecoveryStorm::new(&obs, clock, StormConfig::default());
+        let ledger = |records: &[DispatchRecord]| {
+            let mut all = RecoveryTally::default();
+            let tenant = tenant_recovery(stream, &detections, records, &mut all);
+            storm_report(&storm, vec![tenant], all)
+        };
+        assert!(ledger(&records).none_dropped());
+        records.pop().expect("a faulty tenant owes a recovery");
+        assert!(
+            !ledger(&records).none_dropped(),
+            "an owed incident has no run"
         );
     }
 

@@ -217,8 +217,8 @@ mod storm {
             prop_assert_eq!(a.digest(), b.digest());
         }
 
-        /// Contention accounting is exact: every repair is counted once
-        /// on exactly one path, the admission ledger balances, the
+        /// Contention accounting is exact: every diagnosed incident of
+        /// every tenant gets its one run, the admission ledger balances, the
         /// `recovery.storm.*` metric mirror matches the stats, and the
         /// consistent-layer retries stay within their call counts.
         #[test]
@@ -240,13 +240,12 @@ mod storm {
             );
             let rec = report.recovery.as_ref().expect("recovery ran");
 
-            // No incident dropped, each on exactly one path.
+            // No incident dropped, by any tenant.
             prop_assert!(rec.none_dropped(), "{rec:#?}");
             prop_assert_eq!(rec.recovered + rec.escalated, rec.attempted);
-            prop_assert_eq!(
-                rec.recovered_direct + rec.escalated_direct + rec.deferred_swept,
-                rec.attempted
-            );
+            for t in &rec.tenants {
+                prop_assert_eq!(t.recovered + t.escalated, t.attempted, "{}", &t.trace_id);
+            }
             let per_tenant: usize = rec.tenants.iter().map(|t| t.attempted).sum();
             prop_assert_eq!(per_tenant, rec.attempted);
 

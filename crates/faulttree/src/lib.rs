@@ -29,4 +29,4 @@ mod tree;
 pub use engine::{DiagnosedCause, DiagnosisEngine, DiagnosisReport, DiagnosisVerdict, TestOrder};
 pub use library::{rolling_upgrade_repository, steps, version_count_tree};
 pub use test::{DiagnosisContext, DiagnosticTest, TestResult};
-pub use tree::{FaultNode, FaultTree, FaultTreeRepository, Gate};
+pub use tree::{FaultNode, FaultTree, FaultTreeRepository};

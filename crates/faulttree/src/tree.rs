@@ -13,15 +13,6 @@
 
 use crate::test::DiagnosticTest;
 
-/// How a node's children relate to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// Any child fault can cause this event.
-    Or,
-    /// All child faults together cause this event.
-    And,
-}
-
 /// One node of a fault tree: an (intermediate) error event or a root-cause
 /// fault, with an optional on-demand diagnostic test.
 #[derive(Debug, Clone)]
@@ -30,8 +21,6 @@ pub struct FaultNode {
     pub id: String,
     /// Description; `{VAR}` placeholders are instantiated at diagnosis time.
     pub description: String,
-    /// Relationship of children to this node.
-    pub gate: Gate,
     /// Child events / faults, ordered arbitrarily (the engine re-orders).
     pub children: Vec<FaultNode>,
     /// When set, the node is only relevant if the error's process context
@@ -47,12 +36,11 @@ pub struct FaultNode {
 }
 
 impl FaultNode {
-    /// Creates a structural (untested) OR node.
+    /// Creates a structural (untested) node.
     pub fn branch(id: impl Into<String>, description: impl Into<String>) -> FaultNode {
         FaultNode {
             id: id.into(),
             description: description.into(),
-            gate: Gate::Or,
             children: Vec::new(),
             step_context: None,
             test: None,
@@ -71,7 +59,6 @@ impl FaultNode {
         FaultNode {
             id: id.into(),
             description: description.into(),
-            gate: Gate::Or,
             children: Vec::new(),
             step_context: None,
             test: Some(test),

@@ -143,12 +143,6 @@ pub enum SubmitOutcome {
 /// The final report for one operation after [`Gateway::finish`].
 #[derive(Debug)]
 pub struct OpReport {
-    /// The operation handle.
-    pub op: OpId,
-    /// Process model id the operation registered with.
-    pub process_id: String,
-    /// Process instance (trace) id the operation registered with.
-    pub instance_id: String,
     /// The shard that served the operation.
     pub shard: usize,
     /// Lines delivered to the operation's sink.
@@ -285,7 +279,6 @@ enum Reschedule {
 
 #[derive(Debug)]
 struct OpSlot {
-    process_id: String,
     instance_id: String,
     shard: usize,
     lines: u64,
@@ -459,7 +452,6 @@ impl Gateway {
         self.shards[shard].ops += 1;
         let id = OpId(self.ops.len());
         self.ops.push(OpSlot {
-            process_id,
             instance_id,
             shard,
             lines: 0,
@@ -689,11 +681,7 @@ impl Gateway {
         self.pump_until_idle();
         self.ops
             .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| OpReport {
-                op: OpId(i),
-                process_id: slot.process_id.clone(),
-                instance_id: slot.instance_id.clone(),
+            .map(|slot| OpReport {
                 shard: slot.shard,
                 lines: slot.lines,
                 summary: slot.sink.finish(),

@@ -35,8 +35,6 @@ pub struct ProcessContext {
     pub step_id: Option<String>,
     /// The cloud instance the line refers to, when one could be extracted.
     pub cloud_instance_id: Option<String>,
-    /// Outcome of the step recorded so far (set by assertion evaluation).
-    pub outcome: Option<StepOutcome>,
 }
 
 impl ProcessContext {
@@ -47,7 +45,6 @@ impl ProcessContext {
             process_instance_id: process_instance_id.into(),
             step_id: None,
             cloud_instance_id: None,
-            outcome: None,
         }
     }
 
@@ -61,30 +58,6 @@ impl ProcessContext {
     pub fn with_cloud_instance(mut self, id: impl Into<String>) -> Self {
         self.cloud_instance_id = Some(id.into());
         self
-    }
-
-    /// Sets the recorded step outcome.
-    pub fn with_outcome(mut self, outcome: StepOutcome) -> Self {
-        self.outcome = Some(outcome);
-        self
-    }
-}
-
-/// The outcome of a process step as established by assertion evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// The post-step assertion passed.
-    Success,
-    /// The post-step assertion failed.
-    Failure,
-}
-
-impl fmt::Display for StepOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StepOutcome::Success => f.write_str("success"),
-            StepOutcome::Failure => f.write_str("failure"),
-        }
     }
 }
 

@@ -32,7 +32,7 @@ mod parse;
 mod pipeline;
 mod storage;
 
-pub use event::{LogEvent, ProcessContext, Severity, StepOutcome};
+pub use event::{LogEvent, ProcessContext, Severity};
 pub use json::{Json, JsonError};
 pub use matcher::{Boundary, LineRule, RuleBook, RuleMatch};
 pub use parse::{parse_line, LineFormat, ParsedLine, UNCLASSIFIED};

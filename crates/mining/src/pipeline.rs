@@ -17,8 +17,6 @@ pub struct MinedProcess {
     /// Transformation rules mapping raw lines to activities — ready to be
     /// installed in a local log processor.
     pub rules: RuleBook,
-    /// The mined directly-follows graph (for inspection / rendering).
-    pub dfg: Dfg,
     /// Activity traces after tagging, one per process instance.
     pub traces: Vec<Vec<String>>,
 }
@@ -142,7 +140,6 @@ pub fn mine_process(
     Ok(MinedProcess {
         model,
         rules,
-        dfg,
         traces,
     })
 }

@@ -3,8 +3,8 @@
 use pod_cloud::{AmiId, AsgName, ElbName};
 use pod_sim::SimDuration;
 
-/// Parameters of one rolling upgrade (the paper upgrades clusters of 4 or
-/// 20 instances, replacing 1 or 5 at a time).
+/// Parameters of one rolling upgrade. The orchestrator replaces one instance
+/// at a time, whatever the paper's `k` the monitoring side assumes.
 #[derive(Debug, Clone)]
 pub struct UpgradeConfig {
     /// Application name used in log lines (the paper's example uses `pm`).
@@ -15,12 +15,8 @@ pub struct UpgradeConfig {
     pub elb: ElbName,
     /// The new AMI to roll out.
     pub new_ami: AmiId,
-    /// The version baked into the new AMI.
-    pub new_version: String,
     /// Name for the launch configuration the upgrade creates.
     pub new_launch_config: String,
-    /// How many instances to replace at a time (the paper's `k`).
-    pub batch_size: usize,
     /// How often the orchestrator polls while waiting for a new instance.
     pub poll_interval: SimDuration,
     /// How long to wait for one replacement before giving up.
@@ -34,16 +30,13 @@ impl UpgradeConfig {
         asg: AsgName,
         elb: ElbName,
         new_ami: AmiId,
-        new_version: impl Into<String>,
     ) -> UpgradeConfig {
         UpgradeConfig {
             app_name: app_name.into(),
             asg,
             elb,
             new_ami,
-            new_version: new_version.into(),
             new_launch_config: "lc-upgrade".to_string(),
-            batch_size: 1,
             poll_interval: SimDuration::from_secs(10),
             max_wait_per_instance: SimDuration::from_secs(600),
         }

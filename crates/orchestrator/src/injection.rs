@@ -329,7 +329,7 @@ mod tests {
         );
         let ami_v2 = cloud.admin_create_ami("app", "2.0");
         let cluster = cloud.admin_create_cluster(ami_v2.clone(), "prod", "lc-up", "pm--asg", 30, 4);
-        let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2, "2.0");
+        let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2);
         (cloud, config, cluster.launch_config.to_string())
     }
 

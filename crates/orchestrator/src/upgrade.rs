@@ -5,7 +5,7 @@
 //! observes only these log lines and the cloud APIs; the orchestrator knows
 //! nothing about conformance checking, assertions or diagnosis.
 
-use pod_cloud::{ActivityStatus, ApiError, Cloud, InstanceId, InstanceState, LaunchConfigName};
+use pod_cloud::{ActivityStatus, ApiError, Cloud, InstanceId, InstanceState};
 use pod_log::{LogEvent, Severity};
 use pod_sim::{SimDuration, SimTime};
 
@@ -68,10 +68,6 @@ impl UpgradeOutcome {
 pub struct UpgradeReport {
     /// How the run ended.
     pub outcome: UpgradeOutcome,
-    /// Instances successfully replaced.
-    pub replaced: usize,
-    /// Start time.
-    pub started_at: SimTime,
     /// Total virtual duration.
     pub duration: SimDuration,
 }
@@ -117,31 +113,14 @@ impl RollingUpgrade {
     /// Runs the whole upgrade, emitting logs and ticks to `observer`.
     pub fn run(&mut self, observer: &mut dyn UpgradeObserver) -> UpgradeReport {
         let started_at = self.cloud.clock().now();
-        let outcome = self.run_inner(observer, started_at);
-        let report = UpgradeReport {
-            replaced: match &outcome {
-                UpgradeOutcome::Completed => self.replaced_target(),
-                _ => 0, // detailed count tracked by run_inner's logs
-            },
+        let outcome = self.run_inner(observer);
+        UpgradeReport {
             outcome,
-            started_at,
             duration: self.cloud.clock().now().duration_since(started_at),
-        };
-        report
+        }
     }
 
-    fn replaced_target(&self) -> usize {
-        self.cloud
-            .admin_describe_asg(&self.config.asg)
-            .map(|g| g.desired_capacity as usize)
-            .unwrap_or(0)
-    }
-
-    fn run_inner(
-        &mut self,
-        observer: &mut dyn UpgradeObserver,
-        _started_at: SimTime,
-    ) -> UpgradeOutcome {
+    fn run_inner(&mut self, observer: &mut dyn UpgradeObserver) -> UpgradeOutcome {
         let cfg = self.config.clone();
         let run_span = self.cloud.obs().span("upgrade.run");
         run_span.attr("task", &self.task_id);
@@ -161,14 +140,13 @@ impl RollingUpgrade {
         self.tick(observer);
 
         // Step 2: update launch configuration.
-        let lc_name = {
+        {
             let step = self.cloud.obs().span("upgrade.step");
             step.attr("step", "update-launch-config");
-            match self.update_launch_configuration(observer) {
-                Ok(name) => name,
-                Err(e) => return self.fail(observer, e),
+            if let Err(e) = self.update_launch_configuration(observer) {
+                return self.fail(observer, e);
             }
-        };
+        }
         self.tick(observer);
 
         // Step 3: sort instances (oldest first, like Asgard).
@@ -196,35 +174,32 @@ impl RollingUpgrade {
         };
         self.tick(observer);
 
-        // Step 4: the replacement loop, k at a time.
+        // Step 4: the replacement loop, one instance at a time.
         let total = old.len();
-        let mut replaced = 0usize;
         let mut activity_cursor = self.cloud.clock().now();
-        for batch in old.chunks(cfg.batch_size.max(1)) {
-            for instance in batch {
-                let span = self.cloud.obs().span("upgrade.step");
-                span.attr("step", "replace-instance");
-                span.attr("victim", &instance.id);
-                if let Err(e) = self.replace_one(observer, &lc_name, &instance.id) {
-                    return e;
-                }
-                replaced += 1;
-                self.log(
-                    observer,
-                    Severity::Info,
-                    format!(
-                        "Instance {} on {} is ready for use. {replaced} of {total} instance \
-                         relaunches done.",
-                        cfg.app_name,
-                        self.last_new_instance
-                            .clone()
-                            .map(|i| i.to_string())
-                            .unwrap_or_else(|| "unknown".to_string()),
-                    ),
-                );
-                self.surface_cloud_errors(observer, &mut activity_cursor);
-                self.tick(observer);
+        for (done, instance) in old.iter().enumerate() {
+            let span = self.cloud.obs().span("upgrade.step");
+            span.attr("step", "replace-instance");
+            span.attr("victim", &instance.id);
+            if let Err(e) = self.replace_one(observer, &instance.id) {
+                return e;
             }
+            self.log(
+                observer,
+                Severity::Info,
+                format!(
+                    "Instance {} on {} is ready for use. {} of {total} instance relaunches \
+                     done.",
+                    cfg.app_name,
+                    self.last_new_instance
+                        .clone()
+                        .map(|i| i.to_string())
+                        .unwrap_or_else(|| "unknown".to_string()),
+                    done + 1,
+                ),
+            );
+            self.surface_cloud_errors(observer, &mut activity_cursor);
+            self.tick(observer);
         }
 
         // Step 5: completed.
@@ -244,7 +219,7 @@ impl RollingUpgrade {
     fn update_launch_configuration(
         &mut self,
         observer: &mut dyn UpgradeObserver,
-    ) -> Result<LaunchConfigName, ApiError> {
+    ) -> Result<(), ApiError> {
         let cfg = self.config.clone();
         // Asgard derives the new LC from the current one, swapping the AMI.
         let group = self.cloud.describe_asg(&cfg.asg)?;
@@ -272,13 +247,12 @@ impl RollingUpgrade {
                 cfg.new_ami, cfg.asg
             ),
         );
-        Ok(created)
+        Ok(())
     }
 
     fn replace_one(
         &mut self,
         observer: &mut dyn UpgradeObserver,
-        _lc: &LaunchConfigName,
         victim: &InstanceId,
     ) -> Result<(), UpgradeOutcome> {
         let cfg = self.config.clone();
@@ -424,7 +398,7 @@ mod tests {
         let ami_v1 = cloud.admin_create_ami("app", "1.0");
         let ami_v2 = cloud.admin_create_ami("app", "2.0");
         let cluster = cloud.admin_create_cluster(ami_v1, "prod", "lc-v1", "pm--asg", 30, n);
-        let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2, "2.0");
+        let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2);
         (cloud, config)
     }
 

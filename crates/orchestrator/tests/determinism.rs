@@ -16,7 +16,7 @@ fn build(seed: u64, n: u32) -> (Cloud, UpgradeConfig) {
     let ami_v1 = cloud.admin_create_ami("app", "1.0");
     let ami_v2 = cloud.admin_create_ami("app", "2.0");
     let cluster = cloud.admin_create_cluster(ami_v1, "prod", "lc-v1", "pm--asg", 40, n);
-    let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2, "2.0");
+    let config = UpgradeConfig::new("pm", cluster.asg, cluster.elb, ami_v2);
     (cloud, config)
 }
 
@@ -49,19 +49,15 @@ fn log_volume_scales_with_cluster_size() {
 }
 
 #[test]
-fn batch_size_changes_order_but_replaces_everything() {
-    for batch in [1usize, 2, 4] {
-        let (cloud, mut config) = build(11, 8);
-        config.batch_size = batch;
-        let asg = config.asg.clone();
-        let mut upgrade = RollingUpgrade::new(cloud.clone(), config, "run-1");
-        let mut obs = CollectingObserver::default();
-        let report = upgrade.run(&mut obs);
-        assert!(report.outcome.is_success(), "batch {batch}");
-        let active = cloud.admin_asg_active_instances(&asg);
-        assert_eq!(active.len(), 8);
-        assert!(active.iter().all(|i| i.version == "2.0"), "batch {batch}");
-    }
+fn an_eight_instance_upgrade_under_stale_reads_replaces_everything() {
+    let (cloud, config) = build(11, 8);
+    let asg = config.asg.clone();
+    let mut upgrade = RollingUpgrade::new(cloud.clone(), config, "run-1");
+    let report = upgrade.run(&mut CollectingObserver::default());
+    assert!(report.outcome.is_success(), "{:?}", report.outcome);
+    let active = cloud.admin_asg_active_instances(&asg);
+    assert_eq!(active.len(), 8);
+    assert!(active.iter().all(|i| i.version == "2.0"));
 }
 
 #[test]

@@ -34,10 +34,7 @@ pub enum Admission {
     },
     /// Every lane is busy beyond the wait cap; the caller must take its
     /// fallback path.
-    Deferred {
-        /// When the earliest lane would have freed up.
-        earliest_start: SimTime,
-    },
+    Deferred,
 }
 
 /// A deterministic virtual-time admission gate over a fixed lane pool.
@@ -77,9 +74,7 @@ impl AdmissionGate {
         let start = free_at.max(now);
         let waited = start.duration_since(now);
         if waited > self.max_wait {
-            return Admission::Deferred {
-                earliest_start: start,
-            };
+            return Admission::Deferred;
         }
         let in_flight = self.lanes.iter().filter(|&&busy| busy > start).count() + 1;
         Admission::Granted {
@@ -158,10 +153,7 @@ mod tests {
     fn defers_past_the_wait_cap_without_mutating_lanes() {
         let mut gate = AdmissionGate::new(1, SimDuration::from_secs(5));
         gate.occupy(0, t(60));
-        match gate.request(t(0)) {
-            Admission::Deferred { earliest_start } => assert_eq!(earliest_start, t(60)),
-            other => panic!("expected deferral, got {other:?}"),
-        }
+        assert_eq!(gate.request(t(0)), Admission::Deferred);
         // The deferral reserved nothing: a later request (within the cap)
         // still gets the lane at 60s.
         match gate.request(t(58)) {

@@ -51,8 +51,6 @@ pub enum RecoveryPath {
     Eager {
         /// Whether the shared API throttled the repair.
         throttled: bool,
-        /// Lane queue wait plus throttle penalty charged to the tenant.
-        delayed: SimDuration,
     },
     /// Shed to the end-of-operation sweep by the admission gate, then
     /// executed on the quiet path — deferred, never dropped.
@@ -66,10 +64,8 @@ impl RecoveryPath {
     /// Canonical tag for transcripts and journals.
     pub fn tag(&self) -> &'static str {
         match self {
-            RecoveryPath::Eager {
-                throttled: true, ..
-            } => "eager-throttled",
-            RecoveryPath::Eager { .. } => "eager",
+            RecoveryPath::Eager { throttled: true } => "eager-throttled",
+            RecoveryPath::Eager { throttled: false } => "eager",
             RecoveryPath::DeferredSwept => "deferred-swept",
             RecoveryPath::Review => "review",
         }
@@ -191,7 +187,6 @@ impl RecoveryDispatcher {
                 instance,
                 dispatched,
                 candidates,
-                ..
             } => {
                 if *dispatched {
                     self.prestage(*detection_index, candidates, instance.as_ref());
@@ -213,10 +208,7 @@ impl RecoveryDispatcher {
         let storm = match &self.storm {
             Some(storm) if self.is_actionable(detection) => Rc::clone(storm),
             _ => {
-                let quiet = RecoveryPath::Eager {
-                    throttled: false,
-                    delayed: SimDuration::ZERO,
-                };
+                let quiet = RecoveryPath::Eager { throttled: false };
                 return self.dispatch(detection_index, detection, quiet);
             }
         };
@@ -227,7 +219,6 @@ impl RecoveryDispatcher {
         let start = self.cloud.clock().advance(grant.delay);
         let path = RecoveryPath::Eager {
             throttled: grant.throttled,
-            delayed: grant.delay,
         };
         self.dispatch(detection_index, detection, path);
         let took = self.cloud.clock().now().duration_since(start);
@@ -242,12 +233,11 @@ impl RecoveryDispatcher {
         candidates: &[String],
         instance: Option<&pod_cloud::InstanceId>,
     ) {
-        let env = self.env.snapshot();
         let library = self.executor.library();
         let plans: Vec<(String, RecoveryPlan)> = candidates
             .iter()
             .filter_map(|cause| {
-                let plan = library.plan_for(cause, &env, instance)?;
+                let plan = library.plan_for(cause, instance)?;
                 Some((cause.clone(), plan))
             })
             .collect();
@@ -333,16 +323,12 @@ impl RecoveryDispatcher {
     ///   human.
     fn review(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
         let (cause, description) = root_cause_of(detection);
-        let env = self.env.snapshot();
         let verify = if is_benign_cause(&cause) {
             vec![CloudAssertion::LaunchConfigInstancesConsistent]
         } else {
-            vec![confirm_assertion(&detection.key, &env)]
+            vec![confirm_assertion(&detection.key, &self.env.snapshot())]
         };
-        let plan = RecoveryPlan::confirm_resolved(
-            format!("operation-end review of unrepaired incident ({cause}): {description}"),
-            verify,
-        );
+        let plan = RecoveryPlan::confirm_resolved(verify);
         let req = self.request(detection_index, detection, &cause, &description);
         let mut run = self.executor.recover_with(&req, plan);
         stamp_phases(&mut run, detection);
@@ -496,10 +482,6 @@ mod tests {
         let detection = diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami"));
         dispatcher.on_notice(&EngineNotice::Detected {
             detection_index: 0,
-            at: detection.at,
-            source: detection.source,
-            key: detection.key.clone(),
-            step: detection.step.clone(),
             instance: None,
             dispatched: true,
             candidates: vec!["lc-wrong-ami".to_string(), "ami-unavailable".to_string()],
@@ -525,12 +507,11 @@ mod tests {
         assert_eq!(run.outcome, crate::RecoveryOutcome::Recovered);
         assert_eq!(
             *path,
-            RecoveryPath::Eager {
-                throttled: false,
-                delayed: SimDuration::ZERO
-            },
-            "no storm: the eager path never waits"
+            RecoveryPath::Eager { throttled: false },
+            "no storm: the eager path is never throttled"
         );
+        // …and never waits: no lane delay lands on the clock first.
+        assert_eq!(run.started_at, detection.at);
 
         let obs = cloud.obs();
         assert_eq!(obs.counter("recovery.dispatch.dedup").get(), 1);

@@ -106,33 +106,9 @@ impl RecoveryOutcome {
     }
 }
 
-/// One executed (or exhausted) plan step.
-#[derive(Debug, Clone)]
-pub struct StepRecord {
-    /// The plan the step belongs to.
-    pub plan: String,
-    /// Step name.
-    pub step: String,
-    /// Attempts consumed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Whether the step eventually succeeded.
-    pub ok: bool,
-    /// Success detail or final error.
-    pub detail: String,
-    /// Virtual time the step finished.
-    pub at: SimTime,
-}
-
-/// One re-checked assertion of the closed-loop verification.
-#[derive(Debug, Clone)]
-pub struct VerifyRecord {
-    /// The assertion key (matches the fault-tree selector keys).
-    pub key: String,
-    /// Whether the re-check passed.
-    pub passed: bool,
-}
-
-/// The full, deterministic record of one recovery run.
+/// The full, deterministic record of one recovery run. What each step and
+/// each re-check did is in its log: "Applied recovery step …", "Recovery
+/// attempt N of step …" and "Re-checked N assertion(s) …".
 #[derive(Debug, Clone)]
 pub struct RecoveryRun {
     /// Task id (= trace id of the self-monitoring process instance).
@@ -143,10 +119,6 @@ pub struct RecoveryRun {
     pub outcome: RecoveryOutcome,
     /// Plan ids in ladder order (primary first).
     pub plans_tried: Vec<String>,
-    /// Executed steps.
-    pub steps: Vec<StepRecord>,
-    /// Closed-loop verification results, across all plans tried.
-    pub verifications: Vec<VerifyRecord>,
     /// When the underlying error was detected.
     pub detected_at: SimTime,
     /// When recovery started executing.
@@ -157,8 +129,6 @@ pub struct RecoveryRun {
     /// MTTR phase breakdown (detection/diagnosis filled in by the
     /// dispatcher, which knows the diagnosis timings).
     pub phases: RecoveryPhases,
-    /// The environment the run repaired towards.
-    pub env: ExpectedEnv,
     /// The Asgard-style log lines the run emitted — the input to
     /// [`crate::monitor::conformance_check`].
     pub log: Vec<LogEvent>,
@@ -315,18 +285,15 @@ impl RecoveryExecutor {
                 reason: "not executed".to_string(),
             },
             plans_tried: Vec::new(),
-            steps: Vec::new(),
-            verifications: Vec::new(),
             detected_at: req.detected_at,
             started_at,
             finished_at: started_at,
             phases: RecoveryPhases::default(),
-            env: req.env.clone(),
             log: Vec::new(),
         };
         // How far the actual (sequential) clock runs ahead of the modeled
-        // parallel timeline; every log line and record is stamped on the
-        // modeled timeline.
+        // parallel timeline; every log line is stamped on the modeled
+        // timeline.
         let mut lag = SimDuration::ZERO;
 
         self.log(
@@ -344,7 +311,7 @@ impl RecoveryExecutor {
             None => {
                 let plan = self
                     .library
-                    .plan_for(&req.root_cause, &req.env, req.instance.as_ref());
+                    .plan_for(&req.root_cause, req.instance.as_ref());
                 if plan.is_some() {
                     // Cold staging: resolve parameters, check preconditions
                     // and warm the API handles — the latency speculative
@@ -388,7 +355,7 @@ impl RecoveryExecutor {
                     // assertions through the same assertion machinery that
                     // detected the fault.
                     let verify_started = self.now();
-                    let failing = self.verify(&plan, &req.env, &mut run, patient);
+                    let failing = self.verify(&plan, &req.env, patient);
                     run.phases.verification += self.now().duration_since(verify_started);
                     let verify_event = obs.event("recovery.verify", &plan.id);
                     verify_event.attr("checked", plan.verify.len());
@@ -453,10 +420,10 @@ impl RecoveryExecutor {
     /// concurrent modeled lanes of the virtual clock, while execution
     /// itself stays sequential in deterministic (ready-time, step-index)
     /// order — same seed, same transcript. Per-step timeout/backoff
-    /// semantics are unchanged; each step's log lines and records are
-    /// stamped on its lane, and `lag` tracks how far the sequential clock
-    /// has run ahead of the modeled makespan. Returns the failing step and
-    /// error when a budget is exhausted.
+    /// semantics are unchanged; each step's log lines are stamped on its
+    /// lane, and `lag` tracks how far the sequential clock has run ahead of
+    /// the modeled makespan. Returns the failing step and error when a
+    /// budget is exhausted.
     fn run_steps(
         &self,
         plan: &RecoveryPlan,
@@ -523,31 +490,25 @@ impl RecoveryExecutor {
                 }
             };
             let at = rewind(self.now(), *lag);
-            let (Ok(detail) | Err(detail)) = &outcome;
-            run.steps.push(StepRecord {
-                plan: plan.id.clone(),
-                step: name.clone(),
-                attempts,
-                ok: outcome.is_ok(),
-                detail: detail.clone(),
-                at,
-            });
             model_finish[idx] = Some(at);
             makespan = makespan.max(at);
-            if let Err(error) = outcome {
-                self.log(
-                    run,
-                    *lag,
-                    Severity::Warn,
-                    format!(
-                        "Recovery plan {} abandoned: step {name} failed after {attempts} \
-                         attempt(s): {error}",
-                        plan.id
-                    ),
-                );
-                failed = Err((name, error));
-                break;
-            }
+            let detail = match outcome {
+                Ok(detail) => detail,
+                Err(error) => {
+                    self.log(
+                        run,
+                        *lag,
+                        Severity::Warn,
+                        format!(
+                            "Recovery plan {} abandoned: step {name} failed after {attempts} \
+                             attempt(s): {error}",
+                            plan.id
+                        ),
+                    );
+                    failed = Err((name, error));
+                    break;
+                }
+            };
             self.metrics.steps_applied.incr();
             let step_event = self.api.cloud().obs().event("recovery.step", &name);
             step_event.attr("plan", &plan.id);
@@ -563,26 +524,13 @@ impl RecoveryExecutor {
     /// Re-evaluates the plan's verification assertions; returns the keys
     /// still failing. `patient` swaps in the long convergence policy
     /// (operation-end reviews wait out in-flight relaunches).
-    fn verify(
-        &self,
-        plan: &RecoveryPlan,
-        env: &ExpectedEnv,
-        run: &mut RecoveryRun,
-        patient: bool,
-    ) -> Vec<String> {
+    fn verify(&self, plan: &RecoveryPlan, env: &ExpectedEnv, patient: bool) -> Vec<String> {
         let api = if patient { &self.wait_api } else { &self.api };
-        let mut failing = Vec::new();
-        for assertion in &plan.verify {
-            let passed = matches!(assertion.evaluate(api, env), AssertionOutcome::Passed);
-            run.verifications.push(VerifyRecord {
-                key: assertion.key().to_string(),
-                passed,
-            });
-            if !passed {
-                failing.push(assertion.key().to_string());
-            }
-        }
-        failing
+        plan.verify
+            .iter()
+            .filter(|a| !matches!(a.evaluate(api, env), AssertionOutcome::Passed))
+            .map(|a| a.key().to_string())
+            .collect()
     }
 
     fn escalate(&self, run: &mut RecoveryRun, lag: SimDuration, reason: String) {
@@ -910,13 +858,23 @@ mod tests {
         RecoveryExecutor::new(cloud.clone(), LogStorage::new())
     }
 
+    /// The run's log messages that start with `prefix`.
+    fn lines<'a>(run: &'a RecoveryRun, prefix: &str) -> Vec<&'a str> {
+        let messages = run.log.iter().map(|e| e.message.as_str());
+        messages.filter(|m| m.starts_with(prefix)).collect()
+    }
+
     #[test]
     fn repairs_a_corrupted_launch_config_and_verifies() {
         let (cloud, env) = fixtures::wrong_ami(21);
         let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
-        assert!(run.verifications.iter().all(|v| v.passed));
+        let rechecks = lines(&run, "Re-checked ");
+        assert_eq!(
+            rechecks,
+            ["Re-checked 2 assertion(s) after plan rollback-launch-config: all passed"]
+        );
         assert_eq!(run.plans_tried, vec!["rollback-launch-config"]);
         assert!(run.mttr().is_some());
         let lc = cloud
@@ -990,7 +948,9 @@ mod tests {
             }
             other => panic!("expected escalation, got {other:?}"),
         }
-        assert_eq!(run.steps.iter().filter(|s| s.ok).count(), 0);
+        assert!(lines(&run, "Applied recovery step").is_empty());
+        let abandoned = "Recovery plan terminate-stuck-instance abandoned: step terminate-instance";
+        assert_eq!(lines(&run, abandoned).len(), 1);
         let report = monitor::conformance_check(cloud.obs(), &run);
         assert!(report.fit, "escalated run must conform: {report:?}");
     }

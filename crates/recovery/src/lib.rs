@@ -8,8 +8,9 @@
 //! 1. **Plan library** ([`PlanLibrary`]) — maps each diagnosable root cause
 //!    in `pod_faulttree::library` (wrong launch-configuration values,
 //!    unavailable resources, stuck or unregistered instances) to a
-//!    parameterised [`RecoveryPlan`], instantiated from the diagnosis
-//!    context ([`pod_assert::ExpectedEnv`] plus the offending instance).
+//!    [`RecoveryPlan`]: its steps and re-checks, parameterised only by the
+//!    offending instance. The executor resolves them against the expected
+//!    environment ([`pod_assert::ExpectedEnv`]) when it runs them.
 //! 2. **Executor** ([`RecoveryExecutor`]) — runs plan steps against
 //!    [`pod_cloud::Cloud`] through the consistent API layer
 //!    ([`pod_assert::ConsistentApi`]): per-step timeout, exponential
@@ -38,8 +39,10 @@
 //!    over-cap repair for its end-of-operation sweep so nothing is
 //!    dropped.
 //!
-//! Everything runs in virtual time: same seed ⇒ byte-identical recovery
-//! transcripts ([`RecoveryRun::transcript`]).
+//! A run is its transcript ([`RecoveryRun::transcript`]): what each step
+//! and each re-check did is in the log lines the run emitted, which the
+//! audit and the digest read. Everything runs in virtual time: same seed ⇒
+//! byte-identical transcripts.
 
 mod admission;
 mod dispatch;
@@ -50,8 +53,7 @@ mod storm;
 
 pub use dispatch::{DispatchRecord, RecoveryDispatcher, RecoveryPath};
 pub use executor::{
-    RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun, StepRecord,
-    VerifyRecord,
+    RecoveryExecutor, RecoveryOutcome, RecoveryPhases, RecoveryRequest, RecoveryRun,
 };
 pub use monitor::{conformance_check, ConformanceReport};
 pub use plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};

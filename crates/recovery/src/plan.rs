@@ -1,15 +1,15 @@
-//! The recovery plan library: a parameterised repair plan per diagnosable
-//! root cause.
+//! The recovery plan library: a repair plan per diagnosable root cause.
 //!
 //! The library mirrors the fault-tree knowledge base in
 //! `pod_faulttree::library`: every leaf the diagnosis engine can confirm
-//! maps to an executable plan, instantiated from the same expected
-//! environment the assertions evaluate against. Root causes without a
-//! mapped plan (concurrent interference, account limits, external
-//! terminations) are deliberately unmapped — the executor escalates them
-//! to the operator instead of guessing.
+//! maps to an executable plan. A plan is its steps and its re-checks; both
+//! resolve against the expected environment only when the executor runs
+//! them, so the same plan serves every run. Root causes without a mapped
+//! plan (concurrent interference, account limits, external terminations)
+//! are deliberately unmapped — the executor escalates them to the operator
+//! instead of guessing.
 
-use pod_assert::{CloudAssertion, ExpectedEnv};
+use pod_assert::CloudAssertion;
 use pod_cloud::InstanceId;
 
 /// A cloud resource kind the executor can restore to availability.
@@ -100,8 +100,6 @@ impl RecoveryStep {
 pub struct RecoveryPlan {
     /// Stable plan id.
     pub id: String,
-    /// What the plan does, instantiated for this environment.
-    pub description: String,
     /// Steps, in execution order.
     pub steps: Vec<RecoveryStep>,
     /// Assertions that must all pass after execution for the run to count
@@ -118,10 +116,9 @@ impl RecoveryPlan {
     /// count the incident as recovered only if they all pass now. Used at
     /// operation end for diagnoses without a mapped repair (no root cause
     /// identified, or a confirmed-benign concurrent operation).
-    pub fn confirm_resolved(description: impl Into<String>, verify: Vec<CloudAssertion>) -> Self {
+    pub fn confirm_resolved(verify: Vec<CloudAssertion>) -> Self {
         RecoveryPlan {
             id: "confirm-resolved".to_string(),
-            description: description.into(),
             steps: Vec::new(),
             verify,
             fallback: None,
@@ -163,42 +160,32 @@ impl PlanLibrary {
     pub fn plan_for(
         &self,
         root_cause: &str,
-        env: &ExpectedEnv,
         instance: Option<&InstanceId>,
     ) -> Option<RecoveryPlan> {
         match root_cause {
-            "lc-wrong-ami" => Some(rollback_launch_config(
-                env,
-                CloudAssertion::LaunchConfigUsesAmi,
-            )),
+            "lc-wrong-ami" => Some(rollback_launch_config(CloudAssertion::LaunchConfigUsesAmi)),
             "lc-wrong-key-pair" => Some(rollback_launch_config(
-                env,
                 CloudAssertion::LaunchConfigUsesKeyPair,
             )),
             "lc-wrong-sg" => Some(rollback_launch_config(
-                env,
                 CloudAssertion::LaunchConfigUsesSecurityGroup,
             )),
             "lc-wrong-instance-type" => Some(rollback_launch_config(
-                env,
                 CloudAssertion::LaunchConfigUsesInstanceType,
             )),
             "ami-unavailable" => Some(restore_resource(
-                env,
                 ResourceKind::Ami,
                 CloudAssertion::AmiAvailable,
             )),
             "key-pair-unavailable" => Some(restore_resource(
-                env,
                 ResourceKind::KeyPair,
                 CloudAssertion::KeyPairAvailable,
             )),
             "sg-unavailable" => Some(restore_resource(
-                env,
                 ResourceKind::SecurityGroup,
                 CloudAssertion::SecurityGroupAvailable,
             )),
-            "elb-unavailable" => Some(restore_elb(env)),
+            "elb-unavailable" => Some(restore_elb()),
             "instance-still-running" => instance.map(terminate_stuck_instance),
             "instance-not-registered" => instance.map(reregister_instance),
             _ => None,
@@ -212,40 +199,29 @@ impl PlanLibrary {
 /// pass *mid-operation* (instances the upgrade has yet to replace are out
 /// of scope), so an eager repair verifies in seconds; group-level
 /// convergence remains the operation's own exit criterion.
-fn consistency_assertion(_env: &ExpectedEnv) -> CloudAssertion {
-    CloudAssertion::LaunchConfigInstancesConsistent
-}
+const CONSISTENT: CloudAssertion = CloudAssertion::LaunchConfigInstancesConsistent;
 
 /// Plan for the four launch-configuration corruption causes: repair the
 /// configuration in place, replace the instances launched from the bad
 /// one, and wait for the corrupted instances to drain. Falls back to
 /// switching the ASG to a freshly created replacement configuration.
-fn rollback_launch_config(env: &ExpectedEnv, lc_assertion: CloudAssertion) -> RecoveryPlan {
+fn rollback_launch_config(lc_assertion: CloudAssertion) -> RecoveryPlan {
     RecoveryPlan {
         id: "rollback-launch-config".to_string(),
-        description: format!(
-            "roll launch configuration {} back to the expected values and replace corrupted \
-             instances of {}",
-            env.launch_config, env.asg
-        ),
         steps: vec![
             RecoveryStep::RepairLaunchConfig,
             RecoveryStep::ReplaceCorruptedInstances,
             RecoveryStep::WaitLaunchConfigSettled,
         ],
-        verify: vec![lc_assertion, consistency_assertion(env)],
+        verify: vec![lc_assertion, CONSISTENT],
         fallback: Some(Box::new(RecoveryPlan {
             id: "switch-launch-config".to_string(),
-            description: format!(
-                "create a replacement launch configuration and switch {} over to it",
-                env.asg
-            ),
             steps: vec![
                 RecoveryStep::SwitchLaunchConfig,
                 RecoveryStep::ReplaceCorruptedInstances,
                 RecoveryStep::WaitLaunchConfigSettled,
             ],
-            verify: vec![consistency_assertion(env)],
+            verify: vec![CONSISTENT],
             fallback: None,
         })),
     }
@@ -254,44 +230,31 @@ fn rollback_launch_config(env: &ExpectedEnv, lc_assertion: CloudAssertion) -> Re
 /// Plan for unavailable-resource causes: restore availability, then
 /// resume the halted replacement (corrupted instances are replaced and
 /// the group settles at the expected version).
-fn restore_resource(
-    env: &ExpectedEnv,
-    kind: ResourceKind,
-    availability: CloudAssertion,
-) -> RecoveryPlan {
+fn restore_resource(kind: ResourceKind, availability: CloudAssertion) -> RecoveryPlan {
     RecoveryPlan {
         id: format!("restore-{}-and-resume", kind.label()),
-        description: format!(
-            "restore the unavailable {} and resume replacing instances of {}",
-            kind.label(),
-            env.asg
-        ),
         steps: vec![
             RecoveryStep::RestoreResource(kind),
             RecoveryStep::ReplaceCorruptedInstances,
             RecoveryStep::WaitLaunchConfigSettled,
         ],
-        verify: vec![availability, consistency_assertion(env)],
+        verify: vec![availability, CONSISTENT],
         fallback: None,
     }
 }
 
 /// Plan for an unavailable load balancer: restore it, re-register the
 /// instances it lost, then resume the replacement.
-fn restore_elb(env: &ExpectedEnv) -> RecoveryPlan {
+fn restore_elb() -> RecoveryPlan {
     RecoveryPlan {
         id: "restore-elb-and-resume".to_string(),
-        description: format!(
-            "restore load balancer {} and re-register the instances of {}",
-            env.elb, env.asg
-        ),
         steps: vec![
             RecoveryStep::RestoreResource(ResourceKind::Elb),
             RecoveryStep::ReregisterInstances,
             RecoveryStep::ReplaceCorruptedInstances,
             RecoveryStep::WaitLaunchConfigSettled,
         ],
-        verify: vec![CloudAssertion::ElbAvailable, consistency_assertion(env)],
+        verify: vec![CloudAssertion::ElbAvailable, CONSISTENT],
         fallback: None,
     }
 }
@@ -300,7 +263,6 @@ fn restore_elb(env: &ExpectedEnv) -> RecoveryPlan {
 fn terminate_stuck_instance(instance: &InstanceId) -> RecoveryPlan {
     RecoveryPlan {
         id: "terminate-stuck-instance".to_string(),
-        description: format!("re-issue the lost terminate call for instance {instance}"),
         steps: vec![RecoveryStep::TerminateInstance(instance.clone())],
         verify: vec![CloudAssertion::InstanceTerminated {
             instance: instance.clone(),
@@ -317,14 +279,10 @@ fn reregister_instance(instance: &InstanceId) -> RecoveryPlan {
     }];
     RecoveryPlan {
         id: "register-instance".to_string(),
-        description: format!("register instance {instance} with the load balancer"),
         steps: vec![RecoveryStep::RegisterInstanceWithElb(instance.clone())],
         verify: verify.clone(),
         fallback: Some(Box::new(RecoveryPlan {
             id: "restore-elb-and-register".to_string(),
-            description: format!(
-                "restore the load balancer, then register instance {instance} with it"
-            ),
             steps: vec![
                 RecoveryStep::RestoreResource(ResourceKind::Elb),
                 RecoveryStep::RegisterInstanceWithElb(instance.clone()),
@@ -339,17 +297,12 @@ fn reregister_instance(instance: &InstanceId) -> RecoveryPlan {
 mod tests {
     use super::*;
 
-    fn env() -> ExpectedEnv {
-        crate::fixtures::cluster(1).1
-    }
-
     #[test]
     fn every_injectable_fault_root_cause_has_a_plan() {
         // The eight root causes the evaluation's fault injector can
         // produce (`FaultType::expected_root_cause`), spelled out so this
         // test breaks loudly if the fault-tree node ids drift.
         let library = PlanLibrary::new();
-        let env = env();
         for cause in [
             "lc-wrong-ami",
             "lc-wrong-key-pair",
@@ -360,7 +313,7 @@ mod tests {
             "sg-unavailable",
             "elb-unavailable",
         ] {
-            let plan = library.plan_for(cause, &env, None);
+            let plan = library.plan_for(cause, None);
             assert!(plan.is_some(), "no recovery plan for {cause}");
             let plan = plan.unwrap();
             assert!(!plan.steps.is_empty(), "empty plan for {cause}");
@@ -392,7 +345,6 @@ mod tests {
     #[test]
     fn interference_causes_stay_unmapped() {
         let library = PlanLibrary::new();
-        let env = env();
         for cause in [
             "concurrent-capacity-change",
             "concurrent-scale-in",
@@ -400,7 +352,7 @@ mod tests {
             "instance-not-in-service",
         ] {
             assert!(
-                library.plan_for(cause, &env, None).is_none(),
+                library.plan_for(cause, None).is_none(),
                 "{cause} should escalate, not auto-repair"
             );
         }
@@ -409,23 +361,17 @@ mod tests {
     #[test]
     fn instance_plans_need_an_instance_context() {
         let library = PlanLibrary::new();
-        let env = env();
-        assert!(library
-            .plan_for("instance-still-running", &env, None)
-            .is_none());
+        assert!(library.plan_for("instance-still-running", None).is_none());
         let id = pod_cloud::InstanceId::new("i-1234");
         let plan = library
-            .plan_for("instance-still-running", &env, Some(&id))
+            .plan_for("instance-still-running", Some(&id))
             .unwrap();
         assert_eq!(plan.steps, vec![RecoveryStep::TerminateInstance(id)]);
     }
 
     #[test]
     fn launch_config_plans_carry_a_fallback() {
-        let env = env();
-        let plan = PlanLibrary::new()
-            .plan_for("lc-wrong-ami", &env, None)
-            .unwrap();
+        let plan = PlanLibrary::new().plan_for("lc-wrong-ami", None).unwrap();
         let fallback = plan.fallback.as_ref().expect("has a fallback");
         assert_eq!(fallback.id, "switch-launch-config");
         assert!(fallback.fallback.is_none(), "ladder ends at the fallback");

@@ -334,14 +334,10 @@ fn recovery_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
     let rec = report.recovery.as_ref().expect("recovery stage ran");
     println!("-- storm invariant --");
     println!(
-        "recovered {} + escalated {} == attempted {} (direct {} + {} plus {} deferred-then-swept; \
-         zero dropped: {})",
+        "recovered {} + escalated {} == attempted {} (zero dropped: {})",
         rec.recovered,
         rec.escalated,
         rec.attempted,
-        rec.recovered_direct,
-        rec.escalated_direct,
-        rec.deferred_swept,
         rec.none_dropped()
     );
     assert!(rec.none_dropped(), "an incident was dropped: {rec:#?}");

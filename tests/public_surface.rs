@@ -14,6 +14,9 @@
 //! every `impl`-level `pub fn` in a scratch clone and lets the compiler say
 //! which names anything but a test still needs. When either fires, delete
 //! the function with the tests that exercised it, or give it a caller.
+//! Fields have no textual rule: `scripts/surface-probe.py --fields
+//! SCRATCH_DIR` makes every `pub` field of a `pub struct` `pub(crate)` and
+//! lets rustc name the ones no product code reads. Tests are not readers.
 
 use std::{fs, path::Path};
 
