@@ -126,8 +126,6 @@ pub enum CloudAssertion {
         /// The instance to inspect.
         instance: InstanceId,
     },
-    /// The account is below its instance limit (headroom ≥ 1).
-    AccountHasLaunchHeadroom,
 }
 
 impl CloudAssertion {
@@ -156,7 +154,6 @@ impl CloudAssertion {
             CloudAssertion::InstanceRegisteredWithElb { .. } => "instance-registered-with-elb",
             CloudAssertion::InstanceDeregisteredFromElb { .. } => "instance-deregistered-from-elb",
             CloudAssertion::InstanceTerminated { .. } => "instance-terminated",
-            CloudAssertion::AccountHasLaunchHeadroom => "account-has-launch-headroom",
         }
     }
 
@@ -167,8 +164,7 @@ impl CloudAssertion {
             | CloudAssertion::AsgInstanceCount { .. }
             | CloudAssertion::AsgDesiredCapacity { .. }
             | CloudAssertion::AsgActiveCountAtLeast { .. }
-            | CloudAssertion::ElbAvailable
-            | CloudAssertion::AccountHasLaunchHeadroom => AssertionLevel::High,
+            | CloudAssertion::ElbAvailable => AssertionLevel::High,
             _ => AssertionLevel::Low,
         }
     }
@@ -244,9 +240,6 @@ impl CloudAssertion {
             ),
             CloudAssertion::InstanceTerminated { instance } => {
                 format!("the instance {instance} is terminating or terminated")
-            }
-            CloudAssertion::AccountHasLaunchHeadroom => {
-                "the account has headroom to launch instances".to_string()
             }
         }
     }
@@ -376,12 +369,6 @@ impl CloudAssertion {
                     )
                 },
             )),
-            CloudAssertion::AccountHasLaunchHeadroom => {
-                let limit = api.cloud().admin_active_instance_count();
-                // A real deployment would query service quotas; the admin
-                // count stands in for the quota API.
-                map(api.read_until(|c| c.count_active_instances(), move |used| *used <= limit))
-            }
         };
         match result {
             Ok(()) => AssertionOutcome::Passed,

@@ -20,8 +20,6 @@ pub enum AssertionTrigger {
     OneOffTimer,
     /// The operation-wide periodic timer fired.
     PeriodicTimer,
-    /// Diagnosis requested an on-demand check.
-    OnDemand,
 }
 
 impl AssertionTrigger {
@@ -31,7 +29,6 @@ impl AssertionTrigger {
             AssertionTrigger::Log => "trigger:log",
             AssertionTrigger::OneOffTimer => "trigger:oneoff-timer",
             AssertionTrigger::PeriodicTimer => "trigger:periodic-timer",
-            AssertionTrigger::OnDemand => "trigger:on-demand",
         }
     }
 }

@@ -12,11 +12,11 @@
 //!   repository;
 //! - [`AssertionLibrary`] — bindings from process activities to the
 //!   assertions their completion triggers;
-//! - [`TimerService`] — one-off and periodic timers, the non-log trigger
-//!   sources;
 //! - [`AssertionEvaluator`] — the service that runs assertions, measures
 //!   their (virtual-time) duration and writes paper-style assertion log
-//!   lines to central storage.
+//!   lines to central storage, tagged with their [`AssertionTrigger`]: a
+//!   log line, a one-off timer or the periodic timer. The timers themselves
+//!   are the engine's (`pod_core::PodEngine`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,7 +25,6 @@ mod assertion;
 mod consistent;
 mod env;
 mod evaluator;
-mod timer;
 
 pub use assertion::{
     AssertionBinding, AssertionLevel, AssertionLibrary, AssertionOutcome, BoundAssertion,
@@ -34,4 +33,3 @@ pub use assertion::{
 pub use consistent::{ConsistentApi, ConsistentError, RetryPolicy};
 pub use env::ExpectedEnv;
 pub use evaluator::{AssertionEvaluator, AssertionRecord, AssertionTrigger};
-pub use timer::{TimerId, TimerService};

@@ -461,19 +461,6 @@ impl Cloud {
         })
     }
 
-    /// Number of active instances in the account (possibly stale).
-    pub fn count_active_instances(&self) -> Result<usize, ApiError> {
-        self.call(|inner, now| {
-            let t = self.read_time(inner, now);
-            Ok(inner
-                .state
-                .instances
-                .values()
-                .filter(|v| v.at(t).state.is_active())
-                .count())
-        })
-    }
-
     /// Creates a launch configuration.
     pub fn create_launch_config(
         &self,

@@ -15,11 +15,6 @@ pub enum ApiError {
         /// The id or name that failed to resolve.
         id: String,
     },
-    /// The account instance limit would be exceeded (`InstanceLimitExceeded`).
-    LimitExceeded {
-        /// The configured account limit.
-        limit: usize,
-    },
     /// A dependent service (e.g. the ELB) is unavailable.
     ServiceUnavailable {
         /// The unavailable service.
@@ -49,12 +44,6 @@ impl fmt::Display for ApiError {
             ApiError::NotFound { kind, id } => {
                 write!(f, "InvalidResource.NotFound: {kind} `{id}` does not exist")
             }
-            ApiError::LimitExceeded { limit } => {
-                write!(
-                    f,
-                    "InstanceLimitExceeded: account limit of {limit} instances reached"
-                )
-            }
             ApiError::ServiceUnavailable { service } => {
                 write!(f, "ServiceUnavailable: {service} is not responding")
             }
@@ -83,7 +72,6 @@ mod tests {
             id: "ami-1".into()
         }
         .is_retryable());
-        assert!(!ApiError::LimitExceeded { limit: 20 }.is_retryable());
         assert!(!ApiError::Validation("bad".into()).is_retryable());
     }
 

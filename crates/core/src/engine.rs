@@ -2,12 +2,11 @@
 //! service, assertion triggering, timers and error diagnosis — the online
 //! half of Figure 1 of the paper.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use pod_assert::{
     AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, ExpectedEnv, RetryPolicy,
-    TimerId, TimerService,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
@@ -103,34 +102,14 @@ impl std::fmt::Debug for DetectionHook {
     }
 }
 
-#[derive(Debug, Clone)]
-enum TimerPayload {
-    /// A silent step did not complete in time.
-    StepCompletion {
-        /// Expected number of completed relaunches by now.
-        expected_done: u32,
-        /// The log line that armed the timer, so timer-triggered work still
-        /// chains back to concrete log evidence.
-        cause: Option<pod_obs::EventId>,
-    },
-    /// The operation-wide periodic health check.
-    Periodic {
-        /// The operation-start log line that started the timer.
-        cause: Option<pod_obs::EventId>,
-    },
-    /// A dispatched diagnosis for an earlier detection.
-    Diagnose {
-        /// Index of the detection in the summary.
-        detection_index: usize,
-        /// Fault-tree key.
-        key: String,
-        /// Process step of the error context.
-        step: Option<String>,
-        /// Implicated instance.
-        instance: Option<InstanceId>,
-        /// The detection event the diagnosis answers.
-        cause: Option<pod_obs::EventId>,
-    },
+/// An armed timer: when it falls due, its arm order (timers due at the same
+/// instant fire in the order they were armed), and the log line that armed
+/// it, so timer-triggered work still chains back to concrete log evidence.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    at: SimTime,
+    armed: u64,
+    cause: Option<pod_obs::EventId>,
 }
 
 /// The online POD-Diagnosis engine for one operation execution (one process
@@ -139,6 +118,10 @@ enum TimerPayload {
 /// Feed it every operation-log line with [`PodEngine::ingest`]; call
 /// [`PodEngine::poll`] at idle moments so timers can fire; collect the
 /// [`RunSummary`] with [`PodEngine::finish`].
+///
+/// Its timers are its own fields: the operation-wide periodic check, the
+/// silent step's timeout and the queue of dispatched diagnoses. The engine's
+/// next due time is the earliest of the three.
 ///
 /// It compiles nothing: patterns, rules, net, bindings and trees are the
 /// process's shared [`CompiledPod`]; its own state is one trace's.
@@ -153,11 +136,19 @@ pub struct PodEngine {
     conformance: ConformanceChecker,
     evaluator: AssertionEvaluator,
     diag: DiagnosisEngine,
-    timers: TimerService<TimerPayload>,
     rng: SimRng,
     op_started: Option<SimTime>,
-    periodic_timer: Option<TimerId>,
-    step_timer: Option<TimerId>,
+    /// The periodic health check, armed by the operation-start line.
+    periodic: Option<Timer>,
+    /// The silent step's timeout, armed by the wait line, with the number of
+    /// completed relaunches expected by then.
+    step: Option<(Timer, u32)>,
+    /// Detections awaiting diagnosis as (arm order, index into
+    /// `summary.detections`). Each falls due `DIAGNOSIS_DISPATCH_DELAY` after
+    /// its detection, so the queue is in due order.
+    dispatched: VecDeque<(u64, usize)>,
+    /// Timers armed so far.
+    armed: u64,
     last_done: u32,
     last_diagnosis_at: HashMap<String, SimTime>,
     summary: RunSummary,
@@ -228,7 +219,6 @@ impl PodEngine {
             pipeline,
             evaluator,
             diag,
-            timers: TimerService::new(),
             rng: SimRng::seed_from(engine_seed ^ 0x90D_D1A6),
             pod: Arc::clone(pod),
             cloud,
@@ -236,8 +226,10 @@ impl PodEngine {
             env,
             trace_id,
             op_started: None,
-            periodic_timer: None,
-            step_timer: None,
+            periodic: None,
+            step: None,
+            dispatched: VecDeque::new(),
+            armed: 0,
             last_done: 0,
             last_diagnosis_at: HashMap::new(),
             summary: RunSummary::default(),
@@ -348,12 +340,7 @@ impl PodEngine {
     /// Finalises the run and returns the summary. Pending dispatched
     /// diagnoses are executed before returning.
     pub fn finish(&mut self) -> RunSummary {
-        if let Some(id) = self.periodic_timer.take() {
-            self.timers.cancel(id);
-        }
-        if let Some(id) = self.step_timer.take() {
-            self.timers.cancel(id);
-        }
+        self.on_operation_end();
         // Let any dispatched-but-not-yet-started diagnosis run.
         self.cloud
             .clock()
@@ -430,9 +417,7 @@ impl PodEngine {
                 self.arm_step_timer();
             }
             if self.pod.config.completion_activity.as_deref() == Some(act.as_str()) {
-                if let Some(id) = self.step_timer.take() {
-                    self.timers.cancel(id);
-                }
+                self.step = None;
             }
         }
     }
@@ -515,92 +500,101 @@ impl PodEngine {
     // Timers
     // -----------------------------------------------------------------
 
+    /// The next arm order.
+    fn next_arm(&mut self) -> u64 {
+        self.armed += 1;
+        self.armed
+    }
+
+    /// Arms a timer due at `at`, chained to the line being handled.
+    fn arm(&mut self, at: SimTime) -> Timer {
+        Timer {
+            at,
+            armed: self.next_arm(),
+            cause: self.cloud.obs().events().current_cause(),
+        }
+    }
+
+    /// Arms the periodic check; a second operation-start line re-arms the
+    /// one check rather than adding another.
     fn on_operation_start(&mut self) {
         let now = self.cloud.clock().now();
         self.op_started = Some(now);
-        // Periodic checks chain back to the operation-start log line.
-        let cause = self.cloud.obs().events().current_cause();
-        let id = self.timers.schedule_periodic(
-            now + PERIODIC_INTERVAL,
-            PERIODIC_INTERVAL,
-            TimerPayload::Periodic { cause },
-        );
-        self.periodic_timer = Some(id);
+        self.periodic = Some(self.arm(now + PERIODIC_INTERVAL));
     }
 
     fn on_operation_end(&mut self) {
-        if let Some(id) = self.periodic_timer.take() {
-            self.timers.cancel(id);
-        }
-        if let Some(id) = self.step_timer.take() {
-            self.timers.cancel(id);
-        }
+        self.periodic = None;
+        self.step = None;
     }
 
     fn arm_step_timer(&mut self) {
-        if let Some(id) = self.step_timer.take() {
-            self.timers.cancel(id);
-        }
-        let at = self.cloud.clock().now() + self.pod.config.step_timeout;
-        // A timeout firing later still chains to the wait-activity line
-        // that armed it.
-        let cause = self.cloud.obs().events().current_cause();
-        let id = self.timers.schedule_once(
-            at,
-            TimerPayload::StepCompletion {
-                expected_done: self.last_done + self.pod.config.batch_size,
-                cause,
-            },
-        );
-        self.step_timer = Some(id);
+        let timer = self.arm(self.cloud.clock().now() + self.pod.config.step_timeout);
+        self.step = Some((timer, self.last_done + self.pod.config.batch_size));
     }
 
+    /// Fires every timer due at or before the clock on entry, earliest
+    /// first, ties in arm order. A periodic check overdue by several periods
+    /// fires once per period; a diagnosis advancing the clock makes nothing
+    /// else due in the same pass.
     fn fire_due_timers(&mut self) {
         let now = self.cloud.clock().now();
-        let due = self.timers.due(now);
-        for (_id, _at, payload) in due {
-            match payload {
-                TimerPayload::StepCompletion {
-                    expected_done,
-                    cause,
-                } => {
-                    self.step_timer = None;
-                    self.on_step_timeout(expected_done, cause);
-                }
-                TimerPayload::Periodic { cause } => self.on_periodic_check(cause),
-                TimerPayload::Diagnose {
-                    detection_index,
-                    key,
-                    step,
-                    instance,
-                    cause,
-                } => {
-                    let obs = self.cloud.obs().clone();
-                    let dispatch = match cause {
-                        Some(c) => obs.event_under(c, "diagnosis.dispatch", &key),
-                        None => obs.event("diagnosis.dispatch", &key),
-                    };
-                    // Fault-tree tests, causes and the verdict chain under
-                    // the dispatch event.
-                    let report = {
-                        let _scope = obs.events().scope(Some(dispatch.id()));
-                        self.run_diagnosis(&key, step, instance)
-                    };
-                    if let Some(d) = self.summary.detections.get_mut(detection_index) {
-                        d.diagnosis = Some(report);
-                    }
-                    if self.hook.0.is_some() {
-                        if let Some(detection) =
-                            self.summary.detections.get(detection_index).cloned()
-                        {
-                            self.notify(EngineNotice::Diagnosed {
-                                detection_index,
-                                detection,
-                            });
-                        }
-                    }
-                }
+        // A periodic check re-armed in this pass ranks after every timer
+        // armed before it and before any timer its firings arm.
+        let rearmed = self.next_arm();
+        loop {
+            let periodic = self.periodic.map(|t| (t.at, t.armed));
+            let step = self.step.map(|(t, _)| (t.at, t.armed));
+            let diagnosis = self.dispatched.front().map(|&(armed, index)| {
+                let detected = self.summary.detections[index].at;
+                (detected + DIAGNOSIS_DISPATCH_DELAY, armed)
+            });
+            let Some(next) = [periodic, step, diagnosis]
+                .into_iter()
+                .flatten()
+                .min()
+                .filter(|&(at, _)| at <= now)
+            else {
+                break;
+            };
+            if Some(next) == periodic {
+                let timer = self.periodic.as_mut().expect("the periodic check is due");
+                timer.at += PERIODIC_INTERVAL;
+                timer.armed = rearmed;
+                let cause = timer.cause;
+                self.on_periodic_check(cause);
+            } else if Some(next) == step {
+                let (timer, expected_done) = self.step.take().expect("the step timeout is due");
+                self.on_step_timeout(expected_done, timer.cause);
+            } else {
+                let (_, index) = self.dispatched.pop_front().expect("a diagnosis is due");
+                self.diagnose(index);
             }
+        }
+    }
+
+    /// Runs the dispatched diagnosis of detection `index`, fills in its
+    /// report and tells the hook.
+    fn diagnose(&mut self, index: usize) {
+        let obs = self.cloud.obs().clone();
+        let detection = &self.summary.detections[index];
+        let dispatch = match detection.event {
+            Some(c) => obs.event_under(c, "diagnosis.dispatch", &detection.key),
+            None => obs.event("diagnosis.dispatch", &detection.key),
+        };
+        // Fault-tree tests, causes and the verdict chain under the dispatch
+        // event.
+        let report = {
+            let _scope = obs.events().scope(Some(dispatch.id()));
+            self.run_diagnosis(index)
+        };
+        self.summary.detections[index].diagnosis = Some(report);
+        if self.hook.0.is_some() {
+            let detection = self.summary.detections[index].clone();
+            self.notify(EngineNotice::Diagnosed {
+                detection_index: index,
+                detection,
+            });
         }
     }
 
@@ -724,49 +718,42 @@ impl PodEngine {
         }
         // Assertion failures select the tree for the failed assertion;
         // conformance detections use the master tree.
-        let key = assertion_key.unwrap_or(MASTER_TREE_KEY).to_string();
+        let key = assertion_key.unwrap_or(MASTER_TREE_KEY);
         let detection_index = self.summary.detections.len();
-        self.summary.detections.push(Detection {
-            at,
-            source,
-            description,
-            step: step.clone(),
-            key: key.clone(),
-            instance: instance.clone(),
-            diagnosis: None,
-            event: Some(emitted.id()),
-        });
         // Respect the per-key cooldown, then dispatch the diagnosis with the
         // central-processor delay.
         let cooled_down = self
             .last_diagnosis_at
-            .get(&key)
+            .get(key)
             .is_none_or(|last| at.duration_since(*last) >= DIAGNOSIS_COOLDOWN);
         if cooled_down {
-            self.last_diagnosis_at.insert(key.clone(), at);
-            self.timers.schedule_once(
-                at + DIAGNOSIS_DISPATCH_DELAY,
-                TimerPayload::Diagnose {
-                    detection_index,
-                    key: key.clone(),
-                    step: step.clone(),
-                    instance: instance.clone(),
-                    cause: Some(emitted.id()),
-                },
-            );
+            self.last_diagnosis_at.insert(key.to_string(), at);
+            let armed = self.next_arm();
+            self.dispatched.push_back((armed, detection_index));
         }
+        self.summary.detections.push(Detection {
+            at,
+            source,
+            description,
+            step,
+            key: key.to_string(),
+            instance,
+            diagnosis: None,
+            event: Some(emitted.id()),
+        });
         if self.hook.0.is_some() {
+            let detection = &self.summary.detections[detection_index];
             // Speculation set for plan pre-staging: every root-cause leaf
             // of the selected tree surviving step pruning, most likely
             // first.
             let candidates = if cooled_down {
-                self.plausible_causes(&key, step.as_deref())
+                self.plausible_causes(key, detection.step.as_deref())
             } else {
                 Vec::new()
             };
             self.notify(EngineNotice::Detected {
                 detection_index,
-                instance,
+                instance: detection.instance.clone(),
                 dispatched: cooled_down,
                 candidates,
             });
@@ -785,20 +772,21 @@ impl PodEngine {
             .unwrap_or_default()
     }
 
-    fn run_diagnosis(
-        &mut self,
-        key: &str,
-        step: Option<String>,
-        instance: Option<InstanceId>,
-    ) -> DiagnosisReport {
+    fn run_diagnosis(&mut self, index: usize) -> DiagnosisReport {
+        let Detection {
+            key,
+            step,
+            instance,
+            ..
+        } = &self.summary.detections[index];
         let tree = self
             .pod
             .tree(key)
             .expect("repository provides the master tree");
         let ctx = DiagnosisContext {
             env: ExpectedEnv::clone(&self.env.snapshot()),
-            step,
-            instance,
+            step: step.clone(),
+            instance: instance.clone(),
             operation_started: self.op_started.unwrap_or(SimTime::ZERO),
         };
         let span = self.cloud.obs().span("engine.diagnosis");

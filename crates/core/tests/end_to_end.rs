@@ -12,6 +12,7 @@ use pod_orchestrator::{
     process_def, FaultInjector, FaultType, RollingUpgrade, UpgradeConfig, UpgradeObserver,
 };
 use pod_sim::{Clock, SimDuration, SimRng, SimTime};
+use proptest::prelude::*;
 
 struct World {
     cloud: Cloud,
@@ -397,4 +398,161 @@ fn storage_keeps_the_annotated_line_before_its_conformance_and_assertion_lines()
     );
     assert_eq!(assertion.event_type, "assertion");
     assert_eq!(step(assertion), step(annotated));
+}
+
+// ---------------------------------------------------------------------
+// The engine's timers: the periodic check, the step timeout and the
+// dispatched diagnoses.
+// ---------------------------------------------------------------------
+
+const START: &str = "Started rolling upgrade task run-1 pushing ami-0a into group pm--asg";
+const WAIT: &str = "Waiting for ASG pm--asg to start a new instance";
+const PERIOD: SimDuration = SimDuration::from_secs(60);
+
+fn log_line(text: &str) -> LogEvent {
+    LogEvent::new(SimTime::ZERO, "asgard.log", text)
+}
+
+/// Assertion lines in central storage carrying a trigger tag.
+fn assertion_lines(storage: &LogStorage, trigger: &str) -> usize {
+    let lines = storage.query(&pod_log::LogQuery::new());
+    lines
+        .iter()
+        .filter(|l| l.tags.iter().any(|t| t == trigger))
+        .count()
+}
+
+#[test]
+fn a_second_operation_start_line_re_arms_the_one_periodic_check() {
+    let w = build_world(13, 4);
+    let mut engine = engine_for(&w);
+    engine.ingest(log_line(START));
+    engine.ingest(log_line(START));
+    engine.ingest(log_line("Rolling upgrade task run-1 completed"));
+    w.cloud.clock().advance(PERIOD * 5);
+    engine.poll();
+    assert_eq!(assertion_lines(&w.storage, "trigger:periodic-timer"), 0);
+}
+
+#[test]
+fn an_overdue_periodic_check_runs_once_per_elapsed_period() {
+    let w = build_world(14, 4);
+    let mut engine = engine_for(&w);
+    engine.ingest(log_line(START));
+    w.cloud.clock().advance(PERIOD + SimDuration::from_secs(1));
+    engine.poll();
+    let one_check = assertion_lines(&w.storage, "trigger:periodic-timer");
+    assert!(one_check > 0);
+    // Four more periods elapse before the next poll: four more checks, in
+    // that one poll.
+    w.cloud.clock().advance(PERIOD * 4);
+    engine.poll();
+    let checks = assertion_lines(&w.storage, "trigger:periodic-timer");
+    assert_eq!(checks, 5 * one_check);
+    engine.poll();
+    assert_eq!(
+        assertion_lines(&w.storage, "trigger:periodic-timer"),
+        checks
+    );
+}
+
+#[test]
+fn a_pass_fires_what_was_due_on_entry_not_what_its_diagnosis_makes_due() {
+    let w = build_world(15, 4);
+    let mut config = pod_config();
+    // Due 300 ms after the diagnosis dispatched by the error line before
+    // the wait line; a diagnosis costs at least 600 ms.
+    config.step_timeout = SimDuration::from_millis(5_300);
+    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
+    let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+    engine.ingest(log_line("ERROR: cloud reported: first"));
+    engine.ingest(log_line(WAIT));
+    w.cloud.clock().advance(SimDuration::from_millis(5_100));
+    engine.poll();
+    assert!(engine.detections()[0].diagnosis.is_some());
+    assert_eq!(assertion_lines(&w.storage, "trigger:oneoff-timer"), 0);
+    engine.poll();
+    assert_eq!(assertion_lines(&w.storage, "trigger:oneoff-timer"), 1);
+}
+
+#[test]
+fn finish_runs_pending_diagnoses_and_no_periodic_or_step_check() {
+    let w = build_world(16, 4);
+    let mut engine = engine_for(&w);
+    engine.ingest(log_line(START));
+    engine.ingest(log_line(WAIT));
+    engine.ingest(log_line("ERROR: cloud reported: first"));
+    // Both the periodic check and the step timeout are overdue, but no
+    // poll came before the end.
+    w.cloud.clock().advance(SimDuration::from_secs(200));
+    let summary = engine.finish();
+    assert!(summary.detections[0].diagnosis.is_some());
+    assert_eq!(assertion_lines(&w.storage, "trigger:periodic-timer"), 0);
+    assert_eq!(assertion_lines(&w.storage, "trigger:oneoff-timer"), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// However detections and polls are spaced, each dispatched diagnosis
+    /// runs exactly once, in detection order, no earlier than the dispatch
+    /// delay after its detection; a detection inside the cooldown is never
+    /// diagnosed.
+    #[test]
+    fn each_dispatched_diagnosis_runs_once_in_detection_order(
+        steps in prop::collection::vec((0u64..90_000, 0usize..3, prop::bool::ANY), 1..8),
+    ) {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        use pod_core::EngineNotice;
+
+        // Conformance-only, and unfit with a failing assertion: one or two
+        // detections, with different fault-tree keys.
+        let lines = [
+            "ERROR: cloud reported: boom",
+            "Terminated old instance i-0dead",
+            "Instance i-0dead is ready",
+        ];
+        let w = build_world(17, 4);
+        let mut engine = engine_for(&w);
+        let notices = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&notices);
+        engine.set_detection_hook(move |notice| {
+            seen.borrow_mut().push(match notice {
+                EngineNotice::Detected { detection_index, dispatched, .. } => {
+                    (*detection_index, Some(*dispatched))
+                }
+                EngineNotice::Diagnosed { detection_index, .. } => (*detection_index, None),
+            });
+        });
+        for (gap_ms, line, poll) in steps {
+            w.cloud.clock().advance(SimDuration::from_millis(gap_ms));
+            if poll {
+                engine.poll();
+            }
+            engine.ingest(log_line(lines[line]));
+        }
+        let summary = engine.finish();
+
+        let notices = notices.borrow();
+        let dispatched: Vec<usize> = notices
+            .iter()
+            .filter(|(_, d)| *d == Some(true))
+            .map(|(i, _)| *i)
+            .collect();
+        let diagnosed: Vec<usize> = notices
+            .iter()
+            .filter(|(_, d)| d.is_none())
+            .map(|(i, _)| *i)
+            .collect();
+        prop_assert!(!summary.detections.is_empty());
+        prop_assert_eq!(&diagnosed, &dispatched);
+        for (i, d) in summary.detections.iter().enumerate() {
+            prop_assert_eq!(d.diagnosis.is_some(), dispatched.contains(&i));
+            if let Some(report) = &d.diagnosis {
+                prop_assert!(report.started_at >= d.at + SimDuration::from_secs(5));
+            }
+        }
+    }
 }

@@ -126,20 +126,6 @@ impl fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// What happened to one submitted line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// Enqueued with room to spare.
-    Enqueued,
-    /// Queue was full; the oldest queued line was shed to admit this one.
-    ShedOldest,
-    /// Queue was full; this line was shed.
-    ShedNewest,
-    /// Queue was full; the producer stalled while the shard drained one
-    /// batch, then the line was enqueued.
-    BlockedThenEnqueued,
-}
-
 /// The final report for one operation after [`Gateway::finish`].
 #[derive(Debug)]
 pub struct OpReport {
@@ -467,7 +453,7 @@ impl Gateway {
     /// goes backwards; an earlier arrival is treated as "now"). Due shard
     /// wakeups fire before the line is enqueued, so a slow producer sees
     /// the world drained up to its own arrival time.
-    pub fn submit(&mut self, op: OpId, arrival: SimTime, raw: &str) -> SubmitOutcome {
+    pub fn submit(&mut self, op: OpId, arrival: SimTime, raw: &str) {
         self.clock.advance_to(arrival);
         self.run_due();
         self.metrics.submitted.incr();
@@ -475,7 +461,6 @@ impl Gateway {
         if self.shards[shard_idx].queue.len() >= self.config.batch_size {
             self.metrics.deferred.incr();
         }
-        let mut outcome = SubmitOutcome::Enqueued;
         let line = QueuedLine {
             op,
             raw: raw.to_string(),
@@ -486,44 +471,37 @@ impl Gateway {
             .offer(line, self.config.overload)
         {
             PushOutcome::Enqueued => {}
-            PushOutcome::ShedOldest(_dropped) => {
+            PushOutcome::ShedOldest => {
                 self.metrics.shed_oldest.incr();
                 self.shards[shard_idx].shed_counter.incr();
-                outcome = SubmitOutcome::ShedOldest;
             }
-            PushOutcome::ShedNewest(_dropped) => {
+            PushOutcome::ShedNewest => {
                 self.metrics.shed_newest.incr();
                 self.shards[shard_idx].shed_counter.incr();
-                outcome = SubmitOutcome::ShedNewest;
+                // Nothing was enqueued, so no flush window opens.
+                return;
             }
-            PushOutcome::WouldBlock(_line) => {
+            PushOutcome::WouldBlock(mut line) => {
                 // Backpressure: stall the producer while the shard drains
-                // one batch synchronously, then enqueue.
+                // one batch synchronously, then enqueue the line, stamped
+                // after the stall.
                 self.metrics.blocked.incr();
                 let stall_start = self.clock.now();
                 self.drain_one_batch(shard_idx, Reschedule::KeepWindow);
                 self.metrics
                     .stall
                     .record(self.clock.now().duration_since(stall_start).as_micros());
-                let retry = QueuedLine {
-                    op,
-                    raw: raw.to_string(),
-                    enqueued_at: self.clock.now(),
-                };
+                line.enqueued_at = self.clock.now();
                 match self.shards[shard_idx]
                     .queue
-                    .offer(retry, OverloadPolicy::Block)
+                    .offer(line, OverloadPolicy::Block)
                 {
                     PushOutcome::Enqueued => {}
                     _ => unreachable!("queue has room after draining a batch"),
                 }
-                outcome = SubmitOutcome::BlockedThenEnqueued;
             }
         }
-        if outcome != SubmitOutcome::ShedNewest {
-            self.schedule_wakeup(shard_idx);
-        }
-        outcome
+        self.schedule_wakeup(shard_idx);
     }
 
     /// Opens the shard's flush window after an enqueue: the worker wakes

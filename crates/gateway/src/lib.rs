@@ -4,8 +4,8 @@
 //! call stack. This crate turns that into a service: raw log lines from
 //! many concurrent operations enter one [`Gateway`], are routed by a stable
 //! (process id, instance id) hash onto shards ([`shard_for`]), wait in
-//! bounded per-shard queues ([`BoundedQueue`]) and drain in batches into
-//! per-operation `pod_core` engines (behind the [`DiagnosisSink`] trait).
+//! bounded per-shard queues and drain in batches into per-operation
+//! `pod_core` engines (behind the [`DiagnosisSink`] trait).
 //!
 //! Three properties matter at scale and all three are explicit here:
 //!
@@ -32,7 +32,6 @@ mod shard;
 
 pub use gateway::{
     DiagnosisSink, Gateway, GatewayConfig, GatewayError, GatewayStats, OpId, OpReport, ShardStats,
-    SubmitOutcome,
 };
-pub use queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
-pub use shard::{route_hash, shard_for};
+pub use queue::OverloadPolicy;
+pub use shard::shard_for;

@@ -60,25 +60,25 @@ impl std::str::FromStr for OverloadPolicy {
 }
 
 /// One raw line waiting in a shard queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueuedLine {
+#[derive(Debug)]
+pub(crate) struct QueuedLine {
     /// The operation the line belongs to.
-    pub op: OpId,
+    pub(crate) op: OpId,
     /// The raw wire text.
-    pub raw: String,
+    pub(crate) raw: String,
     /// Gateway-clock time at which the line was accepted.
-    pub enqueued_at: SimTime,
+    pub(crate) enqueued_at: SimTime,
 }
 
 /// Result of offering a line to a full-capacity-aware queue.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PushOutcome {
+#[derive(Debug)]
+pub(crate) enum PushOutcome {
     /// The line was enqueued; the queue had room.
     Enqueued,
     /// The queue was full; the *oldest* line was dropped to admit this one.
-    ShedOldest(QueuedLine),
+    ShedOldest,
     /// The queue was full; the *incoming* line was dropped.
-    ShedNewest(QueuedLine),
+    ShedNewest,
     /// The queue was full and the policy is [`OverloadPolicy::Block`]: the
     /// line is handed back so the caller can drain a batch and re-offer.
     WouldBlock(QueuedLine),
@@ -86,7 +86,7 @@ pub enum PushOutcome {
 
 /// A bounded FIFO of raw lines.
 #[derive(Debug)]
-pub struct BoundedQueue {
+pub(crate) struct BoundedQueue {
     capacity: usize,
     items: VecDeque<QueuedLine>,
 }
@@ -120,8 +120,8 @@ impl BoundedQueue {
         self.items.len() >= self.capacity
     }
 
-    /// Offers a line under `policy`. Never drops silently: shed lines are
-    /// returned in the outcome so the caller can count them.
+    /// Offers a line under `policy`. Never drops silently: every shed is
+    /// reported in the outcome so the caller can count it.
     pub fn offer(&mut self, line: QueuedLine, policy: OverloadPolicy) -> PushOutcome {
         if !self.is_full() {
             self.items.push_back(line);
@@ -130,11 +130,11 @@ impl BoundedQueue {
         match policy {
             OverloadPolicy::Block => PushOutcome::WouldBlock(line),
             OverloadPolicy::ShedOldest => {
-                let dropped = self.items.pop_front().expect("full queue is non-empty");
+                self.items.pop_front();
                 self.items.push_back(line);
-                PushOutcome::ShedOldest(dropped)
+                PushOutcome::ShedOldest
             }
-            OverloadPolicy::ShedNewest => PushOutcome::ShedNewest(line),
+            OverloadPolicy::ShedNewest => PushOutcome::ShedNewest,
         }
     }
 
@@ -170,7 +170,7 @@ mod tests {
         let (mut q, outcomes) = fill(OverloadPolicy::ShedOldest);
         let shed = outcomes
             .iter()
-            .filter(|o| matches!(o, PushOutcome::ShedOldest(_)))
+            .filter(|o| matches!(o, PushOutcome::ShedOldest))
             .count();
         assert_eq!(shed, 6, "10 offers into capacity 4 shed exactly 6");
         let kept: Vec<String> = q.pop_batch(10).into_iter().map(|l| l.raw).collect();
@@ -182,7 +182,7 @@ mod tests {
         let (mut q, outcomes) = fill(OverloadPolicy::ShedNewest);
         let shed = outcomes
             .iter()
-            .filter(|o| matches!(o, PushOutcome::ShedNewest(_)))
+            .filter(|o| matches!(o, PushOutcome::ShedNewest))
             .count();
         assert_eq!(shed, 6);
         let kept: Vec<String> = q.pop_batch(10).into_iter().map(|l| l.raw).collect();

@@ -11,7 +11,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// The 64-bit FNV-1a hash of the routing key.
-pub fn route_hash(process_id: &str, instance_id: &str) -> u64 {
+fn route_hash(process_id: &str, instance_id: &str) -> u64 {
     let mut h = FNV_OFFSET;
     for byte in process_id
         .as_bytes()

@@ -5,9 +5,7 @@
 use std::sync::{Arc, Mutex};
 
 use pod_core::RunSummary;
-use pod_gateway::{
-    shard_for, DiagnosisSink, Gateway, GatewayConfig, GatewayError, OverloadPolicy, SubmitOutcome,
-};
+use pod_gateway::{shard_for, DiagnosisSink, Gateway, GatewayConfig, GatewayError, OverloadPolicy};
 use pod_log::LogEvent;
 use pod_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -108,17 +106,16 @@ fn shed_oldest_drops_documented_count_and_keeps_newest() {
     let mut gw = Gateway::new(single_shard_config(4, 4, OverloadPolicy::ShedOldest));
     let (sink, handle) = RecordingSink::new();
     let op = gw.register("p", "i", Box::new(sink)).unwrap();
-    let mut shed = 0;
     for i in 0..10 {
-        if gw.submit(op, SimTime::ZERO, &format!("line {i}")) == SubmitOutcome::ShedOldest {
-            shed += 1;
-        }
+        gw.submit(op, SimTime::ZERO, &format!("line {i}"));
     }
-    assert_eq!(shed, 6, "10 lines into capacity 4 shed exactly 6");
     gw.pump_until_idle();
     assert_eq!(messages(&handle), ["line 6", "line 7", "line 8", "line 9"]);
     let stats = gw.stats();
-    assert_eq!(stats.shed_oldest, 6);
+    assert_eq!(
+        stats.shed_oldest, 6,
+        "10 lines into capacity 4 shed exactly 6"
+    );
     assert_eq!(stats.total_shed(), 6);
     assert_eq!(stats.lines_processed, 4);
     assert_eq!(stats.shards[0].shed, 6);
@@ -134,10 +131,9 @@ fn shed_newest_drops_documented_count_and_keeps_oldest() {
     let mut gw = Gateway::new(single_shard_config(4, 4, OverloadPolicy::ShedNewest));
     let (sink, handle) = RecordingSink::new();
     let op = gw.register("p", "i", Box::new(sink)).unwrap();
-    let shed = (0..10)
-        .filter(|i| gw.submit(op, SimTime::ZERO, &format!("line {i}")) == SubmitOutcome::ShedNewest)
-        .count();
-    assert_eq!(shed, 6);
+    for i in 0..10 {
+        gw.submit(op, SimTime::ZERO, &format!("line {i}"));
+    }
     gw.pump_until_idle();
     assert_eq!(messages(&handle), ["line 0", "line 1", "line 2", "line 3"]);
     assert_eq!(gw.stats().shed_newest, 6);
@@ -149,18 +145,15 @@ fn block_stalls_producer_and_loses_nothing() {
     let mut gw = Gateway::new(single_shard_config(4, 1, OverloadPolicy::Block));
     let (sink, handle) = RecordingSink::new();
     let op = gw.register("p", "i", Box::new(sink)).unwrap();
-    let blocked = (0..10)
-        .filter(|i| {
-            gw.submit(op, SimTime::ZERO, &format!("line {i}")) == SubmitOutcome::BlockedThenEnqueued
-        })
-        .count();
-    assert_eq!(blocked, 6, "every over-capacity submit stalls once");
+    for i in 0..10 {
+        gw.submit(op, SimTime::ZERO, &format!("line {i}"));
+    }
     gw.pump_until_idle();
     let got = messages(&handle);
     assert_eq!(got.len(), 10, "block never sheds");
     assert_eq!(got[0], "line 0");
     let stats = gw.stats();
-    assert_eq!(stats.blocked, 6);
+    assert_eq!(stats.blocked, 6, "every over-capacity submit stalls once");
     assert_eq!(stats.total_shed(), 0);
     assert_eq!(stats.lines_processed, 10);
     // Producer stalls were measured on the virtual clock.

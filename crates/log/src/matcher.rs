@@ -16,8 +16,6 @@ pub enum Boundary {
     Start,
     /// The line marks the end of the activity — the usual assertion trigger.
     End,
-    /// A progress line during the activity.
-    During,
 }
 
 /// One transformation rule: any of `patterns` matching tags the line with
@@ -252,9 +250,9 @@ mod tests {
         );
         // Also matches "Terminated instance …" lines but has lower
         // priority than "terminate".
-        b.push(LineRule::new("any-terminated", Boundary::During, &["Terminated"]).unwrap());
+        b.push(LineRule::new("any-terminated", Boundary::Start, &["Terminated"]).unwrap());
         // No derivable literal: always a candidate.
-        b.push(LineRule::new("digits", Boundary::During, &[r"^\d+\s\d+$"]).unwrap());
+        b.push(LineRule::new("digits", Boundary::Start, &[r"^\d+\s\d+$"]).unwrap());
         b
     }
 
@@ -326,7 +324,7 @@ mod tests {
         // No pattern yields a literal, so every pattern is a candidate for
         // every line.
         let mut b = RuleBook::new();
-        b.push(LineRule::new("count", Boundary::During, &[r"(?P<n>\d+)\s\w+"]).unwrap());
+        b.push(LineRule::new("count", Boundary::Start, &[r"(?P<n>\d+)\s\w+"]).unwrap());
         b.push(LineRule::new("pair", Boundary::End, &[r"^\w+$", r"\w+\s\w+"]).unwrap());
         let candidates = b.index().with_candidates("!?", |keys| keys.to_vec());
         assert_eq!(candidates, vec![0, 1 << 32, 1 << 32 | 1]);

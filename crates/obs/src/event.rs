@@ -60,8 +60,6 @@ impl EventId {
 pub enum Parent {
     /// Use the innermost active cause scope (none → root event).
     Ambient,
-    /// Emit a root event regardless of active scopes.
-    None,
     /// Link to this event explicitly.
     Of(EventId),
 }
@@ -222,7 +220,6 @@ impl EventLog {
         let mut inner = self.inner.lock();
         let parent = match parent {
             Parent::Ambient => inner.resolve_ambient(),
-            Parent::None => None,
             Parent::Of(p) => Some(p.get()),
         };
         let id = inner.next_id;
@@ -412,11 +409,10 @@ mod tests {
     fn explicit_parent_overrides_the_stack() {
         let log = log();
         let a = log.emit("a", "a", Parent::Ambient, None);
-        let _scope = log.scope(Some(a.id()));
-        log.emit("b", "b", Parent::None, None);
+        let b = log.emit("b", "b", Parent::Ambient, None);
+        let _scope = log.scope(Some(b.id()));
         let c = log.emit("c", "c", Parent::Of(a.id()), None);
         let records = log.records();
-        assert_eq!(records[1].parent, None);
         assert_eq!(records[2].parent, Some(a.id().get()));
         assert_eq!(c.id().get(), 2);
     }
@@ -503,9 +499,8 @@ mod tests {
         let a = log.emit("a", "a", Parent::Ambient, None);
         let _scope = log.scope_pending("log.line", "asgard.log", Vec::new(), None);
         log.emit("b", "b", Parent::Of(a.id()), None);
-        log.emit("c", "c", Parent::None, None);
-        // Neither explicit-parent nor root emissions consult the stack.
-        assert_eq!(log.records().len(), 3);
+        // An explicit-parent emission does not consult the stack.
+        assert_eq!(log.records().len(), 2);
         assert!(log.records().iter().all(|r| r.kind != "log.line"));
     }
 

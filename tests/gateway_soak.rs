@@ -1,12 +1,29 @@
 //! Bit-reproducibility and isolation of the gateway soak: the same seed
 //! must produce byte-identical detections across independent runs, and no
 //! operation's detections may reference another operation's instances.
-//! Also the flight recorder's cost bound: frames follow drains, not
-//! detections.
+//! The soak's and a recovery storm's digests are pinned, so a change that
+//! moves any detection, diagnosis, gateway count or repair transcript fails
+//! here rather than in a comparison made by hand. Also the flight
+//! recorder's cost bound: frames follow drains, not detections.
 
-use pod_diagnosis::eval::{collect_streams, replay, SoakConfig, SoakReport};
+use pod_diagnosis::eval::{collect_streams, replay, replay_with_recovery, SoakConfig, SoakReport};
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
+use pod_diagnosis::recovery::StormConfig;
 use pod_diagnosis::sim::SimDuration;
+
+/// FNV-1a-64 of [`soak_digest`]'s digest (46 678 bytes).
+const SOAK_DIGEST_PIN: u64 = 0x97d2_7cf8_0202_d38b;
+/// FNV-1a-64 of the six-tenant one-lane recovery storm's digest (42 855
+/// bytes).
+const STORM_DIGEST_PIN: u64 = 0x0c83_13e5_5fe0_f002;
+
+/// 64-bit FNV-1a. Its algorithm is fixed, unlike std's `DefaultHasher`, so
+/// a constant pins a digest's bytes across commits and toolchains.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// `tick()` runs once per drain and is the only frame site besides the
 /// dump's one closing frame, however many detections a drain raises.
@@ -57,6 +74,45 @@ fn same_seed_produces_byte_identical_detections() {
     assert_eq!(
         digest_a, digest_b,
         "same seed and same interleaved input must be bit-reproducible"
+    );
+}
+
+#[test]
+fn the_soak_digest_matches_its_pin() {
+    let (digest, _) = soak_digest();
+    let hash = fnv1a64(digest.as_bytes());
+    assert_eq!(
+        hash,
+        SOAK_DIGEST_PIN,
+        "{hash:#018x} over {} bytes",
+        digest.len()
+    );
+}
+
+#[test]
+fn the_recovery_storm_digest_matches_its_pin() {
+    // The storm of `recovery_soak_drops_nothing_and_replays_byte_identically`:
+    // one lane, a short wait cap and zero-tolerance throttling, so eager,
+    // throttled and deferred repairs all occur.
+    let config = SoakConfig {
+        ops: 6,
+        seed: 17,
+        ..SoakConfig::default()
+    };
+    let storm = StormConfig {
+        lanes: 1,
+        max_lane_wait: SimDuration::from_secs(30),
+        throttle_at: 0,
+        throttle_penalty: SimDuration::from_secs(2),
+    };
+    let report = replay_with_recovery(&collect_streams(&config), &GatewayConfig::default(), storm);
+    let digest = report.digest();
+    let hash = fnv1a64(digest.as_bytes());
+    assert_eq!(
+        hash,
+        STORM_DIGEST_PIN,
+        "{hash:#018x} over {} bytes",
+        digest.len()
     );
 }
 
