@@ -237,16 +237,14 @@ impl ConsistentApi {
 mod tests {
     use super::*;
     use pod_cloud::CloudConfig;
-    use pod_sim::{Clock, LatencyModel, SimRng};
+    use pod_sim::{Clock, SimRng};
 
-    fn cloud_with(stale_prob: f64, failure_prob: f64) -> Cloud {
+    fn cloud_with(stale_prob: f64) -> Cloud {
         Cloud::new(
             Clock::new(),
             SimRng::seed_from(11),
             CloudConfig {
                 stale_read_prob: stale_prob,
-                api_failure_prob: failure_prob,
-                api_latency: LatencyModel::Fixed(SimDuration::from_millis(80)),
                 ..CloudConfig::default()
             },
         )
@@ -254,7 +252,7 @@ mod tests {
 
     #[test]
     fn passthrough_on_success() {
-        let cloud = cloud_with(0.0, 0.0);
+        let cloud = cloud_with(0.0);
         let ami = cloud.admin_create_ami("a", "1");
         let api = ConsistentApi::new(cloud, RetryPolicy::default());
         let got = api.execute(|c| c.describe_ami(&ami)).unwrap();
@@ -263,7 +261,7 @@ mod tests {
 
     #[test]
     fn non_retryable_error_is_immediate() {
-        let cloud = cloud_with(0.0, 0.0);
+        let cloud = cloud_with(0.0);
         let api = ConsistentApi::new(cloud, RetryPolicy::default());
         let t0 = api.cloud().clock().now();
         let err = api
@@ -280,24 +278,27 @@ mod tests {
 
     #[test]
     fn retries_transient_failures() {
-        let cloud = cloud_with(0.0, 0.6);
-        let ami = cloud.admin_create_ami("a", "1");
-        let api = ConsistentApi::new(
-            cloud,
-            RetryPolicy {
-                max_retries: 20,
-                timeout: SimDuration::from_secs(120),
-                ..RetryPolicy::default()
-            },
-        );
-        // With 60% failure probability and 20 retries, success is near-certain.
-        let got = api.execute(|c| c.describe_ami(&ami)).unwrap();
-        assert_eq!(got.version, "1");
+        let cloud = cloud_with(0.0);
+        let elb = cloud.admin_create_elb("front");
+        cloud.admin_set_elb_available(&elb, false);
+        let api = ConsistentApi::new(cloud.clone(), RetryPolicy::default());
+        // The load balancer answers `ServiceUnavailable` until it comes
+        // back, just before the third attempt.
+        let mut attempts = 0;
+        let got = api.execute(|c| {
+            attempts += 1;
+            if attempts == 3 {
+                c.admin_set_elb_available(&elb, true);
+            }
+            c.describe_elb(&elb)
+        });
+        assert!(got.unwrap().available);
+        assert_eq!(cloud.obs().counter("consistent.retries").get(), 2);
     }
 
     #[test]
     fn read_until_masks_stale_reads() {
-        let cloud = cloud_with(0.9, 0.0); // almost every read is stale
+        let cloud = cloud_with(0.9); // almost every read is stale
         let asg_setup = {
             let ami = cloud.admin_create_ami("a", "1");
             let sg = cloud.admin_create_security_group("sg", &[80]);
@@ -330,7 +331,7 @@ mod tests {
 
     #[test]
     fn expectation_not_met_when_state_truly_differs() {
-        let cloud = cloud_with(0.0, 0.0);
+        let cloud = cloud_with(0.0);
         let ami = cloud.admin_create_ami("a", "1");
         let api = ConsistentApi::new(
             cloud,
@@ -348,8 +349,9 @@ mod tests {
 
     #[test]
     fn timeout_fires_on_slow_convergence() {
-        let cloud = cloud_with(0.0, 1.0); // every call fails transiently
-        let ami = cloud.admin_create_ami("a", "1");
+        let cloud = cloud_with(0.0);
+        let elb = cloud.admin_create_elb("front");
+        cloud.admin_set_elb_available(&elb, false); // every call fails transiently
         let api = ConsistentApi::new(
             cloud,
             RetryPolicy {
@@ -359,7 +361,7 @@ mod tests {
                 timeout: SimDuration::from_secs(3),
             },
         );
-        let err = api.execute(|c| c.describe_ami(&ami)).unwrap_err();
+        let err = api.execute(|c| c.describe_elb(&elb)).unwrap_err();
         assert!(matches!(err, ConsistentError::Timeout { .. }), "{err:?}");
     }
 }

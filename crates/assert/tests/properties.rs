@@ -13,12 +13,10 @@ proptest! {
         let cloud = Cloud::new(
             Clock::new(),
             SimRng::seed_from(seed),
-            CloudConfig {
-                api_failure_prob: 1.0, // never succeeds
-                ..CloudConfig::default()
-            },
+            CloudConfig::default(),
         );
-        let ami = cloud.admin_create_ami("a", "1");
+        let elb = cloud.admin_create_elb("front");
+        cloud.admin_set_elb_available(&elb, false); // never succeeds
         let policy = RetryPolicy {
             max_retries: 1000,
             base_backoff: SimDuration::from_millis(100),
@@ -27,7 +25,7 @@ proptest! {
         };
         let api = ConsistentApi::new(cloud.clone(), policy);
         let t0 = cloud.clock().now();
-        let result = api.execute(|c| c.describe_ami(&ami));
+        let result = api.execute(|c| c.describe_elb(&elb));
         prop_assert!(result.is_err());
         let elapsed = cloud.clock().now().duration_since(t0);
         // Budget plus the last backoff (bounded by the budget itself) plus

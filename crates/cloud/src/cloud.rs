@@ -1,5 +1,5 @@
-//! The cloud simulator: API front-end, ASG reconciliation engine, eventual
-//! consistency and throttling.
+//! The cloud simulator: API front-end, ASG reconciliation engine and
+//! eventual consistency.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -28,38 +28,26 @@ const TERMINATE_TIME: (f64, f64) = (25_000.0, 0.2);
 /// How often each ASG reconciles desired vs. actual capacity.
 const RECONCILE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
+/// Round-trip latency of one API call (the paper's diagnosis log shows
+/// ≈ 70–90 ms per call).
+const API_LATENCY: LatencyModel = LatencyModel::uniform_millis(70, 90);
+
 /// Tunables of the simulated cloud.
 #[derive(Debug, Clone)]
 pub struct CloudConfig {
-    /// Round-trip latency of one API call (the paper's diagnosis log shows
-    /// ≈ 70–90 ms per call).
-    pub api_latency: LatencyModel,
     /// Probability that a describe-call observes a stale view.
     pub stale_read_prob: f64,
     /// How far behind a stale view lags.
     pub consistency_lag: LatencyModel,
-    /// Probability of a spontaneous transient API failure.
-    pub api_failure_prob: f64,
-    /// Account-wide active-instance cap.
-    pub instance_limit: usize,
-    /// Token-bucket burst capacity for throttling.
-    pub throttle_capacity: f64,
-    /// Token-bucket refill rate (requests per second).
-    pub throttle_refill_per_sec: f64,
 }
 
 impl Default for CloudConfig {
     fn default() -> CloudConfig {
         CloudConfig {
-            api_latency: LatencyModel::uniform_millis(70, 90),
             stale_read_prob: 0.08,
             consistency_lag: LatencyModel::Exponential {
                 mean: SimDuration::from_millis(1_500),
             },
-            api_failure_prob: 0.0,
-            instance_limit: 40,
-            throttle_capacity: 50.0,
-            throttle_refill_per_sec: 20.0,
         }
     }
 }
@@ -127,43 +115,11 @@ enum CloudEvent {
 }
 
 #[derive(Debug)]
-struct TokenBucket {
-    tokens: f64,
-    capacity: f64,
-    refill_per_sec: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    fn new(capacity: f64, refill_per_sec: f64) -> TokenBucket {
-        TokenBucket {
-            tokens: capacity,
-            capacity,
-            refill_per_sec,
-            last: SimTime::ZERO,
-        }
-    }
-
-    fn try_take(&mut self, now: SimTime) -> bool {
-        let elapsed = now.duration_since(self.last).as_secs_f64();
-        self.tokens = (self.tokens + elapsed * self.refill_per_sec).min(self.capacity);
-        self.last = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-#[derive(Debug)]
 struct Inner {
     rng: SimRng,
     state: CloudState,
     events: EventQueue<CloudEvent>,
     config: CloudConfig,
-    throttle: TokenBucket,
     processed_until: SimTime,
 }
 
@@ -191,10 +147,10 @@ pub struct Cluster {
 /// same account state and virtual clock.
 ///
 /// API methods (`describe_*`, `create_*`, `terminate_*`, …) behave like the
-/// real thing: they consume virtual time, can be throttled, can fail
-/// transiently, and reads may be stale. `admin_*` methods are the
-/// experimenter's god-mode — instantaneous, reliable mutations used for
-/// environment setup and fault injection.
+/// real thing: they consume virtual time, return AWS-style errors, and
+/// reads may be stale. `admin_*` methods are the experimenter's god-mode —
+/// instantaneous, reliable mutations used for environment setup and fault
+/// injection.
 ///
 /// # Examples
 ///
@@ -224,8 +180,6 @@ pub struct Cloud {
 #[derive(Debug, Clone)]
 struct CloudMetrics {
     calls: Counter,
-    throttled: Counter,
-    errors: Counter,
     stale_reads: Counter,
     latency_us: Histogram,
 }
@@ -234,8 +188,6 @@ impl CloudMetrics {
     fn new(obs: &Obs) -> CloudMetrics {
         CloudMetrics {
             calls: obs.counter("cloud.api.calls"),
-            throttled: obs.counter("cloud.api.throttled"),
-            errors: obs.counter("cloud.api.errors"),
             stale_reads: obs.counter("cloud.api.stale_reads"),
             latency_us: obs.histogram("cloud.api.latency_us"),
         }
@@ -250,12 +202,8 @@ impl Cloud {
         Cloud {
             inner: Arc::new(Mutex::new(Inner {
                 rng,
-                state: CloudState::new(config.instance_limit),
+                state: CloudState::new(),
                 events: EventQueue::new(),
-                throttle: TokenBucket::new(
-                    config.throttle_capacity,
-                    config.throttle_refill_per_sec,
-                ),
                 config,
                 processed_until: SimTime::ZERO,
             })),
@@ -292,37 +240,14 @@ impl Cloud {
         &self,
         f: impl FnOnce(&mut Inner, SimTime) -> Result<T, ApiError>,
     ) -> Result<T, ApiError> {
-        // Outcome-conditional tracing: healthy calls are fully accounted
-        // by the `calls`/`latency_us` metrics (with exemplars), so they
-        // pay only a clock read here; a span is materialised
-        // retroactively for the anomalous outcomes diagnosis cares about.
-        let started_at = self.clock.now();
+        // Every call is accounted by the `calls`/`latency_us` metrics (with
+        // exemplars); it opens no span.
         let mut inner = self.inner.lock();
-        let model = inner.config.api_latency.clone();
-        let latency = model.sample(&mut inner.rng);
+        let latency = API_LATENCY.sample(&mut inner.rng);
         let now = self.clock.advance(latency);
         inner.run_until(now);
         self.metrics.calls.incr();
         self.metrics.latency_us.record(latency.as_micros());
-        if !inner.throttle.try_take(now) {
-            self.metrics.throttled.incr();
-            self.obs.record_span(
-                "cloud.api.call",
-                started_at,
-                vec![("outcome", "throttled".to_string())],
-            );
-            return Err(ApiError::Throttling);
-        }
-        let failure_prob = inner.config.api_failure_prob;
-        if failure_prob > 0.0 && inner.rng.chance(failure_prob) {
-            self.metrics.errors.incr();
-            self.obs.record_span(
-                "cloud.api.call",
-                started_at,
-                vec![("outcome", "transient-error".to_string())],
-            );
-            return Err(ApiError::Internal("transient service error".into()));
-        }
         f(&mut inner, now)
     }
 

@@ -6,8 +6,6 @@ use std::fmt;
 /// families the paper's operations have to handle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApiError {
-    /// The request was throttled (`RequestLimitExceeded`).
-    Throttling,
     /// A referenced resource does not exist or has been deleted.
     NotFound {
         /// Resource kind, e.g. `ami`, `key-pair`.
@@ -22,25 +20,19 @@ pub enum ApiError {
     },
     /// The request failed validation (bad argument, wrong state).
     Validation(String),
-    /// A transient internal failure.
-    Internal(String),
 }
 
 impl ApiError {
     /// Whether retrying the same call may succeed — the consistent-API layer
     /// only retries these.
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ApiError::Throttling | ApiError::Internal(_) | ApiError::ServiceUnavailable { .. }
-        )
+        matches!(self, ApiError::ServiceUnavailable { .. })
     }
 }
 
 impl fmt::Display for ApiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ApiError::Throttling => write!(f, "RequestLimitExceeded: request was throttled"),
             ApiError::NotFound { kind, id } => {
                 write!(f, "InvalidResource.NotFound: {kind} `{id}` does not exist")
             }
@@ -48,7 +40,6 @@ impl fmt::Display for ApiError {
                 write!(f, "ServiceUnavailable: {service} is not responding")
             }
             ApiError::Validation(msg) => write!(f, "ValidationError: {msg}"),
-            ApiError::Internal(msg) => write!(f, "InternalError: {msg}"),
         }
     }
 }
@@ -61,8 +52,6 @@ mod tests {
 
     #[test]
     fn retryability_classification() {
-        assert!(ApiError::Throttling.is_retryable());
-        assert!(ApiError::Internal("x".into()).is_retryable());
         assert!(ApiError::ServiceUnavailable {
             service: "elb".into()
         }

@@ -8,9 +8,8 @@
 //!
 //! - the resource model ([`Ami`], [`SecurityGroup`], [`KeyPair`],
 //!   [`LaunchConfig`], [`Instance`], [`AutoScalingGroup`], [`Elb`]);
-//! - a metered API ([`Cloud`]) with per-call latency, token-bucket
-//!   **throttling**, transient failures and AWS-style error codes
-//!   ([`ApiError`]);
+//! - a metered API ([`Cloud`]) with per-call latency and AWS-style error
+//!   codes ([`ApiError`]);
 //! - **eventual consistency**: describe-calls may observe a stale view
 //!   (bounded version history per resource, [`Versioned`]);
 //! - the ASG **reconciliation engine**: desired-capacity convergence,
@@ -44,5 +43,5 @@ pub use resources::{
     ActivityStatus, Ami, AutoScalingGroup, Elb, Instance, InstanceState, KeyPair, LaunchConfig,
     ScalingActivity, SecurityGroup,
 };
-pub use state::CloudState;
+pub use state::{CloudState, INSTANCE_LIMIT};
 pub use versioned::Versioned;

@@ -12,6 +12,10 @@ use crate::resources::{
 };
 use crate::versioned::Versioned;
 
+/// The account-wide active-instance cap every account starts with (the
+/// experimenter moves it with [`crate::Cloud::admin_set_instance_limit`]).
+pub const INSTANCE_LIMIT: usize = 40;
+
 /// All resource records, each with version history for eventually-consistent
 /// reads. Mutations must go through the [`crate::Cloud`] handle so that
 /// versions are stamped with the current virtual time.
@@ -38,10 +42,10 @@ pub struct CloudState {
 }
 
 impl CloudState {
-    /// Creates an empty account with the given instance limit.
-    pub fn new(instance_limit: usize) -> CloudState {
+    /// Creates an empty account capped at [`INSTANCE_LIMIT`].
+    pub fn new() -> CloudState {
         CloudState {
-            instance_limit,
+            instance_limit: INSTANCE_LIMIT,
             ..CloudState::default()
         }
     }
@@ -106,7 +110,7 @@ mod tests {
 
     #[test]
     fn active_count_ignores_terminated() {
-        let mut s = CloudState::new(20);
+        let mut s = CloudState::new();
         s.instances.insert(
             InstanceId::new("i-1"),
             Versioned::new(SimTime::ZERO, instance("i-1", InstanceState::InService)),
@@ -124,7 +128,7 @@ mod tests {
 
     #[test]
     fn activities_filter_by_asg_and_time() {
-        let mut s = CloudState::new(20);
+        let mut s = CloudState::new();
         for (t, name) in [(1u64, "a"), (2, "a"), (3, "b")] {
             s.record_activity(ScalingActivity {
                 at: SimTime::from_secs(t),

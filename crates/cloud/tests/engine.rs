@@ -1,5 +1,5 @@
 //! Behavioural tests of the cloud engine: reconciliation, fault injection,
-//! eventual consistency, throttling and limits.
+//! eventual consistency and limits.
 
 use pod_cloud::{ApiError, AsgUpdate, Cloud, CloudConfig, InstanceState, LaunchConfigUpdate};
 use pod_sim::{Clock, LatencyModel, SimDuration, SimRng};
@@ -276,33 +276,10 @@ fn api_calls_consume_virtual_time() {
 }
 
 #[test]
-fn throttling_kicks_in_under_burst() {
-    let config = CloudConfig {
-        stale_read_prob: 0.0,
-        throttle_capacity: 5.0,
-        throttle_refill_per_sec: 0.001,
-        api_latency: LatencyModel::Fixed(SimDuration::from_millis(1)),
-        ..CloudConfig::default()
-    };
-    let e = env_with(config, 2);
-    let mut throttled = 0;
-    for _ in 0..20 {
-        if matches!(e.cloud.describe_asg(&e.asg), Err(ApiError::Throttling)) {
-            throttled += 1;
-        }
-    }
-    assert!(
-        throttled >= 10,
-        "expected heavy throttling, got {throttled}"
-    );
-}
-
-#[test]
 fn stale_reads_can_observe_old_state() {
     let config = CloudConfig {
         stale_read_prob: 1.0,
         consistency_lag: LatencyModel::Fixed(SimDuration::from_secs(3600)),
-        ..CloudConfig::default()
     };
     let e = env_with(config, 2);
     // Write a new desired capacity; a guaranteed-stale read still sees 2.

@@ -10,10 +10,10 @@ fn cluster(seed: u64, desired: u32, limit: usize) -> (Cloud, pod_cloud::AsgName)
         SimRng::seed_from(seed),
         CloudConfig {
             stale_read_prob: 0.0,
-            instance_limit: limit,
             ..CloudConfig::default()
         },
     );
+    cloud.admin_set_instance_limit(limit);
     let ami = cloud.admin_create_ami("app", "1.0");
     let cluster = cloud.admin_create_cluster(ami, "kp", "lc", "g", 25, desired);
     (cloud, cluster.asg)

@@ -2,8 +2,8 @@
 //! across pipeline stages and aggregates per-stage self-time distributions
 //! (p50/p95/p99) per fault type — the journal's `latency-budget` records.
 //!
-//! A *stage* is a span name (`cloud.api.call`, `conformance.replay`,
-//! `assertion.eval`, `faulttree.walk`, …). A run's budget for a stage is
+//! A *stage* is a span name (`conformance.replay`, `assertion.eval`,
+//! `faulttree.walk`, …). A run's budget for a stage is
 //! the stage's **self** time: the summed span durations minus the time
 //! spent in child spans, so the budget rows add up to wall (virtual) time
 //! instead of double-counting nested work.

@@ -74,14 +74,14 @@ mod tests {
     fn summary_lists_active_metrics_only() {
         let reg = Registry::new();
         reg.counter("cloud.api.calls").add(12);
-        reg.counter("cloud.api.throttled"); // zero — hidden
+        reg.counter("cloud.api.stale_reads"); // zero — hidden
         reg.gauge("queue.depth").set(3);
         let h = reg.histogram("cloud.api.latency_us");
         h.record(70_000);
         h.record(90_000);
         let text = render_summary(&reg.snapshot());
         assert!(text.contains("cloud.api.calls"), "got:\n{text}");
-        assert!(!text.contains("throttled"), "got:\n{text}");
+        assert!(!text.contains("stale_reads"), "got:\n{text}");
         assert!(text.contains("queue.depth"), "got:\n{text}");
         assert!(text.contains("cloud.api.latency_us"), "got:\n{text}");
     }

@@ -17,8 +17,6 @@ pub struct UpgradeConfig {
     pub new_ami: AmiId,
     /// Name for the launch configuration the upgrade creates.
     pub new_launch_config: String,
-    /// How often the orchestrator polls while waiting for a new instance.
-    pub poll_interval: SimDuration,
     /// How long to wait for one replacement before giving up.
     pub max_wait_per_instance: SimDuration,
 }
@@ -37,7 +35,6 @@ impl UpgradeConfig {
             elb,
             new_ami,
             new_launch_config: "lc-upgrade".to_string(),
-            poll_interval: SimDuration::from_secs(10),
             max_wait_per_instance: SimDuration::from_secs(600),
         }
     }

@@ -11,6 +11,9 @@ use pod_sim::{SimDuration, SimTime};
 
 use crate::config::UpgradeConfig;
 
+/// How often the orchestrator polls while waiting for a new instance.
+const POLL_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
 /// Receives orchestrator output and drives co-located activity.
 ///
 /// `on_log` is called for every operation-log line as it is produced (this
@@ -311,12 +314,11 @@ impl RollingUpgrade {
         let wait_started = self.cloud.clock().now();
         let mut activity_cursor = wait_started;
         loop {
-            self.cloud.sleep(cfg.poll_interval);
+            self.cloud.sleep(POLL_INTERVAL);
             self.tick(observer);
             self.surface_cloud_errors(observer, &mut activity_cursor);
             let instances = match self.cloud.describe_asg_instances(&cfg.asg) {
                 Ok(i) => i,
-                Err(ApiError::Throttling) => continue,
                 Err(e) => return Err(self.fail(observer, e)),
             };
             let fresh = instances.iter().find(|i| {

@@ -52,7 +52,7 @@ pub enum RecoveryPath {
         /// Whether the shared API throttled the repair.
         throttled: bool,
     },
-    /// Shed to the end-of-operation sweep by the admission gate, then
+    /// Shed to the end-of-operation sweep by the storm's lane-wait cap, then
     /// executed on the quiet path — deferred, never dropped.
     DeferredSwept,
     /// A step-less review (or a sweep-discovered incident) that never
@@ -130,9 +130,9 @@ pub struct RecoveryDispatcher {
     staged: HashMap<usize, Vec<(String, RecoveryPlan)>>,
     /// Detection indices already dispatched (the dedup set).
     handled: HashSet<usize>,
-    /// Diagnosed incidents without an actionable repair, queued for
-    /// operation-end review.
-    deferred: Vec<(usize, Detection)>,
+    /// Detection indices of diagnosed incidents without an actionable
+    /// repair, queued for operation-end review.
+    deferred: Vec<usize>,
     /// Detection indices whose repair the storm shed, parked for the sweep.
     parked: Vec<usize>,
     /// Finished runs.
@@ -297,7 +297,7 @@ impl RecoveryDispatcher {
         }
         if let RecoveryPath::Eager { .. } = path {
             // Mid-operation: queue the incident for operation-end review.
-            self.deferred.push((detection_index, detection.clone()));
+            self.deferred.push(detection_index);
             self.update_queue_depth();
         } else {
             self.review(detection_index, detection, path);
@@ -361,8 +361,8 @@ impl RecoveryDispatcher {
             };
             self.dispatch(i, d, path);
         }
-        for (i, d) in std::mem::take(&mut self.deferred) {
-            self.review(i, &d, RecoveryPath::Review);
+        for i in std::mem::take(&mut self.deferred) {
+            self.review(i, &detections[i], RecoveryPath::Review);
         }
         self.update_queue_depth();
     }

@@ -30,10 +30,11 @@
 //!    diagnosis → recovery → verification) is one causal chain in
 //!    `pod-obs`, under new `recovery.*` metrics.
 //! 5. **Storm arbitration** ([`RecoveryStorm`]) — at gateway scale many
-//!    tenants repair concurrently against one shared, throttled cloud
-//!    API. Each tenant's [`RecoveryDispatcher`] still owns its incidents;
-//!    the storm is only the bounded lane pool they share (the
-//!    `AdmissionGate`). A dispatcher asks it for a lane in one short call
+//!    tenants repair concurrently against one shared, rate-limited cloud
+//!    API, and the storm is where that contention is modelled. Each
+//!    tenant's [`RecoveryDispatcher`] still owns its incidents; the storm
+//!    is only the bounded lane pool they share (each lane's busy-until
+//!    time). A dispatcher asks it for a lane in one short call
 //!    before a repair and reports the lane's hold time after, charges the
 //!    lane wait and throttle penalty to its own MTTR, and parks an
 //!    over-cap repair for its end-of-operation sweep so nothing is
@@ -44,7 +45,6 @@
 //! audit and the digest read. Everything runs in virtual time: same seed ⇒
 //! byte-identical transcripts.
 
-mod admission;
 mod dispatch;
 mod executor;
 pub mod monitor;

@@ -2,26 +2,29 @@
 //!
 //! Eager dispatch fires repairs mid-operation. At gateway scale that means
 //! dozens of per-tenant dispatchers repairing *concurrently* against what
-//! is operationally one shared, throttled cloud API. The [`RecoveryStorm`]
-//! models exactly that contention, deterministically, and holds nothing
-//! else: each tenant's [`RecoveryDispatcher`](crate::RecoveryDispatcher)
-//! owns its incidents and asks the storm only for a lane, in one short call
-//! before its repair (`admit`) and one after it (`occupy`). No repair runs
-//! while the storm is borrowed.
+//! is operationally one shared, rate-limited cloud API. The
+//! [`RecoveryStorm`] is the one place that contention is modelled,
+//! deterministically, and it holds nothing else: each tenant's
+//! [`RecoveryDispatcher`](crate::RecoveryDispatcher) owns its incidents and
+//! asks the storm only for a lane, in one short call before its repair
+//! (`admit`) and one after it (`occupy`). No repair runs while the storm is
+//! borrowed.
 //!
-//! * **Lane arbitration** — every actionable repair must pass the shared
-//!   [`AdmissionGate`], which bounds concurrent
-//!   repairs to a fixed lane pool on the *gateway* clock. Queue waits are
-//!   charged to the repairing tenant's own virtual clock, so MTTR-under-
-//!   load honestly includes the time spent waiting for a lane.
+//! * **Lane arbitration** — every actionable repair must be granted one
+//!   of a fixed pool of lanes, each busy until a time on the *gateway*
+//!   clock. A repair gets the lane that frees earliest (ties to the lowest
+//!   index). Queue waits are charged to the repairing tenant's own virtual
+//!   clock, so MTTR-under-load honestly includes the time spent waiting
+//!   for a lane.
 //! * **Throttling** — when the grant overlaps more than `throttle_at`
 //!   in-flight repairs, the shared API pushes back: a per-excess-repair
 //!   penalty is added to the tenant's clock and the repair is counted in
 //!   `recovery.storm.throttled` (exactly once).
 //! * **Shed-to-sweep fallback** — a repair whose lane wait would exceed
-//!   the cap is *deferred*, never dropped: the dispatcher parks its
-//!   detection index and its own end-of-operation sweep executes it on the
-//!   quiet post-soak path (reported back with `swept`).
+//!   the cap is *deferred*, never dropped, and reserves no lane: the
+//!   dispatcher parks its detection index and its own end-of-operation
+//!   sweep executes it on the quiet post-soak path (reported back with
+//!   `swept`).
 //!   `recovered + escalated == attempted` holds across all paths.
 //!
 //! Storm pressure is visible on the gateway's observability handle:
@@ -36,8 +39,6 @@
 
 use pod_obs::{Counter, Gauge, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
-
-use crate::admission::{Admission, AdmissionGate};
 
 /// Contention knobs of a recovery storm.
 #[derive(Debug, Clone)]
@@ -70,7 +71,7 @@ impl Default for StormConfig {
 /// `recovery.storm.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StormStats {
-    /// Actionable repairs offered to the admission gate.
+    /// Actionable repairs that asked for a lane.
     pub requests: u64,
     /// Repairs granted a lane (eager path).
     pub admitted: u64,
@@ -117,6 +118,7 @@ impl StormMetrics {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Grant {
     lane: usize,
+    /// When the lane is free for this repair (≥ the request time).
     start: SimTime,
     /// Whether the shared API throttled the repair.
     pub(crate) throttled: bool,
@@ -132,7 +134,8 @@ pub(crate) struct Grant {
 pub struct RecoveryStorm {
     /// The shared arbitration timeline (the gateway clock).
     clock: Clock,
-    gate: AdmissionGate,
+    /// Busy-until time per lane.
+    lanes: Vec<SimTime>,
     config: StormConfig,
     metrics: StormMetrics,
     /// Shed repairs not yet swept, across every tenant.
@@ -144,9 +147,14 @@ pub struct RecoveryStorm {
 impl RecoveryStorm {
     /// A storm arbitrating on `clock` (the gateway clock) and reporting
     /// into `obs` (the gateway's observability handle).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.lanes` is zero.
     pub fn new(obs: &Obs, clock: Clock, config: StormConfig) -> RecoveryStorm {
+        assert!(config.lanes > 0, "a recovery storm needs at least one lane");
         RecoveryStorm {
-            gate: AdmissionGate::new(config.lanes, config.max_lane_wait),
+            lanes: vec![SimTime::ZERO; config.lanes],
             metrics: StormMetrics::new(obs),
             clock,
             config,
@@ -160,39 +168,50 @@ impl RecoveryStorm {
     /// the repair for its sweep.
     pub(crate) fn admit(&mut self) -> Option<Grant> {
         self.metrics.requests.incr();
-        match self.gate.request(self.clock.now()) {
-            Admission::Granted {
-                lane,
-                start,
-                waited,
-                in_flight,
-            } => {
-                self.metrics.admitted.incr();
-                self.peak_concurrent = self.peak_concurrent.max(in_flight);
-                self.metrics.concurrent.set(in_flight as i64);
-                let excess = in_flight.saturating_sub(self.config.throttle_at);
-                if excess > 0 {
-                    self.metrics.throttled.incr();
-                }
-                Some(Grant {
-                    lane,
-                    start,
-                    throttled: excess > 0,
-                    delay: waited + self.config.throttle_penalty * excess as u64,
-                })
-            }
-            Admission::Deferred => {
-                self.metrics.deferred.incr();
-                self.backlog += 1;
-                self.metrics.queue_depth.set(self.backlog as i64);
-                None
-            }
+        let now = self.clock.now();
+        let (lane, free_at) = self
+            .lanes
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(i, at)| (at, i))
+            .expect("a storm has at least one lane");
+        let start = free_at.max(now);
+        let waited = start.duration_since(now);
+        if waited > self.config.max_lane_wait {
+            self.metrics.deferred.incr();
+            self.backlog += 1;
+            self.metrics.queue_depth.set(self.backlog as i64);
+            return None;
         }
+        // Lanes busy at `start`, counting this repair: the concurrency
+        // level the shared API actually sees.
+        let in_flight = self.in_flight(start) + 1;
+        self.metrics.admitted.incr();
+        self.peak_concurrent = self.peak_concurrent.max(in_flight);
+        self.metrics.concurrent.set(in_flight as i64);
+        let excess = in_flight.saturating_sub(self.config.throttle_at);
+        if excess > 0 {
+            self.metrics.throttled.incr();
+        }
+        Some(Grant {
+            lane,
+            start,
+            throttled: excess > 0,
+            delay: waited + self.config.throttle_penalty * excess as u64,
+        })
     }
 
-    /// Holds `grant`'s lane for the `took` its repair ran.
+    /// Holds `grant`'s lane for the `took` its repair ran. An earlier end
+    /// never shortens the lane's existing hold.
     pub(crate) fn occupy(&mut self, grant: Grant, took: SimDuration) {
-        self.gate.occupy(grant.lane, grant.start + took);
+        let busy = &mut self.lanes[grant.lane];
+        *busy = (*busy).max(grant.start + took);
+    }
+
+    /// Lanes busy at `at`.
+    fn in_flight(&self, at: SimTime) -> usize {
+        self.lanes.iter().filter(|&&busy| busy > at).count()
     }
 
     /// A tenant's sweep is about to execute `n` shed repairs.
@@ -206,7 +225,7 @@ impl RecoveryStorm {
     /// `pod_gateway::Gateway::set_incident_hook` so every flight frame
     /// forced by a detection carries the storm's current pressure.
     pub fn observe(&mut self, now: SimTime) {
-        self.metrics.concurrent.set(self.gate.in_flight(now) as i64);
+        self.metrics.concurrent.set(self.in_flight(now) as i64);
         self.metrics.queue_depth.set(self.backlog as i64);
     }
 
@@ -362,7 +381,7 @@ mod tests {
         })
     }
 
-    /// Shed-to-sweep: a repair the gate cannot serve within the wait cap
+    /// Shed-to-sweep: a repair no lane can serve within the wait cap
     /// is deferred, then executed by the sweep — never dropped, and the
     /// accounting stays exact.
     #[test]
@@ -440,7 +459,7 @@ mod tests {
     }
 
     /// Non-actionable diagnoses (benign interference, no cause found)
-    /// never touch the admission gate: lanes are for real repairs.
+    /// never ask for a lane: lanes are for real repairs.
     #[test]
     fn reviews_do_not_contend_for_lanes() {
         let (_, storm) = storm(StormConfig::default());
@@ -453,5 +472,88 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].path, RecoveryPath::Review);
         assert_eq!(records[0].run.plans_tried, vec!["confirm-resolved"]);
+    }
+
+    fn t(secs: u64) -> SimTime {
+        SimTime::from_secs(secs)
+    }
+
+    /// A bare storm of `lanes` lanes on a clock the test moves by hand.
+    fn lanes(lanes: usize, max_lane_wait: SimDuration) -> (Clock, RecoveryStorm) {
+        let clock = Clock::new();
+        let config = StormConfig {
+            lanes,
+            max_lane_wait,
+            ..StormConfig::default()
+        };
+        let storm = RecoveryStorm::new(&Obs::new(clock.clone()), clock.clone(), config);
+        (clock, storm)
+    }
+
+    #[test]
+    fn grants_idle_lane_immediately() {
+        let (clock, mut storm) = lanes(2, SimDuration::from_secs(10));
+        clock.advance_to(t(5));
+        let grant = storm.admit().expect("an idle lane");
+        assert_eq!((grant.lane, grant.start), (0, t(5)));
+        assert_eq!(grant.delay, SimDuration::ZERO);
+        assert!(!grant.throttled);
+    }
+
+    #[test]
+    fn queues_on_earliest_lane_and_counts_overlap() {
+        let (_, mut storm) = lanes(2, SimDuration::from_secs(100));
+        let first = storm.admit().unwrap();
+        storm.occupy(first, SimDuration::from_secs(30));
+        let second = storm.admit().unwrap();
+        storm.occupy(second, SimDuration::from_secs(10));
+        // Lane 1 frees first; the repair queues behind it and overlaps the
+        // still-busy lane 0, so the shared API throttles it too.
+        let grant = storm.admit().unwrap();
+        assert_eq!((grant.lane, grant.start), (1, t(10)));
+        assert!(grant.throttled, "overlaps lane 0 (busy until 30s)");
+        assert_eq!(grant.delay, SimDuration::from_secs(10 + 3));
+        assert_eq!(storm.stats().peak_concurrent, 2);
+    }
+
+    #[test]
+    fn defers_past_the_wait_cap_without_mutating_lanes() {
+        let (clock, mut storm) = lanes(1, SimDuration::from_secs(5));
+        let grant = storm.admit().unwrap();
+        storm.occupy(grant, SimDuration::from_secs(60));
+        assert!(storm.admit().is_none());
+        // The deferral reserved nothing: a later request (within the cap)
+        // still gets the lane at 60s.
+        clock.advance_to(t(58));
+        assert_eq!(storm.admit().unwrap().start, t(60));
+        assert_eq!(storm.stats().deferred, 1);
+    }
+
+    #[test]
+    fn occupy_is_monotone() {
+        let (_, mut storm) = lanes(1, SimDuration::ZERO);
+        let grant = storm.admit().unwrap();
+        storm.occupy(grant, SimDuration::from_secs(20));
+        storm.occupy(grant, SimDuration::from_secs(10));
+        assert_eq!(storm.in_flight(t(15)), 1);
+        assert_eq!(storm.in_flight(t(20)), 0);
+    }
+
+    #[test]
+    fn same_request_sequence_same_grants() {
+        let drive = || {
+            let (clock, mut storm) = lanes(3, SimDuration::from_secs(30));
+            let mut trace = Vec::new();
+            for i in 0..20u64 {
+                clock.advance_to(t(i * 3));
+                let grant = storm.admit();
+                if let Some(grant) = grant {
+                    storm.occupy(grant, SimDuration::from_secs(25));
+                }
+                trace.push(format!("{grant:?}"));
+            }
+            trace
+        };
+        assert_eq!(drive(), drive());
     }
 }

@@ -48,7 +48,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// Uniform latency between `low` and `high` milliseconds.
-    pub fn uniform_millis(low: u64, high: u64) -> Self {
+    pub const fn uniform_millis(low: u64, high: u64) -> Self {
         LatencyModel::Uniform {
             low: SimDuration::from_millis(low),
             high: SimDuration::from_millis(high),

@@ -1,12 +1,10 @@
 //! Deterministic randomness for the simulator.
 //!
 //! Every scenario derives all of its randomness from a single `u64` seed so
-//! experiments are reproducible bit-for-bit. Distribution sampling (normal,
-//! lognormal, exponential) is implemented here directly rather than pulling
-//! in `rand_distr`.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! experiments are reproducible bit-for-bit. The generator is xoshiro256++
+//! seeded through splitmix64, and distribution sampling (normal, lognormal,
+//! exponential) is implemented here directly. Every same-seed digest and
+//! committed baseline depends on this exact algorithm.
 
 /// A seeded random source with the distribution helpers the simulator needs.
 ///
@@ -21,30 +19,66 @@ use rand::{Rng, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    /// The xoshiro256++ state.
+    s: [u64; 4],
     /// Cached second value from the Box–Muller transform.
     spare_normal: Option<f64>,
+}
+
+/// One splitmix64 step: spreads a seed over the generator's state.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SimRng {
     /// Creates a generator from a scenario seed.
     pub fn seed_from(seed: u64) -> Self {
+        let mut sm = seed;
+        let s = [
+            splitmix64(&mut sm),
+            splitmix64(&mut sm),
+            splitmix64(&mut sm),
+            splitmix64(&mut sm),
+        ];
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s,
             spare_normal: None,
         }
+    }
+
+    /// The next 64 uniformly distributed bits (one xoshiro256++ step).
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform in `[0, 1)`: 53 uniform bits.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "uniform_u64 requires lo < hi");
-        self.inner.gen_range(lo..hi)
+        lo + self.next_u64() % (hi - lo)
     }
 
     /// Uniform `usize` in `[0, n)`. Panics if `n == 0`.
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index requires a non-empty range");
-        self.inner.gen_range(0..n)
+        (self.next_u64() % n as u64) as usize
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -54,7 +88,7 @@ impl SimRng {
         } else if p >= 1.0 {
             true
         } else {
-            self.inner.gen::<f64>() < p
+            self.unit() < p
         }
     }
 
@@ -64,8 +98,8 @@ impl SimRng {
             return z;
         }
         // Avoid ln(0) by sampling u1 from (0, 1].
-        let u1: f64 = 1.0 - self.inner.gen::<f64>();
-        let u2: f64 = self.inner.gen();
+        let u1 = 1.0 - self.unit();
+        let u2 = self.unit();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.spare_normal = Some(r * theta.sin());
@@ -84,7 +118,7 @@ impl SimRng {
 
     /// Exponential sample with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u: f64 = 1.0 - self.inner.gen::<f64>();
+        let u = 1.0 - self.unit();
         -mean * u.ln()
     }
 
@@ -105,6 +139,10 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.uniform_u64(0, 1_000_000), b.uniform_u64(0, 1_000_000));
         }
+        // The splitmix64-seeded xoshiro256++ stream every digest depends on.
+        let mut r = SimRng::seed_from(42);
+        let draws: Vec<u64> = (0..3).map(|_| r.uniform_u64(0, 1_000_000)).collect();
+        assert_eq!(draws, [233_951, 364_753, 481_100]);
     }
 
     #[test]
