@@ -112,38 +112,6 @@ impl Detection {
     }
 }
 
-/// A notice fired synchronously by the engine's optional detection hook
-/// (see `PodEngine::set_detection_hook`) the moment something happens, so a
-/// recovery dispatcher can react eagerly instead of sweeping detections at
-/// the end of the run.
-#[derive(Debug, Clone)]
-pub enum EngineNotice {
-    /// An error was just detected (and, when `dispatched`, a diagnosis was
-    /// scheduled). `candidates` lists the still-plausible root-cause node
-    /// ids of the selected fault tree, most probable first — the speculation
-    /// set for plan pre-staging.
-    Detected {
-        /// Index of the detection in `RunSummary::detections`, where its
-        /// time, source, key and step are.
-        detection_index: usize,
-        /// The implicated instance, if known.
-        instance: Option<InstanceId>,
-        /// Whether a diagnosis was scheduled (false when suppressed by the
-        /// per-key cooldown).
-        dispatched: bool,
-        /// Plausible root causes, ordered by prior probability descending.
-        candidates: Vec<String>,
-    },
-    /// A scheduled diagnosis just completed; `detection` carries the filled
-    /// report.
-    Diagnosed {
-        /// Index of the detection in `RunSummary::detections`.
-        detection_index: usize,
-        /// The detection, including its completed `diagnosis`.
-        detection: Detection,
-    },
-}
-
 /// Summary statistics of one monitored operation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {

@@ -21,7 +21,7 @@ use pod_process::{Conformance, ConformanceChecker};
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
 use crate::config::{CompiledPod, PodConfig, SharedEnv};
-use crate::detection::{Detection, DetectionSource, EngineNotice, RunSummary};
+use crate::detection::{Detection, DetectionSource, RunSummary};
 
 /// The assertion key of the master fault tree, used as a fallback for
 /// detections without a more specific tree.
@@ -85,19 +85,19 @@ impl EngineMetrics {
     }
 }
 
-/// The optional synchronous detection hook (fast-path recovery dispatch).
+/// The optional synchronous diagnosis hook (fast-path recovery dispatch).
 /// Wrapped so `PodEngine` can keep deriving `Debug`.
-type DetectionHookFn = Box<dyn FnMut(&EngineNotice)>;
+type DiagnosisHookFn = Box<dyn FnMut(usize, &Detection)>;
 
 #[derive(Default)]
-struct DetectionHook(Option<DetectionHookFn>);
+struct DiagnosisHook(Option<DiagnosisHookFn>);
 
-impl std::fmt::Debug for DetectionHook {
+impl std::fmt::Debug for DiagnosisHook {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(if self.0.is_some() {
-            "DetectionHook(installed)"
+            "DiagnosisHook(installed)"
         } else {
-            "DetectionHook(none)"
+            "DiagnosisHook(none)"
         })
     }
 }
@@ -153,7 +153,7 @@ pub struct PodEngine {
     last_diagnosis_at: HashMap<String, SimTime>,
     summary: RunSummary,
     metrics: EngineMetrics,
-    hook: DetectionHook,
+    hook: DiagnosisHook,
 }
 
 impl PodEngine {
@@ -233,28 +233,19 @@ impl PodEngine {
             last_done: 0,
             last_diagnosis_at: HashMap::new(),
             summary: RunSummary::default(),
-            hook: DetectionHook::default(),
+            hook: DiagnosisHook::default(),
         }
     }
 
-    /// Installs the fast-path detection hook: a closure called synchronously
-    /// with an [`EngineNotice`] the moment an error is detected and again
-    /// the moment its diagnosis completes, so a recovery dispatcher can
-    /// pre-stage plans and dispatch repairs eagerly instead of sweeping
+    /// Installs the fast-path diagnosis hook: a closure called
+    /// synchronously with a detection's index in `RunSummary::detections`
+    /// and the detection itself the moment its diagnosis completes, so a
+    /// recovery dispatcher can dispatch repairs eagerly instead of sweeping
     /// `RunSummary::detections` after the operation ends. The hook runs on
     /// the engine's thread and may advance the shared sim clock (e.g. to
-    /// execute a repair); it must not re-enter the engine.
-    pub fn set_detection_hook(&mut self, hook: impl FnMut(&EngineNotice) + 'static) {
-        self.hook = DetectionHook(Some(Box::new(hook)));
-    }
-
-    fn notify(&mut self, notice: EngineNotice) {
-        if let Some(mut hook) = self.hook.0.take() {
-            hook(&notice);
-            if self.hook.0.is_none() {
-                self.hook.0 = Some(hook);
-            }
-        }
+    /// execute a repair).
+    pub fn set_diagnosis_hook(&mut self, hook: impl FnMut(usize, &Detection) + 'static) {
+        self.hook = DiagnosisHook(Some(Box::new(hook)));
     }
 
     /// Detections so far.
@@ -589,12 +580,8 @@ impl PodEngine {
             self.run_diagnosis(index)
         };
         self.summary.detections[index].diagnosis = Some(report);
-        if self.hook.0.is_some() {
-            let detection = self.summary.detections[index].clone();
-            self.notify(EngineNotice::Diagnosed {
-                detection_index: index,
-                detection,
-            });
+        if let Some(hook) = self.hook.0.as_mut() {
+            hook(index, &self.summary.detections[index]);
         }
     }
 
@@ -741,35 +728,6 @@ impl PodEngine {
             diagnosis: None,
             event: Some(emitted.id()),
         });
-        if self.hook.0.is_some() {
-            let detection = &self.summary.detections[detection_index];
-            // Speculation set for plan pre-staging: every root-cause leaf
-            // of the selected tree surviving step pruning, most likely
-            // first.
-            let candidates = if cooled_down {
-                self.plausible_causes(key, detection.step.as_deref())
-            } else {
-                Vec::new()
-            };
-            self.notify(EngineNotice::Detected {
-                detection_index,
-                instance: detection.instance.clone(),
-                dispatched: cooled_down,
-                candidates,
-            });
-        }
-    }
-
-    fn plausible_causes(&self, key: &str, step: Option<&str>) -> Vec<String> {
-        self.pod
-            .tree(key)
-            .map(|tree| {
-                tree.plausible_root_causes(step)
-                    .into_iter()
-                    .map(|n| n.id.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     fn run_diagnosis(&mut self, index: usize) -> DiagnosisReport {

@@ -32,5 +32,5 @@ mod detection;
 mod engine;
 
 pub use config::{CompiledPod, PodConfig, SharedEnv};
-pub use detection::{Detection, DetectionSource, EngineNotice, RunSummary};
+pub use detection::{Detection, DetectionSource, RunSummary};
 pub use engine::PodEngine;

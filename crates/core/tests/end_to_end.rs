@@ -496,16 +496,18 @@ proptest! {
 
     /// However detections and polls are spaced, each dispatched diagnosis
     /// runs exactly once, in detection order, no earlier than the dispatch
-    /// delay after its detection; a detection inside the cooldown is never
-    /// diagnosed.
+    /// delay after its detection; a detection inside the cooldown of the
+    /// previous diagnosed one with the same key is never diagnosed.
     #[test]
     fn each_dispatched_diagnosis_runs_once_in_detection_order(
         steps in prop::collection::vec((0u64..90_000, 0usize..3, prop::bool::ANY), 1..8),
     ) {
         use std::cell::RefCell;
+        use std::collections::HashMap;
         use std::rc::Rc;
 
-        use pod_core::EngineNotice;
+        /// The engine's per-key diagnosis cooldown.
+        const COOLDOWN: SimDuration = SimDuration::from_secs(45);
 
         // Conformance-only, and unfit with a failing assertion: one or two
         // detections, with different fault-tree keys.
@@ -516,15 +518,11 @@ proptest! {
         ];
         let w = build_world(17, 4);
         let mut engine = engine_for(&w);
-        let notices = Rc::new(RefCell::new(Vec::new()));
-        let seen = Rc::clone(&notices);
-        engine.set_detection_hook(move |notice| {
-            seen.borrow_mut().push(match notice {
-                EngineNotice::Detected { detection_index, dispatched, .. } => {
-                    (*detection_index, Some(*dispatched))
-                }
-                EngineNotice::Diagnosed { detection_index, .. } => (*detection_index, None),
-            });
+        let hooked = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&hooked);
+        engine.set_diagnosis_hook(move |index, detection| {
+            assert!(detection.diagnosis.is_some(), "the hook sees the verdict");
+            seen.borrow_mut().push(index);
         });
         for (gap_ms, line, poll) in steps {
             w.cloud.clock().advance(SimDuration::from_millis(gap_ms));
@@ -535,23 +533,24 @@ proptest! {
         }
         let summary = engine.finish();
 
-        let notices = notices.borrow();
-        let dispatched: Vec<usize> = notices
-            .iter()
-            .filter(|(_, d)| *d == Some(true))
-            .map(|(i, _)| *i)
-            .collect();
-        let diagnosed: Vec<usize> = notices
-            .iter()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| *i)
-            .collect();
+        let hooked = hooked.borrow();
         prop_assert!(!summary.detections.is_empty());
-        prop_assert_eq!(&diagnosed, &dispatched);
-        for (i, d) in summary.detections.iter().enumerate() {
-            prop_assert_eq!(d.diagnosis.is_some(), dispatched.contains(&i));
+        prop_assert!(hooked.windows(2).all(|w| w[0] < w[1]));
+        let diagnosed: Vec<usize> = (0..summary.detections.len())
+            .filter(|&i| summary.detections[i].diagnosis.is_some())
+            .collect();
+        prop_assert_eq!(&*hooked, &diagnosed);
+        // The cooldown also restarts when a diagnosis completes, so only
+        // the dispatch side is exact: within 45 s of the last dispatch.
+        let mut last_diagnosed: HashMap<&str, SimTime> = HashMap::new();
+        for d in &summary.detections {
+            let cooling = last_diagnosed
+                .get(d.key.as_str())
+                .is_some_and(|last| d.at.duration_since(*last) < COOLDOWN);
+            prop_assert!(!(cooling && d.diagnosis.is_some()));
             if let Some(report) = &d.diagnosis {
                 prop_assert!(report.started_at >= d.at + SimDuration::from_secs(5));
+                last_diagnosed.insert(&d.key, d.at);
             }
         }
     }

@@ -53,8 +53,8 @@ pub struct CampaignConfig {
     /// `pod-recovery` and record the repair (MTTR, escalations, the
     /// self-conformance verdict).
     pub recovery: bool,
-    /// Fast-path recovery: install the engine's detection hook so repairs
-    /// dispatch eagerly mid-operation (with speculative plan pre-staging)
+    /// Fast-path recovery: install the engine's diagnosis hook so repairs
+    /// dispatch eagerly mid-operation, the moment their verdict arrives,
     /// instead of waiting for the end-of-run sweep. Only meaningful with
     /// `recovery`; the sweep still runs afterwards as the dedup'd backstop.
     pub eager_recovery: bool,
@@ -122,7 +122,7 @@ pub struct RunPlan {
     pub interferences: Vec<(SimTime, Interference)>,
     /// Run the recovery stage after the upgrade finishes.
     pub recovery: bool,
-    /// Dispatch recoveries eagerly from the engine's detection hook.
+    /// Dispatch recoveries eagerly from the engine's diagnosis hook.
     pub eager_recovery: bool,
 }
 
@@ -264,8 +264,8 @@ pub struct PhaseStats {
     pub detection: TimingStats,
     /// The fault-tree walk itself.
     pub diagnosis: TimingStats,
-    /// Plan staging, plus any verdict → recovery-start wait (zero on the
-    /// eager path with a prestage hit; the whole sweep wait otherwise).
+    /// Verdict → recovery-start wait (zero on the eager path; the whole
+    /// sweep wait otherwise).
     pub staging: TimingStats,
     /// Step execution (the parallel-lane makespan, not the lane sum).
     pub repair: TimingStats,
@@ -601,7 +601,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     if plan.eager_recovery {
         if let Some(dispatcher) = &dispatcher {
             let hook = Rc::clone(dispatcher);
-            engine.set_detection_hook(move |notice| hook.borrow_mut().on_notice(notice));
+            engine.set_diagnosis_hook(move |i, d| hook.borrow_mut().on_diagnosis(i, d));
         }
     }
     let mut observer = CampaignObserver::new(engine, &scenario, &plan);

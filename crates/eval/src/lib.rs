@@ -30,7 +30,7 @@
 //!   `TelemetryMode` (off/sampled/full), with tail-based trace sampling,
 //!   queue-wait tail exemplars and the gateway's flight-recorder dump;
 //! - [`replay_with_recovery`] — the soak with the recovery stage wired
-//!   in: every tenant engine's detection hook feeds that tenant's own
+//!   in: every tenant engine's diagnosis hook feeds that tenant's own
 //!   `pod_recovery::RecoveryDispatcher`, whose repairs contend for the
 //!   lanes of one shared `pod_recovery::RecoveryStorm`, with per-tenant
 //!   MTTR-under-load;

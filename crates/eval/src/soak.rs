@@ -27,7 +27,7 @@
 //! detections — [`SoakReport::digest`] is byte-identical across all three.
 //!
 //! [`replay_with_recovery`] adds the recovery stage on top: every
-//! per-tenant engine's detection hook feeds that tenant's own
+//! per-tenant engine's diagnosis hook feeds that tenant's own
 //! [`RecoveryDispatcher`], and the dispatchers' repairs contend for the
 //! lanes of one shared [`RecoveryStorm`] — the only recovery state the
 //! tenants share. Repairs that would queue past the lane-wait cap are
@@ -488,7 +488,7 @@ fn replay_inner(
                 Some(Rc::clone(storm)),
             )));
             let hook = Rc::clone(&dispatcher);
-            engine.set_detection_hook(move |notice| hook.borrow_mut().on_notice(notice));
+            engine.set_diagnosis_hook(move |i, d| hook.borrow_mut().on_diagnosis(i, d));
             dispatchers.push(dispatcher);
         }
         let process_id = engine.process_id().to_string();

@@ -131,18 +131,6 @@ impl FaultNode {
         }
         out
     }
-
-    fn collect_root_causes<'a>(&'a self, step: Option<&str>, out: &mut Vec<&'a FaultNode>) {
-        if !self.relevant_for(step) {
-            return;
-        }
-        if self.is_root_cause && self.children.is_empty() {
-            out.push(self);
-        }
-        for c in &self.children {
-            c.collect_root_causes(step, out);
-        }
-    }
 }
 
 /// A fault tree: the repository entry for one assertion.
@@ -161,22 +149,6 @@ impl FaultTree {
             assertion_key: assertion_key.into(),
             root,
         }
-    }
-
-    /// Root-cause candidates still plausible before any diagnostic test has
-    /// run: every testable root-cause leaf surviving step-context pruning,
-    /// most probable first (ties broken by id for determinism). Used by the
-    /// recovery fast path to pre-stage plans while the tree walk is underway.
-    pub fn plausible_root_causes(&self, step: Option<&str>) -> Vec<&FaultNode> {
-        let mut out = Vec::new();
-        self.root.collect_root_causes(step, &mut out);
-        out.sort_by(|a, b| {
-            b.probability
-                .partial_cmp(&a.probability)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        out
     }
 }
 
@@ -248,32 +220,6 @@ mod tests {
         assert_eq!(tree.potential_faults(Some("step1")), 2); // a + unconstrained c
         assert_eq!(tree.potential_faults(Some("step2")), 2); // b + c
         assert_eq!(tree.potential_faults(None), 3);
-    }
-
-    #[test]
-    fn plausible_root_causes_prune_and_rank() {
-        let tree = FaultTree::new(
-            "k",
-            FaultNode::branch("root", "top")
-                .child(leaf("a", 0.3).in_step("step1"))
-                .child(leaf("b", 0.7).in_step("step2"))
-                .child(leaf("c", 0.5))
-                .child(leaf("d", 0.5)),
-        );
-        // Pruned to step1's candidates, probability-descending, id tiebreak.
-        let ids: Vec<&str> = tree
-            .plausible_root_causes(Some("step1"))
-            .iter()
-            .map(|n| n.id.as_str())
-            .collect();
-        assert_eq!(ids, vec!["c", "d", "a"]);
-        // No step context: everything, b first on probability.
-        let all: Vec<&str> = tree
-            .plausible_root_causes(None)
-            .iter()
-            .map(|n| n.id.as_str())
-            .collect();
-        assert_eq!(all, vec!["b", "c", "d", "a"]);
     }
 
     #[test]

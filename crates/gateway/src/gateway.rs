@@ -308,7 +308,7 @@ struct Metrics {
 
 /// A callback the gateway fires when a sink's detection count rises
 /// during a drain: the dispatcher hookup point for recovery storms. Runs
-/// after the sink ingested the batch (so any engine-side detection hooks
+/// after the sink ingested the batch (so any engine-side diagnosis hooks
 /// already fired) with the operation, the gateway-clock time, and the
 /// number of new detections.
 struct IncidentHook(Box<dyn FnMut(OpId, SimTime, usize)>);

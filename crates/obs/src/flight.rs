@@ -265,23 +265,18 @@ pub fn render_dashboard(dump: &FlightDump, metrics: &[&str]) -> String {
     metrics.iter().for_each(|name| row(name));
     // Overload during bursts (recovery storms, replay floods) must be
     // visible alongside the incident marks even when the caller did not ask
-    // for it: append every gateway shed/admission counter the frames saw,
-    // the fast-path recovery speculation counters (prestage hit/waste) —
-    // misprediction cost belongs next to the shedding rows — and the
-    // storm's admission ledger (requests/admitted/throttled/deferred/
-    // swept), so shed-to-sweep pressure shows up without opt-in.
-    const OVERLOAD: [&str; 6] = [
+    // for it: append every gateway shed/admission counter the frames saw
+    // and the storm's admission ledger (requests/admitted/throttled/
+    // deferred/swept), so shed-to-sweep pressure shows up without opt-in.
+    const OVERLOAD: [&str; 4] = [
         "gateway.shed.",
         "gateway.admission.",
         "gateway.backpressure.",
-        "recovery.prestage.",
-        "recovery.dispatch.",
         "recovery.storm.",
     ];
-    // The recovery dispatcher's queue depth (staged speculations plus
-    // deferred reviews) and the storm's in-flight/backlog pressure are
-    // gauges, not counters: levels, not deltas.
-    const QUEUES: [&str; 2] = ["recovery.queue.", "recovery.storm."];
+    // The storm's in-flight and backlog pressure are gauges, not
+    // counters: levels, not deltas.
+    const QUEUES: [&str; 1] = ["recovery.storm."];
     let last = &frames.last().unwrap().snapshot;
     let unasked = |name: &&String, prefixes: &[&str]| {
         prefixes.iter().any(|p| name.starts_with(p)) && !metrics.contains(&name.as_str())
@@ -521,32 +516,26 @@ mod tests {
     #[test]
     fn dashboard_surfaces_recovery_fastpath_metrics_unasked() {
         let (clock, reg, rec) = recorder();
-        let staged = reg.counter("recovery.prestage.staged");
-        let hit = reg.counter("recovery.prestage.hit");
-        let waste = reg.counter("recovery.prestage.waste");
-        let queue = reg.gauge("recovery.queue.depth");
+        let deferred = reg.counter("recovery.storm.deferred");
+        let queue = reg.gauge("recovery.storm.queue_depth");
         for i in 0..4u64 {
-            staged.add(3);
             if i >= 1 {
-                hit.incr();
-                waste.add(2);
+                deferred.incr();
             }
             queue.set(3 - i as i64);
             rec.tick();
             clock.advance(FRAME_INTERVAL);
         }
         let text = render_dashboard(&rec.dump(), &[]);
-        assert!(text.contains("recovery.prestage.staged"), "got:\n{text}");
-        assert!(text.contains("recovery.prestage.hit"), "got:\n{text}");
-        assert!(text.contains("recovery.prestage.waste"), "got:\n{text}");
+        assert!(text.contains("recovery.storm.deferred"), "got:\n{text}");
         assert!(
-            text.contains("recovery.queue.depth"),
+            text.contains("recovery.storm.queue_depth"),
             "queue depth (a gauge) is plotted as levels, got:\n{text}"
         );
 
-        let asked = render_dashboard(&rec.dump(), &["recovery.queue.depth"]);
+        let asked = render_dashboard(&rec.dump(), &["recovery.storm.queue_depth"]);
         assert_eq!(
-            asked.matches("recovery.queue.depth").count(),
+            asked.matches("recovery.storm.queue_depth").count(),
             1,
             "explicitly requested gauges are not repeated, got:\n{asked}"
         );

@@ -1,26 +1,21 @@
 //! The recovery dispatcher: the fast-path glue between the engine's
-//! detection hook and the executor. One dispatcher serves one operation
+//! diagnosis hook and the executor. One dispatcher serves one operation
 //! and owns its incidents.
 //!
-//! Three jobs, in incident order:
+//! Two jobs, in incident order:
 //!
-//! 1. **Speculative pre-staging** — on a `Detected` notice it instantiates
-//!    the plans of every still-plausible mapped root cause, so when the
-//!    fault-tree walk confirms one, the winning plan starts with zero
-//!    staging latency. Speculation is accounted for honestly in the
-//!    `recovery.prestage.{staged,hit,waste,miss}` metrics.
-//! 2. **Eager dispatch** — on a `Diagnosed` notice carrying a mapped root
-//!    cause it executes the repair immediately, mid-operation, instead of
-//!    waiting for the end-of-run sweep. Under a [`RecoveryStorm`] the
-//!    repair first asks the shared lanes for a grant and charges the wait
-//!    to this operation's clock; a shed repair is parked, its staged plans
-//!    kept, for the sweep. Diagnoses without an actionable
+//! 1. **Eager dispatch** — on a verdict carrying a mapped root cause it
+//!    plans the repair from the library and executes it immediately,
+//!    mid-operation, instead of waiting for the end-of-run sweep. Under a
+//!    [`RecoveryStorm`] the repair first asks the shared lanes for a grant
+//!    and charges the wait to this operation's clock; a shed repair is
+//!    parked for the sweep. Diagnoses without an actionable
 //!    repair (no root cause identified, or a confirmed-benign concurrent
 //!    operation) are queued for operation-end review instead: at the
 //!    sweep they get a step-less `confirm-resolved` plan that re-checks
 //!    the triggering assertion — pass means the condition resolved itself
 //!    (recovered without paging anyone), fail escalates to the operator.
-//! 3. **Dedup** — eager dispatch and the end-of-run sweep race on the
+//! 2. **Dedup** — eager dispatch and the end-of-run sweep race on the
 //!    same incidents; a handled-set keyed by detection index guarantees
 //!    exactly one recovery per diagnosed detection, so
 //!    `attempted == recovered + escalated` survives the race.
@@ -29,14 +24,14 @@
 //! is dispatched.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 use pod_assert::{CloudAssertion, ExpectedEnv};
 use pod_cloud::Cloud;
-use pod_core::{Detection, EngineNotice, SharedEnv};
+use pod_core::{Detection, SharedEnv};
 use pod_log::LogStorage;
-use pod_obs::{Counter, Gauge};
+use pod_obs::Counter;
 use pod_sim::SimDuration;
 
 use crate::executor::{RecoveryExecutor, RecoveryRequest, RecoveryRun};
@@ -84,35 +79,11 @@ pub struct DispatchRecord {
     pub run: RecoveryRun,
 }
 
-/// Cached handles for the dispatcher's own metrics.
-#[derive(Debug, Clone)]
-struct DispatchMetrics {
-    prestage_staged: Counter,
-    prestage_hit: Counter,
-    prestage_waste: Counter,
-    prestage_miss: Counter,
-    dedup: Counter,
-    queue_depth: Gauge,
-}
-
-impl DispatchMetrics {
-    fn new(cloud: &Cloud) -> DispatchMetrics {
-        let obs = cloud.obs();
-        DispatchMetrics {
-            prestage_staged: obs.counter("recovery.prestage.staged"),
-            prestage_hit: obs.counter("recovery.prestage.hit"),
-            prestage_waste: obs.counter("recovery.prestage.waste"),
-            prestage_miss: obs.counter("recovery.prestage.miss"),
-            dedup: obs.counter("recovery.dispatch.dedup"),
-            queue_depth: obs.gauge("recovery.queue.depth"),
-        }
-    }
-}
-
-/// The fast-path recovery dispatcher. Wire [`RecoveryDispatcher::on_notice`]
-/// into the `pod-core` engine's `set_detection_hook` for eager dispatch,
-/// then call [`RecoveryDispatcher::sweep`] with the run's detections after
-/// the operation ends — the sweep recovers anything the eager path did not
+/// The fast-path recovery dispatcher. Wire
+/// [`RecoveryDispatcher::on_diagnosis`] into the `pod-core` engine's
+/// `set_diagnosis_hook` for eager dispatch, then call
+/// [`RecoveryDispatcher::sweep`] with the run's detections after the
+/// operation ends — the sweep recovers anything the eager path did not
 /// handle (or everything, when no hook was installed) and reviews the
 /// deferred incidents. Collect results with
 /// [`RecoveryDispatcher::take_records`].
@@ -125,9 +96,6 @@ pub struct RecoveryDispatcher {
     /// The lanes shared with the other tenants of a storm; `None`: a
     /// repair never waits for one.
     storm: Option<Rc<RefCell<RecoveryStorm>>>,
-    /// Pre-staged plans per detection index, by the cause each repairs,
-    /// awaiting the verdict.
-    staged: HashMap<usize, Vec<(String, RecoveryPlan)>>,
     /// Detection indices already dispatched (the dedup set).
     handled: HashSet<usize>,
     /// Detection indices of diagnosed incidents without an actionable
@@ -137,7 +105,8 @@ pub struct RecoveryDispatcher {
     parked: Vec<usize>,
     /// Finished runs.
     records: Vec<DispatchRecord>,
-    metrics: DispatchMetrics,
+    /// Duplicate dispatches the handled-set absorbed.
+    dedup: Counter,
 }
 
 impl RecoveryDispatcher {
@@ -153,12 +122,11 @@ impl RecoveryDispatcher {
     ) -> RecoveryDispatcher {
         RecoveryDispatcher {
             executor: RecoveryExecutor::new(cloud.clone(), storage),
-            metrics: DispatchMetrics::new(&cloud),
+            dedup: cloud.obs().counter("recovery.dispatch.dedup"),
             cloud,
             env,
             trace_id: trace_id.into(),
             storm,
-            staged: HashMap::new(),
             handled: HashSet::new(),
             deferred: Vec::new(),
             parked: Vec::new(),
@@ -178,33 +146,13 @@ impl RecoveryDispatcher {
             .contains(&cause.as_str())
     }
 
-    /// The engine-hook entry point: pre-stages plans on `Detected`,
-    /// dispatches eagerly on `Diagnosed`.
-    pub fn on_notice(&mut self, notice: &EngineNotice) {
-        match notice {
-            EngineNotice::Detected {
-                detection_index,
-                instance,
-                dispatched,
-                candidates,
-            } => {
-                if *dispatched {
-                    self.prestage(*detection_index, candidates, instance.as_ref());
-                }
-            }
-            EngineNotice::Diagnosed {
-                detection_index,
-                detection,
-            } => self.diagnosed(*detection_index, detection),
-        }
-    }
-
-    /// Eager dispatch of a verdict. Under a storm an actionable repair
+    /// The engine-hook entry point: eager dispatch of detection
+    /// `detection_index`'s verdict. Under a storm an actionable repair
     /// first needs a lane: the lane wait and the throttle penalty land on
     /// this operation's clock before the repair starts — that is where
     /// MTTR-under-load diverges from the quiet path — and a shed repair is
     /// parked for the sweep.
-    fn diagnosed(&mut self, detection_index: usize, detection: &Detection) {
+    pub fn on_diagnosis(&mut self, detection_index: usize, detection: &Detection) {
         let storm = match &self.storm {
             Some(storm) if self.is_actionable(detection) => Rc::clone(storm),
             _ => {
@@ -225,63 +173,19 @@ impl RecoveryDispatcher {
         storm.borrow_mut().occupy(grant, took);
     }
 
-    /// Speculatively stages the plans of every mapped candidate cause
-    /// while the diagnosis is still walking the tree.
-    fn prestage(
-        &mut self,
-        detection_index: usize,
-        candidates: &[String],
-        instance: Option<&pod_cloud::InstanceId>,
-    ) {
-        let library = self.executor.library();
-        let plans: Vec<(String, RecoveryPlan)> = candidates
-            .iter()
-            .filter_map(|cause| {
-                let plan = library.plan_for(cause, instance)?;
-                Some((cause.clone(), plan))
-            })
-            .collect();
-        if !plans.is_empty() {
-            self.metrics.prestage_staged.add(plans.len() as u64);
-            self.staged.insert(detection_index, plans);
-            self.update_queue_depth();
-        }
-    }
-
     /// Dispatches one diagnosed detection exactly once (the dedup
     /// guarantee), recording the run under `path`. On an eager path an
     /// unmapped/none cause is deferred for review; at the sweep it is
     /// reviewed now.
     fn dispatch(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
         if !self.handled.insert(detection_index) {
-            self.metrics.dedup.incr();
+            self.dedup.incr();
             return;
         }
-        let staged = self.staged.remove(&detection_index);
-        self.update_queue_depth();
-        let (cause, description) = root_cause_of(detection);
-
         if self.is_actionable(detection) {
-            // Prestage accounting: a hit uses the staged plan verbatim;
-            // everything staged for the losing candidates was wasted work.
-            let mut prepared = None;
-            if let Some(mut plans) = staged {
-                match plans.iter().position(|(c, _)| *c == cause) {
-                    Some(i) => {
-                        self.metrics.prestage_hit.incr();
-                        self.metrics
-                            .prestage_waste
-                            .add(plans.len().saturating_sub(1) as u64);
-                        prepared = Some(plans.swap_remove(i).1);
-                    }
-                    None => {
-                        self.metrics.prestage_miss.incr();
-                        self.metrics.prestage_waste.add(plans.len() as u64);
-                    }
-                }
-            }
+            let (cause, description) = root_cause_of(detection);
             let req = self.request(detection_index, detection, &cause, &description);
-            let mut run = self.executor.recover_prepared(&req, prepared);
+            let mut run = self.executor.recover(&req);
             stamp_phases(&mut run, detection);
             self.records.push(DispatchRecord {
                 detection_index,
@@ -290,15 +194,9 @@ impl RecoveryDispatcher {
             });
             return;
         }
-        // No actionable repair: everything staged was speculative waste.
-        if let Some(plans) = staged {
-            self.metrics.prestage_miss.incr();
-            self.metrics.prestage_waste.add(plans.len() as u64);
-        }
         if let RecoveryPath::Eager { .. } = path {
             // Mid-operation: queue the incident for operation-end review.
             self.deferred.push(detection_index);
-            self.update_queue_depth();
         } else {
             self.review(detection_index, detection, path);
         }
@@ -364,7 +262,6 @@ impl RecoveryDispatcher {
         for i in std::mem::take(&mut self.deferred) {
             self.review(i, &detections[i], RecoveryPath::Review);
         }
-        self.update_queue_depth();
     }
 
     /// Drains the finished runs, ordered by detection index.
@@ -391,12 +288,6 @@ impl RecoveryDispatcher {
             parent_event: detection.event,
         }
     }
-
-    fn update_queue_depth(&self) {
-        self.metrics
-            .queue_depth
-            .set((self.staged.len() + self.deferred.len()) as i64);
-    }
 }
 
 /// Whether a diagnosed root cause is a confirmed-benign one: a legitimate
@@ -421,16 +312,16 @@ fn root_cause_of(detection: &Detection) -> (String, String) {
         .unwrap_or_else(|| ("none".to_string(), "no root cause identified".to_string()))
 }
 
-/// Fills the detection/diagnosis/staging-wait phase segments the executor
-/// cannot know: detection → diagnosis start, the diagnosis itself, and any
-/// gap between the verdict and the recovery start (zero on the eager path;
-/// the whole sweep wait otherwise).
+/// Fills the phase segments the executor cannot know: detection →
+/// diagnosis start, the diagnosis itself, and the staging wait between the
+/// verdict and the recovery start (the storm lane wait on the eager path,
+/// zero without a storm; the whole sweep wait otherwise).
 fn stamp_phases(run: &mut RecoveryRun, detection: &Detection) {
     if let Some(report) = &detection.diagnosis {
         run.phases.detection = report.started_at.duration_since(detection.at);
         run.phases.diagnosis = report.duration;
         let verdict_at = report.started_at + report.duration;
-        run.phases.staging += run.started_at.duration_since(verdict_at);
+        run.phases.staging = run.started_at.duration_since(verdict_at);
     } else {
         run.phases.detection = run.started_at.duration_since(detection.at);
         run.phases.diagnosis = SimDuration::ZERO;
@@ -480,16 +371,7 @@ mod tests {
             RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-1", None);
 
         let detection = diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami"));
-        dispatcher.on_notice(&EngineNotice::Detected {
-            detection_index: 0,
-            instance: None,
-            dispatched: true,
-            candidates: vec!["lc-wrong-ami".to_string(), "ami-unavailable".to_string()],
-        });
-        dispatcher.on_notice(&EngineNotice::Diagnosed {
-            detection_index: 0,
-            detection: detection.clone(),
-        });
+        dispatcher.on_diagnosis(0, &detection);
         // The sweep races on the same incident; dedup must absorb it.
         dispatcher.sweep(std::slice::from_ref(&detection));
 
@@ -510,19 +392,16 @@ mod tests {
             RecoveryPath::Eager { throttled: false },
             "no storm: the eager path is never throttled"
         );
-        // …and never waits: no lane delay lands on the clock first.
+        // …and never waits: no lane delay lands on the clock first, and the
+        // plan comes straight from the library.
         assert_eq!(run.started_at, detection.at);
-
-        let obs = cloud.obs();
-        assert_eq!(obs.counter("recovery.dispatch.dedup").get(), 1);
-        assert_eq!(obs.counter("recovery.prestage.staged").get(), 2);
-        assert_eq!(obs.counter("recovery.prestage.hit").get(), 1);
-        assert_eq!(obs.counter("recovery.prestage.waste").get(), 1);
-        assert_eq!(obs.gauge("recovery.queue.depth").get(), 0);
+        assert_eq!(run.phases.staging, SimDuration::ZERO);
+        assert_eq!(run.plans_tried, vec!["rollback-launch-config"]);
+        assert_eq!(cloud.obs().counter("recovery.dispatch.dedup").get(), 1);
     }
 
-    /// An eager prestage whose incident is ultimately unrepairable is all
-    /// waste, and the incident is reviewed (not repaired) at the sweep.
+    /// An incident without an actionable repair is deferred on the eager
+    /// path and reviewed (not repaired) at the sweep.
     #[test]
     fn unmapped_diagnosis_defers_to_operation_end_review() {
         let (cloud, env) = cluster(92);
@@ -531,12 +410,8 @@ mod tests {
             RecoveryDispatcher::new(cloud.clone(), LogStorage::new(), shared, "run-2", None);
 
         let detection = diagnosed(&cloud, "asg-desired-capacity", Some("concurrent-scale-in"));
-        dispatcher.on_notice(&EngineNotice::Diagnosed {
-            detection_index: 0,
-            detection: detection.clone(),
-        });
+        dispatcher.on_diagnosis(0, &detection);
         assert!(dispatcher.take_records().is_empty(), "deferred, not run");
-        assert_eq!(cloud.obs().gauge("recovery.queue.depth").get(), 1);
 
         dispatcher.sweep(std::slice::from_ref(&detection));
         let records = dispatcher.take_records();
@@ -548,6 +423,5 @@ mod tests {
         // so the review confirms the incident resolved itself.
         assert_eq!(run.outcome, crate::RecoveryOutcome::Recovered);
         assert_eq!(cloud.obs().counter("recovery.dispatch.dedup").get(), 1);
-        assert_eq!(cloud.obs().gauge("recovery.queue.depth").get(), 0);
     }
 }

@@ -33,12 +33,6 @@ const WAIT_POLICY: RetryPolicy = RetryPolicy {
 /// abandoned (fallback or escalation).
 const MAX_STEP_ATTEMPTS: u32 = 2;
 
-/// Cost of staging a plan cold: resolving its parameters against the
-/// environment, checking step preconditions and warming the consistent
-/// API handles. A plan the dispatcher pre-staged during diagnosis skips
-/// this entirely — that is the fast path's zero-staging-latency win.
-const STAGE_LATENCY: SimDuration = SimDuration::from_millis(1500);
-
 /// Where a recovered run's repair time went, on the virtual clock. The
 /// segments sum to ≈ MTTR and tell future optimisation passes which phase
 /// dominates.
@@ -48,7 +42,8 @@ pub struct RecoveryPhases {
     pub detection: SimDuration,
     /// Fault-tree walk, including the diagnosis-service overhead.
     pub diagnosis: SimDuration,
-    /// Plan staging (zero when the plan was pre-staged speculatively).
+    /// Verdict → recovery start: the storm lane wait on the eager path,
+    /// the whole sweep wait otherwise.
     pub staging: SimDuration,
     /// Step execution, measured on the modeled parallel lanes (makespan,
     /// not the sum of step durations).
@@ -234,27 +229,22 @@ impl RecoveryExecutor {
         self.api.cloud().clock().now()
     }
 
-    /// Executes the recovery for one diagnosed root cause: plan selection,
-    /// step execution with bounded retries, closed-loop verification, and
-    /// the fallback/escalation ladder. Always returns a terminal run —
-    /// escalations are explicit, never dropped. A `prepared` plan, staged
-    /// for the confirmed root cause while the diagnosis was still walking
-    /// the fault tree, starts executing with zero staging latency; without
-    /// one the library's plan is staged cold (`STAGE_LATENCY`).
-    pub fn recover_prepared(
-        &self,
-        req: &RecoveryRequest,
-        prepared: Option<RecoveryPlan>,
-    ) -> RecoveryRun {
-        self.recover_inner(req, prepared, false)
+    /// Executes the recovery for one diagnosed root cause: plan selection
+    /// from the library, step execution with bounded retries, closed-loop
+    /// verification, and the fallback/escalation ladder. Always returns a
+    /// terminal run — escalations are explicit, never dropped.
+    pub fn recover(&self, req: &RecoveryRequest) -> RecoveryRun {
+        let plan = self
+            .library
+            .plan_for(&req.root_cause, req.instance.as_ref());
+        self.recover_inner(req, plan, false)
     }
 
     /// Runs an explicit plan instead of consulting the library — the
     /// dispatcher's operation-end review uses this with a step-less
-    /// [`RecoveryPlan::confirm_resolved`] plan. No staging cost: the plan
-    /// is already instantiated. Verification is *patient* (the long
-    /// convergence policy): the review gives the environment the same
-    /// settling window the repair plans' wait-steps get, since a group
+    /// [`RecoveryPlan::confirm_resolved`] plan. Verification is *patient*
+    /// (the long convergence policy): the review gives the environment the
+    /// same settling window the repair plans' wait-steps get, since a group
     /// still relaunching instances at operation end is not yet a failure.
     pub fn recover_with(&self, req: &RecoveryRequest, plan: RecoveryPlan) -> RecoveryRun {
         self.recover_inner(req, Some(plan), true)
@@ -263,7 +253,7 @@ impl RecoveryExecutor {
     fn recover_inner(
         &self,
         req: &RecoveryRequest,
-        staged: Option<RecoveryPlan>,
+        plan: Option<RecoveryPlan>,
         patient: bool,
     ) -> RecoveryRun {
         let obs = self.api.cloud().obs().clone();
@@ -306,22 +296,7 @@ impl RecoveryExecutor {
             ),
         );
 
-        let mut next = match staged {
-            Some(plan) => Some(plan),
-            None => {
-                let plan = self
-                    .library
-                    .plan_for(&req.root_cause, req.instance.as_ref());
-                if plan.is_some() {
-                    // Cold staging: resolve parameters, check preconditions
-                    // and warm the API handles — the latency speculative
-                    // pre-staging eliminates.
-                    self.api.cloud().clock().advance(STAGE_LATENCY);
-                    run.phases.staging = STAGE_LATENCY;
-                }
-                plan
-            }
-        };
+        let mut next = plan;
         if next.is_none() {
             let reason = format!("no recovery plan mapped for root cause {}", req.root_cause);
             self.escalate(&mut run, lag, reason);
@@ -867,7 +842,7 @@ mod tests {
     #[test]
     fn repairs_a_corrupted_launch_config_and_verifies() {
         let (cloud, env) = fixtures::wrong_ami(21);
-        let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
+        let run = executor(&cloud).recover(&request(&env, "lc-wrong-ami", None));
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
         let rechecks = lines(&run, "Re-checked ");
@@ -888,8 +863,7 @@ mod tests {
     #[test]
     fn unmapped_cause_escalates_and_still_conforms() {
         let (cloud, env) = setup(22, true);
-        let run =
-            executor(&cloud).recover_prepared(&request(&env, "concurrent-scale-in", None), None);
+        let run = executor(&cloud).recover(&request(&env, "concurrent-scale-in", None));
 
         match &run.outcome {
             RecoveryOutcome::Escalated { reason } => {
@@ -915,7 +889,7 @@ mod tests {
             .clone();
 
         let req = request(&env, "instance-not-registered", Some(instance.clone()));
-        let run = executor(&cloud).recover_prepared(&req, None);
+        let run = executor(&cloud).recover(&req);
 
         assert_eq!(run.outcome, RecoveryOutcome::Recovered);
         assert_eq!(
@@ -940,7 +914,7 @@ mod tests {
         // escalated — never dropped.
         let ghost = InstanceId::new("i-deadbeef");
         let req = request(&env, "instance-still-running", Some(ghost));
-        let run = executor(&cloud).recover_prepared(&req, None);
+        let run = executor(&cloud).recover(&req);
 
         match &run.outcome {
             RecoveryOutcome::Escalated { reason } => {
@@ -960,7 +934,7 @@ mod tests {
         let mut digests = Vec::new();
         for _ in 0..2 {
             let (cloud, env) = fixtures::wrong_ami(25);
-            let run = executor(&cloud).recover_prepared(&request(&env, "lc-wrong-ami", None), None);
+            let run = executor(&cloud).recover(&request(&env, "lc-wrong-ami", None));
             assert_eq!(run.outcome, RecoveryOutcome::Recovered);
             digests.push(run.digest());
         }
@@ -971,7 +945,7 @@ mod tests {
     #[test]
     fn recovery_metrics_are_recorded() {
         let (cloud, env) = setup(26, true);
-        executor(&cloud).recover_prepared(&request(&env, "concurrent-scale-in", None), None);
+        executor(&cloud).recover(&request(&env, "concurrent-scale-in", None));
         let snapshot = cloud.obs().snapshot();
         assert_eq!(snapshot.counter("recovery.runs"), 1);
         assert_eq!(snapshot.counter("recovery.escalated"), 1);

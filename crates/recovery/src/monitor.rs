@@ -308,7 +308,7 @@ mod tests {
 
     fn run_with(cloud: &Cloud, env: &ExpectedEnv, cause: &str) -> RecoveryRun {
         RecoveryExecutor::new(cloud.clone(), LogStorage::new())
-            .recover_prepared(&fixtures::request(env, cause, None), None)
+            .recover(&fixtures::request(env, cause, None))
     }
 
     fn line(message: &str) -> LogEvent {

@@ -34,7 +34,7 @@
 //! flight recorder frames during a storm.
 //!
 //! Everything is arithmetic on virtual clocks: the same seed and the same
-//! notice interleaving produce byte-identical recovery transcripts even
+//! verdict interleaving produce byte-identical recovery transcripts even
 //! under maximal contention.
 
 use pod_obs::{Counter, Gauge, Obs};
@@ -258,7 +258,7 @@ mod tests {
     use crate::executor::RecoveryRun;
     use crate::fixtures;
     use pod_cloud::Cloud;
-    use pod_core::{Detection, EngineNotice, SharedEnv};
+    use pod_core::{Detection, SharedEnv};
     use pod_log::LogStorage;
 
     /// A [`fixtures::wrong_ami`] cluster and its shared expectation.
@@ -290,10 +290,7 @@ mod tests {
     }
 
     fn dispatch_one(tenant: &mut RecoveryDispatcher, detection: &Detection) {
-        tenant.on_notice(&EngineNotice::Diagnosed {
-            detection_index: 0,
-            detection: detection.clone(),
-        });
+        tenant.on_diagnosis(0, detection);
     }
 
     fn sweep(tenant: &mut RecoveryDispatcher, detection: &Detection) -> Vec<DispatchRecord> {
@@ -416,6 +413,7 @@ mod tests {
         assert_eq!(ra[0].path.tag(), "eager");
         assert_eq!(rb[0].path.tag(), "deferred-swept");
         assert!(rb[0].run.outcome.is_recovered(), "swept repair still runs");
+        assert_eq!(rb[0].run.plans_tried, vec!["rollback-launch-config"]);
 
         let s = storm.borrow().stats();
         assert_eq!(s.swept, s.deferred);
@@ -425,37 +423,6 @@ mod tests {
             obs.snapshot().gauges.get("recovery.storm.queue_depth"),
             Some(&0)
         );
-    }
-
-    /// A shed repair's speculative plans are not wasted: they stay staged
-    /// in its dispatcher and the sweep consumes the winner.
-    #[test]
-    fn a_shed_repair_keeps_its_prestaged_plan_until_the_sweep() {
-        let (_, storm) = zero_wait_storm();
-        let (cloud_a, env_a) = corrupted_tenant(41);
-        let mut ta = tenant(&storm, &cloud_a, &env_a, "t-a");
-        let da = diagnosed(&cloud_a, "lc-wrong-ami");
-        dispatch_one(&mut ta, &da);
-
-        let (cloud_b, env_b) = corrupted_tenant(42);
-        let mut tb = tenant(&storm, &cloud_b, &env_b, "t-b");
-        let db = diagnosed(&cloud_b, "lc-wrong-ami");
-        tb.on_notice(&EngineNotice::Detected {
-            detection_index: 0,
-            instance: None,
-            dispatched: true,
-            candidates: vec!["lc-wrong-ami".to_string(), "ami-unavailable".to_string()],
-        });
-        dispatch_one(&mut tb, &db);
-        assert_eq!(storm.borrow().stats().deferred, 1, "the only lane is taken");
-
-        let records = sweep(&mut tb, &db);
-        let obs = cloud_b.obs();
-        assert_eq!(obs.counter("recovery.prestage.staged").get(), 2);
-        assert_eq!(obs.counter("recovery.prestage.hit").get(), 1);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].path, RecoveryPath::DeferredSwept);
-        assert!(records[0].run.outcome.is_recovered());
     }
 
     /// Non-actionable diagnoses (benign interference, no cause found)
