@@ -1,7 +1,7 @@
 //! The assertion-evaluation service: runs assertions, times them, and logs
 //! their results to central storage in the paper's assertion-log shape.
 
-use pod_log::{LogEvent, LogStorage, ProcessContext, Severity};
+use pod_log::{LogEvent, LogRecord, LogStorage, ProcessContext, Severity};
 use pod_obs::Counter;
 use pod_sim::{SimDuration, SimTime};
 
@@ -104,10 +104,11 @@ impl AssertionEvaluator {
         }
     }
 
-    /// Evaluates one assertion, records the result log line and returns the
-    /// record. `context` is the process context the evaluation runs under;
-    /// it is rendered into the log line from the borrow, not copied into
-    /// the record.
+    /// Evaluates one assertion, stores its result and returns the record.
+    /// Central storage keeps what the result's log line is built from (the
+    /// trigger, timing, description, outcome and a copy of `context`, the
+    /// process context the evaluation runs under) and renders the line
+    /// only when a query reads it.
     pub fn evaluate(
         &self,
         assertion: &CloudAssertion,
@@ -156,47 +157,66 @@ impl AssertionEvaluator {
             duration,
             event,
         };
-        self.storage.append(render(&record, context));
+        self.storage.append_record(AssertionLine {
+            trigger: record.trigger.clone(),
+            finished,
+            duration,
+            description: record.description.clone(),
+            outcome: record.outcome.clone(),
+            context: context.cloned(),
+        });
         record
     }
 }
 
-/// Renders the paper-style assertion log line, built with its final host
-/// and type.
-fn render(record: &AssertionRecord, context: Option<&ProcessContext>) -> LogEvent {
-    let (verdict, severity) = match &record.outcome {
-        AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
-        AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
-    };
-    let message = match context {
-        Some(ctx) => format!(
-            "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
-            ctx.process_instance_id,
-            ctx.step_id.as_deref().unwrap_or("-"),
-            record.description,
-        ),
-        None => format!(
-            "[assertion] Assertion that {} {verdict}",
-            record.description
-        ),
-    };
-    let event = LogEvent {
-        timestamp: record.started_at + record.duration,
-        source: "assertion-evaluation.log".to_string(),
-        source_host: "sim.local".to_string(),
-        event_type: "assertion".to_string(),
-        tags: vec![record.trigger.tag().to_string()],
-        fields: vec![(
-            "duration_ms".to_string(),
-            record.duration.as_millis().to_string(),
-        )],
-        message,
-        severity,
-        context: None,
-    };
-    match context {
-        Some(ctx) => event.with_context(ctx.clone()),
-        None => event,
+/// An assertion result as central storage keeps it: what its
+/// `assertion-evaluation.log` line is built from, rendered when a query
+/// reads it.
+#[derive(Debug)]
+struct AssertionLine {
+    trigger: AssertionTrigger,
+    finished: SimTime,
+    duration: SimDuration,
+    description: String,
+    outcome: AssertionOutcome,
+    context: Option<ProcessContext>,
+}
+
+impl LogRecord for AssertionLine {
+    /// The paper-style assertion log line, built with its final host and
+    /// type.
+    fn render(&self) -> LogEvent {
+        let (verdict, severity) = match &self.outcome {
+            AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
+            AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
+        };
+        let message = match &self.context {
+            Some(ctx) => format!(
+                "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
+                ctx.process_instance_id,
+                ctx.step_id.as_deref().unwrap_or("-"),
+                self.description,
+            ),
+            None => format!("[assertion] Assertion that {} {verdict}", self.description),
+        };
+        let event = LogEvent {
+            timestamp: self.finished,
+            source: "assertion-evaluation.log".to_string(),
+            source_host: "sim.local".to_string(),
+            event_type: "assertion".to_string(),
+            tags: vec![self.trigger.tag().to_string()],
+            fields: vec![(
+                "duration_ms".to_string(),
+                self.duration.as_millis().to_string(),
+            )],
+            message,
+            severity,
+            context: None,
+        };
+        match &self.context {
+            Some(ctx) => event.with_context(ctx.clone()),
+            None => event,
+        }
     }
 }
 

@@ -13,8 +13,8 @@ use pod_faulttree::{
     DiagnosisContext, DiagnosisEngine, DiagnosisReport, DiagnosisVerdict, FaultTree,
 };
 use pod_log::{
-    LogEvent, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator, ProcessContext,
-    Severity, TimerSetter, Trigger,
+    LogEvent, LogRecord, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
+    ProcessContext, Severity, TimerSetter, Trigger,
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
@@ -53,6 +53,45 @@ const DIAGNOSIS_DISPATCH_DELAY: SimDuration = SimDuration::from_secs(5);
 /// lognormal tail of median 500 ms.
 fn diagnosis_overhead(rng: &mut SimRng) -> SimDuration {
     SimDuration::from_millis(600) + LatencyModel::lognormal_median_millis(500.0, 0.8).sample(rng)
+}
+
+/// A conformance verdict as central storage keeps it: what its
+/// `conformance.log` line is built from, rendered when a query reads it.
+#[derive(Debug)]
+struct ConformanceLine {
+    at: SimTime,
+    /// The verdict's tag, e.g. `conformance:fit`.
+    verdict: &'static str,
+    severity: Severity,
+    /// ` expected=[…] hypothesised-skips=[…]`, for an unfit verdict only.
+    unfit: Option<String>,
+    trace_id: Arc<str>,
+    /// The line the verdict judged.
+    line: Arc<LogEvent>,
+}
+
+impl LogRecord for ConformanceLine {
+    fn render(&self) -> LogEvent {
+        // Built with its final host and type, not `LogEvent::new`'s
+        // defaults.
+        LogEvent {
+            timestamp: self.at,
+            source: "conformance.log".to_string(),
+            source_host: "sim.local".to_string(),
+            event_type: "conformance".to_string(),
+            tags: vec![self.verdict.to_string()],
+            fields: Vec::new(),
+            message: format!(
+                "[conformance] [{}] [{}]{} {}",
+                self.trace_id,
+                self.verdict,
+                self.unfit.as_deref().unwrap_or(""),
+                self.line.message
+            ),
+            severity: self.severity,
+            context: None,
+        }
+    }
 }
 
 impl CompiledPod {
@@ -131,7 +170,8 @@ pub struct PodEngine {
     cloud: Cloud,
     storage: LogStorage,
     env: SharedEnv,
-    trace_id: String,
+    /// Shared with every conformance record this engine stores.
+    trace_id: Arc<str>,
     pipeline: Pipeline,
     conformance: ConformanceChecker,
     evaluator: AssertionEvaluator,
@@ -224,7 +264,7 @@ impl PodEngine {
             cloud,
             storage,
             env,
-            trace_id,
+            trace_id: trace_id.into(),
             op_started: None,
             periodic: None,
             step: None,
@@ -260,7 +300,7 @@ impl PodEngine {
 
     /// The bare process context of this trace (no step, no instance).
     fn context(&self) -> ProcessContext {
-        ProcessContext::new(self.process_id().to_string(), self.trace_id.clone())
+        ProcessContext::new(self.process_id().to_string(), self.trace_id.to_string())
     }
 
     /// Ingests one raw operation-log line: [`PodEngine::ingest_batch`] of one.
@@ -345,7 +385,7 @@ impl PodEngine {
     // Conformance
     // -----------------------------------------------------------------
 
-    fn on_conformance(&mut self, event: &LogEvent) {
+    fn on_conformance(&mut self, event: &Arc<LogEvent>) {
         let replay_started = self.cloud.clock().now();
         self.cloud.clock().advance(CONFORMANCE_LATENCY);
         self.summary.conformance_events += 1;
@@ -380,7 +420,7 @@ impl PodEngine {
                 at: replay_done,
                 event: self.conformance.last_verdict_event().map(|id| id.get()),
                 labels: vec![
-                    ("op".to_string(), self.trace_id.clone()),
+                    ("op".to_string(), self.trace_id.to_string()),
                     ("verdict".to_string(), verdict.tag().to_string()),
                 ],
             });
@@ -413,37 +453,28 @@ impl PodEngine {
         }
     }
 
-    fn log_conformance(&self, event: &LogEvent, verdict: &Conformance) {
-        let severity = if verdict.is_error() {
-            Severity::Error
-        } else {
-            Severity::Info
-        };
-        let extra = match verdict {
-            Conformance::Unfit { expected, skipped } => format!(
+    /// Stores the verdict as a record of what its `conformance.log` line is
+    /// built from: the clock reading, the verdict and the line it judged.
+    fn log_conformance(&self, event: &Arc<LogEvent>, verdict: &Conformance) {
+        let unfit = match verdict {
+            Conformance::Unfit { expected, skipped } => Some(format!(
                 " expected=[{}] hypothesised-skips=[{}]",
                 expected.join(","),
                 skipped.join(",")
-            ),
-            _ => String::new(),
+            )),
+            _ => None,
         };
-        // Built with its final host and type, not `LogEvent::new`'s
-        // defaults.
-        self.storage.append(LogEvent {
-            timestamp: self.cloud.clock().now(),
-            source: "conformance.log".to_string(),
-            source_host: "sim.local".to_string(),
-            event_type: "conformance".to_string(),
-            tags: vec![verdict.tag().to_string()],
-            fields: Vec::new(),
-            message: format!(
-                "[conformance] [{}] [{}]{extra} {}",
-                self.trace_id,
-                verdict.tag(),
-                event.message
-            ),
-            severity,
-            context: None,
+        self.storage.append_record(ConformanceLine {
+            at: self.cloud.clock().now(),
+            verdict: verdict.tag(),
+            severity: if verdict.is_error() {
+                Severity::Error
+            } else {
+                Severity::Info
+            },
+            unfit,
+            trace_id: Arc::clone(&self.trace_id),
+            line: Arc::clone(event),
         });
     }
 

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use pod_assert::ConsistentApi;
-use pod_log::{LogEvent, LogStorage, Severity};
+use pod_log::{LogEvent, LogRecord, LogStorage, Severity};
 use pod_obs::{Counter, Histogram, Obs};
 use pod_sim::{SimDuration, SimTime};
 
@@ -256,16 +256,35 @@ impl DiagnosisEngine {
     }
 
     fn log(&self, at: SimTime, ctx: &DiagnosisContext, severity: Severity, message: String) {
-        let step = ctx.step.as_deref().unwrap_or("-");
-        self.storage.append(
-            LogEvent::new(
-                at,
-                "diagnosis.log",
-                format!("[diagnosis] [step:{step}] {message}"),
-            )
-            .with_type("diagnosis")
-            .with_severity(severity),
-        );
+        self.storage.append_record(DiagnosisLine {
+            at,
+            step: ctx.step.clone(),
+            severity,
+            message,
+        });
+    }
+}
+
+/// A diagnosis step as central storage keeps it: what its `diagnosis.log`
+/// line is built from, rendered when a query reads it.
+#[derive(Debug)]
+struct DiagnosisLine {
+    at: SimTime,
+    step: Option<String>,
+    severity: Severity,
+    message: String,
+}
+
+impl LogRecord for DiagnosisLine {
+    fn render(&self) -> LogEvent {
+        let step = self.step.as_deref().unwrap_or("-");
+        LogEvent::new(
+            self.at,
+            "diagnosis.log",
+            format!("[diagnosis] [step:{step}] {}", self.message),
+        )
+        .with_type("diagnosis")
+        .with_severity(self.severity)
     }
 }
 

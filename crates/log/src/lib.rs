@@ -9,9 +9,12 @@
 //! annotator-and-trigger. The annotator hands each line on inside its
 //! conformance [`Trigger`] instead of copying it; the engine then forwards
 //! that same line, by `Arc`, to the shared [`LogStorage`] when it is
-//! "important" (annotated with process context). Figure 1's central log
-//! processor — the consumer that triggers diagnosis on a failure line — is
-//! `pod-core`'s engine, which reacts inline on the virtual clock.
+//! "important" (annotated with process context). Conformance verdicts,
+//! assertion results and diagnosis steps go to the same storage as
+//! [`LogRecord`]s, rendered into their lines only when a query reads them.
+//! Figure 1's central log processor — the consumer that triggers diagnosis
+//! on a failure line — is `pod-core`'s engine, which reacts inline on the
+//! virtual clock.
 //!
 //! Who compiles when: a [`RuleBook`] and the stages' patterns are per
 //! *process*, a [`Pipeline`] per *execution*. The pattern-holding stages
@@ -40,4 +43,4 @@ pub use pipeline::{
     ImportantLineForwarder, LineCause, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
     Stage, StageOutput, TimerSetter, Trigger,
 };
-pub use storage::{LogQuery, LogStorage};
+pub use storage::{LogQuery, LogRecord, LogStorage};

@@ -5,31 +5,65 @@
 //! merged here. The storage is shared (cheap to clone, internally locked)
 //! and supports ad-hoc querying for offline analysis and process
 //! discovery. It holds each line by `Arc`, so the engine stores the same
-//! annotated line its conformance and assertion triggers read.
+//! annotated line its conformance and assertion triggers read, and each
+//! result as a [`LogRecord`]: what its line is built from, rendered into
+//! the line only when a query reads it.
 
+use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::event::LogEvent;
 
-/// A shared, append-only store of log events, each held by `Arc`: a line
-/// appended from an `Arc` is shared with its appender, not copied.
+/// A result kept in [`LogStorage`] as what its log line is built from, and
+/// rendered into that line only when [`LogStorage::query`] reads it.
+///
+/// A render is pure: it reads only what the writer captured at append time
+/// (no clock, no RNG, no storage — a query renders under the store's lock),
+/// so every read renders the same event.
+pub trait LogRecord: fmt::Debug + Send {
+    /// The log line this record stands for.
+    fn render(&self) -> LogEvent;
+}
+
+/// One stored entry: a shared line, or a result rendered when read.
+#[derive(Debug)]
+enum Entry {
+    Line(Arc<LogEvent>),
+    Record(Box<dyn LogRecord>),
+}
+
+/// A shared, append-only store of log lines, each held by `Arc` (a line
+/// appended from an `Arc` is shared with its appender, not copied), and of
+/// [`LogRecord`]s, each rendered into its line when a query reads it.
+/// Lines and records keep one append order.
 ///
 /// # Examples
 ///
 /// ```
-/// use pod_log::{LogEvent, LogQuery, LogStorage};
+/// use pod_log::{LogEvent, LogQuery, LogRecord, LogStorage};
 /// use pod_sim::SimTime;
+///
+/// #[derive(Debug)]
+/// struct Verdict(&'static str);
+///
+/// impl LogRecord for Verdict {
+///     fn render(&self) -> LogEvent {
+///         LogEvent::new(SimTime::ZERO, "verdict.log", self.0).with_type("verdict")
+///     }
+/// }
 ///
 /// let storage = LogStorage::new();
 /// let tail = storage.clone();
 /// storage.append(LogEvent::new(SimTime::ZERO, "asgard.log", "started"));
-/// assert_eq!(tail.query(&LogQuery::new()).len(), 1);
+/// storage.append_record(Verdict("fit"));
+/// let events = tail.query(&LogQuery::new());
+/// assert_eq!((events.len(), events[1].message.as_str()), (2, "fit"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStorage {
-    events: Arc<Mutex<Vec<Arc<LogEvent>>>>,
+    entries: Arc<Mutex<Vec<Entry>>>,
 }
 
 impl LogStorage {
@@ -38,19 +72,27 @@ impl LogStorage {
         LogStorage::default()
     }
 
-    /// Appends one event: an owned one, or an `Arc` shared with the caller.
+    /// Appends one line: an owned one, or an `Arc` shared with the caller.
     pub fn append(&self, event: impl Into<Arc<LogEvent>>) {
-        self.events.lock().push(event.into());
+        self.entries.lock().push(Entry::Line(event.into()));
     }
 
-    /// Runs a query against the current contents, returning copies (a cold
-    /// path: diagnosis and offline analysis).
+    /// Appends one result, to be rendered into its line when read.
+    pub fn append_record(&self, record: impl LogRecord + 'static) {
+        self.entries.lock().push(Entry::Record(Box::new(record)));
+    }
+
+    /// Runs a query against the current contents in append order, rendering
+    /// each record before it is filtered and returning copies of the lines
+    /// (a cold path: diagnosis and offline analysis).
     pub fn query(&self, q: &LogQuery) -> Vec<LogEvent> {
-        self.events
+        self.entries
             .lock()
             .iter()
-            .filter(|e| q.matches(e))
-            .map(|e| LogEvent::clone(e))
+            .filter_map(|entry| match entry {
+                Entry::Line(line) => q.matches(line).then(|| LogEvent::clone(line)),
+                Entry::Record(record) => Some(record.render()).filter(|e| q.matches(e)),
+            })
             .collect()
     }
 }
@@ -146,6 +188,76 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("4 instances"));
         assert!(s.query(&LogQuery::new().with_type("assertion")).is_empty());
+    }
+
+    /// A result that renders a fixed line, as a writer's record does.
+    #[derive(Debug)]
+    struct Outcome {
+        at: u64,
+        verdict: &'static str,
+    }
+
+    impl LogRecord for Outcome {
+        fn render(&self) -> LogEvent {
+            LogEvent::new(SimTime::from_millis(self.at), "result.log", self.verdict)
+                .with_type("result")
+        }
+    }
+
+    fn mixed() -> LogStorage {
+        let s = store();
+        s.append_record(Outcome {
+            at: 40,
+            verdict: "fit",
+        });
+        s.append(LogEvent::new(
+            SimTime::from_millis(50),
+            "asgard.log",
+            "done",
+        ));
+        s.append_record(Outcome {
+            at: 60,
+            verdict: "ERROR unfit",
+        });
+        s
+    }
+
+    #[test]
+    fn lines_and_records_interleave_in_append_order() {
+        let messages: Vec<String> = mixed()
+            .query(&LogQuery::new())
+            .into_iter()
+            .map(|e| e.message)
+            .collect();
+        let expected = [
+            "upgrade started",
+            "ASG has 4 instances",
+            "ERROR launch failed",
+            "fit",
+            "done",
+            "ERROR unfit",
+        ];
+        assert_eq!(messages, expected);
+    }
+
+    #[test]
+    fn filters_read_the_rendered_record() {
+        let s = mixed();
+        let results = s.query(&LogQuery::new().with_source("result.log"));
+        let at: Vec<_> = results.iter().map(|e| e.timestamp).collect();
+        assert_eq!(at, [SimTime::from_millis(40), SimTime::from_millis(60)]);
+        assert_eq!(results[1].severity, crate::Severity::Error);
+        assert_eq!(s.query(&LogQuery::new().with_type("result")), results);
+        let typed = LogQuery::new()
+            .with_source("asgard.log")
+            .with_type("result");
+        assert!(s.query(&typed).is_empty());
+    }
+
+    #[test]
+    fn two_reads_render_equal_events() {
+        let s = mixed();
+        assert_eq!(s.query(&LogQuery::new()), s.query(&LogQuery::new()));
     }
 
     #[test]

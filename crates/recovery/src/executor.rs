@@ -2,6 +2,8 @@
 //! consistent API layer, verifies the repair closed-loop, and escalates
 //! along the plan ladder when budgets run out.
 
+use std::sync::Arc;
+
 use pod_assert::{AssertionOutcome, ConsistentApi, ConsistentError, ExpectedEnv, RetryPolicy};
 use pod_cloud::{ApiError, AsgUpdate, Cloud, Instance, InstanceId, InstanceState};
 use pod_log::{LogEvent, LogStorage, Severity};
@@ -125,8 +127,9 @@ pub struct RecoveryRun {
     /// dispatcher, which knows the diagnosis timings).
     pub phases: RecoveryPhases,
     /// The Asgard-style log lines the run emitted — the input to
-    /// [`crate::monitor::conformance_check`].
-    pub log: Vec<LogEvent>,
+    /// [`crate::monitor::conformance_check`] — each shared with central
+    /// storage.
+    pub log: Vec<Arc<LogEvent>>,
 }
 
 impl RecoveryRun {
@@ -547,12 +550,23 @@ impl RecoveryExecutor {
     /// to the shared operation log. Stamped on the modeled parallel
     /// timeline (`lag` behind the sequential clock).
     fn log(&self, run: &mut RecoveryRun, lag: SimDuration, severity: Severity, message: String) {
-        let event = LogEvent::new(rewind(self.now(), lag), "recovery.log", message)
-            .with_type("recovery")
-            .with_severity(severity)
-            .with_field("taskid", run.task_id.clone())
-            .with_field("seq", (run.log.len() + 1).to_string());
-        run.log.push(event.clone());
+        // Built with its final host and type, not `LogEvent::new`'s
+        // defaults.
+        let event = Arc::new(LogEvent {
+            timestamp: rewind(self.now(), lag),
+            source: "recovery.log".to_string(),
+            source_host: "sim.local".to_string(),
+            event_type: "recovery".to_string(),
+            tags: Vec::new(),
+            fields: vec![
+                ("taskid".to_string(), run.task_id.clone()),
+                ("seq".to_string(), (run.log.len() + 1).to_string()),
+            ],
+            message,
+            severity,
+            context: None,
+        });
+        run.log.push(Arc::clone(&event));
         self.storage.append(event);
     }
 

@@ -11,7 +11,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use pod_log::{Boundary, LineRule, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, Trigger};
+use pod_log::{
+    Boundary, LineRule, LogEvent, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, Trigger,
+};
 use pod_obs::Obs;
 use pod_process::{ConformanceChecker, PetriNet, ProcessModel, ProcessModelBuilder};
 use pod_regex::RegexSet;
@@ -169,7 +171,7 @@ pub fn conformance_check(obs: &Obs, run: &RecoveryRun) -> ConformanceReport {
     let mut checker = ConformanceChecker::on(Arc::clone(net), obs);
     let (mut events, mut errors) = (0, 0);
     for line in &run.log {
-        let out = pipeline.push(line.clone());
+        let out = pipeline.push(LogEvent::clone(line));
         // A non-fit verdict chains back to the line that caused it.
         let _scope = out
             .cause
@@ -203,7 +205,7 @@ mod tests {
     use pod_cloud::Cloud;
     use pod_core::{PodConfig, PodEngine, SharedEnv};
     use pod_faulttree::rolling_upgrade_repository;
-    use pod_log::{LogEvent, LogStorage};
+    use pod_log::LogStorage;
     use pod_process::Conformance;
     use pod_sim::SimTime;
     use proptest::prelude::*;
@@ -323,7 +325,7 @@ mod tests {
         // Unfit twice over: completion without its re-check, and a line no
         // rule classifies.
         run.log.retain(|e| !e.message.starts_with("Re-checked"));
-        run.log.push(line(UNMATCHED));
+        run.log.push(Arc::new(line(UNMATCHED)));
 
         let calls = || cloud.obs().snapshot().counter("cloud.api.calls");
         let (now, api_calls) = (cloud.clock().now(), calls());
@@ -378,7 +380,7 @@ mod tests {
             let lines: Vec<&str> = arc[..prefix].iter().copied().chain(tail).collect();
             let (cloud, env) = fixtures::cluster(3);
             let mut run = run_with(&cloud, &env, "concurrent-scale-in");
-            run.log = lines.iter().map(|m| line(m)).collect();
+            run.log = lines.iter().map(|m| Arc::new(line(m))).collect();
             let replayed = conformance_check(cloud.obs(), &run);
             prop_assert_eq!(replayed, engine_replay(&lines), "{:?}", lines);
         }
