@@ -123,28 +123,23 @@ impl AssertionEvaluator {
         let duration = finished.duration_since(started_at);
         // Outcome-conditional tracing: a passing assertion bumps a counter
         // (its latency is already in the API-call histograms) while a
-        // failing one retroactively materialises the `assertion.eval` span
-        // and the `assertion.result` event diagnosis parents detections
-        // on. At gateway scale passes outnumber failures ten to one, so
-        // the healthy path stays allocation-free.
+        // failing one records the `assertion.result` event diagnosis
+        // parents detections on, spanning the evaluation. At gateway scale
+        // passes outnumber failures ten to one, so the healthy path stays
+        // allocation-free.
         let event = if outcome.is_failure() {
-            obs.record_span(
-                "assertion.eval",
-                started_at,
-                vec![
-                    ("trigger", trigger.tag().to_string()),
-                    ("outcome", "failed".to_string()),
-                ],
-            );
             let mut attrs = vec![
                 ("trigger", trigger.tag().to_string()),
                 ("outcome", "failed".to_string()),
-                ("duration_ms", duration.as_millis().to_string()),
             ];
             if let Some(step) = context.and_then(|c| c.step_id.as_deref()) {
                 attrs.push(("step", step.to_string()));
             }
-            obs.event_with("assertion.result", assertion.key(), attrs)
+            let event = obs.event_with("assertion.result", assertion.key(), attrs);
+            if let Some(id) = event {
+                obs.events().backdate(id, started_at);
+            }
+            event
         } else {
             self.passed.incr();
             None

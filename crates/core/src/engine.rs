@@ -399,17 +399,10 @@ impl PodEngine {
         };
         // Outcome-conditional tracing: fit replays are counted by the
         // checker and measured by `replay_latency_us` (with exemplars);
-        // only non-fit replays materialise a `conformance.replay` span,
-        // retroactively covering the whole service call.
-        if verdict.is_error() {
-            let mut attrs = Vec::with_capacity(2);
-            if let Some(act) = &activity {
-                attrs.push(("activity", act.to_string()));
-            }
-            attrs.push(("verdict", verdict.tag().to_string()));
-            self.cloud
-                .obs()
-                .record_span("conformance.replay", replay_started, attrs);
+        // only a non-fit replay records its `conformance.verdict`, which
+        // then spans the whole service call.
+        if let Some(id) = self.conformance.last_verdict_event() {
+            self.cloud.obs().events().backdate(id, replay_started);
         }
         let replay_done = self.cloud.clock().now();
         let replay_us = replay_done.duration_since(replay_started).as_micros();

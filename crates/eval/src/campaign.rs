@@ -9,7 +9,7 @@ use pod_cloud::{Cloud, InstanceId, INSTANCE_LIMIT};
 use pod_core::PodEngine;
 use pod_faulttree::TestOrder;
 use pod_log::LogEvent;
-use pod_obs::{EventRecord, SpanRecord};
+use pod_obs::EventRecord;
 use pod_orchestrator::{
     FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeReport,
 };
@@ -136,16 +136,14 @@ pub struct RecoveryRecord {
     pub conformance: ConformanceReport,
 }
 
-/// The raw spans and causal events of one run, copied out of its tracer
+/// The causal events and spans of one run, copied out of its event log
 /// by [`MonitoredRun::trace`] for the trace-viewer export
 /// ([`TraceDump::chrome_trace`]) and the timeline views.
 #[derive(Debug, Clone)]
 pub struct TraceDump {
     /// The run's trace id.
     pub trace_id: String,
-    /// Every finished span of the run.
-    pub spans: Vec<SpanRecord>,
-    /// Every causal event of the run.
+    /// Every retained record of the run, spans included.
     pub events: Vec<EventRecord>,
 }
 
@@ -163,16 +161,14 @@ pub struct RunRecord {
     /// The run's pod-obs metric snapshot (cloud API traffic, retries,
     /// conformance verdicts, fault-tree work, pipeline drops).
     pub obs: pod_obs::Snapshot,
-    /// The run's latency budget: span name → self virtual time (µs).
+    /// The run's latency budget: span kind → self virtual time (µs).
     pub stage_self_us: BTreeMap<String, u64>,
     /// Incident chains reconstructed from the run's causal events (see
     /// [`pod_obs::incidents`]).
     pub incidents: usize,
     /// …of which were unbroken (log-line anchor through to verdict).
     pub incidents_complete: usize,
-    /// Spans discarded at the retention cap during this run.
-    pub spans_dropped: u64,
-    /// Causal events evicted from the ring during this run.
+    /// Records evicted from the event ring during this run.
     pub events_dropped: u64,
     /// The recovery stage: one record per diagnosed detection (empty when
     /// the stage is disabled).
@@ -196,13 +192,11 @@ pub struct MonitoredRun {
 }
 
 impl MonitoredRun {
-    /// Copies the run's spans and causal events out of its tracer.
+    /// Copies the run's records out of its event log.
     pub fn trace(&self) -> TraceDump {
-        let obs = self.scenario.cloud.obs();
         TraceDump {
             trace_id: self.scenario.trace_id.clone(),
-            spans: obs.tracer().finished(),
-            events: obs.events().records(),
+            events: self.scenario.cloud.obs().events().records(),
         }
     }
 }
@@ -244,9 +238,7 @@ pub struct CampaignReport {
     pub latency: LatencyProfile,
     /// The full trace of the last executed run, for export.
     pub last_trace: Option<TraceDump>,
-    /// Spans dropped at the retention cap, summed over all runs.
-    pub spans_dropped: u64,
-    /// Causal events evicted from the ring, summed over all runs.
+    /// Records evicted from the event ring, summed over all runs.
     pub events_dropped: u64,
     /// Incident chains reconstructed across all runs.
     pub incidents_total: usize,
@@ -407,7 +399,6 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
     let mut conformance = ConformanceStats::default();
     let mut obs_totals = pod_obs::Snapshot::default();
     let mut latency = LatencyProfile::new();
-    let mut spans_dropped = 0;
     let mut events_dropped = 0;
     let mut incidents_total = 0;
     let mut incidents_complete = 0;
@@ -415,7 +406,6 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
         overall.add(&r.outcome);
         obs_totals.merge(&r.obs);
         latency.record(r.plan.fault, &r.stage_self_us);
-        spans_dropped += r.spans_dropped;
         events_dropped += r.events_dropped;
         incidents_total += r.incidents;
         incidents_complete += r.incidents_complete;
@@ -455,7 +445,6 @@ fn summarise(records: Vec<RunRecord>, last_trace: Option<TraceDump>) -> Campaign
         obs_totals,
         latency,
         last_trace,
-        spans_dropped,
         events_dropped,
         incidents_total,
         incidents_complete,
@@ -581,7 +570,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     let scenario = build_scenario(&plan.scenario);
     // One trace per run; the baseline diff keeps scenario-setup admin
     // traffic out of the run's metric snapshot. `begin_run` resets the
-    // span trace and the causal-event ring together.
+    // causal-event ring, spans included.
     scenario.cloud.obs().begin_run(&scenario.trace_id);
     let obs_baseline = scenario.cloud.obs().snapshot();
     let mut engine = build_engine(&scenario, &plan.scenario);
@@ -631,10 +620,10 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     };
     let run_obs = scenario.cloud.obs();
     let obs = run_obs.snapshot().diff(&obs_baseline);
-    let stage_self_us = run_obs.tracer().with_finished(stage_self_times);
-    let (incidents, incidents_complete) = run_obs.events().with_records(|events| {
+    let (stage_self_us, incidents, incidents_complete) = run_obs.events().with_records(|events| {
         let chains = pod_obs::incidents(events);
-        (chains.len(), chains.iter().filter(|c| c.complete()).count())
+        let complete = chains.iter().filter(|c| c.complete()).count();
+        (stage_self_times(events), chains.len(), complete)
     });
     let truth = GroundTruth {
         fault: plan.fault,
@@ -655,7 +644,6 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
         stage_self_us,
         incidents,
         incidents_complete,
-        spans_dropped: run_obs.tracer().dropped(),
         events_dropped: run_obs.events().dropped(),
         recoveries,
     };
@@ -953,8 +941,8 @@ mod tests {
         let c = Campaign::new(CampaignConfig::clean(42));
         let run = monitor_upgrade(&c.plans()[0]);
         let (record, dump) = (&run.record, run.trace());
-        assert!(!dump.spans.is_empty());
-        assert!(!dump.events.is_empty());
+        assert!(dump.events.iter().any(|e| e.end.is_some()), "spans");
+        assert!(dump.events.iter().any(|e| e.end.is_none()), "instants");
         assert!(dump.trace_id.starts_with("run-"));
         // Healthy API calls are counted, not traced (outcome-conditional
         // tracing), so the stage map attributes to the process steps.

@@ -488,13 +488,14 @@ impl TraceDump {
     /// Renders the run as a Chrome trace-event JSON document, loadable in
     /// Perfetto / `chrome://tracing`, one entry per line.
     ///
-    /// Spans become `ph:"X"` complete events, causal events become `ph:"i"`
-    /// instants, and every parent→child causal link becomes a `ph:"s"` /
-    /// `ph:"f"` flow pair so the evidence chain renders as arrows. Every
-    /// entry carries the `ph`, `ts`, `pid`, `tid` and `name` keys; `ts` and
-    /// `dur` are virtual-clock microseconds, so under a fixed seed the
-    /// document is byte-identical across runs. `events` must be in
-    /// ascending id order, as [`pod_obs::EventLog::records`] returns them.
+    /// A record with an end becomes a `ph:"X"` complete event, one without
+    /// a `ph:"i"` instant, and every parent→child causal link becomes a
+    /// `ph:"s"` / `ph:"f"` flow pair so the evidence chain renders as
+    /// arrows. Every entry carries the `ph`, `ts`, `pid`, `tid` and `name`
+    /// keys; `ts` and `dur` are virtual-clock microseconds, so under a
+    /// fixed seed the document is byte-identical across runs. `events`
+    /// must be in ascending id order, as [`pod_obs::EventLog::records`]
+    /// returns them.
     pub fn chrome_trace(&self) -> String {
         let entry = |ph: &str, bp: Option<&str>, ts: u64, dur: Option<u64>, name: &str| {
             Record::nested()
@@ -506,38 +507,37 @@ impl TraceDump {
                 .num("tid", 1)
                 .str("name", name)
         };
-        let args = |attrs: &[(&'static str, String)], ids: &[(&'static str, Option<u64>)]| {
-            let ids = ids
-                .iter()
-                .filter_map(|&(key, id)| Some((key, Json::str(id?.to_string()))));
-            object(
-                attrs
-                    .iter()
-                    .map(|(key, value)| (*key, Json::str(value.as_str())))
-                    .chain(ids),
-            )
-        };
         let mut entries = vec![entry("M", None, 0, None, "process_name").json(
             "args",
             object([("name", Json::str(self.trace_id.as_str()))]),
         )];
-        entries.extend(self.spans.iter().map(|span| {
-            let ids = [("span_id", Some(span.id)), ("parent_span_id", span.parent)];
-            let dur = span.duration().as_micros();
-            entry("X", None, span.start.as_micros(), Some(dur), span.name)
-                .str("cat", "span")
-                .json("args", args(&span.attrs, &ids))
-        }));
         entries.extend(self.events.iter().map(|event| {
             let ids = [
                 ("event_id", Some(event.id)),
                 ("cause", event.parent),
                 ("span_id", event.span),
             ];
-            entry("i", None, event.at.as_micros(), None, &event.name)
+            let args = object(
+                event
+                    .attrs
+                    .iter()
+                    .map(|(key, value)| (*key, Json::str(value.as_str())))
+                    .chain(
+                        ids.iter()
+                            .filter_map(|&(key, id)| Some((key, Json::str(id?.to_string())))),
+                    ),
+            );
+            let dur = event.duration().map(|d| d.as_micros());
+            // A span is a complete event; an instant is scoped to its thread.
+            let (ph, scope) = if dur.is_some() {
+                ("X", None)
+            } else {
+                ("i", Some("t"))
+            };
+            entry(ph, None, event.at.as_micros(), dur, &event.name)
                 .str("cat", event.kind)
-                .str("s", "t")
-                .json("args", args(&event.attrs, &ids))
+                .opt(scope, |r, scope| r.str("s", scope))
+                .json("args", args)
         }));
         // Flow arrows for causal links. The flow id is the child event's id
         // (unique, since every event has at most one parent).
@@ -597,30 +597,37 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A parsed journal: record identity → the record's numeric leaves by
-/// dotted path.
-type Journal = BTreeMap<String, BTreeMap<String, f64>>;
+/// A parsed journal: record identity → the record's leaves (numbers,
+/// booleans and strings) by dotted path.
+type Journal = BTreeMap<String, BTreeMap<String, Json>>;
 
-/// Collects the numeric (and boolean, as 0/1) leaves under `value`, nested
+/// Collects the number, boolean and string leaves under `value`, nested
 /// objects and arrays flattened to dotted paths.
-fn flatten(path: &str, value: &Json, out: &mut BTreeMap<String, f64>) {
+fn flatten(path: &str, value: &Json, out: &mut BTreeMap<String, Json>) {
     let child = |key: &str| match path {
         "" => key.to_string(),
         _ => format!("{path}.{key}"),
     };
     match value {
-        Json::Number(n) => {
-            out.insert(path.to_string(), *n);
-        }
-        Json::Bool(b) => {
-            out.insert(path.to_string(), f64::from(u8::from(*b)));
+        Json::Number(_) | Json::Bool(_) | Json::String(_) => {
+            out.insert(path.to_string(), value.clone());
         }
         Json::Object(entries) => entries.iter().for_each(|(k, v)| flatten(&child(k), v, out)),
         Json::Array(items) => items
             .iter()
             .enumerate()
             .for_each(|(i, v)| flatten(&child(&i.to_string()), v, out)),
-        Json::String(_) | Json::Null => {}
+        Json::Null => {}
+    }
+}
+
+/// A leaf as a gate reads it: a number, or a boolean as 0/1; a string has
+/// no magnitude.
+fn magnitude(leaf: &Json) -> Option<f64> {
+    match leaf {
+        Json::Number(n) => Some(*n),
+        Json::Bool(b) => Some(f64::from(u8::from(*b))),
+        _ => None,
     }
 }
 
@@ -682,9 +689,10 @@ pub fn diff_journals(old: &str, new: &str) -> Result<JournalDiff, JournalError> 
 }
 
 impl JournalDiff {
-    /// The numeric fields that differ in records both journals have, as
-    /// `(record, field, old, new)`; `None` is a field absent on that side.
-    pub fn moved(&self) -> Vec<(&str, &str, Option<f64>, Option<f64>)> {
+    /// The fields — numbers, booleans and strings — that differ in records
+    /// both journals have, as `(record, field, old, new)`; `None` is a
+    /// field absent on that side.
+    pub fn moved(&self) -> Vec<(&str, &str, Option<&Json>, Option<&Json>)> {
         let mut moved = Vec::new();
         for (key, before) in &self.old {
             let Some(after) = self.new.get(key) else {
@@ -692,7 +700,7 @@ impl JournalDiff {
             };
             let fields: BTreeSet<&String> = before.keys().chain(after.keys()).collect();
             for field in fields {
-                let (a, b) = (before.get(field).copied(), after.get(field).copied());
+                let (a, b) = (before.get(field), after.get(field));
                 if a != b {
                     moved.push((key.as_str(), field.as_str(), a, b));
                 }
@@ -714,7 +722,7 @@ impl JournalDiff {
     /// then the totals.
     pub fn render(&self) -> String {
         use fmt::Write as _;
-        let show = |v: Option<f64>| v.map_or("absent".to_string(), |v| Json::Number(v).to_string());
+        let show = |v: Option<&Json>| v.map_or("absent".to_string(), Json::to_string);
         let (moved, [only_old, only_new]) = (self.moved(), self.one_sided());
         let mut out = String::new();
         for (record, field, old, new) in &moved {
@@ -736,25 +744,29 @@ impl JournalDiff {
     }
 
     /// Evaluates the gate `RECORD.FIELD`: every old record of that kind
-    /// carrying the field must still carry it on the new side, at no more
-    /// than [`GATE_RATIO`] × the old value. Returns one line per failure; a
-    /// gate that names nothing in the old journal fails too.
+    /// carrying the field as a number must still carry it on the new side,
+    /// at no more than [`GATE_RATIO`] × the old value. Returns one line per
+    /// failure; a gate that names nothing in the old journal fails too.
     pub fn gate(&self, spec: &str) -> Vec<String> {
         let (kind, field) = spec.split_once('.').unwrap_or((spec, ""));
         let gated: Vec<(&String, f64)> = self
             .old
             .iter()
             .filter(|(key, _)| key.split(' ').next() == Some(kind))
-            .filter_map(|(key, fields)| Some((key, *fields.get(field)?)))
+            .filter_map(|(key, fields)| Some((key, magnitude(fields.get(field)?)?)))
             .collect();
         let mut failures: Vec<String> = gated
             .iter()
             .filter_map(|&(key, old)| {
-                match self.new.get(key).and_then(|fields| fields.get(field)) {
+                match self
+                    .new
+                    .get(key)
+                    .and_then(|fields| magnitude(fields.get(field)?))
+                {
                     None => Some(format!(
                         "{key}: {field} missing from the new journal (old {old})"
                     )),
-                    Some(new) if *new > GATE_RATIO * old => Some(format!(
+                    Some(new) if new > GATE_RATIO * old => Some(format!(
                         "{key}: {field} {new} exceeds {GATE_RATIO}x the old {old}"
                     )),
                     Some(_) => None,
@@ -984,7 +996,7 @@ mod tests {
         let mut profile = LatencyProfile::new();
         let stages = BTreeMap::from([
             ("cloud.api.call".to_string(), 2_000u64),
-            ("assertion.eval".to_string(), 500u64),
+            ("assertion.result".to_string(), 500u64),
         ]);
         FaultType::all()
             .into_iter()
@@ -995,11 +1007,41 @@ mod tests {
             assert_eq!(at(line, "record"), Json::str("latency-budget"));
             assert_eq!(at(line, "runs"), Json::Number(1.0));
             assert_eq!(at(line, "stages.2"), Json::Null, "two stages");
-            assert_eq!(at(line, "stages.0.stage"), Json::str("assertion.eval"));
+            assert_eq!(at(line, "stages.0.stage"), Json::str("assertion.result"));
             for key in ["p50", "p95", "p99", "mean", "total_us"] {
                 assert_eq!(at(line, &format!("stages.1.{key}")), Json::Number(2000.0));
             }
         }
+    }
+
+    #[test]
+    fn diff_reports_a_moved_string_and_gates_only_numbers() {
+        let old = r#"{"record":"latency-budget","run":"r","stages":[{"stage":"assertion.eval","p50":5}]}"#;
+        let new = r#"{"record":"latency-budget","run":"r","stages":[{"stage":"assertion.result","p50":5}]}"#;
+        let diff = diff_journals(old, new).expect("both parse");
+        let moved = diff.moved();
+        let expected = (Json::str("assertion.eval"), Json::str("assertion.result"));
+        assert_eq!(
+            moved,
+            [(
+                "latency-budget run=r",
+                "stages.0.stage",
+                Some(&expected.0),
+                Some(&expected.1)
+            )]
+        );
+        let text = diff.render();
+        assert!(
+            text.contains(r#"stages.0.stage "assertion.eval" -> "assertion.result""#),
+            "{text}"
+        );
+        assert!(text.contains("1 fields moved"), "{text}");
+        assert!(diff.gate("latency-budget.stages.0.p50").is_empty());
+        let failures = diff.gate("latency-budget.stages.0.stage");
+        assert_eq!(
+            failures,
+            ["the old journal has no latency-budget.stages.0.stage to gate on"]
+        );
     }
 
     #[test]
@@ -1008,7 +1050,7 @@ mod tests {
         let obs = Obs::new(clock.clone());
         obs.begin_run("run-x");
         {
-            let span = obs.span("conformance.replay");
+            let span = obs.span("upgrade.step");
             span.attr("activity", "terminate \"old\" instance");
             let line = obs.event("log.line", "asgard.log");
             line.attr("message", "says \"hi\"\n");
@@ -1017,7 +1059,6 @@ mod tests {
         }
         let dump = TraceDump {
             trace_id: "run-x".to_string(),
-            spans: obs.tracer().finished(),
             events: obs.events().records(),
         };
         let json = dump.chrome_trace();

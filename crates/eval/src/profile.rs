@@ -2,36 +2,39 @@
 //! across pipeline stages and aggregates per-stage self-time distributions
 //! (p50/p95/p99) per fault type — the journal's `latency-budget` records.
 //!
-//! A *stage* is a span name (`conformance.replay`, `assertion.eval`,
-//! `faulttree.walk`, …). A run's budget for a stage is
+//! A *stage* is the kind of a record with an end (`conformance.verdict`,
+//! `assertion.result`, `faulttree.walk`, …). A run's budget for a stage is
 //! the stage's **self** time: the summed span durations minus the time
-//! spent in child spans, so the budget rows add up to wall (virtual) time
-//! instead of double-counting nested work.
+//! spent in the spans they enclose, so the budget rows add up to wall
+//! (virtual) time instead of double-counting nested work.
 
 use std::collections::BTreeMap;
 
-use pod_obs::SpanRecord;
+use pod_obs::EventRecord;
 use pod_orchestrator::FaultType;
 use pod_sim::{nearest_rank, SimDuration};
 
-/// Computes one run's latency budget: span name → summed *self* virtual
-/// time in microseconds (child-span time subtracted).
-pub(crate) fn stage_self_times(spans: &[SpanRecord]) -> BTreeMap<String, u64> {
+/// Computes one run's latency budget: span kind → summed *self* virtual
+/// time in microseconds (the time of the spans it encloses subtracted).
+/// Records without an end take no time.
+pub(crate) fn stage_self_times(records: &[EventRecord]) -> BTreeMap<String, u64> {
+    let spans = || {
+        records
+            .iter()
+            .filter_map(|r| Some((r, r.duration()?.as_micros())))
+    };
     let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
-    for span in spans {
-        if let Some(parent) = span.parent {
-            *child_time.entry(parent).or_insert(0) += span.duration().as_micros();
+    for (span, us) in spans() {
+        if let Some(enclosing) = span.span {
+            *child_time.entry(enclosing).or_insert(0) += us;
         }
     }
-    let mut by_name: BTreeMap<String, u64> = BTreeMap::new();
-    for span in spans {
-        let own = span
-            .duration()
-            .as_micros()
-            .saturating_sub(child_time.get(&span.id).copied().unwrap_or(0));
-        *by_name.entry(span.name.to_string()).or_insert(0) += own;
+    let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
+    for (span, us) in spans() {
+        let own = us.saturating_sub(child_time.get(&span.id).copied().unwrap_or(0));
+        *by_kind.entry(span.kind.to_string()).or_insert(0) += own;
     }
-    by_name
+    by_kind
 }
 
 /// The per-stage distribution for one fault type.
@@ -158,31 +161,40 @@ mod tests {
 
     fn span(
         id: u64,
-        parent: Option<u64>,
-        name: &'static str,
+        enclosing: Option<u64>,
+        kind: &'static str,
         start_ms: u64,
         end_ms: u64,
-    ) -> SpanRecord {
-        SpanRecord {
+    ) -> EventRecord {
+        EventRecord {
             id,
-            parent,
-            name,
-            start: SimTime::from_millis(start_ms),
-            end: SimTime::from_millis(end_ms),
+            parent: None,
+            span: enclosing,
+            at: SimTime::from_millis(start_ms),
+            end: Some(SimTime::from_millis(end_ms)),
+            kind,
+            name: kind.into(),
             attrs: Vec::new(),
         }
     }
 
     #[test]
     fn self_time_subtracts_children() {
-        let spans = vec![
+        let mut instant = span(3, Some(1), "consistent.retry", 20, 20);
+        instant.end = None;
+        let records = vec![
             span(0, None, "faulttree.walk", 0, 100),
-            span(1, Some(0), "cloud.api.call", 10, 40),
-            span(2, Some(0), "cloud.api.call", 50, 70),
+            span(1, Some(0), "faulttree.test", 10, 40),
+            span(2, Some(0), "faulttree.test", 50, 70),
+            instant,
         ];
-        let budget = stage_self_times(&spans);
+        let budget = stage_self_times(&records);
         assert_eq!(budget["faulttree.walk"], 50_000); // 100ms - 50ms children
-        assert_eq!(budget["cloud.api.call"], 50_000);
+        assert_eq!(budget["faulttree.test"], 50_000);
+        assert!(
+            !budget.contains_key("consistent.retry"),
+            "an instant takes no time"
+        );
     }
 
     #[test]

@@ -210,15 +210,15 @@ pub fn render_report(report: &CampaignReport) -> String {
     out.push_str(&report.latency.render());
     let _ = writeln!(out);
     let _ = writeln!(out, "-- Observability: pod-obs metrics (all runs) --");
-    if report.spans_dropped > 0 || report.events_dropped > 0 {
+    if report.events_dropped > 0 {
         let _ = writeln!(
             out,
-            "WARNING: retention caps hit — {} span(s) and {} causal event(s) dropped; \
+            "WARNING: retention cap hit — {} causal event(s) dropped; \
              traces and timelines may be incomplete",
-            report.spans_dropped, report.events_dropped
+            report.events_dropped
         );
     } else {
-        let _ = writeln!(out, "spans dropped: 0, causal events dropped: 0");
+        let _ = writeln!(out, "causal events dropped: 0");
     }
     out.push_str(&pod_obs::render_summary(&report.obs_totals));
     out

@@ -591,10 +591,10 @@ fn replay_inner(
         // budget without ever dropping an incident-relevant run.
         if retained {
             if let Some(fault) = stream.fault {
-                // Zero-clone accounting: the spans and events are read in
-                // place — deep-copying the rings here would cost more than
-                // the telemetry being measured.
-                latency.record(fault, &obs.tracer().with_finished(stage_self_times));
+                // Zero-clone accounting: the records are read in place —
+                // deep-copying the ring here would cost more than the
+                // telemetry being measured.
+                latency.record(fault, &obs.events().with_records(stage_self_times));
             }
             incidents_total += obs.events().with_records(pod_obs::incident_count);
             kept_traces += 1;

@@ -426,10 +426,9 @@ impl Walk<'_> {
             }
         }
         let obs = self.engine.api.cloud().obs().clone();
-        let span = obs.span("faulttree.test");
-        span.attr("node", id);
-        let emitted = obs.event("faulttree.test", id);
-        // Consistent-layer retries made by the test chain under it.
+        // The test's event is the span of the test: consistent-layer
+        // retries made by the test chain under it and nest in it.
+        let emitted = obs.event_span("faulttree.test", id);
         let result = {
             let _scope = obs.events().scope(Some(emitted.id()));
             test.run(&self.engine.api, self.ctx)
@@ -439,7 +438,6 @@ impl Walk<'_> {
             TestResult::Present => "present",
             TestResult::Inconclusive { .. } => "inconclusive",
         };
-        span.attr("result", tag);
         emitted.attr("result", tag);
         self.report.tests_run += 1;
         self.engine.metrics.tests_run.incr();

@@ -8,14 +8,13 @@
 //! - a **metrics registry** ([`Registry`]) of counters, gauges and
 //!   log-scale histograms with cheaply cloneable handles and
 //!   [`Snapshot`] / diff / merge support;
-//! - a **span layer** ([`Tracer`]) recording nested spans (upgrade step →
-//!   conformance replay → assertion eval → fault-tree walk → diagnostic
-//!   test → cloud API call) with virtual-clock start/end times and
-//!   key/value attributes, one trace per run id;
-//! - a **causal event log** ([`EventLog`]) — ring-buffered instantaneous
-//!   events with explicit parent links and span/trace correlation, emitted
-//!   at every pipeline hand-off so each incident carries its evidence
-//!   chain;
+//! - a **causal event log** ([`EventLog`]) — one ring of records with
+//!   explicit parent links, emitted at every pipeline hand-off so each
+//!   incident carries its evidence chain. A record with an end is a span
+//!   (upgrade step → fault-tree walk → diagnostic test → assertion
+//!   result) on the virtual clock, and every record names the span that
+//!   encloses it, so one record carries both a hand-off's cause and its
+//!   duration;
 //! - an **incident timeline explainer** ([`incidents`],
 //!   [`render_timelines`]) reconstructing, per detection, the ordered
 //!   causal chain from the triggering log line to the reported root cause
@@ -24,10 +23,10 @@
 //!
 //! Each question about a trace has one view: *why a detection happened* is
 //! the incident timeline above; *where the virtual time went* is
-//! `pod_eval::RunRecord::stage_self_us`, summed over
-//! [`Tracer::with_finished`]; *nesting* is
-//! the trace-viewer export. Timestamps come from the `pod-sim` virtual
-//! [`Clock`], so under a fixed seed two runs produce byte-identical traces.
+//! `pod_eval::RunRecord::stage_self_us`, summed over the records with an
+//! end ([`EventLog::with_records`]); *nesting* is the trace-viewer export.
+//! Timestamps come from the `pod-sim` virtual [`Clock`], so under a fixed
+//! seed two runs produce byte-identical traces.
 //! The run record and the trace-viewer export live in `pod-eval`, on the
 //! `pod-log` JSON writer: this crate sits *below* `pod-log` in the
 //! dependency order so the log pipeline itself can be instrumented, and
@@ -43,17 +42,19 @@
 //! let obs = Obs::new(clock.clone());
 //! obs.begin_run("run-7");
 //!
-//! let calls = obs.counter("cloud.api.calls");
+//! let walks = obs.counter("faulttree.walks");
 //! {
-//!     let span = obs.span("cloud.api.call");
-//!     span.attr("op", "DescribeAsg");
-//!     calls.incr();
+//!     let span = obs.span("faulttree.walk");
+//!     span.attr("tree", "asg");
+//!     walks.incr();
 //!     clock.advance(SimDuration::from_millis(80));
 //! }
 //!
 //! let snap = obs.snapshot();
-//! assert_eq!(snap.counter("cloud.api.calls"), 1);
-//! assert_eq!(obs.tracer().finished()[0].name, "cloud.api.call");
+//! assert_eq!(snap.counter("faulttree.walks"), 1);
+//! let walk = &obs.events().records()[0];
+//! assert_eq!(walk.kind, "faulttree.walk");
+//! assert_eq!(walk.duration(), Some(SimDuration::from_millis(80)));
 //! ```
 
 #![warn(missing_docs)]
@@ -66,10 +67,9 @@ mod metrics;
 mod obs;
 mod render;
 mod sampler;
-mod span;
 mod timeline;
 
-pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent};
+pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent, SpanGuard};
 pub use flight::{
     render_dashboard, FlightDump, FlightFrame, FlightRecorder, IncidentMark, FRAME_CAP,
 };
@@ -78,5 +78,4 @@ pub use metrics::{Counter, Gauge, Registry, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, TailSampler};
-pub use span::{SpanGuard, SpanRecord, Tracer};
 pub use timeline::{incident_count, incidents, render_timelines, IncidentChain};

@@ -1,15 +1,14 @@
-//! The [`Obs`] handle bundling clock, metrics registry, tracer and the
-//! causal event log, gated by a [`TelemetryMode`].
+//! The [`Obs`] handle bundling clock, metrics registry and the causal
+//! event log, gated by a [`TelemetryMode`].
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use pod_sim::Clock;
 
-use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent};
+use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
-use crate::span::{SpanGuard, Tracer};
 
 /// How much telemetry an [`Obs`] context records.
 ///
@@ -71,15 +70,14 @@ impl std::fmt::Display for TelemetryMode {
     }
 }
 
-/// One observability context: a metrics [`Registry`], a [`Tracer`] and a
-/// causal [`EventLog`], all timestamped from the same virtual [`Clock`].
+/// One observability context: a metrics [`Registry`] and a causal
+/// [`EventLog`] (spans included), both on the same virtual [`Clock`].
 /// Cloning is cheap and shares all state (including the telemetry mode),
 /// so a single `Obs` created next to the `Cloud` can be handed to every
 /// layer of the pipeline.
 #[derive(Debug, Clone)]
 pub struct Obs {
     registry: Registry,
-    tracer: Tracer,
     events: EventLog,
     mode: Arc<AtomicU8>,
 }
@@ -89,7 +87,6 @@ impl Obs {
     /// [`TelemetryMode::Full`]).
     pub fn new(clock: Clock) -> Obs {
         Obs {
-            tracer: Tracer::new(clock.clone()),
             events: EventLog::new(clock),
             registry: Registry::new(),
             mode: Arc::new(AtomicU8::new(TelemetryMode::Full.as_u8())),
@@ -106,11 +103,6 @@ impl Obs {
     /// The metrics registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The span tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// The causal event log.
@@ -135,8 +127,7 @@ impl Obs {
         if !self.mode().records_traces() {
             return Emitted::disabled();
         }
-        self.events
-            .emit(kind, name, Parent::Ambient, self.tracer.current_span_id())
+        self.events.emit(kind, name, Parent::Ambient)
     }
 
     /// Emits a causal event with an explicit parent (still correlated with
@@ -146,12 +137,7 @@ impl Obs {
         if !self.mode().records_traces() {
             return Emitted::disabled();
         }
-        self.events.emit(
-            kind,
-            name,
-            Parent::Of(parent),
-            self.tracer.current_span_id(),
-        )
+        self.events.emit(kind, name, Parent::Of(parent))
     }
 
     /// Hot-path event emission: name and attribute values are moved in and
@@ -168,13 +154,7 @@ impl Obs {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.events.emit_with(
-            kind,
-            name,
-            Parent::Ambient,
-            self.tracer.current_span_id(),
-            attrs,
-        ))
+        Some(self.events.emit_with(kind, name, Parent::Ambient, attrs))
     }
 
     /// Opens a *pending* cause scope (see [`EventLog::scope_pending`]): the
@@ -191,15 +171,13 @@ impl Obs {
         if !self.mode().records_traces() {
             return self.events.scope(None);
         }
-        self.events
-            .scope_pending(kind, name, attrs, self.tracer.current_span_id())
+        self.events.scope_pending(kind, name, attrs)
     }
 
-    /// Starts a fresh run: resets both the tracer and the event log to a
-    /// new trace. Spans and events do not carry the run's id — the caller's
-    /// own record does — so `_trace_id` only names the run at the call site.
+    /// Starts a fresh run: resets the event log to a new trace. Records do
+    /// not carry the run's id — the caller's own record does — so
+    /// `_trace_id` only names the run at the call site.
     pub fn begin_run(&self, _trace_id: &str) {
-        self.tracer.begin_trace();
         self.events.begin_trace();
     }
 
@@ -218,30 +196,27 @@ impl Obs {
         self.registry.histogram(name)
     }
 
-    /// Retroactively records a completed span (see
-    /// [`Tracer::record_span`]): the outcome-conditional pattern where a
-    /// hot path notes its start time, and only materialises the span when
-    /// the outcome is anomalous. Returns `None` (recording nothing) when
-    /// the mode is [`TelemetryMode::Off`].
-    pub fn record_span(
-        &self,
-        name: &'static str,
-        started_at: pod_sim::SimTime,
-        attrs: Vec<(&'static str, String)>,
-    ) -> Option<u64> {
-        if !self.mode().records_traces() {
-            return None;
-        }
-        Some(self.tracer.record_span(name, started_at, attrs))
-    }
-
-    /// Opens a span (see [`Tracer::span`]). Returns an inert guard when
-    /// the mode is [`TelemetryMode::Off`].
+    /// Opens a guard span named `name`: a record with no cause, enclosing
+    /// every record written until the guard drops (see
+    /// [`EventRecord::span`](crate::EventRecord::span)). Returns an inert
+    /// guard when the mode is [`TelemetryMode::Off`].
     pub fn span(&self, name: &'static str) -> SpanGuard {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.tracer.span(name)
+        self.events.open(name, name.into(), None)
+    }
+
+    /// Emits a causal event, as [`Obs::event`] does, that is also a span:
+    /// it encloses every record written until the guard drops, which
+    /// writes its end. Returns an inert guard when the mode is
+    /// [`TelemetryMode::Off`].
+    pub fn event_span(&self, kind: &'static str, name: &str) -> SpanGuard {
+        if !self.mode().records_traces() {
+            return SpanGuard::disabled();
+        }
+        self.events
+            .open(kind, name.to_string().into(), Some(Parent::Ambient))
     }
 
     /// Snapshots every metric.
@@ -266,25 +241,27 @@ mod tests {
         let obs = Obs::detached();
         let copy = obs.clone();
         copy.counter("x").incr();
-        obs.tracer().begin_trace();
+        obs.begin_run("t");
         drop(copy.span("s"));
         assert_eq!(obs.snapshot().counter("x"), 1);
-        assert_eq!(obs.tracer().finished().len(), 1);
+        assert_eq!(obs.events().records().len(), 1);
     }
 
     #[test]
     fn events_correlate_with_the_open_span() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        let guard = obs.span("conformance.replay");
+        let guard = obs.span("upgrade.step");
         let ev = obs.event("conformance.verdict", "conformance:fit");
         let records = obs.events().records();
-        assert_eq!(records[0].span, obs.tracer().current_span_id());
+        assert_eq!(records[1].span, Some(guard.id().get()));
         drop(guard);
-        assert_eq!(records[0].parent, None);
+        assert_eq!(records[1].parent, None);
         let child = obs.event_under(ev.id(), "detection", "conformance-unfit");
-        assert_eq!(child.id().get(), 1);
-        assert_eq!(obs.events().records()[1].parent, Some(ev.id().get()));
+        assert_eq!(child.id().get(), 2);
+        let records = obs.events().records();
+        assert_eq!(records[2].parent, Some(ev.id().get()));
+        assert_eq!(records[2].span, None);
     }
 
     #[test]
@@ -294,7 +271,6 @@ mod tests {
         drop(obs.span("s"));
         obs.event("e", "e");
         obs.begin_run("b");
-        assert_eq!(obs.tracer().finished().len(), 0);
         assert!(obs.events().records().is_empty());
     }
 
@@ -307,32 +283,32 @@ mod tests {
         {
             let span = obs.span("s");
             span.attr("k", "v");
-            assert_eq!(obs.tracer().current_span_id(), None);
+            let test = obs.event_span("faulttree.test", "n");
+            test.attr("k", "v");
             let ev = obs.event("detection", "x");
             ev.attr("k", "v");
             obs.event_under(ev.id(), "diagnosis.cause", "y");
         }
-        assert_eq!(obs.tracer().finished().len(), 0);
         assert!(obs.events().records().is_empty());
         obs.counter("c").incr();
         assert_eq!(obs.snapshot().counter("c"), 1, "metrics stay on");
         obs.set_mode(TelemetryMode::Full);
         drop(obs.span("s2"));
-        assert_eq!(obs.tracer().finished().len(), 1);
+        assert_eq!(obs.events().records().len(), 1);
     }
 
     #[test]
     fn spans_use_the_shared_clock() {
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
-        obs.tracer().begin_trace();
+        obs.begin_run("t");
         {
             let _s = obs.span("s");
             clock.advance(SimDuration::from_millis(7));
         }
         assert_eq!(
-            obs.tracer().finished()[0].duration(),
-            SimDuration::from_millis(7)
+            obs.events().records()[0].duration(),
+            Some(SimDuration::from_millis(7))
         );
     }
 }

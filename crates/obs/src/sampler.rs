@@ -37,7 +37,7 @@ pub struct RunSignals {
     /// Error verdicts (e.g. conformance errors) during the run.
     pub errors: usize,
     /// Degradation warnings attributable to the run: shard shedding,
-    /// span/event ring drops.
+    /// event ring drops.
     pub warnings: usize,
     /// Whether a tail-latency exemplar points at this run.
     pub tail_exemplar: bool,

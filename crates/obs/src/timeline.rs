@@ -142,7 +142,8 @@ fn attr_summary(event: &EventRecord, width: usize) -> String {
 }
 
 /// Renders one incident chain as an ASCII timeline: one row per hop with
-/// the hop's virtual timestamp and the latency since the previous hop.
+/// the hop's virtual timestamp, the latency since the previous hop and,
+/// for a hop that is a span, how long it took.
 fn render_timeline(chain: &IncidentChain) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -167,9 +168,12 @@ fn render_timeline(chain: &IncidentChain) -> String {
             .unwrap_or_else(|| SimDuration::from_micros(0));
         previous = Some(hop.at);
         let marker = if i == 0 { "   " } else { "-> " };
+        let took = hop
+            .duration()
+            .map_or(String::new(), |d| format!("took={d} "));
         let _ = writeln!(
             out,
-            "  {:>12}  {:>10}  {}{:<20} {:<28} {}",
+            "  {:>12}  {:>10}  {}{:<20} {:<28} {took}{}",
             hop.at.to_string(),
             if i == 0 {
                 String::new()
@@ -227,9 +231,13 @@ mod tests {
         tick();
         let dispatch = obs.event_under(det.id(), "diagnosis.dispatch", "asg-tree");
         tick();
-        let test = obs.event_under(dispatch.id(), "faulttree.test", "wrong-ami");
-        tick();
-        obs.event_under(test.id(), "diagnosis.cause", "wrong-ami")
+        let test = {
+            let _scope = obs.events().scope(Some(dispatch.id()));
+            let test = obs.event_span("faulttree.test", "wrong-ami");
+            tick();
+            test.id()
+        };
+        obs.event_under(test, "diagnosis.cause", "wrong-ami")
             .attr("description", "the launch configuration uses a wrong AMI");
         obs.event_under(dispatch.id(), "diagnosis.verdict", "1 root cause(s)");
         obs
@@ -279,6 +287,21 @@ mod tests {
         assert!(
             out.contains("message=launch configuration updated"),
             "got:\n{out}"
+        );
+    }
+
+    #[test]
+    fn span_rows_show_their_duration() {
+        let out = render_timelines(&canonical_chain().events().records());
+        let test_row = out.lines().find(|l| l.contains("faulttree.test"));
+        assert!(
+            test_row.is_some_and(|row| row.contains("wrong-ami") && row.contains("took=10ms")),
+            "a span's row shows its duration:\n{out}"
+        );
+        let verdict_row = out.lines().find(|l| l.contains("conformance.verdict"));
+        assert!(
+            verdict_row.is_some_and(|row| !row.contains("took=")),
+            "an instant's row shows none:\n{out}"
         );
     }
 

@@ -70,20 +70,20 @@ fn main() {
     println!();
     println!("== metrics summary ==");
     print!("{}", pod_diagnosis::obs::render_summary(&run.record.obs));
-    let (spans_dropped, events_dropped) = (run.record.spans_dropped, run.record.events_dropped);
-    if spans_dropped > 0 || events_dropped > 0 {
+    let dropped = run.record.events_dropped;
+    if dropped > 0 {
         println!(
-            "WARNING: retention caps hit — {spans_dropped} span(s) and {events_dropped} causal \
-             event(s) dropped; the trace export below is incomplete"
+            "WARNING: retention cap hit — {dropped} causal event(s) dropped; the trace export \
+             below is incomplete"
         );
     } else {
-        println!("spans dropped: 0, causal events dropped: 0");
+        println!("causal events dropped: 0");
     }
 
     std::fs::write("TRACE_e6.json", dump.chrome_trace()).expect("write chrome trace");
     println!(
-        "exported {} spans and {} causal events to TRACE_e6.json (Chrome trace-event)",
-        dump.spans.len(),
-        dump.events.len()
+        "exported {} causal events, {} of them spans, to TRACE_e6.json (Chrome trace-event)",
+        dump.events.len(),
+        dump.events.iter().filter(|e| e.end.is_some()).count()
     );
 }

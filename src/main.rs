@@ -208,9 +208,9 @@ fn campaign(mut args: Args) {
     if let (true, false, Some(dump)) = (json, recovery, &report.last_trace) {
         std::fs::write("TRACE_campaign.json", dump.chrome_trace()).expect("write chrome trace");
         eprintln!(
-            "wrote last run's trace ({} spans, {} events) to TRACE_campaign.json",
-            dump.spans.len(),
-            dump.events.len()
+            "wrote last run's trace ({} events, {} of them spans) to TRACE_campaign.json",
+            dump.events.len(),
+            dump.events.iter().filter(|e| e.end.is_some()).count()
         );
     }
     conclude(name, &lines, json);

@@ -1,9 +1,9 @@
 //! Concurrency tests for the observability layer: two interleaved
-//! operations, each on its own cloud and tracer, must keep their spans and
-//! causal events fully separated — no cross-linked parents, no leaked
-//! trace ids — even when driven from separate threads.
+//! operations, each on its own cloud and event log, must keep their
+//! records fully separated — no cross-linked parents, no leaked trace ids
+//! — even when driven from separate threads.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::thread;
 
 use pod_diagnosis::eval::{
@@ -27,25 +27,22 @@ fn run_upgrade(seed: u64, fault: FaultType) -> TraceDump {
     run.trace()
 }
 
-/// Every span parent and every event parent/span link must resolve within
-/// the same trace (links only point at ids that exist, or were evicted —
-/// never at another trace's ids, which these small runs never evict).
-fn assert_self_contained(TraceDump { spans, events, .. }: &TraceDump) {
-    let span_ids: BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
-    let event_ids: BTreeSet<u64> = events.iter().map(|e| e.id).collect();
-    for span in spans {
-        if let Some(parent) = span.parent {
-            assert!(span_ids.contains(&parent), "span {} orphaned", span.id);
-        }
-    }
+/// Every record's parent and span link must resolve within the same trace,
+/// in its one id space (links only point at ids that exist, or were
+/// evicted — never at another trace's ids, which these small runs never
+/// evict), and every span link must point at a record with an end.
+fn assert_self_contained(TraceDump { events, .. }: &TraceDump) {
+    let ends: BTreeMap<u64, bool> = events.iter().map(|e| (e.id, e.end.is_some())).collect();
+    assert_eq!(ends.len(), events.len(), "one id per record");
     for event in events {
         if let Some(parent) = event.parent {
-            assert!(event_ids.contains(&parent), "event {} orphaned", event.id);
+            assert!(ends.contains_key(&parent), "event {} orphaned", event.id);
         }
         if let Some(span) = event.span {
-            assert!(
-                span_ids.contains(&span),
-                "event {} points at unknown span",
+            assert_eq!(
+                ends.get(&span),
+                Some(&true),
+                "event {} points at {span}, which is no span",
                 event.id
             );
         }
@@ -62,8 +59,10 @@ fn interleaved_upgrades_do_not_cross_link() {
     let b = b.join().expect("upgrade B panicked");
 
     assert_ne!(a.trace_id, b.trace_id);
-    assert!(!a.spans.is_empty() && !b.spans.is_empty());
-    assert!(!a.events.is_empty() && !b.events.is_empty());
+    for trace in [&a, &b] {
+        assert!(trace.events.iter().any(|e| e.end.is_some()), "spans");
+        assert!(trace.events.iter().any(|e| e.end.is_none()), "instants");
+    }
     assert_self_contained(&a);
     assert_self_contained(&b);
 
@@ -114,10 +113,11 @@ fn sequential_runs_on_one_cloud_reset_cleanly() {
         let _span = obs.span("upgrade.step");
         obs.event("log.line", "asgard.log");
     }
-    assert_eq!(obs.tracer().finished().len(), 1);
-    assert_eq!(obs.events().records().len(), 1);
+    let records = obs.events().records();
+    assert_eq!(records.len(), 2);
+    assert!(records[0].end.is_some(), "the span closed");
+    assert_eq!(records[1].span, Some(records[0].id));
     obs.begin_run("second");
-    assert!(obs.tracer().finished().is_empty());
     assert!(obs.events().records().is_empty());
     assert_eq!(obs.events().dropped(), 0);
 }
