@@ -45,10 +45,15 @@ pub struct Program {
     /// Number of capture slots (two per group, including group 0).
     pub n_slots: usize,
     /// Number of progress registers used by loop guards. Only the
-    /// test-only reference backtracker allocates them; the Pike VM's
+    /// test-only reference backtracker allocates them; the engine's
     /// visited set makes loop guards unnecessary.
     #[cfg_attr(not(test), allow(dead_code))]
     pub n_regs: usize,
+    /// Each instruction's row in the engine's visited set: `Some` for a
+    /// join (see `number_joins`), `None` for any other instruction.
+    pub joins: Vec<Option<u32>>,
+    /// Number of join instructions.
+    pub n_joins: usize,
 }
 
 struct Compiler {
@@ -66,11 +71,44 @@ pub fn compile(ast: &Ast, capture_count: u32) -> Program {
     c.emit(ast);
     c.insts.push(Inst::Save(1));
     c.insts.push(Inst::Match);
+    let joins = number_joins(&c.insts);
     Program {
+        n_joins: joins.iter().flatten().count(),
+        joins,
         insts: c.insts,
         n_slots: 2 * (capture_count as usize + 1),
         n_regs: c.n_regs,
     }
+}
+
+/// Numbers the instructions with two or more incoming edges (the program
+/// entry counts as one). Every cycle passes through one, and any other
+/// instruction is entered only from its single predecessor, so visited
+/// bits for the joins alone stop the engine walking a state twice.
+fn number_joins(insts: &[Inst]) -> Vec<Option<u32>> {
+    let mut incoming = vec![0u32; insts.len()];
+    incoming[0] = 1;
+    for (pc, inst) in insts.iter().enumerate() {
+        let targets = match inst {
+            Inst::Jump(target) => [Some(*target), None],
+            Inst::Split(first, second) => [Some(*first), Some(*second)],
+            Inst::IfProgress { target, .. } => [Some(*target), Some(pc + 1)],
+            Inst::Match => [None, None],
+            _ => [Some(pc + 1), None],
+        };
+        for target in targets.into_iter().flatten() {
+            incoming[target] += 1;
+        }
+    }
+    let mut next = 0;
+    incoming
+        .iter()
+        .map(|&n| {
+            let join = (n >= 2).then_some(next);
+            next += u32::from(n >= 2);
+            join
+        })
+        .collect()
 }
 
 impl Compiler {
@@ -213,6 +251,16 @@ mod tests {
             .count();
         assert_eq!(chars, 3);
         assert_eq!(p.n_regs, 0);
+    }
+
+    #[test]
+    fn joins_are_the_loop_head_and_exit() {
+        // 0 Save(0), 1 Split(2, 5), 2 Mark, 3 Char(a), 4 IfProgress(1),
+        // 5 Char(b), ...: the loop head (entered from 0 and 4) and the
+        // loop exit (entered from 1 and 4) are the only joins.
+        let p = prog("a*b");
+        assert_eq!((p.n_joins, p.joins[1], p.joins[5]), (2, Some(0), Some(1)));
+        assert_eq!(prog("ab").n_joins, 0);
     }
 
     #[test]

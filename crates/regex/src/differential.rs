@@ -1,19 +1,21 @@
-//! Differential tests: the prefiltered Pike-VM fast path must be
-//! observationally identical to the original backtracking engine.
+//! Differential tests: the prefiltered memoized walk must be
+//! observationally identical to the original unmemoized backtracker.
 //!
 //! Random patterns are generated from the supported dialect's grammar and
 //! run against random inputs three ways — [`Regex::exec`] (prefilter +
-//! Pike VM, the path `captures` ships), [`pike::exec`] with no prefilter,
-//! and the backtracking [`vm::exec`] retried at every start offset — on
-//! one shared compiled program; `is_match`, the overall find span, and every capture group's
-//! span must agree. The backtracker is the reference semantics; cases where
+//! walk, the path `captures` ships), [`backtrack::captures`] with no
+//! prefilter, and the reference [`vm::exec`] retried at every start
+//! offset — on one shared compiled program; the match, and every capture
+//! group's span, must agree. The reference is the semantics; cases where
 //! it exhausts its step budget (so there is no reference answer) are
-//! skipped.
+//! skipped. Inputs mix in a 2-byte and a 3-byte character, so the walk's
+//! byte stepping is checked across multi-byte text, and every case checks
+//! the slot-free `is_match` against `captures`.
 
 use proptest::prelude::*;
 
-use crate::pike::{self, ByteSlots, StartPolicy};
-use crate::{vm, CandidateIndex, Regex};
+use crate::backtrack::{self, ByteSlots, StartPolicy};
+use crate::{vm, CandidateIndex, Regex, RegexSet};
 
 /// Random pattern strings from the supported grammar. Leaves draw from a
 /// small alphabet (so random inputs actually collide with them) plus the
@@ -21,8 +23,8 @@ use crate::{vm, CandidateIndex, Regex};
 /// groups and greedy/lazy repetition.
 fn pattern_strategy() -> BoxedStrategy<String> {
     let leaf = prop::sample::select(vec![
-        "a", "b", "c", "1", " ", "ab", "bc", "a1", r"\d", r"\w", r"\s", r"\.", ".", "[ab]", "[^a]",
-        "[a-c]", "[b1 ]",
+        "a", "b", "c", "1", " ", "ab", "bc", "a1", "é€", r"\d", r"\w", r"\s", r"\.", ".", "[ab]",
+        "[^a]", "[a-c]", "[b1 ]",
     ])
     .prop_map(str::to_string)
     .boxed();
@@ -48,10 +50,10 @@ fn pattern_strategy() -> BoxedStrategy<String> {
     })
 }
 
-/// The reference answer: the backtracking VM retried at every start
-/// offset, its char-index slots converted to byte offsets. `Err` when it
-/// exhausted its step budget.
-fn backtrack(re: &Regex, text: &str) -> Result<Option<ByteSlots>, ()> {
+/// The reference answer: the unmemoized backtracking VM retried at every
+/// start offset, its char-index slots converted to byte offsets. `Err`
+/// when it exhausted its step budget.
+fn reference(re: &Regex, text: &str) -> Result<Option<ByteSlots>, ()> {
     let chars: Vec<char> = text.chars().collect();
     // Byte offset of each char index, plus the end offset.
     let mut offsets = Vec::with_capacity(chars.len() + 1);
@@ -73,25 +75,37 @@ fn backtrack(re: &Regex, text: &str) -> Result<Option<ByteSlots>, ()> {
     Ok(None)
 }
 
-/// Asserts that the shipped path and the bare Pike VM both produce exactly
-/// the backtracker's answer for `re` on `input`: same match/no-match and
-/// the same span for every capture group (group 0 included).
+/// Asserts that the shipped path and the bare walk both produce exactly
+/// the reference's answer for `re` on `input`: same match/no-match and
+/// the same span for every capture group (group 0 included); and that
+/// the slot-free `is_match` agrees with `captures` on both.
 fn assert_engines_agree(re: &Regex, input: &str, pattern: &str) {
-    let Ok(reference) = backtrack(re, input) else {
-        return;
-    };
     let policy = if re.anchored {
         StartPolicy::Zero
     } else {
         StartPolicy::All
     };
+    let found = re.captures(input).is_some();
+    assert_eq!(
+        re.is_match(input),
+        found,
+        "is_match: {pattern:?} on {input:?}"
+    );
+    assert_eq!(
+        backtrack::is_match(&re.prog, input, policy),
+        found,
+        "bare is_match: {pattern:?} on {input:?}"
+    );
+    let Ok(reference) = reference(re, input) else {
+        return;
+    };
     for (engine, got) in [
-        ("prefilter + pike", re.exec(input)),
-        ("pike", pike::exec(&re.prog, input, policy)),
+        ("prefilter + walk", re.exec(input)),
+        ("walk", backtrack::captures(&re.prog, input, policy)),
     ] {
         assert_eq!(
             reference, got,
-            "{engine} diverged from backtracking: {pattern:?} on {input:?}"
+            "{engine} diverged from the reference: {pattern:?} on {input:?}"
         );
     }
 }
@@ -109,6 +123,8 @@ fn engines_agree_on_fixture_patterns() {
         (r"\d+ of \d+ instances", "saw 3 of 12 instances in service"),
         (r"^\[task\] done$", "[task] done"),
         (r"x+y?z*", "wxxyzz!"),
+        (r"(?P<w>\w+) é€", "ü, ab é€ 1"),
+        (r"[^a]+$", "aé€b"),
     ];
     for (pattern, text) in cases {
         assert_engines_agree(&Regex::new(pattern).unwrap(), text, pattern);
@@ -118,12 +134,12 @@ fn engines_agree_on_fixture_patterns() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// Prefilter + Pike VM and bare Pike VM agree with the backtracker on
-    /// random (pattern, input) pairs.
+    /// Prefilter + walk and bare walk agree with the reference on random
+    /// (pattern, input) pairs.
     #[test]
     fn random_patterns_agree_across_engines(
         pattern in pattern_strategy(),
-        input in "[abc1 ]{0,14}",
+        input in "[abc1 é€]{0,14}",
     ) {
         let re = Regex::new(&pattern).expect("generated pattern must parse");
         assert_engines_agree(&re, &input, &pattern);
@@ -134,11 +150,11 @@ proptest! {
     #[test]
     fn match_heavy_inputs_agree_across_engines(
         pattern in pattern_strategy(),
-        head in "[abc1 ]{0,6}",
-        tail in "[abc1 ]{0,6}",
+        head in "[abc1 é€]{0,6}",
+        tail in "[abc1 é€]{0,6}",
     ) {
         let re = Regex::new(&pattern).expect("generated pattern must parse");
-        for middle in ["ab", "abc", "a1 b", "ccc"] {
+        for middle in ["ab", "abc", "a1 b", "ccc", "é€"] {
             let input = format!("{head}{middle}{tail}");
             assert_engines_agree(&re, &input, &pattern);
         }
@@ -155,7 +171,7 @@ proptest! {
             r"^\[(?P<ts>\d{4})\]",
             r"ERROR",
         ]),
-        line in "[a-z0-9 \\[\\]:,.-]{0,40}",
+        line in "[a-z0-9 \\[\\]:,.é€-]{0,40}",
     ) {
         let re = Regex::new(pattern).unwrap();
         for input in [
@@ -173,8 +189,8 @@ proptest! {
     #[test]
     fn index_candidates_cover_every_match(
         patterns in prop::collection::vec(pattern_strategy(), 1..6),
-        head in "[abc1 ]{0,8}",
-        middle in prop::sample::select(vec!["", "ab", "a1 b", "ccc"]),
+        head in "[abc1 é€]{0,8}",
+        middle in prop::sample::select(vec!["", "ab", "a1 b", "ccc", "é€"]),
     ) {
         let text = format!("{head}{middle}");
         let regexes: Vec<Regex> = patterns.iter().map(|p| Regex::new(p).unwrap()).collect();
@@ -189,5 +205,20 @@ proptest! {
                 patterns[i]
             );
         }
+    }
+
+    /// `RegexSet::first_match` is the lowest index whose pattern matches.
+    #[test]
+    fn set_first_match_is_the_lowest_matching_index(
+        patterns in prop::collection::vec(pattern_strategy(), 1..6),
+        head in "[abc1 é€]{0,8}",
+        middle in prop::sample::select(vec!["", "ab", "a1 b", "ccc", "é€"]),
+    ) {
+        let text = format!("{head}{middle}");
+        let set = RegexSet::new(&patterns).unwrap();
+        let expected = patterns
+            .iter()
+            .position(|p| Regex::new(p).unwrap().captures(&text).is_some());
+        prop_assert_eq!(set.first_match(&text), expected, "{:?} on {:?}", patterns, text);
     }
 }

@@ -21,14 +21,16 @@
 //!    either rejects the line outright or yields the only byte offsets a
 //!    match could start at; [`CandidateIndex`] shares one such scan among
 //!    many patterns.
-//! 2. **Pike VM** — surviving candidates run on a non-backtracking
-//!    thread-list engine with reusable scratch buffers, visiting each
-//!    (position, instruction) pair at most once. The dialect has no
-//!    back-references, so this is the only engine: there is no step
-//!    budget to exhaust and every match attempt yields a definite answer.
+//! 2. **Memoized backtracker** — each candidate start is confirmed by one
+//!    depth-first walk that remembers every (join instruction, byte
+//!    offset) state it has failed from: at most `insts × (len + 1)` steps
+//!    per call. The dialect has no back-references, so this is the only
+//!    engine: there is no step budget to exhaust and every match attempt
+//!    yields a definite answer.
 //!
-//! The original backtracking VM survives only under `cfg(test)`, as the
-//! reference semantics the differential property tests compare against.
+//! The original unmemoized backtracker survives only under `cfg(test)`,
+//! as the reference semantics the differential property tests compare
+//! against.
 //!
 //! # Examples
 //!
@@ -45,10 +47,10 @@
 #![warn(missing_debug_implementations)]
 
 mod ast;
+mod backtrack;
 mod compile;
 mod literal;
 mod parser;
-mod pike;
 #[cfg(test)]
 mod vm;
 
@@ -60,9 +62,9 @@ pub use parser::ParseError;
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use backtrack::StartPolicy;
 use compile::Program;
 use literal::{LiteralInfo, LiteralScanner};
-use pike::StartPolicy;
 
 thread_local! {
     /// Reusable buffer for prefilter candidate start offsets.
@@ -131,7 +133,10 @@ impl Regex {
 
     /// Whether the pattern matches anywhere in `text`.
     pub fn is_match(&self, text: &str) -> bool {
-        self.exec(text).is_some()
+        self.search(text, |policy| {
+            backtrack::is_match(&self.prog, text, policy).then_some(())
+        })
+        .is_some()
     }
 
     /// Finds the leftmost match and returns all capture groups.
@@ -143,10 +148,15 @@ impl Regex {
         })
     }
 
-    /// Prefilter, then Pike VM over the candidate starts.
-    fn exec(&self, text: &str) -> Option<pike::ByteSlots> {
+    /// The leftmost-first match's capture slots.
+    fn exec(&self, text: &str) -> Option<backtrack::ByteSlots> {
+        self.search(text, |policy| backtrack::captures(&self.prog, text, policy))
+    }
+
+    /// Prefilter, then `run` over the candidate starts.
+    fn search<T>(&self, text: &str, run: impl FnOnce(StartPolicy<'_>) -> Option<T>) -> Option<T> {
         if self.anchored {
-            return pike::exec(&self.prog, text, StartPolicy::Zero);
+            return run(StartPolicy::Zero);
         }
         match &self.prefilter {
             Prefilter::Prefixes(scanner) => START_BUF.with(|buf| {
@@ -160,15 +170,15 @@ impl Regex {
                 }
                 starts.sort_unstable();
                 starts.dedup();
-                pike::exec(&self.prog, text, StartPolicy::At(starts))
+                run(StartPolicy::At(starts))
             }),
             Prefilter::Inner(scanner) => {
                 if !scanner.matches_any(text) {
                     return None;
                 }
-                pike::exec(&self.prog, text, StartPolicy::All)
+                run(StartPolicy::All)
             }
-            Prefilter::None => pike::exec(&self.prog, text, StartPolicy::All),
+            Prefilter::None => run(StartPolicy::All),
         }
     }
 

@@ -6,9 +6,17 @@
 #
 # One untraced pair per SEED, alternating which side runs first. Prints
 # every run as it finishes (`pair seed side metric value`), then per
-# end-to-end metric each side's median and quartiles and the pairs won
-# (ties count for neither). The two binaries are `pod-benchmark` builds of
-# the two commits from identical benchmark code.
+# end-to-end metric each side's median and quartiles, the pairs won (ties
+# count for neither) and a verdict, the first that applies:
+#   gain          at least 10 pairs, at least 9 in 10 won, and the medians
+#                 further apart than the parent's quartiles;
+#   worse         the change's median is worse than the parent's by more
+#                 than the metric's `bound` in BENCHMARK.json (a fraction);
+#   unresolved    the parent's quartile spread is as wide as the bound and
+#                 not every change run beats every parent run;
+#   within bound  otherwise.
+# The two binaries are `pod-benchmark` builds of the two commits from
+# identical benchmark code.
 set -euo pipefail
 
 usage() {
@@ -26,10 +34,12 @@ if [ "$1" = --seconds ]; then
     shift 2
 fi
 
-# Which way each end-to-end metric is better, from the benchmark's manifest.
+# Which way each end-to-end metric is better, and its bound, from the
+# benchmark's manifest.
 manifest="$(dirname "$0")/../BENCHMARK.json"
 better=$(sed -n '/"end_to_end"/,/"per_layer"/p' "$manifest" |
-    sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*/\1=\2/p' | tr '\n' ' ')
+    sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([^"]*\)".*"bound": *\([0-9.]*\).*/\1=\2=\3/p' |
+    tr '\n' ' ')
 
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
@@ -56,11 +66,18 @@ function summarize(metric, side, out,    n, i, j, t, a) {
     for (i = 1; i <= pairs; i++) if ((metric, side, i) in v) a[++n] = v[metric, side, i]
     for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
     out["q1"] = quantile(a, n, 0.25); out["median"] = quantile(a, n, 0.5); out["q3"] = quantile(a, n, 0.75)
+    out["min"] = a[1]; out["max"] = a[n]
     printf "  %-6s median %-12.6g q1 %-12.6g q3 %-12.6g n %d\n", side, out["median"], out["q1"], out["q3"], n
 }
 BEGIN {
     n = split(better, kv, " ")
-    for (i = 1; i <= n; i++) { split(kv[i], d, "="); dir[d[1]] = d[2] }
+    for (i = 1; i <= n; i++) { split(kv[i], d, "="); dir[d[1]] = d[2]; bound[d[1]] = d[3] }
+}
+# How much worse `c` is than `p` as a fraction of `p` (negative: better).
+function worse_by(metric, c, p,    d) {
+    d = dir[metric] == "lower" ? c - p : p - c
+    if (p == 0) return d > 0 ? 1e300 : d < 0 ? -1e300 : 0
+    return d / (p < 0 ? -p : p)
 }
 {
     if (!($4 in seen)) { seen[$4] = 1; order[++metrics] = $4 }
@@ -82,6 +99,17 @@ END {
         gap = c["median"] - p["median"]; if (gap < 0) gap = -gap
         printf "  change/parent %.3f; change won %d, parent won %d, tied %d; medians %.6g apart, parent quartiles %.6g apart\n",
             p["median"] != 0 ? c["median"] / p["median"] : 0, won, lost, tied, gap, p["q3"] - p["q1"]
+        spread = p["median"] != 0 ? (p["q3"] - p["q1"]) / (p["median"] < 0 ? -p["median"] : p["median"]) : 0
+        separated = dir[metric] == "lower" ? c["max"] < p["min"] : c["min"] > p["max"]
+        if (pairs >= 10 && won * 10 >= pairs * 9 && gap > p["q3"] - p["q1"] && worse_by(metric, c["median"], p["median"]) < 0)
+            verdict = "gain"
+        else if (worse_by(metric, c["median"], p["median"]) > bound[metric])
+            verdict = "worse"
+        else if (spread >= bound[metric] && !separated)
+            verdict = "unresolved"
+        else
+            verdict = "within bound"
+        printf "  verdict: %s (bound %s)\n", verdict, bound[metric]
     }
     for (i = 1; i <= pairs; i++) { pf += v["ops_failed", "parent", i]; cf += v["ops_failed", "change", i] }
     printf "ops_failed (all runs): parent %d, change %d\n", pf, cf
