@@ -80,12 +80,14 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let write_json = args.iter().any(|a| a == "--json");
 
-    let ops = if smoke { 16 } else { 64 };
+    // The smoke replays half the fleet: at 16 tenants a replay took ≈ 5 ms,
+    // too short for the 3 % gate to tell telemetry cost from noise.
+    let ops = if smoke { 32 } else { 64 };
     // A multiple of the mode count, so the order rotation below gives
     // every mode every triplet position equally often. Rounds are cheap
     // (~0.4 s each): buying more of them is how single-digit-percent
     // overheads stay resolvable on a shared, noisy machine.
-    let rounds = if smoke { 9 } else { 45 };
+    let rounds = if smoke { 18 } else { 45 };
     // A mostly-healthy fleet (1 faulty tenant in 8): that is the traffic
     // shape where tail sampling earns its budget — healthy traces are
     // discarded, incident-relevant ones are all kept.

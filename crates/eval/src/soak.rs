@@ -40,6 +40,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use pod_cloud::Cloud;
@@ -292,14 +293,19 @@ struct SoakCollector<'s> {
     noise: NoiseGenerator,
     rng: SimRng,
     lines: Vec<(SimTime, String)>,
+    /// Reused to render each JSON line, which is then stored at its exact
+    /// size rather than at the capacity its rendering grew to.
+    render: String,
 }
 
 impl UpgradeObserver for SoakCollector<'_> {
     fn on_log(&mut self, event: LogEvent) {
         // Operation lines travel as Logstash JSON, exactly as a shipper
         // would put them on the wire.
+        self.render.clear();
+        let _ = write!(self.render, "{}", event.to_json());
         self.lines
-            .push((event.timestamp, event.to_json().to_string()));
+            .push((event.timestamp, self.render.as_str().into()));
     }
 
     fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
@@ -376,6 +382,7 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             noise: NoiseGenerator::new(SimRng::seed_from(plan.scenario.seed ^ 0x5048), noise_rate),
             rng: SimRng::seed_from(plan.scenario.seed ^ 0xD1A6),
             lines: Vec::new(),
+            render: String::new(),
         };
         let mut upgrade = RollingUpgrade::new(
             scenario.cloud.clone(),

@@ -6,8 +6,9 @@
 //! [`Histogram`] uses base-2 buckets with 8 linear sub-buckets per octave:
 //! bucket index is computed from the value's bit pattern in O(1) (no
 //! bounds search), the relative quantile error is bounded by 1/8 = 12.5%
-//! everywhere, and the layout is identical for every instance, so
-//! snapshots merge and diff element-wise.
+//! everywhere, and the layout is identical for every instance, so a
+//! histogram keeps only the buckets it has counted, as a canonical sparse
+//! list on that layout that merges and diffs by walking the counted ones.
 //!
 //! Tail observations can carry an **exemplar** — the virtual timestamp,
 //! the causal event id and free-form labels (operation, instance, shard) of
@@ -15,7 +16,7 @@
 //! straight back to the run that produced it. Exemplar capture is guarded
 //! by an atomic bar: once the reservoir is full, observations at or below
 //! the smallest retained exemplar value — ties included, which never
-//! enter — neither take the lock nor build labels.
+//! enter — neither take the reservoir's lock nor build labels.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,13 +76,9 @@ pub struct Exemplar {
     pub labels: Vec<(String, String)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct HistogramInner {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    state: Mutex<HistogramSnapshot>,
     /// The smallest value that can enter the exemplar reservoir: 0 while
     /// it has room, then one above the smallest retained value (a tie keeps
     /// the earlier exemplar), so the hot path turns non-tail values and
@@ -92,38 +89,19 @@ struct HistogramInner {
 
 /// A log-scale histogram of `u64` observations (microseconds, depths,
 /// batch sizes...) with a bounded reservoir of tail [`Exemplar`]s. Cloning
-/// shares the cells.
-#[derive(Debug, Clone)]
+/// shares the cells; `default()` is empty.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram(Arc<HistogramInner>);
 
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
 impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram(Arc::new(HistogramInner {
-            buckets: (0..=NUM_BOUNDS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            admit_from: AtomicU64::new(0),
-            exemplars: Mutex::new(Vec::new()),
-        }))
-    }
-
     /// Records one observation (no exemplar).
     pub fn record(&self, value: u64) {
-        let h = &self.0;
-        h.buckets[index_for(value)].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(value, Ordering::Relaxed);
-        h.min.fetch_min(value, Ordering::Relaxed);
-        h.max.fetch_max(value, Ordering::Relaxed);
+        let mut h = self.0.state.lock();
+        h.add(index_for(value), 1);
+        h.count += 1;
+        h.sum = h.sum.saturating_add(value);
+        h.min = h.min.min(value);
+        h.max = h.max.max(value);
     }
 
     /// Records one observation and offers it to the tail-exemplar
@@ -167,18 +145,7 @@ impl Histogram {
 
     /// Copies the current state.
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        let h = &self.0;
-        HistogramSnapshot {
-            buckets: h
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: h.count.load(Ordering::Relaxed),
-            sum: h.sum.load(Ordering::Relaxed),
-            min: h.min.load(Ordering::Relaxed),
-            max: h.max.load(Ordering::Relaxed),
-        }
+        self.0.state.lock().clone()
     }
 }
 
@@ -188,12 +155,13 @@ pub const TAIL_QUANTILES: [(&str, f64); 3] = [("p50", 0.5), ("p95", 0.95), ("p99
 /// Immutable copy of one histogram's state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts over the shared log-scale layout (the
-    /// last entry is the overflow bucket).
-    pub buckets: Vec<u64>,
+    /// The counted buckets as (index, count): indices strictly ascending,
+    /// no count zero, so `==` means "same distribution" (`NUM_BOUNDS` is
+    /// the overflow bucket).
+    buckets: Vec<(usize, u64)>,
     /// Total observations.
     pub count: u64,
-    /// Sum of all observed values.
+    /// Sum of all observed values, saturating at `u64::MAX`.
     pub sum: u64,
     /// Smallest observed value (`u64::MAX` when empty).
     pub min: u64,
@@ -201,7 +169,35 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+/// The empty snapshot, the identity of [`HistogramSnapshot::merge`].
+impl Default for HistogramSnapshot {
+    fn default() -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: Vec::new(),
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Adds `n` (> 0) observations to bucket `index`, keeping it canonical.
+    fn add(&mut self, index: usize, n: u64) {
+        match self.buckets.binary_search_by_key(&index, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 = self.buckets[at].1.saturating_add(n),
+            Err(at) => self.buckets.insert(at, (index, n)),
+        }
+    }
+
+    /// The count in bucket `index` (0 when it holds none).
+    fn bucket(&self, index: usize) -> u64 {
+        self.buckets
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .map_or(0, |at| self.buckets[at].1)
+    }
+
     /// Mean observed value; 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -238,7 +234,7 @@ impl HistogramSnapshot {
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cumulative = 0u64;
         let mut estimate = self.max;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for &(i, n) in &self.buckets {
             cumulative += n;
             if cumulative >= target {
                 if i < NUM_BOUNDS {
@@ -258,8 +254,8 @@ impl HistogramSnapshot {
             buckets: self
                 .buckets
                 .iter()
-                .zip(&earlier.buckets)
-                .map(|(now, then)| now.saturating_sub(*then))
+                .map(|&(i, now)| (i, now.saturating_sub(earlier.bucket(i))))
+                .filter(|&(_, n)| n > 0)
                 .collect(),
             count: self.count.saturating_sub(earlier.count),
             sum: self.sum.saturating_sub(earlier.sum),
@@ -269,13 +265,13 @@ impl HistogramSnapshot {
     }
 
     /// Merges another snapshot into this one (campaign aggregation across
-    /// runs), bucket by bucket.
+    /// runs), bucket by bucket; tallies saturate like [`Histogram::record`].
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
+        for &(i, n) in &other.buckets {
+            self.add(i, n);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -284,6 +280,7 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bounds_ascend_and_invert_the_index_function() {
@@ -315,7 +312,7 @@ mod tests {
 
     #[test]
     fn snapshot_quantiles_track_the_tail() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
             h.record(1_000);
         }
@@ -334,7 +331,7 @@ mod tests {
 
     #[test]
     fn exemplars_keep_the_largest_observations() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         let mut built = 0u32;
         for v in (0..100u64).rev() {
             h.record_with(v * 10, || {
@@ -357,7 +354,7 @@ mod tests {
             (built as usize) < 100,
             "floor never engaged: {built} exemplars built"
         );
-        let h2 = Histogram::new();
+        let h2 = Histogram::default();
         h2.record_with(5, || Exemplar {
             value: 5,
             at: SimTime::ZERO,
@@ -369,7 +366,7 @@ mod tests {
 
     #[test]
     fn a_full_reservoir_turns_ties_away_and_admits_larger_values() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         let offer = |value: u64, at: u64| {
             let mut built = false;
             h.record_with(value, || {
@@ -416,16 +413,16 @@ mod tests {
 
     #[test]
     fn overflow_values_land_in_the_overflow_bucket() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(u64::MAX);
         let snap = h.snapshot();
-        assert_eq!(snap.buckets[NUM_BOUNDS], 1);
+        assert_eq!(snap.buckets, [(NUM_BOUNDS, 1)]);
         assert_eq!(snap.quantile(0.5), Some(u64::MAX));
     }
 
     #[test]
     fn concurrent_recording_is_consistent() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let h = h.clone();
@@ -446,7 +443,186 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 4000);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), 4000);
+        assert_eq!(snap.buckets.iter().map(|&(_, n)| n).sum::<u64>(), 4000);
         assert_eq!(h.exemplars().len(), EXEMPLAR_CAP);
+        fn shared_across_threads<T: Send + Sync>(_: &T) {}
+        shared_across_threads(&h);
+    }
+
+    #[test]
+    fn record_saturates_the_sum() {
+        let h = Histogram::default();
+        h.record(u64::MAX);
+        h.record(2);
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.sum), (2, u64::MAX));
+        assert_eq!(snap.mean(), u64::MAX as f64 / 2.0);
+    }
+
+    #[test]
+    fn merge_saturates_the_sum() {
+        let h = Histogram::default();
+        h.record(u64::MAX);
+        let mut total = h.snapshot();
+        total.merge(&h.snapshot());
+        assert_eq!((total.count, total.sum), (2, u64::MAX));
+        assert_eq!(total.buckets, [(NUM_BOUNDS, 2)]);
+    }
+
+    /// The layout the sparse list stands for: one counter per bucket, with
+    /// the tallies, extremes, quantile, diff and merge written out densely.
+    #[derive(Clone)]
+    struct Dense {
+        buckets: Vec<u64>,
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    }
+
+    impl Dense {
+        fn new() -> Dense {
+            Dense {
+                buckets: vec![0; NUM_BOUNDS + 1],
+                count: 0,
+                sum: 0,
+                min: u64::MAX,
+                max: 0,
+            }
+        }
+
+        fn record(&mut self, value: u64) {
+            self.buckets[index_for(value)] += 1;
+            self.count += 1;
+            self.sum = self.sum.saturating_add(value);
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+
+        fn quantile(&self, q: f64) -> Option<u64> {
+            if self.count == 0 {
+                return None;
+            }
+            if q <= 0.0 {
+                return Some(self.min);
+            }
+            if q >= 1.0 {
+                return Some(self.max);
+            }
+            let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut cumulative = 0;
+            let bucket = self.buckets.iter().position(|&n| {
+                cumulative += n;
+                cumulative >= target
+            });
+            let estimate = match bucket {
+                Some(i) if i < NUM_BOUNDS => upper_bound(i),
+                _ => self.max,
+            };
+            Some(estimate.clamp(self.min, self.max))
+        }
+
+        fn diff(&self, earlier: &Dense) -> Dense {
+            Dense {
+                buckets: self
+                    .buckets
+                    .iter()
+                    .zip(&earlier.buckets)
+                    .map(|(now, then)| now.saturating_sub(*then))
+                    .collect(),
+                count: self.count.saturating_sub(earlier.count),
+                sum: self.sum.saturating_sub(earlier.sum),
+                ..*self
+            }
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+                *mine += theirs;
+            }
+            self.count += other.count;
+            self.sum = self.sum.saturating_add(other.sum);
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+    }
+
+    /// `sparse` holds what `dense` holds, canonically, and reads the same
+    /// quantiles.
+    fn assert_same(sparse: &HistogramSnapshot, dense: &Dense, what: &str) {
+        assert!(
+            sparse.buckets.windows(2).all(|w| w[0].0 < w[1].0),
+            "{what}: indices ascend strictly: {:?}",
+            sparse.buckets
+        );
+        assert!(
+            sparse.buckets.iter().all(|&(_, n)| n > 0),
+            "{what}: no zero counts: {:?}",
+            sparse.buckets
+        );
+        let nonzero: Vec<(usize, u64)> = (0..=NUM_BOUNDS)
+            .filter(|&i| dense.buckets[i] > 0)
+            .map(|i| (i, dense.buckets[i]))
+            .collect();
+        assert_eq!(sparse.buckets, nonzero, "{what}: buckets");
+        assert_eq!(
+            (sparse.count, sparse.sum, sparse.min, sparse.max),
+            (dense.count, dense.sum, dense.min, dense.max),
+            "{what}: count, sum, min, max"
+        );
+        for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(sparse.quantile(q), dense.quantile(q), "{what}: q={q}");
+        }
+    }
+
+    fn value() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            prop::sample::select(vec![0, 7, 8, (1 << 40) - 1, 1 << 40, u64::MAX]),
+            0u64..4096,
+            0u64..1 << 41,
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Two histograms recorded from random streams agree with the dense
+        /// reference on every read, on `diff` against an earlier snapshot
+        /// and on their `merge`.
+        #[test]
+        fn sparse_buckets_agree_with_a_dense_reference(
+            a in prop::collection::vec(value(), 0..40),
+            b in prop::collection::vec(value(), 0..40),
+            split in 0usize..40,
+        ) {
+            let split = split.min(a.len());
+            let (h, mut dense) = (Histogram::default(), Dense::new());
+            for &v in &a[..split] {
+                h.record(v);
+                dense.record(v);
+            }
+            let (early, dense_early) = (h.snapshot(), dense.clone());
+            assert_same(&early, &dense_early, "early");
+            for &v in &a[split..] {
+                h.record(v);
+                dense.record(v);
+            }
+            let late = h.snapshot();
+            assert_same(&late, &dense, "late");
+            assert_same(&late.diff(&early), &dense.diff(&dense_early), "diff");
+            assert_same(&early.diff(&late), &dense_early.diff(&dense), "reverse diff");
+
+            let (g, mut dense_b) = (Histogram::default(), Dense::new());
+            for &v in &b {
+                g.record(v);
+                dense_b.record(v);
+            }
+            let mut merged = late.clone();
+            merged.merge(&g.snapshot());
+            let mut dense_merged = dense.clone();
+            dense_merged.merge(&dense_b);
+            assert_same(&merged, &dense_merged, "merge");
+        }
     }
 }

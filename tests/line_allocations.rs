@@ -23,6 +23,13 @@
 //! and 75 % of the lower figure of each pair. Counted cold, with the
 //! shared pod compiled inside the count, the same plan cost 141.3
 //! allocations per line and left 87.7 kB per tenant.
+//!
+//! Before a histogram kept only the buckets it had counted (every one held
+//! 305 atomic counters, five per tenant), the replay left 53.5 kB per
+//! tenant and building the 64 tenants' engines, their scenarios built
+//! outside the count, left 13.9 kB per engine, in release and debug builds
+//! alike; the bounds are 85 % of the first figure and 6 kB, near what the
+//! sparse lists reach (43.9 and 4.2 kB).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,6 +50,12 @@ const STORED_LINES: f64 = 136.7;
 
 /// Bytes per tenant a replay left live while results were stored as lines.
 const STORED_LINES_BYTES: f64 = 86_000.0;
+
+/// Bytes per tenant a replay left live while histograms were dense arrays.
+const DENSE_HISTOGRAM_BYTES: f64 = 53_500.0;
+
+/// Bytes a built engine may leave live now that histograms are sparse.
+const ENGINE_BYTES: f64 = 6_000.0;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -103,12 +116,10 @@ fn fleet() -> SoakStreams {
     })
 }
 
-/// Replays `streams`; returns the allocations it made and the bytes it
-/// left live once its report was dropped. First it compiles, on this
-/// thread and outside the count, the shared pods the tenants' engines read
-/// and the matcher's per-thread scratch, so neither figure depends on which
-/// test thread got there first.
-fn replay_counted(streams: &SoakStreams) -> (u64, i64) {
+/// Compiles, on this thread and outside any count, the shared pods the
+/// tenants' engines read and the matcher's per-thread scratch, so no figure
+/// depends on which test thread got there first.
+fn warm_up(streams: &SoakStreams) {
     let mut warmed = Vec::new();
     for op in &streams.ops {
         let c = &op.scenario_config;
@@ -123,6 +134,12 @@ fn replay_counted(streams: &SoakStreams) -> (u64, i64) {
             ));
         }
     }
+}
+
+/// Replays `streams` after [`warm_up`]; returns the allocations it made
+/// and the bytes it left live once its report was dropped.
+fn replay_counted(streams: &SoakStreams) -> (u64, i64) {
+    warm_up(streams);
     let gateway = GatewayConfig {
         max_ops_per_shard: usize::MAX,
         ..GatewayConfig::default()
@@ -192,5 +209,47 @@ fn a_replay_leaves_at_most_seventy_five_percent_of_its_stored_line_heap() {
         per_tenant <= 0.75 * STORED_LINES_BYTES,
         "{per_tenant:.0} bytes per tenant; the bound is {:.0} (75 % of {STORED_LINES_BYTES})",
         0.75 * STORED_LINES_BYTES
+    );
+}
+
+#[test]
+fn a_replay_leaves_at_most_eighty_five_percent_of_its_dense_histogram_heap() {
+    let streams = fleet();
+    let (_, left) = replay_counted(&streams);
+    let per_tenant = left as f64 / streams.ops.len() as f64;
+    println!(
+        "{:.1} kB left per tenant over {} tenants",
+        per_tenant / 1000.0,
+        streams.ops.len()
+    );
+    assert!(
+        per_tenant <= 0.85 * DENSE_HISTOGRAM_BYTES,
+        "{per_tenant:.0} bytes per tenant; the bound is {:.0} (85 % of {DENSE_HISTOGRAM_BYTES})",
+        0.85 * DENSE_HISTOGRAM_BYTES
+    );
+}
+
+#[test]
+fn a_built_engine_leaves_at_most_six_kilobytes() {
+    let streams = fleet();
+    warm_up(&streams);
+    let configs: Vec<_> = streams.ops.iter().map(|op| &op.scenario_config).collect();
+    let scenarios: Vec<_> = configs.iter().map(|c| build_scenario(c)).collect();
+    let live = live_bytes();
+    let engines: Vec<_> = scenarios
+        .iter()
+        .zip(&configs)
+        .map(|(scenario, config)| build_engine(scenario, config))
+        .collect();
+    let per_engine = (live_bytes() - live) as f64 / engines.len() as f64;
+    drop(engines);
+    println!(
+        "{:.1} kB left per built engine over {} tenants",
+        per_engine / 1000.0,
+        configs.len()
+    );
+    assert!(
+        per_engine <= ENGINE_BYTES,
+        "{per_engine:.0} bytes per engine; the bound is {ENGINE_BYTES:.0} (13.9 kB with dense histograms)"
     );
 }
