@@ -49,15 +49,10 @@ pub struct CampaignConfig {
     pub test_order: TestOrder,
     /// The interference kinds to draw from.
     pub interference_kinds: Vec<Interference>,
-    /// Close the loop: after each run, hand every diagnosed detection to
-    /// `pod-recovery` and record the repair (MTTR, escalations, the
+    /// Close the loop: hand every diagnosed detection to `pod-recovery`
+    /// at its verdict and record the repair (MTTR, escalations, the
     /// self-conformance verdict).
     pub recovery: bool,
-    /// Fast-path recovery: install the engine's diagnosis hook so repairs
-    /// dispatch eagerly mid-operation, the moment their verdict arrives,
-    /// instead of waiting for the end-of-run sweep. Only meaningful with
-    /// `recovery`; the sweep still runs afterwards as the dedup'd backstop.
-    pub eager_recovery: bool,
 }
 
 impl Default for CampaignConfig {
@@ -83,7 +78,6 @@ impl Default for CampaignConfig {
                 Interference::OtherTeamCapacityPressure,
             ],
             recovery: false,
-            eager_recovery: true,
         }
     }
 }
@@ -120,10 +114,8 @@ pub struct RunPlan {
     pub reinject_after: Option<SimDuration>,
     /// Interference operations and their times.
     pub interferences: Vec<(SimTime, Interference)>,
-    /// Run the recovery stage after the upgrade finishes.
+    /// Hand every verdict to the recovery stage.
     pub recovery: bool,
-    /// Dispatch recoveries eagerly from the engine's diagnosis hook.
-    pub eager_recovery: bool,
 }
 
 /// One recovery attempt of the campaign's recovery stage, with its
@@ -256,8 +248,8 @@ pub struct PhaseStats {
     pub detection: TimingStats,
     /// The fault-tree walk itself.
     pub diagnosis: TimingStats,
-    /// Verdict → recovery-start wait (zero on the eager path; the whole
-    /// sweep wait otherwise).
+    /// Verdict → recovery-start wait (zero for a repair; the whole wait
+    /// until the run's end for a review).
     pub staging: TimingStats,
     /// Step execution (the parallel-lane makespan, not the lane sum).
     pub repair: TimingStats,
@@ -365,7 +357,6 @@ impl Campaign {
             reinject_after,
             interferences,
             recovery: self.config.recovery,
-            eager_recovery: self.config.eager_recovery,
         }
     }
 
@@ -574,25 +565,20 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     scenario.cloud.obs().begin_run(&scenario.trace_id);
     let obs_baseline = scenario.cloud.obs().snapshot();
     let mut engine = build_engine(&scenario, &plan.scenario);
-    // The recovery dispatcher is shared between the engine's detection
-    // hook (eager fast path, installed below) and the end-of-run sweep;
-    // its dedup set guarantees one recovery per diagnosed detection no
-    // matter which path gets there first.
+    // The recovery dispatcher takes every verdict from the engine's
+    // diagnosis hook and owes the rest (reviews) at the run's end.
     let dispatcher = plan.recovery.then(|| {
-        Rc::new(RefCell::new(RecoveryDispatcher::new(
+        let dispatcher = Rc::new(RefCell::new(RecoveryDispatcher::new(
             scenario.cloud.clone(),
             scenario.storage.clone(),
             scenario.env.clone(),
             scenario.trace_id.clone(),
             None,
-        )))
+        )));
+        let hook = Rc::clone(&dispatcher);
+        engine.set_diagnosis_hook(move |i, d| hook.borrow_mut().on_diagnosis(i, d));
+        dispatcher
     });
-    if plan.eager_recovery {
-        if let Some(dispatcher) = &dispatcher {
-            let hook = Rc::clone(dispatcher);
-            engine.set_diagnosis_hook(move |i, d| hook.borrow_mut().on_diagnosis(i, d));
-        }
-    }
     let mut observer = CampaignObserver::new(engine, &scenario, &plan);
     let mut upgrade = RollingUpgrade::new(
         scenario.cloud.clone(),
@@ -605,17 +591,15 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     // detection → diagnosis → recovery → verification arc lands in one
     // causal-event ring and one metric snapshot.
     let recoveries = match dispatcher {
-        Some(dispatcher) => {
-            let mut d = dispatcher.borrow_mut();
-            d.sweep(&summary.detections);
-            d.take_records()
-                .into_iter()
-                .map(|DispatchRecord { run, .. }| {
-                    let conformance = conformance_check(scenario.cloud.obs(), &run);
-                    RecoveryRecord { run, conformance }
-                })
-                .collect()
-        }
+        Some(dispatcher) => dispatcher
+            .borrow_mut()
+            .finish(&summary.detections)
+            .into_iter()
+            .map(|DispatchRecord { run, .. }| {
+                let conformance = conformance_check(scenario.cloud.obs(), &run);
+                RecoveryRecord { run, conformance }
+            })
+            .collect(),
         None => Vec::new(),
     };
     let run_obs = scenario.cloud.obs();
@@ -961,20 +945,37 @@ mod tests {
             recovery: true,
             ..CampaignConfig::clean(42)
         });
-        let report = c.run();
-        let stats = &report.recovery;
-        assert!(stats.attempted > 0);
-        // Every diagnosed incident ends recovered or escalated — never
-        // silently dropped.
-        assert_eq!(stats.recovered + stats.escalated, stats.attempted);
-        for r in &report.records {
+        let runs: Vec<MonitoredRun> = c.plans().iter().map(monitor_upgrade).collect();
+        for run in &runs {
+            let (r, trace_id) = (&run.record, &run.scenario.trace_id);
             assert_eq!(
                 r.recoveries.len(),
                 r.outcome.diagnosis_times.len(),
                 "one recovery per diagnosed detection ({:?})",
                 r.plan.fault
             );
+            // …and it is that detection's: task `{trace}-r{index}`, one
+            // per diagnosed index, in detection order.
+            let detections = run.summary.detections.iter().enumerate();
+            let diagnosed: Vec<String> = detections
+                .filter(|(_, d)| d.diagnosis.is_some())
+                .map(|(i, _)| format!("{trace_id}-r{i}"))
+                .collect();
+            let ids: Vec<&str> = r.recoveries.iter().map(|rec| &*rec.run.task_id).collect();
+            assert_eq!(ids, diagnosed, "{:?}", r.plan.fault);
+            let cause = r.plan.fault.expected_root_cause();
+            assert!(
+                r.recoveries.iter().any(|rec| rec.run.root_cause == cause),
+                "no recovery of {cause} for {:?}",
+                r.plan.fault
+            );
         }
+        let report = summarise(runs.into_iter().map(|run| run.record).collect(), None);
+        let stats = &report.recovery;
+        assert!(stats.attempted > 0);
+        // Every diagnosed incident ends recovered or escalated — never
+        // silently dropped.
+        assert_eq!(stats.recovered + stats.escalated, stats.attempted);
         // Every recovery run conforms to its own process model.
         assert_eq!(
             stats.conformance_fit, stats.attempted,

@@ -19,16 +19,16 @@
 //! - [`LatencyProfile`] — the latency-budget profiler: every run's
 //!   per-stage self virtual time ([`RunRecord::stage_self_us`]),
 //!   p50/p95/p99 per fault type;
-//! - [`collect_streams`] / [`replay`] — the gateway soak: many interleaved
-//!   faulty upgrades serialized to raw lines, then replayed through one
-//!   `pod-gateway` with per-operation engines;
+//! - [`collect_streams`] / [`replay_telemetry`] — the gateway soak: many
+//!   interleaved faulty upgrades serialized to raw lines, then replayed
+//!   through one `pod-gateway` with per-operation engines, under an
+//!   explicit `TelemetryMode` (off/sampled/full), with tail-based trace
+//!   sampling, queue-wait tail exemplars and the gateway's
+//!   flight-recorder dump;
 //! - [`RecoveryStats`] — the recovery loop: the campaign's optional
 //!   remediation stage hands every diagnosed root cause to `pod-recovery`
 //!   and aggregates the per-fault MTTR distribution plus
 //!   success/escalation rates;
-//! - [`replay_telemetry`] — the same soak under an explicit
-//!   `TelemetryMode` (off/sampled/full), with tail-based trace sampling,
-//!   queue-wait tail exemplars and the gateway's flight-recorder dump;
 //! - [`replay_with_recovery`] — the soak with the recovery stage wired
 //!   in: every tenant engine's diagnosis hook feeds that tenant's own
 //!   `pod_recovery::RecoveryDispatcher`, whose repairs contend for the
@@ -78,7 +78,7 @@ pub use scenario::{
     build_engine, build_scenario, healthy_log, pod_config, Scenario, ScenarioConfig,
 };
 pub use soak::{
-    collect_streams, render_recovery_soak, render_soak_report, replay, replay_telemetry,
+    collect_streams, render_recovery_soak, render_soak_report, replay_telemetry,
     replay_with_recovery, OpStream, SoakConfig, SoakOpResult, SoakRecoveryReport, SoakReport,
     SoakStreams, TenantRecoveryResult,
 };

@@ -420,15 +420,10 @@ pub fn collect_streams(config: &SoakConfig) -> SoakStreams {
 }
 
 /// Phase B: merges all streams by arrival time and replays them through
-/// one gateway, with a freshly built engine per operation as the sink.
-/// Equivalent to [`replay_telemetry`] under [`TelemetryMode::Full`].
-pub fn replay(streams: &SoakStreams, gateway: &GatewayConfig) -> SoakReport {
-    replay_telemetry(streams, gateway, TelemetryMode::Full)
-}
-
-/// Phase B under an explicit [`TelemetryMode`]. The mode gates only the
-/// trace side (spans, causal events, incident reconstruction); metrics,
-/// detections and [`SoakReport::digest`] are byte-identical across modes.
+/// one gateway, with a freshly built engine per operation as the sink,
+/// under `mode`. The mode gates only the trace side (spans, causal
+/// events, incident reconstruction); metrics, detections and
+/// [`SoakReport::digest`] are byte-identical across modes.
 pub fn replay_telemetry(
     streams: &SoakStreams,
     gateway: &GatewayConfig,
@@ -532,17 +527,15 @@ fn replay_inner(
     let reports = gw.finish();
     let stats = gw.stats();
 
-    // Recovery stage wrap-up: every tenant's end-of-operation sweep runs
-    // on the quiet post-soak path, executing everything the eager lanes
-    // did not handle (including every gate-shed repair) — before the
-    // metric snapshot, so `recovery.storm.*` accounting is final in it.
+    // Recovery stage wrap-up: every tenant's dispatcher runs the repairs
+    // the storm shed and its deferred reviews on the quiet post-soak path
+    // — before the metric snapshot, so `recovery.storm.*` accounting is
+    // final in it.
     let recovery = storm.as_ref().map(|storm| {
         let mut all = RecoveryTally::default();
         let tenants = streams.ops.iter().zip(&reports).zip(&dispatchers);
         let tenants = tenants.map(|((stream, report), dispatcher)| {
-            let mut dispatcher = dispatcher.borrow_mut();
-            dispatcher.sweep(&report.summary.detections);
-            let records = dispatcher.take_records();
+            let records = dispatcher.borrow_mut().finish(&report.summary.detections);
             tenant_recovery(stream, &report.summary.detections, &records, &mut all)
         });
         let tenants = tenants.collect();
@@ -933,7 +926,7 @@ mod tests {
         let streams = collect_streams(&small_config());
         assert_eq!(streams.ops.len(), 4);
         assert!(streams.lines_total > 0);
-        let report = replay(&streams, &GatewayConfig::default());
+        let report = replay_telemetry(&streams, &GatewayConfig::default(), TelemetryMode::Full);
         assert!(report.leaks.is_empty(), "{:?}", report.leaks);
         // Block policy: every collected line reaches its engine.
         assert_eq!(report.stats.lines_processed, streams.lines_total);
@@ -985,7 +978,7 @@ mod tests {
             shards: 1,
             ..GatewayConfig::default()
         };
-        let report = replay(&collect_streams(&config), &gateway);
+        let report = replay_telemetry(&collect_streams(&config), &gateway, TelemetryMode::Full);
         assert_eq!(report.ops.len(), 40);
         assert!(report.leaks.is_empty(), "{:?}", report.leaks);
     }
@@ -1000,7 +993,7 @@ mod tests {
             overload: OverloadPolicy::ShedOldest,
             ..GatewayConfig::default()
         };
-        let report = replay(&streams, &config);
+        let report = replay_telemetry(&streams, &config, TelemetryMode::Full);
         assert!(report.stats.shed_oldest > 0, "tiny queues must overflow");
         assert_eq!(
             report.stats.lines_processed + report.stats.total_shed(),
@@ -1024,7 +1017,11 @@ mod tests {
         // per-operation virtual clocks advance during a replay, so modes
         // must be compared from identical starting states.
         let config = GatewayConfig::default();
-        let full = replay(&collect_streams(&small_config()), &config);
+        let full = replay_telemetry(
+            &collect_streams(&small_config()),
+            &config,
+            TelemetryMode::Full,
+        );
         let sampled = replay_telemetry(
             &collect_streams(&small_config()),
             &config,
@@ -1147,13 +1144,14 @@ mod tests {
             ..SoakConfig::default()
         });
         let (stream, s) = (&streams.ops[0], &streams.ops[0].scenario);
-        let engine = build_engine(s, &stream.scenario_config);
-        let detections = replay_into(engine, stream).detections;
         let (cloud, storage, env) = (s.cloud.clone(), s.storage.clone(), s.env.clone());
-        let trace_id = s.trace_id.clone();
-        let mut dispatcher = RecoveryDispatcher::new(cloud, storage, env, trace_id, None);
-        dispatcher.sweep(&detections);
-        let mut records = dispatcher.take_records();
+        let dispatcher = RecoveryDispatcher::new(cloud, storage, env, s.trace_id.clone(), None);
+        let dispatcher = Rc::new(RefCell::new(dispatcher));
+        let mut engine = build_engine(s, &stream.scenario_config);
+        let hook = Rc::clone(&dispatcher);
+        engine.set_diagnosis_hook(move |i, d| hook.borrow_mut().on_diagnosis(i, d));
+        let detections = replay_into(engine, stream).detections;
+        let mut records = dispatcher.borrow_mut().finish(&detections);
         let clock = pod_sim::Clock::new();
         let obs = pod_obs::Obs::new(clock.clone());
         let storm = RecoveryStorm::new(&obs, clock, StormConfig::default());

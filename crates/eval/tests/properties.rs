@@ -102,67 +102,6 @@ proptest! {
     }
 }
 
-mod fastpath {
-    use pod_eval::{execute_run, Campaign, CampaignConfig, RunRecord};
-    use proptest::prelude::*;
-
-    /// What an incident's recovery looked like, timing excluded.
-    fn recovery_shape(
-        record: &RunRecord,
-        cause: &str,
-    ) -> Option<(String, Vec<String>, &'static str)> {
-        record
-            .recoveries
-            .iter()
-            .find(|rec| rec.run.root_cause == cause)
-            .map(|rec| {
-                (
-                    rec.run.root_cause.clone(),
-                    rec.run.plans_tried.clone(),
-                    rec.run.outcome.tag(),
-                )
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
-
-        /// The eager fast path and the end-of-run sweep are semantically
-        /// equivalent: for every injected fault type, the first recovery
-        /// of the expected root cause identifies the same cause, tries the
-        /// same plan ladder, and reaches the same outcome in both modes —
-        /// only the timestamps (and therefore MTTR) differ.
-        #[test]
-        fn eager_and_sweep_recoveries_are_equivalent(fault_idx in 0usize..8) {
-            let base = CampaignConfig {
-                recovery: true,
-                ..CampaignConfig::clean(42)
-            };
-            let eager_plan = &Campaign::new(CampaignConfig {
-                eager_recovery: true,
-                ..base.clone()
-            })
-            .plans()[fault_idx];
-            let sweep_plan = &Campaign::new(CampaignConfig {
-                eager_recovery: false,
-                ..base
-            })
-            .plans()[fault_idx];
-            let eager = execute_run(eager_plan);
-            let sweep = execute_run(sweep_plan);
-            let cause = eager_plan.fault.expected_root_cause();
-            let eager_shape = recovery_shape(&eager, cause);
-            let sweep_shape = recovery_shape(&sweep, cause);
-            prop_assert!(
-                eager_shape.is_some(),
-                "no eager recovery diagnosed {cause} for {:?}",
-                eager_plan.fault
-            );
-            prop_assert_eq!(eager_shape, sweep_shape);
-        }
-    }
-}
-
 mod storm {
     use pod_eval::{collect_streams, replay_with_recovery, SoakConfig, SoakReport};
     use pod_gateway::GatewayConfig;

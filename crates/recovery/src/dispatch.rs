@@ -1,37 +1,34 @@
-//! The recovery dispatcher: the fast-path glue between the engine's
-//! diagnosis hook and the executor. One dispatcher serves one operation
-//! and owns its incidents.
+//! The recovery dispatcher: the glue between the engine's diagnosis hook
+//! and the executor. One dispatcher serves one operation and owns its
+//! incidents.
 //!
-//! Two jobs, in incident order:
+//! A verdict reaches it once, through [`RecoveryDispatcher::on_diagnosis`],
+//! which decides once what the verdict needs:
 //!
-//! 1. **Eager dispatch** — on a verdict carrying a mapped root cause it
-//!    plans the repair from the library and executes it immediately,
-//!    mid-operation, instead of waiting for the end-of-run sweep. Under a
-//!    [`RecoveryStorm`] the repair first asks the shared lanes for a grant
-//!    and charges the wait to this operation's clock; a shed repair is
-//!    parked for the sweep. Diagnoses without an actionable
-//!    repair (no root cause identified, or a confirmed-benign concurrent
-//!    operation) are queued for operation-end review instead: at the
-//!    sweep they get a step-less `confirm-resolved` plan that re-checks
-//!    the triggering assertion — pass means the condition resolved itself
-//!    (recovered without paging anyone), fail escalates to the operator.
-//! 2. **Dedup** — eager dispatch and the end-of-run sweep race on the
-//!    same incidents; a handled-set keyed by detection index guarantees
-//!    exactly one recovery per diagnosed detection, so
-//!    `attempted == recovered + escalated` survives the race.
+//! * a **mapped root cause** is repaired at once, mid-operation, with the
+//!   plan from the library. Under a [`RecoveryStorm`] the repair first
+//!   asks the shared lanes for a grant and charges the wait to this
+//!   operation's clock; a repair the storm sheds is parked for
+//!   [`RecoveryDispatcher::finish`], which runs it on the quiet path
+//!   after the operation ends.
+//! * anything else (no root cause identified, or a confirmed-benign
+//!   concurrent operation) is deferred to `finish`, which gives it a
+//!   step-less `confirm-resolved` plan that re-checks the triggering
+//!   assertion: pass means the condition resolved itself (recovered
+//!   without paging anyone), fail escalates to the operator.
 //!
-//! Every run is recorded with the [`RecoveryPath`] it took, fixed when it
-//! is dispatched.
+//! Exactly one run per diagnosed detection rests on the engine's
+//! guarantee that every diagnosed detection reaches its diagnosis hook
+//! once, in ascending index order; the dispatcher keeps no set of its own.
+//! Every run is recorded with the [`RecoveryPath`] it took.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use pod_assert::{CloudAssertion, ExpectedEnv};
 use pod_cloud::Cloud;
 use pod_core::{Detection, SharedEnv};
 use pod_log::LogStorage;
-use pod_obs::Counter;
 use pod_sim::SimDuration;
 
 use crate::executor::{RecoveryExecutor, RecoveryRequest, RecoveryRun};
@@ -41,17 +38,16 @@ use crate::storm::RecoveryStorm;
 /// How a recovery run reached the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPath {
-    /// Dispatched eagerly from the engine hook (through a storm lane, when
-    /// there is a storm).
+    /// Repaired at its verdict, from the engine hook (through a storm
+    /// lane, when there is a storm).
     Eager {
         /// Whether the shared API throttled the repair.
         throttled: bool,
     },
-    /// Shed to the end-of-operation sweep by the storm's lane-wait cap, then
-    /// executed on the quiet path — deferred, never dropped.
+    /// Shed by the storm's lane-wait cap, then executed on the quiet path
+    /// after the operation ended — deferred, never dropped.
     DeferredSwept,
-    /// A step-less review (or a sweep-discovered incident) that never
-    /// contended for a lane.
+    /// A step-less operation-end review that never contended for a lane.
     Review,
 }
 
@@ -79,14 +75,11 @@ pub struct DispatchRecord {
     pub run: RecoveryRun,
 }
 
-/// The fast-path recovery dispatcher. Wire
-/// [`RecoveryDispatcher::on_diagnosis`] into the `pod-core` engine's
-/// `set_diagnosis_hook` for eager dispatch, then call
-/// [`RecoveryDispatcher::sweep`] with the run's detections after the
-/// operation ends — the sweep recovers anything the eager path did not
-/// handle (or everything, when no hook was installed) and reviews the
-/// deferred incidents. Collect results with
-/// [`RecoveryDispatcher::take_records`].
+/// The recovery dispatcher. Wire [`RecoveryDispatcher::on_diagnosis`] into
+/// the `pod-core` engine's `set_diagnosis_hook`, then call
+/// [`RecoveryDispatcher::finish`] with the run's detections after the
+/// operation ends: it runs what the storm parked, reviews the deferred
+/// incidents and returns every run.
 #[derive(Debug)]
 pub struct RecoveryDispatcher {
     executor: RecoveryExecutor,
@@ -96,23 +89,19 @@ pub struct RecoveryDispatcher {
     /// The lanes shared with the other tenants of a storm; `None`: a
     /// repair never waits for one.
     storm: Option<Rc<RefCell<RecoveryStorm>>>,
-    /// Detection indices already dispatched (the dedup set).
-    handled: HashSet<usize>,
     /// Detection indices of diagnosed incidents without an actionable
     /// repair, queued for operation-end review.
     deferred: Vec<usize>,
-    /// Detection indices whose repair the storm shed, parked for the sweep.
+    /// Detection indices whose repair the storm shed, parked for `finish`.
     parked: Vec<usize>,
     /// Finished runs.
     records: Vec<DispatchRecord>,
-    /// Duplicate dispatches the handled-set absorbed.
-    dedup: Counter,
 }
 
 impl RecoveryDispatcher {
     /// Builds a dispatcher executing repairs against `cloud` and logging
-    /// to `storage`; with a `storm`, every eager repair needs one of its
-    /// lanes.
+    /// to `storage`; with a `storm`, every repair at a verdict needs one of
+    /// its lanes.
     pub fn new(
         cloud: Cloud,
         storage: LogStorage,
@@ -122,43 +111,33 @@ impl RecoveryDispatcher {
     ) -> RecoveryDispatcher {
         RecoveryDispatcher {
             executor: RecoveryExecutor::new(cloud.clone(), storage),
-            dedup: cloud.obs().counter("recovery.dispatch.dedup"),
             cloud,
             env,
             trace_id: trace_id.into(),
             storm,
-            handled: HashSet::new(),
             deferred: Vec::new(),
             parked: Vec::new(),
             records: Vec::new(),
         }
     }
 
-    /// Whether dispatching `detection` would execute an actual repair
-    /// against the cloud API (its confirmed root cause is mapped in the
-    /// plan library), as opposed to queueing a step-less operation-end
-    /// review. Only such work contends for a storm lane.
-    fn is_actionable(&self, detection: &Detection) -> bool {
-        let (cause, _) = root_cause_of(detection);
-        self.executor
-            .library()
-            .mapped_causes()
-            .contains(&cause.as_str())
-    }
-
-    /// The engine-hook entry point: eager dispatch of detection
-    /// `detection_index`'s verdict. Under a storm an actionable repair
-    /// first needs a lane: the lane wait and the throttle penalty land on
-    /// this operation's clock before the repair starts — that is where
-    /// MTTR-under-load diverges from the quiet path — and a shed repair is
-    /// parked for the sweep.
+    /// The engine-hook entry point for detection `detection_index`'s
+    /// verdict. A verdict whose root cause the plan library maps is
+    /// repaired now; any other is deferred for operation-end review. Under
+    /// a storm the repair first needs a lane: the lane wait and the
+    /// throttle penalty land on this operation's clock before the repair
+    /// starts — that is where MTTR-under-load diverges from the quiet path
+    /// — and a shed repair is parked for [`RecoveryDispatcher::finish`].
+    /// Only repairs contend for a lane.
     pub fn on_diagnosis(&mut self, detection_index: usize, detection: &Detection) {
-        let storm = match &self.storm {
-            Some(storm) if self.is_actionable(detection) => Rc::clone(storm),
-            _ => {
-                let quiet = RecoveryPath::Eager { throttled: false };
-                return self.dispatch(detection_index, detection, quiet);
-            }
+        let (cause, _) = root_cause_of(detection);
+        if !self.executor.library().mapped_causes().contains(&cause) {
+            self.deferred.push(detection_index);
+            return;
+        }
+        let Some(storm) = self.storm.clone() else {
+            let quiet = RecoveryPath::Eager { throttled: false };
+            return self.repair(detection_index, detection, quiet);
         };
         let Some(grant) = storm.borrow_mut().admit() else {
             self.parked.push(detection_index);
@@ -168,38 +147,17 @@ impl RecoveryDispatcher {
         let path = RecoveryPath::Eager {
             throttled: grant.throttled,
         };
-        self.dispatch(detection_index, detection, path);
+        self.repair(detection_index, detection, path);
         let took = self.cloud.clock().now().duration_since(start);
         storm.borrow_mut().occupy(grant, took);
     }
 
-    /// Dispatches one diagnosed detection exactly once (the dedup
-    /// guarantee), recording the run under `path`. On an eager path an
-    /// unmapped/none cause is deferred for review; at the sweep it is
-    /// reviewed now.
-    fn dispatch(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
-        if !self.handled.insert(detection_index) {
-            self.dedup.incr();
-            return;
-        }
-        if self.is_actionable(detection) {
-            let (cause, description) = root_cause_of(detection);
-            let req = self.request(detection_index, detection, &cause, &description);
-            let mut run = self.executor.recover(&req);
-            stamp_phases(&mut run, detection);
-            self.records.push(DispatchRecord {
-                detection_index,
-                path,
-                run,
-            });
-            return;
-        }
-        if let RecoveryPath::Eager { .. } = path {
-            // Mid-operation: queue the incident for operation-end review.
-            self.deferred.push(detection_index);
-        } else {
-            self.review(detection_index, detection, path);
-        }
+    /// Runs the library's plan for a detection with a mapped root cause,
+    /// recording the run under `path`.
+    fn repair(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
+        let req = self.request(detection_index, detection);
+        let run = self.executor.recover(&req);
+        self.record(detection_index, detection, path, run);
     }
 
     /// Operation-end review of an incident without an actionable repair.
@@ -219,16 +177,25 @@ impl RecoveryDispatcher {
     ///   transient) — recovered without paging anyone; still failing
     ///   escalates, because an unexplained, persistent violation needs a
     ///   human.
-    fn review(&mut self, detection_index: usize, detection: &Detection, path: RecoveryPath) {
-        let (cause, description) = root_cause_of(detection);
-        let verify = if is_benign_cause(&cause) {
+    fn review(&mut self, detection_index: usize, detection: &Detection) {
+        let verify = if is_benign_cause(root_cause_of(detection).0) {
             vec![CloudAssertion::LaunchConfigInstancesConsistent]
         } else {
             vec![confirm_assertion(&detection.key, &self.env.snapshot())]
         };
         let plan = RecoveryPlan::confirm_resolved(verify);
-        let req = self.request(detection_index, detection, &cause, &description);
-        let mut run = self.executor.recover_with(&req, plan);
+        let req = self.request(detection_index, detection);
+        let run = self.executor.recover_with(&req, plan);
+        self.record(detection_index, detection, RecoveryPath::Review, run);
+    }
+
+    fn record(
+        &mut self,
+        detection_index: usize,
+        detection: &Detection,
+        path: RecoveryPath,
+        mut run: RecoveryRun,
+    ) {
         stamp_phases(&mut run, detection);
         self.records.push(DispatchRecord {
             detection_index,
@@ -237,47 +204,28 @@ impl RecoveryDispatcher {
         });
     }
 
-    /// The end-of-run sweep: recovers every diagnosed detection the eager
-    /// path did not handle (all of them when no hook was installed, and
-    /// every repair the storm shed), then reviews the deferred incidents.
-    /// Dedup makes this idempotent with respect to the eager path.
-    pub fn sweep(&mut self, detections: &[Detection]) {
+    /// Ends the operation's recovery: runs the repairs the storm parked
+    /// (in detection order, after reporting them to the storm as swept),
+    /// then reviews the deferred incidents (in the order their verdicts
+    /// arrived), and returns every run, ordered by detection index.
+    pub fn finish(&mut self, detections: &[Detection]) -> Vec<DispatchRecord> {
         let parked = std::mem::take(&mut self.parked);
         if let Some(storm) = &self.storm {
             storm.borrow_mut().swept(parked.len());
         }
-        for (i, d) in detections.iter().enumerate() {
-            if d.diagnosis.is_none() {
-                // Suppressed by the diagnosis cooldown — an identical
-                // diagnosis just ran; nothing to recover.
-                continue;
-            }
-            let path = if parked.contains(&i) {
-                RecoveryPath::DeferredSwept
-            } else {
-                RecoveryPath::Review
-            };
-            self.dispatch(i, d, path);
+        for i in parked {
+            self.repair(i, &detections[i], RecoveryPath::DeferredSwept);
         }
         for i in std::mem::take(&mut self.deferred) {
-            self.review(i, &detections[i], RecoveryPath::Review);
+            self.review(i, &detections[i]);
         }
-    }
-
-    /// Drains the finished runs, ordered by detection index.
-    pub fn take_records(&mut self) -> Vec<DispatchRecord> {
         let mut records = std::mem::take(&mut self.records);
         records.sort_by_key(|r| r.detection_index);
         records
     }
 
-    fn request(
-        &self,
-        detection_index: usize,
-        detection: &Detection,
-        cause: &str,
-        description: &str,
-    ) -> RecoveryRequest {
+    fn request(&self, detection_index: usize, detection: &Detection) -> RecoveryRequest {
+        let (cause, description) = root_cause_of(detection);
         RecoveryRequest {
             task_id: format!("{}-r{}", self.trace_id, detection_index),
             root_cause: cause.to_string(),
@@ -301,21 +249,22 @@ fn is_benign_cause(cause: &str) -> bool {
     )
 }
 
-/// The confirmed root cause of a diagnosed detection, or `("none", …)`
-/// when the diagnosis excluded every candidate fault.
-fn root_cause_of(detection: &Detection) -> (String, String) {
+/// The confirmed root cause of a diagnosed detection and its description,
+/// or `"none"` when the diagnosis excluded every candidate fault.
+fn root_cause_of(detection: &Detection) -> (&str, &str) {
     detection
         .diagnosis
         .as_ref()
         .and_then(|report| report.root_causes.first())
-        .map(|c| (c.node_id.clone(), c.description.clone()))
-        .unwrap_or_else(|| ("none".to_string(), "no root cause identified".to_string()))
+        .map_or(("none", "no root cause identified"), |c| {
+            (c.node_id.as_str(), c.description.as_str())
+        })
 }
 
 /// Fills the phase segments the executor cannot know: detection →
 /// diagnosis start, the diagnosis itself, and the staging wait between the
-/// verdict and the recovery start (the storm lane wait on the eager path,
-/// zero without a storm; the whole sweep wait otherwise).
+/// verdict and the recovery start (the storm lane wait at the verdict,
+/// zero without a storm; the whole wait until `finish` otherwise).
 fn stamp_phases(run: &mut RecoveryRun, detection: &Detection) {
     if let Some(report) = &detection.diagnosis {
         run.phases.detection = report.started_at.duration_since(detection.at);
@@ -359,12 +308,14 @@ fn confirm_assertion(key: &str, env: &ExpectedEnv) -> CloudAssertion {
 mod tests {
     use super::*;
     use crate::fixtures::{cluster, diagnosed, wrong_ami};
+    use crate::storm::StormConfig;
+    use pod_obs::Obs;
+    use pod_sim::Clock;
 
-    /// Satellite (d): when the eager path and the end-of-run sweep race on
-    /// the same incident, exactly one recovery runs, the duplicate is
-    /// counted, and `attempted == recovered + escalated` holds.
+    /// A verdict with a mapped root cause is repaired at the verdict,
+    /// once, and `attempted == recovered + escalated` holds.
     #[test]
-    fn eager_and_sweep_dedup_to_one_recovery() {
+    fn an_actionable_verdict_is_repaired_at_its_verdict() {
         let (cloud, env) = wrong_ami(91);
         let shared = SharedEnv::new(env);
         let mut dispatcher =
@@ -372,10 +323,8 @@ mod tests {
 
         let detection = diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami"));
         dispatcher.on_diagnosis(0, &detection);
-        // The sweep races on the same incident; dedup must absorb it.
-        dispatcher.sweep(std::slice::from_ref(&detection));
 
-        let records = dispatcher.take_records();
+        let records = dispatcher.finish(std::slice::from_ref(&detection));
         assert_eq!(records.len(), 1, "exactly one recovery per incident");
         let DispatchRecord {
             detection_index,
@@ -397,11 +346,10 @@ mod tests {
         assert_eq!(run.started_at, detection.at);
         assert_eq!(run.phases.staging, SimDuration::ZERO);
         assert_eq!(run.plans_tried, vec!["rollback-launch-config"]);
-        assert_eq!(cloud.obs().counter("recovery.dispatch.dedup").get(), 1);
     }
 
-    /// An incident without an actionable repair is deferred on the eager
-    /// path and reviewed (not repaired) at the sweep.
+    /// An incident without an actionable repair is deferred at its
+    /// verdict and reviewed (not repaired) when the operation ends.
     #[test]
     fn unmapped_diagnosis_defers_to_operation_end_review() {
         let (cloud, env) = cluster(92);
@@ -411,10 +359,9 @@ mod tests {
 
         let detection = diagnosed(&cloud, "asg-desired-capacity", Some("concurrent-scale-in"));
         dispatcher.on_diagnosis(0, &detection);
-        assert!(dispatcher.take_records().is_empty(), "deferred, not run");
+        assert!(dispatcher.records.is_empty(), "deferred, not run");
 
-        dispatcher.sweep(std::slice::from_ref(&detection));
-        let records = dispatcher.take_records();
+        let records = dispatcher.finish(std::slice::from_ref(&detection));
         assert_eq!(records.len(), 1);
         let run = &records[0].run;
         assert_eq!(run.plans_tried, vec!["confirm-resolved"]);
@@ -422,6 +369,64 @@ mod tests {
         // The desired-capacity expectation (2) is met by the healthy group,
         // so the review confirms the incident resolved itself.
         assert_eq!(run.outcome, crate::RecoveryOutcome::Recovered);
-        assert_eq!(cloud.obs().counter("recovery.dispatch.dedup").get(), 1);
+    }
+
+    /// Under a one-lane storm that sheds every wait, `finish` owes one run
+    /// per diagnosed detection: the repair the storm parked, the deferred
+    /// review and the one repaired at its verdict, in detection order.
+    #[test]
+    fn finish_runs_the_parked_repairs_and_the_deferred_reviews() {
+        let clock = Clock::new();
+        let config = StormConfig {
+            lanes: 1,
+            max_lane_wait: SimDuration::ZERO,
+            throttle_at: 8,
+            ..StormConfig::default()
+        };
+        let storm = RecoveryStorm::new(&Obs::new(clock.clone()), clock, config);
+        let storm = Rc::new(RefCell::new(storm));
+        let (cloud, env) = wrong_ami(93);
+        let shared = SharedEnv::new(env);
+        let storage = LogStorage::new();
+        let mut dispatcher =
+            RecoveryDispatcher::new(cloud.clone(), storage, shared, "run-3", Some(storm.clone()));
+
+        let mut undiagnosed = diagnosed(&cloud, "asg-desired-capacity", None);
+        undiagnosed.diagnosis = None;
+        let detections = [
+            diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami")),
+            undiagnosed,
+            diagnosed(&cloud, "asg-desired-capacity", Some("concurrent-scale-in")),
+            diagnosed(&cloud, "asg-launch-config-correct", Some("lc-wrong-ami")),
+        ];
+        for (i, d) in detections.iter().enumerate() {
+            if d.diagnosis.is_some() {
+                dispatcher.on_diagnosis(i, d);
+            }
+        }
+        assert_eq!(dispatcher.parked, [3], "the lane is busy: shed");
+        assert_eq!(dispatcher.deferred, [2]);
+
+        let records = dispatcher.finish(&detections);
+        let shape: Vec<_> = records
+            .iter()
+            .map(|r| (r.detection_index, r.path, r.run.task_id.as_str()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, RecoveryPath::Eager { throttled: false }, "run-3-r0"),
+                (2, RecoveryPath::Review, "run-3-r2"),
+                (3, RecoveryPath::DeferredSwept, "run-3-r3"),
+            ]
+        );
+        assert_eq!(records[2].run.plans_tried, vec!["rollback-launch-config"]);
+        let s = storm.borrow().stats();
+        assert_eq!((s.requests, s.deferred), (2, 1));
+        assert_eq!(s.swept, s.deferred);
+        assert!(
+            dispatcher.finish(&detections).is_empty(),
+            "nothing owed twice"
+        );
     }
 }

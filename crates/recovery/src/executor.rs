@@ -40,12 +40,12 @@ const MAX_STEP_ATTEMPTS: u32 = 2;
 /// dominates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryPhases {
-    /// Detection → diagnosis start (sweep wait + dispatch delay).
+    /// Detection → diagnosis start (dispatch delay).
     pub detection: SimDuration,
     /// Fault-tree walk, including the diagnosis-service overhead.
     pub diagnosis: SimDuration,
-    /// Verdict → recovery start: the storm lane wait on the eager path,
-    /// the whole sweep wait otherwise.
+    /// Verdict → recovery start: the storm lane wait at the verdict, the
+    /// whole wait until the operation's end for a shed repair or a review.
     pub staging: SimDuration,
     /// Step execution, measured on the modeled parallel lanes (makespan,
     /// not the sum of step durations).

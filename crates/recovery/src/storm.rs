@@ -293,9 +293,8 @@ mod tests {
         tenant.on_diagnosis(0, detection);
     }
 
-    fn sweep(tenant: &mut RecoveryDispatcher, detection: &Detection) -> Vec<DispatchRecord> {
-        tenant.sweep(std::slice::from_ref(detection));
-        tenant.take_records()
+    fn finish(tenant: &mut RecoveryDispatcher, detection: &Detection) -> Vec<DispatchRecord> {
+        tenant.finish(std::slice::from_ref(detection))
     }
 
     /// Quiet-vs-loaded equivalence. The same tenant (same seed, same
@@ -315,7 +314,7 @@ mod tests {
         let mut tq = tenant(&quiet, &cloud_q, &env_q, "quiet-1");
         let dq = diagnosed(&cloud_q, "lc-wrong-ami");
         dispatch_one(&mut tq, &dq);
-        let quiet_records = sweep(&mut tq, &dq);
+        let quiet_records = finish(&mut tq, &dq);
 
         // Loaded: one lane, zero-tolerance throttling, and a contending
         // tenant that grabs the lane first.
@@ -333,8 +332,8 @@ mod tests {
         dispatch_one(&mut ta, &da);
         let db = diagnosed(&cloud_b, "lc-wrong-ami");
         dispatch_one(&mut tb, &db);
-        sweep(&mut ta, &da);
-        let loaded_records = sweep(&mut tb, &db);
+        finish(&mut ta, &da);
+        let loaded_records = finish(&mut tb, &db);
 
         assert_eq!(quiet_records.len(), 1);
         assert_eq!(loaded_records.len(), 1);
@@ -406,8 +405,8 @@ mod tests {
             Some(&1)
         );
 
-        let ra = sweep(&mut ta, &da);
-        let rb = sweep(&mut tb, &db);
+        let ra = finish(&mut ta, &da);
+        let rb = finish(&mut tb, &db);
         assert_eq!(ra.len(), 1);
         assert_eq!(rb.len(), 1);
         assert_eq!(ra[0].path.tag(), "eager");
@@ -435,7 +434,7 @@ mod tests {
         let d = diagnosed(&cloud, "concurrent-scale-in");
         dispatch_one(&mut t, &d);
         assert_eq!(storm.borrow().stats().requests, 0);
-        let records = sweep(&mut t, &d);
+        let records = finish(&mut t, &d);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].path, RecoveryPath::Review);
         assert_eq!(records[0].run.plans_tried, vec!["confirm-resolved"]);

@@ -7,13 +7,13 @@
 use pod_diagnosis::eval::{
     campaign_lines, collect_streams, diff_report, flight_json, gateway_line, healthy_log,
     incident_lines, monitor_upgrade, recovery_lines, recovery_soak_lines, render_gateway_report,
-    render_report, render_soak_report, replay, replay_with_recovery, soak_lines, wall_line,
-    write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
+    render_report, render_soak_report, replay_telemetry, replay_with_recovery, soak_lines,
+    wall_line, write_journal, Campaign, CampaignConfig, SoakConfig, SoakReport,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::Json;
 use pod_diagnosis::mining::mine_process;
-use pod_diagnosis::obs::{incidents, render_dashboard, render_timelines};
+use pod_diagnosis::obs::{incidents, render_dashboard, render_timelines, TelemetryMode};
 use pod_diagnosis::orchestrator::FaultType;
 use pod_diagnosis::process::replay_fitness;
 use pod_diagnosis::recovery::StormConfig;
@@ -142,6 +142,15 @@ impl Args {
         }
     }
 
+    /// A count positional: `default` when absent; zero, which would run
+    /// nothing, is a usage error.
+    fn count(&mut self, default: usize) -> usize {
+        match self.positional().unwrap_or(default) {
+            0 => self.usage(),
+            n => n,
+        }
+    }
+
     fn finish(self) {
         if !self.rest.is_empty() {
             self.usage();
@@ -162,7 +171,7 @@ fn conclude(name: &str, lines: &[Json], json: bool) {
 fn campaign(mut args: Args) {
     let (recovery, json) = args.run_flags();
     let config = CampaignConfig {
-        runs_per_fault: args.positional().unwrap_or(20),
+        runs_per_fault: args.count(20),
         seed: args.positional().unwrap_or(2014), // the year of the paper
         recovery,
         ..CampaignConfig::default()
@@ -223,7 +232,7 @@ fn soak(mut args: Args) {
         ..GatewayConfig::default()
     };
     let config = SoakConfig {
-        ops: args.positional().unwrap_or(64),
+        ops: args.count(64),
         ..SoakConfig::default()
     };
     args.finish();
@@ -274,7 +283,7 @@ fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
         base.shards, base.overload
     );
     let replay_started = std::time::Instant::now();
-    let report = replay(&streams, base);
+    let report = replay_telemetry(&streams, base, TelemetryMode::Full);
     let wall_secs = replay_started.elapsed().as_secs_f64();
     print_soak(&report);
     let rows = [
@@ -294,7 +303,7 @@ fn gateway_soak(config: &SoakConfig, base: &GatewayConfig) -> Vec<Json> {
         overload: OverloadPolicy::ShedOldest,
         ..GatewayConfig::default()
     };
-    let stress = replay(&streams, &stress_config);
+    let stress = replay_telemetry(&streams, &stress_config, TelemetryMode::Full);
     println!("-- overload stress (capacity 4, shed-oldest) --");
     print!("{}", render_gateway_report(&stress.stats));
     assert_eq!(

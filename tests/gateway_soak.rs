@@ -8,11 +8,12 @@
 //! bound: frames follow drains, not detections.
 
 use pod_diagnosis::eval::{
-    build_engine, build_scenario, collect_streams, monitor_upgrade, replay, replay_with_recovery,
-    Campaign, CampaignConfig, ScenarioConfig, SoakConfig, SoakReport,
+    build_engine, build_scenario, collect_streams, monitor_upgrade, replay_telemetry,
+    replay_with_recovery, Campaign, CampaignConfig, ScenarioConfig, SoakConfig, SoakReport,
 };
 use pod_diagnosis::gateway::{GatewayConfig, OverloadPolicy};
 use pod_diagnosis::log::{LogEvent, LogQuery};
+use pod_diagnosis::obs::TelemetryMode;
 use pod_diagnosis::recovery::StormConfig;
 use pod_diagnosis::sim::{SimDuration, SimTime};
 
@@ -56,7 +57,7 @@ fn soak_digest() -> (String, u64) {
         ..SoakConfig::default()
     };
     let streams = collect_streams(&config);
-    let report = replay(&streams, &GatewayConfig::default());
+    let report = replay_telemetry(&streams, &GatewayConfig::default(), TelemetryMode::Full);
     assert!(
         report.leaks.is_empty(),
         "cross-operation leakage: {:?}",
@@ -142,7 +143,7 @@ fn a_detection_storm_costs_at_most_one_frame_per_drain() {
         overload: OverloadPolicy::ShedOldest,
         ..GatewayConfig::default()
     };
-    let report = replay(&collect_streams(&config), &gateway);
+    let report = replay_telemetry(&collect_streams(&config), &gateway, TelemetryMode::Full);
     assert!(report.stats.shed_oldest > 0, "the queues must overflow");
     assert_frames_follow_drains(&report);
 }
@@ -158,7 +159,11 @@ fn stored_events() -> Vec<LogEvent> {
         seed: 2014,
         ..SoakConfig::default()
     });
-    drop(replay(&streams, &GatewayConfig::default()));
+    drop(replay_telemetry(
+        &streams,
+        &GatewayConfig::default(),
+        TelemetryMode::Full,
+    ));
     let mut events: Vec<LogEvent> = streams
         .ops
         .iter()

@@ -333,10 +333,13 @@ fn the_cli_rejects_arguments_it_cannot_use() {
         &["campaign", "abc"][..],
         &["campaign", "--jsno"],
         &["campaign", "1", "2", "3"],
+        &["campaign", "0"], // zero runs: nothing to evaluate
         &["soak", "abc"],
         &["soak", "--policy", "bogus"],
         &["soak", "8", "--baseline", "X"], // gone: `diff --gate` is the gate
         &["soak", "8", "9"],
+        &["soak", "0"], // zero operations: nothing to replay
+        &["soak", "0", "--recovery"],
         &["timeline", "extra"],
         &["timeline", "--jsno"],
         &["monitor", "7", "99"],
