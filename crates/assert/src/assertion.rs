@@ -478,18 +478,18 @@ impl InstanceAssertionKind {
 
 impl BoundAssertion {
     /// Resolves the binding into a concrete assertion using the triggering
-    /// log event and the current expected instance count. Returns `None`
+    /// stored line and the current expected instance count. Returns `None`
     /// when a required field or context is missing (e.g. a timer-triggered
     /// evaluation with no log line).
     pub fn resolve(
         &self,
-        event: Option<&pod_log::LogEvent>,
+        line: Option<&pod_log::StoredLine>,
         expected_count: u32,
     ) -> Option<CloudAssertion> {
         match self {
             BoundAssertion::Fixed(a) => Some(a.clone()),
             BoundAssertion::VersionCountFromField { field } => {
-                let count: u32 = event?.field(field)?.parse().ok()?;
+                let count: u32 = line?.field(field)?.parse().ok()?;
                 Some(CloudAssertion::AsgHasInstancesWithVersion { count })
             }
             BoundAssertion::VersionCountFromEnv => {
@@ -498,11 +498,8 @@ impl BoundAssertion {
                 })
             }
             BoundAssertion::InstanceFromContext { kind } => {
-                let id = event?
-                    .context
-                    .as_ref()
-                    .and_then(|c| c.cloud_instance_id.clone())
-                    .or_else(|| event?.field("instanceid").map(str::to_string))?;
+                let line = line?;
+                let id = line.cloud_instance().or_else(|| line.field("instanceid"))?;
                 Some(kind.on(InstanceId::new(id)))
             }
         }

@@ -1,7 +1,9 @@
 //! The assertion-evaluation service: runs assertions, times them, and logs
 //! their results to central storage in the paper's assertion-log shape.
 
-use pod_log::{LogEvent, LogRecord, LogStorage, ProcessContext, Severity};
+use std::sync::Arc;
+
+use pod_log::{LogEvent, LogRecord, LogStorage, ProcessContext, Severity, StoredLine};
 use pod_obs::Counter;
 use pod_sim::{SimDuration, SimTime};
 
@@ -29,6 +31,35 @@ impl AssertionTrigger {
             AssertionTrigger::Log => "trigger:log",
             AssertionTrigger::OneOffTimer => "trigger:oneoff-timer",
             AssertionTrigger::PeriodicTimer => "trigger:periodic-timer",
+        }
+    }
+}
+
+/// The process context an assertion is evaluated under, as its result
+/// record keeps it: shared, never copied.
+#[derive(Debug, Clone)]
+pub enum AssertionContext {
+    /// The stored line whose arrival triggered the evaluation.
+    Line(Arc<StoredLine>),
+    /// A context of the evaluation's own, such as a timer's process, trace
+    /// and step.
+    Process(Arc<ProcessContext>),
+}
+
+impl AssertionContext {
+    /// The step the evaluation runs under, when known.
+    fn step(&self) -> Option<&str> {
+        match self {
+            AssertionContext::Line(line) => line.step(),
+            AssertionContext::Process(ctx) => ctx.step_id.as_deref(),
+        }
+    }
+
+    /// The process context itself, built afresh.
+    fn process_context(&self) -> Option<ProcessContext> {
+        match self {
+            AssertionContext::Line(line) => line.context(),
+            AssertionContext::Process(ctx) => Some(ProcessContext::clone(ctx)),
         }
     }
 }
@@ -106,15 +137,15 @@ impl AssertionEvaluator {
 
     /// Evaluates one assertion, stores its result and returns the record.
     /// Central storage keeps what the result's log line is built from (the
-    /// trigger, timing, description, outcome and a copy of `context`, the
-    /// process context the evaluation runs under) and renders the line
-    /// only when a query reads it.
+    /// trigger, timing, description, outcome and `context`, the process
+    /// context the evaluation runs under, shared) and renders the line only
+    /// when a query reads it.
     pub fn evaluate(
         &self,
         assertion: &CloudAssertion,
         env: &ExpectedEnv,
         trigger: AssertionTrigger,
-        context: Option<&ProcessContext>,
+        context: Option<AssertionContext>,
     ) -> AssertionRecord {
         let obs = self.api.cloud().obs();
         let started_at = self.api.cloud().clock().now();
@@ -132,7 +163,7 @@ impl AssertionEvaluator {
                 ("trigger", trigger.tag().to_string()),
                 ("outcome", "failed".to_string()),
             ];
-            if let Some(step) = context.and_then(|c| c.step_id.as_deref()) {
+            if let Some(step) = context.as_ref().and_then(AssertionContext::step) {
                 attrs.push(("step", step.to_string()));
             }
             let event = obs.event_with("assertion.result", assertion.key(), attrs);
@@ -158,7 +189,7 @@ impl AssertionEvaluator {
             duration,
             description: record.description.clone(),
             outcome: record.outcome.clone(),
-            context: context.cloned(),
+            context,
         });
         record
     }
@@ -174,7 +205,7 @@ struct AssertionLine {
     duration: SimDuration,
     description: String,
     outcome: AssertionOutcome,
-    context: Option<ProcessContext>,
+    context: Option<AssertionContext>,
 }
 
 impl LogRecord for AssertionLine {
@@ -185,7 +216,11 @@ impl LogRecord for AssertionLine {
             AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
             AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
         };
-        let message = match &self.context {
+        let context = self
+            .context
+            .as_ref()
+            .and_then(AssertionContext::process_context);
+        let message = match &context {
             Some(ctx) => format!(
                 "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
                 ctx.process_instance_id,
@@ -208,8 +243,8 @@ impl LogRecord for AssertionLine {
             severity,
             context: None,
         };
-        match &self.context {
-            Some(ctx) => event.with_context(ctx.clone()),
+        match context {
+            Some(ctx) => event.with_context(ctx),
             None => event,
         }
     }
@@ -269,7 +304,7 @@ mod tests {
             &CloudAssertion::AsgInstanceCount { count: 7 },
             &env,
             AssertionTrigger::OneOffTimer,
-            Some(&ctx),
+            Some(AssertionContext::Process(Arc::new(ctx.clone()))),
         );
         assert!(rec.is_failure());
         let errors = storage.query(&LogQuery::new());

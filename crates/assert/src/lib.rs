@@ -32,4 +32,4 @@ pub use assertion::{
 };
 pub use consistent::{ConsistentApi, ConsistentError, RetryPolicy};
 pub use env::ExpectedEnv;
-pub use evaluator::{AssertionEvaluator, AssertionRecord, AssertionTrigger};
+pub use evaluator::{AssertionContext, AssertionEvaluator, AssertionRecord, AssertionTrigger};

@@ -139,6 +139,7 @@ impl PodConfig {
             operation_end: Arc::new(Regex::new(&self.operation_end_pattern)?),
             known_errors: RegexSet::new(&self.known_error_patterns)?,
             net: Arc::new(PetriNet::compile(&self.model)),
+            process_id: Arc::from(self.model.name()),
             config: self,
         }))
     }
@@ -153,6 +154,8 @@ pub struct CompiledPod {
     /// What it was compiled from: engines read the settings, bindings, trees
     /// and the (now indexed) rule book in place. `engine_seed` is unused.
     pub(crate) config: PodConfig,
+    /// The model's name, shared with every annotated line of every engine.
+    pub(crate) process_id: Arc<str>,
     /// `None` when no relevance pattern is configured: no filter stage.
     pub(crate) noise_filter: Option<Arc<RegexSet>>,
     pub(crate) operation_start: Arc<Regex>,

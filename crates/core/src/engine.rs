@@ -6,7 +6,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use pod_assert::{
-    AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi, ExpectedEnv, RetryPolicy,
+    AssertionContext, AssertionEvaluator, AssertionTrigger, CloudAssertion, ConsistentApi,
+    ExpectedEnv, RetryPolicy,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
@@ -14,7 +15,7 @@ use pod_faulttree::{
 };
 use pod_log::{
     LogEvent, LogRecord, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
-    ProcessContext, Severity, TimerSetter, Trigger,
+    ProcessContext, Severity, StoredLine, TimerSetter, Trigger,
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
@@ -67,7 +68,7 @@ struct ConformanceLine {
     unfit: Option<String>,
     trace_id: Arc<str>,
     /// The line the verdict judged.
-    line: Arc<LogEvent>,
+    line: Arc<StoredLine>,
 }
 
 impl LogRecord for ConformanceLine {
@@ -86,7 +87,7 @@ impl LogRecord for ConformanceLine {
                 self.trace_id,
                 self.verdict,
                 self.unfit.as_deref().unwrap_or(""),
-                self.line.message
+                self.line.message()
             ),
             severity: self.severity,
             context: None,
@@ -231,7 +232,7 @@ impl PodEngine {
         trace_id: impl Into<String>,
         engine_seed: u64,
     ) -> PodEngine {
-        let trace_id = trace_id.into();
+        let trace_id: Arc<str> = Arc::from(trace_id.into());
         let obs = cloud.obs();
         let mut pipeline = Pipeline::on(obs);
         if let Some(keep) = &pod.noise_filter {
@@ -240,12 +241,12 @@ impl PodEngine {
         pipeline.add_stage(Box::new(TimerSetter::new(
             Arc::clone(&pod.operation_start),
             Arc::clone(&pod.operation_end),
-            trace_id.clone(),
+            trace_id.to_string(),
         )));
         pipeline.add_stage(Box::new(ProcessAnnotator::new(
             Arc::clone(&pod.config.rules),
-            pod.config.model.name().to_string(),
-            trace_id.clone(),
+            Arc::clone(&pod.process_id),
+            Arc::clone(&trace_id),
         )));
 
         let api = ConsistentApi::new(cloud.clone(), pod.config.retry_policy.clone());
@@ -264,7 +265,7 @@ impl PodEngine {
             cloud,
             storage,
             env,
-            trace_id: trace_id.into(),
+            trace_id,
             op_started: None,
             periodic: None,
             step: None,
@@ -300,7 +301,7 @@ impl PodEngine {
 
     /// The bare process context of this trace (no step, no instance).
     fn context(&self) -> ProcessContext {
-        ProcessContext::new(self.process_id().to_string(), self.trace_id.to_string())
+        ProcessContext::new(Arc::clone(&self.pod.process_id), Arc::clone(&self.trace_id))
     }
 
     /// Ingests one raw operation-log line: [`PodEngine::ingest_batch`] of one.
@@ -327,33 +328,34 @@ impl PodEngine {
     /// something actually emits under it — healthy lines (fit verdicts,
     /// passing assertions) record nothing.
     ///
-    /// The annotated line arrives in its conformance trigger and is wrapped
-    /// in an `Arc` once: central storage keeps it when it carries process
-    /// context (the "important" lines), and the conformance and assertion
-    /// triggers borrow the same allocation. It is stored before its
-    /// conformance and assertion lines; the timer triggers ahead of it
-    /// write no storage, so the stored order is line, conformance line,
-    /// assertion line.
+    /// The annotated line arrives in its conformance trigger and becomes
+    /// its [`StoredLine`] once, wrapped in an `Arc`: central storage keeps
+    /// it when it carries process context (the "important" lines), the
+    /// conformance and assertion triggers read the same allocation, and
+    /// their result records share it. It is stored before its conformance
+    /// and assertion lines; the timer triggers ahead of it write no
+    /// storage, so the stored order is line, conformance line, assertion
+    /// line.
     fn handle_pipeline_output(&mut self, out: PipelineOutput) {
         let obs = self.cloud.obs();
         let _scope = match out.cause {
             Some(c) => obs.scope_cause("log.line", c.source, c.attrs),
             None => obs.events().scope(None),
         };
-        let mut line: Option<Arc<LogEvent>> = None;
+        let mut stored: Option<Arc<StoredLine>> = None;
         for trigger in out.triggers {
             match trigger {
                 Trigger::Conformance(event) => {
-                    let event = Arc::new(event);
-                    if event.context.is_some() {
-                        self.storage.append(Arc::clone(&event));
+                    let line = Arc::new(StoredLine::new(event, &self.pod.config.rules));
+                    if line.is_annotated() {
+                        self.storage.append_line(Arc::clone(&line));
                     }
-                    self.on_conformance(&event);
-                    line = Some(event);
+                    self.on_conformance(&line);
+                    stored = Some(line);
                 }
                 Trigger::Assertion { activity } => {
-                    if let Some(event) = &line {
-                        self.on_assertion(&activity, event);
+                    if let Some(line) = &stored {
+                        self.on_assertion(&activity, line);
                     }
                 }
                 Trigger::PeriodicStart { .. } => self.on_operation_start(),
@@ -385,15 +387,15 @@ impl PodEngine {
     // Conformance
     // -----------------------------------------------------------------
 
-    fn on_conformance(&mut self, event: &Arc<LogEvent>) {
+    fn on_conformance(&mut self, line: &Arc<StoredLine>) {
         let replay_started = self.cloud.clock().now();
         self.cloud.clock().advance(CONFORMANCE_LATENCY);
         self.summary.conformance_events += 1;
-        let activity = event.context.as_ref().and_then(|c| c.step_id.clone());
-        let verdict = match &activity {
+        let activity = line.step();
+        let verdict = match activity {
             Some(act) => self.conformance.replay(&self.trace_id, act),
             None => {
-                let known = self.pod.known_errors.first_match(&event.message).is_some();
+                let known = self.pod.known_errors.first_match(line.message()).is_some();
                 self.conformance.record_error(&self.trace_id, known)
             }
         };
@@ -417,7 +419,7 @@ impl PodEngine {
                     ("verdict".to_string(), verdict.tag().to_string()),
                 ],
             });
-        self.log_conformance(event, &verdict);
+        self.log_conformance(line, &verdict);
         if verdict.is_error() {
             self.summary.conformance_errors += 1;
             let source = match &verdict {
@@ -425,22 +427,20 @@ impl PodEngine {
                 Conformance::Error => DetectionSource::ConformanceKnownError,
                 _ => DetectionSource::ConformanceUnclassified,
             };
-            let instance = extract_instance(event);
-            let step = activity.clone().or_else(|| {
-                self.conformance
-                    .last_activity(&self.trace_id)
-                    .map(str::to_string)
-            });
-            let description = format!("{} [{}]", event.message, verdict.tag());
+            let instance = extract_instance(line);
+            let step = activity
+                .or_else(|| self.conformance.last_activity(&self.trace_id))
+                .map(str::to_string);
+            let description = format!("{} [{}]", line.message(), verdict.tag());
             let cause = self.conformance.last_verdict_event();
             self.detect(source, None, description, step, instance, cause);
         }
         // Step-timer management from process context.
-        if let Some(act) = &activity {
-            if self.pod.config.wait_activity.as_deref() == Some(act.as_str()) {
+        if let Some(act) = activity {
+            if self.pod.config.wait_activity.as_deref() == Some(act) {
                 self.arm_step_timer();
             }
-            if self.pod.config.completion_activity.as_deref() == Some(act.as_str()) {
+            if self.pod.config.completion_activity.as_deref() == Some(act) {
                 self.step = None;
             }
         }
@@ -448,7 +448,7 @@ impl PodEngine {
 
     /// Stores the verdict as a record of what its `conformance.log` line is
     /// built from: the clock reading, the verdict and the line it judged.
-    fn log_conformance(&self, event: &Arc<LogEvent>, verdict: &Conformance) {
+    fn log_conformance(&self, line: &Arc<StoredLine>, verdict: &Conformance) {
         let unfit = match verdict {
             Conformance::Unfit { expected, skipped } => Some(format!(
                 " expected=[{}] hypothesised-skips=[{}]",
@@ -467,7 +467,7 @@ impl PodEngine {
             },
             unfit,
             trace_id: Arc::clone(&self.trace_id),
-            line: Arc::clone(event),
+            line: Arc::clone(line),
         });
     }
 
@@ -475,30 +475,25 @@ impl PodEngine {
     // Assertions
     // -----------------------------------------------------------------
 
-    fn on_assertion(&mut self, activity: &str, event: &LogEvent) {
-        if let Some(done) = event.field("done").and_then(|d| d.parse::<u32>().ok()) {
+    /// Evaluates `activity`'s post-step assertions on the line that ended
+    /// it; each result record shares the line for its context.
+    fn on_assertion(&mut self, activity: &str, line: &Arc<StoredLine>) {
+        if let Some(done) = line.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
         let pod = Arc::clone(&self.pod);
-        let bare;
-        let ctx = match &event.context {
-            Some(ctx) => ctx,
-            None => {
-                bare = self.context();
-                &bare
-            }
-        };
+        let ctx = AssertionContext::Line(Arc::clone(line));
         for binding in pod.config.bindings.for_activity(activity) {
             let env = self.env.snapshot();
-            let Some(assertion) = binding.resolve(Some(event), env.expected_count) else {
+            let Some(assertion) = binding.resolve(Some(line), env.expected_count) else {
                 continue;
             };
             let record =
                 self.evaluator
-                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(ctx));
+                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(ctx.clone()));
             self.summary.assertions_evaluated += 1;
             if record.is_failure() {
-                let instance = extract_instance(event);
+                let instance = extract_instance(line);
                 self.detect(
                     DetectionSource::AssertionLog,
                     Some(assertion.key()),
@@ -623,13 +618,13 @@ impl PodEngine {
             if let Some(s) = &step {
                 c = c.with_step(s.clone());
             }
-            c
+            AssertionContext::Process(Arc::new(c))
         };
         let record = {
             let events = self.cloud.obs().events().clone();
             let _scope = events.scope(cause);
             self.evaluator
-                .evaluate(&assertion, &env, AssertionTrigger::OneOffTimer, Some(&ctx))
+                .evaluate(&assertion, &env, AssertionTrigger::OneOffTimer, Some(ctx))
         };
         self.summary.assertions_evaluated += 1;
         if record.is_failure() {
@@ -674,7 +669,7 @@ impl PodEngine {
             CloudAssertion::AsgActiveCountAtLeast { count: floor },
         ];
         checks.extend(self.pod.config.periodic_assertions.iter().cloned());
-        let ctx = self.context();
+        let ctx = AssertionContext::Process(Arc::new(self.context()));
         for assertion in checks {
             let record = {
                 let events = self.cloud.obs().events().clone();
@@ -683,7 +678,7 @@ impl PodEngine {
                     &assertion,
                     &env,
                     AssertionTrigger::PeriodicTimer,
-                    Some(&ctx),
+                    Some(ctx.clone()),
                 )
             };
             self.summary.assertions_evaluated += 1;
@@ -794,12 +789,9 @@ impl PodEngine {
     }
 }
 
-/// Extracts the implicated instance id from an annotated event.
-fn extract_instance(event: &LogEvent) -> Option<InstanceId> {
-    event
-        .context
-        .as_ref()
-        .and_then(|c| c.cloud_instance_id.clone())
-        .or_else(|| event.field("instanceid").map(str::to_string))
+/// Extracts the implicated instance id from an annotated line.
+fn extract_instance(line: &StoredLine) -> Option<InstanceId> {
+    line.cloud_instance()
+        .or_else(|| line.field("instanceid"))
         .map(InstanceId::new)
 }

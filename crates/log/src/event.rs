@@ -8,12 +8,17 @@
 //! assertion evaluation and diagnosis consume.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pod_sim::SimTime;
 
 use crate::json::Json;
 
 /// Process context attached to a log line by the log annotator.
+///
+/// The process and trace ids are shared, not copied: every line of one
+/// execution carries the same two, so an annotator bumps a reference count
+/// where it would copy two strings.
 ///
 /// # Examples
 ///
@@ -28,9 +33,9 @@ use crate::json::Json;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ProcessContext {
     /// Identifier of the process *model* (e.g. `rolling-upgrade`).
-    pub process_id: String,
+    pub process_id: Arc<str>,
     /// Identifier of the process *instance* / trace (one concrete upgrade).
-    pub process_instance_id: String,
+    pub process_instance_id: Arc<str>,
     /// The step (activity) this line belongs to, when known.
     pub step_id: Option<String>,
     /// The cloud instance the line refers to, when one could be extracted.
@@ -39,7 +44,7 @@ pub struct ProcessContext {
 
 impl ProcessContext {
     /// Creates a context for a process model and trace.
-    pub fn new(process_id: impl Into<String>, process_instance_id: impl Into<String>) -> Self {
+    pub fn new(process_id: impl Into<Arc<str>>, process_instance_id: impl Into<Arc<str>>) -> Self {
         ProcessContext {
             process_id: process_id.into(),
             process_instance_id: process_instance_id.into(),
@@ -183,16 +188,18 @@ impl LogEvent {
     /// Attaches process context and mirrors it into tags/fields the way the
     /// paper's annotator does.
     pub fn with_context(mut self, ctx: ProcessContext) -> LogEvent {
-        if !self.tags.contains(&ctx.process_id) {
-            self.tags.push(ctx.process_id.clone());
+        if !self.tags.iter().any(|t| **t == *ctx.process_id) {
+            self.tags.push(ctx.process_id.to_string());
         }
         if let Some(step) = &ctx.step_id {
             if !self.tags.contains(step) {
                 self.tags.push(step.clone());
             }
         }
-        self.fields
-            .push(("processinsid".to_string(), ctx.process_instance_id.clone()));
+        self.fields.push((
+            "processinsid".to_string(),
+            ctx.process_instance_id.to_string(),
+        ));
         if let Some(id) = &ctx.cloud_instance_id {
             self.fields.push(("instanceid".to_string(), id.clone()));
         }

@@ -289,7 +289,8 @@ impl<'a> JsonParser<'a> {
         {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // The run is ASCII, so this borrows; it cannot fail either way.
+        let s = String::from_utf8_lossy(&self.bytes[start..self.pos]);
         s.parse::<f64>()
             .map(Json::Number)
             .map_err(|_| self.error(format!("invalid number `{s}`")))

@@ -7,9 +7,10 @@
 //! ([`RuleBook`]), annotated with process context ([`ProcessContext`]) and
 //! pushed through a [`Pipeline`] of stages — noise filter, timer setter,
 //! annotator-and-trigger. The annotator hands each line on inside its
-//! conformance [`Trigger`] instead of copying it; the engine then forwards
-//! that same line, by `Arc`, to the shared [`LogStorage`] when it is
-//! "important" (annotated with process context). Conformance verdicts,
+//! conformance [`Trigger`] instead of copying it; the engine then turns
+//! that line, once, into its compact [`StoredLine`] and forwards it, by
+//! `Arc`, to the shared [`LogStorage`] when it is "important" (annotated
+//! with process context). Conformance verdicts,
 //! assertion results and diagnosis steps go to the same storage as
 //! [`LogRecord`]s, rendered into their lines only when a query reads them.
 //! Figure 1's central log processor — the consumer that triggers diagnosis
@@ -34,6 +35,7 @@ mod matcher;
 mod parse;
 mod pipeline;
 mod storage;
+mod stored;
 
 pub use event::{LogEvent, ProcessContext, Severity};
 pub use json::{Json, JsonError};
@@ -44,3 +46,4 @@ pub use pipeline::{
     Stage, StageOutput, TimerSetter, Trigger,
 };
 pub use storage::{LogQuery, LogRecord, LogStorage};
+pub use stored::StoredLine;

@@ -5,7 +5,7 @@
 //! regex_i+1 or …) matches, add tag `[activity name]` to the line"*. A
 //! [`RuleBook`] holds those rules and classifies raw lines.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use pod_regex::{CandidateIndex, Captures, Regex};
 
@@ -91,6 +91,8 @@ pub struct RuleMatch {
 #[derive(Debug, Clone, Default)]
 pub struct RuleBook {
     rules: Vec<LineRule>,
+    /// Each activity's name once, shared with every stored line it tags.
+    steps: Vec<Arc<str>>,
     /// Built by [`RuleBook::build_index`], or else by the first
     /// `match_line` after the last `push`.
     index: OnceLock<CandidateIndex>,
@@ -104,6 +106,9 @@ impl RuleBook {
 
     /// Appends a rule; later rules have lower priority.
     pub fn push(&mut self, rule: LineRule) {
+        if self.step(&rule.activity).is_none() {
+            self.steps.push(Arc::from(rule.activity.as_str()));
+        }
         self.rules.push(rule);
         self.index = OnceLock::new();
     }
@@ -122,6 +127,12 @@ impl RuleBook {
                 keyed.map(move |(p, re)| ((r as u64) << 32 | p as u64, re))
             }))
         })
+    }
+
+    /// The book's shared copy of `activity`'s name, if a rule tags lines
+    /// with it.
+    pub(crate) fn step(&self, activity: &str) -> Option<&Arc<str>> {
+        self.steps.iter().find(|step| ***step == *activity)
     }
 
     /// The rules in priority order: what the unindexed reference in

@@ -206,6 +206,18 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_number_run_is_unclassified() {
+        for raw in [
+            r#"{"@message": "x", "n": 1e+-.-5}"#,
+            r#"{"@message": "x", "@fields": {"seq": -.e}}"#,
+        ] {
+            let parsed = parse_line(raw, now());
+            assert_eq!(parsed.format, LineFormat::Unclassified, "input {raw:?}");
+            assert_eq!(parsed.event.message, raw);
+        }
+    }
+
+    #[test]
     fn json_without_message_is_unclassified() {
         let parsed = parse_line("{\"@type\": \"asgard\"}", now());
         assert_eq!(parsed.format, LineFormat::Unclassified);

@@ -291,18 +291,20 @@ impl Stage for NoiseFilter {
 #[derive(Debug)]
 pub struct ProcessAnnotator {
     rules: Arc<RuleBook>,
-    process_id: String,
-    process_instance_id: String,
+    process_id: Arc<str>,
+    process_instance_id: Arc<str>,
 }
 
 impl ProcessAnnotator {
     /// Creates an annotator bound to one process instance. The rules are
     /// per process, not per instance: pass an `Arc` to share one indexed
-    /// book between every instance's annotator.
+    /// book between every instance's annotator. The two ids are shared
+    /// with every line's [`ProcessContext`]: pass `Arc`s to share them
+    /// further.
     pub fn new(
         rules: impl Into<Arc<RuleBook>>,
-        process_id: impl Into<String>,
-        process_instance_id: impl Into<String>,
+        process_id: impl Into<Arc<str>>,
+        process_instance_id: impl Into<Arc<str>>,
     ) -> ProcessAnnotator {
         ProcessAnnotator {
             rules: rules.into(),
@@ -325,9 +327,11 @@ impl Stage for ProcessAnnotator {
         let assertion = (m.boundary == Boundary::End).then(|| Trigger::Assertion {
             activity: m.activity.clone(),
         });
-        let mut ctx =
-            ProcessContext::new(self.process_id.clone(), self.process_instance_id.clone())
-                .with_step(m.activity);
+        let mut ctx = ProcessContext::new(
+            Arc::clone(&self.process_id),
+            Arc::clone(&self.process_instance_id),
+        )
+        .with_step(m.activity);
         if let Some((_, id)) = m.fields.iter().find(|(k, _)| k == "instanceid") {
             ctx = ctx.with_cloud_instance(id.clone());
         }

@@ -4,10 +4,10 @@
 //! conformance checking, assertion evaluation and error diagnosis, are
 //! merged here. The storage is shared (cheap to clone, internally locked)
 //! and supports ad-hoc querying for offline analysis and process
-//! discovery. It holds each line by `Arc`, so the engine stores the same
-//! annotated line its conformance and assertion triggers read, and each
-//! result as a [`LogRecord`]: what its line is built from, rendered into
-//! the line only when a query reads it.
+//! discovery. It holds each annotated line as a [`StoredLine`] by `Arc`, so
+//! the engine stores the same compact line its conformance and assertion
+//! triggers read, and each result as a [`LogRecord`]: what its line is
+//! built from, rendered into the line only when a query reads it.
 
 use std::fmt;
 use std::sync::Arc;
@@ -15,6 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::event::LogEvent;
+use crate::stored::StoredLine;
 
 /// A result kept in [`LogStorage`] as what its log line is built from, and
 /// rendered into that line only when [`LogStorage::query`] reads it.
@@ -27,17 +28,20 @@ pub trait LogRecord: fmt::Debug + Send {
     fn render(&self) -> LogEvent;
 }
 
-/// One stored entry: a shared line, or a result rendered when read.
+/// One stored entry: a shared event, a shared annotated line or a result,
+/// the last two rendered when read.
 #[derive(Debug)]
 enum Entry {
-    Line(Arc<LogEvent>),
+    Event(Arc<LogEvent>),
+    Line(Arc<StoredLine>),
     Record(Box<dyn LogRecord>),
 }
 
-/// A shared, append-only store of log lines, each held by `Arc` (a line
-/// appended from an `Arc` is shared with its appender, not copied), and of
-/// [`LogRecord`]s, each rendered into its line when a query reads it.
-/// Lines and records keep one append order.
+/// A shared, append-only store of log lines and of [`LogRecord`]s. A line
+/// is held by `Arc` (one appended from an `Arc` is shared with its
+/// appender, not copied): an event as it is, an annotated line as its
+/// compact [`StoredLine`]. Stored lines and records are rendered into their
+/// events when a query reads them. Everything keeps one append order.
 ///
 /// # Examples
 ///
@@ -74,7 +78,13 @@ impl LogStorage {
 
     /// Appends one line: an owned one, or an `Arc` shared with the caller.
     pub fn append(&self, event: impl Into<Arc<LogEvent>>) {
-        self.entries.lock().push(Entry::Line(event.into()));
+        self.entries.lock().push(Entry::Event(event.into()));
+    }
+
+    /// Appends one annotated line in its stored form, shared with the
+    /// caller; a query renders it.
+    pub fn append_line(&self, line: Arc<StoredLine>) {
+        self.entries.lock().push(Entry::Line(line));
     }
 
     /// Appends one result, to be rendered into its line when read.
@@ -83,14 +93,15 @@ impl LogStorage {
     }
 
     /// Runs a query against the current contents in append order, rendering
-    /// each record before it is filtered and returning copies of the lines
-    /// (a cold path: diagnosis and offline analysis).
+    /// each stored line and record before it is filtered and returning
+    /// copies of the events (a cold path: diagnosis and offline analysis).
     pub fn query(&self, q: &LogQuery) -> Vec<LogEvent> {
         self.entries
             .lock()
             .iter()
             .filter_map(|entry| match entry {
-                Entry::Line(line) => q.matches(line).then(|| LogEvent::clone(line)),
+                Entry::Event(event) => q.matches(event).then(|| LogEvent::clone(event)),
+                Entry::Line(line) => Some(line.render()).filter(|e| q.matches(e)),
                 Entry::Record(record) => Some(record.render()).filter(|e| q.matches(e)),
             })
             .collect()

@@ -465,7 +465,7 @@ fn diff(mut args: Args) {
 }
 
 fn discover(mut args: Args) {
-    let runs: u64 = args.positional().unwrap_or(5);
+    let runs = args.count(5) as u64;
     args.finish();
     let events: Vec<_> = (1..=runs)
         .flat_map(|seed| healthy_log(seed, 4 + 2 * (seed % 3) as u32))

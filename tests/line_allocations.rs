@@ -30,6 +30,15 @@
 //! outside the count, left 13.9 kB per engine, in release and debug builds
 //! alike; the bounds are 85 % of the first figure and 6 kB, near what the
 //! sparse lists reach (43.9 and 4.2 kB).
+//!
+//! Before central storage kept each annotated line as one compact record
+//! (its message and the strings it does not already hold in one buffer,
+//! with a span table; the process and trace ids and the step shared, the
+//! context's mirrored tags and fields left out) and assertion records
+//! shared their line's context instead of copying it, the replay left
+//! 43.9 kB per tenant and cost 100.5 allocations per line, in release and
+//! debug builds alike; the bound is 27 kB, near what the compact lines
+//! reach (26.3 kB, at 93.1 allocations per line).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,6 +62,14 @@ const STORED_LINES_BYTES: f64 = 86_000.0;
 
 /// Bytes per tenant a replay left live while histograms were dense arrays.
 const DENSE_HISTOGRAM_BYTES: f64 = 53_500.0;
+
+/// Bytes per tenant a replay left live while annotated lines were stored
+/// as whole events.
+const WHOLE_LINE_BYTES: f64 = 43_900.0;
+
+/// Bytes per tenant a replay may leave live now that stored lines are
+/// compact.
+const COMPACT_LINE_BYTES: f64 = 27_000.0;
 
 /// Bytes a built engine may leave live now that histograms are sparse.
 const ENGINE_BYTES: f64 = 6_000.0;
@@ -226,6 +243,23 @@ fn a_replay_leaves_at_most_eighty_five_percent_of_its_dense_histogram_heap() {
         per_tenant <= 0.85 * DENSE_HISTOGRAM_BYTES,
         "{per_tenant:.0} bytes per tenant; the bound is {:.0} (85 % of {DENSE_HISTOGRAM_BYTES})",
         0.85 * DENSE_HISTOGRAM_BYTES
+    );
+}
+
+#[test]
+fn a_replay_leaves_at_most_twenty_seven_kilobytes_per_tenant() {
+    let streams = fleet();
+    let (_, left) = replay_counted(&streams);
+    let per_tenant = left as f64 / streams.ops.len() as f64;
+    println!(
+        "{:.1} kB left per tenant over {} tenants",
+        per_tenant / 1000.0,
+        streams.ops.len()
+    );
+    assert!(
+        per_tenant <= COMPACT_LINE_BYTES,
+        "{per_tenant:.0} bytes per tenant; the bound is {COMPACT_LINE_BYTES:.0} \
+         ({WHOLE_LINE_BYTES:.0} while lines were stored whole)"
     );
 }
 

@@ -342,6 +342,7 @@ fn the_cli_rejects_arguments_it_cannot_use() {
         &["soak", "0", "--recovery"],
         &["timeline", "extra"],
         &["timeline", "--jsno"],
+        &["discover", "0"], // zero runs: nothing to mine
         &["monitor", "7", "99"],
     ] {
         let (code, _, files) = cli("usage", args);
