@@ -96,7 +96,7 @@ impl From<ApiError> for ConsistentError {
 /// let got = api
 ///     .read_until(|c| c.describe_ami(&ami), |a| a.available)
 ///     .unwrap();
-/// assert_eq!(got.version, "1.0");
+/// assert_eq!(&*got.version, "1.0");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConsistentApi {
@@ -256,7 +256,7 @@ mod tests {
         let ami = cloud.admin_create_ami("a", "1");
         let api = ConsistentApi::new(cloud, RetryPolicy::default());
         let got = api.execute(|c| c.describe_ami(&ami)).unwrap();
-        assert_eq!(got.version, "1");
+        assert_eq!(&*got.version, "1");
     }
 
     #[test]
@@ -342,7 +342,7 @@ mod tests {
             },
         );
         let err = api
-            .read_until(|c| c.describe_ami(&ami), |a| a.version == "2")
+            .read_until(|c| c.describe_ami(&ami), |a| &*a.version == "2")
             .unwrap_err();
         assert_eq!(err, ConsistentError::ExpectationNotMet { attempts: 3 });
     }

@@ -1,6 +1,8 @@
 //! The expected environment: what the configuration repository says the
 //! system *should* look like after (each stage of) the operation.
 
+use std::sync::Arc;
+
 use pod_cloud::{
     AmiId, AsgName, Cluster, ElbName, Instance, KeyPairName, LaunchConfigName, SecurityGroupId,
 };
@@ -25,13 +27,13 @@ pub struct ExpectedEnv {
     /// The AMI every new instance must use.
     pub expected_ami: AmiId,
     /// The application version baked into that AMI.
-    pub expected_version: String,
+    pub expected_version: Arc<str>,
     /// The key pair instances must be configured with.
     pub expected_key_pair: KeyPairName,
     /// The security group instances must be in.
     pub expected_security_group: SecurityGroupId,
     /// The instance type new instances must have.
-    pub expected_instance_type: String,
+    pub expected_instance_type: Arc<str>,
     /// The number of instances the cluster should hold (the paper's `N`).
     pub expected_count: u32,
 }
@@ -45,10 +47,10 @@ impl ExpectedEnv {
             elb: cluster.elb,
             launch_config: cluster.launch_config,
             expected_ami: cluster.ami,
-            expected_version: version.to_string(),
+            expected_version: version.into(),
             expected_key_pair: cluster.key_pair,
             expected_security_group: cluster.security_group,
-            expected_instance_type: cluster.instance_type,
+            expected_instance_type: cluster.instance_type.into(),
             expected_count: count,
         }
     }
@@ -72,10 +74,10 @@ impl ExpectedEnv {
             ("ELB".to_string(), self.elb.to_string()),
             ("LC".to_string(), self.launch_config.to_string()),
             ("AMI".to_string(), self.expected_ami.to_string()),
-            ("VERSION".to_string(), self.expected_version.clone()),
+            ("VERSION".to_string(), self.expected_version.to_string()),
             ("KEYPAIR".to_string(), self.expected_key_pair.to_string()),
             ("SG".to_string(), self.expected_security_group.to_string()),
-            ("TYPE".to_string(), self.expected_instance_type.clone()),
+            ("TYPE".to_string(), self.expected_instance_type.to_string()),
             ("N".to_string(), self.expected_count.to_string()),
         ]
     }

@@ -389,9 +389,9 @@ impl Cloud {
     /// Creates a launch configuration.
     pub fn create_launch_config(
         &self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         ami: AmiId,
-        instance_type: impl Into<String>,
+        instance_type: impl Into<Arc<str>>,
         key_pair: KeyPairName,
         security_group: SecurityGroupId,
     ) -> Result<LaunchConfigName, ApiError> {
@@ -525,7 +525,7 @@ impl Cloud {
             let ami = Ami {
                 id: id.clone(),
                 name: name.to_string(),
-                version: version.to_string(),
+                version: version.into(),
                 available: true,
             };
             file(&mut inner.state.amis, now, id, ami)
@@ -588,7 +588,7 @@ impl Cloud {
             let lc = LaunchConfig {
                 name: lc_name.clone(),
                 ami,
-                instance_type: instance_type.to_string(),
+                instance_type: instance_type.into(),
                 key_pair,
                 security_group,
             };
@@ -599,6 +599,11 @@ impl Cloud {
     /// Creates an ASG already at its desired capacity: `desired` instances
     /// are materialised `InService` and registered with the ELB. This is the
     /// steady-state cluster a rolling upgrade starts from.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `launch_config` does not exist: creating the group
+    /// first is a set-up mistake of the experimenter, not cloud input.
     pub fn admin_create_asg(
         &self,
         name: &str,
@@ -737,7 +742,7 @@ impl Cloud {
                         lc.ami = ami;
                     }
                     if let Some(it) = update.instance_type {
-                        lc.instance_type = it;
+                        lc.instance_type = it.into();
                     }
                     if let Some(kp) = update.key_pair {
                         lc.key_pair = kp;
@@ -773,7 +778,7 @@ impl Cloud {
             let other_team = LaunchConfig {
                 name: LaunchConfigName::new("other-team"),
                 ami: ami.clone(),
-                instance_type: "m1.small".to_string(),
+                instance_type: "m1.small".into(),
                 key_pair: KeyPairName::new("other-team-key"),
                 security_group: SecurityGroupId::new("sg-other"),
             };
@@ -922,11 +927,7 @@ impl Inner {
         if now <= self.processed_until {
             return;
         }
-        while let Some(at) = self.events.peek_time() {
-            if at > now {
-                break;
-            }
-            let (at, event) = self.events.pop().expect("peeked event exists");
+        while let Some((at, event)) = self.events.pop_due(now) {
             match event {
                 CloudEvent::BootComplete(id) => self.on_boot_complete(at, &id),
                 CloudEvent::TerminateComplete(id) => self.on_terminate_complete(at, &id),

@@ -5,34 +5,24 @@
 //! AWS-style prefix (`i-`, `ami-`, `sg-`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use pod_sim::SimRng;
 
-macro_rules! id_type {
-    ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
+/// A name newtype over a shared string: a clone, and so a new version of
+/// every resource record that holds one, bumps a reference count instead of
+/// copying the bytes. `Debug`, `Display`, `Ord`, `Hash` and `Eq` are the
+/// string's.
+macro_rules! name_type {
+    ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
-            /// Wraps an existing id string.
-            pub fn new(id: impl Into<String>) -> Self {
-                $name(id.into())
-            }
-
-            /// Generates a fresh random id with the family prefix.
-            pub fn generate(rng: &mut SimRng) -> Self {
-                let mut s = String::from($prefix);
-                for _ in 0..8 {
-                    let d = rng.uniform_u64(0, 16);
-                    s.push(char::from_digit(d as u32, 16).expect("hex digit"));
-                }
-                $name(s)
-            }
-
-            /// The id as a string slice.
-            pub fn as_str(&self) -> &str {
-                &self.0
+            /// Wraps an existing id or name.
+            pub fn new(id: impl AsRef<str>) -> Self {
+                $name(Arc::from(id.as_ref()))
             }
         }
 
@@ -41,10 +31,35 @@ macro_rules! id_type {
                 f.write_str(&self.0)
             }
         }
+    };
+}
+
+/// A `name_type!` the cloud generates, with its AWS-style prefix.
+macro_rules! id_type {
+    ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
+        name_type!($(#[$doc])* $name);
+
+        impl $name {
+            /// Generates a fresh random id with the family prefix.
+            pub fn generate(rng: &mut SimRng) -> Self {
+                let mut s = String::with_capacity($prefix.len() + 8);
+                s.push_str($prefix);
+                for _ in 0..8 {
+                    let d = rng.uniform_u64(0, 16);
+                    s.push(char::from_digit(d as u32, 16).expect("hex digit"));
+                }
+                $name(s.into())
+            }
+
+            /// The id as a string slice.
+            pub fn as_str(&self) -> &str {
+                &self.0
+            }
+        }
 
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
-                $name(s.to_string())
+                $name(s.into())
             }
         }
     };
@@ -65,77 +80,28 @@ id_type!(
     SecurityGroupId,
     "sg-"
 );
-
-/// A key-pair name (key pairs are addressed by name in AWS).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KeyPairName(String);
-
-impl KeyPairName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        KeyPairName(name.into())
-    }
-}
-
-impl fmt::Display for KeyPairName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// A launch-configuration name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LaunchConfigName(String);
-
-impl LaunchConfigName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        LaunchConfigName(name.into())
-    }
-}
-
-impl fmt::Display for LaunchConfigName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// An auto-scaling-group name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AsgName(String);
-
-impl AsgName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        AsgName(name.into())
-    }
-}
-
-impl fmt::Display for AsgName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// An elastic-load-balancer name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ElbName(String);
-
-impl ElbName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ElbName(name.into())
-    }
-}
-
-impl fmt::Display for ElbName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
+name_type!(
+    /// A key-pair name (key pairs are addressed by name in AWS).
+    KeyPairName
+);
+name_type!(
+    /// A launch-configuration name.
+    LaunchConfigName
+);
+name_type!(
+    /// An auto-scaling-group name.
+    AsgName
+);
+name_type!(
+    /// An elastic-load-balancer name.
+    ElbName
+);
 
 #[cfg(test)]
 mod tests {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
     use super::*;
 
     #[test]
@@ -156,6 +122,46 @@ mod tests {
         let id = InstanceId::new("i-7df34041");
         assert_eq!(id.to_string(), "i-7df34041");
         assert_eq!(AsgName::new("pm--asg").to_string(), "pm--asg");
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn every_family_agrees_with_its_string_and_shares_it_when_cloned() {
+        macro_rules! check {
+            ($($name:ident),*) => {$(
+                let (sa, sb) = ("i-0a", "i-0b");
+                let (a, b) = ($name::new(sa), $name::new(sb));
+                assert_eq!(a.cmp(&b), sa.cmp(sb));
+                assert_eq!(b.cmp(&a), sb.cmp(sa));
+                assert_eq!(a, $name::new(sa.to_string()));
+                assert_ne!(a, b);
+                assert_eq!(hash_of(&a), hash_of(&sa.to_string()));
+                assert_eq!(a.to_string(), sa);
+                assert_eq!(format!("{a:?}"), format!("{}({sa:?})", stringify!($name)));
+                assert_eq!(a.clone().0.as_ptr(), a.0.as_ptr(), "a clone shares its bytes");
+            )*};
+        }
+        check!(
+            InstanceId,
+            AmiId,
+            SecurityGroupId,
+            KeyPairName,
+            LaunchConfigName,
+            AsgName,
+            ElbName
+        );
+        let mut rng = SimRng::seed_from(3);
+        let i = InstanceId::generate(&mut rng);
+        assert_eq!(i.clone().as_str().as_ptr(), i.as_str().as_ptr());
+        let ami = AmiId::generate(&mut rng);
+        assert_eq!(ami.clone().as_str().as_ptr(), ami.as_str().as_ptr());
+        let sg = SecurityGroupId::from("sg-1");
+        assert_eq!(sg.clone().as_str().as_ptr(), sg.as_str().as_ptr());
     }
 
     #[test]

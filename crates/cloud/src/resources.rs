@@ -1,5 +1,7 @@
 //! Resource records for the simulated cloud.
 
+use std::sync::Arc;
+
 use pod_sim::SimTime;
 
 use crate::ids::{
@@ -14,7 +16,7 @@ pub struct Ami {
     /// Human-readable name.
     pub name: String,
     /// The application version baked into the image (e.g. `1.1.0`).
-    pub version: String,
+    pub version: Arc<str>,
     /// Whether the image is currently available for launching.
     pub available: bool,
 }
@@ -51,7 +53,7 @@ pub struct LaunchConfig {
     /// Image to launch.
     pub ami: AmiId,
     /// Instance type (e.g. `m1.small`).
-    pub instance_type: String,
+    pub instance_type: Arc<str>,
     /// Key pair for SSH access.
     pub key_pair: KeyPairName,
     /// Security group applied to instances.
@@ -88,9 +90,9 @@ pub struct Instance {
     /// The image it was launched from.
     pub ami: AmiId,
     /// The application version of that image at launch time.
-    pub version: String,
+    pub version: Arc<str>,
     /// Instance type.
-    pub instance_type: String,
+    pub instance_type: Arc<str>,
     /// Key pair configured at launch.
     pub key_pair: KeyPairName,
     /// Security group configured at launch.

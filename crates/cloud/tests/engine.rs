@@ -47,7 +47,7 @@ fn asg_starts_at_desired_capacity_and_registered() {
     for i in e.cloud.admin_asg_active_instances(&e.asg) {
         assert_eq!(i.state, InstanceState::InService);
         assert!(i.registered_with_elb);
-        assert_eq!(i.version, "1.0.0");
+        assert_eq!(&*i.version, "1.0.0");
     }
 }
 
@@ -231,7 +231,7 @@ fn changed_launch_config_produces_wrong_version_instances() {
     assert_eq!(active.len(), 4);
     let wrong: Vec<_> = active.iter().filter(|i| i.ami == ami_v2).collect();
     assert_eq!(wrong.len(), 1, "the replacement uses the wrong AMI");
-    assert_eq!(wrong[0].version, "2.0.0-other");
+    assert_eq!(&*wrong[0].version, "2.0.0-other");
 }
 
 #[test]

@@ -484,7 +484,8 @@ impl Gateway {
             PushOutcome::WouldBlock(mut line) => {
                 // Backpressure: stall the producer while the shard drains
                 // one batch synchronously, then enqueue the line, stamped
-                // after the stall.
+                // after the stall. The queue was full and a batch is at
+                // least one line, so the drain made room.
                 self.metrics.blocked.incr();
                 let stall_start = self.clock.now();
                 self.drain_one_batch(shard_idx, Reschedule::KeepWindow);
@@ -492,13 +493,7 @@ impl Gateway {
                     .stall
                     .record(self.clock.now().duration_since(stall_start).as_micros());
                 line.enqueued_at = self.clock.now();
-                match self.shards[shard_idx]
-                    .queue
-                    .offer(line, OverloadPolicy::Block)
-                {
-                    PushOutcome::Enqueued => {}
-                    _ => unreachable!("queue has room after draining a batch"),
-                }
+                self.shards[shard_idx].queue.push(line);
             }
         }
         self.schedule_wakeup(shard_idx);

@@ -124,7 +124,7 @@ impl BoundedQueue {
     /// reported in the outcome so the caller can count it.
     pub fn offer(&mut self, line: QueuedLine, policy: OverloadPolicy) -> PushOutcome {
         if !self.is_full() {
-            self.items.push_back(line);
+            self.push(line);
             return PushOutcome::Enqueued;
         }
         match policy {
@@ -136,6 +136,13 @@ impl BoundedQueue {
             }
             OverloadPolicy::ShedNewest => PushOutcome::ShedNewest,
         }
+    }
+
+    /// Enqueues `line` unconditionally: the re-offer of a line handed back
+    /// by [`PushOutcome::WouldBlock`] once a [`BoundedQueue::pop_batch`]
+    /// of at least one line has made room.
+    pub fn push(&mut self, line: QueuedLine) {
+        self.items.push_back(line);
     }
 
     /// Pops up to `max` lines from the front, preserving order.

@@ -185,7 +185,7 @@ impl FaultInjector {
             FaultType::InstanceTypeChangedDuringUpgrade => {
                 let current = cloud.admin_describe_launch_config(&lc);
                 self.undo = Some(UndoAction::LaunchConfig(LaunchConfigUpdate {
-                    instance_type: current.map(|c| c.instance_type),
+                    instance_type: current.map(|c| c.instance_type.to_string()),
                     ..LaunchConfigUpdate::default()
                 }));
                 cloud.admin_update_launch_config(

@@ -414,7 +414,7 @@ mod tests {
         assert!(report.outcome.is_success(), "{:?}", report.outcome);
         let active = cloud.admin_asg_active_instances(&asg);
         assert_eq!(active.len(), 4);
-        assert!(active.iter().all(|i| i.version == "2.0"));
+        assert!(active.iter().all(|i| &*i.version == "2.0"));
         assert!(active.iter().all(|i| i.registered_with_elb));
         // Log shape: start, lc, sort, 4 × (dereg, term, wait, ready), done.
         let msgs: Vec<&str> = obs.events.iter().map(|e| e.message.as_str()).collect();

@@ -57,7 +57,7 @@ fn an_eight_instance_upgrade_under_stale_reads_replaces_everything() {
     assert!(report.outcome.is_success(), "{:?}", report.outcome);
     let active = cloud.admin_asg_active_instances(&asg);
     assert_eq!(active.len(), 8);
-    assert!(active.iter().all(|i| i.version == "2.0"));
+    assert!(active.iter().all(|i| &*i.version == "2.0"));
 }
 
 #[test]

@@ -91,9 +91,14 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// The time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+    /// Removes and returns the earliest pending event if it is due at or
+    /// before `now`; `None` when the queue is exhausted or the earliest
+    /// event lies in the future (it stays queued).
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+        if self.heap.peek()?.at > now {
+            return None;
+        }
+        self.pop()
     }
 }
 
@@ -125,6 +130,17 @@ mod tests {
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_due(SimTime::from_secs(1)), None);
+    }
+
+    #[test]
+    fn pop_due_leaves_future_events_queued() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(20), "later");
+        q.schedule(SimTime::from_millis(10), "due");
+        let now = SimTime::from_millis(10);
+        assert_eq!(q.pop_due(now), Some((now, "due")));
+        assert_eq!(q.pop_due(now), None);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(20), "later")));
     }
 }

@@ -39,6 +39,16 @@
 //! 43.9 kB per tenant and cost 100.5 allocations per line, in release and
 //! debug builds alike; the bound is 27 kB, near what the compact lines
 //! reach (26.3 kB, at 93.1 allocations per line).
+//!
+//! Phase A, collecting the feed (`collect_streams`: every tenant's upgrade
+//! run on its own simulated cloud), is counted the same way, after a
+//! collect outside the count. Before the cloud's ids and the strings an
+//! instance copies from its image and launch configuration were shared
+//! (`Arc<str>`), so that a new version of a resource record copied every
+//! id in it, phase A cost 120.9 allocations per feed line and the
+//! collected feed left 34.9 kB per tenant, in release and debug builds
+//! alike; the bounds are 60 allocations and 30 kB, near what shared ids
+//! reach.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,6 +83,14 @@ const COMPACT_LINE_BYTES: f64 = 27_000.0;
 
 /// Bytes a built engine may leave live now that histograms are sparse.
 const ENGINE_BYTES: f64 = 6_000.0;
+
+/// Allocations per feed line phase A may make now that cloud ids are
+/// shared (120.9 while every resource version copied them).
+const SHARED_ID_ALLOCATIONS: f64 = 60.0;
+
+/// Bytes per tenant a collected feed may leave live now that cloud ids are
+/// shared (34.9 kB while every resource version copied them).
+const SHARED_ID_BYTES: f64 = 30_000.0;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -166,6 +184,15 @@ fn replay_counted(streams: &SoakStreams) -> (u64, i64) {
     let counted = allocations() - before;
     drop(report);
     (counted, live_bytes() - live)
+}
+
+/// Collects the fleet feed after a collect outside the count; returns it
+/// with the allocations phase A made and the bytes it left live.
+fn collect_counted() -> (SoakStreams, u64, i64) {
+    drop(fleet());
+    let (before, live) = (allocations(), live_bytes());
+    let streams = fleet();
+    (streams, allocations() - before, live_bytes() - live)
 }
 
 #[test]
@@ -285,5 +312,34 @@ fn a_built_engine_leaves_at_most_six_kilobytes() {
     assert!(
         per_engine <= ENGINE_BYTES,
         "{per_engine:.0} bytes per engine; the bound is {ENGINE_BYTES:.0} (13.9 kB with dense histograms)"
+    );
+}
+
+#[test]
+fn collecting_a_feed_line_costs_at_most_sixty_allocations() {
+    let (streams, counted, _) = collect_counted();
+    let per_line = counted as f64 / streams.lines_total as f64;
+    println!(
+        "{per_line:.1} allocations per feed line collected over {} lines",
+        streams.lines_total
+    );
+    assert!(
+        per_line <= SHARED_ID_ALLOCATIONS,
+        "{per_line:.1} allocations per feed line; the bound is {SHARED_ID_ALLOCATIONS:.0}"
+    );
+}
+
+#[test]
+fn a_collected_tenant_leaves_at_most_thirty_kilobytes() {
+    let (streams, _, left) = collect_counted();
+    let per_tenant = left as f64 / streams.ops.len() as f64;
+    println!(
+        "{:.1} kB left per collected tenant over {} tenants",
+        per_tenant / 1000.0,
+        streams.ops.len()
+    );
+    assert!(
+        per_tenant <= SHARED_ID_BYTES,
+        "{per_tenant:.0} bytes per collected tenant; the bound is {SHARED_ID_BYTES:.0}"
     );
 }
