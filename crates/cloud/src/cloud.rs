@@ -376,14 +376,7 @@ impl Cloud {
         asg: &AsgName,
         since: SimTime,
     ) -> Result<Vec<ScalingActivity>, ApiError> {
-        self.call(|inner, _| {
-            Ok(inner
-                .state
-                .activities_for(asg, since)
-                .into_iter()
-                .cloned()
-                .collect())
-        })
+        self.call(|inner, _| Ok(inner.state.activities_for(asg, since).cloned().collect()))
     }
 
     /// Creates a launch configuration.

@@ -79,11 +79,14 @@ impl CloudState {
     }
 
     /// Activities for `asg` at or after `since`.
-    pub fn activities_for(&self, asg: &AsgName, since: SimTime) -> Vec<&ScalingActivity> {
+    pub fn activities_for<'a>(
+        &'a self,
+        asg: &'a AsgName,
+        since: SimTime,
+    ) -> impl Iterator<Item = &'a ScalingActivity> {
         self.activities
             .iter()
-            .filter(|a| a.asg == *asg && a.at >= since)
-            .collect()
+            .filter(move |a| a.asg == *asg && a.at >= since)
     }
 }
 
@@ -137,11 +140,8 @@ mod tests {
                 status: ActivityStatus::Successful,
             });
         }
-        assert_eq!(
-            s.activities_for(&AsgName::new("a"), SimTime::from_secs(2))
-                .len(),
-            1
-        );
-        assert_eq!(s.activities_for(&AsgName::new("a"), SimTime::ZERO).len(), 2);
+        let a = AsgName::new("a");
+        assert_eq!(s.activities_for(&a, SimTime::from_secs(2)).count(), 1);
+        assert_eq!(s.activities_for(&a, SimTime::ZERO).count(), 2);
     }
 }

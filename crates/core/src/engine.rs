@@ -329,38 +329,39 @@ impl PodEngine {
     /// passing assertions) record nothing.
     ///
     /// The annotated line arrives in its conformance trigger and becomes
-    /// its [`StoredLine`] once, wrapped in an `Arc`: central storage keeps
-    /// it when it carries process context (the "important" lines), the
-    /// conformance and assertion triggers read the same allocation, and
-    /// their result records share it. It is stored before its conformance
-    /// and assertion lines; the timer triggers ahead of it write no
-    /// storage, so the stored order is line, conformance line, assertion
-    /// line.
+    /// its [`StoredLine`] once, wrapped in an `Arc`: the pending root is
+    /// that line, central storage keeps it when it carries process context
+    /// (the "important" lines), the conformance and assertion triggers read
+    /// the same allocation, and their result records share it. The
+    /// triggers run in the pipeline's order: the timer setter's, then the
+    /// line's storage and conformance, then its assertion; the timer
+    /// writes no storage, so the stored order is line, conformance line,
+    /// assertion line.
     fn handle_pipeline_output(&mut self, out: PipelineOutput) {
-        let obs = self.cloud.obs();
-        let _scope = match out.cause {
-            Some(c) => obs.scope_cause("log.line", c.source, c.attrs),
-            None => obs.events().scope(None),
-        };
-        let mut stored: Option<Arc<StoredLine>> = None;
+        let (mut timer, mut event, mut assertion) = (None, None, None);
         for trigger in out.triggers {
             match trigger {
-                Trigger::Conformance(event) => {
-                    let line = Arc::new(StoredLine::new(event, &self.pod.config.rules));
-                    if line.is_annotated() {
-                        self.storage.append_line(Arc::clone(&line));
-                    }
-                    self.on_conformance(&line);
-                    stored = Some(line);
-                }
-                Trigger::Assertion { activity } => {
-                    if let Some(line) = &stored {
-                        self.on_assertion(&activity, line);
-                    }
-                }
-                Trigger::PeriodicStart { .. } => self.on_operation_start(),
-                Trigger::PeriodicStop { .. } => self.on_operation_end(),
+                Trigger::Conformance(line) => event = Some(line),
+                Trigger::Assertion { activity } => assertion = Some(activity),
+                start_or_stop => timer = Some(start_or_stop),
             }
+        }
+        // The annotator, the last stage, hands on every line that reaches
+        // it: an output without its conformance trigger raised nothing.
+        let Some(event) = event else { return };
+        let line = Arc::new(StoredLine::new(event, &self.pod.config.rules));
+        let _scope = self.cloud.obs().scope_cause("log.line", line.clone());
+        match timer {
+            Some(Trigger::PeriodicStart { .. }) => self.on_operation_start(),
+            Some(Trigger::PeriodicStop { .. }) => self.on_operation_end(),
+            _ => {}
+        }
+        if line.is_annotated() {
+            self.storage.append_line(Arc::clone(&line));
+        }
+        self.on_conformance(&line);
+        if let Some(activity) = assertion {
+            self.on_assertion(&activity, &line);
         }
     }
 

@@ -400,6 +400,50 @@ fn storage_keeps_the_annotated_line_before_its_conformance_and_assertion_lines()
     assert_eq!(step(assertion), step(annotated));
 }
 
+/// A line's pending `log.line` root is its stored line: a fit line leaves
+/// the ring as it was, a non-fit line's verdict parents on a `log.line`
+/// record named after the line's source and carrying its message and step,
+/// and with telemetry off nothing is recorded.
+#[test]
+fn only_a_non_fit_line_records_its_log_line_root() {
+    use pod_obs::TelemetryMode;
+
+    let lines = [
+        START,
+        "Created launch configuration pm-lc-run-1 with image ami-0a and updated group pm--asg",
+        "Terminated old instance i-0dead",
+    ];
+    let run = |mode| {
+        let w = build_world(18, 4);
+        let mut config = pod_config();
+        // No assertions, so only conformance emits under a line.
+        config.bindings = pod_assert::AssertionLibrary::new();
+        let obs = w.cloud.obs().clone();
+        obs.set_mode(mode);
+        let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
+        let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+        lines.map(|line| {
+            engine.ingest(log_line(line));
+            obs.events().records()
+        })
+    };
+    let [started, fit, unfit] = run(TelemetryMode::Full);
+    assert_eq!(fit, started, "a fit line records nothing");
+    let added = &unfit[started.len()..];
+    let root = &added[0];
+    assert_eq!((root.kind, &*root.name), ("log.line", "asgard.log"));
+    assert_eq!(
+        root.attrs,
+        vec![
+            ("message", lines[2].to_string()),
+            ("step", "terminate-old-instance".to_string())
+        ]
+    );
+    let verdict = added.iter().find(|r| r.kind == "conformance.verdict");
+    assert_eq!(verdict.and_then(|v| v.parent), Some(root.id), "{added:?}");
+    assert!(run(TelemetryMode::Off).iter().all(Vec::is_empty));
+}
+
 // ---------------------------------------------------------------------
 // The engine's timers: the periodic check, the step timeout and the
 // dispatched diagnoses.

@@ -42,8 +42,8 @@ pub use json::{Json, JsonError};
 pub use matcher::{Boundary, LineRule, RuleBook, RuleMatch};
 pub use parse::{parse_line, LineFormat, ParsedLine, UNCLASSIFIED};
 pub use pipeline::{
-    ImportantLineForwarder, LineCause, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
-    Stage, StageOutput, TimerSetter, Trigger,
+    ImportantLineForwarder, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator, Stage,
+    StageOutput, TimerSetter, Trigger,
 };
 pub use storage::{LogQuery, LogRecord, LogStorage};
 pub use stored::StoredLine;

@@ -85,35 +85,12 @@ pub trait Stage: fmt::Debug {
     }
 }
 
-/// The captured ingredients of a line's `log.line` causal root event.
-///
-/// The pipeline no longer emits the event eagerly: the vast majority of
-/// acted-on lines produce a fit verdict or a passing assertion and nothing
-/// downstream ever references them. Instead the engine opens a *pending*
-/// cause scope ([`pod_obs::Obs::scope_cause`]) with these ingredients; the
-/// event only materialises in the ring if a verdict, assertion result, or
-/// detection actually emits under it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineCause {
-    /// The originating log source (the event name, e.g. `asgard.log`).
-    pub source: String,
-    /// Event attributes: always `message`, plus `step` when the line was
-    /// annotated with an activity.
-    pub attrs: Vec<(&'static str, String)>,
-}
-
 /// The result of pushing one raw line through the whole pipeline.
 #[derive(Debug, Default)]
 pub struct PipelineOutput {
     /// All triggers raised by any stage, in stage order; an annotated line
     /// travels in its [`Trigger::Conformance`].
     pub triggers: Vec<Trigger>,
-    /// The lazy `log.line` causal root for this line, when the line left
-    /// the stages (and the telemetry mode records traces). The engine
-    /// scopes all downstream work (conformance, assertions, timers) under
-    /// it so every detection chains back to the log line that triggered
-    /// it — without recording anything for healthy lines.
-    pub cause: Option<LineCause>,
 }
 
 /// An ordered chain of stages.
@@ -217,24 +194,9 @@ impl Pipeline {
             }
             out.triggers.extend(result.triggers);
         }
-        let Some(line) = current.as_ref().or(handed_on(&out.triggers)) else {
-            return out;
-        };
-        if line.context.is_some() {
+        let line = current.as_ref().or(handed_on(&out.triggers));
+        if line.is_some_and(|line| line.context.is_some()) {
             self.forwarded.incr();
-        }
-        // Lines that left the stages become (lazy) causal roots, built from
-        // the line itself; the off baseline captures no strings.
-        if self.obs.mode().records_traces() {
-            let mut attrs = Vec::with_capacity(2);
-            attrs.push(("message", line.message.clone()));
-            if let Some(step) = line.context.as_ref().and_then(|c| c.step_id.as_deref()) {
-                attrs.push(("step", step.to_string()));
-            }
-            out.cause = Some(LineCause {
-                source: line.source.clone(),
-                attrs,
-            });
         }
         out
     }
@@ -570,77 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn acted_on_lines_capture_a_lazy_causal_root() {
-        let obs = Obs::detached();
-        obs.begin_run("run-1");
-        let mut p = Pipeline::on(&obs);
-        p.add_stage(Box::new(NoiseFilter::keep(
-            RegexSet::new(&["Instance", "upgrade"]).unwrap(),
-        )));
-        p.add_stage(Box::new(ProcessAnnotator::new(
-            rules(),
-            "rolling-upgrade",
-            "run-1",
-        )));
-        p.add_stage(Box::new(ImportantLineForwarder));
-
-        // Noise: no causal root, nothing captured.
-        let out = p.push(event("jvm gc pause 12ms"));
-        assert!(out.cause.is_none());
-        assert!(obs.events().records().is_empty());
-
-        // Known activity: a lazy root with message and step attrs — and
-        // crucially *nothing* recorded in the ring yet.
-        let out = p.push(event("Instance i-aa is ready for use"));
-        let cause = out.cause.expect("forwarded line has a cause");
-        assert!(
-            obs.events().records().is_empty(),
-            "lazy root must not record eagerly"
-        );
-        assert_eq!(cause.source, "asgard.log");
-        assert!(cause
-            .attrs
-            .contains(&("message", "Instance i-aa is ready for use".to_string())));
-        assert!(cause
-            .attrs
-            .contains(&("step", "new-instance-ready".to_string())));
-
-        // Scoped under the pending root, a downstream emission
-        // materialises the log.line and chains to it.
-        {
-            let _scope = obs.scope_cause("log.line", cause.source, cause.attrs);
-            obs.event("conformance.verdict", "conformance:unfit");
-        }
-        let records = obs.events().records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].kind, "log.line");
-        assert_eq!(records[0].name, "asgard.log");
-        assert_eq!(records[1].parent, Some(records[0].id));
-
-        // Trigger-only (unknown but relevant) lines also get a cause.
-        let out = p.push(event("upgrade hit unexpected state"));
-        assert!(out.cause.is_some());
-    }
-
-    #[test]
-    fn off_mode_captures_no_cause() {
-        let obs = Obs::detached();
-        obs.set_mode(pod_obs::TelemetryMode::Off);
-        let mut p = Pipeline::on(&obs);
-        p.add_stage(Box::new(ProcessAnnotator::new(
-            rules(),
-            "rolling-upgrade",
-            "run-1",
-        )));
-        let out = p.push(event("Instance i-aa is ready for use"));
-        assert!(!out.triggers.is_empty());
-        assert!(
-            out.cause.is_none(),
-            "off mode must not capture origin strings"
-        );
-    }
-
-    #[test]
     fn push_batch_equals_per_line_pushes() {
         let build = || {
             let mut p = Pipeline::new();
@@ -668,7 +559,6 @@ mod tests {
         assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
             assert_eq!(g.triggers, e.triggers);
-            assert_eq!(g.cause, e.cause);
         }
     }
 }

@@ -14,6 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use pod_obs::CauseRoot;
 use pod_sim::SimTime;
 
 use crate::event::{LogEvent, ProcessContext, Severity};
@@ -290,6 +291,24 @@ impl LogRecord for StoredLine {
     }
 }
 
+/// A line's pending `log.line` causal root is the line itself: it is
+/// named after its source and carries its `message`, then its `step` when
+/// annotated, copied only if the root materialises.
+impl CauseRoot for StoredLine {
+    fn name(&self) -> &str {
+        self.part(1)
+    }
+
+    fn attrs(&self) -> Vec<(&'static str, String)> {
+        let mut attrs = Vec::with_capacity(2);
+        attrs.push(("message", self.message().to_string()));
+        if let Some(step) = self.step() {
+            attrs.push(("step", step.to_string()));
+        }
+        attrs
+    }
+}
+
 /// Where `tags` and `fields` hold the mirrors of `ctx` that
 /// [`LogEvent::with_context`] writes, each by the index of one element
 /// equal to it (so leaving it out and putting it back there renders the
@@ -437,6 +456,27 @@ mod tests {
             renders_back(&annotated("short", 2)).spans,
             Spans::Narrow(_)
         ));
+    }
+
+    #[test]
+    fn a_line_is_its_own_causal_root() {
+        let message = "Instance i-7 is ready";
+        let line = renders_back(&annotated(message, 2));
+        assert_eq!(line.name(), "asgard.log");
+        assert_eq!(
+            line.attrs(),
+            vec![
+                ("message", message.to_string()),
+                ("step", "ready".to_string())
+            ]
+        );
+        let event = LogEvent::new(SimTime::ZERO, "asgard.log", "unknown output");
+        let line = StoredLine::new(event, &RuleBook::new());
+        assert_eq!(line.name(), "asgard.log");
+        assert_eq!(
+            line.attrs(),
+            vec![("message", "unknown output".to_string())]
+        );
     }
 
     #[test]

@@ -106,14 +106,26 @@ impl EventRecord {
     }
 }
 
-/// A cause that has been scoped but not yet recorded: the captured
-/// ingredients of a `log.line`-style root event, materialised into the
-/// ring only if a descendant event is actually emitted under it.
+/// What a lazy root event is recorded from: the value a pending cause
+/// scope ([`EventLog::scope_pending`]) shares, read only if the root
+/// materialises. The engine's stored log line is one, so scoping a healthy
+/// line copies none of its strings.
+pub trait CauseRoot: std::fmt::Debug + Send + Sync {
+    /// The root record's name.
+    fn name(&self) -> &str;
+
+    /// The root record's attributes, in insertion order.
+    fn attrs(&self) -> Vec<(&'static str, String)>;
+}
+
+/// A cause that has been scoped but not yet recorded: a `log.line`-style
+/// root event's kind and shared [`CauseRoot`], with the span and time
+/// captured at scope time, materialised into the ring only if a
+/// descendant event is actually emitted under it.
 #[derive(Debug)]
 struct PendingCause {
     kind: &'static str,
-    name: Cow<'static, str>,
-    attrs: Vec<(&'static str, String)>,
+    root: Arc<dyn CauseRoot>,
     span: Option<u64>,
     at: SimTime,
 }
@@ -201,7 +213,8 @@ impl EventLogInner {
                 else {
                     unreachable!("checked above");
                 };
-                let id = self.push(p.span, p.kind, p.name, parent, p.at, p.attrs);
+                let name = p.root.name().to_string().into();
+                let id = self.push(p.span, p.kind, name, parent, p.at, p.root.attrs());
                 self.causes[i] = CauseFrame::Resolved(id);
             }
         }
@@ -312,30 +325,24 @@ impl EventLog {
         }
     }
 
-    /// Pushes a *pending* cause: the ingredients of a root event (kind,
-    /// name, attrs, the innermost open span and the clock time) captured
-    /// now but recorded only if some event is actually emitted under the
-    /// scope with [`Parent::Ambient`].
+    /// Pushes a *pending* cause: a root event of `kind` whose name and
+    /// attrs `root` gives, with the innermost open span and the clock time
+    /// captured now, recorded only if some event is actually emitted under
+    /// the scope with [`Parent::Ambient`].
     ///
-    /// This keeps healthy hot paths silent: the log pipeline scopes every
-    /// forwarded line as a pending `log.line`, yet only the handful of
-    /// lines whose triggers produce a verdict, assertion result, or
-    /// detection ever materialise into the ring. When nothing emits under
-    /// the scope, dropping the guard discards the frame — no id, no ring
-    /// slot, no allocation beyond the moved-in strings.
-    pub fn scope_pending(
-        &self,
-        kind: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        attrs: Vec<(&'static str, String)>,
-    ) -> CauseScope {
+    /// This keeps healthy hot paths silent: the engine scopes every line
+    /// that leaves the pipeline as a pending `log.line`, yet only the
+    /// handful of lines whose triggers produce a verdict, assertion result,
+    /// or detection ever materialise into the ring. When nothing emits
+    /// under the scope, dropping the guard discards the frame — no id, no
+    /// ring slot, and no copy of the root's strings.
+    pub fn scope_pending(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
         let at = self.clock.now();
         let mut inner = self.inner.lock();
         let span = inner.span();
         inner.causes.push(CauseFrame::Pending(PendingCause {
             kind,
-            name: name.into(),
-            attrs,
+            root,
             span,
             at,
         }));
@@ -497,6 +504,25 @@ mod tests {
         log.open(name, Cow::Borrowed(name), None)
     }
 
+    /// A cause root with a fixed name and attributes.
+    #[derive(Debug)]
+    struct Root(&'static str, Vec<(&'static str, String)>);
+
+    impl CauseRoot for Root {
+        fn name(&self) -> &str {
+            self.0
+        }
+
+        fn attrs(&self) -> Vec<(&'static str, String)> {
+            self.1.clone()
+        }
+    }
+
+    /// A pending `log.line` root named `name`, without attributes.
+    fn line(name: &'static str) -> Arc<dyn CauseRoot> {
+        Arc::new(Root(name, Vec::new()))
+    }
+
     #[test]
     fn events_link_to_the_ambient_cause() {
         let log = log();
@@ -537,7 +563,7 @@ mod tests {
     fn pending_scope_records_nothing_when_unused() {
         let log = log();
         {
-            let _scope = log.scope_pending("log.line", "asgard.log", Vec::new());
+            let _scope = log.scope_pending("log.line", line("asgard.log"));
             // Nothing emitted under the scope: the frame is discarded.
         }
         assert!(log.records().is_empty());
@@ -553,11 +579,11 @@ mod tests {
         log.begin_trace();
         advance(&clock, 5);
         let step = guard(&log, "upgrade.step");
-        let _scope = log.scope_pending(
-            "log.line",
+        let root = Root(
             "asgard.log",
             vec![("message", "Instance i-aa is ready".to_string())],
         );
+        let _scope = log.scope_pending("log.line", Arc::new(root));
         advance(&clock, 10);
         let child = log.emit("conformance.verdict", "conformance:unfit", Parent::Ambient);
         let records = log.records();
@@ -582,8 +608,8 @@ mod tests {
     #[test]
     fn nested_pending_frames_materialise_bottom_up() {
         let log = log();
-        let _outer = log.scope_pending("log.line", "outer", Vec::new());
-        let _inner = log.scope_pending("log.line", "inner", Vec::new());
+        let _outer = log.scope_pending("log.line", line("outer"));
+        let _inner = log.scope_pending("log.line", line("inner"));
         log.emit("detection", "d", Parent::Ambient);
         let records = log.records();
         assert_eq!(records.len(), 3);
@@ -597,7 +623,7 @@ mod tests {
     #[test]
     fn current_cause_resolves_pending_frames() {
         let log = log();
-        let _scope = log.scope_pending("log.line", "asgard.log", Vec::new());
+        let _scope = log.scope_pending("log.line", line("asgard.log"));
         let cause = log.current_cause().expect("scope is active");
         // Resolving materialised the root; later ambient emits chain to it.
         assert_eq!(log.records().len(), 1);
@@ -609,7 +635,7 @@ mod tests {
     fn explicit_parent_leaves_pending_frames_untouched() {
         let log = log();
         let a = log.emit("a", "a", Parent::Ambient);
-        let _scope = log.scope_pending("log.line", "asgard.log", Vec::new());
+        let _scope = log.scope_pending("log.line", line("asgard.log"));
         log.emit("b", "b", Parent::Of(a.id()));
         // An explicit-parent emission does not consult the stack.
         assert_eq!(log.records().len(), 2);
@@ -619,7 +645,7 @@ mod tests {
     #[test]
     fn guard_span_leaves_a_pending_cause_pending() {
         let log = log();
-        let _scope = log.scope_pending("log.line", "asgard.log", Vec::new());
+        let _scope = log.scope_pending("log.line", line("asgard.log"));
         drop(guard(&log, "faulttree.walk"));
         let records = log.records();
         assert_eq!(records.len(), 1, "only the span: {records:?}");

@@ -69,7 +69,9 @@ mod render;
 mod sampler;
 mod timeline;
 
-pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent, SpanGuard};
+pub use event::{
+    CauseRoot, CauseScope, Emitted, EventId, EventLog, EventRecord, Parent, SpanGuard,
+};
 pub use flight::{
     render_dashboard, FlightDump, FlightFrame, FlightRecorder, IncidentMark, FRAME_CAP,
 };

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pod_sim::Clock;
 
-use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent, SpanGuard};
+use crate::event::{CauseRoot, CauseScope, Emitted, EventId, EventLog, Parent, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 
@@ -158,20 +158,15 @@ impl Obs {
     }
 
     /// Opens a *pending* cause scope (see [`EventLog::scope_pending`]): the
-    /// event's ingredients are captured now, but it is only recorded if a
-    /// descendant actually emits under the scope. The lazy counterpart of
-    /// scoping an [`Obs::event_with`] id — healthy lines leave no trace.
-    /// Returns a no-op scope when the mode is [`TelemetryMode::Off`].
-    pub fn scope_cause(
-        &self,
-        kind: &'static str,
-        name: impl Into<std::borrow::Cow<'static, str>>,
-        attrs: Vec<(&'static str, String)>,
-    ) -> CauseScope {
+    /// event shares `root` and is only recorded, from it, if a descendant
+    /// actually emits under the scope. The lazy counterpart of scoping an
+    /// [`Obs::event_with`] id — healthy lines leave no trace. Returns a
+    /// no-op scope when the mode is [`TelemetryMode::Off`].
+    pub fn scope_cause(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
         if !self.mode().records_traces() {
             return self.events.scope(None);
         }
-        self.events.scope_pending(kind, name, attrs)
+        self.events.scope_pending(kind, root)
     }
 
     /// Starts a fresh run: resets the event log to a new trace. Records do

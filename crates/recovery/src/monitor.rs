@@ -12,7 +12,8 @@
 use std::sync::{Arc, OnceLock};
 
 use pod_log::{
-    Boundary, LineRule, LogEvent, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, Trigger,
+    Boundary, LineRule, LogEvent, NoiseFilter, Pipeline, ProcessAnnotator, RuleBook, StoredLine,
+    Trigger,
 };
 use pod_obs::Obs;
 use pod_process::{ConformanceChecker, PetriNet, ProcessModel, ProcessModelBuilder};
@@ -172,16 +173,15 @@ pub fn conformance_check(obs: &Obs, run: &RecoveryRun) -> ConformanceReport {
     let (mut events, mut errors) = (0, 0);
     for line in &run.log {
         let out = pipeline.push(LogEvent::clone(line));
-        // A non-fit verdict chains back to the line that caused it.
-        let _scope = out
-            .cause
-            .map(|c| obs.scope_cause("log.line", c.source, c.attrs));
         for trigger in out.triggers {
             let Trigger::Conformance(event) = trigger else {
                 continue;
             };
-            let verdict = match event.context.and_then(|c| c.step_id) {
-                Some(step) => checker.replay(trace, &step),
+            // A non-fit verdict chains back to the line that caused it.
+            let line = Arc::new(StoredLine::new(event, rules));
+            let _scope = obs.scope_cause("log.line", line.clone());
+            let verdict = match line.step() {
+                Some(step) => checker.replay(trace, step),
                 None => checker.record_error(trace, false),
             };
             events += 1;
