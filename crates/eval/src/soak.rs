@@ -40,7 +40,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use pod_cloud::Cloud;
@@ -303,7 +302,7 @@ impl UpgradeObserver for SoakCollector<'_> {
         // Operation lines travel as Logstash JSON, exactly as a shipper
         // would put them on the wire.
         self.render.clear();
-        let _ = write!(self.render, "{}", event.to_json());
+        let _ = event.write_wire(&mut self.render);
         self.lines
             .push((event.timestamp, self.render.as_str().into()));
     }

@@ -171,13 +171,12 @@ fn arb_wire_line() -> impl Strategy<Value = LogEvent> {
             .into_iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
+        let mut wire = String::new();
+        event.write_wire(&mut wire).unwrap();
         match form {
             // Through the gateway's parser, or cut short so it cannot parse.
-            0 => parse_line(&event.to_json().to_string(), event.timestamp).event,
-            1 => {
-                let wire = event.to_json().to_string();
-                parse_line(&wire[..wire.len() / 2], event.timestamp).event
-            }
+            0 => parse_line(&wire, event.timestamp).event,
+            1 => parse_line(&wire[..wire.len() / 2], event.timestamp).event,
             _ => event,
         }
     })

@@ -263,7 +263,9 @@ fn raw_json_lines_parse_and_plaintext_counts() {
     let (sink, handle) = RecordingSink::new();
     let op = gw.register("p", "i", Box::new(sink)).unwrap();
     let event = LogEvent::new(SimTime::from_millis(7), "asgard.log", "Instance i-1 ready");
-    gw.submit(op, SimTime::ZERO, &event.to_json().to_string());
+    let mut wire = String::new();
+    event.write_wire(&mut wire).unwrap();
+    gw.submit(op, SimTime::ZERO, &wire);
     gw.submit(op, SimTime::ZERO, "plain progress line");
     gw.submit(op, SimTime::ZERO, "{\"@message\": truncated");
     gw.submit(op, SimTime::ZERO, "   ");

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use pod_sim::SimTime;
 
-use crate::json::Json;
+use crate::json::write_escaped;
 
 /// Process context attached to a log line by the log annotator.
 ///
@@ -215,25 +215,72 @@ impl LogEvent {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serializes the event in the Logstash shape shown in the paper.
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::object();
-        o.set("@source", Json::str(&self.source));
-        o.set(
-            "@tags",
-            Json::Array(self.tags.iter().map(Json::str).collect()),
-        );
-        let mut fields = Json::object();
-        for (k, v) in &self.fields {
-            fields.set(k, Json::Array(vec![Json::str(v)]));
+    /// Writes the event as the Logstash object the paper shows (Section
+    /// IV), the wire form [`parse_line`](crate::parse_line) reads back:
+    /// `@source`, `@tags`, `@fields` (each value a one-element array),
+    /// `@timestamp`, `@source_host`, `@source_path` (the source again),
+    /// `@message` and `@type`, in that order and without whitespace. A
+    /// field key that repeats is written once, where it first appears,
+    /// with its last value.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pod_log::LogEvent;
+    /// use pod_sim::SimTime;
+    ///
+    /// let e = LogEvent::new(SimTime::from_millis(1500), "asgard.log", "say \"hi\"")
+    ///     .with_field("seq", "1");
+    /// let mut wire = String::new();
+    /// e.write_wire(&mut wire).unwrap();
+    /// assert_eq!(
+    ///     wire,
+    ///     r#"{"@source":"asgard.log","@tags":[],"@fields":{"seq":["1"]},"@timestamp":"1.500s","@source_host":"sim.local","@source_path":"asgard.log","@message":"say \"hi\"","@type":"operation"}"#
+    /// );
+    /// ```
+    pub fn write_wire(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str("{\"@source\":")?;
+        write_escaped(out, &self.source)?;
+        out.write_str(",\"@tags\":[")?;
+        for (i, tag) in self.tags.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            write_escaped(out, tag)?;
         }
-        o.set("@fields", fields);
-        o.set("@timestamp", Json::str(self.timestamp.to_string()));
-        o.set("@source_host", Json::str(&self.source_host));
-        o.set("@source_path", Json::str(&self.source));
-        o.set("@message", Json::str(&self.message));
-        o.set("@type", Json::str(&self.event_type));
-        o
+        out.write_str("],\"@fields\":{")?;
+        let mut first = true;
+        for (i, (key, value)) in self.fields.iter().enumerate() {
+            if self.fields[..i].iter().any(|(k, _)| k == key) {
+                continue;
+            }
+            let value = self.fields[i + 1..]
+                .iter()
+                .rev()
+                .find(|(k, _)| k == key)
+                .map_or(value, |(_, v)| v);
+            if !first {
+                out.write_char(',')?;
+            }
+            first = false;
+            write_escaped(out, key)?;
+            out.write_str(":[")?;
+            write_escaped(out, value)?;
+            out.write_char(']')?;
+        }
+        write!(
+            out,
+            "}},\"@timestamp\":\"{}\",\"@source_host\":",
+            self.timestamp
+        )?;
+        write_escaped(out, &self.source_host)?;
+        out.write_str(",\"@source_path\":")?;
+        write_escaped(out, &self.source)?;
+        out.write_str(",\"@message\":")?;
+        write_escaped(out, &self.message)?;
+        out.write_str(",\"@type\":")?;
+        write_escaped(out, &self.event_type)?;
+        out.write_char('}')
     }
 }
 
@@ -246,6 +293,7 @@ impl fmt::Display for LogEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn event(msg: &str) -> LogEvent {
         LogEvent::new(SimTime::from_millis(100), "asgard.log", msg)
@@ -283,9 +331,13 @@ mod tests {
     fn json_shape_matches_logstash() {
         let mut e = event("Instance pm on i-7df34041 is ready for use.")
             .with_field("instanceid", "i-7df34041")
+            .with_field("seq", "4")
+            .with_field("instanceid", "i-0\n")
             .with_type("asgard");
         e.tags = vec!["push".into(), "step4".into()];
-        let j = e.to_json();
+        let mut wire = String::new();
+        e.write_wire(&mut wire).unwrap();
+        let j = Json::parse(&wire).unwrap();
         assert_eq!(j.get("@type").unwrap().as_str(), Some("asgard"));
         assert_eq!(j.get("@tags").unwrap().as_array().unwrap().len(), 2);
         assert!(j
@@ -294,9 +346,15 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("i-7df34041"));
-        // Round-trips through the parser.
-        let parsed = Json::parse(&j.to_string()).unwrap();
-        assert_eq!(parsed, j);
+        assert_eq!(j.get("@source_path"), j.get("@source"));
+        // A repeated field is written once, where it first appears, with
+        // its last value.
+        assert!(
+            wire.contains(r#""@fields":{"instanceid":["i-0\n"],"seq":["4"]}"#),
+            "{wire}"
+        );
+        // The tree prints back the same bytes.
+        assert_eq!(j.to_string(), wire);
     }
 
     #[test]

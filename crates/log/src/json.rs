@@ -6,6 +6,7 @@
 //! workspace free of external serialization dependencies. Object key order
 //! is preserved so emitted events are stable and diffable.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A JSON value.
@@ -109,18 +110,7 @@ impl Json {
     ///
     /// Returns a [`JsonError`] with the byte position of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = JsonParser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.parse_value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters"));
-        }
-        Ok(v)
+        JsonParser::document(input, JsonParser::parse_value)
     }
 }
 
@@ -163,23 +153,37 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
+/// Writes `s` as a quoted JSON string: `"`, `\`, newline, carriage
+/// return and tab as two-character escapes, every other byte below 0x20
+/// as `\u00xx`, and each run between escapes with one `write_str`. The
+/// one escaper of the crate: [`Json`]'s `Display` and
+/// [`LogEvent::write_wire`](crate::LogEvent::write_wire) both use it.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    // Every byte that needs an escape is ASCII, so `run` and `i` always
+    // fall on character boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
-
-use std::fmt::Write as _;
 
 /// An error from [`Json::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,13 +207,40 @@ impl std::error::Error for JsonError {}
 /// from the wire would overflow the stack and abort the process.
 const MAX_DEPTH: usize = 128;
 
-struct JsonParser<'a> {
+/// The JSON lexer. It has two consumers: [`Json::parse`], which builds a
+/// tree, and the wire reader of [`parse_line`](crate::parse_line), which
+/// reads a Logstash object straight into a `LogEvent`, borrowing what it
+/// can and skipping what it does not read. Both see the same grammar, the
+/// same depth cap and the same errors.
+pub(crate) struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
+    /// Reads one whole document from `input` with `read`: leading and
+    /// trailing whitespace is allowed, anything else after it is an error.
+    pub(crate) fn document<T>(
+        input: &'a str,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = JsonParser {
+            text: input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        let v = read(&mut p)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.error("trailing characters"));
+        }
+        Ok(v)
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             position: self.pos,
@@ -227,7 +258,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -242,43 +273,119 @@ impl<'a> JsonParser<'a> {
 
     fn parse_value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'"') => Ok(Json::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Json::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                self.object(|p, key| {
+                    entries.push((key.into_owned(), p.parse_value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Object(entries))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.parse_value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::String(self.string()?.into_owned())),
+            Some(b't') => self.keyword("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.keyword("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.keyword("null").map(|()| Json::Null),
+            Some(b'-') | Some(b'0'..=b'9') => self.number().map(Json::Number),
             Some(c) => Err(self.error(format!("unexpected `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    /// Parses one array or object a level deeper, refusing past
-    /// [`MAX_DEPTH`].
-    fn nested(
+    /// Checks one value of any kind and steps over it, allocating nothing
+    /// unless it holds an object key with an escape.
+    pub(crate) fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|p, _| p.skip_value()),
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'"') => self.lex_string(None).map(drop),
+            Some(b't') => self.keyword("true"),
+            Some(b'f') => self.keyword("false"),
+            Some(b'n') => self.keyword("null"),
+            Some(b'-') | Some(b'0'..=b'9') => self.number().map(drop),
+            Some(c) => Err(self.error(format!("unexpected `{}`", c as char))),
+            None => Err(self.error("unexpected end of input")),
+        }
+    }
+
+    /// Reads one object a level deeper, handing `entry` each key with the
+    /// parser at its value, which `entry` must consume.
+    pub(crate) fn object(
         &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
-    ) -> Result<Json, JsonError> {
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.sequence(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            entry(p, key)
+        })
+    }
+
+    /// Reads one array a level deeper, handing `item` the parser at each
+    /// element, which `item` must consume.
+    pub(crate) fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.sequence(b'[', b']', item)
+    }
+
+    /// Reads one comma-separated `open … close` sequence a level deeper,
+    /// refusing past [`MAX_DEPTH`], with `item` consuming each element. An
+    /// error abandons the whole document, so only a success restores the
+    /// depth.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(self.error(format!("nested deeper than {MAX_DEPTH} levels")));
         }
         self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error(format!("expected `,` or `{}`", close as char))),
+            }
+        }
     }
 
-    fn parse_keyword(&mut self, kw: &str, value: Json) -> Result<Json, JsonError> {
+    fn keyword(&mut self, kw: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(format!("expected `{kw}`")))
         }
     }
 
-    fn parse_number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -289,114 +396,96 @@ impl<'a> JsonParser<'a> {
         {
             self.pos += 1;
         }
-        // The run is ASCII, so this borrows; it cannot fail either way.
-        let s = String::from_utf8_lossy(&self.bytes[start..self.pos]);
+        // The run is ASCII, so it is a character boundary on both ends.
+        let s = &self.text[start..self.pos];
         s.parse::<f64>()
-            .map(Json::Number)
             .map_err(|_| self.error(format!("invalid number `{s}`")))
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Reads one string literal: borrowed from the input when it holds no
+    /// escape, decoded into a new `String` when it does.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let mut decoded = String::new();
+        Ok(match self.lex_string(Some(&mut decoded))? {
+            Some(s) => Cow::Borrowed(s),
+            None => Cow::Owned(decoded),
+        })
+    }
+
+    /// Lexes one string literal, checking every escape. Returns it borrowed
+    /// when it holds no escape; otherwise returns `None`, having decoded it
+    /// into `decoded` when one is given.
+    fn lex_string(
+        &mut self,
+        mut decoded: Option<&mut String>,
+    ) -> Result<Option<&'a str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut escaped = false;
         loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // The run up to the next quote or escape, in one step. Both are
+            // ASCII, so each run starts and ends on a character boundary;
+            // `get` checks that rather than trusting it.
+            let rest = &self.bytes[self.pos..];
+            let end = self.pos
+                + rest
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(rest.len());
+            let run = self
+                .text
+                .get(self.pos..end)
+                .ok_or_else(|| self.error("invalid UTF-8"))?;
+            self.pos = end;
+            let at_escape = self.peek() == Some(b'\\');
+            escaped |= at_escape;
+            if let Some(out) = decoded.as_deref_mut().filter(|_| escaped) {
+                out.push_str(run);
+            }
+            if !at_escape {
+                if self.peek().is_none() {
+                    return Err(self.error("unterminated string"));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(self.error(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or escape in one step.
-                    let rest = &self.bytes[self.pos..];
-                    let end = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
-                    let run = std::str::from_utf8(&rest[..end.unwrap_or(rest.len())])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(run);
-                    self.pos += run.len();
-                }
-                None => return Err(self.error("unterminated string")),
+                self.pos += 1;
+                return Ok((!escaped).then_some(run));
+            }
+            self.pos += 1;
+            let c = self.escape()?;
+            if let Some(out) = decoded.as_deref_mut() {
+                out.push(c);
             }
         }
     }
 
-    fn parse_array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self.peek().ok_or_else(|| self.error("dangling escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b't' => '\t',
+            b'r' => '\r',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                // Four hex digits exactly: no sign, no shorter run.
+                if !hex.iter().all(u8::is_ascii_hexdigit) {
+                    return Err(self.error("invalid \\u escape"));
                 }
-                _ => return Err(self.error("expected `,` or `]`")),
+                let code = hex.iter().fold(0, |code, &b| {
+                    code * 16 + (b as char).to_digit(16).unwrap_or_default()
+                });
+                self.pos += 4;
+                char::from_u32(code).unwrap_or('\u{fffd}')
             }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(entries));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
-        }
+            other => return Err(self.error(format!("invalid escape `\\{}`", other as char))),
+        })
     }
 }
 
@@ -449,7 +538,32 @@ mod tests {
 
     #[test]
     fn unicode_escape_parses() {
-        assert_eq!(Json::parse(r#""A""#).unwrap(), Json::str("A"));
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::str("A"));
+        assert_eq!(Json::parse(r#""a\u0041\u00e9""#).unwrap(), Json::str("aAé"));
+    }
+
+    #[test]
+    fn a_unicode_escape_is_four_hex_digits() {
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
+        }
+        // A lone surrogate decodes to the replacement character.
+        assert_eq!(Json::parse(r#""\uD83D""#).unwrap(), Json::str("\u{fffd}"));
+    }
+
+    #[test]
+    fn escapes_are_the_five_short_forms_and_lowercase_hex_below_0x20() {
+        let s = "plain\"q\\b\n\r\t\u{1}\u{1f}é\u{7f}/";
+        assert_eq!(
+            Json::str(s).to_string(),
+            "\"plain\\\"q\\\\b\\n\\r\\t\\u0001\\u001fé\u{7f}/\""
+        );
     }
 
     #[test]

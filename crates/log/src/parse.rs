@@ -9,10 +9,12 @@
 //! to the `unclassified` type so downstream stages can count and drop it
 //! instead of crashing a shard.
 
+use std::borrow::Cow;
+
 use pod_sim::SimTime;
 
 use crate::event::LogEvent;
-use crate::json::Json;
+use crate::json::{JsonError, JsonParser};
 
 /// The `@type` assigned to lines that could not be classified.
 pub const UNCLASSIFIED: &str = "unclassified";
@@ -60,14 +62,12 @@ pub fn parse_line(raw: &str, received_at: SimTime) -> ParsedLine {
         return unclassified(raw, received_at);
     }
     if trimmed.starts_with('{') {
-        return match Json::parse(trimmed) {
-            Ok(json) => from_logstash(json, received_at)
-                .map(|event| ParsedLine {
-                    event,
-                    format: LineFormat::Json,
-                })
-                .unwrap_or_else(|| unclassified(raw, received_at)),
-            Err(_) => unclassified(raw, received_at),
+        return match read_logstash(trimmed, received_at) {
+            Some(event) => ParsedLine {
+                event,
+                format: LineFormat::Json,
+            },
+            None => unclassified(raw, received_at),
         };
     }
     let event = LogEvent::new(received_at, "raw.log", trimmed);
@@ -85,55 +85,136 @@ fn unclassified(raw: &str, received_at: SimTime) -> ParsedLine {
     }
 }
 
-/// Rebuilds a [`LogEvent`] from the Logstash shape emitted by
-/// [`LogEvent::to_json`]. Returns `None` when the object is not
-/// event-shaped (no `@message`).
-fn from_logstash(mut json: Json, received_at: SimTime) -> Option<LogEvent> {
-    // The tree is dropped on return: move strings out of it, do not copy.
-    let mut take = |key: &str| match &mut json {
-        Json::Object(entries) => {
-            let entry = entries.iter_mut().find(|(k, _)| k == key)?;
-            Some(std::mem::replace(&mut entry.1, Json::Null))
-        }
-        _ => None,
-    };
-    let string = |value: Json| match value {
-        Json::String(s) => Some(s),
-        _ => None,
-    };
-    let message = take("@message").and_then(string)?;
-    let timestamp = take("@timestamp")
-        .and_then(string)
-        .and_then(|t| t.parse::<SimTime>().ok())
-        .unwrap_or(received_at);
-    let source = take("@source").and_then(string);
-    let source = source.unwrap_or_else(|| "gateway.raw".to_string());
-    let host = take("@source_host").and_then(string);
-    let event_type = take("@type").and_then(string);
-    let mut event = LogEvent::stamped(
-        timestamp,
-        source,
-        host.unwrap_or_else(|| "sim.local".to_string()),
-        event_type.unwrap_or_else(|| "operation".to_string()),
-        message,
-    );
-    if let Some(Json::Array(tags)) = take("@tags") {
-        event.tags.extend(tags.into_iter().filter_map(string));
-    }
-    if let Some(Json::Object(entries)) = take("@fields") {
-        for (key, value) in entries {
-            // `to_json` writes each field as a one-element array; accept
-            // bare strings too for hand-written input.
-            let value = match value {
-                Json::Array(items) => items.into_iter().next(),
-                other => Some(other),
-            };
-            if let Some(value) = value.and_then(string) {
-                event.fields.push((key, value));
+/// Reads a Logstash object, the shape [`LogEvent::write_wire`] writes,
+/// straight into a [`LogEvent`], with no `Json` tree in between. Returns
+/// `None` when the text is not one JSON document ([`Json::parse`]'s
+/// grammar and depth cap: both go through one lexer) or the object is not
+/// event-shaped (no string `@message`).
+///
+/// [`Json::parse`]: crate::Json::parse
+fn read_logstash(text: &str, received_at: SimTime) -> Option<LogEvent> {
+    let mut wire = Wire::default();
+    JsonParser::document(text, |p| p.object(|p, key| wire.entry(p, key))).ok()?;
+    wire.into_event(received_at)
+}
+
+/// What a Logstash object says about its event, key by key. Each top-level
+/// `@` key counts once, at its first occurrence.
+#[derive(Default)]
+struct Wire<'a> {
+    message: Slot<'a>,
+    timestamp: Slot<'a>,
+    source: Slot<'a>,
+    source_host: Slot<'a>,
+    event_type: Slot<'a>,
+    tags: Option<Vec<String>>,
+    fields: Option<Vec<(String, String)>>,
+}
+
+/// A string-valued key: `None` until the key is met, then `Some` of its
+/// value when that is a string.
+type Slot<'a> = Option<Option<Cow<'a, str>>>;
+
+impl<'a> Wire<'a> {
+    /// Reads the value of top-level `key`; what the event does not use is
+    /// checked and skipped.
+    fn entry(&mut self, p: &mut JsonParser<'a>, key: Cow<'a, str>) -> Result<(), JsonError> {
+        let slot = match &*key {
+            "@message" => &mut self.message,
+            "@timestamp" => &mut self.timestamp,
+            "@source" => &mut self.source,
+            "@source_host" => &mut self.source_host,
+            "@type" => &mut self.event_type,
+            "@tags" if self.tags.is_none() => {
+                let mut tags = Vec::new();
+                if p.peek() == Some(b'[') {
+                    p.array(|p| {
+                        if let Some(tag) = string_or_skip(p)? {
+                            tags.push(tag.into_owned());
+                        }
+                        Ok(())
+                    })?;
+                } else {
+                    p.skip_value()?;
+                }
+                self.tags = Some(tags);
+                return Ok(());
             }
+            "@fields" if self.fields.is_none() => {
+                let mut fields = Vec::new();
+                if p.peek() == Some(b'{') {
+                    p.object(|p, key| {
+                        if let Some(value) = field_value(p)? {
+                            fields.push((key.into_owned(), value.into_owned()));
+                        }
+                        Ok(())
+                    })?;
+                } else {
+                    p.skip_value()?;
+                }
+                self.fields = Some(fields);
+                return Ok(());
+            }
+            _ => return p.skip_value(),
+        };
+        if slot.is_some() {
+            return p.skip_value();
         }
+        *slot = Some(string_or_skip(p)?);
+        Ok(())
     }
-    Some(event)
+
+    fn into_event(self, received_at: SimTime) -> Option<LogEvent> {
+        let message = self.message.flatten()?;
+        let timestamp = self
+            .timestamp
+            .flatten()
+            .and_then(|t| t.parse::<SimTime>().ok())
+            .unwrap_or(received_at);
+        let or = |slot: Slot<'a>, default: &str| {
+            slot.flatten()
+                .unwrap_or(Cow::Borrowed(default))
+                .into_owned()
+        };
+        let mut event = LogEvent::stamped(
+            timestamp,
+            or(self.source, "gateway.raw"),
+            or(self.source_host, "sim.local"),
+            or(self.event_type, "operation"),
+            message.into_owned(),
+        );
+        event.tags = self.tags.unwrap_or_default();
+        event.fields = self.fields.unwrap_or_default();
+        Some(event)
+    }
+}
+
+/// A field's value: the first element of an array (the form `write_wire`
+/// writes) or a bare string (hand-written input), when that is a string.
+fn field_value<'a>(p: &mut JsonParser<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if p.peek() != Some(b'[') {
+        return string_or_skip(p);
+    }
+    let (mut first, mut items) = (None, 0);
+    p.array(|p| {
+        items += 1;
+        if items == 1 {
+            first = string_or_skip(p)?;
+            Ok(())
+        } else {
+            p.skip_value()
+        }
+    })?;
+    Ok(first)
+}
+
+/// Reads a string value, or checks and skips a value of any other kind.
+fn string_or_skip<'a>(p: &mut JsonParser<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    if p.peek() == Some(b'"') {
+        p.string().map(Some)
+    } else {
+        p.skip_value().map(|()| None)
+    }
 }
 
 #[cfg(test)]
@@ -155,7 +236,9 @@ mod tests {
         .with_field("instanceid", "i-7df34041")
         .with_type("asgard");
         original.tags = vec!["rolling-upgrade".into(), "step4".into()];
-        let parsed = parse_line(&original.to_json().to_string(), now());
+        let mut wire = String::new();
+        original.write_wire(&mut wire).unwrap();
+        let parsed = parse_line(&wire, now());
         assert_eq!(parsed.format, LineFormat::Json);
         let e = parsed.event;
         assert_eq!(e.timestamp, original.timestamp);
@@ -221,6 +304,44 @@ mod tests {
     fn json_without_message_is_unclassified() {
         let parsed = parse_line("{\"@type\": \"asgard\"}", now());
         assert_eq!(parsed.format, LineFormat::Unclassified);
+    }
+
+    #[test]
+    fn a_timestamp_past_the_clock_falls_back_to_arrival_time() {
+        let raw = r#"{"@message":"x","@timestamp":"99999999999999s"}"#;
+        let parsed = parse_line(raw, now());
+        assert_eq!(parsed.format, LineFormat::Json);
+        assert_eq!(parsed.event.timestamp, now());
+    }
+
+    #[test]
+    fn a_signed_unicode_escape_is_unclassified() {
+        let parsed = parse_line(r#"{"@message":"a\u+041b"}"#, now());
+        assert_eq!(parsed.format, LineFormat::Unclassified);
+        let parsed = parse_line(r#"{"@message":"a\u0041b"}"#, now());
+        assert_eq!(parsed.event.message, "aAb");
+    }
+
+    #[test]
+    fn the_first_of_each_key_wins_and_a_field_is_a_first_element_or_a_bare_string() {
+        let raw = concat!(
+            r#"{"@type":7,"@type":"late","@message":"m","@message":"n","#,
+            r#""@tags":["t",1,["u"]],"@tags":["v"],"x":{"@source":"no"},"#,
+            r#""@fields":{"a":["1","2"],"b":"3","c":[4,"5"],"d":[],"a":["6"]}}"#
+        );
+        let parsed = parse_line(raw, now());
+        assert_eq!(parsed.format, LineFormat::Json);
+        let e = parsed.event;
+        assert_eq!(e.message, "m");
+        assert_eq!(e.event_type, "operation");
+        assert_eq!(e.source, "gateway.raw");
+        assert_eq!(e.tags, ["t"]);
+        let fields: Vec<_> = e
+            .fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(fields, [("a", "1"), ("b", "3"), ("a", "6")]);
     }
 
     #[test]

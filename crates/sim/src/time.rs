@@ -105,7 +105,11 @@ impl std::str::FromStr for SimTime {
             for c in frac.chars().chain(std::iter::repeat('0')).take(6) {
                 frac_us = frac_us * 10 + (c as u64 - '0' as u64);
             }
-            Ok(SimTime(secs * 1_000_000 + frac_us))
+            // A count of seconds past `u64` microseconds is no time either.
+            secs.checked_mul(1_000_000)
+                .and_then(|us| us.checked_add(frac_us))
+                .map(SimTime)
+                .ok_or_else(err)
         } else {
             s.parse().map(SimTime).map_err(|_| err())
         }
@@ -262,6 +266,22 @@ mod tests {
         let t = SimTime::from_millis(10);
         let later = SimTime::from_millis(20);
         assert_eq!(t.duration_since(later), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn seconds_past_the_microsecond_range_do_not_parse() {
+        // 18 446 744 073 709 s is the last whole second `u64` microseconds hold.
+        assert_eq!(
+            "18446744073709.551615s".parse::<SimTime>(),
+            Ok(SimTime(u64::MAX))
+        );
+        for bad in [
+            "18446744073709.551616s",
+            "18446744073710s",
+            "99999999999999s",
+        ] {
+            assert!(bad.parse::<SimTime>().is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

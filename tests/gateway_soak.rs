@@ -4,8 +4,9 @@
 //! The soak's and a recovery storm's digests are pinned, so a change that
 //! moves any detection, diagnosis, gateway count or repair transcript fails
 //! here rather than in a comparison made by hand. So is every event
-//! central storage renders when read. Also the flight recorder's cost
-//! bound: frames follow drains, not detections.
+//! central storage renders when read, and every wire line a fleet feed
+//! carries. Also the flight recorder's cost bound: frames follow drains,
+//! not detections.
 
 use pod_diagnosis::eval::{
     build_engine, build_scenario, collect_streams, monitor_upgrade, replay_telemetry,
@@ -26,6 +27,12 @@ const STORM_DIGEST_PIN: u64 = 0x0c83_13e5_5fe0_f002;
 /// FNV-1a-64 of the `{:?}` of every event [`stored_events`] reads back,
 /// in order, and the length of those bytes.
 const STORAGE_PIN: (u64, usize) = (0x4314_284b_e7fa_6bad, 1_505_197);
+
+/// FNV-1a-64 over every raw wire line of the seed-2014 64-tenant
+/// `fleet-healthy`-shaped feed ([`fleet_feed`]), each followed by a
+/// newline, and the length of those bytes: what the shipper writes, byte
+/// for byte.
+const WIRE_FEED_PIN: (u64, usize) = (0x76de_e5df_8010_9e30, 388_984);
 
 /// 64-bit FNV-1a. Its algorithm is fixed, unlike std's `DefaultHasher`, so
 /// a constant pins a digest's bytes across commits and toolchains.
@@ -146,6 +153,31 @@ fn a_detection_storm_costs_at_most_one_frame_per_drain() {
     let report = replay_telemetry(&collect_streams(&config), &gateway, TelemetryMode::Full);
     assert!(report.stats.shed_oldest > 0, "the queues must overflow");
     assert_frames_follow_drains(&report);
+}
+
+/// Every raw line of the 64-tenant feed shaped like the ledger's
+/// `fleet-healthy` workload (one tenant in eight faulty, 5 % plaintext
+/// noise, seed 2014), in tenant order, each followed by a newline.
+fn fleet_feed() -> String {
+    let streams = collect_streams(&SoakConfig {
+        ops: 64,
+        seed: 2014,
+        noise_rate: 0.05,
+        fault_every: 8,
+    });
+    let mut feed = String::new();
+    for (_, raw) in streams.ops.iter().flat_map(|op| &op.lines) {
+        feed.push_str(raw);
+        feed.push('\n');
+    }
+    feed
+}
+
+#[test]
+fn the_wire_feed_matches_its_pin() {
+    let feed = fleet_feed();
+    let pin = (fnv1a64(feed.as_bytes()), feed.len());
+    assert_eq!(pin, WIRE_FEED_PIN, "{:#018x} over {} bytes", pin.0, pin.1);
 }
 
 /// What central storage holds after three inputs, read back in append
