@@ -1,6 +1,7 @@
 //! The expected environment: what the configuration repository says the
 //! system *should* look like after (each stage of) the operation.
 
+use std::fmt;
 use std::sync::Arc;
 
 use pod_cloud::{
@@ -66,20 +67,22 @@ impl ExpectedEnv {
             && instance.instance_type == self.expected_instance_type
     }
 
-    /// Renders the instantiation variables used when a fault tree is
-    /// selected, e.g. `N` and the ASG name.
-    pub fn variables(&self) -> Vec<(String, String)> {
-        vec![
-            ("ASG".to_string(), self.asg.to_string()),
-            ("ELB".to_string(), self.elb.to_string()),
-            ("LC".to_string(), self.launch_config.to_string()),
-            ("AMI".to_string(), self.expected_ami.to_string()),
-            ("VERSION".to_string(), self.expected_version.to_string()),
-            ("KEYPAIR".to_string(), self.expected_key_pair.to_string()),
-            ("SG".to_string(), self.expected_security_group.to_string()),
-            ("TYPE".to_string(), self.expected_instance_type.to_string()),
-            ("N".to_string(), self.expected_count.to_string()),
-        ]
+    /// The value of the instantiation variable `name` (what a fault tree's
+    /// `{NAME}` placeholder stands for, e.g. `N` or `ASG`), read in place;
+    /// `None` for a name that is not one.
+    pub fn variable(&self, name: &str) -> Option<&dyn fmt::Display> {
+        Some(match name {
+            "ASG" => &self.asg,
+            "ELB" => &self.elb,
+            "LC" => &self.launch_config,
+            "AMI" => &self.expected_ami,
+            "VERSION" => &self.expected_version,
+            "KEYPAIR" => &self.expected_key_pair,
+            "SG" => &self.expected_security_group,
+            "TYPE" => &self.expected_instance_type,
+            "N" => &self.expected_count,
+            _ => return None,
+        })
     }
 }
 
@@ -103,10 +106,19 @@ mod tests {
 
     #[test]
     fn variables_cover_all_parameters() {
-        let vars = env().variables();
-        assert_eq!(vars.len(), 9);
-        assert!(vars.contains(&("N".to_string(), "4".to_string())));
-        assert!(vars.contains(&("ASG".to_string(), "app-asg".to_string())));
+        let env = env();
+        let read = |name: &str| env.variable(name).map(|value| value.to_string());
+        let names = [
+            "ASG", "ELB", "LC", "AMI", "VERSION", "KEYPAIR", "SG", "TYPE", "N",
+        ];
+        let values = names.map(|name| read(name).unwrap_or_else(|| panic!("{name} unknown")));
+        assert_eq!(
+            values,
+            ["app-asg", "front", "lc-v2", "ami-abc", "2.0", "prod", "sg-1", "m1.small", "4"]
+        );
+        for not_one in ["", "asg", "n", "UNKNOWN", "{N}", "N "] {
+            assert!(read(not_one).is_none(), "{not_one:?} is not a variable");
+        }
     }
 
     #[test]

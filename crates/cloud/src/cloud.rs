@@ -18,7 +18,7 @@ use crate::resources::{
     ActivityStatus, Ami, AutoScalingGroup, Elb, Instance, InstanceState, KeyPair, LaunchConfig,
     ScalingActivity, SecurityGroup,
 };
-use crate::state::CloudState;
+use crate::state::{CloudState, ScalingActivities};
 use crate::versioned::Versioned;
 
 /// Time from launch request to `InService`: lognormal (median ms, sigma).
@@ -369,14 +369,18 @@ impl Cloud {
         }
     }
 
-    /// Scaling activities for `asg` at or after `since` (authoritative, the
-    /// activity log is strongly consistent like CloudTrail's console feed).
-    pub fn describe_scaling_activities(
+    /// Reads the scaling activities for `asg` at or after `since` in place
+    /// (authoritative, the activity log is strongly consistent like
+    /// CloudTrail's console feed): `f` walks them in order without copying
+    /// any. One metered call, like [`Cloud::with_asg_instances`]; `f` runs
+    /// under the cloud's lock, so it must not call the cloud.
+    pub fn with_scaling_activities<R>(
         &self,
         asg: &AsgName,
         since: SimTime,
-    ) -> Result<Vec<ScalingActivity>, ApiError> {
-        self.call(|inner, _| Ok(inner.state.activities_for(asg, since).cloned().collect()))
+        f: impl FnOnce(ScalingActivities<'_>) -> R,
+    ) -> Result<R, ApiError> {
+        self.call(|inner, _| Ok(f(inner.state.activities_for(asg, since))))
     }
 
     /// Creates a launch configuration.

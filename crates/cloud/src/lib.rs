@@ -43,5 +43,5 @@ pub use resources::{
     ActivityStatus, Ami, AutoScalingGroup, Elb, Instance, InstanceState, KeyPair, LaunchConfig,
     ScalingActivity, SecurityGroup,
 };
-pub use state::{CloudState, INSTANCE_LIMIT};
+pub use state::{CloudState, ScalingActivities, INSTANCE_LIMIT};
 pub use versioned::Versioned;

@@ -79,14 +79,31 @@ impl CloudState {
     }
 
     /// Activities for `asg` at or after `since`.
-    pub fn activities_for<'a>(
-        &'a self,
-        asg: &'a AsgName,
-        since: SimTime,
-    ) -> impl Iterator<Item = &'a ScalingActivity> {
-        self.activities
-            .iter()
-            .filter(move |a| a.asg == *asg && a.at >= since)
+    pub fn activities_for<'a>(&'a self, asg: &'a AsgName, since: SimTime) -> ScalingActivities<'a> {
+        ScalingActivities {
+            activities: self.activities.iter(),
+            asg,
+            since,
+        }
+    }
+}
+
+/// The scaling activities of one ASG from a point in time on, in the
+/// order they were recorded, read in place: what
+/// [`crate::Cloud::with_scaling_activities`] hands its reader.
+#[derive(Debug, Clone)]
+pub struct ScalingActivities<'a> {
+    activities: std::slice::Iter<'a, ScalingActivity>,
+    asg: &'a AsgName,
+    since: SimTime,
+}
+
+impl<'a> Iterator for ScalingActivities<'a> {
+    type Item = &'a ScalingActivity;
+
+    fn next(&mut self) -> Option<&'a ScalingActivity> {
+        let (asg, since) = (self.asg, self.since);
+        self.activities.find(|a| a.asg == *asg && a.at >= since)
     }
 }
 

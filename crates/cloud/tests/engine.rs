@@ -1,8 +1,10 @@
 //! Behavioural tests of the cloud engine: reconciliation, fault injection,
 //! eventual consistency and limits.
 
-use pod_cloud::{ApiError, AsgUpdate, Cloud, CloudConfig, InstanceState, LaunchConfigUpdate};
-use pod_sim::{Clock, LatencyModel, SimDuration, SimRng};
+use pod_cloud::{
+    ActivityStatus, ApiError, AsgUpdate, Cloud, CloudConfig, InstanceState, LaunchConfigUpdate,
+};
+use pod_sim::{Clock, LatencyModel, SimDuration, SimRng, SimTime};
 
 struct Env {
     cloud: Cloud,
@@ -37,6 +39,15 @@ fn env() -> Env {
         },
         4,
     )
+}
+
+/// Whether a scaling activity of the ASG since `start` failed with a
+/// message naming `what`, read from the feed in place.
+fn failed_activity_names(e: &Env, start: SimTime, what: &str) -> bool {
+    let read = e.cloud.with_scaling_activities(&e.asg, start, |mut acts| {
+        acts.any(|a| matches!(&a.status, ActivityStatus::Failed(m) if m.contains(what)))
+    });
+    read.unwrap()
 }
 
 #[test]
@@ -141,10 +152,7 @@ fn unavailable_ami_blocks_replacement_with_failed_activity() {
     e.cloud.terminate_instance(&victim, false).unwrap();
     e.cloud.sleep(SimDuration::from_secs(120));
     assert_eq!(e.cloud.admin_asg_active_instances(&e.asg).len(), 3);
-    let acts = e.cloud.describe_scaling_activities(&e.asg, start).unwrap();
-    assert!(acts
-        .iter()
-        .any(|a| matches!(&a.status, pod_cloud::ActivityStatus::Failed(m) if m.contains("AMI"))));
+    assert!(failed_activity_names(&e, start, "AMI"));
 }
 
 #[test]
@@ -162,10 +170,7 @@ fn deleted_key_pair_blocks_launches() {
         )
         .unwrap();
     e.cloud.sleep(SimDuration::from_secs(60));
-    let acts = e.cloud.describe_scaling_activities(&e.asg, start).unwrap();
-    assert!(acts.iter().any(
-        |a| matches!(&a.status, pod_cloud::ActivityStatus::Failed(m) if m.contains("key pair"))
-    ));
+    assert!(failed_activity_names(&e, start, "key pair"));
 }
 
 #[test]
@@ -183,10 +188,7 @@ fn unavailable_sg_blocks_launches() {
         )
         .unwrap();
     e.cloud.sleep(SimDuration::from_secs(60));
-    let acts = e.cloud.describe_scaling_activities(&e.asg, start).unwrap();
-    assert!(acts.iter().any(
-        |a| matches!(&a.status, pod_cloud::ActivityStatus::Failed(m) if m.contains("security group"))
-    ));
+    assert!(failed_activity_names(&e, start, "security group"));
 }
 
 #[test]
@@ -202,10 +204,10 @@ fn unavailable_elb_blocks_registration() {
     assert_eq!(active.len(), 4);
     let unregistered: Vec<_> = active.iter().filter(|i| !i.registered_with_elb).collect();
     assert_eq!(unregistered.len(), 1);
-    let acts = e.cloud.describe_scaling_activities(&e.asg, start).unwrap();
-    assert!(acts
-        .iter()
-        .any(|a| a.description.contains("Failed to register")));
+    let read = e.cloud.with_scaling_activities(&e.asg, start, |mut acts| {
+        acts.any(|a| a.description.contains("Failed to register"))
+    });
+    assert!(read.unwrap());
     assert!(matches!(
         e.cloud.describe_elb(&e.elb).unwrap_err(),
         ApiError::ServiceUnavailable { .. }
@@ -250,10 +252,10 @@ fn instance_limit_blocks_launches_and_is_reported() {
         .unwrap();
     e.cloud.sleep(SimDuration::from_secs(60));
     assert_eq!(e.cloud.admin_asg_active_instances(&e.asg).len(), 4);
-    let acts = e.cloud.describe_scaling_activities(&e.asg, start).unwrap();
-    assert!(acts
-        .iter()
-        .any(|a| a.description.contains("InstanceLimitExceeded")));
+    let read = e.cloud.with_scaling_activities(&e.asg, start, |mut acts| {
+        acts.any(|a| a.description.contains("InstanceLimitExceeded"))
+    });
+    assert!(read.unwrap());
 }
 
 #[test]

@@ -18,7 +18,7 @@ use pod_log::{
     ProcessContext, Severity, StoredLine, TimerSetter, Trigger,
 };
 use pod_obs::{Counter, Exemplar, Histogram, Obs};
-use pod_process::{Conformance, ConformanceChecker};
+use pod_process::{Conformance, ConformanceChecker, Unfit};
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
 use crate::config::{CompiledPod, PodConfig, SharedEnv};
@@ -64,8 +64,9 @@ struct ConformanceLine {
     /// The verdict's tag, e.g. `conformance:fit`.
     verdict: &'static str,
     severity: Severity,
-    /// ` expected=[…] hypothesised-skips=[…]`, for an unfit verdict only.
-    unfit: Option<String>,
+    /// What an unfit verdict reports (` expected=[…]
+    /// hypothesised-skips=[…]` in the line), shared with the net.
+    unfit: Option<Arc<Unfit>>,
     trace_id: Arc<str>,
     /// The line the verdict judged.
     line: Arc<StoredLine>,
@@ -82,13 +83,22 @@ impl LogRecord for ConformanceLine {
             event_type: "conformance".to_string(),
             tags: vec![self.verdict.to_string()],
             fields: Vec::new(),
-            message: format!(
-                "[conformance] [{}] [{}]{} {}",
-                self.trace_id,
-                self.verdict,
-                self.unfit.as_deref().unwrap_or(""),
-                self.line.message()
-            ),
+            message: match &self.unfit {
+                Some(unfit) => format!(
+                    "[conformance] [{}] [{}] expected=[{}] hypothesised-skips=[{}] {}",
+                    self.trace_id,
+                    self.verdict,
+                    unfit.expected.join(","),
+                    unfit.skipped.join(","),
+                    self.line.message()
+                ),
+                None => format!(
+                    "[conformance] [{}] [{}] {}",
+                    self.trace_id,
+                    self.verdict,
+                    self.line.message()
+                ),
+            },
             severity: self.severity,
             context: None,
         }
@@ -191,7 +201,7 @@ pub struct PodEngine {
     /// Timers armed so far.
     armed: u64,
     last_done: u32,
-    last_diagnosis_at: HashMap<String, SimTime>,
+    last_diagnosis_at: HashMap<&'static str, SimTime>,
     summary: RunSummary,
     metrics: EngineMetrics,
     hook: DiagnosisHook,
@@ -424,7 +434,7 @@ impl PodEngine {
         if verdict.is_error() {
             self.summary.conformance_errors += 1;
             let source = match &verdict {
-                Conformance::Unfit { .. } => DetectionSource::ConformanceUnfit,
+                Conformance::Unfit(_) => DetectionSource::ConformanceUnfit,
                 Conformance::Error => DetectionSource::ConformanceKnownError,
                 _ => DetectionSource::ConformanceUnclassified,
             };
@@ -451,11 +461,7 @@ impl PodEngine {
     /// built from: the clock reading, the verdict and the line it judged.
     fn log_conformance(&self, line: &Arc<StoredLine>, verdict: &Conformance) {
         let unfit = match verdict {
-            Conformance::Unfit { expected, skipped } => Some(format!(
-                " expected=[{}] hypothesised-skips=[{}]",
-                expected.join(","),
-                skipped.join(",")
-            )),
+            Conformance::Unfit(unfit) => Some(Arc::clone(unfit)),
             _ => None,
         };
         self.storage.append_record(ConformanceLine {
@@ -703,7 +709,7 @@ impl PodEngine {
     fn detect(
         &mut self,
         source: DetectionSource,
-        assertion_key: Option<&str>,
+        assertion_key: Option<&'static str>,
         description: String,
         step: Option<String>,
         instance: Option<InstanceId>,
@@ -711,18 +717,15 @@ impl PodEngine {
     ) {
         let at = self.cloud.clock().now();
         self.metrics.detections.incr();
-        let obs = self.cloud.obs();
-        let emitted = match cause {
-            Some(c) => obs.event_under(c, "detection", source.tag()),
-            None => obs.event("detection", source.tag()),
-        };
-        emitted.attr("description", &description);
-        if let Some(step) = &step {
-            emitted.attr("step", step);
-        }
-        if let Some(instance) = &instance {
-            emitted.attr("instance", instance);
-        }
+        let event = self
+            .cloud
+            .obs()
+            .event_from(cause, "detection", source.tag(), || {
+                let mut attrs = vec![("description", description.clone())];
+                attrs.extend(step.iter().map(|step| ("step", step.clone())));
+                attrs.extend(instance.iter().map(|id| ("instance", id.to_string())));
+                attrs
+            });
         // Assertion failures select the tree for the failed assertion;
         // conformance detections use the master tree.
         let key = assertion_key.unwrap_or(MASTER_TREE_KEY);
@@ -734,7 +737,7 @@ impl PodEngine {
             .get(key)
             .is_none_or(|last| at.duration_since(*last) >= DIAGNOSIS_COOLDOWN);
         if cooled_down {
-            self.last_diagnosis_at.insert(key.to_string(), at);
+            self.last_diagnosis_at.insert(key, at);
             let armed = self.next_arm();
             self.dispatched.push_back((armed, detection_index));
         }
@@ -746,7 +749,7 @@ impl PodEngine {
             key: key.to_string(),
             instance,
             diagnosis: None,
-            event: Some(emitted.id()),
+            event: Some(event),
         });
     }
 
@@ -784,8 +787,10 @@ impl PodEngine {
                 DiagnosisVerdict::NoRootCauseIdentified => "no-root-cause",
             },
         );
-        self.last_diagnosis_at
-            .insert(key.to_string(), self.cloud.clock().now());
+        // Present: the detection that dispatched this diagnosis set it.
+        if let Some(last) = self.last_diagnosis_at.get_mut(key.as_str()) {
+            *last = self.cloud.clock().now();
+        }
         report
     }
 }

@@ -2,6 +2,8 @@
 //! diagnostic tests, result caching and a paper-style diagnosis transcript.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use pod_assert::ConsistentApi;
 use pod_log::{LogEvent, LogRecord, LogStorage, Severity};
@@ -143,27 +145,17 @@ impl DiagnosisEngine {
     /// and walks it top-down, running diagnostic tests until root causes
     /// are confirmed or excluded.
     pub fn diagnose(&self, tree: &FaultTree, ctx: &DiagnosisContext) -> DiagnosisReport {
-        let span = self.api.cloud().obs().span("faulttree.walk");
+        let obs = self.api.cloud().obs();
+        let span = obs.span("faulttree.walk");
         span.attr("tree", &tree.assertion_key);
         self.metrics.walks.incr();
         let started_at = self.api.cloud().clock().now();
-        let variables = ctx.env.variables();
         let step = ctx.step.as_deref();
         let potential = tree.root.potential_faults(step);
-        self.log(
-            started_at,
-            ctx,
-            Severity::Info,
-            format!(
-                "Performing on demand assertion checking: {}. {} potential faults in total",
-                tree.root.instantiate(&variables),
-                potential
-            ),
-        );
         let mut walk = Walk {
             engine: self,
             ctx,
-            variables: &variables,
+            step: step.map(Arc::from),
             cache: HashMap::new(),
             depth: 0,
             max_depth: 0,
@@ -178,10 +170,19 @@ impl DiagnosisEngine {
                 duration: SimDuration::ZERO,
             },
         };
+        walk.log(
+            started_at,
+            Severity::Info,
+            WalkLine::Start {
+                top: tree.root.instantiate(&ctx.env),
+                potential,
+            },
+        );
         walk.visit_children(&tree.root);
         let max_depth = walk.max_depth;
-        let mut report = walk.report;
-        report.duration = self.api.cloud().clock().now().duration_since(started_at);
+        let now = self.api.cloud().clock().now();
+        let report = &mut walk.report;
+        report.duration = now.duration_since(started_at);
         self.metrics.walk_depth.record(max_depth as u64);
         if let Some(first) = report.first_cause_after {
             self.metrics
@@ -195,73 +196,42 @@ impl DiagnosisEngine {
             DiagnosisVerdict::NoRootCauseIdentified => "no-root-cause",
         };
         span.attr("verdict", verdict_tag);
-        let verdict_event = self
-            .api
-            .cloud()
-            .obs()
-            .event("diagnosis.verdict", verdict_tag);
-        verdict_event.attr("tests_run", report.tests_run);
-        verdict_event.attr("excluded", report.excluded);
-        verdict_event.attr("duration_ms", report.duration.as_millis());
-        if !report.root_causes.is_empty() {
-            verdict_event.attr(
-                "root_causes",
-                report
+        obs.event_from(None, "diagnosis.verdict", verdict_tag, || {
+            let mut attrs = vec![
+                ("tests_run", report.tests_run.to_string()),
+                ("excluded", report.excluded.to_string()),
+                ("duration_ms", report.duration.as_millis().to_string()),
+            ];
+            if !report.root_causes.is_empty() {
+                let ids: Vec<&str> = report
                     .root_causes
                     .iter()
                     .map(|c| c.node_id.as_str())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        let now = self.api.cloud().clock().now();
-        match report.verdict() {
-            DiagnosisVerdict::RootCauseIdentified => self.log(
-                now,
-                ctx,
-                Severity::Info,
-                format!(
-                    "{} root cause(s) identified: {}",
-                    report.root_causes.len(),
-                    report
-                        .root_causes
-                        .iter()
-                        .map(|c| c.description.as_str())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ),
-            ),
-            DiagnosisVerdict::ErrorConfirmedCauseUnknown => self.log(
-                now,
-                ctx,
-                Severity::Warn,
-                format!(
-                    "Error confirmed but cause unknown; diagnosis stopped at: {}",
-                    report
-                        .stopped_at
-                        .iter()
-                        .map(|c| c.description.as_str())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ),
-            ),
-            DiagnosisVerdict::NoRootCauseIdentified => self.log(
-                now,
-                ctx,
-                Severity::Info,
-                "No root cause identified".to_string(),
-            ),
-        }
-        report
-    }
-
-    fn log(&self, at: SimTime, ctx: &DiagnosisContext, severity: Severity, message: String) {
-        self.storage.append_record(DiagnosisLine {
-            at,
-            step: ctx.step.clone(),
-            severity,
-            message,
+                    .collect();
+                attrs.push(("root_causes", ids.join("|")));
+            }
+            attrs
         });
+        let descriptions = |causes: &[DiagnosedCause]| {
+            let descriptions: Vec<&str> = causes.iter().map(|c| c.description.as_str()).collect();
+            descriptions.join("; ")
+        };
+        let (severity, line) = match report.verdict() {
+            DiagnosisVerdict::RootCauseIdentified => (
+                Severity::Info,
+                WalkLine::Identified {
+                    count: report.root_causes.len(),
+                    causes: descriptions(&report.root_causes),
+                },
+            ),
+            DiagnosisVerdict::ErrorConfirmedCauseUnknown => (
+                Severity::Warn,
+                WalkLine::StoppedAt(descriptions(&report.stopped_at)),
+            ),
+            DiagnosisVerdict::NoRootCauseIdentified => (Severity::Info, WalkLine::NoRootCause),
+        };
+        walk.log(now, severity, line);
+        walk.report
     }
 }
 
@@ -270,9 +240,10 @@ impl DiagnosisEngine {
 #[derive(Debug)]
 struct DiagnosisLine {
     at: SimTime,
-    step: Option<String>,
+    /// The walk's process step, shared by all its lines.
+    step: Option<Arc<str>>,
     severity: Severity,
-    message: String,
+    line: WalkLine,
 }
 
 impl LogRecord for DiagnosisLine {
@@ -281,17 +252,74 @@ impl LogRecord for DiagnosisLine {
         LogEvent::new(
             self.at,
             "diagnosis.log",
-            format!("[diagnosis] [step:{step}] {}", self.message),
+            format!("[diagnosis] [step:{step}] {}", self.line),
         )
         .with_type("diagnosis")
         .with_severity(self.severity)
     }
 }
 
+/// What one line of a walk's transcript says. A node's instantiated
+/// description is shared by the lines about it.
+#[derive(Debug)]
+enum WalkLine {
+    /// The walk begins at the instantiated top event.
+    Start { top: String, potential: usize },
+    /// A node's test is about to run.
+    Verifying(Arc<str>),
+    /// The test excluded the node; `excluded` of `potential` faults so far.
+    Absent {
+        fault: Arc<str>,
+        excluded: usize,
+        potential: usize,
+    },
+    /// The test confirmed the node.
+    Present(Arc<str>),
+    /// The test could not run, and why.
+    Inconclusive { fault: Arc<str>, reason: String },
+    /// The verdict: `count` root causes, their descriptions `;`-joined.
+    Identified { count: usize, causes: String },
+    /// The verdict: confirmed errors without a cause, `;`-joined.
+    StoppedAt(String),
+    /// The verdict: nothing in the tree is present.
+    NoRootCause,
+}
+
+impl fmt::Display for WalkLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WalkLine::Start { top, potential } => write!(
+                f,
+                "Performing on demand assertion checking: {top}. {potential} potential faults in total"
+            ),
+            WalkLine::Verifying(fault) => write!(f, "Verifying: {fault}"),
+            WalkLine::Absent {
+                fault,
+                excluded,
+                potential,
+            } => write!(
+                f,
+                "Verified: {fault} — not present. {excluded}/{potential} faults excluded"
+            ),
+            WalkLine::Present(fault) => write!(f, "Failed verification: {fault} — fault present"),
+            WalkLine::Inconclusive { fault, reason } => write!(f, "Cannot verify {fault}: {reason}"),
+            WalkLine::Identified { count, causes } => {
+                write!(f, "{count} root cause(s) identified: {causes}")
+            }
+            WalkLine::StoppedAt(errors) => write!(
+                f,
+                "Error confirmed but cause unknown; diagnosis stopped at: {errors}"
+            ),
+            WalkLine::NoRootCause => f.write_str("No root cause identified"),
+        }
+    }
+}
+
 struct Walk<'a> {
     engine: &'a DiagnosisEngine,
     ctx: &'a DiagnosisContext,
-    variables: &'a [(String, String)],
+    /// `ctx.step`, shared by every line the walk logs.
+    step: Option<Arc<str>>,
     cache: HashMap<String, (TestResult, pod_obs::EventId)>,
     depth: usize,
     max_depth: usize,
@@ -299,6 +327,15 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
+    fn log(&self, at: SimTime, severity: Severity, line: WalkLine) {
+        self.engine.storage.append_record(DiagnosisLine {
+            at,
+            step: self.step.clone(),
+            severity,
+            line,
+        });
+    }
+
     /// Visits the children of `node` in the configured order.
     fn visit_children(&mut self, node: &FaultNode) {
         let mut order: Vec<&FaultNode> = node
@@ -331,56 +368,51 @@ impl Walk<'_> {
     fn visit(&mut self, node: &FaultNode) {
         self.depth += 1;
         self.max_depth = self.max_depth.max(self.depth);
-        let description = node.instantiate(self.variables);
         match &node.test {
             None => {
                 // Structural node: descend directly.
                 self.visit_children(node);
             }
             Some(test) => {
+                let description: Arc<str> = node.instantiate(&self.ctx.env).into();
                 let now = self.engine.api.cloud().clock().now();
-                self.engine.log(
+                self.log(
                     now,
-                    self.ctx,
                     Severity::Info,
-                    format!("Verifying: {description}"),
+                    WalkLine::Verifying(Arc::clone(&description)),
                 );
                 let (result, test_event) = self.run_cached(&node.id, test);
                 let now = self.engine.api.cloud().clock().now();
                 match result {
                     TestResult::Absent => {
                         self.report.excluded += node.potential_faults(self.ctx.step.as_deref());
-                        self.engine.log(
-                            now,
-                            self.ctx,
-                            Severity::Info,
-                            format!(
-                                "Verified: {description} — not present. {}/{} faults excluded",
-                                self.report.excluded, self.report.potential_faults
-                            ),
-                        );
+                        let line = WalkLine::Absent {
+                            fault: description,
+                            excluded: self.report.excluded,
+                            potential: self.report.potential_faults,
+                        };
+                        self.log(now, Severity::Info, line);
                     }
                     TestResult::Present => {
-                        self.engine.log(
+                        self.log(
                             now,
-                            self.ctx,
                             Severity::Error,
-                            format!("Failed verification: {description} — fault present"),
+                            WalkLine::Present(Arc::clone(&description)),
                         );
                         if node.is_root_cause && node.children.is_empty() {
                             if self.report.first_cause_after.is_none() {
                                 self.report.first_cause_after =
                                     Some(now.duration_since(self.report.started_at));
                             }
-                            self.engine
-                                .api
-                                .cloud()
-                                .obs()
-                                .event_under(test_event, "diagnosis.cause", &node.id)
-                                .attr("description", &description);
+                            self.engine.api.cloud().obs().event_from(
+                                Some(test_event),
+                                "diagnosis.cause",
+                                node.id.clone(),
+                                || vec![("description", description.to_string())],
+                            );
                             self.report.root_causes.push(DiagnosedCause {
                                 node_id: node.id.clone(),
-                                description,
+                                description: description.to_string(),
                             });
                         } else {
                             let causes_before = self.report.root_causes.len();
@@ -389,18 +421,17 @@ impl Walk<'_> {
                                 // Deepest confirmed error without a cause.
                                 self.report.stopped_at.push(DiagnosedCause {
                                     node_id: node.id.clone(),
-                                    description,
+                                    description: description.to_string(),
                                 });
                             }
                         }
                     }
                     TestResult::Inconclusive { reason } => {
-                        self.engine.log(
-                            now,
-                            self.ctx,
-                            Severity::Warn,
-                            format!("Cannot verify {description}: {reason}"),
-                        );
+                        let line = WalkLine::Inconclusive {
+                            fault: description,
+                            reason,
+                        };
+                        self.log(now, Severity::Warn, line);
                         // "Diagnosis stops at the point where no further
                         // child nodes can be checked."
                     }

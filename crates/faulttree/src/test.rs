@@ -160,25 +160,23 @@ impl DiagnosticTest {
     /// Looks for a completed termination with no matching termination
     /// request in the activity feed.
     fn unexpected_termination(&self, api: &ConsistentApi, ctx: &DiagnosisContext) -> TestResult {
-        let activities =
-            api.execute(|c| c.describe_scaling_activities(&ctx.env.asg, ctx.operation_started));
-        match activities {
-            Ok(acts) => {
-                let mut asked: Vec<String> = Vec::new();
-                let mut done: Vec<String> = Vec::new();
-                for a in &acts {
+        let unexpected = api.execute(|c| {
+            c.with_scaling_activities(&ctx.env.asg, ctx.operation_started, |acts| {
+                let mut asked: Vec<&str> = Vec::new();
+                let mut done: Vec<&str> = Vec::new();
+                for a in acts {
                     if let Some(caps) = TERMINATION_REQUESTED.captures(&a.description) {
-                        asked.push(caps.name("id").expect("captured").to_string());
+                        asked.push(caps.name("id").expect("captured"));
                     } else if let Some(caps) = TERMINATION_COMPLETED.captures(&a.description) {
-                        done.push(caps.name("id").expect("captured").to_string());
+                        done.push(caps.name("id").expect("captured"));
                     }
                 }
-                if done.iter().any(|id| !asked.contains(id)) {
-                    TestResult::Present
-                } else {
-                    TestResult::Absent
-                }
-            }
+                done.iter().any(|id| !asked.contains(id))
+            })
+        });
+        match unexpected {
+            Ok(true) => TestResult::Present,
+            Ok(false) => TestResult::Absent,
             Err(e) => TestResult::Inconclusive {
                 reason: format!("activity feed unavailable: {e}"),
             },
@@ -192,20 +190,17 @@ impl DiagnosticTest {
         pattern: &Regex,
         failed_only: bool,
     ) -> TestResult {
-        let activities =
-            api.execute(|c| c.describe_scaling_activities(&ctx.env.asg, ctx.operation_started));
-        match activities {
-            Ok(acts) => {
-                let hit = acts.iter().any(|a| {
+        let hit = api.execute(|c| {
+            c.with_scaling_activities(&ctx.env.asg, ctx.operation_started, |mut acts| {
+                acts.any(|a| {
                     let status_ok = !failed_only || matches!(a.status, ActivityStatus::Failed(_));
                     status_ok && pattern.is_match(&a.description)
-                });
-                if hit {
-                    TestResult::Present
-                } else {
-                    TestResult::Absent
-                }
-            }
+                })
+            })
+        });
+        match hit {
+            Ok(true) => TestResult::Present,
+            Ok(false) => TestResult::Absent,
             Err(e) => TestResult::Inconclusive {
                 reason: format!("activity feed unavailable: {e}"),
             },

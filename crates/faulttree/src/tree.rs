@@ -11,6 +11,10 @@
 //! There is **one fault tree per assertion**; node descriptions may contain
 //! `{VAR}` placeholders instantiated from the runtime request.
 
+use std::fmt::Write as _;
+
+use pod_assert::ExpectedEnv;
+
 use crate::test::DiagnosticTest;
 
 /// One node of a fault tree: an (intermediate) error event or a root-cause
@@ -91,12 +95,31 @@ impl FaultNode {
         self
     }
 
-    /// Instantiates `{VAR}` placeholders in the description.
-    pub fn instantiate(&self, variables: &[(String, String)]) -> String {
-        let mut text = self.description.clone();
-        for (k, v) in variables {
-            text = text.replace(&format!("{{{k}}}"), v);
+    /// Instantiates the `{VAR}` placeholders in the description from
+    /// `env` ([`ExpectedEnv::variable`]) in one pass. A value goes in as
+    /// it is, never itself scanned for placeholders; a `{NAME}` that names
+    /// no variable, and a brace without its pair, stay as written.
+    pub fn instantiate(&self, env: &ExpectedEnv) -> String {
+        let mut text = String::with_capacity(self.description.len() + 16);
+        let mut rest = self.description.as_str();
+        while let Some(open) = rest.find('{') {
+            text.push_str(&rest[..open]);
+            let after = &rest[open + 1..];
+            let placeholder = after
+                .find('}')
+                .and_then(|close| Some((env.variable(&after[..close])?, close)));
+            match placeholder {
+                Some((value, close)) => {
+                    write!(text, "{value}").expect("writing to a String");
+                    rest = &after[close + 1..];
+                }
+                None => {
+                    text.push('{');
+                    rest = after;
+                }
+            }
         }
+        text.push_str(rest);
         text
     }
 
@@ -224,9 +247,20 @@ mod tests {
 
     #[test]
     fn instantiation_replaces_variables() {
-        let n = leaf("a", 0.1);
-        let text = n.instantiate(&[("ASG".to_string(), "pm--asg".to_string())]);
-        assert_eq!(text, "a of pm--asg");
+        let env = ExpectedEnv {
+            asg: pod_cloud::AsgName::new("pm--asg"),
+            elb: pod_cloud::ElbName::new("front"),
+            launch_config: pod_cloud::LaunchConfigName::new("lc"),
+            expected_ami: pod_cloud::AmiId::new("ami-1"),
+            expected_version: "2.0".into(),
+            expected_key_pair: pod_cloud::KeyPairName::new("kp"),
+            expected_security_group: pod_cloud::SecurityGroupId::new("sg-1"),
+            expected_instance_type: "m1.small".into(),
+            expected_count: 4,
+        };
+        assert_eq!(leaf("a", 0.1).instantiate(&env), "a of pm--asg");
+        let n = FaultNode::branch("n", "{N} of {VERSION} in {ASG}, {X} {N");
+        assert_eq!(n.instantiate(&env), "4 of 2.0 in pm--asg, {X} {N");
     }
 
     #[test]

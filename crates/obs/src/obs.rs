@@ -157,6 +157,26 @@ impl Obs {
         Some(self.events.emit_with(kind, name, Parent::Ambient, attrs))
     }
 
+    /// Emits a causal event under `parent`, or the innermost ambient cause
+    /// when `None`, with the attributes `attrs` builds, in one lock: what
+    /// [`Obs::event_under`] or [`Obs::event`] and one `attr` call per
+    /// attribute record, without a lock and a copy per attribute. `attrs`
+    /// runs only when the mode records traces; otherwise nothing is
+    /// recorded and the id is an inert handle's.
+    pub fn event_from(
+        &self,
+        parent: Option<EventId>,
+        kind: &'static str,
+        name: impl Into<std::borrow::Cow<'static, str>>,
+        attrs: impl FnOnce() -> Vec<(&'static str, String)>,
+    ) -> EventId {
+        if !self.mode().records_traces() {
+            return Emitted::disabled().id();
+        }
+        let parent = parent.map_or(Parent::Ambient, Parent::Of);
+        self.events.emit_with(kind, name, parent, attrs())
+    }
+
     /// Opens a *pending* cause scope (see [`EventLog::scope_pending`]): the
     /// event shares `root` and is only recorded, from it, if a descendant
     /// actually emits under the scope. The lazy counterpart of scoping an

@@ -247,12 +247,9 @@ mod tests {
         }
         // Jumping straight to READY skips TERMINATE and WAIT.
         match checker.replay("t", steps::READY) {
-            Conformance::Unfit { expected, skipped } => {
-                assert_eq!(expected, vec![steps::TERMINATE.to_string()]);
-                assert_eq!(
-                    skipped,
-                    vec![steps::TERMINATE.to_string(), steps::WAIT_ASG.to_string()]
-                );
+            Conformance::Unfit(unfit) => {
+                assert_eq!(unfit.expected, [steps::TERMINATE]);
+                assert_eq!(unfit.skipped, [steps::TERMINATE, steps::WAIT_ASG]);
             }
             other => panic!("expected unfit, got {other:?}"),
         }

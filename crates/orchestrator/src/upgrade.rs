@@ -353,19 +353,19 @@ impl RollingUpgrade {
     fn surface_cloud_errors(&mut self, observer: &mut dyn UpgradeObserver, cursor: &mut SimTime) {
         let since = *cursor;
         *cursor = self.cloud.clock().now();
-        if let Ok(activities) = self
+        // Only the failed activities' messages leave the feed: the log
+        // lines are written after the read releases the cloud.
+        let failed = self
             .cloud
-            .describe_scaling_activities(&self.config.asg, since)
-        {
-            for a in activities {
-                if let ActivityStatus::Failed(msg) = &a.status {
-                    self.log(
-                        observer,
-                        Severity::Error,
-                        format!("ERROR: cloud reported: {msg}"),
-                    );
-                }
-            }
+            .with_scaling_activities(&self.config.asg, since, |activities| {
+                let failed = activities.filter_map(|a| match &a.status {
+                    ActivityStatus::Failed(msg) => Some(format!("ERROR: cloud reported: {msg}")),
+                    _ => None,
+                });
+                failed.collect::<Vec<_>>()
+            });
+        for line in failed.into_iter().flatten() {
+            self.log(observer, Severity::Error, line);
         }
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use pod_obs::{Counter, Obs};
 
 use crate::model::ProcessModel;
-use crate::petri::{Marking, PetriNet};
+use crate::petri::{PetriNet, State, Step};
 
 /// How a checked log line relates to the process model — the paper's four
 /// conformance tags.
@@ -22,14 +22,10 @@ use crate::petri::{Marking, PetriNet};
 pub enum Conformance {
     /// The activity was expected in the current state.
     Fit,
-    /// The activity belongs to the model but executed out of turn.
-    Unfit {
-        /// Activities the model expected instead.
-        expected: Vec<String>,
-        /// Activities that would have to be skipped for this one to occur,
-        /// when a forward-skip explains the observation.
-        skipped: Vec<String>,
-    },
+    /// The activity belongs to the model but executed out of turn. The
+    /// context is the net's, shared by every verdict on the same marking
+    /// and activity.
+    Unfit(Arc<Unfit>),
     /// The line matched a known-error pattern.
     Error,
     /// The line could not be classified at all.
@@ -46,9 +42,37 @@ impl Conformance {
     pub fn tag(&self) -> &'static str {
         match self {
             Conformance::Fit => "conformance:fit",
-            Conformance::Unfit { .. } => "conformance:unfit",
+            Conformance::Unfit(_) => "conformance:unfit",
             Conformance::Error => "conformance:error",
             Conformance::Unclassified => "conformance:unclassified",
+        }
+    }
+}
+
+/// The error context of an unfit verdict, worked out once per (marking,
+/// activity) by the net.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Unfit {
+    /// Activities the model expected instead.
+    pub expected: Vec<String>,
+    /// Activities that would have to be skipped for this one to occur,
+    /// when a forward-skip explains the observation.
+    pub skipped: Vec<String>,
+    /// `expected`, then `skipped` when not empty, `|`-joined: the
+    /// `conformance.verdict` event's attributes.
+    attrs: Vec<(&'static str, String)>,
+}
+
+impl Unfit {
+    pub(crate) fn new(expected: Vec<String>, skipped: Vec<String>) -> Unfit {
+        let mut attrs = vec![("expected", expected.join("|"))];
+        if !skipped.is_empty() {
+            attrs.push(("skipped", skipped.join("|")));
+        }
+        Unfit {
+            expected,
+            skipped,
+            attrs,
         }
     }
 }
@@ -56,7 +80,7 @@ impl Conformance {
 /// The state of one process instance (trace) being checked.
 #[derive(Debug, Clone)]
 struct InstanceState {
-    marking: Marking,
+    marking: State,
     /// The last successfully replayed activity, its buffer reused.
     last: Option<String>,
 }
@@ -160,15 +184,12 @@ impl ConformanceChecker {
             self.last_event = None;
             return;
         }
-        let mut attrs = Vec::with_capacity(2);
+        let mut attrs = Vec::with_capacity(3);
         if let Some(activity) = activity {
             attrs.push(("activity", activity.to_string()));
         }
-        if let Conformance::Unfit { expected, skipped } = verdict {
-            attrs.push(("expected", expected.join("|")));
-            if !skipped.is_empty() {
-                attrs.push(("skipped", skipped.join("|")));
-            }
+        if let Conformance::Unfit(unfit) = verdict {
+            attrs.extend(unfit.attrs.iter().cloned());
         }
         self.last_event = self
             .obs
@@ -191,7 +212,7 @@ impl ConformanceChecker {
     ) -> &'a mut InstanceState {
         if !instances.contains_key(trace_id) {
             let state = InstanceState {
-                marking: net.initial_marking(),
+                marking: net.initial_state(),
                 last: None,
             };
             instances.insert(trace_id.to_string(), state);
@@ -202,13 +223,15 @@ impl ConformanceChecker {
     /// Replays one classified activity for a trace, creating the trace on
     /// first contact. Returns the conformance verdict; on [`Conformance::Unfit`]
     /// the instance state is left unchanged (the paper does not advance the
-    /// token replay on unfit events).
+    /// token replay on unfit events). The net answers (see
+    /// [`PetriNet`]): a pair of marking and activity any checker of it has
+    /// replayed before costs a table read.
     pub fn replay(&mut self, trace_id: &str, activity: &str) -> Conformance {
         let net: &PetriNet = &self.net;
         self.metrics.replays.incr();
         let inst = Self::instance(&mut self.instances, net, trace_id);
-        let verdict = match net.replay(&inst.marking, activity) {
-            Some(next) => {
+        let verdict = match net.step(&inst.marking, activity) {
+            Step::Fire(next) => {
                 inst.marking = next;
                 let last = inst.last.get_or_insert_with(String::new);
                 last.clear();
@@ -216,53 +239,13 @@ impl ConformanceChecker {
                 self.metrics.fit.incr();
                 Conformance::Fit
             }
-            None => {
-                let expected = net.enabled_labels(&inst.marking);
-                let skipped = Self::hypothesise_skips(net, &inst.marking, activity, &expected);
+            Step::Unfit(unfit) => {
                 self.metrics.unfit.incr();
-                Conformance::Unfit { expected, skipped }
+                Conformance::Unfit(unfit)
             }
         };
         self.emit_verdict(Some(activity), &verdict);
         verdict
-    }
-
-    /// Finds the shortest forward path of other activities whose execution
-    /// would enable `activity` — the hypothesised skipped activities.
-    /// Searches up to three levels deep.
-    fn hypothesise_skips(
-        net: &PetriNet,
-        marking: &Marking,
-        activity: &str,
-        expected: &[String],
-    ) -> Vec<String> {
-        // Breadth-first over sequences of expected activities.
-        let mut frontier: Vec<(Marking, Vec<String>)> = vec![(marking.clone(), Vec::new())];
-        for _depth in 0..3 {
-            let mut next_frontier = Vec::new();
-            for (m, path) in &frontier {
-                let labels = if path.is_empty() {
-                    expected.to_vec()
-                } else {
-                    net.enabled_labels(m)
-                };
-                for label in labels {
-                    if let Some(m2) = net.replay(m, &label) {
-                        let mut p2 = path.clone();
-                        p2.push(label.clone());
-                        if net.replay(&m2, activity).is_some() {
-                            return p2;
-                        }
-                        next_frontier.push((m2, p2));
-                    }
-                }
-            }
-            if next_frontier.is_empty() {
-                break;
-            }
-            frontier = next_frontier;
-        }
-        Vec::new()
     }
 
     /// Marks a non-replay error (known-error line or unclassified line)
@@ -345,9 +328,9 @@ mod tests {
         assert_eq!(ch.replay("t", "a"), Conformance::Fit);
         // Skipping b: c is unfit, expected=[b], skipped=[b].
         match ch.replay("t", "c") {
-            Conformance::Unfit { expected, skipped } => {
-                assert_eq!(expected, vec!["b"]);
-                assert_eq!(skipped, vec!["b"]);
+            Conformance::Unfit(unfit) => {
+                assert_eq!(unfit.expected, ["b"]);
+                assert_eq!(unfit.skipped, ["b"]);
             }
             other => panic!("expected unfit, got {other:?}"),
         }
@@ -383,7 +366,7 @@ mod tests {
         assert_eq!(ch.last_verdict_event(), None);
         assert_eq!(obs.snapshot().counter("conformance.fit"), 1);
         match ch.replay("t", "c") {
-            Conformance::Unfit { .. } => {}
+            Conformance::Unfit(_) => {}
             other => panic!("expected unfit, got {other:?}"),
         }
         let verdict_event = ch
@@ -404,11 +387,7 @@ mod tests {
         assert_eq!(Conformance::Error.tag(), "conformance:error");
         assert_eq!(Conformance::Unclassified.tag(), "conformance:unclassified");
         assert_eq!(
-            (Conformance::Unfit {
-                expected: vec![],
-                skipped: vec![]
-            })
-            .tag(),
+            Conformance::Unfit(Arc::new(Unfit::new(vec![], vec![]))).tag(),
             "conformance:unfit"
         );
         assert!(!Conformance::Fit.is_error());

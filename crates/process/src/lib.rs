@@ -28,7 +28,7 @@ mod fitness;
 mod model;
 mod petri;
 
-pub use conformance::{Conformance, ConformanceChecker};
+pub use conformance::{Conformance, ConformanceChecker, Unfit};
 pub use fitness::{replay_fitness, ReplayCounts};
 pub use model::{
     Flow, FlowId, GatewayKind, ModelError, Node, NodeId, NodeKind, ProcessModel,

@@ -5,13 +5,46 @@
 //! semantics. We do the same by compiling the BPMN model to an equivalent
 //! labelled Petri net: every sequence flow becomes a place; tasks become
 //! labelled transitions; gateways and events become silent transitions.
+//!
+//! What a checker asks of the net — replay this activity in this marking —
+//! is a pure function of the pair, and every checker of one model holds
+//! the same net. So the net answers each pair once ([`PetriNet::replay`],
+//! or on an unfit verdict [`PetriNet::enabled_labels`] and
+//! [`PetriNet::hypothesise_skips`]) and keeps the answer in a table it
+//! shares with every later asker.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
+use parking_lot::RwLock;
+
+use crate::conformance::Unfit;
 use crate::model::{GatewayKind, NodeKind, ProcessModel};
 
 /// A marking: token count per place.
 pub type Marking = Vec<u8>;
+
+/// A marking as a checker's trace holds it: shared with the net's answer
+/// table, so a fit replay moves a reference count instead of copying.
+pub(crate) type State = Arc<[u8]>;
+
+/// What replaying one activity in one marking comes to.
+#[derive(Debug, Clone)]
+pub(crate) enum Step {
+    /// The activity fired: the marking after it.
+    Fire(State),
+    /// The activity could not fire: what the unfit verdict reports.
+    Unfit(Arc<Unfit>),
+}
+
+/// The net's answers, one row per marking asked about. A row has a slot
+/// per distinct label (the order of `PetriNet::labels`) and a last slot
+/// shared by every activity no transition carries: such an activity never
+/// fires, and its verdict depends on the marking alone.
+#[derive(Debug, Default)]
+struct Answers {
+    rows: HashMap<State, Box<[Option<Step>]>>,
+}
 
 /// One Petri-net transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +60,11 @@ struct Transition {
 /// Bound on the number of distinct markings explored when saturating silent
 /// transitions; generous for operations processes (which have few gateways).
 const CLOSURE_BOUND: usize = 4096;
+
+/// Bound on the markings the answer table keeps rows for. A net whose
+/// tokens pile up (a parallel split inside a loop) can reach more; past
+/// the bound, a new marking's answers are worked out on every call.
+const ANSWER_BOUND: usize = 4096;
 
 /// A labelled Petri net compiled from a [`ProcessModel`].
 ///
@@ -48,11 +86,15 @@ const CLOSURE_BOUND: usize = 4096;
 /// let m1 = net.replay(&m0, "a").unwrap();
 /// assert!(net.is_complete(&m1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PetriNet {
     transitions: Vec<Transition>,
-    initial: Marking,
+    initial: State,
     done_place: usize,
+    /// Every transition label, sorted and deduplicated: the answer
+    /// table's columns.
+    labels: Vec<String>,
+    answers: RwLock<Answers>,
 }
 
 impl PetriNet {
@@ -116,20 +158,69 @@ impl PetriNet {
                 }
             }
         }
+        let mut labels: Vec<String> = transitions.iter().filter_map(|t| t.label.clone()).collect();
+        labels.sort();
+        labels.dedup();
         PetriNet {
             transitions,
-            initial,
+            initial: initial.into(),
             done_place,
+            labels,
+            answers: RwLock::default(),
         }
     }
 
     /// The marking before any activity has executed.
     pub fn initial_marking(&self) -> Marking {
-        self.initial.clone()
+        self.initial.to_vec()
+    }
+
+    /// The initial marking as a trace holds it.
+    pub(crate) fn initial_state(&self) -> State {
+        Arc::clone(&self.initial)
+    }
+
+    /// Replays `activity` in `m` for a checker: the next marking, or what
+    /// the unfit verdict reports. Each (marking, activity) pair is worked
+    /// out once, by [`PetriNet::replay`] and on an unfit verdict
+    /// [`PetriNet::enabled_labels`] and [`PetriNet::hypothesise_skips`],
+    /// then read from the table every holder of this net shares.
+    pub(crate) fn step(&self, m: &State, activity: &str) -> Step {
+        let column = self
+            .labels
+            .binary_search_by(|label| label.as_str().cmp(activity))
+            .unwrap_or(self.labels.len());
+        let known = self
+            .answers
+            .read()
+            .rows
+            .get(m)
+            .and_then(|row| row[column].clone());
+        if let Some(step) = known {
+            return step;
+        }
+        let step = match self.replay(m, activity) {
+            Some(next) => Step::Fire(next.into()),
+            None => {
+                let expected = self.enabled_labels(m);
+                let skipped = self.hypothesise_skips(m, activity, &expected);
+                Step::Unfit(Arc::new(Unfit::new(expected, skipped)))
+            }
+        };
+        let mut answers = self.answers.write();
+        if answers.rows.len() >= ANSWER_BOUND && !answers.rows.contains_key(m) {
+            return step;
+        }
+        let width = self.labels.len() + 1;
+        let row = answers
+            .rows
+            .entry(Arc::clone(m))
+            .or_insert_with(|| vec![None; width].into());
+        row[column].get_or_insert(step).clone()
     }
 
     /// Whether `t` is enabled in `m`.
-    fn enabled(&self, m: &Marking, t: &Transition) -> bool {
+    fn enabled(&self, m: &[u8], t: &Transition) -> bool {
         // A transition consuming the same place twice needs two tokens.
         t.consume.iter().all(|p| {
             let need = t.consume.iter().filter(|q| *q == p).count();
@@ -138,8 +229,8 @@ impl PetriNet {
     }
 
     /// Fires `t` in `m`; caller must have checked enablement.
-    fn fire(&self, m: &Marking, t: &Transition) -> Marking {
-        let mut next = m.clone();
+    fn fire(&self, m: &[u8], t: &Transition) -> Marking {
+        let mut next = m.to_vec();
         for p in &t.consume {
             next[*p] -= 1;
         }
@@ -151,11 +242,11 @@ impl PetriNet {
 
     /// All markings reachable from `m` by firing only silent transitions
     /// (including `m` itself), bounded.
-    fn silent_closure(&self, m: &Marking) -> Vec<Marking> {
+    fn silent_closure(&self, m: &[u8]) -> Vec<Marking> {
         let mut seen: HashSet<Marking> = HashSet::new();
         let mut queue: VecDeque<Marking> = VecDeque::new();
-        seen.insert(m.clone());
-        queue.push_back(m.clone());
+        seen.insert(m.to_vec());
+        queue.push_back(m.to_vec());
         let mut result = Vec::new();
         while let Some(cur) = queue.pop_front() {
             result.push(cur.clone());
@@ -176,7 +267,7 @@ impl PetriNet {
 
     /// Activity labels executable from `m`, allowing silent moves first.
     /// Sorted and deduplicated.
-    pub fn enabled_labels(&self, m: &Marking) -> Vec<String> {
+    pub fn enabled_labels(&self, m: &[u8]) -> Vec<String> {
         let mut labels: Vec<String> = Vec::new();
         for marking in self.silent_closure(m) {
             for t in &self.transitions {
@@ -199,7 +290,7 @@ impl PetriNet {
     /// `m` is the first marking of the closure walk, so a transition
     /// enabled in `m` itself fires without building the closure; the walk
     /// runs only when none is.
-    pub fn replay(&self, m: &Marking, activity: &str) -> Option<Marking> {
+    pub fn replay(&self, m: &[u8], activity: &str) -> Option<Marking> {
         self.fire_labelled(m, activity).or_else(|| {
             self.silent_closure(m)
                 .iter()
@@ -208,11 +299,45 @@ impl PetriNet {
     }
 
     /// Fires the first transition labelled `activity` enabled in `m`.
-    fn fire_labelled(&self, m: &Marking, activity: &str) -> Option<Marking> {
+    fn fire_labelled(&self, m: &[u8], activity: &str) -> Option<Marking> {
         self.transitions
             .iter()
             .find(|t| t.label.as_deref() == Some(activity) && self.enabled(m, t))
             .map(|t| self.fire(m, t))
+    }
+
+    /// Finds the shortest forward path of other activities whose execution
+    /// would enable `activity` in `m` — the hypothesised skipped
+    /// activities. Searches up to three levels deep, breadth first over
+    /// sequences of executable activities; `expected` is
+    /// [`PetriNet::enabled_labels`] of `m`, the first level.
+    pub fn hypothesise_skips(&self, m: &[u8], activity: &str, expected: &[String]) -> Vec<String> {
+        let mut frontier: Vec<(Marking, Vec<String>)> = vec![(m.to_vec(), Vec::new())];
+        for _depth in 0..3 {
+            let mut next_frontier = Vec::new();
+            for (m, path) in &frontier {
+                let labels = if path.is_empty() {
+                    expected.to_vec()
+                } else {
+                    self.enabled_labels(m)
+                };
+                for label in labels {
+                    if let Some(m2) = self.replay(m, &label) {
+                        let mut p2 = path.clone();
+                        p2.push(label.clone());
+                        if self.replay(&m2, activity).is_some() {
+                            return p2;
+                        }
+                        next_frontier.push((m2, p2));
+                    }
+                }
+            }
+            if next_frontier.is_empty() {
+                break;
+            }
+            frontier = next_frontier;
+        }
+        Vec::new()
     }
 
     /// Replays `activity` even if it is not enabled, creating the missing
@@ -220,7 +345,7 @@ impl PetriNet {
     /// for the token-replay *fitness* metric. Returns the new marking and
     /// the missing-token count. `None` if the net has no transition with
     /// that label at all.
-    pub fn replay_forced(&self, m: &Marking, activity: &str) -> Option<(Marking, usize)> {
+    pub fn replay_forced(&self, m: &[u8], activity: &str) -> Option<(Marking, usize)> {
         if let Some(next) = self.replay(m, activity) {
             return Some((next, 0));
         }
@@ -233,7 +358,7 @@ impl PetriNet {
                 continue;
             }
             let mut missing = 0usize;
-            let mut patched = m.clone();
+            let mut patched = m.to_vec();
             for p in &t.consume {
                 if patched[*p] == 0 {
                     patched[*p] = 1;
@@ -249,7 +374,7 @@ impl PetriNet {
     }
 
     /// Whether the process instance has reached an end event.
-    pub fn is_complete(&self, m: &Marking) -> bool {
+    pub fn is_complete(&self, m: &[u8]) -> bool {
         // The done place may not be directly marked yet if only silent
         // moves separate us from the end event.
         self.silent_closure(m)
@@ -258,7 +383,7 @@ impl PetriNet {
     }
 
     /// Total tokens left on non-done places (used by the fitness metric).
-    pub fn remaining_tokens(&self, m: &Marking) -> usize {
+    pub fn remaining_tokens(&self, m: &[u8]) -> usize {
         m.iter()
             .enumerate()
             .filter(|(p, _)| *p != self.done_place)

@@ -285,6 +285,25 @@ fn the_campaign_cli_reproduces_the_committed_recovery_record_and_gates_on_it() {
     );
 }
 
+/// Table I and the campaign's other records at seed 2014, 20 runs per
+/// fault: what `campaign --json` must reproduce field for field.
+const TABLE_I: &str = include_str!("../BENCH_campaign.baseline.json");
+
+#[test]
+fn the_campaign_cli_reproduces_the_committed_table_i_record() {
+    let (code, _, files) = cli("table-i", &["campaign", "--json"]);
+    assert_eq!(code, 0);
+    let (name, fresh) = &files[0];
+    assert_eq!(name, "RUN_campaign.jsonl");
+    let (code, report) = diff_cli("table-i", TABLE_I, fresh, false);
+    assert_eq!(code, 0, "{report}");
+    let same = "0 fields moved, 0 records only in old, 0 only in new";
+    assert!(
+        report.lines().any(|l| l == same),
+        "Table I moved:\n{report}"
+    );
+}
+
 #[test]
 fn the_campaign_cli_leaves_one_run_record_and_one_viewer_trace() {
     let (code, _, files) = cli("json", &["campaign", "1", "--json"]);
