@@ -281,7 +281,8 @@ fn api_calls_consume_virtual_time() {
 fn stale_reads_can_observe_old_state() {
     let config = CloudConfig {
         stale_read_prob: 1.0,
-        consistency_lag: LatencyModel::Fixed(SimDuration::from_secs(3600)),
+        // A degenerate uniform: always its low bound, an hour.
+        consistency_lag: LatencyModel::uniform_millis(3_600_000, 3_600_000),
     };
     let e = env_with(config, 2);
     // Write a new desired capacity; a guaranteed-stale read still sees 2.

@@ -1,146 +1,31 @@
 //! End-to-end tests: the POD engine monitoring real rolling upgrades on the
 //! simulated cloud.
 
+mod common;
+
 use std::sync::Arc;
 
-use pod_assert::RetryPolicy;
-use pod_cloud::{Cloud, CloudConfig};
-use pod_core::{DetectionSource, PodConfig, PodEngine, RunSummary, SharedEnv};
-use pod_faulttree::rolling_upgrade_repository;
+use common::{build_world, engine_for, pod_config, run_upgrade, World};
+use pod_core::{DetectionSource, PodEngine, RunSummary};
 use pod_log::{LogEvent, LogStorage};
-use pod_orchestrator::{
-    process_def, FaultInjector, FaultType, RollingUpgrade, UpgradeConfig, UpgradeObserver,
-};
-use pod_sim::{Clock, SimDuration, SimRng, SimTime};
+use pod_orchestrator::{process_def, FaultInjector, FaultType};
+use pod_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
-struct World {
-    cloud: Cloud,
-    config: UpgradeConfig,
-    env: SharedEnv,
-    storage: LogStorage,
-}
-
-fn build_world(seed: u64, n: u32) -> World {
-    let cloud = Cloud::new(
-        Clock::new(),
-        SimRng::seed_from(seed),
-        CloudConfig::default(),
-    );
-    let ami_v1 = cloud.admin_create_ami("app", "1.0");
-    let ami_v2 = cloud.admin_create_ami("app", "2.0");
-    let cluster = cloud.admin_create_cluster(ami_v1, "prod", "lc-v1", "pm--asg", 30, n);
-    let config = UpgradeConfig::new(
-        "pm",
-        cluster.asg.clone(),
-        cluster.elb.clone(),
-        ami_v2.clone(),
-    );
-    let env = SharedEnv::new(pod_assert::ExpectedEnv {
-        launch_config: pod_cloud::LaunchConfigName::new(format!(
-            "{}-run-1",
-            config.new_launch_config
-        )),
-        expected_ami: ami_v2,
-        ..pod_assert::ExpectedEnv::for_cluster(cluster, "2.0", n)
-    });
-    World {
-        cloud,
-        config,
-        env,
-        storage: LogStorage::new(),
+/// Injects `fault` into the world's upgrade.
+fn inject(fault: FaultType) -> impl FnMut(&World) {
+    let mut rng = SimRng::seed_from(777);
+    move |world| {
+        let lc = format!("{}-run-1", world.config.new_launch_config);
+        FaultInjector::new(fault).inject(&world.cloud, &world.config, &lc, &mut rng);
     }
-}
-
-fn pod_config() -> PodConfig {
-    let mut config = PodConfig::new(
-        process_def::rolling_upgrade_model(),
-        process_def::rolling_upgrade_rules(),
-        process_def::rolling_upgrade_assertions(),
-        rolling_upgrade_repository(true),
-    );
-    config.relevance_patterns = process_def::relevance_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.known_error_patterns = process_def::known_error_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.operation_start_pattern = process_def::operation_start_pattern().to_string();
-    config.operation_end_pattern = process_def::operation_end_pattern().to_string();
-    config.wait_activity = Some(pod_faulttree::steps::WAIT_ASG.to_string());
-    config.completion_activity = Some(pod_faulttree::steps::READY.to_string());
-    config.in_flight_activities = vec![
-        pod_faulttree::steps::DEREGISTER.to_string(),
-        pod_faulttree::steps::TERMINATE.to_string(),
-        pod_faulttree::steps::WAIT_ASG.to_string(),
-    ];
-    config.retry_policy = RetryPolicy {
-        max_retries: 4,
-        timeout: SimDuration::from_secs(20),
-        ..RetryPolicy::default()
-    };
-    config
-}
-
-fn run_upgrade(world: &World, engine: PodEngine) -> (RunSummary, pod_orchestrator::UpgradeReport) {
-    run_upgrade_with(world, engine, None)
-}
-
-fn run_upgrade_with(
-    world: &World,
-    engine: PodEngine,
-    inject: Option<(SimTime, FaultType)>,
-) -> (RunSummary, pod_orchestrator::UpgradeReport) {
-    struct Obs<'w> {
-        engine: PodEngine,
-        world: &'w World,
-        inject: Option<(SimTime, FaultInjector)>,
-        rng: SimRng,
-    }
-    impl UpgradeObserver for Obs<'_> {
-        fn on_log(&mut self, event: LogEvent) {
-            self.engine.ingest(event);
-        }
-        fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-            if let Some((at, _)) = &self.inject {
-                if now >= *at {
-                    let (_, mut injector) = self.inject.take().expect("checked above");
-                    let lc = format!("{}-run-1", self.world.config.new_launch_config);
-                    injector.inject(cloud, &self.world.config, &lc, &mut self.rng);
-                }
-            }
-            self.engine.poll();
-        }
-    }
-    let mut upgrade = RollingUpgrade::new(world.cloud.clone(), world.config.clone(), "run-1");
-    let mut obs = Obs {
-        engine,
-        world,
-        inject: inject.map(|(at, fault)| (at, FaultInjector::new(fault))),
-        rng: SimRng::seed_from(777),
-    };
-    let report = upgrade.run(&mut obs);
-    (obs.engine.finish(), report)
-}
-
-fn engine_for(world: &World) -> PodEngine {
-    PodEngine::new(
-        world.cloud.clone(),
-        world.storage.clone(),
-        world.env.clone(),
-        pod_config(),
-        "run-1",
-    )
-    .expect("patterns compile")
 }
 
 #[test]
 fn healthy_upgrade_produces_no_detections() {
     let world = build_world(101, 4);
-    let engine = engine_for(&world);
-    let (summary, report) = run_upgrade(&world, engine);
+    let engine = engine_for(&world, pod_config());
+    let (summary, report) = run_upgrade(&world, engine, None, |_| {});
     assert!(report.outcome.is_success());
     assert!(summary.trace_complete, "trace must replay to completion");
     assert!(
@@ -160,14 +45,15 @@ fn healthy_upgrade_produces_no_detections() {
 #[test]
 fn wrong_ami_fault_is_detected_and_diagnosed() {
     let world = build_world(102, 4);
-    let engine = engine_for(&world);
+    let engine = engine_for(&world, pod_config());
     // Inject fault type 1 shortly after the upgrade starts (after the LC
     // has been created).
     let inject_at = world.cloud.clock().now() + SimDuration::from_secs(120);
-    let (summary, _report) = run_upgrade_with(
+    let (summary, _report) = run_upgrade(
         &world,
         engine,
-        Some((inject_at, FaultType::AmiChangedDuringUpgrade)),
+        Some(inject_at),
+        inject(FaultType::AmiChangedDuringUpgrade),
     );
     assert!(
         !summary.detections.is_empty(),
@@ -195,10 +81,14 @@ fn unavailable_ami_fault_triggers_conformance_and_assertion_detection() {
         config: upgrade_config,
         ..world
     };
-    let engine = engine_for(&world);
+    let engine = engine_for(&world, pod_config());
     let inject_at = world.cloud.clock().now() + SimDuration::from_secs(100);
-    let (summary, report) =
-        run_upgrade_with(&world, engine, Some((inject_at, FaultType::AmiUnavailable)));
+    let (summary, report) = run_upgrade(
+        &world,
+        engine,
+        Some(inject_at),
+        inject(FaultType::AmiUnavailable),
+    );
     assert!(!report.outcome.is_success(), "upgrade should stall");
     assert!(!summary.detections.is_empty());
     // The orchestrator surfaces cloud launch failures → conformance flags
@@ -227,12 +117,13 @@ fn unavailable_ami_fault_triggers_conformance_and_assertion_detection() {
 #[test]
 fn diagnosis_times_are_seconds_scale() {
     let world = build_world(104, 4);
-    let engine = engine_for(&world);
+    let engine = engine_for(&world, pod_config());
     let inject_at = world.cloud.clock().now() + SimDuration::from_secs(120);
-    let (summary, _) = run_upgrade_with(
+    let (summary, _) = run_upgrade(
         &world,
         engine,
-        Some((inject_at, FaultType::KeyPairManagementFault)),
+        Some(inject_at),
+        inject(FaultType::KeyPairManagementFault),
     );
     let durations: Vec<f64> = summary
         .detections
@@ -249,12 +140,13 @@ fn diagnosis_times_are_seconds_scale() {
 #[test]
 fn detection_timestamps_are_monotonic() {
     let world = build_world(105, 4);
-    let engine = engine_for(&world);
+    let engine = engine_for(&world, pod_config());
     let inject_at = world.cloud.clock().now() + SimDuration::from_secs(60);
-    let (summary, _) = run_upgrade_with(
+    let (summary, _) = run_upgrade(
         &world,
         engine,
-        Some((inject_at, FaultType::SecurityGroupConfigurationFault)),
+        Some(inject_at),
+        inject(FaultType::SecurityGroupConfigurationFault),
     );
     let mut last = SimTime::ZERO;
     for d in &summary.detections {
@@ -267,12 +159,13 @@ fn detection_timestamps_are_monotonic() {
 fn configuration_faults_are_invisible_to_conformance() {
     // Fault types 1-4 keep the log output normal; only assertions see them.
     let world = build_world(106, 4);
-    let engine = engine_for(&world);
+    let engine = engine_for(&world, pod_config());
     let inject_at = world.cloud.clock().now() + SimDuration::from_secs(120);
-    let (summary, _) = run_upgrade_with(
+    let (summary, _) = run_upgrade(
         &world,
         engine,
-        Some((inject_at, FaultType::InstanceTypeChangedDuringUpgrade)),
+        Some(inject_at),
+        inject(FaultType::InstanceTypeChangedDuringUpgrade),
     );
     assert!(!summary.detections.is_empty(), "fault must be detected");
     assert!(
@@ -315,8 +208,7 @@ fn ingest_four_lines(step_timeout: SimDuration, batched: bool) -> RunSummary {
     let w = build_world(11, 4);
     let mut config = pod_config();
     config.step_timeout = step_timeout;
-    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
-    let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+    let mut engine = engine_for(&w, config);
     let lines = [
         "Started rolling upgrade task run-1 pushing ami-0a into group pm--asg",
         "Waiting for ASG pm--asg to start a new instance",
@@ -364,8 +256,7 @@ fn storage_keeps_the_annotated_line_before_its_conformance_and_assertion_lines()
     use pod_log::{LogQuery, ProcessAnnotator, Stage, Trigger};
 
     let w = build_world(12, 4);
-    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
-    let mut engine = PodEngine::new(cloud, storage, env, pod_config(), "run-1").expect("compiles");
+    let mut engine = engine_for(&w, pod_config());
     let line = |ms, text| LogEvent::new(SimTime::from_millis(ms), "asgard.log", text);
     let start = "Started rolling upgrade task run-1 pushing ami-0a into group pm--asg";
     engine.ingest(line(1, start));
@@ -420,8 +311,7 @@ fn only_a_non_fit_line_records_its_log_line_root() {
         config.bindings = pod_assert::AssertionLibrary::new();
         let obs = w.cloud.obs().clone();
         obs.set_mode(mode);
-        let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
-        let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+        let mut engine = engine_for(&w, config);
         lines.map(|line| {
             engine.ingest(log_line(line));
             obs.events().records()
@@ -469,7 +359,7 @@ fn assertion_lines(storage: &LogStorage, trigger: &str) -> usize {
 #[test]
 fn a_second_operation_start_line_re_arms_the_one_periodic_check() {
     let w = build_world(13, 4);
-    let mut engine = engine_for(&w);
+    let mut engine = engine_for(&w, pod_config());
     engine.ingest(log_line(START));
     engine.ingest(log_line(START));
     engine.ingest(log_line("Rolling upgrade task run-1 completed"));
@@ -481,7 +371,7 @@ fn a_second_operation_start_line_re_arms_the_one_periodic_check() {
 #[test]
 fn an_overdue_periodic_check_runs_once_per_elapsed_period() {
     let w = build_world(14, 4);
-    let mut engine = engine_for(&w);
+    let mut engine = engine_for(&w, pod_config());
     engine.ingest(log_line(START));
     w.cloud.clock().advance(PERIOD + SimDuration::from_secs(1));
     engine.poll();
@@ -507,8 +397,7 @@ fn a_pass_fires_what_was_due_on_entry_not_what_its_diagnosis_makes_due() {
     // Due 300 ms after the diagnosis dispatched by the error line before
     // the wait line; a diagnosis costs at least 600 ms.
     config.step_timeout = SimDuration::from_millis(5_300);
-    let (cloud, storage, env) = (w.cloud.clone(), w.storage.clone(), w.env.clone());
-    let mut engine = PodEngine::new(cloud, storage, env, config, "run-1").expect("compiles");
+    let mut engine = engine_for(&w, config);
     engine.ingest(log_line("ERROR: cloud reported: first"));
     engine.ingest(log_line(WAIT));
     w.cloud.clock().advance(SimDuration::from_millis(5_100));
@@ -522,7 +411,7 @@ fn a_pass_fires_what_was_due_on_entry_not_what_its_diagnosis_makes_due() {
 #[test]
 fn finish_runs_pending_diagnoses_and_no_periodic_or_step_check() {
     let w = build_world(16, 4);
-    let mut engine = engine_for(&w);
+    let mut engine = engine_for(&w, pod_config());
     engine.ingest(log_line(START));
     engine.ingest(log_line(WAIT));
     engine.ingest(log_line("ERROR: cloud reported: first"));
@@ -561,7 +450,7 @@ proptest! {
             "Instance i-0dead is ready",
         ];
         let w = build_world(17, 4);
-        let mut engine = engine_for(&w);
+        let mut engine = engine_for(&w, pod_config());
         let hooked = Rc::new(RefCell::new(Vec::new()));
         let seen = Rc::clone(&hooked);
         engine.set_diagnosis_hook(move |index, detection| {

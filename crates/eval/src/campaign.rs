@@ -5,13 +5,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pod_cloud::{Cloud, InstanceId, INSTANCE_LIMIT};
+use pod_cloud::{InstanceId, INSTANCE_LIMIT};
 use pod_core::PodEngine;
 use pod_faulttree::TestOrder;
-use pod_log::LogEvent;
 use pod_obs::EventRecord;
 use pod_orchestrator::{
-    FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeReport,
+    Advance, FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeReport,
 };
 use pod_recovery::{
     conformance_check, ConformanceReport, DispatchRecord, RecoveryDispatcher, RecoveryRun,
@@ -580,12 +579,7 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
         dispatcher
     });
     let mut observer = CampaignObserver::new(engine, &scenario, &plan);
-    let mut upgrade = RollingUpgrade::new(
-        scenario.cloud.clone(),
-        scenario.upgrade.clone(),
-        scenario.trace_id.clone(),
-    );
-    let report = upgrade.run(&mut observer);
+    let report = observer.run();
     let summary = observer.engine.finish();
     // The recovery stage runs before the trace/metric capture so the whole
     // detection → diagnosis → recovery → verification arc lands in one
@@ -639,8 +633,8 @@ fn monitor_once(plan: RunPlan) -> MonitoredRun {
     }
 }
 
-/// The observer that feeds the engine and executes the injection /
-/// interference schedule at orchestrator safe points.
+/// Feeds the engine and executes the injection / interference schedule
+/// at orchestrator safe points.
 struct CampaignObserver<'s> {
     engine: PodEngine,
     scenario: &'s Scenario,
@@ -675,7 +669,29 @@ impl<'s> CampaignObserver<'s> {
         }
     }
 
-    fn drive_schedule(&mut self, cloud: &Cloud, now: SimTime) {
+    /// Runs the scenario's upgrade to its end: every line into the engine
+    /// as it is written; at each safe point the schedule, then the
+    /// engine's timers.
+    fn run(&mut self) -> UpgradeReport {
+        let scenario = self.scenario;
+        let mut upgrade = RollingUpgrade::new(
+            scenario.cloud.clone(),
+            scenario.upgrade.clone(),
+            scenario.trace_id.clone(),
+        );
+        loop {
+            match upgrade.advance(&mut |event| self.engine.ingest(event)) {
+                Advance::SafePoint(now) => {
+                    self.drive_schedule(now);
+                    self.engine.poll();
+                }
+                Advance::Done(report) => return report,
+            }
+        }
+    }
+
+    fn drive_schedule(&mut self, now: SimTime) {
+        let cloud = &self.scenario.cloud;
         // Fault injection (configuration faults wait for the upgrade LC).
         self.injection.tick(self.scenario, now, &mut self.rng);
         // Transient revert: the fault-injection mechanism corrects the
@@ -784,17 +800,6 @@ impl<'s> CampaignObserver<'s> {
     }
 }
 
-impl UpgradeObserver for CampaignObserver<'_> {
-    fn on_log(&mut self, event: LogEvent) {
-        self.engine.ingest(event);
-    }
-
-    fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-        self.drive_schedule(cloud, now);
-        self.engine.poll();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,8 +814,7 @@ mod tests {
         let digest = |plan: &RunPlan, build: &dyn Fn(&Scenario) -> PodEngine| {
             let scenario = build_scenario(&plan.scenario);
             let mut observer = CampaignObserver::new(build(&scenario), &scenario, plan);
-            let (cloud, upgrade) = (scenario.cloud.clone(), scenario.upgrade.clone());
-            RollingUpgrade::new(cloud, upgrade, scenario.trace_id.clone()).run(&mut observer);
+            observer.run();
             observer.engine.finish().digest()
         };
         let mut plan = Campaign::new(CampaignConfig::clean(5))

@@ -10,7 +10,7 @@ use pod_core::{CompiledPod, PodConfig, PodEngine, SharedEnv};
 use pod_faulttree::{rolling_upgrade_repository, steps, TestOrder};
 use pod_log::{LogEvent, LogStorage};
 use pod_orchestrator::{
-    process_def, CollectingObserver, FaultInjector, FaultType, RollingUpgrade, UpgradeConfig,
+    process_def, Advance, FaultInjector, FaultType, RollingUpgrade, UpgradeConfig,
 };
 use pod_sim::{Clock, SimDuration, SimRng, SimTime};
 
@@ -165,10 +165,14 @@ pub fn healthy_log(seed: u64, cluster_size: u32) -> Vec<LogEvent> {
         ..ScenarioConfig::default()
     });
     let mut upgrade = RollingUpgrade::new(scenario.cloud, scenario.upgrade, scenario.trace_id);
-    let mut observer = CollectingObserver::default();
-    let outcome = upgrade.run(&mut observer).outcome;
-    assert!(outcome.is_success(), "fault-free upgrade: {outcome:?}");
-    observer.events
+    let mut events = Vec::new();
+    loop {
+        if let Advance::Done(report) = upgrade.advance(&mut |event| events.push(event)) {
+            let outcome = &report.outcome;
+            assert!(outcome.is_success(), "fault-free upgrade: {outcome:?}");
+            return events;
+        }
+    }
 }
 
 /// Builds the POD engine configuration for the rolling upgrade (uncompiled;

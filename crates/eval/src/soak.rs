@@ -42,14 +42,11 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use pod_cloud::Cloud;
 use pod_core::Detection;
 use pod_gateway::{Gateway, GatewayConfig, GatewayStats, OpId};
 use pod_log::LogEvent;
 use pod_obs::{FlightDump, RunSignals, SampleVerdict, TailSampler, TelemetryMode};
-use pod_orchestrator::{
-    FaultType, Interference, NoiseGenerator, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
-};
+use pod_orchestrator::{Advance, FaultType, Interference, NoiseGenerator, RollingUpgrade};
 use pod_recovery::{
     DispatchRecord, RecoveryDispatcher, RecoveryPath, RecoveryStorm, StormConfig, StormStats,
 };
@@ -282,9 +279,10 @@ fn instance_tokens(text: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-/// The phase-A observer: serializes operation lines, injects the fault at
-/// orchestrator safe points (configuration faults wait for the upgrade
-/// launch configuration, like the campaign) and emits plaintext noise.
+/// Runs one upgrade of phase A: serializes operation lines, injects the
+/// fault at orchestrator safe points (configuration faults wait for the
+/// upgrade launch configuration, like the campaign) and emits plaintext
+/// noise.
 struct SoakCollector<'s> {
     scenario: &'s Scenario,
     injection: Option<Injection>,
@@ -297,7 +295,7 @@ struct SoakCollector<'s> {
     render: String,
 }
 
-impl UpgradeObserver for SoakCollector<'_> {
+impl SoakCollector<'_> {
     fn on_log(&mut self, event: LogEvent) {
         // Operation lines travel as Logstash JSON, exactly as a shipper
         // would put them on the wire.
@@ -307,13 +305,13 @@ impl UpgradeObserver for SoakCollector<'_> {
             .push((event.timestamp, self.render.as_str().into()));
     }
 
-    fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
+    fn at_safe_point(&mut self, now: SimTime) {
         if let Some(injection) = &mut self.injection {
             injection.tick(self.scenario, now, &mut self.rng);
         }
         if let Some((at, kind)) = self.interference {
             if now >= at {
-                kind.apply(cloud, &self.scenario.upgrade, &mut self.rng);
+                kind.apply(&self.scenario.cloud, &self.scenario.upgrade, &mut self.rng);
                 self.interference = None;
             }
         }
@@ -388,7 +386,12 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             scenario.upgrade.clone(),
             scenario.trace_id.clone(),
         );
-        let report = upgrade.run(&mut collector);
+        let report = loop {
+            match upgrade.advance(&mut |event| collector.on_log(event)) {
+                Advance::SafePoint(now) => collector.at_safe_point(now),
+                Advance::Done(report) => break report,
+            }
+        };
         let landed = collector.injection.is_none_or(|i| i.at.is_some());
         let lines = collector.lines;
         let mut tokens = BTreeSet::new();
@@ -399,7 +402,7 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             fault: plan.fault,
             scenario,
             scenario_config: plan.scenario.clone(),
-            upgrade_completed: matches!(report.outcome, UpgradeOutcome::Completed),
+            upgrade_completed: report.outcome.is_success(),
             lines,
             tokens,
         };

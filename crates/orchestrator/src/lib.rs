@@ -4,11 +4,11 @@
 //!
 //! POD-Diagnosis is non-intrusive: the [`RollingUpgrade`] engine knows
 //! nothing about diagnosis. It executes the upgrade against the simulated
-//! cloud, emits Asgard-style operation-log lines through an
-//! [`UpgradeObserver`] (where the POD engine taps in) and exposes safe
-//! points (`on_tick`) where the evaluation harness injects the paper's
-//! eight fault types ([`FaultType`], [`FaultInjector`]) and the confounding
-//! simultaneous operations ([`Interference`]).
+//! cloud, hands each Asgard-style operation-log line to its caller as it is
+//! written (where the POD engine taps in) and stops at safe points
+//! ([`Advance::SafePoint`]) where the evaluation harness injects the
+//! paper's eight fault types ([`FaultType`], [`FaultInjector`]) and the
+//! confounding simultaneous operations ([`Interference`]).
 //!
 //! [`process_def`] holds the curated offline artefacts for this operation:
 //! the Figure-2 [`pod_process::ProcessModel`], the transformation rules,
@@ -26,6 +26,4 @@ mod upgrade;
 pub use config::UpgradeConfig;
 pub use injection::{FaultInjector, FaultType, Interference};
 pub use noise::NoiseGenerator;
-pub use upgrade::{
-    CollectingObserver, RollingUpgrade, UpgradeObserver, UpgradeOutcome, UpgradeReport,
-};
+pub use upgrade::{Advance, RollingUpgrade, UpgradeOutcome, UpgradeReport};

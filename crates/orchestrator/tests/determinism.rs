@@ -2,8 +2,7 @@
 
 use pod_cloud::{Cloud, CloudConfig};
 use pod_orchestrator::{
-    CollectingObserver, FaultInjector, FaultType, NoiseGenerator, RollingUpgrade, UpgradeConfig,
-    UpgradeObserver,
+    Advance, FaultInjector, FaultType, NoiseGenerator, RollingUpgrade, UpgradeConfig, UpgradeReport,
 };
 use pod_sim::{Clock, SimRng, SimTime};
 
@@ -20,15 +19,31 @@ fn build(seed: u64, n: u32) -> (Cloud, UpgradeConfig) {
     (cloud, config)
 }
 
+/// Drives `upgrade` to its end, handing each line to `on_log` and each
+/// safe point's time to `at_safe_point`.
+fn drive(
+    mut upgrade: RollingUpgrade,
+    on_log: &mut dyn FnMut(pod_log::LogEvent),
+    mut at_safe_point: impl FnMut(SimTime),
+) -> UpgradeReport {
+    loop {
+        match upgrade.advance(on_log) {
+            Advance::SafePoint(now) => at_safe_point(now),
+            Advance::Done(report) => return report,
+        }
+    }
+}
+
 fn run_log(seed: u64, n: u32) -> Vec<String> {
     let (cloud, config) = build(seed, n);
-    let mut upgrade = RollingUpgrade::new(cloud, config, "run-1");
-    let mut obs = CollectingObserver::default();
-    upgrade.run(&mut obs);
-    obs.events
-        .iter()
-        .map(|e| format!("{} {}", e.timestamp, e.message))
-        .collect()
+    let mut log = Vec::new();
+    let upgrade = RollingUpgrade::new(cloud, config, "run-1");
+    drive(
+        upgrade,
+        &mut |e| log.push(format!("{} {}", e.timestamp, e.message)),
+        |_| {},
+    );
+    log
 }
 
 #[test]
@@ -52,8 +67,8 @@ fn log_volume_scales_with_cluster_size() {
 fn an_eight_instance_upgrade_under_stale_reads_replaces_everything() {
     let (cloud, config) = build(11, 8);
     let asg = config.asg.clone();
-    let mut upgrade = RollingUpgrade::new(cloud.clone(), config, "run-1");
-    let report = upgrade.run(&mut CollectingObserver::default());
+    let upgrade = RollingUpgrade::new(cloud.clone(), config, "run-1");
+    let report = drive(upgrade, &mut |_| {}, |_| {});
     assert!(report.outcome.is_success(), "{:?}", report.outcome);
     let active = cloud.admin_asg_active_instances(&asg);
     assert_eq!(active.len(), 8);
@@ -62,38 +77,20 @@ fn an_eight_instance_upgrade_under_stale_reads_replaces_everything() {
 
 #[test]
 fn injection_mid_run_changes_later_instances_only() {
-    struct Inject<'c> {
-        at: SimTime,
-        injector: Option<FaultInjector>,
-        config: &'c UpgradeConfig,
-        rng: SimRng,
-    }
-    impl UpgradeObserver for Inject<'_> {
-        fn on_log(&mut self, _e: pod_log::LogEvent) {}
-        fn on_tick(&mut self, cloud: &Cloud, now: SimTime) {
-            if now >= self.at {
-                if let Some(mut injector) = self.injector.take() {
-                    injector.inject(
-                        cloud,
-                        self.config,
-                        &format!("{}-run-1", self.config.new_launch_config),
-                        &mut self.rng,
-                    );
-                }
-            }
-        }
-    }
     let (cloud, config) = build(13, 4);
     let asg = config.asg.clone();
     let expected_ami = config.new_ami.clone();
-    let mut obs = Inject {
-        at: SimTime::from_secs(150),
-        injector: Some(FaultInjector::new(FaultType::AmiChangedDuringUpgrade)),
-        config: &config,
-        rng: SimRng::seed_from(1),
-    };
-    let mut upgrade = RollingUpgrade::new(cloud.clone(), config.clone(), "run-1");
-    let report = upgrade.run(&mut obs);
+    let mut injector = Some(FaultInjector::new(FaultType::AmiChangedDuringUpgrade));
+    let mut rng = SimRng::seed_from(1);
+    let lc = format!("{}-run-1", config.new_launch_config);
+    let upgrade = RollingUpgrade::new(cloud.clone(), config.clone(), "run-1");
+    let report = drive(upgrade, &mut |_| {}, |now| {
+        if now >= SimTime::from_secs(150) {
+            if let Some(mut injector) = injector.take() {
+                injector.inject(&cloud, &config, &lc, &mut rng);
+            }
+        }
+    });
     assert!(report.outcome.is_success());
     let active = cloud.admin_asg_active_instances(&asg);
     let wrong = active.iter().filter(|i| i.ami != expected_ami).count();

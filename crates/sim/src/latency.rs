@@ -22,8 +22,6 @@ use crate::time::SimDuration;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum LatencyModel {
-    /// Always exactly this long.
-    Fixed(SimDuration),
     /// Uniform between two bounds (inclusive low, exclusive high).
     Uniform {
         /// Lower bound (inclusive).
@@ -68,7 +66,6 @@ impl LatencyModel {
     /// Draws one duration from the model.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         match self {
-            LatencyModel::Fixed(d) => *d,
             LatencyModel::Uniform { low, high } => {
                 if high <= low {
                     *low
@@ -89,15 +86,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_is_fixed() {
-        let mut rng = SimRng::seed_from(0);
-        let m = LatencyModel::Fixed(SimDuration::from_millis(80));
-        for _ in 0..10 {
-            assert_eq!(m.sample(&mut rng), SimDuration::from_millis(80));
-        }
-    }
 
     #[test]
     fn uniform_respects_bounds() {

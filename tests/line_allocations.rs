@@ -72,7 +72,9 @@
 //! `PodEngine::arm`, which resolves the current cause on the
 //! operation-start line and on every wait line to chain its timer to it.
 //! Resolving those lazily would renumber the trace's event ids, which
-//! `TRACE_*.json` records.
+//! `TRACE_*.json` records. The record count is deterministic, so it is
+//! bounded too (0.82 per line, counted with the ring's dropped records): a
+//! telemetry change that records more fails here on any host.
 //!
 //! The error path is counted on a feed shaped like the ledger's
 //! `overload-shed` workload: 64 tenants, every one faulty, replayed
@@ -148,6 +150,10 @@ const SAMPLING_ALLOCATIONS: f64 = 4.0;
 /// Allocations per line a `Sampled` replay made beyond an `Off` one while
 /// each line's pending causal root copied its source, message and step.
 const COPIED_ROOT_SAMPLING: f64 = 5.24;
+
+/// Causal records per line a `Sampled` replay of the fleet feed may leave
+/// in its tenants' rings (0.804: 1 242 over 1 545 lines).
+const CAUSAL_RECORDS: f64 = 0.82;
 
 /// Allocations per line of the overload-shaped replay while the error
 /// path re-derived and re-formatted its per-fault work.
@@ -449,6 +455,29 @@ fn sampling_adds_at_most_four_allocations_per_line() {
         added <= SAMPLING_ALLOCATIONS,
         "sampling adds {added:.2} allocations per line; the bound is {SAMPLING_ALLOCATIONS} \
          ({COPIED_ROOT_SAMPLING:.2} while each line's causal root copied its strings)"
+    );
+}
+
+#[test]
+fn sampling_records_at_most_eighty_two_causal_records_per_hundred_lines() {
+    let streams = fleet();
+    replay_counted(&streams, TelemetryMode::Sampled);
+    let records: u64 = streams
+        .ops
+        .iter()
+        .map(|op| {
+            let events = op.scenario.cloud.obs().events();
+            events.with_records(<[_]>::len) as u64 + events.dropped()
+        })
+        .sum();
+    let per_line = records as f64 / streams.lines_total as f64;
+    println!(
+        "{per_line:.3} causal records per line ({records}) over {} lines",
+        streams.lines_total
+    );
+    assert!(
+        per_line <= CAUSAL_RECORDS,
+        "{per_line:.3} causal records per line; the bound is {CAUSAL_RECORDS}"
     );
 }
 
