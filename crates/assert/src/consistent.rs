@@ -222,10 +222,15 @@ impl ConsistentApi {
     /// Emits the `consistent.retry` causal event summarising a call that
     /// needed the retry machinery (or failed). First-attempt successes stay
     /// silent so the event ring records hand-offs, not every API call.
-    fn emit_retry(&self, outcome: &str, attempts: u32, elapsed: SimDuration) {
-        let emitted = self.cloud.obs().event("consistent.retry", outcome);
-        emitted.attr("attempts", attempts);
-        emitted.attr("elapsed_ms", elapsed.as_millis());
+    fn emit_retry(&self, outcome: &'static str, attempts: u32, elapsed: SimDuration) {
+        self.cloud
+            .obs()
+            .event(None, "consistent.retry", outcome, || {
+                vec![
+                    ("attempts", attempts.to_string()),
+                    ("elapsed_ms", elapsed.as_millis().to_string()),
+                ]
+            });
     }
 
     fn now(&self) -> SimTime {

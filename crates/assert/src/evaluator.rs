@@ -159,14 +159,16 @@ impl AssertionEvaluator {
         // passes outnumber failures ten to one, so the healthy path stays
         // allocation-free.
         let event = if outcome.is_failure() {
-            let mut attrs = vec![
-                ("trigger", trigger.tag().to_string()),
-                ("outcome", "failed".to_string()),
-            ];
-            if let Some(step) = context.as_ref().and_then(AssertionContext::step) {
-                attrs.push(("step", step.to_string()));
-            }
-            let event = obs.event_with("assertion.result", assertion.key(), attrs);
+            let event = obs.event(None, "assertion.result", assertion.key(), || {
+                let mut attrs = vec![
+                    ("trigger", trigger.tag().to_string()),
+                    ("outcome", "failed".to_string()),
+                ];
+                if let Some(step) = context.as_ref().and_then(AssertionContext::step) {
+                    attrs.push(("step", step.to_string()));
+                }
+                attrs
+            });
             if let Some(id) = event {
                 obs.events().backdate(id, started_at);
             }

@@ -595,14 +595,12 @@ impl PodEngine {
     fn diagnose(&mut self, index: usize) {
         let obs = self.cloud.obs().clone();
         let detection = &self.summary.detections[index];
-        let dispatch = match detection.event {
-            Some(c) => obs.event_under(c, "diagnosis.dispatch", &detection.key),
-            None => obs.event("diagnosis.dispatch", &detection.key),
-        };
+        let key = detection.key.clone();
+        let dispatch = obs.event(detection.event, "diagnosis.dispatch", key, Vec::new);
         // Fault-tree tests, causes and the verdict chain under the dispatch
         // event.
         let report = {
-            let _scope = obs.events().scope(Some(dispatch.id()));
+            let _scope = obs.events().scope(dispatch);
             self.run_diagnosis(index)
         };
         self.summary.detections[index].diagnosis = Some(report);
@@ -720,7 +718,7 @@ impl PodEngine {
         let event = self
             .cloud
             .obs()
-            .event_from(cause, "detection", source.tag(), || {
+            .event(cause, "detection", source.tag(), || {
                 let mut attrs = vec![("description", description.clone())];
                 attrs.extend(step.iter().map(|step| ("step", step.clone())));
                 attrs.extend(instance.iter().map(|id| ("instance", id.to_string())));
@@ -749,7 +747,7 @@ impl PodEngine {
             key: key.to_string(),
             instance,
             diagnosis: None,
-            event: Some(event),
+            event,
         });
     }
 

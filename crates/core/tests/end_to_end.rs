@@ -72,6 +72,34 @@ fn wrong_ami_fault_is_detected_and_diagnosed() {
     );
 }
 
+/// A detection names its causal event only when one was recorded: every
+/// wrong-AMI detection has an id under `Full` and none under `Off`, where
+/// nothing is recorded for it to name.
+#[test]
+fn telemetry_off_hands_out_no_event_ids() {
+    use pod_obs::TelemetryMode;
+
+    let events = |mode| {
+        let world = build_world(102, 4);
+        world.cloud.obs().set_mode(mode);
+        let engine = engine_for(&world, pod_config());
+        let inject_at = world.cloud.clock().now() + SimDuration::from_secs(120);
+        let fault = inject(FaultType::AmiChangedDuringUpgrade);
+        let (summary, _) = run_upgrade(&world, engine, Some(inject_at), fault);
+        summary
+            .detections
+            .iter()
+            .map(|d| d.event)
+            .collect::<Vec<_>>()
+    };
+    let full = events(TelemetryMode::Full);
+    assert!(!full.is_empty(), "the wrong-AMI fault must be detected");
+    assert!(full.iter().all(Option::is_some), "{full:?}");
+    let off = events(TelemetryMode::Off);
+    assert_eq!(off.len(), full.len(), "the mode changes no detection");
+    assert!(off.iter().all(Option::is_none), "{off:?}");
+}
+
 #[test]
 fn unavailable_ami_fault_triggers_conformance_and_assertion_detection() {
     let world = build_world(103, 4);

@@ -854,9 +854,9 @@ mod tests {
     fn incident_records_round_trip() {
         let obs = Obs::detached();
         obs.begin_run("run-9");
-        let line = obs.event("log.line", "asgard.log");
-        let det = obs.event_under(line.id(), "detection", "assertion-log");
-        obs.event_under(det.id(), "diagnosis.verdict", "root-cause-identified");
+        let line = obs.event(None, "log.line", "asgard.log", Vec::new);
+        let det = obs.event(line, "detection", "assertion-log", Vec::new);
+        obs.event(det, "diagnosis.verdict", "root-cause-identified", Vec::new);
         let events = obs.events().records();
         let lines = incident_lines("run-9", &pod_obs::incidents(&events));
         assert_eq!(lines.len(), 1);
@@ -1052,10 +1052,11 @@ mod tests {
         {
             let span = obs.span("upgrade.step");
             span.attr("activity", "terminate \"old\" instance");
-            let line = obs.event("log.line", "asgard.log");
-            line.attr("message", "says \"hi\"\n");
+            let line = obs.event(None, "log.line", "asgard.log", || {
+                vec![("message", "says \"hi\"\n".to_string())]
+            });
             clock.advance(SimDuration::from_millis(10));
-            obs.event_under(line.id(), "conformance.verdict", "conformance:unfit");
+            obs.event(line, "conformance.verdict", "conformance:unfit", Vec::new);
         }
         let dump = TraceDump {
             trace_id: "run-x".to_string(),

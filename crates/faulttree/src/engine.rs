@@ -196,7 +196,7 @@ impl DiagnosisEngine {
             DiagnosisVerdict::NoRootCauseIdentified => "no-root-cause",
         };
         span.attr("verdict", verdict_tag);
-        obs.event_from(None, "diagnosis.verdict", verdict_tag, || {
+        obs.event(None, "diagnosis.verdict", verdict_tag, || {
             let mut attrs = vec![
                 ("tests_run", report.tests_run.to_string()),
                 ("excluded", report.excluded.to_string()),
@@ -320,7 +320,7 @@ struct Walk<'a> {
     ctx: &'a DiagnosisContext,
     /// `ctx.step`, shared by every line the walk logs.
     step: Option<Arc<str>>,
-    cache: HashMap<String, (TestResult, pod_obs::EventId)>,
+    cache: HashMap<String, (TestResult, Option<pod_obs::EventId>)>,
     depth: usize,
     max_depth: usize,
     report: DiagnosisReport,
@@ -404,8 +404,8 @@ impl Walk<'_> {
                                 self.report.first_cause_after =
                                     Some(now.duration_since(self.report.started_at));
                             }
-                            self.engine.api.cloud().obs().event_from(
-                                Some(test_event),
+                            self.engine.api.cloud().obs().event(
+                                test_event,
                                 "diagnosis.cause",
                                 node.id.clone(),
                                 || vec![("description", description.to_string())],
@@ -449,7 +449,7 @@ impl Walk<'_> {
         &mut self,
         id: &str,
         test: &crate::test::DiagnosticTest,
-    ) -> (TestResult, pod_obs::EventId) {
+    ) -> (TestResult, Option<pod_obs::EventId>) {
         if self.engine.memoise {
             if let Some(hit) = self.cache.get(id) {
                 self.engine.metrics.memo_hits.incr();
@@ -461,7 +461,7 @@ impl Walk<'_> {
         // retries made by the test chain under it and nest in it.
         let emitted = obs.event_span("faulttree.test", id);
         let result = {
-            let _scope = obs.events().scope(Some(emitted.id()));
+            let _scope = obs.events().scope(emitted.id());
             test.run(&self.engine.api, self.ctx)
         };
         let tag = match &result {

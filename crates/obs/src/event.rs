@@ -19,23 +19,26 @@
 //! which calls the consistent API…), so threading explicit parent ids
 //! through every signature would be invasive. Instead the log keeps an
 //! ambient **cause stack**: a caller pushes the current cause with
-//! [`EventLog::scope`] and every event emitted while the scope is alive is
-//! parented to it by default. Explicit parents override the stack via
-//! [`Parent::Of`].
+//! [`EventLog::scope`] and every event emitted while the scope is alive
+//! with a `None` parent is parented to it. An explicit parent id overrides
+//! the stack.
+//!
+//! Every record is written through [`crate::Obs`], which checks the
+//! [`crate::TelemetryMode`] once per write.
 //!
 //! # Examples
 //!
 //! ```
-//! use pod_obs::{EventLog, Parent};
-//! use pod_sim::Clock;
+//! use pod_obs::Obs;
 //!
-//! let log = EventLog::new(Clock::new());
-//! log.begin_trace();
-//! let line = log.emit("log.line", "asgard.log", Parent::Ambient);
-//! let _scope = log.scope(Some(line.id()));
-//! let verdict = log.emit("conformance.verdict", "conformance:unfit", Parent::Ambient);
-//! assert_eq!(log.records()[1].parent, Some(line.id().get()));
-//! assert_eq!(verdict.id().get(), 1);
+//! let obs = Obs::detached();
+//! obs.begin_run("run-1");
+//! let line = obs.event(None, "log.line", "asgard.log", Vec::new);
+//! let _scope = obs.events().scope(line);
+//! let verdict = obs.event(None, "conformance.verdict", "conformance:unfit", Vec::new);
+//! let records = obs.events().records();
+//! assert_eq!(records[1].parent, line.map(|id| id.get()));
+//! assert_eq!(verdict.map(|id| id.get()), Some(1));
 //! ```
 
 use std::borrow::Cow;
@@ -59,15 +62,6 @@ impl EventId {
     pub fn get(self) -> u64 {
         self.0
     }
-}
-
-/// How an emitted event is linked to its cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parent {
-    /// Use the innermost active cause scope (none → root event).
-    Ambient,
-    /// Link to this event explicitly.
-    Of(EventId),
 }
 
 /// One recorded causal event; with an `end`, a span.
@@ -107,7 +101,7 @@ impl EventRecord {
 }
 
 /// What a lazy root event is recorded from: the value a pending cause
-/// scope ([`EventLog::scope_pending`]) shares, read only if the root
+/// scope ([`crate::Obs::scope_cause`]) shares, read only if the root
 /// materialises. The engine's stored log line is one, so scoping a healthy
 /// line copies none of its strings.
 pub trait CauseRoot: std::fmt::Debug + Send + Sync {
@@ -191,37 +185,26 @@ impl EventLogInner {
         self.ring.get_mut(pos)
     }
 
-    fn parent(&mut self, parent: Parent) -> Option<u64> {
-        match parent {
-            Parent::Ambient => self.resolve_ambient(),
-            Parent::Of(p) => Some(p.get()),
-        }
-    }
-
-    /// Resolves the innermost ambient cause, materialising any pending
-    /// frames (bottom-up, so a pending frame's own parent is the frame
-    /// beneath it) into real ring records first.
+    /// Resolves the innermost ambient cause in one bottom-up pass: each
+    /// frame's parent is the id of the frame beneath it, so a pending frame
+    /// is recorded under that id and replaced by its own.
     fn resolve_ambient(&mut self) -> Option<u64> {
+        let mut below = None;
         for i in 0..self.causes.len() {
-            if matches!(self.causes[i], CauseFrame::Pending(_)) {
-                let parent = match i.checked_sub(1).map(|j| &self.causes[j]) {
-                    Some(CauseFrame::Resolved(id)) => Some(*id),
-                    _ => None,
-                };
-                let placeholder = CauseFrame::Resolved(u64::MAX);
-                let CauseFrame::Pending(p) = std::mem::replace(&mut self.causes[i], placeholder)
-                else {
-                    unreachable!("checked above");
-                };
-                let name = p.root.name().to_string().into();
-                let id = self.push(p.span, p.kind, name, parent, p.at, p.root.attrs());
-                self.causes[i] = CauseFrame::Resolved(id);
-            }
+            let id = match &self.causes[i] {
+                CauseFrame::Resolved(id) => *id,
+                CauseFrame::Pending(p) => {
+                    let (kind, span, at) = (p.kind, p.span, p.at);
+                    let name = p.root.name().to_string().into();
+                    let attrs = p.root.attrs();
+                    let id = self.push(span, kind, name, below, at, attrs);
+                    self.causes[i] = CauseFrame::Resolved(id);
+                    id
+                }
+            };
+            below = Some(id);
         }
-        self.causes.last().map(|frame| match frame {
-            CauseFrame::Resolved(id) => *id,
-            CauseFrame::Pending(_) => unreachable!("all pending frames resolved above"),
-        })
+        below
     }
 }
 
@@ -235,7 +218,7 @@ pub struct EventLog {
 
 impl EventLog {
     /// Creates an event log timestamping from `clock`.
-    pub fn new(clock: Clock) -> EventLog {
+    pub(crate) fn new(clock: Clock) -> EventLog {
         EventLog {
             clock,
             inner: Arc::new(Mutex::new(EventLogInner::default())),
@@ -244,59 +227,45 @@ impl EventLog {
 
     /// Starts a fresh trace, discarding all records, scopes and open spans
     /// of the previous one.
-    pub fn begin_trace(&self) {
+    pub(crate) fn begin_trace(&self) {
         *self.inner.lock() = EventLogInner::default();
     }
 
-    /// Emits one event and returns a handle for attaching attributes.
-    pub fn emit(&self, kind: &'static str, name: &str, parent: Parent) -> Emitted {
-        let id = self.emit_with(kind, name.to_string(), parent, Vec::new());
-        Emitted {
-            log: Some(self.clone()),
-            id,
-        }
-    }
-
-    /// Emits one event with its attributes attached in a single lock
-    /// acquisition and without constructing a handle — the hot-path
-    /// variant of [`EventLog::emit`] for per-line call sites (the log
-    /// pipeline, the conformance checker). `name` and attribute values are
-    /// moved in, so a caller that already owns them pays no extra clone.
-    pub fn emit_with(
+    /// Records one event with its attributes under one lock: parented to
+    /// `parent`, or the innermost ambient cause when `None`, and correlated
+    /// with the innermost open span.
+    pub(crate) fn emit(
         &self,
+        parent: Option<EventId>,
         kind: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        parent: Parent,
+        name: Cow<'static, str>,
         attrs: Vec<(&'static str, String)>,
     ) -> EventId {
-        let name = name.into();
         let at = self.clock.now();
         let mut inner = self.inner.lock();
-        let parent = inner.parent(parent);
+        let parent = parent.map(EventId::get).or_else(|| inner.resolve_ambient());
         let span = inner.span();
         EventId(inner.push(span, kind, name, parent, at, attrs))
     }
 
     /// Opens a span: records it now and makes it the innermost open span
-    /// until the guard drops, which writes its end. With `parent: None` it
-    /// is a guard span — no cause, and pending causes stay pending.
+    /// until the guard drops, which writes its end. A `caused` span is
+    /// parented to the innermost ambient cause; otherwise it is a guard
+    /// span — no cause, and pending causes stay pending.
     pub(crate) fn open(
         &self,
         kind: &'static str,
         name: Cow<'static, str>,
-        parent: Option<Parent>,
+        caused: bool,
     ) -> SpanGuard {
         let at = self.clock.now();
         let mut inner = self.inner.lock();
-        let parent = parent.and_then(|p| inner.parent(p));
+        let parent = caused.then(|| inner.resolve_ambient()).flatten();
         let span = inner.span();
         let id = inner.push(span, kind, name, parent, at, Vec::new());
         inner.spans.push(id);
         SpanGuard {
-            event: Emitted {
-                log: Some(self.clone()),
-                id: EventId(id),
-            },
+            open: Some((self.clone(), EventId(id))),
         }
     }
 
@@ -325,18 +294,9 @@ impl EventLog {
         }
     }
 
-    /// Pushes a *pending* cause: a root event of `kind` whose name and
-    /// attrs `root` gives, with the innermost open span and the clock time
-    /// captured now, recorded only if some event is actually emitted under
-    /// the scope with [`Parent::Ambient`].
-    ///
-    /// This keeps healthy hot paths silent: the engine scopes every line
-    /// that leaves the pipeline as a pending `log.line`, yet only the
-    /// handful of lines whose triggers produce a verdict, assertion result,
-    /// or detection ever materialise into the ring. When nothing emits
-    /// under the scope, dropping the guard discards the frame — no id, no
-    /// ring slot, and no copy of the root's strings.
-    pub fn scope_pending(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
+    /// Pushes a *pending* cause (see [`crate::Obs::scope_cause`]), with
+    /// the innermost open span and the clock time captured now.
+    pub(crate) fn scope_pending(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
         let at = self.clock.now();
         let mut inner = self.inner.lock();
         let span = inner.span();
@@ -400,72 +360,39 @@ impl EventLog {
     }
 }
 
-/// Handle to a just-emitted event.
-///
-/// When telemetry is off ([`crate::TelemetryMode::Off`]) the handle is
-/// inert: it holds no log, `attr` is a no-op and `id` is a dummy, so call
-/// sites need no mode checks of their own.
-#[derive(Debug)]
-pub struct Emitted {
-    log: Option<EventLog>,
-    id: EventId,
-}
-
-impl Emitted {
-    /// An inert handle recording nothing (telemetry off).
-    pub(crate) fn disabled() -> Emitted {
-        Emitted {
-            log: None,
-            id: EventId(u64::MAX),
-        }
-    }
-
-    /// Attaches a key/value attribute to the event.
-    pub fn attr(&self, key: &'static str, value: impl std::fmt::Display) -> &Emitted {
-        if let Some(log) = &self.log {
-            log.set_attr(self.id.get(), key, value.to_string());
-        }
-        self
-    }
-
-    /// The event's id, for explicit parent links (`u64::MAX` for an inert
-    /// handle).
-    pub fn id(&self) -> EventId {
-        self.id
-    }
-}
-
 /// RAII guard for an open span; dropping it writes the span's end at the
-/// clock's current virtual time. Inert, like [`Emitted`], when telemetry
-/// is off.
+/// clock's current virtual time. Inert when telemetry is off
+/// ([`crate::TelemetryMode::Off`]): it holds no log and no id, so call sites
+/// need no mode checks of their own.
 #[derive(Debug)]
 pub struct SpanGuard {
-    event: Emitted,
+    open: Option<(EventLog, EventId)>,
 }
 
 impl SpanGuard {
     /// An inert guard recording nothing (telemetry off).
     pub(crate) fn disabled() -> SpanGuard {
-        SpanGuard {
-            event: Emitted::disabled(),
-        }
+        SpanGuard { open: None }
     }
 
     /// Attaches a key/value attribute to the span.
     pub fn attr(&self, key: &'static str, value: impl std::fmt::Display) {
-        self.event.attr(key, value);
+        if let Some((log, id)) = &self.open {
+            log.set_attr(id.get(), key, value.to_string());
+        }
     }
 
-    /// The span's record id, for scoping the events it causes.
-    pub fn id(&self) -> EventId {
-        self.event.id
+    /// The span's record id, for scoping the events it causes; `None` for
+    /// an inert guard.
+    pub fn id(&self) -> Option<EventId> {
+        self.open.as_ref().map(|(_, id)| *id)
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(log) = &self.event.log {
-            log.close(self.event.id.get());
+        if let Some((log, id)) = &self.open {
+            log.close(id.get());
         }
     }
 }
@@ -499,9 +426,14 @@ mod tests {
         clock.advance(SimDuration::from_millis(ms));
     }
 
+    /// An attribute-free event under `parent` (ambient when `None`).
+    fn emit(log: &EventLog, parent: Option<EventId>, kind: &'static str, name: &str) -> EventId {
+        log.emit(parent, kind, name.to_string().into(), Vec::new())
+    }
+
     /// A guard span, as [`crate::Obs::span`] opens it.
     fn guard(log: &EventLog, name: &'static str) -> SpanGuard {
-        log.open(name, Cow::Borrowed(name), None)
+        log.open(name, Cow::Borrowed(name), false)
     }
 
     /// A cause root with a fixed name and attributes.
@@ -526,23 +458,23 @@ mod tests {
     #[test]
     fn events_link_to_the_ambient_cause() {
         let log = log();
-        let root = log.emit("log.line", "asgard.log", Parent::Ambient);
+        let root = emit(&log, None, "log.line", "asgard.log");
         assert_eq!(log.records()[0].parent, None);
         {
-            let _scope = log.scope(Some(root.id()));
+            let _scope = log.scope(Some(root));
             let span = guard(&log, "upgrade.step");
-            let child = log.emit("conformance.verdict", "fit", Parent::Ambient);
-            assert_eq!(log.current_cause(), Some(root.id()));
+            let child = emit(&log, None, "conformance.verdict", "fit");
+            assert_eq!(log.current_cause(), Some(root));
             let records = log.records();
-            assert_eq!(records[2].parent, Some(root.id().get()));
-            assert_eq!(records[2].span, Some(span.id().get()));
+            assert_eq!(records[2].parent, Some(root.get()));
+            assert_eq!(records[2].span, span.id().map(EventId::get));
             // Nested scopes stack.
-            let _inner = log.scope(Some(child.id()));
-            log.emit("detection", "assertion-log", Parent::Ambient);
-            assert_eq!(log.records()[3].parent, Some(child.id().get()));
+            let _inner = log.scope(Some(child));
+            emit(&log, None, "detection", "assertion-log");
+            assert_eq!(log.records()[3].parent, Some(child.get()));
         }
         assert_eq!(log.current_cause(), None);
-        log.emit("detection", "late", Parent::Ambient);
+        emit(&log, None, "detection", "late");
         assert_eq!(log.records()[4].parent, None);
         assert_eq!(log.records()[4].span, None, "the span closed");
     }
@@ -550,13 +482,13 @@ mod tests {
     #[test]
     fn explicit_parent_overrides_the_stack() {
         let log = log();
-        let a = log.emit("a", "a", Parent::Ambient);
-        let b = log.emit("b", "b", Parent::Ambient);
-        let _scope = log.scope(Some(b.id()));
-        let c = log.emit("c", "c", Parent::Of(a.id()));
+        let a = emit(&log, None, "a", "a");
+        let b = emit(&log, None, "b", "b");
+        let _scope = log.scope(Some(b));
+        let c = emit(&log, Some(a), "c", "c");
         let records = log.records();
-        assert_eq!(records[2].parent, Some(a.id().get()));
-        assert_eq!(c.id().get(), 2);
+        assert_eq!(records[2].parent, Some(a.get()));
+        assert_eq!(c.get(), 2);
     }
 
     #[test]
@@ -568,8 +500,8 @@ mod tests {
         }
         assert!(log.records().is_empty());
         // Ids were never consumed either.
-        let ev = log.emit("e", "e", Parent::Ambient);
-        assert_eq!(ev.id().get(), 0);
+        let ev = emit(&log, None, "e", "e");
+        assert_eq!(ev.get(), 0);
     }
 
     #[test]
@@ -585,22 +517,22 @@ mod tests {
         );
         let _scope = log.scope_pending("log.line", Arc::new(root));
         advance(&clock, 10);
-        let child = log.emit("conformance.verdict", "conformance:unfit", Parent::Ambient);
+        let child = emit(&log, None, "conformance.verdict", "conformance:unfit");
         let records = log.records();
         // The root landed after the span, with the capture-time timestamp
         // and span.
         assert_eq!(records.len(), 3);
         assert_eq!(records[1].kind, "log.line");
         assert_eq!(records[1].at, SimTime::from_millis(5));
-        assert_eq!(records[1].span, Some(step.id().get()));
+        assert_eq!(records[1].span, step.id().map(EventId::get));
         assert_eq!(
             records[1].attrs,
             vec![("message", "Instance i-aa is ready".to_string())]
         );
         assert_eq!(records[2].parent, Some(records[1].id));
-        assert!(records[1].id < child.id().get());
+        assert!(records[1].id < child.get());
         // A second emission reuses the already-materialised id.
-        log.emit("detection", "conformance-unfit", Parent::Ambient);
+        emit(&log, None, "detection", "conformance-unfit");
         assert_eq!(log.records()[3].parent, Some(records[1].id));
         assert_eq!(log.records().len(), 4);
     }
@@ -610,7 +542,7 @@ mod tests {
         let log = log();
         let _outer = log.scope_pending("log.line", line("outer"));
         let _inner = log.scope_pending("log.line", line("inner"));
-        log.emit("detection", "d", Parent::Ambient);
+        emit(&log, None, "detection", "d");
         let records = log.records();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].name, "outer");
@@ -627,16 +559,16 @@ mod tests {
         let cause = log.current_cause().expect("scope is active");
         // Resolving materialised the root; later ambient emits chain to it.
         assert_eq!(log.records().len(), 1);
-        log.emit("assertion.result", "late", Parent::Ambient);
+        emit(&log, None, "assertion.result", "late");
         assert_eq!(log.records()[1].parent, Some(cause.get()));
     }
 
     #[test]
     fn explicit_parent_leaves_pending_frames_untouched() {
         let log = log();
-        let a = log.emit("a", "a", Parent::Ambient);
+        let a = emit(&log, None, "a", "a");
         let _scope = log.scope_pending("log.line", line("asgard.log"));
-        log.emit("b", "b", Parent::Of(a.id()));
+        emit(&log, Some(a), "b", "b");
         // An explicit-parent emission does not consult the stack.
         assert_eq!(log.records().len(), 2);
         assert!(log.records().iter().all(|r| r.kind != "log.line"));
@@ -652,7 +584,7 @@ mod tests {
         assert_eq!(records[0].kind, "faulttree.walk");
         assert_eq!(records[0].parent, None);
         // The cause materialises later, when an event actually needs it.
-        log.emit("detection", "d", Parent::Ambient);
+        emit(&log, None, "detection", "d");
         let records = log.records();
         assert_eq!(records[1].kind, "log.line");
         assert_eq!(records[2].parent, Some(records[1].id));
@@ -667,9 +599,9 @@ mod tests {
             let outer = guard(&log, "outer");
             advance(&clock, 10);
             {
-                let inner = log.open("faulttree.test", "inner".into(), Some(Parent::Ambient));
+                let inner = log.open("faulttree.test", "inner".into(), true);
                 inner.attr("k", 3);
-                log.emit("consistent.retry", "retry", Parent::Ambient);
+                emit(&log, None, "consistent.retry", "retry");
                 advance(&clock, 5);
             }
             outer.attr("steps", "2");
@@ -715,12 +647,7 @@ mod tests {
         advance(&clock, 3);
         let started = clock.now();
         advance(&clock, 10);
-        let id = log.emit_with(
-            "assertion.result",
-            "asg-desired",
-            Parent::Ambient,
-            Vec::new(),
-        );
+        let id = emit(&log, None, "assertion.result", "asg-desired");
         log.backdate(id, started);
         let record = &log.records()[0];
         assert_eq!(record.at, SimTime::from_millis(3));
@@ -732,7 +659,7 @@ mod tests {
         let log = log();
         {
             let _scope = log.scope(None);
-            log.emit("x", "x", Parent::Ambient);
+            emit(&log, None, "x", "x");
         }
         assert_eq!(log.records()[0].parent, None);
         assert_eq!(log.current_cause(), None);
@@ -741,23 +668,24 @@ mod tests {
     #[test]
     fn attrs_attach_to_the_emitted_event() {
         let log = log();
-        let ev = log.emit("assertion.result", "asg-desired", Parent::Ambient);
-        ev.attr("outcome", "failed").attr("attempts", 3);
-        let records = log.records();
-        assert_eq!(
-            records[0].attrs,
-            vec![
-                ("outcome", "failed".to_string()),
-                ("attempts", "3".to_string())
-            ]
+        let attrs = vec![
+            ("outcome", "failed".to_string()),
+            ("attempts", "3".to_string()),
+        ];
+        log.emit(
+            None,
+            "assertion.result",
+            "asg-desired".into(),
+            attrs.clone(),
         );
+        assert_eq!(log.records()[0].attrs, attrs);
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let log = log();
         for i in 0..(EVENT_CAP + 5) {
-            log.emit("e", &i.to_string(), Parent::Ambient);
+            emit(&log, None, "e", &i.to_string());
         }
         assert_eq!(log.records().len(), EVENT_CAP);
         assert_eq!(log.dropped(), 5);
@@ -778,7 +706,7 @@ mod tests {
         // An evicted record's span still closes without a trace.
         let open = guard(&log, "s");
         for i in 0..EVENT_CAP {
-            log.emit("e", &i.to_string(), Parent::Ambient);
+            emit(&log, None, "e", &i.to_string());
         }
         open.attr("k", "v");
         drop(open);
@@ -788,8 +716,8 @@ mod tests {
     #[test]
     fn begin_trace_resets_everything() {
         let log = log();
-        let a = log.emit("a", "a", Parent::Ambient);
-        let _leaked = log.scope(Some(a.id()));
+        let a = emit(&log, None, "a", "a");
+        let _leaked = log.scope(Some(a));
         log.begin_trace();
         assert!(log.records().is_empty());
         assert_eq!(log.current_cause(), None);
@@ -804,10 +732,10 @@ mod tests {
         log.begin_trace();
         assert!(log.records().is_empty());
         // A span of the previous trace neither encloses nor ends anything.
-        let fresh = log.emit("a", "a", Parent::Ambient);
+        let fresh = emit(&log, None, "a", "a");
         assert_eq!(log.records()[0].span, None);
         drop(stale);
-        assert_eq!(fresh.id().get(), 0);
+        assert_eq!(fresh.get(), 0);
         assert_eq!(log.records()[0].end, None);
     }
 
@@ -817,7 +745,7 @@ mod tests {
         let log = EventLog::new(clock.clone());
         log.begin_trace();
         advance(&clock, 42);
-        log.emit("e", "e", Parent::Ambient);
+        emit(&log, None, "e", "e");
         assert_eq!(log.records()[0].at, SimTime::from_millis(42));
     }
 }

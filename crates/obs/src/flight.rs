@@ -75,7 +75,7 @@ pub struct FlightDump {
     /// Frames evicted from the ring before the dump.
     pub evicted_frames: u64,
     /// Incident marks evicted (oldest first) from the ring of the newest
-    /// [`INCIDENT_CAP`] before the dump.
+    /// 256 before the dump.
     pub dropped_incidents: u64,
 }
 

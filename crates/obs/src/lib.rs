@@ -25,7 +25,7 @@
 //! the incident timeline above; *where the virtual time went* is
 //! `pod_eval::RunRecord::stage_self_us`, summed over the records with an
 //! end ([`EventLog::with_records`]); *nesting* is the trace-viewer export.
-//! Timestamps come from the `pod-sim` virtual [`Clock`], so under a fixed
+//! Timestamps come from the `pod-sim` virtual [`Clock`](pod_sim::Clock), so under a fixed
 //! seed two runs produce byte-identical traces.
 //! The run record and the trace-viewer export live in `pod-eval`, on the
 //! `pod-log` JSON writer: this crate sits *below* `pod-log` in the
@@ -69,9 +69,7 @@ mod render;
 mod sampler;
 mod timeline;
 
-pub use event::{
-    CauseRoot, CauseScope, Emitted, EventId, EventLog, EventRecord, Parent, SpanGuard,
-};
+pub use event::{CauseRoot, CauseScope, EventId, EventLog, EventRecord, SpanGuard};
 pub use flight::{
     render_dashboard, FlightDump, FlightFrame, FlightRecorder, IncidentMark, FRAME_CAP,
 };

@@ -1,12 +1,13 @@
 //! The [`Obs`] handle bundling clock, metrics registry and the causal
 //! event log, gated by a [`TelemetryMode`].
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use pod_sim::Clock;
 
-use crate::event::{CauseRoot, CauseScope, Emitted, EventId, EventLog, Parent, SpanGuard};
+use crate::event::{CauseRoot, CauseScope, EventId, EventLog, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 
@@ -120,68 +121,32 @@ impl Obs {
         self.mode.store(mode.as_u8(), Ordering::Relaxed);
     }
 
-    /// Emits a causal event parented to the innermost ambient cause and
-    /// correlated with the innermost open span. A no-op (inert handle)
-    /// when the mode is [`TelemetryMode::Off`].
-    pub fn event(&self, kind: &'static str, name: &str) -> Emitted {
-        if !self.mode().records_traces() {
-            return Emitted::disabled();
-        }
-        self.events.emit(kind, name, Parent::Ambient)
-    }
-
-    /// Emits a causal event with an explicit parent (still correlated with
-    /// the innermost open span). A no-op when the mode is
-    /// [`TelemetryMode::Off`].
-    pub fn event_under(&self, parent: EventId, kind: &'static str, name: &str) -> Emitted {
-        if !self.mode().records_traces() {
-            return Emitted::disabled();
-        }
-        self.events.emit(kind, name, Parent::Of(parent))
-    }
-
-    /// Hot-path event emission: name and attribute values are moved in and
-    /// the event lands in the ring under a single lock, with no `Emitted`
-    /// handle constructed. Returns `None` (recording nothing) when the
-    /// mode is [`TelemetryMode::Off`] — callers should build `name`/`attrs`
-    /// only after checking [`Obs::mode`] so the off baseline pays nothing.
-    pub fn event_with(
+    /// Emits a causal event under `parent`, or the innermost ambient cause
+    /// when `None`, correlated with the innermost open span, with the
+    /// attributes `attrs` builds landing in the same lock. When the mode is
+    /// [`TelemetryMode::Off`] it records nothing, never calls `attrs` and
+    /// returns `None`.
+    pub fn event(
         &self,
+        parent: Option<EventId>,
         kind: &'static str,
-        name: impl Into<std::borrow::Cow<'static, str>>,
-        attrs: Vec<(&'static str, String)>,
+        name: impl Into<Cow<'static, str>>,
+        attrs: impl FnOnce() -> Vec<(&'static str, String)>,
     ) -> Option<EventId> {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.events.emit_with(kind, name, Parent::Ambient, attrs))
+        Some(self.events.emit(parent, kind, name.into(), attrs()))
     }
 
-    /// Emits a causal event under `parent`, or the innermost ambient cause
-    /// when `None`, with the attributes `attrs` builds, in one lock: what
-    /// [`Obs::event_under`] or [`Obs::event`] and one `attr` call per
-    /// attribute record, without a lock and a copy per attribute. `attrs`
-    /// runs only when the mode records traces; otherwise nothing is
-    /// recorded and the id is an inert handle's.
-    pub fn event_from(
-        &self,
-        parent: Option<EventId>,
-        kind: &'static str,
-        name: impl Into<std::borrow::Cow<'static, str>>,
-        attrs: impl FnOnce() -> Vec<(&'static str, String)>,
-    ) -> EventId {
-        if !self.mode().records_traces() {
-            return Emitted::disabled().id();
-        }
-        let parent = parent.map_or(Parent::Ambient, Parent::Of);
-        self.events.emit_with(kind, name, parent, attrs())
-    }
-
-    /// Opens a *pending* cause scope (see [`EventLog::scope_pending`]): the
-    /// event shares `root` and is only recorded, from it, if a descendant
-    /// actually emits under the scope. The lazy counterpart of scoping an
-    /// [`Obs::event_with`] id — healthy lines leave no trace. Returns a
-    /// no-op scope when the mode is [`TelemetryMode::Off`].
+    /// Opens a *pending* cause scope: a root event of `kind` that shares
+    /// `root` and is recorded, from it, only if a descendant emits under
+    /// the scope with a `None` parent. The engine opens one for every line
+    /// that leaves the pipeline, yet only the lines whose triggers produce a
+    /// verdict, assertion result or detection materialise; dropping the
+    /// guard otherwise discards the frame, with no id, no ring slot and no
+    /// copy of the root's strings. Returns a no-op scope when the mode is
+    /// [`TelemetryMode::Off`].
     pub fn scope_cause(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
         if !self.mode().records_traces() {
             return self.events.scope(None);
@@ -219,7 +184,7 @@ impl Obs {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.events.open(name, name.into(), None)
+        self.events.open(name, name.into(), false)
     }
 
     /// Emits a causal event, as [`Obs::event`] does, that is also a span:
@@ -230,8 +195,7 @@ impl Obs {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.events
-            .open(kind, name.to_string().into(), Some(Parent::Ambient))
+        self.events.open(kind, name.to_string().into(), true)
     }
 
     /// Snapshots every metric.
@@ -267,16 +231,19 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         let guard = obs.span("upgrade.step");
-        let ev = obs.event("conformance.verdict", "conformance:fit");
+        let ev = obs.event(None, "conformance.verdict", "conformance:fit", Vec::new);
         let records = obs.events().records();
-        assert_eq!(records[1].span, Some(guard.id().get()));
+        assert_eq!(records[1].span, guard.id().map(EventId::get));
         drop(guard);
         assert_eq!(records[1].parent, None);
-        let child = obs.event_under(ev.id(), "detection", "conformance-unfit");
-        assert_eq!(child.id().get(), 2);
+        let child = obs.event(ev, "detection", "conformance-unfit", || {
+            vec![("k", "v".to_string())]
+        });
+        assert_eq!(child.map(EventId::get), Some(2));
         let records = obs.events().records();
-        assert_eq!(records[2].parent, Some(ev.id().get()));
+        assert_eq!(records[2].parent, ev.map(EventId::get));
         assert_eq!(records[2].span, None);
+        assert_eq!(records[2].attrs, vec![("k", "v".to_string())]);
     }
 
     #[test]
@@ -284,7 +251,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("a");
         drop(obs.span("s"));
-        obs.event("e", "e");
+        obs.event(None, "e", "e", Vec::new);
         obs.begin_run("b");
         assert!(obs.events().records().is_empty());
     }
@@ -298,11 +265,16 @@ mod tests {
         {
             let span = obs.span("s");
             span.attr("k", "v");
+            assert_eq!(span.id(), None, "an inert guard has no id");
             let test = obs.event_span("faulttree.test", "n");
             test.attr("k", "v");
-            let ev = obs.event("detection", "x");
-            ev.attr("k", "v");
-            obs.event_under(ev.id(), "diagnosis.cause", "y");
+            assert_eq!(test.id(), None);
+            let never = || -> Vec<(&'static str, String)> { panic!("Off builds no attributes") };
+            let ev = obs.event(None, "detection", "x", never);
+            assert_eq!(ev, None, "Off hands out no id");
+            let _scope = obs.events().scope(ev);
+            assert_eq!(obs.events().current_cause(), None);
+            obs.event(ev, "diagnosis.cause", "y", never);
         }
         assert!(obs.events().records().is_empty());
         obs.counter("c").incr();

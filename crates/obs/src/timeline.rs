@@ -222,24 +222,27 @@ mod tests {
         let obs = Obs::new(clock.clone());
         let tick = || clock.advance(SimDuration::from_millis(10));
         obs.begin_run("t");
-        let line = obs.event("log.line", "asgard.log");
-        line.attr("message", "launch configuration updated");
+        let line = obs.event(None, "log.line", "asgard.log", || {
+            vec![("message", "launch configuration updated".to_string())]
+        });
         tick();
-        let verdict = obs.event_under(line.id(), "conformance.verdict", "conformance:unfit");
+        let verdict = obs.event(line, "conformance.verdict", "conformance:unfit", Vec::new);
         tick();
-        let det = obs.event_under(verdict.id(), "detection", "conformance-unfit");
+        let det = obs.event(verdict, "detection", "conformance-unfit", Vec::new);
         tick();
-        let dispatch = obs.event_under(det.id(), "diagnosis.dispatch", "asg-tree");
+        let dispatch = obs.event(det, "diagnosis.dispatch", "asg-tree", Vec::new);
         tick();
         let test = {
-            let _scope = obs.events().scope(Some(dispatch.id()));
+            let _scope = obs.events().scope(dispatch);
             let test = obs.event_span("faulttree.test", "wrong-ami");
             tick();
             test.id()
         };
-        obs.event_under(test, "diagnosis.cause", "wrong-ami")
-            .attr("description", "the launch configuration uses a wrong AMI");
-        obs.event_under(dispatch.id(), "diagnosis.verdict", "1 root cause(s)");
+        obs.event(test, "diagnosis.cause", "wrong-ami", || {
+            let description = "the launch configuration uses a wrong AMI";
+            vec![("description", description.to_string())]
+        });
+        obs.event(dispatch, "diagnosis.verdict", "1 root cause(s)", Vec::new);
         obs
     }
 
@@ -262,8 +265,8 @@ mod tests {
     fn chain_without_log_anchor_is_flagged_broken() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        let det = obs.event("detection", "one-off-timer");
-        obs.event_under(det.id(), "diagnosis.dispatch", "asg-tree");
+        let det = obs.event(None, "detection", "one-off-timer", Vec::new);
+        obs.event(det, "diagnosis.dispatch", "asg-tree", Vec::new);
         let chains = incidents(&obs.events().records());
         assert!(!chains[0].anchored);
         assert!(!chains[0].complete());
@@ -308,7 +311,7 @@ mod tests {
     #[test]
     fn unrelated_events_stay_out_of_the_chain() {
         let obs = canonical_chain();
-        obs.event("log.line", "unrelated.log");
+        obs.event(None, "log.line", "unrelated.log", Vec::new);
         let chains = incidents(&obs.events().records());
         assert_eq!(chains[0].hops.len(), 7);
     }
@@ -317,7 +320,7 @@ mod tests {
     fn no_detections_renders_a_fixed_message() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        obs.event("log.line", "asgard.log");
+        obs.event(None, "log.line", "asgard.log", Vec::new);
         assert!(render_timelines(&obs.events().records()).contains("no incidents"));
     }
 }

@@ -166,34 +166,27 @@ impl ConformanceChecker {
     ///
     /// [`last_verdict_event`]: ConformanceChecker::last_verdict_event
     fn emit_verdict(&mut self, activity: Option<&str>, verdict: &Conformance) {
-        // Per-line hot path: check the mode before building any strings,
-        // and land the event in a single lock via the batched emitter. No
-        // `trace` attribute: the event ring is per-trace already (see
-        // `EventLog::begin_trace`), so repeating the id per verdict only
-        // burned an allocation per line.
-        if !self.obs.mode().records_traces() {
-            self.last_event = None;
-            return;
-        }
         // Outcome-conditional tracing: fit verdicts — the overwhelming
         // majority at fleet scale — are already counted (`conformance.fit`
         // in the replay path), so they are not traced. Detections only
         // ever parent on non-fit verdicts (`Conformance::is_error`), so
-        // every incident chain stays complete.
-        if !verdict.is_error() {
-            self.last_event = None;
-            return;
-        }
-        let mut attrs = Vec::with_capacity(3);
-        if let Some(activity) = activity {
-            attrs.push(("activity", activity.to_string()));
-        }
-        if let Conformance::Unfit(unfit) = verdict {
-            attrs.extend(unfit.attrs.iter().cloned());
-        }
-        self.last_event = self
-            .obs
-            .event_with("conformance.verdict", verdict.tag(), attrs);
+        // every incident chain stays complete. No `trace` attribute: the
+        // event ring is per-trace already, so repeating the id per verdict
+        // only burned an allocation per line.
+        self.last_event = if verdict.is_error() {
+            self.obs
+                .event(None, "conformance.verdict", verdict.tag(), || {
+                    let unfit = match verdict {
+                        Conformance::Unfit(unfit) => &unfit.attrs[..],
+                        _ => &[],
+                    };
+                    // Collected at its exact size: nothing for a bare verdict.
+                    let activity = activity.map(|a| ("activity", a.to_string()));
+                    activity.into_iter().chain(unfit.iter().cloned()).collect()
+                })
+        } else {
+            None
+        };
     }
 
     /// The causal event of the most recent verdict (replay or recorded
@@ -359,8 +352,8 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         let mut ch = ConformanceChecker::on(PetriNet::compile(&model()), &obs);
-        let line = obs.event("log.line", "asgard.log");
-        let _scope = obs.events().scope(Some(line.id()));
+        let line = obs.event(None, "log.line", "asgard.log", Vec::new);
+        let _scope = obs.events().scope(line);
         // Outcome-conditional tracing: a fit replay is counted, not traced.
         ch.replay("t", "a");
         assert_eq!(ch.last_verdict_event(), None);
@@ -377,7 +370,7 @@ mod tests {
         assert_eq!(records[1].id, verdict_event.get());
         assert_eq!(records[1].kind, "conformance.verdict");
         assert_eq!(records[1].name, "conformance:unfit");
-        assert_eq!(records[1].parent, Some(line.id().get()));
+        assert_eq!(records[1].parent, line.map(|id| id.get()));
         assert!(records[1].attrs.contains(&("expected", "b".to_string())));
     }
 

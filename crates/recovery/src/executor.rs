@@ -262,14 +262,13 @@ impl RecoveryExecutor {
         let obs = self.api.cloud().obs().clone();
         self.metrics.runs.incr();
         let started_at = self.now();
-        let start_event = match req.parent_event {
-            Some(parent) => obs.event_under(parent, "recovery.start", &req.root_cause),
-            None => obs.event("recovery.start", &req.root_cause),
-        };
-        start_event.attr("task", &req.task_id);
+        let cause = req.root_cause.clone();
+        let start_event = obs.event(req.parent_event, "recovery.start", cause, || {
+            vec![("task", req.task_id.clone())]
+        });
         // Everything the run does — repair calls, consistent-layer
         // retries, verification — chains under the start event.
-        let _scope = obs.events().scope(Some(start_event.id()));
+        let _scope = obs.events().scope(start_event);
 
         let mut run = RecoveryRun {
             task_id: req.task_id.clone(),
@@ -319,8 +318,9 @@ impl RecoveryExecutor {
                     plan.steps.len()
                 ),
             );
-            obs.event("recovery.plan", &plan.id)
-                .attr("steps", plan.steps.len());
+            obs.event(None, "recovery.plan", plan.id.clone(), || {
+                vec![("steps", plan.steps.len().to_string())]
+            });
 
             // Why this plan did not repair the fault, once it has not.
             let failure = match self.run_steps(&plan, req, &mut run, &mut lag) {
@@ -335,9 +335,12 @@ impl RecoveryExecutor {
                     let verify_started = self.now();
                     let failing = self.verify(&plan, &req.env, patient);
                     run.phases.verification += self.now().duration_since(verify_started);
-                    let verify_event = obs.event("recovery.verify", &plan.id);
-                    verify_event.attr("checked", plan.verify.len());
-                    verify_event.attr("failing", failing.len());
+                    obs.event(None, "recovery.verify", plan.id.clone(), || {
+                        vec![
+                            ("checked", plan.verify.len().to_string()),
+                            ("failing", failing.len().to_string()),
+                        ]
+                    });
                     if failing.is_empty() {
                         self.log(
                             &mut run,
@@ -488,9 +491,13 @@ impl RecoveryExecutor {
                 }
             };
             self.metrics.steps_applied.incr();
-            let step_event = self.api.cloud().obs().event("recovery.step", &name);
-            step_event.attr("plan", &plan.id);
-            step_event.attr("attempts", attempts);
+            let obs = self.api.cloud().obs();
+            obs.event(None, "recovery.step", name.clone(), || {
+                vec![
+                    ("plan", plan.id.clone()),
+                    ("attempts", attempts.to_string()),
+                ]
+            });
             let applied = format!("Applied recovery step {name}: {detail}");
             self.log(run, *lag, Severity::Info, applied);
         }
@@ -527,21 +534,27 @@ impl RecoveryExecutor {
     /// Stamps the terminal state: outcome event, outcome counters, MTTR.
     fn finish(&self, obs: &Obs, run: &mut RecoveryRun, lag: SimDuration) {
         run.finished_at = rewind(self.now(), lag);
-        let outcome_event = obs.event("recovery.outcome", run.outcome.tag());
-        outcome_event.attr("task", &run.task_id);
-        outcome_event.attr("cause", &run.root_cause);
+        obs.event(None, "recovery.outcome", run.outcome.tag(), || {
+            let mut attrs = vec![
+                ("task", run.task_id.clone()),
+                ("cause", run.root_cause.clone()),
+            ];
+            match &run.outcome {
+                RecoveryOutcome::Recovered => {
+                    attrs.extend(run.mttr().map(|m| ("mttr_ms", m.as_millis().to_string())));
+                }
+                RecoveryOutcome::Escalated { reason } => attrs.push(("reason", reason.clone())),
+            }
+            attrs
+        });
         match &run.outcome {
             RecoveryOutcome::Recovered => {
                 self.metrics.recovered.incr();
                 if let Some(mttr) = run.mttr() {
-                    outcome_event.attr("mttr_ms", mttr.as_millis());
                     self.metrics.mttr_us.record(mttr.as_micros());
                 }
             }
-            RecoveryOutcome::Escalated { reason } => {
-                self.metrics.escalated.incr();
-                outcome_event.attr("reason", reason);
-            }
+            RecoveryOutcome::Escalated { .. } => self.metrics.escalated.incr(),
         }
     }
 
