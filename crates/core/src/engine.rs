@@ -348,11 +348,11 @@ impl PodEngine {
     /// writes no storage, so the stored order is line, conformance line,
     /// assertion line.
     fn handle_pipeline_output(&mut self, out: PipelineOutput) {
-        let (mut timer, mut event, mut assertion) = (None, None, None);
+        let (mut timer, mut event, mut assertion) = (None, None, false);
         for trigger in out.triggers {
             match trigger {
                 Trigger::Conformance(line) => event = Some(line),
-                Trigger::Assertion { activity } => assertion = Some(activity),
+                Trigger::Assertion => assertion = true,
                 start_or_stop => timer = Some(start_or_stop),
             }
         }
@@ -370,8 +370,8 @@ impl PodEngine {
             self.storage.append_line(Arc::clone(&line));
         }
         self.on_conformance(&line);
-        if let Some(activity) = assertion {
-            self.on_assertion(&activity, &line);
+        if assertion {
+            self.on_assertion(&line);
         }
     }
 
@@ -482,9 +482,11 @@ impl PodEngine {
     // Assertions
     // -----------------------------------------------------------------
 
-    /// Evaluates `activity`'s post-step assertions on the line that ended
-    /// it; each result record shares the line for its context.
-    fn on_assertion(&mut self, activity: &str, line: &Arc<StoredLine>) {
+    /// Evaluates the post-step assertions of the step `line` ended; each
+    /// result record shares the line for its context.
+    fn on_assertion(&mut self, line: &Arc<StoredLine>) {
+        // The annotator raises an assertion only on a line it named a step.
+        let Some(activity) = line.step() else { return };
         if let Some(done) = line.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
@@ -595,8 +597,12 @@ impl PodEngine {
     fn diagnose(&mut self, index: usize) {
         let obs = self.cloud.obs().clone();
         let detection = &self.summary.detections[index];
-        let key = detection.key.clone();
-        let dispatch = obs.event(detection.event, "diagnosis.dispatch", key, Vec::new);
+        let dispatch = obs.event(
+            detection.event,
+            "diagnosis.dispatch",
+            &detection.key,
+            Vec::new,
+        );
         // Fault-tree tests, causes and the verdict chain under the dispatch
         // event.
         let report = {

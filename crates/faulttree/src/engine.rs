@@ -407,7 +407,7 @@ impl Walk<'_> {
                             self.engine.api.cloud().obs().event(
                                 test_event,
                                 "diagnosis.cause",
-                                node.id.clone(),
+                                &node.id,
                                 || vec![("description", description.to_string())],
                             );
                             self.report.root_causes.push(DiagnosedCause {

@@ -662,9 +662,10 @@ impl Gateway {
             .collect()
     }
 
-    /// Point-in-time statistics.
+    /// Point-in-time statistics, read from the gateway's own metric
+    /// handles.
     pub fn stats(&self) -> GatewayStats {
-        let snapshot = self.obs.snapshot();
+        let m = &self.metrics;
         GatewayStats {
             shards: self
                 .shards
@@ -674,25 +675,22 @@ impl Gateway {
                     shard: i,
                     ops: s.ops,
                     lines: s.lines,
-                    shed: snapshot.counter(&format!("gateway.shard.{i}.shed")),
+                    shed: s.shed_counter.get(),
                     batches: s.batches,
-                    queue_wait_us: snapshot
-                        .histogram(&format!("gateway.shard.{i}.queue_wait_us"))
-                        .filter(|h| h.count > 0)
-                        .cloned(),
+                    queue_wait_us: Some(s.queue_wait.snapshot()).filter(|h| h.count > 0),
                 })
                 .collect(),
-            lines_submitted: snapshot.counter("gateway.lines.submitted"),
-            lines_processed: snapshot.counter("gateway.lines.processed"),
-            shed_oldest: snapshot.counter("gateway.shed.oldest"),
-            shed_newest: snapshot.counter("gateway.shed.newest"),
-            blocked: snapshot.counter("gateway.backpressure.blocked"),
-            deferred: snapshot.counter("gateway.deferred"),
-            admission_denied: snapshot.counter("gateway.admission.denied"),
-            batches: snapshot.counter("gateway.batches"),
-            parsed_json: snapshot.counter("gateway.parse.json"),
-            parsed_plain: snapshot.counter("gateway.parse.plain"),
-            unclassified: snapshot.counter("gateway.parse.unclassified"),
+            lines_submitted: m.submitted.get(),
+            lines_processed: m.processed.get(),
+            shed_oldest: m.shed_oldest.get(),
+            shed_newest: m.shed_newest.get(),
+            blocked: m.blocked.get(),
+            deferred: m.deferred.get(),
+            admission_denied: m.admission_denied.get(),
+            batches: m.batches.get(),
+            parsed_json: m.parse_json.get(),
+            parsed_plain: m.parse_plain.get(),
+            unclassified: m.parse_unclassified.get(),
             virtual_elapsed: self.clock.now().duration_since(SimTime::ZERO),
         }
     }

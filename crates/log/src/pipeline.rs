@@ -27,12 +27,9 @@ pub enum Trigger {
     /// Send the line to the conformance-checking service. This is the line
     /// itself, not a copy: the stage that raised it has handed it on.
     Conformance(LogEvent),
-    /// Evaluate the post-step assertion for `activity`, on the line of the
-    /// same output's [`Trigger::Conformance`].
-    Assertion {
-        /// The activity whose post-conditions should be checked.
-        activity: String,
-    },
+    /// Evaluate the post-step assertion for the step named by the line of
+    /// the same output's [`Trigger::Conformance`], on that line.
+    Assertion,
     /// Start the per-process periodic timer (operation began).
     PeriodicStart {
         /// The process instance the timer belongs to.
@@ -286,9 +283,7 @@ impl Stage for ProcessAnnotator {
                 triggers: vec![Trigger::Conformance(event)],
             };
         };
-        let assertion = (m.boundary == Boundary::End).then(|| Trigger::Assertion {
-            activity: m.activity.clone(),
-        });
+        let assertion = (m.boundary == Boundary::End).then_some(Trigger::Assertion);
         let mut ctx = ProcessContext::new(
             Arc::clone(&self.process_id),
             Arc::clone(&self.process_instance_id),
@@ -426,10 +421,7 @@ mod tests {
             e.fields.iter().filter(|(k, _)| k == "instanceid").count(),
             1
         );
-        assert!(matches!(
-            &out.triggers[1],
-            Trigger::Assertion { activity } if activity == "new-instance-ready"
-        ));
+        assert_eq!(out.triggers[1], Trigger::Assertion);
     }
 
     #[test]

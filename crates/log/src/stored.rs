@@ -4,12 +4,12 @@
 //! every tag, field key and value, plus its context's strings. Most of that
 //! repeats what the line already holds: a capture is a substring of
 //! `@message`, the process and trace ids are the same for every line of an
-//! execution, the step is one of the rule book's names, and the annotator
-//! mirrors the context into two tags and two fields. A [`StoredLine`] keeps
-//! the message and every other string it does not already contain in one
-//! text buffer, with a table of where each string sits; it shares the ids
-//! and the step, leaves the mirrors out, and renders the same event when
-//! read.
+//! execution, and the step is one of the rule book's names. A
+//! [`StoredLine`] shares the ids and the step, moves the message into one
+//! text buffer, and keeps every other part of the event, in order, as a
+//! span: into a shared string it equals, into the message or a shared
+//! string that holds it if it is a value, and else into the text, where it
+//! is appended. Read back in order, the parts render the same event.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -54,15 +54,15 @@ pub struct StoredLine {
     severity: Severity,
     /// Whether the last span is the cloud instance the context names.
     cloud_instance: bool,
-    /// `@message`, then each other part found neither in the message nor
-    /// in the trace id.
+    /// `@message`, then each other part that is in no shared string nor,
+    /// for a value, in the message.
     text: Box<str>,
-    /// Where each part sits, in order: the message, the source, the host
-    /// and the type, the kept tags, each kept field's key and value, and
-    /// last the cloud instance. A span addresses the trace id followed by
-    /// `text`.
+    /// Where each part sits, in the event's order: the message, the
+    /// source, the host and the type, the tags, each field's key and value,
+    /// and last the cloud instance. A span addresses the trace id, the
+    /// process id and the step, followed by `text`.
     spans: Spans,
-    /// How many kept tags follow the first four spans.
+    /// How many tags follow the first four spans.
     tags: usize,
     context: Option<StoredContext>,
 }
@@ -73,21 +73,23 @@ struct StoredContext {
     process_id: Arc<str>,
     process_instance_id: Arc<str>,
     step: Option<Arc<str>>,
-    /// Where the line held the tags and fields that mirror the context, by
-    /// their index in the rendered list: the process-id tag, the step tag,
-    /// the `processinsid` field and the `instanceid` field. `None` for a
-    /// mirror the line does not hold (or holds past index `u16::MAX`, and
-    /// then keeps as an ordinary tag or field).
-    mirrors: [Option<u16>; 4],
 }
 
-const PROCESS_TAG: usize = 0;
-const STEP_TAG: usize = 1;
-const TRACE_FIELD: usize = 2;
-const INSTANCE_FIELD: usize = 3;
+/// The strings a span addresses before the text, in order: the trace id,
+/// the process id and the step, each empty when the line lacks it.
+fn shared(context: Option<&StoredContext>) -> [&str; 3] {
+    context.map_or([""; 3], |ctx| {
+        [
+            &ctx.process_instance_id,
+            &ctx.process_id,
+            ctx.step.as_deref().unwrap_or_default(),
+        ]
+    })
+}
 
-/// The span table, `[start, end)` per part: narrow while the trace id and
-/// the line's strings take less than 64 KiB, as every operation line's do.
+/// The span table, `[start, end)` per part: narrow while the shared
+/// strings and the line's text take less than 64 KiB, as every operation
+/// line's do.
 #[derive(Debug)]
 enum Spans {
     Narrow(Box<[[u16; 2]]>),
@@ -111,10 +113,10 @@ impl Spans {
 }
 
 impl StoredLine {
-    /// Stores `event`: its message moves into the text buffer, which takes
-    /// each other string found neither in the message nor in the trace id;
-    /// the mirrors of its context are left out and its step is `rules`' own
-    /// copy of the name, when `rules` knows it.
+    /// Stores `event`: its message moves into the text buffer, its step is
+    /// `rules`' own copy of the name when `rules` knows it, and each other
+    /// part becomes a span into the shared strings, the message or the
+    /// text.
     pub fn new(event: LogEvent, rules: &RuleBook) -> StoredLine {
         let LogEvent {
             timestamp,
@@ -127,71 +129,57 @@ impl StoredLine {
             severity,
             context,
         } = event;
-        let mirrors = context
-            .as_ref()
-            .map_or([None; 4], |ctx| find_mirrors(ctx, &tags, &fields));
-        let kept = |at: usize, i: usize| mirrors[at].map(usize::from) != Some(i);
-        let kept_tags = tags
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| kept(PROCESS_TAG, i) && kept(STEP_TAG, i))
-            .map(|(_, tag)| (tag.as_str(), NAME));
-        let kept_fields = fields
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| kept(TRACE_FIELD, i) && kept(INSTANCE_FIELD, i))
-            .flat_map(|(_, (key, value))| [(key.as_str(), NAME), (value.as_str(), VALUE)]);
-        let elided = |of: Range<usize>| mirrors[of].iter().flatten().count();
-        let tag_count = tags.len() - elided(PROCESS_TAG..STEP_TAG + 1);
-        let field_count = fields.len() - elided(TRACE_FIELD..INSTANCE_FIELD + 1);
-        let instance = context
-            .as_ref()
-            .and_then(|c| c.cloud_instance_id.as_deref());
-        let head = [&source, &source_host, &event_type].map(|name| (name.as_str(), NAME));
-        let parts = head
+        let (context, instance) = context.map_or((None, None), |ctx| {
+            let step = ctx.step_id.map(|step| match rules.step(&step) {
+                Some(shared) => Arc::clone(shared),
+                None => Arc::from(step),
+            });
+            let context = StoredContext {
+                process_id: ctx.process_id,
+                process_instance_id: ctx.process_instance_id,
+                step,
+            };
+            (Some(context), ctx.cloud_instance_id)
+        });
+        let names = [&source, &source_host, &event_type]
             .into_iter()
-            .chain(kept_tags)
-            .chain(kept_fields)
-            .chain(instance.map(|id| (id, VALUE)));
-        let part_count = 3 + tag_count + 2 * field_count + usize::from(instance.is_some());
-        let trace = context.as_ref().map_or("", |c| &c.process_instance_id);
+            .chain(&tags)
+            .map(|name| (name.as_str(), NAME));
+        let fields_parts = fields
+            .iter()
+            .flat_map(|(key, value)| [(key.as_str(), NAME), (value.as_str(), VALUE)]);
+        let parts = names
+            .chain(fields_parts)
+            .chain(instance.as_deref().map(|id| (id, VALUE)));
+        let part_count = 3 + tags.len() + 2 * fields.len() + usize::from(instance.is_some());
         let bytes = parts.clone().map(|(part, _)| part.len()).sum();
-        let mut packer = Packer::new(message, trace, bytes);
+        let mut packer = Packer::new(message, shared(context.as_ref()), bytes);
         let spans = if u16::try_from(packer.bound).is_ok() {
             Spans::Narrow(packer.pack(parts, part_count, |at| at as u16))
         } else {
             Spans::Wide(packer.pack(parts, part_count, |at| at))
         };
-        let text = packer.text.into_boxed_str();
-        let cloud_instance = instance.is_some();
-        let context = context.map(|ctx| StoredContext {
-            step: ctx.step_id.as_deref().map(|step| match rules.step(step) {
-                Some(shared) => Arc::clone(shared),
-                None => Arc::from(step),
-            }),
-            process_id: ctx.process_id,
-            process_instance_id: ctx.process_instance_id,
-            mirrors,
-        });
         StoredLine {
             timestamp,
             severity,
-            cloud_instance,
-            text,
+            cloud_instance: instance.is_some(),
+            text: packer.text.into_boxed_str(),
             spans,
-            tags: tag_count,
+            tags: tags.len(),
             context,
         }
     }
 
     /// The `i`-th part of the span table.
     fn part(&self, i: usize) -> &str {
-        let span = self.spans.get(i);
-        let trace = self.context.as_ref().map_or("", |c| &c.process_instance_id);
-        match span.start.checked_sub(trace.len()) {
-            Some(at) => &self.text[at..at + span.len()],
-            None => &trace[span],
+        let mut span = self.spans.get(i);
+        for shared in shared(self.context.as_ref()) {
+            if span.end <= shared.len() {
+                return &shared[span];
+            }
+            span = span.start - shared.len()..span.end - shared.len();
         }
+        &self.text[span]
     }
 
     /// The original log line (`@message`).
@@ -230,45 +218,12 @@ impl StoredLine {
         })
     }
 
-    /// The rendered tags, in order: the kept ones with the mirrored ones
-    /// put back where they sat.
-    fn tags(&self) -> impl Iterator<Item = &str> {
-        let kept = (4..4 + self.tags).map(|i| self.part(i));
-        let mirrored = match &self.context {
-            Some(ctx) => [
-                (ctx.mirrors[PROCESS_TAG], &*ctx.process_id),
-                (
-                    ctx.mirrors[STEP_TAG],
-                    ctx.step.as_deref().unwrap_or_default(),
-                ),
-            ],
-            None => [(None, ""); 2],
-        };
-        restore(kept, mirrored)
-    }
-
-    /// The rendered fields, in order: the kept ones with the mirrored ones
-    /// put back where they sat.
+    /// The fields, in order.
     fn fields(&self) -> impl Iterator<Item = (&str, &str)> {
-        let cloud_instance = self.cloud_instance();
-        let end = self.spans.len() - usize::from(cloud_instance.is_some());
-        let kept = (4 + self.tags..end)
+        let end = self.spans.len() - usize::from(self.cloud_instance);
+        (4 + self.tags..end)
             .step_by(2)
-            .map(|i| (self.part(i), self.part(i + 1)));
-        let mirrored = match &self.context {
-            Some(ctx) => [
-                (
-                    ctx.mirrors[TRACE_FIELD],
-                    ("processinsid", &*ctx.process_instance_id),
-                ),
-                (
-                    ctx.mirrors[INSTANCE_FIELD],
-                    ("instanceid", cloud_instance.unwrap_or_default()),
-                ),
-            ],
-            None => [(None, ("", "")); 2],
-        };
-        restore(kept, mirrored)
+            .map(|i| (self.part(i), self.part(i + 1)))
     }
 }
 
@@ -279,7 +234,9 @@ impl LogRecord for StoredLine {
             source: self.part(1).to_string(),
             source_host: self.part(2).to_string(),
             event_type: self.part(3).to_string(),
-            tags: self.tags().map(str::to_string).collect(),
+            tags: (4..4 + self.tags)
+                .map(|i| self.part(i).to_string())
+                .collect(),
             fields: self
                 .fields()
                 .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -309,73 +266,34 @@ impl CauseRoot for StoredLine {
     }
 }
 
-/// Where `tags` and `fields` hold the mirrors of `ctx` that
-/// [`LogEvent::with_context`] writes, each by the index of one element
-/// equal to it (so leaving it out and putting it back there renders the
-/// same lists, whoever wrote them).
-fn find_mirrors(
-    ctx: &ProcessContext,
-    tags: &[String],
-    fields: &[(String, String)],
-) -> [Option<u16>; 4] {
-    let process = tags.iter().position(|t| **t == *ctx.process_id);
-    let step = ctx
-        .step_id
-        .as_deref()
-        .and_then(|step| (0..tags.len()).find(|&i| Some(i) != process && tags[i] == step));
-    let field = |key: &str, value: &str| fields.iter().position(|(k, v)| k == key && v == value);
-    let trace = field("processinsid", &ctx.process_instance_id);
-    let instance = ctx
-        .cloud_instance_id
-        .as_deref()
-        .and_then(|id| field("instanceid", id));
-    [process, step, trace, instance].map(|i| i.and_then(|i| u16::try_from(i).ok()))
-}
-
-/// `kept`, with each `(index, item)` of `restored` put back at its index.
-fn restore<T: Copy>(
-    mut kept: impl Iterator<Item = T>,
-    restored: [(Option<u16>, T); 2],
-) -> impl Iterator<Item = T> {
-    let mut at = 0;
-    std::iter::from_fn(move || {
-        let here = restored
-            .iter()
-            .find(|(index, _)| index.map(usize::from) == Some(at));
-        at += 1;
-        match here {
-            Some(&(_, item)) => Some(item),
-            None => kept.next(),
-        }
-    })
-}
-
-/// A part is a name (source, host, type, tag, field key), appended, or a
-/// value (field value, cloud instance), which a capture or the trace id
-/// usually repeats, so it is looked for there first.
+/// A part is a name (source, host, type, tag, field key), which at most
+/// equals a shared string, or a value (field value, cloud instance), which
+/// a capture or a shared string usually holds, so it is looked for there.
 const NAME: bool = false;
 const VALUE: bool = true;
 
 /// Builds a line's text and spans: the message moved to the front of the
-/// text, each value a span into the message or the trace id where either
-/// holds it, each other part appended.
+/// text, each part a span into a shared string it equals or else, for a
+/// value, into the message or a shared string that holds it, each other
+/// part appended.
 struct Packer<'a> {
     text: String,
     message: usize,
-    trace: &'a str,
+    shared: [&'a str; 3],
     /// The largest position a span can hold.
     bound: usize,
 }
 
 impl<'a> Packer<'a> {
     /// A packer whose parts take at most `parts` bytes.
-    fn new(mut message: String, trace: &'a str, parts: usize) -> Packer<'a> {
+    fn new(mut message: String, shared: [&'a str; 3], parts: usize) -> Packer<'a> {
         message.reserve_exact(parts);
+        let base = shared.iter().map(|s| s.len()).sum::<usize>();
         Packer {
             message: message.len(),
-            bound: trace.len() + message.len() + parts,
+            bound: base + message.len() + parts,
             text: message,
-            trace,
+            shared,
         }
     }
 
@@ -387,21 +305,34 @@ impl<'a> Packer<'a> {
         count: usize,
         at: impl Fn(usize) -> P,
     ) -> Box<[[P; 2]]> {
-        let t = self.trace.len();
+        let base = self.shared.iter().map(|s| s.len()).sum::<usize>();
         let mut spans = Vec::with_capacity(1 + count);
-        spans.push([at(t), at(t + self.message)]);
+        spans.push([at(base), at(base + self.message)]);
         for (part, value) in parts {
-            let found = value.then(|| {
-                let message = find(&self.text[..self.message], part).map(|i| t + i);
-                message.or_else(|| find(self.trace, part))
-            });
-            let start = found.flatten().unwrap_or_else(|| {
+            // Equality first: it settles the context's tags and the trace
+            // id in `processinsid` without a scan of the message.
+            let mut found = self.find_shared(|shared| (shared == part).then_some(0));
+            if found.is_none() && value {
+                found = find(&self.text[..self.message], part)
+                    .map(|i| base + i)
+                    .or_else(|| self.find_shared(|shared| find(shared, part)));
+            }
+            let start = found.unwrap_or_else(|| {
                 self.text.push_str(part);
-                t + self.text.len() - part.len()
+                base + self.text.len() - part.len()
             });
             spans.push([at(start), at(start + part.len())]);
         }
         spans.into_boxed_slice()
+    }
+
+    /// Where `found` first finds its part in the shared strings.
+    fn find_shared(&self, found: impl Fn(&str) -> Option<usize>) -> Option<usize> {
+        let mut end = 0;
+        self.shared.iter().find_map(|shared| {
+            end += shared.len();
+            found(shared).map(|i| end - shared.len() + i)
+        })
     }
 }
 
@@ -480,9 +411,21 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_past_index_u16_max_are_kept_as_they_are() {
-        let line = renders_back(&annotated("Instance i-7 is ready", 70_000));
-        let mirrors = line.context.as_ref().map(|c| c.mirrors);
-        assert_eq!(mirrors, Some([None, None, Some(2), Some(3)]));
+    fn the_context_tags_and_the_trace_id_cost_no_text() {
+        let message = "Instance i-7 is ready";
+        let event = annotated(message, 2);
+        assert_eq!(event.tags, ["t0", "t1", "rolling-upgrade", "ready"]);
+        let line = renders_back(&event);
+        // The tags naming the process and the step, and the trace id in
+        // `taskid` and `processinsid`, are spans into the shared strings;
+        // `i-7` is one into the message. The rest is text.
+        let text = [message, "asgard.log", "sim.local", "operation", "t0", "t1"].concat()
+            + "taskid"
+            + "done"
+            + "3"
+            + "processinsid"
+            + "instanceid";
+        assert_eq!(line.text.len(), text.len());
+        assert_eq!(&*line.text, text);
     }
 }

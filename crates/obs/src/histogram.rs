@@ -144,7 +144,7 @@ impl Histogram {
     }
 
     /// Copies the current state.
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+    pub fn snapshot(&self) -> HistogramSnapshot {
         self.0.state.lock().clone()
     }
 }

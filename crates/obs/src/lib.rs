@@ -75,7 +75,7 @@ pub use flight::{
 };
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot, EXEMPLAR_CAP, TAIL_QUANTILES};
 pub use metrics::{Counter, Gauge, Registry, Snapshot};
-pub use obs::{Obs, TelemetryMode};
+pub use obs::{EventName, Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, TailSampler};
 pub use timeline::{incident_count, incidents, render_timelines, IncidentChain};

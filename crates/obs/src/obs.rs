@@ -11,6 +11,26 @@ use crate::event::{CauseRoot, CauseScope, EventId, EventLog, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 
+/// A causal event's name as [`Obs::event`] takes it: converted only once
+/// the event is recorded, so a borrowed `&String` is copied then and never
+/// under [`TelemetryMode::Off`], and a `&'static str` stays borrowed.
+pub trait EventName {
+    /// The name as the record keeps it.
+    fn into_name(self) -> Cow<'static, str>;
+}
+
+impl EventName for &'static str {
+    fn into_name(self) -> Cow<'static, str> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl EventName for &String {
+    fn into_name(self) -> Cow<'static, str> {
+        Cow::Owned(self.clone())
+    }
+}
+
 /// How much telemetry an [`Obs`] context records.
 ///
 /// Metrics (counters, gauges, histograms) are always on — they are cheap,
@@ -125,18 +145,18 @@ impl Obs {
     /// when `None`, correlated with the innermost open span, with the
     /// attributes `attrs` builds landing in the same lock. When the mode is
     /// [`TelemetryMode::Off`] it records nothing, never calls `attrs` and
-    /// returns `None`.
+    /// returns `None`; nor does it copy `name` (see [`EventName`]).
     pub fn event(
         &self,
         parent: Option<EventId>,
         kind: &'static str,
-        name: impl Into<Cow<'static, str>>,
+        name: impl EventName,
         attrs: impl FnOnce() -> Vec<(&'static str, String)>,
     ) -> Option<EventId> {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.events.emit(parent, kind, name.into(), attrs()))
+        Some(self.events.emit(parent, kind, name.into_name(), attrs()))
     }
 
     /// Opens a *pending* cause scope: a root event of `kind` that shares
@@ -256,6 +276,15 @@ mod tests {
         assert!(obs.events().records().is_empty());
     }
 
+    /// A name that fails the test if it is ever converted.
+    struct Unnamed;
+
+    impl EventName for Unnamed {
+        fn into_name(self) -> Cow<'static, str> {
+            panic!("Off converts no name")
+        }
+    }
+
     #[test]
     fn off_mode_disables_traces_but_not_metrics() {
         let obs = Obs::detached();
@@ -270,11 +299,11 @@ mod tests {
             test.attr("k", "v");
             assert_eq!(test.id(), None);
             let never = || -> Vec<(&'static str, String)> { panic!("Off builds no attributes") };
-            let ev = obs.event(None, "detection", "x", never);
+            let ev = obs.event(None, "detection", Unnamed, never);
             assert_eq!(ev, None, "Off hands out no id");
             let _scope = obs.events().scope(ev);
             assert_eq!(obs.events().current_cause(), None);
-            obs.event(ev, "diagnosis.cause", "y", never);
+            obs.event(ev, "diagnosis.cause", Unnamed, never);
         }
         assert!(obs.events().records().is_empty());
         obs.counter("c").incr();

@@ -262,8 +262,7 @@ impl RecoveryExecutor {
         let obs = self.api.cloud().obs().clone();
         self.metrics.runs.incr();
         let started_at = self.now();
-        let cause = req.root_cause.clone();
-        let start_event = obs.event(req.parent_event, "recovery.start", cause, || {
+        let start_event = obs.event(req.parent_event, "recovery.start", &req.root_cause, || {
             vec![("task", req.task_id.clone())]
         });
         // Everything the run does — repair calls, consistent-layer
@@ -318,7 +317,7 @@ impl RecoveryExecutor {
                     plan.steps.len()
                 ),
             );
-            obs.event(None, "recovery.plan", plan.id.clone(), || {
+            obs.event(None, "recovery.plan", &plan.id, || {
                 vec![("steps", plan.steps.len().to_string())]
             });
 
@@ -335,7 +334,7 @@ impl RecoveryExecutor {
                     let verify_started = self.now();
                     let failing = self.verify(&plan, &req.env, patient);
                     run.phases.verification += self.now().duration_since(verify_started);
-                    obs.event(None, "recovery.verify", plan.id.clone(), || {
+                    obs.event(None, "recovery.verify", &plan.id, || {
                         vec![
                             ("checked", plan.verify.len().to_string()),
                             ("failing", failing.len().to_string()),
@@ -492,7 +491,7 @@ impl RecoveryExecutor {
             };
             self.metrics.steps_applied.incr();
             let obs = self.api.cloud().obs();
-            obs.event(None, "recovery.step", name.clone(), || {
+            obs.event(None, "recovery.step", &name, || {
                 vec![
                     ("plan", plan.id.clone()),
                     ("attempts", attempts.to_string()),

@@ -33,12 +33,11 @@
 //!
 //! Before central storage kept each annotated line as one compact record
 //! (its message and the strings it does not already hold in one buffer,
-//! with a span table; the process and trace ids and the step shared, the
-//! context's mirrored tags and fields left out) and assertion records
-//! shared their line's context instead of copying it, the replay left
-//! 43.9 kB per tenant and cost 100.5 allocations per line, in release and
-//! debug builds alike; the bound is 27 kB, near what the compact lines
-//! reach (26.3 kB, at 93.1 allocations per line).
+//! with a span table; the process and trace ids and the step shared) and
+//! assertion records shared their line's context instead of copying it,
+//! the replay left 43.9 kB per tenant and cost 100.5 allocations per
+//! line, in release and debug builds alike; the bound is 27 kB, near what
+//! the compact lines reach (26.3 kB, at 93.1 allocations per line).
 //!
 //! Phase A, collecting the feed (`collect_streams`: every tenant's upgrade
 //! run on its own simulated cloud), is counted the same way, after a
