@@ -226,9 +226,9 @@ impl ConsistentApi {
         self.cloud
             .obs()
             .event(None, "consistent.retry", outcome, || {
-                vec![
-                    ("attempts", attempts.to_string()),
-                    ("elapsed_ms", elapsed.as_millis().to_string()),
+                [
+                    ("attempts", attempts.into()),
+                    ("elapsed_ms", elapsed.as_millis().into()),
                 ]
             });
     }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use pod_log::{LogEvent, LogRecord, LogStorage, ProcessContext, Severity, StoredLine};
-use pod_obs::Counter;
+use pod_obs::{Counter, EventAttrs};
 use pod_sim::{SimDuration, SimTime};
 
 use crate::assertion::{AssertionOutcome, CloudAssertion};
@@ -60,6 +60,25 @@ impl AssertionContext {
         match self {
             AssertionContext::Line(line) => line.context(),
             AssertionContext::Process(ctx) => Some(ProcessContext::clone(ctx)),
+        }
+    }
+}
+
+/// A failed evaluation's `assertion.result` attributes: the trigger, the
+/// outcome and, when the context names one, the step, read from the
+/// context the record shares.
+#[derive(Debug)]
+struct FailedAttrs {
+    trigger: &'static str,
+    context: Option<AssertionContext>,
+}
+
+impl EventAttrs for FailedAttrs {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        out.push(("trigger", self.trigger.to_string()));
+        out.push(("outcome", "failed".to_string()));
+        if let Some(step) = self.context.as_ref().and_then(AssertionContext::step) {
+            out.push(("step", step.to_string()));
         }
     }
 }
@@ -159,15 +178,9 @@ impl AssertionEvaluator {
         // passes outnumber failures ten to one, so the healthy path stays
         // allocation-free.
         let event = if outcome.is_failure() {
-            let event = obs.event(None, "assertion.result", assertion.key(), || {
-                let mut attrs = vec![
-                    ("trigger", trigger.tag().to_string()),
-                    ("outcome", "failed".to_string()),
-                ];
-                if let Some(step) = context.as_ref().and_then(AssertionContext::step) {
-                    attrs.push(("step", step.to_string()));
-                }
-                attrs
+            let event = obs.event(None, "assertion.result", assertion.key(), || FailedAttrs {
+                trigger: trigger.tag(),
+                context: context.clone(),
             });
             if let Some(id) = event {
                 obs.events().backdate(id, started_at);

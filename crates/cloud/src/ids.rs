@@ -31,6 +31,13 @@ macro_rules! name_type {
                 f.write_str(&self.0)
             }
         }
+
+        /// A span attribute shares the id's string.
+        impl From<&$name> for pod_obs::AttrValue {
+            fn from(id: &$name) -> pod_obs::AttrValue {
+                pod_obs::AttrValue::Shared(Arc::clone(&id.0))
+            }
+        }
     };
 }
 

@@ -1,5 +1,7 @@
 //! Detections: what the engine reports to the operator.
 
+use std::sync::Arc;
+
 use pod_cloud::InstanceId;
 use pod_faulttree::DiagnosisReport;
 use pod_sim::SimTime;
@@ -53,10 +55,12 @@ pub struct Detection {
     pub at: SimTime,
     /// The detecting mechanism.
     pub source: DetectionSource,
-    /// Human-readable description (assertion text or offending log line).
-    pub description: String,
-    /// The process step the error is associated with, if known.
-    pub step: Option<String>,
+    /// Human-readable description (assertion text or offending log line),
+    /// shared with the detection's causal event.
+    pub description: Arc<str>,
+    /// The process step the error is associated with, if known; shared
+    /// with the line that named it and the detection's causal event.
+    pub step: Option<Arc<str>>,
     /// The assertion key that selects the fault tree for this detection
     /// (the master-tree key when the detection did not name an assertion).
     pub key: String,

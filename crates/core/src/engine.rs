@@ -17,7 +17,7 @@ use pod_log::{
     LogEvent, LogRecord, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
     ProcessContext, Severity, StoredLine, TimerSetter, Trigger,
 };
-use pod_obs::{Counter, Exemplar, Histogram, Obs};
+use pod_obs::{Counter, EventAttrs, Exemplar, Histogram, Obs, PendingRoot};
 use pod_process::{Conformance, ConformanceChecker, Unfit};
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
@@ -331,12 +331,13 @@ impl PodEngine {
         self.fire_due_timers();
     }
 
-    /// Applies one line's pipeline output. Triggers run scoped under the
-    /// line's *pending* `log.line` causal root, so conformance verdicts,
-    /// assertion results and timer arming all chain back to the line that
-    /// caused them. The root only materialises in the event ring when
-    /// something actually emits under it — healthy lines (fit verdicts,
-    /// passing assertions) record nothing.
+    /// Applies one line's pipeline output. Its triggers are handed the
+    /// line's *pending* `log.line` causal root as a value, so conformance
+    /// verdicts, assertion results and timer arming all chain back to the
+    /// line that caused them. The root only materialises in the event ring
+    /// when one of them cites it — healthy lines (fit verdicts, passing
+    /// assertions) record nothing, and a line takes no lock of the event
+    /// log until then.
     ///
     /// The annotated line arrives in its conformance trigger and becomes
     /// its [`StoredLine`] once, wrapped in an `Arc`: the pending root is
@@ -360,18 +361,18 @@ impl PodEngine {
         // it: an output without its conformance trigger raised nothing.
         let Some(event) = event else { return };
         let line = Arc::new(StoredLine::new(event, &self.pod.config.rules));
-        let _scope = self.cloud.obs().scope_cause("log.line", line.clone());
+        let mut root = self.cloud.obs().pending_root("log.line", &line);
         match timer {
-            Some(Trigger::PeriodicStart { .. }) => self.on_operation_start(),
+            Some(Trigger::PeriodicStart { .. }) => self.on_operation_start(&mut root),
             Some(Trigger::PeriodicStop { .. }) => self.on_operation_end(),
             _ => {}
         }
         if line.is_annotated() {
             self.storage.append_line(Arc::clone(&line));
         }
-        self.on_conformance(&line);
+        self.on_conformance(&line, &mut root);
         if assertion {
-            self.on_assertion(&line);
+            self.on_assertion(&line, root);
         }
     }
 
@@ -381,7 +382,8 @@ impl PodEngine {
         self.fire_due_timers();
     }
 
-    /// Finalises the run and returns the summary. Pending dispatched
+    /// Finalises the run and hands out the summary, leaving the engine's
+    /// empty: nothing reads an engine after it finished. Pending dispatched
     /// diagnoses are executed before returning.
     pub fn finish(&mut self) -> RunSummary {
         self.on_operation_end();
@@ -391,23 +393,24 @@ impl PodEngine {
             .advance(DIAGNOSIS_DISPATCH_DELAY + SimDuration::from_millis(1));
         self.fire_due_timers();
         self.summary.trace_complete = self.conformance.is_complete(&self.trace_id);
-        self.summary.clone()
+        std::mem::take(&mut self.summary)
     }
 
     // -----------------------------------------------------------------
     // Conformance
     // -----------------------------------------------------------------
 
-    fn on_conformance(&mut self, line: &Arc<StoredLine>) {
+    fn on_conformance(&mut self, line: &Arc<StoredLine>, root: &mut PendingRoot) {
         let replay_started = self.cloud.clock().now();
         self.cloud.clock().advance(CONFORMANCE_LATENCY);
         self.summary.conformance_events += 1;
         let activity = line.step();
+        let cause = || root.resolve();
         let verdict = match activity {
-            Some(act) => self.conformance.replay(&self.trace_id, act),
+            Some(act) => self.conformance.replay_under(&self.trace_id, act, cause),
             None => {
                 let known = self.pod.known_errors.first_match(line.message()).is_some();
-                self.conformance.record_error(&self.trace_id, known)
+                self.conformance.record_error(&self.trace_id, known, cause)
             }
         };
         // Outcome-conditional tracing: fit replays are counted by the
@@ -426,8 +429,8 @@ impl PodEngine {
                 at: replay_done,
                 event: self.conformance.last_verdict_event().map(|id| id.get()),
                 labels: vec![
-                    ("op".to_string(), self.trace_id.to_string()),
-                    ("verdict".to_string(), verdict.tag().to_string()),
+                    ("op", self.trace_id.to_string()),
+                    ("verdict", verdict.tag().to_string()),
                 ],
             });
         self.log_conformance(line, &verdict);
@@ -439,9 +442,10 @@ impl PodEngine {
                 _ => DetectionSource::ConformanceUnclassified,
             };
             let instance = extract_instance(line);
-            let step = activity
-                .or_else(|| self.conformance.last_activity(&self.trace_id))
-                .map(str::to_string);
+            let step = line.shared_step().cloned().or_else(|| {
+                let last = self.conformance.last_activity(&self.trace_id);
+                last.map(Arc::from)
+            });
             let description = format!("{} [{}]", line.message(), verdict.tag());
             let cause = self.conformance.last_verdict_event();
             self.detect(source, None, description, step, instance, cause);
@@ -449,7 +453,7 @@ impl PodEngine {
         // Step-timer management from process context.
         if let Some(act) = activity {
             if self.pod.config.wait_activity.as_deref() == Some(act) {
-                self.arm_step_timer();
+                self.arm_step_timer(root);
             }
             if self.pod.config.completion_activity.as_deref() == Some(act) {
                 self.step = None;
@@ -483,10 +487,13 @@ impl PodEngine {
     // -----------------------------------------------------------------
 
     /// Evaluates the post-step assertions of the step `line` ended; each
-    /// result record shares the line for its context.
-    fn on_assertion(&mut self, line: &Arc<StoredLine>) {
+    /// result record shares the line for its context. The evaluations'
+    /// events take no parent of their own, so they run under the line's
+    /// root as their ambient cause.
+    fn on_assertion(&mut self, line: &Arc<StoredLine>, root: PendingRoot) {
         // The annotator raises an assertion only on a line it named a step.
         let Some(activity) = line.step() else { return };
+        let _scope = root.scope();
         if let Some(done) = line.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
@@ -507,7 +514,7 @@ impl PodEngine {
                     DetectionSource::AssertionLog,
                     Some(assertion.key()),
                     format!("assertion failed: {}", record.description),
-                    Some(activity.to_string()),
+                    line.shared_step().cloned(),
                     instance,
                     record.event,
                 );
@@ -526,20 +533,20 @@ impl PodEngine {
     }
 
     /// Arms a timer due at `at`, chained to the line being handled.
-    fn arm(&mut self, at: SimTime) -> Timer {
+    fn arm(&mut self, at: SimTime, root: &mut PendingRoot) -> Timer {
         Timer {
             at,
             armed: self.next_arm(),
-            cause: self.cloud.obs().events().current_cause(),
+            cause: root.resolve(),
         }
     }
 
     /// Arms the periodic check; a second operation-start line re-arms the
     /// one check rather than adding another.
-    fn on_operation_start(&mut self) {
+    fn on_operation_start(&mut self, root: &mut PendingRoot) {
         let now = self.cloud.clock().now();
         self.op_started = Some(now);
-        self.periodic = Some(self.arm(now + PERIODIC_INTERVAL));
+        self.periodic = Some(self.arm(now + PERIODIC_INTERVAL, root));
     }
 
     fn on_operation_end(&mut self) {
@@ -547,8 +554,11 @@ impl PodEngine {
         self.step = None;
     }
 
-    fn arm_step_timer(&mut self) {
-        let timer = self.arm(self.cloud.clock().now() + self.pod.config.step_timeout);
+    fn arm_step_timer(&mut self, root: &mut PendingRoot) {
+        let timer = self.arm(
+            self.cloud.clock().now() + self.pod.config.step_timeout,
+            root,
+        );
         self.step = Some((timer, self.last_done + self.pod.config.batch_size));
     }
 
@@ -645,7 +655,7 @@ impl PodEngine {
                 DetectionSource::AssertionOneOffTimer,
                 Some(assertion.key()),
                 format!("step timeout: {}", record.description),
-                step,
+                step.map(Arc::from),
                 None,
                 record.event,
             );
@@ -715,20 +725,20 @@ impl PodEngine {
         source: DetectionSource,
         assertion_key: Option<&'static str>,
         description: String,
-        step: Option<String>,
+        step: Option<Arc<str>>,
         instance: Option<InstanceId>,
         cause: Option<pod_obs::EventId>,
     ) {
         let at = self.cloud.clock().now();
         self.metrics.detections.incr();
+        let description: Arc<str> = description.into();
         let event = self
             .cloud
             .obs()
-            .event(cause, "detection", source.tag(), || {
-                let mut attrs = vec![("description", description.clone())];
-                attrs.extend(step.iter().map(|step| ("step", step.clone())));
-                attrs.extend(instance.iter().map(|id| ("instance", id.to_string())));
-                attrs
+            .event(cause, "detection", source.tag(), || DetectionAttrs {
+                description: Arc::clone(&description),
+                step: step.clone(),
+                instance: instance.clone(),
             });
         // Assertion failures select the tree for the failed assertion;
         // conformance detections use the master tree.
@@ -770,7 +780,7 @@ impl PodEngine {
             .expect("repository provides the master tree");
         let ctx = DiagnosisContext {
             env: ExpectedEnv::clone(&self.env.snapshot()),
-            step: step.clone(),
+            step: step.as_deref().map(str::to_string),
             instance: instance.clone(),
             operation_started: self.op_started.unwrap_or(SimTime::ZERO),
         };
@@ -796,6 +806,24 @@ impl PodEngine {
             *last = self.cloud.clock().now();
         }
         report
+    }
+}
+
+/// A `detection` event's attributes: the strings its [`Detection`] keeps,
+/// shared, rendered as `description`, then `step` and `instance` when
+/// known.
+#[derive(Debug)]
+struct DetectionAttrs {
+    description: Arc<str>,
+    step: Option<Arc<str>>,
+    instance: Option<InstanceId>,
+}
+
+impl EventAttrs for DetectionAttrs {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        out.push(("description", self.description.to_string()));
+        out.extend(self.step.iter().map(|step| ("step", step.to_string())));
+        out.extend(self.instance.iter().map(|id| ("instance", id.to_string())));
     }
 }
 

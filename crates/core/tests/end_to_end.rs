@@ -325,7 +325,7 @@ fn storage_keeps_the_annotated_line_before_its_conformance_and_assertion_lines()
 /// and with telemetry off nothing is recorded.
 #[test]
 fn only_a_non_fit_line_records_its_log_line_root() {
-    use pod_obs::TelemetryMode;
+    use pod_obs::{EventRecord, TelemetryMode};
 
     let lines = [
         START,
@@ -346,12 +346,28 @@ fn only_a_non_fit_line_records_its_log_line_root() {
         })
     };
     let [started, fit, unfit] = run(TelemetryMode::Full);
-    assert_eq!(fit, started, "a fit line records nothing");
+    // Every field of every record, its attributes rendered.
+    let seen = |records: &[EventRecord]| {
+        let seen = |r: &EventRecord| {
+            (
+                r.id,
+                r.parent,
+                r.span,
+                r.at,
+                r.end,
+                r.kind,
+                r.name.clone(),
+                r.attrs(),
+            )
+        };
+        records.iter().map(seen).collect::<Vec<_>>()
+    };
+    assert_eq!(seen(&fit), seen(&started), "a fit line records nothing");
     let added = &unfit[started.len()..];
     let root = &added[0];
     assert_eq!((root.kind, &*root.name), ("log.line", "asgard.log"));
     assert_eq!(
-        root.attrs,
+        root.attrs(),
         vec![
             ("message", lines[2].to_string()),
             ("step", "terminate-old-instance".to_string())
@@ -360,6 +376,72 @@ fn only_a_non_fit_line_records_its_log_line_root() {
     let verdict = added.iter().find(|r| r.kind == "conformance.verdict");
     assert_eq!(verdict.and_then(|v| v.parent), Some(root.id), "{added:?}");
     assert!(run(TelemetryMode::Off).iter().all(Vec::is_empty));
+}
+
+/// A causal event keeps what it points at and renders its attributes when
+/// read: the line's root, the unfit verdict and the detection render
+/// exactly the `(key, String)` pairs their emitters used to build eagerly,
+/// here rebuilt from the stored line, the net's `Unfit` and the
+/// `Detection`.
+#[test]
+fn rendered_attributes_equal_the_eagerly_built_ones() {
+    use pod_faulttree::steps::{START as STARTED, TERMINATE, UPDATE_LC};
+    use pod_obs::TelemetryMode;
+    use pod_process::{Conformance, ConformanceChecker};
+
+    let lines = [
+        START,
+        "Created launch configuration pm-lc-run-1 with image ami-0a and updated group pm--asg",
+        "Terminated old instance i-0dead",
+    ];
+    let w = build_world(18, 4);
+    let mut config = pod_config();
+    config.bindings = pod_assert::AssertionLibrary::new();
+    let model = config.model.clone();
+    w.cloud.obs().set_mode(TelemetryMode::Full);
+    let mut engine = engine_for(&w, config);
+    for line in lines {
+        engine.ingest(log_line(line));
+    }
+    let records = w.cloud.obs().events().records();
+    let of_kind = |kind| records.iter().filter(move |r| r.kind == kind);
+    let root = of_kind("log.line")
+        .next_back()
+        .expect("the unfit line's root");
+    let step = TERMINATE;
+    let eager_root = vec![
+        ("message", lines[2].to_string()),
+        ("step", step.to_string()),
+    ];
+    assert_eq!(root.attrs(), eager_root);
+
+    let mut checker = ConformanceChecker::new(&model);
+    let steps = [STARTED, UPDATE_LC, step];
+    let Some(Conformance::Unfit(unfit)) = steps.map(|s| checker.replay("t", s)).last().cloned()
+    else {
+        panic!("the third step is unfit")
+    };
+    let mut eager_verdict = vec![("activity", step.to_string())];
+    eager_verdict.push(("expected", unfit.expected.join("|")));
+    if !unfit.skipped.is_empty() {
+        eager_verdict.push(("skipped", unfit.skipped.join("|")));
+    }
+    let verdict = of_kind("conformance.verdict").next().expect("one verdict");
+    assert_eq!(verdict.attrs(), eager_verdict);
+
+    let detection = &engine.detections()[0];
+    let mut eager_detection = vec![("description", detection.description.to_string())];
+    eager_detection.extend(detection.step.iter().map(|s| ("step", s.to_string())));
+    eager_detection.extend(
+        detection
+            .instance
+            .iter()
+            .map(|i| ("instance", i.to_string())),
+    );
+    let event = of_kind("detection").next().expect("one detection");
+    assert_eq!(Some(event.id), detection.event.map(|id| id.get()));
+    assert_eq!(event.attrs(), eager_detection);
+    assert_eq!(eager_detection.len(), 3, "{eager_detection:?}");
 }
 
 // ---------------------------------------------------------------------

@@ -178,7 +178,7 @@ pub fn exemplar_lines(run: &str, snapshot: &Snapshot) -> Vec<Json> {
                     object(
                         e.labels
                             .iter()
-                            .map(|(k, v)| (k.as_str(), Json::str(v.as_str()))),
+                            .map(|&(k, ref v)| (k, Json::str(v.as_str()))),
                     ),
                 )
                 .build()
@@ -519,9 +519,9 @@ impl TraceDump {
             ];
             let args = object(
                 event
-                    .attrs
-                    .iter()
-                    .map(|(key, value)| (*key, Json::str(value.as_str())))
+                    .attrs()
+                    .into_iter()
+                    .map(|(key, value)| (key, Json::str(value)))
                     .chain(
                         ids.iter()
                             .filter_map(|&(key, id)| Some((key, Json::str(id?.to_string())))),
@@ -806,7 +806,7 @@ mod tests {
     use super::*;
     use crate::campaign::{FaultRecoveryStats, PhaseStats};
     use pod_gateway::{Gateway, GatewayConfig};
-    use pod_obs::Obs;
+    use pod_obs::{AttrValue, Obs};
     use pod_orchestrator::FaultType;
     use pod_sim::{SimDuration, SimTime};
 
@@ -854,9 +854,9 @@ mod tests {
     fn incident_records_round_trip() {
         let obs = Obs::detached();
         obs.begin_run("run-9");
-        let line = obs.event(None, "log.line", "asgard.log", Vec::new);
-        let det = obs.event(line, "detection", "assertion-log", Vec::new);
-        obs.event(det, "diagnosis.verdict", "root-cause-identified", Vec::new);
+        let line = obs.event(None, "log.line", "asgard.log", || ());
+        let det = obs.event(line, "detection", "assertion-log", || ());
+        obs.event(det, "diagnosis.verdict", "root-cause-identified", || ());
         let events = obs.events().records();
         let lines = incident_lines("run-9", &pod_obs::incidents(&events));
         assert_eq!(lines.len(), 1);
@@ -910,7 +910,7 @@ mod tests {
                 value: 4_321,
                 at: SimTime::from_millis(7),
                 event: Some(3),
-                labels: vec![("op".into(), "i-0001".into())],
+                labels: vec![("op", "i-0001".into())],
             });
         let lines = exemplar_lines("soak", &obs.snapshot());
         assert_eq!(lines.len(), 1);
@@ -1053,10 +1053,10 @@ mod tests {
             let span = obs.span("upgrade.step");
             span.attr("activity", "terminate \"old\" instance");
             let line = obs.event(None, "log.line", "asgard.log", || {
-                vec![("message", "says \"hi\"\n".to_string())]
+                [("message", AttrValue::from("says \"hi\"\n"))]
             });
             clock.advance(SimDuration::from_millis(10));
-            obs.event(line, "conformance.verdict", "conformance:unfit", Vec::new);
+            obs.event(line, "conformance.verdict", "conformance:unfit", || ());
         }
         let dump = TraceDump {
             trace_id: "run-x".to_string(),

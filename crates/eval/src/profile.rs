@@ -157,38 +157,29 @@ impl LatencyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_sim::SimTime;
-
-    fn span(
-        id: u64,
-        enclosing: Option<u64>,
-        kind: &'static str,
-        start_ms: u64,
-        end_ms: u64,
-    ) -> EventRecord {
-        EventRecord {
-            id,
-            parent: None,
-            span: enclosing,
-            at: SimTime::from_millis(start_ms),
-            end: Some(SimTime::from_millis(end_ms)),
-            kind,
-            name: kind.into(),
-            attrs: Vec::new(),
-        }
-    }
 
     #[test]
     fn self_time_subtracts_children() {
-        let mut instant = span(3, Some(1), "consistent.retry", 20, 20);
-        instant.end = None;
-        let records = vec![
-            span(0, None, "faulttree.walk", 0, 100),
-            span(1, Some(0), "faulttree.test", 10, 40),
-            span(2, Some(0), "faulttree.test", 50, 70),
-            instant,
-        ];
-        let budget = stage_self_times(&records);
+        let clock = pod_sim::Clock::new();
+        let obs = pod_obs::Obs::new(clock.clone());
+        let advance = |ms| clock.advance(pod_sim::SimDuration::from_millis(ms));
+        obs.begin_run("t");
+        {
+            let _walk = obs.span("faulttree.walk");
+            advance(10);
+            {
+                let _test = obs.span("faulttree.test");
+                advance(10);
+                obs.event(None, "consistent.retry", "retry", || ());
+                advance(20);
+            }
+            advance(10);
+            let test = obs.span("faulttree.test");
+            advance(20);
+            drop(test);
+            advance(30);
+        }
+        let budget = obs.events().with_records(stage_self_times);
         assert_eq!(budget["faulttree.walk"], 50_000); // 100ms - 50ms children
         assert_eq!(budget["faulttree.test"], 50_000);
         assert!(

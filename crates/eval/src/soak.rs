@@ -555,7 +555,7 @@ fn replay_inner(
         .filter_map(|e| {
             e.labels
                 .iter()
-                .find(|(k, _)| k == "op")
+                .find(|&&(k, _)| k == "op")
                 .map(|(_, v)| v.clone())
         })
         .collect();

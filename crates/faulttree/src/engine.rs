@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pod_assert::ConsistentApi;
 use pod_log::{LogEvent, LogRecord, LogStorage, Severity};
-use pod_obs::{Counter, Histogram, Obs};
+use pod_obs::{AttrValue, Counter, Histogram, Obs};
 use pod_sim::{SimDuration, SimTime};
 
 use crate::test::{DiagnosisContext, TestResult};
@@ -197,10 +197,10 @@ impl DiagnosisEngine {
         };
         span.attr("verdict", verdict_tag);
         obs.event(None, "diagnosis.verdict", verdict_tag, || {
-            let mut attrs = vec![
-                ("tests_run", report.tests_run.to_string()),
-                ("excluded", report.excluded.to_string()),
-                ("duration_ms", report.duration.as_millis().to_string()),
+            let mut attrs: Vec<(&str, AttrValue)> = vec![
+                ("tests_run", report.tests_run.into()),
+                ("excluded", report.excluded.into()),
+                ("duration_ms", report.duration.as_millis().into()),
             ];
             if !report.root_causes.is_empty() {
                 let ids: Vec<&str> = report
@@ -208,7 +208,7 @@ impl DiagnosisEngine {
                     .iter()
                     .map(|c| c.node_id.as_str())
                     .collect();
-                attrs.push(("root_causes", ids.join("|")));
+                attrs.push(("root_causes", ids.join("|").into()));
             }
             attrs
         });
@@ -408,7 +408,7 @@ impl Walk<'_> {
                                 test_event,
                                 "diagnosis.cause",
                                 &node.id,
-                                || vec![("description", description.to_string())],
+                                || [("description", AttrValue::from(Arc::clone(&description)))],
                             );
                             self.report.root_causes.push(DiagnosedCause {
                                 node_id: node.id.clone(),

@@ -566,8 +566,8 @@ impl Gateway {
                 at: service_start,
                 event: None,
                 labels: vec![
-                    ("op".to_string(), op_slot.instance_id.clone()),
-                    ("shard".to_string(), shard_idx.to_string()),
+                    ("op", op_slot.instance_id.clone()),
+                    ("shard", shard_idx.to_string()),
                 ],
             });
             let parsed = parse_line(&line.raw, line.enqueued_at);

@@ -14,7 +14,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use pod_obs::CauseRoot;
+use pod_obs::EventAttrs;
 use pod_sim::SimTime;
 
 use crate::event::{LogEvent, ProcessContext, Severity};
@@ -194,7 +194,13 @@ impl StoredLine {
 
     /// The step the annotator tagged the line with.
     pub fn step(&self) -> Option<&str> {
-        self.context.as_ref()?.step.as_deref()
+        self.shared_step().map(|step| &**step)
+    }
+
+    /// The step, as the line shares it: the rule book's copy of the name
+    /// when the book knows it.
+    pub fn shared_step(&self) -> Option<&Arc<str>> {
+        self.context.as_ref()?.step.as_ref()
     }
 
     /// The cloud instance the annotator extracted from the line.
@@ -249,20 +255,18 @@ impl LogRecord for StoredLine {
 }
 
 /// A line's pending `log.line` causal root is the line itself: it is
-/// named after its source and carries its `message`, then its `step` when
-/// annotated, copied only if the root materialises.
-impl CauseRoot for StoredLine {
-    fn name(&self) -> &str {
-        self.part(1)
+/// named after its source, and its record keeps the line and renders its
+/// `message`, then its `step` when annotated, only when read.
+impl EventAttrs for StoredLine {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        out.push(("message", self.message().to_string()));
+        if let Some(step) = self.step() {
+            out.push(("step", step.to_string()));
+        }
     }
 
-    fn attrs(&self) -> Vec<(&'static str, String)> {
-        let mut attrs = Vec::with_capacity(2);
-        attrs.push(("message", self.message().to_string()));
-        if let Some(step) = self.step() {
-            attrs.push(("step", step.to_string()));
-        }
-        attrs
+    fn root_name(&self) -> Option<&str> {
+        Some(self.part(1))
     }
 }
 
@@ -393,9 +397,14 @@ mod tests {
     fn a_line_is_its_own_causal_root() {
         let message = "Instance i-7 is ready";
         let line = renders_back(&annotated(message, 2));
-        assert_eq!(line.name(), "asgard.log");
+        let rendered = |line: &StoredLine| {
+            let mut out = Vec::new();
+            line.render_attrs(&mut out);
+            out
+        };
+        assert_eq!(line.root_name(), Some("asgard.log"));
         assert_eq!(
-            line.attrs(),
+            rendered(&line),
             vec![
                 ("message", message.to_string()),
                 ("step", "ready".to_string())
@@ -403,9 +412,9 @@ mod tests {
         );
         let event = LogEvent::new(SimTime::ZERO, "asgard.log", "unknown output");
         let line = StoredLine::new(event, &RuleBook::new());
-        assert_eq!(line.name(), "asgard.log");
+        assert_eq!(line.root_name(), Some("asgard.log"));
         assert_eq!(
-            line.attrs(),
+            rendered(&line),
             vec![("message", "unknown output".to_string())]
         );
     }

@@ -21,7 +21,14 @@
 //! ambient **cause stack**: a caller pushes the current cause with
 //! [`EventLog::scope`] and every event emitted while the scope is alive
 //! with a `None` parent is parented to it. An explicit parent id overrides
-//! the stack.
+//! the stack. A log line's root is handed down as a value instead
+//! ([`PendingRoot`]): most lines cause nothing, so the line costs no frame
+//! and its root is recorded only by the first event that cites it.
+//!
+//! A record keeps its attributes as the value the emitter already holds —
+//! the stored line, the net's unfit context, a detection's shared strings,
+//! integer counts — and renders them to `(key, String)` pairs only when a
+//! reader asks ([`EventAttrs`], [`EventRecord::attrs`]).
 //!
 //! Every record is written through [`crate::Obs`], which checks the
 //! [`crate::TelemetryMode`] once per write.
@@ -33,15 +40,16 @@
 //!
 //! let obs = Obs::detached();
 //! obs.begin_run("run-1");
-//! let line = obs.event(None, "log.line", "asgard.log", Vec::new);
+//! let line = obs.event(None, "log.line", "asgard.log", || ());
 //! let _scope = obs.events().scope(line);
-//! let verdict = obs.event(None, "conformance.verdict", "conformance:unfit", Vec::new);
+//! let verdict = obs.event(None, "conformance.verdict", "conformance:unfit", || ());
 //! let records = obs.events().records();
 //! assert_eq!(records[1].parent, line.map(|id| id.get()));
 //! assert_eq!(verdict.map(|id| id.get()), Some(1));
 //! ```
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -68,8 +76,11 @@ impl EventId {
 ///
 /// `kind` and attribute keys are `&'static str`: every call site names
 /// them with literals, and the hot path (one event per acted-on log line)
-/// must not allocate for strings the binary already contains.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// must not allocate for strings the binary already contains. The
+/// attributes are kept as the value they are rendered from
+/// ([`EventAttrs`]) and rendered only when a reader asks
+/// ([`EventRecord::attrs`]).
+#[derive(Debug, Clone)]
 pub struct EventRecord {
     /// Unique id within the trace (ascending in emission order).
     pub id: u64,
@@ -89,8 +100,9 @@ pub struct EventRecord {
     /// Short label, e.g. the verdict tag or the fault-tree node id. A
     /// `Cow` so static labels (verdict tags) record without allocating.
     pub name: Cow<'static, str>,
-    /// Key/value attributes in insertion order.
-    pub attrs: Vec<(&'static str, String)>,
+    /// What the attributes are rendered from; `None` for a record without
+    /// any.
+    kept: Option<Arc<dyn EventAttrs>>,
 }
 
 impl EventRecord {
@@ -98,29 +110,172 @@ impl EventRecord {
     pub fn duration(&self) -> Option<SimDuration> {
         Some(self.end?.duration_since(self.at))
     }
+
+    /// The key/value attributes in insertion order, rendered now from the
+    /// value the record keeps.
+    pub fn attrs(&self) -> Vec<(&'static str, String)> {
+        let mut out = Vec::new();
+        if let Some(kept) = &self.kept {
+            kept.render_attrs(&mut out);
+        }
+        out
+    }
 }
 
-/// What a lazy root event is recorded from: the value a pending cause
-/// scope ([`crate::Obs::scope_cause`]) shares, read only if the root
-/// materialises. The engine's stored log line is one, so scoping a healthy
-/// line copies none of its strings.
-pub trait CauseRoot: std::fmt::Debug + Send + Sync {
-    /// The root record's name.
-    fn name(&self) -> &str;
+/// What a causal event's attributes are rendered from: a value the
+/// emitter already holds, shared with the record and rendered to
+/// `(key, String)` pairs only when a reader asks ([`EventRecord::attrs`]).
+/// A pending root is one too ([`crate::Obs::pending_root`]): the engine's
+/// stored log line, so a line's root copies none of its strings, and
+/// recording it copies only its name ([`EventAttrs::root_name`]).
+pub trait EventAttrs: std::fmt::Debug + Send + Sync + 'static {
+    /// Appends the attributes to `out`, in insertion order.
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>);
 
-    /// The root record's attributes, in insertion order.
-    fn attrs(&self) -> Vec<(&'static str, String)>;
+    /// The name of a root event recorded from this value; `None` names it
+    /// after its kind.
+    fn root_name(&self) -> Option<&str> {
+        None
+    }
+
+    /// The value as a record keeps it: `None` for one that renders nothing.
+    fn keep(self) -> Option<Arc<dyn EventAttrs>>
+    where
+        Self: Sized,
+    {
+        Some(Arc::new(self))
+    }
 }
 
-/// A cause that has been scoped but not yet recorded: a `log.line`-style
-/// root event's kind and shared [`CauseRoot`], with the span and time
-/// captured at scope time, materialised into the ring only if a
-/// descendant event is actually emitted under it.
-#[derive(Debug)]
+/// No attributes: nothing is kept.
+impl EventAttrs for () {
+    fn render_attrs(&self, _: &mut Vec<(&'static str, String)>) {}
+
+    fn keep(self) -> Option<Arc<dyn EventAttrs>> {
+        None
+    }
+}
+
+/// Attributes that may be absent: nothing is kept for `None`.
+impl<A: EventAttrs> EventAttrs for Option<A> {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        if let Some(attrs) = self {
+            attrs.render_attrs(out);
+        }
+    }
+
+    fn keep(self) -> Option<Arc<dyn EventAttrs>> {
+        self.and_then(A::keep)
+    }
+}
+
+/// Renders each value of `values` under its key.
+fn render_values(values: &[(&'static str, AttrValue)], out: &mut Vec<(&'static str, String)>) {
+    out.extend(values.iter().map(|(key, value)| (*key, value.to_string())));
+}
+
+/// A fixed list of values, e.g. `[("attempts", attempts.into())]`.
+impl<const N: usize> EventAttrs for [(&'static str, AttrValue); N] {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        render_values(self, out);
+    }
+}
+
+/// A list of values whose length the emitter decides: kept at its exact
+/// size, and not at all when empty.
+impl EventAttrs for Vec<(&'static str, AttrValue)> {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        render_values(self, out);
+    }
+
+    fn keep(self) -> Option<Arc<dyn EventAttrs>> {
+        (!self.is_empty()).then(|| Arc::new(self.into_boxed_slice()) as Arc<dyn EventAttrs>)
+    }
+}
+
+/// A kept list of values.
+impl EventAttrs for Box<[(&'static str, AttrValue)]> {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        render_values(self, out);
+    }
+}
+
+/// One attribute value as a record keeps it: a count stays an integer and
+/// a string stays the one the emitter holds, until a reader renders it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrValue {
+    /// A count or a duration.
+    Int(u64),
+    /// A string the binary contains.
+    Static(&'static str),
+    /// A string the emitter shares.
+    Shared(Arc<str>),
+    /// A string copied for the record.
+    Owned(Box<str>),
+}
+
+impl std::fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrValue::Int(n) => write!(f, "{n}"),
+            AttrValue::Static(s) => f.write_str(s),
+            AttrValue::Shared(s) => f.write_str(s),
+            AttrValue::Owned(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> AttrValue {
+        AttrValue::Int(n)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(n: u32) -> AttrValue {
+        AttrValue::Int(n.into())
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(n: usize) -> AttrValue {
+        AttrValue::Int(n as u64)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> AttrValue {
+        AttrValue::Static(s)
+    }
+}
+
+impl From<Arc<str>> for AttrValue {
+    fn from(s: Arc<str>) -> AttrValue {
+        AttrValue::Shared(s)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> AttrValue {
+        AttrValue::Owned(s.into_boxed_str())
+    }
+}
+
+/// A string the emitter keeps: copied only when the span is open
+/// ([`SpanGuard::attr`] converts after it checks).
+impl From<&String> for AttrValue {
+    fn from(s: &String) -> AttrValue {
+        AttrValue::Owned(s.as_str().into())
+    }
+}
+
+/// A cause not yet recorded: a `log.line`-style root event's kind and the
+/// shared value it is recorded from, with the clock time captured when it
+/// was made, materialised into the ring only if an event cites it.
+#[derive(Debug, Clone)]
 struct PendingCause {
     kind: &'static str,
-    root: Arc<dyn CauseRoot>,
-    span: Option<u64>,
+    root: Arc<dyn EventAttrs>,
     at: SimTime,
 }
 
@@ -129,8 +284,9 @@ struct PendingCause {
 enum CauseFrame {
     /// An already-recorded event id.
     Resolved(u64),
-    /// A lazy root: recorded on first use as an ambient parent.
-    Pending(PendingCause),
+    /// A lazy root, with the span open when it was scoped: recorded on
+    /// first use as an ambient parent.
+    Pending(PendingCause, Option<u64>),
 }
 
 #[derive(Debug, Default)]
@@ -152,7 +308,7 @@ impl EventLogInner {
         name: Cow<'static, str>,
         parent: Option<u64>,
         at: SimTime,
-        attrs: Vec<(&'static str, String)>,
+        kept: Option<Arc<dyn EventAttrs>>,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -168,7 +324,7 @@ impl EventLogInner {
             end: None,
             kind,
             name,
-            attrs,
+            kept,
         });
         id
     }
@@ -185,6 +341,15 @@ impl EventLogInner {
         self.ring.get_mut(pos)
     }
 
+    /// Records the pending cause `p` under `parent`, keeping its root.
+    fn record(&mut self, p: PendingCause, span: Option<u64>, parent: Option<u64>) -> u64 {
+        let name = match p.root.root_name() {
+            Some(name) => Cow::Owned(name.to_string()),
+            None => Cow::Borrowed(p.kind),
+        };
+        self.push(span, p.kind, name, parent, p.at, Some(p.root))
+    }
+
     /// Resolves the innermost ambient cause in one bottom-up pass: each
     /// frame's parent is the id of the frame beneath it, so a pending frame
     /// is recorded under that id and replaced by its own.
@@ -193,11 +358,9 @@ impl EventLogInner {
         for i in 0..self.causes.len() {
             let id = match &self.causes[i] {
                 CauseFrame::Resolved(id) => *id,
-                CauseFrame::Pending(p) => {
-                    let (kind, span, at) = (p.kind, p.span, p.at);
-                    let name = p.root.name().to_string().into();
-                    let attrs = p.root.attrs();
-                    let id = self.push(span, kind, name, below, at, attrs);
+                CauseFrame::Pending(p, span) => {
+                    let (p, span) = (p.clone(), *span);
+                    let id = self.record(p, span, below);
                     self.causes[i] = CauseFrame::Resolved(id);
                     id
                 }
@@ -231,21 +394,21 @@ impl EventLog {
         *self.inner.lock() = EventLogInner::default();
     }
 
-    /// Records one event with its attributes under one lock: parented to
-    /// `parent`, or the innermost ambient cause when `None`, and correlated
-    /// with the innermost open span.
+    /// Records one event with the value its attributes are rendered from,
+    /// under one lock: parented to `parent`, or the innermost ambient cause
+    /// when `None`, and correlated with the innermost open span.
     pub(crate) fn emit(
         &self,
         parent: Option<EventId>,
         kind: &'static str,
         name: Cow<'static, str>,
-        attrs: Vec<(&'static str, String)>,
+        kept: Option<Arc<dyn EventAttrs>>,
     ) -> EventId {
         let at = self.clock.now();
         let mut inner = self.inner.lock();
         let parent = parent.map(EventId::get).or_else(|| inner.resolve_ambient());
         let span = inner.span();
-        EventId(inner.push(span, kind, name, parent, at, attrs))
+        EventId(inner.push(span, kind, name, parent, at, kept))
     }
 
     /// Opens a span: records it now and makes it the innermost open span
@@ -262,10 +425,11 @@ impl EventLog {
         let mut inner = self.inner.lock();
         let parent = caused.then(|| inner.resolve_ambient()).flatten();
         let span = inner.span();
-        let id = inner.push(span, kind, name, parent, at, Vec::new());
+        let id = inner.push(span, kind, name, parent, at, None);
         inner.spans.push(id);
         SpanGuard {
             open: Some((self.clone(), EventId(id))),
+            attrs: RefCell::default(),
         }
     }
 
@@ -282,41 +446,31 @@ impl EventLog {
     /// returned guard pops it on drop. A `None` cause is a no-op scope, so
     /// call sites can thread `Option<EventId>` without branching.
     pub fn scope(&self, cause: Option<EventId>) -> CauseScope {
-        if let Some(cause) = cause {
-            self.inner
-                .lock()
-                .causes
-                .push(CauseFrame::Resolved(cause.get()));
-        }
+        let Some(cause) = cause else {
+            return CauseScope { log: None };
+        };
+        self.inner
+            .lock()
+            .causes
+            .push(CauseFrame::Resolved(cause.get()));
         CauseScope {
-            log: self.clone(),
-            active: cause.is_some(),
+            log: Some(self.clone()),
         }
     }
 
-    /// Pushes a *pending* cause (see [`crate::Obs::scope_cause`]), with
-    /// the innermost open span and the clock time captured now.
-    pub(crate) fn scope_pending(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
+    /// A pending root of `kind`, recorded from `root` only if an event
+    /// cites it (see [`PendingRoot`]); the clock time is captured now.
+    pub(crate) fn pending_root(
+        &self,
+        kind: &'static str,
+        root: Arc<dyn EventAttrs>,
+    ) -> PendingRoot {
         let at = self.clock.now();
-        let mut inner = self.inner.lock();
-        let span = inner.span();
-        inner.causes.push(CauseFrame::Pending(PendingCause {
-            kind,
-            root,
-            span,
-            at,
-        }));
-        CauseScope {
-            log: self.clone(),
-            active: true,
+        PendingRoot {
+            log: Some(self.clone()),
+            pending: Some(PendingCause { kind, root, at }),
+            id: None,
         }
-    }
-
-    /// The innermost ambient cause, if a scope is active. Resolving the
-    /// cause to a concrete id materialises pending frames, exactly as an
-    /// ambient emission would.
-    pub fn current_cause(&self) -> Option<EventId> {
-        self.inner.lock().resolve_ambient().map(EventId)
     }
 
     /// All retained records, in emission order.
@@ -326,8 +480,8 @@ impl EventLog {
 
     /// Runs `f` over the retained records without cloning them — the
     /// accounting path ([`crate::incident_count`], the latency budget)
-    /// reads thousands of records per run, and a deep copy of every
-    /// `String` in the ring would dwarf the cost being measured.
+    /// reads thousands of records per run, and copying every record out
+    /// of the ring would dwarf the cost being measured.
     pub fn with_records<R>(&self, f: impl FnOnce(&[EventRecord]) -> R) -> R {
         let mut inner = self.inner.lock();
         // O(1) unless the ring wrapped, which only happens past EVENT_CAP.
@@ -339,15 +493,10 @@ impl EventLog {
         self.inner.lock().dropped
     }
 
-    fn set_attr(&self, id: u64, key: &'static str, value: String) {
-        if let Some(record) = self.inner.lock().get_mut(id) {
-            record.attrs.push((key, value));
-        }
-    }
-
-    /// Ends the open span `id` now; a span no longer open (the trace was
-    /// restarted under it) is left alone.
-    fn close(&self, id: u64) {
+    /// Ends the open span `id` now, with the attributes its guard
+    /// collected; a span no longer open (the trace was restarted under it)
+    /// is left alone.
+    fn close(&self, id: u64, attrs: Vec<(&'static str, AttrValue)>) {
         let end = self.clock.now();
         let mut inner = self.inner.lock();
         let Some(pos) = inner.spans.iter().rposition(|&s| s == id) else {
@@ -356,29 +505,37 @@ impl EventLog {
         inner.spans.remove(pos);
         if let Some(record) = inner.get_mut(id) {
             record.end = Some(end);
+            record.kept = attrs.keep();
         }
     }
 }
 
 /// RAII guard for an open span; dropping it writes the span's end at the
-/// clock's current virtual time. Inert when telemetry is off
+/// clock's current virtual time, with the attributes set through
+/// [`SpanGuard::attr`]. Inert when telemetry is off
 /// ([`crate::TelemetryMode::Off`]): it holds no log and no id, so call sites
 /// need no mode checks of their own.
 #[derive(Debug)]
 pub struct SpanGuard {
     open: Option<(EventLog, EventId)>,
+    /// The attributes set so far, written with the span's end.
+    attrs: RefCell<Vec<(&'static str, AttrValue)>>,
 }
 
 impl SpanGuard {
     /// An inert guard recording nothing (telemetry off).
     pub(crate) fn disabled() -> SpanGuard {
-        SpanGuard { open: None }
+        SpanGuard {
+            open: None,
+            attrs: RefCell::default(),
+        }
     }
 
-    /// Attaches a key/value attribute to the span.
-    pub fn attr(&self, key: &'static str, value: impl std::fmt::Display) {
-        if let Some((log, id)) = &self.open {
-            log.set_attr(id.get(), key, value.to_string());
+    /// Attaches a key/value attribute to the span; it lands in the record
+    /// when the span ends. A count stays an integer until it is read.
+    pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
+        if self.open.is_some() {
+            self.attrs.borrow_mut().push((key, value.into()));
         }
     }
 
@@ -392,23 +549,73 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((log, id)) = &self.open {
-            log.close(id.get());
+            log.close(id.get(), self.attrs.take());
         }
     }
 }
 
-/// RAII guard for an ambient cause (see [`EventLog::scope`]).
+/// RAII guard for an ambient cause (see [`EventLog::scope`]); a no-op
+/// scope holds no log.
 #[derive(Debug)]
 pub struct CauseScope {
-    log: EventLog,
-    active: bool,
+    log: Option<EventLog>,
 }
 
 impl Drop for CauseScope {
     fn drop(&mut self) {
-        if self.active {
-            self.log.inner.lock().causes.pop();
+        if let Some(log) = &self.log {
+            log.inner.lock().causes.pop();
         }
+    }
+}
+
+/// A root cause handed down as a value instead of pushed as an ambient
+/// frame: made per log line without taking the event log's lock
+/// ([`crate::Obs::pending_root`]), recorded by the first emitter that
+/// cites it ([`PendingRoot::resolve`]), and never recorded if none does.
+/// Inert when telemetry is off (the default).
+#[derive(Debug, Default)]
+pub struct PendingRoot {
+    /// The event log that made the root, and the only one it is recorded
+    /// into; `None` when telemetry is off.
+    log: Option<EventLog>,
+    /// The cause until it is recorded; `None` once it is, or when
+    /// telemetry is off.
+    pending: Option<PendingCause>,
+    id: Option<EventId>,
+}
+
+impl PendingRoot {
+    /// The root's event id, recording it on the first call: under the
+    /// innermost ambient cause, in the innermost open span, at the time
+    /// the root was made. `None` when telemetry is off.
+    pub fn resolve(&mut self) -> Option<EventId> {
+        if let (Some(log), Some(p)) = (&self.log, self.pending.take()) {
+            let mut inner = log.inner.lock();
+            let (span, parent) = (inner.span(), inner.resolve_ambient());
+            self.id = Some(EventId(inner.record(p, span, parent)));
+        }
+        self.id
+    }
+
+    /// Makes the root the ambient cause of the calls made while the
+    /// returned scope lives, for emitters that take no parent of their
+    /// own: its id once recorded, else a pending frame that the first of
+    /// them to emit records. The root is spent: what the frame records, the
+    /// value no longer knows.
+    pub fn scope(self) -> CauseScope {
+        let Some(log) = self.log else {
+            return CauseScope { log: None };
+        };
+        let Some(p) = self.pending else {
+            return log.scope(self.id);
+        };
+        {
+            let mut inner = log.inner.lock();
+            let span = inner.span();
+            inner.causes.push(CauseFrame::Pending(p, span));
+        }
+        CauseScope { log: Some(log) }
     }
 }
 
@@ -428,7 +635,7 @@ mod tests {
 
     /// An attribute-free event under `parent` (ambient when `None`).
     fn emit(log: &EventLog, parent: Option<EventId>, kind: &'static str, name: &str) -> EventId {
-        log.emit(parent, kind, name.to_string().into(), Vec::new())
+        log.emit(parent, kind, name.to_string().into(), None)
     }
 
     /// A guard span, as [`crate::Obs::span`] opens it.
@@ -438,20 +645,30 @@ mod tests {
 
     /// A cause root with a fixed name and attributes.
     #[derive(Debug)]
-    struct Root(&'static str, Vec<(&'static str, String)>);
+    struct Root(&'static str, Vec<(&'static str, AttrValue)>);
 
-    impl CauseRoot for Root {
-        fn name(&self) -> &str {
-            self.0
+    impl EventAttrs for Root {
+        fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+            self.1.render_attrs(out);
         }
 
-        fn attrs(&self) -> Vec<(&'static str, String)> {
-            self.1.clone()
+        fn root_name(&self) -> Option<&str> {
+            Some(self.0)
         }
     }
 
+    /// The innermost ambient cause, resolved as an ambient emission would.
+    fn current_cause(log: &EventLog) -> Option<EventId> {
+        log.inner.lock().resolve_ambient().map(EventId)
+    }
+
+    /// A pending root pushed as an ambient frame.
+    fn scope_pending(log: &EventLog, kind: &'static str, root: Arc<dyn EventAttrs>) -> CauseScope {
+        log.pending_root(kind, root).scope()
+    }
+
     /// A pending `log.line` root named `name`, without attributes.
-    fn line(name: &'static str) -> Arc<dyn CauseRoot> {
+    fn line(name: &'static str) -> Arc<dyn EventAttrs> {
         Arc::new(Root(name, Vec::new()))
     }
 
@@ -464,7 +681,7 @@ mod tests {
             let _scope = log.scope(Some(root));
             let span = guard(&log, "upgrade.step");
             let child = emit(&log, None, "conformance.verdict", "fit");
-            assert_eq!(log.current_cause(), Some(root));
+            assert_eq!(current_cause(&log), Some(root));
             let records = log.records();
             assert_eq!(records[2].parent, Some(root.get()));
             assert_eq!(records[2].span, span.id().map(EventId::get));
@@ -473,7 +690,7 @@ mod tests {
             emit(&log, None, "detection", "assertion-log");
             assert_eq!(log.records()[3].parent, Some(child.get()));
         }
-        assert_eq!(log.current_cause(), None);
+        assert_eq!(current_cause(&log), None);
         emit(&log, None, "detection", "late");
         assert_eq!(log.records()[4].parent, None);
         assert_eq!(log.records()[4].span, None, "the span closed");
@@ -495,7 +712,7 @@ mod tests {
     fn pending_scope_records_nothing_when_unused() {
         let log = log();
         {
-            let _scope = log.scope_pending("log.line", line("asgard.log"));
+            let _scope = scope_pending(&log, "log.line", line("asgard.log"));
             // Nothing emitted under the scope: the frame is discarded.
         }
         assert!(log.records().is_empty());
@@ -513,9 +730,9 @@ mod tests {
         let step = guard(&log, "upgrade.step");
         let root = Root(
             "asgard.log",
-            vec![("message", "Instance i-aa is ready".to_string())],
+            vec![("message", "Instance i-aa is ready".into())],
         );
-        let _scope = log.scope_pending("log.line", Arc::new(root));
+        let _scope = scope_pending(&log, "log.line", Arc::new(root));
         advance(&clock, 10);
         let child = emit(&log, None, "conformance.verdict", "conformance:unfit");
         let records = log.records();
@@ -526,7 +743,7 @@ mod tests {
         assert_eq!(records[1].at, SimTime::from_millis(5));
         assert_eq!(records[1].span, step.id().map(EventId::get));
         assert_eq!(
-            records[1].attrs,
+            records[1].attrs(),
             vec![("message", "Instance i-aa is ready".to_string())]
         );
         assert_eq!(records[2].parent, Some(records[1].id));
@@ -538,10 +755,38 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_root_is_recorded_once_by_its_first_citer() {
+        let clock = Clock::new();
+        let log = EventLog::new(clock.clone());
+        log.begin_trace();
+        drop(log.pending_root("log.line", line("unused")));
+        assert!(log.records().is_empty(), "an uncited root records nothing");
+        let a = emit(&log, None, "a", "a");
+        let _scope = log.scope(Some(a));
+        let mut root = log.pending_root("log.line", line("asgard.log"));
+        advance(&clock, 10);
+        let step = guard(&log, "upgrade.step");
+        let id = root.resolve();
+        assert_eq!(root.resolve(), id, "resolved once");
+        emit(&log, id, "conformance.verdict", "v");
+        let records = log.records();
+        assert_eq!(records.len(), 4);
+        let line = &records[2];
+        assert_eq!((line.kind, &*line.name), ("log.line", "asgard.log"));
+        assert_eq!(line.parent, Some(a.get()), "under the ambient cause");
+        assert_eq!(line.span, step.id().map(EventId::get));
+        assert_eq!(line.at, SimTime::ZERO, "made before the clock moved");
+        // A resolved root scopes its id.
+        let _line = root.scope();
+        emit(&log, None, "assertion.result", "r");
+        assert_eq!(log.records()[4].parent, id.map(EventId::get));
+    }
+
+    #[test]
     fn nested_pending_frames_materialise_bottom_up() {
         let log = log();
-        let _outer = log.scope_pending("log.line", line("outer"));
-        let _inner = log.scope_pending("log.line", line("inner"));
+        let _outer = scope_pending(&log, "log.line", line("outer"));
+        let _inner = scope_pending(&log, "log.line", line("inner"));
         emit(&log, None, "detection", "d");
         let records = log.records();
         assert_eq!(records.len(), 3);
@@ -555,8 +800,8 @@ mod tests {
     #[test]
     fn current_cause_resolves_pending_frames() {
         let log = log();
-        let _scope = log.scope_pending("log.line", line("asgard.log"));
-        let cause = log.current_cause().expect("scope is active");
+        let _scope = scope_pending(&log, "log.line", line("asgard.log"));
+        let cause = current_cause(&log).expect("scope is active");
         // Resolving materialised the root; later ambient emits chain to it.
         assert_eq!(log.records().len(), 1);
         emit(&log, None, "assertion.result", "late");
@@ -567,7 +812,7 @@ mod tests {
     fn explicit_parent_leaves_pending_frames_untouched() {
         let log = log();
         let a = emit(&log, None, "a", "a");
-        let _scope = log.scope_pending("log.line", line("asgard.log"));
+        let _scope = scope_pending(&log, "log.line", line("asgard.log"));
         emit(&log, Some(a), "b", "b");
         // An explicit-parent emission does not consult the stack.
         assert_eq!(log.records().len(), 2);
@@ -577,7 +822,7 @@ mod tests {
     #[test]
     fn guard_span_leaves_a_pending_cause_pending() {
         let log = log();
-        let _scope = log.scope_pending("log.line", line("asgard.log"));
+        let _scope = scope_pending(&log, "log.line", line("asgard.log"));
         drop(guard(&log, "faulttree.walk"));
         let records = log.records();
         assert_eq!(records.len(), 1, "only the span: {records:?}");
@@ -600,7 +845,7 @@ mod tests {
             advance(&clock, 10);
             {
                 let inner = log.open("faulttree.test", "inner".into(), true);
-                inner.attr("k", 3);
+                inner.attr("k", 3u64);
                 emit(&log, None, "consistent.retry", "retry");
                 advance(&clock, 5);
             }
@@ -617,8 +862,8 @@ mod tests {
         assert_eq!(retry.duration(), None, "an instant");
         assert_eq!(inner.duration(), Some(SimDuration::from_millis(5)));
         assert_eq!(outer.duration(), Some(SimDuration::from_millis(16)));
-        assert_eq!(inner.attrs, vec![("k", "3".to_string())]);
-        assert_eq!(outer.attrs, vec![("steps", "2".to_string())]);
+        assert_eq!(inner.attrs(), vec![("k", "3".to_string())]);
+        assert_eq!(outer.attrs(), vec![("steps", "2".to_string())]);
     }
 
     #[test]
@@ -662,23 +907,58 @@ mod tests {
             emit(&log, None, "x", "x");
         }
         assert_eq!(log.records()[0].parent, None);
-        assert_eq!(log.current_cause(), None);
+        assert_eq!(current_cause(&log), None);
     }
 
     #[test]
     fn attrs_attach_to_the_emitted_event() {
         let log = log();
-        let attrs = vec![
+        let attrs: [(&str, AttrValue); 2] =
+            [("outcome", "failed".into()), ("attempts", 3u32.into())];
+        log.emit(None, "assertion.result", "asg-desired".into(), attrs.keep());
+        let rendered = vec![
             ("outcome", "failed".to_string()),
             ("attempts", "3".to_string()),
         ];
-        log.emit(
-            None,
-            "assertion.result",
-            "asg-desired".into(),
-            attrs.clone(),
+        assert_eq!(log.records()[0].attrs(), rendered);
+    }
+
+    #[test]
+    fn kept_values_render_as_the_strings_they_replace() {
+        let log = log();
+        let shared: Arc<str> = Arc::from("asg-desired");
+        let values: [(&str, AttrValue); 4] = [
+            ("tests_run", 7usize.into()),
+            ("trigger", "trigger:log".into()),
+            ("tree", shared.into()),
+            ("task", String::from("t-1").into()),
+        ];
+        log.emit(None, "diagnosis.verdict", "v".into(), values.keep());
+        let span = guard(&log, "faulttree.walk");
+        span.attr("tests_run", 3u32);
+        span.attr("verdict", "no-root-cause");
+        drop(span);
+        // Nothing is kept for no attributes.
+        assert!(().keep().is_none());
+        assert!(None::<[(&str, AttrValue); 1]>.keep().is_none());
+        assert!(Vec::<(&str, AttrValue)>::new().keep().is_none());
+        let records = log.records();
+        let eager = |pairs: &[(&'static str, &str)]| -> Vec<(&'static str, String)> {
+            pairs.iter().map(|&(k, v)| (k, v.to_string())).collect()
+        };
+        assert_eq!(
+            records[0].attrs(),
+            eager(&[
+                ("tests_run", "7"),
+                ("trigger", "trigger:log"),
+                ("tree", "asg-desired"),
+                ("task", "t-1")
+            ])
         );
-        assert_eq!(log.records()[0].attrs, attrs);
+        assert_eq!(
+            records[1].attrs(),
+            eager(&[("tests_run", "3"), ("verdict", "no-root-cause")])
+        );
     }
 
     #[test]
@@ -720,7 +1000,7 @@ mod tests {
         let _leaked = log.scope(Some(a));
         log.begin_trace();
         assert!(log.records().is_empty());
-        assert_eq!(log.current_cause(), None);
+        assert_eq!(current_cause(&log), None);
     }
 
     #[test]

@@ -72,8 +72,9 @@ pub struct Exemplar {
     /// The causal event the observation belongs to, when known — the hook
     /// into [`crate::incidents`] timelines.
     pub event: Option<u64>,
-    /// Free-form labels, e.g. `op`, `instance`, `shard`.
-    pub labels: Vec<(String, String)>,
+    /// Labels, e.g. `op`, `instance`, `shard`: keys are literals, as
+    /// event attribute keys are.
+    pub labels: Vec<(&'static str, String)>,
 }
 
 #[derive(Debug, Default)]
@@ -340,7 +341,7 @@ mod tests {
                     value: v * 10,
                     at: SimTime::from_micros(v),
                     event: Some(v),
-                    labels: vec![("op".to_string(), format!("i-{v}"))],
+                    labels: vec![("op", format!("i-{v}"))],
                 }
             });
         }

@@ -69,7 +69,9 @@ mod render;
 mod sampler;
 mod timeline;
 
-pub use event::{CauseRoot, CauseScope, EventId, EventLog, EventRecord, SpanGuard};
+pub use event::{
+    AttrValue, CauseScope, EventAttrs, EventId, EventLog, EventRecord, PendingRoot, SpanGuard,
+};
 pub use flight::{
     render_dashboard, FlightDump, FlightFrame, FlightRecorder, IncidentMark, FRAME_CAP,
 };

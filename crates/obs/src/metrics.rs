@@ -297,7 +297,7 @@ mod tests {
             value: 9_000,
             at: SimTime::from_micros(42),
             event: Some(7),
-            labels: vec![("op".into(), "i-0042".into())],
+            labels: vec![("op", "i-0042".into())],
         });
         let snap = reg.snapshot();
         let tail = snap.exemplars("gateway.queue_wait_us");

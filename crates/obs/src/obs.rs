@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pod_sim::Clock;
 
-use crate::event::{CauseRoot, CauseScope, EventId, EventLog, SpanGuard};
+use crate::event::{EventAttrs, EventId, EventLog, PendingRoot, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 
@@ -35,8 +35,10 @@ impl EventName for &String {
 ///
 /// Metrics (counters, gauges, histograms) are always on — they are cheap,
 /// lock-free and required for correctness accounting. The mode gates the
-/// *trace* side (spans and causal events), which allocates strings per
-/// record and is what tail-based sampling decides to keep or discard:
+/// *trace* side (spans and causal events), which takes a ring slot and the
+/// event log's lock per record, and is what tail-based sampling decides to
+/// keep or discard. A record keeps the values its attributes are rendered
+/// from, shared with the emitter, so it copies no strings but its name:
 ///
 /// - `Off` — spans and events become no-ops; the baseline for overhead
 ///   measurement.
@@ -142,36 +144,43 @@ impl Obs {
     }
 
     /// Emits a causal event under `parent`, or the innermost ambient cause
-    /// when `None`, correlated with the innermost open span, with the
-    /// attributes `attrs` builds landing in the same lock. When the mode is
+    /// when `None`, correlated with the innermost open span. The record
+    /// keeps the value `attrs` returns, landing in the same lock, and
+    /// renders it only when read ([`EventAttrs`]). When the mode is
     /// [`TelemetryMode::Off`] it records nothing, never calls `attrs` and
     /// returns `None`; nor does it copy `name` (see [`EventName`]).
-    pub fn event(
+    pub fn event<A: EventAttrs>(
         &self,
         parent: Option<EventId>,
         kind: &'static str,
         name: impl EventName,
-        attrs: impl FnOnce() -> Vec<(&'static str, String)>,
+        attrs: impl FnOnce() -> A,
     ) -> Option<EventId> {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.events.emit(parent, kind, name.into_name(), attrs()))
+        Some(
+            self.events
+                .emit(parent, kind, name.into_name(), attrs().keep()),
+        )
     }
 
-    /// Opens a *pending* cause scope: a root event of `kind` that shares
-    /// `root` and is recorded, from it, only if a descendant emits under
-    /// the scope with a `None` parent. The engine opens one for every line
-    /// that leaves the pipeline, yet only the lines whose triggers produce a
-    /// verdict, assertion result or detection materialise; dropping the
-    /// guard otherwise discards the frame, with no id, no ring slot and no
-    /// copy of the root's strings. Returns a no-op scope when the mode is
-    /// [`TelemetryMode::Off`].
-    pub fn scope_cause(&self, kind: &'static str, root: Arc<dyn CauseRoot>) -> CauseScope {
+    /// A *pending root*: a root event of `kind` that shares `root` and is
+    /// recorded, keeping it, only when an emitter cites it
+    /// ([`PendingRoot::resolve`], or an ambient emission under
+    /// [`PendingRoot::scope`]). The engine makes one for every line that
+    /// leaves the pipeline and hands it down as a value, without the event
+    /// log's lock; only the lines whose triggers produce a verdict, assertion
+    /// result, detection or timer record theirs, and dropping the value
+    /// otherwise leaves no id, no ring slot and no copy of the root's
+    /// strings. A recorded root copies its name and nothing else. Inert
+    /// when the mode is [`TelemetryMode::Off`].
+    pub fn pending_root<A: EventAttrs>(&self, kind: &'static str, root: &Arc<A>) -> PendingRoot {
         if !self.mode().records_traces() {
-            return self.events.scope(None);
+            return PendingRoot::default();
         }
-        self.events.scope_pending(kind, root)
+        self.events
+            .pending_root(kind, Arc::clone(root) as Arc<dyn EventAttrs>)
     }
 
     /// Starts a fresh run: resets the event log to a new trace. Records do
@@ -233,6 +242,7 @@ impl Default for Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AttrValue;
     use pod_sim::SimDuration;
 
     #[test]
@@ -251,19 +261,19 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         let guard = obs.span("upgrade.step");
-        let ev = obs.event(None, "conformance.verdict", "conformance:fit", Vec::new);
+        let ev = obs.event(None, "conformance.verdict", "conformance:fit", || ());
         let records = obs.events().records();
         assert_eq!(records[1].span, guard.id().map(EventId::get));
         drop(guard);
         assert_eq!(records[1].parent, None);
         let child = obs.event(ev, "detection", "conformance-unfit", || {
-            vec![("k", "v".to_string())]
+            [("k", AttrValue::from("v"))]
         });
         assert_eq!(child.map(EventId::get), Some(2));
         let records = obs.events().records();
         assert_eq!(records[2].parent, ev.map(EventId::get));
         assert_eq!(records[2].span, None);
-        assert_eq!(records[2].attrs, vec![("k", "v".to_string())]);
+        assert_eq!(records[2].attrs(), vec![("k", "v".to_string())]);
     }
 
     #[test]
@@ -271,7 +281,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("a");
         drop(obs.span("s"));
-        obs.event(None, "e", "e", Vec::new);
+        obs.event(None, "e", "e", || ());
         obs.begin_run("b");
         assert!(obs.events().records().is_empty());
     }
@@ -298,11 +308,12 @@ mod tests {
             let test = obs.event_span("faulttree.test", "n");
             test.attr("k", "v");
             assert_eq!(test.id(), None);
-            let never = || -> Vec<(&'static str, String)> { panic!("Off builds no attributes") };
+            let never = || -> [(&str, AttrValue); 1] { panic!("Off builds no attributes") };
             let ev = obs.event(None, "detection", Unnamed, never);
             assert_eq!(ev, None, "Off hands out no id");
             let _scope = obs.events().scope(ev);
-            assert_eq!(obs.events().current_cause(), None);
+            let mut root = obs.pending_root("log.line", &Arc::new(()));
+            assert_eq!(root.resolve(), None, "Off records no root");
             obs.event(ev, "diagnosis.cause", Unnamed, never);
         }
         assert!(obs.events().records().is_empty());

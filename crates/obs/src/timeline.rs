@@ -129,12 +129,12 @@ pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
 
 fn attr_summary(event: &EventRecord, width: usize) -> String {
     let mut parts = Vec::new();
-    for (k, v) in &event.attrs {
+    for (k, v) in event.attrs() {
         let v: String = if v.chars().count() > width {
             let cut: String = v.chars().take(width.saturating_sub(1)).collect();
             format!("{cut}…")
         } else {
-            v.clone()
+            v
         };
         parts.push(format!("{k}={v}"));
     }
@@ -211,7 +211,7 @@ pub fn render_timelines(records: &[EventRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Obs;
+    use crate::{AttrValue, Obs};
     use pod_sim::SimDuration;
 
     /// Emits the canonical chain: log.line -> conformance.verdict ->
@@ -223,14 +223,14 @@ mod tests {
         let tick = || clock.advance(SimDuration::from_millis(10));
         obs.begin_run("t");
         let line = obs.event(None, "log.line", "asgard.log", || {
-            vec![("message", "launch configuration updated".to_string())]
+            [("message", AttrValue::from("launch configuration updated"))]
         });
         tick();
-        let verdict = obs.event(line, "conformance.verdict", "conformance:unfit", Vec::new);
+        let verdict = obs.event(line, "conformance.verdict", "conformance:unfit", || ());
         tick();
-        let det = obs.event(verdict, "detection", "conformance-unfit", Vec::new);
+        let det = obs.event(verdict, "detection", "conformance-unfit", || ());
         tick();
-        let dispatch = obs.event(det, "diagnosis.dispatch", "asg-tree", Vec::new);
+        let dispatch = obs.event(det, "diagnosis.dispatch", "asg-tree", || ());
         tick();
         let test = {
             let _scope = obs.events().scope(dispatch);
@@ -240,9 +240,9 @@ mod tests {
         };
         obs.event(test, "diagnosis.cause", "wrong-ami", || {
             let description = "the launch configuration uses a wrong AMI";
-            vec![("description", description.to_string())]
+            [("description", AttrValue::from(description))]
         });
-        obs.event(dispatch, "diagnosis.verdict", "1 root cause(s)", Vec::new);
+        obs.event(dispatch, "diagnosis.verdict", "1 root cause(s)", || ());
         obs
     }
 
@@ -265,8 +265,8 @@ mod tests {
     fn chain_without_log_anchor_is_flagged_broken() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        let det = obs.event(None, "detection", "one-off-timer", Vec::new);
-        obs.event(det, "diagnosis.dispatch", "asg-tree", Vec::new);
+        let det = obs.event(None, "detection", "one-off-timer", || ());
+        obs.event(det, "diagnosis.dispatch", "asg-tree", || ());
         let chains = incidents(&obs.events().records());
         assert!(!chains[0].anchored);
         assert!(!chains[0].complete());
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn unrelated_events_stay_out_of_the_chain() {
         let obs = canonical_chain();
-        obs.event(None, "log.line", "unrelated.log", Vec::new);
+        obs.event(None, "log.line", "unrelated.log", || ());
         let chains = incidents(&obs.events().records());
         assert_eq!(chains[0].hops.len(), 7);
     }
@@ -320,7 +320,7 @@ mod tests {
     fn no_detections_renders_a_fixed_message() {
         let obs = Obs::detached();
         obs.begin_run("t");
-        obs.event(None, "log.line", "asgard.log", Vec::new);
+        obs.event(None, "log.line", "asgard.log", || ());
         assert!(render_timelines(&obs.events().records()).contains("no incidents"));
     }
 }

@@ -181,7 +181,7 @@ impl RollingUpgrade {
     }
 
     /// Opens an `upgrade.step` span for `step`.
-    fn step_span(&self, step: &str) -> SpanGuard {
+    fn step_span(&self, step: &'static str) -> SpanGuard {
         let span = self.cloud.obs().span("upgrade.step");
         span.attr("step", step);
         span

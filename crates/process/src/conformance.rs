@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pod_obs::{Counter, Obs};
+use pod_obs::{Counter, EventAttrs, EventId, Obs};
 
 use crate::model::ProcessModel;
 use crate::petri::{PetriNet, State, Step};
@@ -58,21 +58,29 @@ pub struct Unfit {
     /// Activities that would have to be skipped for this one to occur,
     /// when a forward-skip explains the observation.
     pub skipped: Vec<String>,
-    /// `expected`, then `skipped` when not empty, `|`-joined: the
-    /// `conformance.verdict` event's attributes.
-    attrs: Vec<(&'static str, String)>,
 }
 
 impl Unfit {
     pub(crate) fn new(expected: Vec<String>, skipped: Vec<String>) -> Unfit {
-        let mut attrs = vec![("expected", expected.join("|"))];
-        if !skipped.is_empty() {
-            attrs.push(("skipped", skipped.join("|")));
-        }
-        Unfit {
-            expected,
-            skipped,
-            attrs,
+        Unfit { expected, skipped }
+    }
+}
+
+/// An unfit verdict's `conformance.verdict` attributes: the activity, then
+/// what the net's [`Unfit`] reports, `expected` and, when not empty,
+/// `skipped`, each `|`-joined when read.
+#[derive(Debug)]
+struct UnfitAttrs {
+    activity: Arc<str>,
+    unfit: Arc<Unfit>,
+}
+
+impl EventAttrs for UnfitAttrs {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        out.push(("activity", self.activity.to_string()));
+        out.push(("expected", self.unfit.expected.join("|")));
+        if !self.unfit.skipped.is_empty() {
+            out.push(("skipped", self.unfit.skipped.join("|")));
         }
     }
 }
@@ -162,27 +170,38 @@ impl ConformanceChecker {
     }
 
     /// Emits the `conformance.verdict` causal event for a classification
-    /// just made, remembering its id for [`last_verdict_event`].
+    /// just made, under the parent `cause` names (called only then; `None`
+    /// leaves it to the ambient cause), remembering its id for
+    /// [`last_verdict_event`].
     ///
     /// [`last_verdict_event`]: ConformanceChecker::last_verdict_event
-    fn emit_verdict(&mut self, activity: Option<&str>, verdict: &Conformance) {
+    fn emit_verdict(
+        &mut self,
+        activity: Option<&str>,
+        verdict: &Conformance,
+        cause: impl FnOnce() -> Option<EventId>,
+    ) {
         // Outcome-conditional tracing: fit verdicts — the overwhelming
         // majority at fleet scale — are already counted (`conformance.fit`
         // in the replay path), so they are not traced. Detections only
         // ever parent on non-fit verdicts (`Conformance::is_error`), so
         // every incident chain stays complete. No `trace` attribute: the
         // event ring is per-trace already, so repeating the id per verdict
-        // only burned an allocation per line.
+        // only burned an allocation per line. An unfit verdict's record
+        // shares the net's label and `Unfit`; a bare verdict keeps nothing.
         self.last_event = if verdict.is_error() {
             self.obs
-                .event(None, "conformance.verdict", verdict.tag(), || {
-                    let unfit = match verdict {
-                        Conformance::Unfit(unfit) => &unfit.attrs[..],
-                        _ => &[],
-                    };
-                    // Collected at its exact size: nothing for a bare verdict.
-                    let activity = activity.map(|a| ("activity", a.to_string()));
-                    activity.into_iter().chain(unfit.iter().cloned()).collect()
+                .event(cause(), "conformance.verdict", verdict.tag(), || {
+                    match (verdict, activity) {
+                        (Conformance::Unfit(unfit), Some(activity)) => Some(UnfitAttrs {
+                            activity: match self.net.label(activity) {
+                                Some(label) => Arc::clone(label),
+                                None => Arc::from(activity),
+                            },
+                            unfit: Arc::clone(unfit),
+                        }),
+                        _ => None,
+                    }
                 })
         } else {
             None
@@ -191,7 +210,7 @@ impl ConformanceChecker {
 
     /// The causal event of the most recent verdict (replay or recorded
     /// error), so the engine can parent its detection on it.
-    pub fn last_verdict_event(&self) -> Option<pod_obs::EventId> {
+    pub fn last_verdict_event(&self) -> Option<EventId> {
         self.last_event
     }
 
@@ -220,6 +239,18 @@ impl ConformanceChecker {
     /// [`PetriNet`]): a pair of marking and activity any checker of it has
     /// replayed before costs a table read.
     pub fn replay(&mut self, trace_id: &str, activity: &str) -> Conformance {
+        self.replay_under(trace_id, activity, || None)
+    }
+
+    /// [`ConformanceChecker::replay`], tracing a non-fit verdict under the
+    /// parent `cause` names, which is called only then: the engine hands
+    /// down its line's pending root this way.
+    pub fn replay_under(
+        &mut self,
+        trace_id: &str,
+        activity: &str,
+        cause: impl FnOnce() -> Option<EventId>,
+    ) -> Conformance {
         let net: &PetriNet = &self.net;
         self.metrics.replays.incr();
         let inst = Self::instance(&mut self.instances, net, trace_id);
@@ -237,14 +268,20 @@ impl ConformanceChecker {
                 Conformance::Unfit(unfit)
             }
         };
-        self.emit_verdict(Some(activity), &verdict);
+        self.emit_verdict(Some(activity), &verdict, cause);
         verdict
     }
 
     /// Marks a non-replay error (known-error line or unclassified line)
     /// against the trace, creating it on first contact, and returns the
-    /// matching verdict.
-    pub fn record_error(&mut self, trace_id: &str, known_error: bool) -> Conformance {
+    /// matching verdict, traced under the parent `cause` names (as for
+    /// [`ConformanceChecker::replay_under`]).
+    pub fn record_error(
+        &mut self,
+        trace_id: &str,
+        known_error: bool,
+        cause: impl FnOnce() -> Option<EventId>,
+    ) -> Conformance {
         self.metrics.replays.incr();
         Self::instance(&mut self.instances, &self.net, trace_id);
         let verdict = if known_error {
@@ -254,7 +291,7 @@ impl ConformanceChecker {
             self.metrics.unclassified.incr();
             Conformance::Unclassified
         };
-        self.emit_verdict(None, &verdict);
+        self.emit_verdict(None, &verdict, cause);
         verdict
     }
 
@@ -343,8 +380,9 @@ mod tests {
     #[test]
     fn record_error_classifications() {
         let mut ch = checker();
-        assert_eq!(ch.record_error("t", true), Conformance::Error);
-        assert_eq!(ch.record_error("t", false), Conformance::Unclassified);
+        assert_eq!(ch.record_error("t", true, || None), Conformance::Error);
+        let unclassified = ch.record_error("t", false, || None);
+        assert_eq!(unclassified, Conformance::Unclassified);
     }
 
     #[test]
@@ -352,7 +390,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         let mut ch = ConformanceChecker::on(PetriNet::compile(&model()), &obs);
-        let line = obs.event(None, "log.line", "asgard.log", Vec::new);
+        let line = obs.event(None, "log.line", "asgard.log", || ());
         let _scope = obs.events().scope(line);
         // Outcome-conditional tracing: a fit replay is counted, not traced.
         ch.replay("t", "a");
@@ -371,7 +409,30 @@ mod tests {
         assert_eq!(records[1].kind, "conformance.verdict");
         assert_eq!(records[1].name, "conformance:unfit");
         assert_eq!(records[1].parent, line.map(|id| id.get()));
-        assert!(records[1].attrs.contains(&("expected", "b".to_string())));
+        assert!(records[1].attrs().contains(&("expected", "b".to_string())));
+    }
+
+    #[test]
+    fn a_cause_is_asked_for_only_when_a_verdict_is_traced() {
+        let obs = Obs::detached();
+        obs.begin_run("t");
+        let mut ch = ConformanceChecker::on(PetriNet::compile(&model()), &obs);
+        let line = obs.event(None, "log.line", "asgard.log", || ());
+        let fit = ch.replay_under("t", "a", || panic!("a fit verdict cites no cause"));
+        assert_eq!(fit, Conformance::Fit);
+        ch.replay_under("t", "c", || line);
+        ch.record_error("t", false, || line);
+        let records = obs.events().records();
+        assert_eq!(records.len(), 3);
+        assert!(records[1..]
+            .iter()
+            .all(|r| r.parent == line.map(|id| id.get())));
+        let rendered = records[1].attrs();
+        assert_eq!(rendered[0], ("activity", "c".to_string()));
+        assert!(
+            records[2].attrs().is_empty(),
+            "a bare verdict keeps nothing"
+        );
     }
 
     #[test]

@@ -92,8 +92,8 @@ pub struct PetriNet {
     initial: State,
     done_place: usize,
     /// Every transition label, sorted and deduplicated: the answer
-    /// table's columns.
-    labels: Vec<String>,
+    /// table's columns, shared with the unfit verdicts' events.
+    labels: Vec<Arc<str>>,
     answers: RwLock<Answers>,
 }
 
@@ -158,9 +158,13 @@ impl PetriNet {
                 }
             }
         }
-        let mut labels: Vec<String> = transitions.iter().filter_map(|t| t.label.clone()).collect();
+        let mut labels: Vec<&str> = transitions
+            .iter()
+            .filter_map(|t| t.label.as_deref())
+            .collect();
         labels.sort();
         labels.dedup();
+        let labels = labels.into_iter().map(Arc::from).collect();
         PetriNet {
             transitions,
             initial: initial.into(),
@@ -186,10 +190,7 @@ impl PetriNet {
     /// [`PetriNet::enabled_labels`] and [`PetriNet::hypothesise_skips`],
     /// then read from the table every holder of this net shares.
     pub(crate) fn step(&self, m: &State, activity: &str) -> Step {
-        let column = self
-            .labels
-            .binary_search_by(|label| label.as_str().cmp(activity))
-            .unwrap_or(self.labels.len());
+        let column = self.column(activity).unwrap_or(self.labels.len());
         let known = self
             .answers
             .read()
@@ -217,6 +218,19 @@ impl PetriNet {
             .entry(Arc::clone(m))
             .or_insert_with(|| vec![None; width].into());
         row[column].get_or_insert(step).clone()
+    }
+
+    /// The answer-table column of `activity`: its place among the labels.
+    fn column(&self, activity: &str) -> Option<usize> {
+        self.labels
+            .binary_search_by(|label| (**label).cmp(activity))
+            .ok()
+    }
+
+    /// The net's own copy of the label `activity`, if a transition carries
+    /// it.
+    pub(crate) fn label(&self, activity: &str) -> Option<&Arc<str>> {
+        self.column(activity).map(|column| &self.labels[column])
     }
 
     /// Whether `t` is enabled in `m`.

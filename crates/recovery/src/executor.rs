@@ -7,7 +7,7 @@ use std::sync::Arc;
 use pod_assert::{AssertionOutcome, ConsistentApi, ConsistentError, ExpectedEnv, RetryPolicy};
 use pod_cloud::{ApiError, AsgUpdate, Cloud, Instance, InstanceId, InstanceState};
 use pod_log::{LogEvent, LogStorage, Severity};
-use pod_obs::{Counter, EventId, Histogram, Obs};
+use pod_obs::{AttrValue, Counter, EventId, Histogram, Obs};
 use pod_sim::{SimDuration, SimTime};
 
 use crate::plan::{PlanLibrary, RecoveryPlan, RecoveryStep, ResourceKind};
@@ -263,7 +263,7 @@ impl RecoveryExecutor {
         self.metrics.runs.incr();
         let started_at = self.now();
         let start_event = obs.event(req.parent_event, "recovery.start", &req.root_cause, || {
-            vec![("task", req.task_id.clone())]
+            [("task", AttrValue::from(req.task_id.clone()))]
         });
         // Everything the run does — repair calls, consistent-layer
         // retries, verification — chains under the start event.
@@ -318,7 +318,7 @@ impl RecoveryExecutor {
                 ),
             );
             obs.event(None, "recovery.plan", &plan.id, || {
-                vec![("steps", plan.steps.len().to_string())]
+                [("steps", AttrValue::from(plan.steps.len()))]
             });
 
             // Why this plan did not repair the fault, once it has not.
@@ -335,9 +335,9 @@ impl RecoveryExecutor {
                     let failing = self.verify(&plan, &req.env, patient);
                     run.phases.verification += self.now().duration_since(verify_started);
                     obs.event(None, "recovery.verify", &plan.id, || {
-                        vec![
-                            ("checked", plan.verify.len().to_string()),
-                            ("failing", failing.len().to_string()),
+                        [
+                            ("checked", plan.verify.len().into()),
+                            ("failing", failing.len().into()),
                         ]
                     });
                     if failing.is_empty() {
@@ -492,9 +492,9 @@ impl RecoveryExecutor {
             self.metrics.steps_applied.incr();
             let obs = self.api.cloud().obs();
             obs.event(None, "recovery.step", &name, || {
-                vec![
-                    ("plan", plan.id.clone()),
-                    ("attempts", attempts.to_string()),
+                [
+                    ("plan", plan.id.clone().into()),
+                    ("attempts", attempts.into()),
                 ]
             });
             let applied = format!("Applied recovery step {name}: {detail}");
@@ -534,15 +534,17 @@ impl RecoveryExecutor {
     fn finish(&self, obs: &Obs, run: &mut RecoveryRun, lag: SimDuration) {
         run.finished_at = rewind(self.now(), lag);
         obs.event(None, "recovery.outcome", run.outcome.tag(), || {
-            let mut attrs = vec![
-                ("task", run.task_id.clone()),
-                ("cause", run.root_cause.clone()),
+            let mut attrs: Vec<(&str, AttrValue)> = vec![
+                ("task", run.task_id.clone().into()),
+                ("cause", run.root_cause.clone().into()),
             ];
             match &run.outcome {
                 RecoveryOutcome::Recovered => {
-                    attrs.extend(run.mttr().map(|m| ("mttr_ms", m.as_millis().to_string())));
+                    attrs.extend(run.mttr().map(|m| ("mttr_ms", m.as_millis().into())));
                 }
-                RecoveryOutcome::Escalated { reason } => attrs.push(("reason", reason.clone())),
+                RecoveryOutcome::Escalated { reason } => {
+                    attrs.push(("reason", reason.clone().into()));
+                }
             }
             attrs
         });

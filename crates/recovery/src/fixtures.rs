@@ -62,8 +62,8 @@ pub(crate) fn diagnosed(cloud: &Cloud, key: &str, cause: Option<&str>) -> Detect
     Detection {
         at,
         source: DetectionSource::AssertionLog,
-        description: format!("assertion {key} failed"),
-        step: Some("update-launch-config".to_string()),
+        description: format!("assertion {key} failed").into(),
+        step: Some("update-launch-config".into()),
         key: key.to_string(),
         instance: None,
         diagnosis: Some(DiagnosisReport {

@@ -179,10 +179,11 @@ pub fn conformance_check(obs: &Obs, run: &RecoveryRun) -> ConformanceReport {
             };
             // A non-fit verdict chains back to the line that caused it.
             let line = Arc::new(StoredLine::new(event, rules));
-            let _scope = obs.scope_cause("log.line", line.clone());
+            let mut root = obs.pending_root("log.line", &line);
+            let cause = || root.resolve();
             let verdict = match line.step() {
-                Some(step) => checker.replay(trace, step),
-                None => checker.record_error(trace, false),
+                Some(step) => checker.replay_under(trace, step, cause),
+                None => checker.record_error(trace, false, cause),
             };
             events += 1;
             errors += usize::from(verdict.is_error());

@@ -111,7 +111,7 @@ fn sequential_runs_on_one_cloud_reset_cleanly() {
     obs.begin_run("first");
     {
         let _span = obs.span("upgrade.step");
-        obs.event(None, "log.line", "asgard.log", Vec::new);
+        obs.event(None, "log.line", "asgard.log", || ());
     }
     let records = obs.events().records();
     assert_eq!(records.len(), 2);

@@ -63,13 +63,14 @@
 //! pipeline copied every line that left its stages (source, message,
 //! step) into a causal root of its own, in case the root had to be
 //! recorded, sampling added 5.24 allocations per line (84.92 against 79.68
-//! for `Off`); now that the pending root is the stored line itself, it
-//! adds 2.93 (82.61 against 79.67), and the bound is 4. A bound of one
-//! allocation per line is out of reach while the replay still records
-//! 0.80 causal records per line (1 242 over 1 545 lines), 520 of them
-//! materialised `log.line` roots: 306 of those are materialised by
-//! `PodEngine::arm`, which resolves the current cause on the
-//! operation-start line and on every wait line to chain its timer to it.
+//! for `Off`); once the pending root was the stored line itself, it added
+//! 2.93 (82.61 against 79.67), under a bound of 4 (the figures below say
+//! what it adds now). A bound of one allocation per line is out of reach
+//! while the replay still records 0.80 causal records per line (1 242
+//! over 1 545 lines), 520 of them materialised `log.line` roots: 306 of
+//! those are materialised by `PodEngine::arm`, which resolves the line's
+//! root on the operation-start line and on every wait line to chain its
+//! timer to it.
 //! Resolving those lazily would renumber the trace's event ids, which
 //! `TRACE_*.json` records. The record count is deterministic, so it is
 //! bounded too (0.82 per line, counted with the ring's dropped records): a
@@ -85,7 +86,18 @@
 //! formatted its transcript eagerly, a feed test copied the whole activity
 //! feed and a detection wrote its trace event in four locked steps, this
 //! plan cost 99.6 allocations per line, in release and debug builds
-//! alike; the bound is 62, near what doing that work once reaches (58.3).
+//! alike; the bound was 62, near what doing that work once reached (58.3).
+//!
+//! Before a causal event kept the values its attributes are rendered from
+//! (every event copied its attribute strings when it was written, a
+//! span's counts included), a line's root was pushed as an ambient frame
+//! and `PodEngine::finish` cloned its summary, sampling added 2.88
+//! allocations per fleet line (60.33 against 57.45 for `Off`), the
+//! overload-shaped replay cost 57.2 allocations per line and left 67.8 kB
+//! per tenant, in release and debug builds alike; the bounds are 2, 52
+//! and 60 kB, near what kept attributes reach (1.51, 49.5 and 57.3 kB).
+//! The causal-record bound is unchanged: the same 1 242 records are
+//! written.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,8 +155,12 @@ const DIRECT_READ_ALLOCATIONS: f64 = 76.0;
 const SHARED_ID_BYTES: f64 = 30_000.0;
 
 /// Allocations per line a `Sampled` replay may make beyond an `Off` one,
-/// now that a line's pending causal root shares its stored line.
-const SAMPLING_ALLOCATIONS: f64 = 4.0;
+/// now that a causal event keeps what its attributes are rendered from.
+const SAMPLING_ALLOCATIONS: f64 = 2.0;
+
+/// Allocations per line a `Sampled` replay made beyond an `Off` one while
+/// every causal event copied its attributes into strings.
+const COPIED_ATTRS_SAMPLING: f64 = 2.88;
 
 /// Allocations per line a `Sampled` replay made beyond an `Off` one while
 /// each line's pending causal root copied its source, message and step.
@@ -158,9 +174,22 @@ const CAUSAL_RECORDS: f64 = 0.82;
 /// path re-derived and re-formatted its per-fault work.
 const EAGER_ERROR_PATH: f64 = 99.6;
 
-/// Allocations per line the overload-shaped replay may make now that the
-/// error path does its per-fault work once.
-const ERROR_PATH_ALLOCATIONS: f64 = 62.0;
+/// Allocations per line the overload-shaped replay made once the error
+/// path did its per-fault work once, while every causal event copied its
+/// attributes into strings.
+const COPIED_ATTRS_ERROR_PATH: f64 = 57.2;
+
+/// Allocations per line the overload-shaped replay may make now that a
+/// causal event keeps what its attributes are rendered from.
+const ERROR_PATH_ALLOCATIONS: f64 = 52.0;
+
+/// Bytes per tenant a `Sampled` replay of the overload-shaped feed left
+/// live while every causal event copied its attributes into strings.
+const COPIED_ATTRS_OVERLOAD_BYTES: f64 = 67_800.0;
+
+/// Bytes per tenant a `Sampled` replay of the overload-shaped feed may
+/// leave live now that a causal event keeps what it points at.
+const KEPT_ATTRS_OVERLOAD_BYTES: f64 = 60_000.0;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -432,7 +461,7 @@ fn a_collected_tenant_leaves_at_most_thirty_kilobytes() {
 }
 
 #[test]
-fn sampling_adds_at_most_four_allocations_per_line() {
+fn sampling_adds_at_most_two_allocations_per_line() {
     let streams = fleet();
     // A replay registers its metrics on the streams' own clouds, which
     // keep them: the first replay of these streams registers every
@@ -453,7 +482,8 @@ fn sampling_adds_at_most_four_allocations_per_line() {
     assert!(
         added <= SAMPLING_ALLOCATIONS,
         "sampling adds {added:.2} allocations per line; the bound is {SAMPLING_ALLOCATIONS} \
-         ({COPIED_ROOT_SAMPLING:.2} while each line's causal root copied its strings)"
+         ({COPIED_ROOT_SAMPLING:.2} while each line's causal root copied its strings, \
+         {COPIED_ATTRS_SAMPLING:.2} while every event copied its attributes)"
     );
 }
 
@@ -490,18 +520,24 @@ fn overload() -> SoakStreams {
     })
 }
 
-#[test]
-fn an_overloaded_faulty_line_costs_at_most_sixty_two_allocations() {
-    let streams = overload();
-    warm_up(&streams);
-    let gateway = GatewayConfig {
+/// The ledger's `overload-shed` gateway: 16-line queues that shed the
+/// oldest line.
+fn shedding() -> GatewayConfig {
+    GatewayConfig {
         queue_capacity: 16,
         batch_size: 4,
         flush_interval: SimDuration::from_secs(5),
         overload: OverloadPolicy::ShedOldest,
         max_ops_per_shard: usize::MAX,
         ..GatewayConfig::default()
-    };
+    }
+}
+
+#[test]
+fn an_overloaded_faulty_line_costs_at_most_fifty_two_allocations() {
+    let streams = overload();
+    warm_up(&streams);
+    let gateway = shedding();
     let before = allocations();
     let report = replay_telemetry(&streams, &gateway, TelemetryMode::Sampled);
     let counted = allocations() - before;
@@ -515,6 +551,31 @@ fn an_overloaded_faulty_line_costs_at_most_sixty_two_allocations() {
     assert!(
         per_line <= ERROR_PATH_ALLOCATIONS,
         "{per_line:.1} allocations per line; the bound is {ERROR_PATH_ALLOCATIONS:.0} \
-         ({EAGER_ERROR_PATH} while the error path re-derived its work per fault)"
+         ({EAGER_ERROR_PATH} while the error path re-derived its work per fault, \
+         {COPIED_ATTRS_ERROR_PATH} while every event copied its attributes)"
+    );
+}
+
+#[test]
+fn an_overloaded_tenant_leaves_at_most_sixty_kilobytes() {
+    let streams = overload();
+    warm_up(&streams);
+    let live = live_bytes();
+    drop(replay_telemetry(
+        &streams,
+        &shedding(),
+        TelemetryMode::Sampled,
+    ));
+    let per_tenant = (live_bytes() - live) as f64 / streams.ops.len() as f64;
+    println!(
+        "{:.1} kB left per overloaded tenant over {} tenants",
+        per_tenant / 1000.0,
+        streams.ops.len()
+    );
+    assert!(
+        per_tenant <= KEPT_ATTRS_OVERLOAD_BYTES,
+        "{per_tenant:.0} bytes per overloaded tenant; the bound is \
+         {KEPT_ATTRS_OVERLOAD_BYTES:.0} ({COPIED_ATTRS_OVERLOAD_BYTES:.0} while every causal \
+         event copied its attributes)"
     );
 }
