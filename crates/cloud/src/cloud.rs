@@ -1,9 +1,8 @@
 //! The cloud simulator: API front-end, ASG reconciliation engine and
 //! eventual consistency.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::hash::Hash;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -18,7 +17,7 @@ use crate::resources::{
     ActivityStatus, Ami, AutoScalingGroup, Elb, Instance, InstanceState, KeyPair, LaunchConfig,
     ScalingActivity, SecurityGroup,
 };
-use crate::state::{CloudState, ScalingActivities};
+use crate::state::{CloudState, InstanceRecord, ScalingActivities, Table};
 use crate::versioned::Versioned;
 
 /// Time from launch request to `InService`: lognormal (median ms, sigma).
@@ -90,14 +89,32 @@ fn not_found(kind: &'static str, id: &impl fmt::Display) -> ApiError {
 
 /// Files `value` under `key` with its first version at `at`; hands the key
 /// back.
-fn file<K: Eq + Hash + Clone, T>(
-    table: &mut HashMap<K, Versioned<T>>,
+fn file<K: Ord + AsRef<str> + Clone, T>(
+    table: &mut Table<K, Versioned<T>>,
     at: SimTime,
     key: K,
     value: T,
 ) -> K {
     table.insert(key.clone(), Versioned::new(at, value));
     key
+}
+
+/// `members` with `id` appended, in a list of exactly that length.
+fn with_member(members: &[InstanceId], id: &InstanceId) -> Arc<[InstanceId]> {
+    members.iter().chain([id]).cloned().collect()
+}
+
+/// `members` without `id`: a new list of exactly the rest, or the same list
+/// shared when `id` is not a member (a list holds each id at most once).
+fn without_member(members: &Arc<[InstanceId]>, id: &InstanceId) -> Arc<[InstanceId]> {
+    match members.iter().position(|m| m == id) {
+        Some(at) => members[..at]
+            .iter()
+            .chain(&members[at + 1..])
+            .cloned()
+            .collect(),
+        None => Arc::clone(members),
+    }
 }
 
 /// The API's error for any call on a load balancer whose service is down.
@@ -121,6 +138,9 @@ struct Inner {
     events: EventQueue<CloudEvent>,
     config: CloudConfig,
     processed_until: SimTime,
+    /// Reused to format each scaling activity's description, which the
+    /// history then keeps at its exact length.
+    render: String,
 }
 
 /// The resources of one steady-state cluster, as
@@ -206,6 +226,7 @@ impl Cloud {
                 events: EventQueue::new(),
                 config,
                 processed_until: SimTime::ZERO,
+                render: String::new(),
             })),
             clock,
             obs,
@@ -265,11 +286,11 @@ impl Cloud {
 
     /// One metered, possibly stale read of the `kind` resource `id` in
     /// `table`, projected in place by `f`.
-    fn read<K: Eq + Hash + fmt::Display, T, R>(
+    fn read<K: Ord + AsRef<str> + fmt::Display, T, R>(
         &self,
         kind: &'static str,
         id: &K,
-        table: impl FnOnce(&CloudState) -> &HashMap<K, Versioned<T>>,
+        table: impl FnOnce(&CloudState) -> &Table<K, Versioned<T>>,
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, ApiError> {
         self.call(|inner, now| {
@@ -311,12 +332,17 @@ impl Cloud {
 
     /// Describes one instance (possibly stale).
     pub fn describe_instance(&self, id: &InstanceId) -> Result<Instance, ApiError> {
-        self.read("instance", id, |s| &s.instances, Clone::clone)
+        self.call(|inner, now| {
+            let t = self.read_time(inner, now);
+            let record = inner.state.instances.get(id);
+            let record = record.ok_or_else(|| not_found("instance", id))?;
+            Ok(record.at(t).into_owned())
+        })
     }
 
     /// Reads all member instances of an ASG (possibly stale) in place: `f`
-    /// sees them without copying any. Metered like
-    /// [`Cloud::describe_asg_instances`].
+    /// sees them without copying any that is current. Metered like
+    /// [`Cloud::describe_asg`].
     pub fn with_asg_instances<R>(
         &self,
         name: &AsgName,
@@ -327,20 +353,23 @@ impl Cloud {
             let state = &inner.state;
             let group = state.asgs.get(name);
             let group = group.ok_or_else(|| not_found("auto-scaling-group", name))?;
-            let instances: Vec<&Instance> = group
-                .at(t)
-                .instances
-                .iter()
-                .filter_map(|id| state.instances.get(id))
-                .map(|v| v.at(t))
-                .collect();
+            let ids = &group.at(t).instances;
+            let members = ids.iter().filter_map(|id| state.instances.get(id));
+            // A member whose newest status `t` does not see yet is
+            // materialised (rarely any) and lent in its place afterwards.
+            let mut stale = Vec::new();
+            let mut instances: Vec<&Instance> = Vec::with_capacity(ids.len());
+            for (n, record) in members.enumerate() {
+                if let Cow::Owned(older) = record.at(t) {
+                    stale.push((n, older));
+                }
+                instances.push(record.latest());
+            }
+            for (n, older) in &stale {
+                instances[*n] = older;
+            }
             Ok(f(&instances))
         })
-    }
-
-    /// Describes all member instances of an ASG (possibly stale).
-    pub fn describe_asg_instances(&self, name: &AsgName) -> Result<Vec<Instance>, ApiError> {
-        self.with_asg_instances(name, |is| is.iter().copied().cloned().collect())
     }
 
     /// Describes a machine image (possibly stale).
@@ -483,7 +512,7 @@ impl Cloud {
                         });
                     }
                 }
-                let description = format!("Terminating EC2 instance: {id}");
+                let description = format_args!("Terminating EC2 instance: {id}");
                 inner.activity(now, &asg_name, ActivityStatus::InProgress, description);
             }
             Ok(())
@@ -563,7 +592,7 @@ impl Cloud {
             let elb_name = ElbName::new(name);
             let elb = Elb {
                 name: elb_name.clone(),
-                registered: Vec::new(),
+                registered: Arc::new([]),
                 available: true,
             };
             file(&mut inner.state.elbs, now, elb_name, elb)
@@ -625,11 +654,13 @@ impl Cloud {
                 i.asg = Some(asg_name.clone());
                 i.registered_with_elb = elb.is_some();
             };
-            let ids: Vec<InstanceId> = (0..desired)
+            let ids: Arc<[InstanceId]> = (0..desired)
                 .map(|_| inner.spawn(now, &lc, member))
                 .collect();
             if let Some(rec) = elb.as_ref().and_then(|n| inner.state.elbs.get_mut(n)) {
-                rec.update(now, |e| e.registered.extend(ids.iter().cloned()));
+                rec.update(now, |e| {
+                    e.registered = e.registered.iter().chain(ids.iter()).cloned().collect();
+                });
             }
             let group = AutoScalingGroup {
                 name: asg_name.clone(),
@@ -791,10 +822,16 @@ impl Cloud {
         self.admin(|inner, now| {
             for id in ids {
                 if let Some(rec) = inner.state.instances.get_mut(id) {
-                    rec.update(now, |i| i.state = InstanceState::Terminated);
+                    rec.set_state(now, InstanceState::Terminated);
                 }
             }
         });
+    }
+
+    /// Runs `f` on the account's records as they stand.
+    #[cfg(test)]
+    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&CloudState) -> R) -> R {
+        f(&self.inner.lock().state)
     }
 
     /// Authoritative (non-stale) snapshot of an ASG, for test assertions and
@@ -805,7 +842,7 @@ impl Cloud {
 
     /// Authoritative snapshot of an instance.
     pub fn admin_describe_instance(&self, id: &InstanceId) -> Option<Instance> {
-        self.admin(|inner, _| inner.state.instances.get(id).map(|v| v.latest().clone()))
+        self.admin(|inner, _| inner.state.instances.get(id).map(|r| r.latest().clone()))
     }
 
     /// Authoritative snapshot of all active member instances of an ASG.
@@ -862,7 +899,9 @@ impl Inner {
             launched_at: at,
         };
         shape(&mut instance);
-        file(&mut self.state.instances, at, id, instance)
+        let record = InstanceRecord::new(at, instance);
+        self.state.instances.insert(id.clone(), record);
+        id
     }
 
     /// Appends one entry to the scaling-activity history of `asg`.
@@ -871,12 +910,16 @@ impl Inner {
         at: SimTime,
         asg: &AsgName,
         status: ActivityStatus,
-        description: String,
+        description: fmt::Arguments<'_>,
     ) {
+        // The history keeps every entry for the account's life, so each
+        // description is copied out of the reused buffer at its length.
+        self.render.clear();
+        let _ = self.render.write_fmt(description);
         self.state.record_activity(ScalingActivity {
             at,
             asg: asg.clone(),
-            description,
+            description: self.render.as_str().into(),
             status,
         });
     }
@@ -885,7 +928,7 @@ impl Inner {
     /// completion after a sampled terminate time.
     fn begin_termination(&mut self, at: SimTime, id: &InstanceId) {
         if let Some(rec) = self.state.instances.get_mut(id) {
-            rec.update(at, |i| i.state = InstanceState::Terminating);
+            rec.set_state(at, InstanceState::Terminating);
         }
         let (median_ms, sigma) = TERMINATE_TIME;
         let delay = LatencyModel::lognormal_median_millis(median_ms, sigma).sample(&mut self.rng);
@@ -910,11 +953,11 @@ impl Inner {
         }
         record.update(at, |e| match registered {
             true if e.registered.contains(instance) => {}
-            true => e.registered.push(instance.clone()),
-            false => e.registered.retain(|i| i != instance),
+            true => e.registered = with_member(&e.registered, instance),
+            false => e.registered = without_member(&e.registered, instance),
         });
         if let Some(rec) = self.state.instances.get_mut(instance) {
-            rec.update(at, |i| i.registered_with_elb = registered);
+            rec.set_registered(at, registered);
         }
         Ok(())
     }
@@ -941,11 +984,11 @@ impl Inner {
         if rec.latest().state != InstanceState::Pending {
             return;
         }
-        rec.update(at, |i| i.state = InstanceState::InService);
+        rec.set_state(at, InstanceState::InService);
         let Some(asg_name) = rec.latest().asg.clone() else {
             return;
         };
-        let description = format!("Launched EC2 instance: {id}");
+        let description = format_args!("Launched EC2 instance: {id}");
         self.activity(at, &asg_name, ActivityStatus::Successful, description);
         // Auto-register with the attached ELB, like AWS ASG-ELB integration.
         let elb_name = self
@@ -956,7 +999,7 @@ impl Inner {
         if let Some(elb_name) = elb_name {
             if self.set_registered(at, &elb_name, id, true).is_err() {
                 let status = ActivityStatus::Failed("ServiceUnavailable".into());
-                let description = format!(
+                let description = format_args!(
                     "Failed to register instance {id} with ELB {elb_name}: ServiceUnavailable"
                 );
                 self.activity(at, &asg_name, status, description);
@@ -971,21 +1014,18 @@ impl Inner {
         if rec.latest().state == InstanceState::Terminated {
             return;
         }
-        rec.update(at, |i| {
-            i.state = InstanceState::Terminated;
-            i.registered_with_elb = false;
-        });
+        rec.set(at, InstanceState::Terminated, false);
         if let Some(asg_name) = &rec.latest().asg.clone() {
             if let Some(grec) = self.state.asgs.get_mut(asg_name) {
-                grec.update(at, |g| g.instances.retain(|i| i != id));
+                grec.update(at, |g| g.instances = without_member(&g.instances, id));
             }
-            let description = format!("Terminated EC2 instance: {id}");
+            let description = format_args!("Terminated EC2 instance: {id}");
             self.activity(at, asg_name, ActivityStatus::Successful, description);
         }
         // Remove from any ELB registration.
         for erec in self.state.elbs.values_mut() {
             if erec.latest().registered.contains(id) {
-                erec.update(at, |e| e.registered.retain(|i| i != id));
+                erec.update(at, |e| e.registered = without_member(&e.registered, id));
             }
         }
     }
@@ -1007,7 +1047,7 @@ impl Inner {
         active.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for (_, id) in active.iter().take(active.len().saturating_sub(desired)) {
             self.begin_termination(at, id);
-            let description = format!("Terminating EC2 instance (scale in): {id}");
+            let description = format_args!("Terminating EC2 instance (scale in): {id}");
             self.activity(at, asg_name, ActivityStatus::InProgress, description);
         }
         self.events.schedule(
@@ -1055,8 +1095,9 @@ impl Inner {
             Ok(lc) => lc,
             Err(reason) => {
                 let message = format!("Failed to launch instance: {reason}");
+                let description = format_args!("{message}");
                 let status = ActivityStatus::Failed(message.clone());
-                return self.activity(at, asg_name, status, message);
+                return self.activity(at, asg_name, status, description);
             }
         };
         let id = self.spawn(at, &lc, |i| {
@@ -1064,13 +1105,13 @@ impl Inner {
             i.asg = Some(asg_name.clone());
         });
         if let Some(grec) = self.state.asgs.get_mut(asg_name) {
-            grec.update(at, |g| g.instances.push(id.clone()));
+            grec.update(at, |g| g.instances = with_member(&g.instances, &id));
         }
         let (median_ms, sigma) = BOOT_TIME;
         let boot = LatencyModel::lognormal_median_millis(median_ms, sigma).sample(&mut self.rng);
         self.events
             .schedule(at + boot, CloudEvent::BootComplete(id.clone()));
-        let description = format!("Launching a new EC2 instance: {id}");
+        let description = format_args!("Launching a new EC2 instance: {id}");
         self.activity(at, asg_name, ActivityStatus::InProgress, description);
     }
 }

@@ -29,6 +29,8 @@
 
 mod cloud;
 mod error;
+#[cfg(test)]
+mod history_oracle;
 mod ids;
 mod resources;
 mod state;
@@ -43,5 +45,5 @@ pub use resources::{
     ActivityStatus, Ami, AutoScalingGroup, Elb, Instance, InstanceState, KeyPair, LaunchConfig,
     ScalingActivity, SecurityGroup,
 };
-pub use state::{CloudState, ScalingActivities, INSTANCE_LIMIT};
+pub use state::{ScalingActivities, INSTANCE_LIMIT};
 pub use versioned::Versioned;

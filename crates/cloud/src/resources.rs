@@ -80,7 +80,9 @@ impl InstanceState {
     }
 }
 
-/// An EC2 instance.
+/// An EC2 instance. Everything but its lifecycle `state` and ELB
+/// registration is fixed at launch; the account files those launch facts
+/// once and versions only the two that change.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// The instance id.
@@ -120,8 +122,10 @@ pub struct AutoScalingGroup {
     pub max_size: u32,
     /// Desired capacity; the reconciler drives actual size toward this.
     pub desired_capacity: u32,
-    /// Ids of member instances (any active state).
-    pub instances: Vec<InstanceId>,
+    /// Ids of member instances (any active state), exactly as many as
+    /// there are: a version that changes the members builds a new list,
+    /// one that does not shares the list of the version before.
+    pub instances: Arc<[InstanceId]>,
     /// Attached load balancer.
     pub elb: Option<ElbName>,
 }
@@ -131,8 +135,9 @@ pub struct AutoScalingGroup {
 pub struct Elb {
     /// Balancer name.
     pub name: ElbName,
-    /// Instances currently registered.
-    pub registered: Vec<InstanceId>,
+    /// Instances currently registered, held like
+    /// [`AutoScalingGroup::instances`].
+    pub registered: Arc<[InstanceId]>,
     /// Whether the service is up (fault type 8 marks it unavailable).
     pub available: bool,
 }

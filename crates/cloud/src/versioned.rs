@@ -13,6 +13,13 @@ const MAX_VERSIONS: usize = 8;
 
 /// A value with a bounded modification history.
 ///
+/// The history keeps exactly the newest eight versions, and its
+/// buffer never has room for more: a write to a full history drops the
+/// oldest version before it appends. A read older than every kept version
+/// resolves to the oldest one kept. Each version is a whole `T`, so a
+/// record keeps in its history only what changes (an instance versions its
+/// lifecycle state and ELB registration, not its launch facts).
+///
 /// # Examples
 ///
 /// ```
@@ -42,19 +49,16 @@ impl<T> Versioned<T> {
     /// Records a new version effective from `at`. Versions must be recorded
     /// in non-decreasing time order; same-instant writes replace.
     pub fn set(&mut self, at: SimTime, value: T) {
-        if let Some(last) = self.versions.last() {
-            debug_assert!(at >= last.0, "versions must be recorded in time order");
-            if last.0 == at {
-                let last = self.versions.last_mut().expect("non-empty");
-                last.1 = value;
-                return;
-            }
+        let last = self.versions.last_mut().expect("history is never empty");
+        debug_assert!(at >= last.0, "versions must be recorded in time order");
+        if last.0 == at {
+            last.1 = value;
+            return;
+        }
+        if self.versions.len() == MAX_VERSIONS {
+            self.versions.remove(0);
         }
         self.versions.push((at, value));
-        if self.versions.len() > MAX_VERSIONS {
-            let excess = self.versions.len() - MAX_VERSIONS;
-            self.versions.drain(..excess);
-        }
     }
 
     /// Records a new version effective from `at`: the newest value with
@@ -81,6 +85,12 @@ impl<T> Versioned<T> {
             Some((_, v)) => v,
             None => &self.versions.first().expect("history is never empty").1,
         }
+    }
+
+    /// When each kept version took effect, oldest first.
+    #[cfg(test)]
+    pub(crate) fn stamps(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.versions.iter().map(|&(at, _)| at)
     }
 }
 
@@ -116,5 +126,24 @@ mod tests {
         assert_eq!(*v.latest(), 99);
         // A read far in the past resolves to the oldest retained version.
         assert_eq!(*v.at(SimTime::ZERO), 92);
+        assert_eq!(v.versions.len(), MAX_VERSIONS);
+    }
+
+    #[test]
+    fn a_full_history_never_holds_room_for_more_than_max_versions() {
+        let mut v = Versioned::new(SimTime::ZERO, [0u8; 40]);
+        for i in 1..100u64 {
+            v.set(SimTime::from_secs(i), [i as u8; 40]);
+            v.set(SimTime::from_secs(i), [i as u8 + 1; 40]);
+            assert!(v.versions.len() <= MAX_VERSIONS);
+            assert!(
+                v.versions.capacity() <= MAX_VERSIONS,
+                "room for {} after {i} writes",
+                v.versions.capacity()
+            );
+        }
+        assert_eq!(v.versions.len(), MAX_VERSIONS);
+        assert_eq!(*v.latest(), [100; 40], "same-instant writes replace");
+        assert_eq!(*v.at(SimTime::ZERO), [93; 40]);
     }
 }

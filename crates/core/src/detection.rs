@@ -63,7 +63,7 @@ pub struct Detection {
     pub step: Option<Arc<str>>,
     /// The assertion key that selects the fault tree for this detection
     /// (the master-tree key when the detection did not name an assertion).
-    pub key: String,
+    pub key: &'static str,
     /// The cloud instance implicated, if known.
     pub instance: Option<InstanceId>,
     /// The diagnosis report; `None` when diagnosis was suppressed by the
@@ -166,7 +166,7 @@ mod tests {
             source: DetectionSource::AssertionLog,
             description: "instance failed health check".into(),
             step: Some("step4".into()),
-            key: "instance-health".into(),
+            key: "instance-health",
             instance: Some(InstanceId::new("i-7df34041")),
             diagnosis: None,
             event: None,

@@ -17,7 +17,7 @@ use pod_log::{
     LogEvent, LogRecord, LogStorage, NoiseFilter, Pipeline, PipelineOutput, ProcessAnnotator,
     ProcessContext, Severity, StoredLine, TimerSetter, Trigger,
 };
-use pod_obs::{Counter, EventAttrs, Exemplar, Histogram, Obs, PendingRoot};
+use pod_obs::{AttrValue, Counter, EventAttrs, Exemplar, Histogram, Obs, PendingRoot};
 use pod_process::{Conformance, ConformanceChecker, Unfit};
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
@@ -429,8 +429,8 @@ impl PodEngine {
                 at: replay_done,
                 event: self.conformance.last_verdict_event().map(|id| id.get()),
                 labels: vec![
-                    ("op", self.trace_id.to_string()),
-                    ("verdict", verdict.tag().to_string()),
+                    ("op", AttrValue::Shared(Arc::clone(&self.trace_id))),
+                    ("verdict", AttrValue::Static(verdict.tag())),
                 ],
             });
         self.log_conformance(line, &verdict);
@@ -610,7 +610,7 @@ impl PodEngine {
         let dispatch = obs.event(
             detection.event,
             "diagnosis.dispatch",
-            &detection.key,
+            detection.key,
             Vec::new,
         );
         // Fault-tree tests, causes and the verdict chain under the dispatch
@@ -760,7 +760,7 @@ impl PodEngine {
             source,
             description,
             step,
-            key: key.to_string(),
+            key,
             instance,
             diagnosis: None,
             event,
@@ -785,7 +785,7 @@ impl PodEngine {
             operation_started: self.op_started.unwrap_or(SimTime::ZERO),
         };
         let span = self.cloud.obs().span("engine.diagnosis");
-        span.attr("tree", key);
+        span.attr("tree", *key);
         self.metrics.diagnoses.incr();
         let overhead = diagnosis_overhead(&mut self.rng);
         let started = self.cloud.clock().now();
@@ -802,7 +802,7 @@ impl PodEngine {
             },
         );
         // Present: the detection that dispatched this diagnosis set it.
-        if let Some(last) = self.last_diagnosis_at.get_mut(key.as_str()) {
+        if let Some(last) = self.last_diagnosis_at.get_mut(key) {
             *last = self.cloud.clock().now();
         }
         report

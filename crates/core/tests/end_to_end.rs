@@ -588,12 +588,12 @@ proptest! {
         let mut last_diagnosed: HashMap<&str, SimTime> = HashMap::new();
         for d in &summary.detections {
             let cooling = last_diagnosed
-                .get(d.key.as_str())
+                .get(d.key)
                 .is_some_and(|last| d.at.duration_since(*last) < COOLDOWN);
             prop_assert!(!(cooling && d.diagnosis.is_some()));
             if let Some(report) = &d.diagnosis {
                 prop_assert!(report.started_at >= d.at + SimDuration::from_secs(5));
-                last_diagnosed.insert(&d.key, d.at);
+                last_diagnosed.insert(d.key, d.at);
             }
         }
     }

@@ -175,11 +175,7 @@ pub fn exemplar_lines(run: &str, snapshot: &Snapshot) -> Vec<Json> {
                 .opt(e.event, |r, event| r.num("event", event))
                 .nonempty(
                     "labels",
-                    object(
-                        e.labels
-                            .iter()
-                            .map(|&(k, ref v)| (k, Json::str(v.as_str()))),
-                    ),
+                    object(e.labels.iter().map(|(k, v)| (*k, Json::str(v.to_string())))),
                 )
                 .build()
         }));

@@ -343,7 +343,7 @@ mod tests {
             source,
             description: "d".into(),
             step: None,
-            key: "asg-has-instances-with-version".into(),
+            key: "asg-has-instances-with-version",
             instance: None,
             diagnosis: rep,
             event: None,

@@ -99,9 +99,16 @@ pub struct OpStream {
     pub upgrade_completed: bool,
     /// The raw wire lines, in arrival order: (arrival time, raw text).
     pub lines: Vec<(SimTime, String)>,
-    /// Every `i-…` instance token mentioned in this operation's own lines
-    /// (the ground truth for the cross-operation leak check).
-    pub tokens: BTreeSet<String>,
+    /// Every `i-…` instance token mentioned in this operation's own lines,
+    /// sorted (the ground truth for the cross-operation leak check).
+    pub tokens: Box<[Box<str>]>,
+}
+
+impl OpStream {
+    /// Whether this operation's own lines mention instance `token`.
+    pub fn mentions(&self, token: &str) -> bool {
+        self.tokens.binary_search_by(|t| (**t).cmp(token)).is_ok()
+    }
 }
 
 /// The phase-A product: every operation's stream.
@@ -262,7 +269,7 @@ impl SoakRecoveryReport {
 
 /// Collects every `i-…` instance token in `text` into `out` (used to
 /// establish which cloud instances each operation's lines mention).
-fn instance_tokens(text: &str, out: &mut BTreeSet<String>) {
+fn instance_tokens<'a>(text: &'a str, out: &mut BTreeSet<&'a str>) {
     let bytes = text.as_bytes();
     let mut from = 0;
     while let Some(pos) = text[from..].find("i-") {
@@ -273,7 +280,7 @@ fn instance_tokens(text: &str, out: &mut BTreeSet<String>) {
             end += 1;
         }
         if clean_boundary && end > start + 2 {
-            out.insert(text[start..end].to_string());
+            out.insert(&text[start..end]);
         }
         from = start + 2;
     }
@@ -393,11 +400,15 @@ fn collect_one(plan: &OpPlan, noise_rate: f64) -> OpStream {
             }
         };
         let landed = collector.injection.is_none_or(|i| i.at.is_some());
-        let lines = collector.lines;
-        let mut tokens = BTreeSet::new();
+        // The stream is kept until the replay: at its length, not at the
+        // capacity it grew to.
+        let mut lines = collector.lines;
+        lines.shrink_to_fit();
+        let mut mentioned = BTreeSet::new();
         for (_, raw) in &lines {
-            instance_tokens(raw, &mut tokens);
+            instance_tokens(raw, &mut mentioned);
         }
+        let tokens = mentioned.into_iter().map(Box::from).collect();
         let stream = OpStream {
             fault: plan.fault,
             scenario,
@@ -556,7 +567,7 @@ fn replay_inner(
             e.labels
                 .iter()
                 .find(|&&(k, _)| k == "op")
-                .map(|(_, v)| v.clone())
+                .map(|(_, v)| v.to_string())
         })
         .collect();
 
@@ -609,12 +620,12 @@ fn replay_inner(
         let mut mentioned = BTreeSet::new();
         instance_tokens(&digest, &mut mentioned);
         for token in mentioned {
-            if !stream.tokens.contains(&token)
+            if !stream.mentions(token)
                 && streams
                     .ops
                     .iter()
                     .enumerate()
-                    .any(|(j, other)| j != i && other.tokens.contains(&token))
+                    .any(|(j, other)| j != i && other.mentions(token))
             {
                 leaks.push(format!(
                     "{}: detection references foreign instance {token}",

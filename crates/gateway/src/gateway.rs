@@ -19,10 +19,11 @@
 //! input the whole service is bit-reproducible.
 
 use std::fmt;
+use std::sync::Arc;
 
 use pod_core::{PodEngine, RunSummary};
 use pod_log::{parse_line, Json, LineFormat, LogEvent};
-use pod_obs::{Counter, Exemplar, FlightRecorder, Histogram, HistogramSnapshot, Obs};
+use pod_obs::{AttrValue, Counter, Exemplar, FlightRecorder, Histogram, HistogramSnapshot, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
@@ -265,7 +266,7 @@ enum Reschedule {
 
 #[derive(Debug)]
 struct OpSlot {
-    instance_id: String,
+    instance_id: Arc<str>,
     shard: usize,
     lines: u64,
     /// Detection count last seen by the flight recorder.
@@ -352,8 +353,8 @@ impl Gateway {
                 ops: 0,
                 lines: 0,
                 batches: 0,
-                shed_counter: obs.counter(&format!("gateway.shard.{i}.shed")),
-                queue_wait: obs.histogram(&format!("gateway.shard.{i}.queue_wait_us")),
+                shed_counter: obs.counter(format!("gateway.shard.{i}.shed")),
+                queue_wait: obs.histogram(format!("gateway.shard.{i}.queue_wait_us")),
             })
             .collect();
         let metrics = Metrics {
@@ -438,7 +439,7 @@ impl Gateway {
         self.shards[shard].ops += 1;
         let id = OpId(self.ops.len());
         self.ops.push(OpSlot {
-            instance_id,
+            instance_id: instance_id.into(),
             shard,
             lines: 0,
             detections_seen: 0,
@@ -566,8 +567,8 @@ impl Gateway {
                 at: service_start,
                 event: None,
                 labels: vec![
-                    ("op", op_slot.instance_id.clone()),
-                    ("shard", shard_idx.to_string()),
+                    ("op", AttrValue::Shared(Arc::clone(&op_slot.instance_id))),
+                    ("shard", AttrValue::from(shard_idx)),
                 ],
             });
             let parsed = parse_line(&line.raw, line.enqueued_at);

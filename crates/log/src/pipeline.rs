@@ -133,8 +133,8 @@ struct StageMetrics {
 impl StageMetrics {
     fn new(obs: &Obs, stage: &str) -> StageMetrics {
         StageMetrics {
-            processed: obs.counter(&format!("pipeline.{stage}.processed")),
-            dropped: obs.counter(&format!("pipeline.{stage}.dropped")),
+            processed: obs.counter(format!("pipeline.{stage}.processed")),
+            dropped: obs.counter(format!("pipeline.{stage}.dropped")),
         }
     }
 }

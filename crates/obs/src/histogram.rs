@@ -24,6 +24,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use pod_sim::SimTime;
 
+use crate::event::AttrValue;
+
 /// log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 3;
 /// Linear sub-buckets per octave (8 → ≤ 12.5% relative error).
@@ -72,9 +74,10 @@ pub struct Exemplar {
     /// The causal event the observation belongs to, when known — the hook
     /// into [`crate::incidents`] timelines.
     pub event: Option<u64>,
-    /// Labels, e.g. `op`, `instance`, `shard`: keys are literals, as
-    /// event attribute keys are.
-    pub labels: Vec<(&'static str, String)>,
+    /// Labels, e.g. `op`, `instance`, `shard`: keys are literals and
+    /// values are kept as an event attribute keeps them (shared, static or
+    /// a count), rendered when read.
+    pub labels: Vec<(&'static str, AttrValue)>,
 }
 
 #[derive(Debug, Default)]
@@ -341,7 +344,7 @@ mod tests {
                     value: v * 10,
                     at: SimTime::from_micros(v),
                     event: Some(v),
-                    labels: vec![("op", format!("i-{v}"))],
+                    labels: vec![("op", format!("i-{v}").into())],
                 }
             });
         }

@@ -1,6 +1,7 @@
 //! The metrics registry: counters, gauges, histograms, and point-in-time
 //! snapshots with diff/merge support.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -128,16 +129,38 @@ impl Snapshot {
     }
 }
 
+/// The metrics of one kind, sorted by name. A name the binary contains is
+/// kept as the literal; only a name built at run time is owned.
+type Named<M> = Vec<(Cow<'static, str>, M)>;
+
+/// The metric registered under `name` in `metrics`, created on first use:
+/// a lookup is a binary search that allocates nothing.
+fn named<M: Clone + Default>(metrics: &mut Named<M>, name: Cow<'static, str>) -> M {
+    match metrics.binary_search_by(|(k, _)| k.as_ref().cmp(name.as_ref())) {
+        Ok(at) => metrics[at].1.clone(),
+        Err(at) => {
+            let metric = M::default();
+            metrics.insert(at, (name, metric.clone()));
+            metric
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Named<Counter>,
+    gauges: Named<Gauge>,
+    histograms: Named<Histogram>,
 }
 
 /// The shared metrics registry. Cloning shares the same metric set;
 /// handles returned from the accessors stay live after the registry is
 /// dropped.
+///
+/// Each kind is one vector sorted by name. Metric names are literals
+/// (`"cloud.api.calls"`), kept as given; the few built at run time (a
+/// gateway shard's, a pipeline stage's) are passed as owned strings.
+/// Asking again for a registered name copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<RegistryInner>>,
@@ -150,27 +173,20 @@ impl Registry {
     }
 
     /// The counter registered under `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock();
-        inner.counters.entry(name.to_string()).or_default().clone()
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
+        named(&mut self.inner.lock().counters, name.into())
     }
 
     /// The gauge registered under `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock();
-        inner.gauges.entry(name.to_string()).or_default().clone()
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
+        named(&mut self.inner.lock().gauges, name.into())
     }
 
     /// The histogram registered under `name`, created on first use.
     /// Snapshots carry its state under [`Snapshot::histograms`] and its
     /// tail exemplars, if any, under [`Snapshot::exemplars`].
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+    pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
+        named(&mut self.inner.lock().histograms, name.into())
     }
 
     /// Copies every metric's current value.
@@ -179,22 +195,22 @@ impl Registry {
         let mut histograms = BTreeMap::new();
         let mut exemplars = BTreeMap::new();
         for (k, h) in &inner.histograms {
-            histograms.insert(k.clone(), h.snapshot());
+            histograms.insert(k.to_string(), h.snapshot());
             let tail = h.exemplars();
             if !tail.is_empty() {
-                exemplars.insert(k.clone(), tail);
+                exemplars.insert(k.to_string(), tail);
             }
         }
         Snapshot {
             counters: inner
                 .counters
                 .iter()
-                .map(|(k, c)| (k.clone(), c.get()))
+                .map(|(k, c)| (k.to_string(), c.get()))
                 .collect(),
             gauges: inner
                 .gauges
                 .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
+                .map(|(k, g)| (k.to_string(), g.get()))
                 .collect(),
             histograms,
             exemplars,
@@ -216,6 +232,32 @@ mod tests {
         let g = reg.gauge("depth");
         g.set(3);
         assert_eq!(reg.gauge("depth").get(), 3);
+    }
+
+    #[test]
+    fn a_name_is_registered_once_whether_literal_or_built() {
+        let reg = Registry::new();
+        for name in ["b.two", "a.one", "c.three"] {
+            reg.counter(name).incr();
+        }
+        reg.counter(format!("a.{}", "one")).add(2);
+        reg.counter(String::from("d.four")).incr();
+        let inner = reg.inner.lock();
+        let names: Vec<&str> = inner.counters.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(
+            names,
+            ["a.one", "b.two", "c.three", "d.four"],
+            "sorted, each once"
+        );
+        assert!(
+            matches!(inner.counters[0].0, Cow::Borrowed(_)),
+            "a literal stays one"
+        );
+        assert!(matches!(inner.counters[3].0, Cow::Owned(_)));
+        drop(inner);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("a.one"), 3);
+        assert_eq!(snap.counters.len(), 4);
     }
 
     #[test]

@@ -191,17 +191,17 @@ impl Obs {
     }
 
     /// Counter accessor (see [`Registry::counter`]).
-    pub fn counter(&self, name: &str) -> Counter {
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
         self.registry.counter(name)
     }
 
     /// Gauge accessor (see [`Registry::gauge`]).
-    pub fn gauge(&self, name: &str) -> Gauge {
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
         self.registry.gauge(name)
     }
 
     /// Histogram accessor (see [`Registry::histogram`]).
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> Histogram {
         self.registry.histogram(name)
     }
 

@@ -13,7 +13,9 @@
 
 use std::ops::ControlFlow::{self, Break, Continue};
 
-use pod_cloud::{ActivityStatus, ApiError, Cloud, Instance, InstanceId, InstanceState};
+use std::sync::Arc;
+
+use pod_cloud::{ActivityStatus, ApiError, Cloud, InstanceId, InstanceState};
 use pod_log::{LogEvent, Severity};
 use pod_obs::SpanGuard;
 use pod_sim::{SimDuration, SimTime};
@@ -105,11 +107,11 @@ pub struct RollingUpgrade {
     /// The `replace-instance` step, open across its safe points.
     step: Option<SpanGuard>,
     /// The instances to replace, oldest first; the first `replaced` are.
-    victims: Vec<Instance>,
+    victims: Vec<InstanceId>,
     replaced: usize,
     /// The group's members before the current replacement, to recognise
     /// the new one.
-    before: Vec<InstanceId>,
+    before: Arc<[InstanceId]>,
     /// Failed scaling activities before this time are in the log.
     activity_cursor: SimTime,
 }
@@ -129,7 +131,7 @@ impl RollingUpgrade {
             step: None,
             victims: Vec::new(),
             replaced: 0,
-            before: Vec::new(),
+            before: Arc::new([]),
             activity_cursor: SimTime::ZERO,
         }
     }
@@ -236,13 +238,15 @@ impl RollingUpgrade {
     /// Sorts the instances to replace, oldest first, like Asgard.
     fn sort(&mut self, on_log: &mut dyn FnMut(LogEvent)) -> Segment {
         let _step = self.step_span("sort-instances");
-        self.victims = match self.cloud.describe_asg_instances(&self.config.asg) {
-            Ok(instances) => instances,
+        let active = self.cloud.with_asg_instances(&self.config.asg, |is| {
+            let mut active: Vec<_> = is.iter().filter(|i| i.state.is_active()).collect();
+            active.sort_by(|a, b| a.launched_at.cmp(&b.launched_at).then(a.id.cmp(&b.id)));
+            active.into_iter().map(|i| i.id.clone()).collect()
+        });
+        self.victims = match active {
+            Ok(victims) => victims,
             Err(e) => return Break(self.fail(on_log, e)),
         };
-        self.victims.retain(|i| i.state.is_active());
-        self.victims
-            .sort_by(|a, b| a.launched_at.cmp(&b.launched_at).then(a.id.cmp(&b.id)));
         let message = format!(
             "Sorted {} instances of group {} for replacement",
             self.victims.len(),
@@ -254,7 +258,7 @@ impl RollingUpgrade {
 
     /// The instance being replaced.
     fn victim(&self) -> InstanceId {
-        self.victims[self.replaced].id.clone()
+        self.victims[self.replaced].clone()
     }
 
     fn deregister(&mut self, on_log: &mut dyn FnMut(LogEvent)) -> Segment {
@@ -274,8 +278,8 @@ impl RollingUpgrade {
         step.attr("victim", &victim);
         self.step = Some(step);
         let cfg = &self.config;
-        let group = self.cloud.describe_asg(&cfg.asg);
-        self.before = group.map(|g| g.instances).unwrap_or_default();
+        let members = self.cloud.with_asg(&cfg.asg, |g| Arc::clone(&g.instances));
+        self.before = members.unwrap_or_default();
         let (severity, message) = match self.cloud.deregister_from_elb(&cfg.elb, &victim) {
             Ok(()) => (
                 Severity::Info,
@@ -334,21 +338,25 @@ impl RollingUpgrade {
         cursor: SimTime,
     ) -> Segment {
         let cursor = self.surface_cloud_errors(on_log, cursor);
-        let instances = match self.cloud.describe_asg_instances(&self.config.asg) {
-            Ok(i) => i,
+        let before = &self.before;
+        let fresh = self.cloud.with_asg_instances(&self.config.asg, |is| {
+            let fresh = is.iter().find(|i| {
+                i.state == InstanceState::InService
+                    && !before.contains(&i.id)
+                    && i.registered_with_elb
+            });
+            fresh.map(|i| i.id.clone())
+        });
+        let fresh = match fresh {
+            Ok(fresh) => fresh,
             Err(e) => return Break(self.fail(on_log, e)),
         };
-        let fresh = instances.iter().find(|i| {
-            i.state == InstanceState::InService
-                && !self.before.contains(&i.id)
-                && i.registered_with_elb
-        });
         if let Some(new_instance) = fresh {
             self.replaced += 1;
             let message = format!(
                 "Instance {} on {} is ready for use. {} of {} instance relaunches done.",
                 self.config.app_name,
-                new_instance.id,
+                new_instance,
                 self.replaced,
                 self.victims.len(),
             );

@@ -181,7 +181,7 @@ impl RecoveryDispatcher {
         let verify = if is_benign_cause(root_cause_of(detection).0) {
             vec![CloudAssertion::LaunchConfigInstancesConsistent]
         } else {
-            vec![confirm_assertion(&detection.key, &self.env.snapshot())]
+            vec![confirm_assertion(detection.key, &self.env.snapshot())]
         };
         let plan = RecoveryPlan::confirm_resolved(verify);
         let req = self.request(detection_index, detection);

@@ -618,12 +618,9 @@ impl RecoveryExecutor {
                 ))
             }
             RecoveryStep::ReregisterInstances => {
-                let instances = self.list_instances(env)?;
-                let lost: Vec<InstanceId> = instances
-                    .iter()
-                    .filter(|i| i.state == InstanceState::InService && !i.registered_with_elb)
-                    .map(|i| i.id.clone())
-                    .collect();
+                let lost = self.member_ids(env, |i| {
+                    i.state == InstanceState::InService && !i.registered_with_elb
+                })?;
                 for id in &lost {
                     self.api.execute(|c| c.register_with_elb(&env.elb, id))?;
                 }
@@ -634,17 +631,12 @@ impl RecoveryExecutor {
                 ))
             }
             RecoveryStep::ReplaceCorruptedInstances => {
-                let instances = self.list_instances(env)?;
                 // Fault-scoped: only instances the corruption actually
                 // produced — launched from the expected launch
                 // configuration yet deviating from it. Instances still on
                 // an older configuration belong to the running operation's
                 // normal replacement churn and are left alone.
-                let corrupted: Vec<InstanceId> = instances
-                    .iter()
-                    .filter(|i| is_corrupted(i, env))
-                    .map(|i| i.id.clone())
-                    .collect();
+                let corrupted = self.member_ids(env, |i| is_corrupted(i, env))?;
                 for id in &corrupted {
                     // Deregistration is best-effort: the instance may never
                     // have registered, or the balancer may be the fault.
@@ -659,8 +651,10 @@ impl RecoveryExecutor {
             }
             RecoveryStep::WaitLaunchConfigSettled => {
                 self.wait_api.read_until(
-                    |c| c.describe_asg_instances(&env.asg),
-                    |instances| !instances.iter().any(|i| is_corrupted(i, env)),
+                    |c| {
+                        c.with_asg_instances(&env.asg, |is| is.iter().any(|i| is_corrupted(i, env)))
+                    },
+                    |&any_corrupted| !any_corrupted,
                 )?;
                 Ok(format!(
                     "no active instance from launch configuration {} deviates from the expected \
@@ -705,7 +699,7 @@ impl RecoveryExecutor {
         }
         self.api.execute(|c| {
             c.create_launch_config(
-                name.to_string(),
+                name,
                 env.expected_ami.clone(),
                 env.expected_instance_type.clone(),
                 env.expected_key_pair.clone(),
@@ -771,8 +765,18 @@ impl RecoveryExecutor {
         Ok(())
     }
 
-    fn list_instances(&self, env: &ExpectedEnv) -> Result<Vec<Instance>, ConsistentError> {
-        self.api.execute(|c| c.describe_asg_instances(&env.asg))
+    /// The ids of the ASG's members that `keep` selects, read in one call.
+    fn member_ids(
+        &self,
+        env: &ExpectedEnv,
+        keep: impl Fn(&Instance) -> bool,
+    ) -> Result<Vec<InstanceId>, ConsistentError> {
+        self.api.execute(|c| {
+            c.with_asg_instances(&env.asg, |is| {
+                let kept = is.iter().filter(|i| keep(i));
+                kept.map(|i| i.id.clone()).collect()
+            })
+        })
     }
 }
 
@@ -909,12 +913,9 @@ mod tests {
     fn falls_back_to_restoring_the_elb_before_registering() {
         let (cloud, env) = setup(23, false);
         let instance = cloud
-            .describe_asg_instances(&env.asg)
+            .with_asg_instances(&env.asg, |is| is.first().map(|i| i.id.clone()))
             .unwrap()
-            .first()
-            .expect("asg launched instances")
-            .id
-            .clone();
+            .expect("asg launched instances");
 
         let req = request(&env, "instance-not-registered", Some(instance.clone()));
         let run = executor(&cloud).recover(&req);

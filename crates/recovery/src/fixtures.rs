@@ -57,14 +57,14 @@ pub(crate) fn request(
 
 /// A failed `key` assertion at `update-launch-config`, diagnosed to
 /// `cause` (or to nothing).
-pub(crate) fn diagnosed(cloud: &Cloud, key: &str, cause: Option<&str>) -> Detection {
+pub(crate) fn diagnosed(cloud: &Cloud, key: &'static str, cause: Option<&str>) -> Detection {
     let at = cloud.clock().now();
     Detection {
         at,
         source: DetectionSource::AssertionLog,
         description: format!("assertion {key} failed").into(),
         step: Some("update-launch-config".into()),
-        key: key.to_string(),
+        key,
         instance: None,
         diagnosis: Some(DiagnosisReport {
             root_causes: cause
