@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use pod_sim::SimTime;
+use pod_sim::{push_bounded, SimTime};
 
 use crate::ids::{
     AmiId, AsgName, ElbName, InstanceId, KeyPairName, LaunchConfigName, SecurityGroupId,
@@ -245,9 +245,10 @@ impl CloudState {
             .collect()
     }
 
-    /// Records a scaling activity.
+    /// Records a scaling activity; the account keeps its activities for
+    /// its whole life, so they grow in bounded steps.
     pub(crate) fn record_activity(&mut self, activity: ScalingActivity) {
-        self.activities.push(activity);
+        push_bounded(&mut self.activities, activity);
     }
 
     /// Activities for `asg` at or after `since`.
@@ -394,5 +395,20 @@ mod tests {
         let a = AsgName::new("a");
         assert_eq!(s.activities_for(&a, SimTime::from_secs(2)).count(), 1);
         assert_eq!(s.activities_for(&a, SimTime::ZERO).count(), 2);
+    }
+
+    #[test]
+    fn the_activities_hold_at_most_one_growth_step_of_spare_room() {
+        let mut s = CloudState::new();
+        for t in 0..500u64 {
+            s.record_activity(ScalingActivity {
+                at: SimTime::from_secs(t),
+                asg: AsgName::new("a"),
+                description: "launch".into(),
+                status: ActivityStatus::Successful,
+            });
+            let (len, room) = (s.activities.len(), s.activities.capacity());
+            assert!(room - len <= pod_sim::growth_step(len), "{room} for {len}");
+        }
     }
 }

@@ -136,14 +136,12 @@ impl RunSummary {
     ///
     /// Two runs of the same operation produced byte-identical digests iff
     /// they behaved identically — the reproducibility property the gateway
-    /// soak test asserts.
+    /// soak test asserts. A soak keeps every tenant's digest for the whole
+    /// run, so it is built at its length, in one allocation.
     pub fn digest(&self) -> String {
-        let mut out = String::new();
-        for d in &self.detections {
-            out.push_str(&d.fingerprint());
-            out.push('\n');
-        }
-        out
+        let prints: Vec<String> = self.detections.iter().map(Detection::fingerprint).collect();
+        let lines: Vec<&str> = prints.iter().flat_map(|p| [p, "\n"]).collect();
+        lines.concat()
     }
 }
 

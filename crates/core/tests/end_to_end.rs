@@ -350,13 +350,13 @@ fn only_a_non_fit_line_records_its_log_line_root() {
     let seen = |records: &[EventRecord]| {
         let seen = |r: &EventRecord| {
             (
-                r.id,
-                r.parent,
-                r.span,
-                r.at,
-                r.end,
-                r.kind,
-                r.name.clone(),
+                r.id(),
+                r.parent(),
+                r.span(),
+                r.at(),
+                r.end(),
+                r.kind(),
+                r.name().to_string(),
                 r.attrs(),
             )
         };
@@ -365,7 +365,7 @@ fn only_a_non_fit_line_records_its_log_line_root() {
     assert_eq!(seen(&fit), seen(&started), "a fit line records nothing");
     let added = &unfit[started.len()..];
     let root = &added[0];
-    assert_eq!((root.kind, &*root.name), ("log.line", "asgard.log"));
+    assert_eq!((root.kind(), root.name()), ("log.line", "asgard.log"));
     assert_eq!(
         root.attrs(),
         vec![
@@ -373,8 +373,12 @@ fn only_a_non_fit_line_records_its_log_line_root() {
             ("step", "terminate-old-instance".to_string())
         ]
     );
-    let verdict = added.iter().find(|r| r.kind == "conformance.verdict");
-    assert_eq!(verdict.and_then(|v| v.parent), Some(root.id), "{added:?}");
+    let verdict = added.iter().find(|r| r.kind() == "conformance.verdict");
+    assert_eq!(
+        verdict.and_then(|v| v.parent()),
+        Some(root.id()),
+        "{added:?}"
+    );
     assert!(run(TelemetryMode::Off).iter().all(Vec::is_empty));
 }
 
@@ -404,7 +408,7 @@ fn rendered_attributes_equal_the_eagerly_built_ones() {
         engine.ingest(log_line(line));
     }
     let records = w.cloud.obs().events().records();
-    let of_kind = |kind| records.iter().filter(move |r| r.kind == kind);
+    let of_kind = |kind| records.iter().filter(move |r| r.kind() == kind);
     let root = of_kind("log.line")
         .next_back()
         .expect("the unfit line's root");
@@ -439,7 +443,7 @@ fn rendered_attributes_equal_the_eagerly_built_ones() {
             .map(|i| ("instance", i.to_string())),
     );
     let event = of_kind("detection").next().expect("one detection");
-    assert_eq!(Some(event.id), detection.event.map(|id| id.get()));
+    assert_eq!(Some(event.id()), detection.event.map(|id| id.get()));
     assert_eq!(event.attrs(), eager_detection);
     assert_eq!(eager_detection.len(), 3, "{eager_detection:?}");
 }

@@ -929,8 +929,8 @@ mod tests {
         let c = Campaign::new(CampaignConfig::clean(42));
         let run = monitor_upgrade(&c.plans()[0]);
         let (record, dump) = (&run.record, run.trace());
-        assert!(dump.events.iter().any(|e| e.end.is_some()), "spans");
-        assert!(dump.events.iter().any(|e| e.end.is_none()), "instants");
+        assert!(dump.events.iter().any(|e| e.end().is_some()), "spans");
+        assert!(dump.events.iter().any(|e| e.end().is_none()), "instants");
         assert!(dump.trace_id.starts_with("run-"));
         // Healthy API calls are counted, not traced (outcome-conditional
         // tracing), so the stage map attributes to the process steps.

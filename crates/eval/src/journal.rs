@@ -235,16 +235,16 @@ pub fn incident_lines(run: &str, chains: &[IncidentChain]) -> Vec<Json> {
         .iter()
         .map(|c| {
             Record::new("incident", run)
-                .str("detection", &*c.detection.name)
-                .num("detection_event", c.detection.id)
-                .json("hops", strings(c.hops.iter().map(|h| h.kind)))
+                .str("detection", c.detection.name())
+                .num("detection_event", c.detection.id())
+                .json("hops", strings(c.hops.iter().map(|h| h.kind())))
                 .json("anchored", Json::Bool(c.anchored))
                 .json("diagnosed", Json::Bool(c.diagnosed))
                 .json("complete", Json::Bool(c.complete()))
                 .num("elapsed_us", c.elapsed().as_micros())
                 .nonempty(
                     "root_causes",
-                    strings(c.root_causes.iter().map(|r| &*r.name)),
+                    strings(c.root_causes.iter().map(|r| r.name())),
                 )
                 .build()
         })
@@ -509,9 +509,9 @@ impl TraceDump {
         )];
         entries.extend(self.events.iter().map(|event| {
             let ids = [
-                ("event_id", Some(event.id)),
-                ("cause", event.parent),
-                ("span_id", event.span),
+                ("event_id", Some(event.id())),
+                ("cause", event.parent()),
+                ("span_id", event.span()),
             ];
             let args = object(
                 event
@@ -530,27 +530,27 @@ impl TraceDump {
             } else {
                 ("i", Some("t"))
             };
-            entry(ph, None, event.at.as_micros(), dur, &event.name)
-                .str("cat", event.kind)
+            entry(ph, None, event.at().as_micros(), dur, event.name())
+                .str("cat", event.kind())
                 .opt(scope, |r, scope| r.str("s", scope))
                 .json("args", args)
         }));
         // Flow arrows for causal links. The flow id is the child event's id
         // (unique, since every event has at most one parent).
         for event in &self.events {
-            let by_id = |id| self.events.binary_search_by_key(&id, |e| e.id).ok();
+            let by_id = |id| self.events.binary_search_by_key(&id, |e| e.id()).ok();
             // A root event, or a parent evicted from the ring, draws no arrow.
-            let Some(parent) = event.parent.and_then(by_id) else {
+            let Some(parent) = event.parent().and_then(by_id) else {
                 continue;
             };
             let parent = &self.events[parent];
             let flow = |ph, bp, at: SimTime| {
                 entry(ph, bp, at.as_micros(), None, "cause")
                     .str("cat", "cause")
-                    .num("id", event.id)
+                    .num("id", event.id())
             };
-            entries.push(flow("s", None, parent.at));
-            entries.push(flow("f", Some("e"), event.at));
+            entries.push(flow("s", None, parent.at()));
+            entries.push(flow("f", Some("e"), event.at()));
         }
         let entries: Vec<String> = entries
             .into_iter()

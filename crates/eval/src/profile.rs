@@ -25,14 +25,14 @@ pub(crate) fn stage_self_times(records: &[EventRecord]) -> BTreeMap<String, u64>
     };
     let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
     for (span, us) in spans() {
-        if let Some(enclosing) = span.span {
+        if let Some(enclosing) = span.span() {
             *child_time.entry(enclosing).or_insert(0) += us;
         }
     }
     let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
     for (span, us) in spans() {
-        let own = us.saturating_sub(child_time.get(&span.id).copied().unwrap_or(0));
-        *by_kind.entry(span.kind.to_string()).or_insert(0) += own;
+        let own = us.saturating_sub(child_time.get(&span.id()).copied().unwrap_or(0));
+        *by_kind.entry(span.kind().to_string()).or_insert(0) += own;
     }
     by_kind
 }

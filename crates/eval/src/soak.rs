@@ -177,27 +177,39 @@ impl SoakReport {
     /// A canonical byte string over every operation's detections and the
     /// gateway statistics: two runs from the same seed must match exactly.
     /// When the recovery stage ran, the full recovery transcript (every
-    /// tenant's runs, paths and log lines) is part of the digest.
+    /// tenant's runs, paths and log lines) is part of the digest. A caller
+    /// may keep the digest as a reference for a whole run, so it is built
+    /// at its length, in one allocation.
     pub fn digest(&self) -> String {
-        let mut out = String::new();
-        for op in &self.ops {
-            out.push_str(&format!(
-                "== {} fault={:?} shard={} delivered={} ==\n{}\n",
-                op.trace_id, op.fault, op.shard, op.lines_delivered, op.digest
-            ));
-        }
-        out.push_str(&self.stats.to_json().to_string());
-        out.push('\n');
-        if let Some(rec) = &self.recovery {
+        let heads: Vec<String> = self
+            .ops
+            .iter()
+            .map(|op| {
+                format!(
+                    "== {} fault={:?} shard={} delivered={} ==\n",
+                    op.trace_id, op.fault, op.shard, op.lines_delivered
+                )
+            })
+            .collect();
+        let stats = format!("{}\n", self.stats.to_json());
+        let storm = self.recovery.as_ref().map(|rec| {
             let s = rec.stats;
-            out.push_str(&format!(
+            format!(
                 "== recovery storm: requests={} admitted={} throttled={} deferred={} swept={} \
                  peak_concurrent={} ==\n",
                 s.requests, s.admitted, s.throttled, s.deferred, s.swept, s.peak_concurrent
-            ));
-            out.push_str(&rec.transcript());
+            )
+        });
+        let mut parts: Vec<&str> = Vec::new();
+        for (head, op) in heads.iter().zip(&self.ops) {
+            parts.extend([head, &op.digest, "\n"]);
         }
-        out
+        parts.push(&stats);
+        if let (Some(rec), Some(storm)) = (&self.recovery, &storm) {
+            parts.push(storm);
+            parts.extend(rec.tenants.iter().map(|t| t.transcript.as_str()));
+        }
+        parts.concat()
     }
 }
 
@@ -698,6 +710,8 @@ fn tenant_recovery(
             rec.run.digest()
         );
     }
+    // Kept in the report for the whole run: at its length.
+    transcript.shrink_to_fit();
     TenantRecoveryResult {
         trace_id,
         fault,

@@ -13,6 +13,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use pod_sim::push_bounded;
 
 use crate::event::LogEvent;
 use crate::stored::StoredLine;
@@ -78,18 +79,24 @@ impl LogStorage {
 
     /// Appends one line: an owned one, or an `Arc` shared with the caller.
     pub fn append(&self, event: impl Into<Arc<LogEvent>>) {
-        self.entries.lock().push(Entry::Event(event.into()));
+        self.push(Entry::Event(event.into()));
     }
 
     /// Appends one annotated line in its stored form, shared with the
     /// caller; a query renders it.
     pub fn append_line(&self, line: Arc<StoredLine>) {
-        self.entries.lock().push(Entry::Line(line));
+        self.push(Entry::Line(line));
     }
 
     /// Appends one result, to be rendered into its line when read.
     pub fn append_record(&self, record: impl LogRecord + 'static) {
-        self.entries.lock().push(Entry::Record(Box::new(record)));
+        self.push(Entry::Record(Box::new(record)));
+    }
+
+    /// Appends one entry; the store is kept for a tenant's whole run, so
+    /// it grows in bounded steps ([`push_bounded`]).
+    fn push(&self, entry: Entry) {
+        push_bounded(&mut self.entries.lock(), entry);
     }
 
     /// Runs a query against the current contents in append order, rendering
@@ -199,6 +206,28 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("4 instances"));
         assert!(s.query(&LogQuery::new().with_type("assertion")).is_empty());
+    }
+
+    #[test]
+    fn the_store_holds_at_most_one_growth_step_of_spare_room() {
+        let s = LogStorage::new();
+        for i in 0..500u64 {
+            let at = SimTime::from_millis(i);
+            match i % 3 {
+                0 => s.append(LogEvent::new(at, "asgard.log", "ready")),
+                1 => s.append_record(Outcome {
+                    at: i,
+                    verdict: "fit",
+                }),
+                _ => s.append_line(Arc::new(StoredLine::new(
+                    LogEvent::new(at, "asgard.log", "ready"),
+                    &crate::matcher::RuleBook::new(),
+                ))),
+            }
+            let entries = s.entries.lock();
+            let (len, room) = (entries.len(), entries.capacity());
+            assert!(room - len <= pod_sim::growth_step(len), "{room} for {len}");
+        }
     }
 
     /// A result that renders a fixed line, as a writer's record does.

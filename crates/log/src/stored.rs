@@ -420,6 +420,21 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_root_reads_its_name_from_its_line() {
+        let line = Arc::new(renders_back(&annotated("Instance i-7 is ready", 2)));
+        let obs = pod_obs::Obs::detached();
+        obs.begin_run("t");
+        obs.pending_root("log.line", &line).resolve();
+        let records = obs.events().records();
+        let name = records[0].name();
+        assert_eq!(name, "asgard.log");
+        assert!(
+            std::ptr::eq(name.as_ptr(), line.part(1).as_ptr()),
+            "the name is the line's own source, not a copy"
+        );
+    }
+
+    #[test]
     fn the_context_tags_and_the_trace_id_cost_no_text() {
         let message = "Instance i-7 is ready";
         let event = annotated(message, 2);

@@ -28,7 +28,14 @@
 //! A record keeps its attributes as the value the emitter already holds —
 //! the stored line, the net's unfit context, a detection's shared strings,
 //! integer counts — and renders them to `(key, String)` pairs only when a
-//! reader asks ([`EventAttrs`], [`EventRecord::attrs`]).
+//! reader asks ([`EventAttrs`], [`EventRecord::attrs`]). A name that is not
+//! a static string is read from that value too: a root's from its stored
+//! line, an owned name from beside the attributes it was kept with.
+//!
+//! A record is stored compactly (88 bytes) and read through accessors: an
+//! absent parent, span or end takes no tag of its own. The ring grows in
+//! bounded steps ([`pod_sim::growth_step`]), so a tenant's ring holds at
+//! most one step of room past its last record.
 //!
 //! Every record is written through [`crate::Obs`], which checks the
 //! [`crate::TelemetryMode`] once per write.
@@ -44,17 +51,16 @@
 //! let _scope = obs.events().scope(line);
 //! let verdict = obs.event(None, "conformance.verdict", "conformance:unfit", || ());
 //! let records = obs.events().records();
-//! assert_eq!(records[1].parent, line.map(|id| id.get()));
+//! assert_eq!(records[1].parent(), line.map(|id| id.get()));
 //! assert_eq!(verdict.map(|id| id.get()), Some(1));
 //! ```
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pod_sim::{Clock, SimDuration, SimTime};
+use pod_sim::{growth_step, Clock, SimDuration, SimTime};
 
 /// Upper bound on retained records per trace. The buffer is a true ring:
 /// beyond the cap the *oldest* records are evicted (and counted in
@@ -72,6 +78,15 @@ impl EventId {
     }
 }
 
+/// An id or a time a record may lack, stored in its eight bytes: no trace
+/// numbers this many records, nor runs this many microseconds.
+const ABSENT: u64 = u64::MAX;
+
+/// The value `raw` stands for: `None` when it is [`ABSENT`].
+fn present(raw: u64) -> Option<u64> {
+    (raw != ABSENT).then_some(raw)
+}
+
 /// One recorded causal event; with an `end`, a span.
 ///
 /// `kind` and attribute keys are `&'static str`: every call site names
@@ -79,36 +94,76 @@ impl EventId {
 /// must not allocate for strings the binary already contains. The
 /// attributes are kept as the value they are rendered from
 /// ([`EventAttrs`]) and rendered only when a reader asks
-/// ([`EventRecord::attrs`]).
-#[derive(Debug, Clone)]
+/// ([`EventRecord::attrs`]); a name that is not static is read from that
+/// value too ([`EventAttrs::root_name`]). A record is a ring slot for
+/// every event a tenant's trace holds, so it is kept compact and read
+/// through its accessors.
+#[derive(Clone)]
 pub struct EventRecord {
-    /// Unique id within the trace (ascending in emission order).
-    pub id: u64,
-    /// The causing event, if any.
-    pub parent: Option<u64>,
-    /// The innermost span open when the record was written — for a span,
-    /// the span enclosing it.
-    pub span: Option<u64>,
-    /// Virtual-clock emission time; a span's start.
-    pub at: SimTime,
-    /// A span's virtual-clock end: `None` for an instant, or a span still
-    /// open.
-    pub end: Option<SimTime>,
-    /// Hand-off kind, e.g. `log.line`, `conformance.verdict`, `detection`;
-    /// a guard span's name (`faulttree.walk`).
-    pub kind: &'static str,
-    /// Short label, e.g. the verdict tag or the fault-tree node id. A
-    /// `Cow` so static labels (verdict tags) record without allocating.
-    pub name: Cow<'static, str>,
+    id: u64,
+    /// The causing event's id, or [`ABSENT`].
+    parent: u64,
+    /// The innermost open span's id, or [`ABSENT`].
+    span: u64,
+    at: SimTime,
+    /// A span's end in microseconds, or [`ABSENT`].
+    end: u64,
+    kind: &'static str,
+    /// A static name; `None` reads it from `kept`, else from `kind`.
+    name: Option<&'static str>,
     /// What the attributes are rendered from; `None` for a record without
     /// any.
     kept: Option<Arc<dyn EventAttrs>>,
 }
 
 impl EventRecord {
+    /// Unique id within the trace (ascending in emission order).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The causing event, if any.
+    pub fn parent(&self) -> Option<u64> {
+        present(self.parent)
+    }
+
+    /// The innermost span open when the record was written — for a span,
+    /// the span enclosing it.
+    pub fn span(&self) -> Option<u64> {
+        present(self.span)
+    }
+
+    /// Virtual-clock emission time; a span's start.
+    pub fn at(&self) -> SimTime {
+        self.at
+    }
+
+    /// A span's virtual-clock end: `None` for an instant, or a span still
+    /// open.
+    pub fn end(&self) -> Option<SimTime> {
+        present(self.end).map(SimTime::from_micros)
+    }
+
+    /// Hand-off kind, e.g. `log.line`, `conformance.verdict`, `detection`;
+    /// a guard span's name (`faulttree.walk`).
+    pub fn kind(&self) -> &'static str {
+        self.kind
+    }
+
+    /// Short label, e.g. the verdict tag, the fault-tree node id or a
+    /// root's source log: a static label, else the one the kept value
+    /// names, else the kind.
+    pub fn name(&self) -> &str {
+        match (self.name, &self.kept) {
+            (Some(name), _) => name,
+            (None, Some(kept)) => kept.root_name().unwrap_or(self.kind),
+            (None, None) => self.kind,
+        }
+    }
+
     /// A span's virtual duration; `None` for a record without an end.
     pub fn duration(&self) -> Option<SimDuration> {
-        Some(self.end?.duration_since(self.at))
+        Some(self.end()?.duration_since(self.at))
     }
 
     /// The key/value attributes in insertion order, rendered now from the
@@ -122,18 +177,34 @@ impl EventRecord {
     }
 }
 
+impl std::fmt::Debug for EventRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventRecord")
+            .field("id", &self.id)
+            .field("parent", &self.parent())
+            .field("span", &self.span())
+            .field("at", &self.at)
+            .field("end", &self.end())
+            .field("kind", &self.kind)
+            .field("name", &self.name())
+            .field("kept", &self.kept)
+            .finish()
+    }
+}
+
 /// What a causal event's attributes are rendered from: a value the
 /// emitter already holds, shared with the record and rendered to
 /// `(key, String)` pairs only when a reader asks ([`EventRecord::attrs`]).
 /// A pending root is one too ([`crate::Obs::pending_root`]): the engine's
-/// stored log line, so a line's root copies none of its strings, and
-/// recording it copies only its name ([`EventAttrs::root_name`]).
+/// stored log line, so a line's root copies none of its strings, not even
+/// its name ([`EventAttrs::root_name`]).
 pub trait EventAttrs: std::fmt::Debug + Send + Sync + 'static {
     /// Appends the attributes to `out`, in insertion order.
     fn render_attrs(&self, out: &mut Vec<(&'static str, String)>);
 
-    /// The name of a root event recorded from this value; `None` names it
-    /// after its kind.
+    /// The name of a record that keeps this value and has no static name of
+    /// its own: a root's source log, an owned name kept beside the
+    /// attributes ([`crate::EventName`]). `None` names it after its kind.
     fn root_name(&self) -> Option<&str> {
         None
     }
@@ -181,15 +252,32 @@ impl<const N: usize> EventAttrs for [(&'static str, AttrValue); N] {
     }
 }
 
+/// A list of values an emitter collects.
+type Values = Vec<(&'static str, AttrValue)>;
+
 /// A list of values whose length the emitter decides: kept at its exact
-/// size, and not at all when empty.
-impl EventAttrs for Vec<(&'static str, AttrValue)> {
+/// size, and not at all when empty. Up to four values — every list an
+/// emitter or a span collects — are kept as an array, in one block with
+/// the count the `Arc` shares; a longer list is a boxed slice behind it.
+impl EventAttrs for Values {
     fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
         render_values(self, out);
     }
 
     fn keep(self) -> Option<Arc<dyn EventAttrs>> {
-        (!self.is_empty()).then(|| Arc::new(self.into_boxed_slice()) as Arc<dyn EventAttrs>)
+        /// `values` as an array of `N`, or `values` back.
+        fn exact<const N: usize>(values: Values) -> Result<Arc<dyn EventAttrs>, Values> {
+            <[_; N]>::try_from(values).map(|a| Arc::new(a) as Arc<dyn EventAttrs>)
+        }
+        if self.is_empty() {
+            return None;
+        }
+        let kept = exact::<1>(self)
+            .or_else(exact::<2>)
+            .or_else(exact::<3>)
+            .or_else(exact::<4>)
+            .unwrap_or_else(|values| Arc::new(values.into_boxed_slice()));
+        Some(kept)
     }
 }
 
@@ -197,6 +285,45 @@ impl EventAttrs for Vec<(&'static str, AttrValue)> {
 impl EventAttrs for Box<[(&'static str, AttrValue)]> {
     fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
         render_values(self, out);
+    }
+}
+
+/// A record's owned name, kept beside its attributes in the one value the
+/// record shares ([`crate::EventName`] for `&String`, an event span's name).
+#[derive(Debug)]
+pub(crate) struct Named<A> {
+    pub(crate) name: Box<str>,
+    pub(crate) attrs: A,
+}
+
+impl<A: EventAttrs> EventAttrs for Named<A> {
+    fn render_attrs(&self, out: &mut Vec<(&'static str, String)>) {
+        self.attrs.render_attrs(out);
+    }
+
+    fn root_name(&self) -> Option<&str> {
+        Some(&self.name)
+    }
+}
+
+/// An event span's name and, once it ends, its attributes.
+type SpanNamed = Named<Box<[(&'static str, AttrValue)]>>;
+
+impl SpanNamed {
+    /// `named` with the span's `attrs`: filled in place when the guard
+    /// holds the only share, else a new value with a copy of the name (a
+    /// reader cloned the record while the span was open).
+    fn fill(mut named: Arc<SpanNamed>, attrs: Box<[(&'static str, AttrValue)]>) -> Arc<SpanNamed> {
+        match Arc::get_mut(&mut named) {
+            Some(open) => {
+                open.attrs = attrs;
+                named
+            }
+            None => Arc::new(Named {
+                name: named.name.clone(),
+                attrs,
+            }),
+        }
     }
 }
 
@@ -300,28 +427,33 @@ struct EventLogInner {
 }
 
 impl EventLogInner {
-    /// Records an event and returns its id.
+    /// Records an event and returns its id. A full ring grows by one
+    /// bounded step ([`growth_step`]), never past [`EVENT_CAP`].
     fn push(
         &mut self,
         span: Option<u64>,
         kind: &'static str,
-        name: Cow<'static, str>,
+        name: Option<&'static str>,
         parent: Option<u64>,
         at: SimTime,
         kept: Option<Arc<dyn EventAttrs>>,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        if self.ring.len() >= EVENT_CAP {
+        let len = self.ring.len();
+        if len >= EVENT_CAP {
             self.ring.pop_front();
             self.dropped += 1;
+        } else if len == self.ring.capacity() {
+            self.ring
+                .reserve_exact(growth_step(len).min(EVENT_CAP - len));
         }
         self.ring.push_back(EventRecord {
             id,
-            parent,
-            span,
+            parent: parent.unwrap_or(ABSENT),
+            span: span.unwrap_or(ABSENT),
             at,
-            end: None,
+            end: ABSENT,
             kind,
             name,
             kept,
@@ -341,13 +473,10 @@ impl EventLogInner {
         self.ring.get_mut(pos)
     }
 
-    /// Records the pending cause `p` under `parent`, keeping its root.
+    /// Records the pending cause `p` under `parent`, keeping its root,
+    /// which names it.
     fn record(&mut self, p: PendingCause, span: Option<u64>, parent: Option<u64>) -> u64 {
-        let name = match p.root.root_name() {
-            Some(name) => Cow::Owned(name.to_string()),
-            None => Cow::Borrowed(p.kind),
-        };
-        self.push(span, p.kind, name, parent, p.at, Some(p.root))
+        self.push(span, p.kind, None, parent, p.at, Some(p.root))
     }
 
     /// Resolves the innermost ambient cause in one bottom-up pass: each
@@ -401,7 +530,7 @@ impl EventLog {
         &self,
         parent: Option<EventId>,
         kind: &'static str,
-        name: Cow<'static, str>,
+        name: Option<&'static str>,
         kept: Option<Arc<dyn EventAttrs>>,
     ) -> EventId {
         let at = self.clock.now();
@@ -412,23 +541,30 @@ impl EventLog {
     }
 
     /// Opens a span: records it now and makes it the innermost open span
-    /// until the guard drops, which writes its end. A `caused` span is
-    /// parented to the innermost ambient cause; otherwise it is a guard
-    /// span — no cause, and pending causes stay pending.
-    pub(crate) fn open(
-        &self,
-        kind: &'static str,
-        name: Cow<'static, str>,
-        caused: bool,
-    ) -> SpanGuard {
+    /// until the guard drops, which writes its end. A span is named after
+    /// its kind, or `owned`, kept beside the attributes it ends with. A
+    /// `caused` span is parented to the innermost ambient cause; otherwise
+    /// it is a guard span — no cause, and pending causes stay pending.
+    pub(crate) fn open(&self, kind: &'static str, owned: Option<&str>, caused: bool) -> SpanGuard {
+        let named = owned.map(|name| {
+            Arc::new(Named {
+                name: name.into(),
+                attrs: Box::default(),
+            })
+        });
+        let (name, kept) = match &named {
+            None => (Some(kind), None),
+            Some(named) => (None, Some(Arc::clone(named) as Arc<dyn EventAttrs>)),
+        };
         let at = self.clock.now();
         let mut inner = self.inner.lock();
         let parent = caused.then(|| inner.resolve_ambient()).flatten();
         let span = inner.span();
-        let id = inner.push(span, kind, name, parent, at, None);
+        let id = inner.push(span, kind, name, parent, at, kept);
         inner.spans.push(id);
         SpanGuard {
             open: Some((self.clone(), EventId(id))),
+            named,
             attrs: RefCell::default(),
         }
     }
@@ -437,7 +573,7 @@ impl EventLog {
     /// to it: its emission time becomes its end, and `start` its `at`.
     pub fn backdate(&self, id: EventId, start: SimTime) {
         if let Some(record) = self.inner.lock().get_mut(id.get()) {
-            record.end = Some(record.at);
+            record.end = record.at.as_micros();
             record.at = start;
         }
     }
@@ -494,9 +630,9 @@ impl EventLog {
     }
 
     /// Ends the open span `id` now, with the attributes its guard
-    /// collected; a span no longer open (the trace was restarted under it)
-    /// is left alone.
-    fn close(&self, id: u64, attrs: Vec<(&'static str, AttrValue)>) {
+    /// collected, beside its owned name when it has one; a span no longer
+    /// open (the trace was restarted under it) is left alone.
+    fn close(&self, id: u64, attrs: Values, named: Option<Arc<SpanNamed>>) {
         let end = self.clock.now();
         let mut inner = self.inner.lock();
         let Some(pos) = inner.spans.iter().rposition(|&s| s == id) else {
@@ -504,8 +640,13 @@ impl EventLog {
         };
         inner.spans.remove(pos);
         if let Some(record) = inner.get_mut(id) {
-            record.end = Some(end);
-            record.kept = attrs.keep();
+            record.end = end.as_micros();
+            // The record's share goes first, so the guard's is the only one.
+            drop(record.kept.take());
+            record.kept = match named {
+                None => attrs.keep(),
+                Some(named) => Some(SpanNamed::fill(named, attrs.into_boxed_slice())),
+            };
         }
     }
 }
@@ -518,8 +659,11 @@ impl EventLog {
 #[derive(Debug)]
 pub struct SpanGuard {
     open: Option<(EventLog, EventId)>,
+    /// The owned name the record keeps, which takes the attributes when the
+    /// span ends; `None` for a span named after its kind.
+    named: Option<Arc<SpanNamed>>,
     /// The attributes set so far, written with the span's end.
-    attrs: RefCell<Vec<(&'static str, AttrValue)>>,
+    attrs: RefCell<Values>,
 }
 
 impl SpanGuard {
@@ -527,6 +671,7 @@ impl SpanGuard {
     pub(crate) fn disabled() -> SpanGuard {
         SpanGuard {
             open: None,
+            named: None,
             attrs: RefCell::default(),
         }
     }
@@ -549,7 +694,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((log, id)) = &self.open {
-            log.close(id.get(), self.attrs.take());
+            log.close(id.get(), self.attrs.take(), self.named.take());
         }
     }
 }
@@ -635,12 +780,13 @@ mod tests {
 
     /// An attribute-free event under `parent` (ambient when `None`).
     fn emit(log: &EventLog, parent: Option<EventId>, kind: &'static str, name: &str) -> EventId {
-        log.emit(parent, kind, name.to_string().into(), None)
+        let (name, kept) = crate::EventName::keep_with(&name.to_string(), ());
+        log.emit(parent, kind, name, kept)
     }
 
     /// A guard span, as [`crate::Obs::span`] opens it.
     fn guard(log: &EventLog, name: &'static str) -> SpanGuard {
-        log.open(name, Cow::Borrowed(name), false)
+        log.open(name, None, false)
     }
 
     /// A cause root with a fixed name and attributes.
@@ -676,24 +822,24 @@ mod tests {
     fn events_link_to_the_ambient_cause() {
         let log = log();
         let root = emit(&log, None, "log.line", "asgard.log");
-        assert_eq!(log.records()[0].parent, None);
+        assert_eq!(log.records()[0].parent(), None);
         {
             let _scope = log.scope(Some(root));
             let span = guard(&log, "upgrade.step");
             let child = emit(&log, None, "conformance.verdict", "fit");
             assert_eq!(current_cause(&log), Some(root));
             let records = log.records();
-            assert_eq!(records[2].parent, Some(root.get()));
-            assert_eq!(records[2].span, span.id().map(EventId::get));
+            assert_eq!(records[2].parent(), Some(root.get()));
+            assert_eq!(records[2].span(), span.id().map(EventId::get));
             // Nested scopes stack.
             let _inner = log.scope(Some(child));
             emit(&log, None, "detection", "assertion-log");
-            assert_eq!(log.records()[3].parent, Some(child.get()));
+            assert_eq!(log.records()[3].parent(), Some(child.get()));
         }
         assert_eq!(current_cause(&log), None);
         emit(&log, None, "detection", "late");
-        assert_eq!(log.records()[4].parent, None);
-        assert_eq!(log.records()[4].span, None, "the span closed");
+        assert_eq!(log.records()[4].parent(), None);
+        assert_eq!(log.records()[4].span(), None, "the span closed");
     }
 
     #[test]
@@ -704,7 +850,7 @@ mod tests {
         let _scope = log.scope(Some(b));
         let c = emit(&log, Some(a), "c", "c");
         let records = log.records();
-        assert_eq!(records[2].parent, Some(a.get()));
+        assert_eq!(records[2].parent(), Some(a.get()));
         assert_eq!(c.get(), 2);
     }
 
@@ -739,18 +885,18 @@ mod tests {
         // The root landed after the span, with the capture-time timestamp
         // and span.
         assert_eq!(records.len(), 3);
-        assert_eq!(records[1].kind, "log.line");
-        assert_eq!(records[1].at, SimTime::from_millis(5));
-        assert_eq!(records[1].span, step.id().map(EventId::get));
+        assert_eq!(records[1].kind(), "log.line");
+        assert_eq!(records[1].at(), SimTime::from_millis(5));
+        assert_eq!(records[1].span(), step.id().map(EventId::get));
         assert_eq!(
             records[1].attrs(),
             vec![("message", "Instance i-aa is ready".to_string())]
         );
-        assert_eq!(records[2].parent, Some(records[1].id));
-        assert!(records[1].id < child.get());
+        assert_eq!(records[2].parent(), Some(records[1].id()));
+        assert!(records[1].id() < child.get());
         // A second emission reuses the already-materialised id.
         emit(&log, None, "detection", "conformance-unfit");
-        assert_eq!(log.records()[3].parent, Some(records[1].id));
+        assert_eq!(log.records()[3].parent(), Some(records[1].id()));
         assert_eq!(log.records().len(), 4);
     }
 
@@ -772,14 +918,14 @@ mod tests {
         let records = log.records();
         assert_eq!(records.len(), 4);
         let line = &records[2];
-        assert_eq!((line.kind, &*line.name), ("log.line", "asgard.log"));
-        assert_eq!(line.parent, Some(a.get()), "under the ambient cause");
-        assert_eq!(line.span, step.id().map(EventId::get));
-        assert_eq!(line.at, SimTime::ZERO, "made before the clock moved");
+        assert_eq!((line.kind(), line.name()), ("log.line", "asgard.log"));
+        assert_eq!(line.parent(), Some(a.get()), "under the ambient cause");
+        assert_eq!(line.span(), step.id().map(EventId::get));
+        assert_eq!(line.at(), SimTime::ZERO, "made before the clock moved");
         // A resolved root scopes its id.
         let _line = root.scope();
         emit(&log, None, "assertion.result", "r");
-        assert_eq!(log.records()[4].parent, id.map(EventId::get));
+        assert_eq!(log.records()[4].parent(), id.map(EventId::get));
     }
 
     #[test]
@@ -790,11 +936,11 @@ mod tests {
         emit(&log, None, "detection", "d");
         let records = log.records();
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0].name, "outer");
-        assert_eq!(records[0].parent, None);
-        assert_eq!(records[1].name, "inner");
-        assert_eq!(records[1].parent, Some(records[0].id));
-        assert_eq!(records[2].parent, Some(records[1].id));
+        assert_eq!(records[0].name(), "outer");
+        assert_eq!(records[0].parent(), None);
+        assert_eq!(records[1].name(), "inner");
+        assert_eq!(records[1].parent(), Some(records[0].id()));
+        assert_eq!(records[2].parent(), Some(records[1].id()));
     }
 
     #[test]
@@ -805,7 +951,7 @@ mod tests {
         // Resolving materialised the root; later ambient emits chain to it.
         assert_eq!(log.records().len(), 1);
         emit(&log, None, "assertion.result", "late");
-        assert_eq!(log.records()[1].parent, Some(cause.get()));
+        assert_eq!(log.records()[1].parent(), Some(cause.get()));
     }
 
     #[test]
@@ -816,7 +962,7 @@ mod tests {
         emit(&log, Some(a), "b", "b");
         // An explicit-parent emission does not consult the stack.
         assert_eq!(log.records().len(), 2);
-        assert!(log.records().iter().all(|r| r.kind != "log.line"));
+        assert!(log.records().iter().all(|r| r.kind() != "log.line"));
     }
 
     #[test]
@@ -826,13 +972,13 @@ mod tests {
         drop(guard(&log, "faulttree.walk"));
         let records = log.records();
         assert_eq!(records.len(), 1, "only the span: {records:?}");
-        assert_eq!(records[0].kind, "faulttree.walk");
-        assert_eq!(records[0].parent, None);
+        assert_eq!(records[0].kind(), "faulttree.walk");
+        assert_eq!(records[0].parent(), None);
         // The cause materialises later, when an event actually needs it.
         emit(&log, None, "detection", "d");
         let records = log.records();
-        assert_eq!(records[1].kind, "log.line");
-        assert_eq!(records[2].parent, Some(records[1].id));
+        assert_eq!(records[1].kind(), "log.line");
+        assert_eq!(records[2].parent(), Some(records[1].id()));
     }
 
     #[test]
@@ -844,7 +990,7 @@ mod tests {
             let outer = guard(&log, "outer");
             advance(&clock, 10);
             {
-                let inner = log.open("faulttree.test", "inner".into(), true);
+                let inner = log.open("faulttree.test", Some("inner"), true);
                 inner.attr("k", 3u64);
                 emit(&log, None, "consistent.retry", "retry");
                 advance(&clock, 5);
@@ -857,8 +1003,8 @@ mod tests {
         let [outer, inner, retry] = &records[..] else {
             panic!("three records: {records:?}");
         };
-        assert_eq!(inner.span, Some(outer.id));
-        assert_eq!(retry.span, Some(inner.id));
+        assert_eq!(inner.span(), Some(outer.id()));
+        assert_eq!(retry.span(), Some(inner.id()));
         assert_eq!(retry.duration(), None, "an instant");
         assert_eq!(inner.duration(), Some(SimDuration::from_millis(5)));
         assert_eq!(outer.duration(), Some(SimDuration::from_millis(16)));
@@ -879,8 +1025,8 @@ mod tests {
         }
         drop(root);
         let records = log.records();
-        let root_id = records.iter().find(|s| s.kind == "walk").unwrap().id;
-        let tests = records.iter().filter(|s| s.span == Some(root_id));
+        let root_id = records.iter().find(|s| s.kind() == "walk").unwrap().id();
+        let tests = records.iter().filter(|s| s.span() == Some(root_id));
         assert_eq!(tests.count(), 3);
     }
 
@@ -895,8 +1041,8 @@ mod tests {
         let id = emit(&log, None, "assertion.result", "asg-desired");
         log.backdate(id, started);
         let record = &log.records()[0];
-        assert_eq!(record.at, SimTime::from_millis(3));
-        assert_eq!(record.end, Some(SimTime::from_millis(13)));
+        assert_eq!(record.at(), SimTime::from_millis(3));
+        assert_eq!(record.end(), Some(SimTime::from_millis(13)));
     }
 
     #[test]
@@ -906,7 +1052,7 @@ mod tests {
             let _scope = log.scope(None);
             emit(&log, None, "x", "x");
         }
-        assert_eq!(log.records()[0].parent, None);
+        assert_eq!(log.records()[0].parent(), None);
         assert_eq!(current_cause(&log), None);
     }
 
@@ -915,7 +1061,7 @@ mod tests {
         let log = log();
         let attrs: [(&str, AttrValue); 2] =
             [("outcome", "failed".into()), ("attempts", 3u32.into())];
-        log.emit(None, "assertion.result", "asg-desired".into(), attrs.keep());
+        log.emit(None, "assertion.result", Some("asg-desired"), attrs.keep());
         let rendered = vec![
             ("outcome", "failed".to_string()),
             ("attempts", "3".to_string()),
@@ -933,7 +1079,7 @@ mod tests {
             ("tree", shared.into()),
             ("task", String::from("t-1").into()),
         ];
-        log.emit(None, "diagnosis.verdict", "v".into(), values.keep());
+        log.emit(None, "diagnosis.verdict", Some("v"), values.keep());
         let span = guard(&log, "faulttree.walk");
         span.attr("tests_run", 3u32);
         span.attr("verdict", "no-root-cause");
@@ -962,6 +1108,50 @@ mod tests {
     }
 
     #[test]
+    fn a_record_takes_at_most_eighty_eight_bytes() {
+        assert!(std::mem::size_of::<EventRecord>() <= 88);
+    }
+
+    #[test]
+    fn the_ring_holds_at_most_one_growth_step_of_spare_room() {
+        let log = log();
+        for _ in 0..(EVENT_CAP + 100) {
+            log.emit(None, "e", Some("e"), None);
+            let inner = log.inner.lock();
+            let (len, room) = (inner.ring.len(), inner.ring.capacity());
+            assert!(room - len <= growth_step(len), "{room} slots for {len}");
+            assert!(room <= EVENT_CAP, "{room} slots past the cap");
+        }
+        assert_eq!(log.dropped(), 100, "eviction is unchanged");
+    }
+
+    #[test]
+    fn an_owned_name_is_kept_beside_the_attributes() {
+        let log = log();
+        let name = String::from("wrong-ami");
+        let (static_name, kept) = crate::EventName::keep_with(&name, [("k", 1u64.into())]);
+        log.emit(None, "diagnosis.cause", static_name, kept);
+        let test = log.open("faulttree.test", Some("asg-desired"), true);
+        assert_eq!(log.records()[1].name(), "asg-desired", "named while open");
+        test.attr("result", "present");
+        drop(test);
+        let records = log.records();
+        assert_eq!(records[0].name(), "wrong-ami");
+        assert_eq!(records[0].attrs(), vec![("k", "1".to_string())]);
+        assert_eq!(records[1].name(), "asg-desired");
+        assert_eq!(records[1].attrs(), vec![("result", "present".to_string())]);
+        // A reader holding the open span's record keeps what it read.
+        let test = log.open("faulttree.test", Some("elb"), true);
+        let open = log.records();
+        test.attr("result", "absent");
+        drop(test);
+        assert_eq!((open[2].name(), open[2].attrs()), ("elb", Vec::new()));
+        let closed = &log.records()[2];
+        assert_eq!(closed.name(), "elb");
+        assert_eq!(closed.attrs(), vec![("result", "absent".to_string())]);
+    }
+
+    #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let log = log();
         for i in 0..(EVENT_CAP + 5) {
@@ -971,8 +1161,8 @@ mod tests {
         assert_eq!(log.dropped(), 5);
         // The oldest ids are gone; the newest survive.
         let records = log.records();
-        assert_eq!(records.first().unwrap().id, 5);
-        assert_eq!(records.last().unwrap().id, (EVENT_CAP + 4) as u64);
+        assert_eq!(records.first().unwrap().id(), 5);
+        assert_eq!(records.last().unwrap().id(), (EVENT_CAP + 4) as u64);
     }
 
     #[test]
@@ -990,7 +1180,7 @@ mod tests {
         }
         open.attr("k", "v");
         drop(open);
-        assert!(log.records().iter().all(|r| r.end.is_none()));
+        assert!(log.records().iter().all(|r| r.end().is_none()));
     }
 
     #[test]
@@ -1013,10 +1203,10 @@ mod tests {
         assert!(log.records().is_empty());
         // A span of the previous trace neither encloses nor ends anything.
         let fresh = emit(&log, None, "a", "a");
-        assert_eq!(log.records()[0].span, None);
+        assert_eq!(log.records()[0].span(), None);
         drop(stale);
         assert_eq!(fresh.get(), 0);
-        assert_eq!(log.records()[0].end, None);
+        assert_eq!(log.records()[0].end(), None);
     }
 
     #[test]
@@ -1026,6 +1216,6 @@ mod tests {
         log.begin_trace();
         advance(&clock, 42);
         emit(&log, None, "e", "e");
-        assert_eq!(log.records()[0].at, SimTime::from_millis(42));
+        assert_eq!(log.records()[0].at(), SimTime::from_millis(42));
     }
 }

@@ -53,7 +53,7 @@
 //! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("faulttree.walks"), 1);
 //! let walk = &obs.events().records()[0];
-//! assert_eq!(walk.kind, "faulttree.walk");
+//! assert_eq!(walk.kind(), "faulttree.walk");
 //! assert_eq!(walk.duration(), Some(SimDuration::from_millis(80)));
 //! ```
 

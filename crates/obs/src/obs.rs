@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use pod_sim::Clock;
 
-use crate::event::{EventAttrs, EventId, EventLog, PendingRoot, SpanGuard};
+use crate::event::{EventAttrs, EventId, EventLog, Named, PendingRoot, SpanGuard};
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 
@@ -15,19 +15,35 @@ use crate::metrics::{Counter, Gauge, Registry, Snapshot};
 /// the event is recorded, so a borrowed `&String` is copied then and never
 /// under [`TelemetryMode::Off`], and a `&'static str` stays borrowed.
 pub trait EventName {
-    /// The name as the record keeps it.
-    fn into_name(self) -> Cow<'static, str>;
+    /// The record's static name and the value it keeps: `attrs` as kept
+    /// ([`EventAttrs::keep`]) beside a static name, or `attrs` with a copy
+    /// of an owned name, in one shared value that names the record
+    /// ([`EventAttrs::root_name`]).
+    fn keep_with<A: EventAttrs>(
+        self,
+        attrs: A,
+    ) -> (Option<&'static str>, Option<Arc<dyn EventAttrs>>);
 }
 
 impl EventName for &'static str {
-    fn into_name(self) -> Cow<'static, str> {
-        Cow::Borrowed(self)
+    fn keep_with<A: EventAttrs>(
+        self,
+        attrs: A,
+    ) -> (Option<&'static str>, Option<Arc<dyn EventAttrs>>) {
+        (Some(self), attrs.keep())
     }
 }
 
 impl EventName for &String {
-    fn into_name(self) -> Cow<'static, str> {
-        Cow::Owned(self.clone())
+    fn keep_with<A: EventAttrs>(
+        self,
+        attrs: A,
+    ) -> (Option<&'static str>, Option<Arc<dyn EventAttrs>>) {
+        let named = Named {
+            name: self.as_str().into(),
+            attrs,
+        };
+        (None, Some(Arc::new(named)))
     }
 }
 
@@ -38,7 +54,8 @@ impl EventName for &String {
 /// *trace* side (spans and causal events), which takes a ring slot and the
 /// event log's lock per record, and is what tail-based sampling decides to
 /// keep or discard. A record keeps the values its attributes are rendered
-/// from, shared with the emitter, so it copies no strings but its name:
+/// from, shared with the emitter, so it copies no strings but an owned
+/// name:
 ///
 /// - `Off` — spans and events become no-ops; the baseline for overhead
 ///   measurement.
@@ -159,10 +176,8 @@ impl Obs {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(
-            self.events
-                .emit(parent, kind, name.into_name(), attrs().keep()),
-        )
+        let (name, kept) = name.keep_with(attrs());
+        Some(self.events.emit(parent, kind, name, kept))
     }
 
     /// A *pending root*: a root event of `kind` that shares `root` and is
@@ -173,8 +188,9 @@ impl Obs {
     /// log's lock; only the lines whose triggers produce a verdict, assertion
     /// result, detection or timer record theirs, and dropping the value
     /// otherwise leaves no id, no ring slot and no copy of the root's
-    /// strings. A recorded root copies its name and nothing else. Inert
-    /// when the mode is [`TelemetryMode::Off`].
+    /// strings. A recorded root copies nothing: its name is read from the
+    /// value it keeps ([`EventAttrs::root_name`]). Inert when the mode is
+    /// [`TelemetryMode::Off`].
     pub fn pending_root<A: EventAttrs>(&self, kind: &'static str, root: &Arc<A>) -> PendingRoot {
         if !self.mode().records_traces() {
             return PendingRoot::default();
@@ -213,18 +229,19 @@ impl Obs {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.events.open(name, name.into(), false)
+        self.events.open(name, None, false)
     }
 
     /// Emits a causal event, as [`Obs::event`] does, that is also a span:
     /// it encloses every record written until the guard drops, which
-    /// writes its end. Returns an inert guard when the mode is
+    /// writes its end. Its name is copied once, and keeps the attributes
+    /// the span ends with. Returns an inert guard when the mode is
     /// [`TelemetryMode::Off`].
     pub fn event_span(&self, kind: &'static str, name: &str) -> SpanGuard {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.events.open(kind, name.to_string().into(), true)
+        self.events.open(kind, Some(name), true)
     }
 
     /// Snapshots every metric.
@@ -263,16 +280,16 @@ mod tests {
         let guard = obs.span("upgrade.step");
         let ev = obs.event(None, "conformance.verdict", "conformance:fit", || ());
         let records = obs.events().records();
-        assert_eq!(records[1].span, guard.id().map(EventId::get));
+        assert_eq!(records[1].span(), guard.id().map(EventId::get));
         drop(guard);
-        assert_eq!(records[1].parent, None);
+        assert_eq!(records[1].parent(), None);
         let child = obs.event(ev, "detection", "conformance-unfit", || {
             [("k", AttrValue::from("v"))]
         });
         assert_eq!(child.map(EventId::get), Some(2));
         let records = obs.events().records();
-        assert_eq!(records[2].parent, ev.map(EventId::get));
-        assert_eq!(records[2].span, None);
+        assert_eq!(records[2].parent(), ev.map(EventId::get));
+        assert_eq!(records[2].span(), None);
         assert_eq!(records[2].attrs(), vec![("k", "v".to_string())]);
     }
 
@@ -290,7 +307,10 @@ mod tests {
     struct Unnamed;
 
     impl EventName for Unnamed {
-        fn into_name(self) -> Cow<'static, str> {
+        fn keep_with<A: EventAttrs>(
+            self,
+            _: A,
+        ) -> (Option<&'static str>, Option<Arc<dyn EventAttrs>>) {
             panic!("Off converts no name")
         }
     }

@@ -44,16 +44,16 @@ impl IncidentChain {
     /// last hop when no verdict exists).
     pub fn elapsed(&self) -> SimDuration {
         let first = match self.hops.first() {
-            Some(h) => h.at,
+            Some(h) => h.at(),
             None => return SimDuration::from_micros(0),
         };
         let last = self
             .hops
             .iter()
             .rev()
-            .find(|h| h.kind == "diagnosis.verdict")
+            .find(|h| h.kind() == "diagnosis.verdict")
             .or(self.hops.last())
-            .map(|h| h.at)
+            .map(|h| h.at())
             .unwrap_or(first);
         last.duration_since(first)
     }
@@ -64,34 +64,34 @@ impl IncidentChain {
 /// in a soak only needs the count, and full reconstruction clones every
 /// hop's strings.
 pub fn incident_count(records: &[EventRecord]) -> usize {
-    records.iter().filter(|e| e.kind == "detection").count()
+    records.iter().filter(|e| e.kind() == "detection").count()
 }
 
 /// Reconstructs one [`IncidentChain`] per `detection` event in `records`.
 pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
-    let by_id: BTreeMap<u64, &EventRecord> = records.iter().map(|e| (e.id, e)).collect();
+    let by_id: BTreeMap<u64, &EventRecord> = records.iter().map(|e| (e.id(), e)).collect();
     let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
     for event in records {
-        if let Some(parent) = event.parent {
-            children.entry(parent).or_default().push(event.id);
+        if let Some(parent) = event.parent() {
+            children.entry(parent).or_default().push(event.id());
         }
     }
     let mut chains = Vec::new();
-    for event in records.iter().filter(|e| e.kind == "detection") {
+    for event in records.iter().filter(|e| e.kind() == "detection") {
         // Ancestors: walk parent links to the root (or to an evicted id).
         let mut ancestors: Vec<&EventRecord> = Vec::new();
-        let mut cursor = event.parent;
+        let mut cursor = event.parent();
         while let Some(id) = cursor {
             let Some(parent) = by_id.get(&id) else {
                 break; // evicted from the ring: chain is cut here
             };
             ancestors.push(parent);
-            cursor = parent.parent;
+            cursor = parent.parent();
         }
         ancestors.reverse();
         // Descendants: everything reachable through child links.
         let mut reached: BTreeSet<u64> = BTreeSet::new();
-        let mut frontier = vec![event.id];
+        let mut frontier = vec![event.id()];
         while let Some(id) = frontier.pop() {
             if let Some(kids) = children.get(&id) {
                 for &kid in kids {
@@ -107,13 +107,16 @@ pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
             .iter()
             .filter_map(|id| by_id.get(id).map(|e| (*e).clone()))
             .collect();
-        descendants.sort_by_key(|e| (e.at, e.id));
+        descendants.sort_by_key(|e| (e.at(), e.id()));
         hops.extend(descendants);
-        let anchored = hops.first().map(|h| h.kind == "log.line").unwrap_or(false);
-        let diagnosed = hops.iter().any(|h| h.kind == "diagnosis.verdict");
+        let anchored = hops
+            .first()
+            .map(|h| h.kind() == "log.line")
+            .unwrap_or(false);
+        let diagnosed = hops.iter().any(|h| h.kind() == "diagnosis.verdict");
         let root_causes = hops
             .iter()
-            .filter(|h| h.kind == "diagnosis.cause")
+            .filter(|h| h.kind() == "diagnosis.cause")
             .cloned()
             .collect();
         chains.push(IncidentChain {
@@ -149,8 +152,8 @@ fn render_timeline(chain: &IncidentChain) -> String {
     let _ = writeln!(
         out,
         "incident #{}: {} — {} hops, {} from first evidence to verdict, chain {}",
-        chain.detection.id,
-        chain.detection.name,
+        chain.detection.id(),
+        chain.detection.name(),
         chain.hops.len(),
         chain.elapsed(),
         if chain.complete() {
@@ -161,12 +164,12 @@ fn render_timeline(chain: &IncidentChain) -> String {
             "BROKEN (no log-line anchor)"
         },
     );
-    let mut previous = chain.hops.first().map(|h| h.at);
+    let mut previous = chain.hops.first().map(|h| h.at());
     for (i, hop) in chain.hops.iter().enumerate() {
         let delta = previous
-            .map(|p| hop.at.duration_since(p))
+            .map(|p| hop.at().duration_since(p))
             .unwrap_or_else(|| SimDuration::from_micros(0));
-        previous = Some(hop.at);
+        previous = Some(hop.at());
         let marker = if i == 0 { "   " } else { "-> " };
         let took = hop
             .duration()
@@ -174,15 +177,15 @@ fn render_timeline(chain: &IncidentChain) -> String {
         let _ = writeln!(
             out,
             "  {:>12}  {:>10}  {}{:<20} {:<28} {took}{}",
-            hop.at.to_string(),
+            hop.at().to_string(),
             if i == 0 {
                 String::new()
             } else {
                 format!("+{delta}")
             },
             marker,
-            hop.kind,
-            hop.name,
+            hop.kind(),
+            hop.name(),
             attr_summary(hop, 56),
         );
     }
@@ -190,7 +193,7 @@ fn render_timeline(chain: &IncidentChain) -> String {
         let _ = writeln!(
             out,
             "  root cause: {} {}",
-            cause.name,
+            cause.name(),
             attr_summary(cause, 120)
         );
     }
@@ -256,7 +259,7 @@ mod tests {
         assert!(chain.diagnosed);
         assert!(chain.complete());
         assert_eq!(chain.hops.len(), 7);
-        assert_eq!(chain.hops[0].kind, "log.line");
+        assert_eq!(chain.hops[0].kind(), "log.line");
         assert_eq!(chain.root_causes.len(), 1);
         assert_eq!(chain.elapsed(), SimDuration::from_millis(50));
     }

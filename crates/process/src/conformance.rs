@@ -405,10 +405,10 @@ mod tests {
             .expect("unfit replay emits an event");
         let records = obs.events().records();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[1].id, verdict_event.get());
-        assert_eq!(records[1].kind, "conformance.verdict");
-        assert_eq!(records[1].name, "conformance:unfit");
-        assert_eq!(records[1].parent, line.map(|id| id.get()));
+        assert_eq!(records[1].id(), verdict_event.get());
+        assert_eq!(records[1].kind(), "conformance.verdict");
+        assert_eq!(records[1].name(), "conformance:unfit");
+        assert_eq!(records[1].parent(), line.map(|id| id.get()));
         assert!(records[1].attrs().contains(&("expected", "b".to_string())));
     }
 
@@ -426,7 +426,7 @@ mod tests {
         assert_eq!(records.len(), 3);
         assert!(records[1..]
             .iter()
-            .all(|r| r.parent == line.map(|id| id.get())));
+            .all(|r| r.parent() == line.map(|id| id.get())));
         let rendered = records[1].attrs();
         assert_eq!(rendered[0], ("activity", "c".to_string()));
         assert!(

@@ -11,7 +11,9 @@
 //!   samplers implemented in-crate;
 //! - [`LatencyModel`] — calibrated latency distributions for simulated cloud
 //!   API calls;
-//! - [`nearest_rank`] — the one quantile definition every report uses.
+//! - [`nearest_rank`] — the one quantile definition every report uses;
+//! - [`push_bounded`] / [`growth_step`] — the one growth rule for the
+//!   buffers a run keeps for its whole life.
 //!
 //! Everything is deterministic under a seed: two runs with the same seed
 //! produce identical logs, identical diagnosis transcripts and identical
@@ -44,6 +46,7 @@
 
 mod clock;
 mod events;
+mod grow;
 mod latency;
 mod rng;
 mod stats;
@@ -51,6 +54,7 @@ mod time;
 
 pub use clock::Clock;
 pub use events::EventQueue;
+pub use grow::{growth_step, push_bounded};
 pub use latency::LatencyModel;
 pub use rng::SimRng;
 pub use stats::nearest_rank;

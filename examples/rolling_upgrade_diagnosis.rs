@@ -84,6 +84,6 @@ fn main() {
     println!(
         "exported {} causal events, {} of them spans, to TRACE_e6.json (Chrome trace-event)",
         dump.events.len(),
-        dump.events.iter().filter(|e| e.end.is_some()).count()
+        dump.events.iter().filter(|e| e.end().is_some()).count()
     );
 }

@@ -219,7 +219,7 @@ fn campaign(mut args: Args) {
         eprintln!(
             "wrote last run's trace ({} events, {} of them spans) to TRACE_campaign.json",
             dump.events.len(),
-            dump.events.iter().filter(|e| e.end.is_some()).count()
+            dump.events.iter().filter(|e| e.end().is_some()).count()
         );
     }
     conclude(name, &lines, json);

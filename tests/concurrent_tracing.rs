@@ -32,18 +32,18 @@ fn run_upgrade(seed: u64, fault: FaultType) -> TraceDump {
 /// evicted — never at another trace's ids, which these small runs never
 /// evict), and every span link must point at a record with an end.
 fn assert_self_contained(TraceDump { events, .. }: &TraceDump) {
-    let ends: BTreeMap<u64, bool> = events.iter().map(|e| (e.id, e.end.is_some())).collect();
+    let ends: BTreeMap<u64, bool> = events.iter().map(|e| (e.id(), e.end().is_some())).collect();
     assert_eq!(ends.len(), events.len(), "one id per record");
     for event in events {
-        if let Some(parent) = event.parent {
-            assert!(ends.contains_key(&parent), "event {} orphaned", event.id);
+        if let Some(parent) = event.parent() {
+            assert!(ends.contains_key(&parent), "event {} orphaned", event.id());
         }
-        if let Some(span) = event.span {
+        if let Some(span) = event.span() {
             assert_eq!(
                 ends.get(&span),
                 Some(&true),
                 "event {} points at {span}, which is no span",
-                event.id
+                event.id()
             );
         }
     }
@@ -60,8 +60,8 @@ fn interleaved_upgrades_do_not_cross_link() {
 
     assert_ne!(a.trace_id, b.trace_id);
     for trace in [&a, &b] {
-        assert!(trace.events.iter().any(|e| e.end.is_some()), "spans");
-        assert!(trace.events.iter().any(|e| e.end.is_none()), "instants");
+        assert!(trace.events.iter().any(|e| e.end().is_some()), "spans");
+        assert!(trace.events.iter().any(|e| e.end().is_none()), "instants");
     }
     assert_self_contained(&a);
     assert_self_contained(&b);
@@ -74,11 +74,11 @@ fn interleaved_upgrades_do_not_cross_link() {
     assert!(incidents_b.iter().any(|c| c.complete()));
     let causes_a: BTreeSet<String> = incidents_a
         .iter()
-        .flat_map(|c| c.root_causes.iter().map(|r| r.name.to_string()))
+        .flat_map(|c| c.root_causes.iter().map(|r| r.name().to_string()))
         .collect();
     let causes_b: BTreeSet<String> = incidents_b
         .iter()
-        .flat_map(|c| c.root_causes.iter().map(|r| r.name.to_string()))
+        .flat_map(|c| c.root_causes.iter().map(|r| r.name().to_string()))
         .collect();
     assert!(
         causes_a.contains("lc-wrong-ami"),
@@ -115,8 +115,8 @@ fn sequential_runs_on_one_cloud_reset_cleanly() {
     }
     let records = obs.events().records();
     assert_eq!(records.len(), 2);
-    assert!(records[0].end.is_some(), "the span closed");
-    assert_eq!(records[1].span, Some(records[0].id));
+    assert!(records[0].end().is_some(), "the span closed");
+    assert_eq!(records[1].span(), Some(records[0].id()));
     obs.begin_run("second");
     assert!(obs.events().records().is_empty());
     assert_eq!(obs.events().dropped(), 0);

@@ -50,8 +50,8 @@ fn the_e6_trace_matches_its_pin() {
 fn chrome_trace_parses_and_carries_required_keys() {
     let campaign = Campaign::new(CampaignConfig::clean(99));
     let dump = monitor_upgrade(&campaign.plans()[0]).trace();
-    assert!(dump.events.iter().any(|e| e.end.is_some()), "spans");
-    assert!(dump.events.iter().any(|e| e.end.is_none()), "instants");
+    assert!(dump.events.iter().any(|e| e.end().is_some()), "spans");
+    assert!(dump.events.iter().any(|e| e.end().is_none()), "instants");
     let doc = Json::parse(&dump.chrome_trace()).expect("chrome trace is valid JSON");
     assert_eq!(
         doc.get("displayTimeUnit").and_then(|v| v.as_str()),
